@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test vet race race-repl race-watch race-shard race-storm race-trace bench bench-store bench-concurrent bench-repl bench-obs bench-watch bench-router bench-hotpath bench-storm bench-trace fuzz fuzz-smoke govulncheck staticcheck tables examples clean
+.PHONY: all check build test test-bench vet race race-repl race-watch race-shard race-storm race-trace bench bench-store bench-concurrent bench-repl bench-obs bench-watch bench-router bench-hotpath bench-storm bench-trace fuzz fuzz-smoke govulncheck staticcheck tables examples clean
 
 all: check
 
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/ is a Go module of its own (see bench/README.md), so ./... above
+# never reaches it: its smoke test runs all five workloads and the traced
+# run in-process for a few seconds and checks them against BENCHMARK.json.
+test-bench:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -107,12 +113,15 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@latest ./...
 
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/parser
+	$(GO) test -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
 
-# Short fuzz passes over every binary decoder that reads untrusted bytes:
-# the binspec document/record readers, the specio JSON reader and the watch
-# frame codec.
+# Short fuzz passes over everything that reads untrusted bytes: the program
+# and query parsers, the binspec document/record readers, the specio JSON
+# reader and the watch frame codec. (The parser seeds are kilobytes long;
+# without a minimizer budget the fuzzer spends the pass shrinking them.)
 fuzz-smoke:
+	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
+	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/binspec
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/binspec
 	$(GO) test -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio

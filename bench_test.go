@@ -429,3 +429,51 @@ func BenchmarkIncrementalQuery(b *testing.B) {
 		}
 	}
 }
+
+// --- Plan-miss path: novel query text → compiled plan, by term depth. ---
+
+// BenchmarkPrepareMiss times Snapshot.Prepare on texts the plan cache has
+// never seen (every ask_wide operation). The snapshot is republished,
+// untimed, whenever the text pool wraps, so no iteration is a cache hit.
+func BenchmarkPrepareMiss(b *testing.B) {
+	fams := []struct {
+		name, src string
+		n         int
+	}{
+		{"cal", datagen.CalendarSrc(64), 64},
+		{"sub", datagen.SubsetsSrc(6), 6},
+		{"rob", datagen.RobotSrc(8), 8},
+	}
+	const pool = 64
+	for _, f := range fams {
+		for _, depth := range []int{64, 512, 1000} {
+			b.Run(fmt.Sprintf("%s/d%d", f.name, depth), func(b *testing.B) {
+				seen := make(map[string]bool, pool)
+				var texts []string
+				for seed := int64(0); len(texts) < pool && seed < 4*pool; seed++ {
+					if q := datagen.DeepQuery(f.name, f.n, depth, seed); !seen[q] {
+						seen[q] = true
+						texts = append(texts, q)
+					}
+				}
+				ctx := context.Background()
+				var snap *funcdb.Snapshot
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%len(texts) == 0 {
+						b.StopTimer()
+						var err error
+						if snap, err = open(b, f.src).Snapshot(); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					if _, err := snap.Prepare(ctx, texts[i%len(texts)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -12,6 +12,7 @@ package ast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"funcdb/internal/symbols"
@@ -65,6 +66,9 @@ func FVar(v symbols.VarID) *FTerm { return &FTerm{Base: v} }
 func FZero() *FTerm { return &FTerm{Base: symbols.NoVar} }
 
 // Apply returns a copy of t with one more application f(args...) on top.
+// It copies all of t.Apps, O(len): fine for the one-layer patterns of
+// package rewrite, quadratic if called in a loop to grow a term — append to
+// Apps instead, as the parser does.
 func (t *FTerm) Apply(f symbols.FuncID, args ...DTerm) *FTerm {
 	apps := make([]FApp, len(t.Apps)+1)
 	copy(apps, t.Apps)
@@ -142,26 +146,28 @@ func (t *FTerm) Format(tab symbols.Namer) string {
 		}
 	}
 	core := t.Apps[:len(t.Apps)-run]
-	s := base
-	for _, a := range core {
-		var b strings.Builder
-		b.WriteString(tab.FuncName(a.Fn))
+	if run > 0 && len(core) == 0 && !t.HasVarBase() {
+		return strconv.Itoa(run)
+	}
+	// One pass out and one back in, so printing is linear in the depth.
+	var b strings.Builder
+	for i := len(core) - 1; i >= 0; i-- {
+		b.WriteString(tab.FuncName(core[i].Fn))
 		b.WriteByte('(')
-		b.WriteString(s)
+	}
+	b.WriteString(base)
+	for _, a := range core {
 		for _, arg := range a.Args {
 			b.WriteString(", ")
 			b.WriteString(arg.Format(tab))
 		}
 		b.WriteByte(')')
-		s = b.String()
 	}
 	if run > 0 {
-		if s == "0" {
-			return fmt.Sprintf("%d", run)
-		}
-		return fmt.Sprintf("%s+%d", s, run)
+		b.WriteByte('+')
+		b.WriteString(strconv.Itoa(run))
 	}
-	return s
+	return b.String()
 }
 
 // Atom is a functional or non-functional atom. FT is nil exactly when the

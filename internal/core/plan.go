@@ -80,7 +80,6 @@ type Plan struct {
 
 	// Equational lowering, compiled on first equational execution.
 	eqOnce  sync.Once
-	eqErr   error
 	eqSteps []eqStep
 	eqView  *term.Scratch // read-only after eqOnce; holds the query terms
 }
@@ -91,9 +90,6 @@ func (p *Plan) Shape() string { return p.shape }
 
 // Ground reports whether the query is ground (a yes/no membership test).
 func (p *Plan) Ground() bool { return p.ground }
-
-// Query returns the parsed query (read-only).
-func (p *Plan) Query() *ast.Query { return p.q }
 
 // planEntry is one slot of the plan cache. once elects a single compiling
 // goroutine; concurrent misses on the same shape block on it and share the
@@ -106,10 +102,19 @@ type planEntry struct {
 
 func nop() {}
 
-// planCacheCap bounds both cache maps. The cache lives and dies with its
-// Snapshot, so eviction is a rare safety valve, not a steady-state path: on
-// overflow the maps are simply flushed.
-const planCacheCap = 4096
+// planCacheCap bounds the entries of each cache map and planCacheBytes the
+// bytes the cache retains: a plan keeps its text, shape, AST and symbol
+// string alive, some 70 bytes per application, so a few thousand deep plans
+// are tens of megabytes however few entries they are. The cache lives and
+// dies with its Snapshot, so eviction is a rare safety valve, not a
+// steady-state path: when either bound would be passed, both maps are
+// simply flushed. entryOverhead is the fixed cost charged per cached text:
+// map slot, entry and string headers.
+const (
+	planCacheCap   = 4096
+	planCacheBytes = 16 << 20
+	entryOverhead  = 128
+)
 
 // planCache is the per-snapshot two-level plan cache: an exact-text map for
 // the zero-work hit path, and a canonical-shape map so different spellings
@@ -118,6 +123,35 @@ type planCache struct {
 	mu     sync.RWMutex
 	texts  map[string]*planEntry
 	shapes map[string]*planEntry
+	bytes  int // retained by the entries of both maps, as estimated by their inserters
+}
+
+// admit makes room for an insertion retaining cost more bytes, flushing the
+// cache if it would pass a bound. The caller holds mu.
+func (pc *planCache) admit(cost int) {
+	if len(pc.texts) >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
+		pc.texts = make(map[string]*planEntry)
+		pc.shapes = make(map[string]*planEntry)
+		pc.bytes = 0
+	}
+	pc.bytes += cost
+}
+
+// planBytes estimates what a compiled plan for q retains beyond its text:
+// the shape string, the AST and the lowered symbol strings.
+func planBytes(shape string, q *ast.Query) int {
+	n := len(shape)
+	for i := range q.Atoms {
+		a := &q.Atoms[i]
+		n += 64 + 8*len(a.Args)
+		if a.FT != nil {
+			n += 36 * len(a.FT.Apps) // one FApp and one flat symbol index each
+			for _, app := range a.FT.Apps {
+				n += 8 * len(app.Args)
+			}
+		}
+	}
+	return n
 }
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
@@ -142,48 +176,45 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	pc := &s.plans
 	_, psp := obs.StartSpan(ctx, "parse")
 	ec := s.getEval(s.tab)
+	defer s.putEval(ec)
 	q, err := parser.ParseQueryTab(ec.tab, src)
 	psp.End()
-	if err != nil {
-		s.putEval(ec)
-		e := &planEntry{err: err}
-		e.once.Do(nop)
-		pc.mu.Lock()
-		if len(pc.texts) >= planCacheCap {
-			pc.texts = make(map[string]*planEntry, planCacheCap)
+	// The bytes the new entry will retain. (A respelling of a cached shape
+	// is charged for the plan again: an overestimate, never an under.)
+	cost, shape := entryOverhead+len(src), ""
+	if err == nil {
+		shape = canonical.QueryShape(q, ec.tab)
+		cost += planBytes(shape, q)
+	}
+	if cost > planCacheBytes/8 {
+		// Not worth flushing every other plan for: answer it uncached.
+		if err != nil {
+			return nil, err
 		}
-		pc.texts[src] = e
-		pc.mu.Unlock()
-		return nil, err
+		return s.compile(ctx, ec, src, shape, q)
 	}
-	shape := canonical.QueryShape(q, ec.tab)
 	pc.mu.Lock()
-	if len(pc.texts) >= planCacheCap {
-		pc.texts = make(map[string]*planEntry, planCacheCap)
-	}
-	if len(pc.shapes) >= planCacheCap {
-		pc.shapes = make(map[string]*planEntry, planCacheCap)
-	}
-	e := pc.shapes[shape]
-	if e == nil {
+	pc.admit(cost)
+	var e *planEntry
+	if err != nil {
+		e = &planEntry{err: err}
+		e.once.Do(nop) // nothing to compile
+	} else if e = pc.shapes[shape]; e == nil {
 		e = &planEntry{}
 		pc.shapes[shape] = e
 	}
 	pc.texts[src] = e
 	pc.mu.Unlock()
-	e.once.Do(func() {
-		_, csp := obs.StartSpan(ctx, "plan_compile")
-		e.plan, e.err = s.compile(ec, src, shape, q)
-		csp.End()
-	})
-	s.putEval(ec)
+	e.once.Do(func() { e.plan, e.err = s.compile(ctx, ec, src, shape, q) })
 	return e.plan, e.err
 }
 
 // compile lowers a parsed query onto a Plan. ec is the prepare-time scratch
 // the query was parsed into; nothing of it is retained (symbol strings are
 // copied, atom ids kept only when they refer to the frozen world).
-func (s *Snapshot) compile(ec *evalCtx, src, shape string, q *ast.Query) (*Plan, error) {
+func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, q *ast.Query) (*Plan, error) {
+	_, csp := obs.StartSpan(ctx, "plan_compile")
+	defer csp.End()
 	p := &Plan{snap: s, src: src, shape: shape, q: q, ground: true}
 	for i := range q.Atoms {
 		if !q.Atoms[i].IsGround() {
@@ -205,11 +236,8 @@ func (s *Snapshot) compile(ec *evalCtx, src, shape string, q *ast.Query) (*Plan,
 	p.flat = true
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
-		t, args, err := s.groundAtomParts(ec, a)
-		if err != nil {
-			return nil, err
-		}
-		if t == term.None {
+		args := constArgs(a)
+		if a.FT == nil {
 			// Data atom: the frozen global set is immutable, so the verdict
 			// is a compile-time constant.
 			if s.spec.HasData(ec.w, a.Pred, args) {
@@ -226,9 +254,9 @@ func (s *Snapshot) compile(ec *evalCtx, src, shape string, q *ast.Query) (*Plan,
 			p.flat = false
 			continue
 		}
-		symsIn := ec.u.Symbols(t)
-		syms := make([]int32, len(symsIn))
-		for j, fn := range symsIn {
+		fns := pureSymbols(ec.tab, a.FT)
+		syms := make([]int32, len(fns))
+		for j, fn := range fns {
 			si, ok := fd.SymIndex(fn)
 			if !ok {
 				return nil, fmt.Errorf("specgraph: symbol %v is not in the specification's alphabet", fn)
@@ -349,18 +377,15 @@ func (p *Plan) compileEq() {
 	_, cand := s.canonical()
 	for i := range p.q.Atoms {
 		a := &p.q.Atoms[i]
-		t, args, err := s.groundAtomParts(ec, a)
-		if err != nil {
-			p.eqErr = err
-			return
-		}
-		if t == term.None {
+		args := constArgs(a)
+		if a.FT == nil {
 			p.eqSteps = append(p.eqSteps, eqStep{
 				t:      term.None,
 				dataOK: s.spec.HasData(ec.w, a.Pred, args),
 			})
 			continue
 		}
+		t := ec.u.ApplyString(term.Zero, pureSymbols(ec.tab, a.FT)...)
 		atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
 		p.eqSteps = append(p.eqSteps, eqStep{t: t, cands: cand[atom]})
 	}
@@ -372,9 +397,6 @@ func (p *Plan) compileEq() {
 // congruence scratch per execution.
 func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 	p.eqOnce.Do(p.compileEq)
-	if p.eqErr != nil {
-		return false, p.eqErr
-	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"funcdb/internal/ast"
@@ -15,7 +14,6 @@ import (
 	"funcdb/internal/query"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
-	"funcdb/internal/subst"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -241,49 +239,51 @@ func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*qu
 
 // hasGroundAtom decides one ground atom through the map-based frozen walk.
 func (s *Snapshot) hasGroundAtom(ctx context.Context, ec *evalCtx, a *ast.Atom) (bool, error) {
-	t, args, err := s.groundAtomParts(ec, a)
-	if err != nil {
-		return false, err
-	}
-	if t == term.None {
+	args := constArgs(a)
+	if a.FT == nil {
 		return s.spec.HasData(ec.w, a.Pred, args), nil
 	}
+	t := ec.u.ApplyString(term.Zero, pureSymbols(ec.tab, a.FT)...)
 	_, sp := obs.StartSpan(ctx, "dfa_walk")
 	ok, err := s.spec.Has(ec.u, ec.w, a.Pred, t, args)
 	sp.End()
 	return ok, err
 }
 
-// groundAtomParts interns a ground atom's functional term (term.None for a
-// non-functional atom) and data arguments into the query's overlays,
-// eliminating mixed symbols on the fly in a thawed private table.
-func (s *Snapshot) groundAtomParts(ec *evalCtx, a *ast.Atom) (term.Term, []symbols.ConstID, error) {
+// constArgs returns the data arguments of a ground atom.
+func constArgs(a *ast.Atom) []symbols.ConstID {
 	args := make([]symbols.ConstID, len(a.Args))
 	for i, d := range a.Args {
 		args[i] = d.Const
 	}
-	if a.FT == nil {
-		return term.None, args, nil
-	}
-	ft := a.FT
-	if !ftIsPure(ft) {
-		// Elimination interns derived symbols; run it on a private thawed
-		// table and absorb the new symbols back into the overlay so the
-		// identifier spaces stay aligned.
-		tab2 := ec.tab.Thaw()
-		p := &ast.Program{Tab: tab2, Facts: []ast.Atom{{Pred: a.Pred, FT: ft, Args: a.Args}}}
-		pure, err := rewrite.EliminateMixed(p)
-		if err != nil {
-			return term.None, nil, err
+	return args
+}
+
+// pureSymbols returns the function symbols of a ground functional term,
+// innermost first, with every mixed application g(·, a, b) resolved to the
+// pure symbol g'a'b that rewrite.EliminateMixed derived when the program was
+// compiled — looked up by name, one step per application, where running the
+// elimination on the atom would clone the symbol table first. A derived
+// symbol the program never produced is interned into the overlay; the walk
+// then finds it outside the specification's alphabet.
+func pureSymbols(tab *symbols.Scratch, ft *ast.FTerm) []symbols.FuncID {
+	fns := make([]symbols.FuncID, len(ft.Apps))
+	var name []byte
+	for i, app := range ft.Apps {
+		fns[i] = app.Fn
+		if len(app.Args) == 0 {
+			continue
 		}
-		ec.tab.Absorb(pure.Tab)
-		ft = pure.Facts[0].FT
+		name = rewrite.PureName(name[:0], tab, app)
+		// The lookup does not retain its key, so string(name) stays off the
+		// heap; only a novel symbol pays for a string to intern.
+		fn, ok := tab.LookupFunc(string(name), 0)
+		if !ok {
+			fn = tab.Func(string(name), 0)
+		}
+		fns[i] = fn
 	}
-	t, ok := subst.GroundFTerm(ec.u, ft)
-	if !ok {
-		return term.None, nil, fmt.Errorf("core: atom is not ground")
-	}
-	return t, args, nil
+	return fns
 }
 
 func (s *Snapshot) answersQuery(ctx context.Context, ec *evalCtx, q *ast.Query) (*query.Answers, error) {
@@ -329,13 +329,24 @@ type BatchResult struct {
 // snapshot's plan cache. Results are in input order. An expired ctx marks
 // the remaining queries with an error matching ErrCanceled.
 func (s *Snapshot) AskBatch(ctx context.Context, queries []string, workers int) []BatchResult {
+	out := make([]BatchResult, len(queries))
+	ForEach(len(queries), workers, func(j int) {
+		ok, err := s.Ask(ctx, queries[j])
+		out[j] = BatchResult{Query: queries[j], OK: ok, Err: err}
+	})
+	return out
+}
+
+// ForEach runs f(0), …, f(n-1) on a bounded worker pool (workers <= 0 picks
+// a sensible default) and waits for all of them: the pool behind AskBatch,
+// for callers that batch plans they prepared themselves.
+func ForEach(n, workers int, f func(j int)) {
 	if workers <= 0 {
 		workers = 4
 	}
-	if workers > len(queries) {
-		workers = len(queries)
+	if workers > n {
+		workers = n
 	}
-	out := make([]BatchResult, len(queries))
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for i := 0; i < workers; i++ {
@@ -343,23 +354,21 @@ func (s *Snapshot) AskBatch(ctx context.Context, queries []string, workers int) 
 		go func() {
 			defer wg.Done()
 			for j := range idx {
-				ok, err := s.Ask(ctx, queries[j])
-				out[j] = BatchResult{Query: queries[j], OK: ok, Err: err}
+				f(j)
 			}
 		}()
 	}
-	for j := range queries {
+	for j := 0; j < n; j++ {
 		idx <- j
 	}
 	close(idx)
 	wg.Wait()
-	return out
 }
 
-// snapshotTraced returns the current snapshot, recording a "compile" span on
-// the caller's trace when the snapshot actually has to be (re)built — the
-// one moment a read pays for compilation after a mutation.
-func (db *Database) snapshotTraced(ctx context.Context) (*Snapshot, error) {
+// SnapshotContext is Snapshot recording a "compile" span on ctx's trace when
+// the snapshot actually has to be (re)built — the one moment a read pays
+// for compilation after a mutation.
+func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 	if s := db.snap.Load(); s != nil {
 		return s, nil
 	}
@@ -372,7 +381,7 @@ func (db *Database) snapshotTraced(ctx context.Context) (*Snapshot, error) {
 // consulting the snapshot's plan cache. The returned plan answers as of
 // that snapshot; after a mutation, Prepare compiles against the fresh one.
 func (db *Database) Prepare(ctx context.Context, src string) (*Plan, error) {
-	s, err := db.snapshotTraced(ctx)
+	s, err := db.SnapshotContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +394,7 @@ func (db *Database) Prepare(ctx context.Context, src string) (*Plan, error) {
 func (db *Database) Ask(ctx context.Context, src string, opts ...Option) (bool, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
-	s, err := db.snapshotTraced(ctx)
+	s, err := db.SnapshotContext(ctx)
 	if err != nil {
 		return false, err
 	}
@@ -401,7 +410,7 @@ func (db *Database) Ask(ctx context.Context, src string, opts ...Option) (bool, 
 func (db *Database) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
-	s, err := db.snapshotTraced(ctx)
+	s, err := db.SnapshotContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +428,7 @@ func (db *Database) Answers(ctx context.Context, src string, opts ...Option) (*q
 // AskBatch evaluates many yes-no queries concurrently on one snapshot of
 // the database. See Snapshot.AskBatch.
 func (db *Database) AskBatch(ctx context.Context, queries []string, workers int) ([]BatchResult, error) {
-	s, err := db.snapshotTraced(ctx)
+	s, err := db.SnapshotContext(ctx)
 	if err != nil {
 		return nil, err
 	}

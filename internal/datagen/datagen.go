@@ -256,3 +256,43 @@ func AbuserTenant() Tenant {
 		FactFmt: "P(e%d).",
 	}
 }
+
+// DeepQuery returns a ground yes-no query whose functional term has the
+// given depth, over one of the three deep-term families: "cal" (a numeric
+// literal on Calendar(n)), "sub" (nested mixed ext(S, e) on Subsets(n)) or
+// "rob" (nested mixed move(S, p, q) along ring edges of Robot(n)). Distinct
+// seeds give distinct texts of the same size wherever the family has room
+// (cal only varies the student constant).
+func DeepQuery(family string, n, depth int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	switch family {
+	case "cal":
+		fmt.Fprintf(&b, "?- Meets(%d, s%d).", depth, rng.Intn(n))
+	case "sub":
+		b.WriteString("?- Member(")
+		b.WriteString(strings.Repeat("ext(", depth))
+		b.WriteByte('0')
+		for i := 0; i < depth; i++ {
+			fmt.Fprintf(&b, ", e%d)", rng.Intn(n))
+		}
+		fmt.Fprintf(&b, ", e%d).", rng.Intn(n))
+	case "rob":
+		b.WriteString("?- At(")
+		b.WriteString(strings.Repeat("move(", depth))
+		b.WriteByte('0')
+		cur := 0
+		for i := 0; i < depth; i++ {
+			next := (cur + 1) % n
+			if cur == 0 && n > 2 && rng.Intn(2) == 0 {
+				next = n / 2 // the chord
+			}
+			fmt.Fprintf(&b, ", p%d, p%d)", cur, next)
+			cur = next
+		}
+		fmt.Fprintf(&b, ", p%d).", rng.Intn(n))
+	default:
+		panic("datagen: unknown deep-query family " + family)
+	}
+	return b.String()
+}

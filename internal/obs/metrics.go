@@ -176,38 +176,35 @@ var DurationBuckets = []float64{
 // Counter registers (or finds) a counter series. kv is an alternating list
 // of label keys and values.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	s := r.register(name, help, "counter", nil, kv)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, "counter", nil, kv, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge registers (or finds) a settable gauge series.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	s := r.register(name, help, "gauge", nil, kv)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, "gauge", nil, kv, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge series whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	s := r.register(name, help, "gauge", nil, kv)
-	s.gf = fn
+	r.register(name, help, "gauge", nil, kv, func(s *series) { s.gf = fn })
 }
 
 // Histogram registers (or finds) an explicit-bucket histogram series.
 // Bounds must be ascending and must not include +Inf.
 func (r *Registry) Histogram(name, help string, bounds []float64, kv ...string) *Histogram {
-	s := r.register(name, help, "histogram", bounds, kv)
-	if s.h == nil {
-		h := &Histogram{bounds: bounds}
-		h.counts = make([]atomic.Int64, len(bounds)+1)
-		s.h = h
-	}
-	return s.h
+	return r.register(name, help, "histogram", bounds, kv, func(s *series) {
+		if s.h == nil {
+			s.h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+		}
+	}).h
 }
 
 // Source registers a scrape-time callback that contributes one family per
@@ -221,7 +218,10 @@ func (r *Registry) Source(prefix, typ, help string, fn func() map[string]int64) 
 	r.sources = append(r.sources, source{prefix: prefix, typ: typ, help: help, fn: fn})
 }
 
-func (r *Registry) register(name, help, typ string, buckets []float64, kv []string) *series {
+// register finds or adds the series and runs init on it, all under the
+// registry lock: a series' instrument is set before a concurrent scrape can
+// see the series, and never changes afterwards.
+func (r *Registry) register(name, help, typ string, buckets []float64, kv []string, init func(*series)) *series {
 	if len(kv)%2 != 0 {
 		panic("obs: odd label key/value list for " + name)
 	}
@@ -237,10 +237,12 @@ func (r *Registry) register(name, help, typ string, buckets []float64, kv []stri
 	}
 	for _, s := range f.series {
 		if s.labels == labels {
+			init(s)
 			return s
 		}
 	}
 	s := &series{labels: labels}
+	init(s)
 	f.series = append(f.series, s)
 	return s
 }
@@ -375,7 +377,11 @@ func (r *Registry) snapshot() ([]*family, []source) {
 	defer r.mu.RUnlock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		// A copy with its own series list: registration appends to the
+		// original while the scrape renders.
+		c := *f
+		c.series = append([]*series(nil), f.series...)
+		fams = append(fams, &c)
 	}
 	srcs := make([]source, len(r.sources))
 	copy(srcs, r.sources)

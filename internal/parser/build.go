@@ -26,7 +26,8 @@ func Parse(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBuilder()
+	prog := ast.NewProgram()
+	b := &builder{prog: prog, tab: prog.Tab, predState: make(map[predKey]int), varState: make(map[string]int)}
 	if err := b.infer(raw); err != nil {
 		return nil, err
 	}
@@ -50,7 +51,8 @@ func ParseQuery(prog *ast.Program, src string) (*ast.Query, error) {
 
 // ParseQueryTab is ParseQuery against a bare symbol interner — typically a
 // symbols.Scratch over a frozen snapshot table, so that parsing a query
-// never mutates shared state.
+// never mutates shared state. Time and memory are linear in len(src):
+// whether a predicate is functional is looked up in tab per atom.
 func ParseQueryTab(tab symbols.Interner, src string) (*ast.Query, error) {
 	p, err := newParser(src)
 	if err != nil {
@@ -63,30 +65,11 @@ func ParseQueryTab(tab symbols.Interner, src string) (*ast.Query, error) {
 	if len(raw.queries) != 1 || len(raw.clauses) != 0 || len(raw.directives) != 0 {
 		return nil, fmt.Errorf("expected exactly one query")
 	}
-	b := newBuilder()
-	b.tab = tab
-	// Seed predicate states from the program's symbol table.
-	for i := 0; i < tab.NumPreds(); i++ {
-		info := tab.PredInfo(symbols.PredID(i))
-		total := info.Arity
-		if info.Functional {
-			total++
-		}
-		key := predArityKey(info.Name, total)
-		if info.Functional {
-			b.predState[key] = stateFunctional
-		} else {
-			b.predState[key] = stateData
-		}
-	}
+	b := &builder{tab: tab, predState: make(map[predKey]int), varState: make(map[string]int)}
 	if err := b.infer(raw); err != nil {
 		return nil, err
 	}
-	q, err := b.query(&raw.queries[0])
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	return b.query(&raw.queries[0])
 }
 
 const (
@@ -96,44 +79,70 @@ const (
 )
 
 type builder struct {
+	// prog is the program being built; nil for a standalone query, whose
+	// predicates then resolve against tab.
 	prog *ast.Program
 	// tab is where symbols are interned: the program's own table when
 	// building a program, or any Interner (e.g. a scratch overlay) when
 	// building a standalone query.
 	tab       symbols.Interner
-	predState map[string]int
+	predState map[predKey]int
 	varState  map[string]int
-	fromDir   map[string]bool
 }
 
-func newBuilder() *builder {
-	prog := ast.NewProgram()
-	return &builder{
-		prog:      prog,
-		tab:       prog.Tab,
-		predState: make(map[string]int),
-		varState:  make(map[string]int),
-		fromDir:   make(map[string]bool),
+// predKey names a predicate the way the source does: by its total argument
+// count, before it is known whether the first argument is functional.
+type predKey struct {
+	name  string
+	total int
+}
+
+func (k predKey) String() string { return k.name + "/" + strconv.Itoa(k.total) }
+
+func atomKey(a *rawAtom) predKey { return predKey{a.name, len(a.args)} }
+
+// pred returns what is known of a predicate's functionality. A standalone
+// query takes it from the table on first mention (the later-interned
+// signature wins should a hand-built table hold both).
+func (b *builder) pred(key predKey) int {
+	s, seen := b.predState[key]
+	if !seen && b.prog == nil {
+		f, fok := b.tab.LookupPred(key.name, key.total-1, true)
+		d, dok := b.tab.LookupPred(key.name, key.total, false)
+		switch {
+		case fok && (!dok || f > d):
+			s = stateFunctional
+		case dok:
+			s = stateData
+		}
+		b.predState[key] = s
 	}
+	return s
 }
 
-func predArityKey(name string, totalArity int) string {
-	return name + "/" + strconv.Itoa(totalArity)
+// posn is where an inference or build error is reported: "line:col", or
+// "line N" for a directive. It is formatted only when an error is.
+type posn struct{ line, col int }
+
+func (p posn) String() string {
+	if p.col == 0 {
+		return "line " + strconv.Itoa(p.line)
+	}
+	return strconv.Itoa(p.line) + ":" + strconv.Itoa(p.col)
 }
 
-func (b *builder) setPred(key string, s int, where string) error {
-	cur := b.predState[key]
-	if cur != stateUnknown && cur != s {
-		return fmt.Errorf("%s: predicate %s is used both with and without a functional argument", where, key)
+func (b *builder) setPred(key predKey, s int, at posn) error {
+	if cur := b.pred(key); cur != stateUnknown && cur != s {
+		return fmt.Errorf("%s: predicate %s is used both with and without a functional argument", at, key)
 	}
 	b.predState[key] = s
 	return nil
 }
 
-func (b *builder) setVar(name string, s int, where string) error {
+func (b *builder) setVar(name string, s int, at posn) error {
 	cur := b.varState[name]
 	if cur != stateUnknown && cur != s {
-		return fmt.Errorf("%s: variable %s is used both functionally and non-functionally", where, name)
+		return fmt.Errorf("%s: variable %s is used both functionally and non-functionally", at, name)
 	}
 	b.varState[name] = s
 	return nil
@@ -142,7 +151,7 @@ func (b *builder) setVar(name string, s int, where string) error {
 // termForcesFunctional reports whether a first-argument term syntactically
 // forces its predicate to be functional.
 func termForcesFunctional(t *rawTerm) bool {
-	return t.kind == rApp || t.plus > 0
+	return len(t.apps) > 0 || t.plus > 0
 }
 
 // markDataVars records the roles of variables whose position alone decides
@@ -151,21 +160,21 @@ func termForcesFunctional(t *rawTerm) bool {
 // application (insideApp), is functional regardless of how the enclosing
 // predicate resolves. Only a bare variable in an atom's first argument
 // stays open, to be settled by predicate propagation.
-func (b *builder) markDataVars(t *rawTerm, functionalPos, insideApp bool, where string) error {
-	switch t.kind {
-	case rVar:
+func (b *builder) markDataVars(t *rawTerm, functionalPos, insideApp bool, at posn) error {
+	if t.kind == rVar {
 		if !functionalPos {
-			if err := b.setVar(t.name, stateData, where); err != nil {
+			if err := b.setVar(t.name, stateData, at); err != nil {
 				return err
 			}
-		} else if t.plus > 0 || insideApp {
-			if err := b.setVar(t.name, stateFunctional, where); err != nil {
+		} else if t.plus > 0 || insideApp || len(t.apps) > 0 {
+			if err := b.setVar(t.name, stateFunctional, at); err != nil {
 				return err
 			}
 		}
-	case rApp:
-		for i := range t.args {
-			if err := b.markDataVars(&t.args[i], functionalPos && i == 0, true, where); err != nil {
+	}
+	for i := range t.apps {
+		for j := range t.apps[i].args {
+			if err := b.markDataVars(&t.apps[i].args[j], false, true, at); err != nil {
 				return err
 			}
 		}
@@ -178,7 +187,7 @@ func (b *builder) markDataVars(t *rawTerm, functionalPos, insideApp bool, where 
 // variables to a fixpoint; anything still unknown is non-functional.
 func (b *builder) infer(raw *rawProgram) error {
 	for _, d := range raw.directives {
-		key := predArityKey(d.pred, d.arity)
+		key := predKey{d.pred, d.arity}
 		s := stateData
 		if d.kind == "functional" {
 			if d.arity == 0 {
@@ -186,10 +195,9 @@ func (b *builder) infer(raw *rawProgram) error {
 			}
 			s = stateFunctional
 		}
-		if err := b.setPred(key, s, fmt.Sprintf("line %d", d.line)); err != nil {
+		if err := b.setPred(key, s, posn{line: d.line}); err != nil {
 			return err
 		}
-		b.fromDir[key] = true
 	}
 
 	all := make([]*rawAtom, 0, 16)
@@ -210,16 +218,15 @@ func (b *builder) infer(raw *rawProgram) error {
 
 	// Syntactic forcing and unconditional variable roles.
 	for _, a := range all {
-		where := fmt.Sprintf("%d:%d", a.line, a.col)
-		key := predArityKey(a.name, len(a.args))
+		at := posn{a.line, a.col}
 		for i := range a.args {
 			t := &a.args[i]
 			if i == 0 && termForcesFunctional(t) {
-				if err := b.setPred(key, stateFunctional, where); err != nil {
+				if err := b.setPred(atomKey(a), stateFunctional, at); err != nil {
 					return err
 				}
 			}
-			if err := b.markDataVars(t, i == 0, false, where); err != nil {
+			if err := b.markDataVars(t, i == 0, false, at); err != nil {
 				return err
 			}
 		}
@@ -232,17 +239,16 @@ func (b *builder) infer(raw *rawProgram) error {
 			if len(a.args) == 0 {
 				continue
 			}
-			where := fmt.Sprintf("%d:%d", a.line, a.col)
-			key := predArityKey(a.name, len(a.args))
+			key := atomKey(a)
 			t := &a.args[0]
-			if t.kind != rVar || t.plus > 0 {
-				if t.plus > 0 && b.predState[key] == stateUnknown {
+			ps := b.pred(key)
+			if !t.bareVar() {
+				if t.plus > 0 && ps == stateUnknown {
 					b.predState[key] = stateFunctional
 					changed = true
 				}
 				continue
 			}
-			ps := b.predState[key]
 			vs := b.varState[t.name]
 			switch {
 			case ps != stateUnknown && vs == stateUnknown:
@@ -252,78 +258,88 @@ func (b *builder) infer(raw *rawProgram) error {
 				b.predState[key] = vs
 				changed = true
 			case ps != stateUnknown && vs != stateUnknown && ps != vs:
-				return fmt.Errorf("%s: variable %s conflicts with predicate %s on functionality", where, t.name, key)
+				return fmt.Errorf("%s: variable %s conflicts with predicate %s on functionality", posn{a.line, a.col}, t.name, key)
 			}
 		}
 	}
 	return nil
 }
 
-func (b *builder) predFunctional(a *rawAtom) bool {
-	return b.predState[predArityKey(a.name, len(a.args))] == stateFunctional
-}
-
-// succ returns the interned temporal successor symbol.
-func (b *builder) succ() symbols.FuncID {
-	return b.tab.Func(term.SuccName, 0)
-}
+func (b *builder) predFunctional(a *rawAtom) bool { return b.pred(atomKey(a)) == stateFunctional }
 
 func (b *builder) dterm(t *rawTerm) (ast.DTerm, error) {
-	where := fmt.Sprintf("%d:%d", t.line, t.col)
-	if t.plus > 0 {
-		return ast.DTerm{}, fmt.Errorf("%s: '+' is only allowed in functional positions", where)
-	}
-	switch t.kind {
-	case rVar:
+	switch {
+	case t.outerPlus() > 0:
+		line, col := t.pos()
+		return ast.DTerm{}, fmt.Errorf("%d:%d: '+' is only allowed in functional positions", line, col)
+	case len(t.apps) > 0:
+		line, col := t.pos()
+		return ast.DTerm{}, fmt.Errorf("%d:%d: function application %s(...) is only allowed in functional positions",
+			line, col, t.apps[len(t.apps)-1].name)
+	case t.kind == rVar:
 		return ast.V(b.tab.Var(t.name)), nil
-	case rConst:
+	case t.kind == rConst:
 		return ast.C(b.tab.Const(t.name)), nil
-	case rNum:
-		return ast.C(b.tab.Const(strconv.Itoa(t.num))), nil
-	case rApp:
-		return ast.DTerm{}, fmt.Errorf("%s: function application %s(...) is only allowed in functional positions", where, t.name)
 	}
-	return ast.DTerm{}, fmt.Errorf("%s: invalid term", where)
+	return ast.C(b.tab.Const(strconv.Itoa(t.num))), nil
 }
 
+// buildFTerm is fterm; the differential test swaps in the recursive
+// construction it replaced.
+var buildFTerm = (*builder).fterm
+
+// fterm builds a functional term by appending its applications, innermost
+// first, to one slice sized up front: O(depth) time and bytes. (Growing the
+// term by ast.FTerm.Apply per layer copied the whole chain at every layer.)
+// All non-functional arguments share one backing slice.
 func (b *builder) fterm(t *rawTerm) (*ast.FTerm, error) {
-	where := fmt.Sprintf("%d:%d", t.line, t.col)
-	var out *ast.FTerm
+	depth, nargs := t.plus+len(t.apps), 0
+	if t.kind == rNum {
+		depth += t.num
+	}
+	for i := range t.apps {
+		depth += t.apps[i].plus
+		nargs += len(t.apps[i].args)
+	}
+	if depth > MaxTermDepth {
+		return nil, errTooDeep(t.pos())
+	}
+	out := &ast.FTerm{Base: symbols.NoVar}
+	if depth > 0 {
+		out.Apps = make([]ast.FApp, 0, depth)
+	}
+	succs := func(n int) {
+		if n > 0 {
+			s := ast.FApp{Fn: b.tab.Func(term.SuccName, 0)}
+			for ; n > 0; n-- {
+				out.Apps = append(out.Apps, s)
+			}
+		}
+	}
 	switch t.kind {
 	case rNum:
-		out = ast.FZero()
-		s := b.succ()
-		for i := 0; i < t.num; i++ {
-			out = out.Apply(s)
-		}
+		b.tab.Func(term.SuccName, 0) // a literal interns succ even when it is 0
+		succs(t.num)
 	case rVar:
-		out = ast.FVar(b.tab.Var(t.name))
+		out.Base = b.tab.Var(t.name)
 	case rConst:
-		return nil, fmt.Errorf("%s: constant %s cannot appear in a functional position", where, t.name)
-	case rApp:
-		if len(t.args) == 0 {
-			return nil, fmt.Errorf("%s: function %s needs a functional argument", where, t.name)
-		}
-		inner, err := b.fterm(&t.args[0])
-		if err != nil {
-			return nil, err
-		}
-		dargs := make([]ast.DTerm, 0, len(t.args)-1)
-		for i := 1; i < len(t.args); i++ {
-			d, err := b.dterm(&t.args[i])
+		return nil, fmt.Errorf("%d:%d: constant %s cannot appear in a functional position", t.line, t.col, t.name)
+	}
+	succs(t.plus)
+	dargs := make([]ast.DTerm, 0, nargs)
+	for i := range t.apps {
+		app := &t.apps[i]
+		lo := len(dargs)
+		for j := range app.args {
+			d, err := b.dterm(&app.args[j])
 			if err != nil {
 				return nil, err
 			}
 			dargs = append(dargs, d)
 		}
-		fn := b.tab.Func(t.name, len(dargs))
-		out = inner.Apply(fn, dargs...)
-	}
-	if t.plus > 0 {
-		s := b.succ()
-		for i := 0; i < t.plus; i++ {
-			out = out.Apply(s)
-		}
+		fn := b.tab.Func(app.name, len(app.args))
+		out.Apps = append(out.Apps, ast.FApp{Fn: fn, Args: dargs[lo:len(dargs):len(dargs)]})
+		succs(app.plus)
 	}
 	return out, nil
 }
@@ -338,12 +354,15 @@ func (b *builder) atom(a *rawAtom) (ast.Atom, error) {
 	out := ast.Atom{Pred: pred}
 	start := 0
 	if functional {
-		ft, err := b.fterm(&a.args[0])
+		ft, err := buildFTerm(b, &a.args[0])
 		if err != nil {
 			return ast.Atom{}, err
 		}
 		out.FT = ft
 		start = 1
+	}
+	if start < len(a.args) {
+		out.Args = make([]ast.DTerm, 0, len(a.args)-start)
 	}
 	for i := start; i < len(a.args); i++ {
 		d, err := b.dterm(&a.args[i])

@@ -21,10 +21,7 @@
 // (k the total argument count) override the inference.
 package parser
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 type tokKind int
 
@@ -95,10 +92,6 @@ func newLexer(src string) *lexer {
 	return &lexer{src: src, line: 1, col: 1}
 }
 
-func (l *lexer) errf(line, col int, format string, args ...any) error {
-	return perrf(line, col, format, args...)
-}
-
 func (l *lexer) peekByte() (byte, bool) {
 	if l.pos >= len(l.src) {
 		return 0, false
@@ -116,6 +109,12 @@ func (l *lexer) advance() byte {
 		l.col++
 	}
 	return c
+}
+
+// skip moves to byte offset end over bytes known to hold no newline.
+func (l *lexer) skip(end int) {
+	l.col += end - l.pos
+	l.pos = end
 }
 
 func (l *lexer) skipSpaceAndComments() {
@@ -141,13 +140,27 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
+// Byte classes of identifier characters, tabulated once from the unicode
+// predicates the lexer has always applied to single bytes (so the Latin-1
+// letters above 0x7f keep lexing as they did) and indexed per byte since.
+const (
+	identStart = 1 << iota
+	identPart
+)
 
-func isIdentPart(c byte) bool {
-	return c == '_' || c == '\'' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
+// punct maps each single-character token to its kind.
+var punct = [256]tokKind{'(': tokLParen, ')': tokRParen, ',': tokComma, '.': tokDot, '+': tokPlus, '@': tokAt, '/': tokSlash}
+
+var identClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		if c == '_' || unicode.IsLetter(rune(c)) {
+			t[c] = identStart | identPart
+		} else if c == '\'' || unicode.IsDigit(rune(c)) {
+			t[c] = identPart
+		}
+	}
+	return t
+}()
 
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
@@ -156,73 +169,50 @@ func (l *lexer) next() (token, error) {
 	if !ok {
 		return token{kind: tokEOF, line: line, col: col}, nil
 	}
+	if k := punct[c]; k != tokEOF {
+		l.advance()
+		return token{kind: k, line: line, col: col}, nil
+	}
 	switch {
-	case c == '(':
-		l.advance()
-		return token{kind: tokLParen, line: line, col: col}, nil
-	case c == ')':
-		l.advance()
-		return token{kind: tokRParen, line: line, col: col}, nil
-	case c == ',':
-		l.advance()
-		return token{kind: tokComma, line: line, col: col}, nil
-	case c == '.':
-		l.advance()
-		return token{kind: tokDot, line: line, col: col}, nil
-	case c == '+':
-		l.advance()
-		return token{kind: tokPlus, line: line, col: col}, nil
-	case c == '@':
-		l.advance()
-		return token{kind: tokAt, line: line, col: col}, nil
-	case c == '/':
-		l.advance()
-		return token{kind: tokSlash, line: line, col: col}, nil
 	case c == '-':
 		l.advance()
 		if c2, ok := l.peekByte(); ok && c2 == '>' {
 			l.advance()
 			return token{kind: tokArrow, line: line, col: col}, nil
 		}
-		return token{}, l.errf(line, col, "unexpected '-'")
+		return token{}, perrf(line, col, "unexpected '-'")
 	case c == '<':
 		l.advance()
 		if c2, ok := l.peekByte(); ok && c2 == '-' {
 			l.advance()
 			return token{kind: tokLArrow, line: line, col: col}, nil
 		}
-		return token{}, l.errf(line, col, "unexpected '<'")
+		return token{}, perrf(line, col, "unexpected '<'")
 	case c == '?':
 		l.advance()
 		if c2, ok := l.peekByte(); ok && c2 == '-' {
 			l.advance()
 			return token{kind: tokQuery, line: line, col: col}, nil
 		}
-		return token{}, l.errf(line, col, "unexpected '?'")
+		return token{}, perrf(line, col, "unexpected '?'")
 	case c >= '0' && c <= '9':
-		n := 0
-		for {
-			c, ok := l.peekByte()
-			if !ok || c < '0' || c > '9' {
-				break
-			}
-			n = n*10 + int(c-'0')
+		n, end := 0, l.pos
+		for ; end < len(l.src) && l.src[end] >= '0' && l.src[end] <= '9'; end++ {
+			n = n*10 + int(l.src[end]-'0')
 			if n > 1<<30 {
-				return token{}, l.errf(line, col, "number too large")
+				return token{}, perrf(line, col, "number too large")
 			}
-			l.advance()
 		}
+		l.skip(end)
 		return token{kind: tokNumber, num: n, line: line, col: col}, nil
-	case isIdentStart(c):
-		var b strings.Builder
-		for {
-			c, ok := l.peekByte()
-			if !ok || !isIdentPart(c) {
-				break
-			}
-			b.WriteByte(l.advance())
+	case identClass[c]&identStart != 0:
+		// The token's text is a substring of src: no copy per identifier.
+		start, end := l.pos, l.pos+1
+		for end < len(l.src) && identClass[l.src[end]]&identPart != 0 {
+			end++
 		}
-		return token{kind: tokIdent, text: b.String(), line: line, col: col}, nil
+		l.skip(end)
+		return token{kind: tokIdent, text: l.src[start:end], line: line, col: col}, nil
 	}
-	return token{}, l.errf(line, col, "unexpected character %q", c)
+	return token{}, perrf(line, col, "unexpected character %q", c)
 }

@@ -1,6 +1,15 @@
 package parser
 
-import ()
+// MaxTermDepth caps the depth of one term: nested applications, the value
+// of a numeric literal in a functional position and +n sugar, combined. The
+// parser loops over the nesting of a functional term and recurses only into
+// non-functional arguments, never past this many open applications, so no
+// input can exhaust the stack; a deeper term is a ParseError.
+const MaxTermDepth = 1 << 16
+
+func errTooDeep(line, col int) error {
+	return perrf(line, col, "term deeper than %d applications (nesting, numeric literal and +n combined)", MaxTermDepth)
+}
 
 // Raw syntax trees, produced before predicate functionality is known.
 
@@ -10,18 +19,51 @@ const (
 	rVar rawKind = iota
 	rConst
 	rNum
-	rApp
 )
 
+// rawTerm is a base (variable, constant or number) under a chain of
+// applications: f(g(X+1, a), b)+2 is base X with plus 1 under apps g then f.
+// Nesting runs through first arguments only, so the chain is a slice and a
+// depth-n term costs O(n) to parse and to build.
 type rawTerm struct {
-	kind rawKind
-	name string    // rVar, rConst, rApp
-	num  int       // rNum
-	args []rawTerm // rApp
-	plus int       // trailing +n sugar
+	kind rawKind // of the base
+	name string  // rVar, rConst
+	num  int     // rNum
+	plus int     // +n sugar directly on the base
+	// apps are the applications around the base, innermost first.
+	apps []rawApp
+	line int // of the base token
+	col  int
+}
+
+// rawApp is one application layer of a rawTerm; its first argument is the
+// layer beneath it.
+type rawApp struct {
+	name string
+	args []rawTerm // the arguments after the first
+	plus int       // +n sugar after the closing parenthesis
 	line int
 	col  int
 }
+
+// pos returns the position of the term's first token.
+func (t *rawTerm) pos() (line, col int) {
+	if n := len(t.apps); n > 0 {
+		return t.apps[n-1].line, t.apps[n-1].col
+	}
+	return t.line, t.col
+}
+
+// outerPlus returns the +n sugar applied to the whole term.
+func (t *rawTerm) outerPlus() int {
+	if n := len(t.apps); n > 0 {
+		return t.apps[n-1].plus
+	}
+	return t.plus
+}
+
+// bareVar reports whether the term is a variable and nothing else.
+func (t *rawTerm) bareVar() bool { return t.kind == rVar && t.plus == 0 && len(t.apps) == 0 }
 
 type rawAtom struct {
 	name string
@@ -51,8 +93,10 @@ type rawProgram struct {
 }
 
 type parser struct {
-	lx  *lexer
-	tok token
+	lx   *lexer
+	tok  token
+	open int       // applications whose ')' is still ahead
+	slab []rawTerm // chunk that keep carves argument lists from
 }
 
 func newParser(src string) (*parser, error) {
@@ -251,22 +295,34 @@ func (p *parser) parseAtom() (rawAtom, error) {
 	return a, nil
 }
 
-func (p *parser) parseTerm() (rawTerm, error) {
-	t, err := p.parsePrimary()
-	if err != nil {
-		return rawTerm{}, err
-	}
+// parsePlus folds a run of +n sugar into *plus. The sum saturates just past
+// MaxTermDepth (the builder rejects such a term), so it cannot overflow.
+func (p *parser) parsePlus(plus *int) error {
 	for p.tok.kind == tokPlus {
 		if err := p.advance(); err != nil {
-			return rawTerm{}, err
+			return err
 		}
 		n, err := p.expect(tokNumber)
 		if err != nil {
-			return rawTerm{}, err
+			return err
 		}
-		t.plus += n.num
+		if *plus <= MaxTermDepth {
+			*plus += n.num
+		}
 	}
-	return t, nil
+	return nil
+}
+
+// keep copies an argument list into the parser's slab, so a deep term costs
+// O(log n) allocations for its argument lists instead of one per layer.
+// Chunks are never regrown: earlier lists stay valid.
+func (p *parser) keep(args []rawTerm) []rawTerm {
+	if len(args) > cap(p.slab)-len(p.slab) {
+		p.slab = make([]rawTerm, 0, max(64, 2*cap(p.slab), len(args)))
+	}
+	lo := len(p.slab)
+	p.slab = append(p.slab, args...)
+	return p.slab[lo:len(p.slab):len(p.slab)]
 }
 
 func isVarName(s string) bool {
@@ -274,48 +330,70 @@ func isVarName(s string) bool {
 	return c == '_' || (c >= 'A' && c <= 'Z')
 }
 
-func (p *parser) parsePrimary() (rawTerm, error) {
-	switch p.tok.kind {
-	case tokNumber:
-		t := rawTerm{kind: rNum, num: p.tok.num, line: p.tok.line, col: p.tok.col}
+// parseTerm parses base, applications and +n sugar. The "name(" prefixes of
+// a nested term are consumed by a loop, outermost first, then closed
+// innermost first; only an argument after the first recurses.
+func (p *parser) parseTerm() (rawTerm, error) {
+	var t rawTerm
+	for {
+		tok := p.tok
+		switch tok.kind {
+		case tokNumber:
+			t.kind, t.num = rNum, tok.num
+		case tokIdent:
+			t.kind, t.name = rConst, tok.text
+			if isVarName(tok.text) {
+				t.kind = rVar
+			}
+		default:
+			return rawTerm{}, perrf(tok.line, tok.col, "expected a term, found %s", tok.kind)
+		}
 		if err := p.advance(); err != nil {
 			return rawTerm{}, err
 		}
-		return t, nil
-	case tokIdent:
-		name := p.tok
+		if tok.kind != tokIdent || p.tok.kind != tokLParen {
+			t.line, t.col = tok.line, tok.col // tok is the base
+			break
+		}
+		// tok names an application; its first argument comes next.
+		if p.open++; p.open > MaxTermDepth {
+			return rawTerm{}, errTooDeep(tok.line, tok.col)
+		}
 		if err := p.advance(); err != nil {
 			return rawTerm{}, err
 		}
-		if p.tok.kind == tokLParen {
+		t.apps = append(t.apps, rawApp{name: tok.text, line: tok.line, col: tok.col})
+	}
+	if err := p.parsePlus(&t.plus); err != nil || len(t.apps) == 0 {
+		return t, err
+	}
+	for i, j := 0, len(t.apps)-1; i < j; i, j = i+1, j-1 {
+		t.apps[i], t.apps[j] = t.apps[j], t.apps[i]
+	}
+	var buf [4]rawTerm
+	for i := range t.apps {
+		app := &t.apps[i]
+		args := buf[:0]
+		for p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
 				return rawTerm{}, err
 			}
-			app := rawTerm{kind: rApp, name: name.text, line: name.line, col: name.col}
-			for {
-				arg, err := p.parseTerm()
-				if err != nil {
-					return rawTerm{}, err
-				}
-				app.args = append(app.args, arg)
-				if p.tok.kind == tokComma {
-					if err := p.advance(); err != nil {
-						return rawTerm{}, err
-					}
-					continue
-				}
-				break
-			}
-			if _, err := p.expect(tokRParen); err != nil {
+			arg, err := p.parseTerm()
+			if err != nil {
 				return rawTerm{}, err
 			}
-			return app, nil
+			args = append(args, arg)
 		}
-		k := rConst
-		if isVarName(name.text) {
-			k = rVar
+		if _, err := p.expect(tokRParen); err != nil {
+			return rawTerm{}, err
 		}
-		return rawTerm{kind: k, name: name.text, line: name.line, col: name.col}, nil
+		p.open--
+		if len(args) > 0 {
+			app.args = p.keep(args)
+		}
+		if err := p.parsePlus(&app.plus); err != nil {
+			return rawTerm{}, err
+		}
 	}
-	return rawTerm{}, perrf(p.tok.line, p.tok.col, "expected a term, found %s", p.tok.kind)
+	return t, nil
 }

@@ -31,6 +31,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/obs"
+	"funcdb/internal/query"
 	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
@@ -134,11 +135,25 @@ func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tup
 	if e.Kind != KindProgram {
 		return nil, false, fmt.Errorf("registry: %q is a standalone specification; open queries need a program entry", e.Name)
 	}
-	op := core.BuildOpts(opts...)
 	ans, err := e.db.Answers(ctx, q, opts...)
 	if err != nil {
 		return nil, false, err
 	}
+	return enumerate(ctx, ans, core.BuildOpts(opts...))
+}
+
+// PlanAnswers is Entry.Answers for a query the caller already prepared: it
+// executes the plan as prepared, with no second plan lookup, and enumerates
+// the same way.
+func PlanAnswers(ctx context.Context, p *core.Plan, opts ...core.Option) (tuples []AnswerTuple, truncated bool, err error) {
+	ans, err := p.Answers(ctx, opts...)
+	if err != nil {
+		return nil, false, err
+	}
+	return enumerate(ctx, ans, core.BuildOpts(opts...))
+}
+
+func enumerate(ctx context.Context, ans *query.Answers, op core.Opts) (tuples []AnswerTuple, truncated bool, err error) {
 	ectx, esp := obs.StartSpan(ctx, "enumerate")
 	defer esp.End()
 	err = ans.EnumerateContext(ectx, op.Depth, func(ft term.Term, args []symbols.ConstID) bool {

@@ -3,7 +3,6 @@ package rewrite
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/symbols"
@@ -54,17 +53,30 @@ type eliminator struct {
 	domain []symbols.ConstID
 }
 
-// pureName builds the derived symbol name g'a'b for g applied to constants
-// a, b. The apostrophe is a valid identifier character in the surface
-// syntax, so eliminated programs can be printed and re-parsed.
-func (e *eliminator) pureName(g symbols.FuncID, args []symbols.ConstID) symbols.FuncID {
-	var b strings.Builder
-	b.WriteString(e.tab.FuncName(g))
-	for _, c := range args {
-		b.WriteByte('\'')
-		b.WriteString(e.tab.ConstName(c))
+// PureName appends to buf the name g'a'b of the derived pure symbol that
+// stands for the mixed application g(·, a, b), whose arguments must all be
+// constants. The apostrophe is a valid identifier character in the surface
+// syntax, so eliminated programs can be printed and re-parsed. A ground
+// query resolves its mixed applications against a compiled program by this
+// name, without running the elimination.
+func PureName(buf []byte, names symbols.Namer, app ast.FApp) []byte {
+	buf = append(buf, names.FuncName(app.Fn)...)
+	for _, d := range app.Args {
+		buf = append(buf, '\'')
+		buf = append(buf, names.ConstName(d.Const)...)
 	}
-	return e.tab.DerivedFunc(b.String())
+	return buf
+}
+
+// pureApp returns the derived pure application replacing a mixed one; ok is
+// false while an argument is still a variable.
+func (e *eliminator) pureApp(app ast.FApp) (pure ast.FApp, ok bool) {
+	for _, d := range app.Args {
+		if d.IsVar() {
+			return app, false
+		}
+	}
+	return ast.FApp{Fn: e.tab.DerivedFunc(string(PureName(nil, e.tab, app)))}, true
 }
 
 // groundAtom rewrites the mixed applications of a ground atom in place.
@@ -76,14 +88,11 @@ func (e *eliminator) groundAtom(a ast.Atom) (ast.Atom, error) {
 		if len(app.Args) == 0 {
 			continue
 		}
-		consts := make([]symbols.ConstID, len(app.Args))
-		for j, d := range app.Args {
-			if d.IsVar() {
-				return ast.Atom{}, fmt.Errorf("mixed application with variable argument in a ground atom")
-			}
-			consts[j] = d.Const
+		pure, ok := e.pureApp(app)
+		if !ok {
+			return ast.Atom{}, fmt.Errorf("mixed application with variable argument in a ground atom")
 		}
-		a.FT.Apps[i] = ast.FApp{Fn: e.pureName(app.Fn, consts)}
+		a.FT.Apps[i] = pure
 	}
 	return a, nil
 }
@@ -154,14 +163,11 @@ func (e *eliminator) replaceMixedApps(r *ast.Rule) error {
 			if len(app.Args) == 0 {
 				continue
 			}
-			consts := make([]symbols.ConstID, len(app.Args))
-			for j, d := range app.Args {
-				if d.IsVar() {
-					return fmt.Errorf("internal: mixed argument still variable after instantiation")
-				}
-				consts[j] = d.Const
+			pure, ok := e.pureApp(app)
+			if !ok {
+				return fmt.Errorf("internal: mixed argument still variable after instantiation")
 			}
-			a.FT.Apps[i] = ast.FApp{Fn: e.pureName(app.Fn, consts)}
+			a.FT.Apps[i] = pure
 		}
 		return nil
 	}

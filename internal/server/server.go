@@ -664,19 +664,60 @@ func (s *Server) entry(r *http.Request) (*registry.Entry, error) {
 // one query share a cache slot.
 func normalizeQuery(q string) string { return strings.Join(strings.Fields(q), " ") }
 
-// cacheQuery derives the answer-cache key component for one query. Program
-// entries compile (or plan-cache-hit) the query and key on its canonical
-// shape, so α-variants and respellings of one query share a slot; spec
-// entries and unparsable queries fall back to whitespace normalization.
-// Keying on shape is safe because answers are positional (AnswerTuple
-// carries no variable names) and the key already includes the version.
-func (s *Server) cacheQuery(ctx context.Context, e *registry.Entry, q string) string {
-	if e.Kind == registry.KindProgram {
-		if plan, err := e.Prepare(ctx, q); err == nil {
-			return plan.Shape()
-		}
+// prepared is one query of a request, resolved against its entry exactly
+// once: a program entry's query is compiled (or found in the plan cache) by
+// a single plan lookup, and that plan both names the response-cache slot —
+// its canonical shape, so α-variants and respellings of one query share a
+// slot — and is what the request executes on a cache miss, against the same
+// snapshot. Keying on shape is safe because answers are positional
+// (AnswerTuple carries no variable names) and the key already includes the
+// version. Spec entries and unparsable queries have no plan and key on the
+// whitespace-normalized text.
+type prepared struct {
+	e     *registry.Entry
+	query string
+	plan  *core.Plan // nil for a spec entry, or when err is set
+	err   error      // the query does not parse or compile
+	shape string     // the answer-cache key component
+}
+
+// prepare resolves q against snap when the caller pinned one (a batch), and
+// against e's current snapshot otherwise.
+func prepare(ctx context.Context, e *registry.Entry, snap *core.Snapshot, q string) prepared {
+	p := prepared{e: e, query: q}
+	switch {
+	case e.Kind != registry.KindProgram:
+	case snap != nil:
+		p.plan, p.err = snap.Prepare(ctx, q)
+	default:
+		p.plan, p.err = e.Prepare(ctx, q)
 	}
-	return normalizeQuery(q)
+	if p.plan != nil {
+		p.shape = p.plan.Shape()
+	} else {
+		p.shape = normalizeQuery(q)
+	}
+	return p
+}
+
+func (p *prepared) ask(ctx context.Context, opts ...core.Option) (bool, error) {
+	switch {
+	case p.err != nil:
+		return false, p.err
+	case p.plan != nil:
+		return p.plan.Ask(ctx, opts...)
+	}
+	return p.e.Ask(ctx, p.query, opts...)
+}
+
+func (p *prepared) answers(ctx context.Context, opts ...core.Option) ([]registry.AnswerTuple, bool, error) {
+	switch {
+	case p.err != nil:
+		return nil, false, p.err
+	case p.plan != nil:
+		return registry.PlanAnswers(ctx, p.plan, opts...)
+	}
+	return p.e.Answers(ctx, p.query, opts...)
 }
 
 // cachePut stores v under key only while e is still the current version of
@@ -803,7 +844,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	_, existed := s.reg.Get(name)
 	e, err := s.reg.Put(name, raw)
 	if err != nil {
-		return errf(http.StatusBadRequest, "%v", err)
+		return queryError(err)
 	}
 	status := http.StatusCreated
 	if existed {
@@ -857,7 +898,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 		if errors.Is(err, registry.ErrNotFound) {
 			return errf(http.StatusNotFound, "no database named %q", name)
 		}
-		return errf(http.StatusBadRequest, "%v", err)
+		return queryError(err)
 	}
 	writeJSON(w, http.StatusOK, entryInfo(e))
 	return nil
@@ -899,13 +940,13 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	}
 	em := s.met.endpoint("ask")
 	// The traced ctx is built before the key so that a cold traced request
-	// records its parse/compile spans (cacheQuery compiles the plan).
+	// records its parse/compile spans (prepare compiles the plan).
 	ctx, tr := s.traceContext(r, req.Trace)
 	ri := reqInfoFrom(ctx)
 	ri.setDB(e.Name)
-	shape := s.cacheQuery(ctx, e, req.Query)
-	ri.setQuery(req.Query, shape)
-	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: shape, via: req.Via}
+	q := prepare(ctx, e, nil, req.Query)
+	ri.setQuery(req.Query, q.shape)
+	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape, via: req.Via}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
 			em.cacheHits.Add(1)
@@ -919,7 +960,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 		opts = append(opts, core.WithMethod(core.MethodEquational))
 	}
 	start := time.Now()
-	ans, err := e.Ask(ctx, req.Query, opts...)
+	ans, err := q.ask(ctx, opts...)
 	s.logSlow(ri, "ask", e.Name, req.Query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)
@@ -1009,10 +1050,10 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	ctx, tr := s.traceContext(r, req.Trace)
 	ri := reqInfoFrom(ctx)
 	ri.setDB(e.Name)
-	shape := s.cacheQuery(ctx, e, req.Query)
-	ri.setQuery(req.Query, shape)
+	q := prepare(ctx, e, nil, req.Query)
+	ri.setQuery(req.Query, q.shape)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "answers",
-		query: shape, depth: req.Depth, limit: limit}
+		query: q.shape, depth: req.Depth, limit: limit}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
 			em.cacheHits.Add(1)
@@ -1024,7 +1065,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	}
 	em.cacheMisses.Add(1)
 	start := time.Now()
-	tuples, truncated, err := e.Answers(ctx, req.Query, core.WithDepth(req.Depth), core.WithLimit(limit))
+	tuples, truncated, err := q.answers(ctx, core.WithDepth(req.Depth), core.WithLimit(limit))
 	s.logSlow(ri, "answers", e.Name, req.Query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)
@@ -1086,9 +1127,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	ctx, tr := s.traceContext(r, req.Trace)
 	ri := reqInfoFrom(ctx)
 	ri.setDB(e.Name)
+	// Every query of the batch resolves and evaluates on one snapshot.
+	var snap *core.Snapshot
+	if db := e.Database(); db != nil {
+		if snap, err = db.SnapshotContext(ctx); err != nil {
+			return queryError(err)
+		}
+	}
 	items := make([]batchItem, len(req.Queries))
 	keys := make([]cacheKey, len(req.Queries))
-	var misses []string
+	var misses []prepared
 	var missIdx []int
 	for i, q := range req.Queries {
 		items[i].Query = q
@@ -1096,7 +1144,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			items[i].Error = &errorBody{Code: "bad_request", Message: "missing query"}
 			continue
 		}
-		keys[i] = cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: s.cacheQuery(ctx, e, q)}
+		p := prepare(ctx, e, snap, q)
+		keys[i] = cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: p.shape}
 		if !req.Trace {
 			if v, ok := s.cache.get(keys[i]); ok {
 				em.cacheHits.Add(1)
@@ -1105,41 +1154,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			}
 		}
 		em.cacheMisses.Add(1)
-		misses = append(misses, q)
+		misses = append(misses, p)
 		missIdx = append(missIdx, i)
 	}
 
 	if len(misses) > 0 {
 		start := time.Now()
-		results, err := e.AskBatch(ctx, misses, s.cfg.BatchWorkers)
+		oks, errs := make([]bool, len(misses)), make([]error, len(misses))
+		core.ForEach(len(misses), s.cfg.BatchWorkers, func(j int) {
+			oks[j], errs[j] = misses[j].ask(ctx)
+		})
 		elapsed := time.Since(start)
 		s.logSlow(ri, "batch", e.Name, fmt.Sprintf("(%d queries)", len(misses)), elapsed, tr)
-		if err != nil {
-			return queryError(err)
-		}
 		// Per-fingerprint stats for each evaluated item. Latency is the
 		// batch's per-item share (items run concurrently, so individual
 		// wall-clock is not observable); depth/step counters are batch-wide
 		// and therefore skipped.
 		perItem := elapsed / time.Duration(len(misses))
-		for j, res := range results {
-			i := missIdx[j]
+		for j, i := range missIdx {
 			if s.stats != nil {
 				s.stats.observe(e.Name, fingerprintOf(keys[i].query), keys[i].query,
-					perItem, res.Err != nil, -1, -1)
+					perItem, errs[j] != nil, -1, -1)
 			}
-			if res.Err != nil {
+			if errs[j] != nil {
 				// A canceled query means the whole request's context
 				// expired; fail the request so the client sees 499/504.
-				if errors.Is(res.Err, core.ErrCanceled) {
-					return res.Err
+				if errors.Is(errs[j], core.ErrCanceled) {
+					return errs[j]
 				}
-				_, body := classify(queryError(res.Err))
+				_, body := classify(queryError(errs[j]))
 				items[i].Error = &body
 				continue
 			}
-			items[i].Answer = res.OK
-			s.cachePut(e, keys[i], res.OK)
+			items[i].Answer = oks[j]
+			s.cachePut(e, keys[i], oks[j])
 		}
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Results: items, Version: e.Version, Trace: tr.Report()})

@@ -7,7 +7,10 @@
 // Program and everything derived from it.
 package symbols
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PredID identifies an interned predicate symbol.
 type PredID int32
@@ -59,13 +62,15 @@ type FuncInfo struct {
 
 // Table interns predicate, function, constant and variable symbols.
 // The zero value is ready to use. A Table is not safe for concurrent
-// mutation; share it read-only after the program is built.
+// mutation; share it read-only after the program is built. A newly interned
+// name is copied, so a caller may pass a substring of a large source text
+// (the lexer does) without the table pinning that text.
 type Table struct {
 	preds     []PredInfo
-	predByKey map[string]PredID
+	predByKey map[PredInfo]PredID
 
 	funcs     []FuncInfo
-	funcByKey map[string]FuncID
+	funcByKey map[funcKey]FuncID
 
 	consts      []string
 	constByName map[string]ConstID
@@ -79,38 +84,40 @@ type Table struct {
 // NewTable returns an empty symbol table.
 func NewTable() *Table {
 	return &Table{
-		predByKey:   make(map[string]PredID),
-		funcByKey:   make(map[string]FuncID),
+		predByKey:   make(map[PredInfo]PredID),
+		funcByKey:   make(map[funcKey]FuncID),
 		constByName: make(map[string]ConstID),
 		varByName:   make(map[string]VarID),
 	}
 }
 
-func predKey(name string, arity int, functional bool) string {
-	tag := "d"
-	if functional {
-		tag = "f"
-	}
-	return fmt.Sprintf("%s/%d%s", name, arity, tag)
+// funcKey is a function symbol's signature. Both signature maps are keyed
+// on comparable structs (a predicate's is its PredInfo), so a lookup hashes
+// the name in place and allocates nothing — the query parser interns one
+// function symbol per application.
+type funcKey struct {
+	name      string
+	dataArity int
 }
 
 // Pred interns a predicate symbol with the given number of non-functional
 // arguments and functionality flag. Predicates with the same name but
 // different arity or functionality are distinct symbols.
 func (t *Table) Pred(name string, arity int, functional bool) PredID {
-	key := predKey(name, arity, functional)
+	key := PredInfo{Name: name, Arity: arity, Functional: functional}
 	if id, ok := t.predByKey[key]; ok {
 		return id
 	}
+	key.Name = strings.Clone(name)
 	id := PredID(len(t.preds))
-	t.preds = append(t.preds, PredInfo{Name: name, Arity: arity, Functional: functional})
+	t.preds = append(t.preds, key)
 	t.predByKey[key] = id
 	return id
 }
 
 // LookupPred returns the predicate with the given signature, if interned.
 func (t *Table) LookupPred(name string, arity int, functional bool) (PredID, bool) {
-	id, ok := t.predByKey[predKey(name, arity, functional)]
+	id, ok := t.predByKey[PredInfo{Name: name, Arity: arity, Functional: functional}]
 	return id, ok
 }
 
@@ -120,19 +127,16 @@ func (t *Table) PredInfo(p PredID) PredInfo { return t.preds[p] }
 // NumPreds returns the number of interned predicates.
 func (t *Table) NumPreds() int { return len(t.preds) }
 
-func funcKey(name string, dataArity int) string {
-	return fmt.Sprintf("%s/%d", name, dataArity)
-}
-
 // Func interns a function symbol with the given number of non-functional
 // arguments (0 for a pure unary symbol).
 func (t *Table) Func(name string, dataArity int) FuncID {
-	key := funcKey(name, dataArity)
+	key := funcKey{name, dataArity}
 	if id, ok := t.funcByKey[key]; ok {
 		return id
 	}
+	key.name = strings.Clone(name)
 	id := FuncID(len(t.funcs))
-	t.funcs = append(t.funcs, FuncInfo{Name: name, DataArity: dataArity})
+	t.funcs = append(t.funcs, FuncInfo{Name: key.name, DataArity: dataArity})
 	t.funcByKey[key] = id
 	return id
 }
@@ -146,7 +150,7 @@ func (t *Table) DerivedFunc(name string) FuncID {
 
 // LookupFunc returns the function symbol with the given signature, if interned.
 func (t *Table) LookupFunc(name string, dataArity int) (FuncID, bool) {
-	id, ok := t.funcByKey[funcKey(name, dataArity)]
+	id, ok := t.funcByKey[funcKey{name, dataArity}]
 	return id, ok
 }
 
@@ -173,6 +177,7 @@ func (t *Table) Const(name string) ConstID {
 	if id, ok := t.constByName[name]; ok {
 		return id
 	}
+	name = strings.Clone(name)
 	id := ConstID(len(t.consts))
 	t.consts = append(t.consts, name)
 	t.constByName[name] = id
@@ -196,6 +201,7 @@ func (t *Table) Var(name string) VarID {
 	if id, ok := t.varByName[name]; ok {
 		return id
 	}
+	name = strings.Clone(name)
 	id := VarID(len(t.vars))
 	t.vars = append(t.vars, name)
 	t.varByName[name] = id

@@ -19,10 +19,10 @@ type Namer interface {
 type Interner interface {
 	Namer
 	Pred(name string, arity int, functional bool) PredID
+	LookupPred(name string, arity int, functional bool) (PredID, bool)
 	Func(name string, dataArity int) FuncID
 	Const(name string) ConstID
 	Var(name string) VarID
-	NumPreds() int
 }
 
 var (
@@ -36,9 +36,9 @@ var (
 func (t *Table) Clone() *Table {
 	out := &Table{
 		preds:       append([]PredInfo(nil), t.preds...),
-		predByKey:   make(map[string]PredID, len(t.predByKey)),
+		predByKey:   make(map[PredInfo]PredID, len(t.predByKey)),
 		funcs:       append([]FuncInfo(nil), t.funcs...),
-		funcByKey:   make(map[string]FuncID, len(t.funcByKey)),
+		funcByKey:   make(map[funcKey]FuncID, len(t.funcByKey)),
 		consts:      append([]string(nil), t.consts...),
 		constByName: make(map[string]ConstID, len(t.constByName)),
 		vars:        append([]string(nil), t.vars...),
@@ -70,10 +70,10 @@ type Scratch struct {
 	base *Table
 
 	preds     []PredInfo
-	predByKey map[string]PredID
+	predByKey map[PredInfo]PredID
 
 	funcs     []FuncInfo
-	funcByKey map[string]FuncID
+	funcByKey map[funcKey]FuncID
 
 	consts      []string
 	constByName map[string]ConstID
@@ -111,7 +111,7 @@ func (s *Scratch) HasLocal() bool {
 
 // Pred interns a predicate symbol, preferring the frozen base.
 func (s *Scratch) Pred(name string, arity int, functional bool) PredID {
-	key := predKey(name, arity, functional)
+	key := PredInfo{Name: name, Arity: arity, Functional: functional}
 	if id, ok := s.base.predByKey[key]; ok {
 		return id
 	}
@@ -119,9 +119,9 @@ func (s *Scratch) Pred(name string, arity int, functional bool) PredID {
 		return id
 	}
 	id := PredID(len(s.base.preds) + len(s.preds))
-	s.preds = append(s.preds, PredInfo{Name: name, Arity: arity, Functional: functional})
+	s.preds = append(s.preds, key)
 	if s.predByKey == nil {
-		s.predByKey = make(map[string]PredID)
+		s.predByKey = make(map[PredInfo]PredID)
 	}
 	s.predByKey[key] = id
 	return id
@@ -129,7 +129,7 @@ func (s *Scratch) Pred(name string, arity int, functional bool) PredID {
 
 // LookupPred returns the predicate with the given signature, if interned.
 func (s *Scratch) LookupPred(name string, arity int, functional bool) (PredID, bool) {
-	key := predKey(name, arity, functional)
+	key := PredInfo{Name: name, Arity: arity, Functional: functional}
 	if id, ok := s.base.predByKey[key]; ok {
 		return id, true
 	}
@@ -145,12 +145,9 @@ func (s *Scratch) PredInfo(p PredID) PredInfo {
 	return s.preds[int(p)-len(s.base.preds)]
 }
 
-// NumPreds returns the number of predicates visible through the overlay.
-func (s *Scratch) NumPreds() int { return len(s.base.preds) + len(s.preds) }
-
 // Func interns a function symbol, preferring the frozen base.
 func (s *Scratch) Func(name string, dataArity int) FuncID {
-	key := funcKey(name, dataArity)
+	key := funcKey{name, dataArity}
 	if id, ok := s.base.funcByKey[key]; ok {
 		return id
 	}
@@ -160,7 +157,7 @@ func (s *Scratch) Func(name string, dataArity int) FuncID {
 	id := FuncID(len(s.base.funcs) + len(s.funcs))
 	s.funcs = append(s.funcs, FuncInfo{Name: name, DataArity: dataArity})
 	if s.funcByKey == nil {
-		s.funcByKey = make(map[string]FuncID)
+		s.funcByKey = make(map[funcKey]FuncID)
 	}
 	s.funcByKey[key] = id
 	return id
@@ -168,7 +165,7 @@ func (s *Scratch) Func(name string, dataArity int) FuncID {
 
 // LookupFunc returns the function symbol with the given signature, if interned.
 func (s *Scratch) LookupFunc(name string, dataArity int) (FuncID, bool) {
-	key := funcKey(name, dataArity)
+	key := funcKey{name, dataArity}
 	if id, ok := s.base.funcByKey[key]; ok {
 		return id, true
 	}
@@ -272,35 +269,6 @@ func (s *Scratch) AppendTo(t *Table) {
 		want := VarID(len(s.base.vars) + i)
 		if got := t.Var(name); got != want {
 			panic("symbols: Scratch.AppendTo target is not a clone of the base table")
-		}
-	}
-}
-
-// Absorb re-interns into the scratch every symbol of t beyond the scratch's
-// current view — the inverse direction of AppendTo. After a transformation
-// has added derived symbols to a thawed table, Absorb makes the scratch
-// assign them the same identifiers, keeping the two views aligned.
-func (s *Scratch) Absorb(t *Table) {
-	for i := s.NumPreds(); i < len(t.preds); i++ {
-		info := t.preds[i]
-		if got := s.Pred(info.Name, info.Arity, info.Functional); got != PredID(i) {
-			panic("symbols: Scratch.Absorb identifier mismatch")
-		}
-	}
-	for i := len(s.base.funcs) + len(s.funcs); i < len(t.funcs); i++ {
-		info := t.funcs[i]
-		if got := s.Func(info.Name, info.DataArity); got != FuncID(i) {
-			panic("symbols: Scratch.Absorb identifier mismatch")
-		}
-	}
-	for i := len(s.base.consts) + len(s.consts); i < len(t.consts); i++ {
-		if got := s.Const(t.consts[i]); got != ConstID(i) {
-			panic("symbols: Scratch.Absorb identifier mismatch")
-		}
-	}
-	for i := len(s.base.vars) + len(s.vars); i < len(t.vars); i++ {
-		if got := s.Var(t.vars[i]); got != VarID(i) {
-			panic("symbols: Scratch.Absorb identifier mismatch")
 		}
 	}
 }
