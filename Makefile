@@ -18,8 +18,12 @@ test:
 # bench/ is a Go module of its own (see bench/README.md), so ./... above
 # never reaches it: its smoke test runs all five workloads and the traced
 # run in-process for a few seconds and checks them against BENCHMARK.json.
+# The request front end's gates ride along: the cached ask's allocation and
+# byte bounds, and a fixed-count pass over the in-process handler benchmark
+# (a compile-and-run check; its numbers are for people).
 test-bench:
 	cd bench && $(GO) test ./...
+	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 
 race:
 	$(GO) test -race ./...
@@ -117,8 +121,10 @@ fuzz:
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
 # and query parsers, the binspec document/record readers, the specio JSON
-# reader and the watch frame codec. (The parser seeds are kilobytes long;
-# without a minimizer budget the fuzzer spends the pass shrinking them.)
+# reader, the watch frame codec and the daemon's request-body decoder (a
+# differential target: encoding/json is the reference). (The parser seeds are
+# kilobytes long; without a minimizer budget the fuzzer spends the pass
+# shrinking them.)
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
@@ -126,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/binspec
 	$(GO) test -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
+	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server
 
 tables:
 	$(GO) run ./cmd/fdbench all

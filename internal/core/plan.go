@@ -66,10 +66,11 @@ type eqStep struct {
 // exactly as of its snapshot — after a mutation, Prepare against the new
 // snapshot compiles a fresh one.
 type Plan struct {
-	snap  *Snapshot
-	src   string
-	shape string
-	q     *ast.Query
+	snap        *Snapshot
+	src         string
+	shape       string
+	fingerprint string // obs.Fingerprint(shape), fixed at compile
+	q           *ast.Query
 	// tab is the symbol base for per-execution overlays: the snapshot's
 	// frozen table, or a private thawed clone when the query text interned
 	// symbols the snapshot does not know.
@@ -87,6 +88,11 @@ type Plan struct {
 // Shape returns the canonical query shape the plan cache keyed on; response
 // caches key on it too, so spelling variants of one query share entries.
 func (p *Plan) Shape() string { return p.shape }
+
+// Fingerprint returns the short hash of the shape that observability keys
+// on. It is computed once, when the plan is compiled: a request that hits the
+// plan cache must not rescan its text for a label.
+func (p *Plan) Fingerprint() string { return p.fingerprint }
 
 // Ground reports whether the query is ground (a yes/no membership test).
 func (p *Plan) Ground() bool { return p.ground }
@@ -215,7 +221,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, q *ast.Query) (*Plan, error) {
 	_, csp := obs.StartSpan(ctx, "plan_compile")
 	defer csp.End()
-	p := &Plan{snap: s, src: src, shape: shape, q: q, ground: true}
+	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), q: q, ground: true}
 	for i := range q.Atoms {
 		if !q.Atoms[i].IsGround() {
 			p.ground = false

@@ -79,3 +79,19 @@ func NewSpanID() string {
 func NewRequestID() string {
 	return NewSpanID()
 }
+
+// Fingerprint hashes a canonical query shape (or, where there is no plan,
+// whitespace-normalized query text) into the 16-hex query fingerprint that
+// recorder entries, the per-fingerprint stats table and log lines share.
+// It is a function of the shape alone, so a compiled plan computes it once.
+func Fingerprint(shape string) string {
+	if shape == "" {
+		return ""
+	}
+	// FNV-1a, inline: hash/fnv would have the shape copied into a []byte.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(shape); i++ {
+		h = (h ^ uint64(shape[i])) * 1099511628211
+	}
+	return string(appendHex64(make([]byte, 0, 16), h))
+}

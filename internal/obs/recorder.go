@@ -2,8 +2,11 @@ package obs
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Flight recorder: a per-process ring buffer holding the span trees of
@@ -146,9 +149,35 @@ func NewRecorder(capacity int, slow time.Duration, sampleEvery int) *Recorder {
 	}
 }
 
+// MaxQueryText bounds the query text one recorder entry or log line carries:
+// a ring of 1024 entries must not pin 1024 request bodies.
+const MaxQueryText = 1024
+
+// ClipQuery renders query text for a recorder entry or a log line: runs of
+// whitespace collapse to one space, and text past MaxQueryText bytes is cut
+// (on a rune boundary) and replaced by a "…(+N bytes)" suffix counting what
+// was dropped. The result never aliases q when q is longer than the bound.
+func ClipQuery(q string) string {
+	head := q
+	if len(head) > MaxQueryText {
+		cut := MaxQueryText
+		for cut > 0 && !utf8.RuneStart(head[cut]) {
+			cut--
+		}
+		head = head[:cut]
+	}
+	s := strings.Join(strings.Fields(head), " ")
+	if len(head) < len(q) {
+		s += "…(+" + strconv.Itoa(len(q)-len(head)) + " bytes)"
+	}
+	return s
+}
+
 // Offer records one finished request. e.Outcome should already be set via
 // OutcomeForStatus; Offer upgrades ok entries past the slow threshold to
-// OutcomeSlow. The trace's report is built only when the entry is retained.
+// OutcomeSlow. e.Query is the request's query text as received; everything
+// derived per entry — the clipped text (ClipQuery), the trace's report, the
+// heap copy of the entry itself — is built only when the entry is retained.
 // Safe on a nil receiver.
 func (rec *Recorder) Offer(e TraceEntry, tr *Trace) {
 	if rec == nil {
@@ -164,20 +193,23 @@ func (rec *Recorder) Offer(e TraceEntry, tr *Trace) {
 		e.Outcome = OutcomeOK
 	}
 	if keep {
-		if e.Report == nil && tr != nil {
-			e.Report = tr.Report()
-		}
 		rec.retained.Add(1)
-		rec.kept.put(&e)
+		rec.kept.put(retain(e, tr))
 		return
 	}
 	if rec.ctr.Add(1)%rec.sample == 0 {
-		if e.Report == nil && tr != nil {
-			e.Report = tr.Report()
-		}
 		rec.sampledCt.Add(1)
-		rec.sampled.put(&e)
+		rec.sampled.put(retain(e, tr))
 	}
+}
+
+// retain finishes an entry the rings will hold.
+func retain(e TraceEntry, tr *Trace) *TraceEntry {
+	if e.Report == nil && tr != nil {
+		e.Report = tr.Report()
+	}
+	e.Query = ClipQuery(e.Query)
+	return &e
 }
 
 // List returns up to limit recent entries from both rings, newest first,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"strings"
 	"sync"
@@ -228,5 +229,65 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if rec.offered.Load() != 2000 || rec.retained.Load() == 0 {
 		t.Fatalf("offered %d retained %d", rec.offered.Load(), rec.retained.Load())
+	}
+}
+
+// TestFingerprint pins the fingerprint: FNV-64a of the shape as 16 lowercase
+// hex digits (the values metric series and recorded entries already carry),
+// empty for an empty shape.
+func TestFingerprint(t *testing.T) {
+	for _, shape := range []string{"shape-a", "?- Even(4).", strings.Repeat("succ(", 300)} {
+		h := fnv.New64a()
+		h.Write([]byte(shape))
+		if got, want := Fingerprint(shape), fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("Fingerprint(%.20q) = %q, want %q", shape, got, want)
+		}
+	}
+	if Fingerprint("") != "" {
+		t.Error("empty shape should have no fingerprint")
+	}
+}
+
+func TestClipQuery(t *testing.T) {
+	if got := ClipQuery("  ?-  Even(4)\n\t. "); got != "?- Even(4) ." {
+		t.Errorf("whitespace not collapsed: %q", got)
+	}
+	long := strings.Repeat("é", MaxQueryText) // 2 bytes each; the bound falls inside a rune
+	got := ClipQuery(long)
+	want := strings.Repeat("é", MaxQueryText/2) + fmt.Sprintf("…(+%d bytes)", MaxQueryText)
+	if got != want {
+		t.Errorf("clipped to %d bytes ending %q, want %d ending %q", len(got), got[len(got)-24:], len(want), want[len(want)-24:])
+	}
+	if exact := strings.Repeat("x", MaxQueryText); ClipQuery(exact) != exact {
+		t.Error("text of exactly the bound was altered")
+	}
+}
+
+// TestRecorderBoundsQueryText: the rings pin clipped text, not request
+// bodies. 2048 offers of a one-MiB query, all retained (errors) or eligible
+// for sampling, must leave well under 4 MiB of query text behind.
+func TestRecorderBoundsQueryText(t *testing.T) {
+	rec := NewRecorder(0, 0, 1)
+	big := "?- " + strings.Repeat("Even(4), ", 1<<20/9) + "Even(4)."
+	for i := 0; i < 2048; i++ {
+		outcome := OutcomeOK
+		if i%2 == 0 {
+			outcome = OutcomeError
+		}
+		rec.Offer(TraceEntry{ID: fmt.Sprint(i), TimeUnixMS: int64(i), Query: big, Outcome: outcome}, nil)
+	}
+	entries := rec.List(DefaultTraceBuffer)
+	if len(entries) != DefaultTraceBuffer {
+		t.Fatalf("rings hold %d entries, want %d", len(entries), DefaultTraceBuffer)
+	}
+	total := 0
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Query, " bytes)") || len(e.Query) > MaxQueryText+32 {
+			t.Fatalf("entry carries %d bytes of query text ending %q", len(e.Query), e.Query[len(e.Query)-16:])
+		}
+		total += len(e.Query)
+	}
+	if total >= 4<<20 {
+		t.Fatalf("rings hold %d bytes of query text", total)
 	}
 }

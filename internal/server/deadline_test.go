@@ -1,0 +1,110 @@
+package server
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"funcdb/internal/datagen"
+)
+
+// TestQueryDeadlineIs504: a query that outlives Config.Timeout is answered
+// 504 deadline_exceeded wherever the time went — held before evaluation by
+// the test hook, or inside an enumeration that takes seconds unbounded.
+func TestQueryDeadlineIs504(t *testing.T) {
+	s := newBareServer(t, Config{Timeout: 30 * time.Millisecond}, "rob", datagen.RobotSrc(8))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Compile outside any request: the first reader of a database pays its
+	// compile, and that is not what this test times.
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/db/rob/ask", `{"query":"?- At(0, p0)."}`); code != 200 {
+		t.Fatalf("warm-up ask: %d %v", code, body)
+	}
+	check := func(where, path, body string) {
+		t.Helper()
+		start := time.Now()
+		code, got := doJSON(t, "POST", ts.URL+path, body)
+		if code != http.StatusGatewayTimeout || errCode(got) != "deadline_exceeded" {
+			t.Errorf("%s: %d %v after %v, want 504 deadline_exceeded", where, code, got, time.Since(start))
+		}
+	}
+	check("in evaluation (answers)", "/v1/db/rob/answers", `{"query":"?- At(S, p3).","depth":4}`)
+
+	s.slow = func(ctx context.Context) { <-ctx.Done() }
+	check("in the hook (ask)", "/v1/db/rob/ask", `{"query":"?- At(0, p1)."}`)
+}
+
+// TestStalledBodyIsCutOffAtTheDeadline: a client that sends its headers and
+// half its body and then nothing is answered 504 at the deadline, the
+// connection is closed, and no goroutine is left behind waiting for the rest.
+func TestStalledBodyIsCutOffAtTheDeadline(t *testing.T) {
+	s := newBareServer(t, Config{Timeout: 100 * time.Millisecond}, "even", evenSrc)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	baseline := runtime.NumGoroutine()
+
+	for _, path := range []string{"/v1/db/even/ask", "/v1/db/even/answers", "/v1/db/even/batch"} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := `{"query":"?- Even(4)."}`
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", path, len(body), body[:len(body)/2])
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(5 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: no response to a stalled body: %v", path, err)
+		}
+		raw, _ := io.ReadAll(resp.Body) // to EOF: the server closes the connection
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(raw), `"deadline_exceeded"`) {
+			t.Errorf("%s: %d %s, want 504 deadline_exceeded", path, resp.StatusCode, raw)
+		}
+		if took := time.Since(start); took < 50*time.Millisecond || took > 2*time.Second {
+			t.Errorf("%s: cut off after %v, want about the 100ms deadline", path, took)
+		}
+	}
+	// The connections' goroutines are the handlers': all gone once served.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the stalled requests:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestUploadDeadlineIsTheWrappers503: PUT and facts parse and compile, which
+// does not poll a context, so those endpoints stay under http.TimeoutHandler
+// and keep its answer when the deadline passes: 503 with the standard
+// envelope.
+func TestUploadDeadlineIsTheWrappers503(t *testing.T) {
+	s := newBareServer(t, Config{Timeout: 2 * time.Millisecond}, "even", evenSrc)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var big strings.Builder // a megabyte of facts: tens of milliseconds to parse
+	for i := 0; big.Len() < 1<<20; i++ {
+		fmt.Fprintf(&big, "Seen(c%d). ", i)
+	}
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"PUT", "PUT", "/v1/db/big", big.String()},
+		{"facts", "POST", "/v1/db/even/facts", `{"facts":"` + big.String() + `"}`},
+	} {
+		code, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
+		if code != http.StatusServiceUnavailable || errCode(body) != "deadline_exceeded" || errMessage(body) != "request timed out" {
+			t.Errorf("%s past the deadline: %d %v, want the wrapper's 503 deadline_exceeded", tc.name, code, body)
+		}
+	}
+}

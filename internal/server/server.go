@@ -6,8 +6,16 @@
 //
 // Everything is stdlib: net/http with Go 1.22 method patterns, a
 // container/list LRU, atomic counters with expvar-style text exposition at
-// /metrics, http.TimeoutHandler for deadlines and http.MaxBytesReader for
-// upload limits.
+// /metrics.
+//
+// Requests meet their deadline in one of two ways. A query (ask, answers,
+// batch) takes it as a context deadline, which evaluation polls, plus a read
+// deadline on the connection while its body arrives; it reads that body once
+// into a pooled buffer (decode.go) and answers 504 deadline_exceeded
+// wherever the time went. Uploads, facts and the admin endpoints run under
+// http.TimeoutHandler (503 when it fires), because a compile cannot be
+// canceled yet; PUT bounds its upload with http.MaxBytesReader. Streams
+// (watch, replication) and the readiness probe have no deadline.
 package server
 
 import (
@@ -18,6 +26,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -223,8 +232,8 @@ type Server struct {
 	stats   *queryStats
 
 	// slow, when set, runs at the start of ask handling; tests use it to
-	// force the request past the deadline deterministically.
-	slow func()
+	// hold the request until its deadline deterministically.
+	slow func(ctx context.Context)
 }
 
 // New wires a server around reg.
@@ -277,42 +286,6 @@ func New(reg *registry.Registry, cfg Config) *Server {
 		"High-water derivation depth reached by any query.",
 		func() float64 { return float64(obs.EngineSink().MaxDepth()) })
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /v1/dbs", s.instrument("dbs", s.handleList))
-	mux.HandleFunc("GET /v1/db/{name}", s.instrument("db", s.handleInfo))
-	mux.HandleFunc("PUT /v1/db/{name}", s.instrument("put", s.handlePut))
-	mux.HandleFunc("DELETE /v1/db/{name}", s.instrument("delete", s.handleDelete))
-	mux.HandleFunc("POST /v1/db/{name}/facts", s.instrument("facts", s.handleFacts))
-	mux.HandleFunc("POST /v1/db/{name}/ask", s.instrument("ask", s.handleAsk))
-	mux.HandleFunc("POST /v1/db/{name}/answers", s.instrument("answers", s.handleAnswers))
-	mux.HandleFunc("POST /v1/db/{name}/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("GET /v1/db/{name}/explain", s.instrument("explain", s.handleExplain))
-	mux.HandleFunc("GET /v1/db/{name}/export", s.instrument("export", s.handleExport))
-	mux.HandleFunc("GET /v1/db/{name}/stats", s.instrument("stats", s.handleStats))
-	if s.rec != nil {
-		mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.handleTraceList))
-		mux.HandleFunc("GET /debug/traces/{id}", s.instrument("traces", s.handleTraceGet))
-	}
-
-	var h http.Handler = mux
-	if s.cfg.Timeout > 0 {
-		h = http.TimeoutHandler(h, s.cfg.Timeout,
-			`{"error":{"code":"deadline_exceeded","message":"request timed out"}}`)
-	}
-
-	// Streaming and readiness endpoints live outside the timeout wrapper:
-	// TimeoutHandler buffers its child's writes (no http.Flusher), which
-	// would break long-polled WAL streams, and a readiness probe must not
-	// compete with the request deadline during recovery.
-	root := http.NewServeMux()
-	root.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	if s.cfg.Repl != nil {
-		root.HandleFunc("GET /v1/repl/snapshot", s.instrument("repl_snapshot", s.handleReplSnapshot))
-		root.HandleFunc("GET /v1/repl/wal", s.instrument("repl_wal", s.handleReplWAL))
-		root.HandleFunc("GET /v1/repl/lsn", s.instrument("repl_lsn", s.handleReplLSN))
-	}
 	if s.cfg.Watch == nil {
 		wopts := watch.Options{Reg: reg}
 		if s.cfg.Admission != nil {
@@ -327,14 +300,60 @@ func New(reg *registry.Registry, cfg Config) *Server {
 	if s.cfg.Admission != nil {
 		s.cfg.Admission.Instrument(s.met.reg)
 	}
-	root.HandleFunc("POST /v1/db/{name}/watch", s.instrument("watch", s.handleWatch))
-	root.Handle("/", h)
-	s.handler = root
+
+	// One mux, three ways to treat the deadline. query endpoints evaluate
+	// under a context deadline that instrument sets (evaluation polls it).
+	// wrapped endpoints run under TimeoutHandler, which costs a goroutine, a
+	// timer and a write buffer per request and cannot flush, but is the only
+	// bound on a compile that does not poll. direct endpoints have none:
+	// streams are long-lived by design, and a readiness probe must not
+	// compete with the request deadline during recovery.
+	type handler = func(http.ResponseWriter, *http.Request) error
+	mux := http.NewServeMux()
+	query := func(pattern, endpoint string, h handler) {
+		mux.Handle(pattern, s.instrument(endpoint, s.cfg.Timeout, h))
+	}
+	direct := func(pattern, endpoint string, h handler) {
+		mux.Handle(pattern, s.instrument(endpoint, 0, h))
+	}
+	wrapped := func(pattern, endpoint string, h handler) {
+		var hh http.Handler = s.instrument(endpoint, 0, h)
+		if s.cfg.Timeout > 0 {
+			hh = http.TimeoutHandler(hh, s.cfg.Timeout,
+				`{"error":{"code":"deadline_exceeded","message":"request timed out"}}`)
+		}
+		mux.Handle(pattern, hh)
+	}
+	wrapped("GET /healthz", "healthz", s.handleHealthz)
+	wrapped("GET /metrics", "metrics", s.handleMetrics)
+	wrapped("GET /v1/dbs", "dbs", s.handleList)
+	wrapped("GET /v1/db/{name}", "db", s.handleInfo)
+	wrapped("PUT /v1/db/{name}", "put", s.handlePut)
+	wrapped("DELETE /v1/db/{name}", "delete", s.handleDelete)
+	wrapped("POST /v1/db/{name}/facts", "facts", s.handleFacts)
+	wrapped("GET /v1/db/{name}/explain", "explain", s.handleExplain)
+	wrapped("GET /v1/db/{name}/export", "export", s.handleExport)
+	wrapped("GET /v1/db/{name}/stats", "stats", s.handleStats)
+	if s.rec != nil {
+		wrapped("GET /debug/traces", "traces", s.handleTraceList)
+		wrapped("GET /debug/traces/{id}", "traces", s.handleTraceGet)
+	}
+	query("POST /v1/db/{name}/ask", "ask", s.handleAsk)
+	query("POST /v1/db/{name}/answers", "answers", s.handleAnswers)
+	query("POST /v1/db/{name}/batch", "batch", s.handleBatch)
+	direct("POST /v1/db/{name}/watch", "watch", s.handleWatch)
+	direct("GET /readyz", "readyz", s.handleReadyz)
+	if s.cfg.Repl != nil {
+		direct("GET /v1/repl/snapshot", "repl_snapshot", s.handleReplSnapshot)
+		direct("GET /v1/repl/wal", "repl_wal", s.handleReplWAL)
+		direct("GET /v1/repl/lsn", "repl_lsn", s.handleReplLSN)
+	}
+	s.handler = mux
 	return s
 }
 
-// Handler returns the fully wired root handler (timeout middleware
-// included); mount it on an http.Server or httptest.Server.
+// Handler returns the fully wired handler (deadlines included); mount it on
+// an http.Server or httptest.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // apiError carries an HTTP status alongside the message sent to the client.
@@ -396,10 +415,12 @@ func classify(err error) (int, errorBody) {
 			errorBody{Code: "body_too_large", Message: fmt.Sprintf("body exceeds %d bytes", mbe.Limit)}
 	case errors.Is(err, registry.ErrUnknownDatabase):
 		return http.StatusNotFound, errorBody{Code: "not_found", Message: err.Error()}
-	case errors.Is(err, core.ErrCanceled):
-		if errors.Is(err, context.DeadlineExceeded) {
-			return http.StatusGatewayTimeout, errorBody{Code: "deadline_exceeded", Message: err.Error()}
-		}
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
+		// One answer for a query that ran out of time, wherever it was spent:
+		// in evaluation (wrapped in core.ErrCanceled), waiting for admission
+		// (bare), or waiting for the rest of its body (the read deadline).
+		return http.StatusGatewayTimeout, errorBody{Code: "deadline_exceeded", Message: err.Error()}
+	case errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest, errorBody{Code: "canceled", Message: err.Error()}
 	case errors.As(err, &pe):
 		return http.StatusBadRequest, errorBody{Code: "parse_error", Message: err.Error()}
@@ -433,11 +454,13 @@ func codeForStatus(status int) string {
 
 // queryError passes the evaluation stack's typed errors through for
 // classify to map, and treats everything else as the query's fault (400).
+// Running out of time is not: enumeration reports the context's error bare.
 func queryError(err error) error {
 	var pe *parser.ParseError
 	if errors.Is(err, core.ErrCanceled) || errors.Is(err, registry.ErrUnknownDatabase) ||
 		errors.Is(err, query.ErrUnsafeQuery) || errors.As(err, &pe) ||
-		errors.Is(err, obs.ErrBudgetExceeded) {
+		errors.Is(err, obs.ErrBudgetExceeded) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return err
 	}
 	return errf(http.StatusBadRequest, "%v", err)
@@ -453,7 +476,7 @@ type reqInfo struct {
 	trace    *obs.Trace
 
 	db          string
-	query       string
+	query       string // as received; clipped only if recorded or logged
 	shape       string
 	fingerprint string
 	wantTrace   bool // client sent "trace":true — force recorder retention
@@ -472,13 +495,11 @@ func (ri *reqInfo) setDB(db string) {
 	}
 }
 
-// setQuery records the query and its canonical shape; the fingerprint is the
-// shape's short hash.
-func (ri *reqInfo) setQuery(q, shape string) {
+// setQuery records what the request asked, as resolved by prepare. Nothing
+// is derived from the text here: this runs on every request.
+func (ri *reqInfo) setQuery(p *prepared) {
 	if ri != nil {
-		ri.query = normalizeQuery(q)
-		ri.shape = shape
-		ri.fingerprint = fingerprintOf(shape)
+		ri.query, ri.shape, ri.fingerprint = p.query, p.shape, p.fingerprint
 	}
 }
 
@@ -494,8 +515,9 @@ func streamingEndpoint(endpoint string) bool {
 // rendering errors in the {"error":{"code","message"}} envelope, offering
 // the request to the flight recorder, feeding the per-fingerprint stats
 // table, and emitting one structured log line per request (debug on
-// success, warn on failure) tagged with request, tenant and trace IDs.
-func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+// success, warn on failure) tagged with request, tenant and trace IDs. A
+// positive timeout becomes the deadline of the request's context.
+func (s *Server) instrument(endpoint string, timeout time.Duration, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	em := s.met.endpoint(endpoint)
 	cost, gated := endpointCost[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -504,6 +526,11 @@ func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *ht
 		w.Header().Set("X-Request-Id", reqID)
 		ri := &reqInfo{endpoint: endpoint, tenant: tenantFrom(r)}
 		ctx := r.Context()
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, start.Add(timeout))
+			defer cancel()
+		}
 		if s.rec != nil {
 			// Always-on tracing: adopt the caller's trace ID when the request
 			// carries a traceparent header, so the router's, this shard's and
@@ -564,23 +591,32 @@ func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *ht
 				Keep:        ri.wantTrace,
 			}, ri.trace)
 		}
-		logArgs := []any{
-			"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
-			"request_id", reqID, "tenant", ri.tenant, "dur_ms", d.Milliseconds()}
-		if ri.trace != nil {
-			logArgs = append(logArgs, "trace_id", ri.trace.ID())
+		level := slog.LevelDebug
+		if err != nil {
+			level = slog.LevelWarn
 		}
-		if ri.fingerprint != "" {
-			logArgs = append(logArgs, "fingerprint", ri.fingerprint)
-		}
-		if via := r.Header.Get("X-Funcdb-Router"); via != "" {
-			// Forwarded by an fdbrouter; the value is the shard-map version
-			// the router routed under, which is what you need when
-			// debugging a misrouted request after a reshard.
-			logArgs = append(logArgs, "router", via)
+		var logArgs []any
+		if s.log.Enabled(ctx, level) {
+			logArgs = []any{
+				"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
+				"request_id", reqID, "tenant", ri.tenant, "dur_ms", d.Milliseconds()}
+			if ri.trace != nil {
+				logArgs = append(logArgs, "trace_id", ri.trace.ID())
+			}
+			if ri.fingerprint != "" {
+				logArgs = append(logArgs, "fingerprint", ri.fingerprint)
+			}
+			if via := r.Header.Get("X-Funcdb-Router"); via != "" {
+				// Forwarded by an fdbrouter; the value is the shard-map
+				// version the router routed under, which is what you need
+				// when debugging a misrouted request after a reshard.
+				logArgs = append(logArgs, "router", via)
+			}
 		}
 		if err == nil {
-			s.log.Debug("request", logArgs...)
+			if logArgs != nil {
+				s.log.Debug("request", logArgs...)
+			}
 			return
 		}
 		var ae *apiError
@@ -599,8 +635,10 @@ func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *ht
 			s.cfg.Admission.RecordBudgetKill()
 		}
 		writeJSON(w, status, map[string]errorBody{"error": body})
-		logArgs = append(logArgs, "status", status, "code", body.Code, "error", body.Message)
-		s.log.Warn("request failed", logArgs...)
+		if logArgs != nil {
+			logArgs = append(logArgs, "status", status, "code", body.Code, "error", body.Message)
+			s.log.Warn("request failed", logArgs...)
+		}
 	}
 }
 
@@ -611,7 +649,7 @@ func (s *Server) logSlow(ri *reqInfo, endpoint, db, q string, d time.Duration, t
 	if s.cfg.SlowQuery <= 0 || d < s.cfg.SlowQuery {
 		return
 	}
-	args := []any{"endpoint", endpoint, "db", db, "query", normalizeQuery(q), "dur_ms", d.Milliseconds()}
+	args := []any{"endpoint", endpoint, "db", db, "query", obs.ClipQuery(q), "dur_ms", d.Milliseconds()}
 	if tr == nil && ri != nil {
 		tr = ri.trace
 	}
@@ -633,21 +671,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(v)
-}
-
-// decodeBody reads at most MaxBodyBytes of JSON into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return errf(http.StatusBadRequest, "invalid request body: %v", err)
-	}
-	return nil
 }
 
 // entry resolves the {name} path value against the registry.
@@ -674,11 +697,12 @@ func normalizeQuery(q string) string { return strings.Join(strings.Fields(q), " 
 // version. Spec entries and unparsable queries have no plan and key on the
 // whitespace-normalized text.
 type prepared struct {
-	e     *registry.Entry
-	query string
-	plan  *core.Plan // nil for a spec entry, or when err is set
-	err   error      // the query does not parse or compile
-	shape string     // the answer-cache key component
+	e           *registry.Entry
+	query       string
+	plan        *core.Plan // nil for a spec entry, or when err is set
+	err         error      // the query does not parse or compile
+	shape       string     // the answer-cache key component
+	fingerprint string     // the shape's short hash: the plan's, computed at compile
 }
 
 // prepare resolves q against snap when the caller pinned one (a batch), and
@@ -693,9 +717,10 @@ func prepare(ctx context.Context, e *registry.Entry, snap *core.Snapshot, q stri
 		p.plan, p.err = e.Prepare(ctx, q)
 	}
 	if p.plan != nil {
-		p.shape = p.plan.Shape()
+		p.shape, p.fingerprint = p.plan.Shape(), p.plan.Fingerprint()
 	} else {
 		p.shape = normalizeQuery(q)
+		p.fingerprint = obs.Fingerprint(p.shape)
 	}
 	return p
 }
@@ -877,6 +902,8 @@ type factsRequest struct {
 	Facts string `json:"facts"`
 }
 
+func (req *factsRequest) fields() []field { return []field{{"facts", &req.Facts}} }
+
 // handleFacts appends ground facts to a program database. The extension
 // recomputes the specification and publishes a new catalog version, so
 // cached answers for the old version expire by key.
@@ -887,7 +914,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	reqInfoFrom(r.Context()).setDB(name)
 	var req factsRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Facts) == "" {
@@ -913,6 +940,10 @@ type askRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+func (req *askRequest) fields() []field {
+	return []field{{"query", &req.Query}, {"via", &req.Via}, {"trace", &req.Trace}}
+}
+
 type askResponse struct {
 	Answer  bool        `json:"answer"`
 	Version uint64      `json:"version"`
@@ -922,14 +953,14 @@ type askResponse struct {
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	if s.slow != nil {
-		s.slow()
+		s.slow(r.Context())
 	}
 	e, err := s.entry(r)
 	if err != nil {
 		return err
 	}
 	var req askRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -945,12 +976,12 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	ri := reqInfoFrom(ctx)
 	ri.setDB(e.Name)
 	q := prepare(ctx, e, nil, req.Query)
-	ri.setQuery(req.Query, q.shape)
+	ri.setQuery(&q)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape, via: req.Via}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
 			em.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, askResponse{Answer: v.(bool), Version: e.Version, Cached: true})
+			writeAsk(w, askResponse{Answer: v.(bool), Version: e.Version, Cached: true})
 			return nil
 		}
 	}
@@ -966,8 +997,33 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 		return queryError(err)
 	}
 	s.cachePut(e, key, ans)
-	writeJSON(w, http.StatusOK, askResponse{Answer: ans, Version: e.Version, Cached: false, Trace: tr.Report()})
+	writeAsk(w, askResponse{Answer: ans, Version: e.Version, Cached: false, Trace: tr.Report()})
 	return nil
+}
+
+// writeAsk renders an ask's 200. Without a trace block the body is three
+// scalars: it is appended to a pooled buffer, byte for byte what
+// json.Encoder writes, and sent with its Content-Length.
+func writeAsk(w http.ResponseWriter, resp askResponse) {
+	if resp.Trace != nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	bp := getBuf()
+	b := append((*bp)[:0], `{"answer":`...)
+	b = strconv.AppendBool(b, resp.Answer)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, resp.Version, 10)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, resp.Cached)
+	b = append(b, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	*bp = b
+	putBuf(bp)
 }
 
 // traceContext prepares the evaluation context for one query request: the
@@ -1009,6 +1065,10 @@ type answersRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+func (req *answersRequest) fields() []field {
+	return []field{{"query", &req.Query}, {"depth", &req.Depth}, {"limit", &req.Limit}, {"trace", &req.Trace}}
+}
+
 type answersResponse struct {
 	Tuples    []registry.AnswerTuple `json:"tuples"`
 	Count     int                    `json:"count"`
@@ -1030,7 +1090,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	var req answersRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -1051,7 +1111,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	ri := reqInfoFrom(ctx)
 	ri.setDB(e.Name)
 	q := prepare(ctx, e, nil, req.Query)
-	ri.setQuery(req.Query, q.shape)
+	ri.setQuery(&q)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "answers",
 		query: q.shape, depth: req.Depth, limit: limit}
 	if !req.Trace {
@@ -1088,6 +1148,10 @@ type batchRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+func (req *batchRequest) fields() []field {
+	return []field{{"queries", &req.Queries}, {"trace", &req.Trace}}
+}
+
 // batchItem is one query's outcome inside a batch response; exactly one of
 // Answer/Error is meaningful, discriminated by Error being present.
 type batchItem struct {
@@ -1112,7 +1176,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	var req batchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
 	}
 	if len(req.Queries) == 0 {
@@ -1173,7 +1237,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		perItem := elapsed / time.Duration(len(misses))
 		for j, i := range missIdx {
 			if s.stats != nil {
-				s.stats.observe(e.Name, fingerprintOf(keys[i].query), keys[i].query,
+				s.stats.observe(e.Name, misses[j].fingerprint, keys[i].query,
 					perItem, errs[j] != nil, -1, -1)
 			}
 			if errs[j] != nil {

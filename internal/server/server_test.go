@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/obs"
@@ -57,6 +56,17 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *registry.Registry, *http
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, reg, ts
+}
+
+// newBareServer is newTestServer without the spec entry, for tests that
+// count what a request leaves behind.
+func newBareServer(t testing.TB, cfg Config, name, src string) *Server {
+	t.Helper()
+	reg := registry.New(core.Options{})
+	if _, err := reg.PutProgram(name, []byte(src)); err != nil {
+		t.Fatal(err)
+	}
+	return New(reg, cfg)
 }
 
 func doJSON(t testing.TB, method, url string, body any) (int, map[string]any) {
@@ -307,20 +317,6 @@ func TestErrorPaths(t *testing.T) {
 				t.Fatalf("missing error message: %v", body)
 			}
 		})
-	}
-}
-
-func TestTimeout(t *testing.T) {
-	srv, _, _ := newTestServer(t, Config{Timeout: 30 * time.Millisecond})
-	srv.slow = func() { time.Sleep(300 * time.Millisecond) }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": "?- Even(4)."})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("slow ask = %d %v, want 503", code, body)
-	}
-	if errMessage(body) != "request timed out" || errCode(body) != "deadline_exceeded" {
-		t.Fatalf("timeout body = %v", body)
 	}
 }
 

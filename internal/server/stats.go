@@ -8,9 +8,7 @@
 package server
 
 import (
-	"hash/fnv"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -20,18 +18,6 @@ import (
 // DefaultStatsTopK is the default per-process cap on distinct fingerprints
 // tracked (table rows and metric series alike).
 const DefaultStatsTopK = 64
-
-// fingerprintOf hashes a canonical plan shape (or normalized query text for
-// spec databases) into the 16-hex query fingerprint.
-func fingerprintOf(shape string) string {
-	if shape == "" {
-		return ""
-	}
-	h := fnv.New64a()
-	h.Write([]byte(shape))
-	s := strconv.FormatUint(h.Sum64(), 16)
-	return "0000000000000000"[:16-len(s)] + s
-}
 
 // Bucket layouts for the non-latency dimensions: derivation depth is a
 // small power-of-two ladder (the BDD/FC work motivates depth as a

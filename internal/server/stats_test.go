@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"funcdb/internal/obs"
 )
 
 // TestStatsEndpoint: repeated queries aggregate by plan-shape fingerprint
@@ -109,21 +111,6 @@ func TestStatsTopKEviction(t *testing.T) {
 	}
 }
 
-// TestFingerprintOf pins the fingerprint shape: 16 lowercase hex digits,
-// stable for equal shapes, empty for empty shapes.
-func TestFingerprintOf(t *testing.T) {
-	a, b := fingerprintOf("shape-a"), fingerprintOf("shape-a")
-	if a != b || len(a) != 16 {
-		t.Fatalf("unstable or misshapen: %q vs %q", a, b)
-	}
-	if fingerprintOf("shape-b") == a {
-		t.Fatal("distinct shapes collided (FNV-64a would have to collide)")
-	}
-	if fingerprintOf("") != "" {
-		t.Fatal("empty shape should have no fingerprint")
-	}
-}
-
 // TestQueryStatsConcurrent hammers one queryStats table from several
 // goroutines (distinct and shared fingerprints, evictions included) while
 // snapshots run; meaningful under -race.
@@ -134,7 +121,7 @@ func TestQueryStatsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				fp := fingerprintOf(fmt.Sprintf("shape-%d", (w*200+i)%16))
+				fp := obs.Fingerprint(fmt.Sprintf("shape-%d", (w*200+i)%16))
 				qs.observe("db", fp, "s", time.Millisecond, i%5 == 0, int64(i%32), int64(i))
 			}
 		}(w)

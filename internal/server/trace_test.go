@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"funcdb/internal/admission"
 	"funcdb/internal/obs"
@@ -230,5 +234,43 @@ func TestObservabilityExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestRecordedQueryTextIsClipped: a request with a long query leaves at most
+// obs.MaxQueryText bytes of it (plus the "…(+N bytes)" suffix) in its
+// flight-recorder entry and in the slow-query log line, with the fingerprint
+// its plan was compiled with.
+func TestRecordedQueryTextIsClipped(t *testing.T) {
+	var logged bytes.Buffer
+	srv, _, ts := newTestServer(t, Config{
+		SlowQuery: time.Nanosecond, // every evaluation is "slow": logged, and retained by the recorder
+		Logger:    slog.New(slog.NewTextHandler(&logged, nil)),
+	})
+	query := "?- Even(4)" + strings.Repeat(",   Even(4)", 4096) + "."
+	code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": query})
+	if code != http.StatusOK || body["answer"] != true {
+		t.Fatalf("ask: %d %v", code, body)
+	}
+	want := obs.ClipQuery(query)
+	if len(want) > obs.MaxQueryText+32 || !strings.HasSuffix(want, " bytes)") || strings.Contains(want, "  ") {
+		t.Fatalf("ClipQuery left %d bytes: %q", len(want), want)
+	}
+	entries := srv.rec.List(10)
+	if len(entries) != 1 || entries[0].Query != want {
+		t.Fatalf("recorded %d entries, query %q\nwant %q", len(entries), entries[0].Query, want)
+	}
+	e, _ := srv.reg.Get("even")
+	plan, err := e.Prepare(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries[0].Fingerprint != plan.Fingerprint() || plan.Fingerprint() != obs.Fingerprint(plan.Shape()) {
+		t.Errorf("entry fingerprint %q, plan %q, shape hash %q",
+			entries[0].Fingerprint, plan.Fingerprint(), obs.Fingerprint(plan.Shape()))
+	}
+	line := logged.String()
+	if !strings.Contains(line, "slow query") || !strings.Contains(line, "(+") || len(line) > obs.MaxQueryText+1024 {
+		t.Errorf("slow-query log line of %d bytes: %.300q", len(line), line)
 	}
 }

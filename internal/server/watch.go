@@ -19,6 +19,10 @@ type watchRequest struct {
 	FromLSN uint64 `json:"from_lsn,omitempty"`
 }
 
+func (req *watchRequest) fields() []field {
+	return []field{{"query", &req.Query}, {"depth", &req.Depth}, {"limit", &req.Limit}, {"from_lsn", &req.FromLSN}}
+}
+
 // handleWatch streams NDJSON answer-delta frames. It lives on the root mux,
 // outside the timeout wrapper (TimeoutHandler buffers writes, which would
 // break the long-lived stream), and is served even on read-only replicas —
@@ -28,7 +32,7 @@ type watchRequest struct {
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	var req watchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Query) == "" {

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // DefaultVNodes is the virtual-node count per group when a map does not
@@ -34,6 +36,15 @@ type Group struct {
 	Primary string `json:"primary"`
 	// Replicas are base URLs of the group's read replicas.
 	Replicas []string `json:"replicas,omitempty"`
+
+	targets []target // Endpoints as the router addresses them; built by Map.Ring
+}
+
+// target is one endpoint of a group with what the router would otherwise
+// derive from it on every request.
+type target struct {
+	url  string // the endpoint's base URL, trailing slash trimmed
+	span string // name of the router's forward-attempt span
 }
 
 // Endpoints returns every base URL in the group, primary first.
@@ -63,7 +74,8 @@ type Map struct {
 	// while a reshard drains their WAL tail. Reads keep serving.
 	Frozen []string `json:"frozen,omitempty"`
 
-	ring *ring // built lazily by Owner/Ring
+	ring *ring  // built lazily by Owner/Ring
+	via  string // "v<Version>", the X-Funcdb-Router header value; built with ring
 }
 
 // ring is the materialized consistent-hash circle: sorted point hashes and
@@ -92,12 +104,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Ring materializes the consistent-hash circle. It is idempotent and is
-// called automatically by Owner; call it eagerly after decoding a map so
-// concurrent readers never race the lazy build.
+// Ring materializes the consistent-hash circle and the per-request
+// constants the router reads off a map. It is idempotent and is called
+// automatically by Owner; call it eagerly after decoding a map so concurrent
+// readers never race the lazy build.
 func (m *Map) Ring() {
 	if m.ring != nil {
 		return
+	}
+	m.via = "v" + strconv.FormatUint(m.Version, 10)
+	for i := range m.Groups {
+		g := &m.Groups[i]
+		g.targets = make([]target, 0, 1+len(g.Replicas))
+		for _, ep := range g.Endpoints() {
+			g.targets = append(g.targets, target{url: strings.TrimSuffix(ep, "/"), span: "forward " + ep})
+		}
 	}
 	vn := m.VNodes
 	if vn <= 0 {

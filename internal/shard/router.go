@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"funcdb/internal/obs"
@@ -55,8 +56,8 @@ type Router struct {
 	streamsMu sync.Mutex
 	streams   map[*proxiedStream]struct{}
 
-	rrMu sync.Mutex
-	rr   map[string]int // group name -> next read endpoint index
+	groupMu sync.Mutex
+	groups  map[string]*groupState // by group name; entries outlive map versions
 
 	met        *obs.Registry
 	rec        *obs.Recorder
@@ -64,6 +65,12 @@ type Router struct {
 	mProxy     *obs.Histogram
 	mStreams   *obs.Gauge
 	mFailovers *obs.Counter
+}
+
+// groupState is what the router keeps per shard group across requests.
+type groupState struct {
+	next     atomic.Uint64 // round-robin cursor over the group's endpoints
+	requests *obs.Counter  // fdbrouter_requests_total{group}
 }
 
 type healthVerdict struct {
@@ -108,6 +115,17 @@ const (
 	retryAfterSec = "1"
 )
 
+// copyBufs recycles the buffers responses are relayed through: io.Copy would
+// allocate 32 KB per proxied request, because neither side of the relay has a
+// ReadFrom or WriteTo to hand the copy to.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+func relay(dst io.Writer, src io.Reader) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	io.CopyBuffer(dst, src, buf[:])
+	copyBufs.Put(buf)
+}
+
 // NewRouter wires a Router over src.
 func NewRouter(src *Source, opts Options) *Router {
 	rt := &Router{
@@ -118,7 +136,7 @@ func NewRouter(src *Source, opts Options) *Router {
 		health:  make(map[string]healthVerdict),
 		writes:  make(map[string]int),
 		streams: make(map[*proxiedStream]struct{}),
-		rr:      make(map[string]int),
+		groups:  make(map[string]*groupState),
 		met:     opts.Metrics,
 	}
 	if rt.client == nil {
@@ -345,12 +363,13 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		rt.writesMu.Unlock()
 	}()
 	start := time.Now()
-	fctx, sp := obs.StartSpan(r.Context(), "forward "+g.Primary)
-	err := rt.forward(sw, r.WithContext(fctx), m, g.Name, g.Primary, body, false)
+	primary := g.targets[0]
+	fctx, sp := obs.StartSpan(r.Context(), primary.span)
+	err := rt.forward(sw, r.WithContext(fctx), m, g, primary, body, false)
 	sp.End()
 	rt.mProxy.Observe(time.Since(start).Seconds())
 	if err != nil {
-		rt.markBad(g.Primary)
+		rt.markBad(primary.url)
 		rt.fail(sw, http.StatusBadGateway, "primary_unreachable",
 			"group %s primary: %v", g.Name, err)
 	}
@@ -384,13 +403,13 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 			rt.mFailovers.Inc()
 			tr.Add("router_failovers", 1)
 		}
-		fctx, sp := obs.StartSpan(r.Context(), "forward "+ep)
-		err := rt.forward(sw, r.WithContext(fctx), m, g.Name, ep, body, false)
+		fctx, sp := obs.StartSpan(r.Context(), ep.span)
+		err := rt.forward(sw, r.WithContext(fctx), m, g, ep, body, false)
 		sp.End()
 		if err == nil {
 			return
 		}
-		rt.markBad(ep)
+		rt.markBad(ep.url)
 		lastErr = err
 	}
 	rt.fail(sw, http.StatusServiceUnavailable, "no_healthy_endpoints",
@@ -438,13 +457,13 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 			rt.mFailovers.Inc()
 			tr.Add("router_failovers", 1)
 		}
-		fctx, sp := obs.StartSpan(ctx, "forward "+ep)
-		err := rt.forward(sw, r.WithContext(fctx), m, g.Name, ep, body, true)
+		fctx, sp := obs.StartSpan(ctx, ep.span)
+		err := rt.forward(sw, r.WithContext(fctx), m, g, ep, body, true)
 		sp.End()
 		if err == nil {
 			return
 		}
-		rt.markBad(ep)
+		rt.markBad(ep.url)
 		lastErr = err
 	}
 	rt.fail(sw, http.StatusServiceUnavailable, "no_healthy_endpoints",
@@ -481,46 +500,73 @@ func (rt *Router) cutMovedStreams(old, new *Map) {
 }
 
 // readBody buffers the request body so the request can be replayed against
-// another endpoint on failover.
+// another endpoint on failover: into a buffer of exactly Content-Length bytes
+// when the client declared one, refusing an over-limit declaration unread.
+// The buffer is not pooled: the transport may still be reading it after a
+// failed attempt returns.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Body == nil {
+	if r.Body == nil || r.ContentLength == 0 {
 		return nil, true
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	tooLarge := func() ([]byte, bool) {
+		rt.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body exceeds %d bytes", maxProxyBody)
+		return nil, false
+	}
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > maxProxyBody {
+		return tooLarge()
+	} else if n > 0 {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	}
 	if err != nil {
 		rt.fail(w, http.StatusBadRequest, "bad_request", "read body: %v", err)
 		return nil, false
 	}
 	if len(body) > maxProxyBody {
-		rt.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
-			"request body exceeds %d bytes", maxProxyBody)
-		return nil, false
+		return tooLarge()
 	}
 	return body, true
 }
 
+// group returns the router's state for the named group, creating it on
+// first use.
+func (rt *Router) group(name string) *groupState {
+	rt.groupMu.Lock()
+	defer rt.groupMu.Unlock()
+	gs := rt.groups[name]
+	if gs == nil {
+		gs = &groupState{requests: rt.met.Counter("fdbrouter_requests_total",
+			"Requests proxied per shard group.", "group", name)}
+		rt.groups[name] = gs
+	}
+	return gs
+}
+
 // readOrder returns the group's endpoints to try for a read: healthy ones
 // first in round-robin order, then (as a last resort) the unhealthy ones —
-// a probe verdict is a hint, not a ban.
-func (rt *Router) readOrder(g *Group) []string {
-	eps := g.Endpoints()
-	rt.rrMu.Lock()
-	offset := rt.rr[g.Name]
-	rt.rr[g.Name] = offset + 1
-	rt.rrMu.Unlock()
-	rotated := make([]string, 0, len(eps))
-	for i := range eps {
-		rotated = append(rotated, eps[(offset+i)%len(eps)])
+// a probe verdict is a hint, not a ban. A group of one endpoint has one
+// order, so nothing is rotated, probed or allocated for it.
+func (rt *Router) readOrder(g *Group) []target {
+	eps := g.targets
+	if len(eps) == 1 {
+		return eps
 	}
-	var healthy, suspect []string
-	for _, ep := range rotated {
-		if rt.isHealthy(ep) {
-			healthy = append(healthy, ep)
+	offset := int((rt.group(g.Name).next.Add(1) - 1) % uint64(len(eps)))
+	order := make([]target, 0, len(eps))
+	var suspect []target
+	for i := range eps {
+		if ep := eps[(offset+i)%len(eps)]; rt.isHealthy(ep.url) {
+			order = append(order, ep)
 		} else {
 			suspect = append(suspect, ep)
 		}
 	}
-	return append(healthy, suspect...)
+	return append(order, suspect...)
 }
 
 // isHealthy returns the cached /readyz verdict for ep, probing when the
@@ -560,8 +606,8 @@ func (rt *Router) markBad(ep string) {
 // back. A non-nil error means nothing was written to w and the caller may
 // retry elsewhere; once the upstream responds, its response — success or
 // failure — is relayed as-is.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, group, base string, body []byte, stream bool) error {
-	url := strings.TrimSuffix(base, "/") + r.URL.Path
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, g *Group, ep target, body []byte, stream bool) error {
+	url := ep.url + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
@@ -577,7 +623,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, group,
 	if key := r.Header.Get("X-Api-Key"); key != "" {
 		req.Header.Set("X-Api-Key", key)
 	}
-	req.Header.Set("X-Funcdb-Router", fmt.Sprintf("v%d", m.Version))
+	req.Header.Set("X-Funcdb-Router", m.via)
 	// The forward-attempt span rides the traceparent header so the shard's
 	// span tree joins this trace; a no-op when tracing is disabled.
 	obs.InjectTraceparent(r.Context(), req.Header)
@@ -586,15 +632,14 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, group,
 		return err
 	}
 	defer resp.Body.Close()
-	rt.met.Counter("fdbrouter_requests_total",
-		"Requests proxied per shard group.", "group", group).Inc()
+	rt.group(g.Name).requests.Inc()
 
 	for _, h := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set("X-Funcdb-Shard", group)
+	w.Header().Set("X-Funcdb-Shard", g.Name)
 	if tr := obs.FromContext(r.Context()); tr != nil && !stream &&
 		resp.StatusCode == http.StatusOK && wantsTrace(body) {
 		// The client asked for a trace: buffer the shard's response, graft
@@ -614,8 +659,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, group,
 	}
 	w.WriteHeader(resp.StatusCode)
 	if stream {
-		fw := &flushWriter{w: w}
-		io.Copy(fw, resp.Body)
+		relay(&flushWriter{w: w}, resp.Body)
 		return nil
 	}
 	if resp.StatusCode >= 400 {
@@ -632,7 +676,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, group,
 			return nil
 		}
 	}
-	io.Copy(w, resp.Body)
+	relay(w, resp.Body)
 	return nil
 }
 
@@ -677,11 +721,11 @@ func (rt *Router) scatter(ctx context.Context, m *Map, fn func(ctx context.Conte
 			var raw []byte
 			var err error
 			for _, ep := range rt.readOrder(g) {
-				raw, err = fn(legCtx, g, ep)
+				raw, err = fn(legCtx, g, ep.url)
 				if err == nil {
 					break
 				}
-				rt.markBad(ep)
+				rt.markBad(ep.url)
 				if legCtx.Err() != nil {
 					break
 				}
@@ -853,11 +897,11 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 			var raw []byte
 			for _, ep := range rt.readOrder(g) {
-				raw, err = rt.shardPOST(legCtx, ep, "/v1/db/"+db+"/batch", payload)
+				raw, err = rt.shardPOST(legCtx, ep.url, "/v1/db/"+db+"/batch", payload)
 				if err == nil {
 					break
 				}
-				rt.markBad(ep)
+				rt.markBad(ep.url)
 				if legCtx.Err() != nil {
 					break
 				}

@@ -443,3 +443,33 @@ func TestRouterShedPassthrough(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkRouteAsk proxies an ask of the given body size through the
+// router's handler to a one-endpoint group over loopback: the router's own
+// share of a routed ask (the backend answers a constant).
+func BenchmarkRouteAsk(b *testing.B) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"answer":true,"version":1,"cached":true}`+"\n")
+	}))
+	defer backend.Close()
+	src := NewSource(&Map{Version: 1, Groups: []Group{{Name: "g", Primary: backend.URL}}})
+	defer src.Close()
+	rt := NewRouter(src, Options{})
+	defer rt.Close()
+	for _, size := range []int{64, 8 << 10} {
+		body := []byte(`{"query":"` + strings.Repeat("x", size) + `"}`)
+		b.Run(fmt.Sprintf("body%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				r, _ := http.NewRequest("POST", "/v1/db/d/ask", bytes.NewReader(body))
+				rt.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body.String())
+				}
+			}
+		})
+	}
+}
