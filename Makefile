@@ -32,7 +32,7 @@ race:
 # the server's streaming endpoints, the replica loop, client failover and
 # the process-level primary/replica end-to-end test.
 race-repl:
-	$(GO) test -race -count=1 ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbd/
+	$(GO) test -race -count=1 ./internal/api/ ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbd/
 
 # The live-query stack alone under the race detector: the hub's worker and
 # backpressure paths, the streaming endpoint, the failover watch client and
@@ -46,7 +46,7 @@ race-watch:
 # end-to-end test (router + 3 groups, primary SIGKILL + live reshard under
 # mixed traffic).
 race-shard:
-	$(GO) test -race -count=1 ./internal/shard/ ./cmd/fdbrouter/
+	$(GO) test -race -count=1 ./internal/api/ ./internal/shard/ ./cmd/fdbrouter/
 	$(GO) test -race -count=1 -run 'TestShardedClusterEndToEnd' ./cmd/fdbd/
 
 # The admission-control storm scaled down to run under the race detector:
@@ -121,10 +121,11 @@ fuzz:
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
 # and query parsers, the binspec document/record readers, the specio JSON
-# reader, the watch frame codec and the daemon's request-body decoder (a
-# differential target: encoding/json is the reference). (The parser seeds are
-# kilobytes long; without a minimizer budget the fuzzer spends the pass
-# shrinking them.)
+# reader, the watch frame codec, the daemon's request-body decoder (a
+# differential target: encoding/json is the reference) and the client's
+# error-envelope decoder (differential too: the decoder it replaced is the
+# reference). (The parser seeds are kilobytes long; without a minimizer
+# budget the fuzzer spends the pass shrinking them.)
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
@@ -133,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server
+	$(GO) test -fuzz=FuzzReadError -fuzztime=30s ./internal/api
 
 tables:
 	$(GO) run ./cmd/fdbench all

@@ -12,7 +12,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -26,6 +28,7 @@ import (
 	"time"
 
 	"funcdb/internal/admission"
+	"funcdb/internal/api"
 	"funcdb/internal/core"
 	"funcdb/internal/datagen"
 	"funcdb/internal/registry"
@@ -160,62 +163,43 @@ func newStormCluster(tenants []datagen.Tenant, abuser datagen.Tenant, short bool
 
 // stormDo issues one request as a tenant and returns status, error code
 // and latency.
-func stormDo(hc *http.Client, base, method, path, apiKey, body string) (int, string, time.Duration) {
-	var rd *strings.Reader
+func stormDo(hc *api.Client, base, method, path, apiKey, body string) (int, string, time.Duration) {
+	rq := api.Request{Method: method, URL: base + path, Body: []byte(body), APIKey: apiKey}
 	if body != "" {
-		rd = strings.NewReader(body)
-	} else {
-		rd = strings.NewReader("")
+		rq.ContentType = api.ContentJSON
 	}
-	req, err := http.NewRequest(method, base+path, rd)
-	if err != nil {
-		panic(err)
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if apiKey != "" {
-		req.Header.Set("X-Api-Key", apiKey)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
 	start := time.Now()
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, "transport", time.Since(start)
+	_, err := hc.Do(ctx, rq)
+	status, code := stormResult(err)
+	return status, code, time.Since(start)
+}
+
+// stormResult reads a call's outcome the way the soak counts it: 200, a
+// daemon's refusal as its status and code, anything else as a transport
+// failure.
+func stormResult(err error) (int, string) {
+	var e *api.Error
+	switch {
+	case err == nil:
+		return http.StatusOK, ""
+	case errors.As(err, &e):
+		return e.Status, e.Code
 	}
-	defer resp.Body.Close()
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	json.NewDecoder(resp.Body).Decode(&env)
-	return resp.StatusCode, env.Error.Code, time.Since(start)
+	return 0, "transport"
 }
 
 // stormWatch opens a watch stream as a tenant and drains frames until the
 // stop channel closes; the first return reports whether the subscription
 // was accepted, the second carries the error code when it was shed.
-func stormWatch(hc *http.Client, base string, tn datagen.Tenant, stop <-chan struct{}) (bool, string) {
-	body := fmt.Sprintf(`{"query":%q,"limit":64}`, tn.Answers)
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/db/"+tn.DB+"/watch", strings.NewReader(body))
+func stormWatch(hc *api.Client, base string, tn datagen.Tenant, stop <-chan struct{}) (bool, string) {
+	resp, err := hc.Stream(context.Background(), api.Request{Method: http.MethodPost,
+		URL: base + "/v1/db/" + tn.DB + "/watch", Body: []byte(fmt.Sprintf(`{"query":%q,"limit":64}`, tn.Answers)),
+		ContentType: api.ContentJSON, APIKey: tn.Name})
 	if err != nil {
-		panic(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Api-Key", tn.Name)
-	resp, err := hc.Do(req)
-	if err != nil {
-		return false, "transport"
-	}
-	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		return false, env.Error.Code
+		_, code := stormResult(err)
+		return false, code
 	}
 	go func() {
 		defer resp.Body.Close()
@@ -271,7 +255,7 @@ func stormBench(outPath string, short bool) {
 	abuser := datagen.AbuserTenant()
 	sc := newStormCluster(tenants, abuser, short)
 	defer sc.close()
-	hc := &http.Client{Timeout: 15 * time.Second}
+	var hc *api.Client // the process-wide default
 	base := sc.router.URL
 
 	// Warm every database through the router (compiles the specs) so the

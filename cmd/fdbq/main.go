@@ -53,8 +53,8 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/repl"
 	"funcdb/internal/specio"
 	"funcdb/internal/watch"
@@ -152,8 +152,7 @@ func run(args []string, out io.Writer) error {
 // runRemote answers the queries through a running fdbd daemon via the
 // shared remote client, so HTTP error bodies surface as messages.
 func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, addFacts, watchQuery string, queries []string, in io.Reader, out io.Writer) error {
-	client := &http.Client{Timeout: 30 * time.Second}
-	rc := &repl.RemoteClient{Base: base, DB: db, CC: useCC, Trace: trace, APIKey: apiKey, HTTP: client}
+	rc := &repl.RemoteClient{Base: base, DB: db, CC: useCC, Trace: trace, APIKey: apiKey}
 	endpoints := rc.Endpoints()
 	if len(endpoints) == 0 {
 		return fmt.Errorf("-remote lists no usable endpoint: %q", base)
@@ -170,9 +169,10 @@ func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, ad
 			}
 			out.Write(append(raw, '\n'))
 		} else {
-			body, err := get(client, endpoints[0]+"/v1/dbs")
+			url := endpoints[0] + "/v1/dbs"
+			body, err := rc.HTTP.Do(context.Background(), api.Request{Method: http.MethodGet, URL: url, APIKey: apiKey})
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", url, err)
 			}
 			out.Write(append(bytes.TrimRight(body, "\n"), '\n'))
 		}
@@ -241,20 +241,4 @@ func runWatch(rc *repl.RemoteClient, q string, out io.Writer) error {
 		return nil
 	}
 	return err
-}
-
-func get(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, repl.RemoteErrorMessage(body, resp.StatusCode))
-	}
-	return body, nil
 }

@@ -51,10 +51,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"funcdb/internal/obs"
 	"funcdb/internal/shard"
 )
 
@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	logger, err := newLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -159,31 +159,4 @@ func serve(ctx context.Context, ln net.Listener, rc routerConfig, out io.Writer)
 		return err
 	}
 	return nil
-}
-
-// newLogger builds the router's structured logger from the -log-level and
-// -log-format flags.
-func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }

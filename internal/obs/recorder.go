@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -272,4 +274,52 @@ func (rec *Recorder) Instrument(reg *Registry, prefix string) {
 				"sampled_total":  rec.sampledCt.Load(),
 			}
 		})
+}
+
+// TraceFilterParams are the equality filters a /debug/traces query may carry;
+// a router forwards exactly these to its shards.
+var TraceFilterParams = []string{"db", "outcome", "tenant", "endpoint"}
+
+// traceListLimit caps how many entries one list query may return.
+const traceListLimit = 1000
+
+// Query answers a /debug/traces list query: the n most recent entries
+// (default 100, at most traceListLimit) equal to every filter param present.
+// It also returns the n it settled on. The filters run after the cut, on
+// List's copies (the rings are small).
+func (rec *Recorder) Query(q url.Values) ([]*TraceEntry, int, error) {
+	n := 100
+	if v := q.Get("n"); v != "" {
+		parsed, err := strconv.Atoi(v)
+		if err != nil || parsed <= 0 {
+			return nil, 0, fmt.Errorf("invalid n %q", v)
+		}
+		n = min(parsed, traceListLimit)
+	}
+	entries := rec.List(n)
+	for _, p := range TraceFilterParams {
+		want := q.Get(p)
+		if want == "" {
+			continue
+		}
+		kept := entries[:0]
+		for _, e := range entries {
+			var have string
+			switch p {
+			case "db":
+				have = e.DB
+			case "outcome":
+				have = e.Outcome
+			case "tenant":
+				have = e.Tenant
+			case "endpoint":
+				have = e.Endpoint
+			}
+			if have == want {
+				kept = append(kept, e)
+			}
+		}
+		entries = kept
+	}
+	return entries, n, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -289,5 +290,70 @@ func TestRecorderBoundsQueryText(t *testing.T) {
 	}
 	if total >= 4<<20 {
 		t.Fatalf("rings hold %d bytes of query text", total)
+	}
+}
+
+// TestRecorderQuery: the /debug/traces list query both daemons serve — n
+// with its default, its cap and its refusal, and the equality filters.
+func TestRecorderQuery(t *testing.T) {
+	rec := NewRecorder(1024, time.Hour, 1)
+	for i := 0; i < 30; i++ {
+		e := TraceEntry{ID: NewTraceID(), TimeUnixMS: int64(i), Endpoint: "ask", DB: "even", Tenant: "a", Outcome: OutcomeOK}
+		if i%3 == 0 {
+			e.DB, e.Tenant, e.Outcome = "odd", "b", OutcomeError
+		}
+		rec.Offer(e, NewTrace())
+	}
+	query := func(raw string) ([]*TraceEntry, int) {
+		t.Helper()
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, n, err := rec.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		return entries, n
+	}
+	if got, n := query(""); len(got) != 30 || n != 100 {
+		t.Errorf("default: %d entries, n=%d", len(got), n)
+	}
+	if got, n := query("n=7"); len(got) != 7 || n != 7 || got[0].TimeUnixMS != 29 {
+		t.Errorf("n=7: %d entries, n=%d, newest %d", len(got), n, got[0].TimeUnixMS)
+	}
+	if _, n := query("n=5000"); n != traceListLimit {
+		t.Errorf("n=5000 settled on %d, want the cap %d", n, traceListLimit)
+	}
+	if got, _ := query("db=odd&tenant=b&outcome=error&endpoint=ask"); len(got) != 10 {
+		t.Errorf("all four filters: %d entries, want 10", len(got))
+	}
+	if got, _ := query("db=odd&tenant=a"); len(got) != 0 {
+		t.Errorf("contradictory filters: %d entries", len(got))
+	}
+	for _, bad := range []string{"n=zero", "n=0", "n=-3"} {
+		q, _ := url.ParseQuery(bad)
+		if _, _, err := rec.Query(q); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
+
+func TestNewLogger(t *testing.T) {
+	var buf strings.Builder
+	l, err := NewLogger(&buf, "WARN", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Info("dropped")
+	l.Warn("kept", "k", 1)
+	if got := buf.String(); strings.Contains(got, "dropped") || !strings.Contains(got, `"msg":"kept"`) {
+		t.Errorf("warn-level JSON logger wrote %q", got)
+	}
+	if _, err := NewLogger(&buf, "loud", "text"); err == nil {
+		t.Error("unknown level accepted")
+	}
+	if _, err := NewLogger(&buf, "info", "xml"); err == nil {
+		t.Error("unknown format accepted")
 	}
 }

@@ -17,8 +17,10 @@ import (
 // process returns its span tree, GraftReport splices it under the calling
 // span so the caller renders one merged tree for the whole request.
 
-// TraceparentHeader is the canonical header name (HTTP canonicalizes case).
-const TraceparentHeader = "traceparent"
+// TraceparentHeader is the header name in net/http's canonical form — on the
+// wire the name is case-insensitive, and spelling it the way http.Header
+// stores it saves Get and Set a re-spelled copy per request.
+const TraceparentHeader = "Traceparent"
 
 // FormatTraceparent renders a version-00 traceparent value with the sampled
 // flag set.

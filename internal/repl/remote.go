@@ -4,7 +4,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/obs"
 )
 
@@ -41,7 +41,9 @@ const remoteHelpText = `commands:
 // the most recently working endpoint first and fail over on transport
 // errors, 5xx responses, and writes refused by a read replica (403 with
 // code read_only_replica), so one client works against the whole
-// replication topology without knowing which node is which.
+// replication topology without knowing which node is which. What fails
+// over, what is retried after a pause and what is final is api's policy
+// (api.Failover, api.RetryDelay), the same one the router applies.
 type RemoteClient struct {
 	// Base is one daemon base URL, or several comma-separated, e.g.
 	// "http://primary:8344,http://replica:8345".
@@ -56,19 +58,13 @@ type RemoteClient struct {
 	// APIKey identifies the tenant to daemons running admission control;
 	// sent as the X-Api-Key header on every request. Empty means anonymous.
 	APIKey string
-	// HTTP is the client used for requests; nil means a 30s-timeout client.
-	HTTP *http.Client
+	// HTTP is the client used for requests and watch streams; nil means the
+	// process-wide default (requests get api.DefaultTimeout, streams none).
+	HTTP *api.Client
 
 	// preferred is the index of the endpoint that served the last
 	// successful request; failover rotates from here.
 	preferred atomic.Int32
-}
-
-func (c *RemoteClient) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 30 * time.Second}
 }
 
 // Endpoints returns Base split into trimmed base URLs.
@@ -82,86 +78,41 @@ func (c *RemoteClient) Endpoints() []string {
 	return eps
 }
 
-// RemoteError is a non-2xx daemon response: the HTTP status plus the
-// decoded {"error":{"code","message"}} envelope.
-type RemoteError struct {
-	Status  int
-	Code    string
-	Message string
-	// RetryAfter is the server's Retry-After header in seconds (0 when
-	// absent): how long the server asks clients to back off before
-	// retrying a transient refusal (stream caps, reshard freezes).
-	RetryAfter int
-}
+// RemoteError is a non-2xx daemon response: the HTTP status, the decoded
+// {"error":{"code","message"}} envelope and the Retry-After header.
+type RemoteError = api.Error
 
-func (e *RemoteError) Error() string { return e.Message }
-
-// failover reports whether an endpoint's failure should be retried on the
-// next endpoint. Transport errors and 5xx mean the node is unhealthy; a
-// read-only refusal means the node is a healthy replica and the write
-// belongs on the primary. Admission sheds (429 rate_limited, 503
-// overloaded) are NOT node failures: the tenant's budget or the cluster's
-// capacity is exhausted everywhere at once, so hammering a replica with
-// the same request would only spread the overload — back off instead.
-// Everything else (bad query, unknown database, oversized body...) would
-// fail identically everywhere.
-func failover(err error) bool {
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		return true // transport-level failure
-	}
-	if shed(re) {
-		return false
-	}
-	if re.Status >= 500 {
-		return true
-	}
-	return re.Status == http.StatusForbidden && re.Code == "read_only_replica"
-}
-
-// shed reports whether re is an admission-control shed: a refusal that
-// asks the client to slow down, not to try a different node.
-func shed(re *RemoteError) bool {
-	if re.Status == http.StatusTooManyRequests {
-		return true
-	}
-	return re.Status == http.StatusServiceUnavailable &&
-		(re.Code == "overloaded" || re.Code == "rate_limited")
-}
-
-// healthy probes base's readiness endpoint. A 404 counts as healthy so
-// older daemons without /readyz still participate in failover.
-func (c *RemoteClient) healthy(ctx context.Context, base string) bool {
-	hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodGet, base+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	return resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound
-}
-
-// do sends one request, failing over across endpoints and then, for
+// do sends rq — its URL a path, resolved against each endpoint in failover
+// order — as the client's tenant, and decodes the JSON answer into out. For
 // explicitly transient refusals — a database frozen mid-reshard (409
-// resharding), stream caps (429), a router that lost its shard group (502
-// with Retry-After) — retrying the whole sweep after the server-suggested
+// resharding), sheds (429), a router that lost its shard group (502 with
+// Retry-After) — it repeats the whole sweep after the server-suggested
 // pause. The attempt budget bounds the total wait to a few seconds; a
 // client that needs to outlast a longer outage should loop itself.
-func (c *RemoteClient) do(ctx context.Context, method, path string, body, out any) error {
+func (c *RemoteClient) do(ctx context.Context, rq api.Request, out any) error {
 	const maxAttempts = 8
+	path := rq.URL
+	rq.APIKey = c.APIKey
+	eps := c.Endpoints()
 	backoff := 200 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		err := c.sweep(ctx, method, path, body, out)
+		var raw []byte
+		served, err := c.HTTP.Sweep(ctx, eps, int(c.preferred.Load()), func(_, i int) (err error) {
+			rq.URL = eps[i] + path
+			raw, err = c.HTTP.Do(ctx, rq)
+			return err
+		})
 		if err == nil {
+			c.preferred.Store(int32(served))
+			if out == nil {
+				return nil
+			}
+			if err := json.Unmarshal(raw, out); err != nil {
+				return fmt.Errorf("bad response from daemon: %w", err)
+			}
 			return nil
 		}
-		wait, ok := retryDelay(err, backoff)
+		wait, ok := api.RetryDelay(err, backoff)
 		if !ok || attempt == maxAttempts-1 || ctx.Err() != nil {
 			return err
 		}
@@ -176,180 +127,21 @@ func (c *RemoteClient) do(ctx context.Context, method, path string, body, out an
 	}
 }
 
-// retryDelay reports whether err is a transient server refusal worth
-// retrying after a pause, and how long to wait — the server's Retry-After
-// when it sent one, the caller's backoff otherwise.
-func retryDelay(err error, backoff time.Duration) (time.Duration, bool) {
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		return 0, false // transport errors already swept every endpoint
-	}
-	transient := (re.Status == http.StatusConflict && re.Code == "resharding") ||
-		shed(re) ||
-		((re.Status == http.StatusBadGateway || re.Status == http.StatusServiceUnavailable) && re.RetryAfter > 0)
-	if !transient {
-		return 0, false
-	}
-	if d := time.Duration(re.RetryAfter) * time.Second; d > backoff {
-		return d, true
-	}
-	return backoff, true
+// get is do for a bodiless GET.
+func (c *RemoteClient) get(ctx context.Context, path string, out any) error {
+	return c.do(ctx, api.Request{Method: http.MethodGet, URL: path}, out)
 }
 
-// sweep sends one request, failing over across endpoints: the preferred
-// endpoint is tried as-is, alternates are health-checked first (and
-// retried unconditionally if every endpoint was skipped or failed), and
-// the endpoint that answers becomes preferred for subsequent requests.
-func (c *RemoteClient) sweep(ctx context.Context, method, path string, body, out any) error {
-	eps := c.Endpoints()
-	if len(eps) == 0 {
-		return errors.New("no daemon endpoints configured")
-	}
-	var raw []byte
-	if rb, ok := body.(rawBody); ok {
-		raw = rb
-	} else if body != nil {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
-	start := int(c.preferred.Load()) % len(eps)
-	var lastErr error
-	var skipped []int
-	for i := range eps {
-		idx := (start + i) % len(eps)
-		if i > 0 && !c.healthy(ctx, eps[idx]) {
-			skipped = append(skipped, idx)
-			continue
-		}
-		err := c.doOne(ctx, eps[idx], method, path, raw, out)
-		if err == nil {
-			c.preferred.Store(int32(idx))
-			return nil
-		}
-		if ctx.Err() != nil || !failover(err) {
-			return err
-		}
-		lastErr = err
-	}
-	// Everything healthy failed; an unready node may still answer (e.g. a
-	// lagging replica for a read). Try the skipped ones before giving up.
-	for _, idx := range skipped {
-		err := c.doOne(ctx, eps[idx], method, path, raw, out)
-		if err == nil {
-			c.preferred.Store(int32(idx))
-			return nil
-		}
-		if ctx.Err() != nil || !failover(err) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
-}
-
-// doOne sends one request to one endpoint and decodes the JSON response
-// into out. Canceling ctx aborts the in-flight request.
-func (c *RemoteClient) doOne(ctx context.Context, base, method, path string, body []byte, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
-	if err != nil {
-		return err
-	}
-	if rd != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.APIKey != "" {
-		req.Header.Set("X-Api-Key", c.APIKey)
-	}
-	if v, _ := ctx.Value(traceparentKey{}).(string); v != "" {
-		req.Header.Set(obs.TraceparentHeader, v)
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		code, msg := remoteErrorParts(raw, resp.StatusCode)
-		return &RemoteError{Status: resp.StatusCode, Code: code, Message: msg,
-			RetryAfter: retryAfterSeconds(resp.Header)}
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("bad response from daemon: %w", err)
-	}
-	return nil
-}
-
-// retryAfterSeconds parses a delay-seconds Retry-After header; HTTP-date
-// values and absent headers read as 0.
-func retryAfterSeconds(h http.Header) int {
-	v := strings.TrimSpace(h.Get("Retry-After"))
-	if v == "" {
-		return 0
-	}
-	var secs int
-	if _, err := fmt.Sscanf(v, "%d", &secs); err != nil || secs < 0 {
-		return 0
-	}
-	return secs
-}
-
-// RemoteErrorMessage extracts the daemon's error message from a response
-// body — the {"error":{"code","message"}} envelope, or the older flat
-// {"error":"..."} shape — falling back to the HTTP status text.
-func RemoteErrorMessage(body []byte, status int) string {
-	_, msg := remoteErrorParts(body, status)
-	return msg
-}
-
-// remoteErrorParts decodes the error envelope into its machine code and
-// human message, tolerating both envelope generations.
-func remoteErrorParts(body []byte, status int) (code, msg string) {
-	var e struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && len(e.Error) > 0 {
-		var nested struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		}
-		if json.Unmarshal(e.Error, &nested) == nil && nested.Message != "" {
-			return nested.Code, nested.Message
-		}
-		var flat string
-		if json.Unmarshal(e.Error, &flat) == nil && flat != "" {
-			return "", flat
-		}
-	}
-	return "", http.StatusText(status)
+// post returns a POST of body as JSON, for do.
+func post(path string, body map[string]any) api.Request {
+	raw, _ := json.Marshal(body) // strings and bools: cannot fail
+	return api.Request{Method: http.MethodPost, URL: path, Body: raw, ContentType: api.ContentJSON}
 }
 
 // Ask answers a yes-no query, reporting the catalog version that answered.
 func (c *RemoteClient) Ask(ctx context.Context, q string) (bool, uint64, error) {
 	yes, version, _, err := c.AskTrace(ctx, q)
 	return yes, version, err
-}
-
-// traceparentKey carries a traceparent header value through a context to
-// doOne, so traced requests propagate a client-originated trace ID.
-type traceparentKey struct{}
-
-// WithTraceparent returns a context that makes the client send the given
-// traceparent header value with the request.
-func WithTraceparent(ctx context.Context, v string) context.Context {
-	return context.WithValue(ctx, traceparentKey{}, v)
 }
 
 // AskTrace is Ask additionally returning the daemon's per-stage trace when
@@ -361,18 +153,20 @@ func (c *RemoteClient) AskTrace(ctx context.Context, q string) (bool, uint64, *o
 	}
 	if c.Trace {
 		req["trace"] = true
+	}
+	rq := post("/v1/db/"+c.DB+"/ask", req)
+	if c.Trace {
 		// Originate the trace ID on the client, so the same ID names this
 		// request in every flight recorder it passes through — router,
 		// shard, replica — and can be fetched again later by that ID.
-		ctx = WithTraceparent(ctx,
-			obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID()))
+		rq.Traceparent = obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID())
 	}
 	var resp struct {
 		Answer  bool        `json:"answer"`
 		Version uint64      `json:"version"`
 		Trace   *obs.Report `json:"trace"`
 	}
-	if err := c.do(ctx, "POST", "/v1/db/"+c.DB+"/ask", req, &resp); err != nil {
+	if err := c.do(ctx, rq, &resp); err != nil {
 		return false, 0, nil, err
 	}
 	return resp.Answer, resp.Version, resp.Trace, nil
@@ -433,7 +227,7 @@ func (c *RemoteClient) Traces(ctx context.Context, n int) ([]*obs.TraceEntry, er
 	var resp struct {
 		Traces []*obs.TraceEntry `json:"traces"`
 	}
-	if err := c.do(ctx, "GET", path, nil, &resp); err != nil {
+	if err := c.get(ctx, path, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Traces, nil
@@ -442,7 +236,7 @@ func (c *RemoteClient) Traces(ctx context.Context, n int) ([]*obs.TraceEntry, er
 // TraceByID fetches one recorded trace, span tree included.
 func (c *RemoteClient) TraceByID(ctx context.Context, id string) (*obs.TraceEntry, error) {
 	var e obs.TraceEntry
-	if err := c.do(ctx, "GET", "/debug/traces/"+id, nil, &e); err != nil {
+	if err := c.get(ctx, "/debug/traces/"+id, &e); err != nil {
 		return nil, err
 	}
 	return &e, nil
@@ -459,15 +253,11 @@ func (c *RemoteClient) AddFactsContext(ctx context.Context, facts string) (uint6
 	var resp struct {
 		Version uint64 `json:"version"`
 	}
-	if err := c.do(ctx, "POST", "/v1/db/"+c.DB+"/facts", map[string]any{"facts": facts}, &resp); err != nil {
+	if err := c.do(ctx, post("/v1/db/"+c.DB+"/facts", map[string]any{"facts": facts}), &resp); err != nil {
 		return 0, err
 	}
 	return resp.Version, nil
 }
-
-// rawBody marks a request body sent verbatim instead of JSON-encoded —
-// PUT bodies are program surface syntax or exported spec JSON as-is.
-type rawBody []byte
 
 // Put creates or replaces the client's database from src: program surface
 // syntax or an exported specification document.
@@ -477,7 +267,7 @@ func (c *RemoteClient) Put(src []byte) error {
 
 // PutContext is Put honoring a cancellation context.
 func (c *RemoteClient) PutContext(ctx context.Context, src []byte) error {
-	return c.do(ctx, "PUT", "/v1/db/"+c.DB, rawBody(src), nil)
+	return c.do(ctx, api.Request{Method: http.MethodPut, URL: "/v1/db/" + c.DB, Body: src}, nil)
 }
 
 // Delete removes the client's database from the daemon.
@@ -487,7 +277,7 @@ func (c *RemoteClient) Delete() error {
 
 // DeleteContext is Delete honoring a cancellation context.
 func (c *RemoteClient) DeleteContext(ctx context.Context) error {
-	return c.do(ctx, "DELETE", "/v1/db/"+c.DB, nil, nil)
+	return c.do(ctx, api.Request{Method: http.MethodDelete, URL: "/v1/db/" + c.DB}, nil)
 }
 
 // Info returns the daemon's description of the database as rendered JSON.
@@ -498,7 +288,7 @@ func (c *RemoteClient) Info() (map[string]any, error) {
 // InfoContext is Info honoring a cancellation context.
 func (c *RemoteClient) InfoContext(ctx context.Context) (map[string]any, error) {
 	var resp map[string]any
-	if err := c.do(ctx, "GET", "/v1/db/"+c.DB, nil, &resp); err != nil {
+	if err := c.get(ctx, "/v1/db/"+c.DB, &resp); err != nil {
 		return nil, err
 	}
 	return resp, nil

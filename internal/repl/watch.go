@@ -1,17 +1,16 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/watch"
 )
 
@@ -54,14 +53,7 @@ func (c *RemoteClient) Watch(ctx context.Context, query string, opts WatchOption
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// Streams are long-lived, so the default request-scoped client (with
-	// its overall timeout) cannot carry them; reuse c.HTTP only when it
-	// has no deadline of its own.
-	httpc := c.HTTP
-	if httpc == nil || httpc.Timeout > 0 {
-		httpc = &http.Client{}
-	}
-	s := &watchSession{c: c, query: query, opts: opts, on: on, httpc: httpc,
+	s := &watchSession{c: c, query: query, opts: opts, on: on,
 		state: make(map[string]watch.Tuple)}
 	backoff := opts.BackoffMin
 	idx := int(c.preferred.Load())
@@ -97,11 +89,8 @@ func (c *RemoteClient) Watch(ctx context.Context, query string, opts WatchOption
 		idx++
 		d := time.Duration(rand.Int63n(int64(backoff)) + int64(opts.BackoffMin))
 		// A server that said how long to back off overrides the jitter.
-		if errors.As(err, &re) && re.RetryAfter > 0 {
-			d = time.Duration(re.RetryAfter) * time.Second
-			if d > opts.BackoffMax {
-				d = opts.BackoffMax
-			}
+		if asked, ok := api.RetryDelay(err, 0); ok && asked > 0 {
+			d = min(asked, opts.BackoffMax)
 		}
 		select {
 		case <-ctx.Done():
@@ -120,7 +109,6 @@ type watchSession struct {
 	query string
 	opts  WatchOptions
 	on    func(watch.Frame)
-	httpc *http.Client
 
 	state   map[string]watch.Tuple // mirror of the delivered answer set
 	lastLSN uint64                 // highest LSN seen; resume point
@@ -140,33 +128,17 @@ func (s *watchSession) attempt(ctx context.Context, idx int, base string) (progr
 	if err != nil {
 		return false, err, false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/v1/db/"+s.c.DB+"/watch", bytes.NewReader(body))
+	resp, err := s.c.HTTP.Stream(ctx, api.Request{Method: http.MethodPost,
+		URL: base + "/v1/db/" + s.c.DB + "/watch", Body: body, ContentType: api.ContentJSON, APIKey: s.c.APIKey})
 	if err != nil {
-		return false, err, false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if s.c.APIKey != "" {
-		req.Header.Set("X-Api-Key", s.c.APIKey)
-	}
-	resp, err := s.httpc.Do(req)
-	if err != nil {
-		return false, err, ctx.Err() == nil
+		// Worth another endpoint: a node that cannot be reached or answers
+		// 5xx, one not caught up to our resume point (409 watch_behind), and
+		// stream caps (429). A 4xx like parse_error or not_found would fail
+		// identically everywhere.
+		_, transient := api.RetryDelay(err, 0)
+		return false, err, ctx.Err() == nil && (api.Failover(err) || transient)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		code, msg := remoteErrorParts(raw, resp.StatusCode)
-		re := &RemoteError{Status: resp.StatusCode, Code: code, Message: msg}
-		// 5xx: node unhealthy. 409 watch_behind: node not caught up to our
-		// resume point. 429: stream caps. All worth another endpoint; a
-		// 4xx like parse_error or not_found would fail identically
-		// everywhere.
-		r := resp.StatusCode >= 500 ||
-			resp.StatusCode == http.StatusConflict ||
-			resp.StatusCode == http.StatusTooManyRequests
-		return false, re, r
-	}
 	s.c.preferred.Store(int32(idx))
 	dec := json.NewDecoder(resp.Body)
 	for {

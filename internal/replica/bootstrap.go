@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"funcdb/internal/api"
 	"funcdb/internal/binspec"
 	"funcdb/internal/obs"
 	"funcdb/internal/store"
@@ -124,21 +124,11 @@ func (r *Replica) openStore() error {
 func (r *Replica) fetchSnapshot(ctx context.Context) (binspec.Manifest, []byte, error) {
 	ctx, sp := obs.StartSpan(ctx, "fetch_snapshot")
 	defer sp.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.Primary+"/v1/repl/snapshot", nil)
+	resp, err := r.opts.HTTP.Stream(ctx, api.Request{Method: http.MethodGet, URL: r.opts.Primary + "/v1/repl/snapshot"})
 	if err != nil {
-		return binspec.Manifest{}, nil, err
-	}
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := r.opts.HTTP.Do(req)
-	if err != nil {
-		return binspec.Manifest{}, nil, err
+		return binspec.Manifest{}, nil, fmt.Errorf("snapshot request: %s", api.Detail(err))
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return binspec.Manifest{}, nil, fmt.Errorf("snapshot request: primary returned %d: %s",
-			resp.StatusCode, bytes.TrimSpace(b))
-	}
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	rec, err := binspec.ReadRecord(br)
 	if err != nil {

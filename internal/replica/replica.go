@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net/http"
 	"sync/atomic"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/core"
 	"funcdb/internal/obs"
 	"funcdb/internal/registry"
@@ -51,9 +51,10 @@ type Options struct {
 	// BackoffMin/BackoffMax bound the jittered reconnect backoff; zero
 	// means the defaults.
 	BackoffMin, BackoffMax time.Duration
-	// HTTP is the client used for all primary requests; nil means a
-	// dedicated client with no overall timeout (streams are long-lived).
-	HTTP *http.Client
+	// HTTP is the client used for all primary requests; nil means the
+	// process-wide default. Both requests are streams, bounded by the
+	// stall watchdog rather than a deadline.
+	HTTP *api.Client
 	// Logf receives connection and replay notices; defaults to the
 	// process-wide structured logger (slog) at Info level.
 	Logf func(format string, args ...any)
@@ -119,9 +120,6 @@ func Start(reg *registry.Registry, opts Options) (*Replica, error) {
 	}
 	if opts.BackoffMax == 0 {
 		opts.BackoffMax = DefaultBackoffMax
-	}
-	if opts.HTTP == nil {
-		opts.HTTP = &http.Client{}
 	}
 	r := &Replica{reg: reg, opts: opts, logf: opts.Logf, done: make(chan struct{})}
 	if r.logf == nil {

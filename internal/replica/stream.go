@@ -2,17 +2,15 @@ package replica
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/binspec"
-	"funcdb/internal/obs"
 	"funcdb/internal/store"
 )
 
@@ -36,28 +34,19 @@ func (r *Replica) stream(ctx context.Context) error {
 	from := r.applied.Load() + 1
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
-		r.opts.Primary+"/v1/repl/wal?from="+strconv.FormatUint(from, 10), nil)
-	if err != nil {
-		return err
-	}
-	// The episode's trace ID rides along, so a WAL request that fails on
-	// the primary is recorded there under the same ID as this episode.
-	obs.InjectTraceparent(sctx, req.Header)
-	resp, err := r.opts.HTTP.Do(req)
-	if err != nil {
-		return err
+	// The episode's trace ID rides along (Stream injects it), so a WAL
+	// request that fails on the primary is recorded there under the same ID
+	// as this episode.
+	resp, err := r.opts.HTTP.Stream(sctx, api.Request{Method: http.MethodGet,
+		URL: r.opts.Primary + "/v1/repl/wal?from=" + strconv.FormatUint(from, 10)})
+	var refused *api.Error
+	switch {
+	case errors.As(err, &refused) && refused.Status == http.StatusGone:
+		return errCompacted
+	case err != nil:
+		return fmt.Errorf("wal request: %s", api.Detail(err))
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return errCompacted
-	default:
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("wal request: primary returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
 	r.connected.Store(true)
 	defer r.connected.Store(false)
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"funcdb/internal/admission"
+	"funcdb/internal/api"
 )
 
 // doJSONAs is doJSON with an API key header, returning the response headers
@@ -23,7 +24,7 @@ func doJSONAs(t testing.TB, method, url, apiKey string, body string) (int, http.
 		t.Fatal(err)
 	}
 	if apiKey != "" {
-		req.Header.Set(HeaderAPIKey, apiKey)
+		req.Header.Set(api.HeaderAPIKey, apiKey)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -137,7 +138,7 @@ func TestAdmissionWatchTenantCap(t *testing.T) {
 
 	// First stream holds; use a raw request so the body stays open.
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/db/even/watch", strings.NewReader(watchBody))
-	req.Header.Set(HeaderAPIKey, "capped")
+	req.Header.Set(api.HeaderAPIKey, "capped")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestAdmissionWatchTenantCap(t *testing.T) {
 
 	// A different tenant still subscribes fine.
 	req2, _ := http.NewRequest("POST", ts.URL+"/v1/db/even/watch", strings.NewReader(watchBody))
-	req2.Header.Set(HeaderAPIKey, "other")
+	req2.Header.Set(api.HeaderAPIKey, "other")
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)

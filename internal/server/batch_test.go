@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"funcdb/internal/api"
 )
 
 func postBatch(t *testing.T, url string, body any) (int, map[string]any) {
@@ -140,7 +142,7 @@ func TestCanceledRequestIs499(t *testing.T) {
 	req := httptest.NewRequest("POST", "/v1/db/even/ask", strings.NewReader(string(raw))).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != StatusClientClosedRequest {
+	if rec.Code != api.StatusClientClosedRequest {
 		t.Fatalf("canceled request = %d %s, want 499", rec.Code, rec.Body.String())
 	}
 	var body map[string]any

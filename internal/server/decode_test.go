@@ -13,6 +13,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"funcdb/internal/api"
 )
 
 // requestKinds are the five request objects, each with the endpoint that
@@ -48,7 +50,7 @@ func post(t *testing.T, url, body string) (int, string) {
 		return resp.StatusCode, ""
 	}
 	var env struct {
-		Error errorBody `json:"error"`
+		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatalf("%s: status %d without an error envelope: %v", url, resp.StatusCode, err)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/binspec"
 	"funcdb/internal/store"
 )
@@ -30,10 +31,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 			// the failure through instrument: it renders the standard
 			// {"error":{...}} envelope AND counts in funcdbd_errors_total,
 			// which the old inline write silently skipped.
-			return errc(http.StatusServiceUnavailable, "not_ready", "%v", err)
+			return api.Errorf(http.StatusServiceUnavailable, "not_ready", "%v", err)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "databases": s.reg.Len()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "databases": s.reg.Len()})
 	return nil
 }
 
@@ -41,7 +42,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 // flow reads it from the source group to learn the watermark its WAL tail
 // must reach before the cut-over is final.
 func (s *Server) handleReplLSN(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, map[string]any{"lsn": s.cfg.Repl.LastLSN()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"lsn": s.cfg.Repl.LastLSN()})
 	return nil
 }
 
@@ -100,7 +101,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) error {
 	}
 	cur, err := st.ReadFrom(from)
 	if errors.Is(err, store.ErrCompacted) {
-		return errc(http.StatusGone, "compacted", "%v", err)
+		return api.Errorf(http.StatusGone, "compacted", "%v", err)
 	}
 	if err != nil {
 		return err

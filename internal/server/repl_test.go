@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/binspec"
 	"funcdb/internal/core"
 	"funcdb/internal/registry"
@@ -169,7 +170,7 @@ func TestReplWALCompactedIs410(t *testing.T) {
 		t.Fatalf("status = %d, want 410", resp.StatusCode)
 	}
 	var body struct {
-		Error errorBody `json:"error"`
+		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
@@ -230,7 +231,7 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 			t.Fatalf("%s %s: status = %d, want 403", method, path, resp.StatusCode)
 		}
 		var env struct {
-			Error errorBody `json:"error"`
+			Error api.ErrorBody `json:"error"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatal(err)

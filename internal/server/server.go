@@ -20,7 +20,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"funcdb/internal/admission"
+	"funcdb/internal/api"
 	"funcdb/internal/core"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
@@ -40,10 +40,6 @@ import (
 	"funcdb/internal/store"
 	"funcdb/internal/watch"
 )
-
-// StatusClientClosedRequest is the nonstandard (nginx) status for a request
-// whose client went away before the answer was computed.
-const StatusClientClosedRequest = 499
 
 // Config tunes the server; zero values pick the documented defaults.
 type Config struct {
@@ -140,22 +136,6 @@ type Config struct {
 	Program string
 }
 
-// HeaderAPIKey is the request header carrying the tenant's API key. The
-// router forwards it unchanged, so per-tenant policy holds across shards.
-const HeaderAPIKey = "X-Api-Key"
-
-// AnonymousTenant is the tenant name requests without an API key fall
-// under; its limits come from the admission config's default block.
-const AnonymousTenant = "anonymous"
-
-// tenantFrom extracts the tenant identity from a request.
-func tenantFrom(r *http.Request) string {
-	if k := r.Header.Get(HeaderAPIKey); k != "" {
-		return k
-	}
-	return AnonymousTenant
-}
-
 // endpointCost is the admission cost class charged per request. Weights
 // reflect worst-case evaluation work: an /ask is one cached verdict, an
 // /answers enumerates, a /batch carries many queries, a watch holds a
@@ -229,6 +209,7 @@ type Server struct {
 	log     *slog.Logger
 	handler http.Handler
 	rec     *obs.Recorder
+	pipe    *api.Pipeline
 	stats   *queryStats
 
 	// slow, when set, runs at the start of ask handling; tests use it to
@@ -259,6 +240,7 @@ func New(reg *registry.Registry, cfg Config) *Server {
 		s.rec = obs.NewRecorder(s.cfg.TraceBuffer, slow, s.cfg.TraceSample)
 	}
 	s.rec.Instrument(s.met.reg, "funcdbd_")
+	s.pipe = &api.Pipeline{Recorder: s.rec, Log: s.log}
 	s.stats = newQueryStats(s.met.reg, s.cfg.StatsTopK)
 	program := s.cfg.Program
 	if program == "" {
@@ -308,19 +290,18 @@ func New(reg *registry.Registry, cfg Config) *Server {
 	// bound on a compile that does not poll. direct endpoints have none:
 	// streams are long-lived by design, and a readiness probe must not
 	// compete with the request deadline during recovery.
-	type handler = func(http.ResponseWriter, *http.Request) error
 	mux := http.NewServeMux()
-	query := func(pattern, endpoint string, h handler) {
+	query := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, s.instrument(endpoint, s.cfg.Timeout, h))
 	}
-	direct := func(pattern, endpoint string, h handler) {
+	direct := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, s.instrument(endpoint, 0, h))
 	}
-	wrapped := func(pattern, endpoint string, h handler) {
-		var hh http.Handler = s.instrument(endpoint, 0, h)
+	timedOut := api.Errorf(http.StatusServiceUnavailable, "deadline_exceeded", "request timed out").Envelope()
+	wrapped := func(pattern, endpoint string, h api.Handler) {
+		hh := s.instrument(endpoint, 0, h)
 		if s.cfg.Timeout > 0 {
-			hh = http.TimeoutHandler(hh, s.cfg.Timeout,
-				`{"error":{"code":"deadline_exceeded","message":"request timed out"}}`)
+			hh = http.TimeoutHandler(hh, s.cfg.Timeout, timedOut)
 		}
 		mux.Handle(pattern, hh)
 	}
@@ -356,84 +337,54 @@ func New(reg *registry.Registry, cfg Config) *Server {
 // an http.Server or httptest.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// apiError carries an HTTP status alongside the message sent to the client.
-type apiError struct {
-	status     int
-	code       string // machine-readable code; codeForStatus(status) when empty
-	msg        string
-	retryAfter int // seconds; > 0 emits a Retry-After header
+// errf is a refusal whose code is the status's default one.
+func errf(status int, format string, args ...any) *api.Error {
+	return api.Errorf(status, codeForStatus(status), format, args...)
 }
 
-func (e *apiError) Error() string { return e.msg }
-
-// withRetryAfter marks the error as transient: instrument adds a
-// Retry-After header so clients back off instead of hammering.
-func (e *apiError) withRetryAfter(seconds int) *apiError {
-	e.retryAfter = seconds
-	return e
-}
-
-func errf(status int, format string, args ...any) *apiError {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// errc is errf with an explicit machine-readable code, for statuses whose
-// default code is too generic (403 read_only_replica, 410 compacted).
-func errc(status int, code, format string, args ...any) *apiError {
-	return &apiError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
-}
-
-// errorBody is the single JSON error envelope every endpoint renders:
-// {"error":{"code":"...","message":"..."}}.
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// classify maps an error to its HTTP status and machine-readable code,
-// using the typed errors of the evaluation stack.
-func classify(err error) (int, errorBody) {
-	var ae *apiError
+// classify maps an error to the refusal it is rendered as, using the typed
+// errors of the evaluation stack.
+func classify(err error) *api.Error {
+	refuse := func(status int, code string) *api.Error {
+		return &api.Error{Status: status, Code: code, Message: err.Error()}
+	}
+	var ae *api.Error
 	var mbe *http.MaxBytesError
 	var pe *parser.ParseError
 	var shed *admission.ShedError
 	switch {
 	case errors.As(err, &ae):
-		code := ae.code
-		if code == "" {
-			code = codeForStatus(ae.status)
-		}
-		return ae.status, errorBody{Code: code, Message: ae.msg}
+		return ae
 	case errors.As(err, &shed):
 		status := http.StatusTooManyRequests
 		if shed.Code == admission.CodeOverloaded {
 			status = http.StatusServiceUnavailable
 		}
-		return status, errorBody{Code: shed.Code, Message: shed.Error()}
+		return api.Errorf(status, shed.Code, "%s", shed.Error()).
+			WithRetryAfter(max(1, int(shed.RetryAfter/time.Second)))
 	case errors.As(err, &mbe):
-		return http.StatusRequestEntityTooLarge,
-			errorBody{Code: "body_too_large", Message: fmt.Sprintf("body exceeds %d bytes", mbe.Limit)}
+		return api.Errorf(http.StatusRequestEntityTooLarge, "body_too_large", "body exceeds %d bytes", mbe.Limit)
 	case errors.Is(err, registry.ErrUnknownDatabase):
-		return http.StatusNotFound, errorBody{Code: "not_found", Message: err.Error()}
+		return refuse(http.StatusNotFound, "not_found")
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
 		// One answer for a query that ran out of time, wherever it was spent:
 		// in evaluation (wrapped in core.ErrCanceled), waiting for admission
 		// (bare), or waiting for the rest of its body (the read deadline).
-		return http.StatusGatewayTimeout, errorBody{Code: "deadline_exceeded", Message: err.Error()}
+		return refuse(http.StatusGatewayTimeout, "deadline_exceeded")
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest, errorBody{Code: "canceled", Message: err.Error()}
+		return refuse(api.StatusClientClosedRequest, "canceled")
 	case errors.As(err, &pe):
-		return http.StatusBadRequest, errorBody{Code: "parse_error", Message: err.Error()}
+		return refuse(http.StatusBadRequest, "parse_error")
 	case errors.Is(err, query.ErrUnsafeQuery):
-		return http.StatusBadRequest, errorBody{Code: "unsafe_query", Message: err.Error()}
+		return refuse(http.StatusBadRequest, "unsafe_query")
 	case errors.As(err, new(*obs.DepthBudgetError)):
-		return http.StatusUnprocessableEntity, errorBody{Code: "depth_budget_exceeded", Message: err.Error()}
+		return refuse(http.StatusUnprocessableEntity, "depth_budget_exceeded")
 	case errors.Is(err, obs.ErrBudgetExceeded):
 		// Any other exhausted per-query work budget (Algorithm Q steps,
 		// tenant depth, arena bytes): the query died by policy, not the node.
-		return http.StatusUnprocessableEntity, errorBody{Code: "budget_exceeded", Message: err.Error()}
+		return refuse(http.StatusUnprocessableEntity, "budget_exceeded")
 	}
-	return http.StatusInternalServerError, errorBody{Code: "internal", Message: err.Error()}
+	return api.AsError(err)
 }
 
 func codeForStatus(status int) string {
@@ -446,7 +397,7 @@ func codeForStatus(status int) string {
 		return "body_too_large"
 	case http.StatusGatewayTimeout:
 		return "deadline_exceeded"
-	case StatusClientClosedRequest:
+	case api.StatusClientClosedRequest:
 		return "canceled"
 	}
 	return "internal"
@@ -466,95 +417,31 @@ func queryError(err error) error {
 	return errf(http.StatusBadRequest, "%v", err)
 }
 
-// reqInfo is the per-request record threaded through the context: the
-// always-on trace (when the flight recorder is enabled), the tenant, and the
-// database/query/fingerprint the handler resolves — everything the recorder
-// entry, the per-fingerprint stats row and the enriched log lines need.
-type reqInfo struct {
-	endpoint string
-	tenant   string
-	trace    *obs.Trace
-
-	db          string
-	query       string // as received; clipped only if recorded or logged
-	shape       string
-	fingerprint string
-	wantTrace   bool // client sent "trace":true — force recorder retention
-}
-
-type reqInfoKey struct{}
-
-func reqInfoFrom(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
-}
-
-func (ri *reqInfo) setDB(db string) {
-	if ri != nil {
-		ri.db = db
-	}
-}
-
 // setQuery records what the request asked, as resolved by prepare. Nothing
 // is derived from the text here: this runs on every request.
-func (ri *reqInfo) setQuery(p *prepared) {
-	if ri != nil {
-		ri.query, ri.shape, ri.fingerprint = p.query, p.shape, p.fingerprint
-	}
+func setQuery(in *api.Info, p *prepared) {
+	in.Query, in.Shape, in.Fingerprint = p.query, p.shape, p.fingerprint
 }
 
-// streamingEndpoint reports endpoints whose success path holds the
-// connection open for minutes; their normal completions would all classify
-// as "slow", so the recorder only keeps their failures.
-func streamingEndpoint(endpoint string) bool {
-	return endpoint == "watch" || endpoint == "repl_wal" || endpoint == "repl_snapshot"
-}
-
-// instrument adapts a handler returning an error into an http.HandlerFunc,
-// recording request counts, error counts and latency for the endpoint,
-// rendering errors in the {"error":{"code","message"}} envelope, offering
-// the request to the flight recorder, feeding the per-fingerprint stats
-// table, and emitting one structured log line per request (debug on
-// success, warn on failure) tagged with request, tenant and trace IDs. A
-// positive timeout becomes the deadline of the request's context.
-func (s *Server) instrument(endpoint string, timeout time.Duration, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+// instrument mounts h on the shared request pipeline (request ID, trace,
+// deadline, envelope, flight recorder, log line: api.Pipeline.Wrap) with
+// this daemon's own parts around the handler: admission, the endpoint's
+// request/error/latency series, and the per-fingerprint stats table.
+func (s *Server) instrument(endpoint string, timeout time.Duration, h api.Handler) http.Handler {
 	em := s.met.endpoint(endpoint)
 	cost, gated := endpointCost[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := obs.NewRequestID()
-		w.Header().Set("X-Request-Id", reqID)
-		ri := &reqInfo{endpoint: endpoint, tenant: tenantFrom(r)}
-		ctx := r.Context()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, start.Add(timeout))
-			defer cancel()
-		}
-		if s.rec != nil {
-			// Always-on tracing: adopt the caller's trace ID when the request
-			// carries a traceparent header, so the router's, this shard's and
-			// a replica's recorder entries for one request share one ID.
-			tid, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-			tr := obs.NewTraceWith(tid)
-			if parent != "" {
-				tr.SetRemoteParent(parent)
-			}
-			ri.trace = tr
-			ctx = obs.WithTrace(ctx, tr)
-			w.Header().Set("X-Trace-Id", tr.ID())
-		}
-		r = r.WithContext(context.WithValue(ctx, reqInfoKey{}, ri))
+	return s.pipe.Wrap(endpoint, timeout, func(w http.ResponseWriter, r *http.Request) error {
+		in := api.InfoFrom(r.Context())
 		var err error
 		if adm := s.cfg.Admission; adm != nil && gated {
 			if endpoint == "watch" {
 				// A watch is long-lived: charge the bucket only. Its
 				// concurrency is bounded by the hub's caps, so it must not
 				// pin an evaluation slot for the stream's lifetime.
-				err = adm.AdmitRate(ri.tenant, cost)
+				err = adm.AdmitRate(in.Tenant, cost)
 			} else {
 				var release func()
-				release, err = adm.Admit(r.Context(), ri.tenant, cost)
+				release, err = adm.Admit(r.Context(), in.Tenant, cost)
 				if release != nil {
 					defer release()
 				}
@@ -563,114 +450,42 @@ func (s *Server) instrument(endpoint string, timeout time.Duration, h func(w htt
 		if err == nil {
 			err = h(w, r)
 		}
-		d := time.Since(start)
+		d := time.Since(in.Start)
 		em.observe(d, err != nil)
-		status := http.StatusOK
-		var body errorBody
-		if err != nil {
-			status, body = classify(err)
-		}
-		if s.stats != nil && ri.fingerprint != "" {
-			s.stats.observe(ri.db, ri.fingerprint, ri.shape, d, err != nil,
-				ri.trace.Counter("derivation_depth"), ri.trace.Counter("algoq_steps"))
-		}
-		outcome := obs.OutcomeForStatus(status, body.Code)
-		if s.rec != nil && (outcome != obs.OutcomeOK || !streamingEndpoint(endpoint)) {
-			s.rec.Offer(obs.TraceEntry{
-				ID:          ri.trace.ID(),
-				TimeUnixMS:  start.UnixMilli(),
-				DurUS:       d.Microseconds(),
-				Endpoint:    endpoint,
-				DB:          ri.db,
-				Tenant:      ri.tenant,
-				Fingerprint: ri.fingerprint,
-				Query:       ri.query,
-				Status:      status,
-				Code:        body.Code,
-				Outcome:     outcome,
-				Keep:        ri.wantTrace,
-			}, ri.trace)
-		}
-		level := slog.LevelDebug
-		if err != nil {
-			level = slog.LevelWarn
-		}
-		var logArgs []any
-		if s.log.Enabled(ctx, level) {
-			logArgs = []any{
-				"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
-				"request_id", reqID, "tenant", ri.tenant, "dur_ms", d.Milliseconds()}
-			if ri.trace != nil {
-				logArgs = append(logArgs, "trace_id", ri.trace.ID())
-			}
-			if ri.fingerprint != "" {
-				logArgs = append(logArgs, "fingerprint", ri.fingerprint)
-			}
-			if via := r.Header.Get("X-Funcdb-Router"); via != "" {
-				// Forwarded by an fdbrouter; the value is the shard-map
-				// version the router routed under, which is what you need
-				// when debugging a misrouted request after a reshard.
-				logArgs = append(logArgs, "router", via)
-			}
+		if s.stats != nil && in.Fingerprint != "" {
+			s.stats.observe(in.DB, in.Fingerprint, in.Shape, d, err != nil,
+				in.Trace.Counter("derivation_depth"), in.Trace.Counter("algoq_steps"))
 		}
 		if err == nil {
-			if logArgs != nil {
-				s.log.Debug("request", logArgs...)
-			}
-			return
+			return nil
 		}
-		var ae *apiError
-		var shed *admission.ShedError
-		switch {
-		case errors.As(err, &ae) && ae.retryAfter > 0:
-			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-		case errors.As(err, &shed):
-			secs := int(shed.RetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		if body.Code == "budget_exceeded" || body.Code == "depth_budget_exceeded" {
+		e := classify(err)
+		if e.Code == "budget_exceeded" || e.Code == "depth_budget_exceeded" {
 			s.cfg.Admission.RecordBudgetKill()
 		}
-		writeJSON(w, status, map[string]errorBody{"error": body})
-		if logArgs != nil {
-			logArgs = append(logArgs, "status", status, "code", body.Code, "error", body.Message)
-			s.log.Warn("request failed", logArgs...)
-		}
-	}
+		return e
+	})
 }
 
 // logSlow emits the slow-query log line when evaluation of one query took at
 // least Config.SlowQuery, tagged with tenant, fingerprint and trace ID so it
-// joins against flight-recorder entries. tr may be nil; ri fills the gaps.
-func (s *Server) logSlow(ri *reqInfo, endpoint, db, q string, d time.Duration, tr *obs.Trace) {
+// joins against flight-recorder entries. tr may be nil; in fills the gap.
+func (s *Server) logSlow(in *api.Info, db, q string, d time.Duration, tr *obs.Trace) {
 	if s.cfg.SlowQuery <= 0 || d < s.cfg.SlowQuery {
 		return
 	}
-	args := []any{"endpoint", endpoint, "db", db, "query", obs.ClipQuery(q), "dur_ms", d.Milliseconds()}
-	if tr == nil && ri != nil {
-		tr = ri.trace
+	args := []any{"endpoint", in.Endpoint, "db", db, "query", obs.ClipQuery(q), "dur_ms", d.Milliseconds()}
+	if tr == nil {
+		tr = in.Trace
 	}
 	if tr != nil {
 		args = append(args, "trace_id", tr.ID())
 	}
-	if ri != nil {
-		args = append(args, "tenant", ri.tenant)
-		if ri.fingerprint != "" {
-			args = append(args, "fingerprint", ri.fingerprint)
-		}
+	args = append(args, "tenant", in.Tenant)
+	if in.Fingerprint != "" {
+		args = append(args, "fingerprint", in.Fingerprint)
 	}
 	s.log.Warn("slow query", args...)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
 }
 
 // entry resolves the {name} path value against the registry.
@@ -764,9 +579,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	// the failure still renders as the standard {"error":{...}} envelope
 	// (via instrument), like every other endpoint.
 	if s.reg == nil {
-		return errc(http.StatusServiceUnavailable, "not_live", "server has no registry")
+		return api.Errorf(http.StatusServiceUnavailable, "not_live", "server has no registry")
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "databases": s.reg.Len()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "databases": s.reg.Len()})
 	return nil
 }
 
@@ -796,7 +611,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
 	for _, e := range list {
 		infos = append(infos, entryInfo(e))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"databases": infos})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"databases": infos})
 	return nil
 }
 
@@ -805,7 +620,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	reqInfoFrom(r.Context()).setDB(e.Name)
+	api.InfoFrom(r.Context()).DB = e.Name
 	resp := map[string]any{
 		"name":         e.Name,
 		"kind":         string(e.Kind),
@@ -836,7 +651,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 			"seed_depth":      doc.SeedDepth,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 	return nil
 }
 
@@ -847,7 +662,7 @@ func (s *Server) readOnlyError() error {
 	if !s.cfg.ReadOnly {
 		return nil
 	}
-	return errc(http.StatusForbidden, "read_only_replica", "this node is a read replica; send writes to the primary")
+	return api.Errorf(http.StatusForbidden, "read_only_replica", "this node is a read replica; send writes to the primary")
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
@@ -855,7 +670,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	name := r.PathValue("name")
-	reqInfoFrom(r.Context()).setDB(name)
+	api.InfoFrom(r.Context()).DB = name
 	if !registry.ValidName(name) {
 		return errf(http.StatusBadRequest, "invalid database name %q", name)
 	}
@@ -875,7 +690,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	if existed {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, entryInfo(e))
+	api.WriteJSON(w, status, entryInfo(e))
 	return nil
 }
 
@@ -884,7 +699,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	name := r.PathValue("name")
-	reqInfoFrom(r.Context()).setDB(name)
+	api.InfoFrom(r.Context()).DB = name
 	removed, err := s.reg.Remove(name)
 	if err != nil {
 		return err
@@ -912,7 +727,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	name := r.PathValue("name")
-	reqInfoFrom(r.Context()).setDB(name)
+	api.InfoFrom(r.Context()).DB = name
 	var req factsRequest
 	if err := s.decode(w, r, req.fields()); err != nil {
 		return err
@@ -927,7 +742,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 		}
 		return queryError(err)
 	}
-	writeJSON(w, http.StatusOK, entryInfo(e))
+	api.WriteJSON(w, http.StatusOK, entryInfo(e))
 	return nil
 }
 
@@ -973,10 +788,10 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	// The traced ctx is built before the key so that a cold traced request
 	// records its parse/compile spans (prepare compiles the plan).
 	ctx, tr := s.traceContext(r, req.Trace)
-	ri := reqInfoFrom(ctx)
-	ri.setDB(e.Name)
+	in := api.InfoFrom(ctx)
+	in.DB = e.Name
 	q := prepare(ctx, e, nil, req.Query)
-	ri.setQuery(&q)
+	setQuery(in, &q)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape, via: req.Via}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
@@ -992,7 +807,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	}
 	start := time.Now()
 	ans, err := q.ask(ctx, opts...)
-	s.logSlow(ri, "ask", e.Name, req.Query, time.Since(start), tr)
+	s.logSlow(in, e.Name, req.Query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)
 	}
@@ -1006,7 +821,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 // json.Encoder writes, and sent with its Content-Length.
 func writeAsk(w http.ResponseWriter, resp askResponse) {
 	if resp.Trace != nil {
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	bp := getBuf()
@@ -1038,23 +853,18 @@ func writeAsk(w http.ResponseWriter, resp askResponse) {
 func (s *Server) traceContext(r *http.Request, want bool) (context.Context, *obs.Trace) {
 	ctx := obs.WithDepthBudget(r.Context(), s.cfg.MaxDerivationDepth)
 	if adm := s.cfg.Admission; adm != nil {
-		ctx = obs.WithBudget(ctx, adm.Budget(tenantFrom(r)))
+		ctx = obs.WithBudget(ctx, adm.Budget(api.Tenant(r)))
 	}
 	if !want {
 		return ctx, nil
 	}
-	ri := reqInfoFrom(ctx)
-	if ri != nil {
-		ri.wantTrace = true
-	}
+	in := api.InfoFrom(ctx)
+	in.Keep = true
 	if tr := obs.FromContext(ctx); tr != nil {
 		return ctx, tr
 	}
-	tr := obs.NewTrace()
-	if ri != nil {
-		ri.trace = tr
-	}
-	return obs.WithTrace(ctx, tr), tr
+	in.Trace = obs.NewTrace()
+	return obs.WithTrace(ctx, in.Trace), in.Trace
 }
 
 type answersRequest struct {
@@ -1108,17 +918,17 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	}
 	em := s.met.endpoint("answers")
 	ctx, tr := s.traceContext(r, req.Trace)
-	ri := reqInfoFrom(ctx)
-	ri.setDB(e.Name)
+	in := api.InfoFrom(ctx)
+	in.DB = e.Name
 	q := prepare(ctx, e, nil, req.Query)
-	ri.setQuery(&q)
+	setQuery(in, &q)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "answers",
 		query: q.shape, depth: req.Depth, limit: limit}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
 			em.cacheHits.Add(1)
 			res := v.(answersResult)
-			writeJSON(w, http.StatusOK, answersResponse{Tuples: res.tuples, Count: len(res.tuples),
+			api.WriteJSON(w, http.StatusOK, answersResponse{Tuples: res.tuples, Count: len(res.tuples),
 				Truncated: res.truncated, Version: e.Version, Cached: true})
 			return nil
 		}
@@ -1126,7 +936,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	em.cacheMisses.Add(1)
 	start := time.Now()
 	tuples, truncated, err := q.answers(ctx, core.WithDepth(req.Depth), core.WithLimit(limit))
-	s.logSlow(ri, "answers", e.Name, req.Query, time.Since(start), tr)
+	s.logSlow(in, e.Name, req.Query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)
 	}
@@ -1134,7 +944,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 		tuples = []registry.AnswerTuple{}
 	}
 	s.cachePut(e, key, answersResult{tuples: tuples, truncated: truncated})
-	writeJSON(w, http.StatusOK, answersResponse{Tuples: tuples, Count: len(tuples),
+	api.WriteJSON(w, http.StatusOK, answersResponse{Tuples: tuples, Count: len(tuples),
 		Truncated: truncated, Version: e.Version, Cached: false, Trace: tr.Report()})
 	return nil
 }
@@ -1155,9 +965,9 @@ func (req *batchRequest) fields() []field {
 // batchItem is one query's outcome inside a batch response; exactly one of
 // Answer/Error is meaningful, discriminated by Error being present.
 type batchItem struct {
-	Query  string     `json:"query"`
-	Answer bool       `json:"answer"`
-	Error  *errorBody `json:"error,omitempty"`
+	Query  string         `json:"query"`
+	Answer bool           `json:"answer"`
+	Error  *api.ErrorBody `json:"error,omitempty"`
 }
 
 type batchResponse struct {
@@ -1189,8 +999,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	// Serve cached verdicts (shared with /ask by key) and collect misses.
 	em := s.met.endpoint("batch")
 	ctx, tr := s.traceContext(r, req.Trace)
-	ri := reqInfoFrom(ctx)
-	ri.setDB(e.Name)
+	in := api.InfoFrom(ctx)
+	in.DB = e.Name
 	// Every query of the batch resolves and evaluates on one snapshot.
 	var snap *core.Snapshot
 	if db := e.Database(); db != nil {
@@ -1205,7 +1015,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	for i, q := range req.Queries {
 		items[i].Query = q
 		if strings.TrimSpace(q) == "" {
-			items[i].Error = &errorBody{Code: "bad_request", Message: "missing query"}
+			items[i].Error = &api.ErrorBody{Code: "bad_request", Message: "missing query"}
 			continue
 		}
 		p := prepare(ctx, e, snap, q)
@@ -1229,7 +1039,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			oks[j], errs[j] = misses[j].ask(ctx)
 		})
 		elapsed := time.Since(start)
-		s.logSlow(ri, "batch", e.Name, fmt.Sprintf("(%d queries)", len(misses)), elapsed, tr)
+		s.logSlow(in, e.Name, fmt.Sprintf("(%d queries)", len(misses)), elapsed, tr)
 		// Per-fingerprint stats for each evaluated item. Latency is the
 		// batch's per-item share (items run concurrently, so individual
 		// wall-clock is not observable); depth/step counters are batch-wide
@@ -1246,15 +1056,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 				if errors.Is(errs[j], core.ErrCanceled) {
 					return errs[j]
 				}
-				_, body := classify(queryError(errs[j]))
-				items[i].Error = &body
+				items[i].Error = classify(queryError(errs[j])).Body()
 				continue
 			}
 			items[i].Answer = oks[j]
 			s.cachePut(e, keys[i], oks[j])
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: items, Version: e.Version, Trace: tr.Report()})
+	api.WriteJSON(w, http.StatusOK, batchResponse{Results: items, Version: e.Version, Trace: tr.Report()})
 	return nil
 }
 
@@ -1283,7 +1092,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	reqInfoFrom(r.Context()).setDB(e.Name)
+	api.InfoFrom(r.Context()).DB = e.Name
 	var src string
 	switch e.Kind {
 	case registry.KindProgram:
@@ -1298,7 +1107,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) error {
 	default:
 		return errf(http.StatusInternalServerError, "cannot export kind %q", e.Kind)
 	}
-	writeJSON(w, http.StatusOK, exportResponse{
+	api.WriteJSON(w, http.StatusOK, exportResponse{
 		Name: e.Name, Kind: string(e.Kind), Version: e.Version, LSN: lsn, Source: src})
 	return nil
 }
@@ -1308,7 +1117,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	reqInfoFrom(r.Context()).setDB(e.Name)
+	api.InfoFrom(r.Context()).DB = e.Name
 	q := r.URL.Query().Get("q")
 	if strings.TrimSpace(q) == "" {
 		return errf(http.StatusBadRequest, "missing q parameter")
@@ -1317,6 +1126,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "%v", err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"explanation": ex, "version": e.Version})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"explanation": ex, "version": e.Version})
 	return nil
 }

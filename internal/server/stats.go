@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/obs"
 )
 
@@ -251,7 +252,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	reqInfoFrom(r.Context()).setDB(e.Name)
+	api.InfoFrom(r.Context()).DB = e.Name
 	resp := map[string]any{
 		"db":           e.Name,
 		"version":      e.Version,
@@ -260,6 +261,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if adm := s.cfg.Admission; adm != nil {
 		resp["admission_wait"] = adm.Waits()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 	return nil
 }

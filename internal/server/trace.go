@@ -7,13 +7,10 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 
+	"funcdb/internal/api"
 	"funcdb/internal/obs"
 )
-
-// traceListLimit caps how many entries one list request may return.
-const traceListLimit = 1000
 
 // tracesResponse is the wire form of GET /debug/traces.
 type tracesResponse struct {
@@ -22,47 +19,11 @@ type tracesResponse struct {
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	n := 100
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			return errf(http.StatusBadRequest, "invalid n %q", v)
-		}
-		n = parsed
+	entries, _, err := s.rec.Query(r.URL.Query())
+	if err != nil {
+		return errf(http.StatusBadRequest, "%v", err)
 	}
-	if n > traceListLimit {
-		n = traceListLimit
-	}
-	entries := s.rec.List(n)
-	// Optional equality filters, applied post-hoc (the rings are small).
-	for _, f := range []struct{ param, field string }{
-		{"db", "db"}, {"outcome", "outcome"}, {"tenant", "tenant"}, {"endpoint", "endpoint"},
-	} {
-		want := q.Get(f.param)
-		if want == "" {
-			continue
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			var have string
-			switch f.field {
-			case "db":
-				have = e.DB
-			case "outcome":
-				have = e.Outcome
-			case "tenant":
-				have = e.Tenant
-			case "endpoint":
-				have = e.Endpoint
-			}
-			if have == want {
-				kept = append(kept, e)
-			}
-		}
-		entries = kept
-	}
-	writeJSON(w, http.StatusOK, tracesResponse{Traces: entries, Count: len(entries)})
+	api.WriteJSON(w, http.StatusOK, tracesResponse{Traces: entries, Count: len(entries)})
 	return nil
 }
 
@@ -72,6 +33,6 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
 	if e == nil {
 		return errf(http.StatusNotFound, "no recorded trace %q", id)
 	}
-	writeJSON(w, http.StatusOK, e)
+	api.WriteJSON(w, http.StatusOK, e)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/watch"
 )
 
@@ -50,23 +51,23 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	}
 	hub := s.cfg.Watch
 	if req.FromLSN > 0 && hub.LSN() < req.FromLSN {
-		return errc(http.StatusConflict, "watch_behind",
+		return api.Errorf(http.StatusConflict, "watch_behind",
 			"this node has applied lsn %d, behind requested %d; retry or use another endpoint",
-			hub.LSN(), req.FromLSN).withRetryAfter(1)
+			hub.LSN(), req.FromLSN).WithRetryAfter(1)
 	}
-	sub, err := hub.SubscribeTenant(name, req.Query, req.Depth, limit, tenantFrom(r))
+	sub, err := hub.SubscribeTenant(name, req.Query, req.Depth, limit, api.Tenant(r))
 	if err != nil {
 		if errors.Is(err, watch.ErrTenantStreams) {
 			// The tenant's own cap, not node capacity: render it like any
 			// other rate-limiting shed so clients back off, not fail over.
 			s.cfg.Admission.RecordWatchShed()
-			return errc(http.StatusTooManyRequests, "rate_limited", "%v", err).withRetryAfter(2)
+			return api.Errorf(http.StatusTooManyRequests, "rate_limited", "%v", err).WithRetryAfter(2)
 		}
 		if errors.Is(err, watch.ErrTooManyStreams) {
-			return errc(http.StatusTooManyRequests, "too_many_streams", "%v", err).withRetryAfter(2)
+			return api.Errorf(http.StatusTooManyRequests, "too_many_streams", "%v", err).WithRetryAfter(2)
 		}
 		if errors.Is(err, watch.ErrClosed) {
-			return errc(http.StatusServiceUnavailable, "shutting_down", "%v", err)
+			return api.Errorf(http.StatusServiceUnavailable, "shutting_down", "%v", err)
 		}
 		return queryError(err)
 	}
@@ -83,9 +84,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 		if err := sub.Err(); err != nil {
 			return queryError(err)
 		}
-		return errc(http.StatusServiceUnavailable, "stream_closed", "watch stream closed: %s", sub.Reason())
+		return api.Errorf(http.StatusServiceUnavailable, "stream_closed", "watch stream closed: %s", sub.Reason())
 	case <-ctx.Done():
-		return errc(StatusClientClosedRequest, "canceled", "client closed request")
+		return api.Errorf(api.StatusClientClosedRequest, "canceled", "client closed request")
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -1,15 +1,14 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/binspec"
 	"funcdb/internal/registry"
 	"funcdb/internal/store"
@@ -52,9 +51,10 @@ type ReshardOptions struct {
 	// the first that answers.
 	Routers []string
 
-	// HTTP is the client for control-plane calls; nil uses a default with
-	// a 10s timeout. The WAL tail uses its own deadline-free client.
-	HTTP *http.Client
+	// HTTP is the client for every call; nil uses the process-wide default.
+	// Control-plane calls are bounded by controlTimeout each, the WAL tail
+	// only by the run's context.
+	HTTP *api.Client
 
 	// TailTimeout bounds the post-freeze catch-up (step 4). Zero means
 	// 30s. If the watermark is not reached in time the reshard rolls
@@ -93,11 +93,13 @@ func Reshard(ctx context.Context, opts ReshardOptions) (*ReshardResult, error) {
 	return r.run(ctx)
 }
 
+// controlTimeout bounds one control-plane call (export, install, map push,
+// replayed mutation).
+const controlTimeout = 10 * time.Second
+
 type resharder struct {
-	opts   ReshardOptions
-	httpc  *http.Client // control-plane calls
-	stream *http.Client // WAL tail: no overall timeout
-	logf   func(string, ...any)
+	opts ReshardOptions
+	logf func(string, ...any)
 
 	m      *Map
 	source *Group
@@ -118,11 +120,7 @@ func newResharder(opts ReshardOptions) (*resharder, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	httpc := opts.HTTP
-	if httpc == nil {
-		httpc = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &resharder{opts: opts, httpc: httpc, stream: &http.Client{}, logf: logf}, nil
+	return &resharder{opts: opts, logf: logf}, nil
 }
 
 func (r *resharder) run(ctx context.Context) (*ReshardResult, error) {
@@ -262,26 +260,25 @@ func without(ss []string, drop string) []string {
 
 // --- control-plane HTTP ---
 
+// call performs one control-plane request and decodes a JSON answer into out
+// when out is not nil. A refusal comes back as the *api.Error it was.
+func (r *resharder) call(ctx context.Context, rq api.Request, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, controlTimeout)
+	defer cancel()
+	raw, err := r.opts.HTTP.Do(ctx, rq)
+	if err == nil && out != nil {
+		err = json.Unmarshal(raw, out)
+	}
+	return err
+}
+
 func (r *resharder) loadMap(ctx context.Context) error {
 	var lastErr error
 	for _, base := range r.opts.Routers {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/shardmap", nil)
+		var raw json.RawMessage
+		err := r.call(ctx, api.Request{Method: http.MethodGet, URL: base + "/v1/shardmap"}, &raw)
 		if err != nil {
-			return err
-		}
-		resp, err := r.httpc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("GET %s/v1/shardmap: %s", base, httpErrorDetail(resp.StatusCode, raw))
+			lastErr = fmt.Errorf("GET %s/v1/shardmap: %s", base, api.Detail(err))
 			continue
 		}
 		m, err := DecodeMap(raw)
@@ -311,20 +308,9 @@ func (r *resharder) pushMap(ctx context.Context, m *Map, drain bool) error {
 				url += "&drain_timeout=" + r.opts.DrainTimeout.String()
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(raw))
+		err := r.call(ctx, api.Request{Method: http.MethodPut, URL: url, Body: raw, ContentType: api.ContentJSON}, nil)
 		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.httpc.Do(req)
-		if err != nil {
-			return fmt.Errorf("router %s: %w", base, err)
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("router %s rejected map v%d: %s",
-				base, m.Version, httpErrorDetail(resp.StatusCode, body))
+			return fmt.Errorf("router %s rejected map v%d: %s", base, m.Version, api.Detail(err))
 		}
 	}
 	return nil
@@ -340,10 +326,10 @@ type exportDoc struct {
 
 func (r *resharder) export(ctx context.Context) (*exportDoc, error) {
 	var exp exportDoc
-	err := r.jsonCall(ctx, http.MethodGet,
-		r.source.Primary+"/v1/db/"+r.opts.DB+"/export", nil, &exp)
+	err := r.call(ctx, api.Request{Method: http.MethodGet,
+		URL: r.source.Primary + "/v1/db/" + r.opts.DB + "/export"}, &exp)
 	if err != nil {
-		return nil, fmt.Errorf("reshard: export from %s: %w", r.source.Name, err)
+		return nil, fmt.Errorf("reshard: export from %s: %s", r.source.Name, api.Detail(err))
 	}
 	r.logf("reshard: exported %q (kind %s, version %d) at lsn %d",
 		exp.Name, exp.Kind, exp.Version, exp.LSN)
@@ -352,10 +338,10 @@ func (r *resharder) export(ctx context.Context) (*exportDoc, error) {
 
 // install publishes the exported source on the target primary.
 func (r *resharder) install(ctx context.Context, exp *exportDoc) error {
-	err := r.rawCall(ctx, http.MethodPut,
-		r.target.Primary+"/v1/db/"+r.opts.DB, []byte(exp.Source))
+	err := r.call(ctx, api.Request{Method: http.MethodPut,
+		URL: r.target.Primary + "/v1/db/" + r.opts.DB, Body: []byte(exp.Source)}, nil)
 	if err != nil {
-		return fmt.Errorf("reshard: install on %s: %w", r.target.Name, err)
+		return fmt.Errorf("reshard: install on %s: %s", r.target.Name, api.Detail(err))
 	}
 	return nil
 }
@@ -364,7 +350,7 @@ func (r *resharder) sourceLSN(ctx context.Context) (uint64, error) {
 	var out struct {
 		LSN uint64 `json:"lsn"`
 	}
-	err := r.jsonCall(ctx, http.MethodGet, r.source.Primary+"/v1/repl/lsn", nil, &out)
+	err := r.call(ctx, api.Request{Method: http.MethodGet, URL: r.source.Primary + "/v1/repl/lsn"}, &out)
 	return out.LSN, err
 }
 
@@ -372,99 +358,29 @@ func (r *resharder) sourceLSN(ctx context.Context) (uint64, error) {
 // through its public API. The target assigns its own versions and LSNs;
 // only the catalog contents are replicated.
 func (r *resharder) apply(ctx context.Context, m registry.Mutation) error {
-	base := r.target.Primary + "/v1/db/" + r.opts.DB
+	rq := api.Request{URL: r.target.Primary + "/v1/db/" + r.opts.DB}
 	switch m.Op {
 	case registry.OpPut:
-		return r.rawCall(ctx, http.MethodPut, base, m.Payload)
+		rq.Method, rq.Body = http.MethodPut, m.Payload
 	case registry.OpExtend:
-		return r.jsonCall(ctx, http.MethodPost, base+"/facts",
-			map[string]string{"facts": string(m.Payload)}, nil)
-	case registry.OpDelete:
-		// Deleting the database mid-move is legal; the reshard then moves
-		// an absent database, which is still a correct outcome.
-		err := r.rawCall(ctx, http.MethodDelete, base, nil)
-		var he *httpError
-		if errors.As(err, &he) && he.status == http.StatusNotFound {
-			return nil
-		}
-		return err
-	}
-	return fmt.Errorf("unknown mutation op %d", m.Op)
-}
-
-type httpError struct {
-	status int
-	detail string
-}
-
-func (e *httpError) Error() string { return e.detail }
-
-func httpErrorDetail(status int, body []byte) string {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
-		return fmt.Sprintf("%d %s: %s", status, env.Error.Code, env.Error.Message)
-	}
-	return fmt.Sprintf("status %d", status)
-}
-
-func (r *resharder) jsonCall(ctx context.Context, method, url string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		raw, err := json.Marshal(in)
+		body, err := json.Marshal(map[string]string{"facts": string(m.Payload)})
 		if err != nil {
 			return err
 		}
-		body = bytes.NewReader(raw)
+		rq.Method, rq.URL, rq.Body, rq.ContentType = http.MethodPost, rq.URL+"/facts", body, api.ContentJSON
+	case registry.OpDelete:
+		rq.Method = http.MethodDelete
+	default:
+		return fmt.Errorf("unknown mutation op %d", m.Op)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
+	err := r.call(ctx, rq, nil)
+	var e *api.Error
+	if m.Op == registry.OpDelete && errors.As(err, &e) && e.Status == http.StatusNotFound {
+		// Deleting the database mid-move is legal; the reshard then moves
+		// an absent database, which is still a correct outcome.
+		return nil
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return &httpError{status: resp.StatusCode, detail: httpErrorDetail(resp.StatusCode, raw)}
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
-}
-
-func (r *resharder) rawCall(ctx context.Context, method, url string, body []byte) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return err
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode/100 != 2 {
-		return &httpError{status: resp.StatusCode, detail: httpErrorDetail(resp.StatusCode, raw)}
-	}
-	return nil
+	return err
 }
 
 // --- WAL tail ---
@@ -478,20 +394,10 @@ type walTail struct {
 }
 
 func (r *resharder) openTail(ctx context.Context, from uint64) (*walTail, error) {
-	url := fmt.Sprintf("%s/v1/repl/wal?from=%d", r.source.Primary, from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	resp, err := r.opts.HTTP.Stream(ctx, api.Request{Method: http.MethodGet,
+		URL: fmt.Sprintf("%s/v1/repl/wal?from=%d", r.source.Primary, from)})
 	if err != nil {
-		return nil, err
-	}
-	resp, err := r.stream.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("reshard: open WAL tail: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		return nil, fmt.Errorf("reshard: WAL tail from %s: %s",
-			r.source.Name, httpErrorDetail(resp.StatusCode, raw))
+		return nil, fmt.Errorf("reshard: WAL tail from %s: %s", r.source.Name, api.Detail(err))
 	}
 	return &walTail{resp: resp, seen: from - 1}, nil
 }

@@ -37,14 +37,10 @@ type Group struct {
 	// Replicas are base URLs of the group's read replicas.
 	Replicas []string `json:"replicas,omitempty"`
 
-	targets []target // Endpoints as the router addresses them; built by Map.Ring
-}
-
-// target is one endpoint of a group with what the router would otherwise
-// derive from it on every request.
-type target struct {
-	url  string // the endpoint's base URL, trailing slash trimmed
-	span string // name of the router's forward-attempt span
+	// What the router would otherwise derive from Endpoints on every request,
+	// built by Map.Ring: each endpoint's base URL with the trailing slash
+	// trimmed, and the name of the router's forward-attempt span for it.
+	urls, spans []string
 }
 
 // Endpoints returns every base URL in the group, primary first.
@@ -115,9 +111,10 @@ func (m *Map) Ring() {
 	m.via = "v" + strconv.FormatUint(m.Version, 10)
 	for i := range m.Groups {
 		g := &m.Groups[i]
-		g.targets = make([]target, 0, 1+len(g.Replicas))
+		g.urls, g.spans = nil, nil
 		for _, ep := range g.Endpoints() {
-			g.targets = append(g.targets, target{url: strings.TrimSuffix(ep, "/"), span: "forward " + ep})
+			g.urls = append(g.urls, strings.TrimSuffix(ep, "/"))
+			g.spans = append(g.spans, "forward "+ep)
 		}
 	}
 	vn := m.VNodes

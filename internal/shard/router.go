@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/obs"
 )
 
@@ -34,15 +33,10 @@ import (
 //     envelope instead of failing the whole request.
 type Router struct {
 	src     *Source
-	client  *http.Client
+	client  *api.Client
 	log     *slog.Logger
 	timeout time.Duration // per-shard deadline for fan-out legs
 	handler http.Handler
-
-	// health caches one verdict per endpoint so a dead replica costs one
-	// probe per TTL, not one timeout per request.
-	healthMu sync.Mutex
-	health   map[string]healthVerdict
 
 	// writes counts in-flight write requests per database; the reshard
 	// flow's drain step waits for a frozen database's count to reach zero
@@ -73,11 +67,6 @@ type groupState struct {
 	requests *obs.Counter  // fdbrouter_requests_total{group}
 }
 
-type healthVerdict struct {
-	ok    bool
-	until time.Time
-}
-
 type proxiedStream struct {
 	db     string
 	cancel context.CancelFunc
@@ -87,10 +76,10 @@ type proxiedStream struct {
 type Options struct {
 	// ShardTimeout bounds each scatter-gather leg (default 5s).
 	ShardTimeout time.Duration
-	// Client performs upstream requests; default has no global timeout
-	// (per-request contexts bound the fan-out legs; watch streams are
-	// unbounded by design).
-	Client *http.Client
+	// Client performs upstream requests and caches the endpoints' /readyz
+	// verdicts; nil means the process-wide default client. Per-request
+	// contexts bound the fan-out legs; watch streams are unbounded by design.
+	Client *api.Client
 	// Logger for request warnings; default slog.Default().
 	Logger *slog.Logger
 	// Metrics receives router series; default a fresh registry exposed at
@@ -109,21 +98,34 @@ type Options struct {
 }
 
 const (
-	healthTTL     = 2 * time.Second
-	probeTimeout  = 750 * time.Millisecond
-	maxProxyBody  = 16 << 20 // request bodies buffered for endpoint failover
-	retryAfterSec = "1"
+	// maxProxyBody bounds request bodies, which are buffered whole so they
+	// can be replayed against another endpoint on failover.
+	maxProxyBody = api.MaxBody
+	// retryAfter is what the router's own transient refusals (no map yet, a
+	// frozen database, an unreachable group) ask clients to wait, in seconds.
+	retryAfter = 1
 )
 
-// copyBufs recycles the buffers responses are relayed through: io.Copy would
-// allocate 32 KB per proxied request, because neither side of the relay has a
-// ReadFrom or WriteTo to hand the copy to.
+// copyBufs recycles the buffers responses are relayed through. relay copies
+// by hand because io.Copy would either allocate 32 KB per proxied request or
+// — now that handlers write to net/http's own ResponseWriter — hand the copy
+// to its ReadFrom, which sniffs, flushes early and fetches a second buffer.
 var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 func relay(dst io.Writer, src io.Reader) {
 	buf := copyBufs.Get().(*[32 << 10]byte)
-	io.CopyBuffer(dst, src, buf[:])
-	copyBufs.Put(buf)
+	defer copyBufs.Put(buf)
+	for {
+		n, err := src.Read(buf[:])
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // NewRouter wires a Router over src.
@@ -133,14 +135,10 @@ func NewRouter(src *Source, opts Options) *Router {
 		client:  opts.Client,
 		log:     opts.Logger,
 		timeout: opts.ShardTimeout,
-		health:  make(map[string]healthVerdict),
 		writes:  make(map[string]int),
 		streams: make(map[*proxiedStream]struct{}),
 		groups:  make(map[string]*groupState),
 		met:     opts.Metrics,
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	if rt.log == nil {
 		rt.log = slog.Default()
@@ -169,26 +167,34 @@ func NewRouter(src *Source, opts Options) *Router {
 
 	src.OnChange(rt.cutMovedStreams)
 
+	// Every endpoint runs on the pipeline fdbd's do (internal/api): request
+	// ID, a trace adopting the client's traceparent under a "route" root
+	// span, the error envelope, a flight-recorder entry. Endpoint names are
+	// the shards' own, so one vocabulary filters both recorders.
+	pipe := &api.Pipeline{Recorder: rt.rec, Log: rt.log, Node: "router", Span: "route"}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /v1/shardmap", rt.handleMapGet)
-	mux.HandleFunc("PUT /v1/shardmap", rt.handleMapPut)
-	mux.HandleFunc("GET /v1/dbs", rt.handleListDBs)
-	mux.HandleFunc("POST /v1/batch", rt.handleCrossBatch)
-	mux.HandleFunc("PUT /v1/db/{name}", rt.handleWrite)
-	mux.HandleFunc("DELETE /v1/db/{name}", rt.handleWrite)
-	mux.HandleFunc("POST /v1/db/{name}/facts", rt.handleWrite)
-	mux.HandleFunc("GET /v1/db/{name}", rt.handleRead)
-	mux.HandleFunc("POST /v1/db/{name}/ask", rt.handleRead)
-	mux.HandleFunc("POST /v1/db/{name}/answers", rt.handleRead)
-	mux.HandleFunc("POST /v1/db/{name}/batch", rt.handleRead)
-	mux.HandleFunc("GET /v1/db/{name}/explain", rt.handleRead)
-	mux.HandleFunc("POST /v1/db/{name}/watch", rt.handleWatch)
+	route := func(pattern, endpoint string, h api.Handler) {
+		mux.Handle(pattern, pipe.Wrap(endpoint, 0, h))
+	}
+	route("GET /healthz", "healthz", rt.handleHealthz)
+	route("GET /readyz", "readyz", rt.handleReadyz)
+	route("GET /metrics", "metrics", rt.handleMetrics)
+	route("GET /v1/shardmap", "shardmap", rt.handleMapGet)
+	route("PUT /v1/shardmap", "shardmap", rt.handleMapPut)
+	route("GET /v1/dbs", "dbs", rt.handleListDBs)
+	route("POST /v1/batch", "batch", rt.handleCrossBatch)
+	route("PUT /v1/db/{name}", "put", rt.handleWrite)
+	route("DELETE /v1/db/{name}", "delete", rt.handleWrite)
+	route("POST /v1/db/{name}/facts", "facts", rt.handleWrite)
+	route("GET /v1/db/{name}", "db", rt.handleRead)
+	route("POST /v1/db/{name}/ask", "ask", rt.handleRead)
+	route("POST /v1/db/{name}/answers", "answers", rt.handleRead)
+	route("POST /v1/db/{name}/batch", "batch", rt.handleRead)
+	route("GET /v1/db/{name}/explain", "explain", rt.handleRead)
+	route("POST /v1/db/{name}/watch", "watch", rt.handleWatch)
 	if rt.rec != nil {
-		mux.HandleFunc("GET /debug/traces", rt.handleTraceList)
-		mux.HandleFunc("GET /debug/traces/{id}", rt.handleTraceGet)
+		route("GET /debug/traces", "traces", rt.handleTraceList)
+		route("GET /debug/traces/{id}", "traces", rt.handleTraceGet)
 	}
 	rt.handler = mux
 	return rt
@@ -200,62 +206,40 @@ func (rt *Router) Recorder() *obs.Recorder { return rt.rec }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.handler.ServeHTTP(w, r) }
 
-// ---- error envelope (matches internal/server's shape) ----
-
-func (rt *Router) fail(w http.ResponseWriter, status int, code, format string, args ...any) {
-	if sw, ok := w.(*statusWriter); ok {
-		sw.code = code
-	}
-	if status == http.StatusConflict || status == http.StatusServiceUnavailable ||
-		status == http.StatusBadGateway || status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", retryAfterSec)
-	}
-	writeJSON(w, status, map[string]any{"error": map[string]string{
-		"code": code, "message": fmt.Sprintf(format, args...)}})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 // ---- admin and health endpoints ----
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shardmap_version": rt.src.Version()})
+func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shardmap_version": rt.src.Version()})
+	return nil
 }
 
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	m := rt.src.Current()
 	if m == nil {
-		rt.fail(w, http.StatusServiceUnavailable, "no_shardmap", "no shard map installed yet")
-		return
+		return api.Errorf(http.StatusServiceUnavailable, "no_shardmap", "no shard map installed yet").WithRetryAfter(retryAfter)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ready", "shardmap_version": m.Version, "groups": len(m.Groups)})
+	return nil
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.met.WriteText(w)
+	return rt.met.WriteText(w)
 }
 
-func (rt *Router) handleMapGet(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleMapGet(w http.ResponseWriter, r *http.Request) error {
 	m := rt.src.Current()
 	if m == nil {
-		rt.fail(w, http.StatusNotFound, "no_shardmap", "no shard map installed yet")
-		return
+		return api.Errorf(http.StatusNotFound, "no_shardmap", "no shard map installed yet")
 	}
 	raw, err := EncodeMap(m)
 	if err != nil {
-		rt.fail(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", api.ContentJSON)
 	w.Write(raw)
+	return nil
 }
 
 // handleMapPut installs a new shard map. With ?drain=<db> it additionally
@@ -263,20 +247,17 @@ func (rt *Router) handleMapGet(w http.ResponseWriter, r *http.Request) {
 // database is in flight through this router — the reshard flow freezes a
 // database, drains it here, and only then trusts the source WAL tail to be
 // final.
-func (rt *Router) handleMapPut(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleMapPut(w http.ResponseWriter, r *http.Request) error {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad_request", "read body: %v", err)
-		return
+		return api.Errorf(http.StatusBadRequest, "bad_request", "read body: %v", err)
 	}
 	m, err := DecodeMap(raw)
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad_shardmap", "%v", err)
-		return
+		return api.Errorf(http.StatusBadRequest, "bad_shardmap", "%v", err)
 	}
 	if err := rt.src.Install(m); err != nil {
-		rt.fail(w, http.StatusConflict, "stale_shardmap", "%v", err)
-		return
+		return api.Errorf(http.StatusConflict, "stale_shardmap", "%v", err).WithRetryAfter(retryAfter)
 	}
 	drained := true
 	if db := r.URL.Query().Get("drain"); db != "" {
@@ -290,7 +271,8 @@ func (rt *Router) handleMapPut(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.log.Info("shard map installed", "version", m.Version, "groups", len(m.Groups),
 		"frozen", m.Frozen, "drained", drained)
-	writeJSON(w, http.StatusOK, map[string]any{"version": m.Version, "drained": drained})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"version": m.Version, "drained": drained})
+	return nil
 }
 
 func (rt *Router) drainWrites(ctx context.Context, db string, timeout time.Duration) bool {
@@ -311,48 +293,43 @@ func (rt *Router) drainWrites(ctx context.Context, db string, timeout time.Durat
 
 // ---- single-shard proxying ----
 
-func (rt *Router) liveMap(w http.ResponseWriter) *Map {
+func (rt *Router) liveMap() (*Map, error) {
 	m := rt.src.Current()
 	if m == nil {
-		rt.fail(w, http.StatusServiceUnavailable, "no_shardmap", "router has no shard map yet")
+		return nil, api.Errorf(http.StatusServiceUnavailable, "no_shardmap", "router has no shard map yet").WithRetryAfter(retryAfter)
 	}
-	return m
+	return m, nil
 }
 
-func (rt *Router) owner(w http.ResponseWriter, m *Map, db string) *Group {
-	g, err := m.Owner(db)
+// placed resolves where a per-database request goes: the live map and, under
+// it, the database's owner group.
+func (rt *Router) placed(r *http.Request, in *api.Info) (*Map, *Group, error) {
+	in.DB = r.PathValue("name")
+	m, err := rt.liveMap()
 	if err != nil {
-		rt.fail(w, http.StatusInternalServerError, "internal", "%v", err)
-		return nil
+		return nil, nil, err
 	}
-	return g
+	g, err := m.Owner(in.DB)
+	return m, g, err
 }
 
 // handleWrite proxies a mutation to the owner group's primary. No failover:
 // there is exactly one writable daemon per group, and surfacing a retryable
 // 502 beats guessing.
-func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	sw, r, tr, root := rt.beginTrace(w, r)
-	db := r.PathValue("name")
-	var body []byte
-	defer func() { rt.finishTrace(sw, tr, root, routerEndpoint(r), db, reqStart, body) }()
-	m := rt.liveMap(sw)
-	if m == nil {
-		return
+func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) error {
+	in := api.InfoFrom(r.Context())
+	m, g, err := rt.placed(r, in)
+	if err != nil {
+		return err
 	}
+	db := in.DB
 	if m.IsFrozen(db) {
-		rt.fail(sw, http.StatusConflict, "resharding",
-			"database %q is being resharded; retry shortly", db)
-		return
+		return api.Errorf(http.StatusConflict, "resharding",
+			"database %q is being resharded; retry shortly", db).WithRetryAfter(retryAfter)
 	}
-	g := rt.owner(sw, m, db)
-	if g == nil {
-		return
-	}
-	body, ok := rt.readBody(sw, r)
-	if !ok {
-		return
+	body, err := rt.readBody(r, in)
+	if err != nil {
+		return err
 	}
 	rt.writesMu.Lock()
 	rt.writes[db]++
@@ -363,83 +340,71 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		rt.writesMu.Unlock()
 	}()
 	start := time.Now()
-	primary := g.targets[0]
-	fctx, sp := obs.StartSpan(r.Context(), primary.span)
-	err := rt.forward(sw, r.WithContext(fctx), m, g, primary, body, false)
-	sp.End()
+	err = rt.forward(w, r, in, m, g, 0, body, false)
 	rt.mProxy.Observe(time.Since(start).Seconds())
 	if err != nil {
-		rt.markBad(primary.url)
-		rt.fail(sw, http.StatusBadGateway, "primary_unreachable",
-			"group %s primary: %v", g.Name, err)
+		rt.client.MarkBad(g.urls[0])
+		return api.Errorf(http.StatusBadGateway, "primary_unreachable",
+			"group %s primary: %v", g.Name, err).WithRetryAfter(retryAfter)
 	}
+	return nil
 }
 
 // handleRead proxies a query to the owner group, balancing across its
 // endpoints and failing over on transport errors.
-func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	sw, r, tr, root := rt.beginTrace(w, r)
-	db := r.PathValue("name")
-	var body []byte
-	defer func() { rt.finishTrace(sw, tr, root, routerEndpoint(r), db, reqStart, body) }()
-	m := rt.liveMap(sw)
-	if m == nil {
-		return
+func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) error {
+	in := api.InfoFrom(r.Context())
+	m, g, err := rt.placed(r, in)
+	if err != nil {
+		return err
 	}
-	g := rt.owner(sw, m, db)
-	if g == nil {
-		return
-	}
-	body, ok := rt.readBody(sw, r)
-	if !ok {
-		return
+	body, err := rt.readBody(r, in)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	defer func() { rt.mProxy.Observe(time.Since(start).Seconds()) }()
-	var lastErr error
-	for i, ep := range rt.readOrder(g) {
-		if i > 0 {
-			rt.mFailovers.Inc()
-			tr.Add("router_failovers", 1)
-		}
-		fctx, sp := obs.StartSpan(r.Context(), ep.span)
-		err := rt.forward(sw, r.WithContext(fctx), m, g, ep, body, false)
-		sp.End()
-		if err == nil {
-			return
-		}
-		rt.markBad(ep.url)
-		lastErr = err
+	err = rt.balance(w, r, in, m, g, body, false)
+	rt.mProxy.Observe(time.Since(start).Seconds())
+	return err
+}
+
+// balance forwards the request to one endpoint of g: ready endpoints first,
+// round-robin, moving on when an endpoint cannot be reached.
+func (rt *Router) balance(w http.ResponseWriter, r *http.Request, in *api.Info, m *Map, g *Group, body []byte, stream bool) error {
+	start := 0
+	if len(g.urls) > 1 {
+		start = int((rt.group(g.Name).next.Add(1) - 1) % uint64(len(g.urls)))
 	}
-	rt.fail(sw, http.StatusServiceUnavailable, "no_healthy_endpoints",
-		"group %s: %v", g.Name, lastErr)
+	_, err := rt.client.Sweep(r.Context(), g.urls, start, func(attempt, i int) error {
+		if attempt > 0 {
+			rt.mFailovers.Inc()
+			in.Trace.Add("router_failovers", 1)
+		}
+		return rt.forward(w, r, in, m, g, i, body, stream)
+	})
+	if err != nil {
+		return api.Errorf(http.StatusServiceUnavailable, "no_healthy_endpoints",
+			"group %s: %v", g.Name, err).WithRetryAfter(retryAfter)
+	}
+	return nil
 }
 
 // handleWatch proxies a watch stream to the owner group, flushing frames as
 // they arrive. The stream is registered so a shard-map flip that moves the
 // database cuts it; the client's watch loop reconnects and re-routes.
-func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	sw, r, tr, root := rt.beginTrace(w, r)
-	db := r.PathValue("name")
-	var body []byte
-	defer func() { rt.finishTrace(sw, tr, root, "watch", db, reqStart, body) }()
-	m := rt.liveMap(sw)
-	if m == nil {
-		return
+func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) error {
+	in := api.InfoFrom(r.Context())
+	m, g, err := rt.placed(r, in)
+	if err != nil {
+		return err
 	}
-	g := rt.owner(sw, m, db)
-	if g == nil {
-		return
-	}
-	body, ok := rt.readBody(sw, r)
-	if !ok {
-		return
+	body, err := rt.readBody(r, in)
+	if err != nil {
+		return err
 	}
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	ps := &proxiedStream{db: db, cancel: cancel}
+	ps := &proxiedStream{db: in.DB, cancel: cancel}
 	rt.streamsMu.Lock()
 	rt.streams[ps] = struct{}{}
 	rt.streamsMu.Unlock()
@@ -450,24 +415,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		rt.streamsMu.Unlock()
 		rt.mStreams.Add(-1)
 	}()
-
-	var lastErr error
-	for i, ep := range rt.readOrder(g) {
-		if i > 0 {
-			rt.mFailovers.Inc()
-			tr.Add("router_failovers", 1)
-		}
-		fctx, sp := obs.StartSpan(ctx, ep.span)
-		err := rt.forward(sw, r.WithContext(fctx), m, g, ep, body, true)
-		sp.End()
-		if err == nil {
-			return
-		}
-		rt.markBad(ep.url)
-		lastErr = err
-	}
-	rt.fail(sw, http.StatusServiceUnavailable, "no_healthy_endpoints",
-		"group %s: %v", g.Name, lastErr)
+	return rt.balance(w, r.WithContext(ctx), in, m, g, body, true)
 }
 
 // Close cancels every proxied watch stream, so a graceful HTTP shutdown
@@ -503,15 +451,15 @@ func (rt *Router) cutMovedStreams(old, new *Map) {
 // another endpoint on failover: into a buffer of exactly Content-Length bytes
 // when the client declared one, refusing an over-limit declaration unread.
 // The buffer is not pooled: the transport may still be reading it after a
-// failed attempt returns.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// failed attempt returns. The body is also where a client asks for a trace,
+// which is noted on in.
+func (rt *Router) readBody(r *http.Request, in *api.Info) ([]byte, error) {
 	if r.Body == nil || r.ContentLength == 0 {
-		return nil, true
+		return nil, nil
 	}
-	tooLarge := func() ([]byte, bool) {
-		rt.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
+	tooLarge := func() ([]byte, error) {
+		return nil, api.Errorf(http.StatusRequestEntityTooLarge, "body_too_large",
 			"request body exceeds %d bytes", maxProxyBody)
-		return nil, false
 	}
 	var body []byte
 	var err error
@@ -524,13 +472,13 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		body, err = io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	}
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad_request", "read body: %v", err)
-		return nil, false
+		return nil, api.Errorf(http.StatusBadRequest, "bad_request", "read body: %v", err)
 	}
 	if len(body) > maxProxyBody {
 		return tooLarge()
 	}
-	return body, true
+	in.Keep = wantsTrace(body)
+	return body, nil
 }
 
 // group returns the router's state for the named group, creating it on
@@ -547,101 +495,45 @@ func (rt *Router) group(name string) *groupState {
 	return gs
 }
 
-// readOrder returns the group's endpoints to try for a read: healthy ones
-// first in round-robin order, then (as a last resort) the unhealthy ones —
-// a probe verdict is a hint, not a ban. A group of one endpoint has one
-// order, so nothing is rotated, probed or allocated for it.
-func (rt *Router) readOrder(g *Group) []target {
-	eps := g.targets
-	if len(eps) == 1 {
-		return eps
-	}
-	offset := int((rt.group(g.Name).next.Add(1) - 1) % uint64(len(eps)))
-	order := make([]target, 0, len(eps))
-	var suspect []target
-	for i := range eps {
-		if ep := eps[(offset+i)%len(eps)]; rt.isHealthy(ep.url) {
-			order = append(order, ep)
-		} else {
-			suspect = append(suspect, ep)
-		}
-	}
-	return append(order, suspect...)
+// call is a request to a shard on behalf of r's client: the tenant's key rides
+// along so the shard's admission control charges the right bucket (the router
+// itself stays tenant-agnostic), the shard-map version says who routed it,
+// and — in Send — the current span becomes the shard's remote parent.
+func call(r *http.Request, m *Map, method, url string, body []byte) api.Request {
+	return api.Request{Method: method, URL: url, Body: body,
+		ContentType: r.Header.Get("Content-Type"), APIKey: r.Header.Get(api.HeaderAPIKey), Via: m.via}
 }
 
-// isHealthy returns the cached /readyz verdict for ep, probing when the
-// cache entry expired.
-func (rt *Router) isHealthy(ep string) bool {
-	rt.healthMu.Lock()
-	v, ok := rt.health[ep]
-	rt.healthMu.Unlock()
-	if ok && time.Now().Before(v.until) {
-		return v.ok
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep+"/readyz", nil)
-	good := false
-	if err == nil {
-		if resp, err := rt.client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			good = resp.StatusCode == http.StatusOK
-		}
-	}
-	rt.healthMu.Lock()
-	rt.health[ep] = healthVerdict{ok: good, until: time.Now().Add(healthTTL)}
-	rt.healthMu.Unlock()
-	return good
-}
-
-// markBad caches a negative health verdict after a forwarding failure.
-func (rt *Router) markBad(ep string) {
-	rt.healthMu.Lock()
-	rt.health[ep] = healthVerdict{ok: false, until: time.Now().Add(healthTTL)}
-	rt.healthMu.Unlock()
-}
-
-// forward replays the incoming request against base and copies the response
-// back. A non-nil error means nothing was written to w and the caller may
-// retry elsewhere; once the upstream responds, its response — success or
-// failure — is relayed as-is.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, g *Group, ep target, body []byte, stream bool) error {
-	url := ep.url + r.URL.Path
+// forward replays the incoming request against endpoint i of g, under a span
+// of its own, and copies the response back. A non-nil error means nothing was
+// written to w and the caller may retry elsewhere; once the upstream
+// responds, its response — success or failure — is relayed as-is.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, in *api.Info, m *Map, g *Group, i int, body []byte, stream bool) error {
+	ctx, sp := obs.StartSpan(r.Context(), g.spans[i])
+	defer sp.End()
+	url := g.urls[i] + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	// The tenant identity rides through so the shard's admission control
-	// charges the right bucket; the router itself stays tenant-agnostic.
-	if key := r.Header.Get("X-Api-Key"); key != "" {
-		req.Header.Set("X-Api-Key", key)
-	}
-	req.Header.Set("X-Funcdb-Router", m.via)
-	// The forward-attempt span rides the traceparent header so the shard's
-	// span tree joins this trace; a no-op when tracing is disabled.
-	obs.InjectTraceparent(r.Context(), req.Header)
-	resp, err := rt.client.Do(req)
+	resp, err := rt.client.Send(ctx, call(r, m, r.Method, url, body))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	rt.group(g.Name).requests.Inc()
 
-	for _, h := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	// The shard's request ID replaces the router's own: it names the log
+	// line that has the query in it.
+	for _, h := range [...]string{"Content-Type", api.HeaderRequestID, api.HeaderRetryAfter} {
+		if v := resp.Header[h]; len(v) > 0 {
+			w.Header()[h] = v
 		}
 	}
-	w.Header().Set("X-Funcdb-Shard", g.Name)
-	if tr := obs.FromContext(r.Context()); tr != nil && !stream &&
-		resp.StatusCode == http.StatusOK && wantsTrace(body) {
+	w.Header().Set(api.HeaderShard, g.Name)
+	if resp.StatusCode != http.StatusOK {
+		in.Status = resp.StatusCode
+	}
+	if in.Trace != nil && in.Keep && !stream && resp.StatusCode == http.StatusOK {
 		// The client asked for a trace: buffer the shard's response, graft
 		// its span tree under this forward span, and relay the merged tree —
 		// one timeline from router through shard (and, inside the shard's
@@ -650,7 +542,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, g *Gro
 		if err != nil {
 			return err // nothing written yet; the caller may fail over
 		}
-		if merged, mok := mergeTraceBody(tr, obs.CurrentSpanID(r.Context()), raw); mok {
+		if merged, mok := mergeTraceBody(in.Trace, obs.CurrentSpanID(ctx), raw); mok {
 			raw = merged
 		}
 		w.WriteHeader(resp.StatusCode)
@@ -663,15 +555,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *Map, g *Gro
 		return nil
 	}
 	if resp.StatusCode >= 400 {
-		// Buffer the (small) error envelope and lift the shard's machine
-		// code onto the response writer, so the router's flight-recorder
-		// entry classifies a proxied budget kill or shed exactly like the
-		// shard's own — not as a generic error.
+		// Buffer the (small) error envelope and note the shard's machine
+		// code, so the router's flight-recorder entry classifies a proxied
+		// budget kill or shed exactly like the shard's own — not as a
+		// generic error.
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
 		if err == nil {
-			if sw, ok := w.(*statusWriter); ok && sw.code == "" {
-				sw.code = errorCode(raw)
-			}
+			in.Code = api.DecodeError(resp.StatusCode, resp.Header, raw).Code
 			w.Write(raw)
 			return nil
 		}
@@ -699,115 +589,55 @@ type shardFailure struct {
 	Error string `json:"error"`
 }
 
-type shardResult struct {
-	group string
-	raw   []byte
-	err   error
-}
-
-// scatter runs fn against one healthy endpoint of every group concurrently,
-// each leg bounded by the router's per-shard deadline, and returns results
-// in group order.
-func (rt *Router) scatter(ctx context.Context, m *Map, fn func(ctx context.Context, g *Group, ep string) ([]byte, error)) []shardResult {
-	results := make([]shardResult, len(m.Groups))
-	var wg sync.WaitGroup
-	for i := range m.Groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := &m.Groups[i]
-			legCtx, cancel := context.WithTimeout(ctx, rt.timeout)
-			defer cancel()
-			var raw []byte
-			var err error
-			for _, ep := range rt.readOrder(g) {
-				raw, err = fn(legCtx, g, ep.url)
-				if err == nil {
-					break
-				}
-				rt.markBad(ep.url)
-				if legCtx.Err() != nil {
-					break
-				}
-			}
-			results[i] = shardResult{group: g.Name, raw: raw, err: err}
-		}(i)
-	}
-	wg.Wait()
-	return results
-}
-
-func (rt *Router) shardGET(ctx context.Context, ep, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(ep, "/")+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rt.shardDo(req)
-}
-
-func (rt *Router) shardPOST(ctx context.Context, ep, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimSuffix(ep, "/")+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return rt.shardDo(req)
-}
-
-func (rt *Router) shardDo(req *http.Request) ([]byte, error) {
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
-			return nil, fmt.Errorf("%s: %s", env.Error.Code, env.Error.Message)
-		}
-		return nil, fmt.Errorf("http %d", resp.StatusCode)
-	}
-	return raw, nil
+// leg asks one group on behalf of r's client, within the per-shard deadline:
+// ready endpoints first, moving on only when an endpoint cannot be reached or
+// fails — a shard's well-formed refusal (an unknown database, a shed) is the
+// group's answer, and is neither replayed on a replica nor held against the
+// endpoint.
+func (rt *Router) leg(r *http.Request, m *Map, g *Group, method, path string, body []byte) (raw []byte, err error) {
+	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout)
+	defer cancel()
+	_, err = rt.client.Sweep(ctx, g.urls, 0, func(_, i int) error {
+		raw, err = rt.client.Do(ctx, call(r, m, method, g.urls[i]+path, body))
+		return err
+	})
+	return raw, err
 }
 
 // handleListDBs merges GET /v1/dbs from every group. Groups that fail
 // within the per-shard deadline are reported in the partial-failure
 // envelope; the rest of the catalog still lists.
-func (rt *Router) handleListDBs(w http.ResponseWriter, r *http.Request) {
-	m := rt.liveMap(w)
-	if m == nil {
-		return
+func (rt *Router) handleListDBs(w http.ResponseWriter, r *http.Request) error {
+	m, err := rt.liveMap()
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	results := rt.scatter(r.Context(), m, func(ctx context.Context, g *Group, ep string) ([]byte, error) {
-		return rt.shardGET(ctx, ep, "/v1/dbs")
-	})
+	raws, errs := make([][]byte, len(m.Groups)), make([]error, len(m.Groups))
+	var wg sync.WaitGroup
+	for i := range m.Groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raws[i], errs[i] = rt.leg(r, m, &m.Groups[i], http.MethodGet, "/v1/dbs", nil)
+		}()
+	}
+	wg.Wait()
 	rt.mFanout.Observe(time.Since(start).Seconds())
 
 	var dbs []json.RawMessage
 	var failed []shardFailure
-	for _, res := range results {
-		if res.err != nil {
-			failed = append(failed, shardFailure{Group: res.group, Error: res.err.Error()})
-			continue
-		}
+	for i, g := range m.Groups {
 		var body struct {
 			Databases []json.RawMessage `json:"databases"`
 		}
-		if err := json.Unmarshal(res.raw, &body); err != nil {
-			failed = append(failed, shardFailure{Group: res.group, Error: err.Error()})
-			continue
+		if err := errs[i]; err != nil {
+			failed = append(failed, shardFailure{Group: g.Name, Error: api.Detail(err)})
+		} else if err := json.Unmarshal(raws[i], &body); err != nil {
+			failed = append(failed, shardFailure{Group: g.Name, Error: err.Error()})
+		} else {
+			dbs = append(dbs, body.Databases...)
 		}
-		dbs = append(dbs, body.Databases...)
 	}
 	// Merge order must not depend on which shard answered first.
 	sort.Slice(dbs, func(i, j int) bool { return string(dbs[i]) < string(dbs[j]) })
@@ -819,7 +649,8 @@ func (rt *Router) handleListDBs(w http.ResponseWriter, r *http.Request) {
 		resp["partial"] = true
 		resp["failed"] = failed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // crossBatchRequest is the router-only cross-database batch: each query
@@ -835,31 +666,29 @@ type crossBatchQuery struct {
 }
 
 type crossBatchItem struct {
-	DB     string          `json:"db"`
-	Query  string          `json:"query"`
-	Answer *bool           `json:"answer,omitempty"`
-	Error  *map[string]any `json:"error,omitempty"`
+	DB     string         `json:"db"`
+	Query  string         `json:"query"`
+	Answer *bool          `json:"answer,omitempty"`
+	Error  *api.ErrorBody `json:"error,omitempty"`
 }
 
-func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
-	m := rt.liveMap(w)
-	if m == nil {
-		return
+func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) error {
+	m, err := rt.liveMap()
+	if err != nil {
+		return err
 	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
+	body, err := rt.readBody(r, api.InfoFrom(r.Context()))
+	if err != nil {
+		return err
 	}
 	var req crossBatchRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad_request", "invalid request body: %v", err)
-		return
+		return api.Errorf(http.StatusBadRequest, "bad_request", "invalid request body: %v", err)
 	}
 	if len(req.Queries) == 0 {
-		rt.fail(w, http.StatusBadRequest, "bad_request", "missing queries")
-		return
+		return api.Errorf(http.StatusBadRequest, "bad_request", "missing queries")
 	}
 
 	// Group query indexes by database; each db fans out as one per-db
@@ -869,7 +698,7 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 	for i, q := range req.Queries {
 		items[i] = crossBatchItem{DB: q.DB, Query: q.Query}
 		if q.DB == "" {
-			items[i].Error = &map[string]any{"code": "bad_request", "message": "missing db"}
+			items[i].Error = &api.ErrorBody{Code: "bad_request", Message: "missing db"}
 			continue
 		}
 		byDB[q.DB] = append(byDB[q.DB], i)
@@ -879,61 +708,52 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	failedGroups := make(map[string]string)
+	// fail marks every query of one database failed, under mu.
+	fail := func(idxs []int, code, msg string) {
+		for _, i := range idxs {
+			items[i].Error = &api.ErrorBody{Code: code, Message: msg}
+		}
+	}
 	for db, idxs := range byDB {
 		wg.Add(1)
-		go func(db string, idxs []int) {
+		go func() {
 			defer wg.Done()
 			g, err := m.Owner(db)
-			if err != nil {
-				rt.setBatchError(items, idxs, "internal", err.Error(), &mu)
-				return
-			}
-			queries := make([]string, len(idxs))
-			for j, i := range idxs {
-				queries[j] = req.Queries[i].Query
-			}
-			payload, _ := json.Marshal(map[string]any{"queries": queries})
-			legCtx, cancel := context.WithTimeout(r.Context(), rt.timeout)
-			defer cancel()
 			var raw []byte
-			for _, ep := range rt.readOrder(g) {
-				raw, err = rt.shardPOST(legCtx, ep.url, "/v1/db/"+db+"/batch", payload)
-				if err == nil {
-					break
+			if err == nil {
+				queries := make([]string, len(idxs))
+				for j, i := range idxs {
+					queries[j] = req.Queries[i].Query
 				}
-				rt.markBad(ep.url)
-				if legCtx.Err() != nil {
-					break
-				}
-			}
-			if err != nil {
-				rt.setBatchError(items, idxs, "shard_unavailable", err.Error(), &mu)
-				mu.Lock()
-				failedGroups[g.Name] = err.Error()
-				mu.Unlock()
-				return
+				payload, _ := json.Marshal(map[string]any{"queries": queries})
+				raw, err = rt.leg(r, m, g, http.MethodPost, "/v1/db/"+db+"/batch", payload)
 			}
 			var resp struct {
 				Results []struct {
-					Answer bool            `json:"answer"`
-					Error  *map[string]any `json:"error"`
+					Answer bool           `json:"answer"`
+					Error  *api.ErrorBody `json:"error"`
 				} `json:"results"`
 			}
-			if err := json.Unmarshal(raw, &resp); err != nil || len(resp.Results) != len(idxs) {
-				rt.setBatchError(items, idxs, "bad_upstream", "malformed shard response", &mu)
-				return
-			}
 			mu.Lock()
-			for j, i := range idxs {
-				if resp.Results[j].Error != nil {
-					items[i].Error = resp.Results[j].Error
-				} else {
-					ans := resp.Results[j].Answer
-					items[i].Answer = &ans
+			defer mu.Unlock()
+			switch {
+			case g == nil:
+				fail(idxs, "internal", err.Error())
+			case err != nil:
+				fail(idxs, "shard_unavailable", api.Detail(err))
+				failedGroups[g.Name] = api.Detail(err)
+			case json.Unmarshal(raw, &resp) != nil || len(resp.Results) != len(idxs):
+				fail(idxs, "bad_upstream", "malformed shard response")
+			default:
+				for j, i := range idxs {
+					if resp.Results[j].Error != nil {
+						items[i].Error = resp.Results[j].Error
+					} else {
+						items[i].Answer = &resp.Results[j].Answer
+					}
 				}
 			}
-			mu.Unlock()
-		}(db, idxs)
+		}()
 	}
 	wg.Wait()
 	rt.mFanout.Observe(time.Since(start).Seconds())
@@ -948,13 +768,6 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 		resp["partial"] = true
 		resp["failed"] = failed
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) setBatchError(items []crossBatchItem, idxs []int, code, msg string, mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, i := range idxs {
-		items[i].Error = &map[string]any{"code": code, "message": msg}
-	}
+	api.WriteJSON(w, http.StatusOK, resp)
+	return nil
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"funcdb/internal/api"
 )
 
 // fakeShard is a minimal stand-in for an fdbd daemon: it records writes,
@@ -42,16 +44,16 @@ func newFakeShard(t *testing.T, name string, dbs ...string) *fakeShard {
 		for _, db := range f.dbs {
 			infos = append(infos, map[string]any{"name": db})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"databases": infos})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"databases": infos})
 	})
 	mux.HandleFunc("GET /v1/db/{name}", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"name": r.PathValue("name"), "served_by": f.name})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"name": r.PathValue("name"), "served_by": f.name})
 	})
 	mux.HandleFunc("PUT /v1/db/{name}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.writes = append(f.writes, r.PathValue("name"))
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"name": r.PathValue("name"), "version": 1})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"name": r.PathValue("name"), "version": 1})
 	})
 	mux.HandleFunc("POST /v1/db/{name}/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -64,7 +66,7 @@ func newFakeShard(t *testing.T, name string, dbs ...string) *fakeShard {
 			// test can verify answers came from the right shard.
 			results = append(results, map[string]any{"query": q, "answer": strings.Contains(q, f.name)})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results, "version": 1})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"results": results, "version": 1})
 	})
 	mux.HandleFunc("POST /v1/db/{name}/watch", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -177,7 +179,7 @@ func TestRouterReadFailsOverToReplica(t *testing.T) {
 			t.Fatalf("read %d: status %d served_by %q", i, resp.StatusCode, body.ServedBy)
 		}
 	}
-	if rt.mFailovers.Value() == 0 && !rt.isHealthy(a.srv.URL) {
+	if rt.mFailovers.Value() == 0 && !rt.client.Ready(a.srv.URL) {
 		t.Fatal("neither failover nor health cache engaged")
 	}
 }
@@ -400,7 +402,7 @@ func TestRouterShedPassthrough(t *testing.T) {
 				seenKey = r.Header.Get("X-Api-Key")
 				mu.Unlock()
 				w.Header().Set("Retry-After", "7")
-				writeJSON(w, tc.status, map[string]any{
+				api.WriteJSON(w, tc.status, map[string]any{
 					"error": map[string]any{"code": tc.code, "message": "tenant over budget"},
 				})
 			})

@@ -17,110 +17,11 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/obs"
 )
-
-// statusWriter captures the status (and, for router-origin failures, the
-// error code) written to a response, so the recorder can classify the entry.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	code   string
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-// Flush forwards to the wrapped writer so proxied watch streams keep
-// flushing frame-by-frame through the wrapper.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// routerEndpoint labels a proxied request for recorder entries, matching the
-// endpoint vocabulary the shards use.
-func routerEndpoint(r *http.Request) string {
-	p := r.URL.Path
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		switch seg := p[i+1:]; seg {
-		case "ask", "answers", "batch", "explain", "watch", "facts", "stats":
-			return seg
-		}
-	}
-	switch r.Method {
-	case http.MethodPut:
-		return "put"
-	case http.MethodDelete:
-		return "delete"
-	default:
-		return "db"
-	}
-}
-
-// beginTrace adopts (or mints) a trace for a proxied request and opens its
-// root span. With the recorder disabled it only wraps the writer; tr and
-// root come back nil and every downstream trace call degrades to a no-op.
-func (rt *Router) beginTrace(w http.ResponseWriter, r *http.Request) (*statusWriter, *http.Request, *obs.Trace, *obs.SpanHandle) {
-	sw := &statusWriter{ResponseWriter: w}
-	if rt.rec == nil {
-		return sw, r, nil, nil
-	}
-	tid, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	tr := obs.NewTraceWith(tid)
-	if parent != "" {
-		tr.SetRemoteParent(parent)
-	}
-	ctx, root := obs.StartSpan(obs.WithTrace(r.Context(), tr), "route")
-	w.Header().Set("X-Trace-Id", tr.ID())
-	return sw, r.WithContext(ctx), tr, root
-}
-
-// finishTrace closes the root span and offers the finished request to the
-// flight recorder. Watch streams are only recorded when they fail — a
-// healthy stream's lifetime is not a latency.
-func (rt *Router) finishTrace(sw *statusWriter, tr *obs.Trace, root *obs.SpanHandle, endpoint, db string, start time.Time, body []byte) {
-	if tr == nil {
-		return
-	}
-	root.End()
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	outcome := obs.OutcomeForStatus(status, sw.code)
-	if endpoint == "watch" && outcome == obs.OutcomeOK {
-		return
-	}
-	rt.rec.Offer(obs.TraceEntry{
-		ID:         tr.ID(),
-		TimeUnixMS: start.UnixMilli(),
-		DurUS:      time.Since(start).Microseconds(),
-		Endpoint:   endpoint,
-		DB:         db,
-		Status:     status,
-		Code:       sw.code,
-		Outcome:    outcome,
-		Node:       "router",
-		Keep:       wantsTrace(body),
-	}, tr)
-}
 
 // wantsTrace reports whether a request body opted into tracing ("trace":
 // true), which both forces recorder retention and triggers response-tree
@@ -167,136 +68,69 @@ func mergeTraceBody(tr *obs.Trace, underID int, raw []byte) ([]byte, bool) {
 
 // ---- /debug/traces: local recorder + fleet scatter-gather ----
 
-// routerTraceLimit caps one list response, matching the shards' own cap.
-const routerTraceLimit = 1000
-
-var traceFilterParams = []string{"db", "outcome", "tenant", "endpoint"}
-
-func filterTraceEntries(entries []*obs.TraceEntry, q url.Values) []*obs.TraceEntry {
-	for _, p := range traceFilterParams {
-		want := q.Get(p)
-		if want == "" {
-			continue
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			var have string
-			switch p {
-			case "db":
-				have = e.DB
-			case "outcome":
-				have = e.Outcome
-			case "tenant":
-				have = e.Tenant
-			case "endpoint":
-				have = e.Endpoint
-			}
-			if have == want {
-				kept = append(kept, e)
-			}
-		}
-		entries = kept
+// askAll GETs path from every endpoint of every group — primaries and
+// replicas alike, because each process records its own ring — each within
+// the per-shard deadline, and hands the answers to each one at a time. node
+// names the endpoint the way merged entries do.
+func (rt *Router) askAll(r *http.Request, path string, each func(node string, raw []byte, err error)) {
+	m := rt.src.Current()
+	if m == nil {
+		return
 	}
-	return entries
-}
-
-// debugGET fetches a shard debug endpoint, forwarding the caller's tenant
-// key so per-shard auth still applies.
-func (rt *Router) debugGET(ctx context.Context, ep, path, apiKey string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(ep, "/")+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if apiKey != "" {
-		req.Header.Set("X-Api-Key", apiKey)
-	}
-	return rt.shardDo(req)
-}
-
-// traceEndpoints flattens the map into every (group, endpoint) pair —
-// primaries and replicas alike, because each process records its own ring.
-func traceEndpoints(m *Map) (groups, eps []string) {
-	for i := range m.Groups {
-		g := &m.Groups[i]
-		for _, ep := range g.Endpoints() {
-			groups = append(groups, g.Name)
-			eps = append(eps, ep)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for gi := range m.Groups {
+		g := &m.Groups[gi]
+		for i, ep := range g.Endpoints() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(r.Context(), rt.timeout)
+				defer cancel()
+				raw, err := rt.client.Do(ctx, call(r, m, http.MethodGet, g.urls[i]+path, nil))
+				mu.Lock()
+				defer mu.Unlock()
+				each(g.Name+" "+ep, raw, err)
+			}()
 		}
 	}
-	return groups, eps
+	wg.Wait()
 }
 
 // handleTraceList merges the router's recorder with GET /debug/traces from
 // every endpoint of every group, newest first. Endpoints that fail inside
 // the per-shard deadline are reported in the partial-failure envelope.
-func (rt *Router) handleTraceList(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleTraceList(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	n := 100
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			rt.fail(w, http.StatusBadRequest, "bad_request", "invalid n %q", v)
+	entries, n, err := rt.rec.Query(q)
+	if err != nil {
+		return api.Errorf(http.StatusBadRequest, "bad_request", "%v", err)
+	}
+	path := "/debug/traces?n=" + strconv.Itoa(n)
+	for _, p := range obs.TraceFilterParams {
+		if v := q.Get(p); v != "" {
+			path += "&" + p + "=" + url.QueryEscape(v)
+		}
+	}
+	var failed []shardFailure
+	rt.askAll(r, path, func(node string, raw []byte, err error) {
+		var body struct {
+			Traces []*obs.TraceEntry `json:"traces"`
+		}
+		if err == nil {
+			err = json.Unmarshal(raw, &body)
+		}
+		if err != nil {
+			failed = append(failed, shardFailure{Group: node, Error: api.Detail(err)})
 			return
 		}
-		n = parsed
-	}
-	if n > routerTraceLimit {
-		n = routerTraceLimit
-	}
-	entries := rt.rec.List(n)
-	for _, e := range entries {
-		if e.Node == "" {
-			e.Node = "router"
-		}
-	}
-	entries = filterTraceEntries(entries, q)
-
-	var failed []shardFailure
-	if m := rt.src.Current(); m != nil {
-		path := "/debug/traces?n=" + strconv.Itoa(n)
-		for _, p := range traceFilterParams {
-			if v := q.Get(p); v != "" {
-				path += "&" + p + "=" + url.QueryEscape(v)
+		for _, e := range body.Traces {
+			if e.Node == "" {
+				e.Node = node
 			}
 		}
-		apiKey := r.Header.Get("X-Api-Key")
-		groups, eps := traceEndpoints(m)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i := range eps {
-			wg.Add(1)
-			go func(group, ep string) {
-				defer wg.Done()
-				legCtx, cancel := context.WithTimeout(r.Context(), rt.timeout)
-				defer cancel()
-				raw, err := rt.debugGET(legCtx, ep, path, apiKey)
-				if err != nil {
-					mu.Lock()
-					failed = append(failed, shardFailure{Group: group + " " + ep, Error: err.Error()})
-					mu.Unlock()
-					return
-				}
-				var body struct {
-					Traces []*obs.TraceEntry `json:"traces"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					mu.Lock()
-					failed = append(failed, shardFailure{Group: group + " " + ep, Error: err.Error()})
-					mu.Unlock()
-					return
-				}
-				for _, e := range body.Traces {
-					if e.Node == "" {
-						e.Node = group + " " + ep
-					}
-				}
-				mu.Lock()
-				entries = append(entries, body.Traces...)
-				mu.Unlock()
-			}(groups[i], eps[i])
-		}
-		wg.Wait()
-	}
+		entries = append(entries, body.Traces...)
+	})
 
 	sort.Slice(entries, func(i, j int) bool { return entries[i].TimeUnixMS > entries[j].TimeUnixMS })
 	if len(entries) > n {
@@ -311,66 +145,31 @@ func (rt *Router) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		resp["partial"] = true
 		resp["failed"] = failed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleTraceGet finds one recorded trace by ID: the router's own ring
 // first, then every endpoint of every group in parallel. When several
 // processes recorded the same trace ID the most recent entry wins.
-func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	best := rt.rec.Get(id)
-	if best != nil && best.Node == "" {
-		best.Node = "router"
-	}
-	if m := rt.src.Current(); m != nil {
-		apiKey := r.Header.Get("X-Api-Key")
-		groups, eps := traceEndpoints(m)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i := range eps {
-			wg.Add(1)
-			go func(group, ep string) {
-				defer wg.Done()
-				legCtx, cancel := context.WithTimeout(r.Context(), rt.timeout)
-				defer cancel()
-				raw, err := rt.debugGET(legCtx, ep, "/debug/traces/"+url.PathEscape(id), apiKey)
-				if err != nil {
-					return // a miss on one process is not an error
-				}
-				e := &obs.TraceEntry{}
-				if json.Unmarshal(raw, e) != nil || e.ID == "" {
-					return
-				}
-				if e.Node == "" {
-					e.Node = group + " " + ep
-				}
-				mu.Lock()
-				if best == nil || e.TimeUnixMS > best.TimeUnixMS {
-					best = e
-				}
-				mu.Unlock()
-			}(groups[i], eps[i])
+	rt.askAll(r, "/debug/traces/"+url.PathEscape(id), func(node string, raw []byte, err error) {
+		e := &obs.TraceEntry{}
+		if err != nil || json.Unmarshal(raw, e) != nil || e.ID == "" {
+			return // a miss on one process is not an error
 		}
-		wg.Wait()
-	}
+		if e.Node == "" {
+			e.Node = node
+		}
+		if best == nil || e.TimeUnixMS > best.TimeUnixMS {
+			best = e
+		}
+	})
 	if best == nil {
-		rt.fail(w, http.StatusNotFound, "not_found", "no recorded trace %q", id)
-		return
+		return api.Errorf(http.StatusNotFound, "not_found", "no recorded trace %q", id)
 	}
-	writeJSON(w, http.StatusOK, best)
-}
-
-// errorCode extracts the machine-readable code from a shard's standard
-// {"error":{"code":...}} envelope; empty when the body is anything else.
-func errorCode(raw []byte) string {
-	var body struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(raw, &body) != nil {
-		return ""
-	}
-	return body.Error.Code
+	api.WriteJSON(w, http.StatusOK, best)
+	return nil
 }
