@@ -4,13 +4,16 @@ GO ?= go
 
 all: check
 
-check: build vet test
+check: build vet test test-bench
 
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, outside ./...: vet it too, or nothing in
+# tier-1 notices when the tree stops compiling against it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -20,10 +23,14 @@ test:
 # run in-process for a few seconds and checks them against BENCHMARK.json.
 # The request front end's gates ride along: the cached ask's allocation and
 # byte bounds, and a fixed-count pass over the in-process handler benchmark
-# (a compile-and-run check; its numbers are for people).
+# (a compile-and-run check; its numbers are for people). So do the answer
+# specification's: the warm answers path's allocation bound, what the
+# answers pool retains against the plan cache's own account, and a pass over
+# the hit-path benchmark.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
+	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
 
 race:
 	$(GO) test -race ./...

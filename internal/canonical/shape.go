@@ -10,11 +10,12 @@ import (
 
 // QueryShape renders a query's canonical shape: predicate and function
 // symbols by name and signature, constants by name, and variables α-renamed
-// by first occurrence. Two query texts with the same shape are answered by
-// the same compiled plan — `?- Meets( T , X ).` and `?- Meets(U, Y).` share
-// one — while queries differing in any constant, symbol or binding pattern
-// do not. Plan caches key on the shape instead of the exact text, so
-// spelling variations collapse onto one compilation.
+// by first occurrence — `$i` for an answer variable, `_i` for an existential
+// one (`_S`), which asks for a different answer. Two query texts with the
+// same shape are answered by the same compiled plan — `?- Meets( T , X ).`
+// and `?- Meets(U, Y).` share one — while queries differing in any constant,
+// symbol or binding pattern do not. Plan caches key on the shape instead of
+// the exact text, so spelling variations collapse onto one compilation.
 func QueryShape(q *ast.Query, names symbols.Namer) string {
 	var b strings.Builder
 	vars := make(map[symbols.VarID]int)
@@ -24,7 +25,13 @@ func QueryShape(q *ast.Query, names symbols.Namer) string {
 			i = len(vars)
 			vars[v] = i
 		}
-		b.WriteByte('$')
+		mark := byte('_')
+		for _, f := range q.Free {
+			if f == v {
+				mark = '$'
+			}
+		}
+		b.WriteByte(mark)
 		b.WriteString(strconv.Itoa(i))
 	}
 	dterm := func(d ast.DTerm) {

@@ -75,8 +75,9 @@ type Options struct {
 // exactly once under an internal mutex, and every query path that interns
 // new terms, tuples or symbols — Ask, Answers, Explain, Export, Stats,
 // Lint — serializes through the same mutex, so any number of goroutines
-// may query one Database at once. Answers values returned by Answers
-// share the guard and are likewise safe. The mutators Extend
+// may query one Database at once. An Answers handle returned by Answers
+// belongs to the goroutine that asked for it (the specification behind it
+// is shared and immutable; see query.Answers). The mutators Extend
 // and ExtendRules also take the mutex, but code that reads the exported
 // Source/Prep/Engine fields directly must not run concurrently with them;
 // Prover evaluators are single-goroutine (see Prover). A plain mutex is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -72,9 +73,9 @@ P(X) -> Member(ext(0, X), X).
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	ec := snap.getEval(snap.tab)
-	if _, err := snap.answersQuery(context.Background(), ec, q); err == nil {
-		t.Errorf("query with unbound free variable accepted")
+	p := &Plan{snap: snap, q: q, tab: snap.tab}
+	if _, err := p.buildSpec(context.Background()); !errors.Is(err, ErrUnsafeQuery) {
+		t.Errorf("query with unbound free variable: %v, want ErrUnsafeQuery", err)
 	}
 }
 

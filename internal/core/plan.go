@@ -12,8 +12,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/canonical"
@@ -61,8 +63,10 @@ type eqStep struct {
 }
 
 // Plan is a query compiled against one Snapshot. It is immutable after
-// Prepare returns and safe for unlimited concurrent execution; all
-// per-execution state lives in pooled scratch arenas. A Plan answers
+// Prepare returns, but for the two values it computes on first need and
+// then only reads (the equational lowering, the answer specification), and
+// safe for unlimited concurrent execution; all per-execution state lives in
+// pooled scratch arenas or in the caller's Answers handle. A Plan answers
 // exactly as of its snapshot — after a mutation, Prepare against the new
 // snapshot compiles a fresh one.
 type Plan struct {
@@ -83,6 +87,10 @@ type Plan struct {
 	eqOnce  sync.Once
 	eqSteps []eqStep
 	eqView  *term.Scratch // read-only after eqOnce; holds the query terms
+
+	// The answer specification of an open query, computed by the first
+	// execution that needs it (answerSpec); a ground plan never has one.
+	spec atomic.Pointer[specBuild]
 }
 
 // Shape returns the canonical query shape the plan cache keyed on; response
@@ -130,6 +138,20 @@ type planCache struct {
 	texts  map[string]*planEntry
 	shapes map[string]*planEntry
 	bytes  int // retained by the entries of both maps, as estimated by their inserters
+}
+
+// charge accounts for cost more bytes retained by a plan of the cache (its
+// answer specification, computed after the plan was inserted) and reports
+// whether they may be retained: like a plan, a value over an eighth of the
+// budget is served without being kept.
+func (pc *planCache) charge(cost int) bool {
+	if cost > planCacheBytes/8 {
+		return false
+	}
+	pc.mu.Lock()
+	pc.admit(cost)
+	pc.mu.Unlock()
+	return true
 }
 
 // admit makes room for an insertion retaining cost more bytes, flushing the
@@ -295,11 +317,11 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 		return false, wrapCanceled(err)
 	}
 	if !p.ground {
-		ans, err := p.answers(ctx)
+		spec, err := p.answerSpec(ctx)
 		if err != nil {
 			return false, wrapCanceled(err)
 		}
-		return !ans.IsEmpty(), nil
+		return !spec.IsEmpty(), nil
 	}
 	m := op.Method
 	if m == MethodAuto {
@@ -428,10 +450,12 @@ func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// Answers computes the relational specification of the plan's answer set.
-// The returned Answers value owns its scratch arenas (they are not pooled —
-// the value escapes with them) and carries its own guard, so it is safe for
-// concurrent use.
+// Answers returns a handle on the relational specification of the plan's
+// answer set. The specification is a value fixed on the plan: the first
+// execution that needs it computes it (under its own ctx, deadline and work
+// budget), every later one only reads it. The handle is the caller's own —
+// single-goroutine, holding the arena its enumerations intern terms into —
+// so concurrent executions of one plan share no lock.
 func (p *Plan) Answers(ctx context.Context, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
@@ -443,12 +467,89 @@ func (p *Plan) Answers(ctx context.Context, opts ...Option) (*query.Answers, err
 }
 
 func (p *Plan) answers(ctx context.Context) (*query.Answers, error) {
-	// Fresh, un-pooled arenas: the Answers value retains them.
-	ec := &evalCtx{
-		snap: p.snap,
-		tab:  symbols.NewScratch(p.tab),
-		u:    term.NewScratch(p.snap.u),
-		w:    facts.NewScratch(p.snap.w),
+	spec, err := p.answerSpec(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return p.snap.answersQuery(ctx, ec, p.q)
+	return spec.Answers(p.snap.u), nil
+}
+
+// specBuild is one computation of a plan's answer specification; spec and
+// err are set when done is closed.
+type specBuild struct {
+	done chan struct{}
+	spec *query.Specification
+	err  error
+}
+
+// answerSpec returns the plan's answer specification, computing it if no
+// execution has yet. Concurrent first callers collapse onto one build, but
+// not with sync.Once: the build runs under the leader's ctx, deadline and
+// work budget, so a result that is the leader's own misfortune (canceled,
+// out of time, over budget) is never stored — the next caller builds again,
+// and a waiter whose own ctx is still live retries as leader instead of
+// inheriting the failure. Errors that depend on the query and the snapshot
+// alone are kept like results. Budgets meter work done: a hit is charged
+// nothing.
+func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b := p.spec.Load()
+		if b == nil {
+			b = &specBuild{done: make(chan struct{})}
+			if !p.spec.CompareAndSwap(nil, b) {
+				continue
+			}
+			obs.EngineSink().AddAnswerSpecBuilds(1)
+			b.spec, b.err = p.buildSpec(ctx)
+			if ownFault(b.err) || (b.err == nil && !p.snap.plans.charge(b.spec.Bytes())) {
+				// Emptied before the waiters wake, so they see the slot free.
+				p.spec.Store(nil)
+			}
+			close(b.done)
+			return b.spec, b.err
+		}
+		select {
+		case <-b.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if !ownFault(b.err) {
+			obs.EngineSink().AddAnswerSpecHits(1)
+			_, sp := obs.StartSpan(ctx, "answer_spec_hit")
+			sp.End()
+			return b.spec, b.err
+		}
+	}
+}
+
+// ownFault reports whether a build failed for a reason that belongs to the
+// request that ran it — its context or its work budget — and not to the
+// query.
+func ownFault(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, obs.ErrBudgetExceeded)
+}
+
+// buildSpec computes the answer specification from scratch: Theorem 5.1's
+// per-slice evaluation over the snapshot's own successor table for a
+// uniform query, the enlarged program's specification for any other.
+func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
+	s := p.snap
+	if query.IsUniform(p.q) {
+		ictx, sp := obs.StartSpan(ctx, "answers_incremental")
+		defer sp.End()
+		tab, err := s.repTable()
+		if err != nil {
+			return nil, err
+		}
+		return query.Evaluate(ictx, frozenBackend{s, p.tab}, tab, p.q)
+	}
+	// The enlarged program gets a private symbol table (the plan's own
+	// identifiers stay valid in the clone) and shares the snapshot's rules
+	// and facts, which the pipeline only reads.
+	prog := &ast.Program{Tab: p.tab.Clone(), Facts: s.source.Facts, Rules: s.source.Rules}
+	return query.Compile(ctx, prog, p.tab, p.q, s.engOpts, s.specOpts)
 }

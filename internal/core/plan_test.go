@@ -38,6 +38,15 @@ func TestPlanShapeSharing(t *testing.T) {
 	if p3.Shape() == p1.Shape() {
 		t.Errorf("distinct queries share shape %q", p1.Shape())
 	}
+	// Nor may an existential variable share with an answer variable: the
+	// two ask for different answers (days, or whether there is one).
+	p5, err := db.Prepare(ctx, `?- Meets(_T, tony).`)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	if p5 == p1 || p5.Shape() == p1.Shape() {
+		t.Errorf("?- Meets(_T, tony). shares the plan of ?- Meets(T, tony).")
+	}
 	// Exact-text re-Prepare returns the identical plan.
 	p4, err := db.Prepare(ctx, `?- Meets(T, tony).`)
 	if err != nil {

@@ -50,6 +50,12 @@ type Snapshot struct {
 	canonOnce sync.Once
 	canonEq   *congruence.Frozen
 	canonCand map[facts.AtomID][]term.Term
+
+	// successor table over the representatives, built lazily (first open
+	// query) and shared by every uniform answer specification.
+	tableOnce sync.Once
+	table     *query.Table
+	tableErr  error
 }
 
 // Snapshot returns the current immutable view, building (and caching) it
@@ -152,7 +158,7 @@ func (s *Snapshot) getEval(base *symbols.Table) *evalCtx {
 }
 
 // putEval returns an arena to the pool. Never call it when the execution's
-// result (an Answers value, a plan's equational view) retains the overlays.
+// result (a parsed AST, a plan's equational view) retains the overlays.
 func (s *Snapshot) putEval(ec *evalCtx) { s.evalPool.Put(ec) }
 
 // getCongruence acquires a pooled congruence scratch.
@@ -169,23 +175,35 @@ func (s *Snapshot) getCongruence() *congruence.Scratch {
 // putCongruence returns a congruence scratch to the pool.
 func (s *Snapshot) putCongruence(csc *congruence.Scratch) { s.cscPool.Put(csc) }
 
-// frozenBackend adapts an evalCtx to query.Backend: spec structure from the
-// frozen snapshot, interning through the query-local overlays.
-type frozenBackend struct{ ec *evalCtx }
+// repTable lazily lowers the frozen successor mappings onto the flat table
+// answer specifications walk. The build reads only frozen data.
+func (s *Snapshot) repTable() (*query.Table, error) {
+	s.tableOnce.Do(func() { s.table, s.tableErr = query.NewTable(frozenBackend{s, s.tab}) })
+	return s.table, s.tableErr
+}
 
-func (b frozenBackend) Terms() term.View              { return b.ec.u }
-func (b frozenBackend) Facts() facts.WorldView        { return b.ec.w }
-func (b frozenBackend) Names() symbols.Namer          { return b.ec.tab }
-func (b frozenBackend) AlphabetFns() []symbols.FuncID { return b.ec.snap.spec.Alphabet }
-func (b frozenBackend) RepTerms() []term.Term         { return b.ec.snap.spec.Reps }
-func (b frozenBackend) Representative(t term.Term) (term.Term, error) {
-	return b.ec.snap.spec.Representative(b.ec.u, t)
+// frozenBackend adapts a snapshot to query.Backend. Evaluating an open
+// query only reads: the frozen universe and world are used as they are,
+// with no scratch overlay. names is the plan's symbol table (the snapshot's,
+// or a private superset when the query text brought symbols of its own).
+type frozenBackend struct {
+	s     *Snapshot
+	names *symbols.Table
+}
+
+func (b frozenBackend) Terms() term.View              { return b.s.u }
+func (b frozenBackend) Facts() facts.WorldView        { return b.s.w }
+func (b frozenBackend) Names() symbols.Namer          { return b.names }
+func (b frozenBackend) AlphabetFns() []symbols.FuncID { return b.s.spec.Alphabet }
+func (b frozenBackend) RepTerms() []term.Term         { return b.s.spec.Reps }
+func (b frozenBackend) Successor(rep term.Term, f symbols.FuncID) (term.Term, bool) {
+	return b.s.spec.Successor(rep, f)
 }
 func (b frozenBackend) RepStateAtoms(rep term.Term) []facts.AtomID {
-	return b.ec.w.StateAtoms(b.ec.snap.spec.StateOfRep(rep))
+	return b.s.w.StateAtoms(b.s.spec.StateOfRep(rep))
 }
 func (b frozenBackend) GlobalByPred(p symbols.PredID) []facts.AtomID {
-	return b.ec.snap.spec.GlobalByPred(p)
+	return b.s.spec.GlobalByPred(p)
 }
 
 // ParseQuery parses a query against the snapshot's symbols without touching
@@ -218,11 +236,10 @@ func (s *Snapshot) Ask(ctx context.Context, src string, opts ...Option) (bool, e
 	return p.ask(ctx, &op)
 }
 
-// Answers computes the relational specification of a query's answer set
-// against the snapshot, lock-free. The returned Answers value carries its
-// own guard (protecting its scratch overlays), so it too is safe for
-// concurrent use; enumeration renders through Answers.TermString and
-// friends, never through the live database.
+// Answers returns a handle on the relational specification of a query's
+// answer set against the snapshot, lock-free: Prepare (or a plan-cache hit)
+// followed by Plan.Answers, which see. Enumeration renders through
+// Answers.TermString and friends, never through the live database.
 func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
@@ -284,32 +301,6 @@ func pureSymbols(tab *symbols.Scratch, ft *ast.FTerm) []symbols.FuncID {
 		fns[i] = fn
 	}
 	return fns
-}
-
-func (s *Snapshot) answersQuery(ctx context.Context, ec *evalCtx, q *ast.Query) (*query.Answers, error) {
-	var ans *query.Answers
-	var err error
-	if query.IsUniform(q) {
-		ictx, sp := obs.StartSpan(ctx, "answers_incremental")
-		ans, err = query.IncrementalContext(ictx, frozenBackend{ec}, q)
-		sp.End()
-	} else {
-		// Recompute builds a private enlarged program: thaw the overlay
-		// into a standalone table (the query's scratch symbols keep their
-		// identifiers) and run the whole pipeline on private state.
-		tab2 := ec.tab.Thaw()
-		src2 := &ast.Program{
-			Tab:   tab2,
-			Facts: s.source.Facts,
-			Rules: s.source.Rules,
-		}
-		ans, err = query.RecomputeContext(ctx, src2, q, s.engOpts, s.specOpts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ans.Guard(&sync.Mutex{})
-	return ans, nil
 }
 
 // BatchResult is the outcome of one query of an AskBatch call.

@@ -18,21 +18,7 @@ import (
 // rendered tuples, so locked and snapshot evaluations can be compared.
 func collectAnswers(t *testing.T, ans *query.Answers, depth int) []string {
 	t.Helper()
-	var out []string
-	err := ans.Enumerate(depth, func(ft term.Term, args []symbols.ConstID) bool {
-		row := ""
-		if ft != term.None {
-			row = ans.CompactTermString(ft)
-		}
-		for _, c := range args {
-			row += "|" + ans.ConstName(c)
-		}
-		out = append(out, row)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Enumerate: %v", err)
-	}
+	out := render(t, ans, depth, 0)
 	sort.Strings(out)
 	return out
 }

@@ -16,6 +16,8 @@ type EngineStats struct {
 	maxDepth       atomic.Int64
 	planHits       atomic.Int64
 	planMisses     atomic.Int64
+	specHits       atomic.Int64
+	specBuilds     atomic.Int64
 	arenaReuses    atomic.Int64
 }
 
@@ -84,6 +86,24 @@ func (s *EngineStats) AddPlanMisses(n int64) {
 	s.planMisses.Add(n)
 }
 
+// AddAnswerSpecHits records open-query executions served by the answer
+// specification already fixed on their plan.
+func (s *EngineStats) AddAnswerSpecHits(n int64) {
+	if s == nil || n == 0 {
+		return
+	}
+	s.specHits.Add(n)
+}
+
+// AddAnswerSpecBuilds records answer specifications computed (Theorem 5.1
+// evaluation, or the enlarged program's compile), killed builds included.
+func (s *EngineStats) AddAnswerSpecBuilds(n int64) {
+	if s == nil || n == 0 {
+		return
+	}
+	s.specBuilds.Add(n)
+}
+
 // AddArenaReuses records query evaluations that reused a pooled scratch
 // arena instead of allocating fresh overlays.
 func (s *EngineStats) AddArenaReuses(n int64) {
@@ -113,15 +133,17 @@ func (s *EngineStats) Counters() map[string]int64 {
 		return nil
 	}
 	return map[string]int64{
-		"terms_interned_total":    s.termsInterned.Load(),
-		"facts_derived_total":     s.factsDerived.Load(),
-		"fixpoint_rounds_total":   s.fixpointRounds.Load(),
-		"rule_firings_total":      s.ruleFirings.Load(),
-		"equations_total":         s.equations.Load(),
-		"algoq_steps_total":       s.qRounds.Load(),
-		"plan_cache_hits_total":   s.planHits.Load(),
-		"plan_cache_misses_total": s.planMisses.Load(),
-		"arena_reuses_total":      s.arenaReuses.Load(),
+		"terms_interned_total":     s.termsInterned.Load(),
+		"facts_derived_total":      s.factsDerived.Load(),
+		"fixpoint_rounds_total":    s.fixpointRounds.Load(),
+		"rule_firings_total":       s.ruleFirings.Load(),
+		"equations_total":          s.equations.Load(),
+		"algoq_steps_total":        s.qRounds.Load(),
+		"plan_cache_hits_total":    s.planHits.Load(),
+		"plan_cache_misses_total":  s.planMisses.Load(),
+		"answer_spec_hits_total":   s.specHits.Load(),
+		"answer_spec_builds_total": s.specBuilds.Load(),
+		"arena_reuses_total":       s.arenaReuses.Load(),
 	}
 }
 

@@ -2,32 +2,33 @@
 // infinite query answers.
 //
 // A functional query is a positive conjunction of atoms with at most one
-// functional variable. Answers are represented against a graph
-// specification in one of two ways:
+// functional variable. Its answer is the finite specification (Q(B), T): a
+// successor table T over the representative terms and, per representative,
+// the QUERY tuples of its slice. It is computed in one of two ways:
 //
 //   - Incremental (Theorem 5.1): for uniform queries — those whose only
 //     non-ground functional term is the bare variable — the query is simply
 //     evaluated against every slice of the primary database, yielding
 //     (Q(B), T) with the successor mappings unchanged.
 //   - Recompute: for arbitrary queries, a fresh QUERY rule is added to the
-//     rule set and the specification of the enlarged program is built.
+//     rule set and the specification of the enlarged program is built; its
+//     QUERY slices and successor mappings are the answer.
 //
-// Either way the result is an Answers value: a finite object that decides
-// membership of any ground answer tuple and enumerates the answer set to
-// any term depth.
+// Either way the result is a Specification: an immutable value that any
+// number of goroutines read at once. Membership and enumeration go through
+// an Answers handle over it, which owns only the term arena its own
+// enumerations intern yielded terms into.
 //
 // Evaluation is written against the Backend interface, so the same code
 // runs on a live *specgraph.Spec (under the owning database's lock) and on
-// a frozen snapshot read through per-query scratch overlays (lock-free).
+// a frozen snapshot (lock-free).
 package query
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/engine"
@@ -44,14 +45,14 @@ import (
 // the body: its answer would be domain-dependent.
 var ErrUnsafeQuery = errors.New("query: free variables must occur in the query body")
 
-// Backend is the evaluation surface a query runs against: terms, facts and
-// names plus the specification's successor structure. *specgraph.Spec
-// implements it directly (live, mutable, caller holds the lock); core builds
-// per-query frozen backends over immutable snapshots (lock-free).
+// Backend is the specification a query is evaluated against, read-only:
+// nothing is interned through it. *specgraph.Spec implements it directly
+// (live, the caller holds the owning database's lock); core adapts its
+// immutable snapshots (lock-free).
 type Backend interface {
-	// Terms is the term universe view (live universe or scratch overlay).
+	// Terms reads the representative terms (their top symbol and subterm).
 	Terms() term.View
-	// Facts is the fact-world view (live world or scratch overlay).
+	// Facts reads the atoms and tuples of the slices.
 	Facts() facts.WorldView
 	// Names resolves symbol identifiers for rendering.
 	Names() symbols.Namer
@@ -59,8 +60,8 @@ type Backend interface {
 	AlphabetFns() []symbols.FuncID
 	// RepTerms lists the representative terms in precedence order.
 	RepTerms() []term.Term
-	// Representative runs the successor DFA on t.
-	Representative(t term.Term) (term.Term, error)
+	// Successor returns the representative of f applied to rep's cluster.
+	Successor(rep term.Term, f symbols.FuncID) (term.Term, bool)
 	// RepStateAtoms returns the atoms of rep's slice (the state B[rep]).
 	RepStateAtoms(rep term.Term) []facts.AtomID
 	// GlobalByPred returns the non-functional facts of predicate p.
@@ -68,9 +69,9 @@ type Backend interface {
 }
 
 // IsUniform reports whether every functional term of the query is either
-// ground (and free of mixed symbols, so it can be interned directly) or the
-// bare functional variable (no applications above it). Ground terms with
-// mixed symbols are handled by Recompute, whose preparation pipeline
+// ground (and free of mixed symbols, so its symbols are the DFA's own) or
+// the bare functional variable (no applications above it). Ground terms
+// with mixed symbols are handled by Recompute, whose preparation pipeline
 // eliminates them.
 func IsUniform(q *ast.Query) bool {
 	for i := range q.Atoms {
@@ -109,94 +110,8 @@ func FunctionalVar(q *ast.Query) (symbols.VarID, bool) {
 	return symbols.NoVar, false
 }
 
-// Answers is a finite relational specification of a (possibly infinite)
-// query answer.
-type Answers struct {
-	Query *ast.Query
-	// Spec is the underlying live graph specification, when the answer was
-	// built against one; answers built against a frozen snapshot leave it
-	// nil and evaluate through the backend alone.
-	Spec *specgraph.Spec
-	// Free lists the answer variables; FnVar is the functional one among
-	// them (NoVar if the answer tuples are purely non-functional).
-	Free  []symbols.VarID
-	FnVar symbols.VarID
-
-	be Backend
-
-	dataFree []symbols.VarID // Free minus FnVar, in order
-	// perRep[rep] holds the data-variable bindings of answers whose
-	// functional component falls in rep's cluster. For queries without a
-	// functional variable everything is keyed under term.None.
-	perRep map[term.Term][]facts.TupleID
-	seen   map[repTuple]bool
-	// mu, when set via Guard, is held by the methods that intern into the
-	// shared universe or world (Contains, Enumerate, Dump).
-	mu *sync.Mutex
-}
-
-// Guard installs mu as the lock protecting the specification's shared
-// universe and world. core.Database passes its own mutex for answers on the
-// live specification; for answers on a frozen snapshot it passes a fresh
-// mutex serializing the query-local scratch overlays. Answers built
-// directly by Incremental/Recompute have no guard and are single-goroutine.
-func (a *Answers) Guard(mu *sync.Mutex) { a.mu = mu }
-
-func (a *Answers) lock() {
-	if a.mu != nil {
-		a.mu.Lock()
-	}
-}
-
-func (a *Answers) unlock() {
-	if a.mu != nil {
-		a.mu.Unlock()
-	}
-}
-
-type repTuple struct {
-	rep term.Term
-	tu  facts.TupleID
-}
-
-func newAnswers(q *ast.Query, be Backend) *Answers {
-	a := &Answers{
-		Query:  q,
-		be:     be,
-		Free:   q.Free,
-		FnVar:  symbols.NoVar,
-		perRep: make(map[term.Term][]facts.TupleID),
-		seen:   make(map[repTuple]bool),
-	}
-	if sp, ok := be.(*specgraph.Spec); ok {
-		a.Spec = sp
-	}
-	if v, ok := FunctionalVar(q); ok {
-		for _, f := range q.Free {
-			if f == v {
-				a.FnVar = v
-			}
-		}
-	}
-	for _, f := range q.Free {
-		if f != a.FnVar {
-			a.dataFree = append(a.dataFree, f)
-		}
-	}
-	return a
-}
-
-func (a *Answers) add(rep term.Term, tu facts.TupleID) {
-	key := repTuple{rep, tu}
-	if a.seen[key] {
-		return
-	}
-	a.seen[key] = true
-	a.perRep[rep] = append(a.perRep[rep], tu)
-}
-
 // answerTupleBytes is the metered answer-arena cost of one accumulated
-// answer tuple: a seen-set entry plus a perRep slice slot.
+// answer tuple.
 const answerTupleBytes = 48
 
 // chargeAnswers bills n newly accumulated answer tuples against the work
@@ -208,123 +123,146 @@ func chargeAnswers(ctx context.Context, n int) error {
 	return obs.BudgetFrom(ctx).AddBytes(int64(n) * answerTupleBytes)
 }
 
-// Incremental evaluates a uniform query against each slice of the primary
-// database (Theorem 5.1). The successor mappings of the underlying
-// specification are reused unchanged.
-func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
-	return IncrementalContext(context.Background(), sp, q)
-}
-
-// IncrementalContext is Incremental against an arbitrary backend, checking
-// ctx between representative evaluations.
-func IncrementalContext(ctx context.Context, be Backend, q *ast.Query) (*Answers, error) {
+// Evaluate computes the answer specification of a uniform query by
+// evaluating it against each slice of the primary database (Theorem 5.1).
+// The successor mappings are reused unchanged: tab is the backend's own
+// table (NewTable), which any number of specifications may share. ctx is
+// checked between representatives.
+func Evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Specification, error) {
 	if !IsUniform(q) {
 		return nil, fmt.Errorf("query: %s is not uniform; use Recompute", q.Format(be.Names()))
 	}
-	a := newAnswers(q, be)
-	fnVar, hasFn := FunctionalVar(q)
-	freeFn := a.FnVar != symbols.NoVar
-
-	eval := func(rep term.Term) error {
-		var b subst.Binding
-		if hasFn {
-			b.BindTerm(fnVar, rep)
-		}
-		return a.matchConj(q.Atoms, 0, &b, func(b *subst.Binding) {
-			key := term.None
-			if freeFn {
-				key = rep
-			}
-			a.add(key, a.dataTuple(b))
-		})
-	}
-	if hasFn {
-		// An existential functional variable still ranges over every
-		// cluster: one evaluation per representative covers all terms.
-		prev := 0
-		for _, rep := range be.RepTerms() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := eval(rep); err != nil {
-				return nil, err
-			}
-			if err := chargeAnswers(ctx, len(a.seen)-prev); err != nil {
-				return nil, err
-			}
-			prev = len(a.seen)
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := eval(term.None); err != nil {
-			return nil, err
-		}
-		if err := chargeAnswers(ctx, len(a.seen)); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return evaluate(ctx, be, tab, q)
 }
 
-// dataTuple interns the bindings of the non-functional free variables.
-func (a *Answers) dataTuple(b *subst.Binding) facts.TupleID {
-	consts := make([]symbols.ConstID, len(a.dataFree))
-	for i, v := range a.dataFree {
-		c, _ := b.Const(v)
-		consts[i] = c
+// evaluation joins the atoms of one uniform query against a backend,
+// collecting the bindings of the free data variables per representative.
+type evaluation struct {
+	be   Backend
+	w    facts.WorldView
+	tab  *Table
+	reps []term.Term
+	cur  int32 // the state the functional variable is bound to
+
+	dataFree []symbols.VarID
+	args     []symbols.ConstID   // collected tuples, len(dataFree) each
+	seen     map[string]struct{} // tuples already collected at the current key
+	key      []byte
+}
+
+func evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Specification, error) {
+	s := &Specification{q: q, names: be.Names(), tab: tab}
+	fnVar, hasFn := FunctionalVar(q)
+	ev := &evaluation{be: be, w: be.Facts(), tab: tab, reps: be.RepTerms(), seen: make(map[string]struct{})}
+	for _, v := range q.Free {
+		if hasFn && v == fnVar {
+			s.fn = true
+		} else {
+			ev.dataFree = append(ev.dataFree, v)
+		}
 	}
-	return a.be.Facts().Tuple(consts)
+	s.arity = len(ev.dataFree)
+
+	var b subst.Binding
+	run := func(state int32) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		before := len(ev.seen)
+		ev.cur = state
+		b.Reset()
+		if err := ev.matchConj(q.Atoms, 0, &b); err != nil {
+			return err
+		}
+		return chargeAnswers(ctx, len(ev.seen)-before)
+	}
+	switch {
+	case s.fn:
+		// One tuple list per representative, in precedence order.
+		s.off = make([]int32, 1, tab.NumStates()+1)
+		for i := range ev.reps {
+			clear(ev.seen)
+			if err := run(int32(i)); err != nil {
+				return nil, err
+			}
+			s.off = append(s.off, int32(len(ev.seen))+s.off[i])
+		}
+	case hasFn:
+		// An existential functional variable still ranges over every
+		// cluster: one evaluation per representative covers all terms.
+		for i := range ev.reps {
+			if err := run(int32(i)); err != nil {
+				return nil, err
+			}
+		}
+		s.off = []int32{0, int32(len(ev.seen))}
+	default:
+		if err := run(tab.root); err != nil {
+			return nil, err
+		}
+		s.off = []int32{0, int32(len(ev.seen))}
+	}
+	s.args = append([]symbols.ConstID(nil), ev.args...) // kept for the snapshot's life: no spare capacity
+	if s.fn {
+		s.dist = tab.distances(s.off)
+	}
+	return s, nil
+}
+
+// collect records the binding of the free data variables under b, once per
+// key (a representative, or the whole answer when it has no functional
+// component), in first-derivation order.
+func (ev *evaluation) collect(b *subst.Binding) {
+	n := len(ev.args)
+	ev.key = ev.key[:0]
+	for _, v := range ev.dataFree {
+		c, _ := b.Const(v)
+		ev.args = append(ev.args, c)
+		ev.key = binary.LittleEndian.AppendUint32(ev.key, uint32(c))
+	}
+	if _, dup := ev.seen[string(ev.key)]; dup {
+		ev.args = ev.args[:n]
+		return
+	}
+	ev.seen[string(ev.key)] = struct{}{}
 }
 
 // matchConj joins the query atoms against the specification under b.
-func (a *Answers) matchConj(atoms []ast.Atom, i int, b *subst.Binding, yield func(*subst.Binding)) error {
+func (ev *evaluation) matchConj(atoms []ast.Atom, i int, b *subst.Binding) error {
 	if i == len(atoms) {
-		yield(b)
+		ev.collect(b)
 		return nil
 	}
 	at := &atoms[i]
-	w := a.be.Facts()
-	if at.FT == nil {
+	var slice []facts.AtomID
+	switch {
+	case at.FT == nil:
 		// Non-functional atom: read the global facts.
-		for _, f := range a.be.GlobalByPred(at.Pred) {
-			nc, nt := b.Mark()
-			if matchTuple(w, at.Args, f, b) {
-				if err := a.matchConj(atoms, i+1, b, yield); err != nil {
-					return err
-				}
+		slice = ev.be.GlobalByPred(at.Pred)
+	case at.FT.IsGround():
+		// Ground functional term: run the DFA on its symbols.
+		state := ev.tab.root
+		for _, app := range at.FT.Apps {
+			if len(app.Args) != 0 {
+				return fmt.Errorf("query: mixed ground term in query; eliminate first")
 			}
-			b.Undo(nc, nt)
+			next, err := ev.tab.step(state, app.Fn)
+			if err != nil {
+				return err
+			}
+			state = next
 		}
-		return nil
+		slice = ev.be.RepStateAtoms(ev.reps[state])
+	default:
+		slice = ev.be.RepStateAtoms(ev.reps[ev.cur])
 	}
-	// Functional atom: resolve the term to a representative slice.
-	var rep term.Term
-	if at.FT.IsGround() {
-		t, ok := subst.GroundFTerm(a.be.Terms(), at.FT)
-		if !ok {
-			return fmt.Errorf("query: mixed ground term in query; eliminate first")
-		}
-		r, err := a.be.Representative(t)
-		if err != nil {
-			return err
-		}
-		rep = r
-	} else {
-		t, ok := b.Term(at.FT.Base)
-		if !ok {
-			return fmt.Errorf("query: unbound functional variable")
-		}
-		rep = t
-	}
-	for _, f := range a.be.RepStateAtoms(rep) {
-		if w.AtomPred(f) != at.Pred {
+	for _, f := range slice {
+		if ev.w.AtomPred(f) != at.Pred {
 			continue
 		}
 		nc, nt := b.Mark()
-		if matchTuple(w, at.Args, f, b) {
-			if err := a.matchConj(atoms, i+1, b, yield); err != nil {
+		if matchTuple(ev.w, at.Args, f, b) {
+			if err := ev.matchConj(atoms, i+1, b); err != nil {
 				return err
 			}
 		}
@@ -346,240 +284,99 @@ func matchTuple(w facts.WorldView, pats []ast.DTerm, f facts.AtomID, b *subst.Bi
 	return true
 }
 
-// Recompute adds a QUERY rule for q to the original program and builds the
-// specification of the enlarged program. It handles arbitrary functional
-// queries, including non-uniform ones.
-func Recompute(prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
-	return RecomputeContext(context.Background(), prog, q, engOpts, specOpts)
+// Compile computes the answer specification of an arbitrary functional
+// query, non-uniform ones included, by the paper's general method: a QUERY
+// rule for q is added to prog, the enlarged program's specification is
+// built, and its successor mappings and QUERY slices are extracted into a
+// specification of their own — the enlarged program's engine, universe and
+// world are garbage when Compile returns. prog's symbol table must be a
+// private clone of base (it gains the QUERY predicate and whatever
+// preparation derives); the result names through base plus the few symbols
+// an answer could mention that base lacks. The fixpoint engine and
+// Algorithm Q run under ctx and its work budget.
+func Compile(ctx context.Context, prog *ast.Program, base *symbols.Table, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Specification, error) {
+	s, _, err := recompute(ctx, prog, q, engOpts, specOpts)
+	if err != nil {
+		return nil, err
+	}
+	s.names = prog.Tab.Overlay(base)
+	s.private = true
+	return s, nil
 }
 
-// RecomputeContext is Recompute with cancellation: the fixpoint engine
-// checks ctx between rounds and the whole evaluation aborts with the
-// context's error.
-func RecomputeContext(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
+// recompute builds the specification of prog enlarged by a QUERY rule for q
+// and reads the answer off it: the QUERY atom, evaluated as a uniform query
+// against the enlarged specification.
+func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Specification, *specgraph.Spec, error) {
 	ctx, csp := obs.StartSpan(ctx, "compile")
 	defer csp.End()
 	enlarged := prog.Clone()
 	fnVar, hasFn := FunctionalVar(q)
-	freeFn := false
-	if hasFn {
-		for _, v := range q.Free {
-			if v == fnVar {
-				freeFn = true
-			}
-		}
-	}
-
 	var head ast.Atom
-	var dataFree []symbols.VarID
+	nData := len(q.Free)
 	for _, v := range q.Free {
-		if !hasFn || v != fnVar {
-			dataFree = append(dataFree, v)
+		if hasFn && v == fnVar {
+			head.FT = ast.FVar(fnVar)
+			nData--
+		} else {
+			head.Args = append(head.Args, ast.V(v))
 		}
 	}
-	if freeFn {
-		p := enlarged.Tab.FreshPred("QUERY", len(dataFree), true)
-		head = ast.Atom{Pred: p, FT: ast.FVar(fnVar)}
-	} else {
-		p := enlarged.Tab.FreshPred("QUERY", len(dataFree), false)
-		head = ast.Atom{Pred: p}
-	}
-	for _, v := range dataFree {
-		head.Args = append(head.Args, ast.V(v))
-	}
+	head.Pred = enlarged.Tab.FreshPred("QUERY", nData, head.FT != nil)
 	rule := ast.Rule{Head: head, Body: q.Atoms}
 	if !rule.IsRangeRestricted() {
-		return nil, ErrUnsafeQuery
+		return nil, nil, ErrUnsafeQuery
 	}
 	enlarged.Rules = append(enlarged.Rules, rule)
 
 	prep, err := rewrite.Prepare(enlarged)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng, err := engine.New(prep, term.NewUniverse(), facts.NewWorld(), engOpts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng.SetContext(ctx)
 	sp, err := specgraph.Build(eng, specOpts)
 	if err != nil {
+		return nil, nil, err
+	}
+	tab, err := NewTable(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := evaluate(ctx, sp, tab, &ast.Query{Atoms: []ast.Atom{head}, Free: q.Free})
+	if err != nil {
+		return nil, nil, err
+	}
+	s.q = q
+	return s, sp, nil
+}
+
+// Incremental evaluates a uniform query against a live specification and
+// returns a handle on the answer; terms it yields are interned in the
+// specification's own universe. Single-goroutine, like the specification.
+func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
+	tab, err := NewTable(sp)
+	if err != nil {
 		return nil, err
 	}
-
-	a := newAnswers(q, sp)
-	w := sp.W
-	if freeFn {
-		for _, rep := range sp.Reps {
-			st := sp.StateOfRep(rep)
-			for _, f := range w.StateAtoms(st) {
-				if w.AtomPred(f) == head.Pred {
-					a.add(rep, w.AtomTuple(f))
-				}
-			}
-		}
-	} else {
-		for _, f := range eng.Global().ByPred(head.Pred) {
-			a.add(term.None, w.AtomTuple(f))
-		}
-	}
-	if err := chargeAnswers(ctx, len(a.seen)); err != nil {
+	s, err := Evaluate(context.Background(), sp, tab, q)
+	if err != nil {
 		return nil, err
 	}
-	return a, nil
+	return &Answers{Spec: sp, spec: s, view: sp.U}, nil
 }
 
-// HasFunctionalAnswers reports whether answer tuples carry a functional
-// component.
-func (a *Answers) HasFunctionalAnswers() bool { return a.FnVar != symbols.NoVar }
-
-// Contains decides whether the ground tuple (ft, dataArgs) — dataArgs in
-// the order of the non-functional free variables — belongs to the answer.
-// For answers without a functional component pass term.None.
-func (a *Answers) Contains(ft term.Term, dataArgs []symbols.ConstID) (bool, error) {
-	a.lock()
-	defer a.unlock()
-	tu := a.be.Facts().Tuple(dataArgs)
-	key := term.None
-	if a.HasFunctionalAnswers() {
-		rep, err := a.be.Representative(ft)
-		if err != nil {
-			return false, err
-		}
-		key = rep
+// Recompute adds a QUERY rule for q to the original program and builds the
+// specification of the enlarged program, which the returned handle keeps
+// (Answers.Spec). It handles arbitrary functional queries, including
+// non-uniform ones.
+func Recompute(prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
+	s, sp, err := recompute(context.Background(), prog, q, engOpts, specOpts)
+	if err != nil {
+		return nil, err
 	}
-	return a.seen[repTuple{key, tu}], nil
-}
-
-// IsEmpty reports whether the answer set is empty.
-func (a *Answers) IsEmpty() bool { return len(a.seen) == 0 }
-
-// TuplesAt returns the data tuples whose functional component falls in
-// rep's cluster.
-func (a *Answers) TuplesAt(rep term.Term) []facts.TupleID { return a.perRep[rep] }
-
-// TermString renders a functional answer component yielded by Enumerate.
-// It takes no lock: call it from inside an Enumerate callback (which holds
-// the answer's guard) or from single-goroutine code.
-func (a *Answers) TermString(t term.Term) string {
-	return a.be.Terms().String(t, a.be.Names())
-}
-
-// CompactTermString renders a functional answer component in the paper's
-// compact notation. Locking contract as TermString.
-func (a *Answers) CompactTermString(t term.Term) string {
-	return a.be.Terms().CompactString(t, a.be.Names())
-}
-
-// ConstName renders a data constant of an answer tuple. Locking contract
-// as TermString.
-func (a *Answers) ConstName(c symbols.ConstID) string { return a.be.Names().ConstName(c) }
-
-// TermSymbols returns the function symbols of a functional answer
-// component, innermost-first. Locking contract as TermString.
-func (a *Answers) TermSymbols(t term.Term) []symbols.FuncID { return a.be.Terms().Symbols(t) }
-
-// FuncName renders a function symbol of an answer term. Locking contract
-// as TermString.
-func (a *Answers) FuncName(f symbols.FuncID) string { return a.be.Names().FuncName(f) }
-
-// Enumerate yields ground answers with functional components of depth at
-// most maxDepth, in precedence order of the functional component. For
-// purely non-functional answers it yields each tuple once with term.None.
-// It stops early when yield returns false.
-func (a *Answers) Enumerate(maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
-	return a.EnumerateContext(context.Background(), maxDepth, yield)
-}
-
-// EnumerateContext is Enumerate with cancellation, checked once per term
-// depth level.
-func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
-	a.lock()
-	defer a.unlock()
-	w := a.be.Facts()
-	if !a.HasFunctionalAnswers() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, tu := range a.perRep[term.None] {
-			if !yield(term.None, w.TupleArgs(tu)) {
-				return nil
-			}
-		}
-		return nil
-	}
-	u := a.be.Terms()
-	level := []term.Term{term.Zero}
-	for d := 0; d <= maxDepth; d++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, t := range level {
-			rep, err := a.be.Representative(t)
-			if err != nil {
-				return err
-			}
-			for _, tu := range a.perRep[rep] {
-				if !yield(t, w.TupleArgs(tu)) {
-					return nil
-				}
-			}
-		}
-		if d == maxDepth {
-			break
-		}
-		var next []term.Term
-		for _, t := range level {
-			for _, f := range a.be.AlphabetFns() {
-				next = append(next, u.Apply(f, t))
-			}
-		}
-		level = next
-	}
-	return nil
-}
-
-// Dump renders the answer specification: the QUERY extension per
-// representative (the incremental primary database Q(B)).
-func (a *Answers) Dump() string {
-	a.lock()
-	defer a.unlock()
-	tab := a.be.Names()
-	u := a.be.Terms()
-	w := a.be.Facts()
-	var b strings.Builder
-	fmt.Fprintf(&b, "answer specification for %s\n", a.Query.Format(tab))
-	if !a.HasFunctionalAnswers() {
-		for _, tu := range a.perRep[term.None] {
-			b.WriteString("  QUERY(")
-			writeArgs(&b, w, tab, tu)
-			b.WriteString(")\n")
-		}
-		return b.String()
-	}
-	reps := make([]term.Term, 0, len(a.perRep))
-	for r := range a.perRep {
-		reps = append(reps, r)
-	}
-	sort.Slice(reps, func(i, j int) bool { return u.Compare(reps[i], reps[j]) < 0 })
-	for _, r := range reps {
-		for _, tu := range a.perRep[r] {
-			fmt.Fprintf(&b, "  QUERY(%s", u.CompactString(r, tab))
-			if len(w.TupleArgs(tu)) > 0 {
-				b.WriteString(", ")
-				writeArgs(&b, w, tab, tu)
-			}
-			b.WriteString(")\n")
-		}
-	}
-	return b.String()
-}
-
-func writeArgs(b *strings.Builder, w facts.WorldView, tab symbols.Namer, tu facts.TupleID) {
-	for i, c := range w.TupleArgs(tu) {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(tab.ConstName(c))
-	}
+	return &Answers{Spec: sp, spec: s, view: sp.U}, nil
 }

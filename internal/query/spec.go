@@ -1,0 +1,396 @@
+package query
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+
+	"funcdb/internal/ast"
+	"funcdb/internal/specgraph"
+	"funcdb/internal/symbols"
+	"funcdb/internal/term"
+)
+
+// Table is a specification's successor mappings T lowered onto one flat
+// array over representative indices: state i is RepTerms()[i], so the
+// states are in precedence order. It is keyed on representatives, not on
+// the classes of the minimised automaton, because a query may name a
+// normalisation helper predicate, which the minimised quotient does not
+// preserve. Immutable once built.
+type Table struct {
+	alphabet []symbols.FuncID // ascending
+	trans    []int32          // state*len(alphabet)+symbol index -> state
+	root     int32            // the state of the term 0
+	// The representative of state i is alphabet[via[i]] applied to the
+	// representative of state parent[i] (a representative's subterm is one
+	// too); -1 at the root.
+	parent, via []int32
+}
+
+// NewTable lowers the successor mappings of be.
+func NewTable(be Backend) (*Table, error) {
+	reps, alphabet := be.RepTerms(), be.AlphabetFns()
+	index := make(map[term.Term]int32, len(reps))
+	for i, r := range reps {
+		index[r] = int32(i)
+	}
+	k := len(alphabet)
+	t := &Table{
+		alphabet: alphabet,
+		trans:    make([]int32, len(reps)*k),
+		parent:   make([]int32, len(reps)),
+		via:      make([]int32, len(reps)),
+	}
+	root, ok := index[term.Zero]
+	if !ok {
+		return nil, fmt.Errorf("query: the specification has no representative for 0")
+	}
+	t.root = root
+	u := be.Terms()
+	for i, r := range reps {
+		for j, f := range alphabet {
+			next, ok := be.Successor(r, f)
+			if ok {
+				t.trans[i*k+j], ok = index[next]
+			}
+			if !ok {
+				return nil, fmt.Errorf("query: the specification has no successor of representative %d under symbol %v", i, f)
+			}
+		}
+		t.parent[i], t.via[i] = -1, -1
+		if r == term.Zero {
+			continue
+		}
+		p, okp := index[u.Child(r)]
+		v, okv := t.symIndex(u.Top(r))
+		if !okp || !okv {
+			return nil, fmt.Errorf("query: representative %d is not built from a representative", i)
+		}
+		t.parent[i], t.via[i] = p, int32(v)
+	}
+	return t, nil
+}
+
+// NumStates returns the number of representatives.
+func (t *Table) NumStates() int { return len(t.parent) }
+
+// Bytes estimates what the table retains.
+func (t *Table) Bytes() int { return 96 + 4*(len(t.alphabet)+len(t.trans)+2*len(t.parent)) }
+
+func (t *Table) symIndex(f symbols.FuncID) (int, bool) {
+	i := sort.Search(len(t.alphabet), func(i int) bool { return t.alphabet[i] >= f })
+	return i, i < len(t.alphabet) && t.alphabet[i] == f
+}
+
+// step returns the successor of state under f.
+func (t *Table) step(state int32, f symbols.FuncID) (int32, error) {
+	j, ok := t.symIndex(f)
+	if !ok {
+		return 0, fmt.Errorf("query: symbol %v is not in the specification's alphabet", f)
+	}
+	return t.trans[int(state)*len(t.alphabet)+j], nil
+}
+
+// unreachable is the distance of a state no answer can be reached from.
+const unreachable = math.MaxInt32
+
+// distances returns, per state, the number of applications to the nearest
+// state carrying an answer tuple (off[s] < off[s+1]): one breadth-first
+// search over the reversed successor edges, from all such states at once.
+func (t *Table) distances(off []int32) []int32 {
+	n, k := t.NumStates(), len(t.alphabet)
+	// Reversed edges in compressed rows: the sources of the edges into
+	// state s are src[start[s]:start[s+1]].
+	start := make([]int32, n+1)
+	for _, to := range t.trans {
+		start[to+1]++
+	}
+	for s := 0; s < n; s++ {
+		start[s+1] += start[s]
+	}
+	src := make([]int32, len(t.trans))
+	fill := append([]int32(nil), start[:n]...)
+	for e, to := range t.trans {
+		src[fill[to]] = int32(e / k)
+		fill[to]++
+	}
+	dist := make([]int32, n)
+	queue := fill[:0] // fill is spent; reuse it
+	for s := range dist {
+		if off[s] < off[s+1] {
+			queue = append(queue, int32(s))
+		} else {
+			dist[s] = unreachable
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		s := queue[i]
+		for _, from := range src[start[s]:start[s+1]] {
+			if dist[from] == unreachable {
+				dist[from] = dist[s] + 1
+				queue = append(queue, from)
+			}
+		}
+	}
+	return dist
+}
+
+// Specification is the finite relational specification (Q(B), T) of one
+// query's (possibly infinite) answer: per representative, the answer's data
+// tuples as constants, over a successor table. It is immutable — computed
+// once per query and snapshot and then only read, by any number of Answers
+// handles at once.
+type Specification struct {
+	q     *ast.Query
+	names symbols.Namer
+	tab   *Table
+	// fn: the answer tuples carry a functional component, and off indexes
+	// the table's states. Otherwise every tuple sits under one key, off is
+	// {0, n}, and dist is nil.
+	fn bool
+	// The tuples of key s are number off[s] to off[s+1] (exclusive), in
+	// first-derivation order; tuple i is args[i*arity:(i+1)*arity], the
+	// bindings of the non-functional free variables in their order.
+	arity int
+	off   []int32
+	args  []symbols.ConstID
+	// dist[s] is the number of applications from state s to the nearest
+	// state with a tuple, or unreachable: what lets enumeration skip every
+	// subtree that holds no answer.
+	dist []int32
+	// private: tab belongs to this specification alone (Compile).
+	private bool
+}
+
+// Bytes estimates what the specification retains beyond a shared table.
+func (s *Specification) Bytes() int {
+	n := 160 + 4*(len(s.off)+len(s.args)+len(s.dist))
+	if s.private {
+		n += s.tab.Bytes()
+	}
+	return n
+}
+
+// IsEmpty reports whether the answer set is empty.
+func (s *Specification) IsEmpty() bool { return s.off[len(s.off)-1] == 0 }
+
+// tuple returns the data constants of tuple i.
+func (s *Specification) tuple(i int32) []symbols.ConstID {
+	lo := int(i) * s.arity
+	return s.args[lo : lo+s.arity : lo+s.arity]
+}
+
+// Answers returns a handle for one goroutine's membership tests and
+// enumerations on the specification of a frozen snapshot: terms it yields
+// are interned in a private arena over base, created on first use.
+func (s *Specification) Answers(base *term.Universe) *Answers {
+	return &Answers{spec: s, base: base}
+}
+
+// Answers is one reader's handle on a query's answer specification. The
+// specification is shared; the handle owns the term arena that yielded
+// terms live in, so it is single-goroutine, and any number of handles on
+// one specification work at once with no lock between them.
+type Answers struct {
+	// Spec is the underlying live graph specification, when the answer was
+	// built against one (Incremental, Recompute); answers on a frozen
+	// snapshot leave it nil.
+	Spec *specgraph.Spec
+
+	spec *Specification
+	view term.View      // where yielded terms are interned
+	base *term.Universe // frozen: view is an arena over base, made on first use
+}
+
+func (a *Answers) terms() term.View {
+	if a.view == nil {
+		a.view = term.NewScratch(a.base)
+	}
+	return a.view
+}
+
+// HasFunctionalAnswers reports whether answer tuples carry a functional
+// component.
+func (a *Answers) HasFunctionalAnswers() bool { return a.spec.fn }
+
+// IsEmpty reports whether the answer set is empty.
+func (a *Answers) IsEmpty() bool { return a.spec.IsEmpty() }
+
+// key returns the state ft's tuples are listed under: the DFA run on its
+// symbols, or the single key of an answer with no functional component.
+func (a *Answers) key(ft term.Term) (int32, error) {
+	if !a.spec.fn {
+		return 0, nil
+	}
+	state := a.spec.tab.root
+	for _, f := range a.terms().Symbols(ft) {
+		next, err := a.spec.tab.step(state, f)
+		if err != nil {
+			return 0, err
+		}
+		state = next
+	}
+	return state, nil
+}
+
+// Contains decides whether the ground tuple (ft, dataArgs) — dataArgs in
+// the order of the non-functional free variables — belongs to the answer.
+// For answers without a functional component pass term.None.
+func (a *Answers) Contains(ft term.Term, dataArgs []symbols.ConstID) (bool, error) {
+	s := a.spec
+	key, err := a.key(ft)
+	if err != nil || len(dataArgs) != s.arity {
+		return false, err
+	}
+next:
+	for i := s.off[key]; i < s.off[key+1]; i++ {
+		for j, c := range s.tuple(i) {
+			if c != dataArgs[j] {
+				continue next
+			}
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// TermString renders a functional answer component yielded by Enumerate.
+func (a *Answers) TermString(t term.Term) string {
+	return a.terms().String(t, a.spec.names)
+}
+
+// CompactTermString renders a functional answer component in the paper's
+// compact notation.
+func (a *Answers) CompactTermString(t term.Term) string {
+	return a.terms().CompactString(t, a.spec.names)
+}
+
+// ConstName renders a data constant of an answer tuple.
+func (a *Answers) ConstName(c symbols.ConstID) string { return a.spec.names.ConstName(c) }
+
+// TermSymbols returns the function symbols of a functional answer
+// component, innermost-first.
+func (a *Answers) TermSymbols(t term.Term) []symbols.FuncID { return a.terms().Symbols(t) }
+
+// FuncName renders a function symbol of an answer term.
+func (a *Answers) FuncName(f symbols.FuncID) string { return a.spec.names.FuncName(f) }
+
+// Enumerate yields ground answers with functional components of depth at
+// most maxDepth, in precedence order of the functional component. For
+// purely non-functional answers it yields each tuple once with term.None.
+// It stops early when yield returns false. The dataArgs slice is the
+// specification's own: read it, do not keep or change it.
+func (a *Answers) Enumerate(maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
+	return a.EnumerateContext(context.Background(), maxDepth, yield)
+}
+
+// pollEvery is how many enumeration steps (a term visited, or one of its
+// successors examined) pass between looks at the context.
+const pollEvery = 1024
+
+// EnumerateContext is Enumerate with cancellation. It walks the successor
+// table breadth-first over (term, state) pairs, never entering a subtree
+// whose nearest answer lies deeper than the depth that remains: the cost
+// is the live terms times the alphabet, not alphabet^maxDepth, and it holds
+// one level of live terms at a time.
+func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s := a.spec
+	if !s.fn {
+		for i := s.off[0]; i < s.off[1]; i++ {
+			if !yield(term.None, s.tuple(i)) {
+				return nil
+			}
+		}
+		return nil
+	}
+	type node struct {
+		t     term.Term
+		state int32
+	}
+	tab, k := s.tab, len(s.tab.alphabet)
+	var level, next []node
+	if int(s.dist[tab.root]) <= maxDepth {
+		level = append(level, node{term.Zero, tab.root})
+	}
+	u := a.terms()
+	steps := 0
+	for depth := 0; len(level) > 0; depth++ {
+		below := maxDepth - depth - 1 // applications left under a child
+		next = next[:0]
+		for _, n := range level {
+			if steps += 1 + k; steps >= pollEvery {
+				steps = 0
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			for i := s.off[n.state]; i < s.off[n.state+1]; i++ {
+				if !yield(n.t, s.tuple(i)) {
+					return nil
+				}
+			}
+			row := int(n.state) * k
+			for j, to := range tab.trans[row : row+k] {
+				if int(s.dist[to]) <= below {
+					next = append(next, node{u.Apply(tab.alphabet[j], n.t), to})
+				}
+			}
+		}
+		level, next = next, level
+	}
+	return nil
+}
+
+// Dump renders the answer specification: the QUERY extension per
+// representative (the incremental primary database Q(B)).
+func (a *Answers) Dump() string {
+	s := a.spec
+	var b strings.Builder
+	fmt.Fprintf(&b, "answer specification for %s\n", s.q.Format(s.names))
+	writeArgs := func(i int32) {
+		for j, c := range s.tuple(i) {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(s.names.ConstName(c))
+		}
+	}
+	if !s.fn {
+		for i := s.off[0]; i < s.off[1]; i++ {
+			b.WriteString("  QUERY(")
+			writeArgs(i)
+			b.WriteString(")\n")
+		}
+		return b.String()
+	}
+	u := a.terms()
+	for state := range s.tab.parent {
+		if s.off[state] == s.off[state+1] {
+			continue
+		}
+		// The representative: its symbols, outermost first, up the parent
+		// chain; interned innermost first.
+		var syms []symbols.FuncID
+		for p := int32(state); s.tab.parent[p] >= 0; p = s.tab.parent[p] {
+			syms = append(syms, s.tab.alphabet[s.tab.via[p]])
+		}
+		rep := term.Zero
+		for j := len(syms) - 1; j >= 0; j-- {
+			rep = u.Apply(syms[j], rep)
+		}
+		for i := s.off[state]; i < s.off[state+1]; i++ {
+			fmt.Fprintf(&b, "  QUERY(%s", u.CompactString(rep, s.names))
+			if s.arity > 0 {
+				b.WriteString(", ")
+				writeArgs(i)
+			}
+			b.WriteString(")\n")
+		}
+	}
+	return b.String()
+}

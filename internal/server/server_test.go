@@ -639,6 +639,49 @@ func TestTraceBlock(t *testing.T) {
 	}
 }
 
+// TestAnswerSpecIsVisible: a traced answers request shows whether it
+// computed the query's answer specification (the stages of the build) or
+// read the one already on the plan (a zero-length answer_spec_hit span), and
+// /metrics counts both next to the plan cache's pair.
+func TestAnswerSpecIsVisible(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ query, built string }{
+		{"?- Even(T).", "answers_incremental"},
+		{"?- Even(T+2).", "compile"},
+	} {
+		for i, want := range []string{tc.built, "answer_spec_hit"} {
+			code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/answers",
+				map[string]any{"query": tc.query, "trace": true, "depth": 3})
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %v", tc.query, code, body)
+			}
+			spans, _ := traceReport(t, body)
+			names := spanNames(spans)
+			if names[want] != 1 || names["enumerate"] != 1 {
+				t.Errorf("%s, request %d: want one %q span and one enumerate span; have %v", tc.query, i+1, want, names)
+			}
+			if i == 1 && names[tc.built]+names["algoq"] != 0 {
+				t.Errorf("%s: the second request built again: %v", tc.query, names)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, family := range []string{"funcdb_engine_answer_spec_builds_total", "funcdb_engine_answer_spec_hits_total"} {
+		// The sink is the process's: other tests add to it, none takes away.
+		var n int
+		if i := strings.Index(string(raw), "\n"+family+" "); i < 0 {
+			t.Errorf("/metrics has no %s", family)
+		} else if fmt.Sscan(string(raw)[i+len(family)+2:], &n); n < 2 {
+			t.Errorf("%s = %d after two builds and two hits", family, n)
+		}
+	}
+}
+
 // TestReadyzEnvelope: a failing readiness probe must use the standard
 // error envelope and count in funcdbd_errors_total.
 func TestReadyzEnvelope(t *testing.T) {

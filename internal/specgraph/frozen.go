@@ -88,6 +88,12 @@ func (f *Frozen) Representative(v term.View, t term.Term) (term.Term, error) {
 	return cur, nil
 }
 
+// Successor returns the representative of fn applied to the cluster of rep.
+func (f *Frozen) Successor(rep term.Term, fn symbols.FuncID) (term.Term, bool) {
+	t, ok := f.succ[edgeKey{rep, fn}]
+	return t, ok
+}
+
 // StateOfRep returns the interned state of a representative.
 func (f *Frozen) StateOfRep(rep term.Term) facts.StateID { return f.state[rep] }
 

@@ -275,9 +275,28 @@ func (s *Scratch) AppendTo(t *Table) {
 
 // Thaw returns a fresh mutable Table containing the frozen base plus every
 // scratch-local symbol, with identical identifiers. Private recompilation
-// (query.Recompute against a snapshot) runs over a thawed table.
+// (query.Compile against a snapshot) runs over a thawed table.
 func (s *Scratch) Thaw() *Table {
 	t := s.base.Clone()
 	s.AppendTo(t)
 	return t
+}
+
+// Overlay is the way back from a private recompilation: a Namer for every
+// function symbol and constant of t — the symbols a ground answer is made
+// of — that shares base and holds only what t gained since it was cloned
+// from it, so t itself can be dropped. When t gained none it is base.
+// Predicates and variables beyond base are not carried over.
+func (t *Table) Overlay(base *Table) Namer {
+	if len(t.funcs) == len(base.funcs) && len(t.consts) == len(base.consts) {
+		return base
+	}
+	s := NewScratch(base)
+	s.funcs = append(s.funcs, t.funcs[len(base.funcs):]...)
+	s.funcByKey = make(map[funcKey]FuncID, len(s.funcs))
+	for i, info := range s.funcs {
+		s.funcByKey[funcKey{info.Name, info.DataArity}] = FuncID(len(base.funcs) + i)
+	}
+	s.consts = append(s.consts, t.consts[len(base.consts):]...)
+	return s
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/obs"
 	"funcdb/internal/registry"
 )
 
@@ -306,5 +307,42 @@ func TestHubCloseEndsStreams(t *testing.T) {
 	}
 	if st.Reason() != ReasonClosed {
 		t.Fatalf("close reason = %q, want %q", st.Reason(), ReasonClosed)
+	}
+}
+
+// TestStreamsShareOneAnswerSpecification: eight streams on one query shape
+// evaluate through one plan, so a version bump costs one build of the
+// answer specification — the first stream's — and seven reads of it.
+func TestStreamsShareOneAnswerSpecification(t *testing.T) {
+	reg, h := newHub(t, Options{})
+	mustPut(t, reg, "even", "Even(0).\nEven(T) -> Even(T+2).\nSeen(a).")
+	builds := func() int64 { return obs.EngineSink().Counters()["answer_spec_builds_total"] }
+	var streams []*Stream
+	for i := 0; i < 8; i++ {
+		// Spelling variants of one shape, uniform and not.
+		src := "?- Even(T+2)."
+		if i%2 == 1 {
+			src = "?-  Even( U+2 )."
+		}
+		st, err := h.Subscribe("even", src, 8, 0)
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		streams = append(streams, st)
+	}
+	for _, st := range streams {
+		if f := nextFrame(t, st); f.Type != FrameInit || len(f.Add) == 0 {
+			t.Fatalf("first frame = %+v, want init with answers", f)
+		}
+	}
+	before := builds()
+	mustExtend(t, reg, "even", "Even(3).")
+	for _, st := range streams {
+		if f := nextFrame(t, st); f.Type != FrameResync || len(f.Add) == 0 {
+			t.Fatalf("frame after extend = %+v, want resync with answers", f)
+		}
+	}
+	if n := builds() - before; n != 1 {
+		t.Errorf("%d answer specifications built for one version bump under 8 streams, want 1", n)
 	}
 }
