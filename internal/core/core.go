@@ -102,6 +102,7 @@ type Database struct {
 	queries  []ast.Query
 	universe *term.Universe
 	world    *facts.World
+	sig      signature
 
 	// snap caches the published immutable Snapshot; invalidate() clears it.
 	snap atomic.Pointer[Snapshot]
@@ -141,7 +142,34 @@ func FromProgram(p *ast.Program, opts Options) (*Database, error) {
 		opts:     opts,
 		universe: u,
 		world:    w,
+		sig:      signatureOf(p, prep),
 	}, nil
+}
+
+// signature is what Extend has to know of the compiled program to place a
+// new fact without walking it: the constants it uses, its alphabet, and
+// whether it has mixed function symbols. (Its ground depth and predicates
+// are Prep.C and Prep.OriginalPreds.) Facts taking the monotone path add
+// their constants; every recompile computes it afresh.
+type signature struct {
+	consts map[symbols.ConstID]bool
+	funcs  map[symbols.FuncID]bool
+	mixed  bool
+}
+
+func signatureOf(p *ast.Program, prep *rewrite.Prepared) signature {
+	sig := signature{
+		consts: make(map[symbols.ConstID]bool),
+		funcs:  make(map[symbols.FuncID]bool, len(prep.Funcs)),
+		mixed:  p.HasMixed(),
+	}
+	for _, c := range p.ConstsUsed() {
+		sig.consts[c] = true
+	}
+	for _, f := range prep.Funcs {
+		sig.funcs[f] = true
+	}
+	return sig
 }
 
 // EmbeddedQueries returns the queries that appeared in the source text.

@@ -8,107 +8,129 @@ import (
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/subst"
-	"funcdb/internal/symbols"
 )
 
 // Extend adds ground facts (given in surface syntax, e.g. "Meets(4, ann).")
 // to the database and brings every compiled representation up to date.
 //
 // Least fixpoints are monotone in the database, so when the new facts stay
-// within the active domain the engine's state is simply extended and
-// re-solved — no recomputation from scratch. Two cases force a full
-// recompile: a new constant in a program with mixed function symbols (the
-// §2.4 elimination must be redone over the larger domain), and a new deeper
-// ground term (the anchor region and seed depth may change). Extend handles
-// both transparently; either way the graph/equational/temporal/canonical
-// views are rebuilt lazily on next access.
+// within what the program was compiled for, the engine's state is simply
+// extended and re-solved — no recomputation from scratch. A fact that
+// outgrows it forces a full recompile: a new constant in a program with
+// mixed function symbols (the §2.4 elimination must be redone over the
+// larger domain), a deeper ground term (the anchor region and seed depth may
+// change), or a predicate or function symbol the program has never used
+// (the observable predicates and the alphabet change). Extend handles both
+// transparently; either way the graph/equational/temporal/canonical views
+// are rebuilt lazily on next access. The facts are parsed against the
+// database's own symbol table and judged against its signature, so the work
+// before the engine is linear in the facts, not in the program. A failed
+// Extend leaves the database as it was.
 func (db *Database) Extend(factsSrc string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	res, err := parser.Parse(factsSrc)
-	if err != nil {
-		return err
-	}
-	if len(res.Program.Rules) != 0 || len(res.Queries) != 0 {
+	facts, err := parser.ParseFactsTab(db.Source.Tab, factsSrc)
+	if errors.Is(err, parser.ErrNotFacts) {
 		return fmt.Errorf("core: Extend takes facts only")
 	}
-	// Note: the parsed facts use a fresh symbol table; reparse against the
-	// database's own table by formatting and parsing a merged program is
-	// wasteful, so instead parse directly against db.Source's table.
-	facts, err := parseFactsInto(db.Source, factsSrc)
 	if err != nil {
 		return err
 	}
 	if len(facts) == 0 {
 		return nil
 	}
-
-	before := make(map[symbols.ConstID]bool)
-	for _, c := range db.Source.ConstsUsed() {
-		before[c] = true
-	}
-	beforeDepth := db.Source.GroundDepth()
-
-	db.Source.Facts = append(db.Source.Facts, facts...)
-	if err := db.Source.Validate(); err != nil {
-		db.Source.Facts = db.Source.Facts[:len(db.Source.Facts)-len(facts)]
+	batch := &ast.Program{Tab: db.Source.Tab, Facts: facts}
+	if err := batch.Validate(); err != nil {
 		return err
 	}
 
-	newConst := false
-	for _, c := range db.Source.ConstsUsed() {
-		if !before[c] {
-			newConst = true
-			break
+	n := len(db.Source.Facts)
+	db.Source.Facts = append(db.Source.Facts, facts...)
+	if db.fits(facts) {
+		if err = db.absorb(batch); err == nil {
+			db.Engine.Sweep()
+			db.invalidate()
+			return nil
 		}
 	}
-	deeper := db.Source.GroundDepth() > beforeDepth
-
-	if (newConst && db.Source.HasMixed()) || deeper {
-		return db.recompile()
+	// Either the facts outgrow the compiled program, or the engine took them
+	// and failed to re-solve — for example, the round budget is cumulative
+	// across incremental solves, so a long extend history can exhaust it
+	// even though the program itself is fine. A rebuild re-solves the
+	// extended source from scratch with a fresh budget; only if that also
+	// fails is the extension rolled back (the engine, which may hold part of
+	// the batch, is rebuilt from the source as it was) and the failure
+	// reported.
+	if rerr := db.recompile(); rerr != nil {
+		db.Source.Facts = db.Source.Facts[:n]
+		return errors.Join(err, rerr, db.recompile())
 	}
+	return nil
+}
 
-	// Monotone fast path: push the new facts into the engine and re-solve.
-	prepared, err := rewrite.Prepare(&ast.Program{Tab: db.Source.Tab, Facts: facts})
+// fits reports whether the compiled program can take the facts as they are:
+// no predicate it has not seen, no ground term deeper than its own, and no
+// new constant if it has mixed symbols. New constants are recorded.
+func (db *Database) fits(facts []ast.Atom) bool {
+	fit := true
+	newConst := func(args []ast.DTerm) {
+		for _, d := range args {
+			if !db.sig.consts[d.Const] {
+				db.sig.consts[d.Const] = true
+				fit = fit && !db.sig.mixed
+			}
+		}
+	}
+	for i := range facts {
+		a := &facts[i]
+		if !db.Prep.OriginalPreds[a.Pred] {
+			fit = false
+		}
+		newConst(a.Args)
+		if a.FT == nil {
+			continue
+		}
+		if a.FT.Depth() > db.Prep.C {
+			fit = false
+		}
+		for _, app := range a.FT.Apps {
+			newConst(app.Args)
+		}
+	}
+	return fit
+}
+
+// absorb is the monotone path: push the batch into the engine and re-solve.
+// It fails before touching the engine when a fact, once its mixed symbols
+// are eliminated, steps outside the compiled alphabet.
+func (db *Database) absorb(batch *ast.Program) error {
+	prepared, err := rewrite.Prepare(batch)
 	if err != nil {
-		return db.recompile()
+		return err
+	}
+	for i := range prepared.Program.Facts {
+		if ft := prepared.Program.Facts[i].FT; ft != nil {
+			for _, app := range ft.Apps {
+				if !db.sig.funcs[app.Fn] {
+					return fmt.Errorf("core: fact %s uses a function symbol outside the compiled alphabet", batch.Facts[i].Format(db.Tab()))
+				}
+			}
+		}
 	}
 	for i := range prepared.Program.Facts {
 		f := &prepared.Program.Facts[i]
-		args := make([]symbols.ConstID, len(f.Args))
-		for j, d := range f.Args {
-			args[j] = d.Const
-		}
+		args := constArgs(f)
 		if f.FT == nil {
 			db.Engine.AddGlobalFact(f.Pred, args)
 			continue
 		}
 		t, ok := subst.GroundFTerm(db.universe, f.FT)
 		if !ok {
-			// Earlier facts of this batch are already in the engine; undo
-			// the source append and rebuild so the failed Extend leaves no
-			// half-applied batch behind.
-			err := fmt.Errorf("core: fact %s is not ground", f.Format(db.Tab()))
-			db.Source.Facts = db.Source.Facts[:len(db.Source.Facts)-len(facts)]
-			return errors.Join(err, db.recompile())
+			return fmt.Errorf("core: fact %s is not ground", f.Format(db.Tab()))
 		}
 		db.Engine.AddGroundFact(f.Pred, t, args)
 	}
-	if err := db.Engine.Solve(); err != nil {
-		// The engine holds the new facts but failed to re-solve — for
-		// example, the round budget is cumulative across incremental
-		// solves, so a long extend history can exhaust it even though the
-		// program itself is fine. A rebuild re-solves the extended source
-		// from scratch with a fresh budget; only if that also fails is the
-		// extension rolled back and the failure reported.
-		if rerr := db.recompile(); rerr != nil {
-			db.Source.Facts = db.Source.Facts[:len(db.Source.Facts)-len(facts)]
-			return errors.Join(err, rerr, db.recompile())
-		}
-		return nil
-	}
-	db.invalidate()
-	return nil
+	return db.Engine.Solve()
 }
 
 // ExtendRules adds rules (surface syntax) to the database and recompiles.
@@ -135,6 +157,7 @@ func (db *Database) ExtendRules(rulesSrc string) error {
 	db.Engine = fresh.Engine
 	db.universe = fresh.universe
 	db.world = fresh.world
+	db.sig = fresh.sig
 	db.invalidate()
 	return nil
 }
@@ -149,6 +172,7 @@ func (db *Database) recompile() error {
 	db.Engine = fresh.Engine
 	db.universe = fresh.universe
 	db.world = fresh.world
+	db.sig = fresh.sig
 	db.invalidate()
 	return nil
 }
@@ -162,57 +186,4 @@ func (db *Database) invalidate() {
 	db.lasso = nil
 	db.canon = nil
 	db.snap.Store(nil)
-}
-
-// parseFactsInto parses fact syntax against prog's symbol table, reusing
-// the program's predicate functionality.
-func parseFactsInto(prog *ast.Program, src string) ([]ast.Atom, error) {
-	merged := prog.Format() + "\n" + src
-	res, err := parser.Parse(merged)
-	if err != nil {
-		return nil, err
-	}
-	// The merged parse has its own table; translate the tail facts back
-	// into prog's table.
-	tail := res.Program.Facts[len(prog.Facts):]
-	out := make([]ast.Atom, 0, len(tail))
-	for i := range tail {
-		a, err := translateAtom(res.Program.Tab, prog.Tab, &tail[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// translateAtom re-interns a ground atom from one symbol table into another.
-func translateAtom(from, to *symbols.Table, a *ast.Atom) (ast.Atom, error) {
-	info := from.PredInfo(a.Pred)
-	out := ast.Atom{Pred: to.Pred(info.Name, info.Arity, info.Functional)}
-	if a.FT != nil {
-		ft := &ast.FTerm{Base: symbols.NoVar}
-		for _, app := range a.FT.Apps {
-			fi := from.FuncInfo(app.Fn)
-			args := make([]ast.DTerm, len(app.Args))
-			for j, d := range app.Args {
-				if d.IsVar() {
-					return ast.Atom{}, fmt.Errorf("core: fact is not ground")
-				}
-				args[j] = ast.C(to.Const(from.ConstName(d.Const)))
-			}
-			ft.Apps = append(ft.Apps, ast.FApp{Fn: to.Func(fi.Name, fi.DataArity), Args: args})
-		}
-		if a.FT.HasVarBase() {
-			return ast.Atom{}, fmt.Errorf("core: fact is not ground")
-		}
-		out.FT = ft
-	}
-	for _, d := range a.Args {
-		if d.IsVar() {
-			return ast.Atom{}, fmt.Errorf("core: fact is not ground")
-		}
-		out.Args = append(out.Args, ast.C(to.Const(from.ConstName(d.Const))))
-	}
-	return out, nil
 }

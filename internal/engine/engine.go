@@ -27,6 +27,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/facts"
@@ -47,20 +48,22 @@ type Options struct {
 	MaxCells int
 	// MaxRounds aborts after this many global iteration rounds (0 = none).
 	MaxRounds int
-	// DisableDirtySkip turns off the version-based skipping of anchors and
-	// cells whose inputs cannot have changed since their last evaluation.
-	// Only the ablation benchmarks set this.
+	// DisableDirtySkip evaluates every anchor and every cell in every round
+	// instead of only those whose inputs have grown since their last
+	// evaluation. Only tests (as the differential oracle) and the ablation
+	// benchmarks set this.
 	DisableDirtySkip bool
 }
 
 // Stats reports the work done by an engine.
 type Stats struct {
 	Rounds       int // global fixpoint rounds
-	Cells        int // child-state cells created
+	Cells        int // child-state cells held (created and not swept)
 	RuleFirings  int // successful body matches
 	FactsDerived int // atoms actually added to some fact set
 	AnchorsCount int // anchor nodes
 	SkippedEvals int // node evaluations skipped by the dirty check
+	CellEvals    int // cell evaluations not skipped
 }
 
 // obsMark remembers the stats already flushed to the observability layer,
@@ -75,13 +78,54 @@ type memoKey struct {
 	parent facts.StateID
 }
 
+// read is one cell set another cell's evaluation consulted, with its length
+// at the time.
+type read struct {
+	set *facts.Set
+	n   int
+}
+
 type cell struct {
 	key memoKey
 	set *facts.Set
-	// lastSeen is the engine version when this cell was last evaluated
-	// (-1 = never). If the version is unchanged, no fact anywhere has been
-	// added since, so re-evaluation cannot derive anything new.
-	lastSeen int64
+
+	// What the last evaluation read, as set lengths. Sets only grow, so a
+	// set whose length is unchanged is unchanged, and an evaluation whose
+	// inputs are all unchanged can only re-derive what it derived before:
+	// shared is the total length of the sets every cell reads (Engine.shared),
+	// own the length of the cell's own set, both at the start; reads are the
+	// sibling and child cells consulted through childSrc. The parent state
+	// in the key is frozen and needs no stamp.
+	evaluated bool
+	shared    int
+	own       int
+	reads     []read
+
+	live bool // Sweep's reachability mark
+}
+
+// clean reports whether nothing c's last evaluation read has grown since.
+func (c *cell) clean(shared int) bool {
+	if !c.evaluated || c.shared != shared || c.own != c.set.Len() {
+		return false
+	}
+	for _, r := range c.reads {
+		if r.set.Len() != r.n {
+			return false
+		}
+	}
+	return true
+}
+
+// src records that c's evaluation reads the cell from and returns its facts.
+func (c *cell) src(from *cell) srcFn {
+	for _, r := range c.reads {
+		if r.set == from.set {
+			return from.set.ByPred
+		}
+	}
+	c.reads = append(c.reads, read{from.set, from.set.Len()})
+	return from.set.ByPred
 }
 
 // Engine computes exact slices of LFP(Z, D). Create with New, then call
@@ -96,7 +140,7 @@ type Engine struct {
 	childHead   map[symbols.FuncID][]*normform.Rule // node rules with head at f(s)
 	othersHead  []*normform.Rule                    // node rules with head at s, data or ground
 	globalRules []normform.Rule
-	pushFns     map[symbols.FuncID]bool
+	pushFns     []symbols.FuncID // symbols of Child-level heads, ascending
 
 	global     *facts.Set
 	anchors    map[term.Term]*facts.Set
@@ -104,9 +148,19 @@ type Engine struct {
 
 	memo  map[memoKey]*cell
 	cells []*cell
+	// kept is the number of cells the last Sweep left (before the first one,
+	// the number present when the first base fact was added to a solved
+	// engine); Sweep runs again once as many have been created since.
+	kept int
 
-	// version counts fact insertions and cell creations; anchorSeen holds
-	// each anchor's lastSeen mark.
+	// shared are the sets any cell's rules may read besides the cell's own
+	// neighbourhood: the global facts and the anchors named by Ground-level
+	// body literals.
+	shared []*facts.Set
+
+	// version counts fact insertions anywhere; anchorSeen holds the version
+	// at each anchor's last evaluation. Anchors read and write one another,
+	// and there are few of them, so they are not tracked input by input.
 	version    int64
 	anchorSeen map[term.Term]int64
 
@@ -135,7 +189,6 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 		W:           w,
 		nodeRules:   comp.Node,
 		globalRules: comp.Global,
-		pushFns:     comp.PushFns,
 		global:      facts.NewSet(),
 		anchors:     make(map[term.Term]*facts.Set),
 		anchorSeen:  make(map[term.Term]int64),
@@ -145,6 +198,10 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 		ruleFired:   make(map[*normform.Rule]bool),
 		opts:        opts,
 	}
+	for f := range comp.PushFns {
+		e.pushFns = append(e.pushFns, f)
+	}
+	sort.Slice(e.pushFns, func(i, j int) bool { return e.pushFns[i] < e.pushFns[j] })
 	for i := range e.nodeRules {
 		r := &e.nodeRules[i]
 		if r.Head.Lvl == normform.Child {
@@ -173,6 +230,16 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 		}
 		e.ensureAnchorPath(t)
 		e.anchors[t].Add(w, w.Atom(f.Pred, tu))
+	}
+	e.shared = []*facts.Set{e.global}
+	seen := make(map[term.Term]bool)
+	for i := range e.nodeRules {
+		for _, l := range e.nodeRules[i].Body {
+			if l.Lvl == normform.Ground && !seen[l.GroundTerm] {
+				seen[l.GroundTerm] = true
+				e.shared = append(e.shared, e.anchors[l.GroundTerm])
+			}
+		}
 	}
 	e.stats.AnchorsCount = len(e.anchorList)
 	// Terms interned before the first Solve belong to the program itself
@@ -226,10 +293,9 @@ func (e *Engine) cellFor(f symbols.FuncID, parent facts.StateID) *cell {
 	if c, ok := e.memo[key]; ok {
 		return c
 	}
-	c := &cell{key: key, set: facts.NewSet(), lastSeen: -1}
+	c := &cell{key: key, set: facts.NewSet()}
 	e.memo[key] = c
 	e.cells = append(e.cells, c)
-	e.version++
 	if e.opts.MaxCells > 0 && len(e.cells) > e.opts.MaxCells {
 		if e.overflow == nil {
 			e.overflow = fmt.Errorf("engine: more than %d child-state cells; the specification may be exponentially large", e.opts.MaxCells)
@@ -421,7 +487,7 @@ func (e *Engine) evalAnchor(t term.Term) bool {
 	}
 	// Make sure every push target beyond the anchor region exists, so its
 	// cell picks up the writes this node's state enables.
-	for f := range e.pushFns {
+	for _, f := range e.pushFns {
 		if _, ok := e.anchors[e.U.Apply(f, t)]; !ok {
 			e.cellFor(f, s.StateID(e.W))
 		}
@@ -429,16 +495,28 @@ func (e *Engine) evalAnchor(t term.Term) bool {
 	return changed
 }
 
+// sharedLen is the version of the sets every cell reads.
+func (e *Engine) sharedLen() int {
+	n := 0
+	for _, s := range e.shared {
+		n += s.Len()
+	}
+	return n
+}
+
 // evalCell advances one child-state cell: first the rules instantiated at
 // its (virtual) parent whose heads push into this child, then the rules
-// instantiated at the cell's own node.
+// instantiated at the cell's own node. A cell none of whose inputs has
+// grown since its last evaluation is skipped.
 func (e *Engine) evalCell(c *cell) bool {
-	if !e.opts.DisableDirtySkip && c.lastSeen == e.version {
+	shared := e.sharedLen()
+	if !e.opts.DisableDirtySkip && c.clean(shared) {
 		e.stats.SkippedEvals++
 		return false
 	}
-	startVersion := e.version
-	defer func() { c.lastSeen = startVersion }()
+	e.stats.CellEvals++
+	first := !c.evaluated
+	c.evaluated, c.shared, c.own, c.reads = true, shared, c.set.Len(), c.reads[:0]
 	changed := false
 
 	// Group 1: instantiated at the parent, head at Child(c.key.fn).
@@ -449,7 +527,7 @@ func (e *Engine) evalCell(c *cell) bool {
 			if g == c.key.fn {
 				return c.set.ByPred
 			}
-			return e.cellFor(g, c.key.parent).set.ByPred
+			return c.src(e.cellFor(g, c.key.parent))
 		},
 		childSink: func(g symbols.FuncID) sinkFn {
 			if g == c.key.fn {
@@ -471,7 +549,7 @@ func (e *Engine) evalCell(c *cell) bool {
 		selfSrc:  c.set.ByPred,
 		selfSink: func(a facts.AtomID) bool { return c.set.Add(e.W, a) },
 		childSrc: func(g symbols.FuncID) srcFn {
-			return e.cellFor(g, c.set.StateID(e.W)).set.ByPred
+			return c.src(e.cellFor(g, c.set.StateID(e.W)))
 		},
 	}
 	for _, r := range e.othersHead {
@@ -480,28 +558,41 @@ func (e *Engine) evalCell(c *cell) bool {
 		}
 	}
 
-	// Spawn push targets for the cell's current state.
-	for f := range e.pushFns {
-		e.cellFor(f, c.set.StateID(e.W))
+	// Spawn push targets for the cell's current state; the previous
+	// evaluation did if the state has not moved since.
+	if first || c.set.Len() != c.own {
+		for _, f := range e.pushFns {
+			e.cellFor(f, c.set.StateID(e.W))
+		}
 	}
 	return changed
 }
 
-// Solve runs the chaotic iteration to the simultaneous least fixpoint of
-// globals, anchors and cells. It is idempotent and cheap to re-run after
-// new cells have been created by state queries.
-// SetContext installs a cancellation context checked once per fixpoint
-// round. Solve (and everything that triggers it, such as StateOf on a new
-// term) aborts with the context's error once it expires. A nil or expired
-// context does not corrupt the engine: the fixpoint simply stops early and
-// the next Solve call resumes from the facts derived so far.
+// SetContext installs a cancellation context checked at the start of every
+// fixpoint round and every pollEvery cell evaluations within one. Solve (and
+// everything that triggers it, such as StateOf on a new term) aborts with
+// the context's error once it expires. A nil or expired context does not
+// corrupt the engine: every cell carries its own stamp, so the fixpoint
+// simply stops early, mid-round if need be, and the next Solve call resumes
+// from the facts derived so far.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
+
+// pollEvery is how many cell evaluations run between two looks at the
+// context: a round over a large program is most of the solve, so a deadline
+// has to be noticed inside it.
+const pollEvery = 256
 
 // Context returns the context set with SetContext (nil if none). Algorithm Q
 // reads it so its exploration spans join the same trace as the fixpoint.
 func (e *Engine) Context() context.Context { return e.ctx }
 
+// Solve runs the chaotic iteration to the simultaneous least fixpoint of
+// globals, anchors and cells. It returns at once on an engine that is still
+// solved, and after new facts or cells it re-evaluates only what they reach.
 func (e *Engine) Solve() error {
+	if e.solved {
+		return nil
+	}
 	ctx, span := obs.StartSpan(e.ctx, "solve")
 	err := e.run(ctx)
 	e.FlushObs()
@@ -510,11 +601,15 @@ func (e *Engine) Solve() error {
 }
 
 func (e *Engine) run(ctx context.Context) error {
+	expired := func() error {
+		if ctx == nil {
+			return nil
+		}
+		return ctx.Err()
+	}
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := expired(); err != nil {
+			return err
 		}
 		e.stats.Rounds++
 		_, rspan := obs.StartSpan(ctx, "fixpoint_round")
@@ -525,8 +620,15 @@ func (e *Engine) run(ctx context.Context) error {
 			}
 		}
 		for i := 0; i < len(e.cells); i++ {
+			evals := e.stats.CellEvals
 			if e.evalCell(e.cells[i]) {
 				changed = true
+			}
+			if e.stats.CellEvals != evals && e.stats.CellEvals%pollEvery == 0 {
+				if err := expired(); err != nil {
+					rspan.End()
+					return err
+				}
 			}
 		}
 		rspan.End()
@@ -572,17 +674,26 @@ func (e *Engine) FlushObs() {
 // arbitrary ground term. It may extend the fixpoint when t lies outside the
 // explored region.
 func (e *Engine) StateOf(t term.Term) (facts.StateID, error) {
-	if !e.solved {
-		if err := e.Solve(); err != nil {
-			return 0, err
-		}
-	}
-	if s, ok := e.anchors[t]; ok {
-		return s.StateID(e.W), nil
+	if _, ok := e.anchors[t]; ok {
+		return e.StateBelow(t, 0)
 	}
 	parent, err := e.StateOf(e.U.Child(t))
 	if err != nil {
 		return 0, err
+	}
+	return e.StateBelow(t, parent)
+}
+
+// StateBelow is the last step of StateOf for a caller that already holds
+// the state of t's parent term, as Algorithm Q does walking the term tree
+// top-down: the anchor's own state inside the anchor region (parent is then
+// not consulted), the memoized child state outside it.
+func (e *Engine) StateBelow(t term.Term, parent facts.StateID) (facts.StateID, error) {
+	if err := e.Solve(); err != nil {
+		return 0, err
+	}
+	if s, ok := e.anchors[t]; ok {
+		return s.StateID(e.W), nil
 	}
 	return e.ChildState(e.U.Top(t), parent)
 }
@@ -606,8 +717,18 @@ func (e *Engine) ChildState(f symbols.FuncID, s facts.StateID) (facts.StateID, e
 // under-approximation; call Solve to restore the fixpoint.
 func (e *Engine) AddGlobalFact(pred symbols.PredID, args []symbols.ConstID) {
 	if e.global.Add(e.W, e.W.Atom(pred, e.W.Tuple(args))) {
-		e.version++
-		e.solved = false
+		e.baseFactAdded()
+	}
+}
+
+// baseFactAdded notes a base fact that was not there: the fixpoint has to be
+// restored, and the cells present now are what Sweep first measures growth
+// against.
+func (e *Engine) baseFactAdded() {
+	e.version++
+	e.solved = false
+	if e.kept == 0 {
+		e.kept = len(e.cells)
 	}
 }
 
@@ -618,9 +739,55 @@ func (e *Engine) AddGlobalFact(pred symbols.PredID, args []symbols.ConstID) {
 func (e *Engine) AddGroundFact(pred symbols.PredID, t term.Term, args []symbols.ConstID) {
 	e.ensureAnchorPath(t)
 	if e.anchors[t].Add(e.W, e.W.Atom(pred, e.W.Tuple(args))) {
-		e.version++
-		e.solved = false
+		e.baseFactAdded()
 	}
+}
+
+// Sweep drops the cells no state query can reach any more: those not
+// reachable from the anchors' current states through the memo table over the
+// alphabet. A base fact changes the states along its branch, and the cells
+// keyed on the old states stay behind; left alone they are re-checked in
+// every round for ever. Sweep does nothing until as many cells have been
+// created since the last sweep as that one kept, so its cost is amortized
+// over the cells it examines, and nothing on an engine that is not solved:
+// only at the fixpoint is every kept cell clean, with nothing but kept cells
+// among its reads. A dropped cell that is asked for again is recreated and
+// solved like any new one.
+func (e *Engine) Sweep() {
+	if !e.solved || len(e.cells) <= 2*e.kept {
+		return
+	}
+	var stack []facts.StateID
+	for _, t := range e.anchorList {
+		stack = append(stack, e.anchors[t].StateID(e.W))
+	}
+	views := make(map[facts.StateID]map[symbols.PredID][]facts.AtomID)
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, f := range e.Prep.Funcs {
+			if c, ok := e.memo[memoKey{f, s}]; ok && !c.live {
+				c.live = true
+				stack = append(stack, c.set.StateID(e.W))
+				if v, ok := e.stateViews[s]; ok {
+					views[s] = v
+				}
+			}
+		}
+	}
+	kept := e.cells[:0]
+	for _, c := range e.cells {
+		if c.live {
+			c.live = false
+			kept = append(kept, c)
+		} else {
+			delete(e.memo, c.key)
+		}
+	}
+	for i := len(kept); i < len(e.cells); i++ {
+		e.cells[i] = nil
+	}
+	e.cells, e.kept, e.stateViews = kept, len(kept), views
 }
 
 // UnfiredRules returns the source rules whose body was never satisfied

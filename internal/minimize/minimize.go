@@ -18,6 +18,8 @@
 package minimize
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,77 +45,81 @@ type Minimized struct {
 	root   int
 }
 
+var errMissingEdge = errors.New("minimize: missing successor edge")
+
+// interner numbers byte strings in order of first occurrence. A signature is
+// a vector of integers written into one reused buffer; looking it up
+// allocates nothing, and only the first vector of each class is retained.
+type interner struct {
+	ids map[string]int32
+	key []byte
+}
+
+func (in *interner) put(v int32) { in.key = binary.LittleEndian.AppendUint32(in.key, uint32(v)) }
+
+// id returns the number of the vector put since the last call.
+func (in *interner) id() int32 {
+	id, ok := in.ids[string(in.key)]
+	if !ok {
+		id = int32(len(in.ids))
+		in.ids[string(in.key)] = id
+	}
+	in.key = in.key[:0]
+	return id
+}
+
 // Minimize quotients the specification's automaton by observable
 // equivalence.
 func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 	reps := sp.Reps
 	n := len(reps)
 	alphabet := sp.Alphabet
+	k := len(alphabet)
+
+	// The automaton over dense indices: next[i*k+fi] is the position in reps
+	// of the successor of reps[i] under alphabet[fi].
+	index := make(map[term.Term]int32, n)
+	for i, t := range reps {
+		index[t] = int32(i)
+	}
+	next := make([]int32, n*k)
+	for i, t := range reps {
+		for fi, f := range alphabet {
+			to, ok := sp.Successor(t, f)
+			if !ok {
+				return nil, errMissingEdge
+			}
+			next[i*k+fi] = index[to]
+		}
+	}
 
 	// Initial partition: by observable slice.
-	class := make(map[term.Term]int, n)
-	var keyOf = func(t term.Term) string {
-		slice := sp.Slice(t)
-		parts := make([]string, len(slice))
-		for i, a := range slice {
-			parts[i] = fmt.Sprint(a)
+	in := interner{ids: make(map[string]int32, n)}
+	class := make([]int32, n)
+	for i, t := range reps {
+		for _, a := range sp.Slice(t) {
+			in.put(int32(a))
 		}
-		return strings.Join(parts, ",")
+		class[i] = in.id()
 	}
-	byKey := make(map[string]int)
-	numClasses := 0
-	for _, t := range reps {
-		k := keyOf(t)
-		id, ok := byKey[k]
-		if !ok {
-			id = numClasses
-			numClasses++
-			byKey[k] = id
-		}
-		class[t] = id
-	}
-
-	succOf := func(t term.Term, f symbols.FuncID) (term.Term, error) {
-		next, ok := sp.Successor(t, f)
-		if !ok {
-			return term.None, fmt.Errorf("minimize: missing successor edge")
-		}
-		return next, nil
-	}
+	numClasses := len(in.ids)
 
 	// Moore refinement: split classes by the vector of successor classes.
+	newClass := make([]int32, n)
 	for {
-		sigOf := make(map[term.Term]string, n)
-		for _, t := range reps {
-			var b strings.Builder
-			fmt.Fprintf(&b, "%d", class[t])
-			for _, f := range alphabet {
-				next, err := succOf(t, f)
-				if err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(&b, "|%d", class[next])
+		clear(in.ids)
+		for i := range reps {
+			in.put(class[i])
+			for _, to := range next[i*k : (i+1)*k] {
+				in.put(class[to])
 			}
-			sigOf[t] = b.String()
+			newClass[i] = in.id()
 		}
-		bySig := make(map[string]int)
-		newClass := make(map[term.Term]int, n)
-		newCount := 0
-		for _, t := range reps {
-			s := sigOf[t]
-			id, ok := bySig[s]
-			if !ok {
-				id = newCount
-				newCount++
-				bySig[s] = id
-			}
-			newClass[t] = id
-		}
-		if newCount == numClasses {
+		if len(in.ids) == numClasses {
 			break
 		}
-		class = newClass
-		numClasses = newCount
+		class, newClass = newClass, class
+		numClasses = len(in.ids)
 	}
 
 	// Canonicalize class ids by the precedence-least member, so output is
@@ -122,8 +128,8 @@ func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 	for i := range least {
 		least[i] = term.None
 	}
-	for _, t := range reps {
-		c := class[t]
+	for i, t := range reps {
+		c := class[i]
 		if least[c] == term.None || sp.U.Precedes(t, least[c]) {
 			least[c] = t
 		}
@@ -147,8 +153,8 @@ func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 		succ:    make([][]int, numClasses),
 		slices:  make([]map[facts.AtomID]bool, numClasses),
 	}
-	for _, t := range reps {
-		c := renumber[class[t]]
+	for i, t := range reps {
+		c := renumber[class[i]]
 		m.classOf[t] = c
 		m.Members[c] = append(m.Members[c], t)
 	}
@@ -161,13 +167,9 @@ func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 		for _, a := range sp.Slice(canon) {
 			m.slices[c][a] = true
 		}
-		m.succ[c] = make([]int, len(alphabet))
-		for fi, f := range alphabet {
-			next, err := succOf(canon, f)
-			if err != nil {
-				return nil, err
-			}
-			m.succ[c][fi] = m.classOf[next]
+		m.succ[c] = make([]int, k)
+		for fi, to := range next[int(index[canon])*k:][:k] {
+			m.succ[c][fi] = m.classOf[reps[to]]
 		}
 	}
 	m.root = m.classOf[mustRoot(sp)]

@@ -1,8 +1,12 @@
 package minimize
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"funcdb/internal/datagen"
 	"funcdb/internal/engine"
 	"funcdb/internal/facts"
 	"funcdb/internal/parser"
@@ -149,5 +153,52 @@ Even(T) -> Even(T+2).
 	foreign := sp.U.Apply(symbols.FuncID(1000), term.Zero)
 	if _, err := m.ClassOf(foreign); err == nil {
 		t.Errorf("foreign symbol accepted")
+	}
+}
+
+// TestMinimizeMatchesReference: keying the partition on integer vectors
+// instead of formatted strings changes nothing — the same members in every
+// class, the same successor table, the same slices and the same canonical
+// numbering as the string-signature version kept in export_test.go.
+func TestMinimizeMatchesReference(t *testing.T) {
+	srcs := map[string]string{
+		"calendar": datagen.CalendarSrc(12), "chain": datagen.ChainSrc(5), "subsets": datagen.SubsetsSrc(4),
+		"robot": datagen.RobotSrc(4), "automaton": datagen.RandomAutomatonSrc(6, 3, 9),
+		"temporal": datagen.RandomTemporalSrc(5, 4), "bidi": datagen.RandomBidiSrc(5, 2, 8),
+		// Normalization helpers inflate the unminimized specification here.
+		"helpers": "Start(0).\nStart(T) -> Mid(T+3).\nMid(T) -> Start(T+2).\n",
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.fdb"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus: %v (%d files)", err, len(paths))
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(p)] = string(raw)
+	}
+	shrunk := 0
+	for name, src := range srcs {
+		sp := buildSpec(t, src)
+		got, err := Minimize(sp)
+		if err != nil {
+			t.Fatalf("%s: Minimize: %v", name, err)
+		}
+		want, err := minimizeReference(sp)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if got.NumStates() < len(sp.Reps) {
+			shrunk++
+		}
+		if !reflect.DeepEqual(got.Members, want.Members) || !reflect.DeepEqual(got.succ, want.succ) ||
+			!reflect.DeepEqual(got.classOf, want.classOf) || !reflect.DeepEqual(got.slices, want.slices) || got.root != want.root {
+			t.Errorf("%s: minimized specification differs from the reference:\n%s\nreference:\n%s", name, got.Dump(), want.Dump())
+		}
+	}
+	if shrunk == 0 {
+		t.Error("no program's specification was made smaller: the comparison exercised no merge")
 	}
 }

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -70,6 +71,48 @@ func ParseQueryTab(tab symbols.Interner, src string) (*ast.Query, error) {
 		return nil, err
 	}
 	return b.query(&raw.queries[0])
+}
+
+// ErrNotFacts is ParseFactsTab's error for a text that holds a rule or a
+// query.
+var ErrNotFacts = errors.New("expected ground facts only")
+
+// ParseFactsTab parses a text of ground facts (functionality directives
+// allowed) against an existing symbol table, the way ParseQueryTab parses a
+// query: time and memory are linear in len(src) however large the program
+// behind tab is. Whether a predicate is functional is looked up in tab; one
+// tab has never seen is inferred from the text as Parse would. New symbols
+// are interned into tab, also when a later fact fails to build.
+func ParseFactsTab(tab symbols.Interner, src string) ([]ast.Atom, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := p.parseProgram()
+	if err != nil {
+		return nil, err
+	}
+	if len(raw.queries) != 0 {
+		return nil, ErrNotFacts
+	}
+	for i := range raw.clauses {
+		if raw.clauses[i].isRule {
+			return nil, ErrNotFacts
+		}
+	}
+	b := &builder{tab: tab, predState: make(map[predKey]int), varState: make(map[string]int)}
+	if err := b.infer(raw); err != nil {
+		return nil, err
+	}
+	out := make([]ast.Atom, 0, len(raw.clauses))
+	for i := range raw.clauses {
+		a, err := b.fact(&raw.clauses[i])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, a)
+	}
+	return out, nil
 }
 
 const (
@@ -374,6 +417,18 @@ func (b *builder) atom(a *rawAtom) (ast.Atom, error) {
 	return out, nil
 }
 
+// fact builds a body-less clause, which must be ground.
+func (b *builder) fact(cl *rawClause) (ast.Atom, error) {
+	head, err := b.atom(cl.head)
+	if err != nil {
+		return ast.Atom{}, err
+	}
+	if !head.IsGround() {
+		return ast.Atom{}, fmt.Errorf("line %d: fact %s is not ground", cl.line, head.Format(b.tab))
+	}
+	return head, nil
+}
+
 func (b *builder) query(cl *rawClause) (*ast.Query, error) {
 	q := &ast.Query{}
 	seen := make(map[symbols.VarID]bool)
@@ -421,16 +476,17 @@ func (b *builder) build(raw *rawProgram) (*Result, error) {
 	res := &Result{Program: b.prog}
 	for i := range raw.clauses {
 		cl := &raw.clauses[i]
-		head, err := b.atom(cl.head)
-		if err != nil {
-			return nil, err
-		}
 		if !cl.isRule {
-			if !head.IsGround() {
-				return nil, fmt.Errorf("line %d: fact %s is not ground", cl.line, head.Format(b.prog.Tab))
+			head, err := b.fact(cl)
+			if err != nil {
+				return nil, err
 			}
 			b.prog.Facts = append(b.prog.Facts, head)
 			continue
+		}
+		head, err := b.atom(cl.head)
+		if err != nil {
+			return nil, err
 		}
 		r := ast.Rule{Head: head}
 		for j := range cl.body {

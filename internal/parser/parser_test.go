@@ -254,6 +254,46 @@ func TestParseQueryAgainstProgram(t *testing.T) {
 	}
 }
 
+// TestParseFactsAgainstProgram: facts parse against a program's table the way
+// they would parse appended to its text — a known predicate keeps the
+// functionality the program gave it, a new one is inferred from the facts —
+// and anything but ground facts is refused, in Parse's words.
+func TestParseFactsAgainstProgram(t *testing.T) {
+	prog := MustParse(meetingsSrc).Program
+	facts, err := ParseFactsTab(prog.Tab, "Meets(0, jan).\nNext(jan, jan). Seen(f(0), tony).\n@functional Late/1.\nLate(0).\nOther(3).")
+	if err != nil {
+		t.Fatalf("ParseFactsTab: %v", err)
+	}
+	var got []string
+	for i := range facts {
+		got = append(got, facts[i].Format(prog.Tab))
+	}
+	want := []string{"Meets(0, jan)", "Next(jan, jan)", "Seen(f(0), tony)", "Late(0)", "Other(3)"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("facts = %v, want %v", got, want)
+	}
+	for i, functional := range []bool{true, false, true, true, false} {
+		if facts[i].IsFunctional() != functional {
+			t.Errorf("%s: functional = %v, want %v", got[i], !functional, functional)
+		}
+	}
+	if meets, _ := prog.Tab.LookupPred("Meets", 1, true); facts[0].Pred != meets {
+		t.Errorf("Meets was interned again instead of resolved against the program")
+	}
+	for _, c := range []struct{ src, want string }{
+		{"Meets(T, X), Next(X, Y) -> Meets(T+1, Y).", ErrNotFacts.Error()},
+		{"Meets(0, jan). ?- Meets(0, X).", ErrNotFacts.Error()},
+		{"Meets(0, jan).\nMeets(T, jan).", "line 2: fact Meets(T, jan) is not ground"},
+		{"Meets(tony, jan).", "1:7: constant tony cannot appear in a functional position"},
+		{"Next(0+1, jan).", "1:1: predicate Next/2 is used both with and without a functional argument"},
+		{"Meets(0, jan", "1:13: expected ')', found end of input"},
+	} {
+		if _, err := ParseFactsTab(prog.Tab, c.src); err == nil || err.Error() != c.want {
+			t.Errorf("ParseFactsTab(%q) = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestCommentsAndWhitespace(t *testing.T) {
 	src := "% leading comment\n\n  P(a).  % trailing\n\tP(b).\n"
 	res, err := Parse(src)

@@ -100,13 +100,9 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	// edge per alphabet symbol — the metered arena-bytes estimate a work
 	// budget charges per admitted cluster.
 	repBytes := int64(64 + 16*len(sp.Alphabet))
-	addRep := func(t term.Term) error {
+	addRep := func(t term.Term, s facts.StateID) error {
 		sp.Reps = append(sp.Reps, t)
 		sp.repSet[t] = true
-		s, err := eng.StateOf(t)
-		if err != nil {
-			return err
-		}
 		sp.state[t] = s
 		if opts.MaxReps > 0 && len(sp.Reps) > opts.MaxReps {
 			return fmt.Errorf("specgraph: more than %d representative terms", opts.MaxReps)
@@ -114,10 +110,18 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 		return wb.AddBytes(repBytes)
 	}
 
+	// Every term below is reached from its parent, a representative whose
+	// state is already known, so its own state is one engine step away
+	// (Lemma 3.1) and its edge can be recorded as soon as its cluster is.
+	root, err := eng.StateOf(term.Zero)
+	if err != nil {
+		return nil, err
+	}
+
 	// Singleton clusters: every term of depth < SeedDepth.
 	level := []term.Term{term.Zero}
 	if sp.SeedDepth > 0 {
-		if err := addRep(term.Zero); err != nil {
+		if err := addRep(term.Zero, root); err != nil {
 			return nil, err
 		}
 	}
@@ -126,9 +130,14 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 		for _, t := range level {
 			for _, f := range sp.Alphabet {
 				child := sp.U.Apply(f, t)
-				if err := addRep(child); err != nil {
+				s, err := eng.StateBelow(child, sp.state[t])
+				if err != nil {
 					return nil, err
 				}
+				if err := addRep(child, s); err != nil {
+					return nil, err
+				}
+				sp.succ[edgeKey{t, f}] = child
 				next = append(next, child)
 			}
 		}
@@ -136,13 +145,18 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	}
 
 	// Seed the queue with all terms of depth SeedDepth, in precedence order.
-	var queue []term.Term
+	// Each entry carries the representative it is a child of, with its state.
+	type potential struct {
+		t, from   term.Term
+		fromState facts.StateID
+	}
+	var queue []potential
 	if sp.SeedDepth == 0 {
-		queue = append(queue, term.Zero)
+		queue = append(queue, potential{t: term.Zero, from: term.None})
 	} else {
 		for _, t := range level {
 			for _, f := range sp.Alphabet {
-				queue = append(queue, sp.U.Apply(f, t))
+				queue = append(queue, potential{sp.U.Apply(f, t), t, sp.state[t]})
 			}
 		}
 	}
@@ -154,7 +168,7 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	curDepth := -1
 	var rspan *obs.SpanHandle
 	for qi := 0; qi < len(queue); qi++ {
-		t := queue[qi]
+		t, from := queue[qi].t, queue[qi].from
 		if d := sp.U.Depth(t); d != curDepth {
 			rspan.End()
 			if budget := obs.DepthBudget(ctx); budget > 0 && d > budget {
@@ -177,23 +191,30 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 			return nil, err
 		}
 		sp.Potentials = append(sp.Potentials, t)
-		s, err := eng.StateOf(t)
-		if err != nil {
-			rspan.End()
-			return nil, err
+		s := root
+		if from != term.None {
+			if s, err = eng.StateBelow(t, queue[qi].fromState); err != nil {
+				rspan.End()
+				return nil, err
+			}
 		}
-		if rep, ok := activeByState[s]; ok {
+		rep, ok := activeByState[s]
+		if ok {
 			sp.Merges = append(sp.Merges, Merge{Rep: rep, Potential: t})
-			continue
+		} else {
+			rep = t
+			activeByState[s] = t
+			sp.Active = append(sp.Active, t)
+			if err := addRep(t, s); err != nil {
+				rspan.End()
+				return nil, err
+			}
+			for _, f := range sp.Alphabet {
+				queue = append(queue, potential{sp.U.Apply(f, t), t, s})
+			}
 		}
-		activeByState[s] = t
-		sp.Active = append(sp.Active, t)
-		if err := addRep(t); err != nil {
-			rspan.End()
-			return nil, err
-		}
-		for _, f := range sp.Alphabet {
-			queue = append(queue, sp.U.Apply(f, t))
+		if from != term.None {
+			sp.succ[edgeKey{from, sp.U.Top(t)}] = rep
 		}
 	}
 	rspan.End()
@@ -209,29 +230,6 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	obs.Add(ctx, "algoq_steps", int64(len(sp.Potentials)))
 	obs.Add(ctx, "equations", int64(len(sp.Merges)))
 	obs.SetMax(ctx, "derivation_depth", int64(maxDepth))
-
-	// Successor mappings for every representative.
-	for _, t := range sp.Reps {
-		for _, f := range sp.Alphabet {
-			child := sp.U.Apply(f, t)
-			var target term.Term
-			if sp.U.Depth(child) < sp.SeedDepth {
-				target = child // itself a singleton representative
-			} else {
-				s, err := eng.StateOf(child)
-				if err != nil {
-					return nil, err
-				}
-				rep, ok := activeByState[s]
-				if !ok {
-					return nil, fmt.Errorf("specgraph: no representative for state of %s",
-						sp.U.CompactString(child, eng.Prep.Program.Tab))
-				}
-				target = rep
-			}
-			sp.succ[edgeKey{t, f}] = target
-		}
-	}
 	return sp, nil
 }
 

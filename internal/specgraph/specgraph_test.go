@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"funcdb/internal/datagen"
 	"funcdb/internal/engine"
 	"funcdb/internal/facts"
 	"funcdb/internal/parser"
@@ -381,5 +382,47 @@ func TestMaxRepsGuard(t *testing.T) {
 	}
 	if _, err := Build(eng, Options{MaxReps: 2}); err == nil {
 		t.Fatalf("MaxReps guard did not trip")
+	}
+}
+
+// TestBuildStatesMatchEngine: Build steps each term's state from its
+// parent's instead of walking it from the root. Every representative's
+// remembered state, and through its representative every potential's, is the
+// state the engine computes for the term from scratch; and every edge leads
+// to the representative of the child term's state.
+func TestBuildStatesMatchEngine(t *testing.T) {
+	srcs := []string{meetingsSrc, listsSrc, datagen.RobotSrc(4), datagen.SubsetsSrc(4),
+		datagen.CalendarSrc(8) + "Meets(3, s5).\n", datagen.RandomBidiSrc(4, 2, 5), datagen.RandomAutomatonSrc(5, 3, 2),
+		"@functional A/1.\n@functional B/1.\nA(f(g(0))).\nA(S) -> A(f(S)).\nA(f(S)) -> B(S).\n"}
+	for _, src := range srcs {
+		sp := buildSpec(t, src)
+		name := func(tm term.Term) string { return sp.U.CompactString(tm, sp.Eng.Prep.Program.Tab) }
+		for _, rep := range sp.Reps {
+			if want, err := sp.Eng.StateOf(rep); err != nil || sp.StateOfRep(rep) != want {
+				t.Errorf("state of representative %s: remembered %d, engine %d (%v)", name(rep), sp.StateOfRep(rep), want, err)
+			}
+			for _, f := range sp.Alphabet {
+				next, ok := sp.Successor(rep, f)
+				if !ok {
+					t.Fatalf("no edge from %s", name(rep))
+				}
+				if want, err := sp.Eng.StateOf(sp.U.Apply(f, rep)); err != nil || sp.StateOfRep(next) != want {
+					t.Errorf("edge from %s leads to %s, whose state is not the child's", name(rep), name(next))
+				}
+			}
+		}
+		merged := make(map[term.Term]term.Term)
+		for _, m := range sp.Merges {
+			merged[m.Potential] = m.Rep
+		}
+		for _, p := range sp.Potentials {
+			rep, ok := merged[p]
+			if !ok {
+				rep = p
+			}
+			if want, err := sp.Eng.StateOf(p); err != nil || sp.StateOfRep(rep) != want {
+				t.Errorf("potential %s was given the state of %s, not its own", name(p), name(rep))
+			}
+		}
 	}
 }
