@@ -27,12 +27,13 @@ test:
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark. And the write path's: how many cells one fact may
-# evaluate (a count), with a pass over the Extend and republish benchmarks.
+# evaluate and how many bytes and allocations one republish may make (counts),
+# with a pass over the Extend and republish benchmarks.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
-	$(GO) test -count=1 -run 'TestExtendTouchesDelta' -bench 'BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
+	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes' -bench 'BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 
 race:
 	$(GO) test -race ./...

@@ -49,8 +49,8 @@ func Build(sp *specgraph.Spec) *Form {
 		es:         congruence.NewEqSpec(sp.U, pairs),
 		candidates: make(map[facts.AtomID][]term.Term),
 	}
-	for _, rep := range sp.Reps {
-		for _, a := range sp.Slice(rep) {
+	for i, rep := range sp.Reps {
+		for _, a := range sp.SliceAt(i) {
 			f.candidates[a] = append(f.candidates[a], rep)
 		}
 	}
@@ -112,8 +112,8 @@ func (f *Form) DatabaseC() string {
 	tab := f.Spec.Eng.Prep.Program.Tab
 	var b strings.Builder
 	b.WriteString("% B: the primary database\n")
-	for _, rep := range f.Spec.Reps {
-		for _, a := range f.Spec.Slice(rep) {
+	for i, rep := range f.Spec.Reps {
+		for _, a := range f.Spec.SliceAt(i) {
 			b.WriteString(f.Spec.FormatAtom(a, rep))
 			b.WriteString(".\n")
 		}

@@ -70,19 +70,19 @@ type Options struct {
 
 // Database is a compiled functional deductive database.
 //
-// A Database is safe for concurrent readers: the lazily built
-// specifications (Graph, Equational, Temporal, Canonical) are constructed
-// exactly once under an internal mutex, and every query path that interns
-// new terms, tuples or symbols — Ask, Answers, Explain, Export, Stats,
-// Lint — serializes through the same mutex, so any number of goroutines
-// may query one Database at once. An Answers handle returned by Answers
-// belongs to the goroutine that asked for it (the specification behind it
-// is shared and immutable; see query.Answers). The mutators Extend
-// and ExtendRules also take the mutex, but code that reads the exported
-// Source/Prep/Engine fields directly must not run concurrently with them;
-// Prover evaluators are single-goroutine (see Prover). A plain mutex is
-// used rather than sync.Once because Extend/ExtendRules invalidate and
-// rebuild the cached specifications.
+// A Database is safe for concurrent use. Ask, Answers, AskBatch and Prepare
+// take no lock: they run on the published immutable Snapshot (see Snapshot),
+// any number at once, also while a writer is extending the database. The
+// mutex is for what touches the live, mutable side — the shared symbol table,
+// term universe and fact world: the mutators Extend and ExtendRules, the
+// lazily built specifications (Graph, Equational, Temporal, Canonical), which
+// are constructed once under it and invalidated by the next mutation, the
+// publication of a fresh Snapshot after one, and the views that read the live
+// engine (Explain, Export, Stats, Lint, Minimized, SourceText). An Answers
+// handle belongs to the goroutine that asked for it (the specification
+// behind it is shared and immutable; see query.Answers). Code that reads the
+// exported Source/Prep/Engine fields directly must not run concurrently with
+// the mutators; Prover evaluators are single-goroutine (see Prover).
 type Database struct {
 	Source *ast.Program
 	Prep   *rewrite.Prepared

@@ -89,19 +89,25 @@ func BenchmarkExtend(b *testing.B) {
 	}
 }
 
-// BenchmarkPublish times the republish after one monotone Extend: Algorithm
-// Q, minimization and the freezes (the bench's core.snapshot_publish_us).
-// robdeep is rob after its deep fact, where Algorithm Q examines the 4096
-// terms of depth 2.
-func BenchmarkPublish(b *testing.B) {
-	type publish struct{ name, src, fact string }
+// publishCases are the republishes BenchmarkPublish times and
+// TestPublishBytes gates: each write family after one monotone Extend, and
+// robdeep, rob after its deep fact, where Algorithm Q examines the 4096 terms
+// of depth 2.
+func publishCases() []publish {
 	var cases []publish
 	for _, f := range writeFamilies {
 		cases = append(cases, publish{f.name, f.src, f.fact(0)})
 	}
 	rob := writeFamilies[2]
-	cases = append(cases, publish{"robdeep", rob.src + rob.deep + "\n", rob.fact(7)})
-	for _, c := range cases {
+	return append(cases, publish{"robdeep", rob.src + rob.deep + "\n", rob.fact(7)})
+}
+
+type publish struct{ name, src, fact string }
+
+// BenchmarkPublish times the republish after one monotone Extend: Algorithm
+// Q, minimization and the freezes (the bench's core.snapshot_publish_us).
+func BenchmarkPublish(b *testing.B) {
+	for _, c := range publishCases() {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,6 +35,43 @@ func TestExtendTouchesDelta(t *testing.T) {
 		t.Logf("%s: %s creates %d cells (of %d), evaluates %d", f.name, f.fact(0), after.Cells-before.Cells, after.Cells, evals)
 		if evals > bounds[f.name] {
 			t.Errorf("%s: one fact evaluated %d cells, want at most %d", f.name, evals, bounds[f.name])
+		}
+	}
+}
+
+// TestPublishBytes: what one republish allocates, as counts — the mean of a
+// few runs of BenchmarkPublish's body, read off the allocator's own counters
+// the way testing.B does (a timed testing.Benchmark would spend its second on
+// the opens). The bounds are the figures measured when the successor table
+// became one shared array (EXPERIMENTS.md A21) plus 20 %; with a copy of the
+// table per consumer robdeep allocated 991 KB in 691 allocations.
+func TestPublishBytes(t *testing.T) {
+	bounds := map[string]struct{ bytes, allocs uint64 }{
+		// measured: cal 56 864 / 663, sub 88 739 / 883, rob 92 339 / 240, robdeep 636 580 / 323
+		"cal": {68_200, 795}, "sub": {106_500, 1_060}, "rob": {110_800, 288}, "robdeep": {763_900, 387},
+	}
+	const runs = 5
+	for _, c := range publishCases() {
+		var bytes, allocs uint64
+		for i := 0; i < runs; i++ {
+			db := openPublished(t, c.src)
+			if err := db.Extend(c.fact); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := db.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes += after.TotalAlloc - before.TotalAlloc
+			allocs += after.Mallocs - before.Mallocs
+		}
+		bytes, allocs = bytes/runs, allocs/runs
+		t.Logf("%s: one republish allocates %d bytes in %d allocations", c.name, bytes, allocs)
+		if max := bounds[c.name]; bytes > max.bytes || allocs > max.allocs {
+			t.Errorf("%s: one republish allocates %d bytes in %d allocations, want at most %d in %d",
+				c.name, bytes, allocs, max.bytes, max.allocs)
 		}
 	}
 }

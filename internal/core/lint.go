@@ -45,8 +45,8 @@ func (db *Database) Lint() ([]LintFinding, error) {
 		}
 	}
 	markAtoms(db.Engine.Global().All())
-	for _, rep := range sp.Reps {
-		markAtoms(db.world.StateAtoms(sp.StateOfRep(rep)))
+	for _, st := range sp.State {
+		markAtoms(db.world.StateAtoms(st))
 	}
 	for p := range db.Prep.OriginalPreds {
 		if !derived[p] {

@@ -40,8 +40,9 @@ const (
 	// stepFlat: run the flat DFA on the pre-translated symbol string and
 	// binary-search the resulting state's observable slice.
 	stepFlat
-	// stepSlow: fall back to the map-based frozen walk (helper-predicate
-	// atoms, or snapshots without flat tables).
+	// stepSlow: walk the representatives' table and read the full state
+	// reached (helper-predicate atoms, which the flat tables' minimised
+	// classes do not preserve).
 	stepSlow
 )
 
@@ -275,7 +276,7 @@ func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, 
 			}
 			continue
 		}
-		if fd == nil || !s.spec.OriginalPred(a.Pred) {
+		if !s.spec.OriginalPred(a.Pred) {
 			// The flat tables observe original predicates only (the
 			// minimized quotient does not preserve helper facts).
 			p.steps = append(p.steps, groundStep{kind: stepSlow, idx: i})
@@ -357,8 +358,8 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 	return ok, wrapCanceled(err)
 }
 
-// askGroundSlow decides a ground query through the map-based frozen walk,
-// with a pooled scratch arena for the per-execution interning.
+// askGroundSlow decides a ground query with helper-predicate atoms, with a
+// pooled scratch arena for the per-execution interning.
 func (p *Plan) askGroundSlow(ctx context.Context) (bool, error) {
 	ec := p.snap.getEval(p.tab)
 	defer p.snap.putEval(ec)
@@ -541,11 +542,7 @@ func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
 	if query.IsUniform(p.q) {
 		ictx, sp := obs.StartSpan(ctx, "answers_incremental")
 		defer sp.End()
-		tab, err := s.repTable()
-		if err != nil {
-			return nil, err
-		}
-		return query.Evaluate(ictx, frozenBackend{s, p.tab}, tab, p.q)
+		return query.Evaluate(ictx, frozenBackend{s, p.tab}, p.q)
 	}
 	// The enlarged program gets a private symbol table (the plan's own
 	// identifiers stay valid in the clone) and shares the snapshot's rules

@@ -50,12 +50,6 @@ type Snapshot struct {
 	canonOnce sync.Once
 	canonEq   *congruence.Frozen
 	canonCand map[facts.AtomID][]term.Term
-
-	// successor table over the representatives, built lazily (first open
-	// query) and shared by every uniform answer specification.
-	tableOnce sync.Once
-	table     *query.Table
-	tableErr  error
 }
 
 // Snapshot returns the current immutable view, building (and caching) it
@@ -84,20 +78,17 @@ func (db *Database) snapshotLocked() (*Snapshot, error) {
 	src := db.Source.Clone()
 	src.Tab = tab
 	// Minimize at publish time so the flat tables are built over the
-	// coarsest observable-equivalence quotient; if minimization fails the
-	// identity quotient still yields correct (just larger) tables.
-	var frozen *specgraph.Frozen
-	if m, merr := minimize.Minimize(sp); merr == nil {
-		frozen = sp.FreezeQuotient(m)
-	} else {
-		frozen = sp.Freeze()
+	// coarsest observable-equivalence quotient.
+	m, err := minimize.Minimize(sp)
+	if err != nil {
+		return nil, err
 	}
 	s := &Snapshot{
 		source:   src,
 		tab:      tab,
 		u:        db.universe.Freeze(),
 		w:        db.world.Freeze(),
-		spec:     frozen,
+		spec:     sp.FreezeQuotient(m.Quotient()),
 		method:   db.opts.Method,
 		engOpts:  db.opts.Engine,
 		specOpts: db.opts.Spec,
@@ -119,8 +110,8 @@ func (s *Snapshot) canonical() (*congruence.Frozen, map[facts.AtomID][]term.Term
 		}
 		s.canonEq = slv.Freeze()
 		s.canonCand = make(map[facts.AtomID][]term.Term)
-		for _, rep := range s.spec.Reps {
-			for _, a := range s.spec.Slice(s.w, rep) {
+		for i, rep := range s.spec.Reps {
+			for _, a := range s.spec.Slice(s.w, i) {
 				s.canonCand[a] = append(s.canonCand[a], rep)
 			}
 		}
@@ -175,33 +166,19 @@ func (s *Snapshot) getCongruence() *congruence.Scratch {
 // putCongruence returns a congruence scratch to the pool.
 func (s *Snapshot) putCongruence(csc *congruence.Scratch) { s.cscPool.Put(csc) }
 
-// repTable lazily lowers the frozen successor mappings onto the flat table
-// answer specifications walk. The build reads only frozen data.
-func (s *Snapshot) repTable() (*query.Table, error) {
-	s.tableOnce.Do(func() { s.table, s.tableErr = query.NewTable(frozenBackend{s, s.tab}) })
-	return s.table, s.tableErr
-}
-
 // frozenBackend adapts a snapshot to query.Backend. Evaluating an open
-// query only reads: the frozen universe and world are used as they are,
-// with no scratch overlay. names is the plan's symbol table (the snapshot's,
-// or a private superset when the query text brought symbols of its own).
+// query only reads: the frozen world is used as it is, with no scratch
+// overlay, and the answer is specified over the snapshot's own successor
+// table. names is the plan's symbol table (the snapshot's, or a private
+// superset when the query text brought symbols of its own).
 type frozenBackend struct {
 	s     *Snapshot
 	names *symbols.Table
 }
 
-func (b frozenBackend) Terms() term.View              { return b.s.u }
-func (b frozenBackend) Facts() facts.WorldView        { return b.s.w }
-func (b frozenBackend) Names() symbols.Namer          { return b.names }
-func (b frozenBackend) AlphabetFns() []symbols.FuncID { return b.s.spec.Alphabet }
-func (b frozenBackend) RepTerms() []term.Term         { return b.s.spec.Reps }
-func (b frozenBackend) Successor(rep term.Term, f symbols.FuncID) (term.Term, bool) {
-	return b.s.spec.Successor(rep, f)
-}
-func (b frozenBackend) RepStateAtoms(rep term.Term) []facts.AtomID {
-	return b.s.w.StateAtoms(b.s.spec.StateOfRep(rep))
-}
+func (b frozenBackend) Facts() facts.WorldView       { return b.s.w }
+func (b frozenBackend) Names() symbols.Namer         { return b.names }
+func (b frozenBackend) Successors() *specgraph.Table { return b.s.spec.Table }
 func (b frozenBackend) GlobalByPred(p symbols.PredID) []facts.AtomID {
 	return b.s.spec.GlobalByPred(p)
 }
@@ -254,7 +231,8 @@ func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*qu
 	return ans, nil
 }
 
-// hasGroundAtom decides one ground atom through the map-based frozen walk.
+// hasGroundAtom decides one ground atom, helper predicates included, on the
+// representatives' full states (Frozen.Has).
 func (s *Snapshot) hasGroundAtom(ctx context.Context, ec *evalCtx, a *ast.Atom) (bool, error) {
 	args := constArgs(a)
 	if a.FT == nil {

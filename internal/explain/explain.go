@@ -51,25 +51,25 @@ type Explanation struct {
 // Membership runs the Link rules on t and records every step.
 func Membership(sp *specgraph.Spec, pred symbols.PredID, t term.Term, args []symbols.ConstID) (*Explanation, error) {
 	ex := &Explanation{Spec: sp, Pred: pred, Term: t, Args: args}
-	cur := term.Zero
+	cur := specgraph.Root
 	for _, f := range sp.U.Symbols(t) {
-		next, ok := sp.Successor(cur, f)
+		next, ok := sp.Step(cur, f)
 		if !ok {
 			return nil, fmt.Errorf("explain: symbol %v not in the specification's alphabet", f)
 		}
-		extension := sp.U.Apply(f, cur)
+		extension := sp.U.Apply(f, sp.Reps[cur])
 		ex.Steps = append(ex.Steps, Step{
 			Symbol:    f,
-			From:      cur,
-			To:        next,
+			From:      sp.Reps[cur],
+			To:        sp.Reps[next],
 			Extension: extension,
-			Merged:    next != extension,
+			Merged:    sp.Reps[next] != extension,
 		})
 		cur = next
 	}
-	ex.Representative = cur
+	ex.Representative = sp.Reps[cur]
 	a := sp.W.Atom(pred, sp.W.Tuple(args))
-	ex.Holds = sp.W.StateContains(sp.StateOfRep(cur), a)
+	ex.Holds = sp.W.StateContains(sp.State[cur], a)
 	return ex, nil
 }
 

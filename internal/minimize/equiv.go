@@ -51,8 +51,8 @@ func Equivalent(m, other *Minimized) (bool, term.Term, error) {
 		at   term.Term // witness term in m's universe
 	}
 	seen := map[pairKey]bool{}
-	queue := []item{{m.root, other.root, term.Zero}}
-	seen[pairKey{m.root, other.root}] = true
+	queue := []item{{0, 0, term.Zero}} // the roots' classes
+	seen[pairKey{0, 0}] = true
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -98,7 +98,7 @@ func sliceKey(m *Minimized, class int) string {
 	tab := m.Spec.Eng.Prep.Program.Tab
 	w := m.Spec.W
 	var parts []string
-	for a := range m.slices[class] {
+	for _, a := range m.slices[class] {
 		var b strings.Builder
 		b.WriteString(tab.PredName(w.AtomPred(a)))
 		for _, c := range w.TupleArgs(w.AtomTuple(a)) {

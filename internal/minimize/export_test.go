@@ -113,13 +113,15 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 	m := &Minimized{
 		Spec:    sp,
 		Members: make([][]term.Term, numClasses),
-		classOf: make(map[term.Term]int, n),
+		class:   make([]int32, n),
 		succ:    make([][]int, numClasses),
-		slices:  make([]map[facts.AtomID]bool, numClasses),
+		slices:  make([][]facts.AtomID, numClasses),
 	}
-	for _, t := range reps {
+	classOf := make(map[term.Term]int, n)
+	for i, t := range reps {
 		c := renumber[class[t]]
-		m.classOf[t] = c
+		classOf[t] = c
+		m.class[i] = int32(c)
 		m.Members[c] = append(m.Members[c], t)
 	}
 	for c := range m.Members {
@@ -127,19 +129,15 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 			return sp.U.Precedes(m.Members[c][i], m.Members[c][j])
 		})
 		canon := m.Members[c][0]
-		m.slices[c] = make(map[facts.AtomID]bool)
-		for _, a := range sp.Slice(canon) {
-			m.slices[c][a] = true
-		}
+		m.slices[c] = sp.Slice(canon)
 		m.succ[c] = make([]int, len(alphabet))
 		for fi, f := range alphabet {
 			next, err := succOf(canon, f)
 			if err != nil {
 				return nil, err
 			}
-			m.succ[c][fi] = m.classOf[next]
+			m.succ[c][fi] = classOf[next]
 		}
 	}
-	m.root = m.classOf[mustRoot(sp)]
 	return m, nil
 }

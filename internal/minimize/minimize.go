@@ -19,9 +19,8 @@ package minimize
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"funcdb/internal/facts"
@@ -36,16 +35,14 @@ type Minimized struct {
 	// Members lists the representative terms of each class, in precedence
 	// order; the first member is the class's canonical term.
 	Members [][]term.Term
-	// classOf maps each original representative to its class.
-	classOf map[term.Term]int
+	// class[i] is the class of Spec.Reps[i]. Classes are numbered by their
+	// precedence-least member, so the root's class is 0.
+	class []int32
 	// succ[class][alphabet index] is the successor class.
 	succ [][]int
-	// slices[class] is the shared observable slice.
-	slices []map[facts.AtomID]bool
-	root   int
+	// slices[class] is the shared observable slice, sorted.
+	slices [][]facts.AtomID
 }
-
-var errMissingEdge = errors.New("minimize: missing successor edge")
 
 // interner numbers byte strings in order of first occurrence. A signature is
 // a vector of integers written into one reused buffer; looking it up
@@ -69,35 +66,19 @@ func (in *interner) id() int32 {
 }
 
 // Minimize quotients the specification's automaton by observable
-// equivalence.
+// equivalence, partitioning the indices of its successor table in place.
+// The error is always nil: a built specification's table is total.
 func Minimize(sp *specgraph.Spec) (*Minimized, error) {
-	reps := sp.Reps
-	n := len(reps)
-	alphabet := sp.Alphabet
-	k := len(alphabet)
+	n := len(sp.Reps)
 
-	// The automaton over dense indices: next[i*k+fi] is the position in reps
-	// of the successor of reps[i] under alphabet[fi].
-	index := make(map[term.Term]int32, n)
-	for i, t := range reps {
-		index[t] = int32(i)
-	}
-	next := make([]int32, n*k)
-	for i, t := range reps {
-		for fi, f := range alphabet {
-			to, ok := sp.Successor(t, f)
-			if !ok {
-				return nil, errMissingEdge
-			}
-			next[i*k+fi] = index[to]
-		}
-	}
-
-	// Initial partition: by observable slice.
+	// Initial partition: by observable slice. Representatives are visited in
+	// index order, which is precedence order, and the interner numbers
+	// classes by first occurrence — so in every round the class ids are
+	// already the canonical ones, ordered by precedence-least member.
 	in := interner{ids: make(map[string]int32, n)}
 	class := make([]int32, n)
-	for i, t := range reps {
-		for _, a := range sp.Slice(t) {
+	for i := range class {
+		for _, a := range sp.SliceAt(i) {
 			in.put(int32(a))
 		}
 		class[i] = in.id()
@@ -108,9 +89,9 @@ func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 	newClass := make([]int32, n)
 	for {
 		clear(in.ids)
-		for i := range reps {
+		for i := range class {
 			in.put(class[i])
-			for _, to := range next[i*k : (i+1)*k] {
+			for _, to := range sp.Row(int32(i)) {
 				in.put(class[to])
 			}
 			newClass[i] = in.id()
@@ -122,100 +103,40 @@ func Minimize(sp *specgraph.Spec) (*Minimized, error) {
 		numClasses = len(in.ids)
 	}
 
-	// Canonicalize class ids by the precedence-least member, so output is
-	// deterministic.
-	least := make([]term.Term, numClasses)
-	for i := range least {
-		least[i] = term.None
-	}
-	for i, t := range reps {
-		c := class[i]
-		if least[c] == term.None || sp.U.Precedes(t, least[c]) {
-			least[c] = t
-		}
-	}
-	order := make([]int, numClasses)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return sp.U.Precedes(least[order[i]], least[order[j]])
-	})
-	renumber := make([]int, numClasses)
-	for newID, oldID := range order {
-		renumber[oldID] = newID
-	}
-
 	m := &Minimized{
 		Spec:    sp,
 		Members: make([][]term.Term, numClasses),
-		classOf: make(map[term.Term]int, n),
+		class:   class,
 		succ:    make([][]int, numClasses),
-		slices:  make([]map[facts.AtomID]bool, numClasses),
+		slices:  make([][]facts.AtomID, numClasses),
 	}
-	for i, t := range reps {
-		c := renumber[class[i]]
-		m.classOf[t] = c
-		m.Members[c] = append(m.Members[c], t)
-	}
-	for c := range m.Members {
-		sort.Slice(m.Members[c], func(i, j int) bool {
-			return sp.U.Precedes(m.Members[c][i], m.Members[c][j])
-		})
-		canon := m.Members[c][0]
-		m.slices[c] = make(map[facts.AtomID]bool)
-		for _, a := range sp.Slice(canon) {
-			m.slices[c][a] = true
+	for i, c := range class {
+		if m.Members[c] == nil {
+			// The class's first member stands for it.
+			m.slices[c] = sp.SliceAt(i)
+			m.succ[c] = make([]int, len(sp.Alphabet))
+			for fi, to := range sp.Row(int32(i)) {
+				m.succ[c][fi] = int(class[to])
+			}
 		}
-		m.succ[c] = make([]int, k)
-		for fi, to := range next[int(index[canon])*k:][:k] {
-			m.succ[c][fi] = m.classOf[reps[to]]
-		}
+		m.Members[c] = append(m.Members[c], sp.Reps[i])
 	}
-	m.root = m.classOf[mustRoot(sp)]
 	return m, nil
-}
-
-func mustRoot(sp *specgraph.Spec) term.Term {
-	for _, t := range sp.Reps {
-		if t == term.Zero {
-			return t
-		}
-	}
-	// The root is always a representative (depth 0 is below or at the seed).
-	return sp.Reps[0]
 }
 
 // NumStates returns the number of classes.
 func (m *Minimized) NumStates() int { return len(m.Members) }
 
-// ClassOfRep returns the class of an original representative term without
-// running the DFA; ok is false when t is not a representative.
-func (m *Minimized) ClassOfRep(t term.Term) (int, bool) {
-	c, ok := m.classOf[t]
-	return c, ok
-}
-
-// CanonicalRep returns the precedence-least member of a class — the term a
-// flat transition table uses to stand for the whole class.
-func (m *Minimized) CanonicalRep(class int) term.Term { return m.Members[class][0] }
-
-// The minimized quotient is a valid state space for flat transition tables.
-var _ specgraph.Quotient = (*Minimized)(nil)
+// Quotient returns the partition as the class of each representative index:
+// the state space flat transition tables are built over.
+func (m *Minimized) Quotient() specgraph.Quotient { return m.class }
 
 // ClassOf runs the minimized DFA on t.
 func (m *Minimized) ClassOf(t term.Term) (int, error) {
-	cur := m.root
-	alpha := m.Spec.Alphabet
+	cur := 0 // the root's class
 	for _, f := range m.Spec.U.Symbols(t) {
-		fi := -1
-		for i, g := range alpha {
-			if g == f {
-				fi = i
-				break
-			}
-		}
-		if fi < 0 {
+		fi, ok := m.Spec.SymIndex(f)
+		if !ok {
 			return 0, fmt.Errorf("minimize: symbol not in alphabet")
 		}
 		cur = m.succ[cur][fi]
@@ -230,7 +151,8 @@ func (m *Minimized) Has(pred symbols.PredID, t term.Term, args []symbols.ConstID
 		return false, err
 	}
 	a := m.Spec.W.Atom(pred, m.Spec.W.Tuple(args))
-	return m.slices[c][a], nil
+	_, found := slices.BinarySearch(m.slices[c], a)
+	return found, nil
 }
 
 // Dump renders the minimized automaton.

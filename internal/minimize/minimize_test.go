@@ -194,7 +194,7 @@ func TestMinimizeMatchesReference(t *testing.T) {
 			shrunk++
 		}
 		if !reflect.DeepEqual(got.Members, want.Members) || !reflect.DeepEqual(got.succ, want.succ) ||
-			!reflect.DeepEqual(got.classOf, want.classOf) || !reflect.DeepEqual(got.slices, want.slices) || got.root != want.root {
+			!reflect.DeepEqual(got.class, want.class) || !reflect.DeepEqual(got.slices, want.slices) || got.class[specgraph.Root] != 0 {
 			t.Errorf("%s: minimized specification differs from the reference:\n%s\nreference:\n%s", name, got.Dump(), want.Dump())
 		}
 	}

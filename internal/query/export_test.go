@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 
+	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -49,7 +50,7 @@ func (a *Answers) EnumerateExhaustive(ctx context.Context, maxDepth int, yield f
 		}
 		var next []term.Term
 		for _, t := range level {
-			for _, f := range s.tab.alphabet {
+			for _, f := range s.tab.Alphabet {
 				next = append(next, u.Apply(f, t))
 			}
 		}
@@ -84,7 +85,6 @@ func (a *Answers) LongestLivePath() (depth int, finite bool) {
 		}
 		return 0, true
 	}
-	k := len(s.tab.alphabet)
 	const (
 		unseen = iota
 		open
@@ -99,7 +99,7 @@ func (a *Answers) LongestLivePath() (depth int, finite bool) {
 		if s.off[st] < s.off[st+1] {
 			best = 0
 		}
-		for _, to := range s.tab.trans[int(st)*k : int(st)*k+k] {
+		for _, to := range s.tab.Row(st) {
 			if s.dist[to] == unreachable {
 				continue
 			}
@@ -118,15 +118,15 @@ func (a *Answers) LongestLivePath() (depth int, finite bool) {
 		mark[st], longest[st] = done, best
 		return true
 	}
-	if s.dist[s.tab.root] == unreachable {
+	if s.dist[specgraph.Root] == unreachable {
 		return -1, true
 	}
-	if !visit(s.tab.root) {
+	if !visit(specgraph.Root) {
 		return 0, false
 	}
-	return longest[s.tab.root], true
+	return longest[specgraph.Root], true
 }
 
 // AlphabetSize and NumStates size the reference's work for a test.
-func (a *Answers) AlphabetSize() int { return len(a.spec.tab.alphabet) }
+func (a *Answers) AlphabetSize() int { return len(a.spec.tab.Alphabet) }
 func (a *Answers) NumStates() int    { return a.spec.tab.NumStates() }

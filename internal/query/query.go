@@ -20,8 +20,9 @@
 // enumerations intern yielded terms into.
 //
 // Evaluation is written against the Backend interface, so the same code
-// runs on a live *specgraph.Spec (under the owning database's lock) and on
-// a frozen snapshot (lock-free).
+// runs on a frozen snapshot (lock-free: what the database serves) and on a
+// *specgraph.Spec nothing else is using (the enlarged program Compile has
+// just built, or a caller-owned one through Incremental and Recompute).
 package query
 
 import (
@@ -46,26 +47,18 @@ import (
 var ErrUnsafeQuery = errors.New("query: free variables must occur in the query body")
 
 // Backend is the specification a query is evaluated against, read-only:
-// nothing is interned through it. *specgraph.Spec implements it directly
-// (live, the caller holds the owning database's lock); core adapts its
-// immutable snapshots (lock-free).
+// nothing is interned through it. *specgraph.Spec implements it directly;
+// core adapts its immutable snapshots.
 type Backend interface {
-	// Terms reads the representative terms (their top symbol and subterm).
-	Terms() term.View
 	// Facts reads the atoms and tuples of the slices.
 	Facts() facts.WorldView
 	// Names resolves symbol identifiers for rendering.
 	Names() symbols.Namer
-	// AlphabetFns is the successor alphabet, ascending.
-	AlphabetFns() []symbols.FuncID
-	// RepTerms lists the representative terms in precedence order.
-	RepTerms() []term.Term
-	// Successor returns the representative of f applied to rep's cluster.
-	Successor(rep term.Term, f symbols.FuncID) (term.Term, bool)
-	// RepStateAtoms returns the atoms of rep's slice (the state B[rep]).
-	RepStateAtoms(rep term.Term) []facts.AtomID
 	// GlobalByPred returns the non-functional facts of predicate p.
 	GlobalByPred(p symbols.PredID) []facts.AtomID
+	// Successors is the successor table T over the representatives, with
+	// each one's state (its slice of the primary database B).
+	Successors() *specgraph.Table
 }
 
 // IsUniform reports whether every functional term of the query is either
@@ -125,24 +118,23 @@ func chargeAnswers(ctx context.Context, n int) error {
 
 // Evaluate computes the answer specification of a uniform query by
 // evaluating it against each slice of the primary database (Theorem 5.1).
-// The successor mappings are reused unchanged: tab is the backend's own
-// table (NewTable), which any number of specifications may share. ctx is
+// The successor mappings are reused unchanged: the answer is specified over
+// the backend's own table, which any number of specifications share. ctx is
 // checked between representatives.
-func Evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Specification, error) {
+func Evaluate(ctx context.Context, be Backend, q *ast.Query) (*Specification, error) {
 	if !IsUniform(q) {
 		return nil, fmt.Errorf("query: %s is not uniform; use Recompute", q.Format(be.Names()))
 	}
-	return evaluate(ctx, be, tab, q)
+	return evaluate(ctx, be, q)
 }
 
 // evaluation joins the atoms of one uniform query against a backend,
 // collecting the bindings of the free data variables per representative.
 type evaluation struct {
-	be   Backend
-	w    facts.WorldView
-	tab  *Table
-	reps []term.Term
-	cur  int32 // the state the functional variable is bound to
+	be  Backend
+	w   facts.WorldView
+	tab *specgraph.Table
+	cur int32 // the state the functional variable is bound to
 
 	dataFree []symbols.VarID
 	args     []symbols.ConstID   // collected tuples, len(dataFree) each
@@ -150,10 +142,11 @@ type evaluation struct {
 	key      []byte
 }
 
-func evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Specification, error) {
+func evaluate(ctx context.Context, be Backend, q *ast.Query) (*Specification, error) {
+	tab := be.Successors()
 	s := &Specification{q: q, names: be.Names(), tab: tab}
 	fnVar, hasFn := FunctionalVar(q)
-	ev := &evaluation{be: be, w: be.Facts(), tab: tab, reps: be.RepTerms(), seen: make(map[string]struct{})}
+	ev := &evaluation{be: be, w: be.Facts(), tab: tab, seen: make(map[string]struct{})}
 	for _, v := range q.Free {
 		if hasFn && v == fnVar {
 			s.fn = true
@@ -180,7 +173,7 @@ func evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Speci
 	case s.fn:
 		// One tuple list per representative, in precedence order.
 		s.off = make([]int32, 1, tab.NumStates()+1)
-		for i := range ev.reps {
+		for i := range tab.Reps {
 			clear(ev.seen)
 			if err := run(int32(i)); err != nil {
 				return nil, err
@@ -190,21 +183,21 @@ func evaluate(ctx context.Context, be Backend, tab *Table, q *ast.Query) (*Speci
 	case hasFn:
 		// An existential functional variable still ranges over every
 		// cluster: one evaluation per representative covers all terms.
-		for i := range ev.reps {
+		for i := range tab.Reps {
 			if err := run(int32(i)); err != nil {
 				return nil, err
 			}
 		}
 		s.off = []int32{0, int32(len(ev.seen))}
 	default:
-		if err := run(tab.root); err != nil {
+		if err := run(specgraph.Root); err != nil {
 			return nil, err
 		}
 		s.off = []int32{0, int32(len(ev.seen))}
 	}
 	s.args = append([]symbols.ConstID(nil), ev.args...) // kept for the snapshot's life: no spare capacity
 	if s.fn {
-		s.dist = tab.distances(s.off)
+		s.dist = distances(tab, s.off)
 	}
 	return s, nil
 }
@@ -241,20 +234,19 @@ func (ev *evaluation) matchConj(atoms []ast.Atom, i int, b *subst.Binding) error
 		slice = ev.be.GlobalByPred(at.Pred)
 	case at.FT.IsGround():
 		// Ground functional term: run the DFA on its symbols.
-		state := ev.tab.root
+		state := specgraph.Root
 		for _, app := range at.FT.Apps {
 			if len(app.Args) != 0 {
 				return fmt.Errorf("query: mixed ground term in query; eliminate first")
 			}
-			next, err := ev.tab.step(state, app.Fn)
-			if err != nil {
-				return err
+			var ok bool
+			if state, ok = ev.tab.Step(state, app.Fn); !ok {
+				return errNotInAlphabet(app.Fn)
 			}
-			state = next
 		}
-		slice = ev.be.RepStateAtoms(ev.reps[state])
+		slice = ev.w.StateAtoms(ev.tab.State[state])
 	default:
-		slice = ev.be.RepStateAtoms(ev.reps[ev.cur])
+		slice = ev.w.StateAtoms(ev.tab.State[ev.cur])
 	}
 	for _, f := range slice {
 		if ev.w.AtomPred(f) != at.Pred {
@@ -342,11 +334,7 @@ func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts eng
 	if err != nil {
 		return nil, nil, err
 	}
-	tab, err := NewTable(sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := evaluate(ctx, sp, tab, &ast.Query{Atoms: []ast.Atom{head}, Free: q.Free})
+	s, err := evaluate(ctx, sp, &ast.Query{Atoms: []ast.Atom{head}, Free: q.Free})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -358,11 +346,7 @@ func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts eng
 // returns a handle on the answer; terms it yields are interned in the
 // specification's own universe. Single-goroutine, like the specification.
 func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
-	tab, err := NewTable(sp)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Evaluate(context.Background(), sp, tab, q)
+	s, err := Evaluate(context.Background(), sp, q)
 	if err != nil {
 		return nil, err
 	}

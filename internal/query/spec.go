@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"funcdb/internal/ast"
@@ -13,108 +12,33 @@ import (
 	"funcdb/internal/term"
 )
 
-// Table is a specification's successor mappings T lowered onto one flat
-// array over representative indices: state i is RepTerms()[i], so the
-// states are in precedence order. It is keyed on representatives, not on
-// the classes of the minimised automaton, because a query may name a
-// normalisation helper predicate, which the minimised quotient does not
-// preserve. Immutable once built.
-type Table struct {
-	alphabet []symbols.FuncID // ascending
-	trans    []int32          // state*len(alphabet)+symbol index -> state
-	root     int32            // the state of the term 0
-	// The representative of state i is alphabet[via[i]] applied to the
-	// representative of state parent[i] (a representative's subterm is one
-	// too); -1 at the root.
-	parent, via []int32
-}
-
-// NewTable lowers the successor mappings of be.
-func NewTable(be Backend) (*Table, error) {
-	reps, alphabet := be.RepTerms(), be.AlphabetFns()
-	index := make(map[term.Term]int32, len(reps))
-	for i, r := range reps {
-		index[r] = int32(i)
-	}
-	k := len(alphabet)
-	t := &Table{
-		alphabet: alphabet,
-		trans:    make([]int32, len(reps)*k),
-		parent:   make([]int32, len(reps)),
-		via:      make([]int32, len(reps)),
-	}
-	root, ok := index[term.Zero]
-	if !ok {
-		return nil, fmt.Errorf("query: the specification has no representative for 0")
-	}
-	t.root = root
-	u := be.Terms()
-	for i, r := range reps {
-		for j, f := range alphabet {
-			next, ok := be.Successor(r, f)
-			if ok {
-				t.trans[i*k+j], ok = index[next]
-			}
-			if !ok {
-				return nil, fmt.Errorf("query: the specification has no successor of representative %d under symbol %v", i, f)
-			}
-		}
-		t.parent[i], t.via[i] = -1, -1
-		if r == term.Zero {
-			continue
-		}
-		p, okp := index[u.Child(r)]
-		v, okv := t.symIndex(u.Top(r))
-		if !okp || !okv {
-			return nil, fmt.Errorf("query: representative %d is not built from a representative", i)
-		}
-		t.parent[i], t.via[i] = p, int32(v)
-	}
-	return t, nil
-}
-
-// NumStates returns the number of representatives.
-func (t *Table) NumStates() int { return len(t.parent) }
-
-// Bytes estimates what the table retains.
-func (t *Table) Bytes() int { return 96 + 4*(len(t.alphabet)+len(t.trans)+2*len(t.parent)) }
-
-func (t *Table) symIndex(f symbols.FuncID) (int, bool) {
-	i := sort.Search(len(t.alphabet), func(i int) bool { return t.alphabet[i] >= f })
-	return i, i < len(t.alphabet) && t.alphabet[i] == f
-}
-
-// step returns the successor of state under f.
-func (t *Table) step(state int32, f symbols.FuncID) (int32, error) {
-	j, ok := t.symIndex(f)
-	if !ok {
-		return 0, fmt.Errorf("query: symbol %v is not in the specification's alphabet", f)
-	}
-	return t.trans[int(state)*len(t.alphabet)+j], nil
-}
-
 // unreachable is the distance of a state no answer can be reached from.
 const unreachable = math.MaxInt32
 
-// distances returns, per state, the number of applications to the nearest
-// state carrying an answer tuple (off[s] < off[s+1]): one breadth-first
-// search over the reversed successor edges, from all such states at once.
-func (t *Table) distances(off []int32) []int32 {
-	n, k := t.NumStates(), len(t.alphabet)
+// distances returns, per state of tab, the number of applications to the
+// nearest state carrying an answer tuple (off[s] < off[s+1]): one
+// breadth-first search over the reversed successor edges, from all such
+// states at once.
+func distances(tab *specgraph.Table, off []int32) []int32 {
+	n := tab.NumStates()
 	// Reversed edges in compressed rows: the sources of the edges into
 	// state s are src[start[s]:start[s+1]].
 	start := make([]int32, n+1)
-	for _, to := range t.trans {
-		start[to+1]++
+	for s := 0; s < n; s++ {
+		for _, to := range tab.Row(int32(s)) {
+			start[to+1]++
+		}
 	}
 	for s := 0; s < n; s++ {
 		start[s+1] += start[s]
 	}
-	src := make([]int32, len(t.trans))
+	src := make([]int32, start[n])
 	fill := append([]int32(nil), start[:n]...)
-	for e, to := range t.trans {
-		src[fill[to]] = int32(e / k)
-		fill[to]++
+	for s := 0; s < n; s++ {
+		for _, to := range tab.Row(int32(s)) {
+			src[fill[to]] = int32(s)
+			fill[to]++
+		}
 	}
 	dist := make([]int32, n)
 	queue := fill[:0] // fill is spent; reuse it
@@ -145,7 +69,7 @@ func (t *Table) distances(off []int32) []int32 {
 type Specification struct {
 	q     *ast.Query
 	names symbols.Namer
-	tab   *Table
+	tab   *specgraph.Table
 	// fn: the answer tuples carry a functional component, and off indexes
 	// the table's states. Otherwise every tuple sits under one key, off is
 	// {0, n}, and dist is nil.
@@ -175,6 +99,11 @@ func (s *Specification) Bytes() int {
 
 // IsEmpty reports whether the answer set is empty.
 func (s *Specification) IsEmpty() bool { return s.off[len(s.off)-1] == 0 }
+
+// Table returns the successor table T the answer is specified over: the
+// evaluated specification's own for a uniform query (Theorem 5.1), the
+// enlarged program's otherwise.
+func (s *Specification) Table() *specgraph.Table { return s.tab }
 
 // tuple returns the data constants of tuple i.
 func (s *Specification) tuple(i int32) []symbols.ConstID {
@@ -224,15 +153,15 @@ func (a *Answers) key(ft term.Term) (int32, error) {
 	if !a.spec.fn {
 		return 0, nil
 	}
-	state := a.spec.tab.root
-	for _, f := range a.terms().Symbols(ft) {
-		next, err := a.spec.tab.step(state, f)
-		if err != nil {
-			return 0, err
-		}
-		state = next
+	state, bad, ok := a.spec.tab.Walk(a.terms().Symbols(ft))
+	if !ok {
+		return 0, errNotInAlphabet(bad)
 	}
 	return state, nil
+}
+
+func errNotInAlphabet(f symbols.FuncID) error {
+	return fmt.Errorf("query: symbol %v is not in the specification's alphabet", f)
 }
 
 // Contains decides whether the ground tuple (ft, dataArgs) — dataArgs in
@@ -312,10 +241,10 @@ func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func
 		t     term.Term
 		state int32
 	}
-	tab, k := s.tab, len(s.tab.alphabet)
+	tab, k := s.tab, len(s.tab.Alphabet)
 	var level, next []node
-	if int(s.dist[tab.root]) <= maxDepth {
-		level = append(level, node{term.Zero, tab.root})
+	if int(s.dist[specgraph.Root]) <= maxDepth {
+		level = append(level, node{term.Zero, specgraph.Root})
 	}
 	u := a.terms()
 	steps := 0
@@ -334,10 +263,9 @@ func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func
 					return nil
 				}
 			}
-			row := int(n.state) * k
-			for j, to := range tab.trans[row : row+k] {
+			for j, to := range tab.Row(n.state) {
 				if int(s.dist[to]) <= below {
-					next = append(next, node{u.Apply(tab.alphabet[j], n.t), to})
+					next = append(next, node{u.Apply(tab.Alphabet[j], n.t), to})
 				}
 			}
 		}
@@ -369,20 +297,13 @@ func (a *Answers) Dump() string {
 		return b.String()
 	}
 	u := a.terms()
-	for state := range s.tab.parent {
+	for state := range s.tab.Reps {
 		if s.off[state] == s.off[state+1] {
 			continue
 		}
-		// The representative: its symbols, outermost first, up the parent
-		// chain; interned innermost first.
-		var syms []symbols.FuncID
-		for p := int32(state); s.tab.parent[p] >= 0; p = s.tab.parent[p] {
-			syms = append(syms, s.tab.alphabet[s.tab.via[p]])
-		}
-		rep := term.Zero
-		for j := len(syms) - 1; j >= 0; j-- {
-			rep = u.Apply(syms[j], rep)
-		}
+		// The table's own Reps may live in a universe that is gone (Compile):
+		// intern the representative afresh from its symbols.
+		rep := u.ApplyString(term.Zero, s.tab.Path(int32(state))...)
 		for i := s.off[state]; i < s.off[state+1]; i++ {
 			fmt.Fprintf(&b, "  QUERY(%s", u.CompactString(rep, s.names))
 			if s.arity > 0 {

@@ -3,16 +3,12 @@ package specgraph
 import (
 	"funcdb/internal/facts"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // The methods below expose the specification as a query evaluation backend
 // (they satisfy query.Backend structurally; specgraph cannot import query).
-// They read live, mutable state — the caller must hold the owning
+// They read the live world and engine — the caller must hold the owning
 // database's lock, as for every other Spec method.
-
-// Terms returns the specification's term universe.
-func (sp *Spec) Terms() term.View { return sp.U }
 
 // Facts returns the specification's fact world.
 func (sp *Spec) Facts() facts.WorldView { return sp.W }
@@ -20,18 +16,10 @@ func (sp *Spec) Facts() facts.WorldView { return sp.W }
 // Names returns the program's symbol table for rendering.
 func (sp *Spec) Names() symbols.Namer { return sp.Eng.Prep.Program.Tab }
 
-// AlphabetFns returns the successor alphabet, ascending.
-func (sp *Spec) AlphabetFns() []symbols.FuncID { return sp.Alphabet }
-
-// RepTerms returns the representative terms in precedence order.
-func (sp *Spec) RepTerms() []term.Term { return sp.Reps }
-
-// RepStateAtoms returns the atoms of rep's slice B[rep].
-func (sp *Spec) RepStateAtoms(rep term.Term) []facts.AtomID {
-	return sp.W.StateAtoms(sp.StateOfRep(rep))
-}
-
 // GlobalByPred returns the non-functional facts of predicate p.
 func (sp *Spec) GlobalByPred(p symbols.PredID) []facts.AtomID {
 	return sp.Eng.Global().ByPred(p)
 }
+
+// Successors returns the specification's successor table.
+func (sp *Spec) Successors() *Table { return sp.Table }

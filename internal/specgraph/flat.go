@@ -5,153 +5,69 @@ import (
 
 	"funcdb/internal/facts"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
-// Quotient is a partition of the representative terms that a flat
-// transition table may be built over. The identity partition (one class per
-// representative) always works; internal/minimize supplies the coarser
-// observable-equivalence quotient. Any quotient must be closed under
-// successors and must preserve the observable (original-predicate) slice
-// within each class.
-type Quotient interface {
-	// NumStates returns the number of classes.
-	NumStates() int
-	// ClassOfRep returns the class of a representative term; ok is false
-	// when t is not a representative.
-	ClassOfRep(t term.Term) (int, bool)
-	// CanonicalRep returns one member term standing for the whole class.
-	CanonicalRep(class int) term.Term
-}
+// Quotient is a partition of the representatives that a flat transition
+// table may be built over: Quotient[i] is the class of Reps[i], classes
+// numbered in order of their first (precedence-least) member, so the root's
+// class is 0. nil is the identity partition (one class per representative);
+// internal/minimize supplies the coarser observable-equivalence quotient.
+// Any quotient must be closed under successors and must preserve the
+// observable (original-predicate) slice within each class.
+type Quotient []int32
 
-// identityQuotient is the trivial partition: one class per representative.
-type identityQuotient struct {
-	reps    []term.Term
-	classOf map[term.Term]int
-}
-
-func newIdentityQuotient(reps []term.Term) *identityQuotient {
-	q := &identityQuotient{reps: reps, classOf: make(map[term.Term]int, len(reps))}
-	for i, t := range reps {
-		q.classOf[t] = i
-	}
-	return q
-}
-
-func (q *identityQuotient) NumStates() int { return len(q.reps) }
-func (q *identityQuotient) ClassOfRep(t term.Term) (int, bool) {
-	c, ok := q.classOf[t]
-	return c, ok
-}
-func (q *identityQuotient) CanonicalRep(class int) term.Term { return q.reps[class] }
-
-// FlatDFA is the successor automaton lowered onto flat array-indexed
-// tables: a dense state×symbol transition matrix of int32 class ids plus,
-// per state, the sorted observable slice of original-predicate atoms. A
-// ground membership walk touches no maps and allocates nothing — the whole
-// point of compiling the specification once (the paper's premise applied to
-// the serving hot path).
-//
-// Symbol translation is dense ([]int32 indexed by FuncID) when the symbol
-// id space is reasonably tight, with a sparse map fallback for wide
-// alphabets whose FuncIDs are scattered across a large table.
+// FlatDFA is the successor automaton lowered onto a quotient: a dense
+// state×symbol transition matrix of int32 class ids (the specification's
+// own table under the identity quotient) plus, per state, the sorted
+// observable slice of original-predicate atoms. A ground membership walk
+// touches no maps and allocates nothing — the whole point of compiling the
+// specification once (the paper's premise applied to the serving hot path).
 type FlatDFA struct {
-	numSyms   int
-	symDense  []int32 // FuncID -> symbol index, -1 when absent; nil if sparse
-	symSparse map[symbols.FuncID]int32
-	trans     []int32 // state*numSyms + sym -> successor state
-	root      int32
-	atoms     [][]facts.AtomID // per state: sorted original-predicate atoms
+	tab   *Table           // translates symbols
+	trans []int32          // state*len(tab.Alphabet) + sym -> successor state
+	atoms [][]facts.AtomID // per state: sorted original-predicate atoms
 }
 
-// buildFlat lowers the spec's successor maps onto flat tables over the
-// given quotient. It returns nil when any needed edge or class is missing
-// (callers then keep the map-based walk only).
+// buildFlat composes the spec's successor table with the given quotient.
 func buildFlat(sp *Spec, q Quotient) *FlatDFA {
+	f := &FlatDFA{tab: sp.Table}
 	if q == nil {
-		q = newIdentityQuotient(sp.Reps)
-	}
-	n := q.NumStates()
-	alphabet := sp.Alphabet
-	f := &FlatDFA{numSyms: len(alphabet)}
-
-	maxID := symbols.FuncID(-1)
-	for _, fn := range alphabet {
-		if fn > maxID {
-			maxID = fn
+		f.trans = sp.trans
+		f.atoms = make([][]facts.AtomID, len(sp.Reps))
+		for i := range f.atoms {
+			f.atoms[i] = sp.SliceAt(i)
 		}
+		return f
 	}
-	if int(maxID)+1 <= 4*len(alphabet)+64 {
-		f.symDense = make([]int32, int(maxID)+1)
-		for i := range f.symDense {
-			f.symDense[i] = -1
+	// A class's row and slice are its first member's: classes are numbered
+	// by first member, so the next new class is always len(f.atoms).
+	for i, c := range q {
+		if int(c) != len(f.atoms) {
+			continue
 		}
-		for i, fn := range alphabet {
-			f.symDense[fn] = int32(i)
+		for _, to := range sp.Row(int32(i)) {
+			f.trans = append(f.trans, q[to])
 		}
-	} else {
-		f.symSparse = make(map[symbols.FuncID]int32, len(alphabet))
-		for i, fn := range alphabet {
-			f.symSparse[fn] = int32(i)
-		}
+		// SliceAt returns atoms in sorted (StateAtoms) order.
+		f.atoms = append(f.atoms, sp.SliceAt(i))
 	}
-
-	f.trans = make([]int32, n*len(alphabet))
-	f.atoms = make([][]facts.AtomID, n)
-	for c := 0; c < n; c++ {
-		canon := q.CanonicalRep(c)
-		for i, fn := range alphabet {
-			next, ok := sp.Successor(canon, fn)
-			if !ok {
-				return nil
-			}
-			nc, ok := q.ClassOfRep(next)
-			if !ok {
-				return nil
-			}
-			f.trans[c*len(alphabet)+i] = int32(nc)
-		}
-		// Slice returns atoms in sorted (StateAtoms) order.
-		f.atoms[c] = sp.Slice(canon)
-	}
-	rc, ok := q.ClassOfRep(term.Zero)
-	if !ok {
-		return nil
-	}
-	f.root = int32(rc)
 	return f
 }
 
 // NumStates returns the number of flat states.
 func (f *FlatDFA) NumStates() int { return len(f.atoms) }
 
-// NumSyms returns the alphabet size.
-func (f *FlatDFA) NumSyms() int { return f.numSyms }
-
-// Root returns the class of the empty symbol string (the term 0).
-func (f *FlatDFA) Root() int32 { return f.root }
-
 // SymIndex translates a function symbol to its flat index; ok is false when
 // the symbol is not in the alphabet.
-func (f *FlatDFA) SymIndex(fn symbols.FuncID) (int32, bool) {
-	if f.symDense != nil {
-		if int(fn) >= len(f.symDense) || fn < 0 {
-			return 0, false
-		}
-		i := f.symDense[fn]
-		return i, i >= 0
-	}
-	i, ok := f.symSparse[fn]
-	return i, ok
-}
+func (f *FlatDFA) SymIndex(fn symbols.FuncID) (int32, bool) { return f.tab.SymIndex(fn) }
 
 // Walk runs the DFA from the root over a pre-translated symbol string
 // (innermost-first flat indices, each already validated by SymIndex) and
 // returns the final state. It performs len(syms) array reads and nothing
 // else.
 func (f *FlatDFA) Walk(syms []int32) int32 {
-	cur := f.root
-	ns := f.numSyms
+	cur := Root
+	ns := len(f.tab.Alphabet)
 	for _, s := range syms {
 		cur = f.trans[int(cur)*ns+int(s)]
 	}

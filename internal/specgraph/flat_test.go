@@ -33,8 +33,9 @@ func buildSpecExt(t *testing.T, src string) *specgraph.Spec {
 	return sp
 }
 
-// mapWalk runs the map-based successor walk on a symbol string and returns
-// the representative reached.
+// mapWalk runs the term-keyed successor accessor (a map lookup until the
+// table became the one encoding; now a walk of its own per step) along a
+// symbol string and returns the representative reached.
 func mapWalk(t *testing.T, sp *specgraph.Spec, syms []symbols.FuncID) term.Term {
 	t.Helper()
 	cur := term.Zero
@@ -66,7 +67,7 @@ func flatWalk(t *testing.T, fd *specgraph.FlatDFA, syms []symbols.FuncID) int32 
 // path: on generated specifications — linear, periodic, exponential-cluster
 // and random (including equational programs with nontrivial merges) — the
 // flat DFA built over the identity quotient AND the one built over the
-// minimized observable-equivalence quotient must agree with the map-based
+// minimized observable-equivalence quotient must agree with the term-keyed
 // successor walk on every original-predicate observation, for random symbol
 // strings.
 func TestFlatWalkMatchesMapWalk(t *testing.T) {
@@ -93,7 +94,7 @@ func TestFlatWalkMatchesMapWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Minimize: %v", err)
 			}
-			minFrozen := sp.FreezeQuotient(m)
+			minFrozen := sp.FreezeQuotient(m.Quotient())
 			minFlat := minFrozen.Flat()
 			if minFlat == nil {
 				t.Fatal("minimized-quotient flat tables not built")

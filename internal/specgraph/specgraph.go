@@ -17,6 +17,7 @@
 package specgraph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,7 +45,10 @@ type Merge struct {
 	Potential term.Term
 }
 
-// Spec is a computed graph specification.
+// Spec is a computed graph specification: the successor table T (the
+// embedded Table, whose Alphabet, Reps and State read as the Spec's own) with
+// the engine, universe and world the representatives and their slices live
+// in. It is not changed once Build has returned it.
 type Spec struct {
 	Eng *engine.Engine
 	U   *term.Universe
@@ -52,12 +56,7 @@ type Spec struct {
 
 	// SeedDepth is where breadth-first exploration started.
 	SeedDepth int
-	// Alphabet is the successor alphabet, ascending.
-	Alphabet []symbols.FuncID
-	// Reps lists every representative term: all terms of depth below
-	// SeedDepth (singleton clusters) followed by the Active terms, in
-	// precedence order.
-	Reps []term.Term
+	*Table
 	// Active lists just the Active terms found by the algorithm.
 	Active []term.Term
 	// Potentials lists every term the algorithm examined at or beyond the
@@ -65,15 +64,6 @@ type Spec struct {
 	Potentials []term.Term
 	// Merges are the (Active, Potential) equivalences found; see Merge.
 	Merges []Merge
-
-	succ   map[edgeKey]term.Term
-	repSet map[term.Term]bool
-	state  map[term.Term]facts.StateID
-}
-
-type edgeKey struct {
-	from term.Term
-	fn   symbols.FuncID
 }
 
 // Build runs Algorithm Q against a solved engine.
@@ -84,30 +74,22 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	ctx, qspan := obs.StartSpan(eng.Context(), "algoq")
 	defer qspan.End()
 	wb := obs.BudgetFrom(ctx)
-	sp := &Spec{
-		Eng:       eng,
-		U:         eng.U,
-		W:         eng.W,
-		SeedDepth: eng.Prep.SeedDepth,
-		succ:      make(map[edgeKey]term.Term),
-		repSet:    make(map[term.Term]bool),
-		state:     make(map[term.Term]facts.StateID),
-	}
-	sp.Alphabet = append(sp.Alphabet, eng.Prep.Funcs...)
-	sort.Slice(sp.Alphabet, func(i, j int) bool { return sp.Alphabet[i] < sp.Alphabet[j] })
+	alphabet := append([]symbols.FuncID(nil), eng.Prep.Funcs...)
+	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
+	tab := newTable(alphabet)
+	k := len(alphabet)
+	sp := &Spec{Eng: eng, U: eng.U, W: eng.W, SeedDepth: eng.Prep.SeedDepth, Table: tab}
 
-	// Each representative costs one map slot in four tables plus one successor
+	// Each representative costs one slot in four arrays plus one successor
 	// edge per alphabet symbol — the metered arena-bytes estimate a work
 	// budget charges per admitted cluster.
-	repBytes := int64(64 + 16*len(sp.Alphabet))
-	addRep := func(t term.Term, s facts.StateID) error {
-		sp.Reps = append(sp.Reps, t)
-		sp.repSet[t] = true
-		sp.state[t] = s
-		if opts.MaxReps > 0 && len(sp.Reps) > opts.MaxReps {
-			return fmt.Errorf("specgraph: more than %d representative terms", opts.MaxReps)
+	repBytes := int64(64 + 16*k)
+	addRep := func(t term.Term, s facts.StateID, parent, via int32) (int32, error) {
+		i := tab.add(t, s, parent, via)
+		if opts.MaxReps > 0 && len(tab.Reps) > opts.MaxReps {
+			return i, fmt.Errorf("specgraph: more than %d representative terms", opts.MaxReps)
 		}
-		return wb.AddBytes(repBytes)
+		return i, wb.AddBytes(repBytes)
 	}
 
 	// Every term below is reached from its parent, a representative whose
@@ -119,56 +101,59 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	}
 
 	// Singleton clusters: every term of depth < SeedDepth.
-	level := []term.Term{term.Zero}
+	level := []int32{Root}
 	if sp.SeedDepth > 0 {
-		if err := addRep(term.Zero, root); err != nil {
+		if _, err := addRep(term.Zero, root, -1, -1); err != nil {
 			return nil, err
 		}
 	}
 	for d := 1; d < sp.SeedDepth; d++ {
-		var next []term.Term
-		for _, t := range level {
-			for _, f := range sp.Alphabet {
-				child := sp.U.Apply(f, t)
-				s, err := eng.StateBelow(child, sp.state[t])
+		var next []int32
+		for _, i := range level {
+			for j, f := range alphabet {
+				child := sp.U.Apply(f, tab.Reps[i])
+				s, err := eng.StateBelow(child, tab.State[i])
 				if err != nil {
 					return nil, err
 				}
-				if err := addRep(child, s); err != nil {
+				c, err := addRep(child, s, i, int32(j))
+				if err != nil {
 					return nil, err
 				}
-				sp.succ[edgeKey{t, f}] = child
-				next = append(next, child)
+				tab.trans[int(i)*k+j] = c
+				next = append(next, c)
 			}
 		}
 		level = next
 	}
 
 	// Seed the queue with all terms of depth SeedDepth, in precedence order.
-	// Each entry carries the representative it is a child of, with its state.
-	type potential struct {
-		t, from   term.Term
-		fromState facts.StateID
-	}
+	// Each entry names the representative it is a child of and the symbol
+	// applied to it (-1, -1: the term 0 itself).
+	type potential struct{ from, via int32 }
 	var queue []potential
 	if sp.SeedDepth == 0 {
-		queue = append(queue, potential{t: term.Zero, from: term.None})
+		queue = append(queue, potential{-1, -1})
 	} else {
-		for _, t := range level {
-			for _, f := range sp.Alphabet {
-				queue = append(queue, potential{sp.U.Apply(f, t), t, sp.state[t]})
+		for _, i := range level {
+			for j := range alphabet {
+				queue = append(queue, potential{i, int32(j)})
 			}
 		}
 	}
 
 	// Breadth-first Potential/Active loop. The queue is in breadth-first
 	// order, so one trace span per depth wave is one "round" of Algorithm Q.
-	activeByState := make(map[facts.StateID]term.Term)
+	activeByState := make(map[facts.StateID]int32)
 	maxDepth := 0
 	curDepth := -1
 	var rspan *obs.SpanHandle
 	for qi := 0; qi < len(queue); qi++ {
-		t, from := queue[qi].t, queue[qi].from
+		from, via := queue[qi].from, queue[qi].via
+		t := term.Zero
+		if from >= 0 {
+			t = sp.U.Apply(alphabet[via], tab.Reps[from])
+		}
 		if d := sp.U.Depth(t); d != curDepth {
 			rspan.End()
 			if budget := obs.DepthBudget(ctx); budget > 0 && d > budget {
@@ -192,32 +177,38 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 		}
 		sp.Potentials = append(sp.Potentials, t)
 		s := root
-		if from != term.None {
-			if s, err = eng.StateBelow(t, queue[qi].fromState); err != nil {
+		if from >= 0 {
+			if s, err = eng.StateBelow(t, tab.State[from]); err != nil {
 				rspan.End()
 				return nil, err
 			}
 		}
 		rep, ok := activeByState[s]
 		if ok {
-			sp.Merges = append(sp.Merges, Merge{Rep: rep, Potential: t})
+			sp.Merges = append(sp.Merges, Merge{Rep: tab.Reps[rep], Potential: t})
 		} else {
-			rep = t
-			activeByState[s] = t
-			sp.Active = append(sp.Active, t)
-			if err := addRep(t, s); err != nil {
+			if rep, err = addRep(t, s, from, via); err != nil {
 				rspan.End()
 				return nil, err
 			}
-			for _, f := range sp.Alphabet {
-				queue = append(queue, potential{sp.U.Apply(f, t), t, s})
+			activeByState[s] = rep
+			sp.Active = append(sp.Active, t)
+			for j := range alphabet {
+				queue = append(queue, potential{rep, int32(j)})
 			}
 		}
-		if from != term.None {
-			sp.succ[edgeKey{from, sp.U.Top(t)}] = rep
+		if from >= 0 {
+			tab.trans[int(from)*k+int(via)] = rep
 		}
 	}
 	rspan.End()
+	// Every cell was written when its child term was examined; from here on
+	// the table is total and nothing that reads it checks again.
+	for _, to := range tab.trans {
+		if to < 0 {
+			return nil, errors.New("specgraph: Algorithm Q left a successor undefined")
+		}
+	}
 
 	// Report Algorithm Q's work: exploration steps, the merge equations that
 	// generate Cl(R), and the derivation depth the search reached — the
@@ -235,38 +226,50 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 
 // Successor returns the representative of f applied to the cluster of rep.
 func (sp *Spec) Successor(rep term.Term, f symbols.FuncID) (term.Term, bool) {
-	t, ok := sp.succ[edgeKey{rep, f}]
-	return t, ok
+	i, err := sp.Index(sp.U, rep)
+	if err != nil {
+		return term.None, false
+	}
+	to, ok := sp.Step(i, f)
+	if !ok {
+		return term.None, false
+	}
+	return sp.Reps[to], true
 }
 
 // IsRep reports whether t is a representative term.
-func (sp *Spec) IsRep(t term.Term) bool { return sp.repSet[t] }
+func (sp *Spec) IsRep(t term.Term) bool {
+	i, err := sp.Index(sp.U, t)
+	return err == nil && sp.Reps[i] == t
+}
 
 // Representative runs the successor DFA (the paper's Link rules) on t's
 // symbol string and returns the representative of t's cluster.
 func (sp *Spec) Representative(t term.Term) (term.Term, error) {
-	cur := term.Zero
-	for _, f := range sp.U.Symbols(t) {
-		next, ok := sp.succ[edgeKey{cur, f}]
-		if !ok {
-			return term.None, fmt.Errorf("specgraph: symbol %v is not in the specification's alphabet", f)
-		}
-		cur = next
+	i, err := sp.Index(sp.U, t)
+	if err != nil {
+		return term.None, err
 	}
-	return cur, nil
+	return sp.Reps[i], nil
 }
 
 // StateOfRep returns the full interned state of a representative.
-func (sp *Spec) StateOfRep(rep term.Term) facts.StateID { return sp.state[rep] }
+func (sp *Spec) StateOfRep(rep term.Term) facts.StateID {
+	i, err := sp.Index(sp.U, rep)
+	if err != nil {
+		return facts.EmptyState
+	}
+	return sp.State[i]
+}
 
 // Has decides P(t, args) ∈ L from the specification alone.
 func (sp *Spec) Has(pred symbols.PredID, t term.Term, args []symbols.ConstID) (bool, error) {
-	rep, err := sp.Representative(t)
+	i, err := sp.Index(sp.U, t)
 	if err != nil {
 		return false, err
 	}
 	a := sp.W.Atom(pred, sp.W.Tuple(args))
-	return sp.W.StateContains(sp.state[rep], a), nil
+	return sp.W.StateContains(sp.State[i], a), nil
 }
 
 // HasData decides a non-functional fact from the specification.
@@ -274,11 +277,12 @@ func (sp *Spec) HasData(pred symbols.PredID, args []symbols.ConstID) bool {
 	return sp.Eng.HasGlobal(pred, args)
 }
 
-// Slice returns the primary-database slice B[rep]: the function-free atoms
-// at rep, restricted to the original program's predicates, sorted.
-func (sp *Spec) Slice(rep term.Term) []facts.AtomID {
+// SliceAt returns the primary-database slice B[Reps[i]]: the function-free
+// atoms at the representative, restricted to the original program's
+// predicates, sorted.
+func (sp *Spec) SliceAt(i int) []facts.AtomID {
 	var out []facts.AtomID
-	for _, a := range sp.W.StateAtoms(sp.state[rep]) {
+	for _, a := range sp.W.StateAtoms(sp.State[i]) {
 		if sp.Eng.Prep.OriginalPreds[sp.W.AtomPred(a)] {
 			out = append(out, a)
 		}
@@ -286,20 +290,30 @@ func (sp *Spec) Slice(rep term.Term) []facts.AtomID {
 	return out
 }
 
+// Slice returns the primary-database slice B[rep] of a representative term;
+// see SliceAt.
+func (sp *Spec) Slice(rep term.Term) []facts.AtomID {
+	i, err := sp.Index(sp.U, rep)
+	if err != nil {
+		return nil
+	}
+	return sp.SliceAt(int(i))
+}
+
 // ClusterView lets an invariant inspect one cluster's slice.
 type ClusterView struct {
-	sp  *Spec
-	rep term.Term
+	sp *Spec
+	i  int
 }
 
 // Rep returns the cluster's representative term — a concrete witness for
 // every term in the cluster.
-func (v ClusterView) Rep() term.Term { return v.rep }
+func (v ClusterView) Rep() term.Term { return v.sp.Reps[v.i] }
 
 // Has reports whether pred(·, args) holds throughout the cluster.
 func (v ClusterView) Has(pred symbols.PredID, args []symbols.ConstID) bool {
 	a := v.sp.W.Atom(pred, v.sp.W.Tuple(args))
-	return v.sp.W.StateContains(v.sp.state[v.rep], a)
+	return v.sp.W.StateContains(v.sp.State[v.i], a)
 }
 
 // CheckAll decides a universal property: whether inv holds of every ground
@@ -309,8 +323,8 @@ func (v ClusterView) Has(pred symbols.PredID, args []symbols.ConstID) bool {
 // language cannot express, but which the finite specification makes
 // decidable. On failure the returned term is a concrete counterexample.
 func (sp *Spec) CheckAll(inv func(ClusterView) bool) (bool, term.Term) {
-	for _, rep := range sp.Reps {
-		if !inv(ClusterView{sp: sp, rep: rep}) {
+	for i, rep := range sp.Reps {
+		if !inv(ClusterView{sp: sp, i: i}) {
 			return false, rep
 		}
 	}
@@ -320,12 +334,10 @@ func (sp *Spec) CheckAll(inv func(ClusterView) bool) (bool, term.Term) {
 // Size returns the specification's size measures: representatives, edges
 // and primary-database tuples.
 func (sp *Spec) Size() (reps, edges, tuples int) {
-	reps = len(sp.Reps)
-	edges = len(sp.succ)
-	for _, t := range sp.Reps {
-		tuples += len(sp.Slice(t))
+	for i := range sp.Reps {
+		tuples += len(sp.SliceAt(i))
 	}
-	return reps, edges, tuples
+	return len(sp.Reps), len(sp.trans), tuples
 }
 
 // FormatAtom renders a function-free atom with rep as functional component.
@@ -352,11 +364,10 @@ func (sp *Spec) Dump() string {
 	fmt.Fprintf(&b, "graph specification: %d representatives, seed depth %d\n",
 		len(sp.Reps), sp.SeedDepth)
 	b.WriteString("primary database:\n")
-	for _, t := range sp.Reps {
+	for i, t := range sp.Reps {
 		fmt.Fprintf(&b, "  L[%s] = {", sp.U.CompactString(t, tab))
-		slice := sp.Slice(t)
-		for i, a := range slice {
-			if i > 0 {
+		for j, a := range sp.SliceAt(i) {
+			if j > 0 {
 				b.WriteString(", ")
 			}
 			b.WriteString(sp.FormatAtom(a, t))
@@ -364,12 +375,10 @@ func (sp *Spec) Dump() string {
 		b.WriteString("}\n")
 	}
 	b.WriteString("successor mappings:\n")
-	for _, t := range sp.Reps {
-		for _, f := range sp.Alphabet {
-			if next, ok := sp.succ[edgeKey{t, f}]; ok {
-				fmt.Fprintf(&b, "  succ_%s(%s) = %s\n",
-					tab.FuncName(f), sp.U.CompactString(t, tab), sp.U.CompactString(next, tab))
-			}
+	for i, t := range sp.Reps {
+		for j, to := range sp.Row(int32(i)) {
+			fmt.Fprintf(&b, "  succ_%s(%s) = %s\n",
+				tab.FuncName(sp.Alphabet[j]), sp.U.CompactString(t, tab), sp.U.CompactString(sp.Reps[to], tab))
 		}
 	}
 	return b.String()

@@ -397,6 +397,33 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 	for _, src := range srcs {
 		sp := buildSpec(t, src)
 		name := func(tm term.Term) string { return sp.U.CompactString(tm, sp.Eng.Prep.Program.Tab) }
+		// The table itself: every cell names a state, and parent/via spell
+		// each representative (so it walks to its own index).
+		n, k := len(sp.Reps), len(sp.Alphabet)
+		if len(sp.State) != n || len(sp.parent) != n || len(sp.via) != n || len(sp.trans) != n*k || sp.Reps[Root] != term.Zero {
+			t.Fatalf("table of %d representatives over %d symbols: %d states, %d parents, %d vias, %d cells, root %s",
+				n, k, len(sp.State), len(sp.parent), len(sp.via), len(sp.trans), name(sp.Reps[Root]))
+		}
+		for e, to := range sp.trans {
+			if to < 0 || int(to) >= n {
+				t.Errorf("cell (%d, %d) = %d, outside the %d states", e/k, e%k, to, n)
+			}
+		}
+		for i, rep := range sp.Reps {
+			if i == int(Root) {
+				continue
+			}
+			p, v := sp.parent[i], sp.via[i]
+			if p < 0 || int(p) >= i || v < 0 || int(v) >= k || sp.U.Apply(sp.Alphabet[v], sp.Reps[p]) != rep || sp.trans[int(p)*k+int(v)] != int32(i) {
+				t.Errorf("representative %d (%s): parent %d via %d does not rebuild it", i, name(rep), p, v)
+			}
+			if got := sp.U.ApplyString(term.Zero, sp.Path(int32(i))...); got != rep {
+				t.Errorf("representative %d (%s): Path spells %s", i, name(rep), name(got))
+			}
+			if at, _, ok := sp.Walk(sp.U.Symbols(rep)); !ok || at != int32(i) {
+				t.Errorf("representative %d (%s) walks to state %d", i, name(rep), at)
+			}
+		}
 		for _, rep := range sp.Reps {
 			if want, err := sp.Eng.StateOf(rep); err != nil || sp.StateOfRep(rep) != want {
 				t.Errorf("state of representative %s: remembered %d, engine %d (%v)", name(rep), sp.StateOfRep(rep), want, err)

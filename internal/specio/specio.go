@@ -99,7 +99,6 @@ func FromSpec(sp *specgraph.Spec) *Document {
 	for _, f := range sp.Alphabet {
 		doc.Alphabet = append(doc.Alphabet, tab.FuncName(f))
 	}
-	repIndex := make(map[term.Term]int, len(sp.Reps))
 	termDoc := func(t term.Term) TermDoc {
 		syms := sp.U.Symbols(t)
 		out := make(TermDoc, len(syms))
@@ -108,21 +107,16 @@ func FromSpec(sp *specgraph.Spec) *Document {
 		}
 		return out
 	}
-	for i, t := range sp.Reps {
-		repIndex[t] = i
+	for _, t := range sp.Reps {
 		doc.Reps = append(doc.Reps, termDoc(t))
 	}
 	preds := make(map[symbols.PredID]bool)
-	for _, t := range sp.Reps {
-		for _, f := range sp.Alphabet {
-			if to, ok := sp.Successor(t, f); ok {
-				doc.Edges = append(doc.Edges, EdgeDoc{
-					From: repIndex[t], Fn: tab.FuncName(f), To: repIndex[to],
-				})
-			}
+	for i := range sp.Reps {
+		for j, to := range sp.Row(int32(i)) {
+			doc.Edges = append(doc.Edges, EdgeDoc{From: i, Fn: doc.Alphabet[j], To: int(to)})
 		}
-		slice := SliceDoc{Rep: repIndex[t]}
-		for _, a := range sp.Slice(t) {
+		slice := SliceDoc{Rep: i}
+		for _, a := range sp.SliceAt(i) {
 			p := sp.W.AtomPred(a)
 			preds[p] = true
 			fd := FactDoc{Pred: tab.PredName(p)}

@@ -41,12 +41,12 @@ func (t *Spec) Progressions(pred symbols.PredID, args []symbols.ConstID) []Progr
 	a := t.Graph.W.Atom(pred, t.Graph.W.Tuple(args))
 	var out []Progression
 	for day := 0; day < t.Prefix; day++ {
-		if t.Graph.W.StateContains(t.Graph.StateOfRep(t.days[day]), a) {
+		if t.Graph.W.StateContains(t.Graph.State[day], a) {
 			out = append(out, Progression{Start: day, Stride: 0})
 		}
 	}
 	for day := t.Prefix; day < t.Prefix+t.Period; day++ {
-		if t.Graph.W.StateContains(t.Graph.StateOfRep(t.days[day]), a) {
+		if t.Graph.W.StateContains(t.Graph.State[day], a) {
 			out = append(out, Progression{Start: day, Stride: t.Period})
 		}
 	}

@@ -29,10 +29,11 @@ type Spec struct {
 	// Period is the cycle length (>= 1).
 	Period int
 
+	// Graph is the specification the lasso was read off. With a single
+	// successor symbol its representatives are the days 0, 1, ...,
+	// Prefix+Period-1 in order: Graph.Reps[i] is day i.
 	Graph *specgraph.Spec
 	succ  symbols.FuncID
-	// days[i] is the interned term for day i, 0 <= i < Prefix+Period.
-	days []term.Term
 }
 
 // Build derives the lasso form from a graph specification of a temporal
@@ -60,12 +61,9 @@ func Build(sp *specgraph.Spec) (*Spec, error) {
 		Graph:  sp,
 		succ:   succ,
 	}
-	for i := 0; i < t.Prefix+t.Period; i++ {
-		t.days = append(t.days, sp.U.Number(i, succ))
-	}
-	if len(sp.Reps) != len(t.days) {
+	if len(sp.Reps) != t.Prefix+t.Period {
 		return nil, fmt.Errorf("temporal: %d representatives but prefix+period = %d",
-			len(sp.Reps), len(t.days))
+			len(sp.Reps), t.Prefix+t.Period)
 	}
 	return t, nil
 }
@@ -80,9 +78,8 @@ func (t *Spec) RepDay(n int) int {
 
 // Has decides pred(n, args) in O(1) arithmetic plus a state lookup.
 func (t *Spec) Has(pred symbols.PredID, n int, args []symbols.ConstID) bool {
-	day := t.days[t.RepDay(n)]
 	a := t.Graph.W.Atom(pred, t.Graph.W.Tuple(args))
-	return t.Graph.W.StateContains(t.Graph.StateOfRep(day), a)
+	return t.Graph.W.StateContains(t.Graph.State[t.RepDay(n)], a)
 }
 
 // Equation returns the single pair of the equational specification.
@@ -100,7 +97,7 @@ func (t *Spec) EqSpec() *congruence.EqSpec {
 
 // Slice returns the primary-database slice of day n's representative.
 func (t *Spec) Slice(n int) []facts.AtomID {
-	return t.Graph.Slice(t.days[t.RepDay(n)])
+	return t.Graph.SliceAt(t.RepDay(n))
 }
 
 // Dump renders the lasso.
@@ -108,9 +105,9 @@ func (t *Spec) Dump() string {
 	tab := t.Graph.Eng.Prep.Program.Tab
 	var b strings.Builder
 	fmt.Fprintf(&b, "temporal specification: prefix %d, period %d\n", t.Prefix, t.Period)
-	for i, d := range t.days {
+	for i, d := range t.Graph.Reps {
 		fmt.Fprintf(&b, "  L[%d] = {", i)
-		for j, a := range t.Graph.Slice(d) {
+		for j, a := range t.Graph.SliceAt(i) {
 			if j > 0 {
 				b.WriteString(", ")
 			}
