@@ -27,13 +27,16 @@ test:
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark. And the write path's: how many cells one fact may
-# evaluate and how many bytes and allocations one republish may make (counts),
-# with a pass over the Extend and republish benchmarks.
+# evaluate, how many rule bodies a cold solve may fire and how many bytes and
+# allocations one republish may make (counts), the join programs against all
+# three evaluators, and a pass over the cold-compile, Extend and republish
+# benchmarks — a join that goes quadratic again shows in the counts first.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
-	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes' -bench 'BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
+	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
+	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 
 race:
 	$(GO) test -race ./...

@@ -148,9 +148,10 @@ func FromProgram(p *ast.Program, opts Options) (*Database, error) {
 
 // signature is what Extend has to know of the compiled program to place a
 // new fact without walking it: the constants it uses, its alphabet, and
-// whether it has mixed function symbols. (Its ground depth and predicates
-// are Prep.C and Prep.OriginalPreds.) Facts taking the monotone path add
-// their constants; every recompile computes it afresh.
+// whether it has mixed function symbols. (Its predicates are
+// Prep.OriginalPreds; its ground depth Prep.C decides nothing, a deeper fact
+// raises it.) Facts taking the monotone path add their constants; every
+// recompile computes it afresh.
 type signature struct {
 	consts map[symbols.ConstID]bool
 	funcs  map[symbols.FuncID]bool

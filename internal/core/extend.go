@@ -15,17 +15,19 @@ import (
 //
 // Least fixpoints are monotone in the database, so when the new facts stay
 // within what the program was compiled for, the engine's state is simply
-// extended and re-solved — no recomputation from scratch. A fact that
-// outgrows it forces a full recompile: a new constant in a program with
-// mixed function symbols (the §2.4 elimination must be redone over the
-// larger domain), a deeper ground term (the anchor region and seed depth may
-// change), or a predicate or function symbol the program has never used
-// (the observable predicates and the alphabet change). Extend handles both
-// transparently; either way the graph/equational/temporal/canonical views
-// are rebuilt lazily on next access. The facts are parsed against the
-// database's own symbol table and judged against its signature, so the work
-// before the engine is linear in the facts, not in the program. A failed
-// Extend leaves the database as it was.
+// extended and re-solved — no recomputation from scratch. That includes a
+// ground term deeper than any the program had: the engine extends its anchor
+// region along the term, and the ground depth c and Algorithm Q's seed depth
+// grow by the same amount. What forces a full recompile is what changes the
+// program itself: a new constant in a program with mixed function symbols
+// (the §2.4 elimination must be redone over the larger domain), or a
+// predicate or function symbol the program has never used (the observable
+// predicates and the alphabet change). Extend handles both transparently;
+// either way the graph/equational/temporal/canonical views are rebuilt
+// lazily on next access. The facts are parsed against the database's own
+// symbol table and judged against its signature, so the work before the
+// engine is linear in the facts, not in the program. A failed Extend leaves
+// the database as it was.
 func (db *Database) Extend(factsSrc string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -46,21 +48,19 @@ func (db *Database) Extend(factsSrc string) error {
 
 	n := len(db.Source.Facts)
 	db.Source.Facts = append(db.Source.Facts, facts...)
-	if db.fits(facts) {
+	if fit, depth := db.fits(facts); fit {
 		if err = db.absorb(batch); err == nil {
+			db.deepen(depth)
 			db.Engine.Sweep()
 			db.invalidate()
 			return nil
 		}
 	}
 	// Either the facts outgrow the compiled program, or the engine took them
-	// and failed to re-solve — for example, the round budget is cumulative
-	// across incremental solves, so a long extend history can exhaust it
-	// even though the program itself is fine. A rebuild re-solves the
-	// extended source from scratch with a fresh budget; only if that also
-	// fails is the extension rolled back (the engine, which may hold part of
-	// the batch, is rebuilt from the source as it was) and the failure
-	// reported.
+	// and failed to re-solve. A rebuild re-solves the extended source from
+	// scratch; only if that also fails is the extension rolled back (the
+	// engine, which may hold part of the batch, is rebuilt from the source as
+	// it was) and the failure reported.
 	if rerr := db.recompile(); rerr != nil {
 		db.Source.Facts = db.Source.Facts[:n]
 		return errors.Join(err, rerr, db.recompile())
@@ -68,11 +68,11 @@ func (db *Database) Extend(factsSrc string) error {
 	return nil
 }
 
-// fits reports whether the compiled program can take the facts as they are:
-// no predicate it has not seen, no ground term deeper than its own, and no
-// new constant if it has mixed symbols. New constants are recorded.
-func (db *Database) fits(facts []ast.Atom) bool {
-	fit := true
+// fits reports whether the compiled program can take the facts as they are —
+// no predicate it has not seen, and no new constant if it has mixed symbols —
+// and the depth of their deepest ground term. New constants are recorded.
+func (db *Database) fits(facts []ast.Atom) (fit bool, depth int) {
+	fit = true
 	newConst := func(args []ast.DTerm) {
 		for _, d := range args {
 			if !db.sig.consts[d.Const] {
@@ -90,14 +90,26 @@ func (db *Database) fits(facts []ast.Atom) bool {
 		if a.FT == nil {
 			continue
 		}
-		if a.FT.Depth() > db.Prep.C {
-			fit = false
-		}
+		depth = max(depth, a.FT.Depth())
 		for _, app := range a.FT.Apps {
 			newConst(app.Args)
 		}
 	}
-	return fit
+	return fit, depth
+}
+
+// deepen raises the ground depth c to that of an absorbed batch, and the seed
+// depth with it, as preparing the extended source would. Published snapshots
+// and specifications keep the Prepared they were built from, so the change
+// is made on a copy.
+func (db *Database) deepen(depth int) {
+	if depth <= db.Prep.C {
+		return
+	}
+	prep := *db.Prep
+	prep.SeedDepth += depth - prep.C
+	prep.C = depth
+	db.Prep, db.Engine.Prep = &prep, &prep
 }
 
 // absorb is the monotone path: push the batch into the engine and re-solve.

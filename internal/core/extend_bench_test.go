@@ -9,9 +9,9 @@ import (
 
 // writeFamilies are the programs of the benchmark's write_mix workload
 // (bench/workloads.go) with a stream of distinct ground facts for each: the
-// first few at depth 0, the rest at the depth of the family's deep fact, which
-// a database takes on the monotone path once that fact has raised its ground
-// depth.
+// first few at depth 0, the rest at the depth of the family's deep fact — the
+// fact one level (cal: eight days) deeper than anything in the program that
+// each write_mix cycle posts.
 var writeFamilies = []struct {
 	name, src, deep string
 	fact            func(i int) string
@@ -122,5 +122,22 @@ func BenchmarkPublish(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdOpen times a cold compile — Open and the first Snapshot, what a
+// PUT costs before the WAL — of each write family, plain and with the
+// family's deep fact in the text.
+func BenchmarkColdOpen(b *testing.B) {
+	for _, f := range writeFamilies {
+		for _, c := range []struct{ name, src string }{{"plain", f.src}, {"deep", f.src + f.deep + "\n"}} {
+			c := c
+			b.Run(f.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					openPublished(b, c.src)
+				}
+			})
+		}
 	}
 }

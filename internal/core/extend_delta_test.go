@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,44 +130,63 @@ func answersSame(t *testing.T, when string, got, want *Snapshot, q string, depth
 // prefix, so the period stays 64), the rest are already there — leave no more
 // than twice the cells a fresh compile of the same text makes, the 200th
 // evaluates no more cells than the 2nd, and the database keeps answering as
-// the recompiled one.
+// the recompiled one. The same holds when every tenth fact lands a day deeper
+// than any before it (with the student the round-robin brings there from day
+// 0, so the period stays 64): the anchor region grows to day 19 on the
+// monotone path, without a recompile, and a fact still costs one period of
+// cells.
 func TestExtendHistoryStaysFlat(t *testing.T) {
-	db := openPublished(t, writeFamilies[0].src)
-	evals := make([]int, 0, 200)
-	for i := 0; i < 200; i++ {
-		before := db.Engine.Stats().CellEvals
-		extendPublish(t, db, fmt.Sprintf("Meets(0, s%d).", 1+i%62))
-		evals = append(evals, db.Engine.Stats().CellEvals-before)
-		if i%20 != 19 {
-			continue
-		}
-		got, _ := db.Snapshot()
-		want := openPublished(t, db.SourceText())
-		ref, _ := want.Snapshot()
-		when := fmt.Sprintf("after %d facts", i+1)
-		var asks []string
-		for d := 0; d < 70; d += 3 {
-			asks = append(asks, fmt.Sprintf("?- Meets(%d, s%d).", d, (d+i)%64), fmt.Sprintf("?- Meets(%d, s%d).", d, (5*d+1)%64))
-		}
-		askSame(t, when, got, ref, asks)
-		answersSame(t, when, got, ref, "?- Meets(T, X).", 3)
-		answersSame(t, when, got, ref, "?- Meets(T+1, s9).", 70)
-	}
-	if evals[199] > evals[1] {
-		t.Errorf("the 200th fact evaluated %d cells, the 2nd %d", evals[199], evals[1])
-	}
-	fresh, err := openPublished(t, db.SourceText()).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cells after 200 facts: %d, fresh compile: %d; evaluations per fact: 2nd %d, 62nd %d, 200th %d",
-		st.Engine.Cells, fresh.Engine.Cells, evals[1], evals[61], evals[199])
-	if st.Engine.Cells > 2*fresh.Engine.Cells {
-		t.Errorf("%d cells after 200 facts, a fresh compile of the same text makes %d", st.Engine.Cells, fresh.Engine.Cells)
+	for _, v := range []struct {
+		name string
+		day  func(i int) int
+	}{
+		{"root", func(int) int { return 0 }},
+		{"deepening", func(i int) int { return i / 10 }},
+	} {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			db := openPublished(t, writeFamilies[0].src)
+			eng := db.Engine
+			evals := make([]int, 0, 200)
+			for i := 0; i < 200; i++ {
+				before := db.Engine.Stats().CellEvals
+				extendPublish(t, db, fmt.Sprintf("Meets(%d, s%d).", v.day(i), (v.day(i)+1+i%62)%64))
+				evals = append(evals, db.Engine.Stats().CellEvals-before)
+				if i%20 != 19 {
+					continue
+				}
+				got, _ := db.Snapshot()
+				want := openPublished(t, db.SourceText())
+				ref, _ := want.Snapshot()
+				when := fmt.Sprintf("after %d facts", i+1)
+				var asks []string
+				for d := 0; d < 70; d += 3 {
+					asks = append(asks, fmt.Sprintf("?- Meets(%d, s%d).", d, (d+i)%64), fmt.Sprintf("?- Meets(%d, s%d).", d, (5*d+1)%64))
+				}
+				askSame(t, when, got, ref, asks)
+				answersSame(t, when, got, ref, "?- Meets(T, X).", 3)
+				answersSame(t, when, got, ref, "?- Meets(T+1, s9).", 70)
+			}
+			if db.Engine != eng {
+				t.Errorf("the history recompiled the program")
+			}
+			if evals[199] > evals[1] {
+				t.Errorf("the 200th fact evaluated %d cells, the 2nd %d", evals[199], evals[1])
+			}
+			fresh, err := openPublished(t, db.SourceText()).Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := db.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("cells after 200 facts: %d, fresh compile: %d; evaluations per fact: 2nd %d, 62nd %d, 200th %d",
+				st.Engine.Cells, fresh.Engine.Cells, evals[1], evals[61], evals[199])
+			if st.Engine.Cells > 2*fresh.Engine.Cells {
+				t.Errorf("%d cells after 200 facts, a fresh compile of the same text makes %d", st.Engine.Cells, fresh.Engine.Cells)
+			}
+		})
 	}
 }
 
@@ -207,11 +227,11 @@ func corpusPrograms(t *testing.T) map[string]struct {
 
 // randomFact renders a ground fact over the database's own predicates,
 // constants and function symbols: at the root, at the program's ground depth
-// (a branch that may have been only cells so far), one deeper (which forces
-// a recompile; only while the ground depth is below maxC, since the terms
-// Algorithm Q examines multiply by the alphabet with every level), global,
-// or the previous one again.
-func randomFact(db *Database, rng *rand.Rand, prev string, maxC int) (kind, text string) {
+// (a branch that may have been only cells so far), up to four levels deeper
+// (which raises the ground depth; only while the terms Algorithm Q then
+// examines, which multiply by the alphabet with every level, stay under a few
+// thousand), global, or the previous one again.
+func randomFact(db *Database, rng *rand.Rand, prev string) (kind, text string) {
 	tab := db.Tab()
 	var fn, dt []symbols.PredID
 	for p := range db.Prep.OriginalPreds {
@@ -225,10 +245,16 @@ func randomFact(db *Database, rng *rand.Rand, prev string, maxC int) (kind, text
 	sort.Slice(dt, func(i, j int) bool { return dt[i] < dt[j] })
 	consts := db.Source.ConstsUsed()
 	funcs := db.Source.FuncsUsed()
+	deeper := db.Prep.C + 1 + rng.Intn(4)
+	for ; deeper > db.Prep.C; deeper-- {
+		if math.Pow(float64(len(db.Prep.Funcs)), float64(deeper+1)) <= 5000 {
+			break
+		}
+	}
 	kinds := []string{"duplicate"}
 	if len(fn) > 0 {
 		kinds = append(kinds, "shallow", "deep")
-		if db.Prep.C < maxC {
+		if deeper > db.Prep.C {
 			kinds = append(kinds, "deeper")
 		}
 	}
@@ -258,7 +284,7 @@ func randomFact(db *Database, rng *rand.Rand, prev string, maxC int) (kind, text
 	default:
 		a.Pred = fn[rng.Intn(len(fn))]
 		a.FT = ast.FZero()
-		depth := map[string]int{"shallow": 0, "deep": db.Prep.C, "deeper": db.Prep.C + 1}[kind]
+		depth := map[string]int{"shallow": 0, "deep": db.Prep.C, "deeper": deeper}[kind]
 		if len(funcs) == 0 {
 			depth = 0
 		}
@@ -279,7 +305,7 @@ func randomFact(db *Database, rng *rand.Rand, prev string, maxC int) (kind, text
 }
 
 // sameSpec compares two graph specifications of one program compiled over
-// differently numbered symbols: the sizes always, and the whole dump (slices
+// differently numbered symbols: the ground depth and the sizes always, and the whole dump (slices
 // sorted by name) when the two alphabets list the same names in the same
 // order, which fixes the precedence order the representatives are chosen by.
 func sameSpec(t *testing.T, when string, got, want *Database) {
@@ -309,8 +335,8 @@ func sameSpec(t *testing.T, when string, got, want *Database) {
 		for _, f := range sp.Alphabet {
 			alphabet += tab.FuncName(f) + " "
 		}
-		sizes = fmt.Sprintf("seed %d, %d reps, %d active, %d potentials, %d merges",
-			sp.SeedDepth, len(sp.Reps), len(sp.Active), len(sp.Potentials), len(sp.Merges))
+		sizes = fmt.Sprintf("c %d, seed %d, %d reps, %d active, %d potentials, %d merges",
+			db.Prep.C, sp.SeedDepth, len(sp.Reps), len(sp.Active), len(sp.Potentials), len(sp.Merges))
 		return sizes, alphabet, b.String()
 	}
 	gs, ga, gf := dump(got)
@@ -369,9 +395,9 @@ func TestExtendMatchesRecompile(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db := openPublished(t, p.src)
 			rng := rand.New(rand.NewSource(3))
-			prev, maxC := "", db.Prep.C+1
+			prev := ""
 			for step := 0; step < 10; step++ {
-				kind, fact := randomFact(db, rng, prev, maxC)
+				kind, fact := randomFact(db, rng, prev)
 				if fact == "" {
 					return
 				}
@@ -399,8 +425,10 @@ func TestExtendMatchesRecompile(t *testing.T) {
 }
 
 // TestExtendFrontEnd pins what the facts front end decides without walking
-// the program: what is refused, what forces a recompile, and that a refused
-// or failed Extend leaves the database as it was.
+// the program: what is refused, what forces a recompile (a deeper fact does
+// not: the engine stays in place and the ground depth follows the batch, but
+// only when the whole batch took the monotone path), and that a refused or
+// failed Extend leaves the database as it was.
 func TestExtendFrontEnd(t *testing.T) {
 	const base = "@functional A/1.\nA(f(0)).\nK(a).\nA(S) -> A(g(S)).\n"
 	ctx := context.Background()
@@ -421,20 +449,25 @@ func TestExtendFrontEnd(t *testing.T) {
 			t.Errorf("Extend(%q) failed and changed the database", bad.facts)
 		}
 	}
+	const lists = "P(a).\nP(X) -> Member(ext(0, X), X).\nP(Y), Member(S, X) -> Member(ext(S, Y), X).\n"
 	for _, c := range []struct {
-		facts     string
-		recompile bool
-		holds     string
+		base, facts string
+		recompile   bool
+		holds       string
 	}{
-		{"A(g(0)).", false, "?- A(g(g(0)))."},
-		{"A(0). K(b).", false, "?- K(b)."},
-		{"A(g(g(0))).", true, "?- A(g(g(g(0))))."},          // deeper than the program
-		{"A(h(0)).", true, "?- A(g(h(0)))."},                // a function symbol outside the alphabet
-		{"@functional B/1.\nB(0).", true, "?- B(0)."},       // a new functional predicate
-		{"Other(a).", true, "?- Other(a)."},                 // a new predicate
-		{"@functional B/2.\nB(f(0), b).", true, "?- K(a)."}, // both, and a new constant
+		{base, "A(g(0)).", false, "?- A(g(g(0)))."},
+		{base, "A(0). K(b).", false, "?- K(b)."},
+		{base, "A(g(g(0))).", false, "?- A(g(g(g(0))))."},                                           // deeper than the program
+		{base, "A(h(0)).", true, "?- A(g(h(0)))."},                                                  // a function symbol outside the alphabet
+		{base, "@functional B/1.\nB(0).", true, "?- B(0)."},                                         // a new functional predicate
+		{base, "Other(a).", true, "?- Other(a)."},                                                   // a new predicate
+		{base, "@functional B/2.\nB(f(0), b).", true, "?- K(a)."},                                   // both, and a new constant
+		{base, "A(g(g(g(0)))).\nOther(a).", true, "?- A(g(g(g(g(0)))))."},                           // deeper, and a new predicate
+		{base, "A(g(g(0))).\nA(h(0)).", true, "?- A(g(g(g(0))))."},                                  // deeper, and refused by the alphabet
+		{lists, "Member(ext(ext(0, a), a), a).", false, "?- Member(ext(ext(ext(0, a), a), a), a)."}, // deeper, under a mixed symbol
+		{lists, "P(b).", true, "?- Member(ext(0, b), b)."},                                          // a new constant under a mixed symbol
 	} {
-		db := openPublished(t, base)
+		db := openPublished(t, c.base)
 		eng := db.Engine
 		if err := db.Extend(c.facts); err != nil {
 			t.Fatalf("Extend(%q): %v", c.facts, err)
@@ -445,7 +478,7 @@ func TestExtendFrontEnd(t *testing.T) {
 		ref := openPublished(t, db.SourceText())
 		got, _ := db.Snapshot()
 		want, _ := ref.Snapshot()
-		askSame(t, c.facts, got, want, []string{c.holds, "?- A(f(0)).", "?- A(g(f(0))).", "?- A(0).", "?- K(b)."})
+		askSame(t, c.facts, got, want, []string{c.holds, "?- A(f(0)).", "?- A(g(f(0))).", "?- A(0).", "?- K(b).", "?- Member(ext(0, a), a)."})
 		if yes, err := got.Ask(ctx, c.holds); err != nil || !yes {
 			t.Errorf("after Extend(%q): Ask(%s) = %v, %v", c.facts, c.holds, yes, err)
 		}
@@ -495,4 +528,25 @@ func TestExtendConcurrentReaders(t *testing.T) {
 	}
 	close(ch)
 	wg.Wait()
+}
+
+// TestColdSolveCounts: a cold compile costs what it derives. Counts, not
+// times: the rule firings, cell evaluations and facts derived of the cold
+// solve of each write family, as measured when rules became join plans
+// evaluated semi-naively (EXPERIMENTS.md A22). The evaluations and the facts
+// are the fixpoint's and were the same before; the firings were 12 754 for
+// sub, every evaluation of a cell re-joining all it had joined before.
+func TestColdSolveCounts(t *testing.T) {
+	want := map[string]struct{ firings, evals, derived int }{
+		"cal": {64, 128, 64}, "sub": {6286, 1778, 3584}, "rob": {9, 585, 9},
+	}
+	for _, f := range writeFamilies {
+		st := openPublished(t, f.src).Engine.Stats()
+		t.Logf("%s: %d rule firings, %d cell evaluations, %d facts derived, %d cells", f.name, st.RuleFirings, st.CellEvals, st.FactsDerived, st.Cells)
+		w := want[f.name]
+		if st.RuleFirings != w.firings || st.CellEvals != w.evals || st.FactsDerived != w.derived {
+			t.Errorf("%s: cold solve: %d rule firings, %d cell evaluations, %d facts derived; want %d, %d, %d",
+				f.name, st.RuleFirings, st.CellEvals, st.FactsDerived, w.firings, w.evals, w.derived)
+		}
+	}
 }

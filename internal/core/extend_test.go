@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"funcdb/internal/datagen"
 	"funcdb/internal/engine"
 )
 
@@ -64,7 +65,7 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 	})
 }
 
-func TestExtendDeeperFactRecompiles(t *testing.T) {
+func TestExtendDeeperFactIsMonotone(t *testing.T) {
 	base := `
 Even(0).
 Even(T) -> Even(T+2).
@@ -76,10 +77,14 @@ Even(T) -> Even(T+2).
 	if _, err := db.Graph(); err != nil {
 		t.Fatalf("Graph: %v", err)
 	}
-	// A fact at depth 5 deepens the anchor region: the fast path must not
-	// be taken, and answers must match a full recompile.
+	// A fact at depth 5 deepens the anchor region and the seed depth; the
+	// engine takes it as it stands, and answers match a full recompile.
+	eng := db.Engine
 	if err := db.Extend(`Even(5).`); err != nil {
 		t.Fatalf("Extend: %v", err)
+	}
+	if db.Engine != eng {
+		t.Errorf("a deeper fact recompiled the program")
 	}
 	ref := fullRecompile(t, base, `Even(5).`)
 	askAll(t, db, ref, []string{
@@ -94,8 +99,8 @@ Even(T) -> Even(T+2).
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.C != 5 {
-		t.Errorf("c = %d after deep Extend, want 5", st.C)
+	if st.C != 5 || st.SeedDepth != ref.Prep.SeedDepth {
+		t.Errorf("c, seed depth = %d, %d after deep Extend, want 5, %d", st.C, st.SeedDepth, ref.Prep.SeedDepth)
 	}
 }
 
@@ -298,40 +303,42 @@ func itoa(n int) string {
 	return string(digits)
 }
 
-// TestExtendSolveFailureRecompiles: the engine's round budget is
-// cumulative across incremental solves, so a long history of monotone
-// extends can push a Solve past MaxRounds even though the program is well
-// within budget when solved from scratch. Extend must absorb that with a
-// full rebuild instead of returning an error with the facts appended to
-// the source but the engine half-stepped.
+// TestExtendSolveFailureRecompiles: the engine can take a batch and then fail
+// to re-solve — here the cells of the fixpoints the database has passed
+// through, which stay until the next sweep, push it over MaxCells although
+// the extended program is well within the bound when solved from scratch.
+// Extend must absorb that with a full rebuild instead of returning an error
+// with the facts appended to the source but the engine half-stepped, and the
+// ground depth a deep fact of the batch brings comes from the rebuilt
+// program, not from the abandoned fast path.
 func TestExtendSolveFailureRecompiles(t *testing.T) {
-	base := "P(a).\nP(X) -> Q(X).\nQ(X) -> R(X).\n"
-	probe, err := Open(base, Options{})
+	base := datagen.CalendarSrc(8)
+	db, err := Open(base, Options{Engine: engine.Options{MaxCells: 12}})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if yes, err := probe.Ask(context.Background(), `?- R(a).`); err != nil || !yes {
-		t.Fatalf("probe Ask = %v, %v", yes, err)
-	}
-	budget := probe.Engine.Stats().Rounds + 2
-
-	db, err := Open(base, Options{Engine: engine.Options{MaxRounds: budget}})
-	if err != nil {
-		t.Fatalf("Open with MaxRounds %d: %v", budget, err)
+	if yes, err := db.Ask(context.Background(), `?- Meets(9, s1).`); err != nil || !yes {
+		t.Fatalf("Ask = %v, %v", yes, err)
 	}
 	extra := ""
-	for i := 0; i < 10; i++ {
-		fact := "P(b" + itoa(i) + ")."
+	for i, fact := range []string{"Meets(0, s3).", "Meets(2, s6).", "Meets(0, s5)."} {
+		eng := db.Engine
 		if err := db.Extend(fact); err != nil {
 			t.Fatalf("Extend %d: %v", i, err)
 		}
+		if db.Engine == eng {
+			t.Errorf("Extend %d: the engine held %d cells and did not fail", i, eng.Stats().Cells)
+		}
 		extra += fact + "\n"
-		if yes, err := db.Ask(context.Background(), "?- R(b"+itoa(i)+")."); err != nil || !yes {
+		if yes, err := db.Ask(context.Background(), "?- "+fact); err != nil || !yes {
 			t.Fatalf("Ask after Extend %d = %v, %v", i, yes, err)
 		}
+		ref := fullRecompile(t, base, extra)
+		if db.Prep.C != ref.Prep.C || db.Prep.SeedDepth != ref.Prep.SeedDepth {
+			t.Errorf("Extend %d: c, seed depth = %d, %d; reopened %d, %d", i, db.Prep.C, db.Prep.SeedDepth, ref.Prep.C, ref.Prep.SeedDepth)
+		}
+		askAll(t, db, ref, []string{
+			`?- Meets(8, s3).`, `?- Meets(3, s6).`, `?- Meets(10, s0).`, `?- Meets(1, s6).`, `?- Meets(5, s2).`,
+		})
 	}
-	ref := fullRecompile(t, base, extra)
-	askAll(t, db, ref, []string{
-		`?- R(a).`, `?- R(b0).`, `?- R(b9).`, `?- Q(b5).`, `?- P(c).`,
-	})
 }

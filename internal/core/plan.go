@@ -106,16 +106,17 @@ func (p *Plan) Fingerprint() string { return p.fingerprint }
 // Ground reports whether the query is ground (a yes/no membership test).
 func (p *Plan) Ground() bool { return p.ground }
 
-// planEntry is one slot of the plan cache. once elects a single compiling
-// goroutine; concurrent misses on the same shape block on it and share the
-// result (singleflight collapse).
+// planEntry is one slot of the plan cache. The goroutine that makes the entry
+// compiles it and holds pending until it has; whoever else finds the entry, by
+// text or by shape, waits on pending and shares the result (singleflight
+// collapse). A finder must not be able to run in the compiler's place: it may
+// arrive between the entry's publication and the compile, with nothing to
+// compile from.
 type planEntry struct {
-	once sync.Once
-	plan *Plan
-	err  error
+	pending sync.WaitGroup
+	plan    *Plan
+	err     error
 }
-
-func nop() {}
 
 // planCacheCap bounds the entries of each cache map and planCacheBytes the
 // bytes the cache retains: a plan keeps its text, shape, AST and symbol
@@ -193,7 +194,7 @@ func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 	e := pc.texts[src]
 	pc.mu.RUnlock()
 	if e != nil {
-		e.once.Do(nop) // wait out an in-flight compile
+		e.pending.Wait() // wait out an in-flight compile
 		obs.EngineSink().AddPlanHits(1)
 		return e.plan, e.err
 	}
@@ -225,16 +226,23 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	pc.mu.Lock()
 	pc.admit(cost)
 	var e *planEntry
+	mine := false
 	if err != nil {
-		e = &planEntry{err: err}
-		e.once.Do(nop) // nothing to compile
+		e = &planEntry{err: err} // nothing to compile
 	} else if e = pc.shapes[shape]; e == nil {
-		e = &planEntry{}
+		e, mine = &planEntry{}, true
+		e.pending.Add(1)
 		pc.shapes[shape] = e
 	}
 	pc.texts[src] = e
 	pc.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = s.compile(ctx, ec, src, shape, q) })
+	if mine {
+		func() {
+			defer e.pending.Done()
+			e.plan, e.err = s.compile(ctx, ec, src, shape, q)
+		}()
+	}
+	e.pending.Wait()
 	return e.plan, e.err
 }
 

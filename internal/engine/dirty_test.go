@@ -9,10 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"funcdb/internal/ast"
 	"funcdb/internal/datagen"
 	"funcdb/internal/facts"
+	"funcdb/internal/fixpoint"
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
+	"funcdb/internal/subst"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -29,6 +32,9 @@ func differentialSources(t *testing.T) map[string]string {
 		"automaton": datagen.RandomAutomatonSrc(4, 2, 7),
 		"temporal":  datagen.RandomTemporalSrc(4, 11),
 		"bidi":      datagen.RandomBidiSrc(4, 2, 5),
+	}
+	for _, c := range joinCases {
+		srcs["join: "+c.name] = c.src
 	}
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.fdb"))
 	if err != nil || len(paths) == 0 {
@@ -404,5 +410,183 @@ B(g(0)), P(S) -> C(S).`, then: "B", at: []string{"g"}},
 				t.Errorf("C(f(0)) does not follow from the new fact")
 			}
 		})
+	}
+}
+
+// joinCases are programs in which one thing each breaks a wrong join plan or
+// a wrong delta inside a cell. Every one has a chain of cells below f, rules
+// listed so that what the join reads arrives over several evaluations of the
+// same cell, and nothing else going on. then are base facts added one after
+// another once the cold solve is done, none changing a state above the cells;
+// the tracked engine is swept after each.
+var joinCases = []struct {
+	name, src string
+	then      []string
+}{
+	// E(a) is pushed into the cell, E(b) derived there two evaluations later:
+	// Pair needs old × new, new × old and new × new.
+	{name: "one predicate twice", src: `
+A(0).
+A(S) -> A(f(S)).
+A(S) -> E(f(S), a).
+E(S, X), E(S, Y) -> Pair(S, X, Y).
+B(S) -> E(S, b).
+A(S) -> B(S).`},
+	// The second X compares; only R(a, a) is on the diagonal.
+	{name: "repeated variable", src: `
+A(0).
+A(S) -> A(f(S)).
+A(S) -> R(f(S), a, a).
+A(S) -> R(f(S), a, b).
+R(S, X, X) -> Diag(S, X).`},
+	{name: "constant in the body", src: `
+A(0).
+A(S) -> A(f(S)).
+A(S) -> R(f(S), a, d).
+A(S) -> R(f(S), b, c).
+R(S, a, X) -> Hit(S, X).`},
+	// K × L has no variable in common: the plan joins M second and is left
+	// with L as a test. L(e) then arrives as the delta of the last literal
+	// joined, which is the middle one of the text.
+	{name: "cross product first", src: `
+K(a). K(b). L(c). L(d).
+A(0).
+A(S) -> A(f(S)).
+A(S) -> M(f(S), a, c).
+A(S) -> M(f(S), b, e).
+K(X), L(Y), M(S, X, Y) -> N(S, X, Y).`, then: []string{"L(e)."}},
+	// G(a) is derived two cells down, after the cell that joins G has been
+	// evaluated with none.
+	{name: "global set grows", src: `
+A(0).
+G(X), B(S) -> D(S, X).
+A(S) -> B(f(S)).
+B(S) -> C(f(S)).
+C(S) -> G(a).`, then: []string{"G(b)."}},
+	// The cell of f reads Y from its sibling below g, where Y(a) is there on
+	// the first evaluation and Y(b) on the fourth, when nothing else of what
+	// the cell of f reads has moved for two rounds. W(g(0)) then makes g(0) an
+	// anchor, which no state query reads through a cell any more, while the
+	// cell of f goes on reading the sibling cell it holds stamps against; the
+	// second fact has it evaluated after that sweep.
+	{name: "sibling grows", src: `
+K(a). K(b). K(c).
+A(0).
+A(S) -> P(g(S), a).
+A(S) -> Q(g(S)).
+W3(S) -> P(S, b).
+W2(S) -> W3(S).
+W(S) -> W2(S).
+Q(S) -> W(S).
+P(S, V) -> Y(S, V).
+Y(g(S), V), K(V) -> X(f(S), V).`, then: []string{"W(g(0)).", "P(g(0), c)."}},
+}
+
+// sameAsFixpoint compares every state to depth SeedDepth+3 and the global
+// facts with the depth-bounded semi-naive evaluator's, run two levels deeper
+// over the same program and base facts.
+func sameAsFixpoint(t *testing.T, when string, e *Engine, base []ast.Atom) {
+	t.Helper()
+	prog := *e.Prep.Program
+	prog.Facts = append(append([]ast.Atom(nil), prog.Facts...), base...)
+	depth := e.Prep.SeedDepth + 3
+	ref, err := fixpoint.Eval(&prog, e.U, e.W, fixpoint.Options{MaxDepth: depth + 2, Seminaive: true})
+	if err != nil {
+		t.Fatalf("%s: fixpoint.Eval: %v", when, err)
+	}
+	tab := prog.Tab
+	for _, tm := range termsTo(e, depth, 1500) {
+		got, err := e.StateOf(tm)
+		if err != nil {
+			t.Fatalf("%s: StateOf: %v", when, err)
+		}
+		if want := ref.Store.Slice(tm, nil); got != want {
+			t.Errorf("%s: state of %s is %v, the fixpoint evaluator's %v", when, e.U.CompactString(tm, tab), e.W.StateAtoms(got), e.W.StateAtoms(want))
+		}
+	}
+	g, w := sortedAtoms(e.Global()), sortedAtoms(ref.Store.Data())
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d global facts, the fixpoint evaluator has %d", when, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: global facts differ from the fixpoint evaluator's", when)
+		}
+	}
+}
+
+// TestCellJoins: the join plans and the deltas derive what the rules say.
+// The tracked engine, the evaluate-everything oracle (same plans, full
+// extents every time) and internal/fixpoint's semi-naive evaluator (its own
+// matcher, textual order) agree on every joinCases program, cold and after
+// the case's base fact.
+func TestCellJoins(t *testing.T) {
+	for _, c := range joinCases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			tracked, oracle := enginePair(t, c.src)
+			sameFixpoint(t, "cold", tracked, oracle)
+			sameAsFixpoint(t, "cold", tracked, nil)
+			if n := tracked.Stats().CellEvals; n <= tracked.Stats().Cells {
+				t.Errorf("%d evaluations of %d cells: no cell was evaluated twice", n, tracked.Stats().Cells)
+			}
+			var base []ast.Atom
+			for _, then := range c.then {
+				more, err := parser.ParseFactsTab(tracked.Prep.Program.Tab, then)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base = append(base, more...)
+				for _, e := range []*Engine{tracked, oracle} {
+					for i := range more {
+						args := make([]symbols.ConstID, len(more[i].Args))
+						for k, d := range more[i].Args {
+							args[k] = d.Const
+						}
+						if more[i].FT == nil {
+							e.AddGlobalFact(more[i].Pred, args)
+						} else if at, ok := subst.GroundFTerm(e.U, more[i].FT); ok {
+							e.AddGroundFact(more[i].Pred, at, args)
+						}
+					}
+				}
+				if err := tracked.Solve(); err != nil {
+					t.Fatalf("Solve: %v", err)
+				}
+				tracked.kept = 0 // sweep now, not when enough cells have died
+				tracked.Sweep()
+				sameFixpoint(t, "after "+then, tracked, oracle)
+				sameAsFixpoint(t, "after "+then, tracked, base)
+			}
+		})
+	}
+}
+
+// TestSiblingOfAnchor: what a push rule derives at f(t) from the child by g
+// is no function of t's state where g(t) carries base facts of its own, so
+// f(t) is an anchor wherever g(t) is — here from the start, and then along a
+// fact's whole path.
+func TestSiblingOfAnchor(t *testing.T) {
+	tracked, _ := enginePair(t, `
+K(c).
+A(0).
+P(g(0), c).
+P(S, V) -> Y(S, V).
+Y(g(S), V), K(V) -> X(f(S), V).`)
+	sameAsFixpoint(t, "cold", tracked, nil)
+	base, err := parser.ParseFactsTab(tracked.Prep.Program.Tab, "P(g(f(0)), c).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, _ := subst.GroundFTerm(tracked.U, base[0].FT)
+	tracked.AddGroundFact(base[0].Pred, at, []symbols.ConstID{base[0].Args[0].Const})
+	sameAsFixpoint(t, "after P(g(f(0)), c).", tracked, base)
+	tab := tracked.Prep.Program.Tab
+	f, _ := tab.LookupFunc("f", 0)
+	x, _ := tab.LookupPred("X", 1, true)
+	c, _ := tab.LookupConst("c")
+	ff0 := tracked.U.Apply(f, tracked.U.Apply(f, term.Zero))
+	if !mustHasAt(t, tracked, x, ff0, []symbols.ConstID{c}) {
+		t.Errorf("X(f(f(0)), c) does not follow from P(g(f(0)), c)")
 	}
 }

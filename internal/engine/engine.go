@@ -7,8 +7,9 @@
 // The engine instead runs a chaotic least-fixpoint iteration over
 //
 //   - a finite anchor region: every prefix of a ground term mentioned by the
-//     program (facts and ground atoms in rules), each with a concrete,
-//     growing fact set; and
+//     program (facts and ground atoms in rules), and every sibling f(t) of
+//     one of those, g(t), that some rule derives at from g(t)'s facts, each
+//     with a concrete, growing fact set; and
 //   - memoized cells ChildState(f, parentState): the exact fact set of a
 //     child reached by symbol f from a node with the given (frozen) state,
 //     in an anchor-free subtree. Cell contents depend only on the key, which
@@ -46,7 +47,9 @@ type Options struct {
 	// of distinct states, which is finite but can be exponential in the
 	// database size (Theorem 4.2).
 	MaxCells int
-	// MaxRounds aborts after this many global iteration rounds (0 = none).
+	// MaxRounds aborts a Solve call after this many global iteration rounds
+	// (0 = none). The engine keeps what the rounds derived, and the next call
+	// starts a fresh count.
 	MaxRounds int
 	// DisableDirtySkip evaluates every anchor and every cell in every round
 	// instead of only those whose inputs have grown since their last
@@ -73,59 +76,59 @@ type obsMark struct {
 	rounds, firings, facts, terms int
 }
 
-type memoKey struct {
-	fn     symbols.FuncID
-	parent facts.StateID
+// input names one (set, predicate) pair the rules of a group read, relative
+// to the node the group is evaluated at: the node's own facts (Self), those
+// of its child by fn (Child), or a set that is the same at every node — the
+// global facts (Data) or a ground term's (Ground).
+type input struct {
+	lvl  normform.Level
+	fn   symbols.FuncID
+	set  *facts.Set // Data and Ground
+	pred symbols.PredID
 }
 
-// read is one cell set another cell's evaluation consulted, with its length
-// at the time.
-type read struct {
-	set *facts.Set
-	n   int
+// rule is a compiled rule as a group evaluates it.
+type rule struct {
+	*normform.Rule
+	in   []int      // per body literal, the index of its input in the group
+	sink *facts.Set // where a Data or Ground head goes; nil for a head at the node
+}
+
+// group is a list of rules evaluated together at a node, with the inputs
+// they read there. An evaluation resolves each input to a set once; a cell
+// keeps one stamp per input.
+type group struct {
+	rules  []rule
+	inputs []input
 }
 
 type cell struct {
-	key memoKey
-	set *facts.Set
+	fn     symbols.FuncID
+	parent facts.StateID
+	set    facts.Set
 
-	// What the last evaluation read, as set lengths. Sets only grow, so a
-	// set whose length is unchanged is unchanged, and an evaluation whose
-	// inputs are all unchanged can only re-derive what it derived before:
-	// shared is the total length of the sets every cell reads (Engine.shared),
-	// own the length of the cell's own set, both at the start; reads are the
-	// sibling and child cells consulted through childSrc. The parent state
-	// in the key is frozen and needs no stamp.
-	evaluated bool
-	shared    int
-	own       int
-	reads     []read
+	// stamps holds, per input of the cell's two groups, how much of the
+	// input's per-predicate list the evaluations so far have joined; own is
+	// the length of the cell's own set when the last one started. The lists
+	// are append-only, so a list no longer than its stamp is unchanged, an
+	// evaluation whose inputs are all unchanged can only re-derive what it
+	// derived before, and what lies past a stamp is exactly the delta a
+	// re-evaluation has to join. The parent state in the key is frozen.
+	stamps []int32
+	own    int
 
 	live bool // Sweep's reachability mark
 }
 
-// clean reports whether nothing c's last evaluation read has grown since.
-func (c *cell) clean(shared int) bool {
-	if !c.evaluated || c.shared != shared || c.own != c.set.Len() {
-		return false
-	}
-	for _, r := range c.reads {
-		if r.set.Len() != r.n {
-			return false
-		}
-	}
-	return true
-}
-
-// src records that c's evaluation reads the cell from and returns its facts.
-func (c *cell) src(from *cell) srcFn {
-	for _, r := range c.reads {
-		if r.set == from.set {
-			return from.set.ByPred
-		}
-	}
-	c.reads = append(c.reads, read{from.set, from.set.Len()})
-	return from.set.ByPred
+// stateRow is what the engine holds per interned state: the cells of the
+// children of a node in that state, by symbol and counted; whether those of
+// every push target are among them; and the state as a set for their rules
+// to read.
+type stateRow struct {
+	cells   []*cell
+	n       int
+	spawned bool
+	view    *facts.Set
 }
 
 // Engine computes exact slices of LFP(Z, D). Create with New, then call
@@ -137,34 +140,47 @@ type Engine struct {
 	W    *facts.World
 
 	nodeRules   []normform.Rule
-	childHead   map[symbols.FuncID][]*normform.Rule // node rules with head at f(s)
-	othersHead  []*normform.Rule                    // node rules with head at s, data or ground
 	globalRules []normform.Rule
-	pushFns     []symbols.FuncID // symbols of Child-level heads, ascending
+	// The rules as they are evaluated: globals touch no functional variable;
+	// push[f] are the node rules with head at f(s), run at a node to fill its
+	// child by f; stay are the node rules with head at s, data or ground.
+	globals group
+	push    []group // by FuncID
+	stay    group
+	pushFns []symbols.FuncID // symbols of Child-level heads, ascending
+	// readBy[g] are the symbols f != g with a push rule that reads the child by
+	// g: what is derived at f(t) then depends on g(t) itself, not on t's state
+	// alone, so where g(t) is an anchor f(t) is one too.
+	readBy [][]symbols.FuncID
 
 	global     *facts.Set
 	anchors    map[term.Term]*facts.Set
 	anchorList []term.Term
 
-	memo  map[memoKey]*cell
+	// memo is the cell table, state × symbol: StateIDs and FuncIDs are both
+	// dense. Rows and their cell slices grow on demand.
+	memo  []stateRow
 	cells []*cell
 	// kept is the number of cells the last Sweep left (before the first one,
 	// the number present when the first base fact was added to a solved
 	// engine); Sweep runs again once as many have been created since.
 	kept int
 
-	// shared are the sets any cell's rules may read besides the cell's own
-	// neighbourhood: the global facts and the anchors named by Ground-level
-	// body literals.
-	shared []*facts.Set
-
 	// version counts fact insertions anywhere; anchorSeen holds the version
 	// at each anchor's last evaluation. Anchors read and write one another,
-	// and there are few of them, so they are not tracked input by input.
+	// and there are few of them, so they are not tracked input by input and
+	// every evaluation of one joins full extents.
 	version    int64
 	anchorSeen map[term.Term]int64
 
-	stateViews map[facts.StateID]map[symbols.PredID][]facts.AtomID
+	// Scratch of one evaluation: the sets a group's inputs resolve to and
+	// their lengths, and a join's registers, extents, cursors and head.
+	srcs []*facts.Set
+	lens []int32
+	regs []symbols.ConstID
+	ext  [][]facts.AtomID
+	pos  []int
+	head []symbols.ConstID
 
 	opts     Options
 	stats    Stats
@@ -172,8 +188,6 @@ type Engine struct {
 	overflow error
 	solved   bool
 	ctx      context.Context
-
-	ruleFired map[*normform.Rule]bool
 }
 
 // New compiles the prepared program into an engine. Terms are interned in
@@ -192,27 +206,31 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 		global:      facts.NewSet(),
 		anchors:     make(map[term.Term]*facts.Set),
 		anchorSeen:  make(map[term.Term]int64),
-		memo:        make(map[memoKey]*cell),
-		stateViews:  make(map[facts.StateID]map[symbols.PredID][]facts.AtomID),
-		childHead:   make(map[symbols.FuncID][]*normform.Rule),
-		ruleFired:   make(map[*normform.Rule]bool),
 		opts:        opts,
 	}
 	for f := range comp.PushFns {
 		e.pushFns = append(e.pushFns, f)
 	}
 	sort.Slice(e.pushFns, func(i, j int) bool { return e.pushFns[i] < e.pushFns[j] })
+	if n := len(e.pushFns); n > 0 {
+		e.push = make([]group, e.pushFns[n-1]+1)
+	}
 	for i := range e.nodeRules {
 		r := &e.nodeRules[i]
-		if r.Head.Lvl == normform.Child {
-			e.childHead[r.Head.Fn] = append(e.childHead[r.Head.Fn], r)
-		} else {
-			e.othersHead = append(e.othersHead, r)
+		for _, l := range r.Body {
+			if r.Head.Lvl != normform.Child || l.Lvl != normform.Child || l.Fn == r.Head.Fn {
+				continue
+			}
+			if int(l.Fn) >= len(e.readBy) {
+				e.readBy = append(e.readBy, make([][]symbols.FuncID, int(l.Fn)+1-len(e.readBy))...)
+			}
+			e.readBy[l.Fn] = append(e.readBy[l.Fn], r.Head.Fn)
 		}
 	}
 
 	// The anchor region: every prefix of a ground term the program mentions
-	// (facts and ground rule atoms), and always the root 0.
+	// (facts and ground rule atoms) with the siblings that read it, and always
+	// the root 0.
 	e.ensureAnchor(term.Zero)
 	for _, t := range comp.GroundTerms {
 		e.ensureAnchorPath(t)
@@ -231,14 +249,16 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 		e.ensureAnchorPath(t)
 		e.anchors[t].Add(w, w.Atom(f.Pred, tu))
 	}
-	e.shared = []*facts.Set{e.global}
-	seen := make(map[term.Term]bool)
+
+	for i := range e.globalRules {
+		e.globals.add(e, &e.globalRules[i])
+	}
 	for i := range e.nodeRules {
-		for _, l := range e.nodeRules[i].Body {
-			if l.Lvl == normform.Ground && !seen[l.GroundTerm] {
-				seen[l.GroundTerm] = true
-				e.shared = append(e.shared, e.anchors[l.GroundTerm])
-			}
+		r := &e.nodeRules[i]
+		if r.Head.Lvl == normform.Child {
+			e.pushGroup(r.Head.Fn).add(e, r)
+		} else {
+			e.stay.add(e, r)
 		}
 	}
 	e.stats.AnchorsCount = len(e.anchorList)
@@ -246,6 +266,57 @@ func New(prep *rewrite.Prepared, u *term.Universe, w *facts.World, opts Options)
 	// (and, in a shared universe, to earlier engines) — not to this fixpoint.
 	e.mark.terms = u.Size()
 	return e, nil
+}
+
+// pushGroup returns the group of the rules with head at f(s), empty for a
+// symbol no rule pushes along.
+func (e *Engine) pushGroup(f symbols.FuncID) *group {
+	if int(f) >= len(e.push) {
+		e.push = append(e.push, make([]group, int(f)+1-len(e.push))...)
+	}
+	return &e.push[f]
+}
+
+// add appends r to the group, numbering the inputs its body reads and sizing
+// the engine's join scratch for it.
+func (g *group) add(e *Engine, r *normform.Rule) {
+	cr := rule{Rule: r, in: make([]int, len(r.Body))}
+	switch r.Head.Lvl {
+	case normform.Data:
+		cr.sink = e.global
+	case normform.Ground:
+		cr.sink = e.anchors[r.Head.GroundTerm]
+	}
+	for i := range r.Body {
+		l := &r.Body[i]
+		in := input{lvl: l.Lvl, pred: l.Pred}
+		switch l.Lvl {
+		case normform.Data:
+			in.set = e.global
+		case normform.Ground:
+			in.set = e.anchors[l.GroundTerm]
+		case normform.Child:
+			in.fn = l.Fn
+		}
+		k := 0
+		for k < len(g.inputs) && g.inputs[k] != in {
+			k++
+		}
+		if k == len(g.inputs) {
+			g.inputs = append(g.inputs, in)
+		}
+		cr.in[i] = k
+	}
+	g.rules = append(g.rules, cr)
+	if n := len(r.Body); n > len(e.pos) {
+		e.ext, e.pos = make([][]facts.AtomID, n), make([]int, n)
+	}
+	if r.Regs > len(e.regs) {
+		e.regs = make([]symbols.ConstID, r.Regs)
+	}
+	if n := len(r.Head.Plan); n > len(e.head) {
+		e.head = make([]symbols.ConstID, n)
+	}
 }
 
 func (e *Engine) tupleOf(args []ast.DTerm) facts.TupleID {
@@ -263,6 +334,11 @@ func (e *Engine) ensureAnchor(t term.Term) *facts.Set {
 	s := facts.NewSet()
 	e.anchors[t] = s
 	e.anchorList = append(e.anchorList, t)
+	if t != term.Zero && int(e.U.Top(t)) < len(e.readBy) {
+		for _, f := range e.readBy[e.U.Top(t)] {
+			e.ensureAnchor(e.U.Apply(f, e.U.Child(t)))
+		}
+	}
 	return s
 }
 
@@ -286,15 +362,37 @@ func (e *Engine) Global() *facts.Set { return e.global }
 // AnchorTerms returns the anchor region's terms.
 func (e *Engine) AnchorTerms() []term.Term { return e.anchorList }
 
+// row returns the memo row of state s.
+func (e *Engine) row(s facts.StateID) *stateRow {
+	if int(s) >= len(e.memo) {
+		e.memo = append(e.memo, make([]stateRow, int(s)+1-len(e.memo))...)
+	}
+	return &e.memo[s]
+}
+
+// lookup returns the cell for child f of a node in state parent, nil if there
+// is none.
+func (e *Engine) lookup(f symbols.FuncID, parent facts.StateID) *cell {
+	if int(parent) < len(e.memo) && int(f) < len(e.memo[parent].cells) {
+		return e.memo[parent].cells[f]
+	}
+	return nil
+}
+
 // cellFor returns (creating if needed) the cell for child f of a node with
 // the given frozen state.
 func (e *Engine) cellFor(f symbols.FuncID, parent facts.StateID) *cell {
-	key := memoKey{f, parent}
-	if c, ok := e.memo[key]; ok {
+	if c := e.lookup(f, parent); c != nil {
 		return c
 	}
-	c := &cell{key: key, set: facts.NewSet()}
-	e.memo[key] = c
+	row := e.row(parent)
+	if int(f) >= len(row.cells) {
+		n := max(int(f)+1, len(e.push))
+		row.cells = append(row.cells, make([]*cell, n-len(row.cells))...)
+	}
+	c := &cell{fn: f, parent: parent}
+	row.cells[f] = c
+	row.n++
 	e.cells = append(e.cells, c)
 	if e.opts.MaxCells > 0 && len(e.cells) > e.opts.MaxCells {
 		if e.overflow == nil {
@@ -304,150 +402,190 @@ func (e *Engine) cellFor(f symbols.FuncID, parent facts.StateID) *cell {
 	return c
 }
 
-// stateView returns the per-predicate index of a frozen state.
-func (e *Engine) stateView(s facts.StateID) map[symbols.PredID][]facts.AtomID {
-	if v, ok := e.stateViews[s]; ok {
-		return v
+// spawn makes sure every push target of a node in state s has its cell, so
+// that the cell picks up the writes the node's state enables.
+func (e *Engine) spawn(s facts.StateID) {
+	if e.row(s).spawned {
+		return
 	}
-	v := make(map[symbols.PredID][]facts.AtomID)
-	for _, a := range e.W.StateAtoms(s) {
-		p := e.W.AtomPred(a)
-		v[p] = append(v[p], a)
+	for _, f := range e.pushFns {
+		e.cellFor(f, s)
 	}
-	e.stateViews[s] = v
-	return v
+	e.row(s).spawned = true
 }
 
-type srcFn func(p symbols.PredID) []facts.AtomID
-type sinkFn func(a facts.AtomID) bool
-
-// ruleCtx supplies sources and sinks for the self and child levels of one
-// rule instantiation site. Data and ground levels are global and resolved
-// by the engine directly.
-type ruleCtx struct {
-	selfSrc   srcFn
-	childSrc  func(f symbols.FuncID) srcFn
-	selfSink  sinkFn
-	childSink func(f symbols.FuncID) sinkFn
+// stateView returns a frozen state as a set, per-predicate lists and all.
+func (e *Engine) stateView(s facts.StateID) *facts.Set {
+	row := e.row(s)
+	if row.view == nil {
+		row.view = facts.NewSet()
+		row.view.AddState(e.W, s)
+	}
+	return row.view
 }
 
-// applyRule joins r's body under ctx and emits heads; it reports whether
-// any new fact was added.
-func (e *Engine) applyRule(r *normform.Rule, ctx *ruleCtx) bool {
-	changed := false
-	var b subst.Binding
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(r.Body) {
-			e.stats.RuleFirings++
-			e.ruleFired[r] = true
-			if e.emit(r, ctx, &b) {
-				changed = true
-			}
-			return
-		}
-		l := &r.Body[i]
-		var atoms []facts.AtomID
-		switch l.Lvl {
-		case normform.Data:
-			atoms = e.global.ByPred(l.Pred)
-		case normform.Ground:
-			if s, ok := e.anchors[l.GroundTerm]; ok {
-				atoms = s.ByPred(l.Pred)
-			}
+// resolve returns the sets g's inputs name at a node whose own facts are
+// self and whose child by f holds child(f). The slice is the engine's
+// scratch from offset at, valid until the next resolve there.
+func (e *Engine) resolve(g *group, at int, self *facts.Set, child func(symbols.FuncID) *facts.Set) []*facts.Set {
+	if n := at + len(g.inputs); n > len(e.srcs) {
+		e.srcs = append(e.srcs, make([]*facts.Set, n-len(e.srcs))...)
+		e.lens = append(e.lens, make([]int32, n-len(e.lens))...)
+	}
+	srcs := e.srcs[at : at+len(g.inputs)]
+	for k := range g.inputs {
+		switch in := &g.inputs[k]; in.lvl {
 		case normform.Self:
-			if ctx.selfSrc == nil {
-				return
-			}
-			atoms = ctx.selfSrc(l.Pred)
+			srcs[k] = self
 		case normform.Child:
-			if ctx.childSrc == nil {
-				return
-			}
-			src := ctx.childSrc(l.Fn)
-			if src == nil {
-				return
-			}
-			atoms = src(l.Pred)
-		}
-		for _, a := range atoms {
-			nc, nt := b.Mark()
-			if e.matchArgs(l.Args, a, &b) {
-				rec(i + 1)
-			}
-			b.Undo(nc, nt)
+			srcs[k] = child(in.fn)
+		default:
+			srcs[k] = in.set
 		}
 	}
-	rec(0)
-	return changed
+	return srcs
 }
 
-func (e *Engine) matchArgs(pats []ast.DTerm, a facts.AtomID, b *subst.Binding) bool {
-	args := e.W.TupleArgs(e.W.AtomTuple(a))
-	if len(args) != len(pats) {
-		return false
-	}
-	for i, pat := range pats {
-		if !b.MatchData(pat, args[i]) {
+// clean reports whether no input of g has grown past its stamp.
+func (g *group) clean(srcs []*facts.Set, stamps []int32) bool {
+	for k := range g.inputs {
+		if len(srcs[k].ByPred(g.inputs[k].pred)) != int(stamps[k]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *Engine) emit(r *normform.Rule, ctx *ruleCtx, b *subst.Binding) bool {
-	h := &r.Head
-	consts := make([]symbols.ConstID, len(h.Args))
-	for i, d := range h.Args {
-		c, ok := b.ApplyData(d)
-		if !ok {
-			// Range restriction guarantees boundness; treat as no match.
-			return false
-		}
-		consts[i] = c
+// apply evaluates g's rules over the sets its inputs resolved to and reports
+// whether any new fact was added; heads at the node (or, for a push group, at
+// the child it fills) go to sink. With stamps, only what no evaluation has
+// joined yet is joined — for each rule, every body match with some literal
+// matched past its input's stamp — and the stamps move up to the lengths
+// the inputs had when apply was called. Without, every match is joined.
+func (e *Engine) apply(g *group, srcs []*facts.Set, stamps []int32, sink *facts.Set) bool {
+	lens := e.lens[:len(srcs)]
+	for k := range stamps {
+		lens[k] = int32(len(srcs[k].ByPred(g.inputs[k].pred)))
 	}
-	a := e.W.Atom(h.Pred, e.W.Tuple(consts))
-	added := false
-	switch h.Lvl {
-	case normform.Data:
-		added = e.global.Add(e.W, a)
-	case normform.Ground:
-		added = e.ensureAnchor(h.GroundTerm).Add(e.W, a)
-	case normform.Self:
-		if ctx.selfSink == nil {
-			return false
+	changed := false
+	for i := range g.rules {
+		r := &g.rules[i]
+		to := sink
+		if r.sink != nil {
+			to = r.sink
 		}
-		added = ctx.selfSink(a)
-	case normform.Child:
-		if ctx.childSink == nil {
-			return false
+		if len(r.Body) == 0 && e.fire(r, to) {
+			changed = true
 		}
-		sink := ctx.childSink(h.Fn)
-		if sink == nil {
-			return false
+		for d := range r.Body {
+			if e.join(r, srcs, stamps, d, to) {
+				changed = true
+			}
+			if stamps == nil || stamps[r.in[d]] == 0 {
+				break // nothing of literal d is old: no match has it old and a later one new
+			}
 		}
-		added = sink(a)
 	}
-	if added {
-		e.version++
-		e.stats.FactsDerived++
-	}
-	return added
+	copy(stamps, lens)
+	return changed
 }
 
-// evalGlobals runs the rules that touch no functional variable.
-func (e *Engine) evalGlobals() bool {
+// join fires r for every match of its body that takes literal d's atom from
+// past the literal's stamp, those of the literals before d from up to theirs,
+// and those of the literals after d from anywhere — over d, each match that
+// is new since the stamps exactly once. Nil stamps are zeros. The extents are
+// read as the join reaches them, so a fact the rule derives is joined by the
+// literals still to come, as well as by the next evaluation.
+func (e *Engine) join(r *rule, srcs []*facts.Set, stamps []int32, d int, sink *facts.Set) bool {
+	body := r.Body
+	extent := func(i int) []facts.AtomID {
+		atoms := srcs[r.in[i]].ByPred(body[i].Pred)
+		if stamps == nil || i > d {
+			return atoms
+		}
+		if i < d {
+			return atoms[:stamps[r.in[i]]]
+		}
+		return atoms[stamps[r.in[i]]:]
+	}
+	if len(extent(d)) == 0 {
+		return false
+	}
 	changed := false
-	ctx := &ruleCtx{}
-	for i := range e.globalRules {
-		if e.applyRule(&e.globalRules[i], ctx) {
+	i := 0
+	e.ext[0], e.pos[0] = extent(0), 0
+	for i >= 0 {
+		if e.pos[i] == len(e.ext[i]) {
+			i--
+			continue
+		}
+		a := e.ext[i][e.pos[i]]
+		e.pos[i]++
+		if !e.match(body[i].Plan, a) {
+			continue
+		}
+		if i+1 < len(body) {
+			i++
+			e.ext[i], e.pos[i] = extent(i), 0
+			continue
+		}
+		if e.fire(r, sink) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// evalAnchor runs all node rules instantiated at the anchor term t.
+// match compares atom a with a body literal's plan, writing the registers
+// the literal binds.
+func (e *Engine) match(plan []normform.Arg, a facts.AtomID) bool {
+	args := e.W.TupleArgs(e.W.AtomTuple(a))
+	if len(args) != len(plan) {
+		return false
+	}
+	for k, p := range plan {
+		switch {
+		case p.Bind:
+			e.regs[p.Reg] = args[k]
+		case p.Reg >= 0:
+			if e.regs[p.Reg] != args[k] {
+				return false
+			}
+		case p.Const != args[k]:
+			return false
+		}
+	}
+	return true
+}
+
+// fire counts one match of r's body and adds the head, instantiated from the
+// registers, to sink; it reports whether the fact is new.
+func (e *Engine) fire(r *rule, sink *facts.Set) bool {
+	e.stats.RuleFirings++
+	r.Fired = true
+	h := &r.Head
+	consts := e.head[:len(h.Plan)]
+	for k, p := range h.Plan {
+		if p.Reg >= 0 {
+			consts[k] = e.regs[p.Reg]
+		} else {
+			consts[k] = p.Const
+		}
+	}
+	if !sink.Add(e.W, e.W.Atom(h.Pred, e.W.Tuple(consts))) {
+		return false
+	}
+	e.version++
+	e.stats.FactsDerived++
+	return true
+}
+
+// evalGlobals runs the rules that touch no functional variable.
+func (e *Engine) evalGlobals() bool {
+	return e.apply(&e.globals, e.resolve(&e.globals, 0, nil, nil), nil, nil)
+}
+
+// evalAnchor runs the node rules instantiated at the anchor term t.
 // Concrete (anchor) children are read and written directly; boundary
 // children are read through cells, whose own evaluation performs the
 // writes.
@@ -458,32 +596,25 @@ func (e *Engine) evalAnchor(t term.Term) bool {
 			return false
 		}
 	}
-	startVersion := e.version
-	defer func() { e.anchorSeen[t] = startVersion }()
+	e.anchorSeen[t] = e.version
 	s := e.anchors[t]
-	ctx := &ruleCtx{
-		selfSrc:  s.ByPred,
-		selfSink: func(a facts.AtomID) bool { return s.Add(e.W, a) },
-		childSrc: func(f symbols.FuncID) srcFn {
-			child := e.U.Apply(f, t)
-			if cs, ok := e.anchors[child]; ok {
-				return cs.ByPred
-			}
-			return e.cellFor(f, s.StateID(e.W)).set.ByPred
-		},
-		childSink: func(f symbols.FuncID) sinkFn {
-			child := e.U.Apply(f, t)
-			if cs, ok := e.anchors[child]; ok {
-				return func(a facts.AtomID) bool { return cs.Add(e.W, a) }
-			}
-			return nil
-		},
+	below := func(f symbols.FuncID) *facts.Set {
+		if cs, ok := e.anchors[e.U.Apply(f, t)]; ok {
+			return cs
+		}
+		return &e.cellFor(f, s.StateID(e.W)).set
 	}
 	changed := false
-	for i := range e.nodeRules {
-		if e.applyRule(&e.nodeRules[i], ctx) {
-			changed = true
+	for _, f := range e.pushFns {
+		if cs, ok := e.anchors[e.U.Apply(f, t)]; ok {
+			g := &e.push[f]
+			if e.apply(g, e.resolve(g, 0, s, below), nil, cs) {
+				changed = true
+			}
 		}
+	}
+	if e.apply(&e.stay, e.resolve(&e.stay, 0, s, below), nil, s) {
+		changed = true
 	}
 	// Make sure every push target beyond the anchor region exists, so its
 	// cell picks up the writes this node's state enables.
@@ -495,75 +626,52 @@ func (e *Engine) evalAnchor(t term.Term) bool {
 	return changed
 }
 
-// sharedLen is the version of the sets every cell reads.
-func (e *Engine) sharedLen() int {
-	n := 0
-	for _, s := range e.shared {
-		n += s.Len()
-	}
-	return n
-}
-
 // evalCell advances one child-state cell: first the rules instantiated at
 // its (virtual) parent whose heads push into this child, then the rules
-// instantiated at the cell's own node. A cell none of whose inputs has
-// grown since its last evaluation is skipped.
+// instantiated at the cell's own node; pushes into that node's children are
+// their cells' business. A cell none of whose inputs has grown since its
+// last evaluation is skipped, and one that is not joins only what has.
 func (e *Engine) evalCell(c *cell) bool {
-	shared := e.sharedLen()
-	if !e.opts.DisableDirtySkip && c.clean(shared) {
+	up, at := e.pushGroup(c.fn), &e.stay
+	first := c.stamps == nil
+	if first {
+		c.stamps = make([]int32, len(up.inputs)+len(at.inputs))
+	}
+	upStamps, atStamps := c.stamps[:len(up.inputs)], c.stamps[len(up.inputs):]
+	if c.set.Len() != c.own {
+		// The node's children are those of another state now, and nothing of
+		// them has been read.
+		for k := range at.inputs {
+			if at.inputs[k].lvl == normform.Child {
+				atStamps[k] = 0
+			}
+		}
+	}
+	upSrcs := e.resolve(up, 0, e.stateView(c.parent), func(f symbols.FuncID) *facts.Set {
+		if f == c.fn {
+			return &c.set
+		}
+		return &e.cellFor(f, c.parent).set
+	})
+	atSrcs := e.resolve(at, len(up.inputs), &c.set, func(f symbols.FuncID) *facts.Set {
+		return &e.cellFor(f, c.set.StateID(e.W)).set
+	})
+	if e.opts.DisableDirtySkip {
+		upStamps, atStamps = nil, nil
+	} else if !first && c.own == c.set.Len() && up.clean(upSrcs, upStamps) && at.clean(atSrcs, atStamps) {
 		e.stats.SkippedEvals++
 		return false
 	}
 	e.stats.CellEvals++
-	first := !c.evaluated
-	c.evaluated, c.shared, c.own, c.reads = true, shared, c.set.Len(), c.reads[:0]
-	changed := false
-
-	// Group 1: instantiated at the parent, head at Child(c.key.fn).
-	parentView := e.stateView(c.key.parent)
-	ctx1 := &ruleCtx{
-		selfSrc: func(p symbols.PredID) []facts.AtomID { return parentView[p] },
-		childSrc: func(g symbols.FuncID) srcFn {
-			if g == c.key.fn {
-				return c.set.ByPred
-			}
-			return c.src(e.cellFor(g, c.key.parent))
-		},
-		childSink: func(g symbols.FuncID) sinkFn {
-			if g == c.key.fn {
-				return func(a facts.AtomID) bool { return c.set.Add(e.W, a) }
-			}
-			return nil
-		},
+	c.own = c.set.Len()
+	changed := e.apply(up, upSrcs, upStamps, &c.set)
+	if e.apply(at, atSrcs, atStamps, &c.set) {
+		changed = true
 	}
-	for _, r := range e.childHead[c.key.fn] {
-		if e.applyRule(r, ctx1) {
-			changed = true
-		}
-	}
-
-	// Group 2: instantiated at the cell's node itself; heads at the node,
-	// at ground terms or non-functional. Pushes into this node's children
-	// are handled by the children's own group 1.
-	ctx2 := &ruleCtx{
-		selfSrc:  c.set.ByPred,
-		selfSink: func(a facts.AtomID) bool { return c.set.Add(e.W, a) },
-		childSrc: func(g symbols.FuncID) srcFn {
-			return c.src(e.cellFor(g, c.set.StateID(e.W)))
-		},
-	}
-	for _, r := range e.othersHead {
-		if e.applyRule(r, ctx2) {
-			changed = true
-		}
-	}
-
 	// Spawn push targets for the cell's current state; the previous
 	// evaluation did if the state has not moved since.
 	if first || c.set.Len() != c.own {
-		for _, f := range e.pushFns {
-			e.cellFor(f, c.set.StateID(e.W))
-		}
+		e.spawn(c.set.StateID(e.W))
 	}
 	return changed
 }
@@ -607,7 +715,7 @@ func (e *Engine) run(ctx context.Context) error {
 		}
 		return ctx.Err()
 	}
-	for {
+	for rounds := 1; ; rounds++ {
 		if err := expired(); err != nil {
 			return err
 		}
@@ -639,8 +747,8 @@ func (e *Engine) run(ctx context.Context) error {
 			e.solved = true
 			return nil
 		}
-		if e.opts.MaxRounds > 0 && e.stats.Rounds >= e.opts.MaxRounds {
-			return fmt.Errorf("engine: no fixpoint after %d rounds", e.stats.Rounds)
+		if e.opts.MaxRounds > 0 && rounds >= e.opts.MaxRounds {
+			return fmt.Errorf("engine: no fixpoint after %d rounds", rounds)
 		}
 	}
 }
@@ -733,9 +841,10 @@ func (e *Engine) baseFactAdded() {
 }
 
 // AddGroundFact inserts a functional base fact at the ground term t,
-// extending the anchor region along t's prefixes. Call Solve afterwards.
-// The caller must ensure t's depth does not exceed the prepared seed depth
-// assumptions (core.Extend recompiles in that case).
+// extending the anchor region along t's prefixes, at any depth. Call Solve
+// afterwards. Algorithm Q must seed below every anchor, so a caller that goes
+// on to build a specification raises Prep.C and Prep.SeedDepth to t's depth
+// first (core.Extend does).
 func (e *Engine) AddGroundFact(pred symbols.PredID, t term.Term, args []symbols.ConstID) {
 	e.ensureAnchorPath(t)
 	if e.anchors[t].Add(e.W, e.W.Atom(pred, e.W.Tuple(args))) {
@@ -744,35 +853,53 @@ func (e *Engine) AddGroundFact(pred symbols.PredID, t term.Term, args []symbols.
 }
 
 // Sweep drops the cells no state query can reach any more: those not
-// reachable from the anchors' current states through the memo table over the
-// alphabet. A base fact changes the states along its branch, and the cells
-// keyed on the old states stay behind; left alone they are re-checked in
-// every round for ever. Sweep does nothing until as many cells have been
-// created since the last sweep as that one kept, so its cost is amortized
-// over the cells it examines, and nothing on an engine that is not solved:
-// only at the fixpoint is every kept cell clean, with nothing but kept cells
-// among its reads. A dropped cell that is asked for again is recreated and
-// solved like any new one.
+// reachable through the memo table over the alphabet from the anchors'
+// current states, along the symbols that lead out of the anchor region. A
+// base fact changes the states along its branch, and the cells keyed on the
+// old states stay behind; left alone they are re-checked in every round for
+// ever. Sweep does nothing until as many cells have been created since the
+// last sweep as that one kept, so its cost is amortized over the cells it
+// examines, and nothing on an engine that is not solved: only at the fixpoint
+// is every kept cell clean, with nothing but kept cells among its inputs: its
+// children, marked with it, and the siblings its push rules read — below a
+// kept cell every symbol is marked, and below an anchor t a kept cell for f
+// means f(t) is no anchor, so neither is any g(t) that f's rules read
+// (readBy), and g leads out of the region as f does. A stamp held against a
+// dropped cell would outlive the list it counts. A dropped cell that is asked
+// for again is recreated and solved like any new one.
 func (e *Engine) Sweep() {
 	if !e.solved || len(e.cells) <= 2*e.kept {
 		return
 	}
-	var stack []facts.StateID
-	for _, t := range e.anchorList {
-		stack = append(stack, e.anchors[t].StateID(e.W))
+	var stack []*cell
+	mark := func(f symbols.FuncID, s facts.StateID) {
+		if c := e.lookup(f, s); c != nil && !c.live {
+			c.live = true
+			stack = append(stack, c)
+		}
 	}
-	views := make(map[facts.StateID]map[symbols.PredID][]facts.AtomID)
+	type edge struct {
+		t term.Term
+		f symbols.FuncID
+	}
+	inside := make(map[edge]bool, len(e.anchorList))
+	for _, t := range e.anchorList {
+		if t != term.Zero {
+			inside[edge{e.U.Child(t), e.U.Top(t)}] = true
+		}
+	}
+	for _, t := range e.anchorList {
+		for _, f := range e.Prep.Funcs {
+			if !inside[edge{t, f}] {
+				mark(f, e.anchors[t].StateID(e.W))
+			}
+		}
+	}
 	for len(stack) > 0 {
-		s := stack[len(stack)-1]
+		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, f := range e.Prep.Funcs {
-			if c, ok := e.memo[memoKey{f, s}]; ok && !c.live {
-				c.live = true
-				stack = append(stack, c.set.StateID(e.W))
-				if v, ok := e.stateViews[s]; ok {
-					views[s] = v
-				}
-			}
+			mark(f, c.set.StateID(e.W))
 		}
 	}
 	kept := e.cells[:0]
@@ -780,14 +907,16 @@ func (e *Engine) Sweep() {
 		if c.live {
 			c.live = false
 			kept = append(kept, c)
-		} else {
-			delete(e.memo, c.key)
+			continue
+		}
+		row := &e.memo[c.parent]
+		row.cells[c.fn], row.spawned = nil, false
+		if row.n--; row.n == 0 {
+			row.view = nil
 		}
 	}
-	for i := len(kept); i < len(e.cells); i++ {
-		e.cells[i] = nil
-	}
-	e.cells, e.kept, e.stateViews = kept, len(kept), views
+	clear(e.cells[len(kept):])
+	e.cells, e.kept = kept, len(kept)
 }
 
 // UnfiredRules returns the source rules whose body was never satisfied
@@ -797,7 +926,7 @@ func (e *Engine) UnfiredRules() []*ast.Rule {
 	var out []*ast.Rule
 	collect := func(rules []normform.Rule) {
 		for i := range rules {
-			if !e.ruleFired[&rules[i]] {
+			if !rules[i].Fired {
 				out = append(out, rules[i].Src)
 			}
 		}

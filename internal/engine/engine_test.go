@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"funcdb/internal/datagen"
 	"funcdb/internal/facts"
 	"funcdb/internal/fixpoint"
 	"funcdb/internal/parser"
@@ -338,6 +340,39 @@ func TestMaxRoundsGuard(t *testing.T) {
 	}
 	if err := e.Solve(); err == nil {
 		t.Fatalf("MaxRounds guard did not trip")
+	}
+}
+
+// TestMaxRoundsIsPerSolve: the budget is each Solve call's own. An engine
+// allowed one round more than its cold solve took goes on taking base facts,
+// every one of which moves every day's state, without ever running out.
+func TestMaxRoundsIsPerSolve(t *testing.T) {
+	prep, err := rewrite.Prepare(parser.MustParse(datagen.CalendarSrc(16)).Program)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	e, err := New(prep, term.NewUniverse(), facts.NewWorld(), Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := e.Solve(); err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	e.opts.MaxRounds = e.Stats().Rounds + 1
+	tab := prep.Program.Tab
+	meets, _ := tab.LookupPred("Meets", 1, true)
+	for k := 1; k < 12; k++ {
+		c, ok := tab.LookupConst(fmt.Sprintf("s%d", k))
+		if !ok {
+			t.Fatalf("no constant s%d", k)
+		}
+		e.AddGroundFact(meets, term.Zero, []symbols.ConstID{c})
+		if err := e.Solve(); err != nil {
+			t.Fatalf("Solve after fact %d, %d rounds in all, budget %d a call: %v", k, e.Stats().Rounds, e.opts.MaxRounds, err)
+		}
+	}
+	if got := e.Stats().Rounds; got <= e.opts.MaxRounds {
+		t.Errorf("%d rounds in all: the facts never passed the budget of %d cumulatively, so the test shows nothing", got, e.opts.MaxRounds)
 	}
 }
 

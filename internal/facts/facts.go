@@ -11,6 +11,7 @@ package facts
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"funcdb/internal/symbols"
@@ -64,23 +65,28 @@ func NewWorld() *World {
 	return w
 }
 
-func tupleKey(args []symbols.ConstID) string {
-	buf := make([]byte, 4*len(args))
-	for i, c := range args {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(c))
+// appendKey appends the map key of a tuple or state — its identifiers, four
+// bytes each — to buf. Interning looks the key up as string(key) straight in
+// the map index expression, which does not allocate; only a miss builds the
+// string it stores. Callers pass a stack buffer, so frozen worlds stay
+// readable from any number of goroutines.
+func appendKey[T ~int32](buf []byte, ids []T) []byte {
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
-	return string(buf)
+	return buf
 }
 
 // Tuple interns an argument tuple. The argument slice is copied.
 func (w *World) Tuple(args []symbols.ConstID) TupleID {
-	key := tupleKey(args)
-	if id, ok := w.tupleBy[key]; ok {
+	var buf [64]byte
+	key := appendKey(buf[:0], args)
+	if id, ok := w.tupleBy[string(key)]; ok {
 		return id
 	}
 	id := TupleID(len(w.tupleData))
 	w.tupleData = append(w.tupleData, append([]symbols.ConstID(nil), args...))
-	w.tupleBy[key] = id
+	w.tupleBy[string(key)] = id
 	return id
 }
 
@@ -108,23 +114,16 @@ func (w *World) AtomTuple(a AtomID) TupleID { return w.atoms[a].tuple }
 // NumAtoms returns the number of interned atoms.
 func (w *World) NumAtoms() int { return len(w.atoms) }
 
-func stateKey(sorted []AtomID) string {
-	buf := make([]byte, 4*len(sorted))
-	for i, a := range sorted {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(a))
-	}
-	return string(buf)
-}
-
 // State interns a set of atoms given as a sorted slice, which is copied.
 func (w *World) State(sorted []AtomID) StateID {
-	key := stateKey(sorted)
-	if id, ok := w.stateBy[key]; ok {
+	var buf [256]byte
+	key := appendKey(buf[:0], sorted)
+	if id, ok := w.stateBy[string(key)]; ok {
 		return id
 	}
 	id := StateID(len(w.stateData))
 	w.stateData = append(w.stateData, append([]AtomID(nil), sorted...))
-	w.stateBy[key] = id
+	w.stateBy[string(key)] = id
 	return id
 }
 
@@ -144,31 +143,59 @@ func (w *World) StateContains(s StateID, a AtomID) bool {
 	return i < len(d) && d[i] == a
 }
 
-// Set is a grow-only set of atoms with a per-predicate index and a cached
-// state identity. The zero value is ready to use.
+// Set is a grow-only set of atoms indexed by predicate, with a cached state
+// identity. Each per-predicate list is append-only, so its length at some
+// moment names exactly what the set held of that predicate then, and the
+// atoms past it are what has arrived since: the engine's evaluation stamps
+// are such lengths. The zero value is an empty set.
 type Set struct {
-	all    map[AtomID]struct{}
-	byPred map[symbols.PredID][]AtomID
+	// byPred is indexed by PredID (symbol tables number predicates densely)
+	// and grown to the largest predicate added.
+	byPred [][]AtomID
+	n      int
+	// index holds the members once there are more than a scan of one
+	// predicate's list should look at; most sets — the cells of a fixpoint —
+	// never get there.
+	index  map[AtomID]struct{}
 	cached StateID
 	dirty  bool
 }
 
+// scanMax is the size up to which membership in a Set is a linear scan.
+// Measured (EXPERIMENTS.md A22, "One set, two membership paths"): of the
+// 130 / 1 025 / 587 sets a cold solve of the three write families makes, the
+// largest cell holds 10 atoms and one set — a program's global facts — passes
+// 16. A map from the first atom on costs Subsets(7)'s cold compile 26 % more
+// allocations and ~1.2× the time; a scan with no map behind it takes 54 ms
+// against 1.5 to load 20 000 facts of one predicate.
+const scanMax = 16
+
 // NewSet returns an empty set.
-func NewSet() *Set {
-	return &Set{
-		all:    make(map[AtomID]struct{}),
-		byPred: make(map[symbols.PredID][]AtomID),
-	}
-}
+func NewSet() *Set { return &Set{} }
 
 // Add inserts a and reports whether it was new.
 func (s *Set) Add(w *World, a AtomID) bool {
-	if _, ok := s.all[a]; ok {
-		return false
-	}
-	s.all[a] = struct{}{}
 	p := w.AtomPred(a)
+	if s.index != nil {
+		if _, ok := s.index[a]; ok {
+			return false
+		}
+	} else if slices.Contains(s.ByPred(p), a) {
+		return false
+	} else if s.n == scanMax {
+		s.index = make(map[AtomID]struct{}, 2*scanMax)
+		for _, b := range s.All() {
+			s.index[b] = struct{}{}
+		}
+	}
+	if s.index != nil {
+		s.index[a] = struct{}{}
+	}
+	if int(p) >= len(s.byPred) {
+		s.byPred = append(s.byPred, make([][]AtomID, int(p)+1-len(s.byPred))...)
+	}
 	s.byPred[p] = append(s.byPred[p], a)
+	s.n++
 	s.dirty = true
 	return true
 }
@@ -186,22 +213,36 @@ func (s *Set) AddState(w *World, st StateID) bool {
 
 // Has reports membership.
 func (s *Set) Has(a AtomID) bool {
-	_, ok := s.all[a]
-	return ok
+	if s.index != nil {
+		_, ok := s.index[a]
+		return ok
+	}
+	for _, atoms := range s.byPred {
+		if slices.Contains(atoms, a) {
+			return true
+		}
+	}
+	return false
 }
 
 // ByPred returns the atoms of predicate p, in insertion order. The caller
 // must not modify the slice.
-func (s *Set) ByPred(p symbols.PredID) []AtomID { return s.byPred[p] }
+func (s *Set) ByPred(p symbols.PredID) []AtomID {
+	if int(p) < len(s.byPred) {
+		return s.byPred[p]
+	}
+	return nil
+}
 
 // Len returns the number of atoms in the set.
-func (s *Set) Len() int { return len(s.all) }
+func (s *Set) Len() int { return s.n }
 
-// All returns the atoms of the set in unspecified order.
-func (s *Set) All() []AtomID {
-	out := make([]AtomID, 0, len(s.all))
-	for a := range s.all {
-		out = append(out, a)
+// All returns the atoms of the set, grouped by predicate.
+func (s *Set) All() []AtomID { return s.appendAll(make([]AtomID, 0, s.n)) }
+
+func (s *Set) appendAll(out []AtomID) []AtomID {
+	for _, atoms := range s.byPred {
+		out = append(out, atoms...)
 	}
 	return out
 }
@@ -212,8 +253,9 @@ func (s *Set) StateID(w *World) StateID {
 	if !s.dirty {
 		return s.cached // a fresh Set caches EmptyState
 	}
-	sorted := s.All()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var buf [64]AtomID
+	sorted := s.appendAll(buf[:0])
+	slices.Sort(sorted)
 	s.cached = w.State(sorted)
 	s.dirty = false
 	return s.cached

@@ -167,3 +167,60 @@ func TestStateIdentityIsSetIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetPastTheScan: membership is a scan of one predicate's list up to
+// scanMax atoms and an index beyond; a set behaves the same on both sides of
+// the switch, a duplicate is refused on both, every per-predicate list stays
+// in insertion order, and a frozen copy keeps the lengths it was taken at
+// while the set grows on. Tuples longer than the stack key buffer intern like
+// any other.
+func TestSetPastTheScan(t *testing.T) {
+	w := NewWorld()
+	s := NewSet()
+	var all []AtomID
+	var frozen *FrozenSet
+	for i := 0; i < 4*scanMax; i++ {
+		p := symbols.PredID(i % 3)
+		a := w.Atom(p, w.Tuple([]symbols.ConstID{symbols.ConstID(i)}))
+		if s.Has(a) {
+			t.Fatalf("atom %d present before it was added", i)
+		}
+		if !s.Add(w, a) || s.Add(w, a) {
+			t.Fatalf("Add(%d) newness reporting broken at %d atoms", i, s.Len())
+		}
+		all = append(all, a)
+		if i == scanMax+3 {
+			frozen = FreezeSet(s)
+		}
+	}
+	if s.Len() != len(all) || len(s.All()) != len(all) {
+		t.Fatalf("Len = %d, All = %d, want %d", s.Len(), len(s.All()), len(all))
+	}
+	for i, a := range all {
+		if !s.Has(a) {
+			t.Fatalf("atom %d lost", i)
+		}
+		if got := s.ByPred(symbols.PredID(i % 3))[i/3]; got != a {
+			t.Fatalf("ByPred(%d)[%d] = %v, want %v: not insertion order", i%3, i/3, got, a)
+		}
+		if frozen.Has(a) != (i <= scanMax+3) {
+			t.Fatalf("frozen copy taken after atom %d: Has(atom %d) = %v", scanMax+3, i, frozen.Has(a))
+		}
+	}
+	if s.ByPred(7) != nil || frozen.ByPred(7) != nil || frozen.Len() != scanMax+4 {
+		t.Fatalf("unused predicate or frozen length wrong")
+	}
+	long := make([]symbols.ConstID, 40)
+	for i := range long {
+		long[i] = symbols.ConstID(i)
+	}
+	tu := w.Tuple(long)
+	long[39] = 99
+	if w.Tuple(long) == tu || len(w.TupleArgs(tu)) != 40 || w.TupleArgs(tu)[39] != 39 {
+		t.Fatalf("long tuples interned wrongly")
+	}
+	long[39] = 39
+	if w.Tuple(long) != tu {
+		t.Fatalf("equal long tuples interned apart")
+	}
+}

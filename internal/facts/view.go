@@ -85,11 +85,12 @@ func (s *Scratch) Reset(base *World) {
 
 // Tuple interns an argument tuple, preferring the frozen base.
 func (s *Scratch) Tuple(args []symbols.ConstID) TupleID {
-	key := tupleKey(args)
-	if id, ok := s.base.tupleBy[key]; ok {
+	var buf [64]byte
+	key := appendKey(buf[:0], args)
+	if id, ok := s.base.tupleBy[string(key)]; ok {
 		return id
 	}
-	if id, ok := s.tupleBy[key]; ok {
+	if id, ok := s.tupleBy[string(key)]; ok {
 		return id
 	}
 	id := TupleID(len(s.base.tupleData) + len(s.tupleData))
@@ -97,7 +98,7 @@ func (s *Scratch) Tuple(args []symbols.ConstID) TupleID {
 	if s.tupleBy == nil {
 		s.tupleBy = make(map[string]TupleID)
 	}
-	s.tupleBy[key] = id
+	s.tupleBy[string(key)] = id
 	return id
 }
 
@@ -162,24 +163,24 @@ func (s *Scratch) StateContains(st StateID, a AtomID) bool {
 }
 
 // FrozenSet is an immutable copy of a Set, sharing the per-predicate
-// slices length-bounded and copying the membership map. Concurrent readers
-// may use it freely while the original keeps growing.
+// slices length-bounded and copying the membership. Concurrent readers may
+// use it freely while the original keeps growing.
 type FrozenSet struct {
 	all    map[AtomID]struct{}
-	byPred map[symbols.PredID][]AtomID
+	byPred [][]AtomID
 }
 
 // FreezeSet captures the current contents of s.
 func FreezeSet(s *Set) *FrozenSet {
 	out := &FrozenSet{
-		all:    make(map[AtomID]struct{}, len(s.all)),
-		byPred: make(map[symbols.PredID][]AtomID, len(s.byPred)),
-	}
-	for a := range s.all {
-		out.all[a] = struct{}{}
+		all:    make(map[AtomID]struct{}, s.n),
+		byPred: make([][]AtomID, len(s.byPred)),
 	}
 	for p, atoms := range s.byPred {
 		out.byPred[p] = atoms[:len(atoms):len(atoms)]
+		for _, a := range atoms {
+			out.all[a] = struct{}{}
+		}
 	}
 	return out
 }
@@ -191,7 +192,12 @@ func (s *FrozenSet) Has(a AtomID) bool {
 }
 
 // ByPred returns the atoms of predicate p, in insertion order.
-func (s *FrozenSet) ByPred(p symbols.PredID) []AtomID { return s.byPred[p] }
+func (s *FrozenSet) ByPred(p symbols.PredID) []AtomID {
+	if int(p) < len(s.byPred) {
+		return s.byPred[p]
+	}
+	return nil
+}
 
 // Len returns the number of atoms in the set.
 func (s *FrozenSet) Len() int { return len(s.all) }

@@ -106,3 +106,51 @@ P(S) -> P(f(S)).
 		t.Fatalf("non-normal rule accepted by compile")
 	}
 }
+
+// TestCompilePlansJoins: the body comes out in join order — most positions
+// fixed first, ties textual — with each position a constant test, a register
+// test or the one write of its register, and the head reads registers only.
+func TestCompilePlansJoins(t *testing.T) {
+	node, _, _, _ := compileSrc(t, `
+K(a). L(b).
+A(0).
+A(S) -> M(f(S), a, b).
+K(X), L(Y), M(S, X, Y) -> N(S, Y, X).
+M(S, X, X) -> D(S, X).
+M(S, a, X), K(X) -> H(S, X).
+`)
+	// K(X), L(Y), M(S, X, Y): K binds X; M then has one position fixed and L
+	// none, so M goes second and binds Y; L is left as a test.
+	r := &node[1]
+	if r.Body[0].Lvl != Data || r.Body[1].Lvl != Self || r.Body[2].Lvl != Data {
+		t.Fatalf("join order levels = %v %v %v, want Data, Self, Data", r.Body[0].Lvl, r.Body[1].Lvl, r.Body[2].Lvl)
+	}
+	wantPlans := [][]Arg{
+		{{Reg: 0, Bind: true}},
+		{{Reg: 0}, {Reg: 1, Bind: true}},
+		{{Reg: 1}},
+	}
+	for i, want := range wantPlans {
+		got := r.Body[i].Plan
+		if len(got) != len(want) {
+			t.Fatalf("literal %d: plan %v, want %v", i, got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Errorf("literal %d position %d: %+v, want %+v", i, k, got[k], want[k])
+			}
+		}
+	}
+	if h := r.Head.Plan; len(h) != 2 || h[0] != (Arg{Reg: 1}) || h[1] != (Arg{Reg: 0}) || r.Regs != 2 {
+		t.Errorf("head plan %v over %d registers, want [reg 1, reg 0] over 2", h, r.Regs)
+	}
+	// M(S, X, X): the second X compares.
+	if p := node[2].Body[0].Plan; p[0] != (Arg{Reg: 0, Bind: true}) || p[1] != (Arg{Reg: 0}) {
+		t.Errorf("repeated variable plan %v", p)
+	}
+	// M(S, a, X), K(X): one constant fixed beats none; K(X) becomes a test.
+	r = &node[3]
+	if r.Body[0].Lvl != Self || r.Body[0].Plan[0].Reg != -1 || r.Body[1].Plan[0] != (Arg{Reg: 0}) {
+		t.Errorf("constant plan: %v then %v", r.Body[0].Plan, r.Body[1].Plan)
+	}
+}
