@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test test-bench vet race race-repl race-watch race-shard race-storm race-trace bench bench-store bench-concurrent bench-repl bench-obs bench-watch bench-router bench-hotpath bench-storm bench-trace fuzz fuzz-smoke govulncheck staticcheck tables examples clean
+.PHONY: all check build test test-bench vet race race-store race-repl race-watch race-shard race-storm race-trace bench bench-store bench-concurrent bench-repl bench-obs bench-watch bench-router bench-hotpath bench-storm bench-trace fuzz fuzz-smoke govulncheck staticcheck tables examples clean
 
 all: check
 
@@ -31,15 +31,25 @@ test:
 # allocations one republish may make (counts), the join programs against all
 # three evaluators, and a pass over the cold-compile, Extend and republish
 # benchmarks — a join that goes quadratic again shows in the counts first.
+# And the stores': one representation each (no Scratch twin, no map copied in
+# a Freeze) and a republish that allocates the same after 250 facts as after
+# 10.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
-	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
+	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 
 race:
 	$(GO) test -race ./...
+
+# The stores alone under the race detector: readers on successive frozen
+# views of the universe, the world and a set — bare and through overlays —
+# against a writer interning across index growths, and the snapshot readers
+# of core and the registry against Extend.
+race-store:
+	$(GO) test -race -count=1 ./internal/term ./internal/facts ./internal/symbols ./internal/core ./internal/registry
 
 # The replication stack alone under the race detector: cursor tailing,
 # the server's streaming endpoints, the replica loop, client failover and

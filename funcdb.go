@@ -102,8 +102,6 @@ type (
 	// Snapshot is an immutable, lock-free view of a Database at one point
 	// in time; any number of goroutines may query one concurrently.
 	Snapshot = core.Snapshot
-	// BatchResult is one query's outcome from AskBatch.
-	BatchResult = core.BatchResult
 	// Plan is a query compiled against one immutable snapshot; execute it
 	// any number of times with Plan.Ask / Plan.Answers.
 	Plan = core.Plan

@@ -35,7 +35,7 @@ func C(c symbols.ConstID) DTerm { return DTerm{Var: symbols.NoVar, Const: c} }
 func (d DTerm) IsVar() bool { return d.Var != symbols.NoVar }
 
 // Format renders d using the names in tab.
-func (d DTerm) Format(tab symbols.Namer) string {
+func (d DTerm) Format(tab *symbols.Table) string {
 	if d.IsVar() {
 		return tab.VarName(d.Var)
 	}
@@ -129,7 +129,7 @@ func (t *FTerm) Clone() *FTerm {
 
 // Format renders t using the names in tab, printing succ-chains over 0 or a
 // variable in the paper's +n sugar.
-func (t *FTerm) Format(tab symbols.Namer) string {
+func (t *FTerm) Format(tab *symbols.Table) string {
 	base := "0"
 	if t.HasVarBase() {
 		base = tab.VarName(t.Base)
@@ -205,7 +205,7 @@ func (a Atom) Clone() Atom {
 
 // Format renders a using the names in tab. Atoms without arguments print
 // as the bare predicate name, matching the concrete syntax.
-func (a *Atom) Format(tab symbols.Namer) string {
+func (a *Atom) Format(tab *symbols.Table) string {
 	var b strings.Builder
 	b.WriteString(tab.PredName(a.Pred))
 	if a.FT == nil && len(a.Args) == 0 {
@@ -246,7 +246,7 @@ func (r Rule) Clone() Rule {
 
 // Format renders r using the names in tab, in the surface syntax
 // "B1, B2 -> H." (or "H." for a bodiless rule).
-func (r *Rule) Format(tab symbols.Namer) string {
+func (r *Rule) Format(tab *symbols.Table) string {
 	if len(r.Body) == 0 {
 		return r.Head.Format(tab) + "."
 	}
@@ -267,7 +267,7 @@ type Query struct {
 }
 
 // Format renders q using the names in tab.
-func (q *Query) Format(tab symbols.Namer) string {
+func (q *Query) Format(tab *symbols.Table) string {
 	parts := make([]string, len(q.Atoms))
 	for i := range q.Atoms {
 		parts[i] = q.Atoms[i].Format(tab)

@@ -16,7 +16,7 @@ import (
 // and `?- Meets(U, Y).` share one — while queries differing in any constant,
 // symbol or binding pattern do not. Plan caches key on the shape instead of
 // the exact text, so spelling variations collapse onto one compilation.
-func QueryShape(q *ast.Query, names symbols.Namer) string {
+func QueryShape(q *ast.Query, names *symbols.Table) string {
 	var b strings.Builder
 	vars := make(map[symbols.VarID]int)
 	varRef := func(v symbols.VarID) {

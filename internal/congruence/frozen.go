@@ -67,7 +67,7 @@ func (sc *Scratch) Reset() {
 
 // classOf resolves the congruence class of t, consulting the frozen maps
 // first and the query-local overlay for novel terms.
-func (f *Frozen) classOf(v term.View, t term.Term, sc *Scratch) term.Term {
+func (f *Frozen) classOf(v *term.Universe, t term.Term, sc *Scratch) term.Term {
 	if c, ok := f.class[t]; ok {
 		return c
 	}
@@ -95,15 +95,15 @@ func (f *Frozen) classOf(v term.View, t term.Term, sc *Scratch) term.Term {
 }
 
 // Congruent decides (t1, t2) ∈ Cl(R) without mutating the frozen relation.
-// The terms may live in v's scratch overlay; sc accumulates the query's
+// The terms may live in v, a query-local overlay; sc accumulates the query's
 // view of them.
-func (f *Frozen) Congruent(v term.View, t1, t2 term.Term, sc *Scratch) bool {
+func (f *Frozen) Congruent(v *term.Universe, t1, t2 term.Term, sc *Scratch) bool {
 	return f.classOf(v, t1, sc) == f.classOf(v, t2, sc)
 }
 
 // CongruentToAny reports whether t is congruent to any candidate — the
 // paper's membership test, lock-free.
-func (f *Frozen) CongruentToAny(v term.View, t term.Term, candidates []term.Term, sc *Scratch) bool {
+func (f *Frozen) CongruentToAny(v *term.Universe, t term.Term, candidates []term.Term, sc *Scratch) bool {
 	ct := f.classOf(v, t, sc)
 	for _, c := range candidates {
 		if ct == f.classOf(v, c, sc) {

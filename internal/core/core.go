@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -62,16 +61,12 @@ type Options struct {
 	Spec specgraph.Options
 	// Method selects the ground-membership decision procedure for Ask.
 	Method Method
-	// DisableTemporal turns the temporal (lasso) fast path off even for
-	// temporal programs; the generic machinery is used instead. Used by the
-	// ablation benchmarks.
-	DisableTemporal bool
 }
 
 // Database is a compiled functional deductive database.
 //
-// A Database is safe for concurrent use. Ask, Answers, AskBatch and Prepare
-// take no lock: they run on the published immutable Snapshot (see Snapshot),
+// A Database is safe for concurrent use. Ask, Answers and Prepare take no
+// lock: they run on the published immutable Snapshot (see Snapshot),
 // any number at once, also while a writer is extending the database. The
 // mutex is for what touches the live, mutable side — the shared symbol table,
 // term universe and fact world: the mutators Extend and ExtendRules, the
@@ -234,15 +229,12 @@ func (db *Database) Equational() (*congruence.EqSpec, error) {
 }
 
 // Temporal builds (once) and returns the lasso specification. It errors on
-// non-temporal programs or when the temporal path is disabled.
+// non-temporal programs.
 func (db *Database) Temporal() (*temporal.Spec, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.lasso != nil {
 		return db.lasso, nil
-	}
-	if db.opts.DisableTemporal {
-		return nil, fmt.Errorf("core: temporal fast path disabled")
 	}
 	sp, err := db.graphLocked()
 	if err != nil {

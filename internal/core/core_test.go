@@ -117,13 +117,6 @@ func TestTemporalFastPath(t *testing.T) {
 	if ts.Prefix != 0 || ts.Period != 2 {
 		t.Errorf("lasso = (%d, %d)", ts.Prefix, ts.Period)
 	}
-	db2, err := Open(meetingsSrc, Options{DisableTemporal: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if _, err := db2.Temporal(); err == nil {
-		t.Errorf("DisableTemporal ignored")
-	}
 }
 
 func TestEquational(t *testing.T) {

@@ -43,13 +43,15 @@ func TestExtendTouchesDelta(t *testing.T) {
 // TestPublishBytes: what one republish allocates, as counts — the mean of a
 // few runs of BenchmarkPublish's body, read off the allocator's own counters
 // the way testing.B does (a timed testing.Benchmark would spend its second on
-// the opens). The bounds are the figures measured when the successor table
-// became one shared array (EXPERIMENTS.md A21) plus 20 %; with a copy of the
-// table per consumer robdeep allocated 991 KB in 691 allocations.
+// the opens). The bounds are the figures measured when the stores' frozen
+// views became lengths (EXPERIMENTS.md A23) plus 20 %; with the interning
+// maps, the source program and the global set copied per publish cal
+// allocated 56 864 bytes in 663 allocations, and with a copy of the successor
+// table per consumer before that robdeep 991 KB in 691.
 func TestPublishBytes(t *testing.T) {
 	bounds := map[string]struct{ bytes, allocs uint64 }{
-		// measured: cal 56 864 / 663, sub 88 739 / 883, rob 92 339 / 240, robdeep 636 580 / 323
-		"cal": {68_200, 795}, "sub": {106_500, 1_060}, "rob": {110_800, 288}, "robdeep": {763_900, 387},
+		// measured: cal 27 136 / 551, sub 64 512 / 814, rob 67 120 / 181, robdeep 515 926 / 244
+		"cal": {32_600, 661}, "sub": {77_400, 977}, "rob": {80_500, 217}, "robdeep": {619_100, 293},
 	}
 	const runs = 5
 	for _, c := range publishCases() {

@@ -77,7 +77,7 @@ type Plan struct {
 	fingerprint string // obs.Fingerprint(shape), fixed at compile
 	q           *ast.Query
 	// tab is the symbol base for per-execution overlays: the snapshot's
-	// frozen table, or a private thawed clone when the query text interned
+	// frozen table, or a frozen private clone when the query text interned
 	// symbols the snapshot does not know.
 	tab    *symbols.Table
 	ground bool
@@ -87,7 +87,7 @@ type Plan struct {
 	// Equational lowering, compiled on first equational execution.
 	eqOnce  sync.Once
 	eqSteps []eqStep
-	eqView  *term.Scratch // read-only after eqOnce; holds the query terms
+	eqView  *term.Universe // read-only after eqOnce; holds the query terms
 
 	// The answer specification of an open query, computed by the first
 	// execution that needs it (answerSpec); a ground plan never has one.
@@ -262,7 +262,7 @@ func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, 
 	if ec.tab.HasLocal() {
 		// The query interned novel symbols: give the plan a private table
 		// so the AST's identifiers stay resolvable at execution time.
-		p.tab = ec.tab.Thaw()
+		p.tab = ec.tab.Clone().Freeze()
 	} else {
 		p.tab = s.tab
 	}
@@ -407,9 +407,9 @@ func (p *Plan) compileEq() {
 	s := p.snap
 	ec := &evalCtx{
 		snap: s,
-		tab:  symbols.NewScratch(p.tab),
-		u:    term.NewScratch(s.u),
-		w:    facts.NewScratch(s.w),
+		tab:  symbols.NewTableOver(p.tab),
+		u:    term.NewUniverseOver(s.u),
+		w:    facts.NewWorldOver(s.w),
 	}
 	_, cand := s.canonical()
 	for i := range p.q.Atoms {
@@ -555,6 +555,6 @@ func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
 	// The enlarged program gets a private symbol table (the plan's own
 	// identifiers stay valid in the clone) and shares the snapshot's rules
 	// and facts, which the pipeline only reads.
-	prog := &ast.Program{Tab: p.tab.Clone(), Facts: s.source.Facts, Rules: s.source.Rules}
+	prog := &ast.Program{Tab: p.tab.Clone(), Facts: s.facts, Rules: s.rules}
 	return query.Compile(ctx, prog, p.tab, p.q, s.engOpts, s.specOpts)
 }

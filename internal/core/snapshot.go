@@ -20,19 +20,26 @@ import (
 
 // Snapshot is an immutable view of a compiled database at one point in
 // time. Any number of goroutines may evaluate queries against one Snapshot
-// concurrently with no locking at all: the symbol table, term universe,
-// fact world and graph specification are frozen copies, and every query
-// gets private scratch overlays for whatever it needs to intern (novel
+// concurrently with no locking at all: the symbol table, term universe and
+// fact world are frozen views of the live stores — the same records, cut at
+// their length at publish time — the graph specification is frozen, and
+// every query gets private overlays for whatever it needs to intern (novel
 // terms, tuples, symbols) — drawn from a sync.Pool, so steady-state asks
 // allocate nothing. Mutating the owning Database (Extend, ExtendRules)
 // never changes a published Snapshot — it simply becomes stale (its plan
 // cache with it), and the next Database.Snapshot call builds a fresh one.
 type Snapshot struct {
-	source *ast.Program // clone whose Tab is the frozen table
-	tab    *symbols.Table
-	u      *term.Universe
-	w      *facts.World
-	spec   *specgraph.Frozen
+	// facts and rules are the source program's, cut at their lengths: the
+	// writer only appends to them (an Extend that fails truncates a tail no
+	// snapshot has seen), and nothing modifies an atom once it is there —
+	// preparation and the enlarged program of a non-uniform query clone
+	// what they rewrite.
+	facts []ast.Atom
+	rules []ast.Rule
+	tab   *symbols.Table
+	u     *term.Universe
+	w     *facts.World
+	spec  *specgraph.Frozen
 
 	method   Method
 	engOpts  engine.Options
@@ -74,9 +81,6 @@ func (db *Database) snapshotLocked() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := db.Source.Tab.Clone()
-	src := db.Source.Clone()
-	src.Tab = tab
 	// Minimize at publish time so the flat tables are built over the
 	// coarsest observable-equivalence quotient.
 	m, err := minimize.Minimize(sp)
@@ -84,8 +88,9 @@ func (db *Database) snapshotLocked() (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{
-		source:   src,
-		tab:      tab,
+		facts:    db.Source.Facts[:len(db.Source.Facts):len(db.Source.Facts)],
+		rules:    db.Source.Rules[:len(db.Source.Rules):len(db.Source.Rules)],
+		tab:      db.Source.Tab.Freeze(),
 		u:        db.universe.Freeze(),
 		w:        db.world.Freeze(),
 		spec:     sp.FreezeQuotient(m.Quotient()),
@@ -124,13 +129,13 @@ func (s *Snapshot) canonical() (*congruence.Frozen, map[facts.AtomID][]term.Term
 // return it when no produced value retains the overlays.
 type evalCtx struct {
 	snap *Snapshot
-	tab  *symbols.Scratch
-	u    *term.Scratch
-	w    *facts.Scratch
+	tab  *symbols.Table
+	u    *term.Universe
+	w    *facts.World
 }
 
 // getEval acquires a pooled scratch arena reset over the given symbol base
-// (the snapshot's frozen table, or a plan's private thawed clone).
+// (the snapshot's frozen table, or a plan's frozen private clone).
 func (s *Snapshot) getEval(base *symbols.Table) *evalCtx {
 	if v := s.evalPool.Get(); v != nil {
 		ec := v.(*evalCtx)
@@ -142,9 +147,9 @@ func (s *Snapshot) getEval(base *symbols.Table) *evalCtx {
 	}
 	return &evalCtx{
 		snap: s,
-		tab:  symbols.NewScratch(base),
-		u:    term.NewScratch(s.u),
-		w:    facts.NewScratch(s.w),
+		tab:  symbols.NewTableOver(base),
+		u:    term.NewUniverseOver(s.u),
+		w:    facts.NewWorldOver(s.w),
 	}
 }
 
@@ -176,8 +181,8 @@ type frozenBackend struct {
 	names *symbols.Table
 }
 
-func (b frozenBackend) Facts() facts.WorldView       { return b.s.w }
-func (b frozenBackend) Names() symbols.Namer         { return b.names }
+func (b frozenBackend) Facts() *facts.World          { return b.s.w }
+func (b frozenBackend) Names() *symbols.Table        { return b.names }
 func (b frozenBackend) Successors() *specgraph.Table { return b.s.spec.Table }
 func (b frozenBackend) GlobalByPred(p symbols.PredID) []facts.AtomID {
 	return b.s.spec.GlobalByPred(p)
@@ -261,7 +266,7 @@ func constArgs(a *ast.Atom) []symbols.ConstID {
 // elimination on the atom would clone the symbol table first. A derived
 // symbol the program never produced is interned into the overlay; the walk
 // then finds it outside the specification's alphabet.
-func pureSymbols(tab *symbols.Scratch, ft *ast.FTerm) []symbols.FuncID {
+func pureSymbols(tab *symbols.Table, ft *ast.FTerm) []symbols.FuncID {
 	fns := make([]symbols.FuncID, len(ft.Apps))
 	var name []byte
 	for i, app := range ft.Apps {
@@ -281,34 +286,9 @@ func pureSymbols(tab *symbols.Scratch, ft *ast.FTerm) []symbols.FuncID {
 	return fns
 }
 
-// BatchResult is the outcome of one query of an AskBatch call.
-type BatchResult struct {
-	// Query is the source text, as submitted.
-	Query string
-	// OK is the answer when Err is nil.
-	OK bool
-	// Err is the per-query failure, if any; one bad query does not fail
-	// the batch.
-	Err error
-}
-
-// AskBatch evaluates many yes-no queries concurrently against this one
-// snapshot with a bounded worker pool (workers <= 0 picks a sensible
-// default). Identical-shape queries compile once — the workers share the
-// snapshot's plan cache. Results are in input order. An expired ctx marks
-// the remaining queries with an error matching ErrCanceled.
-func (s *Snapshot) AskBatch(ctx context.Context, queries []string, workers int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	ForEach(len(queries), workers, func(j int) {
-		ok, err := s.Ask(ctx, queries[j])
-		out[j] = BatchResult{Query: queries[j], OK: ok, Err: err}
-	})
-	return out
-}
-
 // ForEach runs f(0), …, f(n-1) on a bounded worker pool (workers <= 0 picks
-// a sensible default) and waits for all of them: the pool behind AskBatch,
-// for callers that batch plans they prepared themselves.
+// a sensible default) and waits for all of them: the pool for callers that
+// batch plans they prepared themselves (the daemon's batch endpoint).
 func ForEach(n, workers int, f func(j int)) {
 	if workers <= 0 {
 		workers = 4
@@ -392,14 +372,4 @@ func (db *Database) Answers(ctx context.Context, src string, opts ...Option) (*q
 		return nil, wrapCanceled(err)
 	}
 	return ans, nil
-}
-
-// AskBatch evaluates many yes-no queries concurrently on one snapshot of
-// the database. See Snapshot.AskBatch.
-func (db *Database) AskBatch(ctx context.Context, queries []string, workers int) ([]BatchResult, error) {
-	s, err := db.SnapshotContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.AskBatch(ctx, queries, workers), nil
 }

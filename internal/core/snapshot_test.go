@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,39 +191,29 @@ func TestSnapshotStaleAfterExtend(t *testing.T) {
 	}
 }
 
-// TestAskBatch checks ordering, per-query error isolation and the worker
-// clamp.
-func TestAskBatch(t *testing.T) {
-	db, err := Open(meetingsSrc, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	queries := []string{
-		`?- Meets(0, tony).`,
-		`?- Meets(1, tony).`,
-		`?- Meets(`, // syntax error: fails alone, not the batch
-		`?- Meets(9, jan).`,
-	}
-	res, err := db.AskBatch(context.Background(), queries, 8)
-	if err != nil {
-		t.Fatalf("AskBatch: %v", err)
-	}
-	if len(res) != len(queries) {
-		t.Fatalf("got %d results, want %d", len(res), len(queries))
-	}
-	want := []bool{true, false, false, true}
-	for i, r := range res {
-		if r.Query != queries[i] {
-			t.Errorf("result %d out of order: %q", i, r.Query)
-		}
-		if i == 2 {
-			if r.Err == nil {
-				t.Error("syntax error swallowed")
+// TestForEach checks the batch pool: every index runs exactly once, into its
+// own slot (input order, and one item's failure is its own), and no more
+// workers run at once than asked for, or than there are items, or — asked
+// for none — than the default.
+func TestForEach(t *testing.T) {
+	for _, c := range []struct{ n, workers, bound int }{{40, 3, 3}, {4, 8, 4}, {40, 0, 4}, {0, 2, 0}} {
+		var running, peak atomic.Int32
+		ran := make([]int32, c.n)
+		ForEach(c.n, c.workers, func(j int) {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 			}
-			continue
+			atomic.AddInt32(&ran[j], 1)
+			runtime.Gosched()
+			running.Add(-1)
+		})
+		for j, k := range ran {
+			if k != 1 {
+				t.Errorf("ForEach(%d, %d): index %d ran %d times", c.n, c.workers, j, k)
+			}
 		}
-		if r.Err != nil || r.OK != want[i] {
-			t.Errorf("result %d = %v, %v; want %v", i, r.OK, r.Err, want[i])
+		if int(peak.Load()) > c.bound {
+			t.Errorf("ForEach(%d, %d): %d workers at once, want at most %d", c.n, c.workers, peak.Load(), c.bound)
 		}
 	}
 }

@@ -521,7 +521,7 @@ func (e *Engine) join(r *rule, srcs []*facts.Set, stamps []int32, d int, sink *f
 		}
 		a := e.ext[i][e.pos[i]]
 		e.pos[i]++
-		if !e.match(body[i].Plan, a) {
+		if !e.match(body[i].Plan, e.W.TupleArgs(e.W.AtomTuple(a))) {
 			continue
 		}
 		if i+1 < len(body) {
@@ -536,10 +536,10 @@ func (e *Engine) join(r *rule, srcs []*facts.Set, stamps []int32, d int, sink *f
 	return changed
 }
 
-// match compares atom a with a body literal's plan, writing the registers
-// the literal binds.
-func (e *Engine) match(plan []normform.Arg, a facts.AtomID) bool {
-	args := e.W.TupleArgs(e.W.AtomTuple(a))
+// match compares an atom's arguments with a body literal's plan, writing the
+// registers the literal binds. (It takes the arguments, not the atom, to stay
+// within the inliner's budget: it is the innermost call of every join.)
+func (e *Engine) match(plan []normform.Arg, args []symbols.ConstID) bool {
 	if len(args) != len(plan) {
 		return false
 	}
@@ -939,7 +939,7 @@ func (e *Engine) UnfiredRules() []*ast.Rule {
 // HasGlobal reports whether the non-functional fact pred(args) is in the
 // least fixpoint. Valid after Solve.
 func (e *Engine) HasGlobal(pred symbols.PredID, args []symbols.ConstID) bool {
-	return e.global.Has(e.W.Atom(pred, e.W.Tuple(args)))
+	return e.global.Has(e.W, e.W.Atom(pred, e.W.Tuple(args)))
 }
 
 // HasAt reports whether pred(t, args) is in the least fixpoint.

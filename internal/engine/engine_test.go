@@ -258,12 +258,12 @@ Seen(T) -> Wrap(T+1).
 		walk(term.Zero)
 		// Non-functional facts must agree exactly.
 		for _, a := range ref.Store.Data().All() {
-			if !e.Global().Has(a) {
+			if !e.Global().Has(e.W, a) {
 				t.Errorf("engine missing global fact in:\n%s", src)
 			}
 		}
 		for _, a := range e.Global().All() {
-			if !ref.Store.Data().Has(a) {
+			if !ref.Store.Data().Has(e.W, a) {
 				t.Errorf("engine over-derives global fact in:\n%s", src)
 			}
 		}

@@ -10,10 +10,10 @@
 package facts
 
 import (
-	"encoding/binary"
 	"slices"
 	"sort"
 
+	"funcdb/internal/intern"
 	"funcdb/internal/symbols"
 )
 
@@ -34,111 +34,204 @@ type atomRec struct {
 	tuple TupleID
 }
 
-type atomKey struct {
-	pred  symbols.PredID
-	tuple TupleID
-}
-
-// World interns tuples, atoms and states. The zero value is not usable;
-// call NewWorld.
+// World interns tuples, atoms and states; it is the package's one store, in
+// the three roles of term.Universe: a root (NewWorld) one goroutine at a time
+// grows, read-only views of it cut at a length (Freeze) for any number of
+// readers, and single-goroutine overlays over such a view (NewWorldOver) for
+// what one query interns. The zero value is not usable.
 type World struct {
+	base *World // the frozen view under an overlay, nil otherwise
+	// loTuple, loAtom and loState are the base's lengths: the identifiers
+	// of tupleData[0], atoms[0] and stateData[0].
+	loTuple, loAtom, loState int
+
 	tupleData [][]symbols.ConstID
-	tupleBy   map[string]TupleID
+	tupleBy   intern.Index
 
 	atoms  []atomRec
-	atomBy map[atomKey]AtomID
+	atomBy intern.Index
 
 	stateData [][]AtomID
-	stateBy   map[string]StateID
+	stateBy   intern.Index
+
+	frozen bool
 }
 
 // NewWorld returns an empty interning context. The empty state is
 // pre-interned as EmptyState.
 func NewWorld() *World {
-	w := &World{
-		tupleBy: make(map[string]TupleID),
-		atomBy:  make(map[atomKey]AtomID),
-		stateBy: make(map[string]StateID),
-	}
-	w.stateData = append(w.stateData, nil)
-	w.stateBy[""] = EmptyState
+	w := &World{}
+	w.State(nil)
 	return w
 }
 
-// appendKey appends the map key of a tuple or state — its identifiers, four
-// bytes each — to buf. Interning looks the key up as string(key) straight in
-// the map index expression, which does not allocate; only a miss builds the
-// string it stores. Callers pass a stack buffer, so frozen worlds stay
-// readable from any number of goroutines.
-func appendKey[T ~int32](buf []byte, ids []T) []byte {
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+// NewWorldOver returns an empty overlay over base, a frozen view of a root
+// world. Lookups find base's records first; novel ones get identifiers from
+// base's lengths on and go with the overlay. Overlays over one base never
+// see each other.
+func NewWorldOver(base *World) *World {
+	w := &World{}
+	w.Reset(base)
+	return w
+}
+
+// Reset re-points an overlay at base and drops every record of its own,
+// keeping allocated capacity so pooled overlays are reused without
+// allocating.
+func (w *World) Reset(base *World) {
+	if !base.frozen || base.base != nil {
+		panic("facts: an overlay needs a frozen view of a root world under it")
 	}
-	return buf
+	w.base = base
+	w.loTuple, w.loAtom, w.loState = base.NumTuples(), base.NumAtoms(), base.NumStates()
+	w.tupleData, w.atoms, w.stateData = w.tupleData[:0], w.atoms[:0], w.stateData[:0]
+	w.tupleBy.Reset()
+	w.atomBy.Reset()
+	w.stateBy.Reset()
+}
+
+// Freeze returns a read-only view of w as it is now: the same record arrays
+// cut at their lengths, and the same indexes, which the view reads up to
+// those lengths (see package intern). It copies nothing, so w may keep
+// growing — appends land past what the view reads. Interning a new record
+// through the view panics; make an overlay with NewWorldOver for that.
+func (w *World) Freeze() *World {
+	v := *w
+	v.tupleData = w.tupleData[:len(w.tupleData):len(w.tupleData)]
+	v.atoms = w.atoms[:len(w.atoms):len(w.atoms)]
+	v.stateData = w.stateData[:len(w.stateData):len(w.stateData)]
+	v.frozen = true
+	return &v
+}
+
+// checkLive panics when w is a frozen view: what a lookup missed may not be
+// added to it.
+func (w *World) checkLive(what string) {
+	if w.frozen {
+		panic("facts: new " + what + " interned through a frozen World")
+	}
+}
+
+// findTuple looks args up among the base's tuples, then w's own.
+func (w *World) findTuple(h uint32, args []symbols.ConstID) int32 {
+	if w.base != nil {
+		if id := w.base.findTuple(h, args); id >= 0 {
+			return id
+		}
+	}
+	return w.tupleBy.Find(h, int32(w.NumTuples()), func(id int32) bool {
+		return slices.Equal(w.tupleData[int(id)-w.loTuple], args)
+	})
 }
 
 // Tuple interns an argument tuple. The argument slice is copied.
 func (w *World) Tuple(args []symbols.ConstID) TupleID {
-	var buf [64]byte
-	key := appendKey(buf[:0], args)
-	if id, ok := w.tupleBy[string(key)]; ok {
-		return id
+	h := intern.HashIDs(args)
+	if id := w.findTuple(h, args); id >= 0 {
+		return TupleID(id)
 	}
-	id := TupleID(len(w.tupleData))
+	w.checkLive("tuple")
+	id := TupleID(w.NumTuples())
 	w.tupleData = append(w.tupleData, append([]symbols.ConstID(nil), args...))
-	w.tupleBy[string(key)] = id
+	w.tupleBy.Insert(h, int32(id))
 	return id
 }
 
 // TupleArgs returns the constants of tu. The caller must not modify it.
-func (w *World) TupleArgs(tu TupleID) []symbols.ConstID { return w.tupleData[tu] }
+func (w *World) TupleArgs(tu TupleID) []symbols.ConstID {
+	if int(tu) < w.loTuple {
+		return w.base.tupleData[tu]
+	}
+	return w.tupleData[int(tu)-w.loTuple]
+}
+
+// NumTuples returns the number of interned tuples.
+func (w *World) NumTuples() int { return w.loTuple + len(w.tupleData) }
+
+func (w *World) atom(a AtomID) atomRec {
+	if int(a) < w.loAtom {
+		return w.base.atoms[a]
+	}
+	return w.atoms[int(a)-w.loAtom]
+}
+
+// findAtom looks rec up among the base's atoms, then w's own.
+func (w *World) findAtom(h uint32, rec atomRec) int32 {
+	if w.base != nil {
+		if id := w.base.findAtom(h, rec); id >= 0 {
+			return id
+		}
+	}
+	return w.atomBy.Find(h, int32(w.NumAtoms()), func(id int32) bool {
+		return w.atoms[int(id)-w.loAtom] == rec
+	})
+}
 
 // Atom interns the function-free atom pred(tuple).
 func (w *World) Atom(pred symbols.PredID, tuple TupleID) AtomID {
-	key := atomKey{pred, tuple}
-	if id, ok := w.atomBy[key]; ok {
-		return id
+	rec := atomRec{pred, tuple}
+	h := intern.Hash(uint64(uint32(pred))<<32 | uint64(uint32(tuple)))
+	if id := w.findAtom(h, rec); id >= 0 {
+		return AtomID(id)
 	}
-	id := AtomID(len(w.atoms))
-	w.atoms = append(w.atoms, atomRec{pred, tuple})
-	w.atomBy[key] = id
+	w.checkLive("atom")
+	id := AtomID(w.NumAtoms())
+	w.atoms = append(w.atoms, rec)
+	w.atomBy.Insert(h, int32(id))
 	return id
 }
 
 // AtomPred returns the predicate of a.
-func (w *World) AtomPred(a AtomID) symbols.PredID { return w.atoms[a].pred }
+func (w *World) AtomPred(a AtomID) symbols.PredID { return w.atom(a).pred }
 
 // AtomTuple returns the tuple of a.
-func (w *World) AtomTuple(a AtomID) TupleID { return w.atoms[a].tuple }
+func (w *World) AtomTuple(a AtomID) TupleID { return w.atom(a).tuple }
 
 // NumAtoms returns the number of interned atoms.
-func (w *World) NumAtoms() int { return len(w.atoms) }
+func (w *World) NumAtoms() int { return w.loAtom + len(w.atoms) }
+
+// findState looks sorted up among the base's states, then w's own.
+func (w *World) findState(h uint32, sorted []AtomID) int32 {
+	if w.base != nil {
+		if id := w.base.findState(h, sorted); id >= 0 {
+			return id
+		}
+	}
+	return w.stateBy.Find(h, int32(w.NumStates()), func(id int32) bool {
+		return slices.Equal(w.stateData[int(id)-w.loState], sorted)
+	})
+}
 
 // State interns a set of atoms given as a sorted slice, which is copied.
 func (w *World) State(sorted []AtomID) StateID {
-	var buf [256]byte
-	key := appendKey(buf[:0], sorted)
-	if id, ok := w.stateBy[string(key)]; ok {
-		return id
+	h := intern.HashIDs(sorted)
+	if id := w.findState(h, sorted); id >= 0 {
+		return StateID(id)
 	}
-	id := StateID(len(w.stateData))
+	w.checkLive("state")
+	id := StateID(w.NumStates())
 	w.stateData = append(w.stateData, append([]AtomID(nil), sorted...))
-	w.stateBy[string(key)] = id
+	w.stateBy.Insert(h, int32(id))
 	return id
 }
 
 // StateAtoms returns the sorted atoms of s. The caller must not modify it.
-func (w *World) StateAtoms(s StateID) []AtomID { return w.stateData[s] }
+func (w *World) StateAtoms(s StateID) []AtomID {
+	if int(s) < w.loState {
+		return w.base.stateData[s]
+	}
+	return w.stateData[int(s)-w.loState]
+}
 
 // StateLen returns the number of atoms in s.
-func (w *World) StateLen(s StateID) int { return len(w.stateData[s]) }
+func (w *World) StateLen(s StateID) int { return len(w.StateAtoms(s)) }
 
 // NumStates returns the number of interned states.
-func (w *World) NumStates() int { return len(w.stateData) }
+func (w *World) NumStates() int { return w.loState + len(w.stateData) }
 
 // StateContains reports whether atom a belongs to state s.
 func (w *World) StateContains(s StateID, a AtomID) bool {
-	d := w.stateData[s]
+	d := w.StateAtoms(s)
 	i := sort.Search(len(d), func(i int) bool { return d[i] >= a })
 	return i < len(d) && d[i] == a
 }
@@ -153,46 +246,76 @@ type Set struct {
 	// and grown to the largest predicate added.
 	byPred [][]AtomID
 	n      int
-	// index holds the members once there are more than a scan of one
-	// predicate's list should look at; most sets — the cells of a fixpoint —
-	// never get there.
-	index  map[AtomID]struct{}
+	// index finds a member by its position in its predicate's list once
+	// there are more than a scan of that list should look at; most sets —
+	// the cells of a fixpoint — never get there.
+	index  *intern.Index
 	cached StateID
 	dirty  bool
+	frozen bool
 }
 
 // scanMax is the size up to which membership in a Set is a linear scan.
 // Measured (EXPERIMENTS.md A22, "One set, two membership paths"): of the
 // 130 / 1 025 / 587 sets a cold solve of the three write families makes, the
 // largest cell holds 10 atoms and one set — a program's global facts — passes
-// 16. A map from the first atom on costs Subsets(7)'s cold compile 26 % more
-// allocations and ~1.2× the time; a scan with no map behind it takes 54 ms
-// against 1.5 to load 20 000 facts of one predicate.
+// 16. An index from the first atom on costs Subsets(7)'s cold compile 26 %
+// more allocations and ~1.2× the time; a scan with no index behind it takes
+// 54 ms against 1.5 to load 20 000 facts of one predicate.
 const scanMax = 16
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
 
+// Freeze returns a read-only view of s as it is now, for any number of
+// readers while s keeps growing: the per-predicate lists cut at their
+// lengths and the same index, which the view reads up to those lengths.
+func (s *Set) Freeze() *Set {
+	v := *s
+	v.byPred = make([][]AtomID, len(s.byPred))
+	for p, atoms := range s.byPred {
+		v.byPred[p] = atoms[:len(atoms):len(atoms)]
+	}
+	if s.index != nil {
+		ix := *s.index
+		v.index = &ix
+	}
+	v.frozen = true
+	return &v
+}
+
+func hashAtom(a AtomID) uint32 { return intern.Hash(uint64(a)) }
+
+// has reports whether a is in list, its predicate's.
+func (s *Set) has(list []AtomID, a AtomID) bool {
+	if s.index == nil {
+		return slices.Contains(list, a)
+	}
+	return s.index.Find(hashAtom(a), int32(len(list)), func(pos int32) bool { return list[pos] == a }) >= 0
+}
+
 // Add inserts a and reports whether it was new.
 func (s *Set) Add(w *World, a AtomID) bool {
 	p := w.AtomPred(a)
-	if s.index != nil {
-		if _, ok := s.index[a]; ok {
-			return false
-		}
-	} else if slices.Contains(s.ByPred(p), a) {
+	if s.has(s.ByPred(p), a) {
 		return false
-	} else if s.n == scanMax {
-		s.index = make(map[AtomID]struct{}, 2*scanMax)
-		for _, b := range s.All() {
-			s.index[b] = struct{}{}
-		}
 	}
-	if s.index != nil {
-		s.index[a] = struct{}{}
+	if s.frozen {
+		panic("facts: Add to a frozen Set")
+	}
+	if s.n == scanMax {
+		s.index = intern.New(2 * scanMax)
+		for _, atoms := range s.byPred {
+			for pos, b := range atoms {
+				s.index.Insert(hashAtom(b), int32(pos))
+			}
+		}
 	}
 	if int(p) >= len(s.byPred) {
 		s.byPred = append(s.byPred, make([][]AtomID, int(p)+1-len(s.byPred))...)
+	}
+	if s.index != nil {
+		s.index.Insert(hashAtom(a), int32(len(s.byPred[p])))
 	}
 	s.byPred[p] = append(s.byPred[p], a)
 	s.n++
@@ -211,19 +334,8 @@ func (s *Set) AddState(w *World, st StateID) bool {
 	return changed
 }
 
-// Has reports membership.
-func (s *Set) Has(a AtomID) bool {
-	if s.index != nil {
-		_, ok := s.index[a]
-		return ok
-	}
-	for _, atoms := range s.byPred {
-		if slices.Contains(atoms, a) {
-			return true
-		}
-	}
-	return false
-}
+// Has reports membership of a, an atom of w.
+func (s *Set) Has(w *World, a AtomID) bool { return s.has(s.ByPred(w.AtomPred(a)), a) }
 
 // ByPred returns the atoms of predicate p, in insertion order. The caller
 // must not modify the slice.

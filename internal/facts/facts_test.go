@@ -92,7 +92,7 @@ func TestSetBasics(t *testing.T) {
 		t.Fatalf("Add newness reporting broken")
 	}
 	s.Add(w, a2)
-	if s.Len() != 2 || !s.Has(a1) || s.Has(w.Atom(3, tu)) {
+	if s.Len() != 2 || !s.Has(w, a1) || s.Has(w, w.Atom(3, tu)) {
 		t.Fatalf("set contents wrong")
 	}
 	if got := s.ByPred(1); len(got) != 1 || got[0] != a1 {
@@ -178,11 +178,11 @@ func TestSetPastTheScan(t *testing.T) {
 	w := NewWorld()
 	s := NewSet()
 	var all []AtomID
-	var frozen *FrozenSet
+	var frozen *Set
 	for i := 0; i < 4*scanMax; i++ {
 		p := symbols.PredID(i % 3)
 		a := w.Atom(p, w.Tuple([]symbols.ConstID{symbols.ConstID(i)}))
-		if s.Has(a) {
+		if s.Has(w, a) {
 			t.Fatalf("atom %d present before it was added", i)
 		}
 		if !s.Add(w, a) || s.Add(w, a) {
@@ -190,21 +190,21 @@ func TestSetPastTheScan(t *testing.T) {
 		}
 		all = append(all, a)
 		if i == scanMax+3 {
-			frozen = FreezeSet(s)
+			frozen = s.Freeze()
 		}
 	}
 	if s.Len() != len(all) || len(s.All()) != len(all) {
 		t.Fatalf("Len = %d, All = %d, want %d", s.Len(), len(s.All()), len(all))
 	}
 	for i, a := range all {
-		if !s.Has(a) {
+		if !s.Has(w, a) {
 			t.Fatalf("atom %d lost", i)
 		}
 		if got := s.ByPred(symbols.PredID(i % 3))[i/3]; got != a {
 			t.Fatalf("ByPred(%d)[%d] = %v, want %v: not insertion order", i%3, i/3, got, a)
 		}
-		if frozen.Has(a) != (i <= scanMax+3) {
-			t.Fatalf("frozen copy taken after atom %d: Has(atom %d) = %v", scanMax+3, i, frozen.Has(a))
+		if frozen.Has(w, a) != (i <= scanMax+3) {
+			t.Fatalf("frozen copy taken after atom %d: Has(atom %d) = %v", scanMax+3, i, frozen.Has(w, a))
 		}
 	}
 	if s.ByPred(7) != nil || frozen.ByPred(7) != nil || frozen.Len() != scanMax+4 {

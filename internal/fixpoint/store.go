@@ -87,7 +87,7 @@ func (s *Store) AddFn(pred symbols.PredID, t term.Term, tu facts.TupleID) bool {
 
 // HasData reports whether the non-functional fact pred(args) holds.
 func (s *Store) HasData(pred symbols.PredID, args []symbols.ConstID) bool {
-	return s.data.Has(s.W.Atom(pred, s.W.Tuple(args)))
+	return s.data.Has(s.W, s.W.Atom(pred, s.W.Tuple(args)))
 }
 
 // HasFn reports whether the functional fact pred(t, args) holds.

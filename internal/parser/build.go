@@ -50,11 +50,11 @@ func ParseQuery(prog *ast.Program, src string) (*ast.Query, error) {
 	return ParseQueryTab(prog.Tab, src)
 }
 
-// ParseQueryTab is ParseQuery against a bare symbol interner — typically a
-// symbols.Scratch over a frozen snapshot table, so that parsing a query
-// never mutates shared state. Time and memory are linear in len(src):
-// whether a predicate is functional is looked up in tab per atom.
-func ParseQueryTab(tab symbols.Interner, src string) (*ast.Query, error) {
+// ParseQueryTab is ParseQuery against a bare symbol table — typically an
+// overlay over a frozen snapshot table (symbols.NewTableOver), so that
+// parsing a query never mutates shared state. Time and memory are linear in
+// len(src): whether a predicate is functional is looked up in tab per atom.
+func ParseQueryTab(tab *symbols.Table, src string) (*ast.Query, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ var ErrNotFacts = errors.New("expected ground facts only")
 // behind tab is. Whether a predicate is functional is looked up in tab; one
 // tab has never seen is inferred from the text as Parse would. New symbols
 // are interned into tab, also when a later fact fails to build.
-func ParseFactsTab(tab symbols.Interner, src string) ([]ast.Atom, error) {
+func ParseFactsTab(tab *symbols.Table, src string) ([]ast.Atom, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
@@ -126,9 +126,9 @@ type builder struct {
 	// predicates then resolve against tab.
 	prog *ast.Program
 	// tab is where symbols are interned: the program's own table when
-	// building a program, or any Interner (e.g. a scratch overlay) when
+	// building a program, or any table (e.g. a query-local overlay) when
 	// building a standalone query.
-	tab       symbols.Interner
+	tab       *symbols.Table
 	predState map[predKey]int
 	varState  map[string]int
 }

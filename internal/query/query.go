@@ -51,9 +51,9 @@ var ErrUnsafeQuery = errors.New("query: free variables must occur in the query b
 // core adapts its immutable snapshots.
 type Backend interface {
 	// Facts reads the atoms and tuples of the slices.
-	Facts() facts.WorldView
+	Facts() *facts.World
 	// Names resolves symbol identifiers for rendering.
-	Names() symbols.Namer
+	Names() *symbols.Table
 	// GlobalByPred returns the non-functional facts of predicate p.
 	GlobalByPred(p symbols.PredID) []facts.AtomID
 	// Successors is the successor table T over the representatives, with
@@ -132,7 +132,7 @@ func Evaluate(ctx context.Context, be Backend, q *ast.Query) (*Specification, er
 // collecting the bindings of the free data variables per representative.
 type evaluation struct {
 	be  Backend
-	w   facts.WorldView
+	w   *facts.World
 	tab *specgraph.Table
 	cur int32 // the state the functional variable is bound to
 
@@ -263,7 +263,7 @@ func (ev *evaluation) matchConj(atoms []ast.Atom, i int, b *subst.Binding) error
 	return nil
 }
 
-func matchTuple(w facts.WorldView, pats []ast.DTerm, f facts.AtomID, b *subst.Binding) bool {
+func matchTuple(w *facts.World, pats []ast.DTerm, f facts.AtomID, b *subst.Binding) bool {
 	args := w.TupleArgs(w.AtomTuple(f))
 	if len(args) != len(pats) {
 		return false

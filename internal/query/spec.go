@@ -68,7 +68,7 @@ func distances(tab *specgraph.Table, off []int32) []int32 {
 // handles at once.
 type Specification struct {
 	q     *ast.Query
-	names symbols.Namer
+	names *symbols.Table
 	tab   *specgraph.Table
 	// fn: the answer tuples carry a functional component, and off indexes
 	// the table's states. Otherwise every tuple sits under one key, off is
@@ -129,13 +129,13 @@ type Answers struct {
 	Spec *specgraph.Spec
 
 	spec *Specification
-	view term.View      // where yielded terms are interned
+	view *term.Universe // where yielded terms are interned
 	base *term.Universe // frozen: view is an arena over base, made on first use
 }
 
-func (a *Answers) terms() term.View {
+func (a *Answers) terms() *term.Universe {
 	if a.view == nil {
-		a.view = term.NewScratch(a.base)
+		a.view = term.NewUniverseOver(a.base)
 	}
 	return a.view
 }

@@ -177,20 +177,6 @@ func enumerate(ctx context.Context, ans *query.Answers, op core.Opts) (tuples []
 	return tuples, truncated, nil
 }
 
-// AskBatch evaluates many yes-no queries concurrently against one snapshot
-// of a program entry, with a bounded worker pool. See core.Snapshot.AskBatch.
-func (e *Entry) AskBatch(ctx context.Context, queries []string, workers int) ([]core.BatchResult, error) {
-	if e.Kind != KindProgram {
-		out := make([]core.BatchResult, len(queries))
-		for i, q := range queries {
-			ok, err := e.Ask(ctx, q)
-			out[i] = core.BatchResult{Query: q, OK: ok, Err: err}
-		}
-		return out, nil
-	}
-	return e.db.AskBatch(ctx, queries, workers)
-}
-
 // Explain justifies a ground query's verdict with the Link-rule trace.
 func (e *Entry) Explain(q string) (string, error) {
 	if e.Kind != KindProgram {

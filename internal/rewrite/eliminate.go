@@ -59,7 +59,7 @@ type eliminator struct {
 // syntax, so eliminated programs can be printed and re-parsed. A ground
 // query resolves its mixed applications against a compiled program by this
 // name, without running the elimination.
-func PureName(buf []byte, names symbols.Namer, app ast.FApp) []byte {
+func PureName(buf []byte, names *symbols.Table, app ast.FApp) []byte {
 	buf = append(buf, names.FuncName(app.Fn)...)
 	for _, d := range app.Args {
 		buf = append(buf, '\'')

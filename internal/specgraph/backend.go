@@ -11,10 +11,10 @@ import (
 // database's lock, as for every other Spec method.
 
 // Facts returns the specification's fact world.
-func (sp *Spec) Facts() facts.WorldView { return sp.W }
+func (sp *Spec) Facts() *facts.World { return sp.W }
 
 // Names returns the program's symbol table for rendering.
-func (sp *Spec) Names() symbols.Namer { return sp.Eng.Prep.Program.Tab }
+func (sp *Spec) Names() *symbols.Table { return sp.Eng.Prep.Program.Tab }
 
 // GlobalByPred returns the non-functional facts of predicate p.
 func (sp *Spec) GlobalByPred(p symbols.PredID) []facts.AtomID {

@@ -8,10 +8,10 @@ import (
 
 // Frozen is the immutable query surface of a graph specification: the
 // successor table and the relation R, shared with the Spec it was frozen
-// from (neither changes once built), and a frozen copy of the global
+// from (neither changes once built), and a frozen view of the global
 // (non-functional) facts. It holds no engine, no universe and no world —
-// callers supply a term.View and facts.WorldView (normally per-query
-// scratch overlays over the snapshot's frozen universe and world), so
+// callers supply a *term.Universe and *facts.World (normally per-query
+// overlays over the snapshot's frozen universe and world), so
 // membership and answer evaluation run with zero locks and zero mutation of
 // shared state.
 type Frozen struct {
@@ -21,7 +21,7 @@ type Frozen struct {
 	// Merges are the (Active, Potential) equivalences — the relation R.
 	Merges []Merge
 
-	global        *facts.FrozenSet
+	global        *facts.Set
 	originalPreds map[symbols.PredID]bool
 	flat          *FlatDFA
 }
@@ -41,7 +41,7 @@ func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
 		SeedDepth:     sp.SeedDepth,
 		Table:         sp.Table,
 		Merges:        sp.Merges,
-		global:        facts.FreezeSet(sp.Eng.Global()),
+		global:        sp.Eng.Global().Freeze(),
 		originalPreds: make(map[symbols.PredID]bool, len(sp.Eng.Prep.OriginalPreds)),
 		flat:          buildFlat(sp, q),
 	}
@@ -61,7 +61,7 @@ func (f *Frozen) OriginalPred(p symbols.PredID) bool { return f.originalPreds[p]
 
 // Representative returns the representative of t's cluster, reading t
 // through v.
-func (f *Frozen) Representative(v term.View, t term.Term) (term.Term, error) {
+func (f *Frozen) Representative(v *term.Universe, t term.Term) (term.Term, error) {
 	i, err := f.Index(v, t)
 	if err != nil {
 		return term.None, err
@@ -72,7 +72,7 @@ func (f *Frozen) Representative(v term.View, t term.Term) (term.Term, error) {
 // Has decides P(t, args) ∈ L from the frozen specification alone, helper
 // predicates included: it reads the representative's full state, which the
 // flat tables' minimised classes do not preserve.
-func (f *Frozen) Has(v term.View, w facts.WorldView, pred symbols.PredID, t term.Term, args []symbols.ConstID) (bool, error) {
+func (f *Frozen) Has(v *term.Universe, w *facts.World, pred symbols.PredID, t term.Term, args []symbols.ConstID) (bool, error) {
 	i, err := f.Index(v, t)
 	if err != nil {
 		return false, err
@@ -82,8 +82,8 @@ func (f *Frozen) Has(v term.View, w facts.WorldView, pred symbols.PredID, t term
 }
 
 // HasData decides a non-functional fact from the frozen global set.
-func (f *Frozen) HasData(w facts.WorldView, pred symbols.PredID, args []symbols.ConstID) bool {
-	return f.global.Has(w.Atom(pred, w.Tuple(args)))
+func (f *Frozen) HasData(w *facts.World, pred symbols.PredID, args []symbols.ConstID) bool {
+	return f.global.Has(w, w.Atom(pred, w.Tuple(args)))
 }
 
 // GlobalByPred returns the frozen global facts of predicate p.
@@ -91,7 +91,7 @@ func (f *Frozen) GlobalByPred(p symbols.PredID) []facts.AtomID { return f.global
 
 // Slice returns the primary-database slice B[Reps[i]] restricted to the
 // original program's predicates, read through w.
-func (f *Frozen) Slice(w facts.WorldView, i int) []facts.AtomID {
+func (f *Frozen) Slice(w *facts.World, i int) []facts.AtomID {
 	var out []facts.AtomID
 	for _, a := range w.StateAtoms(f.State[i]) {
 		if f.originalPreds[w.AtomPred(a)] {

@@ -138,9 +138,9 @@ func (t *Table) Walk(syms []symbols.FuncID) (state int32, bad symbols.FuncID, ok
 }
 
 // Index returns the state t's symbol string leads to, reading t through v
-// (which may be a scratch overlay holding t): t's own index when t is a
+// (which may be a query-local overlay holding t): t's own index when t is a
 // representative, its representative's otherwise.
-func (t *Table) Index(v term.View, tm term.Term) (int32, error) {
+func (t *Table) Index(v *term.Universe, tm term.Term) (int32, error) {
 	i, bad, ok := t.Walk(v.Symbols(tm))
 	if !ok {
 		return 0, fmt.Errorf("specgraph: symbol %v is not in the specification's alphabet", bad)

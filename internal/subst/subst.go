@@ -102,7 +102,7 @@ func (b *Binding) MatchData(pat ast.DTerm, c symbols.ConstID) bool {
 
 // MatchFTerm matches a pure functional-term pattern against the ground term
 // t of u, extending b. Patterns with mixed applications are rejected.
-func (b *Binding) MatchFTerm(u term.View, pat *ast.FTerm, t term.Term) bool {
+func (b *Binding) MatchFTerm(u *term.Universe, pat *ast.FTerm, t term.Term) bool {
 	// Peel the pattern's applications off t, outermost first.
 	for i := len(pat.Apps) - 1; i >= 0; i-- {
 		app := pat.Apps[i]
@@ -132,7 +132,7 @@ func (b *Binding) ApplyData(pat ast.DTerm) (symbols.ConstID, bool) {
 // ApplyFTerm instantiates a pure functional-term pattern under b, interning
 // the result in u. It reports failure when the base variable is unbound or
 // the pattern has mixed applications.
-func (b *Binding) ApplyFTerm(u term.View, pat *ast.FTerm) (term.Term, bool) {
+func (b *Binding) ApplyFTerm(u *term.Universe, pat *ast.FTerm) (term.Term, bool) {
 	base := term.Zero
 	if pat.HasVarBase() {
 		t, ok := b.Term(pat.Base)
@@ -152,7 +152,7 @@ func (b *Binding) ApplyFTerm(u term.View, pat *ast.FTerm) (term.Term, bool) {
 
 // GroundFTerm interns a fully ground pure functional term in u. It reports
 // failure for non-ground or mixed terms.
-func GroundFTerm(u term.View, ft *ast.FTerm) (term.Term, bool) {
+func GroundFTerm(u *term.Universe, ft *ast.FTerm) (term.Term, bool) {
 	var b Binding
 	return b.ApplyFTerm(u, ft)
 }

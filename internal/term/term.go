@@ -16,6 +16,7 @@ package term
 import (
 	"strings"
 
+	"funcdb/internal/intern"
 	"funcdb/internal/symbols"
 )
 
@@ -37,34 +38,91 @@ type node struct {
 	depth int32          // number of function applications above 0
 }
 
-type appKey struct {
-	top   symbols.FuncID
-	child Term
-}
-
-// Universe interns ground functional terms. The zero value is not usable;
-// call NewUniverse. A Universe is not safe for concurrent mutation.
+// Universe interns ground functional terms; it is the package's one store.
+// NewUniverse makes a root universe, which one goroutine at a time may grow.
+// Freeze cuts a read-only view of it at its current length, safe for any
+// number of readers while the root keeps growing. NewUniverseOver makes an
+// overlay: a single-goroutine universe whose terms continue past a frozen
+// view's, for what one query interns. The zero value is not usable.
 type Universe struct {
-	nodes []node
-	byApp map[appKey]Term
+	base   *Universe // the frozen view under an overlay, nil otherwise
+	lo     int       // base.Size(): the handle of nodes[0]
+	nodes  []node
+	byApp  intern.Index
+	frozen bool
 }
 
 // NewUniverse returns a universe containing only the functional constant 0.
 func NewUniverse() *Universe {
-	u := &Universe{byApp: make(map[appKey]Term)}
-	u.nodes = append(u.nodes, node{top: symbols.NoFunc, child: None, depth: 0})
+	return &Universe{nodes: []node{{top: symbols.NoFunc, child: None}}}
+}
+
+// NewUniverseOver returns an empty overlay over base, a frozen view of a
+// root universe. Lookups find base's terms first; novel terms get handles
+// from base.Size() on and go with the overlay. Overlays over one base never
+// see each other.
+func NewUniverseOver(base *Universe) *Universe {
+	u := &Universe{}
+	u.Reset(base)
 	return u
+}
+
+// Reset re-points an overlay at base and drops every term of its own,
+// keeping allocated capacity so pooled overlays are reused without
+// allocating.
+func (u *Universe) Reset(base *Universe) {
+	if !base.frozen || base.base != nil {
+		panic("term: an overlay needs a frozen view of a root universe under it")
+	}
+	u.base, u.lo = base, base.Size()
+	u.nodes = u.nodes[:0]
+	u.byApp.Reset()
+}
+
+// Freeze returns a read-only view of u as it is now: the same node array cut
+// at its length, and the same index, which the view reads up to that length
+// (see package intern). It copies nothing, so u may keep growing — appends
+// land past what the view reads. Interning a new term through the view
+// panics; make an overlay with NewUniverseOver for that.
+func (u *Universe) Freeze() *Universe {
+	v := *u
+	v.nodes = u.nodes[:len(u.nodes):len(u.nodes)]
+	v.frozen = true
+	return &v
+}
+
+func (u *Universe) node(t Term) node {
+	if int(t) < u.lo {
+		return u.base.nodes[t]
+	}
+	return u.nodes[int(t)-u.lo]
+}
+
+// find looks f(t) up among the base's terms, then u's own.
+func (u *Universe) find(h uint32, f symbols.FuncID, t Term) int32 {
+	if u.base != nil {
+		if id := u.base.find(h, f, t); id >= 0 {
+			return id
+		}
+	}
+	return u.byApp.Find(h, int32(u.Size()), func(id int32) bool {
+		n := u.nodes[int(id)-u.lo]
+		return n.top == f && n.child == t
+	})
 }
 
 // Apply interns the term f(t).
 func (u *Universe) Apply(f symbols.FuncID, t Term) Term {
-	key := appKey{top: f, child: t}
-	if id, ok := u.byApp[key]; ok {
-		return id
+	h := intern.Hash(uint64(uint32(f))<<32 | uint64(uint32(t)))
+	if id := u.find(h, f, t); id >= 0 {
+		return Term(id)
 	}
-	id := Term(len(u.nodes))
-	u.nodes = append(u.nodes, node{top: f, child: t, depth: u.nodes[t].depth + 1})
-	u.byApp[key] = id
+	if u.frozen {
+		panic("term: Apply of a new term on a frozen Universe")
+	}
+	id := Term(u.Size())
+	u.nodes = append(u.nodes, node{top: f, child: t, depth: u.node(t).depth + 1})
+	u.byApp.Insert(h, int32(id))
 	return id
 }
 
@@ -78,15 +136,15 @@ func (u *Universe) ApplyString(t Term, fs ...symbols.FuncID) Term {
 }
 
 // Depth returns the number of function applications in t; Depth(Zero) == 0.
-func (u *Universe) Depth(t Term) int { return int(u.nodes[t].depth) }
+func (u *Universe) Depth(t Term) int { return int(u.node(t).depth) }
 
 // Top returns the outermost function symbol of t. It must not be called on
 // Zero.
-func (u *Universe) Top(t Term) symbols.FuncID { return u.nodes[t].top }
+func (u *Universe) Top(t Term) symbols.FuncID { return u.node(t).top }
 
 // Child returns the immediate subterm of t (the term t with its outermost
 // symbol removed). It must not be called on Zero.
-func (u *Universe) Child(t Term) Term { return u.nodes[t].child }
+func (u *Universe) Child(t Term) Term { return u.node(t).child }
 
 // Symbols returns the function symbols of t listed innermost-first, so that
 // t == ApplyString(Zero, Symbols(t)...).
@@ -94,8 +152,8 @@ func (u *Universe) Symbols(t Term) []symbols.FuncID {
 	d := u.Depth(t)
 	out := make([]symbols.FuncID, d)
 	for i := d - 1; i >= 0; i-- {
-		out[i] = u.nodes[t].top
-		t = u.nodes[t].child
+		n := u.node(t)
+		out[i], t = n.top, n.child
 	}
 	return out
 }
@@ -108,14 +166,14 @@ func (u *Universe) Subterms(t Term) []Term {
 	for i := d; i >= 0; i-- {
 		out[i] = t
 		if t != Zero {
-			t = u.nodes[t].child
+			t = u.node(t).child
 		}
 	}
 	return out
 }
 
 // Size returns the number of interned terms.
-func (u *Universe) Size() int { return len(u.nodes) }
+func (u *Universe) Size() int { return u.lo + len(u.nodes) }
 
 // Compare orders terms by the paper's precedence ordering (section 3.4):
 // first by depth (a breadth-first traversal of the term tree), then
@@ -155,7 +213,7 @@ func (u *Universe) Precedes(t1, t2 Term) bool { return u.Compare(t1, t2) < 0 }
 // g(f(0)). Chains of a symbol named "succ" are printed as decimal integers,
 // matching the paper's temporal sugar (succ(succ(0)) prints as 2 when the
 // whole term is a succ-chain).
-func (u *Universe) String(t Term, tab symbols.Namer) string {
+func (u *Universe) String(t Term, tab *symbols.Table) string {
 	succ := symbols.NoFunc
 	if s, ok := tab.LookupFunc(SuccName, 0); ok {
 		succ = s
@@ -165,7 +223,7 @@ func (u *Universe) String(t Term, tab symbols.Namer) string {
 	return b.String()
 }
 
-func (u *Universe) writeTerm(b *strings.Builder, t Term, tab symbols.Namer, succ symbols.FuncID) {
+func (u *Universe) writeTerm(b *strings.Builder, t Term, tab *symbols.Table, succ symbols.FuncID) {
 	if succ != symbols.NoFunc {
 		if n, isNum := u.AsNumber(t, succ); isNum {
 			b.WriteString(itoa(n))
@@ -176,9 +234,10 @@ func (u *Universe) writeTerm(b *strings.Builder, t Term, tab symbols.Namer, succ
 		b.WriteByte('0')
 		return
 	}
-	b.WriteString(tab.FuncName(u.nodes[t].top))
+	n := u.node(t)
+	b.WriteString(tab.FuncName(n.top))
 	b.WriteByte('(')
-	u.writeTerm(b, u.nodes[t].child, tab, succ)
+	u.writeTerm(b, n.child, tab, succ)
 	b.WriteByte(')')
 }
 
@@ -186,7 +245,7 @@ func (u *Universe) writeTerm(b *strings.Builder, t Term, tab symbols.Namer, succ
 // innermost-first, separated by dots when any name is longer than one
 // character. Zero prints as "0". This matches the paper's compact notation
 // where ext_b(ext_a(0)) is written "ab".
-func (u *Universe) CompactString(t Term, tab symbols.Namer) string {
+func (u *Universe) CompactString(t Term, tab *symbols.Table) string {
 	if t == Zero {
 		return "0"
 	}
@@ -228,10 +287,11 @@ func (u *Universe) Number(n int, succ symbols.FuncID) Term {
 func (u *Universe) AsNumber(t Term, succ symbols.FuncID) (int, bool) {
 	n := 0
 	for t != Zero {
-		if u.nodes[t].top != succ {
+		nd := u.node(t)
+		if nd.top != succ {
 			return 0, false
 		}
-		t = u.nodes[t].child
+		t = nd.child
 		n++
 	}
 	return n, true

@@ -179,7 +179,7 @@ func (ev *Evaluator) Prove(pred symbols.PredID, t term.Term, args []symbols.Cons
 	if err := ev.saturate(); err != nil {
 		return false, err
 	}
-	return ev.tables[tableKey{pred, t}].Has(ev.w.Atom(pred, ev.w.Tuple(args))), nil
+	return ev.tables[tableKey{pred, t}].Has(ev.w, ev.w.Atom(pred, ev.w.Tuple(args))), nil
 }
 
 // Slice computes the entire slice of pred at t — every tuple ā with
