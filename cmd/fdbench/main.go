@@ -5,37 +5,9 @@
 //
 // Usage:
 //
-//	fdbench [t41|t42|t43|f1|a2|a3|all]
-//	fdbench concurrent [OUT.json]
-//	fdbench repl [OUT.json]
-//	fdbench obs [OUT.json]
-//	fdbench watch [OUT.json]
-//	fdbench router [OUT.json]
-//	fdbench hotpath [OUT.json]
-//	fdbench trace [OUT.json]
-//	fdbench storm [-short] [OUT.json]
+//	fdbench [t41|t42|t43|f1|f2|a2|a3|a4|all]
 //
-// The concurrent, repl, obs, watch, router and hotpath subcommands are not
-// part of "all":
-// concurrent compares the mutex-serialized and lock-free snapshot read
-// paths at 1/4/8 goroutines (default BENCH_concurrent.json); repl measures
-// snapshot-shipped replica bootstrap and WAL streaming apply throughput
-// against an in-process primary (default BENCH_repl.json); obs prices the
-// observability layer against a no-op engine-counter sink and a per-request
-// trace (default BENCH_obs.json); watch fans paced extends out to many live
-// query subscribers and measures delta delivery latency
-// (default BENCH_watch.json); router prices the fdbrouter proxy hop and
-// scatter-gather fan-out against direct daemon access
-// (default BENCH_router.json); hotpath gates the compiled-plan ground-ask
-// path against the pre-plan seed baseline — it exits nonzero if the
-// speedup falls under 5x or the steady-state ask allocates
-// (default BENCH_hotpath.json); trace gates the always-on flight recorder,
-// exiting nonzero if recorder-on throughput falls more than 5% under the
-// recorder-off no-op-sink baseline (default BENCH_trace.json); storm soaks
-// a 2-group cluster with mixed
-// multi-tenant traffic plus one abusive tenant and gates on the abuser
-// being shed while well-behaved p99 holds — -short is the same storm
-// scaled down for the race detector (default BENCH_storm.json).
+// Everything timed against a running daemon is bench/'s (bash bench/run.sh).
 package main
 
 import (
@@ -59,47 +31,12 @@ func main() {
 	if len(os.Args) > 1 {
 		which = os.Args[1]
 	}
-	if which == "storm" {
-		rest := os.Args[2:]
-		short := false
-		if len(rest) > 0 && rest[0] == "-short" {
-			short = true
-			rest = rest[1:]
-		}
-		out := ""
-		if len(rest) > 0 {
-			out = rest[0]
-		}
-		stormBench(out, short)
-		return
-	}
-	if which == "concurrent" || which == "repl" || which == "obs" || which == "watch" || which == "router" || which == "hotpath" || which == "trace" {
-		out := ""
-		if len(os.Args) > 2 {
-			out = os.Args[2]
-		}
-		switch which {
-		case "concurrent":
-			concurrent(out)
-		case "repl":
-			replBench(out)
-		case "obs":
-			obsBench(out)
-		case "watch":
-			watchBench(out)
-		case "router":
-			routerBench(out)
-		case "hotpath":
-			hotpath(out)
-		case "trace":
-			traceBench(out)
-		}
-		return
-	}
+	ran := false
 	run := func(name string, f func()) {
 		if which == "all" || which == name {
 			f()
 			fmt.Println()
+			ran = true
 		}
 	}
 	run("t41", t41)
@@ -110,6 +47,10 @@ func main() {
 	run("a2", a2)
 	run("a3", a3)
 	run("a4", a4)
+	if !ran {
+		fmt.Fprintln(os.Stderr, "usage: fdbench [t41|t42|t43|f1|f2|a2|a3|a4|all]")
+		os.Exit(2)
+	}
 }
 
 // timeIt reports the median wall time of reps runs of f.

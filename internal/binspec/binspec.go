@@ -367,7 +367,13 @@ func DecodeDocument(data []byte) (*specio.Document, error) {
 	}
 	termDoc := func(dd *dec) specio.TermDoc {
 		n := dd.int()
-		if dd.err != nil || n < 0 {
+		if dd.err != nil {
+			return nil
+		}
+		// Every symbol takes at least a byte of the record: a larger count
+		// is refused before it sizes the slice.
+		if n > len(dd.buf)-dd.off {
+			dd.fail("term of %d symbols with %d bytes left", n, len(dd.buf)-dd.off)
 			return nil
 		}
 		td := make(specio.TermDoc, 0, n)

@@ -2,9 +2,11 @@ package binspec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -174,6 +176,44 @@ func TestDecodeCorruption(t *testing.T) {
 		if normalize(dec) != want {
 			t.Fatalf("byte %d: corruption decoded to a different document", i)
 		}
+	}
+}
+
+// TestDecodeRejectsCraftedTermLength: a representative whose symbol count
+// (a bare uvarint, checksummed like the rest) exceeds what is left of its
+// record is refused before the count sizes a slice — 1<<30 symbols used to
+// reserve 16 GB.
+func TestDecodeRejectsCraftedTermLength(t *testing.T) {
+	enc, err := EncodeDocument(document(t, datagen.SubsetsSrc(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crafted bytes.Buffer
+	crafted.Write(enc[:HeaderSize])
+	for r := bytes.NewReader(enc[HeaderSize:]); ; {
+		rec, err := ReadRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec[0] == recReps {
+			rec = binary.AppendUvarint(binary.AppendUvarint([]byte{recReps}, 1), 1<<30)
+		}
+		if err := WriteRecord(&crafted, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = DecodeDocument(crafted.Bytes())
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeDocument = %v, want an error wrapping ErrCorrupt", err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusing the document allocated %d bytes", alloc)
 	}
 }
 

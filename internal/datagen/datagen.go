@@ -194,69 +194,6 @@ func RandomBidi(preds, syms int, seed int64) *ast.Program {
 	return mustParse(RandomBidiSrc(preds, syms, seed))
 }
 
-// Tenant describes one synthetic tenant of the admission-control storm
-// benchmark: the database it owns, the program behind it, and one query of
-// each traffic kind the storm mixes (yes-no ask, enumeration, ground-fact
-// extension, live watch).
-type Tenant struct {
-	// Name doubles as the tenant's API key.
-	Name string
-	// DB is the tenant's database name on the cluster.
-	DB string
-	// Src is the database's program source.
-	Src string
-	// Ask is a ground yes-no query that answers true.
-	Ask string
-	// Answers is an enumeration query for /answers and /watch.
-	Answers string
-	// FactFmt is a fmt pattern with one %d producing a fresh ground fact.
-	FactFmt string
-}
-
-// Tenants returns n well-behaved storm tenants rotating through the
-// temporal families (calendar, chain), each owning its own database so
-// per-tenant behavior is attributable end to end.
-func Tenants(n int) []Tenant {
-	ts := make([]Tenant, 0, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("tenant%d", i)
-		db := fmt.Sprintf("t%d", i)
-		if i%2 == 0 {
-			k := 3 + i%4
-			ts = append(ts, Tenant{
-				Name: name, DB: db, Src: CalendarSrc(k),
-				Ask:     fmt.Sprintf("?- Meets(%d, s0).", 2*k),
-				Answers: "?- Meets(T+1, s0).",
-				FactFmt: "Meets(%d, s1).",
-			})
-			continue
-		}
-		k := 2 + i%5
-		ts = append(ts, Tenant{
-			Name: name, DB: db, Src: ChainSrc(k),
-			Ask:     fmt.Sprintf("?- Holds(%d).", 3*k),
-			Answers: "?- Holds(T+1).",
-			FactFmt: "Holds(%d).",
-		})
-	}
-	return ts
-}
-
-// AbuserTenant returns the storm's hostile tenant: an exponential subsets
-// database whose enumeration query is expensive enough to trip per-query
-// work budgets, behind the API key "mallory".
-func AbuserTenant() Tenant {
-	return Tenant{
-		Name: "mallory", DB: "abuse", Src: SubsetsSrc(6),
-		Ask: "?- Member(ext(0, e0), e0).",
-		// The functional pattern forces a full per-request recompilation of
-		// the enlarged program — the expensive shape a work budget exists
-		// to bound.
-		Answers: "?- Member(ext(S, e0), e0).",
-		FactFmt: "P(e%d).",
-	}
-}
-
 // DeepQuery returns a ground yes-no query whose functional term has the
 // given depth, over one of the three deep-term families: "cal" (a numeric
 // literal on Calendar(n)), "sub" (nested mixed ext(S, e) on Subsets(n)) or

@@ -5,7 +5,7 @@ import "sync/atomic"
 // EngineStats is the process-wide cumulative engine counter set: how much
 // work the fixpoint engine, Algorithm Q, and the congruence solver have done
 // since the process started. All methods are nil-safe so a nil sink is a
-// true no-op — that is the baseline `make bench-obs` compares against.
+// true no-op.
 type EngineStats struct {
 	termsInterned  atomic.Int64
 	factsDerived   atomic.Int64

@@ -16,7 +16,8 @@ import (
 
 // benchAsk drives the full handler path (mux, instrument, admission-less
 // ask) with answer caching off, so every request pays a real evaluation.
-// The recorder-off/on pair is the in-process twin of `fdbench trace`.
+// The recorder-off/on pair prices the always-on flight recorder; the ledger's
+// row for it is trace.overhead_share (bench/).
 func benchAsk(b *testing.B, traceBuffer int) {
 	reg := registry.New(core.Options{})
 	if _, err := reg.PutProgram("even", []byte("Even(0).\nEven(T) -> Even(T+2).\n")); err != nil {

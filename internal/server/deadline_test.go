@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"funcdb/internal/datagen"
+	"funcdb/internal/leakcheck"
 )
 
 // TestQueryDeadlineIs504: a query that outlives Config.Timeout is answered
@@ -129,15 +130,7 @@ func TestStalledBodyIsCutOffAtTheDeadline(t *testing.T) {
 		}
 	}
 	// The connections' goroutines are the handlers': all gone once served.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the stalled requests:\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	leakcheck.Settled(t, baseline)
 }
 
 // TestUploadDeadlineIsTheWrappers503: PUT and facts parse and compile, which

@@ -432,6 +432,14 @@ func parseSnapshot(r io.Reader) (lsn uint64, entries []snapEntry, versions map[s
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	// The counts come from bytes another process wrote. A name/version pair
+	// takes at least two bytes of this record, and every entry's name has a
+	// version (the registry's version map outlives removals), so larger
+	// counts are not a writer's: refuse them before one sizes the map.
+	if versionCount > uint64(len(d))/2 || entryCount > versionCount {
+		return 0, nil, nil, fmt.Errorf("%w: meta record of %d bytes claims %d entries and %d versions",
+			binspec.ErrCorrupt, len(rec), entryCount, versionCount)
+	}
 	versions = make(map[string]uint64, versionCount)
 	for i := uint64(0); i < versionCount; i++ {
 		name, err := str()

@@ -3,10 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -346,6 +349,78 @@ func TestSnapshotFallback(t *testing.T) {
 		t.Fatalf("replayed %d tail records, want 1", st.Replayed)
 	}
 	requireEqualState(t, fingerprint(t, reg2), want)
+}
+
+// TestSnapshotRejectsCraftedCounts: a meta record with a valid checksum and
+// counts no writer produced — more name/version pairs than its bytes can
+// hold, more entries than names with a version — is refused as corrupt before
+// a count sizes anything (a versionCount of 1<<36 used to reach makemap and
+// kill the process with an out-of-memory fatal error), from a replica's
+// bootstrap and from crash recovery alike, which falls back to the older
+// snapshot.
+func TestSnapshotRejectsCraftedCounts(t *testing.T) {
+	meta := func(entries, versions uint64, pairs ...string) []byte {
+		rec := []byte{snapRecMeta}
+		for _, v := range []uint64{snapFormatVersion, 2, entries, versions} {
+			rec = binary.AppendUvarint(rec, v)
+		}
+		for _, name := range pairs {
+			rec = binary.AppendUvarint(rec, uint64(len(name)))
+			rec = append(rec, name...)
+			rec = binary.AppendUvarint(rec, 1)
+		}
+		return rec
+	}
+	for _, tc := range []struct {
+		name string
+		meta []byte
+	}{
+		{"versions past any record", meta(0, 1<<36)},
+		{"versions past this record", meta(0, 7, "a", "b")},
+		{"entries past any stream", meta(1<<36, 0)},
+		{"entries past the versions", meta(3, 2, "a", "b")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var raw bytes.Buffer
+			for _, rec := range [][]byte{tc.meta, {snapRecEnd}} {
+				if err := binspec.WriteRecord(&raw, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, _, _, err := parseSnapshot(bytes.NewReader(raw.Bytes()))
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, binspec.ErrCorrupt) {
+				t.Fatalf("parseSnapshot = %v, want an error wrapping binspec.ErrCorrupt", err)
+			}
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("refusing %d bytes allocated %d", raw.Len(), alloc)
+			}
+			if _, err := InstallSnapshot(t.TempDir(), raw.Bytes()); !errors.Is(err, binspec.ErrCorrupt) {
+				t.Errorf("InstallSnapshot = %v, want an error wrapping binspec.ErrCorrupt", err)
+			}
+
+			dir := t.TempDir()
+			s, reg, _ := openStore(t, dir, Options{})
+			if _, err := reg.PutProgram("even", []byte(evenSrc)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(t, reg)
+			if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000002.fsnap"), raw.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			log := &warnLog{}
+			_, reg2, st := openStore(t, dir, Options{Logf: log.logf})
+			if !log.contains("unusable") || st.SnapshotLSN != 1 {
+				t.Fatalf("recovered from lsn %d, want the fallback to 1 with a warning:\n%s", st.SnapshotLSN, log.dump())
+			}
+			requireEqualState(t, fingerprint(t, reg2), want)
+		})
+	}
 }
 
 // TestSnapshotEquivalenceUnderConcurrentMutation checkpoints while writers
