@@ -51,11 +51,11 @@ race:
 race-store:
 	$(GO) test -race -count=1 ./internal/term ./internal/facts ./internal/symbols ./internal/core ./internal/registry
 
-# The replication stack alone under the race detector: cursor tailing,
-# the server's streaming endpoints, the replica loop, client failover and
-# the process-level primary/replica end-to-end test.
+# The replication stack alone under the race detector: the record codec and
+# framing, cursor tailing, the server's streaming endpoints, the replica loop,
+# client failover and the process-level primary/replica end-to-end test.
 race-repl:
-	$(GO) test -race -count=1 ./internal/api/ ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbd/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/api/ ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbd/
 
 # The live-query stack alone under the race detector: the hub's worker and
 # backpressure paths, the streaming endpoint, the failover watch client and
@@ -103,17 +103,23 @@ fuzz:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
-# and query parsers, the binspec document/record readers, the specio JSON
-# reader, the watch frame codec, the daemon's request-body decoder (a
-# differential target: encoding/json is the reference) and the client's
-# error-envelope decoder (differential too: the decoder it replaced is the
-# reference). (The parser seeds are kilobytes long; without a minimizer
-# budget the fuzzer spends the pass shrinking them.)
+# and query parsers, the specio binary and JSON document readers, the record
+# framing, the WAL mutation, replication frame, manifest and snapshot meta and
+# entry readers (differential targets: the decoders they replaced are the
+# reference), the watch frame codec, the daemon's request-body decoder
+# (differential: encoding/json is the reference) and the client's
+# error-envelope decoder (differential too). (The parser seeds are kilobytes
+# long; without a minimizer budget the fuzzer spends the pass shrinking them.)
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
-	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/binspec
-	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/binspec
+	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
+	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzManifest -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzSnapMeta -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzSnapEntry -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server

@@ -35,6 +35,7 @@ import (
 	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
+	"funcdb/internal/wire"
 )
 
 // ErrNotFound reports a mutation against a name absent from the catalog.
@@ -194,53 +195,12 @@ func (e *Entry) Stats() (core.Stats, error) {
 	return e.db.Stats()
 }
 
-// Op discriminates catalog mutations for observers and replay.
-type Op uint8
-
-const (
-	// OpPut publishes a new entry compiled from Payload (program source or
-	// a spec document, sniffed exactly like Put).
-	OpPut Op = 1
-	// OpExtend adds the ground facts in Payload to a program entry,
-	// producing a new version of the same database.
-	OpExtend Op = 2
-	// OpDelete removes Name from the catalog.
-	OpDelete Op = 3
-)
-
-// String names the operation for logs.
-func (o Op) String() string {
-	switch o {
-	case OpPut:
-		return "put"
-	case OpExtend:
-		return "extend"
-	case OpDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
-
-// Mutation describes one committed (or committing) catalog change. It is
-// self-contained: replaying the same sequence of mutations into a fresh
-// registry reproduces the same entries with the same versions, which is
-// what the durability layer's write-ahead log relies on.
-type Mutation struct {
-	Op   Op
-	Name string
-	// Version is the version the mutation produces (0 for OpDelete).
-	Version uint64
-	// Payload is the uploaded artifact (OpPut) or the facts source text
-	// (OpExtend); nil for OpDelete.
-	Payload []byte
-}
-
 // Observer is called for every mutation, after validation but before the
 // new catalog snapshot becomes visible, under the writer lock — so calls
 // arrive in exactly the commit order and a returned error aborts the
 // mutation (write-ahead semantics). Observers must not call back into the
 // registry.
-type Observer func(Mutation) error
+type Observer func(wire.Mutation) error
 
 // Notifier is called after a catalog change has become visible, still
 // under the writer lock, so calls arrive in exactly the commit order:
@@ -351,7 +311,7 @@ func (r *Registry) PutProgram(name string, src []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.publish(e, OpPut, src); err != nil {
+	if err := r.publish(e, wire.OpPut, src); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -367,7 +327,7 @@ func (r *Registry) PutSpec(name string, raw []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.publish(e, OpPut, raw); err != nil {
+	if err := r.publish(e, wire.OpPut, raw); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -395,7 +355,7 @@ func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
 	// The facts are already applied in memory; if journaling refuses the
 	// mutation the caller sees the error and no new version is published,
 	// so a restart converges back to the last durable state.
-	if err := r.publishLocked(e, OpExtend, facts); err != nil {
+	if err := r.publishLocked(e, wire.OpExtend, facts); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -427,16 +387,16 @@ func looksLikeJSON(raw []byte) bool {
 // publish installs e in a fresh copy-on-write snapshot under the writer
 // lock, assigning the next version for its name and journaling the
 // mutation through the observer first (write-ahead order).
-func (r *Registry) publish(e *Entry, op Op, payload []byte) error {
+func (r *Registry) publish(e *Entry, op wire.Op, payload []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.publishLocked(e, op, payload)
 }
 
-func (r *Registry) publishLocked(e *Entry, op Op, payload []byte) error {
+func (r *Registry) publishLocked(e *Entry, op wire.Op, payload []byte) error {
 	v := r.versions[e.Name] + 1
 	if r.obs != nil {
-		if err := r.obs(Mutation{Op: op, Name: e.Name, Version: v, Payload: payload}); err != nil {
+		if err := r.obs(wire.Mutation{Op: op, Name: e.Name, Version: v, Payload: payload}); err != nil {
 			return fmt.Errorf("registry: journal %s %q: %w", op, e.Name, err)
 		}
 	}
@@ -471,7 +431,7 @@ func (r *Registry) Remove(name string) (bool, error) {
 		return false, nil
 	}
 	if r.obs != nil {
-		if err := r.obs(Mutation{Op: OpDelete, Name: name}); err != nil {
+		if err := r.obs(wire.Mutation{Op: wire.OpDelete, Name: name}); err != nil {
 			return false, fmt.Errorf("registry: journal delete %q: %w", name, err)
 		}
 	}
@@ -581,9 +541,9 @@ func (r *Registry) installAt(e *Entry, version uint64) {
 // ApplyAt replays one journaled mutation, forcing the recorded version and
 // bypassing the observer. Replaying the journal in commit order into the
 // checkpointed state reproduces the pre-crash catalog exactly.
-func (r *Registry) ApplyAt(m Mutation) error {
+func (r *Registry) ApplyAt(m wire.Mutation) error {
 	switch m.Op {
-	case OpPut:
+	case wire.OpPut:
 		var e *Entry
 		var err error
 		if looksLikeJSON(m.Payload) {
@@ -600,7 +560,7 @@ func (r *Registry) ApplyAt(m Mutation) error {
 		}
 		r.installAt(e, m.Version)
 		return nil
-	case OpExtend:
+	case wire.OpExtend:
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		old, ok := r.snap.Load().entries[m.Name]
@@ -620,7 +580,7 @@ func (r *Registry) ApplyAt(m Mutation) error {
 		}
 		r.installLocked(e)
 		return nil
-	case OpDelete:
+	case wire.OpDelete:
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if _, ok := r.snap.Load().entries[m.Name]; !ok {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"funcdb/internal/core"
+	"funcdb/internal/wire"
 )
 
 const evenSrc = `
@@ -323,9 +324,9 @@ func TestExtendFactsNewVersionAndVisibility(t *testing.T) {
 // mutation (no new version, no visible change).
 func TestObserverOrderAndAbort(t *testing.T) {
 	r := New(core.Options{})
-	var seen []Mutation
+	var seen []wire.Mutation
 	fail := false
-	r.SetObserver(func(m Mutation) error {
+	r.SetObserver(func(m wire.Mutation) error {
 		if fail {
 			return os.ErrPermission
 		}
@@ -342,9 +343,9 @@ func TestObserverOrderAndAbort(t *testing.T) {
 		t.Fatalf("Remove = %v, %v", removed, err)
 	}
 	want := []struct {
-		op Op
+		op wire.Op
 		v  uint64
-	}{{OpPut, 1}, {OpExtend, 2}, {OpDelete, 0}}
+	}{{wire.OpPut, 1}, {wire.OpExtend, 2}, {wire.OpDelete, 0}}
 	if len(seen) != len(want) {
 		t.Fatalf("observer saw %d mutations, want %d", len(seen), len(want))
 	}
@@ -376,9 +377,9 @@ func TestObserverOrderAndAbort(t *testing.T) {
 // the write-ahead log depends on.
 func TestReplayReproducesCatalog(t *testing.T) {
 	r := New(core.Options{})
-	var journal []Mutation
-	r.SetObserver(func(m Mutation) error {
-		journal = append(journal, Mutation{Op: m.Op, Name: m.Name, Version: m.Version, Payload: bytes.Clone(m.Payload)})
+	var journal []wire.Mutation
+	r.SetObserver(func(m wire.Mutation) error {
+		journal = append(journal, wire.Mutation{Op: m.Op, Name: m.Name, Version: m.Version, Payload: bytes.Clone(m.Payload)})
 		return nil
 	})
 	mustPut := func(name, src string) {

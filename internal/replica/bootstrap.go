@@ -10,9 +10,9 @@ import (
 	"path/filepath"
 
 	"funcdb/internal/api"
-	"funcdb/internal/binspec"
 	"funcdb/internal/obs"
 	"funcdb/internal/store"
+	"funcdb/internal/wire"
 )
 
 // bootstrap brings an unopened replica to a recovered local store. A
@@ -121,29 +121,29 @@ func (r *Replica) openStore() error {
 
 // fetchSnapshot downloads the primary's snapshot with its manifest and
 // verifies the byte count, so a torn transfer is rejected before install.
-func (r *Replica) fetchSnapshot(ctx context.Context) (binspec.Manifest, []byte, error) {
+func (r *Replica) fetchSnapshot(ctx context.Context) (wire.Manifest, []byte, error) {
 	ctx, sp := obs.StartSpan(ctx, "fetch_snapshot")
 	defer sp.End()
 	resp, err := r.opts.HTTP.Stream(ctx, api.Request{Method: http.MethodGet, URL: r.opts.Primary + "/v1/repl/snapshot"})
 	if err != nil {
-		return binspec.Manifest{}, nil, fmt.Errorf("snapshot request: %s", api.Detail(err))
+		return wire.Manifest{}, nil, fmt.Errorf("snapshot request: %s", api.Detail(err))
 	}
 	defer resp.Body.Close()
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
-	rec, err := binspec.ReadRecord(br)
+	rec, err := wire.ReadRecord(br)
 	if err != nil {
-		return binspec.Manifest{}, nil, fmt.Errorf("snapshot manifest: %w", err)
+		return wire.Manifest{}, nil, fmt.Errorf("snapshot manifest: %w", err)
 	}
-	m, err := binspec.DecodeManifest(rec)
+	m, err := wire.DecodeManifest(rec)
 	if err != nil {
-		return binspec.Manifest{}, nil, err
+		return wire.Manifest{}, nil, err
 	}
 	raw, err := io.ReadAll(br)
 	if err != nil {
-		return binspec.Manifest{}, nil, err
+		return wire.Manifest{}, nil, err
 	}
 	if uint64(len(raw)) != m.SnapshotBytes {
-		return binspec.Manifest{}, nil, fmt.Errorf("torn snapshot transfer: got %d bytes, manifest says %d",
+		return wire.Manifest{}, nil, fmt.Errorf("torn snapshot transfer: got %d bytes, manifest says %d",
 			len(raw), m.SnapshotBytes)
 	}
 	return m, raw, nil

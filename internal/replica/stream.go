@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"funcdb/internal/api"
-	"funcdb/internal/binspec"
-	"funcdb/internal/store"
+	"funcdb/internal/wire"
 )
 
 // Sentinel outcomes of one stream episode that change the retry policy.
@@ -58,7 +57,7 @@ func (r *Replica) stream(ctx context.Context) error {
 
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	for {
-		rec, err := binspec.ReadRecord(br)
+		rec, err := wire.ReadRecord(br)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -66,7 +65,7 @@ func (r *Replica) stream(ctx context.Context) error {
 			return fmt.Errorf("stream read: %w", err)
 		}
 		watchdog.Reset(r.opts.StallTimeout)
-		f, err := binspec.DecodeFrame(rec)
+		f, err := wire.DecodeFrame(rec)
 		if err != nil {
 			return err
 		}
@@ -77,11 +76,11 @@ func (r *Replica) stream(ctx context.Context) error {
 			r.lagMillis.Store(0)
 		}
 		switch f.Kind {
-		case binspec.FrameHeartbeat:
+		case wire.FrameHeartbeat:
 			if f.PrimaryLast < r.applied.Load() {
 				return fmt.Errorf("%w: primary at lsn %d, applied %d", errDiverged, f.PrimaryLast, r.applied.Load())
 			}
-		case binspec.FrameMutation:
+		case wire.FrameMutation:
 			if err := r.apply(f.Record); err != nil {
 				return err
 			}
@@ -97,7 +96,7 @@ func (r *Replica) stream(ctx context.Context) error {
 // logged and skipped, matching local recovery's policy: one bad mutation
 // must not wedge replication.
 func (r *Replica) apply(recPayload []byte) error {
-	lsn, m, err := store.DecodeMutationRecord(recPayload)
+	lsn, m, err := wire.DecodeMutation(recPayload)
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"funcdb/internal/api"
-	"funcdb/internal/binspec"
 	"funcdb/internal/store"
+	"funcdb/internal/wire"
 )
 
 // Replication endpoints. A primary daemon sets Config.Repl to its
@@ -76,10 +76,10 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) erro
 	if last < lsn {
 		last = lsn
 	}
-	m := binspec.Manifest{SnapshotLSN: lsn, LastLSN: last, SnapshotBytes: uint64(len(raw))}
+	m := wire.Manifest{SnapshotLSN: lsn, LastLSN: last, SnapshotBytes: uint64(len(raw))}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := binspec.WriteRecord(w, binspec.EncodeManifest(m)); err != nil {
+	if err := wire.WriteRecord(w, wire.EncodeManifest(m)); err != nil {
 		return nil // client went away mid-send
 	}
 	_, _ = w.Write(raw)
@@ -87,7 +87,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) erro
 }
 
 // handleReplWAL streams journaled mutations from a record position as
-// framed binspec records, long-polling at the tail. While the stream is
+// framed wire records, long-polling at the tail. While the stream is
 // caught up it emits a heartbeat frame every ReplHeartbeat, so the
 // replica can maintain its lag gauges (and detect a dead primary by
 // silence). A position older than the oldest record on disk is answered
@@ -116,20 +116,20 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) error {
 		rctx, cancel := context.WithTimeout(ctx, s.cfg.ReplHeartbeat)
 		rec, err := cur.Next(rctx)
 		cancel()
-		frame := binspec.Frame{PrimaryLast: st.LastLSN(), TSMillis: uint64(time.Now().UnixMilli())}
+		frame := wire.Frame{PrimaryLast: st.LastLSN(), TSMillis: uint64(time.Now().UnixMilli())}
 		switch {
 		case err == nil:
-			frame.Kind = binspec.FrameMutation
+			frame.Kind = wire.FrameMutation
 			frame.Record = rec.Payload
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			frame.Kind = binspec.FrameHeartbeat
+			frame.Kind = wire.FrameHeartbeat
 		default:
 			// Client disconnect, server shutdown, or the log compacted
 			// past an idle cursor. The status is already written; just end
 			// the stream and let the replica reconnect.
 			return nil
 		}
-		if err := binspec.WriteRecord(w, binspec.EncodeFrame(frame)); err != nil {
+		if err := wire.WriteRecord(w, wire.EncodeFrame(frame)); err != nil {
 			return nil
 		}
 		if fl != nil {

@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"funcdb/internal/api"
-	"funcdb/internal/binspec"
 	"funcdb/internal/core"
 	"funcdb/internal/registry"
 	"funcdb/internal/store"
+	"funcdb/internal/wire"
 )
 
 // newPrimary builds a store-backed registry serving the replication
@@ -37,7 +37,7 @@ func newPrimary(t *testing.T) (*httptest.Server, *registry.Registry, *store.Stor
 	return ts, reg, st
 }
 
-func fetchManifest(t *testing.T, base string) (binspec.Manifest, []byte) {
+func fetchManifest(t *testing.T, base string) (wire.Manifest, []byte) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/repl/snapshot")
 	if err != nil {
@@ -48,11 +48,11 @@ func fetchManifest(t *testing.T, base string) (binspec.Manifest, []byte) {
 		t.Fatalf("snapshot status = %d", resp.StatusCode)
 	}
 	br := bufio.NewReader(resp.Body)
-	rec, err := binspec.ReadRecord(br)
+	rec, err := wire.ReadRecord(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := binspec.DecodeManifest(rec)
+	m, err := wire.DecodeManifest(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,29 +104,29 @@ func TestReplWALStreamsAndHeartbeats(t *testing.T) {
 		t.Fatalf("wal status = %d", resp.StatusCode)
 	}
 	br := bufio.NewReader(resp.Body)
-	readFrame := func() binspec.Frame {
+	readFrame := func() wire.Frame {
 		t.Helper()
-		rec, err := binspec.ReadRecord(br)
+		rec, err := wire.ReadRecord(br)
 		if err != nil {
 			t.Fatalf("read frame: %v", err)
 		}
-		f, err := binspec.DecodeFrame(rec)
+		f, err := wire.DecodeFrame(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
 	f := readFrame()
-	if f.Kind != binspec.FrameMutation || f.PrimaryLast != 1 {
+	if f.Kind != wire.FrameMutation || f.PrimaryLast != 1 {
 		t.Fatalf("first frame = %+v, want mutation at primaryLast 1", f)
 	}
-	lsn, m, err := store.DecodeMutationRecord(f.Record)
-	if err != nil || lsn != 1 || m.Op != registry.OpPut || m.Name != "even" {
+	lsn, m, err := wire.DecodeMutation(f.Record)
+	if err != nil || lsn != 1 || m.Op != wire.OpPut || m.Name != "even" {
 		t.Fatalf("decoded lsn=%d m=%+v err=%v", lsn, m, err)
 	}
 	// Caught up: the next frame is a heartbeat.
 	f = readFrame()
-	if f.Kind != binspec.FrameHeartbeat || f.PrimaryLast != 1 || f.TSMillis == 0 {
+	if f.Kind != wire.FrameHeartbeat || f.PrimaryLast != 1 || f.TSMillis == 0 {
 		t.Fatalf("second frame = %+v, want heartbeat", f)
 	}
 	// A new mutation flows through the open stream.
@@ -136,14 +136,14 @@ func TestReplWALStreamsAndHeartbeats(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		f = readFrame()
-		if f.Kind == binspec.FrameMutation {
+		if f.Kind == wire.FrameMutation {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("mutation never arrived on the stream")
 		}
 	}
-	if lsn, m, err := store.DecodeMutationRecord(f.Record); err != nil || lsn != 2 || m.Op != registry.OpExtend {
+	if lsn, m, err := wire.DecodeMutation(f.Record); err != nil || lsn != 2 || m.Op != wire.OpExtend {
 		t.Fatalf("streamed mutation lsn=%d m=%+v err=%v", lsn, m, err)
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"funcdb/internal/api"
-	"funcdb/internal/binspec"
-	"funcdb/internal/registry"
-	"funcdb/internal/store"
+	"funcdb/internal/wire"
 )
 
 // Live resharding. Moving a database between shard groups must never lose
@@ -357,25 +355,25 @@ func (r *resharder) sourceLSN(ctx context.Context) (uint64, error) {
 // apply re-executes one source-side mutation against the target primary
 // through its public API. The target assigns its own versions and LSNs;
 // only the catalog contents are replicated.
-func (r *resharder) apply(ctx context.Context, m registry.Mutation) error {
+func (r *resharder) apply(ctx context.Context, m wire.Mutation) error {
 	rq := api.Request{URL: r.target.Primary + "/v1/db/" + r.opts.DB}
 	switch m.Op {
-	case registry.OpPut:
+	case wire.OpPut:
 		rq.Method, rq.Body = http.MethodPut, m.Payload
-	case registry.OpExtend:
+	case wire.OpExtend:
 		body, err := json.Marshal(map[string]string{"facts": string(m.Payload)})
 		if err != nil {
 			return err
 		}
 		rq.Method, rq.URL, rq.Body, rq.ContentType = http.MethodPost, rq.URL+"/facts", body, api.ContentJSON
-	case registry.OpDelete:
+	case wire.OpDelete:
 		rq.Method = http.MethodDelete
 	default:
 		return fmt.Errorf("unknown mutation op %d", m.Op)
 	}
 	err := r.call(ctx, rq, nil)
 	var e *api.Error
-	if m.Op == registry.OpDelete && errors.As(err, &e) && e.Status == http.StatusNotFound {
+	if m.Op == wire.OpDelete && errors.As(err, &e) && e.Status == http.StatusNotFound {
 		// Deleting the database mid-move is legal; the reshard then moves
 		// an absent database, which is still a correct outcome.
 		return nil
@@ -408,21 +406,21 @@ func (t *walTail) Close() { t.resp.Body.Close() }
 // target via r.apply. It returns how many mutations it applied (0 or 1)
 // and whether the frame was a heartbeat.
 func (t *walTail) next(ctx context.Context, r *resharder) (applied int, heartbeat bool, err error) {
-	rec, err := binspec.ReadRecord(t.resp.Body)
+	rec, err := wire.ReadRecord(t.resp.Body)
 	if err != nil {
 		return 0, false, fmt.Errorf("WAL stream read: %w", err)
 	}
-	f, err := binspec.DecodeFrame(rec)
+	f, err := wire.DecodeFrame(rec)
 	if err != nil {
 		return 0, false, err
 	}
 	if f.PrimaryLast > t.head {
 		t.head = f.PrimaryLast
 	}
-	if f.Kind != binspec.FrameMutation {
+	if f.Kind != wire.FrameMutation {
 		return 0, true, nil
 	}
-	lsn, m, err := store.DecodeMutationRecord(f.Record)
+	lsn, m, err := wire.DecodeMutation(f.Record)
 	if err != nil {
 		return 0, false, err
 	}

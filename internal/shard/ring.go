@@ -5,8 +5,8 @@
 // name's hash. Adding or removing one group therefore moves only the keys
 // that hashed into its arcs — roughly 1/len(groups) of the catalog — which
 // is what makes resharding cheap: a database moves as a compact relational
-// specification (binspec snapshot + WAL tail), never as materialized
-// answers.
+// specification (the exported entry plus its WAL tail), never as
+// materialized answers.
 //
 // A shard Map is versioned and immutable once built; Overrides pin
 // individual databases to explicit groups (the durable record of completed

@@ -12,7 +12,7 @@ import (
 
 // The three ways fdbd can bring the subsets(6) catalog entry back into
 // service, from slowest to fastest: recompile the rule source from
-// scratch, re-parse the exported JSON specification, or load the binspec
+// scratch, re-parse the exported JSON specification, or load the binary
 // snapshot the store wrote. The snapshot path is what crash recovery pays.
 
 func benchSpecJSON(b *testing.B) []byte {

@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"funcdb/internal/binspec"
+	"funcdb/internal/wire"
 )
 
 // ErrCompacted reports a read position older than the oldest WAL record
@@ -17,8 +17,8 @@ import (
 var ErrCompacted = errors.New("store: position compacted away")
 
 // Record is one journaled mutation as a cursor delivers it: the sequence
-// number and the encoded payload (the same bytes DecodeMutationRecord
-// parses), ready to be re-framed onto a replication stream.
+// number and the encoded payload (the bytes wire.DecodeMutation parses),
+// ready to be re-framed onto a replication stream.
 type Record struct {
 	LSN     uint64
 	Payload []byte
@@ -86,10 +86,10 @@ func (c *Cursor) Next(ctx context.Context) (Record, error) {
 				return Record{}, err
 			}
 		}
-		payload, err := binspec.ReadRecord(c.f)
+		payload, err := wire.ReadRecord(c.f)
 		switch {
 		case err == nil:
-			lsn, perr := peekLSN(payload)
+			lsn, perr := wire.PeekLSN(payload)
 			if perr != nil {
 				return Record{}, perr
 			}

@@ -10,6 +10,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/registry"
+	"funcdb/internal/wire"
 )
 
 // openEmpty opens and recovers a store over a fresh registry.
@@ -34,7 +35,7 @@ func appendN(t *testing.T, s *Store, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		lsn := s.LastLSN() + 1
-		m := registry.Mutation{Op: registry.OpPut, Name: fmt.Sprintf("db%04d", lsn), Version: 1,
+		m := wire.Mutation{Op: wire.OpPut, Name: fmt.Sprintf("db%04d", lsn), Version: 1,
 			Payload: []byte(fmt.Sprintf("P(c%d).", lsn))}
 		if err := s.AppendReplicated(lsn, m); err != nil {
 			t.Fatalf("append %d: %v", lsn, err)
@@ -60,11 +61,11 @@ func TestCursorReadsInOrder(t *testing.T) {
 		if rec.LSN != want {
 			t.Fatalf("lsn = %d, want %d", rec.LSN, want)
 		}
-		lsn, m, err := DecodeMutationRecord(rec.Payload)
+		lsn, m, err := wire.DecodeMutation(rec.Payload)
 		if err != nil {
 			t.Fatalf("decode %d: %v", want, err)
 		}
-		if lsn != want || m.Name != fmt.Sprintf("db%04d", want) || m.Op != registry.OpPut {
+		if lsn != want || m.Name != fmt.Sprintf("db%04d", want) || m.Op != wire.OpPut {
 			t.Fatalf("record %d decodes to lsn=%d name=%q op=%v", want, lsn, m.Name, m.Op)
 		}
 	}
@@ -167,7 +168,7 @@ func TestCursorFollowsRotation(t *testing.T) {
 	if rec.LSN != 2 {
 		t.Fatalf("lsn after rotation = %d, want 2", rec.LSN)
 	}
-	if _, m, err := DecodeMutationRecord(rec.Payload); err != nil || m.Op != registry.OpExtend {
+	if _, m, err := wire.DecodeMutation(rec.Payload); err != nil || m.Op != wire.OpExtend {
 		t.Fatalf("decoded %v, %v; want extend", m, err)
 	}
 }
@@ -200,7 +201,7 @@ func TestReadFromCompacted(t *testing.T) {
 func TestAppendReplicatedRejectsGap(t *testing.T) {
 	s, _ := openEmpty(t, t.TempDir(), Options{Fsync: FsyncNever})
 	appendN(t, s, 3)
-	err := s.AppendReplicated(7, registry.Mutation{Op: registry.OpDelete, Name: "x"})
+	err := s.AppendReplicated(7, wire.Mutation{Op: wire.OpDelete, Name: "x"})
 	if err == nil {
 		t.Fatal("gap append accepted")
 	}
@@ -262,10 +263,10 @@ func TestReplicatedLogRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openEmpty(t, dir, Options{})
 	src := "Even(0). Even(T) -> Even(T+2)."
-	if err := s.AppendReplicated(1, registry.Mutation{Op: registry.OpPut, Name: "even", Version: 1, Payload: []byte(src)}); err != nil {
+	if err := s.AppendReplicated(1, wire.Mutation{Op: wire.OpPut, Name: "even", Version: 1, Payload: []byte(src)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendReplicated(2, registry.Mutation{Op: registry.OpExtend, Name: "even", Version: 2, Payload: []byte("Even(33).")}); err != nil {
+	if err := s.AppendReplicated(2, wire.Mutation{Op: wire.OpExtend, Name: "even", Version: 2, Payload: []byte("Even(33).")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,19 +10,20 @@ import (
 	"path/filepath"
 	"sort"
 
-	"funcdb/internal/binspec"
 	"funcdb/internal/registry"
 	"funcdb/internal/specio"
+	"funcdb/internal/wire"
 )
 
-// Snapshot file layout: a stream of binspec-framed records —
+// Snapshot file layout: a stream of wire records —
 //
 //	meta record:  byte 1, uvarint format version (1), uvarint lsn,
 //	              uvarint entry count, uvarint version-counter count,
 //	              then (name, counter) pairs
 //	entry record: byte 2, name, kind byte (1 program / 2 spec),
 //	              uvarint version, uvarint source bytes, payload
-//	              (program: current source text; spec: binspec document)
+//	              (program: current source text; spec: specio binary
+//	              document)
 //	end record:   byte 3
 //
 // The end record is what distinguishes a complete checkpoint from one cut
@@ -100,7 +100,7 @@ func (s *Store) Snapshot() error {
 
 	for i := range entries {
 		if entries[i].doc != nil {
-			payload, err := binspec.EncodeDocument(entries[i].doc)
+			payload, err := specio.EncodeDocument(entries[i].doc)
 			if err != nil {
 				return fmt.Errorf("store: encode %q: %w", entries[i].name, err)
 			}
@@ -140,51 +140,46 @@ func (s *Store) writeSnapshotFile(lsn uint64, entries []snapEntry, versions map[
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriterSize(tmp, 1<<16)
 
-	meta := []byte{snapRecMeta}
-	meta = binary.AppendUvarint(meta, snapFormatVersion)
-	meta = binary.AppendUvarint(meta, lsn)
-	meta = binary.AppendUvarint(meta, uint64(len(entries)))
-	meta = binary.AppendUvarint(meta, uint64(len(versions)))
+	meta := wire.NewEncoder(snapRecMeta, 0)
+	meta.Uvarint(snapFormatVersion)
+	meta.Uvarint(lsn)
+	meta.Int(len(entries))
+	meta.Int(len(versions))
 	names := make([]string, 0, len(versions))
 	for n := range versions {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		meta = binary.AppendUvarint(meta, uint64(len(n)))
-		meta = append(meta, n...)
-		meta = binary.AppendUvarint(meta, versions[n])
+		meta.Str(n)
+		meta.Uvarint(versions[n])
 	}
-	if err := binspec.WriteRecord(bw, meta); err != nil {
-		tmp.Close()
-		return err
-	}
+	err = wire.WriteRecord(bw, meta.Payload())
 	for _, e := range entries {
-		rec := []byte{snapRecEntry}
-		rec = binary.AppendUvarint(rec, uint64(len(e.name)))
-		rec = append(rec, e.name...)
-		rec = append(rec, e.kind)
-		rec = binary.AppendUvarint(rec, e.version)
-		rec = binary.AppendUvarint(rec, uint64(e.sourceBytes))
-		rec = append(rec, e.payload...)
-		if err := binspec.WriteRecord(bw, rec); err != nil {
-			tmp.Close()
-			return err
+		if err != nil {
+			break
 		}
+		rec := wire.NewEncoder(snapRecEntry, 32+len(e.name)+len(e.payload))
+		rec.Str(e.name)
+		rec.Byte(e.kind)
+		rec.Uvarint(e.version)
+		rec.Int(e.sourceBytes)
+		rec.Raw(e.payload)
+		err = wire.WriteRecord(bw, rec.Payload())
 	}
-	if err := binspec.WriteRecord(bw, []byte{snapRecEnd}); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = wire.WriteRecord(bw, []byte{snapRecEnd})
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	final := s.snapshotPath(lsn)
@@ -292,7 +287,7 @@ func (s *Store) loadLatestSnapshot(reg *registry.Registry, st *RecoveryStats) (u
 				_, ierr = reg.RestoreProgram(e.name, e.payload, e.sourceBytes, e.version)
 			case entryKindSpec:
 				var doc *specio.Document
-				doc, ierr = binspec.DecodeDocument(e.payload)
+				doc, ierr = specio.DecodeDocument(e.payload)
 				if ierr == nil {
 					_, ierr = reg.RestoreSpecDoc(e.name, doc, e.sourceBytes, e.version)
 				}
@@ -389,132 +384,87 @@ func parseSnapshotFile(path string) (lsn uint64, entries []snapEntry, versions m
 func parseSnapshot(r io.Reader) (lsn uint64, entries []snapEntry, versions map[string]uint64, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 
-	rec, err := binspec.ReadRecord(br)
+	rec, err := wire.ReadRecord(br)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("meta record: %w", err)
 	}
-	if len(rec) == 0 || rec[0] != snapRecMeta {
-		return 0, nil, nil, fmt.Errorf("%w: missing meta record", binspec.ErrCorrupt)
-	}
-	d := rec[1:]
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(d)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", binspec.ErrCorrupt)
-		}
-		d = d[n:]
-		return v, nil
-	}
-	str := func() (string, error) {
-		n, err := uv()
-		if err != nil || uint64(len(d)) < n {
-			return "", fmt.Errorf("%w: truncated string", binspec.ErrCorrupt)
-		}
-		v := string(d[:n])
-		d = d[n:]
-		return v, nil
-	}
-	fv, err := uv()
+	lsn, entryCount, versions, err := parseSnapMeta(rec)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if fv != snapFormatVersion {
-		return 0, nil, nil, fmt.Errorf("unsupported snapshot format version %d", fv)
-	}
-	if lsn, err = uv(); err != nil {
-		return 0, nil, nil, err
-	}
-	entryCount, err := uv()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	versionCount, err := uv()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	// The counts come from bytes another process wrote. A name/version pair
-	// takes at least two bytes of this record, and every entry's name has a
-	// version (the registry's version map outlives removals), so larger
-	// counts are not a writer's: refuse them before one sizes the map.
-	if versionCount > uint64(len(d))/2 || entryCount > versionCount {
-		return 0, nil, nil, fmt.Errorf("%w: meta record of %d bytes claims %d entries and %d versions",
-			binspec.ErrCorrupt, len(rec), entryCount, versionCount)
-	}
-	versions = make(map[string]uint64, versionCount)
-	for i := uint64(0); i < versionCount; i++ {
-		name, err := str()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		v, err := uv()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		versions[name] = v
-	}
-
 	for {
-		rec, rerr := binspec.ReadRecord(br)
+		rec, rerr := wire.ReadRecord(br)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return 0, nil, nil, fmt.Errorf("%w: snapshot has no end record", binspec.ErrCorrupt)
+				return 0, nil, nil, fmt.Errorf("%w: snapshot has no end record", wire.ErrCorrupt)
 			}
 			return 0, nil, nil, rerr
 		}
 		if len(rec) == 0 {
-			return 0, nil, nil, fmt.Errorf("%w: empty record", binspec.ErrCorrupt)
+			return 0, nil, nil, fmt.Errorf("%w: empty record", wire.ErrCorrupt)
 		}
 		switch rec[0] {
 		case snapRecEnd:
 			if uint64(len(entries)) != entryCount {
 				return 0, nil, nil, fmt.Errorf("%w: snapshot has %d entries, meta says %d",
-					binspec.ErrCorrupt, len(entries), entryCount)
+					wire.ErrCorrupt, len(entries), entryCount)
 			}
 			return lsn, entries, versions, nil
 		case snapRecEntry:
-			e, perr := parseSnapEntry(rec[1:])
+			e, perr := parseSnapEntry(rec)
 			if perr != nil {
 				return 0, nil, nil, perr
 			}
 			entries = append(entries, e)
 		default:
-			return 0, nil, nil, fmt.Errorf("%w: unknown snapshot record type %d", binspec.ErrCorrupt, rec[0])
+			return 0, nil, nil, fmt.Errorf("%w: unknown snapshot record type %d", wire.ErrCorrupt, rec[0])
 		}
 	}
 }
 
-func parseSnapEntry(d []byte) (snapEntry, error) {
-	bad := func(what string) (snapEntry, error) {
-		return snapEntry{}, fmt.Errorf("%w: entry record: %s", binspec.ErrCorrupt, what)
+// parseSnapMeta decodes a meta record: the LSN the snapshot covers, how
+// many entry records follow, and the version counters.
+func parseSnapMeta(rec []byte) (lsn, entryCount uint64, versions map[string]uint64, err error) {
+	d := wire.NewDecoder(rec)
+	if d.Byte() != snapRecMeta {
+		return 0, 0, nil, fmt.Errorf("%w: missing meta record", wire.ErrCorrupt)
 	}
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(d)
-		if n <= 0 {
-			return 0, false
-		}
-		d = d[n:]
-		return v, true
+	if fv := d.Uvarint(); d.Err() == nil && fv != snapFormatVersion {
+		return 0, 0, nil, fmt.Errorf("unsupported snapshot format version %d", fv)
 	}
-	n, ok := uv()
-	if !ok || uint64(len(d)) < n {
-		return bad("truncated name")
+	lsn = d.Uvarint()
+	entryCount = d.Uvarint()
+	versionCount := d.Uvarint()
+	// The counts come from bytes another process wrote. A name/version pair
+	// takes at least two bytes of this record, and every entry's name has a
+	// version (the registry's version map outlives removals), so larger
+	// counts are not a writer's: refuse them before one sizes the map.
+	if versionCount > uint64(d.Remaining())/2 || entryCount > versionCount {
+		d.Fail("meta record of %d bytes claims %d entries and %d versions", len(rec), entryCount, versionCount)
 	}
-	e := snapEntry{name: string(d[:n])}
-	d = d[n:]
-	if len(d) < 1 {
-		return bad("truncated kind")
+	if err := d.Err(); err != nil {
+		return 0, 0, nil, err
 	}
-	e.kind = d[0]
-	d = d[1:]
-	if e.version, ok = uv(); !ok {
-		return bad("truncated version")
+	versions = make(map[string]uint64, versionCount)
+	for i := uint64(0); i < versionCount && d.Err() == nil; i++ {
+		name := d.Str()
+		versions[name] = d.Uvarint()
 	}
-	sb, ok := uv()
-	if !ok {
-		return bad("truncated source size")
+	if err := d.Err(); err != nil {
+		return 0, 0, nil, err
 	}
-	e.sourceBytes = int(sb)
-	e.payload = bytes.Clone(d)
+	return lsn, entryCount, versions, nil
+}
+
+// parseSnapEntry decodes an entry record; the caller has checked its tag.
+func parseSnapEntry(rec []byte) (snapEntry, error) {
+	d := wire.NewDecoder(rec)
+	d.Byte()
+	e := snapEntry{name: d.Str(), kind: d.Byte(), version: d.Uvarint(), sourceBytes: d.Size()}
+	e.payload = bytes.Clone(d.Rest())
+	if err := d.Err(); err != nil {
+		return snapEntry{}, fmt.Errorf("entry record: %w", err)
+	}
 	return e, nil
 }
 

@@ -8,14 +8,15 @@
 // server should persist and recover rather than recompile. The store
 // journals every registry mutation (put / extend-facts / delete) as a
 // checksummed record before it commits (write-ahead order, via the
-// registry's observer hook), checkpoints the whole catalog in the binspec
-// format, and on startup loads the latest valid snapshot, replays the log
-// tail, truncates a torn final record, and quarantines anything beyond a
-// corrupted one — with a logged warning, never a panic or silent loss.
+// registry's observer hook), checkpoints the whole catalog (spec entries as
+// specio binary documents), and on startup loads the latest valid snapshot,
+// replays the log tail, truncates a torn final record, and quarantines
+// anything beyond a corrupted one — with a logged warning, never a panic or
+// silent loss. Every file is a stream of package wire's CRC-framed records.
 //
 // On-disk layout inside the data directory:
 //
-//	wal-<firstLSN>.wal    mutation records, framed by binspec.WriteRecord
+//	wal-<firstLSN>.wal    one wire.EncodeMutation record per mutation
 //	snap-<lsn>.fsnap      catalog checkpoint covering mutations 1..lsn
 //
 // Every mutation carries a log sequence number (LSN, starting at 1). A
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"funcdb/internal/registry"
+	"funcdb/internal/wire"
 )
 
 // Fsync policies for the write-ahead log.
@@ -251,7 +253,7 @@ func (s *Store) Recover(reg *registry.Registry) (RecoveryStats, error) {
 // observe is the registry observer: it journals the mutation before the
 // registry commits it. Called under the registry writer lock, in commit
 // order.
-func (s *Store) observe(m registry.Mutation) error {
+func (s *Store) observe(m wire.Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -265,7 +267,7 @@ func (s *Store) observe(m registry.Mutation) error {
 // gap. Replicas call it before applying the mutation to their registry
 // (write-ahead order), so the local log stays a byte-equivalent prefix of
 // the primary's history and a restart resumes from the same position.
-func (s *Store) AppendReplicated(lsn uint64, m registry.Mutation) error {
+func (s *Store) AppendReplicated(lsn uint64, m wire.Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -280,9 +282,8 @@ func (s *Store) AppendReplicated(lsn uint64, m registry.Mutation) error {
 // appendMutationLocked encodes, frames and appends one mutation, advances
 // the LSN, wakes tailing cursors and schedules an automatic snapshot when
 // the replay debt crosses the threshold.
-func (s *Store) appendMutationLocked(lsn uint64, m registry.Mutation) error {
-	rec := encodeMutation(lsn, m)
-	if err := s.appendLocked(rec); err != nil {
+func (s *Store) appendMutationLocked(lsn uint64, m wire.Mutation) error {
+	if err := s.appendLocked(wire.EncodeMutation(lsn, m)); err != nil {
 		return err
 	}
 	s.nextLSN = lsn + 1
@@ -318,11 +319,14 @@ func (s *Store) appendWait() <-chan struct{} {
 	return s.notify
 }
 
-// appendLocked writes one framed record to the active segment, rolling the
-// file back to the previous boundary if the write fails partway so the log
-// never accumulates a torn middle.
+// appendLocked writes one framed record to the active segment in a single
+// write, rolling the file back to the previous boundary if the write fails
+// partway so the log never accumulates a torn middle.
 func (s *Store) appendLocked(rec []byte) error {
-	framed := frameRecord(rec)
+	framed, err := wire.AppendRecord(make([]byte, 0, 8+len(rec)), rec)
+	if err != nil {
+		return fmt.Errorf("store: append: %w", err)
+	}
 	n, err := s.wal.Write(framed)
 	if err != nil {
 		if n > 0 {

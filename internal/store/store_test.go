@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"funcdb/internal/binspec"
 	"funcdb/internal/core"
 	"funcdb/internal/registry"
+	"funcdb/internal/wire"
 )
 
 const evenSrc = `
@@ -357,33 +356,40 @@ func TestSnapshotFallback(t *testing.T) {
 // a count sizes anything (a versionCount of 1<<36 used to reach makemap and
 // kill the process with an out-of-memory fatal error), from a replica's
 // bootstrap and from crash recovery alike, which falls back to the older
-// snapshot.
+// snapshot. So is an entry whose source size does not fit an int: it used
+// to become a negative SourceBytes that GET /v1/db/{name} served.
 func TestSnapshotRejectsCraftedCounts(t *testing.T) {
 	meta := func(entries, versions uint64, pairs ...string) []byte {
-		rec := []byte{snapRecMeta}
+		e := wire.NewEncoder(snapRecMeta, 0)
 		for _, v := range []uint64{snapFormatVersion, 2, entries, versions} {
-			rec = binary.AppendUvarint(rec, v)
+			e.Uvarint(v)
 		}
 		for _, name := range pairs {
-			rec = binary.AppendUvarint(rec, uint64(len(name)))
-			rec = append(rec, name...)
-			rec = binary.AppendUvarint(rec, 1)
+			e.Str(name)
+			e.Uvarint(1)
 		}
-		return rec
+		return e.Payload()
 	}
+	hugeSource := wire.NewEncoder(snapRecEntry, 0)
+	hugeSource.Str("a")
+	hugeSource.Byte(entryKindProgram)
+	hugeSource.Uvarint(1)
+	hugeSource.Uvarint(1 << 63)
+	hugeSource.Raw([]byte(evenSrc))
 	for _, tc := range []struct {
 		name string
-		meta []byte
+		recs [][]byte
 	}{
-		{"versions past any record", meta(0, 1<<36)},
-		{"versions past this record", meta(0, 7, "a", "b")},
-		{"entries past any stream", meta(1<<36, 0)},
-		{"entries past the versions", meta(3, 2, "a", "b")},
+		{"versions past any record", [][]byte{meta(0, 1<<36)}},
+		{"versions past this record", [][]byte{meta(0, 7, "a", "b")}},
+		{"entries past any stream", [][]byte{meta(1<<36, 0)}},
+		{"entries past the versions", [][]byte{meta(3, 2, "a", "b")}},
+		{"source size past an int", [][]byte{meta(1, 1, "a"), hugeSource.Payload()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var raw bytes.Buffer
-			for _, rec := range [][]byte{tc.meta, {snapRecEnd}} {
-				if err := binspec.WriteRecord(&raw, rec); err != nil {
+			for _, rec := range append(tc.recs, []byte{snapRecEnd}) {
+				if err := wire.WriteRecord(&raw, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -391,14 +397,14 @@ func TestSnapshotRejectsCraftedCounts(t *testing.T) {
 			runtime.ReadMemStats(&m0)
 			_, _, _, err := parseSnapshot(bytes.NewReader(raw.Bytes()))
 			runtime.ReadMemStats(&m1)
-			if !errors.Is(err, binspec.ErrCorrupt) {
-				t.Fatalf("parseSnapshot = %v, want an error wrapping binspec.ErrCorrupt", err)
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("parseSnapshot = %v, want an error wrapping wire.ErrCorrupt", err)
 			}
 			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
 				t.Errorf("refusing %d bytes allocated %d", raw.Len(), alloc)
 			}
-			if _, err := InstallSnapshot(t.TempDir(), raw.Bytes()); !errors.Is(err, binspec.ErrCorrupt) {
-				t.Errorf("InstallSnapshot = %v, want an error wrapping binspec.ErrCorrupt", err)
+			if _, err := InstallSnapshot(t.TempDir(), raw.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("InstallSnapshot = %v, want an error wrapping wire.ErrCorrupt", err)
 			}
 
 			dir := t.TempDir()
@@ -585,7 +591,7 @@ func recordOffsets(t *testing.T, path string) []byteRange {
 	var out []byteRange
 	off := int64(0)
 	for {
-		rec, err := binspec.ReadRecord(f)
+		rec, err := wire.ReadRecord(f)
 		if err == io.EOF {
 			return out
 		}

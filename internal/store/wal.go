@@ -2,137 +2,17 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
-	"funcdb/internal/binspec"
 	"funcdb/internal/registry"
+	"funcdb/internal/wire"
 )
 
-// WAL record payload layout (inside the binspec length+CRC frame):
-//
-//	byte    op            registry.Op
-//	uvarint lsn           log sequence number, 1-based
-//	uvarint version       version the mutation produced (0 for delete)
-//	uvarint len + bytes   name
-//	uvarint len + bytes   payload (program/spec upload or facts source)
-
-// walRecord is one decoded journal entry.
-type walRecord struct {
-	lsn uint64
-	m   registry.Mutation
-}
-
-// frameRecord wraps payload in the shared length+CRC framing as one
-// contiguous byte slice, so the file write is a single syscall.
-func frameRecord(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + 8)
-	// Writing to a bytes.Buffer cannot fail.
-	_ = binspec.WriteRecord(&buf, payload)
-	return buf.Bytes()
-}
-
-func encodeMutation(lsn uint64, m registry.Mutation) []byte {
-	out := make([]byte, 0, 32+len(m.Name)+len(m.Payload))
-	out = append(out, byte(m.Op))
-	out = binary.AppendUvarint(out, lsn)
-	out = binary.AppendUvarint(out, m.Version)
-	out = binary.AppendUvarint(out, uint64(len(m.Name)))
-	out = append(out, m.Name...)
-	out = binary.AppendUvarint(out, uint64(len(m.Payload)))
-	out = append(out, m.Payload...)
-	return out
-}
-
-// DecodeMutationRecord parses one WAL record payload — the bytes a Cursor
-// delivers and a replication stream ships — into its sequence number and
-// mutation. The inverse of the journal's own encoder, exported so replicas
-// apply exactly what the primary journaled.
-func DecodeMutationRecord(rec []byte) (uint64, registry.Mutation, error) {
-	wr, err := decodeMutation(rec)
-	return wr.lsn, wr.m, err
-}
-
-// EncodeMutationRecord renders a mutation in the WAL payload format at the
-// given sequence number. Tests and benchmarks use it to synthesize streams;
-// the journal itself encodes internally.
-func EncodeMutationRecord(lsn uint64, m registry.Mutation) []byte {
-	return encodeMutation(lsn, m)
-}
-
-// peekLSN extracts just the sequence number from an encoded record, so a
-// cursor can position itself without decoding whole payloads.
-func peekLSN(rec []byte) (uint64, error) {
-	if len(rec) < 2 {
-		return 0, fmt.Errorf("%w: short WAL record", binspec.ErrCorrupt)
-	}
-	lsn, n := binary.Uvarint(rec[1:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated lsn", binspec.ErrCorrupt)
-	}
-	return lsn, nil
-}
-
-func decodeMutation(rec []byte) (walRecord, error) {
-	bad := func(what string) (walRecord, error) {
-		return walRecord{}, fmt.Errorf("%w: %s", binspec.ErrCorrupt, what)
-	}
-	if len(rec) < 1 {
-		return bad("empty WAL record")
-	}
-	r := walRecord{m: registry.Mutation{Op: registry.Op(rec[0])}}
-	rest := rec[1:]
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	str := func() ([]byte, bool) {
-		n, ok := uv()
-		if !ok || uint64(len(rest)) < n {
-			return nil, false
-		}
-		b := rest[:n]
-		rest = rest[n:]
-		return b, true
-	}
-	var ok bool
-	if r.lsn, ok = uv(); !ok {
-		return bad("truncated lsn")
-	}
-	if r.m.Version, ok = uv(); !ok {
-		return bad("truncated version")
-	}
-	name, ok := str()
-	if !ok {
-		return bad("truncated name")
-	}
-	r.m.Name = string(name)
-	payload, ok := str()
-	if !ok {
-		return bad("truncated payload")
-	}
-	if len(payload) > 0 {
-		r.m.Payload = bytes.Clone(payload)
-	}
-	if len(rest) != 0 {
-		return bad("trailing bytes in WAL record")
-	}
-	switch r.m.Op {
-	case registry.OpPut, registry.OpExtend, registry.OpDelete:
-	default:
-		return bad(fmt.Sprintf("unknown op %d", r.m.Op))
-	}
-	return r, nil
-}
+// A WAL segment is a stream of wire records, one per mutation, each payload
+// as wire.EncodeMutation lays it out.
 
 // replayWAL applies every journaled mutation with LSN above snapLSN to
 // reg, in order. A torn final record is truncated away; a corrupted record
@@ -179,7 +59,7 @@ func (s *Store) replaySegment(reg *registry.Registry, seg segment, snapLSN uint6
 	br := bufio.NewReaderSize(f, 1<<16)
 	var good int64 // offset just past the last well-formed record
 	for {
-		rec, rerr := binspec.ReadRecord(br)
+		rec, rerr := wire.ReadRecord(br)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				return false, last, nil // clean end
@@ -191,23 +71,23 @@ func (s *Store) replaySegment(reg *registry.Registry, seg segment, snapLSN uint6
 			}
 			return true, last, s.truncateSegment(seg.path, good)
 		}
-		wr, derr := decodeMutation(rec)
+		lsn, m, derr := wire.DecodeMutation(rec)
 		if derr != nil {
 			s.warnf("undecodable record in %s at offset %d (%v); truncating to last valid record", seg.path, good, derr)
 			return true, last, s.truncateSegment(seg.path, good)
 		}
 		good += int64(len(rec)) + 8
-		last = wr.lsn
-		if wr.lsn <= snapLSN {
+		last = lsn
+		if lsn <= snapLSN {
 			st.Skipped++
 			continue
 		}
-		if aerr := reg.ApplyAt(wr.m); aerr != nil {
+		if aerr := reg.ApplyAt(m); aerr != nil {
 			// The mutation journaled successfully once, so this is a
 			// logic-level surprise (e.g. an extend whose base put was
 			// dropped by an earlier truncation). Keep going: dropping one
 			// mutation beats refusing to serve the rest of the catalog.
-			s.warnf("replay of %s %q (lsn %d) failed: %v", wr.m.Op, wr.m.Name, wr.lsn, aerr)
+			s.warnf("replay of %s %q (lsn %d) failed: %v", m.Op, m.Name, lsn, aerr)
 			continue
 		}
 		st.Replayed++
