@@ -33,13 +33,15 @@ test:
 # benchmarks — a join that goes quadratic again shows in the counts first.
 # And the stores': one representation each (no Scratch twin, no map copied in
 # a Freeze) and a republish that allocates the same after 250 facts as after
-# 10.
+# 10. And a pass over the plan-miss benchmark: query text to compiled plan,
+# by family and term depth.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 
 race:
 	$(GO) test -race ./...

@@ -1,6 +1,7 @@
 package canonical
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,72 +18,155 @@ import (
 // symbol or binding pattern do not. Plan caches key on the shape instead of
 // the exact text, so spelling variations collapse onto one compilation.
 func QueryShape(q *ast.Query, names *symbols.Table) string {
-	var b strings.Builder
-	vars := make(map[symbols.VarID]int)
-	varRef := func(v symbols.VarID) {
-		i, ok := vars[v]
-		if !ok {
-			i = len(vars)
-			vars[v] = i
-		}
-		mark := byte('_')
-		for _, f := range q.Free {
-			if f == v {
-				mark = '$'
-			}
-		}
-		b.WriteByte(mark)
-		b.WriteString(strconv.Itoa(i))
+	w := shapeWriter{q: q, names: names, fn: symbols.NoFunc}
+	w.b.Grow(w.size())
+	w.query()
+	return w.b.String()
+}
+
+// shapeWriter renders one query's shape.
+type shapeWriter struct {
+	b     strings.Builder
+	q     *ast.Query
+	names *symbols.Table
+	vars  []symbols.VarID // in order of first occurrence; a query has a handful
+
+	// The function symbol named last: a deep term repeats one or two for
+	// hundreds of layers.
+	fn     symbols.FuncID
+	fnName string
+}
+
+func (w *shapeWriter) funcName(fn symbols.FuncID) string {
+	if fn != w.fn {
+		w.fn, w.fnName = fn, w.names.FuncName(fn)
 	}
-	dterm := func(d ast.DTerm) {
-		if d.IsVar() {
-			varRef(d.Var)
-		} else {
-			b.WriteString(names.ConstName(d.Const))
-		}
-	}
-	for ai := range q.Atoms {
-		a := &q.Atoms[ai]
-		if ai > 0 {
-			b.WriteByte(';')
-		}
-		info := names.PredInfo(a.Pred)
-		b.WriteString(info.Name)
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(info.Arity))
+	return w.fnName
+}
+
+// size returns the shape's length, counting what query will write, so that
+// its buffer is allocated once and at the size the plan cache is charged
+// for. It numbers the variables as varRef does, in w.vars, and empties it.
+func (w *shapeWriter) size() int {
+	n := len(w.q.Atoms) - 1 // the ';'s
+	for ai := range w.q.Atoms {
+		a := &w.q.Atoms[ai]
+		info := w.names.PredInfo(a.Pred)
+		n += len(info.Name) + 1 + digits(info.Arity) + 2 + w.argsSize(a.Args) // "P/k(…)"
 		if info.Functional {
-			b.WriteByte('f')
+			n++
 		}
-		b.WriteByte('(')
 		if a.FT != nil {
+			n += 2 // the base's "0" and the '|'
 			if a.FT.HasVarBase() {
-				varRef(a.FT.Base)
-			} else {
-				b.WriteByte('0')
+				n += w.varSize(a.FT.Base) - 1
 			}
 			for _, app := range a.FT.Apps {
-				b.WriteByte('.')
-				b.WriteString(names.FuncName(app.Fn))
+				n += 1 + len(w.funcName(app.Fn))
 				if len(app.Args) > 0 {
-					b.WriteByte('[')
-					for i, d := range app.Args {
-						if i > 0 {
-							b.WriteByte(',')
-						}
-						dterm(d)
-					}
-					b.WriteByte(']')
+					n += 2 + w.argsSize(app.Args)
 				}
 			}
-			b.WriteByte('|')
+		}
+	}
+	w.vars = w.vars[:0]
+	return n
+}
+
+// argsSize is the length of a comma-separated argument list.
+func (w *shapeWriter) argsSize(args []ast.DTerm) int {
+	n := max(len(args)-1, 0)
+	for _, d := range args {
+		if d.IsVar() {
+			n += w.varSize(d.Var)
+		} else {
+			n += len(w.names.ConstName(d.Const))
+		}
+	}
+	return n
+}
+
+func (w *shapeWriter) varSize(v symbols.VarID) int {
+	i := slices.Index(w.vars, v)
+	if i < 0 {
+		i = len(w.vars)
+		w.vars = append(w.vars, v)
+	}
+	return 1 + digits(i)
+}
+
+func digits(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
+
+func (w *shapeWriter) varRef(v symbols.VarID) {
+	i := slices.Index(w.vars, v)
+	if i < 0 {
+		i = len(w.vars)
+		w.vars = append(w.vars, v)
+	}
+	mark := byte('_')
+	if slices.Contains(w.q.Free, v) {
+		mark = '$'
+	}
+	w.b.WriteByte(mark)
+	w.b.WriteString(strconv.Itoa(i))
+}
+
+func (w *shapeWriter) dterm(d ast.DTerm) {
+	if d.IsVar() {
+		w.varRef(d.Var)
+	} else {
+		w.b.WriteString(w.names.ConstName(d.Const))
+	}
+}
+
+func (w *shapeWriter) query() {
+	for ai := range w.q.Atoms {
+		a := &w.q.Atoms[ai]
+		if ai > 0 {
+			w.b.WriteByte(';')
+		}
+		info := w.names.PredInfo(a.Pred)
+		w.b.WriteString(info.Name)
+		w.b.WriteByte('/')
+		w.b.WriteString(strconv.Itoa(info.Arity))
+		if info.Functional {
+			w.b.WriteByte('f')
+		}
+		w.b.WriteByte('(')
+		if a.FT != nil {
+			if a.FT.HasVarBase() {
+				w.varRef(a.FT.Base)
+			} else {
+				w.b.WriteByte('0')
+			}
+			for _, app := range a.FT.Apps {
+				w.b.WriteByte('.')
+				w.b.WriteString(w.funcName(app.Fn))
+				if len(app.Args) > 0 {
+					w.b.WriteByte('[')
+					for i, d := range app.Args {
+						if i > 0 {
+							w.b.WriteByte(',')
+						}
+						w.dterm(d)
+					}
+					w.b.WriteByte(']')
+				}
+			}
+			w.b.WriteByte('|')
 		}
 		for i, d := range a.Args {
 			if i > 0 {
-				b.WriteByte(',')
+				w.b.WriteByte(',')
 			}
-			dterm(d)
+			w.dterm(d)
 		}
-		b.WriteByte(')')
+		w.b.WriteByte(')')
 	}
-	return b.String()
 }

@@ -177,12 +177,14 @@ func TestAnswerSpecSharedByConcurrentReaders(t *testing.T) {
 // query alone is computed once, like a result.
 func TestAnswerSpecDeterministicErrorIsKept(t *testing.T) {
 	s := deepSnapshot(t, datagen.SubsetsSrc(3))
-	// A ground pure term over a symbol the program never derived: uniform,
-	// and outside the specification's alphabet.
-	p, err := s.Prepare(context.Background(), `?- Member(nosuch(0), X).`)
+	// A free variable no atom binds: parsed queries never have one, so it
+	// is injected by hand.
+	q, err := s.ParseQuery(`?- Member(ext(S, e0), X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Free = append(q.Free, s.tab.Clone().Var("Phantom"))
+	p := &Plan{snap: s, q: q, tab: s.tab}
 	_, err1 := p.Answers(context.Background())
 	before := specBuilds()
 	_, err2 := p.Answers(context.Background())

@@ -13,7 +13,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +23,8 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
+	"funcdb/internal/rewrite"
+	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -49,18 +51,17 @@ const (
 // groundStep is one compiled ground atom.
 type groundStep struct {
 	kind stepKind
-	syms []int32      // stepFlat: innermost-first flat symbol indices
-	atom facts.AtomID // stepFlat: frozen observable atom to look for
-	idx  int          // stepSlow: index into q.Atoms
+	syms []int32      // stepFlat, stepSlow: innermost-first flat symbol indices
+	atom facts.AtomID // stepFlat, stepSlow: frozen atom to look for
 }
 
 // eqStep is one ground atom lowered for the equational method: membership
 // is congruence of the query term with any candidate representative whose
 // slice carries the atom (the paper's membership test over (B, R)).
 type eqStep struct {
-	t      term.Term // term.None for a data atom
+	t      term.Term // term.None for a compile-time verdict
 	cands  []term.Term
-	dataOK bool // verdict of a data atom, resolved at compile time
+	dataOK bool // the compile-time verdict
 }
 
 // Plan is a query compiled against one Snapshot. It is immutable after
@@ -70,19 +71,24 @@ type eqStep struct {
 // pooled scratch arenas or in the caller's Answers handle. A Plan answers
 // exactly as of its snapshot — after a mutation, Prepare against the new
 // snapshot compiles a fresh one.
+//
+// A ground plan keeps its text, shape, fingerprint and steps — per atom a
+// verdict, or a symbol string and an atom — and nothing else: no AST, no
+// symbol table. An open plan keeps its query and the table naming it.
 type Plan struct {
 	snap        *Snapshot
 	src         string
 	shape       string
 	fingerprint string // obs.Fingerprint(shape), fixed at compile
-	q           *ast.Query
-	// tab is the symbol base for per-execution overlays: the snapshot's
-	// frozen table, or a frozen private clone when the query text interned
-	// symbols the snapshot does not know.
-	tab    *symbols.Table
-	ground bool
-	flat   bool // every ground step is stepTrue/stepFalse/stepFlat
-	steps  []groundStep
+	ground      bool
+	flat        bool // every step is stepTrue/stepFalse/stepFlat
+	steps       []groundStep
+
+	// An open plan's query, and the symbol base of its answer
+	// specification: the snapshot's frozen table, or a frozen private clone
+	// when the query text interned symbols the snapshot does not know.
+	q   *ast.Query
+	tab *symbols.Table
 
 	// Equational lowering, compiled on first equational execution.
 	eqOnce  sync.Once
@@ -90,7 +96,7 @@ type Plan struct {
 	eqView  *term.Universe // read-only after eqOnce; holds the query terms
 
 	// The answer specification of an open query, computed by the first
-	// execution that needs it (answerSpec); a ground plan never has one.
+	// execution that needs it (answerSpec).
 	spec atomic.Pointer[specBuild]
 }
 
@@ -119,17 +125,17 @@ type planEntry struct {
 }
 
 // planCacheCap bounds the entries of each cache map and planCacheBytes the
-// bytes the cache retains: a plan keeps its text, shape, AST and symbol
-// string alive, some 70 bytes per application, so a few thousand deep plans
-// are tens of megabytes however few entries they are. The cache lives and
+// bytes the cache retains: a ground plan keeps four bytes per application,
+// an open one its AST, some 40 bytes per application, so a few thousand deep
+// plans are megabytes however few entries they are. The cache lives and
 // dies with its Snapshot, so eviction is a rare safety valve, not a
 // steady-state path: when either bound would be passed, both maps are
 // simply flushed. entryOverhead is the fixed cost charged per cached text:
-// map slot, entry and string headers.
+// its slot in the texts map, its entry, and a shape's slot in the shapes map.
 const (
 	planCacheCap   = 4096
 	planCacheBytes = 16 << 20
-	entryOverhead  = 128
+	entryOverhead  = 160
 )
 
 // planCache is the per-snapshot two-level plan cache: an exact-text map for
@@ -167,21 +173,51 @@ func (pc *planCache) admit(cost int) {
 	pc.bytes += cost
 }
 
-// planBytes estimates what a compiled plan for q retains beyond its text:
-// the shape string, the AST and the lowered symbol strings.
+// What a compiled plan retains besides its text and shape: the Plan and
+// its fingerprint; a step per ground atom; an open plan's query, one Atom
+// per atom and one FTerm per functional atom.
+const (
+	planOverhead = 208
+	stepBytes    = 48
+	atomBytes    = 40
+	ftermBytes   = 32
+)
+
+// planBytes estimates what a compiled plan for q retains beyond its text: a
+// ground plan's shape and steps, whose symbol strings take four bytes per
+// application; an open plan's shape and AST.
 func planBytes(shape string, q *ast.Query) int {
-	n := len(shape)
+	n := planOverhead + len(shape)
+	if groundQuery(q) {
+		for i := range q.Atoms {
+			n += stepBytes
+			if ft := q.Atoms[i].FT; ft != nil {
+				n += 4 * len(ft.Apps)
+			}
+		}
+		return n
+	}
+	n += 48 + 4*len(q.Free)
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
-		n += 64 + 8*len(a.Args)
+		n += atomBytes + 8*len(a.Args)
 		if a.FT != nil {
-			n += 36 * len(a.FT.Apps) // one FApp and one flat symbol index each
+			n += ftermBytes + 32*len(a.FT.Apps)
 			for _, app := range a.FT.Apps {
 				n += 8 * len(app.Args)
 			}
 		}
 	}
 	return n
+}
+
+func groundQuery(q *ast.Query) bool {
+	for i := range q.Atoms {
+		if !q.Atoms[i].IsGround() {
+			return false
+		}
+	}
+	return true
 }
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
@@ -205,7 +241,7 @@ func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	pc := &s.plans
 	_, psp := obs.StartSpan(ctx, "parse")
-	ec := s.getEval(s.tab)
+	ec := s.getEval()
 	defer s.putEval(ec)
 	q, err := parser.ParseQueryTab(ec.tab, src)
 	psp.End()
@@ -252,64 +288,123 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, q *ast.Query) (*Plan, error) {
 	_, csp := obs.StartSpan(ctx, "plan_compile")
 	defer csp.End()
-	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), q: q, ground: true}
-	for i := range q.Atoms {
-		if !q.Atoms[i].IsGround() {
-			p.ground = false
-			break
-		}
-	}
-	if ec.tab.HasLocal() {
-		// The query interned novel symbols: give the plan a private table
-		// so the AST's identifiers stay resolvable at execution time.
-		p.tab = ec.tab.Clone().Freeze()
-	} else {
-		p.tab = s.tab
-	}
+	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: groundQuery(q)}
 	if !p.ground {
+		p.q, p.tab = q, s.tab
+		if ec.tab.HasLocal() {
+			// The query interned novel symbols: give the plan a private table
+			// so the AST's identifiers stay resolvable at execution time.
+			p.tab = ec.tab.Clone().Freeze()
+		}
 		return p, nil
 	}
-	fd := s.spec.Flat()
+	lw := lowering{fd: s.spec.Flat(), tab: ec.tab}
+	p.steps = make([]groundStep, len(q.Atoms))
 	p.flat = true
 	for i := range q.Atoms {
-		a := &q.Atoms[i]
-		args := constArgs(a)
-		if a.FT == nil {
-			// Data atom: the frozen global set is immutable, so the verdict
-			// is a compile-time constant.
-			if s.spec.HasData(ec.w, a.Pred, args) {
-				p.steps = append(p.steps, groundStep{kind: stepTrue})
-			} else {
-				p.steps = append(p.steps, groundStep{kind: stepFalse})
-			}
-			continue
-		}
-		if !s.spec.OriginalPred(a.Pred) {
-			// The flat tables observe original predicates only (the
-			// minimized quotient does not preserve helper facts).
-			p.steps = append(p.steps, groundStep{kind: stepSlow, idx: i})
-			p.flat = false
-			continue
-		}
-		fns := pureSymbols(ec.tab, a.FT)
-		syms := make([]int32, len(fns))
-		for j, fn := range fns {
-			si, ok := fd.SymIndex(fn)
-			if !ok {
-				return nil, fmt.Errorf("specgraph: symbol %v is not in the specification's alphabet", fn)
-			}
-			syms[j] = si
-		}
-		atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
-		if int(atom) >= s.w.NumAtoms() {
-			// Novel tuple: absent from every frozen state, forever false
-			// in this snapshot.
-			p.steps = append(p.steps, groundStep{kind: stepFalse})
-			continue
-		}
-		p.steps = append(p.steps, groundStep{kind: stepFlat, syms: syms, atom: atom})
+		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
+		p.flat = p.flat && p.steps[i].kind != stepSlow
 	}
 	return p, nil
+}
+
+// lower compiles one ground atom. Under range restriction the least
+// fixpoint holds no atom over a term with a symbol outside the alphabet, nor
+// one with a predicate or tuple the snapshot has never seen, so each of
+// those is a compile-time false, whichever method executes the plan.
+func (s *Snapshot) lower(ec *evalCtx, lw *lowering, a *ast.Atom) groundStep {
+	args := constArgs(a)
+	if a.FT == nil {
+		// Data atom: the frozen global set is immutable, so the verdict is a
+		// compile-time constant.
+		if s.spec.HasData(ec.w, a.Pred, args) {
+			return groundStep{kind: stepTrue}
+		}
+		return groundStep{kind: stepFalse}
+	}
+	syms := make([]int32, len(a.FT.Apps))
+	for i, app := range a.FT.Apps {
+		var ok bool
+		if syms[i], ok = lw.index(app); !ok {
+			return groundStep{kind: stepFalse}
+		}
+	}
+	atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
+	if int(atom) >= s.w.NumAtoms() {
+		return groundStep{kind: stepFalse}
+	}
+	if !s.spec.OriginalPred(a.Pred) {
+		// The flat tables observe original predicates only (the minimized
+		// quotient does not preserve helper facts).
+		return groundStep{kind: stepSlow, syms: syms, atom: atom}
+	}
+	return groundStep{kind: stepFlat, syms: syms, atom: atom}
+}
+
+// mixedMemoSize is the number of slots of a compile's mixed-application
+// memo: a deep term repeats a handful of applications for hundreds of
+// layers, and a miss costs what every layer used to.
+const mixedMemoSize = 64
+
+// lowering resolves the applications of one compile's ground terms to flat
+// symbol indices. A pure symbol is one array read; a mixed application
+// g(·, a, b) stands for the pure symbol g'a'b that rewrite.EliminateMixed
+// derived when the program was compiled, found by name once per distinct
+// application and compile.
+type lowering struct {
+	fd   *specgraph.FlatDFA
+	tab  *symbols.Table
+	name []byte
+	memo [mixedMemoSize]mixedEntry
+}
+
+type mixedEntry struct {
+	fn   symbols.FuncID
+	args []ast.DTerm
+	idx  int32 // -1: the derived symbol is not in the alphabet
+	used bool
+}
+
+// mixedKey is what tells two mixed applications apart: the function symbol
+// and its constants.
+var mixedKey = func(app ast.FApp) (symbols.FuncID, []ast.DTerm) { return app.Fn, app.Args }
+
+// index returns the flat index of an application's symbol; ok is false when
+// the alphabet does not have it.
+func (lw *lowering) index(app ast.FApp) (int32, bool) {
+	if len(app.Args) == 0 {
+		return lw.fd.SymIndex(app.Fn)
+	}
+	fn, args := mixedKey(app)
+	h := (uint64(fn) + 1) * 0x9e3779b97f4a7c15
+	for _, d := range args {
+		h = (h + uint64(uint32(d.Const)) + 1) * 0x9e3779b97f4a7c15
+	}
+	// Up to four slots from the key's own, so two applications a term
+	// alternates between do not evict each other.
+	home := int(h >> 58)
+	e := &lw.memo[home]
+	for k := 0; k < 4; k++ {
+		c := &lw.memo[(home+k)%mixedMemoSize]
+		if !c.used {
+			e = c
+			break
+		}
+		if c.fn == fn && slices.Equal(c.args, args) {
+			return c.idx, c.idx >= 0
+		}
+	}
+	*e = mixedEntry{fn: fn, args: args, idx: -1, used: true}
+	// The lookup does not retain its key, so string(name) stays off the
+	// heap, and a derived symbol the program never produced is not interned:
+	// it is outside the alphabet either way.
+	lw.name = rewrite.PureName(lw.name[:0], lw.tab, app)
+	if d, ok := lw.tab.LookupFunc(string(lw.name), 0); ok {
+		if i, ok := lw.fd.SymIndex(d); ok {
+			e.idx = i
+		}
+	}
+	return e.idx, e.idx >= 0
 }
 
 // Ask executes the plan as a yes-no query: ground plans decide membership
@@ -366,11 +461,11 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 	return ok, wrapCanceled(err)
 }
 
-// askGroundSlow decides a ground query with helper-predicate atoms, with a
-// pooled scratch arena for the per-execution interning.
+// askGroundSlow decides a ground query with helper-predicate atoms, which
+// it walks over the representatives' table and reads in their full states,
+// noticing cancellation between atoms.
 func (p *Plan) askGroundSlow(ctx context.Context) (bool, error) {
-	ec := p.snap.getEval(p.tab)
-	defer p.snap.putEval(ec)
+	spec := p.snap.spec
 	gctx, gsp := obs.StartSpan(ctx, "ground_eval")
 	defer gsp.End()
 	for i := range p.steps {
@@ -383,15 +478,14 @@ func (p *Plan) askGroundSlow(ctx context.Context) (bool, error) {
 		case stepFalse:
 			return false, nil
 		case stepFlat:
-			fd := p.snap.spec.Flat()
+			fd := spec.Flat()
 			if !fd.StateHas(fd.Walk(st.syms), st.atom) {
 				return false, nil
 			}
 		case stepSlow:
-			ok, err := p.snap.hasGroundAtom(gctx, ec, &p.q.Atoms[st.idx])
-			if err != nil {
-				return false, err
-			}
+			_, sp := obs.StartSpan(gctx, "dfa_walk")
+			ok := p.snap.w.StateContains(spec.State[spec.WalkIndex(st.syms)], st.atom)
+			sp.End()
 			if !ok {
 				return false, nil
 			}
@@ -400,33 +494,30 @@ func (p *Plan) askGroundSlow(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// compileEq lowers the ground atoms for the equational method. The private
-// term scratch (eqView) is retained by the plan and only ever read after
+// compileEq lowers the ground steps for the equational method: a symbol
+// string back to its function symbols through the alphabet, applied to 0 in
+// a private term scratch (eqView), and an atom to the representatives whose
+// state carries it. eqView is retained by the plan and only ever read after
 // this returns, so concurrent equational executions share it safely.
 func (p *Plan) compileEq() {
 	s := p.snap
-	ec := &evalCtx{
-		snap: s,
-		tab:  symbols.NewTableOver(p.tab),
-		u:    term.NewUniverseOver(s.u),
-		w:    facts.NewWorldOver(s.w),
-	}
+	u := term.NewUniverseOver(s.u)
 	_, cand := s.canonical()
-	for i := range p.q.Atoms {
-		a := &p.q.Atoms[i]
-		args := constArgs(a)
-		if a.FT == nil {
-			p.eqSteps = append(p.eqSteps, eqStep{
-				t:      term.None,
-				dataOK: s.spec.HasData(ec.w, a.Pred, args),
-			})
+	p.eqSteps = make([]eqStep, len(p.steps))
+	var fns []symbols.FuncID
+	for i := range p.steps {
+		st := &p.steps[i]
+		if st.kind == stepTrue || st.kind == stepFalse {
+			p.eqSteps[i] = eqStep{t: term.None, dataOK: st.kind == stepTrue}
 			continue
 		}
-		t := ec.u.ApplyString(term.Zero, pureSymbols(ec.tab, a.FT)...)
-		atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
-		p.eqSteps = append(p.eqSteps, eqStep{t: t, cands: cand[atom]})
+		fns = fns[:0]
+		for _, si := range st.syms {
+			fns = append(fns, s.spec.Alphabet[si])
+		}
+		p.eqSteps[i] = eqStep{t: u.ApplyString(term.Zero, fns...), cands: cand[st.atom]}
 	}
-	p.eqView = ec.u
+	p.eqView = u
 }
 
 // askEquational decides a ground query by congruence closure against the
@@ -542,19 +633,41 @@ func ownFault(err error) bool {
 		errors.Is(err, obs.ErrBudgetExceeded)
 }
 
+// query returns the plan's query and the table naming it. A ground plan
+// keeps neither, only its symbol strings, so its text is parsed again for
+// the rare caller that wants its answer specification.
+func (p *Plan) query() (*ast.Query, *symbols.Table, error) {
+	if p.q != nil {
+		return p.q, p.tab, nil
+	}
+	tab := symbols.NewTableOver(p.snap.tab)
+	q, err := parser.ParseQueryTab(tab, p.src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !tab.HasLocal() {
+		return q, p.snap.tab, nil
+	}
+	return q, tab.Clone().Freeze(), nil
+}
+
 // buildSpec computes the answer specification from scratch: Theorem 5.1's
 // per-slice evaluation over the snapshot's own successor table for a
 // uniform query, the enlarged program's specification for any other.
 func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
 	s := p.snap
-	if query.IsUniform(p.q) {
+	q, tab, err := p.query()
+	if err != nil {
+		return nil, err
+	}
+	if query.IsUniform(q) {
 		ictx, sp := obs.StartSpan(ctx, "answers_incremental")
 		defer sp.End()
-		return query.Evaluate(ictx, frozenBackend{s, p.tab}, p.q)
+		return query.Evaluate(ictx, frozenBackend{s, tab}, q)
 	}
 	// The enlarged program gets a private symbol table (the plan's own
 	// identifiers stay valid in the clone) and shares the snapshot's rules
 	// and facts, which the pipeline only reads.
-	prog := &ast.Program{Tab: p.tab.Clone(), Facts: s.facts, Rules: s.rules}
-	return query.Compile(ctx, prog, p.tab, p.q, s.engOpts, s.specOpts)
+	prog := &ast.Program{Tab: tab.Clone(), Facts: s.facts, Rules: s.rules}
+	return query.Compile(ctx, prog, tab, q, s.engOpts, s.specOpts)
 }

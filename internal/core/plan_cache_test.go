@@ -69,8 +69,9 @@ func TestPrepareMissLinear(t *testing.T) {
 			t.Errorf("%s: Prepare miss is superlinear in term depth: %.0f → %.0f allocs, %.0f → %.0f bytes (limit 2.5×)",
 				f.name, a1, a2, b1, b2)
 		}
-		// A generous absolute ceiling too: a few hundred bytes per application.
-		if perApp := b2 / 2048; perApp > 1024 {
+		// An absolute ceiling too: what the heaviest family, rob, allocated
+		// per application when it was set (162 B), plus 20 %.
+		if perApp := b2 / 2048; perApp > 195 {
 			t.Errorf("%s: %.0f bytes allocated per application at depth 2048", f.name, perApp)
 		}
 	}
@@ -82,7 +83,8 @@ func (pc *planCache) retained() int {
 	for src, e := range pc.texts {
 		n += entryOverhead + len(src)
 		if e.plan != nil {
-			n += planBytes(e.plan.shape, e.plan.q)
+			q, _, _ := e.plan.query()
+			n += planBytes(e.plan.shape, q)
 		}
 	}
 	return n
@@ -132,6 +134,57 @@ func TestPlanCacheByteBudget(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if freed := int64(m0.HeapAlloc) - int64(m1.HeapAlloc); freed > 2*int64(last) {
 		t.Errorf("flushing a cache accounted at %d bytes freed %d", last, freed)
+	}
+}
+
+// TestPlanChargeMatchesHeap: the byte budget is the only bound on the plan
+// cache's memory, so what it charges must be what the heap holds. Per deep
+// family, 500 ground plans and then 500 open ones (the same terms over a
+// variable) are cached into a fresh snapshot, and the live heap must have
+// grown by 0.75–1.5× of their summed charges.
+func TestPlanChargeMatchesHeap(t *testing.T) {
+	ctx := context.Background()
+	for _, f := range deepFamilies {
+		for _, open := range []bool{false, true} {
+			text := func(i int) string {
+				q := datagen.DeepQuery(f.name, f.n, 192+i%128, int64(i))
+				switch {
+				case !open:
+				case f.name == "cal":
+					q = strings.Replace(q, "Meets(", "Meets(T+", 1)
+				default:
+					q = strings.Replace(q, "(0,", "(S,", 1)
+				}
+				return q
+			}
+			s := deepSnapshot(t, f.src)
+			if _, err := s.Prepare(ctx, text(-1)); err != nil { // the pools and first uses
+				t.Fatal(err)
+			}
+			// Two collections empty the pools, so neither reading counts
+			// what they happen to hold.
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			charged := s.plans.bytes
+			for i := 0; i < 500; i++ {
+				if p, err := s.Prepare(ctx, text(i)); err != nil || p.Ground() == open {
+					t.Fatalf("%s: %q: ground %v, %v", f.name, text(i), p != nil && p.Ground(), err)
+				}
+			}
+			charged = s.plans.bytes - charged
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+			ratio := float64(grew) / float64(charged)
+			t.Logf("%s, open %v: heap grew %d B, plans charged %d B: %.2f×", f.name, open, grew, charged, ratio)
+			if ratio < 0.75 || ratio > 1.5 {
+				t.Errorf("%s, open %v: the heap grew %.2f× what the plans were charged", f.name, open, ratio)
+			}
+			runtime.KeepAlive(s)
+		}
 	}
 }
 

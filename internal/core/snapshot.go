@@ -12,7 +12,6 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
-	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
@@ -114,9 +113,12 @@ func (s *Snapshot) canonical() (*congruence.Frozen, map[facts.AtomID][]term.Term
 			slv.Assert(m.Rep, m.Potential)
 		}
 		s.canonEq = slv.Freeze()
+		// Every atom of a representative's state is a candidate, those of
+		// normalization's helper predicates too: a ground plan decides
+		// them, and congruent terms have equal states.
 		s.canonCand = make(map[facts.AtomID][]term.Term)
 		for i, rep := range s.spec.Reps {
-			for _, a := range s.spec.Slice(s.w, i) {
+			for _, a := range s.w.StateAtoms(s.spec.State[i]) {
 				s.canonCand[a] = append(s.canonCand[a], rep)
 			}
 		}
@@ -124,37 +126,29 @@ func (s *Snapshot) canonical() (*congruence.Frozen, map[facts.AtomID][]term.Term
 	return s.canonEq, s.canonCand
 }
 
-// evalCtx bundles one query's scratch overlays over the snapshot. It is
-// single-goroutine; executions acquire one from the snapshot's pool and
-// return it when no produced value retains the overlays.
+// evalCtx bundles one query's scratch overlays over the snapshot: the
+// symbols its text brings and the tuples and atoms its ground atoms name. It
+// is single-goroutine; a prepare acquires one from the snapshot's pool and
+// returns it when no produced value retains the overlays.
 type evalCtx struct {
-	snap *Snapshot
-	tab  *symbols.Table
-	u    *term.Universe
-	w    *facts.World
+	tab *symbols.Table
+	w   *facts.World
 }
 
-// getEval acquires a pooled scratch arena reset over the given symbol base
-// (the snapshot's frozen table, or a plan's frozen private clone).
-func (s *Snapshot) getEval(base *symbols.Table) *evalCtx {
+// getEval acquires a pooled scratch arena reset over the snapshot.
+func (s *Snapshot) getEval() *evalCtx {
 	if v := s.evalPool.Get(); v != nil {
 		ec := v.(*evalCtx)
-		ec.tab.Reset(base)
-		ec.u.Reset(s.u)
+		ec.tab.Reset(s.tab)
 		ec.w.Reset(s.w)
 		obs.EngineSink().AddArenaReuses(1)
 		return ec
 	}
-	return &evalCtx{
-		snap: s,
-		tab:  symbols.NewTableOver(base),
-		u:    term.NewUniverseOver(s.u),
-		w:    facts.NewWorldOver(s.w),
-	}
+	return &evalCtx{tab: symbols.NewTableOver(s.tab), w: facts.NewWorldOver(s.w)}
 }
 
 // putEval returns an arena to the pool. Never call it when the execution's
-// result (a parsed AST, a plan's equational view) retains the overlays.
+// result (a parsed AST) retains the overlays.
 func (s *Snapshot) putEval(ec *evalCtx) { s.evalPool.Put(ec) }
 
 // getCongruence acquires a pooled congruence scratch.
@@ -193,7 +187,7 @@ func (b frozenBackend) GlobalByPred(p symbols.PredID) []facts.AtomID {
 // reuse, so the returned AST must be treated as read-only text analysis
 // (Prepare is the way to get an executable form).
 func (s *Snapshot) ParseQuery(src string) (*ast.Query, error) {
-	ec := s.getEval(s.tab)
+	ec := s.getEval()
 	q, err := parser.ParseQueryTab(ec.tab, src)
 	if err != nil {
 		s.putEval(ec)
@@ -236,20 +230,6 @@ func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*qu
 	return ans, nil
 }
 
-// hasGroundAtom decides one ground atom, helper predicates included, on the
-// representatives' full states (Frozen.Has).
-func (s *Snapshot) hasGroundAtom(ctx context.Context, ec *evalCtx, a *ast.Atom) (bool, error) {
-	args := constArgs(a)
-	if a.FT == nil {
-		return s.spec.HasData(ec.w, a.Pred, args), nil
-	}
-	t := ec.u.ApplyString(term.Zero, pureSymbols(ec.tab, a.FT)...)
-	_, sp := obs.StartSpan(ctx, "dfa_walk")
-	ok, err := s.spec.Has(ec.u, ec.w, a.Pred, t, args)
-	sp.End()
-	return ok, err
-}
-
 // constArgs returns the data arguments of a ground atom.
 func constArgs(a *ast.Atom) []symbols.ConstID {
 	args := make([]symbols.ConstID, len(a.Args))
@@ -257,33 +237,6 @@ func constArgs(a *ast.Atom) []symbols.ConstID {
 		args[i] = d.Const
 	}
 	return args
-}
-
-// pureSymbols returns the function symbols of a ground functional term,
-// innermost first, with every mixed application g(·, a, b) resolved to the
-// pure symbol g'a'b that rewrite.EliminateMixed derived when the program was
-// compiled — looked up by name, one step per application, where running the
-// elimination on the atom would clone the symbol table first. A derived
-// symbol the program never produced is interned into the overlay; the walk
-// then finds it outside the specification's alphabet.
-func pureSymbols(tab *symbols.Table, ft *ast.FTerm) []symbols.FuncID {
-	fns := make([]symbols.FuncID, len(ft.Apps))
-	var name []byte
-	for i, app := range ft.Apps {
-		fns[i] = app.Fn
-		if len(app.Args) == 0 {
-			continue
-		}
-		name = rewrite.PureName(name[:0], tab, app)
-		// The lookup does not retain its key, so string(name) stays off the
-		// heap; only a novel symbol pays for a string to intern.
-		fn, ok := tab.LookupFunc(string(name), 0)
-		if !ok {
-			fn = tab.Func(string(name), 0)
-		}
-		fns[i] = fn
-	}
-	return fns
 }
 
 // ForEach runs f(0), …, f(n-1) on a bounded worker pool (workers <= 0 picks

@@ -41,21 +41,28 @@ type Explanation struct {
 	Args []symbols.ConstID
 	// Steps is the Link walk, innermost symbol first.
 	Steps []Step
-	// Representative is the walk's endpoint.
+	// Representative is the walk's endpoint; term.None when it stopped at
+	// Outside.
 	Representative term.Term
 	// Holds is the verdict: the atom is (not) in the representative's
 	// slice.
 	Holds bool
+	// Outside is the first symbol of Term outside the specification's
+	// alphabet, where the walk stopped, or symbols.NoFunc. Under range
+	// restriction no atom over such a term is in the least fixpoint.
+	Outside symbols.FuncID
 }
 
-// Membership runs the Link rules on t and records every step.
+// Membership runs the Link rules on t and records every step, up to a
+// symbol outside the alphabet, if t has one.
 func Membership(sp *specgraph.Spec, pred symbols.PredID, t term.Term, args []symbols.ConstID) (*Explanation, error) {
-	ex := &Explanation{Spec: sp, Pred: pred, Term: t, Args: args}
+	ex := &Explanation{Spec: sp, Pred: pred, Term: t, Args: args, Outside: symbols.NoFunc}
 	cur := specgraph.Root
 	for _, f := range sp.U.Symbols(t) {
 		next, ok := sp.Step(cur, f)
 		if !ok {
-			return nil, fmt.Errorf("explain: symbol %v not in the specification's alphabet", f)
+			ex.Outside, ex.Representative = f, term.None
+			return ex, nil
 		}
 		extension := sp.U.Apply(f, sp.Reps[cur])
 		ex.Steps = append(ex.Steps, Step{
@@ -120,6 +127,11 @@ func (ex *Explanation) String() string {
 				u.CompactString(s.To, tab), u.CompactString(s.Extension, tab))
 		}
 		b.WriteByte('\n')
+	}
+	if ex.Outside != symbols.NoFunc {
+		fmt.Fprintf(&b, "  step %d: %s is not in the specification's alphabet\n", len(ex.Steps)+1, tab.FuncName(ex.Outside))
+		b.WriteString("  no atom over the term is in the least fixpoint  ⇒  false\n")
+		return b.String()
 	}
 	fmt.Fprintf(&b, "  representative: %s\n", u.CompactString(ex.Representative, tab))
 	if ex.Holds {

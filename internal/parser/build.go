@@ -3,6 +3,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"funcdb/internal/ast"
@@ -23,16 +24,16 @@ func Parse(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := p.parseProgram()
-	if err != nil {
+	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
 	prog := ast.NewProgram()
-	b := &builder{prog: prog, tab: prog.Tab, predState: make(map[predKey]int), varState: make(map[string]int)}
-	if err := b.infer(raw); err != nil {
+	b := newBuilder(p, prog.Tab)
+	b.prog = prog
+	if err := b.infer(); err != nil {
 		return nil, err
 	}
-	return b.build(raw)
+	return b.build()
 }
 
 // MustParse is Parse for tests and examples with known-good sources.
@@ -59,18 +60,17 @@ func ParseQueryTab(tab *symbols.Table, src string) (*ast.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := p.parseProgram()
-	if err != nil {
+	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
-	if len(raw.queries) != 1 || len(raw.clauses) != 0 || len(raw.directives) != 0 {
+	if len(p.queries) != 1 || len(p.clauses) != 0 || len(p.directives) != 0 {
 		return nil, fmt.Errorf("expected exactly one query")
 	}
-	b := &builder{tab: tab, predState: make(map[predKey]int), varState: make(map[string]int)}
-	if err := b.infer(raw); err != nil {
+	b := newBuilder(p, tab)
+	if err := b.infer(); err != nil {
 		return nil, err
 	}
-	return b.query(&raw.queries[0])
+	return b.query(&p.queries[0])
 }
 
 // ErrNotFacts is ParseFactsTab's error for a text that holds a rule or a
@@ -88,25 +88,24 @@ func ParseFactsTab(tab *symbols.Table, src string) ([]ast.Atom, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := p.parseProgram()
-	if err != nil {
+	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
-	if len(raw.queries) != 0 {
+	if len(p.queries) != 0 {
 		return nil, ErrNotFacts
 	}
-	for i := range raw.clauses {
-		if raw.clauses[i].isRule {
+	for i := range p.clauses {
+		if p.clauses[i].isRule {
 			return nil, ErrNotFacts
 		}
 	}
-	b := &builder{tab: tab, predState: make(map[predKey]int), varState: make(map[string]int)}
-	if err := b.infer(raw); err != nil {
+	b := newBuilder(p, tab)
+	if err := b.infer(); err != nil {
 		return nil, err
 	}
-	out := make([]ast.Atom, 0, len(raw.clauses))
-	for i := range raw.clauses {
-		a, err := b.fact(&raw.clauses[i])
+	out := make([]ast.Atom, 0, len(p.clauses))
+	for i := range p.clauses {
+		a, err := b.fact(&p.clauses[i])
 		if err != nil {
 			return nil, err
 		}
@@ -122,6 +121,7 @@ const (
 )
 
 type builder struct {
+	p *parser // the raw tree and the source
 	// prog is the program being built; nil for a standalone query, whose
 	// predicates then resolve against tab.
 	prog *ast.Program
@@ -131,6 +131,63 @@ type builder struct {
 	tab       *symbols.Table
 	predState map[predKey]int
 	varState  map[string]int
+
+	// The function symbols and constants the builder resolved last: a deep
+	// term repeats a functor or two and a handful of constants for hundreds
+	// of layers.
+	funcs  symCache
+	consts symCache
+	succ   symbols.FuncID // NoFunc until a numeral or +n needs it
+}
+
+// symCache remembers one resolved symbol per slot. The slot is picked by
+// the name's length, its last byte and the arity, which tell apart the
+// names a deep term repeats (e0 … e5, p0 … p8) without hashing them.
+type symCache [16]cachedSym
+
+type cachedSym struct {
+	name  string // a substring of the source; "" in an empty slot
+	arity int
+	id    int32
+}
+
+// lookup returns the slot for (name, arity) and whether it holds its id;
+// on a miss the slot is the caller's to fill.
+func (c *symCache) lookup(name string, arity int) (slot *cachedSym, hit bool) {
+	slot = &c[(len(name)*7+int(name[len(name)-1])+arity)&(len(c)-1)]
+	return slot, slot.name == name && slot.arity == arity
+}
+
+func newBuilder(p *parser, tab *symbols.Table) *builder {
+	return &builder{p: p, tab: tab, predState: make(map[predKey]int), varState: make(map[string]int), succ: symbols.NoFunc}
+}
+
+// fn interns the function symbol named at src[off:].
+func (b *builder) fn(off int, n int32, arity int) symbols.FuncID {
+	name := b.p.name(off, n)
+	s, hit := b.funcs.lookup(name, arity)
+	if !hit {
+		s.name, s.arity, s.id = name, arity, int32(b.tab.Func(name, arity))
+	}
+	return symbols.FuncID(s.id)
+}
+
+// constant interns the constant named at src[off:].
+func (b *builder) constant(off int, n int32) symbols.ConstID {
+	name := b.p.name(off, n)
+	s, hit := b.consts.lookup(name, 0)
+	if !hit {
+		s.name, s.arity, s.id = name, 0, int32(b.tab.Const(name))
+	}
+	return symbols.ConstID(s.id)
+}
+
+// succFn interns succ once per parse.
+func (b *builder) succFn() symbols.FuncID {
+	if b.succ == symbols.NoFunc {
+		b.succ = b.tab.Func(term.SuccName, 0)
+	}
+	return b.succ
 }
 
 // predKey names a predicate the way the source does: by its total argument
@@ -142,7 +199,7 @@ type predKey struct {
 
 func (k predKey) String() string { return k.name + "/" + strconv.Itoa(k.total) }
 
-func atomKey(a *rawAtom) predKey { return predKey{a.name, len(a.args)} }
+func (b *builder) atomKey(a *rawAtom) predKey { return predKey{b.p.name(a.off, a.n), int(a.nargs)} }
 
 // pred returns what is known of a predicate's functionality. A standalone
 // query takes it from the table on first mention (the later-interned
@@ -163,16 +220,7 @@ func (b *builder) pred(key predKey) int {
 	return s
 }
 
-// posn is where an inference or build error is reported: "line:col", or
-// "line N" for a directive. It is formatted only when an error is.
-type posn struct{ line, col int }
-
-func (p posn) String() string {
-	if p.col == 0 {
-		return "line " + strconv.Itoa(p.line)
-	}
-	return strconv.Itoa(p.line) + ":" + strconv.Itoa(p.col)
-}
+func (b *builder) at(off int) posn { return posn{src: b.p.src, off: off} }
 
 func (b *builder) setPred(key predKey, s int, at posn) error {
 	if cur := b.pred(key); cur != stateUnknown && cur != s {
@@ -194,7 +242,7 @@ func (b *builder) setVar(name string, s int, at posn) error {
 // termForcesFunctional reports whether a first-argument term syntactically
 // forces its predicate to be functional.
 func termForcesFunctional(t *rawTerm) bool {
-	return len(t.apps) > 0 || t.plus > 0
+	return t.lo < t.hi || t.plus > 0
 }
 
 // markDataVars records the roles of variables whose position alone decides
@@ -206,19 +254,22 @@ func termForcesFunctional(t *rawTerm) bool {
 func (b *builder) markDataVars(t *rawTerm, functionalPos, insideApp bool, at posn) error {
 	if t.kind == rVar {
 		if !functionalPos {
-			if err := b.setVar(t.name, stateData, at); err != nil {
+			if err := b.setVar(b.p.name(t.off, t.n), stateData, at); err != nil {
 				return err
 			}
-		} else if t.plus > 0 || insideApp || len(t.apps) > 0 {
-			if err := b.setVar(t.name, stateFunctional, at); err != nil {
+		} else if t.plus > 0 || insideApp || t.lo < t.hi {
+			if err := b.setVar(b.p.name(t.off, t.n), stateFunctional, at); err != nil {
 				return err
 			}
 		}
 	}
-	for i := range t.apps {
-		for j := range t.apps[i].args {
-			if err := b.markDataVars(&t.apps[i].args[j], false, true, at); err != nil {
-				return err
+	terms := b.p.terms
+	for i := t.hi - 1; i >= t.lo; i-- {
+		for j := b.p.apps[i].args; j >= 0; j = terms[j].next {
+			if a := &terms[j]; a.kind == rVar || a.lo < a.hi {
+				if err := b.markDataVars(a, false, true, at); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -228,44 +279,48 @@ func (b *builder) markDataVars(t *rawTerm, functionalPos, insideApp bool, at pos
 // infer resolves which predicates carry a functional first argument:
 // directives first, then syntactic forcing, then propagation through shared
 // variables to a fixpoint; anything still unknown is non-functional.
-func (b *builder) infer(raw *rawProgram) error {
-	for _, d := range raw.directives {
+func (b *builder) infer() error {
+	p := b.p
+	for _, d := range p.directives {
 		key := predKey{d.pred, d.arity}
 		s := stateData
 		if d.kind == "functional" {
 			if d.arity == 0 {
-				return fmt.Errorf("line %d: @functional %s: a functional predicate needs at least one argument", d.line, key)
+				return fmt.Errorf("%s: @functional %s: a functional predicate needs at least one argument", posn{p.src, d.off, true}, key)
 			}
 			s = stateFunctional
 		}
-		if err := b.setPred(key, s, posn{line: d.line}); err != nil {
+		if err := b.setPred(key, s, posn{p.src, d.off, true}); err != nil {
 			return err
 		}
 	}
 
-	all := make([]*rawAtom, 0, 16)
+	// Every atom, clauses before queries, a head before its body.
+	all := p.order[:0]
 	collect := func(cl *rawClause) {
-		if cl.head != nil {
+		if cl.head >= 0 {
 			all = append(all, cl.head)
 		}
-		for i := range cl.body {
-			all = append(all, &cl.body[i])
+		for i := cl.lo; i < cl.hi; i++ {
+			all = append(all, i)
 		}
 	}
-	for i := range raw.clauses {
-		collect(&raw.clauses[i])
+	for i := range p.clauses {
+		collect(&p.clauses[i])
 	}
-	for i := range raw.queries {
-		collect(&raw.queries[i])
+	for i := range p.queries {
+		collect(&p.queries[i])
 	}
+	p.order = all
 
 	// Syntactic forcing and unconditional variable roles.
-	for _, a := range all {
-		at := posn{a.line, a.col}
-		for i := range a.args {
-			t := &a.args[i]
+	for _, ai := range all {
+		a := &p.atoms[ai]
+		at := b.at(a.off)
+		for i, j := 0, a.args; j >= 0; i, j = i+1, p.terms[j].next {
+			t := &p.terms[j]
 			if i == 0 && termForcesFunctional(t) {
-				if err := b.setPred(atomKey(a), stateFunctional, at); err != nil {
+				if err := b.setPred(b.atomKey(a), stateFunctional, at); err != nil {
 					return err
 				}
 			}
@@ -278,12 +333,13 @@ func (b *builder) infer(raw *rawProgram) error {
 	// Propagate through shared first-argument variables to a fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, a := range all {
-			if len(a.args) == 0 {
+		for _, ai := range all {
+			a := &p.atoms[ai]
+			if a.nargs == 0 {
 				continue
 			}
-			key := atomKey(a)
-			t := &a.args[0]
+			key := b.atomKey(a)
+			t := &p.terms[a.args]
 			ps := b.pred(key)
 			if !t.bareVar() {
 				if t.plus > 0 && ps == stateUnknown {
@@ -292,39 +348,38 @@ func (b *builder) infer(raw *rawProgram) error {
 				}
 				continue
 			}
-			vs := b.varState[t.name]
+			name := b.p.name(t.off, t.n)
+			vs := b.varState[name]
 			switch {
 			case ps != stateUnknown && vs == stateUnknown:
-				b.varState[t.name] = ps
+				b.varState[name] = ps
 				changed = true
 			case vs != stateUnknown && ps == stateUnknown:
 				b.predState[key] = vs
 				changed = true
 			case ps != stateUnknown && vs != stateUnknown && ps != vs:
-				return fmt.Errorf("%s: variable %s conflicts with predicate %s on functionality", posn{a.line, a.col}, t.name, key)
+				return fmt.Errorf("%s: variable %s conflicts with predicate %s on functionality", b.at(a.off), name, key)
 			}
 		}
 	}
 	return nil
 }
 
-func (b *builder) predFunctional(a *rawAtom) bool { return b.pred(atomKey(a)) == stateFunctional }
+func (b *builder) predFunctional(a *rawAtom) bool { return b.pred(b.atomKey(a)) == stateFunctional }
 
 func (b *builder) dterm(t *rawTerm) (ast.DTerm, error) {
 	switch {
-	case t.outerPlus() > 0:
-		line, col := t.pos()
-		return ast.DTerm{}, fmt.Errorf("%d:%d: '+' is only allowed in functional positions", line, col)
-	case len(t.apps) > 0:
-		line, col := t.pos()
-		return ast.DTerm{}, fmt.Errorf("%d:%d: function application %s(...) is only allowed in functional positions",
-			line, col, t.apps[len(t.apps)-1].name)
+	case b.p.outerPlus(t) > 0:
+		return ast.DTerm{}, fmt.Errorf("%s: '+' is only allowed in functional positions", b.at(b.p.termPos(t)))
+	case t.lo < t.hi:
+		return ast.DTerm{}, fmt.Errorf("%s: function application %s(...) is only allowed in functional positions",
+			b.at(b.p.termPos(t)), b.p.name(b.p.apps[t.lo].off, b.p.apps[t.lo].n))
 	case t.kind == rVar:
-		return ast.V(b.tab.Var(t.name)), nil
+		return ast.V(b.tab.Var(b.p.name(t.off, t.n))), nil
 	case t.kind == rConst:
-		return ast.C(b.tab.Const(t.name)), nil
+		return ast.C(b.constant(t.off, t.n)), nil
 	}
-	return ast.C(b.tab.Const(strconv.Itoa(t.num))), nil
+	return ast.C(b.tab.Const(strconv.Itoa(int(b.p.number(t))))), nil
 }
 
 // buildFTerm is fterm; the differential test swaps in the recursive
@@ -336,24 +391,26 @@ var buildFTerm = (*builder).fterm
 // term by ast.FTerm.Apply per layer copied the whole chain at every layer.)
 // All non-functional arguments share one backing slice.
 func (b *builder) fterm(t *rawTerm) (*ast.FTerm, error) {
-	depth, nargs := t.plus+len(t.apps), 0
+	p := b.p
+	var num int32 // a numeral's value
 	if t.kind == rNum {
-		depth += t.num
+		num = p.number(t)
 	}
-	for i := range t.apps {
-		depth += t.apps[i].plus
-		nargs += len(t.apps[i].args)
+	depth, nargs := int(num)+int(t.plus)+int(t.hi-t.lo), 0
+	for i := t.lo; i < t.hi; i++ {
+		depth += int(p.apps[i].plus)
+		nargs += int(p.apps[i].nargs)
 	}
 	if depth > MaxTermDepth {
-		return nil, errTooDeep(t.pos())
+		return nil, p.errTooDeep(p.termPos(t))
 	}
 	out := &ast.FTerm{Base: symbols.NoVar}
 	if depth > 0 {
 		out.Apps = make([]ast.FApp, 0, depth)
 	}
-	succs := func(n int) {
+	succs := func(n int32) {
 		if n > 0 {
-			s := ast.FApp{Fn: b.tab.Func(term.SuccName, 0)}
+			s := ast.FApp{Fn: b.succFn()}
 			for ; n > 0; n-- {
 				out.Apps = append(out.Apps, s)
 			}
@@ -361,26 +418,30 @@ func (b *builder) fterm(t *rawTerm) (*ast.FTerm, error) {
 	}
 	switch t.kind {
 	case rNum:
-		b.tab.Func(term.SuccName, 0) // a literal interns succ even when it is 0
-		succs(t.num)
+		b.succFn() // a literal interns succ even when it is 0
+		succs(num)
 	case rVar:
-		out.Base = b.tab.Var(t.name)
+		out.Base = b.tab.Var(p.name(t.off, t.n))
 	case rConst:
-		return nil, fmt.Errorf("%d:%d: constant %s cannot appear in a functional position", t.line, t.col, t.name)
+		return nil, fmt.Errorf("%s: constant %s cannot appear in a functional position", b.at(t.off), p.name(t.off, t.n))
 	}
 	succs(t.plus)
 	dargs := make([]ast.DTerm, 0, nargs)
-	for i := range t.apps {
-		app := &t.apps[i]
+	for i := t.hi - 1; i >= t.lo; i-- {
+		app := &p.apps[i]
 		lo := len(dargs)
-		for j := range app.args {
-			d, err := b.dterm(&app.args[j])
+		for j := app.args; j >= 0; j = p.terms[j].next {
+			if t := &p.terms[j]; t.kind == rConst && t.lo == t.hi && t.plus == 0 {
+				dargs = append(dargs, ast.C(b.constant(t.off, t.n))) // the common case, inline
+				continue
+			}
+			d, err := b.dterm(&p.terms[j])
 			if err != nil {
 				return nil, err
 			}
 			dargs = append(dargs, d)
 		}
-		fn := b.tab.Func(app.name, len(app.args))
+		fn := b.fn(app.off, app.n, int(app.nargs))
 		out.Apps = append(out.Apps, ast.FApp{Fn: fn, Args: dargs[lo:len(dargs):len(dargs)]})
 		succs(app.plus)
 	}
@@ -389,26 +450,26 @@ func (b *builder) fterm(t *rawTerm) (*ast.FTerm, error) {
 
 func (b *builder) atom(a *rawAtom) (ast.Atom, error) {
 	functional := b.predFunctional(a)
-	arity := len(a.args)
+	arity := int(a.nargs)
 	if functional {
 		arity--
 	}
-	pred := b.tab.Pred(a.name, arity, functional)
+	pred := b.tab.Pred(b.p.name(a.off, a.n), arity, functional)
 	out := ast.Atom{Pred: pred}
-	start := 0
+	j := a.args
 	if functional {
-		ft, err := buildFTerm(b, &a.args[0])
+		ft, err := buildFTerm(b, &b.p.terms[j])
 		if err != nil {
 			return ast.Atom{}, err
 		}
 		out.FT = ft
-		start = 1
+		j = b.p.terms[j].next
 	}
-	if start < len(a.args) {
-		out.Args = make([]ast.DTerm, 0, len(a.args)-start)
+	if j >= 0 {
+		out.Args = make([]ast.DTerm, 0, arity)
 	}
-	for i := start; i < len(a.args); i++ {
-		d, err := b.dterm(&a.args[i])
+	for ; j >= 0; j = b.p.terms[j].next {
+		d, err := b.dterm(&b.p.terms[j])
 		if err != nil {
 			return ast.Atom{}, err
 		}
@@ -419,21 +480,20 @@ func (b *builder) atom(a *rawAtom) (ast.Atom, error) {
 
 // fact builds a body-less clause, which must be ground.
 func (b *builder) fact(cl *rawClause) (ast.Atom, error) {
-	head, err := b.atom(cl.head)
+	head, err := b.atom(&b.p.atoms[cl.head])
 	if err != nil {
 		return ast.Atom{}, err
 	}
 	if !head.IsGround() {
-		return ast.Atom{}, fmt.Errorf("line %d: fact %s is not ground", cl.line, head.Format(b.tab))
+		return ast.Atom{}, fmt.Errorf("%s: fact %s is not ground", posn{b.p.src, cl.off, true}, head.Format(b.tab))
 	}
 	return head, nil
 }
 
 func (b *builder) query(cl *rawClause) (*ast.Query, error) {
-	q := &ast.Query{}
-	seen := make(map[symbols.VarID]bool)
-	for i := range cl.body {
-		a, err := b.atom(&cl.body[i])
+	q := &ast.Query{Atoms: make([]ast.Atom, 0, cl.hi-cl.lo)}
+	for i := cl.lo; i < cl.hi; i++ {
+		a, err := b.atom(&b.p.atoms[i])
 		if err != nil {
 			return nil, err
 		}
@@ -442,11 +502,9 @@ func (b *builder) query(cl *rawClause) (*ast.Query, error) {
 	// Free variables: every named (non-underscore) variable, in order of
 	// first occurrence.
 	addVar := func(v symbols.VarID) {
-		name := b.tab.VarName(v)
-		if name[0] == '_' || seen[v] {
+		if b.tab.VarName(v)[0] == '_' || slices.Contains(q.Free, v) {
 			return
 		}
-		seen[v] = true
 		q.Free = append(q.Free, v)
 	}
 	for i := range q.Atoms {
@@ -472,10 +530,11 @@ func (b *builder) query(cl *rawClause) (*ast.Query, error) {
 	return q, nil
 }
 
-func (b *builder) build(raw *rawProgram) (*Result, error) {
+func (b *builder) build() (*Result, error) {
+	p := b.p
 	res := &Result{Program: b.prog}
-	for i := range raw.clauses {
-		cl := &raw.clauses[i]
+	for i := range p.clauses {
+		cl := &p.clauses[i]
 		if !cl.isRule {
 			head, err := b.fact(cl)
 			if err != nil {
@@ -484,13 +543,13 @@ func (b *builder) build(raw *rawProgram) (*Result, error) {
 			b.prog.Facts = append(b.prog.Facts, head)
 			continue
 		}
-		head, err := b.atom(cl.head)
+		head, err := b.atom(&p.atoms[cl.head])
 		if err != nil {
 			return nil, err
 		}
 		r := ast.Rule{Head: head}
-		for j := range cl.body {
-			a, err := b.atom(&cl.body[j])
+		for j := cl.lo; j < cl.hi; j++ {
+			a, err := b.atom(&p.atoms[j])
 			if err != nil {
 				return nil, err
 			}
@@ -498,8 +557,8 @@ func (b *builder) build(raw *rawProgram) (*Result, error) {
 		}
 		b.prog.Rules = append(b.prog.Rules, r)
 	}
-	for i := range raw.queries {
-		q, err := b.query(&raw.queries[i])
+	for i := range p.queries {
+		q, err := b.query(&p.queries[i])
 		if err != nil {
 			return nil, err
 		}

@@ -146,6 +146,11 @@ func refVerdict(db *core.Database, q *ast.Query) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("not ground")
 		}
+		// Under range restriction the least fixpoint holds no atom over a
+		// term with a symbol outside the alphabet: such an atom is false.
+		if _, _, in := sp.Walk(db.Universe().Symbols(tm)); !in {
+			return false, nil
+		}
 		if has, err := sp.Has(a.Pred, tm, args); err != nil || !has {
 			return false, err
 		}

@@ -21,7 +21,10 @@
 // (k the total argument count) override the inference.
 package parser
 
-import "unicode"
+import (
+	"strings"
+	"unicode"
+)
 
 type tokKind int
 
@@ -73,71 +76,15 @@ func (k tokKind) String() string {
 	return "unknown token"
 }
 
+// token is the current token of a parse. off is the byte offset of its
+// first byte: positions are offsets, and a line and column are computed from
+// one only when an error is built. An identifier is src[off:off+n], so
+// lexing one writes no pointer.
 type token struct {
 	kind tokKind
-	text string
-	num  int
-	line int
-	col  int
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
-	}
-	return l.src[l.pos], true
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
-// skip moves to byte offset end over bytes known to hold no newline.
-func (l *lexer) skip(end int) {
-	l.col += end - l.pos
-	l.pos = end
-}
-
-func (l *lexer) skipSpaceAndComments() {
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return
-		}
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '%':
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				l.advance()
-			}
-		default:
-			return
-		}
-	}
+	n    int32 // tokIdent, tokNumber: the token's length
+	num  int   // tokNumber
+	off  int
 }
 
 // Byte classes of identifier characters, tabulated once from the unicode
@@ -162,57 +109,66 @@ var identClass = func() (t [256]uint8) {
 	return t
 }()
 
-func (l *lexer) next() (token, error) {
-	l.skipSpaceAndComments()
-	line, col := l.line, l.col
-	c, ok := l.peekByte()
-	if !ok {
-		return token{kind: tokEOF, line: line, col: col}, nil
+// advance lexes the next token into p.tok: whitespace and % comments are
+// skipped a byte at a time, with no line or column kept.
+func (p *parser) advance() error {
+	src, i := p.src, p.pos
+	for i < len(src) {
+		switch c := src[i]; {
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+			i++
+			continue
+		case c == '%':
+			if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = len(src)
+			}
+			continue
+		}
+		break
 	}
+	p.tok.off = i
+	if i == len(src) {
+		p.tok.kind, p.pos = tokEOF, i
+		return nil
+	}
+	c := src[i]
 	if k := punct[c]; k != tokEOF {
-		l.advance()
-		return token{kind: k, line: line, col: col}, nil
+		p.tok.kind, p.pos = k, i+1
+		return nil
 	}
 	switch {
-	case c == '-':
-		l.advance()
-		if c2, ok := l.peekByte(); ok && c2 == '>' {
-			l.advance()
-			return token{kind: tokArrow, line: line, col: col}, nil
+	case c == '-' || c == '<' || c == '?':
+		second, kind := byte('-'), tokLArrow
+		switch c {
+		case '-':
+			second, kind = '>', tokArrow
+		case '?':
+			kind = tokQuery
 		}
-		return token{}, perrf(line, col, "unexpected '-'")
-	case c == '<':
-		l.advance()
-		if c2, ok := l.peekByte(); ok && c2 == '-' {
-			l.advance()
-			return token{kind: tokLArrow, line: line, col: col}, nil
+		if i+1 < len(src) && src[i+1] == second {
+			p.tok.kind, p.pos = kind, i+2
+			return nil
 		}
-		return token{}, perrf(line, col, "unexpected '<'")
-	case c == '?':
-		l.advance()
-		if c2, ok := l.peekByte(); ok && c2 == '-' {
-			l.advance()
-			return token{kind: tokQuery, line: line, col: col}, nil
-		}
-		return token{}, perrf(line, col, "unexpected '?'")
+		return p.errAt(i, "unexpected %q", c)
 	case c >= '0' && c <= '9':
-		n, end := 0, l.pos
-		for ; end < len(l.src) && l.src[end] >= '0' && l.src[end] <= '9'; end++ {
-			n = n*10 + int(l.src[end]-'0')
+		n, end := 0, i
+		for ; end < len(src) && src[end] >= '0' && src[end] <= '9'; end++ {
+			n = n*10 + int(src[end]-'0')
 			if n > 1<<30 {
-				return token{}, perrf(line, col, "number too large")
+				return p.errAt(i, "number too large")
 			}
 		}
-		l.skip(end)
-		return token{kind: tokNumber, num: n, line: line, col: col}, nil
+		p.tok.kind, p.tok.num, p.tok.n, p.pos = tokNumber, n, int32(end-i), end
+		return nil
 	case identClass[c]&identStart != 0:
-		// The token's text is a substring of src: no copy per identifier.
-		start, end := l.pos, l.pos+1
-		for end < len(l.src) && identClass[l.src[end]]&identPart != 0 {
+		end := i + 1
+		for end < len(src) && identClass[src[end]]&identPart != 0 {
 			end++
 		}
-		l.skip(end)
-		return token{kind: tokIdent, text: l.src[start:end], line: line, col: col}, nil
+		p.tok.kind, p.tok.n, p.pos = tokIdent, int32(end-i), end
+		return nil
 	}
-	return token{}, perrf(line, col, "unexpected character %q", c)
+	return p.errAt(i, "unexpected character %q", c)
 }

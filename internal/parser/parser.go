@@ -1,5 +1,7 @@
 package parser
 
+import "strings"
+
 // MaxTermDepth caps the depth of one term: nested applications, the value
 // of a numeric literal in a functional position and +n sugar, combined. The
 // parser loops over the nesting of a functional term and recurses only into
@@ -7,13 +9,17 @@ package parser
 // input can exhaust the stack; a deeper term is a ParseError.
 const MaxTermDepth = 1 << 16
 
-func errTooDeep(line, col int) error {
-	return perrf(line, col, "term deeper than %d applications (nesting, numeric literal and +n combined)", MaxTermDepth)
+func (p *parser) errTooDeep(off int) error {
+	return p.errAt(off, "term deeper than %d applications (nesting, numeric literal and +n combined)", MaxTermDepth)
 }
 
-// Raw syntax trees, produced before predicate functionality is known.
+// Raw syntax trees, produced before predicate functionality is known. They
+// live in the parser's slabs, refer to each other by index and to the source
+// by offset, and hold no pointer: storing a node costs no write barrier, and
+// the collector never scans a slab. A parse allocates its slabs, not its
+// nodes.
 
-type rawKind int
+type rawKind uint8
 
 const (
 	rVar rawKind = iota
@@ -23,102 +29,117 @@ const (
 
 // rawTerm is a base (variable, constant or number) under a chain of
 // applications: f(g(X+1, a), b)+2 is base X with plus 1 under apps g then f.
-// Nesting runs through first arguments only, so the chain is a slice and a
+// Nesting runs through first arguments only, so the chain is a run of the
+// apps slab, written outermost first as the "name(" prefixes are read, and a
 // depth-n term costs O(n) to parse and to build.
 type rawTerm struct {
-	kind rawKind // of the base
-	name string  // rVar, rConst
-	num  int     // rNum
-	plus int     // +n sugar directly on the base
-	// apps are the applications around the base, innermost first.
-	apps []rawApp
-	line int // of the base token
-	col  int
+	off    int   // of the base token: a name or a number
+	n      int32 // the token's length
+	plus   int32 // +n sugar directly on the base
+	lo, hi int32 // its applications: p.apps[lo:hi], outermost first
+	next   int32 // the next argument of the same list in p.terms; -1 after the last
+	kind   rawKind
 }
 
 // rawApp is one application layer of a rawTerm; its first argument is the
 // layer beneath it.
 type rawApp struct {
-	name string
-	args []rawTerm // the arguments after the first
-	plus int       // +n sugar after the closing parenthesis
-	line int
-	col  int
+	off   int   // of the function symbol's name
+	n     int32 // the name's length
+	plus  int32 // +n sugar after the closing parenthesis
+	args  int32 // the first argument after the first in p.terms; -1 for none
+	nargs int32
 }
 
-// pos returns the position of the term's first token.
-func (t *rawTerm) pos() (line, col int) {
-	if n := len(t.apps); n > 0 {
-		return t.apps[n-1].line, t.apps[n-1].col
+// name returns the identifier of n bytes at offset off.
+func (p *parser) name(off int, n int32) string { return p.src[off : off+int(n)] }
+
+// number returns the value of an rNum term, read again from its digits (the
+// lexer has checked they stay under 2^30).
+func (p *parser) number(t *rawTerm) int32 {
+	var v int32
+	for _, c := range []byte(p.name(t.off, t.n)) {
+		v = v*10 + int32(c-'0')
 	}
-	return t.line, t.col
+	return v
+}
+
+// termPos returns the offset of the term's first token.
+func (p *parser) termPos(t *rawTerm) int {
+	if t.lo < t.hi {
+		return p.apps[t.lo].off
+	}
+	return t.off
 }
 
 // outerPlus returns the +n sugar applied to the whole term.
-func (t *rawTerm) outerPlus() int {
-	if n := len(t.apps); n > 0 {
-		return t.apps[n-1].plus
+func (p *parser) outerPlus(t *rawTerm) int32 {
+	if t.lo < t.hi {
+		return p.apps[t.lo].plus
 	}
 	return t.plus
 }
 
 // bareVar reports whether the term is a variable and nothing else.
-func (t *rawTerm) bareVar() bool { return t.kind == rVar && t.plus == 0 && len(t.apps) == 0 }
+func (t *rawTerm) bareVar() bool { return t.kind == rVar && t.plus == 0 && t.lo == t.hi }
 
 type rawAtom struct {
-	name string
-	args []rawTerm
-	line int
-	col  int
+	off   int   // of the predicate's name
+	n     int32 // the name's length
+	args  int32 // the first argument in p.terms; -1 for none
+	nargs int32
 }
 
+// rawClause is a rule, a fact or a query over a run of the atoms slab.
 type rawClause struct {
-	head   *rawAtom // nil for a query
-	body   []rawAtom
+	head   int32 // index in p.atoms; -1 for a query
+	lo, hi int32 // the body: p.atoms[lo:hi]
 	isRule bool
-	line   int
+	off    int
 }
 
 type rawDirective struct {
 	kind  string // "functional" or "data"
 	pred  string
 	arity int // total argument count, paper-style
-	line  int
-}
-
-type rawProgram struct {
-	clauses    []rawClause
-	queries    []rawClause
-	directives []rawDirective
+	off   int
 }
 
 type parser struct {
-	lx   *lexer
+	src  string
+	pos  int // where the lexer continues
 	tok  token
-	open int       // applications whose ')' is still ahead
-	slab []rawTerm // chunk that keep carves argument lists from
+	open int // applications whose ')' is still ahead
+
+	// The slabs of the raw tree.
+	apps       []rawApp
+	terms      []rawTerm
+	atoms      []rawAtom
+	clauses    []rawClause
+	queries    []rawClause
+	directives []rawDirective
+	order      []int32 // atoms in the order inference visits them
 }
 
+// newParser returns a parser positioned on the first token of src. The two
+// slabs a deep term fills are sized from src once: every application opens
+// a parenthesis, and every term but an atom's first argument follows a
+// comma, so a query of a few atoms, however deep, grows neither.
 func newParser(src string) (*parser, error) {
-	p := &parser{lx: newLexer(src)}
+	p := &parser{
+		src:   src,
+		apps:  make([]rawApp, 0, strings.Count(src, "(")),
+		terms: make([]rawTerm, 0, strings.Count(src, ",")+4),
+	}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *parser) advance() error {
-	t, err := p.lx.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
-
 func (p *parser) expect(k tokKind) (token, error) {
 	if p.tok.kind != k {
-		return token{}, perrf(p.tok.line, p.tok.col, "expected %s, found %s", k, p.tok.kind)
+		return token{}, p.errAt(p.tok.off, "expected %s, found %s", k, p.tok.kind)
 	}
 	t := p.tok
 	if err := p.advance(); err != nil {
@@ -127,82 +148,90 @@ func (p *parser) expect(k tokKind) (token, error) {
 	return t, nil
 }
 
-func (p *parser) parseProgram() (*rawProgram, error) {
-	out := &rawProgram{}
+// skip is expect for a token whose value nobody reads.
+func (p *parser) skip(k tokKind) error {
+	if p.tok.kind != k {
+		return p.errAt(p.tok.off, "expected %s, found %s", k, p.tok.kind)
+	}
+	return p.advance()
+}
+
+func (p *parser) parseProgram() error {
 	for p.tok.kind != tokEOF {
 		switch p.tok.kind {
 		case tokAt:
 			d, err := p.parseDirective()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out.directives = append(out.directives, d)
+			p.directives = append(p.directives, d)
 		case tokQuery:
 			q, err := p.parseQuery()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out.queries = append(out.queries, q)
+			p.queries = append(p.queries, q)
 		default:
 			c, err := p.parseClause()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out.clauses = append(out.clauses, c)
+			p.clauses = append(p.clauses, c)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func (p *parser) parseDirective() (rawDirective, error) {
-	line := p.tok.line
-	if _, err := p.expect(tokAt); err != nil {
+	off := p.tok.off
+	if err := p.skip(tokAt); err != nil {
 		return rawDirective{}, err
 	}
 	kw, err := p.expect(tokIdent)
 	if err != nil {
 		return rawDirective{}, err
 	}
-	if kw.text != "functional" && kw.text != "data" {
-		return rawDirective{}, perrf(kw.line, kw.col, "unknown directive @%s (want @functional or @data)", kw.text)
+	kind := p.name(kw.off, kw.n)
+	if kind != "functional" && kind != "data" {
+		return rawDirective{}, p.errAt(kw.off, "unknown directive @%s (want @functional or @data)", kind)
 	}
 	name, err := p.expect(tokIdent)
 	if err != nil {
 		return rawDirective{}, err
 	}
-	if _, err := p.expect(tokSlash); err != nil {
+	if err := p.skip(tokSlash); err != nil {
 		return rawDirective{}, err
 	}
 	ar, err := p.expect(tokNumber)
 	if err != nil {
 		return rawDirective{}, err
 	}
-	if _, err := p.expect(tokDot); err != nil {
+	if err := p.skip(tokDot); err != nil {
 		return rawDirective{}, err
 	}
-	return rawDirective{kind: kw.text, pred: name.text, arity: ar.num, line: line}, nil
+	return rawDirective{kind: kind, pred: p.name(name.off, name.n), arity: ar.num, off: off}, nil
 }
 
 func (p *parser) parseQuery() (rawClause, error) {
-	line := p.tok.line
-	if _, err := p.expect(tokQuery); err != nil {
+	off := p.tok.off
+	if err := p.skip(tokQuery); err != nil {
 		return rawClause{}, err
 	}
-	atoms, err := p.parseAtomList()
+	lo, hi, err := p.parseAtomList()
 	if err != nil {
 		return rawClause{}, err
 	}
-	if _, err := p.expect(tokDot); err != nil {
+	if err := p.skip(tokDot); err != nil {
 		return rawClause{}, err
 	}
-	return rawClause{body: atoms, line: line}, nil
+	return rawClause{head: -1, lo: lo, hi: hi, off: off}, nil
 }
 
 // parseClause parses either "B1, ..., Bn -> H." (a rule), "H <- B1, ..., Bn."
 // (the same rule head-first), or "F." (a fact).
 func (p *parser) parseClause() (rawClause, error) {
-	line := p.tok.line
-	atoms, err := p.parseAtomList()
+	off := p.tok.off
+	lo, hi, err := p.parseAtomList()
 	if err != nil {
 		return rawClause{}, err
 	}
@@ -211,189 +240,219 @@ func (p *parser) parseClause() (rawClause, error) {
 		if err := p.advance(); err != nil {
 			return rawClause{}, err
 		}
-		head, err := p.parseAtom()
-		if err != nil {
+		if err := p.parseAtom(); err != nil {
 			return rawClause{}, err
 		}
-		if _, err := p.expect(tokDot); err != nil {
+		if err := p.skip(tokDot); err != nil {
 			return rawClause{}, err
 		}
-		return rawClause{head: &head, body: atoms, isRule: true, line: line}, nil
+		return rawClause{head: hi, lo: lo, hi: hi, isRule: true, off: off}, nil
 	case tokLArrow:
-		if len(atoms) != 1 {
-			return rawClause{}, perrf(line, 0, "a '<-' rule must have exactly one head atom")
+		if hi-lo != 1 {
+			return rawClause{}, p.errLine(off, "a '<-' rule must have exactly one head atom")
 		}
 		if err := p.advance(); err != nil {
 			return rawClause{}, err
 		}
-		body, err := p.parseAtomList()
+		blo, bhi, err := p.parseAtomList()
 		if err != nil {
 			return rawClause{}, err
 		}
-		if _, err := p.expect(tokDot); err != nil {
+		if err := p.skip(tokDot); err != nil {
 			return rawClause{}, err
 		}
-		return rawClause{head: &atoms[0], body: body, isRule: true, line: line}, nil
+		return rawClause{head: lo, lo: blo, hi: bhi, isRule: true, off: off}, nil
 	case tokDot:
 		if err := p.advance(); err != nil {
 			return rawClause{}, err
 		}
-		if len(atoms) != 1 {
-			return rawClause{}, perrf(line, 0, "a fact must be a single atom")
+		if hi-lo != 1 {
+			return rawClause{}, p.errLine(off, "a fact must be a single atom")
 		}
-		return rawClause{head: &atoms[0], line: line}, nil
+		return rawClause{head: lo, lo: hi, hi: hi, off: off}, nil
 	}
-	return rawClause{}, perrf(p.tok.line, p.tok.col, "expected '->', '<-' or '.', found %s", p.tok.kind)
+	return rawClause{}, p.errAt(p.tok.off, "expected '->', '<-' or '.', found %s", p.tok.kind)
 }
 
-func (p *parser) parseAtomList() ([]rawAtom, error) {
-	var atoms []rawAtom
+// parseAtomList parses comma-separated atoms into p.atoms[lo:hi].
+func (p *parser) parseAtomList() (lo, hi int32, err error) {
+	lo = int32(len(p.atoms))
 	for {
-		a, err := p.parseAtom()
-		if err != nil {
-			return nil, err
+		if err := p.parseAtom(); err != nil {
+			return 0, 0, err
 		}
-		atoms = append(atoms, a)
 		if p.tok.kind != tokComma {
-			return atoms, nil
+			return lo, int32(len(p.atoms)), nil
 		}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 	}
 }
 
-func (p *parser) parseAtom() (rawAtom, error) {
+// parseAtom parses one atom onto p.atoms. Its arguments' own subterms may
+// land in the slabs first, but no atom does: an atom list is one run.
+func (p *parser) parseAtom() error {
 	name, err := p.expect(tokIdent)
 	if err != nil {
-		return rawAtom{}, err
+		return err
 	}
-	a := rawAtom{name: name.text, line: name.line, col: name.col}
-	if p.tok.kind != tokLParen {
-		return a, nil // 0-ary atom
-	}
-	if err := p.advance(); err != nil {
-		return rawAtom{}, err
-	}
-	for {
-		t, err := p.parseTerm()
-		if err != nil {
-			return rawAtom{}, err
-		}
-		a.args = append(a.args, t)
-		if p.tok.kind == tokComma {
-			if err := p.advance(); err != nil {
-				return rawAtom{}, err
-			}
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return rawAtom{}, err
-	}
-	return a, nil
-}
-
-// parsePlus folds a run of +n sugar into *plus. The sum saturates just past
-// MaxTermDepth (the builder rejects such a term), so it cannot overflow.
-func (p *parser) parsePlus(plus *int) error {
-	for p.tok.kind == tokPlus {
+	a := rawAtom{off: name.off, n: name.n, args: -1}
+	if p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return err
 		}
-		n, err := p.expect(tokNumber)
-		if err != nil {
+		if a.args, a.nargs, err = p.parseArgs(); err != nil {
 			return err
 		}
-		if *plus <= MaxTermDepth {
-			*plus += n.num
+		if err := p.skip(tokRParen); err != nil {
+			return err
 		}
 	}
+	p.atoms = append(p.atoms, a)
 	return nil
 }
 
-// keep copies an argument list into the parser's slab, so a deep term costs
-// O(log n) allocations for its argument lists instead of one per layer.
-// Chunks are never regrown: earlier lists stay valid.
-func (p *parser) keep(args []rawTerm) []rawTerm {
-	if len(args) > cap(p.slab)-len(p.slab) {
-		p.slab = make([]rawTerm, 0, max(64, 2*cap(p.slab), len(args)))
-	}
-	lo := len(p.slab)
-	p.slab = append(p.slab, args...)
-	return p.slab[lo:len(p.slab):len(p.slab)]
-}
-
-func isVarName(s string) bool {
-	c := s[0]
-	return c == '_' || (c >= 'A' && c <= 'Z')
-}
-
-// parseTerm parses base, applications and +n sugar. The "name(" prefixes of
-// a nested term are consumed by a loop, outermost first, then closed
-// innermost first; only an argument after the first recurses.
-func (p *parser) parseTerm() (rawTerm, error) {
-	var t rawTerm
+// parseArgs parses a comma-separated list of terms onto p.terms, each
+// linked to the next, and returns the first one's index and their count.
+func (p *parser) parseArgs() (first, n int32, err error) {
+	first, last := int32(-1), int32(-1)
 	for {
-		tok := p.tok
-		switch tok.kind {
+		i := p.newTerm()
+		if err := p.parseTerm(i); err != nil {
+			return 0, 0, err
+		}
+		p.link(&first, &last, i)
+		n++
+		if p.tok.kind != tokComma {
+			return first, n, nil
+		}
+		if err := p.advance(); err != nil {
+			return 0, 0, err
+		}
+	}
+}
+
+// newTerm makes room for one term on p.terms.
+func (p *parser) newTerm() int32 {
+	p.terms = append(p.terms, rawTerm{})
+	return int32(len(p.terms) - 1)
+}
+
+// link puts term i at the end of the list running from *first to *last.
+func (p *parser) link(first, last *int32, i int32) {
+	if *last < 0 {
+		*first = i
+	} else {
+		p.terms[*last].next = i
+	}
+	*last = i
+}
+
+// parsePlus reads a run of +n sugar and returns its sum. The sum saturates
+// just past MaxTermDepth (the builder rejects such a term), so it cannot
+// overflow.
+func (p *parser) parsePlus() (int32, error) {
+	var plus int32
+	for p.tok.kind == tokPlus {
+		if err := p.advance(); err != nil {
+			return 0, err
+		}
+		n, err := p.expect(tokNumber)
+		if err != nil {
+			return 0, err
+		}
+		if plus <= MaxTermDepth {
+			plus += int32(n.num)
+		}
+	}
+	return plus, nil
+}
+
+// isVarStart reports whether an identifier starting with c is a variable.
+func isVarStart(c byte) bool { return c == '_' || (c >= 'A' && c <= 'Z') }
+
+// parseTerm parses base, applications and +n sugar into p.terms[i]. The
+// "name(" prefixes of a nested term are consumed by a loop, outermost first,
+// each one written to the apps slab; then the applications are closed
+// innermost first, and only an argument after the first recurses.
+func (p *parser) parseTerm(i int32) error {
+	// The term is kept in locals and written field by field into its slot:
+	// a struct built on the stack and copied whole stalls the store buffer.
+	var (
+		kind    rawKind
+		n       int32
+		off     int
+		lo      = int32(len(p.apps))
+		plus    int32
+		baseErr error
+	)
+	for {
+		tk := p.tok.kind
+		off = p.tok.off
+		switch tk {
 		case tokNumber:
-			t.kind, t.num = rNum, tok.num
+			kind, n = rNum, p.tok.n
 		case tokIdent:
-			t.kind, t.name = rConst, tok.text
-			if isVarName(tok.text) {
-				t.kind = rVar
+			kind, n = rConst, p.tok.n
+			if isVarStart(p.src[off]) {
+				kind = rVar
 			}
 		default:
-			return rawTerm{}, perrf(tok.line, tok.col, "expected a term, found %s", tok.kind)
+			return p.errAt(off, "expected a term, found %s", tk)
 		}
 		if err := p.advance(); err != nil {
-			return rawTerm{}, err
+			return err
 		}
-		if tok.kind != tokIdent || p.tok.kind != tokLParen {
-			t.line, t.col = tok.line, tok.col // tok is the base
-			break
+		if tk != tokIdent || p.tok.kind != tokLParen {
+			break // tok was the base
 		}
-		// tok names an application; its first argument comes next.
+		// The identifier names an application; its first argument comes next.
 		if p.open++; p.open > MaxTermDepth {
-			return rawTerm{}, errTooDeep(tok.line, tok.col)
+			return p.errTooDeep(off)
 		}
 		if err := p.advance(); err != nil {
-			return rawTerm{}, err
+			return err
 		}
-		t.apps = append(t.apps, rawApp{name: tok.text, line: tok.line, col: tok.col})
+		p.apps = append(p.apps, rawApp{})
+		app := &p.apps[len(p.apps)-1]
+		app.off, app.n, app.args = off, n, -1
 	}
-	if err := p.parsePlus(&t.plus); err != nil || len(t.apps) == 0 {
-		return t, err
+	hi := int32(len(p.apps))
+	if p.tok.kind == tokPlus {
+		plus, baseErr = p.parsePlus()
 	}
-	for i, j := 0, len(t.apps)-1; i < j; i, j = i+1, j-1 {
-		t.apps[i], t.apps[j] = t.apps[j], t.apps[i]
+	t := &p.terms[i]
+	t.off, t.n, t.plus, t.lo, t.hi, t.next, t.kind = off, n, plus, lo, hi, -1, kind
+	if baseErr != nil {
+		return baseErr
 	}
-	var buf [4]rawTerm
-	for i := range t.apps {
-		app := &t.apps[i]
-		args := buf[:0]
+	for j := hi - 1; j >= lo; j-- {
+		first, last, count := int32(-1), int32(-1), int32(0)
 		for p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
-				return rawTerm{}, err
+				return err
 			}
-			arg, err := p.parseTerm()
-			if err != nil {
-				return rawTerm{}, err
+			k := p.newTerm()
+			if err := p.parseTerm(k); err != nil {
+				return err
 			}
-			args = append(args, arg)
+			p.link(&first, &last, k)
+			count++
 		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return rawTerm{}, err
+		if err := p.skip(tokRParen); err != nil {
+			return err
 		}
 		p.open--
-		if len(args) > 0 {
-			app.args = p.keep(args)
+		var plus int32
+		if p.tok.kind == tokPlus {
+			var err error
+			if plus, err = p.parsePlus(); err != nil {
+				return err
+			}
 		}
-		if err := p.parsePlus(&app.plus); err != nil {
-			return rawTerm{}, err
-		}
+		app := &p.apps[j] // the slab may have grown under the arguments
+		app.args, app.nargs, app.plus = first, count, plus
 	}
-	return t, nil
+	return nil
 }

@@ -241,7 +241,9 @@ func (ev *evaluation) matchConj(atoms []ast.Atom, i int, b *subst.Binding) error
 			}
 			var ok bool
 			if state, ok = ev.tab.Step(state, app.Fn); !ok {
-				return errNotInAlphabet(app.Fn)
+				// Under range restriction the least fixpoint holds no atom
+				// over a term with a symbol outside the alphabet.
+				return nil
 			}
 		}
 		slice = ev.w.StateAtoms(ev.tab.State[state])

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 
 	"funcdb/internal/core"
+	"funcdb/internal/datagen"
 	"funcdb/internal/obs"
 	"funcdb/internal/registry"
 )
@@ -238,6 +240,34 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/db/even/explain", nil); code != http.StatusBadRequest {
 		t.Fatalf("explain without q = %d", code)
+	}
+}
+
+// TestOutsideAlphabetIsFalse: a ground ask over a symbol the specification's
+// alphabet lacks is 200 false by either method — it used to be a 400 naming
+// an internal symbol id — and its explanation names the symbol.
+func TestOutsideAlphabetIsFalse(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{})
+	for name, src := range map[string]string{"rob": datagen.RobotSrc(8), "sub": datagen.SubsetsSrc(6)} {
+		if _, err := reg.PutProgram(name, []byte(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ db, query, symbol string }{
+		{"rob", "?- At(move(0, p0, p9), p9).", "move'p0'p9"},
+		{"sub", "?- Member(foo(0), e1).", "foo"},
+		{"sub", "?- Member(3, e1).", "succ"},
+	} {
+		for _, via := range []string{"", "cc"} {
+			code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask", map[string]any{"query": tc.query, "via": via})
+			if code != http.StatusOK || body["answer"] != false {
+				t.Errorf("%s %s via %q: %d %v; want 200 false", tc.db, tc.query, via, code, body)
+			}
+		}
+		code, body := doJSON(t, "GET", ts.URL+"/v1/db/"+tc.db+"/explain?q="+url.QueryEscape(tc.query), nil)
+		if ex, _ := body["explanation"].(string); code != http.StatusOK || !strings.Contains(ex, tc.symbol+" is not in the specification's alphabet") {
+			t.Errorf("%s explain %s: %d %v; want it to name %s", tc.db, tc.query, code, body, tc.symbol)
+		}
 	}
 }
 

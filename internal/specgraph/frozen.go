@@ -69,18 +69,6 @@ func (f *Frozen) Representative(v *term.Universe, t term.Term) (term.Term, error
 	return f.Reps[i], nil
 }
 
-// Has decides P(t, args) ∈ L from the frozen specification alone, helper
-// predicates included: it reads the representative's full state, which the
-// flat tables' minimised classes do not preserve.
-func (f *Frozen) Has(v *term.Universe, w *facts.World, pred symbols.PredID, t term.Term, args []symbols.ConstID) (bool, error) {
-	i, err := f.Index(v, t)
-	if err != nil {
-		return false, err
-	}
-	a := w.Atom(pred, w.Tuple(args))
-	return w.StateContains(f.State[i], a), nil
-}
-
 // HasData decides a non-functional fact from the frozen global set.
 func (f *Frozen) HasData(w *facts.World, pred symbols.PredID, args []symbols.ConstID) bool {
 	return f.global.Has(w, w.Atom(pred, w.Tuple(args)))
@@ -88,15 +76,3 @@ func (f *Frozen) HasData(w *facts.World, pred symbols.PredID, args []symbols.Con
 
 // GlobalByPred returns the frozen global facts of predicate p.
 func (f *Frozen) GlobalByPred(p symbols.PredID) []facts.AtomID { return f.global.ByPred(p) }
-
-// Slice returns the primary-database slice B[Reps[i]] restricted to the
-// original program's predicates, read through w.
-func (f *Frozen) Slice(w *facts.World, i int) []facts.AtomID {
-	var out []facts.AtomID
-	for _, a := range w.StateAtoms(f.State[i]) {
-		if f.originalPreds[w.AtomPred(a)] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
