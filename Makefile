@@ -109,8 +109,9 @@ fuzz:
 # framing, the WAL mutation, replication frame, manifest and snapshot meta and
 # entry readers (differential targets: the decoders they replaced are the
 # reference), the watch frame codec, the daemon's request-body decoder
-# (differential: encoding/json is the reference) and the client's
-# error-envelope decoder (differential too). (The parser seeds are kilobytes
+# (differential: encoding/json is the reference), the client's
+# error-envelope decoder (differential too) and the router hop's request and
+# response frames (round trip, and no allocation past a bound). (The parser seeds are kilobytes
 # long; without a minimizer budget the fuzzer spends the pass shrinking them.)
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
@@ -126,6 +127,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server
 	$(GO) test -fuzz=FuzzReadError -fuzztime=30s ./internal/api
+	$(GO) test -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
+	$(GO) test -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
 
 tables:
 	$(GO) run ./cmd/fdbench all

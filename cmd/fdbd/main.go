@@ -61,9 +61,13 @@
 //	                 into "other")
 //
 // A durable primary serves its snapshot and WAL stream on /v1/repl/* for
-// replicas to consume. The daemon shuts down gracefully on
-// SIGINT/SIGTERM, draining in-flight requests and (with -data) writing a
-// final snapshot. Query it with fdbq -remote, or curl:
+// replicas to consume. Routers reach the daemon on the same listener over
+// the hop: GET /v1/hop with Upgrade: funcdb-hop turns a connection into a
+// stream of request and response records (package api), each request
+// served by the same handler as plain HTTP. The daemon shuts down
+// gracefully on SIGINT/SIGTERM, draining in-flight requests, hop
+// connections included, and (with -data) writing a final snapshot. Query
+// it with fdbq -remote, or curl:
 //
 //	curl -X PUT  localhost:8344/v1/db/even --data 'Even(0). Even(T) -> Even(T+2).'
 //	curl -X POST localhost:8344/v1/db/even/ask -d '{"query":"?- Even(4)."}'
@@ -315,12 +319,14 @@ func serve(ctx context.Context, ln net.Listener, dc daemonConfig, out io.Writer)
 	hopts := watch.Options{Reg: reg, LSN: lsnFn}
 	if ctl != nil {
 		hopts.TenantCap = ctl.WatchCap
+		hopts.Budget = ctl.Budget
 	}
 	hub := watch.NewHub(hopts)
 	reg.SetNotifier(hub.Notify)
 	cfg.Watch = hub
+	sv := server.New(reg, cfg)
 	srv := &http.Server{
-		Handler:           server.New(reg, cfg).Handler(),
+		Handler:           sv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	var dbg *http.Server
@@ -361,6 +367,11 @@ func serve(ctx context.Context, ln net.Listener, dc daemonConfig, out io.Writer)
 		return err
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	// Routers' hop connections were hijacked out of srv's sight: close the
+	// idle ones and let in-flight requests finish before the store closes.
+	if err := sv.Shutdown(shutdownCtx); err != nil {
 		return err
 	}
 	if rep != nil {

@@ -33,6 +33,13 @@
 //	-log-level       debug, info, warn or error
 //	-log-format      text or json
 //
+// The router reaches fdbd over persistent connections upgraded with
+// GET /v1/hop: each non-streaming request and its response cross as one
+// wire record each, one request in flight per connection (package api).
+// Watch streams are proxied over plain HTTP. A daemon that refuses the
+// upgrade counts as a failed node, so a fleet upgrades its daemons before
+// its routers.
+//
 // Every proxied request runs under a W3C traceparent trace: the router
 // adopts the client's trace ID (or mints one), injects the header toward
 // the shard, and for traced queries merges the shard's span tree into its

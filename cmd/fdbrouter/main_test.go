@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"funcdb/internal/api"
 	"funcdb/internal/shard"
 )
 
@@ -21,7 +22,7 @@ import (
 // shard, checks the proxy and control endpoints end to end, and shuts it
 // down cleanly.
 func TestServeSmoke(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewServer(api.ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/readyz":
 			fmt.Fprint(w, `{"status":"ready"}`)
@@ -30,7 +31,7 @@ func TestServeSmoke(t *testing.T) {
 		default:
 			http.NotFound(w, r)
 		}
-	}))
+	})))
 	defer backend.Close()
 
 	mapPath := filepath.Join(t.TempDir(), "shardmap.json")

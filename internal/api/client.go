@@ -27,13 +27,18 @@ const (
 
 // Client is the one way this module talks to a funcdb daemon. It holds the
 // module's only *http.Client — the seam where tests substitute a transport —
-// and the /readyz verdicts its failover order is built from. A nil *Client
-// is the process-wide default over http.DefaultTransport.
+// the /readyz verdicts its failover order is built from, and the idle hop
+// connections a router's calls reuse (hop.go). A nil *Client is the
+// process-wide default over http.DefaultTransport.
 type Client struct {
 	hc *http.Client
 
 	mu     sync.Mutex
 	health map[string]verdict
+
+	hopMu  sync.Mutex
+	hops   map[string][]*hopConn // idle, by base URL
+	closed bool
 }
 
 type verdict struct {
@@ -50,7 +55,7 @@ func NewClient(hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Client{hc: hc, health: make(map[string]verdict)}
+	return &Client{hc: hc, health: make(map[string]verdict), hops: make(map[string][]*hopConn)}
 }
 
 func (c *Client) orDefault() *Client {
@@ -73,12 +78,21 @@ type Request struct {
 	// Traceparent is sent as given; when empty, the trace ctx carries (if
 	// any) is propagated with the current span as the remote parent.
 	Traceparent string
+	// Hop sends the call as a frame over a pooled upgraded connection
+	// (hop.go) instead of as an HTTP request: how a router reaches fdbd.
+	// The response arrives whole, so a stream never takes the hop.
+	Hop bool
 }
 
 // Send performs rq and returns the response whatever its status; the caller
 // closes the body. It is the primitive under Stream and Do, and what a proxy
 // uses to relay a response as it came.
 func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
+	var buf [8]string
+	hdr := rq.headers(ctx, &buf)
+	if rq.Hop {
+		return c.orDefault().exchange(ctx, rq, hdr)
+	}
 	var body io.Reader
 	if len(rq.Body) > 0 {
 		body = bytes.NewReader(rq.Body)
@@ -87,21 +101,33 @@ func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rq.ContentType != "" {
-		req.Header.Set("Content-Type", rq.ContentType)
-	}
-	if rq.APIKey != "" {
-		req.Header.Set(HeaderAPIKey, rq.APIKey)
-	}
-	if rq.Via != "" {
-		req.Header.Set(HeaderRouter, rq.Via)
-	}
-	if rq.Traceparent != "" {
-		req.Header.Set(obs.TraceparentHeader, rq.Traceparent)
-	} else {
-		obs.InjectTraceparent(ctx, req.Header)
+	for i := 0; i < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
 	}
 	return c.orDefault().hc.Do(req)
+}
+
+// headers lists the header lines rq sends, as name/value pairs in buf: the
+// content type, tenant key and router mark when set, and the traceparent —
+// rq's, else the one ctx's trace renders.
+func (rq *Request) headers(ctx context.Context, buf *[8]string) []string {
+	tp := rq.Traceparent
+	if tp == "" {
+		tp = obs.Traceparent(ctx)
+	}
+	n := 0
+	for _, kv := range [...][2]string{
+		{"Content-Type", rq.ContentType},
+		{HeaderAPIKey, rq.APIKey},
+		{HeaderRouter, rq.Via},
+		{obs.TraceparentHeader, tp},
+	} {
+		if kv[1] != "" {
+			buf[n], buf[n+1] = kv[0], kv[1]
+			n += 2
+		}
+	}
+	return buf[:n]
 }
 
 // Stream performs rq and checks the status: a 2xx response comes back with

@@ -13,12 +13,13 @@ import (
 	"funcdb/internal/obs"
 )
 
-// node is a fake daemon: /readyz per its flag, everything else per handler.
+// node is a fake daemon: /readyz per its flag, everything else per handler,
+// over HTTP or the hop.
 func node(t *testing.T, ready bool, h http.HandlerFunc) (*httptest.Server, *int) {
 	t.Helper()
 	var mu sync.Mutex
 	hits := new(int)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
 			if !ready {
 				w.WriteHeader(http.StatusServiceUnavailable)
@@ -29,7 +30,7 @@ func node(t *testing.T, ready bool, h http.HandlerFunc) (*httptest.Server, *int)
 		*hits++
 		mu.Unlock()
 		h(w, r)
-	}))
+	})))
 	t.Cleanup(ts.Close)
 	return ts, hits
 }
@@ -43,31 +44,35 @@ func refuse(e *Error) http.HandlerFunc {
 }
 
 // TestSendInjects: what the client adds to a request — tenant key, router
-// mark, content type, and the trace: the one given, else the context's.
+// mark, content type, and the trace: the one given, else the context's —
+// over HTTP and over the hop alike.
 func TestSendInjects(t *testing.T) {
 	var got http.Header
 	ts, _ := node(t, true, func(w http.ResponseWriter, r *http.Request) { got = r.Header.Clone() })
 	c := NewClient(nil)
+	t.Cleanup(c.Close)
 
 	tr := obs.NewTrace()
 	ctx, sp := obs.StartSpan(obs.WithTrace(context.Background(), tr), "call")
 	defer sp.End()
-	if _, err := c.Do(ctx, Request{Method: "POST", URL: ts.URL + "/x", Body: []byte("{}"),
-		ContentType: ContentJSON, APIKey: "tenant-a", Via: "v7"}); err != nil {
-		t.Fatal(err)
-	}
-	tid, parent, ok := obs.ParseTraceparent(got.Get("Traceparent"))
-	if got.Get("X-Api-Key") != "tenant-a" || got.Get("X-Funcdb-Router") != "v7" ||
-		got.Get("Content-Type") != "application/json" || !ok || tid != tr.ID() || parent == "" {
-		t.Fatalf("headers %v (trace %s)", got, tr.ID())
-	}
+	for _, hop := range []bool{false, true} {
+		if _, err := c.Do(ctx, Request{Method: "POST", URL: ts.URL + "/x", Body: []byte("{}"), Hop: hop,
+			ContentType: ContentJSON, APIKey: "tenant-a", Via: "v7"}); err != nil {
+			t.Fatal(err)
+		}
+		tid, parent, ok := obs.ParseTraceparent(got.Get("Traceparent"))
+		if got.Get("X-Api-Key") != "tenant-a" || got.Get("X-Funcdb-Router") != "v7" ||
+			got.Get("Content-Type") != "application/json" || !ok || tid != tr.ID() || parent == "" {
+			t.Fatalf("hop %v: headers %v (trace %s)", hop, got, tr.ID())
+		}
 
-	explicit := obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID())
-	if _, err := c.Do(ctx, Request{Method: "GET", URL: ts.URL + "/x", Traceparent: explicit}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Get("Traceparent") != explicit || got.Get("X-Api-Key") != "" || got.Get("X-Funcdb-Router") != "" || got.Get("Content-Type") != "" {
-		t.Fatalf("explicit traceparent, nothing else: %v", got)
+		explicit := obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID())
+		if _, err := c.Do(ctx, Request{Method: "GET", URL: ts.URL + "/x", Traceparent: explicit, Hop: hop}); err != nil {
+			t.Fatal(err)
+		}
+		if got.Get("Traceparent") != explicit || got.Get("X-Api-Key") != "" || got.Get("X-Funcdb-Router") != "" || got.Get("Content-Type") != "" {
+			t.Fatalf("hop %v: explicit traceparent, nothing else: %v", hop, got)
+		}
 	}
 }
 

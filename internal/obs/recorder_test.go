@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"hash/fnv"
-	"net/http"
 	"net/url"
 	"strings"
 	"sync"
@@ -20,10 +19,10 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	bad := []string{
 		"",
-		"00-" + tid + "-" + pid,            // missing flags
-		"00-" + tid + "-" + pid + "-0",     // short flags
-		"0-" + tid + "-" + pid + "-01",     // short version
-		"ff-" + tid + "-" + pid + "-01",    // forbidden version
+		"00-" + tid + "-" + pid,         // missing flags
+		"00-" + tid + "-" + pid + "-0",  // short flags
+		"0-" + tid + "-" + pid + "-01",  // short version
+		"ff-" + tid + "-" + pid + "-01", // forbidden version
 		"00-" + tid[:31] + "-" + pid + "-01",
 		"00-" + strings.Repeat("0", 32) + "-" + pid + "-01", // all-zero trace
 		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01", // all-zero parent
@@ -53,24 +52,20 @@ func TestNewTraceWithAdoption(t *testing.T) {
 func TestInjectTraceparent(t *testing.T) {
 	tr := NewTrace()
 	ctx := WithTrace(t.Context(), tr)
-	h := http.Header{}
-	InjectTraceparent(ctx, h)
 	// At the root there is no enclosing span; the placeholder parent is used.
-	if got := h.Get(TraceparentHeader); got != FormatTraceparent(tr.ID(), "000000000000cafe") {
+	if got := Traceparent(ctx); got != FormatTraceparent(tr.ID(), "000000000000cafe") {
 		t.Fatalf("root inject: %q", got)
 	}
 	sctx, sp := StartSpan(ctx, "forward")
 	defer sp.End()
-	InjectTraceparent(sctx, h)
-	_, pid, ok := ParseTraceparent(h.Get(TraceparentHeader))
+	got := Traceparent(sctx)
+	_, pid, ok := ParseTraceparent(got)
 	if !ok || pid != fmt.Sprintf("%016x", CurrentSpanID(sctx)) {
-		t.Fatalf("span inject: %q (want parent %d)", h.Get(TraceparentHeader), CurrentSpanID(sctx))
+		t.Fatalf("span inject: %q (want parent %d)", got, CurrentSpanID(sctx))
 	}
 	// No trace in ctx: no header.
-	h2 := http.Header{}
-	InjectTraceparent(t.Context(), h2)
-	if h2.Get(TraceparentHeader) != "" {
-		t.Fatal("inject without trace set a header")
+	if got := Traceparent(t.Context()); got != "" {
+		t.Fatalf("inject without trace rendered %q", got)
 	}
 }
 

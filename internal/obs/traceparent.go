@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"net/http"
 	"strconv"
 )
 
@@ -13,7 +12,7 @@ import (
 //
 // A process that receives the header adopts the trace ID (NewTraceWith) and
 // remembers the remote parent span; a process that calls another injects the
-// header naming its current span (InjectTraceparent). After the downstream
+// header naming its current span (Traceparent). After the downstream
 // process returns its span tree, GraftReport splices it under the calling
 // span so the caller renders one merged tree for the whole request.
 
@@ -116,12 +115,12 @@ func CurrentSpanID(ctx context.Context) int {
 	return tc.spanID
 }
 
-// InjectTraceparent sets the traceparent header for ctx's trace, naming the
-// current span as the remote parent. No-op when ctx carries no trace.
-func InjectTraceparent(ctx context.Context, h http.Header) {
+// Traceparent renders the traceparent header value for ctx's trace, naming
+// the current span as the remote parent; "" when ctx carries no trace.
+func Traceparent(ctx context.Context) string {
 	t := FromContext(ctx)
 	if t == nil {
-		return
+		return ""
 	}
 	// Local span IDs are small ints; render as a 16-hex parent ID. Span 0
 	// (the root) maps to the reserved-looking but valid "000000000000cafe"
@@ -134,7 +133,7 @@ func InjectTraceparent(ctx context.Context, h http.Header) {
 		s := strconv.FormatUint(uint64(sid), 16)
 		pid = "0000000000000000"[:16-len(s)] + s
 	}
-	h.Set(TraceparentHeader, FormatTraceparent(t.ID(), pid))
+	return FormatTraceparent(t.ID(), pid)
 }
 
 // GraftReport splices child — the span tree a downstream process returned —

@@ -103,12 +103,13 @@ func FunctionalVar(q *ast.Query) (symbols.VarID, bool) {
 	return symbols.NoVar, false
 }
 
-// answerTupleBytes is the metered answer-arena cost of one accumulated
-// answer tuple.
+// answerTupleBytes is the metered answer-arena cost of one answer tuple,
+// accumulated into a specification or yielded by an enumeration.
 const answerTupleBytes = 48
 
 // chargeAnswers bills n newly accumulated answer tuples against the work
-// budget carried by ctx, if any.
+// budget carried by ctx, if any. (EnumerateContext bills the tuples it
+// yields the same way.)
 func chargeAnswers(ctx context.Context, n int) error {
 	if n <= 0 {
 		return nil

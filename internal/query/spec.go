@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"funcdb/internal/ast"
+	"funcdb/internal/obs"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
@@ -223,16 +224,24 @@ const pollEvery = 1024
 // table breadth-first over (term, state) pairs, never entering a subtree
 // whose nearest answer lies deeper than the depth that remains: the cost
 // is the live terms times the alphabet, not alphabet^maxDepth, and it holds
-// one level of live terms at a time.
+// one level of live terms at a time. Every tuple yielded is charged to the
+// work budget ctx carries: what a caller renders from them is the arena an
+// enumeration fills, and it is not bounded by the specification's size.
 func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	budget := obs.BudgetFrom(ctx)
 	s := a.spec
 	if !s.fn {
 		for i := s.off[0]; i < s.off[1]; i++ {
 			if !yield(term.None, s.tuple(i)) {
 				return nil
+			}
+			if budget != nil {
+				if err := budget.AddBytes(answerTupleBytes); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -261,6 +270,11 @@ func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func
 			for i := s.off[n.state]; i < s.off[n.state+1]; i++ {
 				if !yield(n.t, s.tuple(i)) {
 					return nil
+				}
+				if budget != nil {
+					if err := budget.AddBytes(answerTupleBytes); err != nil {
+						return err
+					}
 				}
 			}
 			for j, to := range tab.Row(n.state) {

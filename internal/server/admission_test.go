@@ -9,6 +9,7 @@ import (
 
 	"funcdb/internal/admission"
 	"funcdb/internal/api"
+	"funcdb/internal/datagen"
 )
 
 // doJSONAs is doJSON with an API key header, returning the response headers
@@ -120,6 +121,39 @@ func TestAdmissionBudgetExceeded(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(raw), "funcdbd_admission_budget_kills_total 1") {
 		t.Fatalf("budget kill not counted:\n%s", raw)
+	}
+}
+
+// TestArenaBudgetBoundsEnumeration: the arena budget bounds what an answers
+// request enumerates, not only the answer specification it builds. Member
+// over six elements has a small specification and tens of thousands of
+// answers at depth 6: a tenant with a 32 KB arena asking for 10000 of them is
+// refused with the typed 422, answers or watch, and a tenant without a budget
+// gets all 10000.
+func TestArenaBudgetBoundsEnumeration(t *testing.T) {
+	ctl := admission.New(admission.Options{
+		Concurrency: 8,
+		Config: admission.Config{Tenants: map[string]admission.Limits{
+			"small": {MaxArenaBytes: 32 << 10},
+		}},
+	})
+	_, reg, ts := newTestServer(t, Config{Admission: ctl})
+	if _, err := reg.PutProgram("sub", []byte(datagen.SubsetsSrc(6))); err != nil {
+		t.Fatal(err)
+	}
+	req := `{"query":"?- Member(S, e1).","depth":6,"limit":10000}`
+	st, _, body := doJSONAs(t, "POST", ts.URL+"/v1/db/sub/answers", "small", req)
+	if st != http.StatusUnprocessableEntity || errCode(body) != "budget_exceeded" {
+		t.Fatalf("32 KB arena, 10000 answers: %d, error %v, %v answers", st, body["error"], body["count"])
+	}
+	st, _, body = doJSONAs(t, "POST", ts.URL+"/v1/db/sub/answers", "big", req)
+	if n, _ := body["count"].(float64); st != http.StatusOK || n != 10000 {
+		t.Fatalf("unbudgeted tenant: %d, %v answers", st, body["count"])
+	}
+	// A watch evaluates under the same budget: its init is refused alike.
+	st, _, body = doJSONAs(t, "POST", ts.URL+"/v1/db/sub/watch", "small", req)
+	if st != http.StatusUnprocessableEntity || errCode(body) != "budget_exceeded" {
+		t.Fatalf("watch with a 32 KB arena: %d, error %v", st, body["error"])
 	}
 }
 

@@ -208,6 +208,7 @@ type Server struct {
 	met     *metrics
 	log     *slog.Logger
 	handler http.Handler
+	hop     *api.Hop
 	rec     *obs.Recorder
 	pipe    *api.Pipeline
 	stats   *queryStats
@@ -271,9 +272,11 @@ func New(reg *registry.Registry, cfg Config) *Server {
 	if s.cfg.Watch == nil {
 		wopts := watch.Options{Reg: reg}
 		if s.cfg.Admission != nil {
-			// The per-tenant watch cap follows the admission policy file.
+			// The per-tenant watch cap and work budget follow the admission
+			// policy file.
 			// Daemons passing a pre-wired hub wire this themselves.
 			wopts.TenantCap = s.cfg.Admission.WatchCap
+			wopts.Budget = s.cfg.Admission.Budget
 		}
 		s.cfg.Watch = watch.NewHub(wopts)
 		reg.SetNotifier(s.cfg.Watch.Notify)
@@ -329,13 +332,22 @@ func New(reg *registry.Registry, cfg Config) *Server {
 		direct("GET /v1/repl/wal", "repl_wal", s.handleReplWAL)
 		direct("GET /v1/repl/lsn", "repl_lsn", s.handleReplLSN)
 	}
-	s.handler = mux
+	// A router's requests arrive as hop frames (api.ServeHop) and are
+	// served by this same mux.
+	s.hop = api.ServeHop(mux)
+	s.handler = s.hop
 	return s
 }
 
-// Handler returns the fully wired handler (deadlines included); mount it on
-// an http.Server or httptest.Server.
+// Handler returns the fully wired handler (deadlines and the router hop
+// included); mount it on an http.Server or httptest.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
+
+// Shutdown drains the router hop, which http.Server.Shutdown cannot see:
+// call it after that returns. Idle hop connections close at once and busy
+// ones once their in-flight request is answered; when ctx ends first, the
+// rest are cut.
+func (s *Server) Shutdown(ctx context.Context) error { return s.hop.Shutdown(ctx) }
 
 // errf is a refusal whose code is the status's default one.
 func errf(status int, format string, args ...any) *api.Error {

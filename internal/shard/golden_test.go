@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"funcdb/internal/api"
 )
 
 // TestRouterOriginGolden pins every response the router originates itself —
@@ -22,7 +24,7 @@ func TestRouterOriginGolden(t *testing.T) {
 	// ok is a healthy shard; items answers per-db batches by database name:
 	// an inline error, too few results, not JSON, or a well-formed 404.
 	ok := newFakeShard(t, "a-primary", "alpha")
-	items := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	items := httptest.NewServer(api.ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		switch {
 		case r.URL.Path == "/readyz":
@@ -37,7 +39,7 @@ func TestRouterOriginGolden(t *testing.T) {
 			io.WriteString(w, `{"results":[{"query":"q1","answer":true},`+
 				`{"query":"?- <b>&","answer":false,"error":{"code":"parse_error","message":"1:4: unexpected '<'"}}],"version":1}`+"\n")
 		}
-	}))
+	})))
 	t.Cleanup(items.Close)
 	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	dead.Close()

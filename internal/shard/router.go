@@ -76,10 +76,6 @@ type proxiedStream struct {
 type Options struct {
 	// ShardTimeout bounds each scatter-gather leg (default 5s).
 	ShardTimeout time.Duration
-	// Client performs upstream requests and caches the endpoints' /readyz
-	// verdicts; nil means the process-wide default client. Per-request
-	// contexts bound the fan-out legs; watch streams are unbounded by design.
-	Client *api.Client
 	// Logger for request warnings; default slog.Default().
 	Logger *slog.Logger
 	// Metrics receives router series; default a fresh registry exposed at
@@ -132,7 +128,7 @@ func relay(dst io.Writer, src io.Reader) {
 func NewRouter(src *Source, opts Options) *Router {
 	rt := &Router{
 		src:     src,
-		client:  opts.Client,
+		client:  api.NewClient(nil),
 		log:     opts.Logger,
 		timeout: opts.ShardTimeout,
 		writes:  make(map[string]int),
@@ -419,14 +415,16 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) error {
 }
 
 // Close cancels every proxied watch stream, so a graceful HTTP shutdown
-// is not held open by long-lived subscriptions. Clients reconnect through
-// whatever router the balancer offers next.
+// is not held open by long-lived subscriptions, and closes the idle hop
+// connections to the shards; a request still in flight finishes over its
+// own. Clients reconnect through whatever router the balancer offers next.
 func (rt *Router) Close() {
 	rt.streamsMu.Lock()
-	defer rt.streamsMu.Unlock()
 	for ps := range rt.streams {
 		ps.cancel()
 	}
+	rt.streamsMu.Unlock()
+	rt.client.Close()
 }
 
 // cutMovedStreams cancels proxied watch streams whose database changed
@@ -495,12 +493,13 @@ func (rt *Router) group(name string) *groupState {
 	return gs
 }
 
-// call is a request to a shard on behalf of r's client: the tenant's key rides
-// along so the shard's admission control charges the right bucket (the router
-// itself stays tenant-agnostic), the shard-map version says who routed it,
-// and — in Send — the current span becomes the shard's remote parent.
+// call is a request to a shard on behalf of r's client, sent over the hop:
+// the tenant's key rides along so the shard's admission control charges the
+// right bucket (the router itself stays tenant-agnostic), the shard-map
+// version says who routed it, and — in Send — the current span becomes the
+// shard's remote parent.
 func call(r *http.Request, m *Map, method, url string, body []byte) api.Request {
-	return api.Request{Method: method, URL: url, Body: body,
+	return api.Request{Method: method, URL: url, Body: body, Hop: true,
 		ContentType: r.Header.Get("Content-Type"), APIKey: r.Header.Get(api.HeaderAPIKey), Via: m.via}
 }
 
@@ -515,7 +514,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, in *api.Info, 
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	resp, err := rt.client.Send(ctx, call(r, m, r.Method, url, body))
+	rq := call(r, m, r.Method, url, body)
+	rq.Hop = !stream // a watch stream stays on HTTP
+	resp, err := rt.client.Send(ctx, rq)
 	if err != nil {
 		return err
 	}

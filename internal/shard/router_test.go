@@ -76,7 +76,7 @@ func newFakeShard(t *testing.T, name string, dbs ...string) *fakeShard {
 		fl.Flush()
 		<-r.Context().Done()
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewServer(api.ServeHop(mux))
 	t.Cleanup(f.srv.Close)
 	return f
 }
@@ -408,8 +408,8 @@ func TestRouterShedPassthrough(t *testing.T) {
 			})
 			// Both endpoints shed, so a wrongful retry shows up as hits > 1
 			// no matter which endpoint round-robin picks first.
-			primary := httptest.NewServer(shed)
-			replica := httptest.NewServer(shed)
+			primary := httptest.NewServer(api.ServeHop(shed))
+			replica := httptest.NewServer(api.ServeHop(shed))
 			t.Cleanup(primary.Close)
 			t.Cleanup(replica.Close)
 			m := &Map{Version: 1, Groups: []Group{
@@ -450,11 +450,11 @@ func TestRouterShedPassthrough(t *testing.T) {
 // router's handler to a one-endpoint group over loopback: the router's own
 // share of a routed ask (the backend answers a constant).
 func BenchmarkRouteAsk(b *testing.B) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewServer(api.ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"answer":true,"version":1,"cached":true}`+"\n")
-	}))
+	})))
 	defer backend.Close()
 	src := NewSource(&Map{Version: 1, Groups: []Group{{Name: "g", Primary: backend.URL}}})
 	defer src.Close()

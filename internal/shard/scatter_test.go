@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"funcdb/internal/admission"
+	"funcdb/internal/api"
 	"funcdb/internal/core"
 	"funcdb/internal/registry"
 	"funcdb/internal/server"
@@ -68,7 +69,7 @@ func TestScatterLegsChargeTheCaller(t *testing.T) {
 func TestScatterLegsCarryTheCallersHeaders(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]http.Header{}
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewServer(api.ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		seen[r.Method+" "+r.URL.Path] = r.Header.Clone()
 		mu.Unlock()
@@ -78,7 +79,7 @@ func TestScatterLegsCarryTheCallersHeaders(t *testing.T) {
 		} else {
 			io.WriteString(w, `{"results":[{"answer":true}]}`)
 		}
-	}))
+	})))
 	t.Cleanup(backend.Close)
 	_, srv, _ := routerOver(t, &Map{Version: 4, Groups: []Group{{Name: "g", Primary: backend.URL}}})
 
@@ -139,7 +140,7 @@ func TestScatterRefusalIsNotANodeFailure(t *testing.T) {
 				w.WriteHeader(tc.status)
 				io.WriteString(w, tc.envelope+"\n")
 			})
-			primary, replica := httptest.NewServer(refuse), httptest.NewServer(refuse)
+			primary, replica := httptest.NewServer(api.ServeHop(refuse)), httptest.NewServer(api.ServeHop(refuse))
 			t.Cleanup(primary.Close)
 			t.Cleanup(replica.Close)
 			rt, srv, _ := routerOver(t, &Map{Version: 1, Groups: []Group{

@@ -61,6 +61,11 @@ type Options struct {
 	// one tenant (0 = uncapped). Daemons wire the admission controller's
 	// WatchCap here so the per-tenant policy file governs watches too.
 	TenantCap func(tenant string) int
+	// Budget, when set, returns a fresh work budget for one evaluation of a
+	// tenant's stream (nil = unlimited). Daemons wire the admission
+	// controller's Budget, so a stream's evaluations are bounded like the
+	// tenant's answers requests; one that runs out degrades to a resync.
+	Budget func(tenant string) *obs.Budget
 }
 
 // Hub fans registry version bumps out to subscribed query streams. One
@@ -551,6 +556,9 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]Tuple, bool, error) {
 	ctx, cancel := context.WithTimeout(dw.hub.ctx, dw.hub.opts.DeltaTimeout)
 	defer cancel()
+	if dw.hub.opts.Budget != nil {
+		ctx = obs.WithBudget(ctx, dw.hub.opts.Budget(st.tenant))
+	}
 	ans, err := snap.Answers(ctx, st.Query)
 	if err != nil {
 		return nil, false, err

@@ -16,14 +16,16 @@ import (
 
 // layering pins, per package, exactly which module packages its non-test
 // imports reach, directly or not. A process that only forwards records
-// (fdbrouter) must not link the compiler, and the record codec under every
-// daemon must stay a leaf. Splitting core into a serving part and a
-// reproduction part adds rows here.
+// (fdbrouter) must not link the compiler, the kit both daemons share (api,
+// which frames the router's hop) reaches only obs and the codec, and the
+// record codec under every daemon must stay a leaf. Splitting core into a
+// serving part and a reproduction part adds rows here.
 var layering = []struct {
 	pkg   string   // module-relative package directory
 	reach []string // the module packages it reaches, sorted
 }{
 	{"cmd/fdbrouter", []string{"internal/api", "internal/obs", "internal/shard", "internal/wire"}},
+	{"internal/api", []string{"internal/obs", "internal/wire"}},
 	{"internal/wire", nil},
 }
 
@@ -65,7 +67,10 @@ import (
 	"m/internal/shard"
 )`)
 	write("internal/api/api.go", `package api
-import _ "m/internal/obs"`)
+import (
+	_ "m/internal/obs"
+	_ "m/internal/wire"
+)`)
 	write("internal/obs/obs.go", "package obs")
 	write("internal/shard/shard.go", `package shard
 import (
@@ -92,6 +97,7 @@ import _ "m/internal/core"`)
 	got := layeringViolations(graph)
 	want := []string{
 		"cmd/fdbrouter reaches [internal/api internal/core internal/obs internal/registry internal/shard internal/wire], want [internal/api internal/obs internal/shard internal/wire]",
+		"internal/api reaches [internal/core internal/obs internal/registry internal/wire], want [internal/obs internal/wire]",
 		"internal/wire reaches [internal/core internal/registry], want []",
 	}
 	if !reflect.DeepEqual(got, want) {
