@@ -101,11 +101,16 @@ govulncheck:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@latest ./...
 
+# The longer passes over the text readers: the program parser, the query
+# parser and the ground reader against the tree lowering it replaced.
 fuzz:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
+	$(GO) test -fuzz=FuzzParseQuery -fuzztime=60s ./internal/parser
+	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=120s -fuzzminimizetime=10s ./internal/core
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
-# and query parsers, the specio binary and JSON document readers, the record
+# and query parsers, the ground query reader (differential: the tree lowering
+# is the reference), the specio binary and JSON document readers, the record
 # framing, the WAL mutation, replication frame, manifest and snapshot meta and
 # entry readers (differential targets: the decoders they replaced are the
 # reference), the watch frame codec, the daemon's request-body decoder
@@ -116,6 +121,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
+	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=30s -fuzzminimizetime=5s ./internal/core
 	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire

@@ -203,7 +203,7 @@ func TestQueryShapeSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-		w := shapeWriter{q: q, names: prog.Tab, fn: symbols.NoFunc}
+		w := queryWriter{q: q, names: prog.Tab, fn: symbols.NoFunc}
 		if n, shape := w.size(), QueryShape(q, prog.Tab); n != len(shape) {
 			t.Errorf("%s: counted %d bytes, wrote %d (%s)", text, n, len(shape), shape)
 		}

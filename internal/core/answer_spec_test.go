@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,7 +91,9 @@ func TestAnswerSpecKilledBuildIsNotKept(t *testing.T) {
 // TestAnswerSpecFollowerOutlivesLeader: the first caller of a cold
 // non-uniform plan runs out of time mid-build; a concurrent caller with no
 // deadline, which was waiting on that build, does not inherit the failure
-// but builds in its turn and gets the full answer.
+// but builds in its turn and gets the full answer. The leader is held inside
+// the build (specHook) until the follower waits and the leader's deadline
+// has passed, so the order does not hang on the clock.
 func TestAnswerSpecFollowerOutlivesLeader(t *testing.T) {
 	s := deepSnapshot(t, datagen.SubsetsSrc(10))
 	p, err := s.Prepare(context.Background(), `?- Member(ext(S, e0), e1).`)
@@ -99,25 +102,36 @@ func TestAnswerSpecFollowerOutlivesLeader(t *testing.T) {
 	}
 	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
+	building, waiting := make(chan struct{}), make(chan struct{})
+	var leaders, followers atomic.Int32
+	specHook = func(leader bool) {
+		switch {
+		case !leader:
+			if followers.Add(1) == 1 {
+				close(waiting)
+			}
+		case leaders.Add(1) == 1:
+			close(building)
+			<-waiting
+			<-short.Done()
+		}
+	}
+	defer func() { specHook = nil }()
 	leaderErr := make(chan error, 1)
 	go func() {
 		_, err := p.Answers(short)
 		leaderErr <- err
 	}()
-	for p.spec.Load() == nil { // the leader holds the slot from here on
-		select {
-		case err := <-leaderErr:
-			t.Fatalf("leader finished before any follower could wait: %v", err)
-		default:
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
+	<-building // the leader holds the slot from here on
 	ans, err := p.Answers(context.Background())
 	if err != nil {
 		t.Fatalf("follower: %v", err)
 	}
 	if err := <-leaderErr; !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader: %v, want ErrCanceled ∧ DeadlineExceeded", err)
+	}
+	if l, f := leaders.Load(), followers.Load(); l != 2 || f != 1 {
+		t.Errorf("%d builds and %d waits, want 2 builds (the leader's, then the follower's) and 1 wait", l, f)
 	}
 	// Lists with e1 in them, extended or not: one of depth 1, 19 of depth 2.
 	if got := render(t, ans, 2, 0); len(got) != 20 {

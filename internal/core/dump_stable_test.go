@@ -18,7 +18,7 @@ import (
 // stablePrograms are the programs whose rendered specifications are pinned:
 // the acceptance corpus with its own yes-no queries, and the seven datagen
 // families at small sizes.
-func stablePrograms(t *testing.T) map[string]struct {
+func stablePrograms(t testing.TB) map[string]struct {
 	src     string
 	queries []string
 } {

@@ -43,15 +43,16 @@ func TestExtendTouchesDelta(t *testing.T) {
 // TestPublishBytes: what one republish allocates, as counts — the mean of a
 // few runs of BenchmarkPublish's body, read off the allocator's own counters
 // the way testing.B does (a timed testing.Benchmark would spend its second on
-// the opens). The bounds are the figures measured when the stores' frozen
-// views became lengths (EXPERIMENTS.md A23) plus 20 %; with the interning
-// maps, the source program and the global set copied per publish cal
-// allocated 56 864 bytes in 663 allocations, and with a copy of the successor
-// table per consumer before that robdeep 991 KB in 691.
+// the opens). The bounds are the figures measured when the frozen
+// specification stopped copying the original predicates' set per publish
+// (EXPERIMENTS.md A28) plus 20 %; with the interning maps, the source
+// program and the global set copied per publish cal allocated 56 864 bytes
+// in 663 allocations, and with a copy of the successor table per consumer
+// before that robdeep 991 KB in 691.
 func TestPublishBytes(t *testing.T) {
 	bounds := map[string]struct{ bytes, allocs uint64 }{
-		// measured: cal 27 136 / 551, sub 64 512 / 814, rob 67 120 / 181, robdeep 515 926 / 244
-		"cal": {32_600, 661}, "sub": {77_400, 977}, "rob": {80_500, 217}, "robdeep": {619_100, 293},
+		// measured: cal 27 008 / 549, sub 64 384 / 812, rob 66 992 / 179, robdeep 515 792 / 242
+		"cal": {32_400, 659}, "sub": {77_300, 975}, "rob": {80_400, 215}, "robdeep": {619_000, 291},
 	}
 	const runs = 5
 	for _, c := range publishCases() {
@@ -194,7 +195,7 @@ func TestExtendHistoryStaysFlat(t *testing.T) {
 
 // corpusPrograms reads the acceptance corpus with its yes-no expectations
 // (the "%! true ?- Q." lines; see corpus_test.go at the root).
-func corpusPrograms(t *testing.T) map[string]struct {
+func corpusPrograms(t testing.TB) map[string]struct {
 	src     string
 	queries []string
 } {

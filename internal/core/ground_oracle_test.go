@@ -29,6 +29,8 @@ import (
 //
 //   - the plan, as served: Snapshot.Prepare then Plan.Ask;
 //   - the plan under MethodEquational (congruence closure over R);
+//   - the plan the tree lowering makes: the text parsed into an AST first,
+//     as a plan miss lowered ground text before the reader (treePlan);
 //   - the specification walked the old way: the query's mixed applications
 //     eliminated by rewrite.EliminateMixed on a one-fact program, the
 //     symbol string run over the representatives' table;
@@ -534,6 +536,22 @@ func (o planOracle) Ask(text string) (bool, error) {
 	return p.Ask(ctx, WithMethod(o.method))
 }
 
+// treeOracle asks the plan the tree lowering makes (treePlan): the text
+// parsed into an AST and each atom compiled from it, the way a plan miss
+// lowered ground text before the reader.
+type treeOracle struct{ snap *Snapshot }
+
+func (o treeOracle) Ask(text string) (bool, error) {
+	p, err := o.snap.treePlan(text)
+	if err != nil {
+		return false, err
+	}
+	if p == nil {
+		return false, fmt.Errorf("oracle: %q compiled to an open plan", text)
+	}
+	return p.Ask(context.Background())
+}
+
 // refAtom is one atom lowered the way the program was compiled: its mixed
 // applications eliminated into derived symbols by rewrite.EliminateMixed.
 type refAtom struct {
@@ -675,6 +693,7 @@ func oracleBackends(op *oracleProgram) []namedOracle {
 	return []namedOracle{
 		{"Plan.Ask", planOracle{op.snap, MethodGraph}, true},
 		{"Plan.Ask(equational)", planOracle{op.snap, MethodEquational}, true},
+		{"tree lowering", treeOracle{op.snap}, true},
 		{"spec walk", specOracle{op}, false},
 		{"topdown", topdownOracle{op}, false},
 		{"fixpoint", fixpointOracle{op}, false},
@@ -895,7 +914,7 @@ func (f oracleFailure) String() string {
 }
 
 // oraclePrograms builds every program of the oracle, in name order.
-func oraclePrograms(t *testing.T) []*oracleProgram {
+func oraclePrograms(t testing.TB) []*oracleProgram {
 	progs := stablePrograms(t)
 	names := make([]string, 0, len(progs))
 	for name := range progs {

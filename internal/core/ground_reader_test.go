@@ -1,0 +1,210 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"funcdb/internal/parser"
+)
+
+// readerDisagrees compares what Prepare's reader and the tree lowering
+// (treePlan) make of text: whether it is declined — the tree rejects it or
+// finds it open — and for a ground query the shape, fingerprint, steps and
+// verdict by both methods. It returns "" when they agree.
+func readerDisagrees(s *Snapshot, text string) string {
+	got := s.readGround(text)
+	ref, err := s.treePlan(text)
+	switch {
+	case got == nil && (err != nil || ref == nil):
+		return ""
+	case got == nil:
+		return "the reader declined a well-formed ground query"
+	case err != nil:
+		return fmt.Sprintf("the reader lowered a text the tree rejects: %v", err)
+	case ref == nil:
+		return "the reader lowered an open query"
+	case got.shape != ref.shape:
+		return fmt.Sprintf("shape %.200q, tree %.200q", got.shape, ref.shape)
+	case got.fingerprint != ref.fingerprint:
+		return fmt.Sprintf("fingerprint %s, tree %s", got.fingerprint, ref.fingerprint)
+	case got.flat != ref.flat || len(got.steps) != len(ref.steps):
+		return fmt.Sprintf("%d steps (flat %v), tree %d (flat %v)", len(got.steps), got.flat, len(ref.steps), ref.flat)
+	}
+	for i := range got.steps {
+		g, r := &got.steps[i], &ref.steps[i]
+		if g.kind != r.kind || g.kind >= stepFlat && (g.atom != r.atom || !slices.Equal(g.syms, r.syms)) {
+			return fmt.Sprintf("atom %d: step %d atom %d syms %.40v, tree %d atom %d syms %.40v",
+				i, g.kind, g.atom, g.syms, r.kind, r.atom, r.syms)
+		}
+	}
+	ctx := context.Background()
+	for _, m := range []Method{MethodGraph, MethodEquational} {
+		ok, err := got.Ask(ctx, WithMethod(m))
+		rok, rerr := ref.Ask(ctx, WithMethod(m))
+		if ok != rok || err != nil || rerr != nil {
+			return fmt.Sprintf("method %d: %v, %v; tree %v, %v", m, ok, err, rok, rerr)
+		}
+	}
+	return ""
+}
+
+// readerCorpus is what the reader is held to per program: every text
+// TestQueryLoweringStable lowers (the oracle generator's spellings of 60
+// queries, ten malformed texts) and readerExtras.
+func readerCorpus(op *oracleProgram, pi int) []string {
+	r := rand.New(rand.NewSource(int64(1000 + pi)))
+	var out []string
+	for i := 0; i < 60; i++ {
+		c := oracleCase{op, op.gen(r), r.Int63()}
+		for _, sp := range c.spellings() {
+			out = append(out, sp.text)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		out = append(out, op.malformedText(r, i))
+	}
+	return append(out, readerExtras(op)...)
+}
+
+// readerExtras are the spellings the generator does not write, over the
+// program's own predicates: succ spelled out, numerals with leading zeros
+// and +0 sugar, comments, a function symbol written as the derived symbol it
+// stands for, applications with more constants than the mixed memo keeps,
+// a data arity the table does not have, and predicates the table lacks —
+// typed functional only by a later atom, or with a data arity nothing
+// guesses, either of which makes the reader read the text again.
+func readerExtras(op *oracleProgram) []string {
+	c := "a"
+	if len(op.consts) > 0 {
+		c = op.consts[len(op.consts)-1]
+	}
+	out := []string{
+		"?- Zq(3).", "?- Zq(3), Zq(f(0)).", "?- Zq(f(0)), Zq(3).", "?- Zq(3), Zq(a).", "?- Zq(f(0)), Zq(a).",
+		"?- Zq(a, b), Zq.", "?- Zq(0+1, " + c + ").", "?- Zq(3+0).", "?- Zq(007, 0+0).", "?- Zq(f(0), a, b).",
+		"?- Zq(3), Zq(f(0)), Zr(4), Zr(0+1).", "?- Zq(g(0, a, b, c, d, e)).",
+		"?- Zq(2, a), Zq(f(0), a), Zq(1, " + c + ").", "?- Zq(f(0), a), Zq(f(0), b), Zq(0+2).",
+	}
+	for _, p := range op.preds {
+		args := strings.Repeat(", "+c, p.arity)
+		if !p.fn {
+			out = append(out,
+				fmt.Sprintf("?- %s%s.", p.name, strings.TrimPrefix("("+strings.TrimPrefix(args, ", ")+")", "()")),
+				fmt.Sprintf("?- %s(%s+0%s).", p.name, c, args), // too many arguments unless arity 0
+				fmt.Sprintf("?- %s(f(0)%s).", p.name, args))
+			continue
+		}
+		out = append(out,
+			fmt.Sprintf("?- %s(succ(succ(0))%s).", p.name, args),
+			fmt.Sprintf("?- %s(007+0%s)%%x\n.", p.name, args),
+			fmt.Sprintf("?- %s(1+00+2%s), %s(0%s).", p.name, args, p.name, args),
+			fmt.Sprintf("?- %s(F(0)%s).", p.name, args),
+			fmt.Sprintf("?- %s(f(0)%s, %s).", p.name, args, c),
+			fmt.Sprintf("?- %s(f(0)%s, %s, %s, %s, %s).", p.name, args, c, c, c, c),
+			fmt.Sprintf("?- %s(0%s+0).", p.name, args))
+		for i, s := range op.syms {
+			if len(s.args) == 0 || i > 3 {
+				continue
+			}
+			derived := s.name + "'" + strings.Join(s.args, "'")
+			spelled := s.name + "(0, " + strings.Join(s.args, ", ") + ")"
+			out = append(out,
+				fmt.Sprintf("?- %s(%s(0)%s).", p.name, derived, args),
+				fmt.Sprintf("?- %s(%s%s).", p.name, spelled, args),
+				fmt.Sprintf("?- %s(%s(0, %s, 007, 0+0, %s)%s).", p.name, s.name, c, c, args))
+		}
+	}
+	return out
+}
+
+// TestReaderDeclinesOnlyOpenOrMalformed: over the corpora, the reader takes
+// every text the tree parses into a ground query — numerals, +n, succ
+// spelled out, data atoms, conjunctions, comments, helper predicates, and
+// predicates, symbols and constants the snapshot has never seen — and
+// lowers it as the tree lowering does. So the tree path, which an open or
+// malformed text still takes, never becomes a second ground lowering.
+func TestReaderDeclinesOnlyOpenOrMalformed(t *testing.T) {
+	read, declined := 0, 0
+	for pi, op := range oraclePrograms(t) {
+		for _, text := range readerCorpus(op, pi) {
+			if d := readerDisagrees(op.snap, text); d != "" {
+				t.Errorf("%s: %.120q: %s", op.name, text, d)
+			}
+			if op.snap.readGround(text) != nil {
+				read++
+			} else {
+				declined++
+			}
+		}
+	}
+	t.Logf("%d texts read, %d declined", read, declined)
+	if read < 3*declined {
+		t.Errorf("only %d texts read against %d declined: the corpus lost its ground queries", read, declined)
+	}
+}
+
+// FuzzGroundLowering: for any text, the reader and the tree lowering agree
+// on whether it is declined, and on the shape, fingerprint, steps and
+// verdict of a ground query, on the oracle's programs — one an input, so
+// that an execution reads the text twice, not forty times. It is seeded
+// with every third text of the readers' corpus, under its own program.
+func FuzzGroundLowering(f *testing.F) {
+	progs := oraclePrograms(f)
+	for pi, op := range progs {
+		for i, text := range readerCorpus(op, pi) {
+			if i%3 == 0 {
+				f.Add(text, uint8(pi))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, text string, pi uint8) {
+		op := progs[int(pi)%len(progs)]
+		if d := readerDisagrees(op.snap, text); d != "" {
+			t.Errorf("%s: %.200q: %s", op.name, text, d)
+		}
+	})
+}
+
+// TestReaderDeclinesPastTermDepth: a term deeper than parser.MaxTermDepth —
+// nesting, numeral and +n combined — is declined by the reader, so Prepare
+// reports the tree parser's error at its line:col, the one the server
+// answers 400 parse_error with; a term at the cap is the reader's.
+func TestReaderDeclinesPastTermDepth(t *testing.T) {
+	const max = parser.MaxTermDepth
+	s := deepSnapshot(t, "@functional Q/1. Q(0). Q(S) -> Q(f(S)). Even(0). Even(T) -> Even(T+2).")
+	nested := func(n int, base string) string { return strings.Repeat("f(", n) + base + strings.Repeat(")", n) }
+	for _, tc := range []struct {
+		name, text, wantErr string // wantErr "": the reader lowers it
+	}{
+		{"nesting at the cap", "?- Q(" + nested(max, "0") + ").", ""},
+		{"nesting past the cap", "?- Q(" + nested(max+1, "0") + ").", fmt.Sprintf("1:%d: term deeper", 6+2*max)},
+		{"unclosed nesting past the cap", "?- Q(" + strings.Repeat("f(", max+3), fmt.Sprintf("1:%d: term deeper", 6+2*max)},
+		{"numeral at the cap", fmt.Sprintf("?- Even(%d).", max), ""},
+		{"numeral past the cap", fmt.Sprintf("?- Even(%d).", max+1), "1:9: term deeper"},
+		{"+n past the cap", fmt.Sprintf("?- Even(0+%d).", max+1), "1:9: term deeper"},
+		{"combined past the cap", "?- Q(" + nested(max-10, "6") + "+5).", "1:6: term deeper"},
+		{"combined at the cap", "?- Q(" + nested(max-10, "6") + "+4).", ""},
+		{"past the cap on a later line", "?- Even(2),\n  Q(" + nested(max-2, "3") + ").", "2:5: term deeper"},
+	} {
+		read := s.readGround(tc.text) != nil
+		_, err := s.Prepare(context.Background(), tc.text)
+		_, treeErr := parser.ParseQueryTab(s.tab, tc.text)
+		var pe *parser.ParseError
+		switch {
+		case tc.wantErr == "":
+			if !read || err != nil {
+				t.Errorf("%s: read %v, Prepare: %v", tc.name, read, err)
+			}
+		case read:
+			t.Errorf("%s: the reader lowered it", tc.name)
+		case !errors.As(err, &pe) || treeErr == nil || err.Error() != treeErr.Error():
+			t.Errorf("%s: Prepare: %v; the tree parser: %v", tc.name, err, treeErr)
+		case !strings.HasPrefix(err.Error(), tc.wantErr):
+			t.Errorf("%s: Prepare: %.80v, want %s…", tc.name, err, tc.wantErr)
+		}
+	}
+}

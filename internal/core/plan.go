@@ -1,19 +1,20 @@
 // Compiled query plans: the paper's "compile once, answer cheaply" premise
-// applied to the serving hot path. Prepare parses and lowers a query against
-// one immutable Snapshot; executing the resulting Plan re-does none of that
-// work. Ground queries whose atoms are observable through the flat DFA
-// tables (specgraph.FlatDFA) execute as pure array walks — zero map lookups,
-// zero allocations. Plans are cached per snapshot, keyed on the canonical
-// query shape (canonical.QueryShape) so spelling variants share one
-// compilation, with singleflight collapse of concurrent misses. Mutating the
-// database publishes a fresh Snapshot, which starts with an empty plan cache
-// — version-bump invalidation needs no scans.
+// applied to the serving hot path. Prepare lowers a ground query to symbol
+// strings as it reads the text (lower.go), and parses an open one into a
+// tree, against one immutable Snapshot; executing the resulting Plan re-does
+// none of that work. Ground queries whose atoms are observable through the
+// flat DFA tables (specgraph.FlatDFA) execute as pure array walks — zero map
+// lookups, zero allocations. Plans are cached per snapshot, keyed on the
+// canonical query shape (canonical.QueryShape) so spelling variants share
+// one compilation, with singleflight collapse of concurrent open misses.
+// Mutating the database publishes a fresh Snapshot, which starts with an
+// empty plan cache — version-bump invalidation needs no scans.
 package core
 
 import (
 	"context"
 	"errors"
-	"slices"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -23,8 +24,6 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
-	"funcdb/internal/rewrite"
-	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -183,21 +182,20 @@ const (
 	ftermBytes   = 32
 )
 
-// planBytes estimates what a compiled plan for q retains beyond its text: a
-// ground plan's shape and steps, whose symbol strings take four bytes per
-// application; an open plan's shape and AST.
-func planBytes(shape string, q *ast.Query) int {
-	n := planOverhead + len(shape)
-	if groundQuery(q) {
-		for i := range q.Atoms {
-			n += stepBytes
-			if ft := q.Atoms[i].FT; ft != nil {
-				n += 4 * len(ft.Apps)
-			}
-		}
-		return n
+// groundBytes estimates what a ground plan retains beyond its text: its
+// shape and steps, whose symbol strings take four bytes per application.
+func (p *Plan) groundBytes() int {
+	n := planOverhead + len(p.shape)
+	for i := range p.steps {
+		n += stepBytes + 4*len(p.steps[i].syms)
 	}
-	n += 48 + 4*len(q.Free)
+	return n
+}
+
+// planBytes estimates what an open plan for q retains beyond its text: its
+// shape and AST.
+func planBytes(shape string, q *ast.Query) int {
+	n := planOverhead + len(shape) + 48 + 4*len(q.Free)
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
 		n += atomBytes + 8*len(a.Args)
@@ -222,8 +220,9 @@ func groundQuery(q *ast.Query) bool {
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
 // plan cache first: an exact-text hit costs one map lookup, a novel
-// spelling of a cached shape costs one parse, and concurrent misses on one
-// shape collapse into a single compilation.
+// spelling of a cached shape costs one read of the text (a parse, if it is
+// open), and concurrent misses on one open shape collapse into a single
+// compilation.
 func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 	pc := &s.plans
 	pc.mu.RLock()
@@ -238,26 +237,53 @@ func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 	return s.prepareMiss(ctx, src)
 }
 
+// prepareMiss makes the plan of a text the cache has not seen. A ground
+// query is lowered as it is read (readGround), its shape known only once it
+// is compiled; every text the reader declines — an open query, a malformed
+// one — is parsed into a tree, which an open plan keeps and a malformed
+// text's error comes from.
 func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	pc := &s.plans
 	_, psp := obs.StartSpan(ctx, "parse")
+	if p := s.readGround(src); p != nil {
+		psp.End()
+		// A respelling of a cached shape is charged for the plan again: an
+		// overestimate, never an under.
+		cost := entryOverhead + len(src) + p.groundBytes()
+		if cost > planCacheBytes/8 {
+			return p, nil // not worth flushing every other plan for
+		}
+		pc.mu.Lock()
+		pc.admit(cost)
+		e := pc.shapes[p.shape]
+		if e == nil {
+			e = &planEntry{plan: p}
+			pc.shapes[p.shape] = e
+		}
+		pc.texts[src] = e
+		pc.mu.Unlock()
+		return e.plan, e.err
+	}
 	ec := s.getEval()
 	defer s.putEval(ec)
 	q, err := parser.ParseQueryTab(ec.tab, src)
+	if err == nil && groundQuery(q) {
+		// The reader takes every well-formed ground text but one past 2 GiB
+		// (FuzzGroundLowering holds it to that): no tree is lowered here.
+		err = fmt.Errorf("core: a ground query of %d bytes is too long to lower", len(src))
+	}
 	psp.End()
-	// The bytes the new entry will retain. (A respelling of a cached shape
-	// is charged for the plan again: an overestimate, never an under.)
-	cost, shape := entryOverhead+len(src), ""
+	// The bytes the new entry will retain.
+	cost, shape, fingerprint := entryOverhead+len(src), "", ""
 	if err == nil {
-		shape = canonical.QueryShape(q, ec.tab)
+		shape, fingerprint = canonical.ShapeAndFingerprint(q, ec.tab)
 		cost += planBytes(shape, q)
 	}
 	if cost > planCacheBytes/8 {
-		// Not worth flushing every other plan for: answer it uncached.
 		if err != nil {
 			return nil, err
 		}
-		return s.compile(ctx, ec, src, shape, q)
+		return s.compile(ctx, ec, src, shape, fingerprint, q), nil
 	}
 	pc.mu.Lock()
 	pc.admit(cost)
@@ -275,136 +301,26 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	if mine {
 		func() {
 			defer e.pending.Done()
-			e.plan, e.err = s.compile(ctx, ec, src, shape, q)
+			e.plan = s.compile(ctx, ec, src, shape, fingerprint, q)
 		}()
 	}
 	e.pending.Wait()
 	return e.plan, e.err
 }
 
-// compile lowers a parsed query onto a Plan. ec is the prepare-time scratch
-// the query was parsed into; nothing of it is retained (symbol strings are
-// copied, atom ids kept only when they refer to the frozen world).
-func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape string, q *ast.Query) (*Plan, error) {
+// compile makes the plan of an open query. ec is the prepare-time scratch
+// the query was parsed into; the plan gets a private table when the text
+// interned symbols of its own, and retains nothing else of it.
+func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape, fingerprint string, q *ast.Query) *Plan {
 	_, csp := obs.StartSpan(ctx, "plan_compile")
 	defer csp.End()
-	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: groundQuery(q)}
-	if !p.ground {
-		p.q, p.tab = q, s.tab
-		if ec.tab.HasLocal() {
-			// The query interned novel symbols: give the plan a private table
-			// so the AST's identifiers stay resolvable at execution time.
-			p.tab = ec.tab.Clone().Freeze()
-		}
-		return p, nil
+	p := &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint, q: q, tab: s.tab}
+	if ec.tab.HasLocal() {
+		// The query interned novel symbols: give the plan a private table
+		// so the AST's identifiers stay resolvable at execution time.
+		p.tab = ec.tab.Clone().Freeze()
 	}
-	lw := lowering{fd: s.spec.Flat(), tab: ec.tab}
-	p.steps = make([]groundStep, len(q.Atoms))
-	p.flat = true
-	for i := range q.Atoms {
-		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
-		p.flat = p.flat && p.steps[i].kind != stepSlow
-	}
-	return p, nil
-}
-
-// lower compiles one ground atom. Under range restriction the least
-// fixpoint holds no atom over a term with a symbol outside the alphabet, nor
-// one with a predicate or tuple the snapshot has never seen, so each of
-// those is a compile-time false, whichever method executes the plan.
-func (s *Snapshot) lower(ec *evalCtx, lw *lowering, a *ast.Atom) groundStep {
-	args := constArgs(a)
-	if a.FT == nil {
-		// Data atom: the frozen global set is immutable, so the verdict is a
-		// compile-time constant.
-		if s.spec.HasData(ec.w, a.Pred, args) {
-			return groundStep{kind: stepTrue}
-		}
-		return groundStep{kind: stepFalse}
-	}
-	syms := make([]int32, len(a.FT.Apps))
-	for i, app := range a.FT.Apps {
-		var ok bool
-		if syms[i], ok = lw.index(app); !ok {
-			return groundStep{kind: stepFalse}
-		}
-	}
-	atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
-	if int(atom) >= s.w.NumAtoms() {
-		return groundStep{kind: stepFalse}
-	}
-	if !s.spec.OriginalPred(a.Pred) {
-		// The flat tables observe original predicates only (the minimized
-		// quotient does not preserve helper facts).
-		return groundStep{kind: stepSlow, syms: syms, atom: atom}
-	}
-	return groundStep{kind: stepFlat, syms: syms, atom: atom}
-}
-
-// mixedMemoSize is the number of slots of a compile's mixed-application
-// memo: a deep term repeats a handful of applications for hundreds of
-// layers, and a miss costs what every layer used to.
-const mixedMemoSize = 64
-
-// lowering resolves the applications of one compile's ground terms to flat
-// symbol indices. A pure symbol is one array read; a mixed application
-// g(·, a, b) stands for the pure symbol g'a'b that rewrite.EliminateMixed
-// derived when the program was compiled, found by name once per distinct
-// application and compile.
-type lowering struct {
-	fd   *specgraph.FlatDFA
-	tab  *symbols.Table
-	name []byte
-	memo [mixedMemoSize]mixedEntry
-}
-
-type mixedEntry struct {
-	fn   symbols.FuncID
-	args []ast.DTerm
-	idx  int32 // -1: the derived symbol is not in the alphabet
-	used bool
-}
-
-// mixedKey is what tells two mixed applications apart: the function symbol
-// and its constants.
-var mixedKey = func(app ast.FApp) (symbols.FuncID, []ast.DTerm) { return app.Fn, app.Args }
-
-// index returns the flat index of an application's symbol; ok is false when
-// the alphabet does not have it.
-func (lw *lowering) index(app ast.FApp) (int32, bool) {
-	if len(app.Args) == 0 {
-		return lw.fd.SymIndex(app.Fn)
-	}
-	fn, args := mixedKey(app)
-	h := (uint64(fn) + 1) * 0x9e3779b97f4a7c15
-	for _, d := range args {
-		h = (h + uint64(uint32(d.Const)) + 1) * 0x9e3779b97f4a7c15
-	}
-	// Up to four slots from the key's own, so two applications a term
-	// alternates between do not evict each other.
-	home := int(h >> 58)
-	e := &lw.memo[home]
-	for k := 0; k < 4; k++ {
-		c := &lw.memo[(home+k)%mixedMemoSize]
-		if !c.used {
-			e = c
-			break
-		}
-		if c.fn == fn && slices.Equal(c.args, args) {
-			return c.idx, c.idx >= 0
-		}
-	}
-	*e = mixedEntry{fn: fn, args: args, idx: -1, used: true}
-	// The lookup does not retain its key, so string(name) stays off the
-	// heap, and a derived symbol the program never produced is not interned:
-	// it is outside the alphabet either way.
-	lw.name = rewrite.PureName(lw.name[:0], lw.tab, app)
-	if d, ok := lw.tab.LookupFunc(string(lw.name), 0); ok {
-		if i, ok := lw.fd.SymIndex(d); ok {
-			e.idx = i
-		}
-	}
-	return e.idx, e.idx >= 0
+	return p
 }
 
 // Ask executes the plan as a yes-no query: ground plans decide membership
@@ -603,6 +519,9 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 				continue
 			}
 			obs.EngineSink().AddAnswerSpecBuilds(1)
+			if specHook != nil {
+				specHook(true)
+			}
 			b.spec, b.err = p.buildSpec(ctx)
 			if ownFault(b.err) || (b.err == nil && !p.snap.plans.charge(b.spec.Bytes())) {
 				// Emptied before the waiters wake, so they see the slot free.
@@ -610,6 +529,9 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 			}
 			close(b.done)
 			return b.spec, b.err
+		}
+		if specHook != nil {
+			specHook(false)
 		}
 		select {
 		case <-b.done:
@@ -624,6 +546,12 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 		}
 	}
 }
+
+// specHook, when a test sets it, is called by the leader of an answer
+// specification's build as it starts building (leader true) and by every
+// caller that finds a build in flight as it starts to wait (leader false),
+// so that the test can hold one inside the build until the other waits.
+var specHook func(leader bool)
 
 // ownFault reports whether a build failed for a reason that belongs to the
 // request that ran it — its context or its work budget — and not to the

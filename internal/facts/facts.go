@@ -167,10 +167,26 @@ func (w *World) findAtom(h uint32, rec atomRec) int32 {
 	})
 }
 
+func atomHash(rec atomRec) uint32 {
+	return intern.Hash(uint64(uint32(rec.pred))<<32 | uint64(uint32(rec.tuple)))
+}
+
+// Lookup returns the atom pred(args) if w has interned it. It interns
+// nothing, so a frozen view answers it too.
+func (w *World) Lookup(pred symbols.PredID, args []symbols.ConstID) (AtomID, bool) {
+	tu := w.findTuple(intern.HashIDs(args), args)
+	if tu < 0 {
+		return -1, false
+	}
+	rec := atomRec{pred, TupleID(tu)}
+	id := w.findAtom(atomHash(rec), rec)
+	return AtomID(id), id >= 0
+}
+
 // Atom interns the function-free atom pred(tuple).
 func (w *World) Atom(pred symbols.PredID, tuple TupleID) AtomID {
 	rec := atomRec{pred, tuple}
-	h := intern.Hash(uint64(uint32(pred))<<32 | uint64(uint32(tuple)))
+	h := atomHash(rec)
 	if id := w.findAtom(h, rec); id >= 0 {
 		return AtomID(id)
 	}

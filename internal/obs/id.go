@@ -88,10 +88,25 @@ func Fingerprint(shape string) string {
 	if shape == "" {
 		return ""
 	}
-	// FNV-1a, inline: hash/fnv would have the shape copied into a []byte.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(shape); i++ {
-		h = (h ^ uint64(shape[i])) * 1099511628211
-	}
-	return string(appendHex64(make([]byte, 0, 16), h))
+	return string(NewFingerprintHash().AddString(shape).Append(make([]byte, 0, 16)))
 }
+
+// FingerprintHash is Fingerprint's hash, 64-bit FNV-1a, for a shape written
+// in pieces: fold each piece in as it is written, and the fingerprint costs
+// no pass of its own over the finished shape. (Inline rather than hash/fnv,
+// which would have every piece copied into a []byte.)
+type FingerprintHash uint64
+
+// NewFingerprintHash returns the hash of the empty shape.
+func NewFingerprintHash() FingerprintHash { return 14695981039346656037 }
+
+// AddString folds s into h.
+func (h FingerprintHash) AddString(s string) FingerprintHash {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ FingerprintHash(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// Append appends the fingerprint h renders as, 16 hex digits, to dst.
+func (h FingerprintHash) Append(dst []byte) []byte { return appendHex64(dst, uint64(h)) }

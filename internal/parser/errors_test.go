@@ -3,9 +3,9 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Error goldens, recorded from the parser before its terms became flat
@@ -140,7 +140,12 @@ func nested(n int, base string) string {
 
 // TestTermDepthCap: nesting, numeric literal and +n sugar count against one
 // cap, in programs and queries alike; passing it is a positioned ParseError,
-// reached without recursing or copying in proportion to the excess.
+// reached without copying in proportion to the depth. The bound is on the
+// bytes a parse allocates — the parser pools nothing, so they repeat — not
+// on its time: at most 16 per byte of source (the raw tree's slabs are
+// sized from the source once) and 64 per application of a term at the cap,
+// where a term built by copying its chain per layer allocates
+// quadratically in the depth.
 func TestTermDepthCap(t *testing.T) {
 	const max = MaxTermDepth
 	const base = "@functional Q/1. Q(0). Q(S) -> Q(f(S)). Even(0). Even(T) -> Even(T+2). Age(a, 1). "
@@ -167,18 +172,26 @@ func TestTermDepthCap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, asProgram := range []bool{false, true} {
-			start := time.Now()
-			var err error
+			var src string
 			switch {
 			case !asProgram:
-				_, err = ParseQuery(res.Program, "?- "+tc.atom+".")
+				src = "?- " + tc.atom + "."
 			case strings.Contains(tc.atom, "(T"):
-				_, err = Parse(base + tc.atom + " -> Even(T).")
+				src = base + tc.atom + " -> Even(T)."
 			default:
-				_, err = Parse(base + tc.atom + ".")
+				src = base + tc.atom + "."
 			}
-			if d := time.Since(start); d > 2*time.Second {
-				t.Errorf("%s (program=%v): took %v", tc.name, asProgram, d)
+			var err error
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if asProgram {
+				_, err = Parse(src)
+			} else {
+				_, err = ParseQuery(res.Program, src)
+			}
+			runtime.ReadMemStats(&m1)
+			if b := m1.TotalAlloc - m0.TotalAlloc; b > 16*uint64(len(src))+64*max {
+				t.Errorf("%s (program=%v): %d bytes allocated for %d bytes of source", tc.name, asProgram, b, len(src))
 			}
 			var pe *ParseError
 			switch {

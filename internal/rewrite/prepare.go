@@ -18,7 +18,8 @@ type Prepared struct {
 	Original *ast.Program
 	// OriginalPreds holds the predicates of the original program; the
 	// helper predicates introduced by normalization are excluded, and
-	// specifications and answers are restricted to this set.
+	// specifications and answers are restricted to this set. It is read-only
+	// once Prepare returns: every frozen specification shares it.
 	OriginalPreds map[symbols.PredID]bool
 	// C is the paper's parameter c, computed on the original program: the
 	// depth of the largest fully ground functional term (section 2.5).

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"funcdb/internal/obs"
+	"funcdb/internal/parser"
 )
 
 // TestShapeKeyedCacheSharesSpellings: the /ask answer cache keys program
@@ -232,5 +234,27 @@ func TestTermDepthDoS(t *testing.T) {
 	}
 	if code, body := doJSON(t, "GET", ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz after the barrage = %d %v", code, body)
+	}
+}
+
+// TestTermDepthErrorIsTheTrees: a ground query past the depth cap — a
+// numeral, +n sugar, nesting, or nesting and sugar combined — is declined by
+// the plan miss's reader and parsed into a tree, so the 400 parse_error
+// carries the tree parser's error for the text, at its line:col.
+func TestTermDepthErrorIsTheTrees(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	prog := parser.MustParse(evenSrc).Program
+	nest := func(n int) string { return strings.Repeat("f(", n) + "0" + strings.Repeat(")", n) }
+	for _, q := range []string{
+		fmt.Sprintf("?- Even(%d).", parser.MaxTermDepth+1),
+		fmt.Sprintf("?- Even(2),\n   Even(0+%d).", parser.MaxTermDepth+1),
+		"?- Even(" + nest(parser.MaxTermDepth+1) + ").",
+		"?- Even(4), Even(" + nest(parser.MaxTermDepth-10) + "+11).",
+	} {
+		_, treeErr := parser.ParseQuery(prog, q)
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": q})
+		if treeErr == nil || code != http.StatusBadRequest || errCode(body) != "parse_error" || errMessage(body) != treeErr.Error() {
+			t.Errorf("%.40q… = %d %.120v; the tree parser: %v", q, code, body, treeErr)
+		}
 	}
 }

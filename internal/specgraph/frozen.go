@@ -37,18 +37,16 @@ func (sp *Spec) Freeze() *Frozen { return sp.FreezeQuotient(nil) }
 // which makes the tables as small as the coarsest equivalent automaton. A
 // nil quotient is the identity partition.
 func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
-	f := &Frozen{
-		SeedDepth:     sp.SeedDepth,
-		Table:         sp.Table,
-		Merges:        sp.Merges,
-		global:        sp.Eng.Global().Freeze(),
-		originalPreds: make(map[symbols.PredID]bool, len(sp.Eng.Prep.OriginalPreds)),
+	return &Frozen{
+		SeedDepth: sp.SeedDepth,
+		Table:     sp.Table,
+		Merges:    sp.Merges,
+		global:    sp.Eng.Global().Freeze(),
+		// Shared, not copied: nothing writes the map once rewrite.Prepare
+		// has built it (a recompile prepares a new one).
+		originalPreds: sp.Eng.Prep.OriginalPreds,
 		flat:          buildFlat(sp, q),
 	}
-	for k, v := range sp.Eng.Prep.OriginalPreds {
-		f.originalPreds[k] = v
-	}
-	return f
 }
 
 // Flat returns the flat transition tables ground plans execute on.
@@ -69,9 +67,11 @@ func (f *Frozen) Representative(v *term.Universe, t term.Term) (term.Term, error
 	return f.Reps[i], nil
 }
 
-// HasData decides a non-functional fact from the frozen global set.
+// HasData decides a non-functional fact from the frozen global set. It
+// interns nothing: an atom w has never seen is not in the set.
 func (f *Frozen) HasData(w *facts.World, pred symbols.PredID, args []symbols.ConstID) bool {
-	return f.global.Has(w, w.Atom(pred, w.Tuple(args)))
+	a, ok := w.Lookup(pred, args)
+	return ok && f.global.Has(w, a)
 }
 
 // GlobalByPred returns the frozen global facts of predicate p.

@@ -18,14 +18,19 @@ import (
 // imports reach, directly or not. A process that only forwards records
 // (fdbrouter) must not link the compiler, the kit both daemons share (api,
 // which frames the router's hop) reaches only obs and the codec, and the
-// record codec under every daemon must stay a leaf. Splitting core into a
-// serving part and a reproduction part adds rows here.
+// record codec under every daemon must stay a leaf. The parser, whose ground
+// reader lowers a query as it lexes it, reaches only the symbols and terms it
+// names: it hands its events to a sink in core, so it can neither write a
+// shape nor hash a fingerprint, and canonical's ShapeWriter stays the one
+// writer of the format. Splitting core into a serving part and a
+// reproduction part adds rows here.
 var layering = []struct {
 	pkg   string   // module-relative package directory
 	reach []string // the module packages it reaches, sorted
 }{
 	{"cmd/fdbrouter", []string{"internal/api", "internal/obs", "internal/shard", "internal/wire"}},
 	{"internal/api", []string{"internal/obs", "internal/wire"}},
+	{"internal/parser", []string{"internal/ast", "internal/intern", "internal/symbols", "internal/term"}},
 	{"internal/wire", nil},
 }
 
@@ -44,9 +49,10 @@ func TestLayering(t *testing.T) {
 	}
 }
 
-// TestLayeringCatches: the guard refuses a planted edge — the codec
-// importing the catalog, which drags the compiler into the router — and
-// ignores what it must: test files, nested modules and testdata.
+// TestLayeringCatches: the guard refuses planted edges — the codec
+// importing the catalog, which drags the compiler into the router, and the
+// ground reader writing shapes itself — and ignores what it must: test
+// files, nested modules and testdata.
 func TestLayeringCatches(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -84,6 +90,14 @@ import _ "m/internal/registry"`)
 	write("internal/registry/registry.go", `package registry
 import _ "m/internal/core"`)
 	write("internal/core/core.go", "package core")
+	write("internal/parser/ground.go", `package parser
+import (
+	_ "m/internal/ast"
+	_ "m/internal/canonical"
+)`)
+	write("internal/canonical/shape.go", `package canonical
+import _ "m/internal/obs"`)
+	write("internal/ast/ast.go", "package ast")
 	write("internal/core/testdata/x.go", `package x
 import _ "m/internal/registry"`)
 	write("bench/go.mod", "module m/bench\n")
@@ -98,6 +112,7 @@ import _ "m/internal/core"`)
 	want := []string{
 		"cmd/fdbrouter reaches [internal/api internal/core internal/obs internal/registry internal/shard internal/wire], want [internal/api internal/obs internal/shard internal/wire]",
 		"internal/api reaches [internal/core internal/obs internal/registry internal/wire], want [internal/obs internal/wire]",
+		"internal/parser reaches [internal/ast internal/canonical internal/obs], want [internal/ast internal/intern internal/symbols internal/term]",
 		"internal/wire reaches [internal/core internal/registry], want []",
 	}
 	if !reflect.DeepEqual(got, want) {
