@@ -110,7 +110,8 @@ fuzz:
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
 # and query parsers, the ground query reader (differential: the tree lowering
-# is the reference), the specio binary and JSON document readers, the record
+# is the reference), the specio binary and JSON document readers and the
+# document loader (what Read accepts, core.LoadSpec loads), the record
 # framing, the WAL mutation, replication frame, manifest and snapshot meta and
 # entry readers (differential targets: the decoders they replaced are the
 # reference), the watch frame codec, the daemon's request-body decoder
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=30s -fuzzminimizetime=5s ./internal/core
+	$(GO) test -fuzz=FuzzLoadSpec -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire

@@ -395,7 +395,8 @@ func BenchmarkExport(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadStandalone(b *testing.B) {
+// BenchmarkLoadSpec times making a snapshot of an exported document.
+func BenchmarkLoadSpec(b *testing.B) {
 	db := open(b, datagen.SubsetsSrc(5))
 	doc, err := db.Document()
 	if err != nil {

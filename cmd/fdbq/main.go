@@ -1,23 +1,24 @@
-// Command fdbq answers membership queries from an exported specification
-// document — no program, no rules, no fixpoint engine. It is the consumer
-// side of fdbc -export, and doubles as a thin client for a running fdbd
-// daemon.
+// Command fdbq answers queries from an exported specification document — no
+// program, no rules, no fixpoint engine. It is the consumer side of fdbc
+// -export, and doubles as a thin client for a running fdbd daemon.
 //
 // Usage:
 //
 //	fdbq -spec spec.json [flags] [QUERY ...]
 //	fdbq -remote http://host:port[,http://host2:port2...] -db NAME [flags] [QUERY ...]
 //
-// In local mode each QUERY is one function-free-plus-term atom:
+// Each QUERY is a yes-no query in the surface syntax, in either mode and for
+// either kind of daemon entry:
 //
-//	Pred(TERM)            e.g. Even(4)
-//	Pred(TERM, arg, ...)  e.g. Member(ext'a.ext'b, a)
+//	?- Even(4).
+//	?- Member(ext(ext(0, a), b), a).
+//	?- Member(S, a).
 //
-// TERM is either a decimal number (a succ-chain over 0), the constant 0, or
-// the term's function symbols innermost-first separated by dots. In remote
-// mode each QUERY is sent verbatim to POST /v1/db/NAME/ask: a daemon entry
-// loaded from a program expects surface syntax ("?- Even(4)."), one loaded
-// from a spec document expects the local syntax above. Flags:
+// A ground query is decided by the document's successor automaton, an open
+// one holds when it has an answer. From a document alone an open query must
+// be uniform (Theorem 5.1: every functional term is ground or the bare
+// functional variable); any other needs the program's rules. In remote mode
+// each QUERY is sent verbatim to POST /v1/db/NAME/ask. Flags:
 //
 //	-spec FILE     the document written by fdbc -export
 //	-remote URLS   comma-separated base URLs of running fdbd daemons
@@ -55,6 +56,7 @@ import (
 	"strings"
 
 	"funcdb/internal/api"
+	"funcdb/internal/core"
 	"funcdb/internal/repl"
 	"funcdb/internal/specio"
 	"funcdb/internal/watch"
@@ -104,7 +106,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := specio.Load(doc)
+	snap, err := core.LoadSpec(doc)
 	if err != nil {
 		return err
 	}
@@ -130,19 +132,14 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, doc.DOT())
 	}
 
+	var opts []core.Option
+	if *useCC {
+		opts = append(opts, core.WithMethod(core.MethodEquational))
+	}
 	for _, q := range fs.Args() {
-		pred, tm, dataArgs, err := st.ParseGroundQuery(q)
+		yes, err := snap.Ask(context.Background(), q, opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", q, err)
-		}
-		var yes bool
-		if *useCC {
-			yes = st.HasViaCongruence(pred, tm, dataArgs...)
-		} else {
-			yes, err = st.Has(pred, tm, dataArgs...)
-			if err != nil {
-				return fmt.Errorf("%s: %w", q, err)
-			}
 		}
 		fmt.Fprintf(out, "%-40s %v\n", q, yes)
 	}

@@ -22,8 +22,8 @@ import (
 //	%! temporal           the program is temporal
 //
 // Every expectation is checked against the graph specification and, for
-// yes-no queries, against the canonical (congruence-closure) form and the
-// serialized standalone answerer as well.
+// ground yes-no queries, against the snapshot of the exported document, by
+// the DFA walk and by congruence closure, as well.
 
 type corpusCase struct {
 	name       string
@@ -129,7 +129,8 @@ func TestAcceptanceCorpus(t *testing.T) {
 }
 
 // TestCorpusAcrossRepresentations re-runs every ground corpus query through
-// the minimized automaton and the serialized standalone answerer.
+// the explanation and through the snapshot of the exported document, whose
+// rules are gone.
 func TestCorpusAcrossRepresentations(t *testing.T) {
 	for _, c := range loadCorpus(t) {
 		c := c
@@ -155,6 +156,12 @@ func TestCorpusAcrossRepresentations(t *testing.T) {
 				}
 				if got != q.want {
 					t.Errorf("graph: Ask(%s) = %v, want %v", q.query, got, q.want)
+				}
+				for _, m := range []funcdb.Method{funcdb.MethodGraph, funcdb.MethodEquational} {
+					got, err := a.loaded.Ask(context.Background(), q.query, funcdb.WithMethod(m))
+					if err != nil || got != q.want {
+						t.Errorf("loaded document (method %d): Ask(%s) = %v (err %v), want %v", m, q.query, got, err, q.want)
+					}
 				}
 				// Explanations must agree with the verdict for single-atom
 				// functional ground queries.

@@ -1,14 +1,17 @@
 // Offline: the "rules may be forgotten" property of section 3 made
 // concrete. A service compiles a functional deductive database once,
 // exports the relational specification as JSON, and ships it; a consumer
-// answers membership queries from the document alone — no rules, no
-// fixpoint engine — via the DFA walk or the congruence-closure test.
+// loads the document alone — no rules, no fixpoint engine — and answers
+// ground queries via the DFA walk or the congruence-closure test, and
+// uniform open queries by Theorem 5.1.
 //
 // Run with: go run ./examples/offline
 package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -41,36 +44,46 @@ func main() {
 	if err != nil {
 		log.Fatalf("read: %v", err)
 	}
-	standalone, err := funcdb.LoadSpec(doc)
+	snap, err := funcdb.LoadSpec(doc)
 	if err != nil {
 		log.Fatalf("load: %v", err)
 	}
-	fmt.Printf("loaded %d representatives over alphabet %v\n\n",
-		standalone.NumReps(), doc.Alphabet)
+	fmt.Printf("loaded %d representatives over alphabet %v\n\n", len(doc.Reps), doc.Alphabet)
 
-	// Terms are built against the standalone universe by symbol name.
-	list, err := standalone.Term("ext'red", "ext'green", "ext'red")
-	if err != nil {
-		log.Fatalf("term: %v", err)
+	// Queries are written as against the program: the mixed application
+	// ext(S, red) is the document's symbol ext'red.
+	ctx := context.Background()
+	ask := func(q string, opts ...funcdb.Option) bool {
+		yes, err := snap.Ask(ctx, q, opts...)
+		if err != nil {
+			log.Fatalf("%s: %v", q, err)
+		}
+		return yes
 	}
 	for _, colour := range []string{"red", "green"} {
-		viaDFA, err := standalone.Has("Member", list, colour)
-		if err != nil {
-			log.Fatalf("has: %v", err)
-		}
-		viaCC := standalone.HasViaCongruence("Member", list, colour)
-		fmt.Printf("Member([red green red], %s): DFA %v, congruence closure %v\n",
-			colour, viaDFA, viaCC)
+		q := fmt.Sprintf("?- Member(ext(ext(ext(0, red), green), red), %s).", colour)
+		fmt.Printf("%s DFA %v, congruence closure %v\n",
+			q, ask(q), ask(q, funcdb.WithMethod(funcdb.MethodEquational)))
 	}
-	longGreens, err := standalone.Term("ext'green", "ext'green", "ext'green", "ext'green")
+	q := "?- Member(ext(ext(ext(ext(0, green), green), green), green), red)."
+	fmt.Printf("%s %v\n", q, ask(q))
+
+	// A uniform open query is answered from the slices alone (Theorem 5.1);
+	// one that applies a function to its variable needs the rules.
+	ans, err := snap.Answers(ctx, "?- Member(S, red).")
 	if err != nil {
-		log.Fatalf("term: %v", err)
+		log.Fatalf("answers: %v", err)
 	}
-	got, err := standalone.Has("Member", longGreens, "red")
-	if err != nil {
-		log.Fatalf("has: %v", err)
+	fmt.Println("\nlists of length at most 2 that contain red:")
+	if err := ans.Enumerate(2, func(list funcdb.Term, _ []funcdb.ConstID) bool {
+		fmt.Printf("  %s\n", ans.CompactTermString(list))
+		return true
+	}); err != nil {
+		log.Fatalf("enumerate: %v", err)
 	}
-	fmt.Printf("Member([green green green green], red): %v\n", got)
+	if _, err := snap.Answers(ctx, "?- Member(ext(S, red), green)."); errors.Is(err, funcdb.ErrNeedsRules) {
+		fmt.Println("?- Member(ext(S, red), green). needs the rules:", err)
+	}
 
 	// The automaton itself, ready for Graphviz.
 	fmt.Println("\nGraphviz DOT of the successor automaton:")

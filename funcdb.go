@@ -85,9 +85,6 @@ type (
 	// SpecDocument is the serialized, self-contained form of a
 	// specification (package specio).
 	SpecDocument = specio.Document
-	// Standalone answers queries from a loaded SpecDocument alone, with
-	// the original rules absent.
-	Standalone = specio.Standalone
 	// Minimized is the observable-equivalence quotient of a graph
 	// specification (package minimize).
 	Minimized = minimize.Minimized
@@ -137,6 +134,9 @@ var (
 	// ErrCanceled matches (via errors.Is) any evaluation abandoned
 	// because its context expired.
 	ErrCanceled = core.ErrCanceled
+	// ErrNeedsRules reports a non-uniform query against a snapshot loaded
+	// from a SpecDocument, which answers uniform ones only (Theorem 5.1).
+	ErrNeedsRules = core.ErrNeedsRules
 )
 
 // Per-query options for Database.Ask/Answers and Plan execution.
@@ -163,8 +163,9 @@ func Equivalent(a, b *Minimized) (bool, Term, error) { return minimize.Equivalen
 // ReadSpec parses a serialized specification document.
 func ReadSpec(r io.Reader) (*SpecDocument, error) { return specio.Read(r) }
 
-// LoadSpec rebuilds a standalone answerer from a document.
-func LoadSpec(doc *SpecDocument) (*Standalone, error) { return specio.Load(doc) }
+// LoadSpec makes a snapshot of a document, with the original rules absent:
+// it answers ground and uniform queries (Snapshot.Ask, Snapshot.Answers).
+func LoadSpec(doc *SpecDocument) (*Snapshot, error) { return core.LoadSpec(doc) }
 
 // FormatProgressions renders a closed-form day set, e.g. "{1 + 3k}".
 func FormatProgressions(ps []Progression) string { return temporal.FormatProgressions(ps) }

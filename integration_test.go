@@ -1,14 +1,16 @@
 // Cross-representation integration tests: on randomized workloads, every
 // representation of a least fixpoint — the graph specification, the
-// equational/canonical form, the minimized automaton, the serialized
-// standalone document, and (where it is exact) depth-bounded bottom-up
+// equational/canonical form, the minimized automaton, the snapshot of the
+// serialized document, and (where it is exact) depth-bounded bottom-up
 // evaluation — must answer every membership question identically.
 package funcdb_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"funcdb"
@@ -22,11 +24,12 @@ import (
 
 // answerers builds every representation of a program's fixpoint.
 type answerers struct {
-	db         *funcdb.Database
-	spec       *funcdb.GraphSpec
-	form       *funcdb.CanonicalForm
-	min        *funcdb.Minimized
-	standalone *funcdb.Standalone
+	db   *funcdb.Database
+	spec *funcdb.GraphSpec
+	form *funcdb.CanonicalForm
+	min  *funcdb.Minimized
+	// loaded is the snapshot of the exported document: the rules forgotten.
+	loaded *funcdb.Snapshot
 }
 
 func buildAll(t *testing.T, src string) *answerers {
@@ -55,17 +58,35 @@ func buildAll(t *testing.T, src string) *answerers {
 	if err != nil {
 		t.Fatalf("ReadSpec: %v", err)
 	}
-	standalone, err := funcdb.LoadSpec(doc)
+	loaded, err := funcdb.LoadSpec(doc)
 	if err != nil {
 		t.Fatalf("LoadSpec: %v", err)
 	}
-	return &answerers{db: db, spec: spec, form: form, min: min, standalone: standalone}
+	return &answerers{db: db, spec: spec, form: form, min: min, loaded: loaded}
+}
+
+// groundText spells pred(t, args) as a query, t by the names of its symbols,
+// innermost first: a derived g'a'b is a pure symbol of that name to the
+// program and to its document alike.
+func groundText(pred string, syms, args []string) string {
+	var b strings.Builder
+	b.WriteString("?- " + pred + "(")
+	for i := len(syms) - 1; i >= 0; i-- {
+		b.WriteString(syms[i] + "(")
+	}
+	b.WriteString("0" + strings.Repeat(")", len(syms)))
+	for _, c := range args {
+		b.WriteString(", " + c)
+	}
+	b.WriteString(").")
+	return b.String()
 }
 
 // checkAgreement walks every term to the given depth and compares all
 // representations on every atom appearing anywhere in the primary database.
 func checkAgreement(t *testing.T, a *answerers, depth int, label string) {
 	t.Helper()
+	ctx := context.Background()
 	sp := a.spec
 	w := sp.W
 	tab := a.db.Tab()
@@ -75,12 +96,11 @@ func checkAgreement(t *testing.T, a *answerers, depth int, label string) {
 			atoms[at] = true
 		}
 	}
-	// Mirror of the term under the standalone universe. Large alphabets
-	// would make a full walk to the target depth explode, so cap the total
-	// number of visited terms.
+	// Large alphabets would make a full walk to the target depth explode, so
+	// cap the total number of visited terms.
 	budget := 2000
-	var walk func(tm, standTm term.Term)
-	walk = func(tm, standTm term.Term) {
+	var walk func(tm term.Term, names []string)
+	walk = func(tm term.Term, names []string) {
 		if budget <= 0 {
 			return
 		}
@@ -102,25 +122,21 @@ func checkAgreement(t *testing.T, a *answerers, depth int, label string) {
 			for i, c := range args {
 				strArgs[i] = tab.ConstName(c)
 			}
-			if got, err := a.standalone.Has(tab.PredName(pred), standTm, strArgs...); err != nil || got != want {
-				t.Errorf("%s: standalone disagrees at %s (err %v)", label, sp.U.CompactString(tm, tab), err)
-			}
-			if got := a.standalone.HasViaCongruence(tab.PredName(pred), standTm, strArgs...); got != want {
-				t.Errorf("%s: standalone congruence disagrees at %s", label, sp.U.CompactString(tm, tab))
+			text := groundText(tab.PredName(pred), names, strArgs)
+			for _, m := range []funcdb.Method{funcdb.MethodGraph, funcdb.MethodEquational} {
+				if got, err := a.loaded.Ask(ctx, text, funcdb.WithMethod(m)); err != nil || got != want {
+					t.Errorf("%s: the loaded document (method %d) disagrees on %s (err %v)", label, m, text, err)
+				}
 			}
 		}
 		if sp.U.Depth(tm) >= depth {
 			return
 		}
 		for _, f := range sp.Alphabet {
-			sf, ok := a.standalone.Tab().LookupFunc(tab.FuncName(f), 0)
-			if !ok {
-				t.Fatalf("%s: standalone lost symbol %s", label, tab.FuncName(f))
-			}
-			walk(sp.U.Apply(f, tm), a.standalone.Universe().Apply(sf, standTm))
+			walk(sp.U.Apply(f, tm), append(names[:len(names):len(names)], tab.FuncName(f)))
 		}
 	}
-	walk(term.Zero, term.Zero)
+	walk(term.Zero, nil)
 }
 
 func TestAllRepresentationsAgreeOnExamples(t *testing.T) {

@@ -330,3 +330,24 @@ func (db *Database) Stats() (Stats, error) {
 		Equations: len(sp.Merges),
 	}, nil
 }
+
+// Stats returns the sizes of the specification the snapshot answers from:
+// for a snapshot of a document, all there is to report. C, Params and
+// Engine describe a compiled program and stay zero.
+func (s *Snapshot) Stats() Stats {
+	st := Stats{
+		Temporal:  s.temporal,
+		SeedDepth: s.spec.SeedDepth,
+		Reps:      s.spec.NumStates(),
+		Edges:     s.spec.NumStates() * len(s.spec.Alphabet),
+		Equations: len(s.spec.Merges),
+	}
+	for _, state := range s.spec.State {
+		for _, a := range s.w.StateAtoms(state) {
+			if s.spec.OriginalPred(s.w.AtomPred(a)) {
+				st.Tuples++
+			}
+		}
+	}
+	return st
+}

@@ -18,6 +18,13 @@ var ErrCanceled = errors.New("core: query canceled")
 // only this package.
 var ErrUnsafeQuery = query.ErrUnsafeQuery
 
+// ErrNeedsRules reports a non-uniform query against a snapshot of a
+// specification document (LoadSpec). By Theorem 5.1 a uniform query is
+// answered from (B, T) alone; any other is answered from the specification
+// of the program enlarged by a rule for the query, and a document keeps no
+// rules to enlarge.
+var ErrNeedsRules = errors.New("core: a non-uniform query needs the program's rules; a specification document answers uniform queries (Theorem 5.1)")
+
 type canceledError struct{ cause error }
 
 func (e *canceledError) Error() string { return "core: query canceled: " + e.cause.Error() }

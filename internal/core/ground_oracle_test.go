@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
+	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 	"funcdb/internal/topdown"
@@ -35,7 +37,10 @@ import (
 //     eliminated by rewrite.EliminateMixed on a one-fact program, the
 //     symbol string run over the representatives' table;
 //   - the tabled top-down prover, where its run is complete;
-//   - the depth-bounded least fixpoint, for terms of depth at most 4.
+//   - the depth-bounded least fixpoint, for terms of depth at most 4;
+//   - the rules forgotten: the snapshot LoadSpec makes of the program's
+//     exported document, once read back through JSON and once through the
+//     binary codec, each asked by both methods.
 //
 // The generator types its atoms the way the paper's programs are typed —
 // one functional position per predicate, holding a term of the functional
@@ -52,8 +57,12 @@ import (
 // text) for a text; a respelling — other whitespace, newlines and %
 // comments between the tokens, a numeral or +n written as a sum — has the
 // canonical spelling's Shape() and Fingerprint() and verdict, and an error
-// that names a position names the same token in every spelling. A broken
-// law prints the program, the case's seed and a shrunk one-line repro.
+// that names a position names the same token in every spelling. The rules
+// may be forgotten (section 3), but a document keeps only the predicates
+// that hold somewhere, none of normalization's helpers: a well-formed text
+// naming another predicate answers false on a loaded document, and a
+// malformed one is not asked of it. A broken law prints the program, the
+// case's seed and a shrunk one-line repro.
 
 // oracleCases is the default seed budget: cases per program.
 const oracleCases = 250
@@ -113,6 +122,44 @@ type oracleProgram struct {
 
 	fix  *fixpoint.Result // nil: no fixpoint backend for this program
 	fixU *term.Universe
+
+	// The snapshots of the exported document read back through JSON and
+	// through the binary codec, and the predicates the document forgot.
+	viaJSON, viaBinary *Snapshot
+	forgotten          map[symbols.PredID]bool
+}
+
+// loadSpec is the loader under the rules-forgotten law; a test plants a bug
+// by standing in front of it.
+var loadSpec = LoadSpec
+
+// loadDocument writes doc through both codecs and loads what each reads
+// back.
+func loadDocument(t testing.TB, name string, doc *specio.Document) (viaJSON, viaBinary *Snapshot) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := doc.Write(&buf); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	fromJSON, err := specio.Read(&buf)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	enc, err := specio.EncodeDocument(doc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	fromBinary, err := specio.DecodeDocument(enc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if viaJSON, err = loadSpec(fromJSON); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if viaBinary, err = loadSpec(fromBinary); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return viaJSON, viaBinary
 }
 
 func newOracleProgram(t testing.TB, name, src string) *oracleProgram {
@@ -172,6 +219,21 @@ func newOracleProgram(t testing.TB, name, src string) *oracleProgram {
 	for _, f := range []string{"foo", "bar", "zork"} {
 		if _, ok := tab.LookupFunc(f, 0); !ok {
 			op.foreign = append(op.foreign, f)
+		}
+	}
+	doc, err := db.Document()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	op.viaJSON, op.viaBinary = loadDocument(t, name, doc)
+	kept := make(map[specio.PredicateDoc]bool)
+	for _, p := range doc.Predicates {
+		kept[p] = true
+	}
+	op.forgotten = make(map[symbols.PredID]bool)
+	for _, p := range op.preds {
+		if !kept[specio.PredicateDoc{Name: p.name, Arity: p.arity, Functional: p.fn}] {
+			op.forgotten[p.id] = true
 		}
 	}
 	// The fixpoint is evaluated as deep as a fact budget allows: downward
@@ -687,17 +749,33 @@ type namedOracle struct {
 	name string
 	o    Oracle
 	plan bool // asked every spelling, not only the canonical one
+	doc  bool // answers from the exported document: forgotten predicates are false
 }
 
 func oracleBackends(op *oracleProgram) []namedOracle {
 	return []namedOracle{
-		{"Plan.Ask", planOracle{op.snap, MethodGraph}, true},
-		{"Plan.Ask(equational)", planOracle{op.snap, MethodEquational}, true},
-		{"tree lowering", treeOracle{op.snap}, true},
-		{"spec walk", specOracle{op}, false},
-		{"topdown", topdownOracle{op}, false},
-		{"fixpoint", fixpointOracle{op}, false},
+		{"Plan.Ask", planOracle{op.snap, MethodGraph}, true, false},
+		{"Plan.Ask(equational)", planOracle{op.snap, MethodEquational}, true, false},
+		{"tree lowering", treeOracle{op.snap}, true, false},
+		{"spec walk", specOracle{op}, false, false},
+		{"topdown", topdownOracle{op}, false, false},
+		{"fixpoint", fixpointOracle{op}, false, false},
+		{"document via JSON", planOracle{op.viaJSON, MethodGraph}, true, true},
+		{"document via JSON(equational)", planOracle{op.viaJSON, MethodEquational}, true, true},
+		{"document via binary", planOracle{op.viaBinary, MethodGraph}, true, true},
+		{"document via binary(equational)", planOracle{op.viaBinary, MethodEquational}, true, true},
 	}
+}
+
+// forgets reports whether q names a predicate the exported document does
+// not keep.
+func (q *gQuery) forgets(op *oracleProgram) bool {
+	for i := range q.atoms {
+		if op.forgotten[q.atoms[i].pred.id] {
+			return true
+		}
+	}
+	return false
 }
 
 // --- Laws ---
@@ -761,10 +839,20 @@ func (c *oracleCase) spellings() []spelling {
 func (c *oracleCase) check(backends []namedOracle) *oracleViolation {
 	sps := c.spellings()
 	canon := sps[0]
+	forgets := c.q.forgets(c.op)
 	var want answer
 	var wantFrom string
 	var lines []string
 	for _, b := range backends {
+		if b.doc && forgets {
+			if c.q.malformed {
+				continue
+			}
+			if ok, err := b.o.Ask(canon.text); ok || err != nil {
+				return &oracleViolation{"a predicate the document forgot answers false", fmt.Sprintf("%s: %s", b.name, answer{ok, err}), canon.text}
+			}
+			continue
+		}
 		ok, err := b.o.Ask(canon.text)
 		if errors.Is(err, errNotApplicable) {
 			continue
@@ -781,7 +869,7 @@ func (c *oracleCase) check(backends []namedOracle) *oracleViolation {
 	p0, err0 := c.op.snap.Prepare(ctx, canon.text)
 	for _, sp := range sps[1:] {
 		for _, b := range backends {
-			if !b.plan {
+			if !b.plan || b.doc && forgets {
 				continue
 			}
 			ok, err := b.o.Ask(sp.text)
@@ -963,7 +1051,7 @@ func TestGroundOracle(t *testing.T) {
 	}
 }
 
-// TestGroundOracleCatches re-plants two bugs this code could have and
+// TestGroundOracleCatches re-plants three bugs this code could have and
 // requires the default seed budget to find each, with its seed and a repro:
 //
 //   - the compile's mixed-application memo keyed on the function symbol
@@ -973,7 +1061,9 @@ func TestGroundOracle(t *testing.T) {
 //     lives in the parser, which this package's tests cannot reach into, so
 //     it is planted at the parser's output: every backend's error has its
 //     position converted back to an offset and then forward the buggy way.
-//     All backends share the parser, so only the respelling law can see it.
+//     All backends share the parser, so only the respelling law can see it;
+//   - a loader that drops the document's last slice, the primary database B
+//     of its last representative (planted in front of LoadSpec).
 func TestGroundOracleCatches(t *testing.T) {
 	t.Run("mixed memo keyed on the functor", func(t *testing.T) {
 		restore := mixedKey
@@ -991,6 +1081,15 @@ func TestGroundOracleCatches(t *testing.T) {
 			return out
 		}
 		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, wrap), "an error names the same token in every spelling")
+	})
+	t.Run("the loader drops the last slice", func(t *testing.T) {
+		loadSpec = func(doc *specio.Document) (*Snapshot, error) {
+			d := *doc
+			d.Slices = d.Slices[:len(d.Slices)-1]
+			return LoadSpec(&d)
+		}
+		defer func() { loadSpec = LoadSpec }()
+		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")
 	})
 }
 

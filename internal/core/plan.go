@@ -162,9 +162,10 @@ func (pc *planCache) charge(cost int) bool {
 }
 
 // admit makes room for an insertion retaining cost more bytes, flushing the
-// cache if it would pass a bound. The caller holds mu.
+// cache if it would pass a bound — or making it, on the snapshot's first
+// insertion. The caller holds mu.
 func (pc *planCache) admit(cost int) {
-	if len(pc.texts) >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
+	if pc.texts == nil || len(pc.texts) >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
 		pc.texts = make(map[string]*planEntry)
 		pc.shapes = make(map[string]*planEntry)
 		pc.bytes = 0
@@ -581,7 +582,8 @@ func (p *Plan) query() (*ast.Query, *symbols.Table, error) {
 
 // buildSpec computes the answer specification from scratch: Theorem 5.1's
 // per-slice evaluation over the snapshot's own successor table for a
-// uniform query, the enlarged program's specification for any other.
+// uniform query, the enlarged program's specification for any other — which
+// a snapshot of a document, having no program, refuses with ErrNeedsRules.
 func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
 	s := p.snap
 	q, tab, err := p.query()
@@ -592,6 +594,9 @@ func (p *Plan) buildSpec(ctx context.Context) (*query.Specification, error) {
 		ictx, sp := obs.StartSpan(ctx, "answers_incremental")
 		defer sp.End()
 		return query.Evaluate(ictx, frozenBackend{s, tab}, q)
+	}
+	if s.docOnly {
+		return nil, fmt.Errorf("%w: %s", ErrNeedsRules, q.Format(tab))
 	}
 	// The enlarged program gets a private symbol table (the plan's own
 	// identifiers stay valid in the clone) and shares the snapshot's rules

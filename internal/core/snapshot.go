@@ -43,6 +43,10 @@ type Snapshot struct {
 	method   Method
 	engOpts  engine.Options
 	specOpts specgraph.Options
+	temporal bool
+	// docOnly marks a snapshot of a specification document (LoadSpec): it
+	// has no rules, so it refuses a non-uniform query.
+	docOnly bool
 
 	// plans is the per-snapshot compiled-plan cache; starting empty on
 	// every publish is exactly the strict version-bump invalidation.
@@ -96,9 +100,8 @@ func (db *Database) snapshotLocked() (*Snapshot, error) {
 		method:   db.opts.Method,
 		engOpts:  db.opts.Engine,
 		specOpts: db.opts.Spec,
+		temporal: db.Prep.Temporal,
 	}
-	s.plans.texts = make(map[string]*planEntry)
-	s.plans.shapes = make(map[string]*planEntry)
 	db.snap.Store(s)
 	return s, nil
 }

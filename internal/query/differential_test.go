@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"funcdb/internal/engine"
 	"funcdb/internal/query"
 	"funcdb/internal/specgraph"
+	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -306,6 +308,111 @@ func TestIncrementalMatchesRecomputeOnSnapshots(t *testing.T) {
 	})
 	if compared < 100 {
 		t.Errorf("only %d uniform queries compared", compared)
+	}
+}
+
+// loadedDocuments makes the snapshots of db's exported document read back
+// through JSON and through the binary codec, and returns with them the
+// predicates the document keeps.
+func loadedDocuments(t *testing.T, db *core.Database) ([]*core.Snapshot, map[specio.PredicateDoc]bool) {
+	t.Helper()
+	doc, err := db.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := doc.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := specio.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := specio.EncodeDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := specio.DecodeDocument(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*core.Snapshot
+	for _, d := range []*specio.Document{fromJSON, fromBinary} {
+		s, err := core.LoadSpec(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	kept := make(map[specio.PredicateDoc]bool)
+	for _, p := range doc.Predicates {
+		kept[p] = true
+	}
+	return snaps, kept
+}
+
+// TestForgottenRulesAnswerAlike is the answers half of "the rules may be
+// forgotten" (section 3, Theorem 5.1): for every uniform query of the pool
+// over predicates the exported document keeps, the snapshot of the document
+// — read back through either codec — enumerates to depth d the program's
+// answers; every other open query is refused with core.ErrNeedsRules.
+func TestForgottenRulesAnswerAlike(t *testing.T) {
+	ctx := context.Background()
+	type loaded struct {
+		snaps []*core.Snapshot
+		kept  map[specio.PredicateDoc]bool
+	}
+	byDB := make(map[*core.Database]loaded)
+	compared, refused := 0, 0
+	forEachAnswer(t, func(p program, db *core.Database, text string, ans *query.Answers) {
+		l, ok := byDB[db]
+		if !ok {
+			l.snaps, l.kept = loadedDocuments(t, db)
+			byDB[db] = l
+		}
+		q, err := db.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range q.Atoms {
+			info := db.Tab().PredInfo(q.Atoms[i].Pred)
+			if !l.kept[specio.PredicateDoc{Name: info.Name, Arity: info.Arity, Functional: info.Functional}] {
+				return
+			}
+		}
+		uniform := query.IsUniform(q)
+		depth := min(p.maxDepth, 4)
+		for math.Pow(float64(ans.AlphabetSize()), float64(depth)) > referenceBudget {
+			depth--
+		}
+		want, _ := rows(t, ans, ans.EnumerateContext, depth, 0)
+		sort.Strings(want)
+		for i, s := range l.snaps {
+			got, err := s.Answers(ctx, text)
+			if !uniform {
+				if !errors.Is(err, core.ErrNeedsRules) {
+					t.Errorf("%s: %s on the document (codec %d): %v, want core.ErrNeedsRules", p.name, text, i, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %s on the document (codec %d): %v", p.name, text, i, err)
+			}
+			rs, _ := rows(t, got, got.EnumerateContext, depth, 0)
+			sort.Strings(rs)
+			if !reflect.DeepEqual(rs, want) {
+				t.Errorf("%s: %s to depth %d on the document (codec %d):\n got %v\nwant %v", p.name, text, depth, i, rs, want)
+			}
+		}
+		if uniform {
+			compared++
+		} else {
+			refused++
+		}
+	})
+	t.Logf("%d uniform queries compared, %d others refused", compared, refused)
+	if compared < 100 || refused < 20 {
+		t.Errorf("%d uniform queries compared and %d others refused: the law lost one of its sides", compared, refused)
 	}
 }
 

@@ -6,9 +6,9 @@
 // compiled artifact is therefore exactly the unit a server loads, names and
 // hot-swaps. An Entry is either a full program (compiled by internal/core,
 // with its graph/equational/temporal specifications built lazily on first
-// query, race-free under the Database's internal lock) or a standalone
-// specification document (package specio), which answers membership with
-// the rules genuinely absent.
+// query, race-free under the Database's internal lock) or a specification
+// document (package specio), loaded as a snapshot with the rules genuinely
+// absent. Both answer through the same snapshots and plans.
 //
 // The catalog itself is a copy-on-write snapshot behind an atomic pointer:
 // readers resolve names lock-free on every request, writers clone the map,
@@ -50,8 +50,8 @@ type Kind string
 const (
 	// KindProgram marks an entry compiled from .fdb rule source.
 	KindProgram Kind = "program"
-	// KindSpec marks an entry loaded from a specio JSON document (no
-	// rules available: membership only).
+	// KindSpec marks an entry loaded from a specio JSON document (no rules
+	// available: ground and uniform queries only).
 	KindSpec Kind = "spec"
 )
 
@@ -68,9 +68,9 @@ type Entry struct {
 	// SourceBytes is the size of the uploaded artifact.
 	SourceBytes int
 
-	db  *core.Database     // KindProgram
-	st  *specio.Standalone // KindSpec
-	doc *specio.Document   // KindSpec
+	db   *core.Database   // KindProgram
+	snap *core.Snapshot   // KindSpec: the document's, for the entry's life
+	doc  *specio.Document // KindSpec
 }
 
 // AnswerTuple is one ground answer: the rendered functional component
@@ -88,55 +88,56 @@ func (e *Entry) Database() *core.Database { return e.db }
 // entries).
 func (e *Entry) Document() *specio.Document { return e.doc }
 
-// Ask answers a yes-no query, honoring ctx and the core query options.
-// Program entries take surface syntax ("?- Even(4).") and evaluate on the
-// database's immutable snapshot — lock-free, through the snapshot's
-// compiled-plan cache. Spec entries take the ground-query syntax of
-// specio.ParseGroundQuery ("Even(4)"), answered by the DFA walk, or by
-// congruence closure under core.WithMethod(core.MethodEquational). An
-// expired ctx yields an error matching core.ErrCanceled.
-func (e *Entry) Ask(ctx context.Context, q string, opts ...core.Option) (bool, error) {
-	switch e.Kind {
-	case KindProgram:
-		return e.db.Ask(ctx, q, opts...)
-	case KindSpec:
-		op := core.BuildOpts(opts...)
-		pred, tm, args, err := e.st.ParseGroundQuery(q)
-		if err != nil {
-			return false, err
-		}
-		if op.Method == core.MethodEquational {
-			return e.st.HasViaCongruence(pred, tm, args...), nil
-		}
-		return e.st.Has(pred, tm, args...)
+// Snapshot returns the immutable snapshot the entry answers from: a program
+// database's current one (built, and a "compile" span recorded on ctx's
+// trace, on first use after a mutation), or the one its specification
+// document was loaded into.
+func (e *Entry) Snapshot(ctx context.Context) (*core.Snapshot, error) {
+	if e.snap != nil {
+		return e.snap, nil
 	}
-	return false, fmt.Errorf("registry: unknown entry kind %q", e.Kind)
+	return e.db.SnapshotContext(ctx)
 }
 
-// Prepare compiles a query against a program entry's current snapshot (a
-// plan-cache hit when the shape was seen before). The returned plan can be
-// executed many times without re-parsing; its Shape is the canonical cache
-// key response caches should use. Spec entries have no compiled plans.
-func (e *Entry) Prepare(ctx context.Context, q string) (*core.Plan, error) {
-	if e.Kind != KindProgram {
-		return nil, fmt.Errorf("registry: %q is a standalone specification; prepared plans need a program entry", e.Name)
+// Ask answers a yes-no query in surface syntax ("?- Even(4)."), honoring ctx
+// and the core query options: lock-free on the entry's snapshot, through its
+// compiled-plan cache, by the DFA walk or, under
+// core.WithMethod(core.MethodEquational), by congruence closure. An expired
+// ctx yields an error matching core.ErrCanceled.
+func (e *Entry) Ask(ctx context.Context, q string, opts ...core.Option) (bool, error) {
+	s, err := e.Snapshot(ctx)
+	if err != nil {
+		return false, err
 	}
-	return e.db.Prepare(ctx, q)
+	return s.Ask(ctx, q, opts...)
+}
+
+// Prepare compiles a query against the entry's snapshot (a plan-cache hit
+// when the shape was seen before). The returned plan can be executed many
+// times without re-parsing; its Shape is the canonical cache key response
+// caches should use.
+func (e *Entry) Prepare(ctx context.Context, q string) (*core.Plan, error) {
+	s, err := e.Snapshot(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return s.Prepare(ctx, q)
 }
 
 // Answers evaluates an open query and enumerates ground answers, honoring
 // ctx and the core query options: core.WithDepth bounds the enumeration
 // term depth, core.WithLimit stops after that many tuples (0 = no cap). It
-// reports whether enumeration was truncated by the limit. Program entries
-// evaluate on the database's immutable snapshot, and rendering goes through
-// the Answers value itself (the terms may live in query-local scratch
-// arenas the database never sees). Spec entries carry no rules and cannot
-// evaluate open queries.
+// reports whether enumeration was truncated by the limit. Evaluation runs on
+// the entry's immutable snapshot, and rendering goes through the Answers
+// value itself (the terms may live in query-local scratch arenas the
+// database never sees). A spec entry answers uniform queries only
+// (core.ErrNeedsRules).
 func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tuples []AnswerTuple, truncated bool, err error) {
-	if e.Kind != KindProgram {
-		return nil, false, fmt.Errorf("registry: %q is a standalone specification; open queries need a program entry", e.Name)
+	s, err := e.Snapshot(ctx)
+	if err != nil {
+		return nil, false, err
 	}
-	ans, err := e.db.Answers(ctx, q, opts...)
+	ans, err := s.Answers(ctx, q, opts...)
 	if err != nil {
 		return nil, false, err
 	}
@@ -180,17 +181,17 @@ func enumerate(ctx context.Context, ans *query.Answers, op core.Opts) (tuples []
 
 // Explain justifies a ground query's verdict with the Link-rule trace.
 func (e *Entry) Explain(q string) (string, error) {
-	if e.Kind != KindProgram {
-		return "", fmt.Errorf("registry: %q is a standalone specification; explain needs a program entry", e.Name)
+	if e.db == nil {
+		return "", fmt.Errorf("registry: %q is a specification document; explain needs a program entry", e.Name)
 	}
 	return e.db.ExplainText(q)
 }
 
-// Stats returns the specification sizes of a program entry, forcing the
-// graph specification on first use.
+// Stats returns the entry's specification sizes: a program's forces its
+// graph specification on first use and reports the engine's work too.
 func (e *Entry) Stats() (core.Stats, error) {
-	if e.Kind != KindProgram {
-		return core.Stats{}, fmt.Errorf("registry: %q has no engine statistics", e.Name)
+	if e.db == nil {
+		return e.snap.Stats(), nil
 	}
 	return e.db.Stats()
 }
@@ -296,11 +297,11 @@ func (r *Registry) buildSpec(name string, doc *specio.Document, sourceBytes int)
 	if !ValidName(name) {
 		return nil, fmt.Errorf("registry: invalid database name %q", name)
 	}
-	st, err := specio.Load(doc)
+	snap, err := core.LoadSpec(doc)
 	if err != nil {
 		return nil, fmt.Errorf("registry: load %q: %w", name, err)
 	}
-	return &Entry{Name: name, Kind: KindSpec, SourceBytes: sourceBytes, st: st, doc: doc}, nil
+	return &Entry{Name: name, Kind: KindSpec, SourceBytes: sourceBytes, snap: snap, doc: doc}, nil
 }
 
 // PutProgram compiles .fdb source and publishes it under name, replacing
@@ -346,7 +347,7 @@ func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if old.Kind != KindProgram {
-		return nil, fmt.Errorf("registry: %q is a standalone specification; facts need a program entry", name)
+		return nil, fmt.Errorf("registry: %q is a specification document; facts need a program entry", name)
 	}
 	if err := old.db.Extend(string(facts)); err != nil {
 		return nil, err

@@ -3,6 +3,8 @@ package registry
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,17 +80,22 @@ func TestPutSpecAndAsk(t *testing.T) {
 	if e.Kind != KindSpec {
 		t.Fatalf("kind = %v", e.Kind)
 	}
-	got, err := e.Ask(context.Background(), "Even(4)")
+	got, err := e.Ask(context.Background(), "?- Even(4).")
 	if err != nil || !got {
 		t.Fatalf("Ask(Even(4)) = %v, %v", got, err)
 	}
-	got, err = e.Ask(context.Background(), "Even(5)", core.WithMethod(core.MethodEquational))
+	got, err = e.Ask(context.Background(), "?- Even(5).", core.WithMethod(core.MethodEquational))
 	if err != nil || got {
 		t.Fatalf("Ask cc(Even(5)) = %v, %v", got, err)
 	}
-	// Spec entries cannot evaluate open queries or explain.
-	if _, _, err := e.Answers(context.Background(), "?- Even(T).", core.WithDepth(4), core.WithLimit(0)); err == nil {
-		t.Error("Answers on a spec entry succeeded")
+	// A uniform open query is answered from the document (Theorem 5.1), any
+	// other needs the rules; explain needs them too.
+	tuples, _, err := e.Answers(context.Background(), "?- Even(T).", core.WithDepth(4), core.WithLimit(0))
+	if err != nil || len(tuples) != 3 || tuples[2].Term != "4" {
+		t.Errorf("Answers on a spec entry = %v, %v; want 0, 2 and 4", tuples, err)
+	}
+	if _, _, err := e.Answers(context.Background(), "?- Even(T+1).", core.WithDepth(4)); !errors.Is(err, core.ErrNeedsRules) {
+		t.Errorf("non-uniform Answers on a spec entry: %v, want core.ErrNeedsRules", err)
 	}
 	if _, err := e.Explain("?- Even(4)."); err == nil {
 		t.Error("Explain on a spec entry succeeded")
@@ -211,10 +218,16 @@ func TestAnswersEnumeration(t *testing.T) {
 }
 
 // TestConcurrentGetPut hammers the copy-on-write snapshot: readers resolve
-// and query entries while writers hot-reload the same name. Run under -race.
+// and query entries — a program and a spec document, whose one snapshot the
+// readers of an entry share, its plan cache filling under them — while
+// writers hot-reload the same names. Run under -race.
 func TestConcurrentGetPut(t *testing.T) {
 	r := New(core.Options{})
 	if _, err := r.PutProgram("db", []byte(evenSrc)); err != nil {
+		t.Fatal(err)
+	}
+	doc := exportDoc(t, evenSrc)
+	if _, err := r.PutSpec("spec", doc); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -223,14 +236,21 @@ func TestConcurrentGetPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				e, ok := r.Get("db")
-				if !ok {
-					t.Error("entry vanished")
-					return
-				}
-				if _, err := e.Ask(context.Background(), "?- Even(4)."); err != nil {
-					t.Errorf("Ask: %v", err)
-					return
+				for _, name := range []string{"db", "spec"} {
+					e, ok := r.Get(name)
+					if !ok {
+						t.Error("entry vanished")
+						return
+					}
+					q := fmt.Sprintf("?- Even(%d).", i)
+					if yes, err := e.Ask(context.Background(), q, core.WithMethod(core.Method(i%3))); err != nil || yes != (i%2 == 0) {
+						t.Errorf("%s: Ask(%s) = %v, %v", name, q, yes, err)
+						return
+					}
+					if tuples, _, err := e.Answers(context.Background(), "?- Even(T).", core.WithDepth(i%5)); err != nil || len(tuples) != i%5/2+1 {
+						t.Errorf("%s: Answers to depth %d = %v, %v", name, i%5, tuples, err)
+						return
+					}
 				}
 				r.List()
 			}
@@ -245,13 +265,18 @@ func TestConcurrentGetPut(t *testing.T) {
 					t.Errorf("PutProgram: %v", err)
 					return
 				}
+				if _, err := r.PutSpec("spec", doc); err != nil {
+					t.Errorf("PutSpec: %v", err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	e, _ := r.Get("db")
-	if e.Version != 21 {
-		t.Fatalf("final version = %d, want 21", e.Version)
+	for _, name := range []string{"db", "spec"} {
+		if e, _ := r.Get(name); e.Version != 21 {
+			t.Fatalf("%s: final version = %d, want 21", name, e.Version)
+		}
 	}
 }
 

@@ -367,8 +367,7 @@ func ExecuteRemoteContext(ctx context.Context, c *RemoteClient, line string, w i
 	case strings.HasPrefix(line, "ask"):
 		return false, remoteAsk(ctx, c, strings.TrimSpace(strings.TrimPrefix(line, "ask")), w)
 	default:
-		// Anything else is a query, sent verbatim: program entries take
-		// "?- Even(4).", spec entries "Even(4)".
+		// Anything else is a query, sent verbatim ("?- Even(4).").
 		return false, remoteAsk(ctx, c, line, w)
 	}
 }

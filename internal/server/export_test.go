@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -39,12 +38,7 @@ func TestExportRoundTrip(t *testing.T) {
 		if got := info["kind"]; got != body["kind"] {
 			t.Fatalf("re-import %s changed kind %v -> %v", name, body["kind"], got)
 		}
-		query := "?- Even(4)." // program surface syntax
-		if name == "evenspec" {
-			query = "Even(4)" // spec entries take bare atoms
-		}
-		st, ans := doJSON(t, http.MethodPost, ts2.URL+"/v1/db/copy/ask",
-			fmt.Sprintf(`{"query":%q}`, query))
+		st, ans := doJSON(t, http.MethodPost, ts2.URL+"/v1/db/copy/ask", `{"query":"?- Even(4)."}`)
 		if st != http.StatusOK || ans["answer"] != true {
 			t.Fatalf("copy of %s answers %v (%d)", name, ans, st)
 		}

@@ -41,8 +41,12 @@ func TestResponseBytesGolden(t *testing.T) {
 			`{"answer":true,"version":1,"cached":true}` + "\n"},
 		{"ask false via cc", "/v1/db/even/ask", `{"query":"?- Even(5).","via":"cc"}`, 200,
 			`{"answer":false,"version":1,"cached":false}` + "\n"},
-		{"ask on a spec entry", "/v1/db/evenspec/ask", `{"query":"Even(4)"}`, 200,
+		{"ask on a spec entry", "/v1/db/evenspec/ask", `{"query":"?- Even(4)."}`, 200,
 			`{"answer":true,"version":1,"cached":false}` + "\n"},
+		{"answers on a spec entry", "/v1/db/evenspec/answers", `{"query":"?- Even(T).","depth":4}`, 200,
+			`{"tuples":[{"term":"0"},{"term":"2"},{"term":"4"}],"count":3,"truncated":false,"version":1,"cached":false}` + "\n"},
+		{"non-uniform answers on a spec entry", "/v1/db/evenspec/answers", `{"query":"?- Even(T+2).","depth":4}`, 422,
+			`{"error":{"code":"needs_rules","message":"core: a non-uniform query needs the program's rules; a specification document answers uniform queries (Theorem 5.1): ?- Even(T+2)."}}` + "\n"},
 		{"answers miss", "/v1/db/even/answers", `{"query":"?- Even(T).","depth":4}`, 200,
 			`{"tuples":[{"term":"0"},{"term":"2"},{"term":"4"}],"count":3,"truncated":false,"version":1,"cached":false}` + "\n"},
 		{"answers hit", "/v1/db/even/answers", `{"query":"?- Even(T).","depth":4}`, 200,

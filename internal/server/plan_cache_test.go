@@ -126,7 +126,11 @@ func TestOnePlanLookupPerQuery(t *testing.T) {
 		{"answers, LRU miss", post("answers", map[string]any{"query": "?- Even(T).", "depth": 4}, false), 1},
 		{"answers, LRU hit", post("answers", map[string]any{"query": "?- Even(T).", "depth": 4}, true), 1},
 		{"batch of 3, one cached", post("batch", map[string]any{"queries": []string{"?- Even(4).", "?- Even(6).", "?- Even(7)."}}, nil), 3},
-		{"spec entry", func() { doJSON(t, "POST", ts.URL+"/v1/db/evenspec/ask", map[string]any{"query": "Even(4)"}) }, 0},
+		{"spec entry, LRU miss", func() {
+			if code, resp := doJSON(t, "POST", ts.URL+"/v1/db/evenspec/ask", map[string]any{"query": "?- Even(4)."}); code != http.StatusOK || resp["answer"] != true {
+				t.Fatalf("spec entry ask = %d %v, want true", code, resp)
+			}
+		}, 1},
 	} {
 		if got := planLookups(t, tc.req); got != tc.want {
 			t.Errorf("%s: %d plan lookups, want %d", tc.name, got, tc.want)

@@ -389,6 +389,10 @@ func classify(err error) *api.Error {
 		return refuse(http.StatusBadRequest, "parse_error")
 	case errors.Is(err, query.ErrUnsafeQuery):
 		return refuse(http.StatusBadRequest, "unsafe_query")
+	case errors.Is(err, core.ErrNeedsRules):
+		// A well-formed query a specification document cannot answer:
+		// Theorem 5.1 covers uniform queries only.
+		return refuse(http.StatusUnprocessableEntity, "needs_rules")
 	case errors.As(err, new(*obs.DepthBudgetError)):
 		return refuse(http.StatusUnprocessableEntity, "depth_budget_exceeded")
 	case errors.Is(err, obs.ErrBudgetExceeded):
@@ -422,7 +426,7 @@ func queryError(err error) error {
 	var pe *parser.ParseError
 	if errors.Is(err, core.ErrCanceled) || errors.Is(err, registry.ErrUnknownDatabase) ||
 		errors.Is(err, query.ErrUnsafeQuery) || errors.As(err, &pe) ||
-		errors.Is(err, obs.ErrBudgetExceeded) ||
+		errors.Is(err, obs.ErrBudgetExceeded) || errors.Is(err, core.ErrNeedsRules) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return err
 	}
@@ -515,18 +519,16 @@ func (s *Server) entry(r *http.Request) (*registry.Entry, error) {
 func normalizeQuery(q string) string { return strings.Join(strings.Fields(q), " ") }
 
 // prepared is one query of a request, resolved against its entry exactly
-// once: a program entry's query is compiled (or found in the plan cache) by
-// a single plan lookup, and that plan both names the response-cache slot —
-// its canonical shape, so α-variants and respellings of one query share a
-// slot — and is what the request executes on a cache miss, against the same
-// snapshot. Keying on shape is safe because answers are positional
-// (AnswerTuple carries no variable names) and the key already includes the
-// version. Spec entries and unparsable queries have no plan and key on the
-// whitespace-normalized text.
+// once: the query is compiled (or found in the plan cache) by a single plan
+// lookup, and that plan both names the response-cache slot — its canonical
+// shape, so α-variants and respellings of one query share a slot — and is
+// what the request executes on a cache miss, against the same snapshot.
+// Keying on shape is safe because answers are positional (AnswerTuple
+// carries no variable names) and the key already includes the version.
+// Unparsable queries have no plan and key on the whitespace-normalized text.
 type prepared struct {
-	e           *registry.Entry
 	query       string
-	plan        *core.Plan // nil for a spec entry, or when err is set
+	plan        *core.Plan // nil when err is set
 	err         error      // the query does not parse or compile
 	shape       string     // the answer-cache key component
 	fingerprint string     // the shape's short hash: the plan's, computed at compile
@@ -535,12 +537,10 @@ type prepared struct {
 // prepare resolves q against snap when the caller pinned one (a batch), and
 // against e's current snapshot otherwise.
 func prepare(ctx context.Context, e *registry.Entry, snap *core.Snapshot, q string) prepared {
-	p := prepared{e: e, query: q}
-	switch {
-	case e.Kind != registry.KindProgram:
-	case snap != nil:
+	p := prepared{query: q}
+	if snap != nil {
 		p.plan, p.err = snap.Prepare(ctx, q)
-	default:
+	} else {
 		p.plan, p.err = e.Prepare(ctx, q)
 	}
 	if p.plan != nil {
@@ -553,23 +553,17 @@ func prepare(ctx context.Context, e *registry.Entry, snap *core.Snapshot, q stri
 }
 
 func (p *prepared) ask(ctx context.Context, opts ...core.Option) (bool, error) {
-	switch {
-	case p.err != nil:
+	if p.err != nil {
 		return false, p.err
-	case p.plan != nil:
-		return p.plan.Ask(ctx, opts...)
 	}
-	return p.e.Ask(ctx, p.query, opts...)
+	return p.plan.Ask(ctx, opts...)
 }
 
 func (p *prepared) answers(ctx context.Context, opts ...core.Option) ([]registry.AnswerTuple, bool, error) {
-	switch {
-	case p.err != nil:
+	if p.err != nil {
 		return nil, false, p.err
-	case p.plan != nil:
-		return registry.PlanAnswers(ctx, p.plan, opts...)
 	}
-	return p.e.Answers(ctx, p.query, opts...)
+	return registry.PlanAnswers(ctx, p.plan, opts...)
 }
 
 // cachePut stores v under key only while e is still the current version of
@@ -639,29 +633,17 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 		"version":      e.Version,
 		"source_bytes": e.SourceBytes,
 	}
-	switch e.Kind {
-	case registry.KindProgram:
-		st, err := e.Stats()
-		if err != nil {
-			return err
-		}
-		resp["stats"] = map[string]any{
-			"temporal":        st.Temporal,
-			"representatives": st.Reps,
-			"edges":           st.Edges,
-			"tuples":          st.Tuples,
-			"equations":       st.Equations,
-			"seed_depth":      st.SeedDepth,
-		}
-	case registry.KindSpec:
-		doc := e.Document()
-		resp["stats"] = map[string]any{
-			"temporal":        doc.Temporal,
-			"representatives": len(doc.Reps),
-			"edges":           len(doc.Edges),
-			"equations":       len(doc.Equations),
-			"seed_depth":      doc.SeedDepth,
-		}
+	st, err := e.Stats()
+	if err != nil {
+		return err
+	}
+	resp["stats"] = map[string]any{
+		"temporal":        st.Temporal,
+		"representatives": st.Reps,
+		"edges":           st.Edges,
+		"tuples":          st.Tuples,
+		"equations":       st.Equations,
+		"seed_depth":      st.SeedDepth,
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
 	return nil
@@ -1014,11 +996,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	in := api.InfoFrom(ctx)
 	in.DB = e.Name
 	// Every query of the batch resolves and evaluates on one snapshot.
-	var snap *core.Snapshot
-	if db := e.Database(); db != nil {
-		if snap, err = db.SnapshotContext(ctx); err != nil {
-			return queryError(err)
-		}
+	snap, err := e.Snapshot(ctx)
+	if err != nil {
+		return queryError(err)
 	}
 	items := make([]batchItem, len(req.Queries))
 	keys := make([]cacheKey, len(req.Queries))

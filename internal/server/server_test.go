@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"funcdb/internal/datagen"
 	"funcdb/internal/obs"
 	"funcdb/internal/registry"
+	"funcdb/internal/specio"
 )
 
 const evenSrc = `
@@ -148,8 +150,9 @@ func TestAskProgramAndSpec(t *testing.T) {
 		{"even", "?- Even(4).", "", true},
 		{"even", "?- Even(5).", "", false},
 		{"even", "?- Even(4).", "cc", true},
-		{"evenspec", "Even(4)", "", true},
-		{"evenspec", "Even(5)", "cc", false},
+		{"evenspec", "?- Even(4).", "", true},
+		{"evenspec", "?- Even(5).", "cc", false},
+		{"evenspec", "?- Even(T).", "", true},
 	} {
 		code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask",
 			map[string]any{"query": tc.query, "via": tc.via})
@@ -220,11 +223,74 @@ func TestAnswersEndpoint(t *testing.T) {
 	if code != http.StatusOK || !body["cached"].(bool) {
 		t.Fatalf("repeat answers = %d %v, want cache hit", code, body)
 	}
-	// Spec entries cannot answer open queries.
-	code, body = doJSON(t, "POST", ts.URL+"/v1/db/evenspec/answers",
-		map[string]any{"query": "?- Even(T).", "depth": 4})
-	if code != http.StatusBadRequest {
-		t.Fatalf("answers on spec = %d %v", code, body)
+}
+
+// TestPutDocumentWithHoleRefused: a document whose successor table has a
+// hole used to be accepted, and then every ask through the hole failed. Its
+// PUT is a 400 now, and publishes nothing: a new name stays absent, an
+// existing one keeps its version and its answers.
+func TestPutDocumentWithHoleRefused(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	var doc specio.Document
+	if err := json.Unmarshal(exportDoc(t, evenSrc), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Edges = doc.Edges[:len(doc.Edges)-1]
+	holey, err := json.Marshal(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"holey", "evenspec"} {
+		code, body := doJSON(t, "PUT", ts.URL+"/v1/db/"+name, holey)
+		if code != http.StatusBadRequest || !strings.Contains(errMessage(body), "missing edge") {
+			t.Errorf("PUT %s of a document with a hole = %d %v, want 400 naming the missing edge", name, code, body)
+		}
+	}
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/db/holey", nil); code != http.StatusNotFound {
+		t.Errorf("a refused PUT published holey: %d", code)
+	}
+	code, body := doJSON(t, "POST", ts.URL+"/v1/db/evenspec/ask", map[string]any{"query": "?- Even(6)."})
+	if code != http.StatusOK || body["answer"] != true || body["version"] != float64(1) {
+		t.Errorf("evenspec after a refused PUT = %d %v, want version 1 answering true", code, body)
+	}
+}
+
+// TestSpecEntryAnswers: a spec entry answers a uniform query from its
+// document alone (Theorem 5.1), the program entry's tuples to the same
+// depth, and refuses any other with the typed needs_rules, which names the
+// theorem — on answers, on ask and inside a batch.
+func TestSpecEntryAnswers(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	for _, q := range []string{"?- Even(T).", "?- Even(T), Even(4).", "?- Even(_T)."} {
+		req := map[string]any{"query": q, "depth": 9}
+		code, prog := doJSON(t, "POST", ts.URL+"/v1/db/even/answers", req)
+		if code != http.StatusOK {
+			t.Fatalf("program answers %s = %d %v", q, code, prog)
+		}
+		code, spec := doJSON(t, "POST", ts.URL+"/v1/db/evenspec/answers", req)
+		if code != http.StatusOK || !reflect.DeepEqual(spec["tuples"], prog["tuples"]) || spec["count"] != prog["count"] {
+			t.Errorf("spec answers %s = %d %v, want the program's %v", q, code, spec, prog)
+		}
+	}
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"answers", map[string]any{"query": "?- Even(T+2).", "depth": 4}},
+		{"ask", map[string]any{"query": "?- Even(T+1)."}},
+	} {
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/evenspec/"+tc.path, tc.body)
+		if code != http.StatusUnprocessableEntity || errCode(body) != "needs_rules" ||
+			!strings.Contains(errMessage(body), "Theorem 5.1") {
+			t.Errorf("non-uniform %s on a spec entry = %d %v, want 422 needs_rules", tc.path, code, body)
+		}
+	}
+	code, body := doJSON(t, "POST", ts.URL+"/v1/db/evenspec/batch",
+		map[string]any{"queries": []string{"?- Even(4).", "?- Even(T+1)."}})
+	res, _ := body["results"].([]any)
+	if code != http.StatusOK || len(res) != 2 || res[0].(map[string]any)["answer"] != true ||
+		errCode(res[1].(map[string]any)) != "needs_rules" {
+		t.Errorf("batch on a spec entry = %d %v", code, body)
 	}
 }
 
@@ -288,6 +354,10 @@ func TestListInfoPutDelete(t *testing.T) {
 	code, body = doJSON(t, "GET", ts.URL+"/v1/db/evenspec", nil)
 	if code != http.StatusOK || body["kind"] != "spec" {
 		t.Fatalf("spec info = %d %v", code, body)
+	}
+	// One stats block for both kinds: the document's sizes are the program's.
+	if !reflect.DeepEqual(body["stats"], stats) || stats["tuples"] == nil {
+		t.Errorf("spec stats = %v, want the program's %v", body["stats"], stats)
 	}
 	// Fresh PUT creates (201), reload returns 200.
 	code, body = doJSON(t, "PUT", ts.URL+"/v1/db/fresh", evenSrc)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -134,6 +136,46 @@ func TestWatchUniformDelta(t *testing.T) {
 	}
 }
 
+// TestWatchSpecEntryDelta: a uniform query watched on a spec entry gets its
+// init from the document alone, and a re-PUT of another document delivers
+// its delta exactly once — a re-PUT that leaves the answer as it was
+// delivers nothing, so the next frame is the next change's.
+func TestWatchSpecEntryDelta(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	put := func(step int) {
+		t.Helper()
+		doc := exportDoc(t, fmt.Sprintf("Even(0).\nEven(T) -> Even(T+%d).\n", step))
+		if code, body := doJSON(t, "PUT", ts.URL+"/v1/db/evenspec", doc); code != http.StatusOK {
+			t.Fatalf("re-PUT: %d %v", code, body)
+		}
+	}
+	terms := func(ts ...string) map[string]bool {
+		set := make(map[string]bool)
+		for _, tm := range ts {
+			set[watch.Tuple{Term: tm}.String()] = true
+		}
+		return set
+	}
+	_, dec := openWatch(t, ts, "evenspec", map[string]any{"query": "?- Even(T).", "depth": 6})
+	init := nextDataFrame(t, dec)
+	if init.Type != watch.FrameInit || !reflect.DeepEqual(tupleSet(init.Add), terms("0", "2", "4", "6")) {
+		t.Fatalf("init = %+v, want 0 2 4 6", init)
+	}
+	put(3)
+	d := nextDataFrame(t, dec)
+	if d.Type != watch.FrameDelta || d.Version != 2 ||
+		!reflect.DeepEqual(tupleSet(d.Add), terms("3")) || !reflect.DeepEqual(tupleSet(d.Del), terms("2", "4")) {
+		t.Fatalf("frame after the first re-PUT = %+v, want delta +3 -2 -4 at version 2", d)
+	}
+	put(3)
+	put(2)
+	d = nextDataFrame(t, dec)
+	if d.Type != watch.FrameDelta || d.Version != 4 ||
+		!reflect.DeepEqual(tupleSet(d.Add), terms("2", "4")) || !reflect.DeepEqual(tupleSet(d.Del), terms("3")) {
+		t.Fatalf("frame after the third re-PUT = %+v, want delta +2 +4 -3 at version 4, and nothing for the second", d)
+	}
+}
+
 func TestWatchNonUniformResync(t *testing.T) {
 	_, reg, ts := newTestServer(t, Config{})
 	if _, err := reg.PutProgram("mix", []byte("Even(0).\nEven(T) -> Even(T+2).\nSeen(a).")); err != nil {
@@ -218,7 +260,7 @@ func TestWatchRequestErrors(t *testing.T) {
 		{"missing query", "seen", map[string]any{}, http.StatusBadRequest, "bad_request"},
 		{"parse error", "seen", map[string]any{"query": "?- Seen("}, http.StatusBadRequest, "parse_error"},
 		{"unknown db", "nope", map[string]any{"query": "?- Seen(X)."}, http.StatusNotFound, "not_found"},
-		{"spec entry", "evenspec", map[string]any{"query": "?- Even(4)."}, http.StatusBadRequest, "bad_request"},
+		{"non-uniform on a spec entry", "evenspec", map[string]any{"query": "?- Even(T+1)."}, http.StatusUnprocessableEntity, "needs_rules"},
 		{"depth out of range", "seen", map[string]any{"query": "?- Seen(X).", "depth": 1 << 20}, http.StatusBadRequest, "bad_request"},
 		{"behind resume point", "seen", map[string]any{"query": "?- Seen(X).", "from_lsn": 99}, http.StatusConflict, "watch_behind"},
 	} {

@@ -28,14 +28,15 @@ type FlatDFA struct {
 	atoms [][]facts.AtomID // per state: sorted original-predicate atoms
 }
 
-// buildFlat composes the spec's successor table with the given quotient.
-func buildFlat(sp *Spec, q Quotient) *FlatDFA {
-	f := &FlatDFA{tab: sp.Table}
+// buildFlat composes a successor table with the given quotient; slice(i) is
+// the observable slice of representative i, sorted.
+func buildFlat(tab *Table, q Quotient, slice func(i int) []facts.AtomID) *FlatDFA {
+	f := &FlatDFA{tab: tab}
 	if q == nil {
-		f.trans = sp.trans
-		f.atoms = make([][]facts.AtomID, len(sp.Reps))
+		f.trans = tab.trans
+		f.atoms = make([][]facts.AtomID, len(tab.Reps))
 		for i := range f.atoms {
-			f.atoms[i] = sp.SliceAt(i)
+			f.atoms[i] = slice(i)
 		}
 		return f
 	}
@@ -45,11 +46,10 @@ func buildFlat(sp *Spec, q Quotient) *FlatDFA {
 		if int(c) != len(f.atoms) {
 			continue
 		}
-		for _, to := range sp.Row(int32(i)) {
+		for _, to := range tab.Row(int32(i)) {
 			f.trans = append(f.trans, q[to])
 		}
-		// SliceAt returns atoms in sorted (StateAtoms) order.
-		f.atoms = append(f.atoms, sp.SliceAt(i))
+		f.atoms = append(f.atoms, slice(i))
 	}
 	return f
 }

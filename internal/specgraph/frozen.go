@@ -37,15 +37,26 @@ func (sp *Spec) Freeze() *Frozen { return sp.FreezeQuotient(nil) }
 // which makes the tables as small as the coarsest equivalent automaton. A
 // nil quotient is the identity partition.
 func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
+	// OriginalPreds is shared, not copied: nothing writes the map once
+	// rewrite.Prepare has built it (a recompile prepares a new one).
+	return NewFrozen(sp.SeedDepth, sp.Table, sp.Merges, sp.Eng.Global().Freeze(), sp.W, sp.Eng.Prep.OriginalPreds, q)
+}
+
+// NewFrozen assembles the query surface of a specification from its parts —
+// for one no engine built, a document read back. w holds the table's states
+// and the global facts, originalPreds names the predicates the flat tables
+// observe, and q is the quotient they are built over (nil: the identity).
+// Nothing is copied: the parts must not change afterwards.
+func NewFrozen(seedDepth int, tab *Table, merges []Merge, global *facts.Set, w *facts.World, originalPreds map[symbols.PredID]bool, q Quotient) *Frozen {
 	return &Frozen{
-		SeedDepth: sp.SeedDepth,
-		Table:     sp.Table,
-		Merges:    sp.Merges,
-		global:    sp.Eng.Global().Freeze(),
-		// Shared, not copied: nothing writes the map once rewrite.Prepare
-		// has built it (a recompile prepares a new one).
-		originalPreds: sp.Eng.Prep.OriginalPreds,
-		flat:          buildFlat(sp, q),
+		SeedDepth:     seedDepth,
+		Table:         tab,
+		Merges:        merges,
+		global:        global,
+		originalPreds: originalPreds,
+		flat: buildFlat(tab, q, func(i int) []facts.AtomID {
+			return originalSlice(w, tab.State[i], originalPreds)
+		}),
 	}
 }
 

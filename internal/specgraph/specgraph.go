@@ -17,7 +17,6 @@
 package specgraph
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -202,12 +201,10 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 		}
 	}
 	rspan.End()
-	// Every cell was written when its child term was examined; from here on
-	// the table is total and nothing that reads it checks again.
-	for _, to := range tab.trans {
-		if to < 0 {
-			return nil, errors.New("specgraph: Algorithm Q left a successor undefined")
-		}
+	// Every cell was written when its child term was examined: the table
+	// passes the check a table read from a document passes.
+	if err := tab.check(); err != nil {
+		return nil, err
 	}
 
 	// Report Algorithm Q's work: exploration steps, the merge equations that
@@ -281,9 +278,15 @@ func (sp *Spec) HasData(pred symbols.PredID, args []symbols.ConstID) bool {
 // atoms at the representative, restricted to the original program's
 // predicates, sorted.
 func (sp *Spec) SliceAt(i int) []facts.AtomID {
+	return originalSlice(sp.W, sp.State[i], sp.Eng.Prep.OriginalPreds)
+}
+
+// originalSlice returns the atoms of state s whose predicates are original,
+// in StateAtoms (sorted) order.
+func originalSlice(w *facts.World, s facts.StateID, original map[symbols.PredID]bool) []facts.AtomID {
 	var out []facts.AtomID
-	for _, a := range sp.W.StateAtoms(sp.State[i]) {
-		if sp.Eng.Prep.OriginalPreds[sp.W.AtomPred(a)] {
+	for _, a := range w.StateAtoms(s) {
+		if original[w.AtomPred(a)] {
 			out = append(out, a)
 		}
 	}

@@ -1,6 +1,7 @@
 package specgraph
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -68,6 +69,44 @@ func newTable(alphabet []symbols.FuncID) *Table {
 		}
 	}
 	return t
+}
+
+// NewTable makes the table of a specification no engine built — one read
+// from a document: Reps[i] is alphabet[via[i]] applied to Reps[parent[i]],
+// and trans holds the successors, state by state. The arrays become the
+// table's. It makes the check Build makes of its own table.
+func NewTable(alphabet []symbols.FuncID, reps []term.Term, state []facts.StateID, parent, via, trans []int32) (*Table, error) {
+	t := newTable(alphabet)
+	t.Reps, t.State, t.parent, t.via, t.trans = reps, state, parent, via, trans
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// check is the one check a table is trusted on, after which nothing that
+// reads it checks again: state 0 is the root, every other representative
+// hangs from an earlier one by an edge of T, and every cell holds a state.
+func (t *Table) check() error {
+	n, k := len(t.Reps), len(t.Alphabet)
+	if n == 0 || len(t.State) != n || len(t.parent) != n || len(t.via) != n || len(t.trans) != n*k {
+		return errors.New("specgraph: table arrays of unequal lengths")
+	}
+	for _, to := range t.trans {
+		if to < 0 || int(to) >= n {
+			return errors.New("specgraph: a successor is undefined or out of range")
+		}
+	}
+	if t.parent[Root] != -1 || t.via[Root] != -1 {
+		return errors.New("specgraph: state 0 is not the root")
+	}
+	for i := 1; i < n; i++ {
+		p, v := t.parent[i], t.via[i]
+		if p < 0 || int(p) >= i || v < 0 || int(v) >= k || t.trans[int(p)*k+int(v)] != int32(i) {
+			return fmt.Errorf("specgraph: representative %d does not hang from an earlier one", i)
+		}
+	}
+	return nil
 }
 
 // add appends the representative rep with state s, reached from state parent

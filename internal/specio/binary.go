@@ -180,7 +180,7 @@ func EncodeDocument(d *Document) ([]byte, error) {
 }
 
 // DecodeDocument parses a binary document back into a document. The result
-// is validated, so a successful decode always loads with Load.
+// is validated, so a successful decode always loads with core.LoadSpec.
 func DecodeDocument(data []byte) (*Document, error) {
 	r := bytes.NewReader(data)
 	if err := readBinaryHeader(r); err != nil {

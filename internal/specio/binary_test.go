@@ -99,8 +99,8 @@ func TestRoundTrip(t *testing.T) {
 			if got, want := normalize(dec), normalize(doc); got != want {
 				t.Fatalf("round trip mismatch:\n got %s\nwant %s", got, want)
 			}
-			// The decoded document must load into a standalone answerer.
-			if _, err := specio.Load(dec); err != nil {
+			// The decoded document must load into a snapshot.
+			if _, err := core.LoadSpec(dec); err != nil {
 				t.Fatalf("load decoded: %v", err)
 			}
 		})

@@ -2,6 +2,7 @@ package specio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
-	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
 
@@ -47,105 +47,6 @@ P(Y), Member(S, X) -> Member(ext(S, Y), Y).
 P(Y), Member(S, X) -> Member(ext(S, Y), X).
 `
 
-func roundTrip(t *testing.T, src string) (*specgraph.Spec, *Standalone) {
-	t.Helper()
-	sp := buildSpec(t, src)
-	doc := FromSpec(sp)
-	var buf bytes.Buffer
-	if err := doc.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	doc2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	st, err := Load(doc2)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	return sp, st
-}
-
-func TestRoundTripMeetings(t *testing.T) {
-	sp, st := roundTrip(t, meetingsSrc)
-	if st.NumReps() != len(sp.Reps) {
-		t.Fatalf("reps = %d, want %d", st.NumReps(), len(sp.Reps))
-	}
-	succ, ok := st.Tab().LookupFunc("succ", 0)
-	if !ok {
-		t.Fatalf("standalone table lost the successor symbol")
-	}
-	day := func(n int) term.Term { return st.Universe().Number(n, succ) }
-	for n := 0; n <= 9; n++ {
-		wantTony := n%2 == 0
-		got, err := st.Has("Meets", day(n), "tony")
-		if err != nil {
-			t.Fatalf("Has: %v", err)
-		}
-		if got != wantTony {
-			t.Errorf("standalone Meets(%d, tony) = %v, want %v", n, got, wantTony)
-		}
-		if gotEq := st.HasViaCongruence("Meets", day(n), "tony"); gotEq != wantTony {
-			t.Errorf("congruence Meets(%d, tony) = %v, want %v", n, gotEq, wantTony)
-		}
-	}
-	if !st.HasData("Next", "tony", "jan") {
-		t.Errorf("global Next(tony, jan) lost in round trip")
-	}
-	if st.HasData("Next", "jan", "bob") {
-		t.Errorf("phantom global fact")
-	}
-}
-
-// TestStandaloneMatchesSpec checks that the loaded document answers every
-// membership question identically to the original specification — with the
-// rules genuinely absent on the standalone side.
-func TestStandaloneMatchesSpec(t *testing.T) {
-	sp, st := roundTrip(t, listsSrc)
-	tab := sp.Eng.Prep.Program.Tab
-	member, _ := tab.LookupPred("Member", 1, true)
-	aC, _ := tab.LookupConst("a")
-	bC, _ := tab.LookupConst("b")
-
-	extA2, _ := st.Tab().LookupFunc("ext'a", 0)
-	extB2, _ := st.Tab().LookupFunc("ext'b", 0)
-	extA1, _ := tab.LookupFunc("ext'a", 0)
-	extB1, _ := tab.LookupFunc("ext'b", 0)
-
-	// Enumerate all terms to depth 4 in both universes in parallel and
-	// compare every membership answer.
-	var walk func(orig, stand term.Term, depth int)
-	walk = func(orig, stand term.Term, depth int) {
-		for _, el := range []struct {
-			c    symbols.ConstID
-			name string
-		}{{aC, "a"}, {bC, "b"}} {
-			want, err := sp.Has(member, orig, []symbols.ConstID{el.c})
-			if err != nil {
-				t.Fatalf("spec Has: %v", err)
-			}
-			got, err := st.Has("Member", stand, el.name)
-			if err != nil {
-				t.Fatalf("standalone Has: %v", err)
-			}
-			if got != want {
-				t.Errorf("mismatch for Member(%s, %s): spec %v, standalone %v",
-					sp.U.CompactString(orig, tab), el.name, want, got)
-			}
-			if gotEq := st.HasViaCongruence("Member", stand, el.name); gotEq != want {
-				t.Errorf("congruence mismatch for Member(%s, %s)",
-					sp.U.CompactString(orig, tab), el.name)
-			}
-		}
-		if depth == 4 {
-			return
-		}
-		walk(sp.U.Apply(extA1, orig), st.Universe().Apply(extA2, stand), depth+1)
-		walk(sp.U.Apply(extB1, orig), st.Universe().Apply(extB2, stand), depth+1)
-	}
-	walk(term.Zero, term.Zero, 0)
-}
-
 func TestReadRejectsBadFormat(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"format":"other/v9"}`)); err == nil {
 		t.Fatalf("unknown format accepted")
@@ -155,6 +56,9 @@ func TestReadRejectsBadFormat(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptDocuments: a hand-built document that never went
+// through Read gets the same scrutiny, from Validate, which the loader
+// (core.LoadSpec) runs first.
 func TestLoadRejectsCorruptDocuments(t *testing.T) {
 	sp := buildSpec(t, meetingsSrc)
 	base := FromSpec(sp)
@@ -162,21 +66,21 @@ func TestLoadRejectsCorruptDocuments(t *testing.T) {
 	bad1 := *base
 	bad1.Edges = append([]EdgeDoc(nil), base.Edges...)
 	bad1.Edges[0].To = 99
-	if _, err := Load(&bad1); err == nil {
+	if err := bad1.Validate(); err == nil {
 		t.Errorf("out-of-range edge accepted")
 	}
 
 	bad2 := *base
 	bad2.Edges = append([]EdgeDoc(nil), base.Edges...)
 	bad2.Edges[0].Fn = "nosuch"
-	if _, err := Load(&bad2); err == nil {
+	if err := bad2.Validate(); err == nil {
 		t.Errorf("edge over unknown symbol accepted")
 	}
 
 	bad3 := *base
 	bad3.Slices = append([]SliceDoc(nil), base.Slices...)
 	bad3.Slices[0].Rep = -1
-	if _, err := Load(&bad3); err == nil {
+	if err := bad3.Validate(); err == nil {
 		t.Errorf("out-of-range slice accepted")
 	}
 }
@@ -251,6 +155,17 @@ func TestReadRejectsMalformed(t *testing.T) {
 			d.Equations = []EquationDoc{{Left: TermDoc{"g"}, Right: TermDoc{}}}
 		}, "outside the alphabet"},
 		{"invalid predicate decl", func(d *Document) { d.Predicates[0].Arity = -1 }, "invalid predicate"},
+		// What a successor table cannot hold: a hole, no root, a
+		// representative that does not hang from an earlier one by its edge.
+		{"missing edge", func(d *Document) { d.Edges = d.Edges[:1] }, "missing edge"},
+		{"no representatives", func(d *Document) { d.Reps, d.Edges, d.Slices = nil, nil, nil }, "no root representative"},
+		{"root not first", func(d *Document) { d.Reps = []TermDoc{{"f"}, {}} }, "no root representative"},
+		{"prefix not a representative", func(d *Document) { d.Reps[1] = TermDoc{"f", "f"} }, "not one symbol past an earlier representative"},
+		{"prefix after its extension", func(d *Document) {
+			d.Reps = []TermDoc{{}, {"f", "f"}, {"f"}}
+			d.Edges = []EdgeDoc{{From: 0, Fn: "f", To: 2}, {From: 1, Fn: "f", To: 1}, {From: 2, Fn: "f", To: 1}}
+		}, "not one symbol past an earlier representative"},
+		{"tree edge elsewhere", func(d *Document) { d.Edges[0].To = 0 }, "does not lead to representative 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,9 +178,9 @@ func TestReadRejectsMalformed(t *testing.T) {
 			if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Read error = %v, want substring %q", err, tc.wantErr)
 			}
-			// Load must reject the same document.
-			if _, err := Load(d); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Load error = %v, want substring %q", err, tc.wantErr)
+			// Validate, which the loader runs, rejects the same document.
+			if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate error = %v, want substring %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -280,8 +195,9 @@ func TestReadRejectsMalformed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Read: %v", err)
 		}
-		if _, err := Load(got); err != nil {
-			t.Fatalf("Load: %v", err)
+		parent, via, err := got.Tree()
+		if err != nil || !slices.Equal(parent, []int32{-1, 0}) || !slices.Equal(via, []int32{-1, 0}) {
+			t.Fatalf("Tree = %v, %v, %v; want the root and f under it", parent, via, err)
 		}
 	})
 
@@ -300,32 +216,4 @@ func TestReadRejectsMalformed(t *testing.T) {
 			t.Fatalf("Read error = %v, want size rejection", err)
 		}
 	})
-}
-
-// TestParseGroundQuery covers the textual query syntax shared with fdbd.
-func TestParseGroundQuery(t *testing.T) {
-	sp := buildSpec(t, listsSrc)
-	st, err := Load(FromSpec(sp))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	pred, tm, args, err := st.ParseGroundQuery("Member(ext'a.ext'b, a).")
-	if err != nil {
-		t.Fatalf("ParseGroundQuery: %v", err)
-	}
-	if pred != "Member" || len(args) != 1 || args[0] != "a" {
-		t.Fatalf("got pred=%q args=%v", pred, args)
-	}
-	want, err := st.Term("ext'a", "ext'b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm != want {
-		t.Fatalf("term mismatch: %v vs %v", tm, want)
-	}
-	for _, bad := range []string{"", "nope", "P(", "P()", "(x)"} {
-		if _, _, _, err := st.ParseGroundQuery(bad); err == nil {
-			t.Errorf("ParseGroundQuery(%q) accepted", bad)
-		}
-	}
 }

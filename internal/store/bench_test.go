@@ -46,7 +46,7 @@ func BenchmarkSpecioJSONLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := specio.Load(doc); err != nil {
+		if _, err := core.LoadSpec(doc); err != nil {
 			b.Fatal(err)
 		}
 	}

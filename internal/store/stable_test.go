@@ -74,7 +74,7 @@ func catalogListing(t *testing.T, reg *registry.Registry) string {
 		line := fmt.Sprintf("%s kind=%s version=%d source=%d", e.Name, e.Kind, e.Version, e.SourceBytes)
 		qs := []string{"?- Even(1).", "?- Even(2).", "?- Even(3).", "?- Even(5).", "?- Even(7).", "?- Even(9).", "?- Meets(3, jan).", "?- Meets(4, bob)."}
 		if e.Kind == registry.KindSpec {
-			qs = []string{"Even(4)", "Even(5)", "Meets(2, tony)", "Meets(3, tony)"}
+			qs = []string{"?- Even(4).", "?- Even(5).", "?- Meets(2, tony).", "?- Meets(3, tony)."}
 		}
 		for _, q := range qs {
 			yes, err := e.Ask(context.Background(), q)
@@ -120,7 +120,7 @@ func TestParentDataDirRecovers(t *testing.T) {
 	want := strings.Join([]string{
 		"even kind=program version=4 source=56 ?- Even(1).=false ?- Even(2).=true ?- Even(3).=true ?- Even(5).=true ?- Even(7).=true ?- Even(9).=true ?- Meets(3, jan).=false ?- Meets(4, bob).=false",
 		"meet kind=program version=3 source=125 ?- Even(1).=false ?- Even(2).=false ?- Even(3).=false ?- Even(5).=false ?- Even(7).=false ?- Even(9).=false ?- Meets(3, jan).=true ?- Meets(4, bob).=true",
-		"spec2 kind=spec version=1 source=1116 Even(4)=false Even(5)=false Meets(2, tony)=true Meets(3, tony)=false",
+		"spec2 kind=spec version=1 source=1116 ?- Even(4).=false ?- Even(5).=false ?- Meets(2, tony).=true ?- Meets(3, tony).=false",
 	}, "\n")
 	if got := catalogListing(t, reg); got != want {
 		t.Fatalf("recovered catalog:\n%s\nwant\n%s", got, want)

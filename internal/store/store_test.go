@@ -109,8 +109,8 @@ func fingerprint(t *testing.T, reg *registry.Registry) catalogState {
 				desc += fmt.Sprintf(" %s=%v", q, yes)
 			}
 		} else {
-			yes, err := e.Ask(context.Background(), "Even(4)")
-			desc += fmt.Sprintf(" Even(4)=%v/%v", yes, err == nil)
+			yes, err := e.Ask(context.Background(), "?- Even(4).")
+			desc += fmt.Sprintf(" ?- Even(4).=%v/%v", yes, err == nil)
 		}
 		out[e.Name] = desc
 	}

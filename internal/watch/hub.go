@@ -231,10 +231,7 @@ func (h *Hub) SubscribeTenant(db, src string, depth, limit int, tenant string) (
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", registry.ErrNotFound, db)
 	}
-	if e.Database() == nil {
-		return nil, fmt.Errorf("watch: %q is a standalone specification; live queries need a program entry", db)
-	}
-	snap, err := e.Database().Snapshot()
+	snap, err := e.Snapshot(h.ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -419,14 +416,8 @@ func (dw *dbWatch) process() (retired bool) {
 			for _, st := range joins {
 				st.close(ReasonDeleted, fmt.Errorf("%w: %q", registry.ErrNotFound, dw.name))
 			}
-		case e.Database() == nil:
-			err := fmt.Errorf("watch: %q became a standalone specification", dw.name)
-			dw.closeAll(ReasonDeleted, err)
-			for _, st := range joins {
-				st.close(ReasonDeleted, err)
-			}
 		default:
-			snap, err := e.Database().Snapshot()
+			snap, err := e.Snapshot(h.ctx)
 			for _, st := range joins {
 				if err != nil {
 					st.close("", err)

@@ -22,8 +22,11 @@ import (
 // reader lowers a query as it lexes it, reaches only the symbols and terms it
 // names: it hands its events to a sink in core, so it can neither write a
 // shape nor hash a fingerprint, and canonical's ShapeWriter stays the one
-// writer of the format. Splitting core into a serving part and a
-// reproduction part adds rows here.
+// writer of the format. The document codec answers nothing: a document is
+// answered as a core snapshot, so specio reaches no decision procedure of
+// its own (congruence closure is core's, behind MethodEquational); what it
+// reaches it reaches through specgraph, whose Spec it exports. Splitting core
+// into a serving part and a reproduction part adds rows here.
 var layering = []struct {
 	pkg   string   // module-relative package directory
 	reach []string // the module packages it reaches, sorted
@@ -31,6 +34,8 @@ var layering = []struct {
 	{"cmd/fdbrouter", []string{"internal/api", "internal/obs", "internal/shard", "internal/wire"}},
 	{"internal/api", []string{"internal/obs", "internal/wire"}},
 	{"internal/parser", []string{"internal/ast", "internal/intern", "internal/symbols", "internal/term"}},
+	{"internal/specio", []string{"internal/ast", "internal/engine", "internal/facts", "internal/intern", "internal/normform",
+		"internal/obs", "internal/rewrite", "internal/specgraph", "internal/subst", "internal/symbols", "internal/term", "internal/wire"}},
 	{"internal/wire", nil},
 }
 
@@ -50,8 +55,9 @@ func TestLayering(t *testing.T) {
 }
 
 // TestLayeringCatches: the guard refuses planted edges — the codec
-// importing the catalog, which drags the compiler into the router, and the
-// ground reader writing shapes itself — and ignores what it must: test
+// importing the catalog, which drags the compiler into the router, the
+// ground reader writing shapes itself, and the document codec deciding
+// membership by a congruence of its own — and ignores what it must: test
 // files, nested modules and testdata.
 func TestLayeringCatches(t *testing.T) {
 	root := t.TempDir()
@@ -98,6 +104,9 @@ import (
 	write("internal/canonical/shape.go", `package canonical
 import _ "m/internal/obs"`)
 	write("internal/ast/ast.go", "package ast")
+	write("internal/specio/specio.go", `package specio
+import _ "m/internal/congruence"`)
+	write("internal/congruence/congruence.go", "package congruence")
 	write("internal/core/testdata/x.go", `package x
 import _ "m/internal/registry"`)
 	write("bench/go.mod", "module m/bench\n")
@@ -113,6 +122,8 @@ import _ "m/internal/core"`)
 		"cmd/fdbrouter reaches [internal/api internal/core internal/obs internal/registry internal/shard internal/wire], want [internal/api internal/obs internal/shard internal/wire]",
 		"internal/api reaches [internal/core internal/obs internal/registry internal/wire], want [internal/obs internal/wire]",
 		"internal/parser reaches [internal/ast internal/canonical internal/obs], want [internal/ast internal/intern internal/symbols internal/term]",
+		"internal/specio reaches [internal/congruence], want [internal/ast internal/engine internal/facts internal/intern internal/normform " +
+			"internal/obs internal/rewrite internal/specgraph internal/subst internal/symbols internal/term internal/wire]",
 		"internal/wire reaches [internal/core internal/registry], want []",
 	}
 	if !reflect.DeepEqual(got, want) {
