@@ -34,7 +34,8 @@ test:
 # And the stores': one representation each (no Scratch twin, no map copied in
 # a Freeze) and a republish that allocates the same after 250 facts as after
 # 10. And a pass over the plan-miss benchmark: query text to compiled plan,
-# by family and term depth.
+# by family and term depth. And one over the walk kernels: ns per symbol of
+# FlatDFA.Walk by family and depth.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
@@ -42,6 +43,7 @@ test-bench:
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
 
 race:
 	$(GO) test -race ./...
@@ -117,8 +119,10 @@ fuzz:
 # reference), the watch frame codec, the daemon's request-body decoder
 # (differential: encoding/json is the reference), the client's
 # error-envelope decoder (differential too) and the router hop's request and
-# response frames (round trip, and no allocation past a bound). (The parser seeds are kilobytes
-# long; without a minimizer budget the fuzzer spends the pass shrinking them.)
+# response frames (round trip, and no allocation past a bound). And the walk
+# kernels against Table.Walk on random strings (differential). (The parser
+# seeds are kilobytes long; without a minimizer budget the fuzzer spends the
+# pass shrinking them.)
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
@@ -137,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadError -fuzztime=30s ./internal/api
 	$(GO) test -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
 	$(GO) test -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
+	$(GO) test -fuzz=FuzzFlatWalk -fuzztime=30s ./internal/specgraph
 
 tables:
 	$(GO) run ./cmd/fdbench all

@@ -307,6 +307,10 @@ type Stats struct {
 	Edges     int
 	Tuples    int
 	Equations int
+	// Lasso is Theorem 4.3's tail a and period p, succ^(a+p)(0) =
+	// succ^a(0), when the alphabet has one symbol (a temporal program, or a
+	// functional one with one symbol); nil otherwise.
+	Lasso *specgraph.Lasso
 }
 
 // Stats returns size and work measures; it forces the graph specification.
@@ -328,6 +332,7 @@ func (db *Database) Stats() (Stats, error) {
 		Edges:     edges,
 		Tuples:    tuples,
 		Equations: len(sp.Merges),
+		Lasso:     sp.Lasso(),
 	}, nil
 }
 
@@ -341,6 +346,7 @@ func (s *Snapshot) Stats() Stats {
 		Reps:      s.spec.NumStates(),
 		Edges:     s.spec.NumStates() * len(s.spec.Alphabet),
 		Equations: len(s.spec.Merges),
+		Lasso:     s.spec.Lasso(),
 	}
 	for _, state := range s.spec.State {
 		for _, a := range s.w.StateAtoms(state) {

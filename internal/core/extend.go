@@ -29,6 +29,18 @@ import (
 // engine is linear in the facts, not in the program. A failed Extend leaves
 // the database as it was.
 func (db *Database) Extend(factsSrc string) error {
+	return db.ExtendCommit(factsSrc, func() error { return nil })
+}
+
+// ExtendCommit is Extend with a commit step — normally journaling the facts
+// — run under the database lock once the facts are applied and before any
+// reader can see them: the published snapshot stays the one readers get
+// until commit returns nil, and only then is it invalidated. If commit
+// refuses, the facts are rolled back before the lock is released (the
+// engine is rebuilt from the source as it was) and commit's error returned,
+// so a refused mutation is never served. commit runs even when the text
+// holds no facts, and it must not call back into the database.
+func (db *Database) ExtendCommit(factsSrc string, commit func() error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	facts, err := parser.ParseFactsTab(db.Source.Tab, factsSrc)
@@ -39,7 +51,7 @@ func (db *Database) Extend(factsSrc string) error {
 		return err
 	}
 	if len(facts) == 0 {
-		return nil
+		return commit()
 	}
 	batch := &ast.Program{Tab: db.Source.Tab, Facts: facts}
 	if err := batch.Validate(); err != nil {
@@ -48,22 +60,36 @@ func (db *Database) Extend(factsSrc string) error {
 
 	n := len(db.Source.Facts)
 	db.Source.Facts = append(db.Source.Facts, facts...)
-	if fit, depth := db.fits(facts); fit {
+	if err = db.apply(facts, batch); err == nil {
+		err = commit()
+	}
+	if err != nil {
+		db.Source.Facts = db.Source.Facts[:n]
+		return errors.Join(err, db.recompile())
+	}
+	db.invalidate()
+	return nil
+}
+
+// apply brings the engine up to date with facts just appended to the
+// source. Least fixpoints are monotone, so facts that fit the compiled
+// program are absorbed; otherwise, or if the engine took them and failed to
+// re-solve, a rebuild re-solves the extended source from scratch. On error
+// the engine may hold part of the batch: the caller truncates the source and
+// recompiles.
+func (db *Database) apply(facts []ast.Atom, batch *ast.Program) error {
+	fit, depth := db.fits(facts)
+	var err error
+	if fit {
 		if err = db.absorb(batch); err == nil {
 			db.deepen(depth)
 			db.Engine.Sweep()
-			db.invalidate()
+			db.dropViews()
 			return nil
 		}
 	}
-	// Either the facts outgrow the compiled program, or the engine took them
-	// and failed to re-solve. A rebuild re-solves the extended source from
-	// scratch; only if that also fails is the extension rolled back (the
-	// engine, which may hold part of the batch, is rebuilt from the source as
-	// it was) and the failure reported.
 	if rerr := db.recompile(); rerr != nil {
-		db.Source.Facts = db.Source.Facts[:n]
-		return errors.Join(err, rerr, db.recompile())
+		return errors.Join(err, rerr)
 	}
 	return nil
 }
@@ -174,7 +200,9 @@ func (db *Database) ExtendRules(rulesSrc string) error {
 	return nil
 }
 
-// recompile rebuilds the engine from the (already extended) source program.
+// recompile rebuilds the engine from the source program. It leaves the
+// published snapshot in place: the caller invalidates it once the change is
+// committed.
 func (db *Database) recompile() error {
 	fresh, err := FromProgram(db.Source, db.opts)
 	if err != nil {
@@ -185,17 +213,24 @@ func (db *Database) recompile() error {
 	db.universe = fresh.universe
 	db.world = fresh.world
 	db.sig = fresh.sig
-	db.invalidate()
+	db.dropViews()
 	return nil
 }
 
-// invalidate drops the lazily built views so they are rebuilt on demand.
-// Published snapshots are unaffected (they stay valid as of their creation);
-// only the cached pointer is cleared so the next Snapshot call rebuilds.
+// invalidate drops the lazily built views and the published snapshot so
+// they are rebuilt on demand. Published snapshots are unaffected (they stay
+// valid as of their creation); only the cached pointer is cleared so the
+// next Snapshot call rebuilds.
 func (db *Database) invalidate() {
+	db.dropViews()
+	db.snap.Store(nil)
+}
+
+// dropViews drops the views built from the live engine, which only the
+// lock holder reads; readers without the lock go through the snapshot.
+func (db *Database) dropViews() {
 	db.graph = nil
 	db.eq = nil
 	db.lasso = nil
 	db.canon = nil
-	db.snap.Store(nil)
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"funcdb/internal/datagen"
 )
 
 // TestPlanShapeSharing: spelling variants of one query — different
@@ -133,6 +135,27 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("snapshot text Ask allocates %.1f per run, want 0", n)
+	}
+
+	// Deep texts take the other two walk kernels: a depth-1023 list walks
+	// two symbols per load through a table its first walk built, and a
+	// depth-1023 numeral reads the lasso.
+	for _, c := range []struct{ name, src, q string }{
+		{"sub", datagen.SubsetsSrc(6), datagen.DeepQuery("sub", 6, 1023, 1)},
+		{"temporal", datagen.CalendarSrc(64), datagen.DeepQuery("cal", 64, 1023, 1)},
+	} {
+		s := deepSnapshot(t, c.src)
+		want, err := s.Ask(ctx, c.q)
+		if err != nil {
+			t.Fatalf("%s: warmup Ask: %v", c.name, err)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if got, err := s.Ask(ctx, c.q); err != nil || got != want {
+				t.Fatalf("%s: Ask flipped", c.name)
+			}
+		}); n != 0 {
+			t.Errorf("%s: depth-1023 text Ask allocates %.1f per run, want 0", c.name, n)
+		}
 	}
 }
 

@@ -349,16 +349,15 @@ func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
 	if old.Kind != KindProgram {
 		return nil, fmt.Errorf("registry: %q is a specification document; facts need a program entry", name)
 	}
-	if err := old.db.Extend(string(facts)); err != nil {
-		return nil, err
-	}
+	// The facts are journaled after the engine has taken them and before
+	// the database publishes them: a refused journal write rolls them back,
+	// and readers keep the old snapshot throughout.
 	e := &Entry{Name: name, Kind: KindProgram, SourceBytes: old.SourceBytes + len(facts), db: old.db}
-	// The facts are already applied in memory; if journaling refuses the
-	// mutation the caller sees the error and no new version is published,
-	// so a restart converges back to the last durable state.
-	if err := r.publishLocked(e, wire.OpExtend, facts); err != nil {
+	v := r.versions[name] + 1
+	if err := old.db.ExtendCommit(string(facts), func() error { return r.journalLocked(wire.OpExtend, name, v, facts) }); err != nil {
 		return nil, err
 	}
+	r.installAtLocked(e, v)
 	return e, nil
 }
 
@@ -396,14 +395,22 @@ func (r *Registry) publish(e *Entry, op wire.Op, payload []byte) error {
 
 func (r *Registry) publishLocked(e *Entry, op wire.Op, payload []byte) error {
 	v := r.versions[e.Name] + 1
-	if r.obs != nil {
-		if err := r.obs(wire.Mutation{Op: op, Name: e.Name, Version: v, Payload: payload}); err != nil {
-			return fmt.Errorf("registry: journal %s %q: %w", op, e.Name, err)
-		}
+	if err := r.journalLocked(op, e.Name, v, payload); err != nil {
+		return err
 	}
-	r.versions[e.Name] = v
-	e.Version = v
-	r.installLocked(e)
+	r.installAtLocked(e, v)
+	return nil
+}
+
+// journalLocked hands the mutation that would make version v of name to the
+// observer; an error refuses it.
+func (r *Registry) journalLocked(op wire.Op, name string, v uint64, payload []byte) error {
+	if r.obs == nil {
+		return nil
+	}
+	if err := r.obs(wire.Mutation{Op: op, Name: name, Version: v, Payload: payload}); err != nil {
+		return fmt.Errorf("registry: journal %s %q: %w", op, name, err)
+	}
 	return nil
 }
 
@@ -532,6 +539,10 @@ func (r *Registry) RestoreSpecDoc(name string, doc *specio.Document, sourceBytes
 func (r *Registry) installAt(e *Entry, version uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.installAtLocked(e, version)
+}
+
+func (r *Registry) installAtLocked(e *Entry, version uint64) {
 	e.Version = version
 	if version > r.versions[e.Name] {
 		r.versions[e.Name] = version
@@ -574,12 +585,7 @@ func (r *Registry) ApplyAt(m wire.Mutation) error {
 		if err := old.db.Extend(string(m.Payload)); err != nil {
 			return err
 		}
-		e := &Entry{Name: m.Name, Kind: KindProgram, SourceBytes: old.SourceBytes + len(m.Payload), db: old.db}
-		e.Version = m.Version
-		if m.Version > r.versions[m.Name] {
-			r.versions[m.Name] = m.Version
-		}
-		r.installLocked(e)
+		r.installAtLocked(&Entry{Name: m.Name, Kind: KindProgram, SourceBytes: old.SourceBytes + len(m.Payload), db: old.db}, m.Version)
 		return nil
 	case wire.OpDelete:
 		r.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/wire"
@@ -452,6 +453,131 @@ func TestReplayReproducesCatalog(t *testing.T) {
 		got, err := mustGet(t, r2, "even").Ask(context.Background(), q)
 		if err != nil || got != want {
 			t.Fatalf("%s: replayed %v, want %v (err %v)", q, got, want, err)
+		}
+	}
+}
+
+// TestRefusedFactsAreNotServed: facts whose journal write is refused are
+// never answered — not while the observer runs, not after it refused, not
+// once a later fact is accepted — and readers keep the snapshot they had
+// throughout. Each fact takes a different branch of Extend: the monotone
+// path, a fact deeper than the program, and a new predicate (a recompile).
+func TestRefusedFactsAreNotServed(t *testing.T) {
+	ctx := context.Background()
+	for _, fact := range []string{"Even(1).", "Even(9).", "Odd(1)."} {
+		q := "?- " + strings.TrimSuffix(fact, ".") + "."
+		r := New(core.Options{})
+		e1, err := r.PutProgram("db", []byte(evenSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s0, err := e1.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// oldReader reads through the entry it holds, the way an in-flight
+		// request does, and requires the snapshot it had and the old answer.
+		oldReader := func(when string) {
+			done := make(chan error, 1)
+			go func() {
+				s, err := e1.Snapshot(ctx)
+				if err == nil && s != s0 {
+					err = errors.New("a reader got a new snapshot")
+				}
+				if err == nil {
+					var got bool
+					if got, err = s.Ask(ctx, q); err == nil && got {
+						err = fmt.Errorf("%s answered true", q)
+					}
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s, %s: %v", fact, when, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s, %s: a reader blocked", fact, when)
+			}
+		}
+		r.SetObserver(func(m wire.Mutation) error {
+			oldReader("while the journal write is pending")
+			return os.ErrPermission
+		})
+		if _, err := r.ExtendFacts("db", []byte(fact)); !errors.Is(err, os.ErrPermission) {
+			t.Fatalf("%s: ExtendFacts = %v, want the observer's refusal", fact, err)
+		}
+		oldReader("after the refusal")
+		e := mustGet(t, r, "db")
+		if got, err := e.Ask(ctx, q); err != nil || got || e.Version != 1 {
+			t.Errorf("%s: after the refusal %s = %v, %v at version %d; want false at version 1", fact, q, got, err, e.Version)
+		}
+		if got, err := e.Ask(ctx, "?- Even(4)."); err != nil || !got {
+			t.Errorf("%s: after the refusal Even(4) = %v, %v", fact, got, err)
+		}
+
+		r.SetObserver(nil)
+		e2, err := r.ExtendFacts("db", []byte("Even(2)."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string]bool{q: false, "?- Even(2).": true, "?- Even(3).": false} {
+			if got, err := e2.Ask(ctx, q); err != nil || got != want || e2.Version != 2 {
+				t.Errorf("%s: after an accepted fact %s = %v, %v at version %d; want %v at version 2", fact, q, got, err, e2.Version, want)
+			}
+		}
+	}
+}
+
+// TestReplayAfterRefusedFact: replaying the journal of "a refused fact,
+// then an accepted one" into a fresh registry reproduces the live one — the
+// refused fact has no record and no answer on either side.
+func TestReplayAfterRefusedFact(t *testing.T) {
+	r := New(core.Options{})
+	var journal []wire.Mutation
+	refuse := false
+	r.SetObserver(func(m wire.Mutation) error {
+		if refuse {
+			return os.ErrPermission
+		}
+		journal = append(journal, wire.Mutation{Op: m.Op, Name: m.Name, Version: m.Version, Payload: bytes.Clone(m.Payload)})
+		return nil
+	})
+	if _, err := r.PutProgram("even", []byte(evenSrc)); err != nil {
+		t.Fatal(err)
+	}
+	refuse = true
+	if _, err := r.ExtendFacts("even", []byte("Even(1).")); err == nil {
+		t.Fatal("refused facts were acknowledged")
+	}
+	refuse = false
+	if _, err := r.ExtendFacts("even", []byte("Even(7).")); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := New(core.Options{})
+	for _, m := range journal {
+		if err := r2.ApplyAt(m); err != nil {
+			t.Fatalf("replay %v %q: %v", m.Op, m.Name, err)
+		}
+	}
+	live, replayed := mustGet(t, r, "even"), mustGet(t, r2, "even")
+	if live.Version != 2 || replayed.Version != live.Version || replayed.SourceBytes != live.SourceBytes {
+		t.Fatalf("replayed (v%d, %d bytes), live (v%d, %d bytes); want v2 on both",
+			replayed.Version, replayed.SourceBytes, live.Version, live.SourceBytes)
+	}
+	for _, q := range []string{"?- Even(1).", "?- Even(3).", "?- Even(7).", "?- Even(9).", "?- Even(4)."} {
+		want, err := live.Ask(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := replayed.Ask(context.Background(), q)
+		if err != nil || got != want {
+			t.Errorf("%s: replayed %v, live %v (err %v)", q, got, want, err)
+		}
+		if q == "?- Even(1)." && want {
+			t.Error("the refused fact Even(1) is served")
 		}
 	}
 }

@@ -637,7 +637,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	resp["stats"] = map[string]any{
+	stats := map[string]any{
 		"temporal":        st.Temporal,
 		"representatives": st.Reps,
 		"edges":           st.Edges,
@@ -645,6 +645,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 		"equations":       st.Equations,
 		"seed_depth":      st.SeedDepth,
 	}
+	if st.Lasso != nil {
+		stats["lasso"] = map[string]int{"tail": st.Lasso.Tail, "period": st.Lasso.Period}
+	}
+	resp["stats"] = stats
 	api.WriteJSON(w, http.StatusOK, resp)
 	return nil
 }

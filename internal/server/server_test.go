@@ -337,6 +337,47 @@ func TestOutsideAlphabetIsFalse(t *testing.T) {
 	}
 }
 
+// TestInfoLasso: the stats of a database whose alphabet has one symbol
+// carry Theorem 4.3's tail a and period p — for cal the temporal
+// specification's prefix and period, on the program entry and on its
+// exported document alike — and a database over a wider alphabet has none.
+func TestInfoLasso(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{})
+	cal := datagen.CalendarSrc(64)
+	if _, err := reg.PutProgram("cal", []byte(cal)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.PutSpec("calspec", exportDoc(t, cal)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.PutProgram("sub", []byte(datagen.SubsetsSrc(3))); err != nil {
+		t.Fatal(err)
+	}
+	db, err := core.Open(cal, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lasso, err := db.Temporal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"tail": float64(lasso.Prefix), "period": float64(lasso.Period)}
+	if lasso.Period != 64 {
+		t.Fatalf("Calendar(64) has period %d", lasso.Period)
+	}
+	for _, name := range []string{"cal", "calspec"} {
+		code, body := doJSON(t, "GET", ts.URL+"/v1/db/"+name, nil)
+		stats, _ := body["stats"].(map[string]any)
+		if code != http.StatusOK || !reflect.DeepEqual(stats["lasso"], want) {
+			t.Errorf("%s: %d, lasso %v; want %v", name, code, stats["lasso"], want)
+		}
+	}
+	code, body := doJSON(t, "GET", ts.URL+"/v1/db/sub", nil)
+	if stats, _ := body["stats"].(map[string]any); code != http.StatusOK || stats["lasso"] != nil {
+		t.Errorf("sub: %d, lasso %v; want none", code, stats["lasso"])
+	}
+}
+
 func TestListInfoPutDelete(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	code, body := doJSON(t, "GET", ts.URL+"/v1/dbs", nil)

@@ -1,8 +1,15 @@
 package specgraph_test
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/engine"
@@ -15,7 +22,7 @@ import (
 	"funcdb/internal/term"
 )
 
-func buildSpecExt(t *testing.T, src string) *specgraph.Spec {
+func buildSpecExt(t testing.TB, src string) *specgraph.Spec {
 	t.Helper()
 	prog := parser.MustParse(src).Program
 	prep, err := rewrite.Prepare(prog)
@@ -63,45 +70,152 @@ func flatWalk(t *testing.T, fd *specgraph.FlatDFA, syms []symbols.FuncID) int32 
 	return fd.Walk(idx)
 }
 
-// TestFlatWalkMatchesMapWalk is the property test behind the flat-table hot
-// path: on generated specifications — linear, periodic, exponential-cluster
-// and random (including equational programs with nontrivial merges) — the
-// flat DFA built over the identity quotient AND the one built over the
-// minimized observable-equivalence quotient must agree with the term-keyed
-// successor walk on every original-predicate observation, for random symbol
-// strings.
-func TestFlatWalkMatchesMapWalk(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"calendar", datagen.CalendarSrc(6)},
-		{"chain", datagen.ChainSrc(5)},
-		{"subsets", datagen.SubsetsSrc(3)},
-		{"robot", datagen.RobotSrc(3)},
-		{"random_automaton", datagen.RandomAutomatonSrc(5, 3, 42)},
-		{"random_bidi", datagen.RandomBidiSrc(3, 2, 7)},
+// lawFamilies are the specifications the walk law runs over: the six
+// generated families — linear, periodic, exponential-cluster and random
+// (including equational programs with nontrivial merges) — a program with
+// no function symbol, and the corpus.
+func lawFamilies(t testing.TB) []lawCase {
+	cases := []lawCase{
+		{name: "no_symbols", src: "P(a).\nP(X) -> Q(X).\n"},
+		{name: "calendar", src: datagen.CalendarSrc(6)},
+		{name: "chain", src: datagen.ChainSrc(5)},
+		{name: "subsets", src: datagen.SubsetsSrc(3)},
+		{name: "robot", src: datagen.RobotSrc(3)},
+		{name: "random_automaton", src: datagen.RandomAutomatonSrc(5, 3, 42)},
+		{name: "random_bidi", src: datagen.RandomBidiSrc(3, 2, 7)},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sp := buildSpecExt(t, tc.src)
-			idFrozen := sp.Freeze()
-			idFlat := idFrozen.Flat()
-			if idFlat == nil {
-				t.Fatal("identity-quotient flat tables not built")
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.fdb"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus: %v (%d files)", err, len(paths))
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, lawCase{name: strings.TrimSuffix(filepath.Base(p), ".fdb"), src: string(src)})
+	}
+	for i := range cases {
+		c := &cases[i]
+		c.sp = buildSpecExt(t, c.src)
+		m, err := minimize.Minimize(c.sp)
+		if err != nil {
+			t.Fatalf("%s: Minimize: %v", c.name, err)
+		}
+		q := m.Quotient()
+		c.flats = []lawFlat{{"identity", c.sp.Freeze().Flat(), nil}, {"minimised", c.sp.FreezeQuotient(q).Flat(), q}}
+	}
+	return cases
+}
+
+type lawCase struct {
+	name, src string
+	sp        *specgraph.Spec
+	flats     []lawFlat // identity, then minimised
+}
+
+type lawFlat struct {
+	name string
+	fd   *specgraph.FlatDFA
+	q    specgraph.Quotient // nil: the identity
+}
+
+// walkLengths are the lengths the walk law tries: the boundaries every
+// kernel has (0–3, the stride threshold), the lasso's (a−1, a, a+p) on each
+// one-symbol flat DFA, one string of 2^20+3 symbols and random lengths up to
+// 4 096.
+func walkLengths(c *lawCase, rng *rand.Rand) []int {
+	ls := []int{0, 1, 2, 3, 63, 64, 65, 1<<20 + 3}
+	for _, f := range c.flats {
+		if a, p, ok := f.fd.Orbit(); ok {
+			ls = append(ls, a-1, a, a+p, a+p+1, a+2*p+1)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		ls = append(ls, rng.Intn(4097))
+	}
+	return ls
+}
+
+// walkLaw runs kernels(f) of every flat DFA of c over random strings of
+// walkLengths and reports, once per kernel, a disagreement with the state
+// Table.Walk reaches (its class, under a quotient). A kernel that panics
+// disagrees.
+func walkLaw(c *lawCase, kernels func(*specgraph.FlatDFA) []specgraph.Kernel, rng *rand.Rand) map[string]string {
+	type run struct {
+		flat lawFlat
+		k    specgraph.Kernel
+	}
+	var runs []run
+	for _, f := range c.flats {
+		for _, k := range kernels(f.fd) {
+			runs = append(runs, run{f, k})
+		}
+	}
+	fails := map[string]string{}
+	k := len(c.sp.Alphabet)
+	for _, n := range walkLengths(c, rng) {
+		if n < 0 || (k == 0 && n > 0) {
+			continue
+		}
+		idx, fns := make([]int32, n), make([]symbols.FuncID, n)
+		for i := range idx {
+			j := rng.Intn(k)
+			idx[i], fns[i] = int32(j), c.sp.Alphabet[j]
+		}
+		want, _, ok := c.sp.Walk(fns)
+		if !ok {
+			fails["Table.Walk"] = fmt.Sprintf("%s: Table.Walk refused a string over its own alphabet", c.name)
+			continue
+		}
+		for _, r := range runs {
+			if _, seen := fails[r.k.Name]; seen {
+				continue
 			}
-			m, err := minimize.Minimize(sp)
-			if err != nil {
-				t.Fatalf("Minimize: %v", err)
+			exp := want
+			if r.flat.q != nil {
+				exp = r.flat.q[want]
 			}
-			minFrozen := sp.FreezeQuotient(m.Quotient())
-			minFlat := minFrozen.Flat()
-			if minFlat == nil {
-				t.Fatal("minimized-quotient flat tables not built")
+			if got, err := runKernel(r.k, idx); err != nil || got != exp {
+				fails[r.k.Name] = fmt.Sprintf("%s/%s: kernel %q over %d symbols: state %d (%v), Table.Walk %d",
+					c.name, r.flat.name, r.k.Name, n, got, err, exp)
 			}
+		}
+	}
+	return fails
+}
+
+func runKernel(k specgraph.Kernel, syms []int32) (state int32, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return k.Walk(syms), nil
+}
+
+// TestFlatWalkMatchesMapWalk is the property test behind the flat-table hot
+// path. On every family the flat DFA built over the identity quotient AND
+// the one built over the minimised observable-equivalence quotient agree
+// with the term-keyed successor walk on every original-predicate
+// observation, for random symbol strings; and the walk law holds: every
+// kernel of either (Walk itself, step, stride, lasso) reaches the state
+// Table.Walk reaches, or its class, at every length walkLengths names.
+func TestFlatWalkMatchesMapWalk(t *testing.T) {
+	for _, c := range lawFamilies(t) {
+		t.Run(c.name, func(t *testing.T) {
+			sp, idFlat, minFlat := c.sp, c.flats[0].fd, c.flats[1].fd
 			if minFlat.NumStates() > idFlat.NumStates() {
 				t.Errorf("minimized tables larger than identity: %d > %d",
 					minFlat.NumStates(), idFlat.NumStates())
+			}
+			rng := rand.New(rand.NewSource(1))
+			for _, fail := range walkLaw(&c, (*specgraph.FlatDFA).Kernels, rng) {
+				t.Error(fail)
+			}
+			if len(sp.Alphabet) == 0 {
+				return
 			}
 
 			// The probe universe: every original-predicate atom observable
@@ -116,8 +230,6 @@ func TestFlatWalkMatchesMapWalk(t *testing.T) {
 			for a := range probeSet {
 				probes = append(probes, a)
 			}
-
-			rng := rand.New(rand.NewSource(1))
 			for trial := 0; trial < 200; trial++ {
 				syms := make([]symbols.FuncID, rng.Intn(13))
 				for i := range syms {
@@ -142,5 +254,184 @@ func TestFlatWalkMatchesMapWalk(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWalkKernelsCatch plants the three bugs a kernel could have and
+// requires the walk law to catch each on some family: the lasso off by one
+// at n = a+p, the Σ² cell composed in the wrong order (b∘a), and the odd last
+// symbol of a stride walk dropped.
+func TestWalkKernelsCatch(t *testing.T) {
+	caught := map[string]string{}
+	var planted []string
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range lawFamilies(t) {
+		for _, f := range c.flats {
+			for _, k := range f.fd.PlantedKernels() {
+				planted = append(planted, k.Name)
+			}
+		}
+		for name, fail := range walkLaw(&c, (*specgraph.FlatDFA).PlantedKernels, rng) {
+			caught[name] = fail
+		}
+	}
+	for _, name := range []string{"lasso off by one at n = a+p", "Σ² cell composed b∘a", "odd last symbol dropped"} {
+		if !strings.Contains(strings.Join(planted, "\n"), name) {
+			t.Errorf("bug %q was never planted", name)
+		} else if fail, ok := caught[name]; !ok {
+			t.Errorf("the planted bug %q went unnoticed", name)
+		} else {
+			t.Logf("caught: %s", fail)
+		}
+	}
+}
+
+// TestStrideTableRace: goroutines whose first long walks on a fresh flat DFA
+// race to build its stride table all get the state Table.Walk reaches (run
+// under -race in CI).
+func TestStrideTableRace(t *testing.T) {
+	sp := buildSpecExt(t, datagen.SubsetsSrc(4))
+	fd := sp.Freeze().Flat()
+	rng := rand.New(rand.NewSource(1))
+	idx, fns := make([]int32, 301), make([]symbols.FuncID, 301)
+	for i := range idx {
+		j := rng.Intn(len(sp.Alphabet))
+		idx[i], fns[i] = int32(j), sp.Alphabet[j]
+	}
+	want, _, _ := sp.Walk(fns)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := fd.Walk(idx); got != want {
+				t.Errorf("Walk = %d, Table.Walk %d", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLassoWalkIsShort: a one-symbol walk of 2^20+3 symbols reaches the
+// state Table.Walk reaches, and costs less than the step kernel's walk of
+// 64 symbols — it reads the string's length, not the string.
+func TestLassoWalkIsShort(t *testing.T) {
+	sp := buildSpecExt(t, datagen.CalendarSrc(64))
+	m, err := minimize.Minimize(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := m.Quotient()
+	fd := sp.FreezeQuotient(q).Flat()
+	long := make([]int32, 1<<20+3)
+	fns := make([]symbols.FuncID, len(long))
+	for i := range fns {
+		fns[i] = sp.Alphabet[0]
+	}
+	want, _, _ := sp.Walk(fns)
+	if got := fd.Walk(long); got != q[want] {
+		t.Fatalf("Walk over 2^20+3 symbols = %d, Table.Walk's class %d", got, q[want])
+	}
+	var step specgraph.Kernel
+	for _, k := range fd.Kernels() {
+		if k.Name == "step" {
+			step = k
+		}
+	}
+	perCall := func(walk func([]int32) int32, syms []int32) time.Duration {
+		best := time.Duration(1 << 62)
+		for try := 0; try < 5; try++ {
+			start := time.Now()
+			for i := 0; i < 10000; i++ {
+				walk(syms)
+			}
+			best = min(best, time.Since(start)/10000)
+		}
+		return best
+	}
+	lasso, short := perCall(fd.Walk, long), perCall(step.Walk, long[:64])
+	t.Logf("Walk over 2^20+3 symbols: %v; step kernel over 64: %v", lasso, short)
+	if lasso >= short {
+		t.Errorf("Walk over 2^20+3 symbols takes %v, no less than a 64-symbol step walk's %v", lasso, short)
+	}
+}
+
+// FuzzFlatWalk: random strings over each family's alphabet — the input's
+// bytes, each taken modulo the alphabet's size, repeated up to 256 times so
+// that short inputs still reach the stride threshold and deep into a lasso —
+// walked by every kernel of the identity and minimised flat DFAs, against
+// Table.Walk.
+func FuzzFlatWalk(f *testing.F) {
+	cases := lawFamilies(f)
+	f.Add(uint8(0), uint8(0), []byte{0})
+	f.Add(uint8(2), uint8(40), []byte{0, 1, 2, 1, 0})
+	f.Add(uint8(3), uint8(255), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Fuzz(func(t *testing.T, family, repeat uint8, data []byte) {
+		c := &cases[int(family)%len(cases)]
+		k := len(c.sp.Alphabet)
+		if k == 0 {
+			return
+		}
+		var idx []int32
+		var fns []symbols.FuncID
+		for r := 0; r <= int(repeat); r++ {
+			for _, b := range data {
+				j := int(b) % k
+				idx, fns = append(idx, int32(j)), append(fns, c.sp.Alphabet[j])
+			}
+		}
+		want, _, ok := c.sp.Walk(fns)
+		if !ok {
+			t.Fatalf("%s: Table.Walk refused a string over its own alphabet", c.name)
+		}
+		for _, fl := range c.flats {
+			exp := want
+			if fl.q != nil {
+				exp = fl.q[want]
+			}
+			for _, kn := range fl.fd.Kernels() {
+				if got, err := runKernel(kn, idx); err != nil || got != exp {
+					t.Fatalf("%s/%s: kernel %q over %d symbols: state %d (%v), Table.Walk %d",
+						c.name, fl.name, kn.Name, len(idx), got, err, exp)
+				}
+			}
+		}
+	})
+}
+
+var walkSink int32
+
+// BenchmarkFlatWalk times Walk on the flat DFAs a snapshot publishes
+// (minimised) for the three benchmark families, over random strings of
+// their alphabets at three depths, and reports the cost per symbol.
+func BenchmarkFlatWalk(b *testing.B) {
+	families := []struct{ name, src string }{
+		{"cal", datagen.CalendarSrc(64)},
+		{"sub", datagen.SubsetsSrc(6)},
+		{"rob", datagen.RobotSrc(8)},
+	}
+	for _, fam := range families {
+		sp := buildSpecExt(b, fam.src)
+		m, err := minimize.Minimize(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fd := sp.FreezeQuotient(m.Quotient()).Flat()
+		rng := rand.New(rand.NewSource(1))
+		for _, d := range []int{64, 512, 1023} {
+			syms := make([]int32, d)
+			for i := range syms {
+				syms[i] = int32(rng.Intn(len(sp.Alphabet)))
+			}
+			b.Run(fmt.Sprintf("%s/d%d", fam.name, d), func(b *testing.B) {
+				fd.Walk(syms) // builds the stride table, where there is one
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					walkSink = fd.Walk(syms)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/sym")
+			})
+		}
 	}
 }
