@@ -65,7 +65,7 @@ func benchGraphSpec(b *testing.B, src func(int) string, sizes []int) {
 			text := src(n)
 			for i := 0; i < b.N; i++ {
 				db := open(b, text)
-				st, err := db.Stats()
+				st, err := db.Stats(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

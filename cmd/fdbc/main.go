@@ -209,7 +209,7 @@ func run(args []string) error {
 	}
 
 	if *stats {
-		st, err := db.Stats()
+		st, err := db.Stats(context.Background())
 		if err != nil {
 			return err
 		}

@@ -51,8 +51,8 @@
 //	                 429 rate_limited / 503 overloaded + Retry-After
 //	-max-qsteps / -max-arena-bytes
 //	                 default per-query work budgets (Algorithm Q steps,
-//	                 metered answer-arena bytes); an over-budget query
-//	                 dies with a typed 422 budget_exceeded envelope
+//	                 metered answer-arena bytes), the compile a first read
+//	                 pays included; over budget: 422 budget_exceeded
 //	-trace-buffer    flight-recorder capacity in entries (0: default 1024;
 //	                 negative disables the recorder and always-on tracing)
 //	-trace-sample    keep 1 in N unremarkable requests in the recorder

@@ -111,7 +111,7 @@ func t42() {
 		for _, src := range []string{datagen.SubsetsSrc(n), datagen.CalendarSrc(n), datagen.RobotSrc(max(n, 2))} {
 			db := open(src)
 			start := time.Now()
-			st, err := db.Stats()
+			st, err := db.Stats(context.Background())
 			if err != nil {
 				panic(err)
 			}
@@ -131,7 +131,7 @@ func t43() {
 		row := fmt.Sprintf("%-5d", n)
 		for _, src := range []string{datagen.SubsetsSrc(n), datagen.CalendarSrc(n), datagen.ChainSrc(n)} {
 			db := open(src)
-			st, err := db.Stats()
+			st, err := db.Stats(context.Background())
 			if err != nil {
 				panic(err)
 			}

@@ -105,7 +105,7 @@ func TestAcceptanceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			st, err := db.Stats()
+			st, err := db.Stats(context.Background())
 			if err != nil {
 				t.Fatalf("Stats: %v", err)
 			}

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
-	st, err := db.Stats()
+	st, err := db.Stats(context.Background())
 	if err != nil {
 		log.Fatalf("stats: %v", err)
 	}

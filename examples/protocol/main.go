@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("graph: %v", err)
 	}
-	st, err := db.Stats()
+	st, err := db.Stats(context.Background())
 	if err != nil {
 		log.Fatalf("stats: %v", err)
 	}

@@ -341,7 +341,7 @@ func TestLemma32Bound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		st, err := db.Stats()
+		st, err := db.Stats(context.Background())
 		if err != nil {
 			t.Fatalf("Stats: %v", err)
 		}

@@ -18,7 +18,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,14 +139,6 @@ func WriteError(w http.ResponseWriter, e *Error) {
 		w.Header().Set(HeaderRetryAfter, strconv.Itoa(e.RetryAfter))
 	}
 	WriteJSON(w, e.Status, envelope{e.Body()})
-}
-
-// Envelope returns the body WriteError sends for e, less the final newline:
-// the form http.TimeoutHandler wants its canned reply in.
-func (e *Error) Envelope() string {
-	var b bytes.Buffer
-	encode(&b, envelope{e.Body()})
-	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // maxErrorBody bounds how much of a refusal's body is read: envelopes are a

@@ -23,7 +23,11 @@ import (
 //   - a struct decoding or encoding an "error" member as anything but a
 //     string (the partial-failure report) or the kit's ErrorBody;
 //   - a function named like the helpers that were copied around: an envelope
-//     writer, a Retry-After parser, a health probe, a failover classifier.
+//     writer, a Retry-After parser, a health probe, a failover classifier;
+//   - a second deadline or a second body reader: http.TimeoutHandler, which
+//     answered past its deadline while the handler ran on, and
+//     http.MaxBytesReader. A request's context carries its one deadline,
+//     and fdbd reads every body through one reader.
 //
 // Nested modules (bench/) are their own business.
 func TestOneKit(t *testing.T) {
@@ -90,6 +94,10 @@ var (
 		"retryafterseconds": "api.DecodeError", "remoteerrorparts": "api.DecodeError",
 		"ishealthy": "api.Client.Ready", "failover": "api.Failover", "retrydelay": "api.RetryDelay",
 	}
+	reservedHTTP = map[string]string{
+		"TimeoutHandler": "the request's context carries its deadline (api.Pipeline.Wrap)",
+		"MaxBytesReader": "read the body with the daemon's one reader",
+	}
 )
 
 func kitViolations(f *ast.File) []violation {
@@ -101,8 +109,15 @@ func kitViolations(f *ast.File) []violation {
 		case *ast.StarExpr:
 			pointee[n.X] = true
 		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok && x.Name == "http" && n.Sel.Name == "Client" && !pointee[n] {
+			x, ok := n.X.(*ast.Ident)
+			if !ok || x.Name != "http" {
+				break
+			}
+			if n.Sel.Name == "Client" && !pointee[n] {
 				out = append(out, violation{n.Pos(), "builds an http.Client; use api.NewClient (or a nil *api.Client)"})
+			}
+			if use, ok := reservedHTTP[n.Sel.Name]; ok {
+				out = append(out, violation{n.Pos(), "uses http." + n.Sel.Name + "; " + use})
 			}
 		case *ast.BasicLit:
 			if n.Kind != token.STRING {
@@ -184,6 +199,8 @@ func f(r *http.Request, base string) {
 	_ = r.Header.Get("Retry-After")
 	_ = base + "/readyz"
 	_ = "GET /readyz"
+	_ = http.TimeoutHandler(nil, 0, "")
+	_ = http.MaxBytesReader(nil, r.Body, 1)
 }
 `
 	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
@@ -200,6 +217,7 @@ func f(r *http.Request, base string) {
 		"defines writeJSON", "defines failover",
 		"builds an http.Client", "builds an http.Client",
 		`spells "x-api-key" as a literal`, `spells "Retry-After" as a literal`, `spells "/readyz" as a literal`,
+		"uses http.TimeoutHandler", "uses http.MaxBytesReader",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("violations:\n%q\nwant\n%q", got, want)

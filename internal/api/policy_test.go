@@ -45,7 +45,6 @@ func TestPolicy(t *testing.T) {
 		{name: "500 no envelope", err: refusal(500, "", 0), want: nextEndpoint},
 		{name: "503 shutting_down", err: refusal(503, "shutting_down", 0), want: nextEndpoint},
 		{name: "503 not_ready", err: refusal(503, "not_ready", 0), want: nextEndpoint},
-		{name: "503 deadline_exceeded (TimeoutHandler)", err: refusal(503, "deadline_exceeded", 0), want: nextEndpoint},
 		{name: "504 deadline_exceeded", err: refusal(504, "deadline_exceeded", 0), want: nextEndpoint},
 		// A router that lost a shard group says when to come back; the
 		// sweep moves on first (another router may still reach the group).

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -91,6 +92,7 @@ type Database struct {
 
 	opts     Options
 	graph    *specgraph.Spec
+	build    *specgraph.Builder // the graph's Algorithm Q while unfinished
 	eq       *congruence.EqSpec
 	lasso    *temporal.Spec
 	canon    *canonical.Form
@@ -192,18 +194,28 @@ func (db *Database) Tab() *symbols.Table { return db.Source.Tab }
 func (db *Database) Graph() (*specgraph.Spec, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.graphLocked()
+	return db.graphLocked(context.Background())
 }
 
-func (db *Database) graphLocked() (*specgraph.Spec, error) {
+// graphLocked builds the graph specification under ctx, installed on the
+// live engine: Solve polls it, Algorithm Q checks it at every depth wave and
+// charges its step and byte budgets. A killed build publishes nothing, and
+// the next resumes where it stopped (specgraph.Builder), so reads that each
+// time out before the compile ends still finish it between them.
+func (db *Database) graphLocked(ctx context.Context) (*specgraph.Spec, error) {
 	if db.graph != nil {
 		return db.graph, nil
 	}
-	sp, err := specgraph.Build(db.Engine, db.opts.Spec)
+	if db.build == nil {
+		db.build = specgraph.NewBuilder(db.Engine, db.opts.Spec)
+	}
+	db.Engine.SetContext(ctx)
+	defer db.Engine.SetContext(nil)
+	sp, err := db.build.Run()
 	if err != nil {
 		return nil, err
 	}
-	db.graph = sp
+	db.graph, db.build = sp, nil
 	return sp, nil
 }
 
@@ -216,7 +228,7 @@ func (db *Database) Equational() (*congruence.EqSpec, error) {
 	if db.eq != nil {
 		return db.eq, nil
 	}
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +248,7 @@ func (db *Database) Temporal() (*temporal.Spec, error) {
 	if db.lasso != nil {
 		return db.lasso, nil
 	}
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +271,7 @@ func (db *Database) canonicalLocked() (*canonical.Form, error) {
 	if db.canon != nil {
 		return db.canon, nil
 	}
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -313,11 +325,12 @@ type Stats struct {
 	Lasso *specgraph.Lasso
 }
 
-// Stats returns size and work measures; it forces the graph specification.
-func (db *Database) Stats() (Stats, error) {
+// Stats returns size and work measures; it forces the graph specification,
+// building it under ctx.
+func (db *Database) Stats(ctx context.Context) (Stats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(ctx)
 	if err != nil {
 		return Stats{}, err
 	}

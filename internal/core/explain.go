@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,15 +23,16 @@ import (
 func (db *Database) Explain(src string) ([]*explain.Explanation, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.explainLocked(src)
+	return db.explainLocked(context.Background(), src)
 }
 
 // ExplainText is Explain with the traces rendered to text under the
-// database lock, making it safe for concurrent use.
-func (db *Database) ExplainText(src string) (string, error) {
+// database lock, making it safe for concurrent use; a specification it has
+// to build is built under ctx.
+func (db *Database) ExplainText(ctx context.Context, src string) (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	exs, err := db.explainLocked(src)
+	exs, err := db.explainLocked(ctx, src)
 	if err != nil {
 		return "", err
 	}
@@ -41,12 +43,12 @@ func (db *Database) ExplainText(src string) (string, error) {
 	return b.String(), nil
 }
 
-func (db *Database) explainLocked(src string) ([]*explain.Explanation, error) {
+func (db *Database) explainLocked(ctx context.Context, src string) ([]*explain.Explanation, error) {
 	q, err := parser.ParseQuery(db.Source, src)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"slices"
 
@@ -27,7 +28,7 @@ func (db *Database) Export(w io.Writer) error {
 func (db *Database) Document() (*specio.Document, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +131,7 @@ func LoadSpec(doc *specio.Document) (*Snapshot, error) {
 func (db *Database) Minimized() (*minimize.Minimized, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 
@@ -29,18 +31,19 @@ import (
 // engine is linear in the facts, not in the program. A failed Extend leaves
 // the database as it was.
 func (db *Database) Extend(factsSrc string) error {
-	return db.ExtendCommit(factsSrc, func() error { return nil })
+	return db.ExtendCommit(context.Background(), factsSrc, func() error { return nil })
 }
 
-// ExtendCommit is Extend with a commit step — normally journaling the facts
-// — run under the database lock once the facts are applied and before any
-// reader can see them: the published snapshot stays the one readers get
-// until commit returns nil, and only then is it invalidated. If commit
-// refuses, the facts are rolled back before the lock is released (the
-// engine is rebuilt from the source as it was) and commit's error returned,
-// so a refused mutation is never served. commit runs even when the text
-// holds no facts, and it must not call back into the database.
-func (db *Database) ExtendCommit(factsSrc string, commit func() error) error {
+// ExtendCommit is Extend under ctx with a commit step — normally journaling
+// the facts — run under the database lock once the facts are applied and
+// before any reader can see them: the published snapshot stays the one
+// readers get until commit returns nil, and only then is it invalidated. If
+// the re-solve runs out of ctx or commit refuses, the facts are rolled back
+// before the lock is released (the engine is rebuilt from the source as it
+// was) and the error returned, so a refused mutation is never served. commit
+// runs even when the text holds no facts, and it must not call back into the
+// database.
+func (db *Database) ExtendCommit(ctx context.Context, factsSrc string, commit func() error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	facts, err := parser.ParseFactsTab(db.Source.Tab, factsSrc)
@@ -60,7 +63,7 @@ func (db *Database) ExtendCommit(factsSrc string, commit func() error) error {
 
 	n := len(db.Source.Facts)
 	db.Source.Facts = append(db.Source.Facts, facts...)
-	if err = db.apply(facts, batch); err == nil {
+	if err = db.apply(ctx, facts, batch); err == nil {
 		err = commit()
 	}
 	if err != nil {
@@ -74,19 +77,23 @@ func (db *Database) ExtendCommit(factsSrc string, commit func() error) error {
 // apply brings the engine up to date with facts just appended to the
 // source. Least fixpoints are monotone, so facts that fit the compiled
 // program are absorbed; otherwise, or if the engine took them and failed to
-// re-solve, a rebuild re-solves the extended source from scratch. On error
-// the engine may hold part of the batch: the caller truncates the source and
-// recompiles.
-func (db *Database) apply(facts []ast.Atom, batch *ast.Program) error {
+// re-solve for any reason but ctx's, a rebuild re-solves the extended source
+// from scratch — unless ctx has ended, which refuses the batch anyway. On
+// error the engine may hold part of the batch: the caller truncates the
+// source and recompiles.
+func (db *Database) apply(ctx context.Context, facts []ast.Atom, batch *ast.Program) error {
 	fit, depth := db.fits(facts)
 	var err error
 	if fit {
-		if err = db.absorb(batch); err == nil {
+		if err = db.absorb(ctx, batch); err == nil {
 			db.deepen(depth)
 			db.Engine.Sweep()
 			db.dropViews()
 			return nil
 		}
+	}
+	if ctx.Err() != nil {
+		return cmp.Or(err, ctx.Err())
 	}
 	if rerr := db.recompile(); rerr != nil {
 		return errors.Join(err, rerr)
@@ -138,10 +145,10 @@ func (db *Database) deepen(depth int) {
 	db.Prep, db.Engine.Prep = &prep, &prep
 }
 
-// absorb is the monotone path: push the batch into the engine and re-solve.
-// It fails before touching the engine when a fact, once its mixed symbols
-// are eliminated, steps outside the compiled alphabet.
-func (db *Database) absorb(batch *ast.Program) error {
+// absorb is the monotone path: push the batch into the engine and re-solve
+// under ctx. It fails before touching the engine when a fact, once its mixed
+// symbols are eliminated, steps outside the compiled alphabet.
+func (db *Database) absorb(ctx context.Context, batch *ast.Program) error {
 	prepared, err := rewrite.Prepare(batch)
 	if err != nil {
 		return err
@@ -168,6 +175,8 @@ func (db *Database) absorb(batch *ast.Program) error {
 		}
 		db.Engine.AddGroundFact(f.Pred, t, args)
 	}
+	db.Engine.SetContext(ctx)
+	defer db.Engine.SetContext(nil)
 	return db.Engine.Solve()
 }
 
@@ -229,7 +238,7 @@ func (db *Database) invalidate() {
 // dropViews drops the views built from the live engine, which only the
 // lock holder reads; readers without the lock go through the snapshot.
 func (db *Database) dropViews() {
-	db.graph = nil
+	db.graph, db.build = nil, nil
 	db.eq = nil
 	db.lasso = nil
 	db.canon = nil

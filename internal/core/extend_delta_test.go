@@ -176,11 +176,11 @@ func TestExtendHistoryStaysFlat(t *testing.T) {
 			if evals[199] > evals[1] {
 				t.Errorf("the 200th fact evaluated %d cells, the 2nd %d", evals[199], evals[1])
 			}
-			fresh, err := openPublished(t, db.SourceText()).Stats()
+			fresh, err := openPublished(t, db.SourceText()).Stats(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := db.Stats()
+			st, err := db.Stats(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,7 +95,7 @@ Even(T) -> Even(T+2).
 		`?- Even(8).`,
 		`?- Even(10).`,
 	})
-	st, err := db.Stats()
+	st, err := db.Stats(context.Background())
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
@@ -131,7 +131,7 @@ P(Y), Member(S, X) -> Member(ext(S, Y), X).
 	})
 	// The spec must now have the four-cluster shape of the two-element
 	// list example.
-	st, err := db.Stats()
+	st, err := db.Stats(context.Background())
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}

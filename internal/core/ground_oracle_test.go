@@ -108,6 +108,7 @@ type oraclePred struct {
 // the generator reads off the compiled specification.
 type oracleProgram struct {
 	name    string
+	src     string
 	db      *Database
 	snap    *Snapshot
 	ref     *Database
@@ -180,7 +181,7 @@ func newOracleProgram(t testing.TB, name, src string) *oracleProgram {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	op := &oracleProgram{name: name, db: db, snap: snap, ref: ref, sp: sp}
+	op := &oracleProgram{name: name, src: src, db: db, snap: snap, ref: ref, sp: sp}
 	tab := ref.Tab()
 	for f := 0; f < tab.NumFuncs(); f++ {
 		if info := tab.FuncInfo(symbols.FuncID(f)); info.DataArity > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"funcdb/internal/facts"
@@ -26,7 +27,7 @@ func (f LintFinding) String() string { return f.Kind + ": " + f.Detail }
 func (db *Database) Lint() ([]LintFinding, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestOutsideAlphabetIsFalse(t *testing.T) {
 				t.Errorf("%s: %s: fixpoint = %v, %v; want false", tc.name, q, got, err)
 			}
 		}
-		text, err := op.db.ExplainText(tc.queries[0])
+		text, err := op.db.ExplainText(context.Background(), tc.queries[0])
 		if err != nil || !strings.Contains(text, tc.symbol+" is not in the specification's alphabet") || !strings.Contains(text, "false") {
 			t.Errorf("%s: Explain(%s) = %q, %v; want it to name %s", tc.name, tc.queries[0], text, err, tc.symbol)
 		}

@@ -62,27 +62,31 @@ type Snapshot struct {
 	canonCand map[facts.AtomID][]term.Term
 }
 
-// Snapshot returns the current immutable view, building (and caching) it
-// under the writer lock on first use after a mutation. The returned value
-// is safe for unlimited concurrent use and stays valid — answering
-// consistently as of its creation — even while the database is extended or
-// recompiled underneath it.
-func (db *Database) Snapshot() (*Snapshot, error) {
+// Snapshot is SnapshotContext with no deadline and no budget.
+func (db *Database) Snapshot() (*Snapshot, error) { return db.SnapshotContext(context.Background()) }
+
+// SnapshotContext returns the current immutable view, building (and caching)
+// it under the writer lock on first use after a mutation — the one moment a
+// read pays for compilation, recorded as a "compile" span on ctx's trace. The
+// build runs under ctx (see graphLocked): an expired ctx is an error matching
+// ErrCanceled, an exhausted budget one matching obs.ErrBudgetExceeded, and
+// either way nothing is published. The returned value is safe for unlimited
+// concurrent use and stays valid — answering consistently as of its creation
+// — even while the database is extended or recompiled underneath it.
+func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 	if s := db.snap.Load(); s != nil {
 		return s, nil
 	}
+	ctx, span := obs.StartSpan(ctx, "compile")
+	defer span.End()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.snapshotLocked()
-}
-
-func (db *Database) snapshotLocked() (*Snapshot, error) {
 	if s := db.snap.Load(); s != nil {
 		return s, nil
 	}
-	sp, err := db.graphLocked()
+	sp, err := db.graphLocked(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wrapCanceled(err)
 	}
 	// Minimize at publish time so the flat tables are built over the
 	// coarsest observable-equivalence quotient.
@@ -270,18 +274,6 @@ func ForEach(n, workers int, f func(j int)) {
 	wg.Wait()
 }
 
-// SnapshotContext is Snapshot recording a "compile" span on ctx's trace when
-// the snapshot actually has to be (re)built — the one moment a read pays
-// for compilation after a mutation.
-func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
-	if s := db.snap.Load(); s != nil {
-		return s, nil
-	}
-	_, sp := obs.StartSpan(ctx, "compile")
-	defer sp.End()
-	return db.Snapshot()
-}
-
 // Prepare compiles a query against the database's current snapshot,
 // consulting the snapshot's plan cache. The returned plan answers as of
 // that snapshot; after a mutation, Prepare compiles against the fresh one.
@@ -298,34 +290,20 @@ func (db *Database) Prepare(ctx context.Context, src string) (*Plan, error) {
 // given options (method, depth, trace).
 func (db *Database) Ask(ctx context.Context, src string, opts ...Option) (bool, error) {
 	op := BuildOpts(opts...)
-	ctx = op.apply(ctx)
-	s, err := db.SnapshotContext(ctx)
+	s, err := db.SnapshotContext(op.apply(ctx))
 	if err != nil {
 		return false, err
 	}
-	p, err := s.Prepare(ctx, src)
-	if err != nil {
-		return false, err
-	}
-	return p.ask(ctx, &op)
+	return s.Ask(ctx, src, opts...)
 }
 
 // Answers computes a query's answer specification on the current snapshot,
 // lock-free, honoring ctx and the given options.
 func (db *Database) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
-	ctx = op.apply(ctx)
-	s, err := db.SnapshotContext(ctx)
+	s, err := db.SnapshotContext(op.apply(ctx))
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.Prepare(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	ans, err := p.answers(ctx)
-	if err != nil {
-		return nil, wrapCanceled(err)
-	}
-	return ans, nil
+	return s.Answers(ctx, src, opts...)
 }

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"testing"
 
 	"funcdb/internal/core"
@@ -12,7 +13,7 @@ func stats(t *testing.T, src string) core.Stats {
 	if err != nil {
 		t.Fatalf("Open: %v\n%s", err, src)
 	}
-	st, err := db.Stats()
+	st, err := db.Stats(context.Background())
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}

@@ -179,21 +179,23 @@ func enumerate(ctx context.Context, ans *query.Answers, op core.Opts) (tuples []
 	return tuples, truncated, nil
 }
 
-// Explain justifies a ground query's verdict with the Link-rule trace.
-func (e *Entry) Explain(q string) (string, error) {
+// Explain justifies a ground query's verdict with the Link-rule trace,
+// building a program's graph specification under ctx when it has to.
+func (e *Entry) Explain(ctx context.Context, q string) (string, error) {
 	if e.db == nil {
 		return "", fmt.Errorf("registry: %q is a specification document; explain needs a program entry", e.Name)
 	}
-	return e.db.ExplainText(q)
+	return e.db.ExplainText(ctx, q)
 }
 
 // Stats returns the entry's specification sizes: a program's forces its
-// graph specification on first use and reports the engine's work too.
-func (e *Entry) Stats() (core.Stats, error) {
+// graph specification on first use, under ctx, and reports the engine's work
+// too.
+func (e *Entry) Stats(ctx context.Context) (core.Stats, error) {
 	if e.db == nil {
 		return e.snap.Stats(), nil
 	}
-	return e.db.Stats()
+	return e.db.Stats(ctx)
 }
 
 // Observer is called for every mutation, after validation but before the
@@ -292,6 +294,16 @@ func (r *Registry) buildProgram(name string, src []byte) (*Entry, error) {
 	return &Entry{Name: name, Kind: KindProgram, SourceBytes: len(src), db: db}, nil
 }
 
+// readSpec parses a specio JSON document and loads it into an unpublished
+// entry.
+func (r *Registry) readSpec(name string, raw []byte) (*Entry, error) {
+	doc, err := specio.Read(strings.NewReader(string(raw)))
+	if err != nil {
+		return nil, fmt.Errorf("registry: load %q: %w", name, err)
+	}
+	return r.buildSpec(name, doc, len(raw))
+}
+
 // buildSpec loads a specio document into an unpublished entry.
 func (r *Registry) buildSpec(name string, doc *specio.Document, sourceBytes int) (*Entry, error) {
 	if !ValidName(name) {
@@ -308,38 +320,40 @@ func (r *Registry) buildSpec(name string, doc *specio.Document, sourceBytes int)
 // any existing entry atomically (in-flight queries keep using the old
 // entry; new requests see the new one).
 func (r *Registry) PutProgram(name string, src []byte) (*Entry, error) {
-	e, err := r.buildProgram(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.publish(e, wire.OpPut, src); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return r.put(context.Background(), name, src, r.buildProgram)
 }
 
 // PutSpec parses a specio JSON document and publishes it under name.
 func (r *Registry) PutSpec(name string, raw []byte) (*Entry, error) {
-	doc, err := specio.Read(strings.NewReader(string(raw)))
-	if err != nil {
-		return nil, fmt.Errorf("registry: load %q: %w", name, err)
-	}
-	e, err := r.buildSpec(name, doc, len(raw))
+	return r.put(context.Background(), name, raw, r.readSpec)
+}
+
+// put builds an entry from raw and publishes it, unless ctx has ended by
+// the commit point (see publish).
+func (r *Registry) put(ctx context.Context, name string, raw []byte, build func(string, []byte) (*Entry, error)) (*Entry, error) {
+	e, err := build(name, raw)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.publish(e, wire.OpPut, raw); err != nil {
+	if err := r.publish(ctx, e, wire.OpPut, raw); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// ExtendFacts adds ground facts (surface syntax) to the program entry
+// ExtendFacts is ExtendFactsContext with no deadline.
+func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
+	return r.ExtendFactsContext(context.Background(), name, facts)
+}
+
+// ExtendFactsContext adds ground facts (surface syntax) to the program entry
 // under name and publishes the extended database as a new version of the
 // same name. Caches keyed on (name, version) therefore invalidate exactly
 // as if the program had been re-uploaded; in-flight readers of the old
-// entry share the underlying database and see the monotone extension.
-func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
+// entry share the underlying database and see the monotone extension. The
+// re-solve runs under ctx, and facts whose ctx has ended by the commit point
+// are rolled back: never journaled, never served.
+func (r *Registry) ExtendFactsContext(ctx context.Context, name string, facts []byte) (*Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := r.snap.Load().entries[name]
@@ -354,20 +368,26 @@ func (r *Registry) ExtendFacts(name string, facts []byte) (*Entry, error) {
 	// and readers keep the old snapshot throughout.
 	e := &Entry{Name: name, Kind: KindProgram, SourceBytes: old.SourceBytes + len(facts), db: old.db}
 	v := r.versions[name] + 1
-	if err := old.db.ExtendCommit(string(facts), func() error { return r.journalLocked(wire.OpExtend, name, v, facts) }); err != nil {
+	if err := old.db.ExtendCommit(ctx, string(facts), func() error { return r.commitLocked(ctx, wire.OpExtend, name, v, facts) }); err != nil {
 		return nil, err
 	}
 	r.installAtLocked(e, v)
 	return e, nil
 }
 
-// Put sniffs the payload: a JSON object is a specification document,
-// anything else is program source.
-func (r *Registry) Put(name string, raw []byte) (*Entry, error) {
+// Put sniffs the payload — a JSON object is a specification document,
+// anything else is program source — and publishes it under name unless ctx
+// has ended by the commit point.
+func (r *Registry) Put(ctx context.Context, name string, raw []byte) (*Entry, error) {
+	return r.put(ctx, name, raw, r.builderFor(raw))
+}
+
+// builderFor sniffs an upload for the builder that makes its entry.
+func (r *Registry) builderFor(raw []byte) func(name string, raw []byte) (*Entry, error) {
 	if looksLikeJSON(raw) {
-		return r.PutSpec(name, raw)
+		return r.readSpec
 	}
-	return r.PutProgram(name, raw)
+	return r.buildProgram
 }
 
 func looksLikeJSON(raw []byte) bool {
@@ -387,24 +407,25 @@ func looksLikeJSON(raw []byte) bool {
 // publish installs e in a fresh copy-on-write snapshot under the writer
 // lock, assigning the next version for its name and journaling the
 // mutation through the observer first (write-ahead order).
-func (r *Registry) publish(e *Entry, op wire.Op, payload []byte) error {
+func (r *Registry) publish(ctx context.Context, e *Entry, op wire.Op, payload []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.publishLocked(e, op, payload)
-}
-
-func (r *Registry) publishLocked(e *Entry, op wire.Op, payload []byte) error {
 	v := r.versions[e.Name] + 1
-	if err := r.journalLocked(op, e.Name, v, payload); err != nil {
+	if err := r.commitLocked(ctx, op, e.Name, v, payload); err != nil {
 		return err
 	}
 	r.installAtLocked(e, v)
 	return nil
 }
 
-// journalLocked hands the mutation that would make version v of name to the
-// observer; an error refuses it.
-func (r *Registry) journalLocked(op wire.Op, name string, v uint64, payload []byte) error {
+// commitLocked is the commit point of a write: the mutation that would make
+// version v of name is refused if ctx has ended, and is otherwise handed to
+// the observer, which may refuse it too. A write that passes is published
+// and acknowledged, however late; one refused here is never published.
+func (r *Registry) commitLocked(ctx context.Context, op wire.Op, name string, v uint64, payload []byte) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("registry: %s %q not committed: %w", op, name, err)
+	}
 	if r.obs == nil {
 		return nil
 	}
@@ -414,9 +435,13 @@ func (r *Registry) journalLocked(op wire.Op, name string, v uint64, payload []by
 	return nil
 }
 
-// installLocked swaps in a snapshot carrying e; callers hold r.mu and have
-// already assigned e.Version.
-func (r *Registry) installLocked(e *Entry) {
+// installAtLocked swaps in a snapshot carrying e at exactly version;
+// callers hold r.mu.
+func (r *Registry) installAtLocked(e *Entry, version uint64) {
+	e.Version = version
+	if version > r.versions[e.Name] {
+		r.versions[e.Name] = version
+	}
 	old := r.snap.Load()
 	next := &snapshot{entries: make(map[string]*Entry, len(old.entries)+1)}
 	for k, v := range old.entries {
@@ -542,31 +567,13 @@ func (r *Registry) installAt(e *Entry, version uint64) {
 	r.installAtLocked(e, version)
 }
 
-func (r *Registry) installAtLocked(e *Entry, version uint64) {
-	e.Version = version
-	if version > r.versions[e.Name] {
-		r.versions[e.Name] = version
-	}
-	r.installLocked(e)
-}
-
 // ApplyAt replays one journaled mutation, forcing the recorded version and
 // bypassing the observer. Replaying the journal in commit order into the
 // checkpointed state reproduces the pre-crash catalog exactly.
 func (r *Registry) ApplyAt(m wire.Mutation) error {
 	switch m.Op {
 	case wire.OpPut:
-		var e *Entry
-		var err error
-		if looksLikeJSON(m.Payload) {
-			var doc *specio.Document
-			doc, err = specio.Read(strings.NewReader(string(m.Payload)))
-			if err == nil {
-				e, err = r.buildSpec(m.Name, doc, len(m.Payload))
-			}
-		} else {
-			e, err = r.buildProgram(m.Name, m.Payload)
-		}
+		e, err := r.builderFor(m.Payload)(m.Name, m.Payload)
 		if err != nil {
 			return err
 		}

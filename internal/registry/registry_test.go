@@ -98,17 +98,17 @@ func TestPutSpecAndAsk(t *testing.T) {
 	if _, _, err := e.Answers(context.Background(), "?- Even(T+1).", core.WithDepth(4)); !errors.Is(err, core.ErrNeedsRules) {
 		t.Errorf("non-uniform Answers on a spec entry: %v, want core.ErrNeedsRules", err)
 	}
-	if _, err := e.Explain("?- Even(4)."); err == nil {
+	if _, err := e.Explain(context.Background(), "?- Even(4)."); err == nil {
 		t.Error("Explain on a spec entry succeeded")
 	}
 }
 
 func TestPutSniffsKind(t *testing.T) {
 	r := New(core.Options{})
-	if e, err := r.Put("a", []byte(evenSrc)); err != nil || e.Kind != KindProgram {
+	if e, err := r.Put(context.Background(), "a", []byte(evenSrc)); err != nil || e.Kind != KindProgram {
 		t.Fatalf("Put program: %v, %v", e, err)
 	}
-	if e, err := r.Put("b", exportDoc(t, evenSrc)); err != nil || e.Kind != KindSpec {
+	if e, err := r.Put(context.Background(), "b", exportDoc(t, evenSrc)); err != nil || e.Kind != KindSpec {
 		t.Fatalf("Put spec: %v, %v", e, err)
 	}
 }
@@ -209,7 +209,7 @@ func TestAnswersEnumeration(t *testing.T) {
 	if !truncated || len(short) != 2 {
 		t.Fatalf("limited tuples = %v (truncated %v)", short, truncated)
 	}
-	ex, err := e.Explain("?- Meets(2, tony).")
+	ex, err := e.Explain(context.Background(), "?- Meets(2, tony).")
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
@@ -410,7 +410,7 @@ func TestReplayReproducesCatalog(t *testing.T) {
 	})
 	mustPut := func(name, src string) {
 		t.Helper()
-		if _, err := r.Put(name, []byte(src)); err != nil {
+		if _, err := r.Put(context.Background(), name, []byte(src)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func TestReplayReproducesCatalog(t *testing.T) {
 	if _, err := r.ExtendFacts("even", []byte("Even(1).")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("spec", exportDoc(t, evenSrc)); err != nil {
+	if _, err := r.Put(context.Background(), "spec", exportDoc(t, evenSrc)); err != nil {
 		t.Fatal(err)
 	}
 	if removed, err := r.Remove("meet"); err != nil || !removed {
@@ -457,74 +457,99 @@ func TestReplayReproducesCatalog(t *testing.T) {
 	}
 }
 
-// TestRefusedFactsAreNotServed: facts whose journal write is refused are
-// never answered — not while the observer runs, not after it refused, not
-// once a later fact is accepted — and readers keep the snapshot they had
-// throughout. Each fact takes a different branch of Extend: the monotone
-// path, a fact deeper than the program, and a new predicate (a recompile).
+// TestRefusedFactsAreNotServed: facts refused at the commit point — their
+// journal write refused, or their deadline passed before it — are never
+// answered: not while the observer runs, not after the refusal, not once a
+// later fact is accepted, and the program's source text never holds them.
+// Readers keep the snapshot they had throughout. Each fact takes a different
+// branch of Extend: the monotone path, a fact deeper than the program, and a
+// new predicate (a recompile).
 func TestRefusedFactsAreNotServed(t *testing.T) {
 	ctx := context.Background()
-	for _, fact := range []string{"Even(1).", "Even(9).", "Odd(1)."} {
-		q := "?- " + strings.TrimSuffix(fact, ".") + "."
-		r := New(core.Options{})
-		e1, err := r.PutProgram("db", []byte(evenSrc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s0, err := e1.Snapshot(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// oldReader reads through the entry it holds, the way an in-flight
-		// request does, and requires the snapshot it had and the old answer.
-		oldReader := func(when string) {
-			done := make(chan error, 1)
-			go func() {
-				s, err := e1.Snapshot(ctx)
-				if err == nil && s != s0 {
-					err = errors.New("a reader got a new snapshot")
-				}
-				if err == nil {
-					var got bool
-					if got, err = s.Ask(ctx, q); err == nil && got {
-						err = fmt.Errorf("%s answered true", q)
-					}
-				}
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Errorf("%s, %s: %v", fact, when, err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Errorf("%s, %s: a reader blocked", fact, when)
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	for _, refusal := range []struct {
+		how     string
+		ctx     context.Context
+		journal error // the observer's answer
+		want    error
+	}{
+		{"the journal refuses", ctx, os.ErrPermission, os.ErrPermission},
+		{"the deadline has passed", expired, nil, context.DeadlineExceeded},
+	} {
+		for _, fact := range []string{"Even(1).", "Even(9).", "Odd(1)."} {
+			q := "?- " + strings.TrimSuffix(fact, ".") + "."
+			r := New(core.Options{})
+			e1, err := r.PutProgram("db", []byte(evenSrc))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		r.SetObserver(func(m wire.Mutation) error {
-			oldReader("while the journal write is pending")
-			return os.ErrPermission
-		})
-		if _, err := r.ExtendFacts("db", []byte(fact)); !errors.Is(err, os.ErrPermission) {
-			t.Fatalf("%s: ExtendFacts = %v, want the observer's refusal", fact, err)
-		}
-		oldReader("after the refusal")
-		e := mustGet(t, r, "db")
-		if got, err := e.Ask(ctx, q); err != nil || got || e.Version != 1 {
-			t.Errorf("%s: after the refusal %s = %v, %v at version %d; want false at version 1", fact, q, got, err, e.Version)
-		}
-		if got, err := e.Ask(ctx, "?- Even(4)."); err != nil || !got {
-			t.Errorf("%s: after the refusal Even(4) = %v, %v", fact, got, err)
-		}
+			s0, err := e1.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// oldReader reads through the entry it holds, the way an in-flight
+			// request does, and requires the snapshot it had and the old answer.
+			oldReader := func(when string) {
+				done := make(chan error, 1)
+				go func() {
+					s, err := e1.Snapshot(ctx)
+					if err == nil && s != s0 {
+						err = errors.New("a reader got a new snapshot")
+					}
+					if err == nil {
+						var got bool
+						if got, err = s.Ask(ctx, q); err == nil && got {
+							err = fmt.Errorf("%s answered true", q)
+						}
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Errorf("%s, %s: %v", fact, when, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Errorf("%s, %s: a reader blocked", fact, when)
+				}
+			}
+			journaled := false
+			r.SetObserver(func(m wire.Mutation) error {
+				journaled = true
+				oldReader("while the journal write is pending")
+				return refusal.journal
+			})
+			if _, err := r.ExtendFactsContext(refusal.ctx, "db", []byte(fact)); !errors.Is(err, refusal.want) {
+				t.Fatalf("%s, %s: ExtendFacts = %v, want %v", refusal.how, fact, err, refusal.want)
+			}
+			if journaled && refusal.journal == nil {
+				t.Errorf("%s, %s: journaled past the commit point", refusal.how, fact)
+			}
+			oldReader("after the refusal")
+			e := mustGet(t, r, "db")
+			if got, err := e.Ask(ctx, q); err != nil || got || e.Version != 1 {
+				t.Errorf("%s, %s: after the refusal %s = %v, %v at version %d; want false at version 1", refusal.how, fact, q, got, err, e.Version)
+			}
+			if src := e.Database().SourceText(); strings.Contains(src, fact) {
+				t.Errorf("%s, %s: the source text holds the refused fact:\n%s", refusal.how, fact, src)
+			}
+			if got, err := e.Ask(ctx, "?- Even(4)."); err != nil || !got {
+				t.Errorf("%s: after the refusal Even(4) = %v, %v", fact, got, err)
+			}
 
-		r.SetObserver(nil)
-		e2, err := r.ExtendFacts("db", []byte("Even(2)."))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q, want := range map[string]bool{q: false, "?- Even(2).": true, "?- Even(3).": false} {
-			if got, err := e2.Ask(ctx, q); err != nil || got != want || e2.Version != 2 {
-				t.Errorf("%s: after an accepted fact %s = %v, %v at version %d; want %v at version 2", fact, q, got, err, e2.Version, want)
+			r.SetObserver(nil)
+			e2, err := r.ExtendFacts("db", []byte("Even(2)."))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q, want := range map[string]bool{q: false, "?- Even(2).": true, "?- Even(3).": false} {
+				if got, err := e2.Ask(ctx, q); err != nil || got != want || e2.Version != 2 {
+					t.Errorf("%s, %s: after an accepted fact %s = %v, %v at version %d; want %v at version 2", refusal.how, fact, q, got, err, e2.Version, want)
+				}
+			}
+			if src := e2.Database().SourceText(); strings.Contains(src, fact) || !strings.Contains(src, "Even(2).") {
+				t.Errorf("%s, %s: after an accepted fact the source text is\n%s", refusal.how, fact, src)
 			}
 		}
 	}

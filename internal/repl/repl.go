@@ -80,7 +80,7 @@ func Execute(db *core.Database, line string, w io.Writer) (quit bool, err error)
 		}
 		return false, nil
 	case line == "stats":
-		st, err := db.Stats()
+		st, err := db.Stats(context.Background())
 		if err != nil {
 			return false, err
 		}

@@ -47,3 +47,25 @@ func TestDepthBudget(t *testing.T) {
 		t.Fatalf("generous budget returned no tuples: %v", body)
 	}
 }
+
+// TestDepthBudgetSparesTheSharedCompile: the derivation-depth budget bounds
+// what one query derives beyond the database, not the database's own compile,
+// which is as deep as the program is and the same for every reader. A daemon
+// whose budget is shallower than cycleSrc's eight waves still answers a
+// ground ask and a uniform query, first read or not.
+func TestDepthBudgetSparesTheSharedCompile(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{MaxDerivationDepth: 2})
+	if _, err := reg.PutProgram("meetings", []byte(cycleSrc)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/ask", `{"query":"?- Meets(3, p3)."}`},
+		{"/ask", `{"query":"?- Meets(9, p1)."}`},
+		{"/answers", `{"query":"?- Meets(T, p0).","depth":20}`},
+	} {
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/meetings"+tc.path, tc.body)
+		if code != http.StatusOK {
+			t.Errorf("%s %s under a depth budget of 2: %d %v, want 200", tc.path, tc.body, code, body)
+		}
+	}
+}

@@ -10,11 +10,17 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"funcdb/internal/admission"
+	"funcdb/internal/core"
 	"funcdb/internal/datagen"
 	"funcdb/internal/leakcheck"
+	"funcdb/internal/registry"
+	"funcdb/internal/watch"
+	"funcdb/internal/wire"
 )
 
 // TestQueryDeadlineIs504: a query that outlives Config.Timeout is answered
@@ -99,20 +105,28 @@ func binomial(n, k int) int {
 
 // TestStalledBodyIsCutOffAtTheDeadline: a client that sends its headers and
 // half its body and then nothing is answered 504 at the deadline, the
-// connection is closed, and no goroutine is left behind waiting for the rest.
+// connection is closed, and no goroutine is left behind waiting for the rest
+// — a query, an upload or facts alike.
 func TestStalledBodyIsCutOffAtTheDeadline(t *testing.T) {
 	s := newBareServer(t, Config{Timeout: 100 * time.Millisecond}, "even", evenSrc)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	baseline := runtime.NumGoroutine()
 
-	for _, path := range []string{"/v1/db/even/ask", "/v1/db/even/answers", "/v1/db/even/batch"} {
+	query := `{"query":"?- Even(4)."}`
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/v1/db/even/ask", query},
+		{"POST", "/v1/db/even/answers", query},
+		{"POST", "/v1/db/even/batch", query},
+		{"PUT", "/v1/db/odd", "Odd(1). Odd(T) -> Odd(T+2)."},
+		{"POST", "/v1/db/even/facts", `{"facts":"Even(7)."}`},
+	} {
+		path, body := tc.path, tc.body
 		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := `{"query":"?- Even(4)."}`
-		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", path, len(body), body[:len(body)/2])
+		fmt.Fprintf(conn, "%s %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", tc.method, path, len(body), body[:len(body)/2])
 		start := time.Now()
 		conn.SetReadDeadline(start.Add(5 * time.Second))
 		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
@@ -133,14 +147,24 @@ func TestStalledBodyIsCutOffAtTheDeadline(t *testing.T) {
 	leakcheck.Settled(t, baseline)
 }
 
-// TestUploadDeadlineIsTheWrappers503: PUT and facts parse and compile, which
-// does not poll a context, so those endpoints stay under http.TimeoutHandler
-// and keep its answer when the deadline passes: 503 with the standard
-// envelope.
-func TestUploadDeadlineIsTheWrappers503(t *testing.T) {
-	s := newBareServer(t, Config{Timeout: 2 * time.Millisecond}, "even", evenSrc)
-	ts := httptest.NewServer(s.Handler())
+// TestTimedOutWriteIsNotPublished: an upload and a batch of facts, a
+// megabyte each, cannot be parsed and compiled within a 2ms deadline, and a
+// write that misses its deadline is refused at its commit point: both are
+// answered 504, and neither is published — no new entry, no new version, no
+// journal record and no version bump for watchers.
+func TestTimedOutWriteIsNotPublished(t *testing.T) {
+	reg := registry.New(core.Options{})
+	if _, err := reg.PutProgram("even", []byte(evenSrc)); err != nil {
+		t.Fatal(err)
+	}
+	var journaled, bumped atomic.Int32
+	reg.SetObserver(func(wire.Mutation) error { journaled.Add(1); return nil })
+	hub := watch.NewHub(watch.Options{Reg: reg})
+	defer hub.Close()
+	reg.SetNotifier(func(name string, v uint64) { bumped.Add(1); hub.Notify(name, v) })
+	ts := httptest.NewServer(New(reg, Config{Timeout: 2 * time.Millisecond, Watch: hub}).Handler())
 	defer ts.Close()
+
 	var big strings.Builder // a megabyte of facts: tens of milliseconds to parse
 	for i := 0; big.Len() < 1<<20; i++ {
 		fmt.Fprintf(&big, "Seen(c%d). ", i)
@@ -150,8 +174,121 @@ func TestUploadDeadlineIsTheWrappers503(t *testing.T) {
 		{"facts", "POST", "/v1/db/even/facts", `{"facts":"` + big.String() + `"}`},
 	} {
 		code, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
-		if code != http.StatusServiceUnavailable || errCode(body) != "deadline_exceeded" || errMessage(body) != "request timed out" {
-			t.Errorf("%s past the deadline: %d %v, want the wrapper's 503 deadline_exceeded", tc.name, code, body)
+		if code != http.StatusGatewayTimeout || errCode(body) != "deadline_exceeded" {
+			t.Errorf("%s past the deadline: %d %v, want 504 deadline_exceeded", tc.name, code, body)
 		}
+	}
+	ts.Close() // waits for every handler, answered or not, to return
+	if _, ok := reg.Get("big"); ok {
+		t.Error("the upload that missed its deadline was published")
+	}
+	if e, _ := reg.Get("even"); e.Version != 1 {
+		t.Errorf("the facts that missed their deadline were published: even is at version %d", e.Version)
+	}
+	if n, m := journaled.Load(), bumped.Load(); n != 0 || m != 0 {
+		t.Errorf("%d journal records and %d version bumps for writes refused at their deadline", n, m)
+	}
+}
+
+// TestCompileMeetsItsDeadline: the first read of a fresh entry pays for its
+// compile — for Member over sixteen elements, Algorithm Q's 2^16 clusters
+// (Theorem 4.2), seconds of work — and the read's deadline and budgets reach
+// it. An ask and GET /v1/db/{name} are answered 504 at their 50ms deadline,
+// and the compiles they started let go of the database when they are, so
+// the next reader is not stuck behind an orphan. A tenant's Algorithm Q step
+// budget bounds the same compile, for whichever tenant pays for it.
+func TestCompileMeetsItsDeadline(t *testing.T) {
+	reg := registry.New(core.Options{})
+	sub, err := reg.PutProgram("sub", []byte(datagen.SubsetsSrc(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg, Config{Timeout: 50 * time.Millisecond}).Handler())
+	defer ts.Close()
+	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct{ what, method, path, body string }{
+		{"the first ask", "POST", "/v1/db/sub/ask", `{"query":"?- Member(ext(0, e0), e0)."}`},
+		{"GET /v1/db/sub", "GET", "/v1/db/sub", ""},
+		{"the ask that follows", "POST", "/v1/db/sub/ask", `{"query":"?- Member(ext(0, e1), e1)."}`},
+	} {
+		start := time.Now()
+		code, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
+		took := time.Since(start)
+		t.Logf("%s: %d after %v", tc.what, code, took)
+		if code != http.StatusGatewayTimeout || errCode(body) != "deadline_exceeded" {
+			t.Errorf("%s: %d %v, want 504 deadline_exceeded", tc.what, code, body)
+		}
+		if took > 250*time.Millisecond {
+			t.Errorf("%s: answered after %v, want about the 50ms deadline", tc.what, took)
+		}
+		// The compile ended with the request: the database's lock is free.
+		start = time.Now()
+		sub.Database().SourceText()
+		if wait := time.Since(start); wait > 50*time.Millisecond {
+			t.Errorf("after %s, the database was held for another %v", tc.what, wait)
+		}
+	}
+	ts.Close()
+	leakcheck.Settled(t, baseline)
+
+	ctl := admission.New(admission.Options{
+		Concurrency: 8,
+		Config:      admission.Config{Tenants: map[string]admission.Limits{"tiny": {MaxQSteps: 3}}},
+	})
+	_, reg2, ts2 := newTestServer(t, Config{Admission: ctl})
+	if _, err := reg2.PutProgram("meetings", []byte(cycleSrc)); err != nil {
+		t.Fatal(err)
+	}
+	ask := `{"query":"?- Meets(3, p3)."}`
+	if st, _, body := doJSONAs(t, "POST", ts2.URL+"/v1/db/meetings/ask", "tiny", ask); st != http.StatusUnprocessableEntity || errCode(body) != "budget_exceeded" {
+		t.Errorf("the first ask of a fresh entry by a tenant with 3 Algorithm Q steps: %d %v, want 422 budget_exceeded", st, body)
+	}
+	if st, _, body := doJSONAs(t, "POST", ts2.URL+"/v1/db/meetings/ask", "big", ask); st != http.StatusOK || body["answer"] != true {
+		t.Errorf("the same ask by a tenant with no limit: %d %v, want 200 true", st, body)
+	}
+}
+
+// TestLongCompileFinishesAcrossReads: a compile longer than the deadline —
+// Member over fourteen elements, hundreds of milliseconds — is not started
+// over by every read. Each read killed at its 20ms deadline leaves its part
+// of Algorithm Q done, so the reads that keep coming finish the compile in
+// about as many deadlines as it lasts uninterrupted, and are answered 200
+// from then on.
+func TestLongCompileFinishesAcrossReads(t *testing.T) {
+	const deadline = 20 * time.Millisecond
+	src := datagen.SubsetsSrc(14)
+	start := time.Now()
+	if db, err := core.Open(src, core.Options{}); err != nil {
+		t.Fatal(err)
+	} else if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	whole := time.Since(start)
+	s := newBareServer(t, Config{Timeout: deadline}, "sub", src)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ask := `{"query":"?- Member(ext(0, e0), e0)."}`
+	// Four times the deadlines the whole compile spans, and then some: a
+	// compile that every read starts over takes ten times more.
+	limit := 4*int(whole/deadline) + 10
+	var timedOut int
+	for code := 0; code != http.StatusOK; {
+		var body map[string]any
+		code, body = doJSON(t, "POST", ts.URL+"/v1/db/sub/ask", ask)
+		switch {
+		case code == http.StatusGatewayTimeout && errCode(body) == "deadline_exceeded":
+			if timedOut++; timedOut > limit {
+				t.Fatalf("%d reads at a %v deadline did not finish a compile that takes %v", timedOut, deadline, whole)
+			}
+		case code != http.StatusOK || body["answer"] != true:
+			t.Fatalf("ask after %d timed-out reads: %d %v", timedOut, code, body)
+		}
+	}
+	t.Logf("a %v compile finished after %d reads answered 504", whole, timedOut)
+	if timedOut == 0 {
+		t.Errorf("the first read finished the compile within %v: the test no longer times a long compile", deadline)
+	}
+	if code, body := doJSON(t, "GET", ts.URL+"/v1/db/sub", ""); code != http.StatusOK {
+		t.Errorf("GET /v1/db/sub after the compile: %d %v", code, body)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"funcdb/internal/api"
 )
@@ -145,7 +146,8 @@ func TestStrictRequestBodies(t *testing.T) {
 
 // TestBodyLimit: a body of exactly MaxBodyBytes is read, one byte more is
 // 413 body_too_large whether declared or chunked, and a Content-Length over
-// the limit is refused without reading the body at all.
+// the limit is refused without reading the body at all — a request object or
+// an upload alike, since both are read by one reader.
 func TestBodyLimit(t *testing.T) {
 	const limit = 256
 	_, _, ts := newTestServer(t, Config{MaxBodyBytes: limit})
@@ -172,23 +174,36 @@ func TestBodyLimit(t *testing.T) {
 			t.Errorf("%s: chunked body one byte over the limit -> %d, want 413", k.name, resp.StatusCode)
 		}
 	}
+	// An upload: a program one byte over the limit, with no Content-Length.
+	req, _ := http.NewRequest("PUT", ts.URL+"/v1/db/big", io.MultiReader(strings.NewReader(pad("Even(0).", limit+1))))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 413 {
+		t.Errorf("PUT: chunked body one byte over the limit -> %d, want 413", resp.StatusCode)
+	}
 
 	// Headers that declare a megabyte and not one byte of it: the refusal
 	// must not wait for the body.
-	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /v1/db/even/ask HTTP/1.1\r\nHost: x\r\nContent-Length: 1048576\r\n\r\n")
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 413 || !strings.Contains(string(raw), "body_too_large") {
-		t.Fatalf("over-limit Content-Length -> %d %s, want 413 body_too_large", resp.StatusCode, raw)
+	for _, line := range []string{"POST /v1/db/even/ask", "PUT /v1/db/big"} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "%s HTTP/1.1\r\nHost: x\r\nContent-Length: 1048576\r\n\r\n", line)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: no answer to an over-limit Content-Length: %v", line, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != 413 || !strings.Contains(string(raw), "body_too_large") {
+			t.Errorf("%s: over-limit Content-Length -> %d %s, want 413 body_too_large", line, resp.StatusCode, raw)
+		}
 	}
 }
 

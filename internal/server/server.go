@@ -8,21 +8,23 @@
 // container/list LRU, atomic counters with expvar-style text exposition at
 // /metrics.
 //
-// Requests meet their deadline in one of two ways. A query (ask, answers,
-// batch) takes it as a context deadline, which evaluation polls, plus a read
-// deadline on the connection while its body arrives; it reads that body once
-// into a pooled buffer (decode.go) and answers 504 deadline_exceeded
-// wherever the time went. Uploads, facts and the admin endpoints run under
-// http.TimeoutHandler (503 when it fires), because a compile cannot be
-// canceled yet; PUT bounds its upload with http.MaxBytesReader. Streams
-// (watch, replication) and the readiness probe have no deadline.
+// Every request but a stream has one deadline, Config.Timeout, and it rides
+// the request's context from the mux down to Algorithm Q. The body is read
+// once, by one reader (readBody, decode.go), which holds the connection to
+// the deadline and refuses more than MaxBodyBytes with 413. Evaluation polls
+// the deadline, and so does the compile that the first read after an upload
+// or facts pays for: Solve every 256 cells, Algorithm Q at every depth wave
+// (by Theorem 4.2 its cluster count can be exponential). A write checks it
+// at its commit point in the registry, so a write either commits and is
+// answered 2xx, however late, or is refused and never published. Past the
+// deadline, wherever the time went, the answer is 504 deadline_exceeded.
+// Streams (watch, replication) and the readiness probe have no deadline.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -100,10 +102,10 @@ type Config struct {
 	// least this long at warn level, with the database, query text and
 	// trace ID. Zero disables the slow-query log.
 	SlowQuery time.Duration
-	// MaxDerivationDepth, when positive, bounds the derivation depth any
-	// single query may force Algorithm Q to explore. A query that needs a
-	// deeper wave fails fast with 422 depth_budget_exceeded instead of
-	// burning its full wall-clock deadline. Zero means unlimited.
+	// MaxDerivationDepth, when positive, bounds the derivation depth a query
+	// may force Algorithm Q to explore beyond the database's own compile (the
+	// enlarged program of a non-uniform query): a deeper wave fails fast with
+	// 422 depth_budget_exceeded. Zero means unlimited.
 	MaxDerivationDepth int
 	// Admission, when set, gates the query endpoints through the
 	// multi-tenant admission controller: the tenant (X-Api-Key header) is
@@ -286,51 +288,41 @@ func New(reg *registry.Registry, cfg Config) *Server {
 		s.cfg.Admission.Instrument(s.met.reg)
 	}
 
-	// One mux, three ways to treat the deadline. query endpoints evaluate
-	// under a context deadline that instrument sets (evaluation polls it).
-	// wrapped endpoints run under TimeoutHandler, which costs a goroutine, a
-	// timer and a write buffer per request and cannot flush, but is the only
-	// bound on a compile that does not poll. direct endpoints have none:
-	// streams are long-lived by design, and a readiness probe must not
-	// compete with the request deadline during recovery.
+	// One mux, two ways to treat the deadline. timed endpoints run under a
+	// context deadline that instrument sets, which the body reader, the
+	// evaluation, the compile and a write's commit point all honour. untimed
+	// ones have none: streams are long-lived by design, and a readiness probe
+	// must not compete with the request deadline during recovery.
 	mux := http.NewServeMux()
-	query := func(pattern, endpoint string, h api.Handler) {
+	timed := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, s.instrument(endpoint, s.cfg.Timeout, h))
 	}
-	direct := func(pattern, endpoint string, h api.Handler) {
+	untimed := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, s.instrument(endpoint, 0, h))
 	}
-	timedOut := api.Errorf(http.StatusServiceUnavailable, "deadline_exceeded", "request timed out").Envelope()
-	wrapped := func(pattern, endpoint string, h api.Handler) {
-		hh := s.instrument(endpoint, 0, h)
-		if s.cfg.Timeout > 0 {
-			hh = http.TimeoutHandler(hh, s.cfg.Timeout, timedOut)
-		}
-		mux.Handle(pattern, hh)
-	}
-	wrapped("GET /healthz", "healthz", s.handleHealthz)
-	wrapped("GET /metrics", "metrics", s.handleMetrics)
-	wrapped("GET /v1/dbs", "dbs", s.handleList)
-	wrapped("GET /v1/db/{name}", "db", s.handleInfo)
-	wrapped("PUT /v1/db/{name}", "put", s.handlePut)
-	wrapped("DELETE /v1/db/{name}", "delete", s.handleDelete)
-	wrapped("POST /v1/db/{name}/facts", "facts", s.handleFacts)
-	wrapped("GET /v1/db/{name}/explain", "explain", s.handleExplain)
-	wrapped("GET /v1/db/{name}/export", "export", s.handleExport)
-	wrapped("GET /v1/db/{name}/stats", "stats", s.handleStats)
+	timed("GET /healthz", "healthz", s.handleHealthz)
+	timed("GET /metrics", "metrics", s.handleMetrics)
+	timed("GET /v1/dbs", "dbs", s.handleList)
+	timed("GET /v1/db/{name}", "db", s.handleInfo)
+	timed("PUT /v1/db/{name}", "put", s.handlePut)
+	timed("DELETE /v1/db/{name}", "delete", s.handleDelete)
+	timed("POST /v1/db/{name}/facts", "facts", s.handleFacts)
+	timed("GET /v1/db/{name}/explain", "explain", s.handleExplain)
+	timed("GET /v1/db/{name}/export", "export", s.handleExport)
+	timed("GET /v1/db/{name}/stats", "stats", s.handleStats)
 	if s.rec != nil {
-		wrapped("GET /debug/traces", "traces", s.handleTraceList)
-		wrapped("GET /debug/traces/{id}", "traces", s.handleTraceGet)
+		timed("GET /debug/traces", "traces", s.handleTraceList)
+		timed("GET /debug/traces/{id}", "traces", s.handleTraceGet)
 	}
-	query("POST /v1/db/{name}/ask", "ask", s.handleAsk)
-	query("POST /v1/db/{name}/answers", "answers", s.handleAnswers)
-	query("POST /v1/db/{name}/batch", "batch", s.handleBatch)
-	direct("POST /v1/db/{name}/watch", "watch", s.handleWatch)
-	direct("GET /readyz", "readyz", s.handleReadyz)
+	timed("POST /v1/db/{name}/ask", "ask", s.handleAsk)
+	timed("POST /v1/db/{name}/answers", "answers", s.handleAnswers)
+	timed("POST /v1/db/{name}/batch", "batch", s.handleBatch)
+	untimed("POST /v1/db/{name}/watch", "watch", s.handleWatch)
+	untimed("GET /readyz", "readyz", s.handleReadyz)
 	if s.cfg.Repl != nil {
-		direct("GET /v1/repl/snapshot", "repl_snapshot", s.handleReplSnapshot)
-		direct("GET /v1/repl/wal", "repl_wal", s.handleReplWAL)
-		direct("GET /v1/repl/lsn", "repl_lsn", s.handleReplLSN)
+		untimed("GET /v1/repl/snapshot", "repl_snapshot", s.handleReplSnapshot)
+		untimed("GET /v1/repl/wal", "repl_wal", s.handleReplWAL)
+		timed("GET /v1/repl/lsn", "repl_lsn", s.handleReplLSN)
 	}
 	// A router's requests arrive as hop frames (api.ServeHop) and are
 	// served by this same mux.
@@ -361,7 +353,6 @@ func classify(err error) *api.Error {
 		return &api.Error{Status: status, Code: code, Message: err.Error()}
 	}
 	var ae *api.Error
-	var mbe *http.MaxBytesError
 	var pe *parser.ParseError
 	var shed *admission.ShedError
 	switch {
@@ -374,14 +365,13 @@ func classify(err error) *api.Error {
 		}
 		return api.Errorf(status, shed.Code, "%s", shed.Error()).
 			WithRetryAfter(max(1, int(shed.RetryAfter/time.Second)))
-	case errors.As(err, &mbe):
-		return api.Errorf(http.StatusRequestEntityTooLarge, "body_too_large", "body exceeds %d bytes", mbe.Limit)
 	case errors.Is(err, registry.ErrUnknownDatabase):
 		return refuse(http.StatusNotFound, "not_found")
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
-		// One answer for a query that ran out of time, wherever it was spent:
-		// in evaluation (wrapped in core.ErrCanceled), waiting for admission
-		// (bare), or waiting for the rest of its body (the read deadline).
+		// One answer for a request that ran out of time, wherever it was
+		// spent: in evaluation or the compile (wrapped in core.ErrCanceled),
+		// waiting for admission (bare), waiting for the rest of its body (the
+		// read deadline), or before a write's commit point.
 		return refuse(http.StatusGatewayTimeout, "deadline_exceeded")
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled):
 		return refuse(api.StatusClientClosedRequest, "canceled")
@@ -633,7 +623,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
 		"version":      e.Version,
 		"source_bytes": e.SourceBytes,
 	}
-	st, err := e.Stats()
+	st, err := e.Stats(r.Context())
 	if err != nil {
 		return err
 	}
@@ -672,7 +662,9 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	if !registry.ValidName(name) {
 		return errf(http.StatusBadRequest, "invalid database name %q", name)
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// The upload is retained (journaled, replicated), so it gets a buffer of
+	// its own rather than a pooled one.
+	raw, err := s.readBody(w, r, nil)
 	if err != nil {
 		return err
 	}
@@ -680,7 +672,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusBadRequest, "empty body")
 	}
 	_, existed := s.reg.Get(name)
-	e, err := s.reg.Put(name, raw)
+	e, err := s.reg.Put(r.Context(), name, raw)
 	if err != nil {
 		return queryError(err)
 	}
@@ -733,7 +725,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(req.Facts) == "" {
 		return errf(http.StatusBadRequest, "missing facts")
 	}
-	e, err := s.reg.ExtendFacts(name, []byte(req.Facts))
+	e, err := s.reg.ExtendFactsContext(r.Context(), name, []byte(req.Facts))
 	if err != nil {
 		if errors.Is(err, registry.ErrNotFound) {
 			return errf(http.StatusNotFound, "no database named %q", name)
@@ -1118,9 +1110,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(q) == "" {
 		return errf(http.StatusBadRequest, "missing q parameter")
 	}
-	ex, err := e.Explain(q)
+	ex, err := e.Explain(r.Context(), q)
 	if err != nil {
-		return errf(http.StatusBadRequest, "%v", err)
+		return queryError(err)
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{"explanation": ex, "version": e.Version})
 	return nil

@@ -24,10 +24,9 @@ func (req *watchRequest) fields() []field {
 	return []field{{"query", &req.Query}, {"depth", &req.Depth}, {"limit", &req.Limit}, {"from_lsn", &req.FromLSN}}
 }
 
-// handleWatch streams NDJSON answer-delta frames. It lives on the root mux,
-// outside the timeout wrapper (TimeoutHandler buffers writes, which would
-// break the long-lived stream), and is served even on read-only replicas —
-// a watch is a read, and replicas push deltas as their tailed WAL applies.
+// handleWatch streams NDJSON answer-delta frames. Like every stream it runs
+// with no request deadline, and it is served even on read-only replicas — a
+// watch is a read, and replicas push deltas as their tailed WAL applies.
 // Once the init frame is on the wire every exit returns nil: the status is
 // committed and errors can only end the stream.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {

@@ -65,142 +65,145 @@ type Spec struct {
 	Merges []Merge
 }
 
-// Build runs Algorithm Q against a solved engine.
+// Build runs Algorithm Q against a solved engine, under the engine's context
+// (Engine.SetContext): it stops with the context's error within 256 terms
+// once that expires, and charges the work budgets the context carries, its
+// depth budgets included. It is one Run of a fresh Builder.
 func Build(eng *engine.Engine, opts Options) (*Spec, error) {
+	b := NewBuilder(eng, opts)
+	b.depthBound = true
+	return b.Run()
+}
+
+// Builder is Algorithm Q that survives being stopped. A Run that the
+// engine's context stops — its deadline, or a spent step or byte budget —
+// keeps every term it finished examining, and the next Run goes on from the
+// first one it had not, under its own context; the graph the last Run
+// returns is the one an uninterrupted Build returns. A Builder does not look
+// at depth budgets: a depth budget is a high-water mark, not a charge, so the
+// wave one Run stopped at would stop every later Run too.
+type Builder struct {
+	eng        *engine.Engine
+	opts       Options
+	depthBound bool
+
+	sp *Spec
+	// queue holds the terms in precedence order, each named by the
+	// representative it is a child of and the symbol applied to it (-1, -1:
+	// the term 0 itself); qi is the first one not yet examined.
+	queue    []struct{ from, via int32 }
+	qi       int
+	active   map[facts.StateID]int32
+	maxDepth int
+}
+
+// NewBuilder starts Algorithm Q on eng; nothing runs before Run.
+func NewBuilder(eng *engine.Engine, opts Options) *Builder {
+	alphabet := append([]symbols.FuncID(nil), eng.Prep.Funcs...)
+	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
+	sp := &Spec{Eng: eng, U: eng.U, W: eng.W, SeedDepth: eng.Prep.SeedDepth, Table: newTable(alphabet)}
+	return &Builder{eng: eng, opts: opts, sp: sp, queue: []struct{ from, via int32 }{{-1, -1}},
+		active: make(map[facts.StateID]int32)}
+}
+
+// Run examines the terms left, under the engine's context, and returns the
+// finished graph; see Builder for what a stopped Run keeps.
+func (b *Builder) Run() (*Spec, error) {
+	eng := b.eng
 	if err := eng.Solve(); err != nil {
 		return nil, err
 	}
 	ctx, qspan := obs.StartSpan(eng.Context(), "algoq")
 	defer qspan.End()
 	wb := obs.BudgetFrom(ctx)
-	alphabet := append([]symbols.FuncID(nil), eng.Prep.Funcs...)
-	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
-	tab := newTable(alphabet)
-	k := len(alphabet)
-	sp := &Spec{Eng: eng, U: eng.U, W: eng.W, SeedDepth: eng.Prep.SeedDepth, Table: tab}
-
-	// Each representative costs one slot in four arrays plus one successor
-	// edge per alphabet symbol — the metered arena-bytes estimate a work
-	// budget charges per admitted cluster.
-	repBytes := int64(64 + 16*k)
-	addRep := func(t term.Term, s facts.StateID, parent, via int32) (int32, error) {
-		i := tab.add(t, s, parent, via)
-		if opts.MaxReps > 0 && len(tab.Reps) > opts.MaxReps {
-			return i, fmt.Errorf("specgraph: more than %d representative terms", opts.MaxReps)
-		}
-		return i, wb.AddBytes(repBytes)
-	}
-
-	// Every term below is reached from its parent, a representative whose
-	// state is already known, so its own state is one engine step away
-	// (Lemma 3.1) and its edge can be recorded as soon as its cluster is.
 	root, err := eng.StateOf(term.Zero)
 	if err != nil {
 		return nil, err
 	}
+	sp, tab := b.sp, b.sp.Table
+	k := len(tab.Alphabet)
+	// The arena-bytes a budget charges per cluster: a slot in four arrays and
+	// one successor edge per symbol.
+	repBytes := int64(64 + 16*k)
 
-	// Singleton clusters: every term of depth < SeedDepth.
-	level := []int32{Root}
-	if sp.SeedDepth > 0 {
-		if _, err := addRep(term.Zero, root, -1, -1); err != nil {
-			return nil, err
-		}
-	}
-	for d := 1; d < sp.SeedDepth; d++ {
-		var next []int32
-		for _, i := range level {
-			for j, f := range alphabet {
-				child := sp.U.Apply(f, tab.Reps[i])
-				s, err := eng.StateBelow(child, tab.State[i])
-				if err != nil {
-					return nil, err
-				}
-				c, err := addRep(child, s, i, int32(j))
-				if err != nil {
-					return nil, err
-				}
-				tab.trans[int(i)*k+j] = c
-				next = append(next, c)
-			}
-		}
-		level = next
-	}
-
-	// Seed the queue with all terms of depth SeedDepth, in precedence order.
-	// Each entry names the representative it is a child of and the symbol
-	// applied to it (-1, -1: the term 0 itself).
-	type potential struct{ from, via int32 }
-	var queue []potential
-	if sp.SeedDepth == 0 {
-		queue = append(queue, potential{-1, -1})
-	} else {
-		for _, i := range level {
-			for j := range alphabet {
-				queue = append(queue, potential{i, int32(j)})
-			}
-		}
-	}
-
-	// Breadth-first Potential/Active loop. The queue is in breadth-first
-	// order, so one trace span per depth wave is one "round" of Algorithm Q.
-	activeByState := make(map[facts.StateID]int32)
-	maxDepth := 0
+	// Breadth-first over the terms in precedence order, one trace span per
+	// depth wave ("round"). A term's parent is a representative of known
+	// state, so its own is one engine step away (Lemma 3.1). A term below the
+	// seed depth is a singleton cluster; one at or beyond it is a Potential
+	// term, Active unless an earlier Active term has its state. A step makes
+	// its charges and engine call before its first write, so a failed one
+	// leaves nothing behind.
 	curDepth := -1
 	var rspan *obs.SpanHandle
-	for qi := 0; qi < len(queue); qi++ {
-		from, via := queue[qi].from, queue[qi].via
+	defer func() { rspan.End() }()
+	for ; b.qi < len(b.queue); b.qi++ {
+		from, via := b.queue[b.qi].from, b.queue[b.qi].via
 		t := term.Zero
 		if from >= 0 {
-			t = sp.U.Apply(alphabet[via], tab.Reps[from])
+			t = sp.U.Apply(tab.Alphabet[via], tab.Reps[from])
 		}
-		if d := sp.U.Depth(t); d != curDepth {
+		d := sp.U.Depth(t)
+		potential := d >= sp.SeedDepth
+		// The context is looked at every wave and every 256 terms: one wave of
+		// an exponential search is too long to wait for.
+		if (d != curDepth || b.qi%256 == 0) && ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if d != curDepth {
+			if b.depthBound && potential {
+				if budget := obs.DepthBudget(ctx); budget > 0 && d > budget {
+					// The wave about to start is deeper than the query's
+					// budget: stop before deriving any of it, so the cost of a
+					// rejected query is bounded by the budget, not by the
+					// rejection.
+					return nil, &obs.DepthBudgetError{Max: budget}
+				}
+				if err := wb.CheckDepth(int64(d)); err != nil {
+					return nil, err
+				}
+			}
 			rspan.End()
-			if budget := obs.DepthBudget(ctx); budget > 0 && d > budget {
-				// The wave about to start is deeper than the query's budget:
-				// stop before deriving any of it, so the cost of a rejected
-				// query is bounded by the budget, not by the rejection.
-				return nil, &obs.DepthBudgetError{Max: budget}
-			}
-			if err := wb.CheckDepth(int64(d)); err != nil {
-				return nil, err
-			}
 			_, rspan = obs.StartSpan(ctx, "algoq_round")
 			curDepth = d
-			if d > maxDepth {
-				maxDepth = d
+			b.maxDepth = max(b.maxDepth, d)
+		}
+		if potential {
+			if err := wb.AddQSteps(1); err != nil {
+				return nil, err
 			}
 		}
-		if err := wb.AddQSteps(1); err != nil {
-			rspan.End()
-			return nil, err
-		}
-		sp.Potentials = append(sp.Potentials, t)
 		s := root
 		if from >= 0 {
 			if s, err = eng.StateBelow(t, tab.State[from]); err != nil {
-				rspan.End()
 				return nil, err
 			}
 		}
-		rep, ok := activeByState[s]
-		if ok {
+		rep, ok := b.active[s]
+		if ok && potential {
 			sp.Merges = append(sp.Merges, Merge{Rep: tab.Reps[rep], Potential: t})
 		} else {
-			if rep, err = addRep(t, s, from, via); err != nil {
-				rspan.End()
+			if b.opts.MaxReps > 0 && len(tab.Reps) >= b.opts.MaxReps {
+				return nil, fmt.Errorf("specgraph: more than %d representative terms", b.opts.MaxReps)
+			}
+			if err := wb.AddBytes(repBytes); err != nil {
 				return nil, err
 			}
-			activeByState[s] = rep
-			sp.Active = append(sp.Active, t)
-			for j := range alphabet {
-				queue = append(queue, potential{rep, int32(j)})
+			rep = tab.add(t, s, from, via)
+			if potential {
+				b.active[s] = rep
+				sp.Active = append(sp.Active, t)
 			}
+			for j := range tab.Alphabet {
+				b.queue = append(b.queue, struct{ from, via int32 }{rep, int32(j)})
+			}
+		}
+		if potential {
+			sp.Potentials = append(sp.Potentials, t)
 		}
 		if from >= 0 {
 			tab.trans[int(from)*k+int(via)] = rep
 		}
 	}
-	rspan.End()
 	// Every cell was written when its child term was examined: the table
 	// passes the check a table read from a document passes.
 	if err := tab.check(); err != nil {
@@ -214,10 +217,10 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	// (congruence.Solver.Assert); here we only report per-query numbers.
 	sink := obs.EngineSink()
 	sink.AddQRounds(int64(len(sp.Potentials)))
-	sink.ObserveDepth(int64(maxDepth))
+	sink.ObserveDepth(int64(b.maxDepth))
 	obs.Add(ctx, "algoq_steps", int64(len(sp.Potentials)))
 	obs.Add(ctx, "equations", int64(len(sp.Merges)))
-	obs.SetMax(ctx, "derivation_depth", int64(maxDepth))
+	obs.SetMax(ctx, "derivation_depth", int64(b.maxDepth))
 	return sp, nil
 }
 

@@ -232,6 +232,9 @@ func (h *Hub) SubscribeTenant(db, src string, depth, limit int, tenant string) (
 		return nil, fmt.Errorf("%w: %q", registry.ErrNotFound, db)
 	}
 	snap, err := e.Snapshot(h.ctx)
+	if h.ctx.Err() != nil {
+		return nil, ErrClosed // the compile, if one was needed, ran under h.ctx
+	}
 	if err != nil {
 		return nil, err
 	}
