@@ -57,15 +57,16 @@ race-store:
 
 # The replication stack alone under the race detector: the record codec and
 # framing, cursor tailing, the server's streaming endpoints, the replica loop,
-# client failover and the process-level primary/replica end-to-end test.
+# client failover, fdbc's shell over a local database and the process-level
+# primary/replica end-to-end test.
 race-repl:
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/api/ ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbd/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/api/ ./internal/store/ ./internal/replica/ ./internal/repl/ ./internal/server/ ./cmd/fdbc/ ./cmd/fdbd/
 
 # The live-query stack alone under the race detector: the hub's worker and
-# backpressure paths, the streaming endpoint, the failover watch client and
-# the process-level watch-across-crash end-to-end test.
+# backpressure paths, the streaming endpoint, the failover watch client,
+# fdbc's shell and the process-level watch-across-crash end-to-end test.
 race-watch:
-	$(GO) test -race -count=1 ./internal/watch/ ./internal/server/ ./internal/repl/ ./cmd/fdbd/
+	$(GO) test -race -count=1 ./internal/watch/ ./internal/server/ ./internal/repl/ ./cmd/fdbc/ ./cmd/fdbd/
 
 # The sharding stack alone under the race detector: the ring/codec/source
 # unit tests, the router proxy paths, the live-reshard orchestration, the
@@ -146,6 +147,8 @@ fuzz-smoke:
 tables:
 	$(GO) run ./cmd/fdbench all
 
+# Every example program, run to completion: they call the library as a user
+# would, so an API change that breaks one shows here.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/planner

@@ -95,10 +95,11 @@ func BenchmarkEquationalSpecSubsets(b *testing.B) {
 			text := datagen.SubsetsSrc(n)
 			for i := 0; i < b.N; i++ {
 				db := open(b, text)
-				eq, err := db.Equational()
+				spec, err := db.Graph()
 				if err != nil {
 					b.Fatal(err)
 				}
+				eq := funcdb.BuildCanonical(spec).EqSpec()
 				b.ReportMetric(float64(eq.Size()), "equations")
 			}
 		})
@@ -111,10 +112,11 @@ func BenchmarkEquationalSpecTemporal(b *testing.B) {
 			text := datagen.CalendarSrc(n)
 			for i := 0; i < b.N; i++ {
 				db := open(b, text)
-				eq, err := db.Equational()
+				spec, err := db.Graph()
 				if err != nil {
 					b.Fatal(err)
 				}
+				eq := funcdb.BuildCanonical(spec).EqSpec()
 				if eq.Size() != 1 {
 					b.Fatalf("|R| = %d, want 1 for temporal", eq.Size())
 				}
@@ -243,7 +245,11 @@ func BenchmarkGoalBottomUp(b *testing.B) {
 
 func BenchmarkAblationLasso(b *testing.B) {
 	db := open(b, datagen.CalendarSrc(7))
-	lasso, err := db.Temporal()
+	spec, err := db.Graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lasso, err := funcdb.BuildTemporal(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -275,10 +281,11 @@ func BenchmarkAblationDFAWalk(b *testing.B) {
 
 func BenchmarkAblationCongruenceClosure(b *testing.B) {
 	db := open(b, datagen.CalendarSrc(7))
-	form, err := db.Canonical()
+	spec, err := db.Graph()
 	if err != nil {
 		b.Fatal(err)
 	}
+	form := funcdb.BuildCanonical(spec)
 	meets, _ := db.Tab().LookupPred("Meets", 1, true)
 	succ, _ := db.Tab().LookupFunc("succ", 0)
 	s0, _ := db.Tab().LookupConst("s0")

@@ -11,7 +11,6 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/datagen"
-	"funcdb/internal/repl"
 )
 
 // TestDumpReproductionsStable pins, per program, the SHA-256 of what
@@ -80,7 +79,7 @@ func TestDumpReproductionsStable(t *testing.T) {
 		var b strings.Builder
 		for _, kind := range kinds {
 			fmt.Fprintf(&b, "-dump %s\n", kind)
-			if _, err := repl.Execute(db, "dump "+kind, &b); err != nil {
+			if _, err := execute(db, "dump "+kind, &b); err != nil {
 				t.Fatalf("%s: dump %s: %v", name, kind, err)
 			}
 		}

@@ -225,13 +225,13 @@ func run(args []string) error {
 	}
 
 	if *dump != "" {
-		if _, err := repl.Execute(db, "dump "+*dump, os.Stdout); err != nil {
+		if _, err := execute(db, "dump "+*dump, os.Stdout); err != nil {
 			return err
 		}
 	}
 
 	if *lint {
-		if _, err := repl.Execute(db, "lint", os.Stdout); err != nil {
+		if _, err := execute(db, "lint", os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -308,7 +308,7 @@ func run(args []string) error {
 	}
 
 	if *interactive {
-		return repl.Run(db, os.Stdin, os.Stdout)
+		return shell(db, os.Stdin, os.Stdout)
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
-// Package repl implements the interactive shell behind fdbc -i: a loaded
-// database is interrogated with queries and commands, each answered from
-// the compiled relational specification.
-package repl
+package main
+
+// The interactive shell behind fdbc -i, and the renderer of fdbc -dump: a
+// loaded database is interrogated with queries and commands, each answered
+// from the compiled relational specification, and the paper's other forms —
+// the equational specification, the canonical form and the lasso form — are
+// built from it on demand.
 
 import (
 	"bufio"
@@ -11,8 +14,10 @@ import (
 	"strconv"
 	"strings"
 
+	"funcdb/internal/canonical"
 	"funcdb/internal/core"
 	"funcdb/internal/symbols"
+	"funcdb/internal/temporal"
 	"funcdb/internal/term"
 )
 
@@ -30,21 +35,15 @@ const helpText = `commands:
   quit                 leave
 `
 
-// newScanner builds the line scanner both shells share: 1MB lines, so a
-// large pasted fact block still fits.
-func newScanner(r io.Reader) *bufio.Scanner {
+// shell reads commands from r and writes results to w until EOF or quit.
+// Lines may be 1MB long, so a large pasted fact block still fits.
+func shell(db *core.Database, r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return sc
-}
-
-// Run reads commands from r and writes results to w until EOF or quit.
-func Run(db *core.Database, r io.Reader, w io.Writer) error {
-	sc := newScanner(r)
 	fmt.Fprint(w, "funcdb> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		quit, err := Execute(db, line, w)
+		quit, err := execute(db, line, w)
 		if err != nil {
 			fmt.Fprintf(w, "error: %v\n", err)
 		}
@@ -57,8 +56,8 @@ func Run(db *core.Database, r io.Reader, w io.Writer) error {
 	return sc.Err()
 }
 
-// Execute runs one command line and reports whether the session should end.
-func Execute(db *core.Database, line string, w io.Writer) (quit bool, err error) {
+// execute runs one command line and reports whether the session should end.
+func execute(db *core.Database, line string, w io.Writer) (quit bool, err error) {
 	switch {
 	case line == "" || strings.HasPrefix(line, "%"):
 		return false, nil
@@ -172,44 +171,38 @@ func enumerate(db *core.Database, qsrc string, depth int, w io.Writer) error {
 	return nil
 }
 
+// dump prints one specification of db: the graph specification (B, T), the
+// equational specification (R with its congruence-closure solver, §3.5), the
+// canonical form's database C or its CONGR rules (§3.6), the lasso form of a
+// temporal program (§4), or the minimized specification.
 func dump(db *core.Database, kind string, w io.Writer) error {
-	switch kind {
-	case "graph":
-		sp, err := db.Graph()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, sp.Dump())
-	case "eq":
-		eq, err := db.Equational()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, eq.Dump(db.Tab()))
-	case "temporal":
-		ts, err := db.Temporal()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, ts.Dump())
-	case "canonical":
-		form, err := db.Canonical()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, form.DatabaseC())
-	case "congr":
-		form, err := db.Canonical()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, form.CongrRules())
-	case "min":
+	if kind == "min" {
 		m, err := db.Minimized()
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, m.Dump())
+		return nil
+	}
+	sp, err := db.Graph()
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case "graph":
+		fmt.Fprint(w, sp.Dump())
+	case "eq":
+		fmt.Fprint(w, canonical.Build(sp).EqSpec().Dump(db.Tab()))
+	case "temporal":
+		ts, err := temporal.Build(sp)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, ts.Dump())
+	case "canonical":
+		fmt.Fprint(w, canonical.Build(sp).DatabaseC())
+	case "congr":
+		fmt.Fprint(w, canonical.Build(sp).CongrRules())
 	default:
 		return fmt.Errorf("unknown dump kind %q", kind)
 	}

@@ -1,4 +1,4 @@
-package repl
+package main
 
 import (
 	"strings"
@@ -24,8 +24,8 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 func exec(t *testing.T, db *core.Database, line string) string {
 	t.Helper()
 	var out strings.Builder
-	if _, err := Execute(db, line, &out); err != nil {
-		t.Fatalf("Execute(%q): %v", line, err)
+	if _, err := execute(db, line, &out); err != nil {
+		t.Fatalf("execute(%q): %v", line, err)
 	}
 	return out.String()
 }
@@ -86,13 +86,13 @@ func TestStatsAndHelp(t *testing.T) {
 func TestErrorsAreReported(t *testing.T) {
 	db := openMeetings(t)
 	var out strings.Builder
-	if _, err := Execute(db, "dump nosuch", &out); err == nil {
+	if _, err := execute(db, "dump nosuch", &out); err == nil {
 		t.Errorf("unknown dump kind accepted")
 	}
-	if _, err := Execute(db, "frobnicate", &out); err == nil {
+	if _, err := execute(db, "frobnicate", &out); err == nil {
 		t.Errorf("unknown command accepted")
 	}
-	if _, err := Execute(db, "enum x ?- Meets(T, X).", &out); err == nil {
+	if _, err := execute(db, "enum x ?- Meets(T, X).", &out); err == nil {
 		t.Errorf("bad enum depth accepted")
 	}
 }
@@ -101,8 +101,8 @@ func TestRunSession(t *testing.T) {
 	db := openMeetings(t)
 	in := strings.NewReader("ask ?- Meets(2, tony).\nstats\nquit\n")
 	var out strings.Builder
-	if err := Run(db, in, &out); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := shell(db, in, &out); err != nil {
+		t.Fatalf("shell: %v", err)
 	}
 	s := out.String()
 	if !strings.Contains(s, "true") || !strings.Contains(s, "2 reps") {
@@ -126,7 +126,7 @@ func TestAddCommand(t *testing.T) {
 		t.Errorf("Meets(3, tony) after add = %q, want true", got)
 	}
 	var out strings.Builder
-	if _, err := Execute(db, "add Meets(T, tony).", &out); err == nil {
+	if _, err := execute(db, "add Meets(T, tony).", &out); err == nil {
 		t.Errorf("non-ground add accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestRuleCommand(t *testing.T) {
 		t.Errorf("Skipped(3) = %q, want false", got)
 	}
 	var out strings.Builder
-	if _, err := Execute(db, "rule ?- Meets(0, tony).", &out); err == nil {
+	if _, err := execute(db, "rule ?- Meets(0, tony).", &out); err == nil {
 		t.Errorf("query accepted by rule command")
 	}
 }
@@ -164,8 +164,8 @@ func TestRunToleratesBadLines(t *testing.T) {
 	db := openMeetings(t)
 	in := strings.NewReader("nonsense\nask ?- Meets(0, tony).\n")
 	var out strings.Builder
-	if err := Run(db, in, &out); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := shell(db, in, &out); err != nil {
+		t.Fatalf("shell: %v", err)
 	}
 	s := out.String()
 	if !strings.Contains(s, "error:") || !strings.Contains(s, "true") {

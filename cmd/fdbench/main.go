@@ -16,12 +16,14 @@ import (
 	"os"
 	"time"
 
+	"funcdb/internal/canonical"
 	"funcdb/internal/core"
 	"funcdb/internal/datagen"
 	"funcdb/internal/facts"
 	"funcdb/internal/fixpoint"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/symbols"
+	"funcdb/internal/temporal"
 	"funcdb/internal/term"
 	"funcdb/internal/topdown"
 )
@@ -236,14 +238,11 @@ func a2() {
 	if err != nil {
 		panic(err)
 	}
-	lasso, err := db.Temporal()
+	lasso, err := temporal.Build(spec)
 	if err != nil {
 		panic(err)
 	}
-	form, err := db.Canonical()
-	if err != nil {
-		panic(err)
-	}
+	form := canonical.Build(spec)
 	tab := db.Tab()
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	succ, _ := tab.LookupFunc("succ", 0)

@@ -26,7 +26,8 @@
 //	-map             shard-map JSON file (optional: without it the router
 //	                 starts unready and waits for PUT /v1/shardmap)
 //	-poll            shard-map file poll interval
-//	-shard-timeout   per-shard deadline for proxied and fan-out legs
+//	-shard-timeout   per-shard deadline for proxied and fan-out legs, and for
+//	                 reading a request's body
 //	-trace-buffer    flight-recorder capacity in entries (0: default 1024;
 //	                 negative disables the recorder and router tracing)
 //	-trace-sample    keep 1 in N unremarkable proxied requests recorded
@@ -86,7 +87,7 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8440", "listen address")
 	mapPath := fs.String("map", "", "shard-map JSON file; empty starts unready until PUT /v1/shardmap")
 	poll := fs.Duration("poll", 2*time.Second, "shard-map file poll interval")
-	shardTimeout := fs.Duration("shard-timeout", 5*time.Second, "per-shard deadline for proxied and fan-out requests")
+	shardTimeout := fs.Duration("shard-timeout", 5*time.Second, "per-shard deadline for proxied and fan-out requests, and for reading a request's body")
 	traceBuffer := fs.Int("trace-buffer", 0, "flight-recorder capacity in entries (0: default; negative disables)")
 	traceSample := fs.Int("trace-sample", 0, "keep 1 in N unremarkable proxied requests in the flight recorder (0: default)")
 	logLevel := fs.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")

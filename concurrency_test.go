@@ -23,10 +23,7 @@ func TestConcurrentMembership(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Graph: %v", err)
 	}
-	form, err := db.Canonical()
-	if err != nil {
-		t.Fatalf("Canonical: %v", err)
-	}
+	form := funcdb.BuildCanonical(spec)
 	tab := db.Tab()
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	succ, _ := tab.LookupFunc("succ", 0)

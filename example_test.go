@@ -60,9 +60,9 @@ func ExampleDatabase_Answers() {
 	// 0 2 4 6
 }
 
-// The equational specification of section 3.5: R = {(0, 2)} and the
-// congruence-closure membership test.
-func ExampleDatabase_Equational() {
+// The equational specification of section 3.5, the canonical form's R =
+// {(0, 2)}, and the congruence-closure membership test.
+func ExampleBuildCanonical() {
 	db, err := funcdb.Open(`
 		Even(0).
 		Even(T) -> Even(T+2).
@@ -70,10 +70,11 @@ func ExampleDatabase_Equational() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eq, err := db.Equational()
+	spec, err := db.Graph()
 	if err != nil {
 		log.Fatal(err)
 	}
+	eq := funcdb.BuildCanonical(spec).EqSpec()
 	succ, _ := db.Tab().LookupFunc("succ", 0)
 	u := db.Universe()
 	fmt.Println("|R| =", eq.Size())
@@ -86,7 +87,7 @@ func ExampleDatabase_Equational() {
 }
 
 // Temporal programs get a lasso with O(1) membership.
-func ExampleDatabase_Temporal() {
+func ExampleBuildTemporal() {
 	db, err := funcdb.Open(`
 		Backup(1).
 		Backup(T) -> Backup(T+3).
@@ -94,7 +95,11 @@ func ExampleDatabase_Temporal() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lasso, err := db.Temporal()
+	spec, err := db.Graph()
+	if err != nil {
+		log.Fatal(err)
+	}
+	lasso, err := funcdb.BuildTemporal(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

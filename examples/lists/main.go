@@ -42,10 +42,8 @@ func main() {
 
 	// The equational specification: R as computed by the algorithm
 	// (a ~ aa, ab ~ ba, b ~ bb, ab ~ aba, ab ~ abb).
-	eq, err := db.Equational()
-	if err != nil {
-		log.Fatalf("equational: %v", err)
-	}
+	form := funcdb.BuildCanonical(spec)
+	eq := form.EqSpec()
 	fmt.Print("\n", eq.Dump(db.Tab()))
 
 	// Deep membership through both representations.
@@ -60,10 +58,6 @@ func main() {
 	viaGraph, err := spec.Has(member, babab, []funcdb.ConstID{aC})
 	if err != nil {
 		log.Fatalf("graph membership: %v", err)
-	}
-	form, err := db.Canonical()
-	if err != nil {
-		log.Fatalf("canonical: %v", err)
 	}
 	viaEq := form.Has(member, babab, []funcdb.ConstID{aC})
 	fmt.Printf("\nMember(babab, a): graph spec says %v, congruence closure says %v\n",

@@ -70,7 +70,7 @@ func main() {
 
 	// Temporal programs additionally get the lasso form with O(1)
 	// arithmetic membership.
-	lasso, err := db.Temporal()
+	lasso, err := funcdb.BuildTemporal(spec)
 	if err != nil {
 		log.Fatalf("temporal: %v", err)
 	}

@@ -33,7 +33,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
-	lasso, err := db.Temporal()
+	spec, err := db.Graph()
+	if err != nil {
+		log.Fatalf("graph: %v", err)
+	}
+	lasso, err := funcdb.BuildTemporal(spec)
 	if err != nil {
 		log.Fatalf("temporal: %v", err)
 	}
@@ -51,7 +55,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
-	lasso2, err := db2.Temporal()
+	spec2, err := db2.Graph()
+	if err != nil {
+		log.Fatalf("graph: %v", err)
+	}
+	lasso2, err := funcdb.BuildTemporal(spec2)
 	if err != nil {
 		log.Fatalf("temporal: %v", err)
 	}

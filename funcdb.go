@@ -29,6 +29,12 @@
 //	plan, err := db.Prepare(ctx, "?- Meets(1000, tony).")
 //	yes, err := plan.Ask(ctx)
 //
+// The paper's other forms are built from the graph specification:
+//
+//	spec, err := db.Graph()
+//	form := funcdb.BuildCanonical(spec)      // (C, CONGR); form.EqSpec() is R
+//	lasso, err := funcdb.BuildTemporal(spec) // temporal programs only
+//
 // The package is a façade over the internal packages; see DESIGN.md for the
 // full architecture.
 package funcdb
@@ -50,7 +56,6 @@ import (
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
 	"funcdb/internal/term"
-	"funcdb/internal/topdown"
 )
 
 // Core API.
@@ -88,10 +93,6 @@ type (
 	// Minimized is the observable-equivalence quotient of a graph
 	// specification (package minimize).
 	Minimized = minimize.Minimized
-	// Prover is the goal-directed (tabled top-down) evaluator.
-	Prover = topdown.Evaluator
-	// ProverOptions bound a goal-directed evaluation.
-	ProverOptions = topdown.Options
 	// ClusterView lets a universal invariant inspect one cluster.
 	ClusterView = specgraph.ClusterView
 	// LintFinding is one diagnostic from Database.Lint.
@@ -107,17 +108,16 @@ type (
 	Option = core.Option
 	// Opts is the resolved form of a list of Options; see BuildOpts.
 	Opts = core.Opts
-	// Method selects the ground-query decision procedure (see Options).
+	// Method selects the ground-query decision procedure (see WithMethod).
 	Method = core.Method
 	// ParseError is a syntax error with line/column position.
 	ParseError = parser.ParseError
 )
 
-// Ground-query decision procedures for Options.Method.
+// Ground-query decision procedures for WithMethod.
 const (
-	// MethodAuto picks the default procedure (the DFA walk).
-	MethodAuto = core.MethodAuto
-	// MethodGraph answers through the graph specification's DFA walk.
+	// MethodGraph answers through the graph specification's DFA walk, the
+	// default.
 	MethodGraph = core.MethodGraph
 	// MethodEquational answers through congruence closure over the
 	// equational specification.
@@ -141,8 +141,8 @@ var (
 
 // Per-query options for Database.Ask/Answers and Plan execution.
 var (
-	// WithMethod forces the ground-membership decision procedure for one
-	// query, overriding the database default.
+	// WithMethod selects the ground-membership decision procedure for one
+	// query.
 	WithMethod = core.WithMethod
 	// WithDepth bounds the term depth of answer enumeration.
 	WithDepth = core.WithDepth
@@ -153,6 +153,19 @@ var (
 	WithTrace = core.WithTrace
 	// BuildOpts folds a list of options into an Opts value.
 	BuildOpts = core.BuildOpts
+)
+
+// The paper's other forms, built from a graph specification (Database.Graph).
+// Like every use of what Graph returns, building one must not race a
+// mutation of the database (Extend, ExtendRules).
+var (
+	// BuildCanonical builds the canonical form (C, CONGR) of section 3.6;
+	// its EqSpec is the equational specification's relation R with its
+	// congruence-closure solver.
+	BuildCanonical = canonical.Build
+	// BuildTemporal builds the lasso form of a temporal program; it errors
+	// on any other.
+	BuildTemporal = temporal.Build
 )
 
 // Equivalent decides whether two minimized specifications represent the

@@ -42,10 +42,7 @@ func buildAll(t *testing.T, src string) *answerers {
 	if err != nil {
 		t.Fatalf("Graph: %v", err)
 	}
-	form, err := db.Canonical()
-	if err != nil {
-		t.Fatalf("Canonical: %v", err)
-	}
+	form := funcdb.BuildCanonical(spec)
 	min, err := db.Minimized()
 	if err != nil {
 		t.Fatalf("Minimized: %v", err)

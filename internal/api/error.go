@@ -1,5 +1,5 @@
 // Package api is the one kit that fdbd, fdbrouter and every caller of their
-// HTTP API share. It owns three decisions and nothing else:
+// HTTP API share. It owns four decisions and nothing else:
 //
 //   - the error envelope {"error":{"code","message"}} — one Error type, one
 //     writer, one bounded decoder, and the names of the headers the daemons
@@ -9,11 +9,13 @@
 //     flight-recorder entry and its log line (handler.go);
 //   - the client — one *http.Client, one way to build a request, and one
 //     policy for which failures move to another endpoint, which are retried
-//     in place after a pause, and which are final (client.go).
+//     in place after a pause, and which are final (client.go);
+//   - the request body reader — sized by Content-Length, bounded, and held
+//     to a deadline so a stalled client cannot keep a handler (body.go).
 //
 // Everything else — admission and per-fingerprint stats on fdbd, proxy
 // histograms on the router, what a caller does with a decoded body — stays
-// with its owner. A guard test (guard_test.go) keeps copies of the three from
+// with its owner. A guard test (guard_test.go) keeps copies of the four from
 // growing back elsewhere in the module.
 package api
 

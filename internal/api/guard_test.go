@@ -23,11 +23,12 @@ import (
 //   - a struct decoding or encoding an "error" member as anything but a
 //     string (the partial-failure report) or the kit's ErrorBody;
 //   - a function named like the helpers that were copied around: an envelope
-//     writer, a Retry-After parser, a health probe, a failover classifier;
+//     writer, a Retry-After parser, a health probe, a failover classifier,
+//     a request body reader;
 //   - a second deadline or a second body reader: http.TimeoutHandler, which
 //     answered past its deadline while the handler ran on, and
 //     http.MaxBytesReader. A request's context carries its one deadline,
-//     and fdbd reads every body through one reader.
+//     and both daemons read every body through one reader (ReadBody).
 //
 // Nested modules (bench/) are their own business.
 func TestOneKit(t *testing.T) {
@@ -93,10 +94,11 @@ var (
 		"writejson": "api.WriteJSON", "writeerror": "api.WriteError",
 		"retryafterseconds": "api.DecodeError", "remoteerrorparts": "api.DecodeError",
 		"ishealthy": "api.Client.Ready", "failover": "api.Failover", "retrydelay": "api.RetryDelay",
+		"readbody": "api.ReadBody",
 	}
 	reservedHTTP = map[string]string{
 		"TimeoutHandler": "the request's context carries its deadline (api.Pipeline.Wrap)",
-		"MaxBytesReader": "read the body with the daemon's one reader",
+		"MaxBytesReader": "read the body with api.ReadBody",
 	}
 )
 
@@ -192,6 +194,8 @@ func writeJSON() {}
 
 func failover(err error) bool { return true }
 
+func (s *server) readBody(r *http.Request) ([]byte, error) { return nil, nil }
+
 func f(r *http.Request, base string) {
 	_ = &http.Client{}
 	_ = new(http.Client)
@@ -214,7 +218,7 @@ func f(r *http.Request, base string) {
 	want := []string{
 		"builds an http.Client", // Inner
 		`declares an "error" member of its own shape`,
-		"defines writeJSON", "defines failover",
+		"defines writeJSON", "defines failover", "defines readBody",
 		"builds an http.Client", "builds an http.Client",
 		`spells "x-api-key" as a literal`, `spells "Retry-After" as a literal`, `spells "/readyz" as a literal`,
 		"uses http.TimeoutHandler", "uses http.MaxBytesReader",

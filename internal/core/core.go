@@ -1,14 +1,20 @@
 // Package core is the public face of funcdb: it ties parsing, preparation,
-// the evaluation engine, and the specification builders of the paper into a
-// single Database type.
+// the evaluation engine and Algorithm Q into a single Database type, and
+// serves what they build — the graph specification (B, T), its walk and
+// Theorem 5.1's answer specifications.
 //
 // A typical session:
 //
 //	db, err := core.Open(source, core.Options{})
 //	spec, err := db.Graph()          // Algorithm Q's (B, T)
-//	eq, err := db.Equational()       // the (B, R) specification
 //	ans, err := db.Answers(ctx, "?- Meets(T, X).")
 //	yes, err := db.Ask(ctx, "?- Meets(4, tony).")
+//
+// The paper's other forms are built from the graph specification by their
+// own packages, which core does not import: canonical.Build(spec) gives the
+// canonical form (C, CONGR) and, by its EqSpec, the equational
+// specification (B, R); temporal.Build(spec) the lasso form of a temporal
+// program. The top-down baseline is topdown.New over db.Prep.
 //
 // Hot paths prepare once and execute many times:
 //
@@ -25,8 +31,6 @@ import (
 	"sync/atomic"
 
 	"funcdb/internal/ast"
-	"funcdb/internal/canonical"
-	"funcdb/internal/congruence"
 	"funcdb/internal/engine"
 	"funcdb/internal/facts"
 	"funcdb/internal/params"
@@ -34,20 +38,16 @@ import (
 	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
-	"funcdb/internal/temporal"
 	"funcdb/internal/term"
-	"funcdb/internal/topdown"
 )
 
 // Method selects how ground membership queries are decided.
 type Method int
 
 const (
-	// MethodAuto lets the database pick; currently the graph walk.
-	MethodAuto Method = iota
 	// MethodGraph decides membership by the successor-DFA walk over the
 	// graph specification (B, T) — the default.
-	MethodGraph
+	MethodGraph Method = iota
 	// MethodEquational decides ground membership by congruence closure
 	// against the relation R of the canonical form (§3.5). Open queries
 	// still evaluate through the graph specification.
@@ -60,8 +60,6 @@ type Options struct {
 	Engine engine.Options
 	// Spec bounds Algorithm Q.
 	Spec specgraph.Options
-	// Method selects the ground-membership decision procedure for Ask.
-	Method Method
 }
 
 // Database is a compiled functional deductive database.
@@ -71,14 +69,16 @@ type Options struct {
 // any number at once, also while a writer is extending the database. The
 // mutex is for what touches the live, mutable side — the shared symbol table,
 // term universe and fact world: the mutators Extend and ExtendRules, the
-// lazily built specifications (Graph, Equational, Temporal, Canonical), which
-// are constructed once under it and invalidated by the next mutation, the
-// publication of a fresh Snapshot after one, and the views that read the live
-// engine (Explain, Export, Stats, Lint, Minimized, SourceText). An Answers
-// handle belongs to the goroutine that asked for it (the specification
-// behind it is shared and immutable; see query.Answers). Code that reads the
-// exported Source/Prep/Engine fields directly must not run concurrently with
-// the mutators; Prover evaluators are single-goroutine (see Prover).
+// lazily built graph specification (Graph), which is constructed once under
+// it and invalidated by the next mutation, the publication of a fresh
+// Snapshot after one, and the views that read the live engine (Explain,
+// Export, Stats, Lint, Minimized, SourceText). An Answers handle belongs to
+// the goroutine that asked for it (the specification behind it is shared and
+// immutable; see query.Answers). Code that reads the exported
+// Source/Prep/Engine fields directly, or what Graph returned — a
+// reproduction built from it (canonical.Build, temporal.Build) or a top-down
+// evaluator over Prep included, which interns into the shared universe —
+// must not run concurrently with the mutators.
 type Database struct {
 	Source *ast.Program
 	Prep   *rewrite.Prepared
@@ -93,9 +93,6 @@ type Database struct {
 	opts     Options
 	graph    *specgraph.Spec
 	build    *specgraph.Builder // the graph's Algorithm Q while unfinished
-	eq       *congruence.EqSpec
-	lasso    *temporal.Spec
-	canon    *canonical.Form
 	queries  []ast.Query
 	universe *term.Universe
 	world    *facts.World
@@ -219,66 +216,6 @@ func (db *Database) graphLocked(ctx context.Context) (*specgraph.Spec, error) {
 	return sp, nil
 }
 
-// Equational builds (once) and returns the equational specification's
-// relation R with its congruence-closure solver. The primary database B is
-// shared with the graph specification.
-func (db *Database) Equational() (*congruence.EqSpec, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.eq != nil {
-		return db.eq, nil
-	}
-	sp, err := db.graphLocked(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]term.Term, 0, len(sp.Merges))
-	for _, m := range sp.Merges {
-		pairs = append(pairs, [2]term.Term{m.Rep, m.Potential})
-	}
-	db.eq = congruence.NewEqSpec(db.universe, pairs)
-	return db.eq, nil
-}
-
-// Temporal builds (once) and returns the lasso specification. It errors on
-// non-temporal programs.
-func (db *Database) Temporal() (*temporal.Spec, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.lasso != nil {
-		return db.lasso, nil
-	}
-	sp, err := db.graphLocked(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	t, err := temporal.Build(sp)
-	if err != nil {
-		return nil, err
-	}
-	db.lasso = t
-	return t, nil
-}
-
-// Canonical builds (once) and returns the canonical form (C, CONGR).
-func (db *Database) Canonical() (*canonical.Form, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.canonicalLocked()
-}
-
-func (db *Database) canonicalLocked() (*canonical.Form, error) {
-	if db.canon != nil {
-		return db.canon, nil
-	}
-	sp, err := db.graphLocked(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	db.canon = canonical.Build(sp)
-	return db.canon, nil
-}
-
 // ParseQuery parses a query against this database's symbols.
 func (db *Database) ParseQuery(src string) (*ast.Query, error) {
 	db.mu.Lock()
@@ -293,19 +230,6 @@ func ftIsPure(ft *ast.FTerm) bool {
 		}
 	}
 	return true
-}
-
-// Prover builds a goal-directed (tabled top-down) evaluator over this
-// database's program, sharing its term universe. Use it when only a few
-// ground goals are needed and building the full specification would be
-// wasteful; see package topdown for the completeness contract. The
-// returned evaluator mutates the shared universe on every proof and is
-// NOT safe for concurrent use — drive it from a single goroutine, with no
-// concurrent queries on the Database.
-func (db *Database) Prover(opts topdown.Options) (*topdown.Evaluator, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return topdown.New(db.Prep, db.universe, db.world, opts)
 }
 
 // Stats summarizes the compiled database.

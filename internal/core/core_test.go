@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"funcdb/internal/canonical"
 	"funcdb/internal/symbols"
+	"funcdb/internal/temporal"
 	"funcdb/internal/term"
 	"funcdb/internal/topdown"
 )
@@ -110,9 +112,13 @@ func TestTemporalFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	ts, err := db.Temporal()
+	sp, err := db.Graph()
 	if err != nil {
-		t.Fatalf("Temporal: %v", err)
+		t.Fatalf("Graph: %v", err)
+	}
+	ts, err := temporal.Build(sp)
+	if err != nil {
+		t.Fatalf("temporal.Build: %v", err)
 	}
 	if ts.Prefix != 0 || ts.Period != 2 {
 		t.Errorf("lasso = (%d, %d)", ts.Prefix, ts.Period)
@@ -127,10 +133,11 @@ Even(T) -> Even(T+2).
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eq, err := db.Equational()
+	sp, err := db.Graph()
 	if err != nil {
-		t.Fatalf("Equational: %v", err)
+		t.Fatalf("Graph: %v", err)
 	}
+	eq := canonical.Build(sp).EqSpec()
 	if eq.Size() != 1 {
 		t.Fatalf("|R| = %d, want 1", eq.Size())
 	}
@@ -149,10 +156,11 @@ func TestCanonicalAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	form, err := db.Canonical()
+	sp, err := db.Graph()
 	if err != nil {
-		t.Fatalf("Canonical: %v", err)
+		t.Fatalf("Graph: %v", err)
 	}
+	form := canonical.Build(sp)
 	meets, _ := db.Tab().LookupPred("Meets", 1, true)
 	tony, _ := db.Tab().LookupConst("tony")
 	succ, _ := db.Tab().LookupFunc("succ", 0)
@@ -192,9 +200,9 @@ func TestProverAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	ev, err := db.Prover(topdown.Options{})
+	ev, err := topdown.New(db.Prep, db.Universe(), db.world, topdown.Options{})
 	if err != nil {
-		t.Fatalf("Prover: %v", err)
+		t.Fatalf("topdown.New: %v", err)
 	}
 	meets, _ := db.Tab().LookupPred("Meets", 1, true)
 	succ, _ := db.Tab().LookupFunc("succ", 0)

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"funcdb/internal/ast"
-	"funcdb/internal/canonical"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
@@ -15,7 +14,7 @@ import (
 // treePlan is the tree lowering a ground plan miss made before ground text
 // was lowered as it is read, kept as the reference the reader is compared
 // with: the text parsed into an AST over a scratch overlay, its shape
-// written by canonical.QueryShape and hashed by obs.Fingerprint, and each
+// written by QueryShape and hashed by obs.Fingerprint, and each
 // atom compiled from its FTerm, a mixed application through a memo keyed on
 // its symbols' ids. It returns the parse error of a malformed text and a nil
 // plan for an open query. The plan is not cached.
@@ -29,7 +28,7 @@ func (s *Snapshot) treePlan(src string) (*Plan, error) {
 	if !groundQuery(q) {
 		return nil, nil
 	}
-	shape := canonical.QueryShape(q, ec.tab)
+	shape := QueryShape(q, ec.tab)
 	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: true}
 	lw := treeLowering{fd: s.spec.Flat(), tab: ec.tab}
 	p.steps = make([]groundStep, len(q.Atoms))

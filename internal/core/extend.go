@@ -25,8 +25,7 @@ import (
 // (the §2.4 elimination must be redone over the larger domain), or a
 // predicate or function symbol the program has never used (the observable
 // predicates and the alphabet change). Extend handles both transparently;
-// either way the graph/equational/temporal/canonical views are rebuilt
-// lazily on next access. The facts are parsed against the database's own
+// either way the graph specification is rebuilt lazily on next access. The facts are parsed against the database's own
 // symbol table and judged against its signature, so the work before the
 // engine is linear in the facts, not in the program. A failed Extend leaves
 // the database as it was.
@@ -226,8 +225,8 @@ func (db *Database) recompile() error {
 	return nil
 }
 
-// invalidate drops the lazily built views and the published snapshot so
-// they are rebuilt on demand. Published snapshots are unaffected (they stay
+// invalidate drops the lazily built graph specification and the published
+// snapshot so they are rebuilt on demand. Published snapshots are unaffected (they stay
 // valid as of their creation); only the cached pointer is cleared so the
 // next Snapshot call rebuilds.
 func (db *Database) invalidate() {
@@ -235,11 +234,9 @@ func (db *Database) invalidate() {
 	db.snap.Store(nil)
 }
 
-// dropViews drops the views built from the live engine, which only the
-// lock holder reads; readers without the lock go through the snapshot.
+// dropViews drops the graph specification built from the live engine,
+// which only the lock holder reads; readers without the lock go through the
+// snapshot.
 func (db *Database) dropViews() {
 	db.graph, db.build = nil, nil
-	db.eq = nil
-	db.lasso = nil
-	db.canon = nil
 }

@@ -690,11 +690,12 @@ func (o topdownOracle) Ask(text string) (bool, error) {
 			return false, errNotApplicable
 		}
 	}
-	ev, err := o.op.ref.Prover(topdown.Options{MaxTables: topdownMaxTables})
+	ref := o.op.ref
+	ev, err := topdown.New(ref.Prep, ref.universe, ref.world, topdown.Options{MaxTables: topdownMaxTables})
 	if err != nil {
 		return false, err
 	}
-	u := o.op.ref.Universe()
+	u := ref.universe
 	verdict := true
 	for _, a := range atoms {
 		t := term.None

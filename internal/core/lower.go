@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 
-	"funcdb/internal/canonical"
 	"funcdb/internal/parser"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
@@ -43,7 +42,7 @@ func (s *Snapshot) readGround(src string) *Plan {
 type groundLowering struct {
 	s     *Snapshot
 	lw    appLowering
-	shape canonical.ShapeWriter
+	shape shapeWriter
 	est   int // the shape's length, as estimated from the text
 	room  int // what the next Atom makes room for: est before the first
 	steps []groundStep
@@ -62,7 +61,7 @@ type groundLowering struct {
 }
 
 func (g *groundLowering) Reset() {
-	g.shape = canonical.ShapeWriter{}
+	g.shape = shapeWriter{}
 	g.room = g.est
 	g.steps, g.flat = g.steps[:0], true
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"funcdb/internal/canonical"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/symbols"
@@ -86,7 +85,7 @@ func lowerStable(t *testing.T, op *oracleProgram, h, hf hash.Hash, text string) 
 		if err != nil {
 			t.Fatalf("%s: %q: %v", op.name, text, err)
 		}
-		shape := canonical.QueryShape(q, tab)
+		shape := QueryShape(q, tab)
 		fmt.Fprintf(hf, "%q %q %s\n", text, shape, obs.Fingerprint(shape))
 		ok, err := op.snap.Ask(ctx, text)
 		if ref, rerr := (specOracle{op}).Ask(text); err != nil || rerr != nil || ok || ref {

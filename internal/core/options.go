@@ -7,11 +7,9 @@ import (
 )
 
 // Opts collects the per-query options of the Prepare/Execute API. The zero
-// value means: the database's default method, no depth budget, no tuple
-// limit, no trace.
+// value means: the graph walk, no depth budget, no tuple limit, no trace.
 type Opts struct {
-	// Method selects the ground-membership decision procedure
-	// (MethodAuto defers to the database's configured default).
+	// Method selects the ground-membership decision procedure.
 	Method Method
 	// Depth caps the term depth of answer enumeration (0 = unlimited). It
 	// is consumed by enumerating callers (registry, server) via BuildOpts;
@@ -29,9 +27,9 @@ type Opts struct {
 // Option is a functional option for Ask, Answers and Plan execution.
 type Option func(*Opts)
 
-// WithMethod forces the ground-membership decision procedure for one query,
-// overriding the database default (the graph walk vs congruence closure
-// against R — the paper's two equivalent specifications).
+// WithMethod selects the ground-membership decision procedure for one query:
+// the graph walk (the default) or congruence closure against R — the
+// paper's two equivalent specifications.
 func WithMethod(m Method) Option { return func(o *Opts) { o.Method = m } }
 
 // WithDepth bounds the term depth of answer enumeration.

@@ -5,7 +5,7 @@
 // none of that work. Ground queries whose atoms are observable through the
 // flat DFA tables (specgraph.FlatDFA) execute as pure array walks — zero map
 // lookups, zero allocations. Plans are cached per snapshot, keyed on the
-// canonical query shape (canonical.QueryShape) so spelling variants share
+// canonical query shape (QueryShape) so spelling variants share
 // one compilation, with singleflight collapse of concurrent open misses.
 // Mutating the database publishes a fresh Snapshot, which starts with an
 // empty plan cache — version-bump invalidation needs no scans.
@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"funcdb/internal/ast"
-	"funcdb/internal/canonical"
 	"funcdb/internal/facts"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
@@ -277,7 +276,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 	// The bytes the new entry will retain.
 	cost, shape, fingerprint := entryOverhead+len(src), "", ""
 	if err == nil {
-		shape, fingerprint = canonical.ShapeAndFingerprint(q, ec.tab)
+		shape, fingerprint = shapeAndFingerprint(q, ec.tab)
 		cost += planBytes(shape, q)
 	}
 	if cost > planCacheBytes/8 {
@@ -344,11 +343,7 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 		}
 		return !spec.IsEmpty(), nil
 	}
-	m := op.Method
-	if m == MethodAuto {
-		m = p.snap.method
-	}
-	if m == MethodEquational {
+	if op.Method == MethodEquational {
 		ok, err := p.askEquational(ctx)
 		return ok, wrapCanceled(err)
 	}

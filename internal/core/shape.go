@@ -1,4 +1,4 @@
-package canonical
+package core
 
 import (
 	"slices"
@@ -19,13 +19,13 @@ import (
 // symbol or binding pattern do not. Plan caches key on the shape instead of
 // the exact text, so spelling variations collapse onto one compilation.
 func QueryShape(q *ast.Query, names *symbols.Table) string {
-	shape, _ := ShapeAndFingerprint(q, names)
+	shape, _ := shapeAndFingerprint(q, names)
 	return shape
 }
 
-// ShapeAndFingerprint is QueryShape with the shape's fingerprint
+// shapeAndFingerprint is QueryShape with the shape's fingerprint
 // (obs.Fingerprint of it), hashed as the shape is written.
-func ShapeAndFingerprint(q *ast.Query, names *symbols.Table) (shape, fingerprint string) {
+func shapeAndFingerprint(q *ast.Query, names *symbols.Table) (shape, fingerprint string) {
 	w := queryWriter{q: q, names: names, fn: symbols.NoFunc}
 	w.Grow(w.size() + fingerprintLen)
 	w.query()
@@ -35,7 +35,7 @@ func ShapeAndFingerprint(q *ast.Query, names *symbols.Table) (shape, fingerprint
 // fingerprintLen is the length of a fingerprint: 16 hex digits.
 const fingerprintLen = 16
 
-// ShapeWriter writes a shape front to back, atom by atom and, in a
+// shapeWriter writes a shape front to back, atom by atom and, in a
 // functional term, application by application innermost first, and hashes
 // it into its fingerprint as it goes. It is the one writer of the format:
 // QueryShape drives it over a parsed query, and a ground query lowered as it
@@ -45,7 +45,7 @@ const fingerprintLen = 16
 // whose term comes first: its base (`0` or a variable) and its applications,
 // `.f` or `.g[a,b]` for one with constants or variables, closed by `|`.
 // Atoms are separated by `;`, arguments by `,`.
-type ShapeWriter struct {
+type shapeWriter struct {
 	// The shape, then its fingerprint: Finish cuts both from the one string
 	// the builder holds, so a shape written into room made for it costs one
 	// allocation and no copy.
@@ -69,21 +69,21 @@ const (
 )
 
 // Grow makes room for k more bytes.
-func (w *ShapeWriter) Grow(k int) { w.b.Grow(k) }
+func (w *shapeWriter) Grow(k int) { w.b.Grow(k) }
 
-func (w *ShapeWriter) str(s string) { w.b.WriteString(s) }
+func (w *shapeWriter) str(s string) { w.b.WriteString(s) }
 
-func (w *ShapeWriter) byte(c byte) { w.b.WriteByte(c) }
+func (w *shapeWriter) byte(c byte) { w.b.WriteByte(c) }
 
 // fold hashes what has been written since the last fold.
-func (w *ShapeWriter) fold() {
+func (w *shapeWriter) fold() {
 	s := w.b.String()
 	w.h, w.hashed = w.h.AddString(s[w.hashed:]), len(s)
 }
 
 // Atom begins an atom of the predicate called name, with arity data
 // arguments; a functional atom's term comes next.
-func (w *ShapeWriter) Atom(name string, arity int, functional bool) {
+func (w *shapeWriter) Atom(name string, arity int, functional bool) {
 	if w.atoms == 0 {
 		w.h = obs.NewFingerprintHash()
 	} else {
@@ -103,20 +103,20 @@ func (w *ShapeWriter) Atom(name string, arity int, functional bool) {
 	}
 }
 
-func (w *ShapeWriter) int(i int) {
+func (w *shapeWriter) int(i int) {
 	var buf [20]byte
 	w.b.Write(strconv.AppendInt(buf[:0], int64(i), 10))
 }
 
 // Zero writes a ground term's base.
-func (w *ShapeWriter) Zero() {
+func (w *shapeWriter) Zero() {
 	w.byte('0')
 	w.state, w.args = shapeTerm, 0
 }
 
 // Var writes a variable — the i-th the query names, an answer variable or an
 // existential one — as a term's base or as an argument.
-func (w *ShapeWriter) Var(i int, answer bool) {
+func (w *shapeWriter) Var(i int, answer bool) {
 	mark := byte('_')
 	if answer {
 		mark = '$'
@@ -132,7 +132,7 @@ func (w *ShapeWriter) Var(i int, answer bool) {
 
 // App writes an application of the function symbol fn; its arguments, if
 // any, come next.
-func (w *ShapeWriter) App(fn string) {
+func (w *shapeWriter) App(fn string) {
 	w.fold()
 	w.closeApp()
 	w.app = w.b.Len()
@@ -144,25 +144,25 @@ func (w *ShapeWriter) App(fn string) {
 // LastApp returns the application written last as written so far — `.f`,
 // or `.g[a,b` while its bracket is open — which spells what it stands for:
 // its function symbol and its constants.
-func (w *ShapeWriter) LastApp() string { return w.b.String()[w.app:] }
+func (w *shapeWriter) LastApp() string { return w.b.String()[w.app:] }
 
 // Const writes a constant argument.
-func (w *ShapeWriter) Const(name string) {
+func (w *shapeWriter) Const(name string) {
 	w.sep()
 	w.str(name)
 }
 
 // EndTerm closes a functional atom's term.
-func (w *ShapeWriter) EndTerm() {
+func (w *shapeWriter) EndTerm() {
 	w.closeApp()
 	w.byte('|')
 	w.state, w.args = shapeData, 0
 }
 
 // End closes the atom.
-func (w *ShapeWriter) End() { w.byte(')') }
+func (w *shapeWriter) End() { w.byte(')') }
 
-func (w *ShapeWriter) sep() {
+func (w *shapeWriter) sep() {
 	switch {
 	case w.args > 0:
 		w.byte(',')
@@ -172,7 +172,7 @@ func (w *ShapeWriter) sep() {
 	w.args++
 }
 
-func (w *ShapeWriter) closeApp() {
+func (w *shapeWriter) closeApp() {
 	if w.state == shapeTerm && w.args > 0 {
 		w.byte(']')
 	}
@@ -184,7 +184,7 @@ func (w *ShapeWriter) closeApp() {
 // quarter too much (more than the allocator's rounding up to a size class):
 // then they are copied out, so that what a plan keeps is about what the plan
 // cache charges it for.
-func (w *ShapeWriter) Finish() (shape, fingerprint string) {
+func (w *shapeWriter) Finish() (shape, fingerprint string) {
 	if w.atoms == 0 {
 		return "", ""
 	}
@@ -200,7 +200,7 @@ func (w *ShapeWriter) Finish() (shape, fingerprint string) {
 
 // queryWriter writes one parsed query's shape.
 type queryWriter struct {
-	ShapeWriter
+	shapeWriter
 	q     *ast.Query
 	names *symbols.Table
 	vars  []symbols.VarID // in order of first occurrence; a query has a handful

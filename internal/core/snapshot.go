@@ -40,7 +40,6 @@ type Snapshot struct {
 	w     *facts.World
 	spec  *specgraph.Frozen
 
-	method   Method
 	engOpts  engine.Options
 	specOpts specgraph.Options
 	temporal bool
@@ -101,7 +100,6 @@ func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 		u:        db.universe.Freeze(),
 		w:        db.world.Freeze(),
 		spec:     sp.FreezeQuotient(m.Quotient()),
-		method:   db.opts.Method,
 		engOpts:  db.opts.Engine,
 		specOpts: db.opts.Spec,
 		temporal: db.Prep.Temporal,

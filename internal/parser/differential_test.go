@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"funcdb/internal/ast"
-	"funcdb/internal/canonical"
 	"funcdb/internal/core"
 	"funcdb/internal/datagen"
 	"funcdb/internal/parser"
@@ -196,7 +195,7 @@ func TestQueriesMatchRecursiveReference(t *testing.T) {
 				t.Errorf("%s: AST differs from the reference construction", label)
 				continue
 			}
-			if g, r := canonical.QueryShape(got, dbGot.Tab()), canonical.QueryShape(ref, dbRef.Tab()); g != r {
+			if g, r := core.QueryShape(got, dbGot.Tab()), core.QueryShape(ref, dbRef.Tab()); g != r {
 				t.Errorf("%s: shape %.80q, reference %.80q", label, g, r)
 			}
 			ground := true

@@ -58,3 +58,10 @@ func UseReferenceBuilder() (restore func()) {
 	buildFTerm = (*builder).refFTerm
 	return func() { buildFTerm = (*builder).fterm }
 }
+
+// The sources and seeds the internal tests share with the external ones.
+var (
+	MeetingsSrc = meetingsSrc
+	ListsSrc    = listsSrc
+	DeepSeeds   = deepSeeds
+)

@@ -1,9 +1,11 @@
-// Remote mode: the same interactive shell shape as Run, but every command
-// is answered by a running fdbd daemon over its JSON API instead of an
-// in-process database.
+// Package repl is the client side of fdbd: the remote shell behind fdbq -i,
+// which answers every command through a running daemon's JSON API, the
+// failover client under it, and the watch client. (fdbc's shell over an
+// in-process database lives with fdbc.)
 package repl
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -294,8 +296,16 @@ func (c *RemoteClient) InfoContext(ctx context.Context) (map[string]any, error) 
 	return resp, nil
 }
 
+// newScanner builds the shell's line scanner: 1MB lines, so a large pasted
+// fact block still fits.
+func newScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	return sc
+}
+
 // RunRemote reads commands from r and answers them through the daemon
-// until EOF or quit — the remote twin of Run.
+// until EOF or quit.
 func RunRemote(c *RemoteClient, r io.Reader, w io.Writer) error {
 	return RunRemoteContext(context.Background(), c, r, w)
 }

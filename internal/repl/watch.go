@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"time"
 
 	"funcdb/internal/api"
@@ -187,7 +186,7 @@ func (s *watchSession) handle(f watch.Frame) (reconnect bool, terminal error) {
 			f.Type = watch.FrameResync
 			s.on(f)
 		default:
-			add, del := diffTuples(s.state, set)
+			add, del := watch.Diff(s.state, set)
 			s.state = set
 			if len(add)+len(del) > 0 {
 				s.on(watch.Frame{Type: watch.FrameDelta, DB: f.DB,
@@ -222,20 +221,4 @@ func (s *watchSession) handle(f watch.Frame) (reconnect bool, terminal error) {
 		return true, nil
 	}
 	return false, nil // unknown frame type: tolerate protocol growth
-}
-
-func diffTuples(old, cur map[string]watch.Tuple) (add, del []watch.Tuple) {
-	for k, t := range cur {
-		if _, ok := old[k]; !ok {
-			add = append(add, t)
-		}
-	}
-	for k, t := range old {
-		if _, ok := cur[k]; !ok {
-			del = append(del, t)
-		}
-	}
-	sort.Slice(add, func(i, j int) bool { return add[i].Key() < add[j].Key() })
-	sort.Slice(del, func(i, j int) bool { return del[i].Key() < del[j].Key() })
-	return add, del
 }

@@ -18,14 +18,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
-	"time"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"funcdb/internal/api"
 )
 
 // field binds one member of a request object to the variable it decodes
@@ -50,14 +49,16 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// decode reads the request body, at most MaxBodyBytes of it, and decodes
-// the JSON object it holds into fields. A body that declares or turns out to
-// have more bytes is 413 body_too_large; anything else wrong with it is 400
-// bad_request, except running out of time, which is the request's deadline.
+// decode reads the request body, at most MaxBodyBytes of it and under the
+// request's deadline (api.ReadBody), and decodes the JSON object it holds
+// into fields. A body that declares or turns out to have more bytes is 413
+// body_too_large; anything else wrong with it is 400 bad_request, except
+// running out of time, which is the request's deadline.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, fields []field) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	body, err := s.readBody(w, r, (*bp)[:0])
+	deadline, _ := r.Context().Deadline()
+	body, err := api.ReadBody(w, r, (*bp)[:0], s.cfg.MaxBodyBytes, deadline)
 	*bp = body
 	if err != nil {
 		return err
@@ -66,67 +67,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, fields []field) 
 		return errf(http.StatusBadRequest, "invalid request body: %v", err)
 	}
 	return nil
-}
-
-// readBody reads the whole body into buf. A declared Content-Length sizes
-// the buffer exactly and is refused before reading when it is over the
-// limit; a chunked body grows the buffer until the limit. While it reads, a
-// request that has a deadline holds the connection to it, so a client that
-// stalls mid-body cannot keep the handler past the deadline.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
-	max, declared := s.cfg.MaxBodyBytes, r.ContentLength
-	if declared > max {
-		return buf, bodyTooLarge(max)
-	}
-	if declared > int64(cap(buf)) {
-		buf = make([]byte, 0, declared)
-	}
-	// http.ResponseController would wrap a refusal in a fresh error per
-	// request; a writer this is mounted on either has the method or not.
-	conn, _ := w.(interface{ SetReadDeadline(time.Time) error })
-	deadline, bounded := r.Context().Deadline()
-	bounded = bounded && conn != nil && conn.SetReadDeadline(deadline) == nil
-	for declared < 0 || int64(len(buf)) < declared {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		window := buf[len(buf):cap(buf)]
-		if rest := declared - int64(len(buf)); declared >= 0 && int64(len(window)) > rest {
-			window = window[:rest]
-		}
-		n, err := r.Body.Read(window)
-		buf = buf[:len(buf)+n]
-		if int64(len(buf)) > max {
-			return buf, bodyTooLarge(max)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// The read deadline stays in force on a failed read: net/http
-			// drains what is left of a body before it replies, and must not
-			// wait for a stalled client either.
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return buf, fmt.Errorf("read request body: %w", err) // classify: 504
-			}
-			return buf, errf(http.StatusBadRequest, "read request body: %v", err)
-		}
-	}
-	if int64(len(buf)) < declared {
-		return buf, errf(http.StatusBadRequest, "read request body: %v", io.ErrUnexpectedEOF)
-	}
-	if bounded {
-		// The body is in: lift the deadline. net/http keeps reading the
-		// connection to notice a client that went away, and a read deadline
-		// firing there would cancel the request's context as "canceled" at
-		// the instant its own deadline says "deadline exceeded".
-		conn.SetReadDeadline(time.Time{})
-	}
-	return buf, nil
-}
-
-func bodyTooLarge(max int64) error {
-	return errf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", max)
 }
 
 // decodeObject decodes the JSON object in data into fields. A top-level

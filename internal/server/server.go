@@ -10,14 +10,15 @@
 //
 // Every request but a stream has one deadline, Config.Timeout, and it rides
 // the request's context from the mux down to Algorithm Q. The body is read
-// once, by one reader (readBody, decode.go), which holds the connection to
-// the deadline and refuses more than MaxBodyBytes with 413. Evaluation polls
-// the deadline, and so does the compile that the first read after an upload
-// or facts pays for: Solve every 256 cells, Algorithm Q at every depth wave
-// (by Theorem 4.2 its cluster count can be exponential). A write checks it
-// at its commit point in the registry, so a write either commits and is
-// answered 2xx, however late, or is refused and never published. Past the
-// deadline, wherever the time went, the answer is 504 deadline_exceeded.
+// once, by the one reader both daemons share (api.ReadBody), which holds the
+// connection to the deadline and refuses more than MaxBodyBytes with 413.
+// Evaluation polls the deadline, and so does the compile that the first read
+// after an upload or facts pays for: Solve every 256 cells, Algorithm Q at
+// every depth wave (by Theorem 4.2 its cluster count can be exponential). A
+// write checks it at its commit point in the registry, so a write either
+// commits and is answered 2xx, however late, or is refused and never
+// published. Past the deadline, wherever the time went, the answer is 504
+// deadline_exceeded.
 // Streams (watch, replication) and the readiness probe have no deadline.
 package server
 
@@ -664,7 +665,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 	}
 	// The upload is retained (journaled, replicated), so it gets a buffer of
 	// its own rather than a pooled one.
-	raw, err := s.readBody(w, r, nil)
+	deadline, _ := r.Context().Deadline()
+	raw, err := api.ReadBody(w, r, nil, s.cfg.MaxBodyBytes, deadline)
 	if err != nil {
 		return err
 	}

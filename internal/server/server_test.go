@@ -18,6 +18,7 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/registry"
 	"funcdb/internal/specio"
+	"funcdb/internal/temporal"
 )
 
 const evenSrc = `
@@ -357,7 +358,11 @@ func TestInfoLasso(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lasso, err := db.Temporal()
+	spec, err := db.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lasso, err := temporal.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ type proxiedStream struct {
 
 // Options configures a Router. The zero value works.
 type Options struct {
-	// ShardTimeout bounds each scatter-gather leg (default 5s).
+	// ShardTimeout bounds each scatter-gather leg and the read of a request
+	// body (default 5s).
 	ShardTimeout time.Duration
 	// Logger for request warnings; default slog.Default().
 	Logger *slog.Logger
@@ -323,7 +324,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) error {
 		return api.Errorf(http.StatusConflict, "resharding",
 			"database %q is being resharded; retry shortly", db).WithRetryAfter(retryAfter)
 	}
-	body, err := rt.readBody(r, in)
+	body, err := rt.replayable(w, r, in)
 	if err != nil {
 		return err
 	}
@@ -354,7 +355,7 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	body, err := rt.readBody(r, in)
+	body, err := rt.replayable(w, r, in)
 	if err != nil {
 		return err
 	}
@@ -394,7 +395,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	body, err := rt.readBody(r, in)
+	body, err := rt.replayable(w, r, in)
 	if err != nil {
 		return err
 	}
@@ -445,38 +446,18 @@ func (rt *Router) cutMovedStreams(old, new *Map) {
 	}
 }
 
-// readBody buffers the request body so the request can be replayed against
-// another endpoint on failover: into a buffer of exactly Content-Length bytes
-// when the client declared one, refusing an over-limit declaration unread.
-// The buffer is not pooled: the transport may still be reading it after a
-// failed attempt returns. The body is also where a client asks for a trace,
-// which is noted on in.
-func (rt *Router) readBody(r *http.Request, in *api.Info) ([]byte, error) {
-	if r.Body == nil || r.ContentLength == 0 {
-		return nil, nil
-	}
-	tooLarge := func() ([]byte, error) {
-		return nil, api.Errorf(http.StatusRequestEntityTooLarge, "body_too_large",
-			"request body exceeds %d bytes", maxProxyBody)
-	}
-	var body []byte
-	var err error
-	if n := r.ContentLength; n > maxProxyBody {
-		return tooLarge()
-	} else if n > 0 {
-		body = make([]byte, n)
-		_, err = io.ReadFull(r.Body, body)
-	} else {
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	}
-	if err != nil {
-		return nil, api.Errorf(http.StatusBadRequest, "bad_request", "read body: %v", err)
-	}
-	if len(body) > maxProxyBody {
-		return tooLarge()
-	}
-	in.Keep = wantsTrace(body)
-	return body, nil
+// replayable reads the request body so the request can be replayed against
+// another endpoint on failover, with the one body reader both daemons share:
+// into a buffer of exactly Content-Length bytes when the client declared one,
+// refusing an over-limit declaration unread, and under the shard timeout, so
+// a client that stalls mid-body is answered 504 and cut off. The buffer is
+// not pooled: the transport may still be reading it after a failed attempt
+// returns. The body is also where a client asks for a trace, which is noted
+// on in.
+func (rt *Router) replayable(w http.ResponseWriter, r *http.Request, in *api.Info) ([]byte, error) {
+	body, err := api.ReadBody(w, r, nil, maxProxyBody, in.Start.Add(rt.timeout))
+	in.Keep = err == nil && wantsTrace(body)
+	return body, err
 }
 
 // group returns the router's state for the named group, creating it on
@@ -678,7 +659,7 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	body, err := rt.readBody(r, api.InfoFrom(r.Context()))
+	body, err := rt.replayable(w, r, api.InfoFrom(r.Context()))
 	if err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ package watch
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -78,6 +79,33 @@ type Tuple struct {
 // bytes cannot appear in rendered terms or constant names).
 func (t Tuple) Key() string {
 	return t.Term + "\x00" + strings.Join(t.Args, "\x01")
+}
+
+// Diff returns the tuples of cur missing from old and those of old missing
+// from cur, each sorted by key: the delta between two rendered answer sets
+// keyed by Tuple.Key. The hub sends it; a watch client recomputes it against
+// its own state when a resumed stream opens with a full set.
+func Diff(old, cur map[string]Tuple) (add, del []Tuple) {
+	return sorted(cur, old), sorted(old, cur)
+}
+
+// sorted returns the tuples of set whose keys except lacks, sorted by key.
+func sorted(set, except map[string]Tuple) []Tuple {
+	var keys []string
+	for k := range set {
+		if _, ok := except[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	sort.Strings(keys)
+	out := make([]Tuple, len(keys))
+	for i, k := range keys {
+		out[i] = set[k]
+	}
+	return out
 }
 
 // String renders the tuple the way fdbq prints answers.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -485,7 +484,7 @@ func (dw *dbWatch) initStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 		DB:        dw.name,
 		Version:   e.Version,
 		LSN:       lsn,
-		Add:       sortTuples(set),
+		Add:       sorted(set, nil),
 		Truncated: truncated,
 	}
 	dw.mu.Lock()
@@ -517,7 +516,7 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 		st.lastKnown = false
 	case !st.Uniform || truncated || !st.lastKnown:
 		f.Type = FrameResync
-		f.Add = sortTuples(set)
+		f.Add = sorted(set, nil)
 		f.Truncated = truncated
 		switch {
 		case !st.Uniform:
@@ -531,7 +530,7 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 		st.lastKnown = !truncated
 	default:
 		f.Type = FrameDelta
-		f.Add, f.Del = diffSets(st.last, set)
+		f.Add, f.Del = Diff(st.last, set)
 		st.last = set
 		st.lastKnown = true
 	}
@@ -611,38 +610,4 @@ func (h *Hub) observeDelta(d time.Duration) {
 	if h.delta != nil {
 		h.delta.Observe(d.Seconds())
 	}
-}
-
-func sortTuples(set map[string]Tuple) []Tuple {
-	if len(set) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Tuple, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, set[k])
-	}
-	return out
-}
-
-// diffSets computes the sorted added/removed tuples between two rendered
-// answer sets.
-func diffSets(old, cur map[string]Tuple) (add, del []Tuple) {
-	addM := make(map[string]Tuple)
-	delM := make(map[string]Tuple)
-	for k, t := range cur {
-		if _, ok := old[k]; !ok {
-			addM[k] = t
-		}
-	}
-	for k, t := range old {
-		if _, ok := cur[k]; !ok {
-			delM[k] = t
-		}
-	}
-	return sortTuples(addM), sortTuples(delM)
 }
