@@ -244,7 +244,7 @@ func TestConcurrentGetPut(t *testing.T) {
 						return
 					}
 					q := fmt.Sprintf("?- Even(%d).", i)
-					if yes, err := e.Ask(context.Background(), q, core.WithMethod(core.Method(i%2))); err != nil || yes != (i%2 == 0) {
+					if yes, err := e.Ask(context.Background(), q, core.WithMethod(core.Method(i/2%2))); err != nil || yes != (i%2 == 0) {
 						t.Errorf("%s: Ask(%s) = %v, %v", name, q, yes, err)
 						return
 					}

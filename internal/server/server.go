@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -368,11 +367,12 @@ func classify(err error) *api.Error {
 			WithRetryAfter(max(1, int(shed.RetryAfter/time.Second)))
 	case errors.Is(err, registry.ErrUnknownDatabase):
 		return refuse(http.StatusNotFound, "not_found")
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		// One answer for a request that ran out of time, wherever it was
 		// spent: in evaluation or the compile (wrapped in core.ErrCanceled),
-		// waiting for admission (bare), waiting for the rest of its body (the
-		// read deadline), or before a write's commit point.
+		// waiting for admission (bare), or before a write's commit point. A
+		// body cut off at its read deadline is already answered by
+		// api.ReadBody.
 		return refuse(http.StatusGatewayTimeout, "deadline_exceeded")
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled):
 		return refuse(api.StatusClientClosedRequest, "canceled")

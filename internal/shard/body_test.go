@@ -18,9 +18,9 @@ import (
 
 // TestRouterStalledBodyIsCutOff: a client that declares a body and stalls
 // partway through it is answered 504 deadline_exceeded once the shard
-// timeout has passed — on a proxied read, a proxied write and the router's
-// own cross-db batch — and nothing is left running once the router is
-// closed. The shard is never reached, so it need not exist.
+// timeout has passed — on a proxied read, a proxied write, the router's
+// own cross-db batch and a shard-map install — and nothing is left running
+// once the router is closed. The shard is never reached, so it need not exist.
 func TestRouterStalledBodyIsCutOff(t *testing.T) {
 	const timeout, slack = 300 * time.Millisecond, time.Second
 	baseline := runtime.NumGoroutine()
@@ -31,14 +31,20 @@ func TestRouterStalledBodyIsCutOff(t *testing.T) {
 		defer rt.Close()
 		rts := httptest.NewServer(rt)
 		defer rts.Close()
-		for _, path := range []string{"/v1/db/alpha/ask", "/v1/db/alpha/facts", "/v1/batch"} {
+		for _, row := range []struct{ method, path string }{
+			{"POST", "/v1/db/alpha/ask"},
+			{"POST", "/v1/db/alpha/facts"},
+			{"POST", "/v1/batch"},
+			{"PUT", "/v1/shardmap"},
+		} {
+			path := row.path
 			conn, err := net.Dial("tcp", rts.Listener.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			start := time.Now()
 			// 9 of the 100 bytes declared.
-			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: router\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"query\":", path)
+			fmt.Fprintf(conn, "%s %s HTTP/1.1\r\nHost: router\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"query\":", row.method, path)
 			conn.SetReadDeadline(start.Add(timeout + slack))
 			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 			took := time.Since(start)

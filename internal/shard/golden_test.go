@@ -157,18 +157,21 @@ func TestRouterOriginGolden(t *testing.T) {
 
 	// A declared body over the proxy limit is refused before it is read, so
 	// the request is written by hand: headers only.
-	conn, err := net.Dial("tcp", strings.TrimPrefix(withMap.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /v1/db/alpha/ask HTTP/1.1\r\nHost: router\r\nContent-Length: %d\r\n\r\n", maxProxyBody+1)
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	if want := env("body_too_large", "request body exceeds 16777216 bytes"); resp.StatusCode != 413 || string(raw) != want {
-		t.Errorf("oversized body: %d %q\nwant 413 %q", resp.StatusCode, raw, want)
+	for _, line := range []string{"POST /v1/db/alpha/ask", "PUT /v1/shardmap"} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(withMap.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "%s HTTP/1.1\r\nHost: router\r\nContent-Length: %d\r\n\r\n", line, maxProxyBody+1)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			conn.Close()
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		if want := env("body_too_large", "request body exceeds 16777216 bytes"); resp.StatusCode != 413 || string(raw) != want {
+			t.Errorf("%s: oversized body: %d %q\nwant 413 %q", line, resp.StatusCode, raw, want)
+		}
 	}
 }

@@ -245,9 +245,9 @@ func (rt *Router) handleMapGet(w http.ResponseWriter, r *http.Request) error {
 // database, drains it here, and only then trusts the source WAL tail to be
 // final.
 func (rt *Router) handleMapPut(w http.ResponseWriter, r *http.Request) error {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	raw, err := api.ReadBody(w, r, nil, maxProxyBody, api.InfoFrom(r.Context()).Start.Add(rt.timeout))
 	if err != nil {
-		return api.Errorf(http.StatusBadRequest, "bad_request", "read body: %v", err)
+		return err
 	}
 	m, err := DecodeMap(raw)
 	if err != nil {
