@@ -80,9 +80,13 @@ race-shard:
 # The admission-control storm under the race detector: a 2-group cluster
 # behind a router, three well-behaved tenants and one abusive one; the abuser
 # must be shed, the others' p99 must hold, and no goroutine may outlive the
-# cluster.
+# cluster. And the admission controller's own tests: it is the only source of
+# work budgets (its limits hold the daemon's -max-qsteps,
+# -max-derivation-depth and -max-arena-bytes), handed to every read and every
+# watch evaluation concurrently.
 race-storm:
 	$(GO) test -race -count=1 -run 'TestStormShedsAbuser' ./internal/shard/
+	$(GO) test -race -count=1 ./internal/admission/
 
 # The tracing stack alone under the race detector: the recorder ring and
 # traceparent codec, the server's always-on instrumentation and stats table,

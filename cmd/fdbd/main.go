@@ -49,10 +49,13 @@
 //	                 evaluation slots, bounded waiting room and longest
 //	                 queue wait; arrivals beyond them are shed with
 //	                 429 rate_limited / 503 overloaded + Retry-After
-//	-max-qsteps / -max-arena-bytes
-//	                 default per-query work budgets (Algorithm Q steps,
-//	                 metered answer-arena bytes), the compile a first read
-//	                 pays included; over budget: 422 budget_exceeded
+//	-max-qsteps / -max-derivation-depth / -max-arena-bytes
+//	                 default per-query work budget of every read (Algorithm
+//	                 Q steps, derivation depth, metered answer-arena
+//	                 bytes), the compile a first read pays included; over
+//	                 it: 422 depth_budget_exceeded for the depth,
+//	                 budget_exceeded for the rest. Like any admission flag,
+//	                 each turns admission on at its defaults
 //	-trace-buffer    flight-recorder capacity in entries (0: default 1024;
 //	                 negative disables the recorder and always-on tracing)
 //	-trace-sample    keep 1 in N unremarkable requests in the recorder
@@ -123,7 +126,7 @@ func run(args []string, out io.Writer) error {
 	logLevel := fs.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "structured-log encoding: text or json")
 	slowQuery := fs.Duration("slow-query", 0, "log queries evaluated slower than this (0 disables)")
-	maxDerivation := fs.Int("max-derivation-depth", 0, "largest derivation depth one query may explore (0: unlimited)")
+	maxDerivation := fs.Int64("max-derivation-depth", 0, "largest derivation depth one query may explore (0: unlimited)")
 	debugAddr := fs.String("debug-addr", "", "optional listener for /debug/pprof/* (empty disables)")
 	admConfig := fs.String("admission-config", "", "per-tenant admission policy file (JSON), hot-reloaded; empty disables per-tenant limits")
 	admRate := fs.Float64("admission-rate", 0, "default token refill rate (cost units/s) for tenants absent from the policy file (0: unlimited)")
@@ -166,7 +169,7 @@ func run(args []string, out io.Writer) error {
 	dc := daemonConfig{
 		server: server.Config{CacheSize: *cacheSize, Timeout: *timeout, MaxBodyBytes: *maxBody,
 			MaxBatchQueries: *batchMax, BatchWorkers: *batchWorkers,
-			Logger: logger, SlowQuery: *slowQuery, MaxDerivationDepth: *maxDerivation,
+			Logger: logger, SlowQuery: *slowQuery,
 			TraceBuffer: *traceBuffer, TraceSample: *traceSample, StatsTopK: *statsTopK},
 		store:       store.Options{Dir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapEvery},
 		preload:     *preload,
@@ -178,14 +181,14 @@ func run(args []string, out io.Writer) error {
 	// the policy file (hot-reloaded) refines per-tenant limits on top of the
 	// flag-set defaults.
 	if *admConfig != "" || *admRate > 0 || *admBurst > 0 || *admConc > 0 || *admQueue > 0 ||
-		*maxQSteps > 0 || *maxArena > 0 {
+		*maxQSteps > 0 || *maxDerivation > 0 || *maxArena > 0 {
 		dc.admission = &admission.Options{
 			Concurrency:  *admConc,
 			QueueDepth:   *admQueue,
 			QueueTimeout: *admWait,
 			Config: admission.Config{Default: admission.Limits{
 				Rate: *admRate, Burst: *admBurst,
-				MaxQSteps: *maxQSteps, MaxArenaBytes: *maxArena,
+				MaxQSteps: *maxQSteps, MaxDepth: *maxDerivation, MaxArenaBytes: *maxArena,
 			}},
 		}
 		dc.admissionPath = *admConfig
@@ -234,11 +237,7 @@ func serve(ctx context.Context, ln net.Listener, dc daemonConfig, out io.Writer)
 	// (on a replica) the replication loop, so request traces and stream
 	// episodes land in the same rings.
 	if cfg.Recorder == nil && cfg.TraceBuffer >= 0 {
-		slow := cfg.SlowQuery
-		if slow <= 0 {
-			slow = obs.DefaultSlowTrace
-		}
-		cfg.Recorder = obs.NewRecorder(cfg.TraceBuffer, slow, cfg.TraceSample)
+		cfg.Recorder = obs.NewRecorder(cfg.TraceBuffer, cfg.SlowQuery, cfg.TraceSample)
 	}
 	var st *store.Store
 	var rep *replica.Replica

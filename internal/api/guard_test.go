@@ -28,7 +28,10 @@ import (
 //   - a second deadline or a second body reader: http.TimeoutHandler, which
 //     answered past its deadline while the handler ran on, and
 //     http.MaxBytesReader. A request's context carries its one deadline,
-//     and both daemons read every body through one reader (ReadBody).
+//     and both daemons read every body through one reader (ReadBody);
+//   - a second place attaching a work budget: obs.WithBudget is called by
+//     Server.instrument, which puts the tenant's budget on every read, and
+//     by the watch hub's evaluation, which gives each one a fresh budget.
 //
 // Nested modules (bench/) are their own business.
 func TestOneKit(t *testing.T) {
@@ -100,6 +103,12 @@ var (
 		"TimeoutHandler": "the request's context carries its deadline (api.Pipeline.Wrap)",
 		"MaxBytesReader": "read the body with api.ReadBody",
 	}
+	// budgetAttachers are the functions that may call obs.WithBudget, named
+	// package.Receiver.Func.
+	budgetAttachers = map[string]bool{
+		"server.Server.instrument": true,
+		"watch.dbWatch.evalSet":    true,
+	}
 )
 
 func kitViolations(f *ast.File) []violation {
@@ -148,7 +157,42 @@ func kitViolations(f *ast.File) []violation {
 		}
 		return true
 	})
+	for _, d := range f.Decls {
+		where := f.Name.Name
+		if name := declName(d); name != "" {
+			where += "." + name
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "WithBudget" || budgetAttachers[where] {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "obs" {
+				out = append(out, violation{n.Pos(), "calls obs.WithBudget in " + where + "; Server.instrument attaches a read's budget, the watch hub an evaluation's"})
+			}
+			return true
+		})
+	}
 	return out
+}
+
+// declName names a declaration Receiver.Func, Func, or "" outside functions.
+func declName(d ast.Decl) string {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok {
+		return ""
+	}
+	if fd.Recv == nil {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
 }
 
 func stringOrErrorBody(t ast.Expr) bool {
@@ -206,6 +250,12 @@ func f(r *http.Request, base string) {
 	_ = http.TimeoutHandler(nil, 0, "")
 	_ = http.MaxBytesReader(nil, r.Body, 1)
 }
+
+func (s *Server) traceContext(r *http.Request) context.Context {
+	return obs.WithBudget(r.Context(), s.adm.Budget(""))
+}
+
+var detached = obs.WithBudget(context.Background(), nil)
 `
 	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
 	if err != nil {
@@ -222,8 +272,28 @@ func f(r *http.Request, base string) {
 		"builds an http.Client", "builds an http.Client",
 		`spells "x-api-key" as a literal`, `spells "Retry-After" as a literal`, `spells "/readyz" as a literal`,
 		"uses http.TimeoutHandler", "uses http.MaxBytesReader",
+		"calls obs.WithBudget in p.Server.traceContext", "calls obs.WithBudget in p",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("violations:\n%q\nwant\n%q", got, want)
+	}
+
+	// The two attachers are left alone, each in its own package only.
+	for _, tc := range []struct {
+		pkg, decl string
+		want      int
+	}{
+		{"server", "func (s *Server) instrument()", 0},
+		{"watch", "func (dw *dbWatch) evalSet()", 0},
+		{"watch", "func (s *Server) instrument()", 1},
+	} {
+		src := "package " + tc.pkg + "\n" + tc.decl + " { _ = obs.WithBudget(nil, nil) }\n"
+		f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(kitViolations(f)); got != tc.want {
+			t.Errorf("%q: %d violations, want %d", src, got, tc.want)
+		}
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // Opts collects the per-query options of the Prepare/Execute API. The zero
-// value means: the graph walk, no depth budget, no tuple limit, no trace.
+// value means: the graph walk, no enumeration depth, no tuple limit, no trace.
 type Opts struct {
 	// Method selects the ground-membership decision procedure.
 	Method Method
 	// Depth caps the term depth of answer enumeration (0 = unlimited). It
 	// is consumed by enumerating callers (registry, server) via BuildOpts;
-	// the derivation-depth budget of evaluation is a separate concern,
-	// attached to ctx with obs.WithDepthBudget.
+	// the derivation-depth limit of evaluation is a separate concern, the
+	// MaxDepth of the obs.Budget that ctx carries.
 	Depth int
 	// Limit caps the number of tuples an enumerating caller renders
 	// (0 = no cap). The core evaluator itself builds the full finite

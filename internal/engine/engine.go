@@ -47,10 +47,6 @@ type Options struct {
 	// of distinct states, which is finite but can be exponential in the
 	// database size (Theorem 4.2).
 	MaxCells int
-	// MaxRounds aborts a Solve call after this many global iteration rounds
-	// (0 = none). The engine keeps what the rounds derived, and the next call
-	// starts a fresh count.
-	MaxRounds int
 	// DisableDirtySkip evaluates every anchor and every cell in every round
 	// instead of only those whose inputs have grown since their last
 	// evaluation. Only tests (as the differential oracle) and the ablation
@@ -715,7 +711,7 @@ func (e *Engine) run(ctx context.Context) error {
 		}
 		return ctx.Err()
 	}
-	for rounds := 1; ; rounds++ {
+	for {
 		if err := expired(); err != nil {
 			return err
 		}
@@ -746,9 +742,6 @@ func (e *Engine) run(ctx context.Context) error {
 		if !changed {
 			e.solved = true
 			return nil
-		}
-		if e.opts.MaxRounds > 0 && rounds >= e.opts.MaxRounds {
-			return fmt.Errorf("engine: no fixpoint after %d rounds", rounds)
 		}
 	}
 }

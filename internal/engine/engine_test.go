@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
-	"funcdb/internal/datagen"
 	"funcdb/internal/facts"
 	"funcdb/internal/fixpoint"
 	"funcdb/internal/parser"
@@ -20,7 +18,7 @@ func build(t *testing.T, src string) *Engine {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	e, err := New(prep, term.NewUniverse(), facts.NewWorld(), Options{MaxCells: 100000, MaxRounds: 100000})
+	e, err := New(prep, term.NewUniverse(), facts.NewWorld(), Options{MaxCells: 100000})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -325,54 +323,6 @@ func TestMaxCellsGuard(t *testing.T) {
 	}
 	if err := e.Solve(); err == nil {
 		t.Fatalf("MaxCells guard did not trip")
-	}
-}
-
-func TestMaxRoundsGuard(t *testing.T) {
-	prog := parser.MustParse(meetingsSrc).Program
-	prep, err := rewrite.Prepare(prog)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	e, err := New(prep, term.NewUniverse(), facts.NewWorld(), Options{MaxRounds: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := e.Solve(); err == nil {
-		t.Fatalf("MaxRounds guard did not trip")
-	}
-}
-
-// TestMaxRoundsIsPerSolve: the budget is each Solve call's own. An engine
-// allowed one round more than its cold solve took goes on taking base facts,
-// every one of which moves every day's state, without ever running out.
-func TestMaxRoundsIsPerSolve(t *testing.T) {
-	prep, err := rewrite.Prepare(parser.MustParse(datagen.CalendarSrc(16)).Program)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	e, err := New(prep, term.NewUniverse(), facts.NewWorld(), Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := e.Solve(); err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	e.opts.MaxRounds = e.Stats().Rounds + 1
-	tab := prep.Program.Tab
-	meets, _ := tab.LookupPred("Meets", 1, true)
-	for k := 1; k < 12; k++ {
-		c, ok := tab.LookupConst(fmt.Sprintf("s%d", k))
-		if !ok {
-			t.Fatalf("no constant s%d", k)
-		}
-		e.AddGroundFact(meets, term.Zero, []symbols.ConstID{c})
-		if err := e.Solve(); err != nil {
-			t.Fatalf("Solve after fact %d, %d rounds in all, budget %d a call: %v", k, e.Stats().Rounds, e.opts.MaxRounds, err)
-		}
-	}
-	if got := e.Stats().Rounds; got <= e.opts.MaxRounds {
-		t.Errorf("%d rounds in all: the facts never passed the budget of %d cumulatively, so the test shows nothing", got, e.opts.MaxRounds)
 	}
 }
 

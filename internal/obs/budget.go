@@ -11,49 +11,6 @@ import (
 // the engine layers (specgraph, query) can enforce them without new
 // plumbing through every call signature.
 
-type depthBudgetKey struct{}
-
-// WithDepthBudget attaches a maximum derivation depth to ctx. Algorithm Q's
-// breadth-first construction aborts with a DepthBudgetError as soon as a
-// wave would exceed it — bounding worst-case work on a hostile or
-// runaway query instead of relying on the wall-clock deadline alone.
-// max <= 0 means unlimited.
-func WithDepthBudget(ctx context.Context, max int) context.Context {
-	if max <= 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, depthBudgetKey{}, max)
-}
-
-// DepthBudget returns the derivation-depth budget carried by ctx, or 0 when
-// unlimited.
-func DepthBudget(ctx context.Context) int {
-	if ctx == nil {
-		// Engines built outside any request run with a nil context.
-		return 0
-	}
-	if v, ok := ctx.Value(depthBudgetKey{}).(int); ok {
-		return v
-	}
-	return 0
-}
-
-// DepthBudgetError reports that evaluation needed to derive terms deeper
-// than the query's budget allows. It is a client-classifiable condition
-// (the query is too deep for this server's policy), not a server fault.
-type DepthBudgetError struct {
-	// Max is the budget that was exceeded.
-	Max int
-}
-
-func (e *DepthBudgetError) Error() string {
-	return fmt.Sprintf("derivation depth budget of %d exceeded", e.Max)
-}
-
-// Is lets errors.Is(err, ErrBudgetExceeded) match the depth budget too, so
-// callers can treat every exhausted work budget uniformly.
-func (e *DepthBudgetError) Is(target error) bool { return target == ErrBudgetExceeded }
-
 // ErrBudgetExceeded is the sentinel every exhausted work budget matches via
 // errors.Is — the admission layer's typed "this query did too much work"
 // condition, distinct from rate limiting (which rejects before any work).
@@ -87,7 +44,9 @@ type Budget struct {
 	// MaxQSteps bounds Algorithm Q exploration steps (terms examined by
 	// the Potential/Active breadth-first search).
 	MaxQSteps int64
-	// MaxDepth bounds the derivation depth any wave may reach.
+	// MaxDepth bounds the derivation depth a query's own waves may reach:
+	// Algorithm Q checks it beyond the database's shared compile only, on
+	// the enlarged program of a non-uniform query.
 	MaxDepth int64
 	// MaxBytes bounds the metered answer-arena footprint: an estimate of
 	// the bytes the query forces the evaluator to materialize

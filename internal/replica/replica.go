@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"funcdb/internal/api"
-	"funcdb/internal/core"
 	"funcdb/internal/obs"
 	"funcdb/internal/registry"
 	"funcdb/internal/store"
@@ -39,9 +38,6 @@ type Options struct {
 	// apply loop itself (the background trigger is disabled so snapshots
 	// never interleave with a half-applied record).
 	Store store.Options
-	// Core configures compilation of replicated programs; must match the
-	// primary's settings for answers to agree.
-	Core core.Options
 	// ReadyMaxLag is the largest record lag at which Ready still reports
 	// success; zero means DefaultReadyMaxLag.
 	ReadyMaxLag uint64

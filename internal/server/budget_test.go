@@ -21,14 +21,22 @@ Next(p4, p5). Next(p5, p6). Next(p6, p7). Next(p7, p0).
 Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 `
 
+// depthLimit is the admission a daemon started with -max-derivation-depth n
+// runs: every tenant's work budget carries the depth limit n.
+func depthLimit(n int64) Config {
+	return Config{Admission: admission.New(admission.Options{
+		Config: admission.Config{Default: admission.Limits{MaxDepth: n}},
+	})}
+}
+
 // TestDepthBudget: a query whose evaluation must rebuild the spec graph to
-// a depth beyond Config.MaxDerivationDepth fails fast with 422 and the
+// a depth beyond the work budget's depth limit fails fast with 422 and the
 // machine code depth_budget_exceeded; the same query under a generous
 // budget succeeds. The query is non-uniform (an application above the
 // functional variable), so /answers recomputes the graph per request — the
 // path the budget protects.
 func TestDepthBudget(t *testing.T) {
-	_, reg, ts := newTestServer(t, Config{MaxDerivationDepth: 2})
+	_, reg, ts := newTestServer(t, depthLimit(2))
 	if _, err := reg.PutProgram("meetings", []byte(cycleSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +50,7 @@ func TestDepthBudget(t *testing.T) {
 		t.Fatalf("tight budget error: %v", body)
 	}
 
-	_, reg2, ts2 := newTestServer(t, Config{MaxDerivationDepth: 64})
+	_, reg2, ts2 := newTestServer(t, depthLimit(64))
 	if _, err := reg2.PutProgram("meetings", []byte(cycleSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func TestDepthBudget(t *testing.T) {
 // whose budget is shallower than cycleSrc's eight waves still answers a
 // ground ask and a uniform query, first read or not.
 func TestDepthBudgetSparesTheSharedCompile(t *testing.T) {
-	_, reg, ts := newTestServer(t, Config{MaxDerivationDepth: 2})
+	_, reg, ts := newTestServer(t, depthLimit(2))
 	if _, err := reg.PutProgram("meetings", []byte(cycleSrc)); err != nil {
 		t.Fatal(err)
 	}

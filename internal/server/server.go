@@ -54,9 +54,6 @@ type Config struct {
 	// MaxBodyBytes bounds uploaded documents and query bodies; zero means
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxDepth caps the depth accepted by /answers; zero means
-	// DefaultMaxDepth.
-	MaxDepth int
 	// MaxTuples caps enumeration when the request sends no limit (or a
 	// larger one); zero means DefaultMaxTuples.
 	MaxTuples int
@@ -102,18 +99,16 @@ type Config struct {
 	// least this long at warn level, with the database, query text and
 	// trace ID. Zero disables the slow-query log.
 	SlowQuery time.Duration
-	// MaxDerivationDepth, when positive, bounds the derivation depth a query
-	// may force Algorithm Q to explore beyond the database's own compile (the
-	// enlarged program of a non-uniform query): a deeper wave fails fast with
-	// 422 depth_budget_exceeded. Zero means unlimited.
-	MaxDerivationDepth int
 	// Admission, when set, gates the query endpoints through the
 	// multi-tenant admission controller: the tenant (X-Api-Key header) is
 	// charged the endpoint's cost class against its token bucket, the
 	// request waits in the bounded admission queue for an evaluation slot,
-	// and evaluation runs under the tenant's per-query work budget. Sheds
-	// render as 429 rate_limited / 503 overloaded with Retry-After; budget
-	// kills as 422 budget_exceeded.
+	// and every read runs under the tenant's per-query work budget, the
+	// compile it may pay for included. Its limits are the only work bounds
+	// besides the deadline. Sheds render as 429 rate_limited / 503
+	// overloaded with Retry-After; budget kills as 422
+	// depth_budget_exceeded (derivation depth) or budget_exceeded (the
+	// rest).
 	Admission *admission.Controller
 	// Recorder, when set, is the always-on flight recorder: every request
 	// runs under a span trace (adopting an incoming traceparent header) and
@@ -133,9 +128,6 @@ type Config struct {
 	// cardinality of the funcdbd_query_* metric series) per process; zero
 	// means DefaultStatsTopK.
 	StatsTopK int
-	// Program names this binary in the funcdbd_build_info gauge; zero
-	// means "fdbd".
-	Program string
 }
 
 // endpointCost is the admission cost class charged per request. Weights
@@ -158,12 +150,14 @@ var endpointCost = map[string]int{
 	"batch":   8,
 }
 
+// MaxDepth caps the enumeration depth /answers and watch accept.
+const MaxDepth = 64
+
 // Defaults for Config's zero values.
 const (
 	DefaultCacheSize       = 1024
 	DefaultTimeout         = 10 * time.Second
 	DefaultMaxBodyBytes    = 4 << 20
-	DefaultMaxDepth        = 64
 	DefaultMaxTuples       = 10_000
 	DefaultMaxBatchQueries = 256
 	DefaultBatchWorkers    = 4
@@ -180,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = DefaultMaxDepth
 	}
 	if c.MaxTuples == 0 {
 		c.MaxTuples = DefaultMaxTuples
@@ -236,20 +227,12 @@ func New(reg *registry.Registry, cfg Config) *Server {
 	s.cache = newAnswerCache(s.cfg.CacheSize)
 	s.rec = s.cfg.Recorder
 	if s.rec == nil && s.cfg.TraceBuffer >= 0 {
-		slow := s.cfg.SlowQuery
-		if slow <= 0 {
-			slow = obs.DefaultSlowTrace
-		}
-		s.rec = obs.NewRecorder(s.cfg.TraceBuffer, slow, s.cfg.TraceSample)
+		s.rec = obs.NewRecorder(s.cfg.TraceBuffer, s.cfg.SlowQuery, s.cfg.TraceSample)
 	}
 	s.rec.Instrument(s.met.reg, "funcdbd_")
 	s.pipe = &api.Pipeline{Recorder: s.rec, Log: s.log}
 	s.stats = newQueryStats(s.met.reg, s.cfg.StatsTopK)
-	program := s.cfg.Program
-	if program == "" {
-		program = "fdbd"
-	}
-	obs.RegisterBuildInfo(s.met.reg, program, "")
+	obs.RegisterBuildInfo(s.met.reg, "fdbd", "")
 
 	// Point-in-time gauges and scrape-time sources, all rendered by the one
 	// obs.Registry: catalog size, cache occupancy, the durability store's
@@ -355,6 +338,7 @@ func classify(err error) *api.Error {
 	var ae *api.Error
 	var pe *parser.ParseError
 	var shed *admission.ShedError
+	var be *obs.BudgetError
 	switch {
 	case errors.As(err, &ae):
 		return ae
@@ -384,11 +368,13 @@ func classify(err error) *api.Error {
 		// A well-formed query a specification document cannot answer:
 		// Theorem 5.1 covers uniform queries only.
 		return refuse(http.StatusUnprocessableEntity, "needs_rules")
-	case errors.As(err, new(*obs.DepthBudgetError)):
-		return refuse(http.StatusUnprocessableEntity, "depth_budget_exceeded")
-	case errors.Is(err, obs.ErrBudgetExceeded):
-		// Any other exhausted per-query work budget (Algorithm Q steps,
-		// tenant depth, arena bytes): the query died by policy, not the node.
+	case errors.As(err, &be):
+		// An exhausted per-query work budget: the query died by policy, not
+		// the node. One code per resource: the derivation depth has its own,
+		// Algorithm Q steps and arena bytes share the other.
+		if be.Resource == "derivation_depth" {
+			return refuse(http.StatusUnprocessableEntity, "depth_budget_exceeded")
+		}
 		return refuse(http.StatusUnprocessableEntity, "budget_exceeded")
 	}
 	return api.AsError(err)
@@ -437,6 +423,7 @@ func setQuery(in *api.Info, p *prepared) {
 func (s *Server) instrument(endpoint string, timeout time.Duration, h api.Handler) http.Handler {
 	em := s.met.endpoint(endpoint)
 	cost, gated := endpointCost[endpoint]
+	write := endpoint == "put" || endpoint == "facts" || endpoint == "delete"
 	return s.pipe.Wrap(endpoint, timeout, func(w http.ResponseWriter, r *http.Request) error {
 		in := api.InfoFrom(r.Context())
 		var err error
@@ -451,6 +438,14 @@ func (s *Server) instrument(endpoint string, timeout time.Duration, h api.Handle
 				release, err = adm.Admit(r.Context(), in.Tenant, cost)
 				if release != nil {
 					defer release()
+				}
+			}
+			// The one place a request gets its work budget: every read
+			// runs under it, the compile a first read pays for included.
+			// Writes run without one.
+			if err == nil && !write {
+				if b := adm.Budget(in.Tenant); b != nil {
+					r = r.WithContext(obs.WithBudget(r.Context(), b))
 				}
 			}
 		}
@@ -833,20 +828,15 @@ func writeAsk(w http.ResponseWriter, resp askResponse) {
 	putBuf(bp)
 }
 
-// traceContext prepares the evaluation context for one query request: the
-// configured derivation-depth budget always rides along, the tenant's
-// per-query work budget is attached when admission is enabled. With the
-// flight recorder on, instrument already attached an always-on trace, which
-// is returned when the request opted in ("trace":true); with the recorder
-// off, an opt-in request gets a fresh trace. Requests that did not opt in
-// get a nil trace back (whose Report is nil, so the response's trace block
-// is simply omitted) even though spans may still record into the ambient
-// always-on trace for the recorder's benefit.
+// traceContext prepares the evaluation context for one query request. With
+// the flight recorder on, instrument already attached an always-on trace,
+// which is returned when the request opted in ("trace":true); with the
+// recorder off, an opt-in request gets a fresh trace. Requests that did not
+// opt in get a nil trace back (whose Report is nil, so the response's trace
+// block is simply omitted) even though spans may still record into the
+// ambient always-on trace for the recorder's benefit.
 func (s *Server) traceContext(r *http.Request, want bool) (context.Context, *obs.Trace) {
-	ctx := obs.WithDepthBudget(r.Context(), s.cfg.MaxDerivationDepth)
-	if adm := s.cfg.Admission; adm != nil {
-		ctx = obs.WithBudget(ctx, adm.Budget(api.Tenant(r)))
-	}
+	ctx := r.Context()
 	if !want {
 		return ctx, nil
 	}
@@ -898,8 +888,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(req.Query) == "" {
 		return errf(http.StatusBadRequest, "missing query")
 	}
-	if req.Depth < 0 || req.Depth > s.cfg.MaxDepth {
-		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, s.cfg.MaxDepth)
+	if req.Depth < 0 || req.Depth > MaxDepth {
+		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, MaxDepth)
 	}
 	if req.Limit < 0 {
 		return errf(http.StatusBadRequest, "negative limit")

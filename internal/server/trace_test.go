@@ -99,7 +99,7 @@ func TestTraceparentAdoption(t *testing.T) {
 // anyone having asked for a trace; the list filters by outcome and the get
 // endpoint returns the full span tree.
 func TestDebugTraces(t *testing.T) {
-	_, reg, ts := newTestServer(t, Config{MaxDerivationDepth: 2})
+	_, reg, ts := newTestServer(t, depthLimit(2))
 	if _, err := reg.PutProgram("meetings", []byte(cycleSrc)); err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(req.Query) == "" {
 		return errf(http.StatusBadRequest, "missing query")
 	}
-	if req.Depth < 0 || req.Depth > s.cfg.MaxDepth {
-		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, s.cfg.MaxDepth)
+	if req.Depth < 0 || req.Depth > MaxDepth {
+		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, MaxDepth)
 	}
 	if req.Limit < 0 {
 		return errf(http.StatusBadRequest, "negative limit")
@@ -54,7 +54,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 			"this node has applied lsn %d, behind requested %d; retry or use another endpoint",
 			hub.LSN(), req.FromLSN).WithRetryAfter(1)
 	}
-	sub, err := hub.SubscribeTenant(name, req.Query, req.Depth, limit, api.Tenant(r))
+	sub, err := hub.Subscribe(r.Context(), name, req.Query, req.Depth, limit, api.Tenant(r))
 	if err != nil {
 		if errors.Is(err, watch.ErrTenantStreams) {
 			// The tenant's own cap, not node capacity: render it like any

@@ -89,9 +89,6 @@ type Options struct {
 	// TraceSample keeps one in N unremarkable proxied requests in the
 	// flight recorder; zero means obs.DefaultTraceSample.
 	TraceSample int
-	// SlowTrace marks proxied requests at least this slow for retention;
-	// zero means obs.DefaultSlowTrace.
-	SlowTrace time.Duration
 }
 
 const (
@@ -157,7 +154,7 @@ func NewRouter(src *Source, opts Options) *Router {
 	rt.met.GaugeFunc("fdbrouter_shardmap_version",
 		"Version of the live shard map.", func() float64 { return float64(src.Version()) })
 	if opts.TraceBuffer >= 0 {
-		rt.rec = obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.TraceSample)
+		rt.rec = obs.NewRecorder(opts.TraceBuffer, obs.DefaultSlowTrace, opts.TraceSample)
 		rt.rec.Instrument(rt.met, "fdbrouter_")
 	}
 	obs.RegisterBuildInfo(rt.met, "fdbrouter", "")

@@ -67,8 +67,8 @@ type Spec struct {
 
 // Build runs Algorithm Q against a solved engine, under the engine's context
 // (Engine.SetContext): it stops with the context's error within 256 terms
-// once that expires, and charges the work budgets the context carries, its
-// depth budgets included. It is one Run of a fresh Builder.
+// once that expires, and charges the work budget the context carries, its
+// depth limit included. It is one Run of a fresh Builder.
 func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 	b := NewBuilder(eng, opts)
 	b.depthBound = true
@@ -80,7 +80,7 @@ func Build(eng *engine.Engine, opts Options) (*Spec, error) {
 // keeps every term it finished examining, and the next Run goes on from the
 // first one it had not, under its own context; the graph the last Run
 // returns is the one an uninterrupted Build returns. A Builder does not look
-// at depth budgets: a depth budget is a high-water mark, not a charge, so the
+// at the budget's depth limit: a depth limit is a high-water mark, not a charge, so the
 // wave one Run stopped at would stop every later Run too.
 type Builder struct {
 	eng        *engine.Engine
@@ -151,13 +151,9 @@ func (b *Builder) Run() (*Spec, error) {
 		}
 		if d != curDepth {
 			if b.depthBound && potential {
-				if budget := obs.DepthBudget(ctx); budget > 0 && d > budget {
-					// The wave about to start is deeper than the query's
-					// budget: stop before deriving any of it, so the cost of a
-					// rejected query is bounded by the budget, not by the
-					// rejection.
-					return nil, &obs.DepthBudgetError{Max: budget}
-				}
+				// A wave deeper than the query's budget stops before deriving
+				// any of it, so the cost of a rejected query is bounded by the
+				// budget, not by the rejection.
 				if err := wb.CheckDepth(int64(d)); err != nil {
 					return nil, err
 				}

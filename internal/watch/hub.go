@@ -34,8 +34,11 @@ const (
 	DefaultQueueLen        = 64
 	DefaultMaxStreams      = 256
 	DefaultMaxStreamsPerDB = 128
-	DefaultDeltaTimeout    = 2 * time.Second
 )
+
+// DeltaTimeout bounds one stream's evaluation per version bump; an
+// evaluation that exceeds it degrades to a resync frame.
+const DeltaTimeout = 2 * time.Second
 
 // Options configures a Hub.
 type Options struct {
@@ -53,9 +56,6 @@ type Options struct {
 	MaxStreams int
 	// MaxStreamsPerDB caps active streams per database.
 	MaxStreamsPerDB int
-	// DeltaTimeout bounds one stream's evaluation per version bump; an
-	// evaluation that exceeds it degrades to a resync frame.
-	DeltaTimeout time.Duration
 	// TenantCap, when set, returns the cap on concurrent streams held by
 	// one tenant (0 = uncapped). Daemons wire the admission controller's
 	// WatchCap here so the per-tenant policy file governs watches too.
@@ -63,7 +63,8 @@ type Options struct {
 	// Budget, when set, returns a fresh work budget for one evaluation of a
 	// tenant's stream (nil = unlimited). Daemons wire the admission
 	// controller's Budget, so a stream's evaluations are bounded like the
-	// tenant's answers requests; one that runs out degrades to a resync.
+	// tenant's answers requests, derivation depth included; one that runs
+	// out degrades to a resync.
 	Budget func(tenant string) *obs.Budget
 }
 
@@ -105,9 +106,6 @@ func NewHub(opts Options) *Hub {
 	}
 	if opts.MaxStreamsPerDB <= 0 {
 		opts.MaxStreamsPerDB = DefaultMaxStreamsPerDB
-	}
-	if opts.DeltaTimeout <= 0 {
-		opts.DeltaTimeout = DefaultDeltaTimeout
 	}
 	h := &Hub{opts: opts, dbs: make(map[string]*dbWatch), perTenant: make(map[string]int)}
 	h.ctx, h.cancel = context.WithCancel(context.Background())
@@ -174,14 +172,6 @@ func (h *Hub) Notify(name string, version uint64) {
 	dw.kickNow()
 }
 
-// Subscribe registers a live query against database db. The query is
-// parsed (and classified uniform/non-uniform) up front; evaluation errors
-// surface on the stream's first frame instead. The returned stream's first
-// frame is an init carrying the full bounded answer set.
-func (h *Hub) Subscribe(db, src string, depth, limit int) (*Stream, error) {
-	return h.SubscribeTenant(db, src, depth, limit, "")
-}
-
 // acquireTenant counts one stream against tenant's cap; it returns
 // ErrTenantStreams when the cap is already reached. Anonymous streams
 // (empty tenant) are never capped per-tenant — the global and per-database
@@ -222,17 +212,26 @@ func (h *Hub) TenantStreams(tenant string) int {
 	return h.perTenant[tenant]
 }
 
-// SubscribeTenant is Subscribe with the stream attributed to a tenant, so
-// the per-tenant cap (Options.TenantCap) applies on top of the global and
-// per-database caps.
-func (h *Hub) SubscribeTenant(db, src string, depth, limit int, tenant string) (*Stream, error) {
+// Subscribe registers a live query against database db for tenant (""
+// is anonymous; a named tenant's streams count against Options.TenantCap on
+// top of the global and per-database caps). The compile a fresh entry
+// needs runs here, under ctx — the subscribing request's, so its work
+// budget bounds it and it stops when the subscriber leaves, or when the hub
+// closes — and the query is parsed (and classified uniform/non-uniform) up
+// front; evaluation errors surface on the stream's first frame instead. The
+// returned stream's first frame is an init carrying the full bounded answer
+// set.
+func (h *Hub) Subscribe(ctx context.Context, db, src string, depth, limit int, tenant string) (*Stream, error) {
 	e, ok := h.opts.Reg.Get(db)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", registry.ErrNotFound, db)
 	}
-	snap, err := e.Snapshot(h.ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(h.ctx, cancel)()
+	snap, err := e.Snapshot(ctx)
 	if h.ctx.Err() != nil {
-		return nil, ErrClosed // the compile, if one was needed, ran under h.ctx
+		return nil, ErrClosed
 	}
 	if err != nil {
 		return nil, err
@@ -547,7 +546,7 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 // evalSet evaluates the stream's query against the pinned snapshot and
 // renders the bounded answer set, under the hub's per-tick time budget.
 func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]Tuple, bool, error) {
-	ctx, cancel := context.WithTimeout(dw.hub.ctx, dw.hub.opts.DeltaTimeout)
+	ctx, cancel := context.WithTimeout(dw.hub.ctx, DeltaTimeout)
 	defer cancel()
 	if dw.hub.opts.Budget != nil {
 		ctx = obs.WithBudget(ctx, dw.hub.opts.Budget(st.tenant))

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func wantArgs(t *testing.T, tuples []Tuple, want ...string) {
 func TestUniformQueryDeltas(t *testing.T) {
 	reg, h := newHub(t, Options{})
 	mustPut(t, reg, "seen", "Seen(a).")
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 0)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -114,7 +115,7 @@ func TestUniformQueryDeltas(t *testing.T) {
 func TestNonUniformQueryResyncs(t *testing.T) {
 	reg, h := newHub(t, Options{})
 	mustPut(t, reg, "even", "Even(0).\nEven(T) -> Even(T+2).\nSeen(a).")
-	st, err := h.Subscribe("even", "?- Even(T+2).", 8, 0)
+	st, err := h.Subscribe(context.Background(), "even", "?- Even(T+2).", 8, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestNonUniformQueryResyncs(t *testing.T) {
 func TestTruncatedEnumerationResyncs(t *testing.T) {
 	reg, h := newHub(t, Options{})
 	mustPut(t, reg, "seen", "Seen(a).\nSeen(b).\nSeen(c).")
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 2)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 2, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestTruncatedEnumerationResyncs(t *testing.T) {
 func TestDatabaseRemovalClosesStreams(t *testing.T) {
 	reg, h := newHub(t, Options{})
 	mustPut(t, reg, "seen", "Seen(a).")
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 0)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -192,11 +193,11 @@ func TestStreamCaps(t *testing.T) {
 	reg, h := newHub(t, Options{MaxStreams: 2, MaxStreamsPerDB: 2})
 	mustPut(t, reg, "seen", "Seen(a).")
 	for i := 0; i < 2; i++ {
-		if _, err := h.Subscribe("seen", "?- Seen(X).", 0, 0); err != nil {
+		if _, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, ""); err != nil {
 			t.Fatalf("Subscribe %d: %v", i, err)
 		}
 	}
-	if _, err := h.Subscribe("seen", "?- Seen(X).", 0, 0); !errors.Is(err, ErrTooManyStreams) {
+	if _, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, ""); !errors.Is(err, ErrTooManyStreams) {
 		t.Fatalf("third Subscribe err = %v, want ErrTooManyStreams", err)
 	}
 	if got := h.Streams(); got != 2 {
@@ -206,11 +207,11 @@ func TestStreamCaps(t *testing.T) {
 
 func TestSubscribeErrors(t *testing.T) {
 	reg, h := newHub(t, Options{})
-	if _, err := h.Subscribe("nope", "?- Seen(X).", 0, 0); !errors.Is(err, registry.ErrNotFound) {
+	if _, err := h.Subscribe(context.Background(), "nope", "?- Seen(X).", 0, 0, ""); !errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("unknown db err = %v, want ErrNotFound", err)
 	}
 	mustPut(t, reg, "seen", "Seen(a).")
-	if _, err := h.Subscribe("seen", "?- Seen(", 0, 0); err == nil {
+	if _, err := h.Subscribe(context.Background(), "seen", "?- Seen(", 0, 0, ""); err == nil {
 		t.Fatal("Subscribe accepted an unparsable query")
 	}
 }
@@ -223,7 +224,7 @@ func TestSubscribeAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Close()
-	if _, err := h.Subscribe("seen", "?- Seen(X).", 0, 0); !errors.Is(err, ErrClosed) {
+	if _, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Subscribe after Close err = %v, want ErrClosed", err)
 	}
 }
@@ -231,7 +232,7 @@ func TestSubscribeAfterClose(t *testing.T) {
 func TestUnsubscribeStopsFrames(t *testing.T) {
 	reg, h := newHub(t, Options{})
 	mustPut(t, reg, "seen", "Seen(a).")
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 0)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -257,7 +258,7 @@ func TestUnsubscribeStopsFrames(t *testing.T) {
 func TestSlowConsumerDisconnect(t *testing.T) {
 	reg, h := newHub(t, Options{QueueLen: 1})
 	mustPut(t, reg, "seen", "Seen(c0).")
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 0)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -294,7 +295,7 @@ func TestHubCloseEndsStreams(t *testing.T) {
 	if _, err := reg.PutProgram("seen", []byte("Seen(a).")); err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.Subscribe("seen", "?- Seen(X).", 0, 0)
+	st, err := h.Subscribe(context.Background(), "seen", "?- Seen(X).", 0, 0, "")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -324,7 +325,7 @@ func TestStreamsShareOneAnswerSpecification(t *testing.T) {
 		if i%2 == 1 {
 			src = "?-  Even( U+2 )."
 		}
-		st, err := h.Subscribe("even", src, 8, 0)
+		st, err := h.Subscribe(context.Background(), "even", src, 8, 0, "")
 		if err != nil {
 			t.Fatalf("Subscribe: %v", err)
 		}
