@@ -212,15 +212,14 @@ func (h *Hub) TenantStreams(tenant string) int {
 	return h.perTenant[tenant]
 }
 
-// Subscribe registers a live query against database db for tenant (""
-// is anonymous; a named tenant's streams count against Options.TenantCap on
-// top of the global and per-database caps). The compile a fresh entry
-// needs runs here, under ctx — the subscribing request's, so its work
-// budget bounds it and it stops when the subscriber leaves, or when the hub
-// closes — and the query is parsed (and classified uniform/non-uniform) up
-// front; evaluation errors surface on the stream's first frame instead. The
-// returned stream's first frame is an init carrying the full bounded answer
-// set.
+// Subscribe registers a live query against database db for tenant ("" is
+// anonymous). A named tenant's streams count against Options.TenantCap on
+// top of the global and per-database caps. A fresh entry's compile runs
+// here, under ctx: the subscribing request's budget bounds it, and it stops
+// when the subscriber leaves or the hub closes. The query is parsed (and
+// classified uniform/non-uniform) up front; evaluation errors surface on
+// the stream's first frame instead. The returned stream's first frame is an
+// init carrying the full bounded answer set.
 func (h *Hub) Subscribe(ctx context.Context, db, src string, depth, limit int, tenant string) (*Stream, error) {
 	e, ok := h.opts.Reg.Get(db)
 	if !ok {
