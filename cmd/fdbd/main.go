@@ -55,7 +55,9 @@
 //	                 bytes), the compile a first read pays included; over
 //	                 it: 422 depth_budget_exceeded for the depth,
 //	                 budget_exceeded for the rest. Like any admission flag,
-//	                 each turns admission on at its defaults
+//	                 each turns admission on at its defaults. A policy file
+//	                 cannot drop them: a work limit a tenant's entry leaves
+//	                 zero is the flag's
 //	-trace-buffer    flight-recorder capacity in entries (0: default 1024;
 //	                 negative disables the recorder and always-on tracing)
 //	-trace-sample    keep 1 in N unremarkable requests in the recorder
@@ -179,7 +181,8 @@ func run(args []string, out io.Writer) error {
 	}
 	// Any admission or work-budget flag turns the admission front door on;
 	// the policy file (hot-reloaded) refines per-tenant limits on top of the
-	// flag-set defaults.
+	// flag-set defaults, and the controller keeps the flags' work limits
+	// for any tenant whose entry leaves them zero.
 	if *admConfig != "" || *admRate > 0 || *admBurst > 0 || *admConc > 0 || *admQueue > 0 ||
 		*maxQSteps > 0 || *maxDerivation > 0 || *maxArena > 0 {
 		dc.admission = &admission.Options{

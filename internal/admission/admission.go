@@ -85,7 +85,8 @@ type Options struct {
 	// before being shed with 503. 0 defaults to 1s.
 	QueueTimeout time.Duration
 	// Config is the initial tenant policy table (may be hot-swapped later
-	// via SetConfig or WatchFile).
+	// via SetConfig or WatchFile). Its Default work limits stay the base of
+	// every budget: a later table cannot drop them, only set a tenant's own.
 	Config Config
 	// Now is the clock, for tests. nil means time.Now.
 	Now func() time.Time
@@ -99,6 +100,9 @@ type Controller struct {
 	queueDepth   int64
 	queueTimeout time.Duration
 	waiting      atomic.Int64
+	// work holds the initial Default's work limits, which fill any zero
+	// work limit of the policy a budget is built from. Never changes.
+	work Limits
 
 	mu      sync.Mutex
 	cfg     Config
@@ -155,9 +159,11 @@ func New(opts Options) *Controller {
 		queueDepth:   int64(qd),
 		queueTimeout: qt,
 		cfg:          opts.Config,
-		tenants:      make(map[string]*tenantState),
-		waits:        make(map[string]*obs.Histogram),
-		stop:         make(chan struct{}),
+		work: Limits{MaxQSteps: opts.Config.Default.MaxQSteps, MaxDepth: opts.Config.Default.MaxDepth,
+			MaxArenaBytes: opts.Config.Default.MaxArenaBytes},
+		tenants: make(map[string]*tenantState),
+		waits:   make(map[string]*obs.Histogram),
+		stop:    make(chan struct{}),
 	}
 	if opts.Reg != nil {
 		c.Instrument(opts.Reg)
@@ -335,12 +341,23 @@ func (c *Controller) AdmitRate(tenant string, cost int) error {
 }
 
 // Budget builds a fresh per-query work budget for the tenant, or nil when
-// its policy sets no work limits. One Budget serves exactly one query.
+// neither its policy nor the initial Default sets a work limit. A work
+// limit the tenant's policy leaves zero is the initial Default's. One
+// Budget serves exactly one query.
 func (c *Controller) Budget(tenant string) *obs.Budget {
 	ts := c.tenant(tenant)
 	ts.mu.Lock()
 	lim := ts.lim
 	ts.mu.Unlock()
+	if lim.MaxQSteps <= 0 {
+		lim.MaxQSteps = c.work.MaxQSteps
+	}
+	if lim.MaxDepth <= 0 {
+		lim.MaxDepth = c.work.MaxDepth
+	}
+	if lim.MaxArenaBytes <= 0 {
+		lim.MaxArenaBytes = c.work.MaxArenaBytes
+	}
 	if lim.MaxQSteps <= 0 && lim.MaxDepth <= 0 && lim.MaxArenaBytes <= 0 {
 		return nil
 	}

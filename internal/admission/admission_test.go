@@ -254,6 +254,34 @@ func TestBudgetFromLimits(t *testing.T) {
 	}
 }
 
+// TestPolicyKeepsInitialWorkLimits: a policy swapped in later cannot drop
+// the work limits the controller started with. A tenant whose entry leaves
+// a work limit zero, and a tenant the policy does not name, get the initial
+// one; a limit the entry sets is its own.
+func TestPolicyKeepsInitialWorkLimits(t *testing.T) {
+	c := New(Options{Config: Config{Default: Limits{MaxQSteps: 100, MaxDepth: 2, MaxArenaBytes: 1 << 20}}})
+	c.SetConfig(Config{
+		Default: Limits{Rate: 10, Burst: 10},
+		Tenants: map[string]Limits{"named": {Rate: 10, Burst: 10, MaxQSteps: 1000}},
+	})
+	for _, tc := range []struct {
+		tenant               string
+		qsteps, depth, bytes int64
+	}{
+		{"named", 1000, 2, 1 << 20},
+		{"stranger", 100, 2, 1 << 20},
+		{"", 100, 2, 1 << 20},
+	} {
+		b := c.Budget(tc.tenant)
+		if b == nil || b.MaxQSteps != tc.qsteps || b.MaxDepth != tc.depth || b.MaxBytes != tc.bytes {
+			t.Errorf("Budget(%q) = %+v, want steps %d, depth %d, bytes %d", tc.tenant, b, tc.qsteps, tc.depth, tc.bytes)
+		}
+	}
+	if b := New(Options{}).Budget("anyone"); b != nil {
+		t.Errorf("no work limits anywhere: Budget = %+v, want nil", b)
+	}
+}
+
 func TestHotReloadConfigFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tenants.json")

@@ -10,8 +10,10 @@ import (
 
 // Limits is the admission policy for one tenant: how fast requests may
 // arrive, how many live watch streams it may hold, and how much work any
-// single query may do. Zero values inherit nothing — a zero limit is
-// unlimited — so the default block should set every field it cares about.
+// single query may do. A zero rate, burst or watch cap is unlimited; a zero
+// work limit (MaxQSteps, MaxDepth, MaxArenaBytes) is the Controller's
+// initial Default's, which fdbd's flags set, and unlimited only when that
+// is zero too.
 type Limits struct {
 	// Rate is the token refill rate in request-cost units per second.
 	Rate float64 `json:"rate"`
@@ -41,8 +43,8 @@ func (l Limits) rateLimited() bool { return l.Rate > 0 || l.Burst > 0 }
 //	}
 //
 // Tenants absent from the table get Default. An entirely zero Default means
-// unknown tenants are admitted without rate limiting (budgets from fdbd
-// flags still apply).
+// unknown tenants are admitted without rate limiting (the work limits of the
+// Controller's initial Default, which fdbd's flags set, still apply).
 type Config struct {
 	Default Limits            `json:"default"`
 	Tenants map[string]Limits `json:"tenants"`

@@ -123,9 +123,10 @@ func TestHopSlowRequestsKeepTheirContext(t *testing.T) {
 // leaves no goroutine behind.
 func TestHopShutdown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	hop := ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/slow" {
+			close(started)
 			<-release
 		}
 		io.WriteString(w, r.URL.Path)
@@ -144,6 +145,9 @@ func TestHopShutdown(t *testing.T) {
 		got, err := call(busy, "/slow")
 		slow <- fmt.Sprint(got, err)
 	}()
+	// Both connections are up and the slow frame is being served, so
+	// Shutdown cannot take its connection for an idle one.
+	<-started
 	for hop.active() < 2 {
 		time.Sleep(time.Millisecond)
 	}

@@ -150,8 +150,8 @@ var endpointCost = map[string]int{
 	"batch":   8,
 }
 
-// MaxDepth caps the enumeration depth /answers and watch accept.
-const MaxDepth = 64
+// maxDepth caps the enumeration depth /answers and watch accept.
+const maxDepth = 64
 
 // Defaults for Config's zero values.
 const (
@@ -888,8 +888,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(req.Query) == "" {
 		return errf(http.StatusBadRequest, "missing query")
 	}
-	if req.Depth < 0 || req.Depth > MaxDepth {
-		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, MaxDepth)
+	if req.Depth < 0 || req.Depth > maxDepth {
+		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, maxDepth)
 	}
 	if req.Limit < 0 {
 		return errf(http.StatusBadRequest, "negative limit")

@@ -38,8 +38,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	if strings.TrimSpace(req.Query) == "" {
 		return errf(http.StatusBadRequest, "missing query")
 	}
-	if req.Depth < 0 || req.Depth > MaxDepth {
-		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, MaxDepth)
+	if req.Depth < 0 || req.Depth > maxDepth {
+		return errf(http.StatusBadRequest, "depth %d out of range [0, %d]", req.Depth, maxDepth)
 	}
 	if req.Limit < 0 {
 		return errf(http.StatusBadRequest, "negative limit")

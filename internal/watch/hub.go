@@ -36,9 +36,9 @@ const (
 	DefaultMaxStreamsPerDB = 128
 )
 
-// DeltaTimeout bounds one stream's evaluation per version bump; an
+// deltaTimeout bounds one stream's evaluation per version bump; an
 // evaluation that exceeds it degrades to a resync frame.
-const DeltaTimeout = 2 * time.Second
+const deltaTimeout = 2 * time.Second
 
 // Options configures a Hub.
 type Options struct {
@@ -545,7 +545,7 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 // evalSet evaluates the stream's query against the pinned snapshot and
 // renders the bounded answer set, under the hub's per-tick time budget.
 func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]Tuple, bool, error) {
-	ctx, cancel := context.WithTimeout(dw.hub.ctx, DeltaTimeout)
+	ctx, cancel := context.WithTimeout(dw.hub.ctx, deltaTimeout)
 	defer cancel()
 	if dw.hub.opts.Budget != nil {
 		ctx = obs.WithBudget(ctx, dw.hub.opts.Budget(st.tenant))
