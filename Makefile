@@ -35,7 +35,9 @@ test:
 # a Freeze) and a republish that allocates the same after 250 facts as after
 # 10. And a pass over the plan-miss benchmark: query text to compiled plan,
 # by family and term depth. And one over the walk kernels: ns per symbol of
-# FlatDFA.Walk by family and depth.
+# FlatDFA.Walk by family and depth, with the gate that no kernel allocates
+# once warm (a ground plan walks once, when it is built, so no ask-path
+# allocation test reaches them).
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
@@ -43,7 +45,7 @@ test-bench:
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
-	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
+	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
 
 race:
 	$(GO) test -race ./...

@@ -138,9 +138,9 @@ func TestAnswerSpecBytes(t *testing.T) {
 	}
 	account := func() (n int) {
 		for _, s := range snaps {
-			s.plans.mu.RLock()
+			s.plans.mu.Lock()
 			n += s.plans.bytes
-			s.plans.mu.RUnlock()
+			s.plans.mu.Unlock()
 		}
 		return n
 	}

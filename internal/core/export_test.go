@@ -16,7 +16,8 @@ import (
 // with: the text parsed into an AST over a scratch overlay, its shape
 // written by QueryShape and hashed by obs.Fingerprint, and each
 // atom compiled from its FTerm, a mixed application through a memo keyed on
-// its symbols' ids. It returns the parse error of a malformed text and a nil
+// its symbols' ids, and the plan's verdict walked from the steps, as
+// readGround does. It returns the parse error of a malformed text and a nil
 // plan for an open query. The plan is not cached.
 func (s *Snapshot) treePlan(src string) (*Plan, error) {
 	ec := s.getEval()
@@ -32,11 +33,10 @@ func (s *Snapshot) treePlan(src string) (*Plan, error) {
 	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: true}
 	lw := treeLowering{fd: s.spec.Flat(), tab: ec.tab}
 	p.steps = make([]groundStep, len(q.Atoms))
-	p.flat = true
 	for i := range q.Atoms {
 		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
-		p.flat = p.flat && p.steps[i].kind != stepSlow
 	}
+	p.verdict = planVerdict(s, p.steps)
 	return p, nil
 }
 

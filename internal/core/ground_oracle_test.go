@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,8 +30,11 @@ import (
 // datagen families), and every backend that can decide a ground atom is
 // asked each one:
 //
-//   - the plan, as served: Snapshot.Prepare then Plan.Ask;
-//   - the plan under MethodEquational (congruence closure over R);
+//   - the plan, as served: Snapshot.Prepare then Plan.Ask, twice on an
+//     emptied plan cache — the miss that builds the plan with its verdict,
+//     then the text hit that returns it — which must agree;
+//   - the plan under MethodEquational (congruence closure over R), asked
+//     the same two ways;
 //   - the plan the tree lowering makes: the text parsed into an AST first,
 //     as a plan miss lowered ground text before the reader (treePlan);
 //   - the specification walked the old way: the query's mixed applications
@@ -587,16 +591,36 @@ type planOracle struct {
 	method Method
 }
 
+// Ask empties the snapshot's plan cache and answers text twice: the first
+// Prepare is a miss, which builds the plan, the second a text hit, which
+// must find that plan and answer as it did.
 func (o planOracle) Ask(text string) (bool, error) {
+	pc := &o.snap.plans
+	pc.mu.Lock()
+	pc.flush()
+	pc.mu.Unlock()
+	p, ok, err := o.ask(text)
+	hp, hok, herr := o.ask(text)
+	if hp != p {
+		return false, fmt.Errorf("oracle: the text hit found another plan than the miss built")
+	}
+	if miss, hit := (answer{ok, err}), (answer{hok, herr}); !sameAnswer(miss, hit) {
+		return false, fmt.Errorf("oracle: the miss answers %s, the text hit %s", miss, hit)
+	}
+	return ok, err
+}
+
+func (o planOracle) ask(text string) (*Plan, bool, error) {
 	ctx := context.Background()
 	p, err := o.snap.Prepare(ctx, text)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if !p.Ground() {
-		return false, fmt.Errorf("oracle: %q compiled to an open plan", text)
+		return p, false, fmt.Errorf("oracle: %q compiled to an open plan", text)
 	}
-	return p.Ask(ctx, WithMethod(o.method))
+	ok, err := p.Ask(ctx, WithMethod(o.method))
+	return p, ok, err
 }
 
 // treeOracle asks the plan the tree lowering makes (treePlan): the text
@@ -1053,7 +1077,7 @@ func TestGroundOracle(t *testing.T) {
 	}
 }
 
-// TestGroundOracleCatches re-plants three bugs this code could have and
+// TestGroundOracleCatches re-plants five bugs this code could have and
 // requires the default seed budget to find each, with its seed and a repro:
 //
 //   - the compile's mixed-application memo keyed on the function symbol
@@ -1065,7 +1089,11 @@ func TestGroundOracle(t *testing.T) {
 //     position converted back to an offset and then forward the buggy way.
 //     All backends share the parser, so only the respelling law can see it;
 //   - a loader that drops the document's last slice, the primary database B
-//     of its last representative (planted in front of LoadSpec).
+//     of its last representative (planted in front of LoadSpec);
+//   - a plan's verdict that decides a helper predicate's atom on the flat
+//     tables, whose minimised quotient does not keep helper facts (planted
+//     through planVerdict, as every built plan's verdict is);
+//   - a plan's verdict that ignores every atom after the first.
 func TestGroundOracleCatches(t *testing.T) {
 	t.Run("mixed memo keyed on the functor", func(t *testing.T) {
 		restore := mixedKey
@@ -1091,6 +1119,26 @@ func TestGroundOracleCatches(t *testing.T) {
 			return LoadSpec(&d)
 		}
 		defer func() { loadSpec = LoadSpec }()
+		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")
+	})
+	t.Run("a helper atom's verdict read on the flat tables", func(t *testing.T) {
+		restore := planVerdict
+		planVerdict = func(s *Snapshot, steps []groundStep) bool {
+			flat := slices.Clone(steps)
+			for i := range flat {
+				if flat[i].kind == stepSlow {
+					flat[i].kind = stepFlat
+				}
+			}
+			return restore(s, flat)
+		}
+		defer func() { planVerdict = restore }()
+		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")
+	})
+	t.Run("every atom after the first ignored", func(t *testing.T) {
+		restore := planVerdict
+		planVerdict = func(s *Snapshot, steps []groundStep) bool { return restore(s, steps[:min(len(steps), 1)]) }
+		defer func() { planVerdict = restore }()
 		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")
 	})
 }

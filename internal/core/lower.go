@@ -10,20 +10,28 @@ import (
 )
 
 // readGround lowers src as parser.ReadGround reads it, or returns nil when
-// the reader declines the text (an open query, or a malformed one).
+// the reader declines the text (an open query, or a malformed one). The plan
+// it returns carries its verdict: every step is walked before the plan can
+// be published.
 func (s *Snapshot) readGround(src string) *Plan {
-	g := &groundLowering{s: s, lw: appLowering{fd: s.spec.Flat(), tab: s.tab}, flat: true}
+	g, _ := s.lowerPool.Get().(*groundLowering)
+	if g == nil {
+		g = &groundLowering{s: s, lw: appLowering{fd: s.spec.Flat(), tab: s.tab}}
+	}
 	g.data, g.lw.name = g.dbuf[:0], g.nbuf[:0]
 	// A shape is about as long as its text less the spaces, but for
 	// numerals and +n sugar, which Atom and Succ make room for.
 	g.est = len(src) - strings.Count(src, " ") + shapeSlack
 	g.room = g.est
-	if !parser.ReadGround(s.tab, src, g) {
-		return nil
+	var p *Plan
+	if parser.ReadGround(s.tab, src, g) {
+		shape, fingerprint := g.shape.Finish()
+		p = &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
+			ground: true, verdict: planVerdict(s, g.steps), steps: g.steps}
 	}
-	shape, fingerprint := g.shape.Finish()
-	return &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
-		ground: true, flat: g.flat, steps: g.steps}
+	g.release()
+	s.lowerPool.Put(g)
+	return p
 }
 
 // groundLowering is the parser.GroundSink of a plan miss: it compiles each
@@ -38,7 +46,8 @@ func (s *Snapshot) readGround(src string) *Plan {
 //
 // The sink lives on the heap (the reader calls it through an interface), so
 // per application it stores into buffers and indices and never re-stores a
-// slice, which would cost a write barrier while the collector runs.
+// slice, which would cost a write barrier while the collector runs. The
+// snapshot pools its sinks: a released one holds nothing a plan retains.
 type groundLowering struct {
 	s     *Snapshot
 	lw    appLowering
@@ -46,7 +55,6 @@ type groundLowering struct {
 	est   int // the shape's length, as estimated from the text
 	room  int // what the next Atom makes room for: est before the first
 	steps []groundStep
-	flat  bool // every step is stepTrue/stepFalse/stepFlat
 
 	// The atom being read.
 	functional bool
@@ -60,10 +68,17 @@ type groundLowering struct {
 	nbuf [32]byte
 }
 
+// release returns the sink to its state before a read, so that it can go
+// back to the pool holding nothing the read's plan retains (its shape's
+// buffer, its steps and symbol strings) and no spelling of an earlier text.
+func (g *groundLowering) release() {
+	*g = groundLowering{s: g.s, lw: appLowering{fd: g.lw.fd, tab: g.lw.tab}}
+}
+
 func (g *groundLowering) Reset() {
 	g.shape = shapeWriter{}
 	g.room = g.est
-	g.steps, g.flat = g.steps[:0], true
+	g.steps = g.steps[:0]
 }
 
 // succLen is what one application of succ adds to a shape: ".succ".
@@ -160,9 +175,7 @@ func (g *groundLowering) Arg(name string, id symbols.ConstID) {
 
 func (g *groundLowering) End(pred symbols.PredID) {
 	g.shape.End()
-	st := g.step(pred)
-	g.steps = append(g.steps, st)
-	g.flat = g.flat && st.kind != stepSlow
+	g.steps = append(g.steps, g.step(pred))
 }
 
 // step compiles the atom just read.

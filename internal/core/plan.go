@@ -2,11 +2,13 @@
 // applied to the serving hot path. Prepare lowers a ground query to symbol
 // strings as it reads the text (lower.go), and parses an open one into a
 // tree, against one immutable Snapshot; executing the resulting Plan re-does
-// none of that work. Ground queries whose atoms are observable through the
-// flat DFA tables (specgraph.FlatDFA) execute as pure array walks — zero map
-// lookups, zero allocations. Plans are cached per snapshot, keyed on the
-// canonical query shape (QueryShape) so spelling variants share
-// one compilation, with singleflight collapse of concurrent open misses.
+// none of that work. A ground query's answer is a fixed function of the
+// snapshot, so its plan is built with it: the DFA walks (specgraph.FlatDFA
+// for original predicates, the representatives' table for helpers) run once,
+// when the text is lowered, and executing the plan reads one bool. Plans are
+// cached per snapshot, keyed on the exact text for a lock-free hit and on the
+// canonical query shape (QueryShape) so spelling variants share one
+// compilation, with singleflight collapse of concurrent open misses.
 // Mutating the database publishes a fresh Snapshot, which starts with an
 // empty plan cache — version-bump invalidation needs no scans.
 package core
@@ -70,16 +72,17 @@ type eqStep struct {
 // exactly as of its snapshot — after a mutation, Prepare against the new
 // snapshot compiles a fresh one.
 //
-// A ground plan keeps its text, shape, fingerprint and steps — per atom a
-// verdict, or a symbol string and an atom — and nothing else: no AST, no
-// symbol table. An open plan keeps its query and the table naming it.
+// A ground plan keeps its text, shape, fingerprint, verdict and steps — per
+// atom a verdict, or a symbol string and an atom, which the equational
+// method lowers — and nothing else: no AST, no symbol table. An open plan
+// keeps its query and the table naming it.
 type Plan struct {
 	snap        *Snapshot
 	src         string
 	shape       string
 	fingerprint string // obs.Fingerprint(shape), fixed at compile
 	ground      bool
-	flat        bool // every step is stepTrue/stepFalse/stepFlat
+	verdict     bool // a ground plan's answer by the graph method, fixed at compile
 	steps       []groundStep
 
 	// An open plan's query, and the symbol base of its answer
@@ -138,12 +141,33 @@ const (
 
 // planCache is the per-snapshot two-level plan cache: an exact-text map for
 // the zero-work hit path, and a canonical-shape map so different spellings
-// compile once.
+// compile once. The text map is a sync.Map, built for keys written once and
+// read many times, so a hit takes no lock and writes no shared word. mu
+// guards the rest — the shape map, the accounting, and the flush, which
+// swaps in an empty text map — and every store into the text map, so that a
+// flush cannot fall between a writer's admission and its store.
 type planCache struct {
-	mu     sync.RWMutex
-	texts  map[string]*planEntry
+	texts  atomic.Pointer[sync.Map] // text -> *planEntry; nil before the first insertion
+	mu     sync.Mutex
 	shapes map[string]*planEntry
+	ntexts int // entries stored in the current text map
 	bytes  int // retained by the entries of both maps, as estimated by their inserters
+}
+
+// text returns the entry cached for src, or nil.
+func (pc *planCache) text(src string) *planEntry {
+	if m := pc.texts.Load(); m != nil {
+		if v, ok := m.Load(src); ok {
+			return v.(*planEntry)
+		}
+	}
+	return nil
+}
+
+// store caches e for src. The caller holds mu and has admitted the entry.
+func (pc *planCache) store(src string, e *planEntry) {
+	pc.texts.Load().Store(src, e)
+	pc.ntexts++
 }
 
 // charge accounts for cost more bytes retained by a plan of the cache (its
@@ -164,12 +188,19 @@ func (pc *planCache) charge(cost int) bool {
 // cache if it would pass a bound — or making it, on the snapshot's first
 // insertion. The caller holds mu.
 func (pc *planCache) admit(cost int) {
-	if pc.texts == nil || len(pc.texts) >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
-		pc.texts = make(map[string]*planEntry)
-		pc.shapes = make(map[string]*planEntry)
-		pc.bytes = 0
+	if pc.shapes == nil || pc.ntexts >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
+		pc.flush()
 	}
 	pc.bytes += cost
+}
+
+// flush empties the cache: a reader that loaded the text map before the
+// swap may still find a plan there, which is as valid as it was. The caller
+// holds mu.
+func (pc *planCache) flush() {
+	pc.texts.Store(new(sync.Map))
+	pc.shapes = make(map[string]*planEntry)
+	pc.ntexts, pc.bytes = 0, 0
 }
 
 // What a compiled plan retains besides its text and shape: the Plan and
@@ -219,16 +250,12 @@ func groundQuery(q *ast.Query) bool {
 }
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
-// plan cache first: an exact-text hit costs one map lookup, a novel
-// spelling of a cached shape costs one read of the text (a parse, if it is
-// open), and concurrent misses on one open shape collapse into a single
-// compilation.
+// plan cache first: an exact-text hit costs one lock-free map lookup, a
+// novel spelling of a cached shape costs one read of the text (a parse, if
+// it is open), and concurrent misses on one open shape collapse into a
+// single compilation.
 func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
-	pc := &s.plans
-	pc.mu.RLock()
-	e := pc.texts[src]
-	pc.mu.RUnlock()
-	if e != nil {
+	if e := s.plans.text(src); e != nil {
 		e.pending.Wait() // wait out an in-flight compile
 		obs.EngineSink().AddPlanHits(1)
 		return e.plan, e.err
@@ -254,13 +281,15 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 			return p, nil // not worth flushing every other plan for
 		}
 		pc.mu.Lock()
-		pc.admit(cost)
-		e := pc.shapes[p.shape]
+		e := pc.text(src) // a concurrent miss on the same text stored it first
 		if e == nil {
-			e = &planEntry{plan: p}
-			pc.shapes[p.shape] = e
+			pc.admit(cost)
+			if e = pc.shapes[p.shape]; e == nil {
+				e = &planEntry{plan: p}
+				pc.shapes[p.shape] = e
+			}
+			pc.store(src, e)
 		}
-		pc.texts[src] = e
 		pc.mu.Unlock()
 		return e.plan, e.err
 	}
@@ -286,17 +315,18 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 		return s.compile(ctx, ec, src, shape, fingerprint, q), nil
 	}
 	pc.mu.Lock()
-	pc.admit(cost)
-	var e *planEntry
-	mine := false
-	if err != nil {
-		e = &planEntry{err: err} // nothing to compile
-	} else if e = pc.shapes[shape]; e == nil {
-		e, mine = &planEntry{}, true
-		e.pending.Add(1)
-		pc.shapes[shape] = e
+	e, mine := pc.text(src), false // a concurrent miss on the same text stored it first
+	if e == nil {
+		pc.admit(cost)
+		if err != nil {
+			e = &planEntry{err: err} // nothing to compile
+		} else if e = pc.shapes[shape]; e == nil {
+			e, mine = &planEntry{}, true
+			e.pending.Add(1)
+			pc.shapes[shape] = e
+		}
+		pc.store(src, e)
 	}
-	pc.texts[src] = e
 	pc.mu.Unlock()
 	if mine {
 		func() {
@@ -323,9 +353,10 @@ func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape, fingerp
 	return p
 }
 
-// Ask executes the plan as a yes-no query: ground plans decide membership
-// of every atom, open plans test answer-set non-emptiness. The flat-table
-// path runs with zero allocations.
+// Ask executes the plan as a yes-no query: a ground plan returns the verdict
+// it was built with (or, under MethodEquational, runs congruence closure), an
+// open plan tests answer-set non-emptiness. The graph method's ground path
+// runs with zero allocations.
 func (p *Plan) Ask(ctx context.Context, opts ...Option) (bool, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
@@ -347,64 +378,37 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 		ok, err := p.askEquational(ctx)
 		return ok, wrapCanceled(err)
 	}
-	if p.flat {
-		_, sp := obs.StartSpan(ctx, "dfa_walk_flat")
-		fd := p.snap.spec.Flat()
-		ok := true
-		for i := range p.steps {
-			st := &p.steps[i]
-			switch st.kind {
-			case stepTrue:
-			case stepFalse:
-				ok = false
-			case stepFlat:
-				if !fd.StateHas(fd.Walk(st.syms), st.atom) {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		sp.End()
-		return ok, nil
-	}
-	ok, err := p.askGroundSlow(ctx)
-	return ok, wrapCanceled(err)
+	return p.verdict, nil
 }
 
-// askGroundSlow decides a ground query with helper-predicate atoms, which
-// it walks over the representatives' table and reads in their full states,
-// noticing cancellation between atoms.
-func (p *Plan) askGroundSlow(ctx context.Context) (bool, error) {
-	spec := p.snap.spec
-	gctx, gsp := obs.StartSpan(ctx, "ground_eval")
-	defer gsp.End()
-	for i := range p.steps {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		st := &p.steps[i]
+// groundVerdict decides a ground plan's steps by the graph method, the
+// paper's Link rules run over each atom's symbol string: an original
+// predicate's atom on the flat tables, looked up in the observable slice of
+// the state reached; a helper predicate's on the representatives' table, in
+// the full state, since the minimised quotient does not keep helper facts.
+func (s *Snapshot) groundVerdict(steps []groundStep) bool {
+	for i := range steps {
+		st := &steps[i]
 		switch st.kind {
-		case stepTrue:
 		case stepFalse:
-			return false, nil
+			return false
 		case stepFlat:
-			fd := spec.Flat()
+			fd := s.spec.Flat()
 			if !fd.StateHas(fd.Walk(st.syms), st.atom) {
-				return false, nil
+				return false
 			}
 		case stepSlow:
-			_, sp := obs.StartSpan(gctx, "dfa_walk")
-			ok := p.snap.w.StateContains(spec.State[spec.WalkIndex(st.syms)], st.atom)
-			sp.End()
-			if !ok {
-				return false, nil
+			if !s.w.StateContains(s.spec.State[s.spec.WalkIndex(st.syms)], st.atom) {
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
+
+// planVerdict is how a ground plan's verdict is computed when it is built;
+// TestGroundOracleCatches plants bugs through it.
+var planVerdict = (*Snapshot).groundVerdict
 
 // compileEq lowers the ground steps for the equational method: a symbol
 // string back to its function symbols through the alphabet, applied to 0 in

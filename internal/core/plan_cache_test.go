@@ -39,14 +39,15 @@ func deepSnapshot(t testing.TB, src string) *Snapshot {
 // allocations at every term depth, and doubling the depth may not much more
 // than double the bytes Prepare allocates. (The Apply-chain builder
 // quadrupled the bytes.) Each depth is measured on a fresh snapshot, so the
-// plan cache's maps grow alike; nothing on the path is pooled, so the counts
-// repeat.
+// plan cache's maps grow alike; the snapshot's first miss, at a depth that
+// builds the stride table its walks read, fills the one pool on the path
+// (the reader's sink), so the counts repeat.
 func TestPrepareMissLinear(t *testing.T) {
 	ctx := context.Background()
 	for _, f := range deepFamilies {
 		measure := func(depth int) (allocs, bytes float64) {
 			s := deepSnapshot(t, f.src)
-			if _, err := s.Prepare(ctx, datagen.DeepQuery(f.name, f.n, 8, 99)); err != nil { // first uses
+			if _, err := s.Prepare(ctx, datagen.DeepQuery(f.name, f.n, 64, 99)); err != nil { // first uses
 				t.Fatal(err)
 			}
 			const n = 8
@@ -68,10 +69,11 @@ func TestPrepareMissLinear(t *testing.T) {
 		a2, b2 := measure(2048)
 		t.Logf("%s: depth 1024: %.1f allocs, %.0f B; depth 2048: %.1f allocs, %.0f B", f.name, a1, b1, a2, b2)
 		// A miss allocates the reader's stack of open applications, the
-		// sink, the shape with its fingerprint, the symbol string, the steps,
-		// the plan and its cache entry, and a share of the cache maps'
-		// growth: 7.8 per miss in every family when the ceiling was set, plus
-		// 20 %.
+		// shape with its fingerprint, the symbol string, the steps, the plan
+		// and its cache entry, the text map's node and boxed key, and a share
+		// of the cache maps' growth: 7.8 per miss in every family when the
+		// ceiling was set (the sink was allocated then, the text map a plain
+		// map), plus 20 %.
 		if a1 > 9.4 || a2 > 9.4 {
 			t.Errorf("%s: %.1f allocations per miss at depth 1024, %.1f at 2048; want at most 9.4 at any depth", f.name, a1, a2)
 		}
@@ -91,7 +93,8 @@ func TestPrepareMissLinear(t *testing.T) {
 // retained recomputes what the entries now in the cache were charged.
 func (pc *planCache) retained() int {
 	n := 0
-	for src, e := range pc.texts {
+	pc.texts.Load().Range(func(k, v any) bool {
+		src, e := k.(string), v.(*planEntry)
 		n += entryOverhead + len(src)
 		switch {
 		case e.plan == nil:
@@ -100,6 +103,16 @@ func (pc *planCache) retained() int {
 		default:
 			n += planBytes(e.plan.shape, e.plan.q)
 		}
+		return true
+	})
+	return n
+}
+
+// numTexts counts the entries of the text map, as a reader sees them.
+func (pc *planCache) numTexts() int {
+	n := 0
+	if m := pc.texts.Load(); m != nil {
+		m.Range(func(any, any) bool { n++; return true })
 	}
 	return n
 }
@@ -123,8 +136,8 @@ func TestPlanCacheByteBudget(t *testing.T) {
 		switch {
 		case pc.bytes > planCacheBytes:
 			t.Fatalf("after %d inserts the cache retains %d bytes, budget %d", i+1, pc.bytes, planCacheBytes)
-		case len(pc.texts) > planCacheCap || len(pc.shapes) > planCacheCap:
-			t.Fatalf("after %d inserts the cache holds %d texts, %d shapes, cap %d", i+1, len(pc.texts), len(pc.shapes), planCacheCap)
+		case pc.numTexts() > planCacheCap || len(pc.shapes) > planCacheCap:
+			t.Fatalf("after %d inserts the cache holds %d texts, %d shapes, cap %d", i+1, pc.numTexts(), len(pc.shapes), planCacheCap)
 		case pc.bytes < last:
 			flushes++
 		}
@@ -136,13 +149,16 @@ func TestPlanCacheByteBudget(t *testing.T) {
 	if got := pc.retained(); got != pc.bytes {
 		t.Errorf("cache accounts %d bytes, its entries were charged %d", pc.bytes, got)
 	}
+	if got := pc.numTexts(); got != pc.ntexts {
+		t.Errorf("cache counts %d texts, its text map holds %d", pc.ntexts, got)
+	}
 	// The estimate is honest: what the heap really holds for the cache is
 	// of the same size.
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	pc.mu.Lock()
-	pc.admit(planCacheBytes) // flushes
+	pc.flush()
 	pc.mu.Unlock()
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
@@ -244,15 +260,15 @@ func TestPlanCacheSkipsOversized(t *testing.T) {
 	if ok, err := p.Ask(ctx); err != nil || !ok {
 		t.Errorf("oversized query = %v, %v; want true", ok, err)
 	}
-	if len(s.plans.texts) != 1 || s.plans.bytes > 1024 {
-		t.Errorf("oversized query was cached: %d texts, %d bytes", len(s.plans.texts), s.plans.bytes)
+	if s.plans.numTexts() != 1 || s.plans.bytes > 1024 {
+		t.Errorf("oversized query was cached: %d texts, %d bytes", s.plans.numTexts(), s.plans.bytes)
 	}
 	if again, _ := s.Prepare(ctx, "?- Meets(5, s1)."); again != small {
 		t.Errorf("oversized query evicted the cached plan")
 	}
 	// An unparsable oversized text is reported, and not cached either.
-	if _, err := s.Prepare(ctx, "?- Meets(5, s1)"+strings.Repeat(" ", planCacheBytes/8)); err == nil || len(s.plans.texts) != 1 {
-		t.Errorf("oversized bad query: err %v, %d texts cached", err, len(s.plans.texts))
+	if _, err := s.Prepare(ctx, "?- Meets(5, s1)"+strings.Repeat(" ", planCacheBytes/8)); err == nil || s.plans.numTexts() != 1 {
+		t.Errorf("oversized bad query: err %v, %d texts cached", err, s.plans.numTexts())
 	}
 }
 
@@ -283,7 +299,89 @@ func TestPlanSingleflightAcrossSpellings(t *testing.T) {
 			t.Fatalf("spelling %d compiled a plan of its own", i)
 		}
 	}
-	if len(s.plans.shapes) != 1 || len(s.plans.texts) != workers {
-		t.Errorf("cache holds %d shapes, %d texts; want 1, %d", len(s.plans.shapes), len(s.plans.texts), workers)
+	if len(s.plans.shapes) != 1 || s.plans.numTexts() != workers {
+		t.Errorf("cache holds %d shapes, %d texts; want 1, %d", len(s.plans.shapes), s.plans.numTexts(), workers)
+	}
+}
+
+// TestPlanCacheFlushUnderReaders: the text hit takes no lock, so a flush can
+// swap the text map under readers. Readers cycle a fixed pool of ground
+// texts while writers push more than planCacheCap novel texts through the
+// same snapshot, which forces flushes; every plan a reader gets must be of
+// this snapshot, of the text's shape, and carry the verdict the equational
+// method gives. Run under -race.
+func TestPlanCacheFlushUnderReaders(t *testing.T) {
+	ctx := context.Background()
+	s := deepSnapshot(t, datagen.CalendarSrc(4))
+	type want struct {
+		shape string
+		ok    bool
+	}
+	pool := make([]string, 32)
+	wants := make(map[string]want, len(pool))
+	for i := range pool {
+		pool[i] = fmt.Sprintf("?- Meets(%d, s%d).", i, (i+i%2)%4) // true for even i
+		ok, err := s.Ask(ctx, pool[i], WithMethod(MethodEquational))
+		if err != nil || ok != (i%2 == 0) {
+			t.Fatalf("%s: equational %v, %v; want %v", pool[i], ok, err, i%2 == 0)
+		}
+		p, err := s.Prepare(ctx, pool[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[pool[i]] = want{p.Shape(), ok}
+	}
+
+	const writers, perWriter = 2, planCacheCap/2 + 500
+	var done sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		done.Add(1)
+		go func(r int) {
+			defer done.Done()
+			for n := r; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				text := pool[n%len(pool)]
+				p, err := s.Prepare(ctx, text)
+				if err != nil {
+					t.Errorf("%s: %v", text, err)
+					return
+				}
+				ok, err := p.Ask(ctx)
+				if w := wants[text]; p.snap != s || p.Shape() != w.shape || err != nil || ok != w.ok {
+					t.Errorf("%s: a plan of shape %q (this snapshot's: %v) answers %v, %v; want %v", text, p.Shape(), p.snap == s, ok, err, w.ok)
+					return
+				}
+			}
+		}(r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perWriter; i < (w+1)*perWriter; i++ {
+				// Novel texts: one of 97 numerals and five constants (s4 is
+				// not the program's), then 1 + i/97 spaces.
+				text := fmt.Sprintf("?- Meets(%d, s%d). %s", i%97, i%5, strings.Repeat(" ", i/97))
+				if _, err := s.Prepare(ctx, text); err != nil {
+					t.Errorf("%q: %v", text, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	done.Wait()
+	pc := &s.plans
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.ntexts >= writers*perWriter {
+		t.Errorf("%d novel texts never flushed the cache: it holds %d", writers*perWriter, pc.ntexts)
 	}
 }

@@ -111,7 +111,7 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if !plan.flat {
+	if len(plan.steps) != 1 || plan.steps[0].kind != stepFlat {
 		t.Fatal("ground calendar query did not compile to the flat path")
 	}
 	if got, err := plan.Ask(ctx); err != nil || !got {
@@ -137,9 +137,11 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 		t.Errorf("snapshot text Ask allocates %.1f per run, want 0", n)
 	}
 
-	// Deep texts take the other two walk kernels: a depth-1023 list walks
-	// two symbols per load through a table its first walk built, and a
-	// depth-1023 numeral reads the lasso.
+	// Deep texts: a depth-1023 list and a depth-1023 numeral, whose plans
+	// were walked by the stride and the lasso kernel when they were built.
+	// These rows check the text-hit path on long texts (hashing and comparing
+	// the key costs no allocation at any length); the kernels' own gate is
+	// specgraph's TestWalkKernelsZeroAlloc.
 	for _, c := range []struct{ name, src, q string }{
 		{"sub", datagen.SubsetsSrc(6), datagen.DeepQuery("sub", 6, 1023, 1)},
 		{"temporal", datagen.CalendarSrc(64), datagen.DeepQuery("cal", 64, 1023, 1)},

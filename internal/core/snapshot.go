@@ -52,8 +52,9 @@ type Snapshot struct {
 	plans planCache
 
 	// Pooled per-query scratch arenas.
-	evalPool sync.Pool // *evalCtx
-	cscPool  sync.Pool // *congruence.Scratch
+	evalPool  sync.Pool // *evalCtx
+	cscPool   sync.Pool // *congruence.Scratch
+	lowerPool sync.Pool // *groundLowering
 
 	// canonical form, built lazily (first equational-method query).
 	canonOnce sync.Once

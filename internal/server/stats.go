@@ -94,13 +94,17 @@ func (qs *queryStats) instruments(db, fp string, registered bool) *fpStat {
 	return st
 }
 
-// row returns (creating or evicting as needed) the table row for one
-// fingerprint.
-func (qs *queryStats) row(db, fp, shape string) *fpStat {
+// row counts one request (an error, if isErr) on the table row for one
+// fingerprint, creating the row or evicting another as needed, and returns
+// the row. The count is made under mu, so that no eviction falls between a
+// row's lookup and its count: an evicted row's counts are all in the
+// "other" aggregate.
+func (qs *queryStats) row(db, fp, shape string, isErr bool) *fpStat {
 	key := db + "\xff" + fp
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	if st := qs.table[key]; st != nil {
+		st.count(isErr)
 		return st
 	}
 	if len(qs.table) >= qs.topK {
@@ -124,6 +128,7 @@ func (qs *queryStats) row(db, fp, shape string) *fpStat {
 	}
 	st := qs.instruments(db, fp, registered)
 	st.shape = shape
+	st.count(isErr)
 	qs.table[key] = st
 	return st
 }
@@ -135,8 +140,8 @@ func (qs *queryStats) observe(db, fp, shape string, d time.Duration, isErr bool,
 	if qs == nil || fp == "" {
 		return
 	}
-	st := qs.row(db, fp, shape)
-	qs.record(st, d, isErr, depth, steps)
+	st := qs.row(db, fp, shape, isErr)
+	st.record(d, depth, steps)
 	if !st.registered && qs.reg != nil {
 		// Beyond the series cap the row's instruments are standalone (JSON
 		// only); feed the shared fingerprint="other" series too, so scraped
@@ -147,15 +152,21 @@ func (qs *queryStats) observe(db, fp, shape string, d time.Duration, isErr bool,
 		}
 		other := qs.other
 		qs.mu.Unlock()
-		qs.record(other, d, isErr, depth, steps)
+		other.count(isErr)
+		other.record(d, depth, steps)
 	}
 }
 
-func (qs *queryStats) record(st *fpStat, d time.Duration, isErr bool, depth, steps int64) {
+// count counts one request, and one error if isErr.
+func (st *fpStat) count(isErr bool) {
 	st.cnt.Inc()
 	if isErr {
 		st.errs.Inc()
 	}
+}
+
+// record observes one request's latency, depth and steps.
+func (st *fpStat) record(d time.Duration, depth, steps int64) {
 	if d >= 0 {
 		st.lat.Observe(d.Seconds())
 	}

@@ -113,15 +113,18 @@ func TestStatsTopKEviction(t *testing.T) {
 
 // TestQueryStatsConcurrent hammers one queryStats table from several
 // goroutines (distinct and shared fingerprints, evictions included) while
-// snapshots run; meaningful under -race.
+// snapshots run, then requires the rows and the "other" aggregate to count
+// every request and every error: an eviction must not fall between a row's
+// lookup and its count. Meaningful under -race and -count=200.
 func TestQueryStatsConcurrent(t *testing.T) {
 	qs := newQueryStats(nil, 8)
+	const workers, perWorker = 4, 200
 	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				fp := obs.Fingerprint(fmt.Sprintf("shape-%d", (w*200+i)%16))
+			for i := 0; i < perWorker; i++ {
+				fp := obs.Fingerprint(fmt.Sprintf("shape-%d", (w*perWorker+i)%16))
 				qs.observe("db", fp, "s", time.Millisecond, i%5 == 0, int64(i%32), int64(i))
 			}
 		}(w)
@@ -129,11 +132,22 @@ func TestQueryStatsConcurrent(t *testing.T) {
 	for snaps := 0; snaps < 50; snaps++ {
 		qs.snapshotDB("db")
 	}
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		<-done
 	}
 	rows, _ := qs.size()
 	if rows == 0 || rows > 8 {
 		t.Fatalf("rows = %d", rows)
+	}
+	var count, errs int64
+	for _, row := range qs.snapshotDB("db") {
+		count += row.Count
+		errs += row.Errors
+	}
+	if want := int64(workers * perWorker); count != want {
+		t.Errorf("rows and other count %d requests, want %d", count, want)
+	}
+	if want := int64(workers * perWorker / 5); errs != want {
+		t.Errorf("rows and other count %d errors, want %d", errs, want)
 	}
 }

@@ -76,3 +76,14 @@ func (f *FlatDFA) PlantedKernels() []Kernel {
 		}},
 	}
 }
+
+// WalkKernel names the kernel Walk runs for a string of n symbols.
+func (f *FlatDFA) WalkKernel(n int) string {
+	switch {
+	case f.kernel == kernelLasso:
+		return "lasso"
+	case f.kernel == kernelStride && n >= strideMinLen:
+		return "stride"
+	}
+	return "step"
+}

@@ -401,6 +401,47 @@ func FuzzFlatWalk(f *testing.F) {
 
 var walkSink int32
 
+// TestWalkKernelsZeroAlloc is the walk kernels' allocation gate: once warm,
+// FlatDFA.Walk allocates nothing per call, whichever kernel it runs — the
+// step kernel on a short string, the stride kernel once its first long walk
+// has built its table, the lasso at any length. A ground plan walks once,
+// when it is built, so repeated asks no longer reach these kernels; this is
+// where their zero-allocation promise is held.
+func TestWalkKernelsZeroAlloc(t *testing.T) {
+	for _, c := range []struct {
+		name, src, kernel string
+		depth             int
+	}{
+		{"sub", datagen.SubsetsSrc(6), "step", 63},
+		{"sub", datagen.SubsetsSrc(6), "stride", 1023},
+		{"rob", datagen.RobotSrc(8), "stride", 1023},
+		{"cal", datagen.CalendarSrc(64), "lasso", 1023},
+	} {
+		sp := buildSpecExt(t, c.src)
+		m, err := minimize.Minimize(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := sp.FreezeQuotient(m.Quotient()).Flat()
+		if got := fd.WalkKernel(c.depth); got != c.kernel {
+			t.Fatalf("%s/d%d: Walk runs the %s kernel, want %s", c.name, c.depth, got, c.kernel)
+		}
+		rng := rand.New(rand.NewSource(1))
+		syms := make([]int32, c.depth)
+		for i := range syms {
+			syms[i] = int32(rng.Intn(len(sp.Alphabet)))
+		}
+		want := fd.Walk(syms) // builds the stride table, where there is one
+		if n := testing.AllocsPerRun(200, func() {
+			if fd.Walk(syms) != want {
+				t.Fatalf("%s/d%d: Walk flipped", c.name, c.depth)
+			}
+		}); n != 0 {
+			t.Errorf("%s/d%d: the %s kernel allocates %.1f per walk, want 0", c.name, c.depth, c.kernel, n)
+		}
+	}
+}
+
 // BenchmarkFlatWalk times Walk on the flat DFAs a snapshot publishes
 // (minimised) for the three benchmark families, over random strings of
 // their alphabets at three depths, and reports the cost per symbol.
