@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"funcdb/internal/canonical"
+	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
 	"funcdb/internal/term"
@@ -226,5 +228,46 @@ R(a).
 P(S) -> P(g(S, W)).
 `, Options{}); err == nil {
 		t.Errorf("domain-dependent program accepted")
+	}
+}
+
+// TestSpecStaysAsBuilt: the specification Graph returned is not changed by
+// a later Extend, not even by a fact the engine absorbs without a
+// recompile. It answers and exports as it did when Algorithm Q finished.
+func TestSpecStaysAsBuilt(t *testing.T) {
+	db, err := Open(meetingsSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := db.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	export := func() string {
+		var b bytes.Buffer
+		if err := specio.FromSpec(g).Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	next, _ := db.Tab().LookupPred("Next", 2, false)
+	tony, _ := db.Tab().LookupConst("tony")
+	tonyTony := []symbols.ConstID{tony, tony}
+	before := export()
+	if g.HasData(next, tonyTony) {
+		t.Fatal("Next(tony, tony) holds before it was added")
+	}
+	eng := db.Engine
+	if err := db.Extend("Next(tony, tony)."); err != nil {
+		t.Fatal(err)
+	}
+	if db.Engine != eng {
+		t.Fatal("Extend recompiled: the test needs a fact the engine absorbs")
+	}
+	if g.HasData(next, tonyTony) {
+		t.Error("the built specification holds Next(tony, tony), added after it was built")
+	}
+	if after := export(); after != before {
+		t.Errorf("the built specification exports %d bytes after Extend, %d before", len(after), len(before))
 	}
 }
