@@ -112,10 +112,12 @@ staticcheck:
 
 # The longer passes over the text readers: the program parser, the query
 # parser and the ground reader against the tree lowering it replaced.
+# And the document loader, specio's Document.Spec, which only FuzzLoadSpec reaches.
 fuzz:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=60s ./internal/parser
 	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=120s -fuzzminimizetime=10s ./internal/core
+	$(GO) test -fuzz=FuzzLoadSpec -fuzztime=120s -fuzzminimizetime=10s ./internal/core
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
 # and query parsers, the ground query reader (differential: the tree lowering

@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("equivalent: %v", err)
 	}
-	tab := v1.Spec.Eng.Prep.Program.Tab
+	tab := v1.Spec.Tab
 	fmt.Printf("v1 == buggy: %v; first differing badge history: %s\n",
 		eq, v1.Spec.U.String(counter, tab))
 

@@ -77,7 +77,7 @@ func (f *Form) EqSpec() *congruence.EqSpec { return f.es }
 // property. The equality predicate is written Cong/2 with two functional
 // components.
 func (f *Form) CongrRules() string {
-	tab := f.Spec.Eng.Prep.Program.Tab
+	tab := f.Spec.Tab
 	var b strings.Builder
 	b.WriteString("% CONGR: closure of the congruence relation\n")
 	b.WriteString("R(S, T) -> Cong(S, T).\n")
@@ -91,7 +91,7 @@ func (f *Form) CongrRules() string {
 	b.WriteString("% CONGR: transfer rules, one per functional predicate\n")
 	for p := symbols.PredID(0); int(p) < tab.NumPreds(); p++ {
 		info := tab.PredInfo(p)
-		if !info.Functional || !f.Spec.Eng.Prep.OriginalPreds[p] {
+		if !info.Functional || !f.Spec.OriginalPreds[p] {
 			continue
 		}
 		vars := make([]string, info.Arity)
@@ -109,7 +109,7 @@ func (f *Form) CongrRules() string {
 
 // DatabaseC renders the canonical database C = B ∪ R.
 func (f *Form) DatabaseC() string {
-	tab := f.Spec.Eng.Prep.Program.Tab
+	tab := f.Spec.Tab
 	var b strings.Builder
 	b.WriteString("% B: the primary database\n")
 	for i, rep := range f.Spec.Reps {
@@ -118,9 +118,9 @@ func (f *Form) DatabaseC() string {
 			b.WriteString(".\n")
 		}
 	}
-	for _, a := range f.Spec.Eng.Global().All() {
+	for _, a := range f.Spec.Global.All() {
 		p := f.Spec.W.AtomPred(a)
-		if !f.Spec.Eng.Prep.OriginalPreds[p] {
+		if !f.Spec.OriginalPreds[p] {
 			continue
 		}
 		b.WriteString(tab.PredName(p))

@@ -16,11 +16,20 @@ import (
 
 func buildForm(t *testing.T, src string) *Form {
 	t.Helper()
-	prog := parser.MustParse(src).Program
-	prep, err := rewrite.Prepare(prog)
+	return buildFormOf(t, prepare(t, src))
+}
+
+func prepare(t *testing.T, src string) *rewrite.Prepared {
+	t.Helper()
+	prep, err := rewrite.Prepare(parser.MustParse(src).Program)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
+	return prep
+}
+
+func buildFormOf(t *testing.T, prep *rewrite.Prepared) *Form {
+	t.Helper()
 	eng, err := engine.New(prep, term.NewUniverse(), facts.NewWorld(), engine.Options{})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
@@ -65,8 +74,8 @@ Even(T) -> Even(T+2).
 // to depth 5.
 func TestCanonicalFormMatchesFixpoint(t *testing.T) {
 	for name, src := range sources {
-		form := buildForm(t, src)
-		prep := form.Spec.Eng.Prep
+		prep := prepare(t, src)
+		form := buildFormOf(t, prep)
 		u := form.Spec.U
 		w := form.Spec.W
 		ref, err := fixpoint.Eval(prep.Program, u, w, fixpoint.Options{MaxDepth: 5})
@@ -171,7 +180,7 @@ func TestDatabaseC(t *testing.T) {
 
 func TestHasData(t *testing.T) {
 	f := buildForm(t, sources["lists"])
-	tab := f.Spec.Eng.Prep.Program.Tab
+	tab := f.Spec.Tab
 	p, _ := tab.LookupPred("P", 1, false)
 	a, _ := tab.LookupConst("a")
 	if !f.HasData(p, []symbols.ConstID{a}) {

@@ -1089,7 +1089,8 @@ func TestGroundOracle(t *testing.T) {
 //     position converted back to an offset and then forward the buggy way.
 //     All backends share the parser, so only the respelling law can see it;
 //   - a loader that drops the document's last slice, the primary database B
-//     of its last representative (planted in front of LoadSpec);
+//     of its last representative (planted at the output of specio's loader:
+//     the Spec it reads the document into loses that slice);
 //   - a plan's verdict that decides a helper predicate's atom on the flat
 //     tables, whose minimised quotient does not keep helper facts (planted
 //     through planVerdict, as every built plan's verdict is);
@@ -1114,9 +1115,14 @@ func TestGroundOracleCatches(t *testing.T) {
 	})
 	t.Run("the loader drops the last slice", func(t *testing.T) {
 		loadSpec = func(doc *specio.Document) (*Snapshot, error) {
-			d := *doc
-			d.Slices = d.Slices[:len(d.Slices)-1]
-			return LoadSpec(&d)
+			sp, err := doc.Spec()
+			if err != nil {
+				return nil, err
+			}
+			sp.State[len(sp.State)-1] = facts.EmptyState
+			s := freeze(sp, nil)
+			s.docOnly = true
+			return s, nil
 		}
 		defer func() { loadSpec = LoadSpec }()
 		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")

@@ -94,19 +94,25 @@ func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		facts:    db.Source.Facts[:len(db.Source.Facts):len(db.Source.Facts)],
-		rules:    db.Source.Rules[:len(db.Source.Rules):len(db.Source.Rules)],
-		tab:      db.Source.Tab.Freeze(),
-		u:        db.universe.Freeze(),
-		w:        db.world.Freeze(),
-		spec:     sp.FreezeQuotient(m.Quotient()),
-		engOpts:  db.opts.Engine,
-		specOpts: db.opts.Spec,
-		temporal: db.Prep.Temporal,
-	}
+	s := freeze(sp, m.Quotient())
+	s.facts = db.Source.Facts[:len(db.Source.Facts):len(db.Source.Facts)]
+	s.rules = db.Source.Rules[:len(db.Source.Rules):len(db.Source.Rules)]
+	s.engOpts, s.specOpts = db.opts.Engine, db.opts.Spec
 	db.snap.Store(s)
 	return s, nil
+}
+
+// freeze makes the snapshot of a specification, a compiled program's or a
+// document's alike: its names, terms and atoms cut at their lengths now, and
+// flat tables over the quotient q (nil: the identity).
+func freeze(sp *specgraph.Spec, q specgraph.Quotient) *Snapshot {
+	return &Snapshot{
+		tab:      sp.Tab.Freeze(),
+		u:        sp.U.Freeze(),
+		w:        sp.W.Freeze(),
+		spec:     sp.FreezeQuotient(q),
+		temporal: sp.Temporal,
+	}
 }
 
 // canonical lazily builds the frozen canonical form (the relation R's

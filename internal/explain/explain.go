@@ -100,7 +100,7 @@ func (ex *Explanation) EquationsUsed() [][2]term.Term {
 
 // String renders the explanation.
 func (ex *Explanation) String() string {
-	tab := ex.Spec.Eng.Prep.Program.Tab
+	tab := ex.Spec.Tab
 	u := ex.Spec.U
 	var b strings.Builder
 	atom := func(t term.Term) string {

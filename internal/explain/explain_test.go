@@ -39,7 +39,7 @@ Next(tony, jan).
 Next(jan, tony).
 Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	succ, _ := tab.LookupFunc("succ", 0)
 	tony, _ := tab.LookupConst("tony")
@@ -83,7 +83,7 @@ func TestExplainNegative(t *testing.T) {
 Even(0).
 Even(T) -> Even(T+2).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	even, _ := tab.LookupPred("Even", 0, true)
 	succ, _ := tab.LookupFunc("succ", 0)
 	ex, err := Membership(sp, even, sp.U.Number(3, succ), nil)
@@ -108,7 +108,7 @@ P(X) -> Member(ext(0, X), X).
 P(Y), Member(S, X) -> Member(ext(S, Y), Y).
 P(Y), Member(S, X) -> Member(ext(S, Y), X).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	member, _ := tab.LookupPred("Member", 1, true)
 	aC, _ := tab.LookupConst("a")
 	extA, _ := tab.LookupFunc("ext'a", 0)
@@ -151,7 +151,7 @@ func TestExplainRootTerm(t *testing.T) {
 Even(0).
 Even(T) -> Even(T+2).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	even, _ := tab.LookupPred("Even", 0, true)
 	ex, err := Membership(sp, even, term.Zero, nil)
 	if err != nil {

@@ -80,7 +80,7 @@ type alphaEntry struct {
 }
 
 func alphabetByName(m *Minimized) (map[string]alphaEntry, error) {
-	tab := m.Spec.Eng.Prep.Program.Tab
+	tab := m.Spec.Tab
 	out := make(map[string]alphaEntry, len(m.Spec.Alphabet))
 	for i, f := range m.Spec.Alphabet {
 		name := tab.FuncName(f)
@@ -95,7 +95,7 @@ func alphabetByName(m *Minimized) (map[string]alphaEntry, error) {
 // sliceKey renders a class's observable slice as a canonical string of
 // predicate and constant names.
 func sliceKey(m *Minimized, class int) string {
-	tab := m.Spec.Eng.Prep.Program.Tab
+	tab := m.Spec.Tab
 	w := m.Spec.W
 	var parts []string
 	for _, a := range m.slices[class] {

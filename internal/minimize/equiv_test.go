@@ -51,7 +51,7 @@ Even(T+2) <- Even(T).
 	}
 	if !eq {
 		t.Fatalf("head-first syntax must not change the fixpoint (counterexample %s)",
-			a.Spec.U.String(counter, a.Spec.Eng.Prep.Program.Tab))
+			a.Spec.U.String(counter, a.Spec.Tab))
 	}
 }
 
@@ -72,16 +72,16 @@ Even(T) -> Even(T+2).
 		t.Fatalf("odd and even chains must differ")
 	}
 	// The counterexample must actually separate the two programs.
-	tab := a.Spec.Eng.Prep.Program.Tab
+	tab := a.Spec.Tab
 	even, _ := tab.LookupPred("Even", 0, true)
 	gotA, err := a.Has(even, counter, nil)
 	if err != nil {
 		t.Fatalf("Has: %v", err)
 	}
 	// Check b at the same term by symbol names (single symbol: succ^n).
-	succB, _ := b.Spec.Eng.Prep.Program.Tab.LookupFunc("succ", 0)
+	succB, _ := b.Spec.Tab.LookupFunc("succ", 0)
 	n := a.Spec.U.Depth(counter)
-	evenB, _ := b.Spec.Eng.Prep.Program.Tab.LookupPred("Even", 0, true)
+	evenB, _ := b.Spec.Tab.LookupPred("Even", 0, true)
 	gotB, err := b.Has(evenB, b.Spec.U.Number(n, succB), nil)
 	if err != nil {
 		t.Fatalf("Has: %v", err)
@@ -138,7 +138,7 @@ State(0, idle).
 	}
 	if !eq {
 		t.Fatalf("refactoring changed the fixpoint at %s",
-			orig.Spec.U.String(counter, orig.Spec.Eng.Prep.Program.Tab))
+			orig.Spec.U.String(counter, orig.Spec.Tab))
 	}
 	if self, _, _ := Equivalent(orig, orig); !self {
 		t.Fatalf("reflexivity broken")

@@ -157,7 +157,7 @@ func (m *Minimized) Has(pred symbols.PredID, t term.Term, args []symbols.ConstID
 
 // Dump renders the minimized automaton.
 func (m *Minimized) Dump() string {
-	tab := m.Spec.Eng.Prep.Program.Tab
+	tab := m.Spec.Tab
 	var b strings.Builder
 	fmt.Fprintf(&b, "minimized specification: %d classes (from %d representatives)\n",
 		m.NumStates(), len(m.Spec.Reps))

@@ -61,7 +61,7 @@ func agree(t *testing.T, sp *specgraph.Spec, m *Minimized, depth int) {
 			}
 			if got != want {
 				t.Errorf("disagreement at %s: full %v, minimized %v",
-					sp.U.CompactString(tm, sp.Eng.Prep.Program.Tab), want, got)
+					sp.U.CompactString(tm, sp.Tab), want, got)
 			}
 		}
 		if sp.U.Depth(tm) < depth {

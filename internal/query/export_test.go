@@ -3,10 +3,35 @@ package query
 import (
 	"context"
 
+	"funcdb/internal/ast"
+	"funcdb/internal/engine"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
+
+// Incremental evaluates a uniform query against a specification nothing
+// else is using (Theorem 5.1); terms the handle yields are interned in the
+// specification's own universe.
+func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
+	s, err := Evaluate(context.Background(), sp, q)
+	if err != nil {
+		return nil, err
+	}
+	return &Answers{spec: s, view: sp.U}, nil
+}
+
+// Recompute answers q, uniform or not, by the specification of prog enlarged
+// by a QUERY rule, as Compile does; prog's table gains the QUERY predicate.
+// Terms the handle yields are interned in a universe of its own, named
+// through prog's table.
+func Recompute(prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
+	s, err := recompute(context.Background(), prog, q, engOpts, specOpts)
+	if err != nil {
+		return nil, err
+	}
+	return &Answers{spec: s, view: term.NewUniverse()}, nil
+}
 
 // The reference the production enumerator is differentially tested against:
 // the exhaustive walk it replaced. Every term of every depth up to maxDepth

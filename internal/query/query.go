@@ -6,11 +6,11 @@
 // successor table T over the representative terms and, per representative,
 // the QUERY tuples of its slice. It is computed in one of two ways:
 //
-//   - Incremental (Theorem 5.1): for uniform queries — those whose only
+//   - Evaluate (Theorem 5.1): for uniform queries — those whose only
 //     non-ground functional term is the bare variable — the query is simply
 //     evaluated against every slice of the primary database, yielding
 //     (Q(B), T) with the successor mappings unchanged.
-//   - Recompute: for arbitrary queries, a fresh QUERY rule is added to the
+//   - Compile: for arbitrary queries, a fresh QUERY rule is added to the
 //     rule set and the specification of the enlarged program is built; its
 //     QUERY slices and successor mappings are the answer.
 //
@@ -20,9 +20,8 @@
 // enumerations intern yielded terms into.
 //
 // Evaluation is written against the Backend interface, so the same code
-// runs on a frozen snapshot (lock-free: what the database serves) and on a
-// *specgraph.Spec nothing else is using (the enlarged program Compile has
-// just built, or a caller-owned one through Incremental and Recompute).
+// runs on a frozen snapshot (lock-free: what the database serves) and on the
+// *specgraph.Spec of the enlarged program Compile has just built.
 package query
 
 import (
@@ -64,7 +63,7 @@ type Backend interface {
 // IsUniform reports whether every functional term of the query is either
 // ground (and free of mixed symbols, so its symbols are the DFA's own) or
 // the bare functional variable (no applications above it). Ground terms
-// with mixed symbols are handled by Recompute, whose preparation pipeline
+// with mixed symbols are handled by Compile, whose preparation pipeline
 // eliminates them.
 func IsUniform(q *ast.Query) bool {
 	for i := range q.Atoms {
@@ -124,7 +123,7 @@ func chargeAnswers(ctx context.Context, n int) error {
 // checked between representatives.
 func Evaluate(ctx context.Context, be Backend, q *ast.Query) (*Specification, error) {
 	if !IsUniform(q) {
-		return nil, fmt.Errorf("query: %s is not uniform; use Recompute", q.Format(be.Names()))
+		return nil, fmt.Errorf("query: %s is not uniform; use Compile", q.Format(be.Names()))
 	}
 	return evaluate(ctx, be, q)
 }
@@ -290,7 +289,7 @@ func matchTuple(w *facts.World, pats []ast.DTerm, f facts.AtomID, b *subst.Bindi
 // an answer could mention that base lacks. The fixpoint engine and
 // Algorithm Q run under ctx and its work budget.
 func Compile(ctx context.Context, prog *ast.Program, base *symbols.Table, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Specification, error) {
-	s, _, err := recompute(ctx, prog, q, engOpts, specOpts)
+	s, err := recompute(ctx, prog, q, engOpts, specOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +301,7 @@ func Compile(ctx context.Context, prog *ast.Program, base *symbols.Table, q *ast
 // recompute builds the specification of prog enlarged by a QUERY rule for q
 // and reads the answer off it: the QUERY atom, evaluated as a uniform query
 // against the enlarged specification.
-func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Specification, *specgraph.Spec, error) {
+func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Specification, error) {
 	ctx, csp := obs.StartSpan(ctx, "compile")
 	defer csp.End()
 	enlarged := prog.Clone()
@@ -320,50 +319,27 @@ func recompute(ctx context.Context, prog *ast.Program, q *ast.Query, engOpts eng
 	head.Pred = enlarged.Tab.FreshPred("QUERY", nData, head.FT != nil)
 	rule := ast.Rule{Head: head, Body: q.Atoms}
 	if !rule.IsRangeRestricted() {
-		return nil, nil, ErrUnsafeQuery
+		return nil, ErrUnsafeQuery
 	}
 	enlarged.Rules = append(enlarged.Rules, rule)
 
 	prep, err := rewrite.Prepare(enlarged)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng, err := engine.New(prep, term.NewUniverse(), facts.NewWorld(), engOpts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng.SetContext(ctx)
 	sp, err := specgraph.Build(eng, specOpts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s, err := evaluate(ctx, sp, &ast.Query{Atoms: []ast.Atom{head}, Free: q.Free})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.q = q
-	return s, sp, nil
-}
-
-// Incremental evaluates a uniform query against a live specification and
-// returns a handle on the answer; terms it yields are interned in the
-// specification's own universe. Single-goroutine, like the specification.
-func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
-	s, err := Evaluate(context.Background(), sp, q)
-	if err != nil {
-		return nil, err
-	}
-	return &Answers{Spec: sp, spec: s, view: sp.U}, nil
-}
-
-// Recompute adds a QUERY rule for q to the original program and builds the
-// specification of the enlarged program, which the returned handle keeps
-// (Answers.Spec). It handles arbitrary functional queries, including
-// non-uniform ones.
-func Recompute(prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
-	s, sp, err := recompute(context.Background(), prog, q, engOpts, specOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &Answers{Spec: sp, spec: s, view: sp.U}, nil
+	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"funcdb/internal/ast"
 	"funcdb/internal/engine"
 	"funcdb/internal/facts"
 	"funcdb/internal/parser"
@@ -21,7 +22,9 @@ P(Y), Member(S, X) -> Member(ext(S, Y), Y).
 P(Y), Member(S, X) -> Member(ext(S, Y), X).
 `
 
-func buildSpec(t *testing.T, src string) *specgraph.Spec {
+// buildSpec returns the specification of src and the program it was built
+// from, which the specification does not keep.
+func buildSpec(t *testing.T, src string) (*specgraph.Spec, *ast.Program) {
 	t.Helper()
 	prog := parser.MustParse(src).Program
 	prep, err := rewrite.Prepare(prog)
@@ -36,16 +39,15 @@ func buildSpec(t *testing.T, src string) *specgraph.Spec {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return sp
+	return sp, prog
 }
 
 // TestPaperIncrementalQuery reproduces the section 5 example: the answer to
 // ?- Member(S, a) over the list program has the incremental specification
 // QUERY(a), QUERY(ab) with the successor mappings unchanged.
 func TestPaperIncrementalQuery(t *testing.T) {
-	sp := buildSpec(t, listsSrc)
-	prog := sp.Eng.Prep.Program
-	q, err := parser.ParseQuery(sp.Eng.Prep.Original, `?- Member(S, a).`)
+	sp, prog := buildSpec(t, listsSrc)
+	q, err := parser.ParseQuery(prog, `?- Member(S, a).`)
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
@@ -102,9 +104,9 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 `, []string{`?- Meets(T, tony).`, `?- Meets(T, X), Next(X, Y).`}},
 	}
 	for _, tc := range cases {
-		sp := buildSpec(t, tc.src)
+		sp, prog := buildSpec(t, tc.src)
 		for _, qs := range tc.queries {
-			q, err := parser.ParseQuery(sp.Eng.Prep.Original, qs)
+			q, err := parser.ParseQuery(prog, qs)
 			if err != nil {
 				t.Fatalf("ParseQuery(%s): %v", qs, err)
 			}
@@ -112,7 +114,7 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 			if err != nil {
 				t.Fatalf("Incremental(%s): %v", qs, err)
 			}
-			rec, err := Recompute(sp.Eng.Prep.Original, q, engine.Options{}, specgraph.Options{})
+			rec, err := Recompute(prog, q, engine.Options{}, specgraph.Options{})
 			if err != nil {
 				t.Fatalf("Recompute(%s): %v", qs, err)
 			}
@@ -120,14 +122,13 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 			// compare printed forms).
 			encode := func(a *Answers) map[string]bool {
 				out := make(map[string]bool)
-				tab := a.Spec.Eng.Prep.Program.Tab
 				err := a.Enumerate(5, func(ft term.Term, args []symbols.ConstID) bool {
 					key := ""
 					if ft != term.None {
-						key = a.Spec.U.CompactString(ft, tab)
+						key = a.CompactTermString(ft)
 					}
 					for _, c := range args {
-						key += "|" + tab.ConstName(c)
+						key += "|" + a.ConstName(c)
 					}
 					out[key] = true
 					return true
@@ -155,8 +156,8 @@ func TestNonUniformQueryRecompute(t *testing.T) {
 	// Member(ext(S, a), b): the functional term has an application above
 	// the variable, so the query is not uniform. The answer: lists S such
 	// that S extended by a contains b, i.e. S already contains b.
-	sp := buildSpec(t, listsSrc)
-	q, err := parser.ParseQuery(sp.Eng.Prep.Original, `?- Member(ext(S, a), b).`)
+	sp, prog := buildSpec(t, listsSrc)
+	q, err := parser.ParseQuery(prog, `?- Member(ext(S, a), b).`)
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
@@ -166,14 +167,13 @@ func TestNonUniformQueryRecompute(t *testing.T) {
 	if _, err := Incremental(sp, q); err == nil {
 		t.Fatalf("Incremental must reject non-uniform queries")
 	}
-	ans, err := Recompute(sp.Eng.Prep.Original, q, engine.Options{}, specgraph.Options{})
+	ans, err := Recompute(prog, q, engine.Options{}, specgraph.Options{})
 	if err != nil {
 		t.Fatalf("Recompute: %v", err)
 	}
-	tab := ans.Spec.Eng.Prep.Program.Tab
-	extA, _ := tab.LookupFunc("ext'a", 0)
-	extB, _ := tab.LookupFunc("ext'b", 0)
-	u := ans.Spec.U
+	extA, _ := prog.Tab.LookupFunc("ext'a", 0)
+	extB, _ := prog.Tab.LookupFunc("ext'b", 0)
+	u := ans.terms()
 	bList := u.Apply(extB, term.Zero)
 	aList := u.Apply(extA, term.Zero)
 	if ok, _ := ans.Contains(bList, nil); !ok {
@@ -189,8 +189,8 @@ func TestNonUniformQueryRecompute(t *testing.T) {
 
 func TestExistentialFunctionalVariable(t *testing.T) {
 	// ?- Member(_S, X): which elements occur in some list? Both a and b.
-	sp := buildSpec(t, listsSrc)
-	q, err := parser.ParseQuery(sp.Eng.Prep.Original, `?- Member(_S, X).`)
+	sp, prog := buildSpec(t, listsSrc)
+	q, err := parser.ParseQuery(prog, `?- Member(_S, X).`)
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestExistentialFunctionalVariable(t *testing.T) {
 	if ans.HasFunctionalAnswers() {
 		t.Fatalf("answers should be purely non-functional")
 	}
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	aC, _ := tab.LookupConst("a")
 	bC, _ := tab.LookupConst("b")
 	if ok, _ := ans.Contains(term.None, []symbols.ConstID{aC}); !ok {
@@ -223,8 +223,8 @@ func TestExistentialFunctionalVariable(t *testing.T) {
 }
 
 func TestEnumerateOrderAndCutoff(t *testing.T) {
-	sp := buildSpec(t, listsSrc)
-	q, err := parser.ParseQuery(sp.Eng.Prep.Original, `?- Member(S, a).`)
+	sp, prog := buildSpec(t, listsSrc)
+	q, err := parser.ParseQuery(prog, `?- Member(S, a).`)
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
@@ -267,20 +267,19 @@ func TestEnumerateOrderAndCutoff(t *testing.T) {
 
 func TestQueryWithGroundTerm(t *testing.T) {
 	// Does the specific list [a] have member X? Only X = a.
-	sp := buildSpec(t, listsSrc)
-	q, err := parser.ParseQuery(sp.Eng.Prep.Original, `?- Member(ext(0, a), X).`)
+	_, prog := buildSpec(t, listsSrc)
+	q, err := parser.ParseQuery(prog, `?- Member(ext(0, a), X).`)
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
 	// Ground mixed terms are not uniform for our builder until eliminated;
 	// Recompute handles them.
-	ans, err := Recompute(sp.Eng.Prep.Original, q, engine.Options{}, specgraph.Options{})
+	ans, err := Recompute(prog, q, engine.Options{}, specgraph.Options{})
 	if err != nil {
 		t.Fatalf("Recompute: %v", err)
 	}
-	tab := ans.Spec.Eng.Prep.Program.Tab
-	aC, _ := tab.LookupConst("a")
-	bC, _ := tab.LookupConst("b")
+	aC, _ := prog.Tab.LookupConst("a")
+	bC, _ := prog.Tab.LookupConst("b")
 	if ok, _ := ans.Contains(term.None, []symbols.ConstID{aC}); !ok {
 		t.Errorf("X = a expected")
 	}

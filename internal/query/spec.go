@@ -124,11 +124,6 @@ func (s *Specification) Answers(base *term.Universe) *Answers {
 // terms live in, so it is single-goroutine, and any number of handles on
 // one specification work at once with no lock between them.
 type Answers struct {
-	// Spec is the underlying live graph specification, when the answer was
-	// built against one (Incremental, Recompute); answers on a frozen
-	// snapshot leave it nil.
-	Spec *specgraph.Spec
-
 	spec *Specification
 	view *term.Universe // where yielded terms are interned
 	base *term.Universe // frozen: view is an arena over base, made on first use

@@ -7,9 +7,9 @@ import (
 )
 
 // Frozen is the immutable query surface of a graph specification: the
-// successor table and the relation R, shared with the Spec it was frozen
-// from (neither changes once built), and a frozen view of the global
-// (non-functional) facts. It holds no engine, no universe and no world —
+// successor table, the relation R and the frozen global (non-functional)
+// facts, shared with the Spec it was frozen from (none changes once built),
+// and the flat tables. It holds no engine, no universe and no world —
 // callers supply a *term.Universe and *facts.World (normally per-query
 // overlays over the snapshot's frozen universe and world), so
 // membership and answer evaluation run with zero locks and zero mutation of
@@ -28,35 +28,24 @@ type Frozen struct {
 
 // Freeze captures the specification's query surface with flat tables built
 // over the identity quotient (one flat state per representative). Call it
-// under the writer lock; the engine may keep being used (and extended)
-// afterwards, the frozen value never changes.
+// under the writer lock; the frozen value never changes.
 func (sp *Spec) Freeze() *Frozen { return sp.FreezeQuotient(nil) }
 
 // FreezeQuotient is Freeze with the flat tables built over an explicit
 // state quotient — normally the minimized observable-equivalence partition,
 // which makes the tables as small as the coarsest equivalent automaton. A
-// nil quotient is the identity partition.
+// nil quotient is the identity partition. It is the one way to a Frozen, for
+// a specification Algorithm Q built and for one read from a document.
 func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
-	// OriginalPreds is shared, not copied: nothing writes the map once
-	// rewrite.Prepare has built it (a recompile prepares a new one).
-	return NewFrozen(sp.SeedDepth, sp.Table, sp.Merges, sp.Eng.Global().Freeze(), sp.W, sp.Eng.Prep.OriginalPreds, q)
-}
-
-// NewFrozen assembles the query surface of a specification from its parts —
-// for one no engine built, a document read back. w holds the table's states
-// and the global facts, originalPreds names the predicates the flat tables
-// observe, and q is the quotient they are built over (nil: the identity).
-// Nothing is copied: the parts must not change afterwards.
-func NewFrozen(seedDepth int, tab *Table, merges []Merge, global *facts.Set, w *facts.World, originalPreds map[symbols.PredID]bool, q Quotient) *Frozen {
+	// Nothing is copied: the table, R, the global relation and
+	// OriginalPreds do not change once the Spec is built.
 	return &Frozen{
-		SeedDepth:     seedDepth,
-		Table:         tab,
-		Merges:        merges,
-		global:        global,
-		originalPreds: originalPreds,
-		flat: buildFlat(tab, q, func(i int) []facts.AtomID {
-			return originalSlice(w, tab.State[i], originalPreds)
-		}),
+		SeedDepth:     sp.SeedDepth,
+		Table:         sp.Table,
+		Merges:        sp.Merges,
+		global:        sp.Global,
+		originalPreds: sp.OriginalPreds,
+		flat:          buildFlat(sp.Table, q, sp.SliceAt),
 	}
 }
 

@@ -45,21 +45,36 @@ type Merge struct {
 }
 
 // Spec is a computed graph specification: the successor table T (the
-// embedded Table, whose Alphabet, Reps and State read as the Spec's own) with
-// the engine, universe and world the representatives and their slices live
-// in. It is not changed once Build has returned it.
+// embedded Table, whose Alphabet, Reps and State read as the Spec's own),
+// the universe and world its representatives and slices live in, and what
+// answering keeps of the program — its names, its global relation and which
+// of its predicates are original. It holds no engine: once Algorithm Q has
+// finished, the rules are forgotten (§3), and a Spec read from a document
+// (specio) is the same value. It is not changed once Build has returned it.
 type Spec struct {
-	Eng *engine.Engine
-	U   *term.Universe
-	W   *facts.World
+	U *term.Universe
+	W *facts.World
+	// Tab names the symbols of the terms and atoms: the program's table.
+	Tab *symbols.Table
+	// Global holds the non-functional facts of the least fixpoint, frozen
+	// when Algorithm Q finished.
+	Global *facts.Set
+	// OriginalPreds names the predicates of the original program, the ones
+	// slices and answers observe (normalization's helpers are not). Nothing
+	// writes the map: every frozen form shares it.
+	OriginalPreds map[symbols.PredID]bool
+	// Temporal marks the specification of a temporal program.
+	Temporal bool
 
 	// SeedDepth is where breadth-first exploration started.
 	SeedDepth int
 	*Table
-	// Active lists just the Active terms found by the algorithm.
+	// Active lists just the Active terms found by the algorithm (nil for a
+	// specification read from a document).
 	Active []term.Term
 	// Potentials lists every term the algorithm examined at or beyond the
-	// seed depth, in examination (precedence) order.
+	// seed depth, in examination (precedence) order (nil for a
+	// specification read from a document).
 	Potentials []term.Term
 	// Merges are the (Active, Potential) equivalences found; see Merge.
 	Merges []Merge
@@ -101,7 +116,8 @@ type Builder struct {
 func NewBuilder(eng *engine.Engine, opts Options) *Builder {
 	alphabet := append([]symbols.FuncID(nil), eng.Prep.Funcs...)
 	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
-	sp := &Spec{Eng: eng, U: eng.U, W: eng.W, SeedDepth: eng.Prep.SeedDepth, Table: newTable(alphabet)}
+	sp := &Spec{U: eng.U, W: eng.W, Tab: eng.Prep.Program.Tab, OriginalPreds: eng.Prep.OriginalPreds,
+		Temporal: eng.Prep.Temporal, SeedDepth: eng.Prep.SeedDepth, Table: newTable(alphabet)}
 	return &Builder{eng: eng, opts: opts, sp: sp, queue: []struct{ from, via int32 }{{-1, -1}},
 		active: make(map[facts.StateID]int32)}
 }
@@ -205,6 +221,9 @@ func (b *Builder) Run() (*Spec, error) {
 	if err := tab.check(); err != nil {
 		return nil, err
 	}
+	// The engine goes on (an Extend absorbs facts into it); the global
+	// relation the Spec answers from is the one Algorithm Q finished with.
+	sp.Global = eng.Global().Freeze()
 
 	// Report Algorithm Q's work: exploration steps, the merge equations that
 	// generate Cl(R), and the derivation depth the search reached — the
@@ -270,22 +289,17 @@ func (sp *Spec) Has(pred symbols.PredID, t term.Term, args []symbols.ConstID) (b
 
 // HasData decides a non-functional fact from the specification.
 func (sp *Spec) HasData(pred symbols.PredID, args []symbols.ConstID) bool {
-	return sp.Eng.HasGlobal(pred, args)
+	a, ok := sp.W.Lookup(pred, args)
+	return ok && sp.Global.Has(sp.W, a)
 }
 
 // SliceAt returns the primary-database slice B[Reps[i]]: the function-free
 // atoms at the representative, restricted to the original program's
 // predicates, sorted.
 func (sp *Spec) SliceAt(i int) []facts.AtomID {
-	return originalSlice(sp.W, sp.State[i], sp.Eng.Prep.OriginalPreds)
-}
-
-// originalSlice returns the atoms of state s whose predicates are original,
-// in StateAtoms (sorted) order.
-func originalSlice(w *facts.World, s facts.StateID, original map[symbols.PredID]bool) []facts.AtomID {
 	var out []facts.AtomID
-	for _, a := range w.StateAtoms(s) {
-		if original[w.AtomPred(a)] {
+	for _, a := range sp.W.StateAtoms(sp.State[i]) {
+		if sp.OriginalPreds[sp.W.AtomPred(a)] {
 			out = append(out, a)
 		}
 	}
@@ -344,7 +358,7 @@ func (sp *Spec) Size() (reps, edges, tuples int) {
 
 // FormatAtom renders a function-free atom with rep as functional component.
 func (sp *Spec) FormatAtom(a facts.AtomID, rep term.Term) string {
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	var b strings.Builder
 	b.WriteString(tab.PredName(sp.W.AtomPred(a)))
 	b.WriteByte('(')
@@ -361,7 +375,7 @@ func (sp *Spec) FormatAtom(a facts.AtomID, rep term.Term) string {
 // representatives with their primary-database slices, then the successor
 // table.
 func (sp *Spec) Dump() string {
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph specification: %d representatives, seed depth %d\n",
 		len(sp.Reps), sp.SeedDepth)

@@ -15,6 +15,14 @@ import (
 
 func buildSpec(t *testing.T, src string) *Spec {
 	t.Helper()
+	sp, _ := buildSpecEngine(t, src)
+	return sp
+}
+
+// buildSpecEngine also returns the engine the specification was built from,
+// which the Spec does not keep.
+func buildSpecEngine(t *testing.T, src string) (*Spec, *engine.Engine) {
+	t.Helper()
 	prog := parser.MustParse(src).Program
 	prep, err := rewrite.Prepare(prog)
 	if err != nil {
@@ -28,7 +36,7 @@ func buildSpec(t *testing.T, src string) *Spec {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return sp
+	return sp, eng
 }
 
 const meetingsSrc = `
@@ -43,7 +51,7 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 // primary database {Meets(0,tony), Meets(1,jan)}.
 func TestPaperMeetings(t *testing.T) {
 	sp := buildSpec(t, meetingsSrc)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	succ, _ := tab.LookupFunc("succ", 0)
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	tony, _ := tab.LookupConst("tony")
@@ -96,7 +104,7 @@ P(Y), Member(S, X) -> Member(ext(S, Y), X).
 // printed in the paper.
 func TestPaperLists(t *testing.T) {
 	sp := buildSpec(t, listsSrc)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	extA, _ := tab.LookupFunc("ext'a", 0)
 	extB, _ := tab.LookupFunc("ext'b", 0)
 	u := sp.U
@@ -220,7 +228,7 @@ func TestPaperEvenMerge(t *testing.T) {
 Even(0).
 Even(T) -> Even(T+2).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	succ, _ := tab.LookupFunc("succ", 0)
 	if sp.SeedDepth != 0 {
 		t.Fatalf("temporal seed depth = %d, want 0", sp.SeedDepth)
@@ -249,7 +257,7 @@ Connected(p1, p2).
 Connected(p2, p0).
 At(S, P1), Connected(P1, P2) -> At(move(S, P1, P2), P2).
 `)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	at, _ := tab.LookupPred("At", 1, true)
 	p0, _ := tab.LookupConst("p0")
 	p2, _ := tab.LookupConst("p2")
@@ -286,7 +294,7 @@ At(S, P1), Connected(P1, P2) -> At(move(S, P1, P2), P2).
 // TestRepresentativeClosedUnderSuccessor: walking any term through the DFA
 // ends at a representative whose state equals the term's state.
 func TestRepresentativeClosedUnderSuccessor(t *testing.T) {
-	sp := buildSpec(t, listsSrc)
+	sp, eng := buildSpecEngine(t, listsSrc)
 	u := sp.U
 	var walk func(tm term.Term, d int)
 	walk = func(tm term.Term, d int) {
@@ -297,7 +305,7 @@ func TestRepresentativeClosedUnderSuccessor(t *testing.T) {
 		if !sp.IsRep(rep) {
 			t.Fatalf("walk ended at non-representative")
 		}
-		st, err := sp.Eng.StateOf(tm)
+		st, err := eng.StateOf(tm)
 		if err != nil {
 			t.Fatalf("StateOf: %v", err)
 		}
@@ -320,7 +328,7 @@ func TestRepresentativeClosedUnderSuccessor(t *testing.T) {
 // counterexample.
 func TestCheckAll(t *testing.T) {
 	sp := buildSpec(t, listsSrc)
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	member, _ := tab.LookupPred("Member", 1, true)
 	aC, _ := tab.LookupConst("a")
 	bC, _ := tab.LookupConst("b")
@@ -395,8 +403,8 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 		datagen.CalendarSrc(8) + "Meets(3, s5).\n", datagen.RandomBidiSrc(4, 2, 5), datagen.RandomAutomatonSrc(5, 3, 2),
 		"@functional A/1.\n@functional B/1.\nA(f(g(0))).\nA(S) -> A(f(S)).\nA(f(S)) -> B(S).\n"}
 	for _, src := range srcs {
-		sp := buildSpec(t, src)
-		name := func(tm term.Term) string { return sp.U.CompactString(tm, sp.Eng.Prep.Program.Tab) }
+		sp, eng := buildSpecEngine(t, src)
+		name := func(tm term.Term) string { return sp.U.CompactString(tm, sp.Tab) }
 		// The table itself: every cell names a state, and parent/via spell
 		// each representative (so it walks to its own index).
 		n, k := len(sp.Reps), len(sp.Alphabet)
@@ -425,7 +433,7 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 			}
 		}
 		for _, rep := range sp.Reps {
-			if want, err := sp.Eng.StateOf(rep); err != nil || sp.StateOfRep(rep) != want {
+			if want, err := eng.StateOf(rep); err != nil || sp.StateOfRep(rep) != want {
 				t.Errorf("state of representative %s: remembered %d, engine %d (%v)", name(rep), sp.StateOfRep(rep), want, err)
 			}
 			for _, f := range sp.Alphabet {
@@ -433,7 +441,7 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 				if !ok {
 					t.Fatalf("no edge from %s", name(rep))
 				}
-				if want, err := sp.Eng.StateOf(sp.U.Apply(f, rep)); err != nil || sp.StateOfRep(next) != want {
+				if want, err := eng.StateOf(sp.U.Apply(f, rep)); err != nil || sp.StateOfRep(next) != want {
 					t.Errorf("edge from %s leads to %s, whose state is not the child's", name(rep), name(next))
 				}
 			}
@@ -447,7 +455,7 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 			if !ok {
 				rep = p
 			}
-			if want, err := sp.Eng.StateOf(p); err != nil || sp.StateOfRep(rep) != want {
+			if want, err := eng.StateOf(p); err != nil || sp.StateOfRep(rep) != want {
 				t.Errorf("potential %s was given the state of %s, not its own", name(p), name(rep))
 			}
 		}

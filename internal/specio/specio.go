@@ -4,19 +4,22 @@
 // computed, the original deductive rules may be forgotten". This package
 // makes that operational. A graph specification (B, T) together with the
 // equations R and the global facts is exported to a self-contained JSON
-// document (or its binary form); core.LoadSpec makes a snapshot of the
-// document alone — no rules, no engine — that answers through the same plans
-// as a compiled program's. Export to Graphviz DOT is provided for inspecting
-// the successor automaton.
+// document (or its binary form) by FromSpec, and Document.Spec reads one back
+// into the same specgraph.Spec value Algorithm Q builds — no rules, no
+// engine. core.LoadSpec freezes that into a snapshot, the way it freezes a
+// compiled program's, and it answers through the same plans. Export to
+// Graphviz DOT is provided for inspecting the successor automaton.
 package specio
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"funcdb/internal/facts"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
@@ -87,10 +90,10 @@ type EquationDoc struct {
 
 // FromSpec builds a Document from a graph specification.
 func FromSpec(sp *specgraph.Spec) *Document {
-	tab := sp.Eng.Prep.Program.Tab
+	tab := sp.Tab
 	doc := &Document{
 		Format:    "funcdb/spec/v1",
-		Temporal:  sp.Eng.Prep.Temporal,
+		Temporal:  sp.Temporal,
 		SeedDepth: sp.SeedDepth,
 	}
 	for _, f := range sp.Alphabet {
@@ -124,9 +127,9 @@ func FromSpec(sp *specgraph.Spec) *Document {
 		}
 		doc.Slices = append(doc.Slices, slice)
 	}
-	for _, a := range sp.Eng.Global().All() {
+	for _, a := range sp.Global.All() {
 		p := sp.W.AtomPred(a)
-		if !sp.Eng.Prep.OriginalPreds[p] {
+		if !sp.OriginalPreds[p] {
 			continue
 		}
 		preds[p] = true
@@ -161,6 +164,87 @@ func FromSpec(sp *specgraph.Spec) *Document {
 		})
 	}
 	return doc
+}
+
+// Spec reads the document back into the specification FromSpec wrote it
+// from, in a fresh symbol table, universe and world of its own: the same
+// value Algorithm Q builds, with no rules behind it (§3). Its predicates are
+// all original ones — the document keeps no others — and it has no Active
+// or Potential terms. The document is validated first (see Validate).
+func (d *Document) Spec() (*specgraph.Spec, error) {
+	parent, via, err := d.Tree()
+	if err != nil {
+		return nil, err
+	}
+	tab, u, w := symbols.NewTable(), term.NewUniverse(), facts.NewWorld()
+	// The alphabet first, in transition order: the table's only function
+	// symbols, so a symbol's id is its index in the alphabet, ascending as a
+	// table's alphabet must. A derived g'a'b and succ are pure symbols by
+	// name, which is how the query reader finds a mixed application's symbol
+	// and a numeral's.
+	alphabet := make([]symbols.FuncID, len(d.Alphabet))
+	for i, name := range d.Alphabet {
+		alphabet[i] = tab.Func(name, 0)
+	}
+	symbol := func(name string) symbols.FuncID {
+		f, _ := tab.LookupFunc(name, 0) // Tree checked it is in the alphabet
+		return f
+	}
+	original := make(map[symbols.PredID]bool, len(d.Predicates))
+	for _, p := range d.Predicates {
+		original[tab.Pred(p.Name, p.Arity, p.Functional)] = true
+	}
+	var args []symbols.ConstID
+	atom := func(fd FactDoc, functional bool) facts.AtomID {
+		p := tab.Pred(fd.Pred, len(fd.Args), functional)
+		original[p] = true
+		args = args[:0]
+		for _, c := range fd.Args {
+			args = append(args, tab.Const(c))
+		}
+		return w.Atom(p, w.Tuple(args))
+	}
+	termOf := func(td TermDoc) term.Term {
+		t := term.Zero
+		for _, name := range td {
+			t = u.Apply(symbol(name), t)
+		}
+		return t
+	}
+
+	n, k := len(d.Reps), len(alphabet)
+	reps := make([]term.Term, n) // reps[0] is term.Zero
+	for i := 1; i < n; i++ {
+		reps[i] = u.Apply(alphabet[via[i]], reps[parent[i]])
+	}
+	state := make([]facts.StateID, n) // facts.EmptyState where there is no slice
+	var buf []facts.AtomID
+	for _, sl := range d.Slices {
+		buf = buf[:0]
+		for _, fd := range sl.Facts {
+			buf = append(buf, atom(fd, true))
+		}
+		slices.Sort(buf)
+		state[sl.Rep] = w.State(slices.Compact(buf))
+	}
+	trans := make([]int32, n*k)
+	for _, e := range d.Edges {
+		trans[e.From*k+int(symbol(e.Fn))] = int32(e.To)
+	}
+	t, err := specgraph.NewTable(alphabet, reps, state, parent, via, trans)
+	if err != nil {
+		return nil, err
+	}
+	global := facts.NewSet()
+	for _, fd := range d.Globals {
+		global.Add(w, atom(fd, false))
+	}
+	merges := make([]specgraph.Merge, len(d.Equations))
+	for i, eq := range d.Equations {
+		merges[i] = specgraph.Merge{Rep: termOf(eq.Left), Potential: termOf(eq.Right)}
+	}
+	return &specgraph.Spec{U: u, W: w, Tab: tab, Global: global.Freeze(), OriginalPreds: original,
+		Temporal: d.Temporal, SeedDepth: d.SeedDepth, Table: t, Merges: merges}, nil
 }
 
 // Write serializes the document as indented JSON.
@@ -202,8 +286,8 @@ func Read(r io.Reader) (*Document, error) {
 // index ranges, alphabet closure, the absence of duplicates that would make
 // the successor automaton ambiguous, and that the edges are a successor
 // table — total, with every representative one edge past an earlier one.
-// core.LoadSpec calls it, so hand-built documents get the same scrutiny as
-// ones arriving through Read.
+// Spec calls it, so hand-built documents get the same scrutiny as ones
+// arriving through Read.
 func (d *Document) Validate() error {
 	_, _, err := d.Tree()
 	return err

@@ -26,7 +26,7 @@ Next(tony, jan).
 Next(jan, tony).
 Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 `)
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	tony, _ := tab.LookupConst("tony")
 	jan, _ := tab.LookupConst("jan")
@@ -45,7 +45,7 @@ func TestProgressionsWithPrefix(t *testing.T) {
 Backup(1).
 Backup(T) -> Backup(T+3).
 `)
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	backup, _ := tab.LookupPred("Backup", 0, true)
 	ps := ts.Progressions(backup, nil)
 	if got := FormatProgressions(ps); got != "{1 + 3k}" {
@@ -74,7 +74,7 @@ B(T) -> B(T+2).
 A(T) -> Busy(T).
 B(T) -> Busy(T).
 `)
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	busy, _ := tab.LookupPred("Busy", 0, true)
 	ps := ts.Progressions(busy, nil)
 	// Busy holds every day: the two residues collapse to stride 1.
@@ -88,7 +88,7 @@ func TestProgressionsEmpty(t *testing.T) {
 Even(0).
 Even(T) -> Even(T+2).
 `)
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	even, _ := tab.LookupPred("Even", 0, true)
 	never := tab.Pred("Never", 0, true)
 	if got := FormatProgressions(ts.Progressions(never, nil)); got != "{}" {
@@ -123,10 +123,10 @@ Steady(T) -> Steady(T+1).
 	}
 	for _, src := range sources {
 		ts := buildTemporal(t, src)
-		tab := ts.Graph.Eng.Prep.Program.Tab
+		tab := ts.Graph.Tab
 		for p := symbols.PredID(0); int(p) < tab.NumPreds(); p++ {
 			info := tab.PredInfo(p)
-			if !info.Functional || info.Arity != 0 || !ts.Graph.Eng.Prep.OriginalPreds[p] {
+			if !info.Functional || info.Arity != 0 || !ts.Graph.OriginalPreds[p] {
 				continue
 			}
 			ps := ts.Progressions(p, nil)

@@ -39,7 +39,7 @@ type Spec struct {
 // Build derives the lasso form from a graph specification of a temporal
 // program.
 func Build(sp *specgraph.Spec) (*Spec, error) {
-	if !sp.Eng.Prep.Temporal {
+	if !sp.Temporal {
 		return nil, fmt.Errorf("temporal: program is not temporal")
 	}
 	if len(sp.Alphabet) != 1 {
@@ -102,7 +102,7 @@ func (t *Spec) Slice(n int) []facts.AtomID {
 
 // Dump renders the lasso.
 func (t *Spec) Dump() string {
-	tab := t.Graph.Eng.Prep.Program.Tab
+	tab := t.Graph.Tab
 	var b strings.Builder
 	fmt.Fprintf(&b, "temporal specification: prefix %d, period %d\n", t.Prefix, t.Period)
 	for i, d := range t.Graph.Reps {

@@ -45,7 +45,7 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 	if ts.Prefix != 0 || ts.Period != 2 {
 		t.Fatalf("lasso = (%d, %d), want (0, 2)", ts.Prefix, ts.Period)
 	}
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	meets, _ := tab.LookupPred("Meets", 1, true)
 	tony, _ := tab.LookupConst("tony")
 	jan, _ := tab.LookupConst("jan")
@@ -69,7 +69,7 @@ Even(T) -> Even(T+2).
 		t.Fatalf("lasso = (%d, %d), want (0, 2)", ts.Prefix, ts.Period)
 	}
 	eq := ts.Equation()
-	succ, _ := ts.Graph.Eng.Prep.Program.Tab.LookupFunc("succ", 0)
+	succ, _ := ts.Graph.Tab.LookupFunc("succ", 0)
 	if n, _ := ts.Graph.U.AsNumber(eq[0], succ); n != 0 {
 		t.Errorf("equation lhs = %d, want 0", n)
 	}
@@ -97,7 +97,7 @@ NotLast(1).
 Boot(2) -> Steady(3).
 Steady(T) -> Steady(T+1).
 `)
-	tab := ts.Graph.Eng.Prep.Program.Tab
+	tab := ts.Graph.Tab
 	boot, _ := tab.LookupPred("Boot", 0, true)
 	steady, _ := tab.LookupPred("Steady", 0, true)
 	for n := 0; n <= 50; n++ {

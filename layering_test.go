@@ -25,7 +25,8 @@ import (
 // of the format. The document codec answers nothing: a document is answered
 // as a core snapshot, so specio reaches no decision procedure of its own
 // (congruence closure is core's, behind MethodEquational); what it reaches it
-// reaches through specgraph, whose Spec it exports. What a binary links is
+// reaches through specgraph, whose Spec it exports and, from a document,
+// builds. What a binary links is
 // what it serves: core, and with it fdbd and fdbq, reaches none of the
 // paper's reproductions (canonical, temporal), its baselines (topdown,
 // fixpoint) or fdbc's shell, and canonical — §3.6 only — reaches neither
