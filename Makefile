@@ -37,7 +37,9 @@ test:
 # by family and term depth. And one over the walk kernels: ns per symbol of
 # FlatDFA.Walk by family and depth, with the gate that no kernel allocates
 # once warm (a ground plan walks once, when it is built, so no ask-path
-# allocation test reaches them).
+# allocation test reaches them). And the text hit: its allocation gate, then
+# a pass over its benchmark on one core and on two, with the cached strings
+# and with fresh copies of them.
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
@@ -46,6 +48,7 @@ test-bench:
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
+	$(GO) test -count=1 -run 'TestGroundAskZeroAlloc' -bench 'BenchmarkTextHit' -benchtime 200000x -cpu 1,2 ./internal/core/
 
 race:
 	$(GO) test -race ./...
@@ -53,9 +56,12 @@ race:
 # The stores alone under the race detector: readers on successive frozen
 # views of the universe, the world and a set — bare and through overlays —
 # against a writer interning across index growths, and the snapshot readers
-# of core and the registry against Extend.
+# of core and the registry against Extend. Then the plan cache's lock-free
+# text level ten times over: readers against flushes, texts that share a
+# key, and the striped hit counter's exact sum.
 race-store:
 	$(GO) test -race -count=1 ./internal/term ./internal/facts ./internal/symbols ./internal/core ./internal/registry
+	$(GO) test -race -count=10 -run 'TestPlanCacheFlushUnderReaders|TestTextKeyCollisions|TestPlanHitsCountedExactly' ./internal/core
 
 # The replication stack alone under the race detector: the record codec and
 # framing, cursor tailing, the server's streaming endpoints, the replica loop,

@@ -147,11 +147,44 @@ func TestReaderDeclinesOnlyOpenOrMalformed(t *testing.T) {
 	}
 }
 
+// copyHitDisagrees asks text of an emptied plan cache twice, through the
+// text and through a freshly built copy of it: the first Prepare is a miss,
+// the second a text hit, which must compare the texts whole (the copy is
+// not pointer-equal), find the miss's plan and, for a ground query, answer
+// as it does. It returns "" when they agree.
+func copyHitDisagrees(s *Snapshot, text string) string {
+	pc := &s.plans
+	pc.mu.Lock()
+	pc.flush()
+	pc.mu.Unlock()
+	ctx := context.Background()
+	p, err := s.Prepare(ctx, text)
+	hp, herr := s.Prepare(ctx, strings.Clone(text))
+	switch {
+	case (err != nil) != (herr != nil) || err != nil && err.Error() != herr.Error():
+		return fmt.Sprintf("the miss fails with %v, the hit on a copy with %v", err, herr)
+	case err != nil:
+		return ""
+	case hp != p && pc.ntexts > 0:
+		return "the hit on a copy found another plan than the miss built"
+	case !p.Ground():
+		return ""
+	}
+	ok, err := p.Ask(ctx)
+	hok, herr := hp.Ask(ctx)
+	if ok != hok || (err != nil) != (herr != nil) {
+		return fmt.Sprintf("the miss answers %v, %v; the hit on a copy %v, %v", ok, err, hok, herr)
+	}
+	return ""
+}
+
 // FuzzGroundLowering: for any text, the reader and the tree lowering agree
 // on whether it is declined, and on the shape, fingerprint, steps and
 // verdict of a ground query, on the oracle's programs — one an input, so
-// that an execution reads the text twice, not forty times. It is seeded
-// with every third text of the readers' corpus, under its own program.
+// that an execution reads the text three times, not sixty. And the text is
+// asked twice, through itself and through a fresh copy, which must find the
+// same plan (copyHitDisagrees). It is seeded with every third text of the
+// readers' corpus, under its own program.
 func FuzzGroundLowering(f *testing.F) {
 	progs := oraclePrograms(f)
 	for pi, op := range progs {
@@ -164,6 +197,9 @@ func FuzzGroundLowering(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string, pi uint8) {
 		op := progs[int(pi)%len(progs)]
 		if d := readerDisagrees(op.snap, text); d != "" {
+			t.Errorf("%s: %.200q: %s", op.name, text, d)
+		}
+		if d := copyHitDisagrees(op.snap, text); d != "" {
 			t.Errorf("%s: %.200q: %s", op.name, text, d)
 		}
 	})

@@ -6,17 +6,20 @@
 // snapshot, so its plan is built with it: the DFA walks (specgraph.FlatDFA
 // for original predicates, the representatives' table for helpers) run once,
 // when the text is lowered, and executing the plan reads one bool. Plans are
-// cached per snapshot, keyed on the exact text for a lock-free hit and on the
-// canonical query shape (QueryShape) so spelling variants share one
-// compilation, with singleflight collapse of concurrent open misses.
+// cached per snapshot, by text for a lock-free hit (on a key that samples a
+// bounded part of the text, the text then compared whole) and by canonical
+// query shape (QueryShape) so spelling variants share one compilation, with
+// singleflight collapse of concurrent open misses.
 // Mutating the database publishes a fresh Snapshot, which starts with an
 // empty plan cache — version-bump invalidation needs no scans.
 package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -125,49 +128,184 @@ type planEntry struct {
 	err     error
 }
 
-// planCacheCap bounds the entries of each cache map and planCacheBytes the
+// planCacheCap bounds the entries of each cache level and planCacheBytes the
 // bytes the cache retains: a ground plan keeps four bytes per application,
 // an open one its AST, some 40 bytes per application, so a few thousand deep
 // plans are megabytes however few entries they are. The cache lives and
 // dies with its Snapshot, so eviction is a rare safety valve, not a
-// steady-state path: when either bound would be passed, both maps are
+// steady-state path: when either bound would be passed, both levels are
 // simply flushed. entryOverhead is the fixed cost charged per cached text:
-// its slot in the texts map, its entry, and a shape's slot in the shapes map.
+// its slot in the text level, its entry, and a shape's slot in the shapes
+// map. textsPerKey bounds the texts kept under one text key (textKey).
 const (
 	planCacheCap   = 4096
 	planCacheBytes = 16 << 20
 	entryOverhead  = 160
+	textsPerKey    = 8
 )
 
-// planCache is the per-snapshot two-level plan cache: an exact-text map for
-// the zero-work hit path, and a canonical-shape map so different spellings
-// compile once. The text map is a sync.Map, built for keys written once and
-// read many times, so a hit takes no lock and writes no shared word. mu
-// guards the rest — the shape map, the accounting, and the flush, which
-// swaps in an empty text map — and every store into the text map, so that a
-// flush cannot fall between a writer's admission and its store.
+// The text key samples a text longer than keyWhole bytes: its length, its
+// first and last keyEdge bytes and keyWords interior 8-byte words, evenly
+// spaced between the edges. A shorter text is hashed whole.
+const (
+	keyWhole = 64
+	keyEdge  = 16
+	keyWords = 4
+)
+
+// keySeed seeds the text key, so which texts share a key cannot be known
+// outside the process.
+var keySeed = maphash.MakeSeed()
+
+// textKey is the text level's key for src: a seeded hash of a bounded
+// sample of it, so a lookup costs the same for a text of any length. Texts
+// that agree on every sampled byte share a key; the text level tells them
+// apart by comparing them whole.
+func textKey(src string) uint64 {
+	if len(src) <= keyWhole {
+		return maphash.String(keySeed, src)
+	}
+	var b [8 + 2*keyEdge + 8*keyWords]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(src)))
+	copy(b[8:], src[:keyEdge])
+	copy(b[8+keyEdge:], src[len(src)-keyEdge:])
+	for i, off := range keyOffsets(len(src)) {
+		copy(b[8+2*keyEdge+8*i:], src[off:off+8])
+	}
+	return maphash.Bytes(keySeed, b[:])
+}
+
+// keyOffsets returns where textKey's interior words start in a text of n >
+// keyWhole bytes.
+func keyOffsets(n int) (offs [keyWords]int) {
+	span := n - 2*keyEdge - 8
+	for i := range offs {
+		offs[i] = keyEdge + span*(i+1)/(keyWords+1)
+	}
+	return offs
+}
+
+// planCache is the per-snapshot two-level plan cache: a text level for the
+// zero-work hit path, and a canonical-shape map so different spellings
+// compile once. The text level (textTable) is published behind an atomic
+// pointer and never changed in place but by atomic stores of chain heads,
+// so a hit takes no lock and writes no shared word. mu guards the rest —
+// the shape map, the accounting, and the flush, which swaps in an empty
+// table — and every store into the text level, so that a flush cannot fall
+// between a writer's admission and its store.
 type planCache struct {
-	texts  atomic.Pointer[sync.Map] // text -> *planEntry; nil before the first insertion
+	texts  atomic.Pointer[textTable] // nil before the first insertion
 	mu     sync.Mutex
 	shapes map[string]*planEntry
-	ntexts int // entries stored in the current text map
+	ntexts int // texts stored in the current text level
 	bytes  int // retained by the entries of both maps, as estimated by their inserters
 }
 
-// text returns the entry cached for src, or nil.
-func (pc *planCache) text(src string) *planEntry {
-	if m := pc.texts.Load(); m != nil {
-		if v, ok := m.Load(src); ok {
-			return v.(*planEntry)
+// textTable is the text level: an open-addressed table, probed linearly
+// from a key's low bits, of chains of the texts under one key. Its slots
+// are filled, and a chain's head replaced, by atomic stores under the
+// cache's mu; it grows by copying the chain heads into a table twice the
+// size, so it is at most half full.
+type textTable struct {
+	slots []atomic.Pointer[textNode] // len a power of two
+	nkeys int                        // slots in use; written under mu
+}
+
+// textSlots is the size of a snapshot's first text table.
+const textSlots = 64
+
+// textNode is one text of the text level and its entry; next is the text
+// stored before it under the same key. Nodes are never changed once stored.
+type textNode struct {
+	key  uint64
+	src  string
+	e    *planEntry
+	next *textNode
+}
+
+// chain returns the chain of key's texts, or nil.
+func (t *textTable) chain(key uint64) *textNode {
+	mask := uint64(len(t.slots) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		n := t.slots[i].Load()
+		if n == nil || n.key == key {
+			return n
+		}
+	}
+}
+
+// sameText is how the text level tells the texts under one key apart;
+// TestTextKeyCollisionsCatches plants a bug through it.
+var sameText = func(a, b string) bool { return a == b }
+
+// text returns the entry cached for src, whose key is key, or nil.
+func (pc *planCache) text(key uint64, src string) *planEntry {
+	if t := pc.texts.Load(); t != nil {
+		for n := t.chain(key); n != nil; n = n.next {
+			if sameText(n.src, src) {
+				return n.e
+			}
 		}
 	}
 	return nil
 }
 
-// store caches e for src. The caller holds mu and has admitted the entry.
-func (pc *planCache) store(src string, e *planEntry) {
-	pc.texts.Load().Store(src, e)
+// room reports whether key has room for one more text: a text past
+// textsPerKey under one key is served as the miss it is, uncached, so texts
+// built to share a key cost their sender a miss each and the cache a chain
+// of at most textsPerKey compares. The caller holds mu.
+func (pc *planCache) room(key uint64) bool {
+	n := 0
+	if t := pc.texts.Load(); t != nil {
+		for c := t.chain(key); c != nil; c = c.next {
+			n++
+		}
+	}
+	return n < textsPerKey
+}
+
+// store caches e for src under key. The caller holds mu, has found room
+// under key and has admitted the entry, so the table exists.
+func (pc *planCache) store(key uint64, src string, e *planEntry) {
+	t := pc.texts.Load()
+	if 2*(t.nkeys+1) > len(t.slots) {
+		t = t.grow()
+		pc.texts.Store(t)
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := key & mask
+	for {
+		head := t.slots[i].Load()
+		if head == nil {
+			t.nkeys++
+		}
+		if head == nil || head.key == key {
+			t.slots[i].Store(&textNode{key: key, src: src, e: e, next: head})
+			break
+		}
+		i = (i + 1) & mask
+	}
 	pc.ntexts++
+}
+
+// grow returns a table twice the size holding t's chains. Chains are
+// immutable, so the two tables share them: a reader still on t finds every
+// text stored before the swap.
+func (t *textTable) grow() *textTable {
+	g := &textTable{slots: make([]atomic.Pointer[textNode], 2*len(t.slots)), nkeys: t.nkeys}
+	mask := uint64(len(g.slots) - 1)
+	for i := range t.slots {
+		head := t.slots[i].Load()
+		if head == nil {
+			continue
+		}
+		j := head.key & mask
+		for g.slots[j].Load() != nil {
+			j = (j + 1) & mask
+		}
+		g.slots[j].Store(head)
+	}
+	return g
 }
 
 // charge accounts for cost more bytes retained by a plan of the cache (its
@@ -194,11 +332,11 @@ func (pc *planCache) admit(cost int) {
 	pc.bytes += cost
 }
 
-// flush empties the cache: a reader that loaded the text map before the
+// flush empties the cache: a reader that loaded the text table before the
 // swap may still find a plan there, which is as valid as it was. The caller
 // holds mu.
 func (pc *planCache) flush() {
-	pc.texts.Store(new(sync.Map))
+	pc.texts.Store(&textTable{slots: make([]atomic.Pointer[textNode], textSlots)})
 	pc.shapes = make(map[string]*planEntry)
 	pc.ntexts, pc.bytes = 0, 0
 }
@@ -250,26 +388,28 @@ func groundQuery(q *ast.Query) bool {
 }
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
-// plan cache first: an exact-text hit costs one lock-free map lookup, a
-// novel spelling of a cached shape costs one read of the text (a parse, if
-// it is open), and concurrent misses on one open shape collapse into a
-// single compilation.
+// plan cache first: an exact-text hit costs one lock-free table lookup on a
+// key of bounded cost and one compare of the text, a novel spelling of a
+// cached shape costs one read of the text (a parse, if it is open), and
+// concurrent misses on one open shape collapse into a single compilation.
 func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
-	if e := s.plans.text(src); e != nil {
+	key := textKey(src)
+	if e := s.plans.text(key, src); e != nil {
 		e.pending.Wait() // wait out an in-flight compile
-		obs.EngineSink().AddPlanHits(1)
+		obs.EngineSink().AddPlanHit()
 		return e.plan, e.err
 	}
 	obs.EngineSink().AddPlanMisses(1)
-	return s.prepareMiss(ctx, src)
+	return s.prepareMiss(ctx, key, src)
 }
 
 // prepareMiss makes the plan of a text the cache has not seen. A ground
 // query is lowered as it is read (readGround), its shape known only once it
 // is compiled; every text the reader declines — an open query, a malformed
 // one — is parsed into a tree, which an open plan keeps and a malformed
-// text's error comes from.
-func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
+// text's error comes from. A plan over an eighth of the byte budget, or of
+// a text whose key is full, is served without being kept.
+func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Plan, error) {
 	pc := &s.plans
 	_, psp := obs.StartSpan(ctx, "parse")
 	if p := s.readGround(src); p != nil {
@@ -281,14 +421,18 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 			return p, nil // not worth flushing every other plan for
 		}
 		pc.mu.Lock()
-		e := pc.text(src) // a concurrent miss on the same text stored it first
+		e := pc.text(key, src) // a concurrent miss on the same text stored it first
 		if e == nil {
+			if !pc.room(key) {
+				pc.mu.Unlock()
+				return p, nil
+			}
 			pc.admit(cost)
 			if e = pc.shapes[p.shape]; e == nil {
 				e = &planEntry{plan: p}
 				pc.shapes[p.shape] = e
 			}
-			pc.store(src, e)
+			pc.store(key, src, e)
 		}
 		pc.mu.Unlock()
 		return e.plan, e.err
@@ -308,15 +452,22 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 		shape, fingerprint = shapeAndFingerprint(q, ec.tab)
 		cost += planBytes(shape, q)
 	}
-	if cost > planCacheBytes/8 {
+	uncached := func() (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
 		return s.compile(ctx, ec, src, shape, fingerprint, q), nil
 	}
+	if cost > planCacheBytes/8 {
+		return uncached()
+	}
 	pc.mu.Lock()
-	e, mine := pc.text(src), false // a concurrent miss on the same text stored it first
+	e, mine := pc.text(key, src), false // a concurrent miss on the same text stored it first
 	if e == nil {
+		if !pc.room(key) {
+			pc.mu.Unlock()
+			return uncached()
+		}
 		pc.admit(cost)
 		if err != nil {
 			e = &planEntry{err: err} // nothing to compile
@@ -325,7 +476,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, src string) (*Plan, error) {
 			e.pending.Add(1)
 			pc.shapes[shape] = e
 		}
-		pc.store(src, e)
+		pc.store(key, src, e)
 	}
 	pc.mu.Unlock()
 	if mine {

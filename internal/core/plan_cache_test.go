@@ -70,10 +70,10 @@ func TestPrepareMissLinear(t *testing.T) {
 		t.Logf("%s: depth 1024: %.1f allocs, %.0f B; depth 2048: %.1f allocs, %.0f B", f.name, a1, b1, a2, b2)
 		// A miss allocates the reader's stack of open applications, the
 		// shape with its fingerprint, the symbol string, the steps, the plan
-		// and its cache entry, the text map's node and boxed key, and a share
-		// of the cache maps' growth: 7.8 per miss in every family when the
-		// ceiling was set (the sink was allocated then, the text map a plain
-		// map), plus 20 %.
+		// and its cache entry, the text level's node, and a share of the
+		// cache levels' growth: 7.8 per miss in every family when the
+		// ceiling was set (the sink was allocated then, the text level a
+		// plain map), plus 20 %.
 		if a1 > 9.4 || a2 > 9.4 {
 			t.Errorf("%s: %.1f allocations per miss at depth 1024, %.1f at 2048; want at most 9.4 at any depth", f.name, a1, a2)
 		}
@@ -90,11 +90,22 @@ func TestPrepareMissLinear(t *testing.T) {
 	}
 }
 
+// eachText calls f on every text of the text level and its entry, as a
+// reader sees them.
+func (pc *planCache) eachText(f func(src string, e *planEntry)) {
+	if t := pc.texts.Load(); t != nil {
+		for i := range t.slots {
+			for n := t.slots[i].Load(); n != nil; n = n.next {
+				f(n.src, n.e)
+			}
+		}
+	}
+}
+
 // retained recomputes what the entries now in the cache were charged.
 func (pc *planCache) retained() int {
 	n := 0
-	pc.texts.Load().Range(func(k, v any) bool {
-		src, e := k.(string), v.(*planEntry)
+	pc.eachText(func(src string, e *planEntry) {
 		n += entryOverhead + len(src)
 		switch {
 		case e.plan == nil:
@@ -103,17 +114,14 @@ func (pc *planCache) retained() int {
 		default:
 			n += planBytes(e.plan.shape, e.plan.q)
 		}
-		return true
 	})
 	return n
 }
 
-// numTexts counts the entries of the text map, as a reader sees them.
+// numTexts counts the texts of the text level, as a reader sees them.
 func (pc *planCache) numTexts() int {
 	n := 0
-	if m := pc.texts.Load(); m != nil {
-		m.Range(func(any, any) bool { n++; return true })
-	}
+	pc.eachText(func(string, *planEntry) { n++ })
 	return n
 }
 
@@ -150,7 +158,7 @@ func TestPlanCacheByteBudget(t *testing.T) {
 		t.Errorf("cache accounts %d bytes, its entries were charged %d", pc.bytes, got)
 	}
 	if got := pc.numTexts(); got != pc.ntexts {
-		t.Errorf("cache counts %d texts, its text map holds %d", pc.ntexts, got)
+		t.Errorf("cache counts %d texts, its text level holds %d", pc.ntexts, got)
 	}
 	// The estimate is honest: what the heap really holds for the cache is
 	// of the same size.
@@ -305,7 +313,7 @@ func TestPlanSingleflightAcrossSpellings(t *testing.T) {
 }
 
 // TestPlanCacheFlushUnderReaders: the text hit takes no lock, so a flush can
-// swap the text map under readers. Readers cycle a fixed pool of ground
+// swap the text table under readers. Readers cycle a fixed pool of ground
 // texts while writers push more than planCacheCap novel texts through the
 // same snapshot, which forces flushes; every plan a reader gets must be of
 // this snapshot, of the text's shape, and carry the verdict the equational

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -99,7 +100,8 @@ func TestPlanCacheInvalidatedByExtend(t *testing.T) {
 
 // TestGroundAskZeroAlloc is the hot-path allocation gate: after warmup, a
 // ground ask through the flat tables — both the prepared-plan form and the
-// text form hitting the plan cache — must allocate nothing.
+// text form hitting the plan cache, with the cached string and with a
+// freshly built copy of it — must allocate nothing.
 func TestGroundAskZeroAlloc(t *testing.T) {
 	db, err := Open(meetingsSrc, Options{})
 	if err != nil {
@@ -136,11 +138,12 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("snapshot text Ask allocates %.1f per run, want 0", n)
 	}
+	askCopy(t, "meetings", snap, q, true)
 
 	// Deep texts: a depth-1023 list and a depth-1023 numeral, whose plans
 	// were walked by the stride and the lasso kernel when they were built.
-	// These rows check the text-hit path on long texts (hashing and comparing
-	// the key costs no allocation at any length); the kernels' own gate is
+	// These rows check the text-hit path on long texts (keying and comparing
+	// the text costs no allocation at any length); the kernels' own gate is
 	// specgraph's TestWalkKernelsZeroAlloc.
 	for _, c := range []struct{ name, src, q string }{
 		{"sub", datagen.SubsetsSrc(6), datagen.DeepQuery("sub", 6, 1023, 1)},
@@ -158,6 +161,31 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: depth-1023 text Ask allocates %.1f per run, want 0", c.name, n)
 		}
+		askCopy(t, c.name, s, c.q, want)
+	}
+}
+
+// askCopy is TestGroundAskZeroAlloc's row for a freshly built copy of a
+// cached text: the text hit compares it whole, since it is not the string
+// the cache stored, and must find the same plan, answer as the text does,
+// and allocate nothing.
+func askCopy(t *testing.T, name string, s *Snapshot, q string, want bool) {
+	t.Helper()
+	ctx := context.Background()
+	cp := strings.Clone(q)
+	p, err := s.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc, err := s.Prepare(ctx, cp); err != nil || pc != p {
+		t.Fatalf("%s: the copy found another plan (%v)", name, err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if got, err := s.Ask(ctx, cp); err != nil || got != want {
+			t.Fatalf("%s: Ask of a copy = %v, %v; want %v", name, got, err, want)
+		}
+	}); n != 0 {
+		t.Errorf("%s: text Ask of a copy allocates %.1f per run, want 0", name, n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	_ "unsafe" // for go:linkname
+)
 
 // EngineStats is the process-wide cumulative engine counter set: how much
 // work the fixpoint engine, Algorithm Q, and the congruence solver have done
@@ -14,12 +17,40 @@ type EngineStats struct {
 	equations      atomic.Int64
 	qRounds        atomic.Int64
 	maxDepth       atomic.Int64
-	planHits       atomic.Int64
 	planMisses     atomic.Int64
 	specHits       atomic.Int64
 	specBuilds     atomic.Int64
 	arenaReuses    atomic.Int64
+
+	// planHits is striped by P: a plan-cache hit is the one write of the
+	// ground-ask hot path, and on a single counter every core's hit would
+	// take the same cache line.
+	planHits [planHitStripes]paddedCounter
 }
+
+// planHitStripes is how many counters plan-cache hits are spread over: one
+// per P (the scheduler's processor, GOMAXPROCS of them), P ids past it
+// sharing.
+const planHitStripes = 16
+
+// paddedCounter is a counter alone on its cache line: the pad keeps any two
+// counters 128 bytes apart, past the adjacent-line prefetcher's pairing of
+// 64-byte lines, whatever the struct's alignment.
+type paddedCounter struct {
+	_ [120]byte
+	n atomic.Int64
+}
+
+// procPin and procUnpin are the runtime's, as sync.Pool uses them: procPin
+// returns the current P's id and keeps the goroutine on it until procUnpin.
+// The runtime keeps both reachable by linkname from outside the standard
+// library, and their signatures fixed.
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // AddTerms records newly interned terms.
 func (s *EngineStats) AddTerms(n int64) {
@@ -70,12 +101,17 @@ func (s *EngineStats) AddQRounds(n int64) {
 	s.qRounds.Add(n)
 }
 
-// AddPlanHits records queries served by an already-compiled plan.
-func (s *EngineStats) AddPlanHits(n int64) {
-	if s == nil || n == 0 {
+// AddPlanHit records one query served by an already-compiled plan, on the
+// current P's stripe: a stripe is written by one P only (with GOMAXPROCS ≤
+// planHitStripes), so hits on different cores write no common cache line.
+// The stripes are atomic all the same: Counters reads them from any P.
+func (s *EngineStats) AddPlanHit() {
+	if s == nil {
 		return
 	}
-	s.planHits.Add(n)
+	p := procPin()
+	s.planHits[uint(p)%planHitStripes].n.Add(1)
+	procUnpin()
 }
 
 // AddPlanMisses records plan-cache misses (queries that had to compile).
@@ -127,10 +163,15 @@ func (s *EngineStats) ObserveDepth(d int64) {
 }
 
 // Counters returns the cumulative counters (everything monotonically
-// increasing) keyed by metric suffix.
+// increasing) keyed by metric suffix. The plan-hit stripes are summed, so
+// plan_cache_hits_total is exact.
 func (s *EngineStats) Counters() map[string]int64 {
 	if s == nil {
 		return nil
+	}
+	var planHits int64
+	for i := range s.planHits {
+		planHits += s.planHits[i].n.Load()
 	}
 	return map[string]int64{
 		"terms_interned_total":     s.termsInterned.Load(),
@@ -139,7 +180,7 @@ func (s *EngineStats) Counters() map[string]int64 {
 		"rule_firings_total":       s.ruleFirings.Load(),
 		"equations_total":          s.equations.Load(),
 		"algoq_steps_total":        s.qRounds.Load(),
-		"plan_cache_hits_total":    s.planHits.Load(),
+		"plan_cache_hits_total":    planHits,
 		"plan_cache_misses_total":  s.planMisses.Load(),
 		"answer_spec_hits_total":   s.specHits.Load(),
 		"answer_spec_builds_total": s.specBuilds.Load(),

@@ -230,9 +230,23 @@ func TestEngineSink(t *testing.T) {
 	s.AddEquations(3)
 	s.ObserveDepth(4)
 	s.ObserveDepth(2)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				s.AddPlanHit()
+			}
+		}()
+	}
+	wg.Wait()
 	c := s.Counters()
 	if c["facts_derived_total"] != 5 || c["fixpoint_rounds_total"] != 2 || c["equations_total"] != 3 {
 		t.Fatalf("counters = %v", c)
+	}
+	if c["plan_cache_hits_total"] != 4000 {
+		t.Fatalf("plan hits = %d over the stripes, want 4000", c["plan_cache_hits_total"])
 	}
 	if s.MaxDepth() != 4 {
 		t.Fatalf("max depth = %d, want 4", s.MaxDepth())
@@ -242,6 +256,7 @@ func TestEngineSink(t *testing.T) {
 	SetEngineSink(nil)
 	ns := EngineSink()
 	ns.AddFacts(1)
+	ns.AddPlanHit()
 	ns.ObserveDepth(10)
 	if ns.Counters() != nil || ns.MaxDepth() != 0 {
 		t.Fatal("nil sink should report nothing")
