@@ -27,8 +27,9 @@ test:
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark. And the write path's: how many cells one fact may
-# evaluate, how many rule bodies a cold solve may fire and how many bytes and
-# allocations one republish may make (counts), the join programs against all
+# evaluate, how many rule bodies a cold solve may fire, how many bytes and
+# allocations one republish may make and that it interns no term but the
+# representatives it adds (counts), the join programs against all
 # three evaluators, and a pass over the cold-compile, Extend and republish
 # benchmarks — a join that goes quadratic again shows in the counts first.
 # And the stores': one representation each (no Scratch twin, no map copied in
@@ -44,7 +45,7 @@ test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
-	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
+	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/

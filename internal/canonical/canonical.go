@@ -37,12 +37,13 @@ type Form struct {
 }
 
 // Build derives the canonical form from a graph specification: R is read
-// off the algorithm's merges, B off the representative slices.
+// off T's non-tree edges, its Potential terms interned in sp.U (so call it
+// where the universe may be written), and B off the representative slices.
 func Build(sp *specgraph.Spec) *Form {
-	pairs := make([][2]term.Term, 0, len(sp.Merges))
-	for _, m := range sp.Merges {
-		pairs = append(pairs, [2]term.Term{m.Rep, m.Potential})
-	}
+	pairs := make([][2]term.Term, 0, sp.NumEquations())
+	sp.NonTree(func(from, via, to int32) {
+		pairs = append(pairs, [2]term.Term{sp.Reps[to], sp.U.Apply(sp.Alphabet[via], sp.Reps[from])})
+	})
 	f := &Form{
 		Spec:       sp,
 		Pairs:      pairs,

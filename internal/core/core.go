@@ -93,6 +93,7 @@ type Database struct {
 	opts     Options
 	graph    *specgraph.Spec
 	build    *specgraph.Builder // the graph's Algorithm Q while unfinished
+	reps     int                // the last graph's representatives: the next build is sized for them
 	queries  []ast.Query
 	universe *term.Universe
 	world    *facts.World
@@ -204,7 +205,7 @@ func (db *Database) graphLocked(ctx context.Context) (*specgraph.Spec, error) {
 		return db.graph, nil
 	}
 	if db.build == nil {
-		db.build = specgraph.NewBuilder(db.Engine, db.opts.Spec)
+		db.build = specgraph.NewBuilder(db.Engine, db.opts.Spec, db.reps)
 	}
 	db.Engine.SetContext(ctx)
 	defer db.Engine.SetContext(nil)
@@ -268,7 +269,7 @@ func (db *Database) Stats(ctx context.Context) (Stats, error) {
 		Reps:      reps,
 		Edges:     edges,
 		Tuples:    tuples,
-		Equations: len(sp.Merges),
+		Equations: sp.NumEquations(),
 		Lasso:     sp.Lasso(),
 	}, nil
 }
@@ -282,7 +283,7 @@ func (s *Snapshot) Stats() Stats {
 		SeedDepth: s.spec.SeedDepth,
 		Reps:      s.spec.NumStates(),
 		Edges:     s.spec.NumStates() * len(s.spec.Alphabet),
-		Equations: len(s.spec.Merges),
+		Equations: s.spec.NumEquations(),
 		Lasso:     s.spec.Lasso(),
 	}
 	for _, state := range s.spec.State {

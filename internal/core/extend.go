@@ -238,5 +238,8 @@ func (db *Database) invalidate() {
 // which only the lock holder reads; readers without the lock go through the
 // snapshot.
 func (db *Database) dropViews() {
+	if db.graph != nil {
+		db.reps = db.graph.NumStates()
+	}
 	db.graph, db.build = nil, nil
 }

@@ -43,16 +43,18 @@ func TestExtendTouchesDelta(t *testing.T) {
 // TestPublishBytes: what one republish allocates, as counts — the mean of a
 // few runs of BenchmarkPublish's body, read off the allocator's own counters
 // the way testing.B does (a timed testing.Benchmark would spend its second on
-// the opens). The bounds are the figures measured when the frozen
-// specification stopped copying the original predicates' set per publish
-// (EXPERIMENTS.md A28) plus 20 %; with the interning maps, the source
-// program and the global set copied per publish cal allocated 56 864 bytes
-// in 663 allocations, and with a copy of the successor table per consumer
-// before that robdeep 991 KB in 691.
+// the opens). The bounds are the figures measured when Algorithm Q stopped
+// building the terms it merges and storing its lists, R included
+// (EXPERIMENTS.md A38), plus 20 %. Before that the republish allocated cal
+// 27 008 bytes in 549 allocations, sub 64 384 in 812, rob 66 992 in 179 and
+// robdeep 515 792 in 242 (A28); with the interning maps, the source program
+// and the global set copied per publish cal allocated 56 864 bytes in 663
+// allocations, and with a copy of the successor table per consumer before
+// that robdeep 991 KB in 691.
 func TestPublishBytes(t *testing.T) {
 	bounds := map[string]struct{ bytes, allocs uint64 }{
-		// measured: cal 27 008 / 549, sub 64 384 / 812, rob 66 992 / 179, robdeep 515 792 / 242
-		"cal": {32_400, 659}, "sub": {77_300, 975}, "rob": {80_400, 215}, "robdeep": {619_000, 291},
+		// measured: cal 21 888 / 503, sub 41 488 / 739, rob 24 272 / 122, robdeep 50 992 / 146
+		"cal": {26_300, 604}, "sub": {49_800, 887}, "rob": {29_100, 146}, "robdeep": {61_200, 175},
 	}
 	const runs = 5
 	for _, c := range publishCases() {
@@ -76,6 +78,37 @@ func TestPublishBytes(t *testing.T) {
 		if max := bounds[c.name]; bytes > max.bytes || allocs > max.allocs {
 			t.Errorf("%s: one republish allocates %d bytes in %d allocations, want at most %d in %d",
 				c.name, bytes, allocs, max.bytes, max.allocs)
+		}
+	}
+}
+
+// TestPublishInternsRepsOnly: a republish grows the live universe by
+// exactly the representatives it adds. Algorithm Q decides every other term
+// it examines from its parent's state and its symbol, without building it,
+// and R is read off the table, so no Potential term that did not become
+// Active is ever interned.
+func TestPublishInternsRepsOnly(t *testing.T) {
+	for _, c := range publishCases() {
+		db := openPublished(t, c.src)
+		if err := db.Extend(c.fact); err != nil {
+			t.Fatal(err)
+		}
+		before := db.universe.Size()
+		if _, err := db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := db.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := 0
+		for _, rep := range sp.Reps {
+			if int(rep) >= before {
+				added++
+			}
+		}
+		if grown := db.universe.Size() - before; grown != added {
+			t.Errorf("%s: the republish interned %d terms for %d new representatives (of %d)", c.name, grown, added, len(sp.Reps))
 		}
 	}
 }
@@ -320,26 +353,32 @@ func sameSpec(t *testing.T, when string, got, want *Database) {
 		}
 		tab := db.Tab()
 		var b strings.Builder
-		for _, rep := range sp.Reps {
+		for i, rep := range sp.Reps {
 			var atoms []string
 			for _, a := range sp.Slice(rep) {
 				atoms = append(atoms, sp.FormatAtom(a, rep))
 			}
 			sort.Strings(atoms)
 			fmt.Fprintf(&b, "L[%s] = %v\n", sp.U.CompactString(rep, tab), atoms)
-			for _, f := range sp.Alphabet {
-				next, _ := sp.Successor(rep, f)
-				fmt.Fprintf(&b, "  %s -> %s\n", tab.FuncName(f), sp.U.CompactString(next, tab))
+			for j, next := range sp.Row(int32(i)) {
+				fmt.Fprintf(&b, "  %s -> %s\n", tab.FuncName(sp.Alphabet[j]), sp.U.CompactString(sp.Reps[next], tab))
 			}
 		}
-		for _, m := range sp.Merges {
-			fmt.Fprintf(&b, "%s = %s\n", sp.U.CompactString(m.Potential, tab), sp.U.CompactString(m.Rep, tab))
+		merges := relationR(sp)
+		for _, m := range merges {
+			fmt.Fprintf(&b, "%s = %s\n", sp.U.CompactString(m.potential, tab), sp.U.CompactString(m.rep, tab))
 		}
 		for _, f := range sp.Alphabet {
 			alphabet += tab.FuncName(f) + " "
 		}
+		active := 0
+		for _, rep := range sp.Reps {
+			if sp.U.Depth(rep) >= sp.SeedDepth {
+				active++
+			}
+		}
 		sizes = fmt.Sprintf("c %d, seed %d, %d reps, %d active, %d potentials, %d merges",
-			db.Prep.C, sp.SeedDepth, len(sp.Reps), len(sp.Active), len(sp.Potentials), len(sp.Merges))
+			db.Prep.C, sp.SeedDepth, len(sp.Reps), active, active+len(merges), len(merges))
 		return sizes, alphabet, b.String()
 	}
 	gs, ga, gf := dump(got)

@@ -44,8 +44,8 @@ func TestOneTransitionTable(t *testing.T) {
 		if &snap.spec.Reps[0] != &sp.Reps[0] || &snap.spec.State[0] != &sp.State[0] {
 			t.Errorf("%s: the snapshot copied the representatives", name)
 		}
-		if len(sp.Merges) > 0 && &snap.spec.Merges[0] != &sp.Merges[0] {
-			t.Errorf("%s: the snapshot copied the merges", name)
+		if n := len(relationR(sp)); snap.spec.NumEquations() != n {
+			t.Errorf("%s: the snapshot counts %d equations, the graph's table has %d non-tree edges", name, snap.spec.NumEquations(), n)
 		}
 		for _, q := range dumpQueries(db) {
 			plan, err := snap.Prepare(ctx, q)
@@ -81,11 +81,11 @@ func TestOneTransitionTable(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: walk of %v left the alphabet", name, fns)
 			}
-			if rep, err := sp.Representative(tm); err != nil || rep != sp.Reps[at] {
-				t.Errorf("%s: %v: Representative = %v, %v; the table walks to %v", name, fns, rep, err, sp.Reps[at])
+			if i, err := sp.Index(sp.U, tm); err != nil || i != at {
+				t.Errorf("%s: %v: Index = %v, %v; the table walks to %v", name, fns, i, err, at)
 			}
-			if rep, err := snap.spec.Representative(db.universe, tm); err != nil || rep != sp.Reps[at] {
-				t.Errorf("%s: %v: frozen Representative = %v, %v; the table walks to %v", name, fns, rep, err, sp.Reps[at])
+			if i, err := snap.spec.Index(db.universe, tm); err != nil || i != at {
+				t.Errorf("%s: %v: frozen Index = %v, %v; the table walks to %v", name, fns, i, err, at)
 			}
 			if st, err := db.Engine.StateOf(tm); err != nil || st != sp.State[at] {
 				t.Errorf("%s: %v: the table's state %d, the engine's %d (%v)", name, fns, sp.State[at], st, err)

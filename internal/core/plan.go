@@ -563,13 +563,14 @@ var planVerdict = (*Snapshot).groundVerdict
 
 // compileEq lowers the ground steps for the equational method: a symbol
 // string back to its function symbols through the alphabet, applied to 0 in
-// a private term scratch (eqView), and an atom to the representatives whose
-// state carries it. eqView is retained by the plan and only ever read after
-// this returns, so concurrent equational executions share it safely.
+// a private term scratch (eqView, over the canonical form's universe), and
+// an atom to the representatives whose state carries it. eqView is retained
+// by the plan and only ever read after this returns, so concurrent
+// equational executions share it safely.
 func (p *Plan) compileEq() {
 	s := p.snap
-	u := term.NewUniverseOver(s.u)
-	_, cand := s.canonical()
+	cu, _, cand := s.canonical()
+	u := term.NewUniverseOver(cu)
 	p.eqSteps = make([]eqStep, len(p.steps))
 	var fns []symbols.FuncID
 	for i := range p.steps {
@@ -595,7 +596,7 @@ func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	eq, _ := p.snap.canonical()
+	_, eq, _ := p.snap.canonical()
 	csc := p.snap.getCongruence()
 	defer p.snap.putCongruence(csc)
 	_, sp := obs.StartSpan(ctx, "congruence")
@@ -613,7 +614,7 @@ func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 		}
 	}
 	// |R|: the equation set whose closure Cl(R) decided membership.
-	obs.SetMax(ctx, "equations", int64(len(p.snap.spec.Merges)))
+	obs.SetMax(ctx, "equations", int64(p.snap.spec.NumEquations()))
 	return true, nil
 }
 

@@ -56,8 +56,10 @@ type Snapshot struct {
 	cscPool   sync.Pool // *congruence.Scratch
 	lowerPool sync.Pool // *groundLowering
 
-	// canonical form, built lazily (first equational-method query).
+	// canonical form, built lazily (first equational-method query), in a
+	// universe of its own.
 	canonOnce sync.Once
+	canonU    *term.Universe
 	canonEq   *congruence.Frozen
 	canonCand map[facts.AtomID][]term.Term
 }
@@ -115,27 +117,31 @@ func freeze(sp *specgraph.Spec, q specgraph.Quotient) *Snapshot {
 	}
 }
 
-// canonical lazily builds the frozen canonical form (the relation R's
-// congruence plus the candidate map). The build reads only frozen data, so
-// racing goroutines are safe; sync.Once elects one builder.
-func (s *Snapshot) canonical() (*congruence.Frozen, map[facts.AtomID][]term.Term) {
+// canonical lazily builds the frozen canonical form: the relation R read off
+// the table, its congruence and the candidate map, all over a universe of
+// their own (the snapshot's holds no Potential term), which an equational
+// plan's query terms overlay. The build reads only frozen data, so racing
+// goroutines are safe; sync.Once elects one builder.
+func (s *Snapshot) canonical() (*term.Universe, *congruence.Frozen, map[facts.AtomID][]term.Term) {
 	s.canonOnce.Do(func() {
-		slv := congruence.NewSolver(s.u)
-		for _, m := range s.spec.Merges {
-			slv.Assert(m.Rep, m.Potential)
-		}
-		s.canonEq = slv.Freeze()
+		u := term.NewUniverse()
+		reps := s.spec.Intern(u)
+		slv := congruence.NewSolver(u)
+		s.spec.NonTree(func(from, via, to int32) {
+			slv.Assert(reps[to], u.Apply(s.spec.Alphabet[via], reps[from]))
+		})
+		s.canonU, s.canonEq = u.Freeze(), slv.Freeze()
 		// Every atom of a representative's state is a candidate, those of
 		// normalization's helper predicates too: a ground plan decides
 		// them, and congruent terms have equal states.
 		s.canonCand = make(map[facts.AtomID][]term.Term)
-		for i, rep := range s.spec.Reps {
+		for i, rep := range reps {
 			for _, a := range s.w.StateAtoms(s.spec.State[i]) {
 				s.canonCand[a] = append(s.canonCand[a], rep)
 			}
 		}
 	})
-	return s.canonEq, s.canonCand
+	return s.canonU, s.canonEq, s.canonCand
 }
 
 // evalCtx bundles one query's scratch overlays over the snapshot: the

@@ -355,8 +355,12 @@ func (e *Engine) Stats() Stats {
 // Valid after Solve.
 func (e *Engine) Global() *facts.Set { return e.global }
 
-// AnchorTerms returns the anchor region's terms.
-func (e *Engine) AnchorTerms() []term.Term { return e.anchorList }
+// IsAnchor reports whether t lies in the anchor region. The region is
+// closed under subterms: no child of a term outside it lies in it.
+func (e *Engine) IsAnchor(t term.Term) bool {
+	_, ok := e.anchors[t]
+	return ok
+}
 
 // row returns the memo row of state s.
 func (e *Engine) row(s facts.StateID) *stateRow {
@@ -927,12 +931,6 @@ func (e *Engine) UnfiredRules() []*ast.Rule {
 	collect(e.nodeRules)
 	collect(e.globalRules)
 	return out
-}
-
-// HasGlobal reports whether the non-functional fact pred(args) is in the
-// least fixpoint. Valid after Solve.
-func (e *Engine) HasGlobal(pred symbols.PredID, args []symbols.ConstID) bool {
-	return e.global.Has(e.W, e.W.Atom(pred, e.W.Tuple(args)))
 }
 
 // HasAt reports whether pred(t, args) is in the least fixpoint.

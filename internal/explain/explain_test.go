@@ -114,10 +114,10 @@ P(Y), Member(S, X) -> Member(ext(S, Y), X).
 	extA, _ := tab.LookupFunc("ext'a", 0)
 	extB, _ := tab.LookupFunc("ext'b", 0)
 
-	var pairs [][2]term.Term
-	for _, m := range sp.Merges {
-		pairs = append(pairs, [2]term.Term{m.Rep, m.Potential})
-	}
+	var pairs [][2]term.Term // R, read off the table's non-tree edges
+	sp.NonTree(func(from, via, to int32) {
+		pairs = append(pairs, [2]term.Term{sp.Reps[to], sp.U.Apply(sp.Alphabet[via], sp.Reps[from])})
+	})
 	es := congruence.NewEqSpec(sp.U, pairs)
 	inR := make(map[[2]term.Term]bool)
 	for _, p := range pairs {

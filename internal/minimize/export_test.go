@@ -44,11 +44,15 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 	}
 
 	succOf := func(t term.Term, f symbols.FuncID) (term.Term, error) {
-		next, ok := sp.Successor(t, f)
+		i, err := sp.Index(sp.U, t)
+		if err != nil {
+			return term.None, err
+		}
+		next, ok := sp.Step(i, f)
 		if !ok {
 			return term.None, fmt.Errorf("minimize: missing successor edge")
 		}
-		return next, nil
+		return sp.Reps[next], nil
 	}
 
 	// Moore refinement: split classes by the vector of successor classes.
@@ -94,7 +98,7 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 	}
 	for _, t := range reps {
 		c := class[t]
-		if least[c] == term.None || sp.U.Precedes(t, least[c]) {
+		if least[c] == term.None || sp.U.Compare(t, least[c]) < 0 {
 			least[c] = t
 		}
 	}
@@ -103,7 +107,7 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool {
-		return sp.U.Precedes(least[order[i]], least[order[j]])
+		return sp.U.Compare(least[order[i]], least[order[j]]) < 0
 	})
 	renumber := make([]int, numClasses)
 	for newID, oldID := range order {
@@ -126,7 +130,7 @@ func minimizeReference(sp *specgraph.Spec) (*Minimized, error) {
 	}
 	for c := range m.Members {
 		sort.Slice(m.Members[c], func(i, j int) bool {
-			return sp.U.Precedes(m.Members[c][i], m.Members[c][j])
+			return sp.U.Compare(m.Members[c][i], m.Members[c][j]) < 0
 		})
 		canon := m.Members[c][0]
 		m.slices[c] = sp.Slice(canon)

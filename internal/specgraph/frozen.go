@@ -3,13 +3,13 @@ package specgraph
 import (
 	"funcdb/internal/facts"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // Frozen is the immutable query surface of a graph specification: the
-// successor table, the relation R and the frozen global (non-functional)
-// facts, shared with the Spec it was frozen from (none changes once built),
-// and the flat tables. It holds no engine, no universe and no world —
+// successor table (the relation R is its non-tree edges) and the frozen
+// global (non-functional) facts, shared with the Spec it was frozen from
+// (none changes once built), and the flat tables. It holds no engine, no
+// universe and no world —
 // callers supply a *term.Universe and *facts.World (normally per-query
 // overlays over the snapshot's frozen universe and world), so
 // membership and answer evaluation run with zero locks and zero mutation of
@@ -18,8 +18,6 @@ type Frozen struct {
 	// SeedDepth is where breadth-first exploration started.
 	SeedDepth int
 	*Table
-	// Merges are the (Active, Potential) equivalences — the relation R.
-	Merges []Merge
 
 	global        *facts.Set
 	originalPreds map[symbols.PredID]bool
@@ -37,12 +35,11 @@ func (sp *Spec) Freeze() *Frozen { return sp.FreezeQuotient(nil) }
 // nil quotient is the identity partition. It is the one way to a Frozen, for
 // a specification Algorithm Q built and for one read from a document.
 func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
-	// Nothing is copied: the table, R, the global relation and
-	// OriginalPreds do not change once the Spec is built.
+	// Nothing is copied: the table, the global relation and OriginalPreds
+	// do not change once the Spec is built.
 	return &Frozen{
 		SeedDepth:     sp.SeedDepth,
 		Table:         sp.Table,
-		Merges:        sp.Merges,
 		global:        sp.Global,
 		originalPreds: sp.OriginalPreds,
 		flat:          buildFlat(sp.Table, q, sp.SliceAt),
@@ -56,16 +53,6 @@ func (f *Frozen) Flat() *FlatDFA { return f.flat }
 // (as opposed to a normalization helper). Only original predicates are
 // observable through the flat tables.
 func (f *Frozen) OriginalPred(p symbols.PredID) bool { return f.originalPreds[p] }
-
-// Representative returns the representative of t's cluster, reading t
-// through v.
-func (f *Frozen) Representative(v *term.Universe, t term.Term) (term.Term, error) {
-	i, err := f.Index(v, t)
-	if err != nil {
-		return term.None, err
-	}
-	return f.Reps[i], nil
-}
 
 // HasData decides a non-functional fact from the frozen global set. It
 // interns nothing: an atom w has never seen is not in the set.

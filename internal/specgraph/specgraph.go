@@ -9,7 +9,10 @@
 // terms are extended. Terms below the seed depth form singleton clusters.
 // The successor mappings T map every representative and function symbol to
 // the representative of the child's cluster, and the primary database B
-// stores the slice L[t] of every representative t.
+// stores the slice L[t] of every representative t. A term is decided from
+// its parent's state and its outermost symbol (Lemma 3.1), so only the
+// representatives are ever built as terms; the merged Potential terms are
+// the non-tree edges of T, which is all the relation R of §3.5 is.
 //
 // Membership P(t0, ā) ∈ L is decided by running the successor DFA on t0's
 // symbol string (the paper's Link rules) and looking the resulting
@@ -36,14 +39,6 @@ type Options struct {
 	MaxReps int
 }
 
-// Merge records one non-Active Potential term and the Active representative
-// of its cluster; these pairs are exactly the relation R of the equational
-// specification (section 3.5).
-type Merge struct {
-	Rep       term.Term
-	Potential term.Term
-}
-
 // Spec is a computed graph specification: the successor table T (the
 // embedded Table, whose Alphabet, Reps and State read as the Spec's own),
 // the universe and world its representatives and slices live in, and what
@@ -66,18 +61,11 @@ type Spec struct {
 	// Temporal marks the specification of a temporal program.
 	Temporal bool
 
-	// SeedDepth is where breadth-first exploration started.
+	// SeedDepth is where breadth-first exploration started: the Active
+	// terms are the representatives at or past it, and the relation R is
+	// read off the table (Table.NonTree).
 	SeedDepth int
 	*Table
-	// Active lists just the Active terms found by the algorithm (nil for a
-	// specification read from a document).
-	Active []term.Term
-	// Potentials lists every term the algorithm examined at or beyond the
-	// seed depth, in examination (precedence) order (nil for a
-	// specification read from a document).
-	Potentials []term.Term
-	// Merges are the (Active, Potential) equivalences found; see Merge.
-	Merges []Merge
 }
 
 // Build runs Algorithm Q against a solved engine, under the engine's context
@@ -85,7 +73,7 @@ type Spec struct {
 // once that expires, and charges the work budget the context carries, its
 // depth limit included. It is one Run of a fresh Builder.
 func Build(eng *engine.Engine, opts Options) (*Spec, error) {
-	b := NewBuilder(eng, opts)
+	b := NewBuilder(eng, opts, 0)
 	b.depthBound = true
 	return b.Run()
 }
@@ -103,23 +91,28 @@ type Builder struct {
 	depthBound bool
 
 	sp *Spec
-	// queue holds the terms in precedence order, each named by the
-	// representative it is a child of and the symbol applied to it (-1, -1:
-	// the term 0 itself); qi is the first one not yet examined.
-	queue    []struct{ from, via int32 }
-	qi       int
+	// next is the cursor, the number of terms examined: in precedence order
+	// the term 0 is first, then Alphabet[j] applied to Reps[i] at 1+i*k+j,
+	// the cells of T row by row.
+	next     int
 	active   map[facts.StateID]int32
 	maxDepth int
+	steps    int64 // Potential terms examined
 }
 
-// NewBuilder starts Algorithm Q on eng; nothing runs before Run.
-func NewBuilder(eng *engine.Engine, opts Options) *Builder {
+// NewBuilder starts Algorithm Q on eng; nothing runs before Run. reps, when
+// positive, is how many representatives the last build of this program
+// found: the arrays are sized for that many.
+func NewBuilder(eng *engine.Engine, opts Options, reps int) *Builder {
 	alphabet := append([]symbols.FuncID(nil), eng.Prep.Funcs...)
 	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
+	tab := newTable(alphabet)
+	tab.Reps, tab.State = make([]term.Term, 0, reps), make([]facts.StateID, 0, reps)
+	tab.parent, tab.via = make([]int32, 0, reps), make([]int32, 0, reps)
+	tab.trans = make([]int32, 0, reps*len(alphabet))
 	sp := &Spec{U: eng.U, W: eng.W, Tab: eng.Prep.Program.Tab, OriginalPreds: eng.Prep.OriginalPreds,
-		Temporal: eng.Prep.Temporal, SeedDepth: eng.Prep.SeedDepth, Table: newTable(alphabet)}
-	return &Builder{eng: eng, opts: opts, sp: sp, queue: []struct{ from, via int32 }{{-1, -1}},
-		active: make(map[facts.StateID]int32)}
+		Temporal: eng.Prep.Temporal, SeedDepth: eng.Prep.SeedDepth, Table: tab}
+	return &Builder{eng: eng, opts: opts, sp: sp, active: make(map[facts.StateID]int32, reps)}
 }
 
 // Run examines the terms left, under the engine's context, and returns the
@@ -144,7 +137,9 @@ func (b *Builder) Run() (*Spec, error) {
 
 	// Breadth-first over the terms in precedence order, one trace span per
 	// depth wave ("round"). A term's parent is a representative of known
-	// state, so its own is one engine step away (Lemma 3.1). A term below the
+	// state, so its own is one engine step away (Lemma 3.1), and is built
+	// only if it is an anchor (only an anchor's child can be: the region is
+	// closed under subterms) or becomes a representative. A term below the
 	// seed depth is a singleton cluster; one at or beyond it is a Potential
 	// term, Active unless an earlier Active term has its state. A step makes
 	// its charges and engine call before its first write, so a failed one
@@ -152,17 +147,19 @@ func (b *Builder) Run() (*Spec, error) {
 	curDepth := -1
 	var rspan *obs.SpanHandle
 	defer func() { rspan.End() }()
-	for ; b.qi < len(b.queue); b.qi++ {
-		from, via := b.queue[b.qi].from, b.queue[b.qi].via
-		t := term.Zero
-		if from >= 0 {
-			t = sp.U.Apply(tab.Alphabet[via], tab.Reps[from])
+	row, d, anchored := int32(-1), 0, false // the row of T the cursor is in, and what its terms share
+	for ; b.next < 1+len(tab.Reps)*k; b.next++ {
+		from, via := int32(-1), int32(-1)
+		if b.next > 0 {
+			from, via = int32((b.next-1)/k), int32((b.next-1)%k)
+			if from != row {
+				row, d, anchored = from, sp.U.Depth(tab.Reps[from])+1, eng.IsAnchor(tab.Reps[from])
+			}
 		}
-		d := sp.U.Depth(t)
 		potential := d >= sp.SeedDepth
 		// The context is looked at every wave and every 256 terms: one wave of
 		// an exponential search is too long to wait for.
-		if (d != curDepth || b.qi%256 == 0) && ctx != nil && ctx.Err() != nil {
+		if (d != curDepth || b.next%256 == 0) && ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		if d != curDepth {
@@ -184,33 +181,40 @@ func (b *Builder) Run() (*Spec, error) {
 				return nil, err
 			}
 		}
-		s := root
+		s, t := root, term.Zero
 		if from >= 0 {
-			if s, err = eng.StateBelow(t, tab.State[from]); err != nil {
-				return nil, err
+			f := tab.Alphabet[via]
+			t = term.None
+			if anchored {
+				t = sp.U.Find(f, tab.Reps[from]) // an anchor is interned
+			}
+			if t != term.None && eng.IsAnchor(t) {
+				s, err = eng.StateBelow(t, tab.State[from])
+			} else {
+				s, err = eng.ChildState(f, tab.State[from])
 			}
 		}
+		if err != nil {
+			return nil, err
+		}
 		rep, ok := b.active[s]
-		if ok && potential {
-			sp.Merges = append(sp.Merges, Merge{Rep: tab.Reps[rep], Potential: t})
-		} else {
+		if !ok || !potential {
 			if b.opts.MaxReps > 0 && len(tab.Reps) >= b.opts.MaxReps {
 				return nil, fmt.Errorf("specgraph: more than %d representative terms", b.opts.MaxReps)
 			}
 			if err := wb.AddBytes(repBytes); err != nil {
 				return nil, err
 			}
+			if from >= 0 {
+				t = sp.U.Apply(tab.Alphabet[via], tab.Reps[from])
+			}
 			rep = tab.add(t, s, from, via)
 			if potential {
 				b.active[s] = rep
-				sp.Active = append(sp.Active, t)
-			}
-			for j := range tab.Alphabet {
-				b.queue = append(b.queue, struct{ from, via int32 }{rep, int32(j)})
 			}
 		}
 		if potential {
-			sp.Potentials = append(sp.Potentials, t)
+			b.steps++
 		}
 		if from >= 0 {
 			tab.trans[int(from)*k+int(via)] = rep
@@ -231,50 +235,12 @@ func (b *Builder) Run() (*Spec, error) {
 	// Cumulative equations_total is counted where Cl(R) is actually built
 	// (congruence.Solver.Assert); here we only report per-query numbers.
 	sink := obs.EngineSink()
-	sink.AddQRounds(int64(len(sp.Potentials)))
+	sink.AddQRounds(b.steps)
 	sink.ObserveDepth(int64(b.maxDepth))
-	obs.Add(ctx, "algoq_steps", int64(len(sp.Potentials)))
-	obs.Add(ctx, "equations", int64(len(sp.Merges)))
+	obs.Add(ctx, "algoq_steps", b.steps)
+	obs.Add(ctx, "equations", int64(tab.NumEquations()))
 	obs.SetMax(ctx, "derivation_depth", int64(b.maxDepth))
 	return sp, nil
-}
-
-// Successor returns the representative of f applied to the cluster of rep.
-func (sp *Spec) Successor(rep term.Term, f symbols.FuncID) (term.Term, bool) {
-	i, err := sp.Index(sp.U, rep)
-	if err != nil {
-		return term.None, false
-	}
-	to, ok := sp.Step(i, f)
-	if !ok {
-		return term.None, false
-	}
-	return sp.Reps[to], true
-}
-
-// IsRep reports whether t is a representative term.
-func (sp *Spec) IsRep(t term.Term) bool {
-	i, err := sp.Index(sp.U, t)
-	return err == nil && sp.Reps[i] == t
-}
-
-// Representative runs the successor DFA (the paper's Link rules) on t's
-// symbol string and returns the representative of t's cluster.
-func (sp *Spec) Representative(t term.Term) (term.Term, error) {
-	i, err := sp.Index(sp.U, t)
-	if err != nil {
-		return term.None, err
-	}
-	return sp.Reps[i], nil
-}
-
-// StateOfRep returns the full interned state of a representative.
-func (sp *Spec) StateOfRep(rep term.Term) facts.StateID {
-	i, err := sp.Index(sp.U, rep)
-	if err != nil {
-		return facts.EmptyState
-	}
-	return sp.State[i]
 }
 
 // Has decides P(t, args) ∈ L from the specification alone.

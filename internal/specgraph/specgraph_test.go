@@ -112,13 +112,14 @@ func TestPaperLists(t *testing.T) {
 	a := mk(extA)
 	b := mk(extB)
 	ab := mk(extA, extB)
+	active, potentials, merges := paperLists(sp)
 
 	wantActive := []term.Term{a, b, ab}
-	if len(sp.Active) != len(wantActive) {
-		t.Fatalf("Active = %v, want {a, b, ab}:\n%s", sp.Active, sp.Dump())
+	if len(active) != len(wantActive) {
+		t.Fatalf("Active = %v, want {a, b, ab}:\n%s", active, sp.Dump())
 	}
 	for i, w := range wantActive {
-		if sp.Active[i] != w {
+		if active[i] != w {
 			t.Fatalf("Active[%d] mismatch:\n%s", i, sp.Dump())
 		}
 	}
@@ -127,13 +128,13 @@ func TestPaperLists(t *testing.T) {
 		mk(extA, extA), ab, mk(extB, extA), mk(extB, extB),
 		mk(extA, extB, extA), mk(extA, extB, extB),
 	}
-	if len(sp.Potentials) != len(wantPot) {
-		t.Fatalf("Potentials = %d terms, want 8:\n%s", len(sp.Potentials), sp.Dump())
+	if len(potentials) != len(wantPot) {
+		t.Fatalf("Potentials = %d terms, want 8:\n%s", len(potentials), sp.Dump())
 	}
 	for i, w := range wantPot {
-		if sp.Potentials[i] != w {
+		if potentials[i] != w {
 			t.Errorf("Potentials[%d] = %s, want %s",
-				i, u.CompactString(sp.Potentials[i], tab), u.CompactString(w, tab))
+				i, u.CompactString(potentials[i], tab), u.CompactString(w, tab))
 		}
 	}
 	// Representatives: 0, a, b, ab.
@@ -171,8 +172,8 @@ func TestPaperLists(t *testing.T) {
 		}
 	}
 	// Merges (the relation R): a~aa, ab~ba, b~bb, ab~aba, ab~abb.
-	if len(sp.Merges) != 5 {
-		t.Fatalf("merges = %d, want 5: %v", len(sp.Merges), sp.Merges)
+	if len(merges) != 5 {
+		t.Fatalf("merges = %d, want 5: %v", len(merges), merges)
 	}
 	wantMerges := []Merge{
 		{a, mk(extA, extA)},
@@ -182,10 +183,10 @@ func TestPaperLists(t *testing.T) {
 		{ab, mk(extA, extB, extB)},
 	}
 	for i, w := range wantMerges {
-		if sp.Merges[i] != w {
+		if merges[i] != w {
 			t.Errorf("Merges[%d] = {%s, %s}, want {%s, %s}",
 				i,
-				u.CompactString(sp.Merges[i].Rep, tab), u.CompactString(sp.Merges[i].Potential, tab),
+				u.CompactString(merges[i].Rep, tab), u.CompactString(merges[i].Potential, tab),
 				u.CompactString(w.Rep, tab), u.CompactString(w.Potential, tab))
 		}
 	}
@@ -233,10 +234,11 @@ Even(T) -> Even(T+2).
 	if sp.SeedDepth != 0 {
 		t.Fatalf("temporal seed depth = %d, want 0", sp.SeedDepth)
 	}
-	if len(sp.Merges) != 1 {
-		t.Fatalf("merges = %d, want 1 (the lasso-closing pair)", len(sp.Merges))
+	_, _, merges := paperLists(sp)
+	if len(merges) != 1 {
+		t.Fatalf("merges = %d, want 1 (the lasso-closing pair)", len(merges))
 	}
-	m := sp.Merges[0]
+	m := merges[0]
 	if m.Rep != sp.U.Number(0, succ) || m.Potential != sp.U.Number(2, succ) {
 		t.Fatalf("merge = (%s, %s), want (0, 2)",
 			sp.U.String(m.Rep, tab), sp.U.String(m.Potential, tab))
@@ -446,11 +448,12 @@ func TestBuildStatesMatchEngine(t *testing.T) {
 				}
 			}
 		}
+		_, potentials, merges := paperLists(sp)
 		merged := make(map[term.Term]term.Term)
-		for _, m := range sp.Merges {
+		for _, m := range merges {
 			merged[m.Potential] = m.Rep
 		}
-		for _, p := range sp.Potentials {
+		for _, p := range potentials {
 			rep, ok := merged[p]
 			if !ok {
 				rep = p

@@ -123,6 +123,34 @@ func (t *Table) add(rep term.Term, s facts.StateID, parent, via int32) int32 {
 	return i
 }
 
+// NonTree calls fn for every non-tree edge of T in examination order (the
+// cells row by row): the relation R of §3.5, which nothing stores. The
+// Potential term Alphabet[via] applied to Reps[from] did not become Active,
+// and Reps[to] represents its cluster.
+func (t *Table) NonTree(fn func(from, via, to int32)) {
+	k := int32(len(t.Alphabet))
+	for c, to := range t.trans {
+		if from, via := int32(c)/k, int32(c)%k; t.parent[to] != from || t.via[to] != via {
+			fn(from, via, to)
+		}
+	}
+}
+
+// NumEquations returns |R|: every cell of T is an equation but the tree
+// edges, one per representative past the root.
+func (t *Table) NumEquations() int { return len(t.trans) - len(t.Reps) + 1 }
+
+// Intern interns the representatives in u along the tree T hangs them from
+// and returns their terms there, index for index with Reps — for a reader
+// that builds R (see NonTree) in a universe of its own.
+func (t *Table) Intern(u *term.Universe) []term.Term {
+	reps := make([]term.Term, len(t.Reps)) // reps[Root] is term.Zero
+	for i := 1; i < len(reps); i++ {
+		reps[i] = u.Apply(t.Alphabet[t.via[i]], reps[t.parent[i]])
+	}
+	return reps
+}
+
 // NumStates returns the number of representatives.
 func (t *Table) NumStates() int { return len(t.Reps) }
 

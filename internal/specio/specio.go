@@ -146,12 +146,13 @@ func FromSpec(sp *specgraph.Spec) *Document {
 		}
 		return strings.Join(a.Args, ",") < strings.Join(b.Args, ",")
 	})
-	for _, m := range sp.Merges {
+	// R: a Potential term is its parent's symbols and one more, not interned.
+	sp.NonTree(func(from, via, to int32) {
 		doc.Equations = append(doc.Equations, EquationDoc{
-			Left:  termDoc(m.Rep),
-			Right: termDoc(m.Potential),
+			Left:  slices.Clone(doc.Reps[to]),
+			Right: append(slices.Clip(doc.Reps[from]), doc.Alphabet[via]),
 		})
-	}
+	})
 	var predIDs []symbols.PredID
 	for p := range preds {
 		predIDs = append(predIDs, p)
@@ -169,8 +170,9 @@ func FromSpec(sp *specgraph.Spec) *Document {
 // Spec reads the document back into the specification FromSpec wrote it
 // from, in a fresh symbol table, universe and world of its own: the same
 // value Algorithm Q builds, with no rules behind it (§3). Its predicates are
-// all original ones — the document keeps no others — and it has no Active
-// or Potential terms. The document is validated first (see Validate).
+// all original ones — the document keeps no others — and its equations are
+// its table's non-tree edges, which is how the Spec reads R. The document is
+// validated first (see Validate).
 func (d *Document) Spec() (*specgraph.Spec, error) {
 	parent, via, err := d.Tree()
 	if err != nil {
@@ -204,19 +206,8 @@ func (d *Document) Spec() (*specgraph.Spec, error) {
 		}
 		return w.Atom(p, w.Tuple(args))
 	}
-	termOf := func(td TermDoc) term.Term {
-		t := term.Zero
-		for _, name := range td {
-			t = u.Apply(symbol(name), t)
-		}
-		return t
-	}
 
 	n, k := len(d.Reps), len(alphabet)
-	reps := make([]term.Term, n) // reps[0] is term.Zero
-	for i := 1; i < n; i++ {
-		reps[i] = u.Apply(alphabet[via[i]], reps[parent[i]])
-	}
 	state := make([]facts.StateID, n) // facts.EmptyState where there is no slice
 	var buf []facts.AtomID
 	for _, sl := range d.Slices {
@@ -231,20 +222,17 @@ func (d *Document) Spec() (*specgraph.Spec, error) {
 	for _, e := range d.Edges {
 		trans[e.From*k+int(symbol(e.Fn))] = int32(e.To)
 	}
-	t, err := specgraph.NewTable(alphabet, reps, state, parent, via, trans)
+	t, err := specgraph.NewTable(alphabet, make([]term.Term, n), state, parent, via, trans)
 	if err != nil {
 		return nil, err
 	}
+	t.Reps = t.Intern(u)
 	global := facts.NewSet()
 	for _, fd := range d.Globals {
 		global.Add(w, atom(fd, false))
 	}
-	merges := make([]specgraph.Merge, len(d.Equations))
-	for i, eq := range d.Equations {
-		merges[i] = specgraph.Merge{Rep: termOf(eq.Left), Potential: termOf(eq.Right)}
-	}
 	return &specgraph.Spec{U: u, W: w, Tab: tab, Global: global.Freeze(), OriginalPreds: original,
-		Temporal: d.Temporal, SeedDepth: d.SeedDepth, Table: t, Merges: merges}, nil
+		Temporal: d.Temporal, SeedDepth: d.SeedDepth, Table: t}, nil
 }
 
 // Write serializes the document as indented JSON.
@@ -262,7 +250,7 @@ var MaxDocumentBytes int64 = 64 << 20
 // Read parses and validates a document. Malformed or hostile documents —
 // oversized input, duplicate representatives or slices, out-of-range
 // successor targets, symbols outside the alphabet, a successor table with a
-// hole — are rejected with an explicit error; a document returned by Read
+// hole, equations that are not the table's non-tree edges — are rejected with an explicit error; a document returned by Read
 // always loads.
 func Read(r io.Reader) (*Document, error) {
 	lr := &io.LimitedReader{R: r, N: MaxDocumentBytes + 1}
@@ -284,8 +272,9 @@ func Read(r io.Reader) (*Document, error) {
 
 // Validate checks the document's structural invariants: the format tag,
 // index ranges, alphabet closure, the absence of duplicates that would make
-// the successor automaton ambiguous, and that the edges are a successor
-// table — total, with every representative one edge past an earlier one.
+// the successor automaton ambiguous, that the edges are a successor table —
+// total, with every representative one edge past an earlier one — and that
+// the equations are the table's non-tree edges.
 // Spec calls it, so hand-built documents get the same scrutiny as ones
 // arriving through Read.
 func (d *Document) Validate() error {
@@ -413,6 +402,22 @@ func (d *Document) Tree() (parent, via []int32, err error) {
 			return nil, nil, fmt.Errorf("specio: edge %d -%s-> does not lead to representative %d", p, td[len(td)-1], i)
 		}
 		parent[i], via[i] = int32(p), j
+	}
+	// R is the table's non-tree edges, in order (specgraph.Table.NonTree):
+	// each equation a representative and the Potential term one symbol past
+	// another that the table merged into it. A document whose R is not its
+	// table's would answer one way by the DFA and another by congruence
+	// closure.
+	var want []EquationDoc
+	for cell, t := range to {
+		if from, j := cell/k, cell%k; parent[t] != int32(from) || via[t] != int32(j) {
+			want = append(want, EquationDoc{d.Reps[t], append(slices.Clip(d.Reps[from]), d.Alphabet[j])})
+		}
+	}
+	if !slices.EqualFunc(d.Equations, want, func(a, b EquationDoc) bool {
+		return slices.Equal(a.Left, b.Left) && slices.Equal(a.Right, b.Right)
+	}) {
+		return nil, nil, fmt.Errorf("specio: %d equations are not the table's %d non-tree edges", len(d.Equations), len(want))
 	}
 	return parent, via, nil
 }

@@ -114,18 +114,54 @@ Even(T) -> Even(T+2).
 	}
 }
 
+// TestReadRefusesForeignR: a document whose equations are not its table's
+// non-tree edges is refused, with one equation dropped and with one pointed
+// at another representative — by Read, by Validate (which the binary
+// reader and the loader run) and by EncodeDocument. Such a document used to
+// load, and congruence closure over its R then disagreed with the DFA on
+// ground asks the DFA answered right.
+func TestReadRefusesForeignR(t *testing.T) {
+	doc := FromSpec(buildSpec(t, listsSrc))
+	if len(doc.Equations) != 5 {
+		t.Fatalf("equations = %d, want the 5 of section 3.4", len(doc.Equations))
+	}
+	for name, mutate := range map[string]func(d *Document){
+		"one dropped": func(d *Document) { d.Equations = slices.Delete(d.Equations, 2, 3) },
+		"one altered": func(d *Document) { d.Equations[1].Left = d.Reps[1] },
+	} {
+		d := *doc
+		d.Equations = slices.Clone(doc.Equations)
+		mutate(&d)
+		var buf bytes.Buffer
+		if err := d.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "non-tree edge") {
+			t.Errorf("%s: Read error = %v, want the non-tree edges named", name, err)
+		}
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts the document", name)
+		}
+		if _, err := EncodeDocument(&d); err == nil {
+			t.Errorf("%s: EncodeDocument accepts the document", name)
+		}
+	}
+}
+
 // TestReadRejectsMalformed feeds Read hostile or corrupted documents and
 // checks each is rejected with an explicit error, never a panic.
 func TestReadRejectsMalformed(t *testing.T) {
 	// A minimal valid document to mutate: one alphabet symbol, two reps
-	// (0 and f), one edge, one slice.
+	// (0 and f), two edges, one slice, and the one equation f = ff that the
+	// non-tree edge 1 -f-> 1 is.
 	valid := func() *Document {
 		return &Document{
-			Format:   "funcdb/spec/v1",
-			Alphabet: []string{"f"},
-			Reps:     []TermDoc{{}, {"f"}},
-			Edges:    []EdgeDoc{{From: 0, Fn: "f", To: 1}, {From: 1, Fn: "f", To: 1}},
-			Slices:   []SliceDoc{{Rep: 0, Facts: []FactDoc{{Pred: "P"}}}},
+			Format:    "funcdb/spec/v1",
+			Alphabet:  []string{"f"},
+			Reps:      []TermDoc{{}, {"f"}},
+			Edges:     []EdgeDoc{{From: 0, Fn: "f", To: 1}, {From: 1, Fn: "f", To: 1}},
+			Slices:    []SliceDoc{{Rep: 0, Facts: []FactDoc{{Pred: "P"}}}},
+			Equations: []EquationDoc{{Left: TermDoc{"f"}, Right: TermDoc{"f", "f"}}},
 			Predicates: []PredicateDoc{
 				{Name: "P", Arity: 0, Functional: true},
 			},
@@ -155,6 +191,14 @@ func TestReadRejectsMalformed(t *testing.T) {
 			d.Equations = []EquationDoc{{Left: TermDoc{"g"}, Right: TermDoc{}}}
 		}, "outside the alphabet"},
 		{"invalid predicate decl", func(d *Document) { d.Predicates[0].Arity = -1 }, "invalid predicate"},
+		// R is the table's non-tree edges, in order: not one fewer, one
+		// more, or another.
+		{"equation dropped", func(d *Document) { d.Equations = nil }, "0 equations are not the table's 1 non-tree edges"},
+		{"equation added", func(d *Document) {
+			d.Equations = append(d.Equations, EquationDoc{Left: TermDoc{}, Right: TermDoc{"f", "f"}})
+		}, "2 equations are not the table's 1 non-tree edges"},
+		{"equation's representative altered", func(d *Document) { d.Equations[0].Left = TermDoc{} }, "not the table's 1 non-tree edges"},
+		{"equation's Potential term altered", func(d *Document) { d.Equations[0].Right = TermDoc{"f", "f", "f"} }, "not the table's 1 non-tree edges"},
 		// What a successor table cannot hold: a hole, no root, a
 		// representative that does not hang from an earlier one by its edge.
 		{"missing edge", func(d *Document) { d.Edges = d.Edges[:1] }, "missing edge"},

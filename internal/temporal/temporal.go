@@ -45,19 +45,21 @@ func Build(sp *specgraph.Spec) (*Spec, error) {
 	if len(sp.Alphabet) != 1 {
 		return nil, fmt.Errorf("temporal: expected a single successor symbol, got %d", len(sp.Alphabet))
 	}
-	if len(sp.Merges) != 1 {
-		return nil, fmt.Errorf("temporal: expected exactly one merge, got %d", len(sp.Merges))
+	if n := sp.NumEquations(); n != 1 {
+		return nil, fmt.Errorf("temporal: expected exactly one merge, got %d", n)
 	}
+	// The one non-tree edge of T: day from+1, merged into day to.
 	succ := sp.Alphabet[0]
-	m := sp.Merges[0]
-	rep, okR := sp.U.AsNumber(m.Rep, succ)
-	pot, okP := sp.U.AsNumber(m.Potential, succ)
-	if !okR || !okP || pot <= rep {
+	var from, to int32
+	sp.NonTree(func(f, _, t int32) { from, to = f, t })
+	rep, okR := sp.U.AsNumber(sp.Reps[to], succ)
+	day, okP := sp.U.AsNumber(sp.Reps[from], succ)
+	if !okR || !okP || day+1 <= rep {
 		return nil, fmt.Errorf("temporal: malformed merge")
 	}
 	t := &Spec{
 		Prefix: rep,
-		Period: pot - rep,
+		Period: day + 1 - rep,
 		Graph:  sp,
 		succ:   succ,
 	}

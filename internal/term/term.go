@@ -111,6 +111,11 @@ func (u *Universe) find(h uint32, f symbols.FuncID, t Term) int32 {
 	})
 }
 
+// Find returns f(t) if it is interned, None if not; it interns nothing.
+func (u *Universe) Find(f symbols.FuncID, t Term) Term {
+	return Term(u.find(intern.Hash(uint64(uint32(f))<<32|uint64(uint32(t))), f, t))
+}
+
 // Apply interns the term f(t).
 func (u *Universe) Apply(f symbols.FuncID, t Term) Term {
 	h := intern.Hash(uint64(uint32(f))<<32 | uint64(uint32(t)))
@@ -204,10 +209,6 @@ func (u *Universe) Compare(t1, t2 Term) int {
 	}
 	return 0
 }
-
-// Precedes reports whether t1 strictly precedes t2 in the precedence
-// ordering.
-func (u *Universe) Precedes(t1, t2 Term) bool { return u.Compare(t1, t2) < 0 }
 
 // String formats t using the symbol names in tab, in functional notation:
 // g(f(0)). Chains of a symbol named "succ" are printed as decimal integers,
