@@ -30,8 +30,11 @@ test:
 # evaluate, how many rule bodies a cold solve may fire, how many bytes and
 # allocations one republish may make and that it interns no term but the
 # representatives it adds (counts), the join programs against all
-# three evaluators, and a pass over the cold-compile, Extend and republish
-# benchmarks — a join that goes quadratic again shows in the counts first.
+# three evaluators, how many atoms a join hands the matcher per rule firing
+# through the argument index, that the index fires as a scan would, and that
+# a planted index missing new atoms is caught, and a pass over the
+# cold-compile, Extend and republish benchmarks — a join that goes quadratic
+# again shows in the counts first.
 # And the stores': one representation each (no Scratch twin, no map copied in
 # a Freeze) and a republish that allocates the same after 250 facts as after
 # 10. And a pass over the plan-miss benchmark: query text to compiled plan,
@@ -46,7 +49,7 @@ test-bench:
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
-	$(GO) test -count=1 -run 'TestCellJoins' ./internal/engine/
+	$(GO) test -count=1 -run 'TestCellJoins|TestJoinProbesBucket|TestJoinIndexCatches|TestJoinIndexFiresAsScan' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
 	$(GO) test -count=1 -run 'TestGroundAskZeroAlloc' -bench 'BenchmarkTextHit' -benchtime 200000x -cpu 1,2 ./internal/core/

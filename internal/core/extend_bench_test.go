@@ -62,10 +62,20 @@ func extendPublish(tb testing.TB, db *Database, fact string) {
 	}
 }
 
+// calCycle is one write_mix cycle of cal facts (bench/workloads.go): three
+// at day 0, the fourth at a day from 8 to 15, deeper than anything in the
+// program, and the rest at days up to that one.
+var calCycle = []string{
+	"Meets(0, s5).", "Meets(0, s14).", "Meets(0, s23).", "Meets(11, s40).",
+	"Meets(4, s9).", "Meets(11, s31).", "Meets(0, s50).", "Meets(7, s2).",
+}
+
 // BenchmarkExtend times one monotone Extend: "first" is a depth-0 fact into
 // the freshly published program (the bench's core.extend_us), "after50" a
 // fact into a database that has taken fifty before it, republishing after
-// each — what a fact costs must not grow with the history.
+// each — what a fact costs must not grow with the history. "cal/cycle" times
+// the eight Extends of calCycle into the freshly published calendar,
+// republishing between them, as a write_mix client posts them.
 func BenchmarkExtend(b *testing.B) {
 	for _, f := range writeFamilies {
 		f := f
@@ -87,6 +97,22 @@ func BenchmarkExtend(b *testing.B) {
 		run("first", f.src, 0)
 		run("after50", f.src+f.deep+"\n", 50)
 	}
+	b.Run("cal/cycle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := openPublished(b, writeFamilies[0].src)
+			for _, fact := range calCycle {
+				b.StartTimer()
+				if err := db.Extend(fact); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := db.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // publishCases are the republishes BenchmarkPublish times and

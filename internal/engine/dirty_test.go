@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -413,16 +415,20 @@ B(g(0)), P(S) -> C(S).`, then: "B", at: []string{"g"}},
 	}
 }
 
-// joinCases are programs in which one thing each breaks a wrong join plan or
-// a wrong delta inside a cell. Every one has a chain of cells below f, rules
-// listed so that what the join reads arrives over several evaluations of the
-// same cell, and nothing else going on. then are base facts added one after
-// another once the cold solve is done, none changing a state above the cells;
-// the tracked engine is swept after each.
-var joinCases = []struct {
+// joinCase is a program and the base facts added to it after its cold solve,
+// one element of then at a time.
+type joinCase struct {
 	name, src string
 	then      []string
-}{
+}
+
+// joinCases are programs in which one thing each breaks a wrong join plan or
+// a wrong delta inside a cell. Every one has a chain of cells below f (the
+// calendar's below its one symbol), rules listed so that what the join reads
+// arrives over several evaluations of the same cell, and nothing else going
+// on. No base fact of then changes a state above the cells, and the tracked
+// engine is swept after each element.
+var joinCases = []joinCase{
 	// E(a) is pushed into the cell, E(b) derived there two evaluations later:
 	// Pair needs old × new, new × old and new × new.
 	{name: "one predicate twice", src: `
@@ -480,83 +486,173 @@ W(S) -> W2(S).
 Q(S) -> W(S).
 P(S, V) -> Y(S, V).
 Y(g(S), V), K(V) -> X(f(S), V).`, then: []string{"W(g(0)).", "P(g(0), c)."}},
+	// The rest hold a list longer than a scan (16 atoms), which a join
+	// probes by the value of an argument position fixed before it. The
+	// calendar's 64 Next facts are one global list, and every cell joins
+	// Meets × Next on Next's first argument. Twenty Next facts then arrive at
+	// once, so a re-evaluation joins a window past the stamp that is long too,
+	// its buckets holding positions on both sides of it; one more follows.
+	{name: "calendar past the scan", src: datagen.CalendarSrc(64), then: []string{
+		repeat(20, func(i int) string { return fmt.Sprintf("Next(s%d, s%d).", 3*i, (3*i+32)%64) }),
+		"Next(s7, s50).",
+	}},
+	// R(S, a, X) probes the cell's own set by the constant a: 18 atoms pushed
+	// into the cell, 18 more derived there three evaluations later.
+	{name: "constant past the scan", src: `
+A(0).
+A(S) -> A(f(S)).
+` + repeat(18, func(i int) string { return fmt.Sprintf("A(S) -> R(f(S), %s, c%d).", ab(i), i) }) + `
+R(S, a, X) -> Hit(S, X).
+` + repeat(18, func(i int) string { return fmt.Sprintf("B(S) -> R(S, %s, d%d).", ab(i), i) }) + `
+C(S) -> B(S).
+A(S) -> C(S).`},
+	// The second X of E(S, X, X) is bound by the first, in the same literal:
+	// nothing is fixed before it, and the join scans.
+	{name: "repeated variable past the scan", src: `
+A(0).
+A(S) -> A(f(S)).
+` + repeat(18, func(i int) string { return fmt.Sprintf("A(S) -> E(f(S), c%d, c%d).", i, i+i%3) }) + `
+E(S, X, X) -> Diag(S, X).`},
+	// B at the anchor g(0) is probed by X from the cells below f, and at g(0)
+	// itself by the X that K binds.
+	{name: "ground input past the scan", src: `
+K(a).
+` + repeat(18, func(i int) string { return fmt.Sprintf("B(g(0), %s, e%d).", ab(i), i) }) + `
+A(0).
+A(S) -> A(f(S)).
+A(S) -> M(f(S), a).
+A(S) -> M(f(S), b).
+M(S, X), B(g(0), X, Y) -> N(S, Y).
+K(X), B(S, X, Y) -> BK(S, Y).`, then: []string{"B(g(0), a, e40).", "B(g(0), b, e41)."}},
+	// K(X, Y) comes after M has bound both: a test, probed on X.
+	{name: "every position fixed past the scan", src: repeat(18, func(i int) string { return fmt.Sprintf("K(%s, c%d).", ab(i), i) }) + `
+A(0).
+A(S) -> A(f(S)).
+A(S) -> M(f(S), a, c0).
+A(S) -> M(f(S), b, c0).
+A(S) -> M(f(S), b, c3).
+M(S, X, Y), K(X, Y) -> N(S, X, Y).`, then: []string{"K(b, c0)."}},
+	// K is probed in the middle of the body. K(a, z) and L(z) arrive
+	// together, and the cell derives Q(S, z) before it joins N: the match
+	// with K's new atom is new with K as the delta, so the one with Q's must
+	// leave K's bucket clipped at K's stamp, or it fires twice.
+	{name: "probed before the delta", src: repeat(18, func(i int) string { return fmt.Sprintf("K(%s, c%d).", ab(i), i) }) + `
+L(c0).
+A(0).
+A(S) -> A(f(S)).
+A(S) -> M(f(S), a).
+L(Y), A(S) -> Q(S, Y).
+M(S, X), K(X, Y), Q(S, Y) -> N(S, Y).`, then: []string{"K(a, z).\nL(z)."}},
 }
+
+// repeat joins f(0), …, f(n-1), one to a line.
+func repeat(n int, f func(i int) string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		b.WriteString(f(i))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// ab names the constant a for even i and b for odd.
+func ab(i int) string { return string(rune('a' + i%2)) }
 
 // sameAsFixpoint compares every state to depth SeedDepth+3 and the global
 // facts with the depth-bounded semi-naive evaluator's, run two levels deeper
 // over the same program and base facts.
 func sameAsFixpoint(t *testing.T, when string, e *Engine, base []ast.Atom) {
 	t.Helper()
+	if err := fixpointDiff(e, base); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// fixpointDiff is sameAsFixpoint's comparison: the first state or global
+// fact in which e and the fixpoint evaluator differ, nil if none does.
+func fixpointDiff(e *Engine, base []ast.Atom) error {
 	prog := *e.Prep.Program
 	prog.Facts = append(append([]ast.Atom(nil), prog.Facts...), base...)
 	depth := e.Prep.SeedDepth + 3
 	ref, err := fixpoint.Eval(&prog, e.U, e.W, fixpoint.Options{MaxDepth: depth + 2, Seminaive: true})
 	if err != nil {
-		t.Fatalf("%s: fixpoint.Eval: %v", when, err)
+		return fmt.Errorf("fixpoint.Eval: %v", err)
 	}
 	tab := prog.Tab
 	for _, tm := range termsTo(e, depth, 1500) {
 		got, err := e.StateOf(tm)
 		if err != nil {
-			t.Fatalf("%s: StateOf: %v", when, err)
+			return fmt.Errorf("StateOf: %v", err)
 		}
 		if want := ref.Store.Slice(tm, nil); got != want {
-			t.Errorf("%s: state of %s is %v, the fixpoint evaluator's %v", when, e.U.CompactString(tm, tab), e.W.StateAtoms(got), e.W.StateAtoms(want))
+			return fmt.Errorf("state of %s is %v, the fixpoint evaluator's %v", e.U.CompactString(tm, tab), e.W.StateAtoms(got), e.W.StateAtoms(want))
 		}
 	}
 	g, w := sortedAtoms(e.Global()), sortedAtoms(ref.Store.Data())
 	if len(g) != len(w) {
-		t.Fatalf("%s: %d global facts, the fixpoint evaluator has %d", when, len(g), len(w))
+		return fmt.Errorf("%d global facts, the fixpoint evaluator has %d", len(g), len(w))
 	}
 	for i := range g {
 		if g[i] != w[i] {
-			t.Fatalf("%s: global facts differ from the fixpoint evaluator's", when)
+			return fmt.Errorf("global facts differ from the fixpoint evaluator's")
 		}
 	}
+	return nil
+}
+
+// joinSteps builds c's tracked engine and oracle and calls check cold, then
+// adds c's base facts one line of then after another, solving and sweeping
+// the tracked engine after each and calling check with the base facts so
+// far. It returns the tracked engine.
+func joinSteps(t *testing.T, c joinCase, check func(when string, tracked, oracle *Engine, base []ast.Atom)) *Engine {
+	t.Helper()
+	tracked, oracle := enginePair(t, c.src)
+	check("cold", tracked, oracle, nil)
+	var base []ast.Atom
+	for _, then := range c.then {
+		more, err := parser.ParseFactsTab(tracked.Prep.Program.Tab, then)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, more...)
+		for _, e := range []*Engine{tracked, oracle} {
+			for i := range more {
+				args := make([]symbols.ConstID, len(more[i].Args))
+				for k, d := range more[i].Args {
+					args[k] = d.Const
+				}
+				if more[i].FT == nil {
+					e.AddGlobalFact(more[i].Pred, args)
+				} else if at, ok := subst.GroundFTerm(e.U, more[i].FT); ok {
+					e.AddGroundFact(more[i].Pred, at, args)
+				}
+			}
+		}
+		if err := tracked.Solve(); err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		tracked.kept = 0 // sweep now, not when enough cells have died
+		tracked.Sweep()
+		check("after "+strings.ReplaceAll(strings.TrimSpace(then), "\n", " "), tracked, oracle, base)
+	}
+	return tracked
 }
 
 // TestCellJoins: the join plans and the deltas derive what the rules say.
 // The tracked engine, the evaluate-everything oracle (same plans, full
 // extents every time) and internal/fixpoint's semi-naive evaluator (its own
 // matcher, textual order) agree on every joinCases program, cold and after
-// the case's base fact.
+// each of the case's base facts.
 func TestCellJoins(t *testing.T) {
 	for _, c := range joinCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			tracked, oracle := enginePair(t, c.src)
-			sameFixpoint(t, "cold", tracked, oracle)
-			sameAsFixpoint(t, "cold", tracked, nil)
+			tracked := joinSteps(t, c, func(when string, tracked, oracle *Engine, base []ast.Atom) {
+				sameFixpoint(t, when, tracked, oracle)
+				sameAsFixpoint(t, when, tracked, base)
+			})
 			if n := tracked.Stats().CellEvals; n <= tracked.Stats().Cells {
 				t.Errorf("%d evaluations of %d cells: no cell was evaluated twice", n, tracked.Stats().Cells)
-			}
-			var base []ast.Atom
-			for _, then := range c.then {
-				more, err := parser.ParseFactsTab(tracked.Prep.Program.Tab, then)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base = append(base, more...)
-				for _, e := range []*Engine{tracked, oracle} {
-					for i := range more {
-						args := make([]symbols.ConstID, len(more[i].Args))
-						for k, d := range more[i].Args {
-							args[k] = d.Const
-						}
-						if more[i].FT == nil {
-							e.AddGlobalFact(more[i].Pred, args)
-						} else if at, ok := subst.GroundFTerm(e.U, more[i].FT); ok {
-							e.AddGroundFact(more[i].Pred, at, args)
-						}
-					}
-				}
-				if err := tracked.Solve(); err != nil {
-					t.Fatalf("Solve: %v", err)
-				}
-				tracked.kept = 0 // sweep now, not when enough cells have died
-				tracked.Sweep()
-				sameFixpoint(t, "after "+then, tracked, oracle)
-				sameAsFixpoint(t, "after "+then, tracked, base)
 			}
 		})
 	}

@@ -63,6 +63,7 @@ type Stats struct {
 	AnchorsCount int // anchor nodes
 	SkippedEvals int // node evaluations skipped by the dirty check
 	CellEvals    int // cell evaluations not skipped
+	Candidates   int // atoms a join handed to match
 }
 
 // obsMark remembers the stats already flushed to the observability layer,
@@ -83,10 +84,23 @@ type input struct {
 	pred symbols.PredID
 }
 
+// cursor is where a join stands in one body literal's extent: the literal's
+// list, the positions in it that a probe hit (nil for a scan), and the next
+// and the end index into hits, or into the list when scanning.
+type cursor struct {
+	atoms    []facts.AtomID
+	hits     []int32
+	pos, end int
+}
+
 // rule is a compiled rule as a group evaluates it.
 type rule struct {
 	*normform.Rule
-	in   []int      // per body literal, the index of its input in the group
+	in []int // per body literal, the index of its input in the group
+	// key is, per body literal, the first argument position fixed before the
+	// join reaches it — a constant, or a register an earlier literal binds —
+	// and -1 where there is none: the position a long extent is probed by.
+	key  []int
 	sink *facts.Set // where a Data or Ground head goes; nil for a head at the node
 }
 
@@ -170,12 +184,11 @@ type Engine struct {
 	anchorSeen map[term.Term]int64
 
 	// Scratch of one evaluation: the sets a group's inputs resolve to and
-	// their lengths, and a join's registers, extents, cursors and head.
+	// their lengths, and a join's registers, cursors and head.
 	srcs []*facts.Set
 	lens []int32
 	regs []symbols.ConstID
-	ext  [][]facts.AtomID
-	pos  []int
+	cur  []cursor
 	head []symbols.ConstID
 
 	opts     Options
@@ -273,10 +286,11 @@ func (e *Engine) pushGroup(f symbols.FuncID) *group {
 	return &e.push[f]
 }
 
-// add appends r to the group, numbering the inputs its body reads and sizing
-// the engine's join scratch for it.
+// add appends r to the group, numbering the inputs its body reads, finding
+// the positions its join probes by and sizing the engine's join scratch for
+// it.
 func (g *group) add(e *Engine, r *normform.Rule) {
-	cr := rule{Rule: r, in: make([]int, len(r.Body))}
+	cr := rule{Rule: r, in: make([]int, len(r.Body)), key: make([]int, len(r.Body))}
 	switch r.Head.Lvl {
 	case normform.Data:
 		cr.sink = e.global
@@ -303,9 +317,24 @@ func (g *group) add(e *Engine, r *normform.Rule) {
 		}
 		cr.in[i] = k
 	}
+	bound := make([]bool, r.Regs) // by the literals before the one at hand
+	for i := range r.Body {
+		cr.key[i] = -1
+		for k, p := range r.Body[i].Plan {
+			if p.Reg < 0 || !p.Bind && bound[p.Reg] {
+				cr.key[i] = k
+				break
+			}
+		}
+		for _, p := range r.Body[i].Plan {
+			if p.Bind {
+				bound[p.Reg] = true
+			}
+		}
+	}
 	g.rules = append(g.rules, cr)
-	if n := len(r.Body); n > len(e.pos) {
-		e.ext, e.pos = make([][]facts.AtomID, n), make([]int, n)
+	if n := len(r.Body); n > len(e.cur) {
+		e.cur = make([]cursor, n)
 	}
 	if r.Regs > len(e.regs) {
 		e.regs = make([]symbols.ConstID, r.Regs)
@@ -490,49 +519,80 @@ func (e *Engine) apply(g *group, srcs []*facts.Set, stamps []int32, sink *facts.
 	return changed
 }
 
+// probe is the argument index a join reads a long extent through; tests
+// replace it to plant a faulty one.
+var probe = (*facts.Set).Probe
+
 // join fires r for every match of its body that takes literal d's atom from
 // past the literal's stamp, those of the literals before d from up to theirs,
 // and those of the literals after d from anywhere — over d, each match that
 // is new since the stamps exactly once. Nil stamps are zeros. The extents are
 // read as the join reaches them, so a fact the rule derives is joined by the
-// literals still to come, as well as by the next evaluation.
+// literals still to come, as well as by the next evaluation. Where a literal
+// has a fixed argument and its extent is long, the join walks the positions
+// of the atoms with that argument's value instead of the whole extent: the
+// same atoms that can match, in the same order, so the same bodies fire.
 func (e *Engine) join(r *rule, srcs []*facts.Set, stamps []int32, d int, sink *facts.Set) bool {
 	body := r.Body
-	extent := func(i int) []facts.AtomID {
-		atoms := srcs[r.in[i]].ByPred(body[i].Pred)
-		if stamps == nil || i > d {
-			return atoms
+	// reach sets literal i's cursor at the start of its extent: its list
+	// from the literal's stamp on for d, up to it before d, all of it after.
+	reach := func(i int) {
+		set := srcs[r.in[i]]
+		atoms := set.ByPred(body[i].Pred)
+		lo, hi := 0, len(atoms)
+		switch {
+		case stamps == nil || i > d:
+		case i < d:
+			hi = int(stamps[r.in[i]])
+		default:
+			lo = int(stamps[r.in[i]])
 		}
-		if i < d {
-			return atoms[:stamps[r.in[i]]]
+		e.cur[i] = cursor{atoms, nil, lo, hi}
+		if k := r.key[i]; k >= 0 {
+			c := body[i].Plan[k].Const
+			if reg := body[i].Plan[k].Reg; reg >= 0 {
+				c = e.regs[reg]
+			}
+			if hits, ok := probe(set, e.W, body[i].Pred, k, c, lo, hi); ok {
+				e.cur[i] = cursor{atoms, hits, 0, len(hits)}
+			}
 		}
-		return atoms[stamps[r.in[i]]:]
 	}
-	if len(extent(d)) == 0 {
+	old := 0 // how much of literal d's list is not delta
+	if stamps != nil {
+		old = int(stamps[r.in[d]])
+	}
+	if len(srcs[r.in[d]].ByPred(body[d].Pred)) == old {
 		return false
 	}
 	changed := false
-	i := 0
-	e.ext[0], e.pos[0] = extent(0), 0
+	i, matched := 0, 0
+	reach(0)
 	for i >= 0 {
-		if e.pos[i] == len(e.ext[i]) {
+		c := &e.cur[i]
+		if c.pos == c.end {
 			i--
 			continue
 		}
-		a := e.ext[i][e.pos[i]]
-		e.pos[i]++
-		if !e.match(body[i].Plan, e.W.TupleArgs(e.W.AtomTuple(a))) {
+		p := c.pos
+		c.pos++
+		if c.hits != nil {
+			p = int(c.hits[p])
+		}
+		matched++
+		if !e.match(body[i].Plan, e.W.TupleArgs(e.W.AtomTuple(c.atoms[p]))) {
 			continue
 		}
 		if i+1 < len(body) {
 			i++
-			e.ext[i], e.pos[i] = extent(i), 0
+			reach(i)
 			continue
 		}
 		if e.fire(r, sink) {
 			changed = true
 		}
 	}
+	e.stats.Candidates += matched
 	return changed
 }
 

@@ -262,22 +262,51 @@ type Set struct {
 	// and grown to the largest predicate added.
 	byPred [][]AtomID
 	n      int
-	// index finds a member by its position in its predicate's list once
-	// there are more than a scan of that list should look at; most sets —
-	// the cells of a fixpoint — never get there.
-	index  *intern.Index
+	// past finds atoms once there are more than a scan should look at; most
+	// sets — the cells of a fixpoint — never get there, and hold no more
+	// than this pointer for it.
+	past   *pastScan
 	cached StateID
 	dirty  bool
 	frozen bool
 }
 
-// scanMax is the size up to which membership in a Set is a linear scan.
-// Measured (EXPERIMENTS.md A22, "One set, two membership paths"): of the
-// 130 / 1 025 / 587 sets a cold solve of the three write families makes, the
-// largest cell holds 10 atoms and one set — a program's global facts — passes
-// 16. An index from the first atom on costs Subsets(7)'s cold compile 26 %
-// more allocations and ~1.2× the time; a scan with no index behind it takes
-// 54 ms against 1.5 to load 20 000 facts of one predicate.
+// pastScan is how a set of more than scanMax atoms finds them.
+type pastScan struct {
+	// index finds a member by its position in its predicate's list.
+	index intern.Index
+	// probes are the argument indexes a join has asked for (Probe), each
+	// built the first time a window longer than scanMax of its list is
+	// probed at its position: a list that long puts its set past the scan.
+	probes []argIndex
+}
+
+// argIndex finds the atoms of one predicate by the constant at one argument
+// position: a bucket per constant lists their positions in the predicate's
+// list, in append order, so positions past a length are what has arrived
+// since, just as in the list.
+type argIndex struct {
+	pred    symbols.PredID
+	k       int
+	buckets map[symbols.ConstID][]int32
+}
+
+// add files the atom at position pos of ix's predicate's list.
+func (ix *argIndex) add(w *World, a AtomID, pos int) {
+	if args := w.TupleArgs(w.AtomTuple(a)); ix.k < len(args) {
+		ix.buckets[args[ix.k]] = append(ix.buckets[args[ix.k]], int32(pos))
+	}
+}
+
+// scanMax is the size up to which membership in a Set is a linear scan, and
+// the length of a window of one list up to which a join scans it rather than
+// probe an argument index (Probe). Measured (EXPERIMENTS.md A22, "One set,
+// two membership paths"): of the 130 / 1 025 / 587 sets a cold solve of the
+// three write families makes, the largest cell holds 10 atoms and one set —
+// a program's global facts — passes 16. An index from the first atom on
+// costs Subsets(7)'s cold compile 26 % more allocations and ~1.2× the time;
+// a scan with no index behind it takes 54 ms against 1.5 to load 20 000
+// facts of one predicate.
 const scanMax = 16
 
 // NewSet returns an empty set.
@@ -285,16 +314,17 @@ func NewSet() *Set { return &Set{} }
 
 // Freeze returns a read-only view of s as it is now, for any number of
 // readers while s keeps growing: the per-predicate lists cut at their
-// lengths and the same index, which the view reads up to those lengths.
+// lengths and the same membership index, which the view reads up to those
+// lengths. The argument indexes stay with s: a join runs over its engine's
+// live sets only, and a view answers Probe with a scan.
 func (s *Set) Freeze() *Set {
 	v := *s
 	v.byPred = make([][]AtomID, len(s.byPred))
 	for p, atoms := range s.byPred {
 		v.byPred[p] = atoms[:len(atoms):len(atoms)]
 	}
-	if s.index != nil {
-		ix := *s.index
-		v.index = &ix
+	if s.past != nil {
+		v.past = &pastScan{index: s.past.index}
 	}
 	v.frozen = true
 	return &v
@@ -304,10 +334,10 @@ func hashAtom(a AtomID) uint32 { return intern.Hash(uint64(a)) }
 
 // has reports whether a is in list, its predicate's.
 func (s *Set) has(list []AtomID, a AtomID) bool {
-	if s.index == nil {
+	if s.past == nil {
 		return slices.Contains(list, a)
 	}
-	return s.index.Find(hashAtom(a), int32(len(list)), func(pos int32) bool { return list[pos] == a }) >= 0
+	return s.past.index.Find(hashAtom(a), int32(len(list)), func(pos int32) bool { return list[pos] == a }) >= 0
 }
 
 // Add inserts a and reports whether it was new.
@@ -320,18 +350,24 @@ func (s *Set) Add(w *World, a AtomID) bool {
 		panic("facts: Add to a frozen Set")
 	}
 	if s.n == scanMax {
-		s.index = intern.New(2 * scanMax)
+		s.past = &pastScan{index: *intern.New(2 * scanMax)}
 		for _, atoms := range s.byPred {
 			for pos, b := range atoms {
-				s.index.Insert(hashAtom(b), int32(pos))
+				s.past.index.Insert(hashAtom(b), int32(pos))
 			}
 		}
 	}
 	if int(p) >= len(s.byPred) {
 		s.byPred = append(s.byPred, make([][]AtomID, int(p)+1-len(s.byPred))...)
 	}
-	if s.index != nil {
-		s.index.Insert(hashAtom(a), int32(len(s.byPred[p])))
+	if ps := s.past; ps != nil {
+		pos := len(s.byPred[p])
+		ps.index.Insert(hashAtom(a), int32(pos))
+		for i := range ps.probes {
+			if ps.probes[i].pred == p {
+				ps.probes[i].add(w, a, pos)
+			}
+		}
 	}
 	s.byPred[p] = append(s.byPred[p], a)
 	s.n++
@@ -360,6 +396,42 @@ func (s *Set) ByPred(p symbols.PredID) []AtomID {
 		return s.byPred[p]
 	}
 	return nil
+}
+
+// Probe returns the positions in [lo, hi) of ByPred(p) of the atoms whose
+// argument k is c, ascending, for a join that has fixed that argument; lo
+// and hi lie within the list. It returns false where a scan of the window is
+// cheaper — no more than scanMax atoms — and on a frozen view. The caller
+// must not modify the slice.
+func (s *Set) Probe(w *World, p symbols.PredID, k int, c symbols.ConstID, lo, hi int) ([]int32, bool) {
+	if hi-lo <= scanMax || s.frozen {
+		return nil, false
+	}
+	ps := s.past
+	var ix *argIndex
+	for i := range ps.probes {
+		if ps.probes[i].pred == p && ps.probes[i].k == k {
+			ix = &ps.probes[i]
+			break
+		}
+	}
+	if ix == nil {
+		ps.probes = append(ps.probes, argIndex{pred: p, k: k, buckets: make(map[symbols.ConstID][]int32)})
+		ix = &ps.probes[len(ps.probes)-1]
+		for pos, a := range s.ByPred(p) {
+			ix.add(w, a, pos)
+		}
+	}
+	b := ix.buckets[c]
+	if lo > 0 {
+		i, _ := slices.BinarySearch(b, int32(lo))
+		b = b[i:]
+	}
+	if n := len(b); n > 0 && int(b[n-1]) >= hi {
+		j, _ := slices.BinarySearch(b, int32(hi))
+		b = b[:j]
+	}
+	return b, true
 }
 
 // Len returns the number of atoms in the set.

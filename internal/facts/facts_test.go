@@ -1,6 +1,7 @@
 package facts
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +223,50 @@ func TestSetPastTheScan(t *testing.T) {
 	long[39] = 39
 	if w.Tuple(long) != tu {
 		t.Fatalf("equal long tuples interned apart")
+	}
+}
+
+// TestSetProbe: a probe of a window longer than scanMax returns the positions
+// in it of the atoms holding the constant at the argument, ascending — those
+// added after the index was built too — and a short window, or a frozen view,
+// is left to a scan.
+func TestSetProbe(t *testing.T) {
+	w := NewWorld()
+	s := NewSet()
+	add := func(i int) {
+		s.Add(w, w.Atom(0, w.Tuple([]symbols.ConstID{symbols.ConstID(i % 5), symbols.ConstID(i)})))
+	}
+	for i := 0; i < 3*scanMax; i++ {
+		add(i)
+	}
+	if _, ok := s.Probe(w, 0, 0, 2, 5, 5+scanMax); ok {
+		t.Fatalf("a window of %d atoms was probed", scanMax)
+	}
+	check := func(lo, hi int) {
+		t.Helper()
+		list := s.ByPred(0)
+		var want []int32
+		for pos := lo; pos < hi; pos++ {
+			if w.TupleArgs(w.AtomTuple(list[pos]))[0] == 2 {
+				want = append(want, int32(pos))
+			}
+		}
+		got, ok := s.Probe(w, 0, 0, 2, lo, hi)
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("Probe of [%d, %d) = %v, %v; want %v", lo, hi, got, ok, want)
+		}
+	}
+	check(0, 3*scanMax)
+	check(3, 3*scanMax-4)
+	for i := 3 * scanMax; i < 5*scanMax; i++ {
+		add(i)
+	}
+	check(0, 5*scanMax)
+	check(3*scanMax-7, 5*scanMax-2)
+	if hits, ok := s.Probe(w, 0, 0, 9, 0, 5*scanMax); !ok || len(hits) != 0 {
+		t.Fatalf("a constant at no atom's argument: %v, %v", hits, ok)
+	}
+	if _, ok := s.Freeze().Probe(w, 0, 0, 2, 0, 5*scanMax); ok {
+		t.Fatal("a frozen view was probed")
 	}
 }

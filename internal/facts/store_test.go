@@ -196,9 +196,21 @@ func TestFrozenViewPanicsOnNewRecord(t *testing.T) {
 	}
 }
 
+// withArg returns the positions in list of the atoms whose argument k is c.
+func withArg(w *World, list []AtomID, k int, c symbols.ConstID) []int32 {
+	var out []int32
+	for pos, a := range list {
+		if w.TupleArgs(w.AtomTuple(a))[k] == c {
+			out = append(out, int32(pos))
+		}
+	}
+	return out
+}
+
 // TestFrozenReadersRaceWriter: readers check successive frozen views of a
 // world and of a set, bare and through overlays, while the writer interns on
-// across several growths of every index (run under -race).
+// across several growths of every index, and probes the set by an argument
+// past the scan as it grows it (run under -race).
 func TestFrozenReadersRaceWriter(t *testing.T) {
 	const atoms, readers = 3000, 4 // an index doubles at 4, 8, … 2048 entries
 	w, s := NewWorld(), NewSet()
@@ -228,6 +240,11 @@ func TestFrozenReadersRaceWriter(t *testing.T) {
 							return
 						}
 					}
+					// A view is never probed through: it scans.
+					if _, ok := v.s.Probe(x, 0, 1, 0, 0, len(v.s.ByPred(0))); ok {
+						t.Errorf("view of %d atoms probed through an argument index", v.w.NumAtoms())
+						return
+					}
 					for id := 0; id < v.w.NumStates(); id++ {
 						if x.State(x.StateAtoms(StateID(id))) != StateID(id) {
 							t.Errorf("view of %d states: state %d does not resolve to itself", v.w.NumStates(), id)
@@ -247,6 +264,15 @@ func TestFrozenReadersRaceWriter(t *testing.T) {
 		a := w.Atom(symbols.PredID(i%3), w.Tuple([]symbols.ConstID{symbols.ConstID(i), symbols.ConstID(i % 7)}))
 		if int(a)%2 == 0 {
 			s.Add(w, a)
+			p, c := w.AtomPred(a), symbols.ConstID(i%7)
+			list := s.ByPred(p)
+			hits, ok := s.Probe(w, p, 1, c, 0, len(list))
+			if ok != (len(list) > scanMax) {
+				t.Fatalf("a list of %d atoms probed: %v", len(list), ok)
+			}
+			if want := withArg(w, list, 1, c); ok && !slices.Equal(hits, want) {
+				t.Fatalf("the bucket of %d holds %v, want %v", c, hits, want)
+			}
 		}
 		w.State([]AtomID{a / 2, a})
 		if i%97 == 0 {
