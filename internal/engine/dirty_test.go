@@ -647,13 +647,13 @@ func TestCellJoins(t *testing.T) {
 	for _, c := range joinCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			tracked := joinSteps(t, c, func(when string, tracked, oracle *Engine, base []ast.Atom) {
+			joinSteps(t, c, func(when string, tracked, oracle *Engine, base []ast.Atom) {
 				sameFixpoint(t, when, tracked, oracle)
 				sameAsFixpoint(t, when, tracked, base)
+				if n := tracked.Stats().CellEvals; when == "cold" && n <= tracked.Stats().Cells {
+					t.Errorf("cold: %d evaluations of %d cells: no cell was evaluated twice", n, tracked.Stats().Cells)
+				}
 			})
-			if n := tracked.Stats().CellEvals; n <= tracked.Stats().Cells {
-				t.Errorf("%d evaluations of %d cells: no cell was evaluated twice", n, tracked.Stats().Cells)
-			}
 		})
 	}
 }

@@ -84,23 +84,10 @@ type input struct {
 	pred symbols.PredID
 }
 
-// cursor is where a join stands in one body literal's extent: the literal's
-// list, the positions in it that a probe hit (nil for a scan), and the next
-// and the end index into hits, or into the list when scanning.
-type cursor struct {
-	atoms    []facts.AtomID
-	hits     []int32
-	pos, end int
-}
-
 // rule is a compiled rule as a group evaluates it.
 type rule struct {
 	*normform.Rule
-	in []int // per body literal, the index of its input in the group
-	// key is, per body literal, the first argument position fixed before the
-	// join reaches it — a constant, or a register an earlier literal binds —
-	// and -1 where there is none: the position a long extent is probed by.
-	key  []int
+	in   []int      // per body literal, the index of its input in the group
 	sink *facts.Set // where a Data or Ground head goes; nil for a head at the node
 }
 
@@ -184,11 +171,14 @@ type Engine struct {
 	anchorSeen map[term.Term]int64
 
 	// Scratch of one evaluation: the sets a group's inputs resolve to and
-	// their lengths, and a join's registers, cursors and head.
+	// their lengths, and a join's registers, extents, cursors, the atoms
+	// its probes picked out and its head.
 	srcs []*facts.Set
 	lens []int32
 	regs []symbols.ConstID
-	cur  []cursor
+	ext  [][]facts.AtomID
+	pos  []int
+	hit  [][]facts.AtomID
 	head []symbols.ConstID
 
 	opts     Options
@@ -286,11 +276,10 @@ func (e *Engine) pushGroup(f symbols.FuncID) *group {
 	return &e.push[f]
 }
 
-// add appends r to the group, numbering the inputs its body reads, finding
-// the positions its join probes by and sizing the engine's join scratch for
-// it.
+// add appends r to the group, numbering the inputs its body reads and sizing
+// the engine's join scratch for it.
 func (g *group) add(e *Engine, r *normform.Rule) {
-	cr := rule{Rule: r, in: make([]int, len(r.Body)), key: make([]int, len(r.Body))}
+	cr := rule{Rule: r, in: make([]int, len(r.Body))}
 	switch r.Head.Lvl {
 	case normform.Data:
 		cr.sink = e.global
@@ -317,24 +306,9 @@ func (g *group) add(e *Engine, r *normform.Rule) {
 		}
 		cr.in[i] = k
 	}
-	bound := make([]bool, r.Regs) // by the literals before the one at hand
-	for i := range r.Body {
-		cr.key[i] = -1
-		for k, p := range r.Body[i].Plan {
-			if p.Reg < 0 || !p.Bind && bound[p.Reg] {
-				cr.key[i] = k
-				break
-			}
-		}
-		for _, p := range r.Body[i].Plan {
-			if p.Bind {
-				bound[p.Reg] = true
-			}
-		}
-	}
 	g.rules = append(g.rules, cr)
-	if n := len(r.Body); n > len(e.cur) {
-		e.cur = make([]cursor, n)
+	if n := len(r.Body); n > len(e.pos) {
+		e.ext, e.pos, e.hit = make([][]facts.AtomID, n), make([]int, n), make([][]facts.AtomID, n)
 	}
 	if r.Regs > len(e.regs) {
 		e.regs = make([]symbols.ConstID, r.Regs)
@@ -529,71 +503,82 @@ var probe = (*facts.Set).Probe
 // is new since the stamps exactly once. Nil stamps are zeros. The extents are
 // read as the join reaches them, so a fact the rule derives is joined by the
 // literals still to come, as well as by the next evaluation. Where a literal
-// has a fixed argument and its extent is long, the join walks the positions
-// of the atoms with that argument's value instead of the whole extent: the
-// same atoms that can match, in the same order, so the same bodies fire.
+// has a Key and its extent is longer than a scan, the join walks only the
+// atoms of the extent with that argument's value, which the argument index
+// picks out: the same atoms that can match, in the same order, so the same
+// bodies fire.
 func (e *Engine) join(r *rule, srcs []*facts.Set, stamps []int32, d int, sink *facts.Set) bool {
 	body := r.Body
-	// reach sets literal i's cursor at the start of its extent: its list
-	// from the literal's stamp on for d, up to it before d, all of it after.
-	reach := func(i int) {
-		set := srcs[r.in[i]]
-		atoms := set.ByPred(body[i].Pred)
-		lo, hi := 0, len(atoms)
-		switch {
-		case stamps == nil || i > d:
-		case i < d:
-			hi = int(stamps[r.in[i]])
-		default:
-			lo = int(stamps[r.in[i]])
+	extent := func(i int) []facts.AtomID {
+		atoms := srcs[r.in[i]].ByPred(body[i].Pred)
+		if stamps == nil || i > d {
+			return atoms
 		}
-		e.cur[i] = cursor{atoms, nil, lo, hi}
-		if k := r.key[i]; k >= 0 {
-			c := body[i].Plan[k].Const
-			if reg := body[i].Plan[k].Reg; reg >= 0 {
-				c = e.regs[reg]
-			}
-			if hits, ok := probe(set, e.W, body[i].Pred, k, c, lo, hi); ok {
-				e.cur[i] = cursor{atoms, hits, 0, len(hits)}
-			}
+		if i < d {
+			return atoms[:stamps[r.in[i]]]
 		}
+		return atoms[stamps[r.in[i]]:]
 	}
-	old := 0 // how much of literal d's list is not delta
-	if stamps != nil {
-		old = int(stamps[r.in[d]])
-	}
-	if len(srcs[r.in[d]].ByPred(body[d].Pred)) == old {
+	if len(extent(d)) == 0 {
 		return false
 	}
 	changed := false
-	i, matched := 0, 0
-	reach(0)
+	i := 0
+	e.ext[0], e.pos[0] = extent(0), 0
+	if body[0].Key >= 0 && len(e.ext[0]) > facts.ScanMax {
+		e.probeKey(r, srcs, stamps, d, 0)
+	}
+	e.stats.Candidates += len(e.ext[0]) // every extent reached is walked to its end
 	for i >= 0 {
-		c := &e.cur[i]
-		if c.pos == c.end {
+		if e.pos[i] == len(e.ext[i]) {
 			i--
 			continue
 		}
-		p := c.pos
-		c.pos++
-		if c.hits != nil {
-			p = int(c.hits[p])
-		}
-		matched++
-		if !e.match(body[i].Plan, e.W.TupleArgs(e.W.AtomTuple(c.atoms[p]))) {
+		a := e.ext[i][e.pos[i]]
+		e.pos[i]++
+		if !e.match(body[i].Plan, e.W.TupleArgs(e.W.AtomTuple(a))) {
 			continue
 		}
 		if i+1 < len(body) {
 			i++
-			reach(i)
+			e.ext[i], e.pos[i] = extent(i), 0
+			if body[i].Key >= 0 && len(e.ext[i]) > facts.ScanMax {
+				e.probeKey(r, srcs, stamps, d, i)
+			}
+			e.stats.Candidates += len(e.ext[i])
 			continue
 		}
 		if e.fire(r, sink) {
 			changed = true
 		}
 	}
-	e.stats.Candidates += matched
 	return changed
+}
+
+// probeKey narrows the extent of join's literal i to the atoms in it whose
+// argument Key holds the value fixed there, in list order: it probes the
+// literal's set and copies the atoms at the positions it returns into the
+// literal's scratch. It leaves the extent whole where the set does not
+// probe.
+func (e *Engine) probeKey(r *rule, srcs []*facts.Set, stamps []int32, d, i int) {
+	l, set := &r.Body[i], srcs[r.in[i]]
+	lo := 0 // where the extent starts in the literal's list
+	if stamps != nil && i == d {
+		lo = int(stamps[r.in[i]])
+	}
+	v := l.Plan[l.Key].Const
+	if reg := l.Plan[l.Key].Reg; reg >= 0 {
+		v = e.regs[reg]
+	}
+	hits, ok := probe(set, e.W, l.Pred, l.Key, v, lo, lo+len(e.ext[i]))
+	if !ok {
+		return
+	}
+	atoms, picked := set.ByPred(l.Pred), e.hit[i][:0]
+	for _, p := range hits {
+		picked = append(picked, atoms[p])
+	}
+	e.ext[i], e.hit[i] = picked, picked
 }
 
 // match compares an atom's arguments with a body literal's plan, writing the

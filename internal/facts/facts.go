@@ -271,12 +271,12 @@ type Set struct {
 	frozen bool
 }
 
-// pastScan is how a set of more than scanMax atoms finds them.
+// pastScan is how a set of more than ScanMax atoms finds them.
 type pastScan struct {
 	// index finds a member by its position in its predicate's list.
 	index intern.Index
 	// probes are the argument indexes a join has asked for (Probe), each
-	// built the first time a window longer than scanMax of its list is
+	// built the first time a window longer than ScanMax of its list is
 	// probed at its position: a list that long puts its set past the scan.
 	probes []argIndex
 }
@@ -298,7 +298,7 @@ func (ix *argIndex) add(w *World, a AtomID, pos int) {
 	}
 }
 
-// scanMax is the size up to which membership in a Set is a linear scan, and
+// ScanMax is the size up to which membership in a Set is a linear scan, and
 // the length of a window of one list up to which a join scans it rather than
 // probe an argument index (Probe). Measured (EXPERIMENTS.md A22, "One set,
 // two membership paths"): of the 130 / 1 025 / 587 sets a cold solve of the
@@ -307,7 +307,7 @@ func (ix *argIndex) add(w *World, a AtomID, pos int) {
 // costs Subsets(7)'s cold compile 26 % more allocations and ~1.2× the time;
 // a scan with no index behind it takes 54 ms against 1.5 to load 20 000
 // facts of one predicate.
-const scanMax = 16
+const ScanMax = 16
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
@@ -349,8 +349,8 @@ func (s *Set) Add(w *World, a AtomID) bool {
 	if s.frozen {
 		panic("facts: Add to a frozen Set")
 	}
-	if s.n == scanMax {
-		s.past = &pastScan{index: *intern.New(2 * scanMax)}
+	if s.n == ScanMax {
+		s.past = &pastScan{index: *intern.New(2 * ScanMax)}
 		for _, atoms := range s.byPred {
 			for pos, b := range atoms {
 				s.past.index.Insert(hashAtom(b), int32(pos))
@@ -401,10 +401,10 @@ func (s *Set) ByPred(p symbols.PredID) []AtomID {
 // Probe returns the positions in [lo, hi) of ByPred(p) of the atoms whose
 // argument k is c, ascending, for a join that has fixed that argument; lo
 // and hi lie within the list. It returns false where a scan of the window is
-// cheaper — no more than scanMax atoms — and on a frozen view. The caller
+// cheaper — no more than ScanMax atoms — and on a frozen view. The caller
 // must not modify the slice.
 func (s *Set) Probe(w *World, p symbols.PredID, k int, c symbols.ConstID, lo, hi int) ([]int32, bool) {
-	if hi-lo <= scanMax || s.frozen {
+	if hi-lo <= ScanMax || s.frozen {
 		return nil, false
 	}
 	ps := s.past

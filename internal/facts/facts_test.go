@@ -170,7 +170,7 @@ func TestStateIdentityIsSetIdentity(t *testing.T) {
 }
 
 // TestSetPastTheScan: membership is a scan of one predicate's list up to
-// scanMax atoms and an index beyond; a set behaves the same on both sides of
+// ScanMax atoms and an index beyond; a set behaves the same on both sides of
 // the switch, a duplicate is refused on both, every per-predicate list stays
 // in insertion order, and a frozen copy keeps the lengths it was taken at
 // while the set grows on. Tuples longer than the stack key buffer intern like
@@ -180,7 +180,7 @@ func TestSetPastTheScan(t *testing.T) {
 	s := NewSet()
 	var all []AtomID
 	var frozen *Set
-	for i := 0; i < 4*scanMax; i++ {
+	for i := 0; i < 4*ScanMax; i++ {
 		p := symbols.PredID(i % 3)
 		a := w.Atom(p, w.Tuple([]symbols.ConstID{symbols.ConstID(i)}))
 		if s.Has(w, a) {
@@ -190,7 +190,7 @@ func TestSetPastTheScan(t *testing.T) {
 			t.Fatalf("Add(%d) newness reporting broken at %d atoms", i, s.Len())
 		}
 		all = append(all, a)
-		if i == scanMax+3 {
+		if i == ScanMax+3 {
 			frozen = s.Freeze()
 		}
 	}
@@ -204,11 +204,11 @@ func TestSetPastTheScan(t *testing.T) {
 		if got := s.ByPred(symbols.PredID(i % 3))[i/3]; got != a {
 			t.Fatalf("ByPred(%d)[%d] = %v, want %v: not insertion order", i%3, i/3, got, a)
 		}
-		if frozen.Has(w, a) != (i <= scanMax+3) {
-			t.Fatalf("frozen copy taken after atom %d: Has(atom %d) = %v", scanMax+3, i, frozen.Has(w, a))
+		if frozen.Has(w, a) != (i <= ScanMax+3) {
+			t.Fatalf("frozen copy taken after atom %d: Has(atom %d) = %v", ScanMax+3, i, frozen.Has(w, a))
 		}
 	}
-	if s.ByPred(7) != nil || frozen.ByPred(7) != nil || frozen.Len() != scanMax+4 {
+	if s.ByPred(7) != nil || frozen.ByPred(7) != nil || frozen.Len() != ScanMax+4 {
 		t.Fatalf("unused predicate or frozen length wrong")
 	}
 	long := make([]symbols.ConstID, 40)
@@ -226,7 +226,7 @@ func TestSetPastTheScan(t *testing.T) {
 	}
 }
 
-// TestSetProbe: a probe of a window longer than scanMax returns the positions
+// TestSetProbe: a probe of a window longer than ScanMax returns the positions
 // in it of the atoms holding the constant at the argument, ascending — those
 // added after the index was built too — and a short window, or a frozen view,
 // is left to a scan.
@@ -236,11 +236,11 @@ func TestSetProbe(t *testing.T) {
 	add := func(i int) {
 		s.Add(w, w.Atom(0, w.Tuple([]symbols.ConstID{symbols.ConstID(i % 5), symbols.ConstID(i)})))
 	}
-	for i := 0; i < 3*scanMax; i++ {
+	for i := 0; i < 3*ScanMax; i++ {
 		add(i)
 	}
-	if _, ok := s.Probe(w, 0, 0, 2, 5, 5+scanMax); ok {
-		t.Fatalf("a window of %d atoms was probed", scanMax)
+	if _, ok := s.Probe(w, 0, 0, 2, 5, 5+ScanMax); ok {
+		t.Fatalf("a window of %d atoms was probed", ScanMax)
 	}
 	check := func(lo, hi int) {
 		t.Helper()
@@ -256,17 +256,17 @@ func TestSetProbe(t *testing.T) {
 			t.Fatalf("Probe of [%d, %d) = %v, %v; want %v", lo, hi, got, ok, want)
 		}
 	}
-	check(0, 3*scanMax)
-	check(3, 3*scanMax-4)
-	for i := 3 * scanMax; i < 5*scanMax; i++ {
+	check(0, 3*ScanMax)
+	check(3, 3*ScanMax-4)
+	for i := 3 * ScanMax; i < 5*ScanMax; i++ {
 		add(i)
 	}
-	check(0, 5*scanMax)
-	check(3*scanMax-7, 5*scanMax-2)
-	if hits, ok := s.Probe(w, 0, 0, 9, 0, 5*scanMax); !ok || len(hits) != 0 {
+	check(0, 5*ScanMax)
+	check(3*ScanMax-7, 5*ScanMax-2)
+	if hits, ok := s.Probe(w, 0, 0, 9, 0, 5*ScanMax); !ok || len(hits) != 0 {
 		t.Fatalf("a constant at no atom's argument: %v, %v", hits, ok)
 	}
-	if _, ok := s.Freeze().Probe(w, 0, 0, 2, 0, 5*scanMax); ok {
+	if _, ok := s.Freeze().Probe(w, 0, 0, 2, 0, 5*ScanMax); ok {
 		t.Fatal("a frozen view was probed")
 	}
 }

@@ -267,7 +267,7 @@ func TestFrozenReadersRaceWriter(t *testing.T) {
 			p, c := w.AtomPred(a), symbols.ConstID(i%7)
 			list := s.ByPred(p)
 			hits, ok := s.Probe(w, p, 1, c, 0, len(list))
-			if ok != (len(list) > scanMax) {
+			if ok != (len(list) > ScanMax) {
 				t.Fatalf("a list of %d atoms probed: %v", len(list), ok)
 			}
 			if want := withArg(w, list, 1, c); ok && !slices.Equal(hits, want) {

@@ -1,6 +1,7 @@
 package normform
 
 import (
+	"slices"
 	"testing"
 
 	"funcdb/internal/parser"
@@ -109,7 +110,8 @@ P(S) -> P(f(S)).
 
 // TestCompilePlansJoins: the body comes out in join order — most positions
 // fixed first, ties textual — with each position a constant test, a register
-// test or the one write of its register, and the head reads registers only.
+// test or the one write of its register, each literal keyed by its first
+// position fixed before it, and the head reads registers only.
 func TestCompilePlansJoins(t *testing.T) {
 	node, _, _, _ := compileSrc(t, `
 K(a). L(b).
@@ -141,16 +143,32 @@ M(S, a, X), K(X) -> H(S, X).
 			}
 		}
 	}
+	if k := keys(r); !slices.Equal(k, []int{-1, 0, 0}) {
+		t.Errorf("keys %v, want [-1 0 0]", k)
+	}
 	if h := r.Head.Plan; len(h) != 2 || h[0] != (Arg{Reg: 1}) || h[1] != (Arg{Reg: 0}) || r.Regs != 2 {
 		t.Errorf("head plan %v over %d registers, want [reg 1, reg 0] over 2", h, r.Regs)
 	}
-	// M(S, X, X): the second X compares.
-	if p := node[2].Body[0].Plan; p[0] != (Arg{Reg: 0, Bind: true}) || p[1] != (Arg{Reg: 0}) {
-		t.Errorf("repeated variable plan %v", p)
+	// M(S, X, X): the second X compares, but is not known before the
+	// literal is read, so nothing keys it.
+	if p := node[2].Body[0].Plan; p[0] != (Arg{Reg: 0, Bind: true}) || p[1] != (Arg{Reg: 0}) || node[2].Body[0].Key != -1 {
+		t.Errorf("repeated variable plan %v keyed by %d", p, node[2].Body[0].Key)
 	}
 	// M(S, a, X), K(X): one constant fixed beats none; K(X) becomes a test.
 	r = &node[3]
 	if r.Body[0].Lvl != Self || r.Body[0].Plan[0].Reg != -1 || r.Body[1].Plan[0] != (Arg{Reg: 0}) {
 		t.Errorf("constant plan: %v then %v", r.Body[0].Plan, r.Body[1].Plan)
 	}
+	if k := keys(r); !slices.Equal(k, []int{0, 0}) || r.Head.Key != -1 {
+		t.Errorf("constant plan keys %v, head %d; want [0 0], -1", k, r.Head.Key)
+	}
+}
+
+// keys returns the Key of each of r's body literals.
+func keys(r *Rule) []int {
+	k := make([]int, len(r.Body))
+	for i := range r.Body {
+		k[i] = r.Body[i].Key
+	}
+	return k
 }

@@ -50,6 +50,12 @@ type Lit struct {
 	Args []ast.DTerm
 	// Plan is Args as the join reads them, position by position.
 	Plan []Arg
+	// Key is the first position fixed before the join reaches the literal —
+	// a constant, or a variable an earlier literal binds — and -1 where there
+	// is none (always in a head): the argument a join can probe the literal's
+	// extent by. A variable bound further left in the same literal does not
+	// count; its value is not known until an atom is read.
+	Key int
 }
 
 // Arg is one argument position of a literal in a rule's join plan.
@@ -122,12 +128,20 @@ func (r *Rule) plan() error {
 		}
 		l := r.Body[best]
 		copy(r.Body[i+1:best+1], r.Body[i:best])
+		l.Key = -1
+		for k, d := range l.Args {
+			if !d.IsVar() || slices.Index(regs, d.Var) >= 0 {
+				l.Key = k
+				break
+			}
+		}
 		l.Plan, plans = plans[:len(l.Args):len(l.Args)], plans[len(l.Args):]
 		for k, d := range l.Args {
 			l.Plan[k], _ = arg(d, true)
 		}
 		r.Body[i] = l
 	}
+	r.Head.Key = -1
 	r.Head.Plan = plans
 	for k, d := range r.Head.Args {
 		var ok bool
