@@ -38,10 +38,11 @@ test:
 # And the stores': one representation each (no Scratch twin, no map copied in
 # a Freeze) and a republish that allocates the same after 250 facts as after
 # 10. And a pass over the plan-miss benchmark: query text to compiled plan,
-# by family and term depth. And one over the walk kernels: ns per symbol of
-# FlatDFA.Walk by family and depth, with the gate that no kernel allocates
-# once warm (a ground plan walks once, when it is built, so no ask-path
-# allocation test reaches them). And the text hit: its allocation gate, then
+# by family and term depth. And one over the flat step walk: ns per symbol
+# of FlatDFA.Walk by family and depth, with the gate that it allocates
+# nothing (no served path walks a flat DFA — a ground plan walks the table
+# once, when it is built — so no ask-path allocation test reaches it). And
+# the text hit: its allocation gate, then
 # a pass over its benchmark on one core and on two, with the cached strings
 # and with fresh copies of them.
 test-bench:
@@ -138,8 +139,9 @@ fuzz:
 # reference), the watch frame codec, the daemon's request-body decoder
 # (differential: encoding/json is the reference), the client's
 # error-envelope decoder (differential too) and the router hop's request and
-# response frames (round trip, and no allocation past a bound). And the walk
-# kernels against Table.Walk on random strings (differential). (The parser
+# response frames (round trip, and no allocation past a bound). And the flat
+# walk, identity and minimised, against Table.Walk on random strings
+# (differential). (The parser
 # seeds are kilobytes long; without a minimizer budget the fuzzer spends the
 # pass shrinking them.)
 fuzz-smoke:

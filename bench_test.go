@@ -376,12 +376,13 @@ func BenchmarkAblationDirtySkipOff(b *testing.B) { benchDirtySkip(b, true) }
 
 func BenchmarkMinimize(b *testing.B) {
 	db := open(b, datagen.SubsetsSrc(5))
-	if _, err := db.Graph(); err != nil {
+	spec, err := db.Graph()
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Minimized(); err != nil {
+		if _, err := funcdb.Minimize(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"funcdb/internal/canonical"
 	"funcdb/internal/core"
+	"funcdb/internal/minimize"
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
 	"funcdb/internal/term"
@@ -176,14 +177,6 @@ func enumerate(db *core.Database, qsrc string, depth int, w io.Writer) error {
 // canonical form's database C or its CONGR rules (§3.6), the lasso form of a
 // temporal program (§4), or the minimized specification.
 func dump(db *core.Database, kind string, w io.Writer) error {
-	if kind == "min" {
-		m, err := db.Minimized()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, m.Dump())
-		return nil
-	}
 	sp, err := db.Graph()
 	if err != nil {
 		return err
@@ -203,6 +196,12 @@ func dump(db *core.Database, kind string, w io.Writer) error {
 		fmt.Fprint(w, canonical.Build(sp).DatabaseC())
 	case "congr":
 		fmt.Fprint(w, canonical.Build(sp).CongrRules())
+	case "min":
+		m, err := minimize.Minimize(sp)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, m.Dump())
 	default:
 		return fmt.Errorf("unknown dump kind %q", kind)
 	}

@@ -21,6 +21,7 @@ import (
 	"funcdb/internal/datagen"
 	"funcdb/internal/facts"
 	"funcdb/internal/fixpoint"
+	"funcdb/internal/minimize"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
@@ -311,7 +312,7 @@ func a4() {
 		}
 		var states int
 		d := timeIt(3, func() {
-			m, err := db.Minimized()
+			m, err := minimize.Minimize(spec)
 			if err != nil {
 				panic(err)
 			}

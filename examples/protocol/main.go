@@ -81,7 +81,7 @@ func main() {
 	}
 
 	// The monitor: the minimized automaton over observable behaviour.
-	m, err := db.Minimized()
+	m, err := funcdb.Minimize(spec)
 	if err != nil {
 		log.Fatalf("minimize: %v", err)
 	}

@@ -52,7 +52,11 @@ func minimized(src string) *funcdb.Minimized {
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
-	m, err := db.Minimized()
+	spec, err := db.Graph()
+	if err != nil {
+		log.Fatalf("graph: %v", err)
+	}
+	m, err := funcdb.Minimize(spec)
 	if err != nil {
 		log.Fatalf("minimize: %v", err)
 	}

@@ -168,6 +168,13 @@ var (
 	BuildTemporal = temporal.Build
 )
 
+// Minimize builds the observable-equivalence quotient of a graph
+// specification (Database.Graph): the smallest automaton with the same
+// original-predicate slices along every symbol string. Answering does not
+// need it; like the other forms, it must not race a mutation of the
+// database.
+func Minimize(spec *GraphSpec) (*Minimized, error) { return minimize.Minimize(spec) }
+
 // Equivalent decides whether two minimized specifications represent the
 // same least fixpoint over their observable predicates, returning a
 // counterexample term otherwise.

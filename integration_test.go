@@ -43,9 +43,9 @@ func buildAll(t *testing.T, src string) *answerers {
 		t.Fatalf("Graph: %v", err)
 	}
 	form := funcdb.BuildCanonical(spec)
-	min, err := db.Minimized()
+	min, err := funcdb.Minimize(spec)
 	if err != nil {
-		t.Fatalf("Minimized: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := db.Export(&buf); err != nil {
@@ -364,9 +364,9 @@ func TestMinimizationNeverGrows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Graph: %v", err)
 		}
-		m, err := db.Minimized()
+		m, err := funcdb.Minimize(spec)
 		if err != nil {
-			t.Fatalf("Minimized: %v", err)
+			t.Fatalf("Minimize: %v", err)
 		}
 		if m.NumStates() > len(spec.Reps) {
 			t.Errorf("seed %d: minimization grew the automaton: %d > %d",

@@ -14,7 +14,9 @@
 // own packages, which core does not import: canonical.Build(spec) gives the
 // canonical form (C, CONGR) and, by its EqSpec, the equational
 // specification (B, R); temporal.Build(spec) the lasso form of a temporal
-// program. The top-down baseline is topdown.New over db.Prep.
+// program; minimize.Minimize(spec) the observable-equivalence quotient (§6),
+// which answering does not need. The top-down baseline is topdown.New over
+// db.Prep.
 //
 // Hot paths prepare once and execute many times:
 //
@@ -72,11 +74,12 @@ type Options struct {
 // lazily built graph specification (Graph), which is constructed once under
 // it and invalidated by the next mutation, the publication of a fresh
 // Snapshot after one, and the views that read the live engine (Explain,
-// Export, Stats, Lint, Minimized, SourceText). An Answers handle belongs to
+// Export, Stats, Lint, SourceText). An Answers handle belongs to
 // the goroutine that asked for it (the specification behind it is shared and
 // immutable; see query.Answers). Code that reads the exported
 // Source/Prep/Engine fields directly, or what Graph returned — a
-// reproduction built from it (canonical.Build, temporal.Build) or a top-down
+// reproduction built from it (canonical.Build, temporal.Build,
+// minimize.Minimize) or a top-down
 // evaluator over Prep included, which interns into the shared universe —
 // must not run concurrently with the mutators.
 type Database struct {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"funcdb/internal/datagen"
+	"funcdb/internal/minimize"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -136,9 +137,9 @@ func TestDumpStable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Graph: %v", name, err)
 		}
-		m, err := db.Minimized()
+		m, err := minimize.Minimize(sp)
 		if err != nil {
-			t.Fatalf("%s: Minimized: %v", name, err)
+			t.Fatalf("%s: Minimize: %v", name, err)
 		}
 		var b bytes.Buffer
 		b.WriteString(sp.Dump())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"funcdb/internal/minimize"
 	"funcdb/internal/specio"
 )
 
@@ -43,19 +42,7 @@ func LoadSpec(doc *specio.Document) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := freeze(sp, nil)
+	s := freeze(sp)
 	s.docOnly = true
 	return s, nil
-}
-
-// Minimized builds the observable-equivalence quotient of the graph
-// specification (package minimize).
-func (db *Database) Minimized() (*minimize.Minimized, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	sp, err := db.graphLocked(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return minimize.Minimize(sp)
 }

@@ -31,7 +31,7 @@ func (s *Snapshot) treePlan(src string) (*Plan, error) {
 	}
 	shape := QueryShape(q, ec.tab)
 	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: true}
-	lw := treeLowering{fd: s.spec.Flat(), tab: ec.tab}
+	lw := treeLowering{table: s.spec.Table, tab: ec.tab}
 	p.steps = make([]groundStep, len(q.Atoms))
 	for i := range q.Atoms {
 		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
@@ -63,25 +63,22 @@ func (s *Snapshot) lower(ec *evalCtx, lw *treeLowering, a *ast.Atom) groundStep 
 	if int(atom) >= s.w.NumAtoms() {
 		return groundStep{kind: stepFalse}
 	}
-	if !s.spec.OriginalPred(a.Pred) {
-		return groundStep{kind: stepSlow, syms: syms, atom: atom}
-	}
-	return groundStep{kind: stepFlat, syms: syms, atom: atom}
+	return groundStep{kind: stepWalk, syms: syms, atom: atom}
 }
 
 // mixedMemoSize is the number of slots of the tree lowering's
 // mixed-application memo.
 const mixedMemoSize = 64
 
-// treeLowering resolves the applications of one tree's ground terms to flat
+// treeLowering resolves the applications of one tree's ground terms to
 // symbol indices: a pure symbol by SymIndex, a mixed application g(·, a, b)
 // by the derived symbol g'a'b, found by name once per distinct application
 // and compile.
 type treeLowering struct {
-	fd   *specgraph.FlatDFA
-	tab  *symbols.Table
-	name []byte
-	memo [mixedMemoSize]mixedEntry
+	table *specgraph.Table // the indices are into its alphabet
+	tab   *symbols.Table
+	name  []byte
+	memo  [mixedMemoSize]mixedEntry
 }
 
 type mixedEntry struct {
@@ -96,11 +93,11 @@ type mixedEntry struct {
 // functor alone through it.
 var mixedKey = func(app ast.FApp) (symbols.FuncID, []ast.DTerm) { return app.Fn, app.Args }
 
-// index returns the flat index of an application's symbol; ok is false when
-// the alphabet does not have it.
+// index returns the alphabet index of an application's symbol; ok is false
+// when the alphabet does not have it.
 func (lw *treeLowering) index(app ast.FApp) (int32, bool) {
 	if len(app.Args) == 0 {
-		return lw.fd.SymIndex(app.Fn)
+		return lw.table.SymIndex(app.Fn)
 	}
 	fn, args := mixedKey(app)
 	h := (uint64(fn) + 1) * 0x9e3779b97f4a7c15
@@ -122,7 +119,7 @@ func (lw *treeLowering) index(app ast.FApp) (int32, bool) {
 	*e = mixedEntry{fn: fn, args: args, idx: -1, used: true}
 	lw.name = rewrite.PureName(lw.name[:0], lw.tab, app)
 	if d, ok := lw.tab.LookupFunc(string(lw.name), 0); ok {
-		if i, ok := lw.fd.SymIndex(d); ok {
+		if i, ok := lw.table.SymIndex(d); ok {
 			e.idx = i
 		}
 	}

@@ -131,7 +131,7 @@ func publishCases() []publish {
 type publish struct{ name, src, fact string }
 
 // BenchmarkPublish times the republish after one monotone Extend: Algorithm
-// Q, minimization and the freezes (the bench's core.snapshot_publish_us).
+// Q and the freezes (the bench's core.snapshot_publish_us).
 func BenchmarkPublish(b *testing.B) {
 	for _, c := range publishCases() {
 		c := c

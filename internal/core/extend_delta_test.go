@@ -43,18 +43,21 @@ func TestExtendTouchesDelta(t *testing.T) {
 // TestPublishBytes: what one republish allocates, as counts — the mean of a
 // few runs of BenchmarkPublish's body, read off the allocator's own counters
 // the way testing.B does (a timed testing.Benchmark would spend its second on
-// the opens). The bounds are the figures measured when Algorithm Q stopped
-// building the terms it merges and storing its lists, R included
-// (EXPERIMENTS.md A38), plus 20 %. Before that the republish allocated cal
-// 27 008 bytes in 549 allocations, sub 64 384 in 812, rob 66 992 in 179 and
-// robdeep 515 792 in 242 (A28); with the interning maps, the source program
+// the opens). The bounds are the figures measured when publication stopped
+// minimising the specification and building flat tables beside its one
+// table (EXPERIMENTS.md A40), plus 20 %: a minimisation or a second table
+// that creeps back into publish fails here. Before that the republish
+// allocated cal 21 888 bytes in 503 allocations, sub 41 488 in 739, rob
+// 24 272 in 122 and robdeep 50 992 in 146 (A38); before Algorithm Q stopped
+// building the terms it merges, cal 27 008 bytes in 549 allocations, sub
+// 64 384 in 812, rob 66 992 in 179 and robdeep 515 792 in 242 (A28); with the interning maps, the source program
 // and the global set copied per publish cal allocated 56 864 bytes in 663
 // allocations, and with a copy of the successor table per consumer before
 // that robdeep 991 KB in 691.
 func TestPublishBytes(t *testing.T) {
 	bounds := map[string]struct{ bytes, allocs uint64 }{
-		// measured: cal 21 888 / 503, sub 41 488 / 739, rob 24 272 / 122, robdeep 50 992 / 146
-		"cal": {26_300, 604}, "sub": {49_800, 887}, "rob": {29_100, 146}, "robdeep": {61_200, 175},
+		// measured: cal 4 176 / 24, sub 10 200 / 24, rob 5 368 / 24, robdeep 23 744 / 24
+		"cal": {5_000, 29}, "sub": {12_200, 29}, "rob": {6_400, 29}, "robdeep": {28_500, 29},
 	}
 	const runs = 5
 	for _, c := range publishCases() {

@@ -16,6 +16,7 @@ import (
 	"funcdb/internal/ast"
 	"funcdb/internal/facts"
 	"funcdb/internal/fixpoint"
+	"funcdb/internal/minimize"
 	"funcdb/internal/parser"
 	"funcdb/internal/rewrite"
 	"funcdb/internal/specgraph"
@@ -40,6 +41,9 @@ import (
 //   - the specification walked the old way: the query's mixed applications
 //     eliminated by rewrite.EliminateMixed on a one-fact program, the
 //     symbol string run over the representatives' table;
+//   - the same string run over the minimised flat DFA (a specgraph.FlatDFA
+//     over minimize's observable-equivalence quotient), for queries that
+//     name original predicates only: the quotient keeps no helper facts;
 //   - the tabled top-down prover, where its run is complete;
 //   - the depth-bounded least fixpoint, for terms of depth at most 4;
 //   - the rules forgotten: the snapshot LoadSpec makes of the program's
@@ -128,6 +132,8 @@ type oracleProgram struct {
 	fix  *fixpoint.Result // nil: no fixpoint backend for this program
 	fixU *term.Universe
 
+	minFlat *specgraph.FlatDFA // over minimize's quotient of sp
+
 	// The snapshots of the exported document read back through JSON and
 	// through the binary codec, and the predicates the document forgot.
 	viaJSON, viaBinary *Snapshot
@@ -186,6 +192,11 @@ func newOracleProgram(t testing.TB, name, src string) *oracleProgram {
 		t.Fatalf("%s: %v", name, err)
 	}
 	op := &oracleProgram{name: name, src: src, db: db, snap: snap, ref: ref, sp: sp}
+	m, err := minimize.Minimize(sp)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	op.minFlat = sp.Freeze().FlatOver(m.Quotient())
 	tab := ref.Tab()
 	for f := 0; f < tab.NumFuncs(); f++ {
 		if info := tab.FuncInfo(symbols.FuncID(f)); info.DataArity > 0 {
@@ -702,6 +713,47 @@ func (o specOracle) Ask(text string) (bool, error) {
 	return true, nil
 }
 
+// minFlatOracle walks the minimised flat DFA over the eliminated symbol
+// string, so that every generated query checks that the quotient observes
+// what the table does. A query naming a helper predicate is outside its
+// reach.
+type minFlatOracle struct{ op *oracleProgram }
+
+func (o minFlatOracle) Ask(text string) (bool, error) {
+	atoms, err := o.op.lower(text)
+	if err != nil {
+		return false, err
+	}
+	sp, fd := o.op.sp, o.op.minFlat
+	for _, a := range atoms {
+		if a.fn && int(a.pred) < sp.Tab.NumPreds() && !sp.OriginalPreds[a.pred] {
+			return false, errNotApplicable
+		}
+	}
+	for _, a := range atoms {
+		ok := true
+		if !a.fn {
+			ok = sp.HasData(a.pred, a.args)
+		} else {
+			idx := make([]int32, len(a.syms))
+			for i, fn := range a.syms {
+				if idx[i], ok = fd.SymIndex(fn); !ok {
+					break
+				}
+			}
+			var atom facts.AtomID
+			if ok {
+				atom, ok = sp.W.Lookup(a.pred, a.args)
+			}
+			ok = ok && fd.StateHas(fd.Walk(idx), atom)
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 type topdownOracle struct{ op *oracleProgram }
 
 func (o topdownOracle) Ask(text string) (bool, error) {
@@ -784,6 +836,7 @@ func oracleBackends(op *oracleProgram) []namedOracle {
 		{"Plan.Ask(equational)", planOracle{op.snap, MethodEquational}, true, false},
 		{"tree lowering", treeOracle{op.snap}, true, false},
 		{"spec walk", specOracle{op}, false, false},
+		{"minimised flat walk", minFlatOracle{op}, false, false},
 		{"topdown", topdownOracle{op}, false, false},
 		{"fixpoint", fixpointOracle{op}, false, false},
 		{"document via JSON", planOracle{op.viaJSON, MethodGraph}, true, true},
@@ -1091,9 +1144,8 @@ func TestGroundOracle(t *testing.T) {
 //   - a loader that drops the document's last slice, the primary database B
 //     of its last representative (planted at the output of specio's loader:
 //     the Spec it reads the document into loses that slice);
-//   - a plan's verdict that decides a helper predicate's atom on the flat
-//     tables, whose minimised quotient does not keep helper facts (planted
-//     through planVerdict, as every built plan's verdict is);
+//   - a plan's verdict whose walk stops one symbol short of the term
+//     (planted through planVerdict, as every built plan's verdict is);
 //   - a plan's verdict that ignores every atom after the first.
 func TestGroundOracleCatches(t *testing.T) {
 	t.Run("mixed memo keyed on the functor", func(t *testing.T) {
@@ -1120,23 +1172,23 @@ func TestGroundOracleCatches(t *testing.T) {
 				return nil, err
 			}
 			sp.State[len(sp.State)-1] = facts.EmptyState
-			s := freeze(sp, nil)
+			s := freeze(sp)
 			s.docOnly = true
 			return s, nil
 		}
 		defer func() { loadSpec = LoadSpec }()
 		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")
 	})
-	t.Run("a helper atom's verdict read on the flat tables", func(t *testing.T) {
+	t.Run("the walk stops one symbol short", func(t *testing.T) {
 		restore := planVerdict
 		planVerdict = func(s *Snapshot, steps []groundStep) bool {
-			flat := slices.Clone(steps)
-			for i := range flat {
-				if flat[i].kind == stepSlow {
-					flat[i].kind = stepFlat
+			short := slices.Clone(steps)
+			for i := range short {
+				if n := len(short[i].syms); n > 0 {
+					short[i].syms = short[i].syms[:n-1]
 				}
 			}
-			return restore(s, flat)
+			return restore(s, short)
 		}
 		defer func() { planVerdict = restore }()
 		requireCaught(t, runOracle(oraclePrograms(t), oracleCases, nil), "backends agree")

@@ -16,7 +16,7 @@ import (
 func (s *Snapshot) readGround(src string) *Plan {
 	g, _ := s.lowerPool.Get().(*groundLowering)
 	if g == nil {
-		g = &groundLowering{s: s, lw: appLowering{fd: s.spec.Flat(), tab: s.tab}}
+		g = &groundLowering{s: s, lw: appLowering{table: s.spec.Table, tab: s.tab}}
 	}
 	g.data, g.lw.name = g.dbuf[:0], g.nbuf[:0]
 	// A shape is about as long as its text less the spaces, but for
@@ -35,7 +35,7 @@ func (s *Snapshot) readGround(src string) *Plan {
 }
 
 // groundLowering is the parser.GroundSink of a plan miss: it compiles each
-// atom to its step — an application straight to its flat symbol index — and
+// atom to its step — an application straight to its symbol index — and
 // writes the query's canonical shape and fingerprint, all while the text is
 // read. Symbols are looked up in the snapshot's own table and atoms in its
 // world, so nothing is interned and no scratch overlay is needed: under
@@ -72,7 +72,7 @@ type groundLowering struct {
 // back to the pool holding nothing the read's plan retains (its shape's
 // buffer, its steps and symbol strings) and no spelling of an earlier text.
 func (g *groundLowering) release() {
-	*g = groundLowering{s: g.s, lw: appLowering{fd: g.lw.fd, tab: g.lw.tab}}
+	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab}}
 }
 
 func (g *groundLowering) Reset() {
@@ -106,7 +106,7 @@ func (g *groundLowering) Atom(name string, arity int, functional bool, depth int
 	}
 }
 
-// sym appends n copies of the flat symbol index i to the atom's string.
+// sym appends n copies of the symbol index i to the atom's string.
 func (g *groundLowering) sym(i int32, n int) {
 	if g.nsyms+n > len(g.syms) {
 		syms := make([]int32, max(2*len(g.syms), g.nsyms+n))
@@ -146,7 +146,7 @@ func (g *groundLowering) Succ(fn symbols.FuncID, n int) {
 	if g.out {
 		return
 	}
-	i, ok := g.lw.fd.SymIndex(fn)
+	i, ok := g.lw.table.SymIndex(fn)
 	if !ok {
 		g.out = true
 		return
@@ -193,15 +193,10 @@ func (g *groundLowering) step(pred symbols.PredID) groundStep {
 		return groundStep{kind: stepFalse}
 	}
 	atom, ok := s.w.Lookup(pred, g.data)
-	switch {
-	case !ok:
+	if !ok {
 		return groundStep{kind: stepFalse}
-	case !s.spec.OriginalPred(pred):
-		// The flat tables observe original predicates only (the minimized
-		// quotient does not preserve helper facts).
-		return groundStep{kind: stepSlow, syms: g.syms[:g.nsyms], atom: atom}
 	}
-	return groundStep{kind: stepFlat, syms: g.syms[:g.nsyms], atom: atom}
+	return groundStep{kind: stepWalk, syms: g.syms[:g.nsyms], atom: atom}
 }
 
 // appMemoSize is the number of slots of a read's application memo: a deep
@@ -209,7 +204,7 @@ func (g *groundLowering) step(pred symbols.PredID) groundStep {
 // costs a symbol-table lookup by name.
 const appMemoSize = 64
 
-// appLowering resolves the applications of one read's ground terms to flat
+// appLowering resolves the applications of one read's ground terms to
 // symbol indices, by their spelling in the shape: `.f` is the pure symbol f,
 // and `.g[a,b` the pure symbol g'a'b that rewrite.EliminateMixed derived
 // for the mixed application g(·, a, b) when the program was compiled —
@@ -217,10 +212,10 @@ const appMemoSize = 64
 // lacks, or a derived name the program never produced, is not interned: it
 // is outside the alphabet either way.
 type appLowering struct {
-	fd   *specgraph.FlatDFA
-	tab  *symbols.Table
-	name []byte
-	memo [appMemoSize]appEntry
+	table *specgraph.Table // the indices are into its alphabet
+	tab   *symbols.Table
+	name  []byte
+	memo  [appMemoSize]appEntry
 }
 
 type appEntry struct {
@@ -228,7 +223,7 @@ type appEntry struct {
 	idx int32  // -1: outside the alphabet
 }
 
-// index returns the flat index of the symbol the application spelled app
+// index returns the alphabet index of the symbol the application spelled app
 // stands for; ok is false when the alphabet does not have it.
 func (lw *appLowering) index(app string) (int32, bool) {
 	// Up to four slots from the spelling's own, so two applications a term
@@ -258,7 +253,7 @@ func (lw *appLowering) index(app string) (int32, bool) {
 		lw.name = append(lw.name, c)
 	}
 	if fn, ok := lw.tab.LookupFunc(string(lw.name), 0); ok {
-		if i, ok := lw.fd.SymIndex(fn); ok {
+		if i, ok := lw.table.SymIndex(fn); ok {
 			e.idx = i
 		}
 	}

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"funcdb/internal/facts"
+	"funcdb/internal/minimize"
 	"funcdb/internal/query"
+	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -14,13 +17,25 @@ import (
 // TestOneTransitionTable: the successor table T exists once per compiled
 // database. Everything that reads it — the live graph specification, the
 // published snapshot, a uniform query's answer specification, the minimised
-// automaton — holds the same *specgraph.Table, not a copy; and the views
-// agree on random terms: the table walk gives the state the engine computes
-// for the term from scratch, the identity-quotient flat DFA lands on the same
-// index, and the minimised flat DFA observes exactly the original-predicate
-// atoms of the slice reached.
+// automaton — holds the same *specgraph.Table, not a copy, and a snapshot's
+// Frozen keeps no flat table beside it. The views agree on random terms: the
+// table walk gives the state the engine computes for the term from scratch,
+// the snapshot's walk the same index, the identity-quotient flat DFA too,
+// and the minimised flat DFA observes exactly the original-predicate atoms
+// of the slice reached.
 func TestOneTransitionTable(t *testing.T) {
 	ctx := context.Background()
+	flat := reflect.TypeOf(specgraph.FlatDFA{})
+	frozen := reflect.TypeOf(specgraph.Frozen{})
+	for i := 0; i < frozen.NumField(); i++ {
+		ft := frozen.Field(i).Type
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if ft == flat {
+			t.Errorf("a snapshot's Frozen keeps a flat table: field %s", frozen.Field(i).Name)
+		}
+	}
 	for name, p := range stablePrograms(t) {
 		db, err := Open(p.src, Options{})
 		if err != nil {
@@ -34,9 +49,9 @@ func TestOneTransitionTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Graph: %v", name, err)
 		}
-		m, err := db.Minimized()
+		m, err := minimize.Minimize(sp)
 		if err != nil {
-			t.Fatalf("%s: Minimized: %v", name, err)
+			t.Fatalf("%s: Minimize: %v", name, err)
 		}
 		if snap.spec.Table != sp.Table || m.Spec.Table != sp.Table {
 			t.Errorf("%s: graph %p, snapshot %p, minimized %p: not one table", name, sp.Table, snap.spec.Table, m.Spec.Table)
@@ -61,7 +76,8 @@ func TestOneTransitionTable(t *testing.T) {
 			}
 		}
 
-		idFlat, minFlat := sp.Freeze().Flat(), snap.spec.Flat()
+		fz := sp.Freeze()
+		idFlat, minFlat := fz.Flat(), fz.FlatOver(m.Quotient())
 		probes := make(map[facts.AtomID]bool)
 		for i := range sp.Reps {
 			for _, a := range sp.SliceAt(i) {
@@ -89,6 +105,9 @@ func TestOneTransitionTable(t *testing.T) {
 			}
 			if st, err := db.Engine.StateOf(tm); err != nil || st != sp.State[at] {
 				t.Errorf("%s: %v: the table's state %d, the engine's %d (%v)", name, fns, sp.State[at], st, err)
+			}
+			if got := snap.spec.WalkIndex(syms); got != at {
+				t.Errorf("%s: %v: the snapshot walks to %d, the table %d", name, fns, got, at)
 			}
 			if got := idFlat.Walk(syms); got != at {
 				t.Errorf("%s: %v: identity flat DFA reaches %d, the table %d", name, fns, got, at)

@@ -3,13 +3,13 @@
 // strings as it reads the text (lower.go), and parses an open one into a
 // tree, against one immutable Snapshot; executing the resulting Plan re-does
 // none of that work. A ground query's answer is a fixed function of the
-// snapshot, so its plan is built with it: the DFA walks (specgraph.FlatDFA
-// for original predicates, the representatives' table for helpers) run once,
-// when the text is lowered, and executing the plan reads one bool. Plans are
-// cached per snapshot, by text for a lock-free hit (on a key that samples a
-// bounded part of the text, the text then compared whole) and by canonical
-// query shape (QueryShape) so spelling variants share one compilation, with
-// singleflight collapse of concurrent open misses.
+// snapshot, so its plan is built with it: the DFA walks over the
+// representatives' table run once, when the text is lowered, and executing
+// the plan reads one bool. Plans are cached per snapshot, by text for a
+// lock-free hit (on a key that samples a bounded part of the text, the text
+// then compared whole) and by canonical query shape (QueryShape) so
+// spelling variants share one compilation, with singleflight collapse of
+// concurrent open misses.
 // Mutating the database publishes a fresh Snapshot, which starts with an
 // empty plan cache — version-bump invalidation needs no scans.
 package core
@@ -42,20 +42,17 @@ const (
 	// stepFalse: the atom can never hold in this snapshot (novel constant,
 	// tuple absent from the frozen world) — also a compile-time constant.
 	stepFalse
-	// stepFlat: run the flat DFA on the pre-translated symbol string and
-	// binary-search the resulting state's observable slice.
-	stepFlat
-	// stepSlow: walk the representatives' table and read the full state
-	// reached (helper-predicate atoms, which the flat tables' minimised
-	// classes do not preserve).
-	stepSlow
+	// stepWalk: walk the representatives' table over the symbol string
+	// and look for the atom in the full state reached — an original
+	// predicate's atom and a normalization helper's alike.
+	stepWalk
 )
 
 // groundStep is one compiled ground atom.
 type groundStep struct {
 	kind stepKind
-	syms []int32      // stepFlat, stepSlow: innermost-first flat symbol indices
-	atom facts.AtomID // stepFlat, stepSlow: frozen atom to look for
+	syms []int32      // stepWalk: innermost-first symbol indices of the alphabet
+	atom facts.AtomID // stepWalk: frozen atom to look for
 }
 
 // eqStep is one ground atom lowered for the equational method: membership
@@ -533,22 +530,16 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 }
 
 // groundVerdict decides a ground plan's steps by the graph method, the
-// paper's Link rules run over each atom's symbol string: an original
-// predicate's atom on the flat tables, looked up in the observable slice of
-// the state reached; a helper predicate's on the representatives' table, in
-// the full state, since the minimised quotient does not keep helper facts.
+// paper's Link rules run over each atom's symbol string: the
+// representatives' table walked from 0, the atom looked up in the state
+// reached.
 func (s *Snapshot) groundVerdict(steps []groundStep) bool {
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case stepFalse:
 			return false
-		case stepFlat:
-			fd := s.spec.Flat()
-			if !fd.StateHas(fd.Walk(st.syms), st.atom) {
-				return false
-			}
-		case stepSlow:
+		case stepWalk:
 			if !s.w.StateContains(s.spec.State[s.spec.WalkIndex(st.syms)], st.atom) {
 				return false
 			}

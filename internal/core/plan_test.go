@@ -99,7 +99,7 @@ func TestPlanCacheInvalidatedByExtend(t *testing.T) {
 }
 
 // TestGroundAskZeroAlloc is the hot-path allocation gate: after warmup, a
-// ground ask through the flat tables — both the prepared-plan form and the
+// ground ask — both the prepared-plan form and the
 // text form hitting the plan cache, with the cached string and with a
 // freshly built copy of it — must allocate nothing.
 func TestGroundAskZeroAlloc(t *testing.T) {
@@ -113,8 +113,8 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if len(plan.steps) != 1 || plan.steps[0].kind != stepFlat {
-		t.Fatal("ground calendar query did not compile to the flat path")
+	if len(plan.steps) != 1 || plan.steps[0].kind != stepWalk {
+		t.Fatal("ground calendar query did not compile to a walk")
 	}
 	if got, err := plan.Ask(ctx); err != nil || !got {
 		t.Fatalf("warmup plan.Ask = %v, %v; want true", got, err)
@@ -141,10 +141,9 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 	askCopy(t, "meetings", snap, q, true)
 
 	// Deep texts: a depth-1023 list and a depth-1023 numeral, whose plans
-	// were walked by the stride and the lasso kernel when they were built.
-	// These rows check the text-hit path on long texts (keying and comparing
-	// the text costs no allocation at any length); the kernels' own gate is
-	// specgraph's TestWalkKernelsZeroAlloc.
+	// walked the table when they were built. These rows check the text-hit
+	// path on long texts (keying and comparing the text costs no allocation
+	// at any length).
 	for _, c := range []struct{ name, src, q string }{
 		{"sub", datagen.SubsetsSrc(6), datagen.DeepQuery("sub", 6, 1023, 1)},
 		{"temporal", datagen.CalendarSrc(64), datagen.DeepQuery("cal", 64, 1023, 1)},

@@ -8,7 +8,6 @@ import (
 	"funcdb/internal/congruence"
 	"funcdb/internal/engine"
 	"funcdb/internal/facts"
-	"funcdb/internal/minimize"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
@@ -90,13 +89,7 @@ func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
-	// Minimize at publish time so the flat tables are built over the
-	// coarsest observable-equivalence quotient.
-	m, err := minimize.Minimize(sp)
-	if err != nil {
-		return nil, err
-	}
-	s := freeze(sp, m.Quotient())
+	s := freeze(sp)
 	s.facts = db.Source.Facts[:len(db.Source.Facts):len(db.Source.Facts)]
 	s.rules = db.Source.Rules[:len(db.Source.Rules):len(db.Source.Rules)]
 	s.engOpts, s.specOpts = db.opts.Engine, db.opts.Spec
@@ -106,13 +99,13 @@ func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 
 // freeze makes the snapshot of a specification, a compiled program's or a
 // document's alike: its names, terms and atoms cut at their lengths now, and
-// flat tables over the quotient q (nil: the identity).
-func freeze(sp *specgraph.Spec, q specgraph.Quotient) *Snapshot {
+// its table, which a ground plan walks as it is.
+func freeze(sp *specgraph.Spec) *Snapshot {
 	return &Snapshot{
 		tab:      sp.Tab.Freeze(),
 		u:        sp.U.Freeze(),
 		w:        sp.W.Freeze(),
-		spec:     sp.FreezeQuotient(q),
+		spec:     sp.Freeze(),
 		temporal: sp.Temporal,
 	}
 }
@@ -233,7 +226,7 @@ func (s *Snapshot) Ask(ctx context.Context, src string, opts ...Option) (bool, e
 // Answers returns a handle on the relational specification of a query's
 // answer set against the snapshot, lock-free: Prepare (or a plan-cache hit)
 // followed by Plan.Answers, which see. Enumeration renders through
-// Answers.TermString and friends, never through the live database.
+// Answers.CompactTermString and friends, never through the live database.
 func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)

@@ -52,13 +52,10 @@ func CalendarSrc(n int) string {
 // Calendar builds a temporal round-robin over n students: period n.
 func Calendar(n int) *ast.Program { return mustParse(CalendarSrc(n)) }
 
-// ChainSrc returns the source of Chain(k).
+// ChainSrc returns a temporal program with period k.
 func ChainSrc(k int) string {
 	return fmt.Sprintf("Holds(0).\nHolds(T) -> Holds(T+%d).\n", k)
 }
-
-// Chain builds a temporal program with period k.
-func Chain(k int) *ast.Program { return mustParse(ChainSrc(k)) }
 
 // SubsetsSrc returns the source of Subsets(n).
 func SubsetsSrc(n int) string {
@@ -76,7 +73,7 @@ func SubsetsSrc(n int) string {
 // Subsets builds the list program over n elements: ~2^n clusters.
 func Subsets(n int) *ast.Program { return mustParse(SubsetsSrc(n)) }
 
-// RobotSrc returns the source of Robot(p).
+// RobotSrc returns the ring planner with p positions.
 func RobotSrc(p int) string {
 	var b strings.Builder
 	b.WriteString("% situation-calculus planner on a ring\n")
@@ -91,9 +88,6 @@ func RobotSrc(p int) string {
 	b.WriteString("At(S, P1), Connected(P1, P2) -> At(move(S, P1, P2), P2).\n")
 	return b.String()
 }
-
-// Robot builds the ring planner with p positions.
-func Robot(p int) *ast.Program { return mustParse(RobotSrc(p)) }
 
 // RandomAutomatonSrc returns the source of RandomAutomaton.
 func RandomAutomatonSrc(states, symbols int, seed int64) string {

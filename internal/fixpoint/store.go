@@ -151,18 +151,3 @@ func (s *Store) FnPreds() []symbols.PredID {
 	}
 	return out
 }
-
-// Terms returns every term carrying at least one functional fact.
-func (s *Store) Terms() []term.Term {
-	seen := make(map[term.Term]bool)
-	var out []term.Term
-	for _, idx := range s.fn {
-		for t := range idx.byTerm {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}

@@ -109,11 +109,3 @@ func (b *Budget) AddBytes(n int64) error {
 	}
 	return nil
 }
-
-// Used reports the resources charged so far (qsteps, bytes).
-func (b *Budget) Used() (qsteps, bytes int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.qsteps.Load(), b.bytes.Load()
-}

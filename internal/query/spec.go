@@ -181,11 +181,6 @@ next:
 	return false, nil
 }
 
-// TermString renders a functional answer component yielded by Enumerate.
-func (a *Answers) TermString(t term.Term) string {
-	return a.terms().String(t, a.spec.names)
-}
-
 // CompactTermString renders a functional answer component in the paper's
 // compact notation.
 func (a *Answers) CompactTermString(t term.Term) string {

@@ -340,13 +340,8 @@ func RunRemoteContext(ctx context.Context, c *RemoteClient, r io.Reader, w io.Wr
 	return sc.Err()
 }
 
-// ExecuteRemote runs one remote command line and reports whether the
-// session should end.
-func ExecuteRemote(c *RemoteClient, line string, w io.Writer) (quit bool, err error) {
-	return ExecuteRemoteContext(context.Background(), c, line, w)
-}
-
-// ExecuteRemoteContext is ExecuteRemote honoring a cancellation context.
+// ExecuteRemoteContext runs one remote command line under ctx and reports
+// whether the session should end.
 func ExecuteRemoteContext(ctx context.Context, c *RemoteClient, line string, w io.Writer) (quit bool, err error) {
 	switch {
 	case line == "" || strings.HasPrefix(line, "%"):

@@ -2,7 +2,6 @@ package specgraph
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"funcdb/internal/facts"
 	"funcdb/internal/symbols"
@@ -20,58 +19,17 @@ type Quotient []int32
 // FlatDFA is the successor automaton lowered onto a quotient: a dense
 // state×symbol transition matrix (the specification's own table under the
 // identity quotient) plus, per state, the sorted observable slice of
-// original-predicate atoms. A ground membership walk touches no maps and
-// allocates nothing once warm — the whole point of compiling the
-// specification once (the paper's premise applied to the serving hot path).
-//
-// The walk is the Link rules run over a symbol string, and the automaton
-// picks one of three kernels for it when it is built:
-//
-//   - lasso: over a one-symbol alphabet the root's orbit is a tail of a
-//     states and a cycle of p (Theorem 4.3's single equation
-//     succ^(a+p)(0) = succ^a(0)), so the state after n symbols is one
-//     modulo away, whatever n is;
-//   - stride: when the state × Σ × Σ table is small, a long walk reads two
-//     symbols per dependent load;
-//   - step: one symbol per dependent load.
-//
-// Every cell holds its successor's row offset (state·|Σ|, or state·|Σ|² in
-// the stride table), so the chain of loads has no multiply on it.
+// original-predicate atoms. No served path walks one — a ground plan walks
+// the Table — but it is the form the walk law and the minimised automaton
+// are checked in, and its walk makes one dependent load per symbol and
+// allocates nothing. Every cell holds its successor's row offset
+// (state·|Σ|), so the chain of loads has no multiply on it.
 type FlatDFA struct {
 	tab   *Table           // translates symbols
 	k     int32            // |Σ|
 	next  []int32          // state*k + sym -> successor*k
 	atoms [][]facts.AtomID // per state: sorted original-predicate atoms
-
-	kernel kernel
-	// The lasso kernel: orbit[n] is the state after n symbols for n <
-	// len(orbit) = tail + period.
-	orbit []int32
-	tail  int
-	// The stride kernel: state*k² + a*k + b -> (state after a, then b)*k²,
-	// built on the first walk long enough to use it.
-	pairs atomic.Pointer[[]int32]
 }
-
-type kernel uint8
-
-const (
-	kernelStep kernel = iota
-	kernelStride
-	kernelLasso
-)
-
-const (
-	// strideMaxCells bounds the stride table at 256 KB: it must stay in
-	// cache beside the row table to beat one load per symbol, and a
-	// republish must not pay for a table its short asks never read (so it
-	// is built lazily, not here).
-	strideMaxCells = 1 << 16
-	// strideMinLen is the shortest walk that builds and uses the stride
-	// table: below it the step kernel is as fast, and a snapshot whose asks
-	// are all short never builds the table.
-	strideMinLen = 64
-)
 
 // buildFlat composes a successor table with the given quotient; slice(i) is
 // the observable slice of representative i, sorted.
@@ -87,29 +45,18 @@ func buildFlat(tab *Table, q Quotient, slice func(i int) []facts.AtomID) *FlatDF
 		for i := range f.atoms {
 			f.atoms[i] = slice(i)
 		}
-	} else {
-		// A class's row and slice are its first member's: classes are
-		// numbered by first member, so the next new class is always
-		// len(f.atoms).
-		for i, c := range q {
-			if int(c) != len(f.atoms) {
-				continue
-			}
-			for _, to := range tab.Row(int32(i)) {
-				f.next = append(f.next, q[to]*k)
-			}
-			f.atoms = append(f.atoms, slice(i))
-		}
+		return f
 	}
-	switch n := len(f.atoms); {
-	case k == 0:
-		// No symbol: every walk is empty and ends at the root.
-		f.kernel, f.orbit = kernelLasso, []int32{Root}
-	case k == 1:
-		f.kernel = kernelLasso
-		f.orbit, f.tail = rootOrbit(f.next)
-	case n*int(k)*int(k) <= strideMaxCells:
-		f.kernel = kernelStride
+	// A class's row and slice are its first member's: classes are numbered
+	// by first member, so the next new class is always len(f.atoms).
+	for i, c := range q {
+		if int(c) != len(f.atoms) {
+			continue
+		}
+		for _, to := range tab.Row(int32(i)) {
+			f.next = append(f.next, q[to]*k)
+		}
+		f.atoms = append(f.atoms, slice(i))
 	}
 	return f
 }
@@ -150,79 +97,16 @@ func (f *FlatDFA) SymIndex(fn symbols.FuncID) (int32, bool) { return f.tab.SymIn
 
 // Walk runs the DFA from the root over a pre-translated symbol string
 // (innermost-first flat indices, each already validated by SymIndex) and
-// returns the final state. Over a one-symbol alphabet it reads only the
-// string's length and costs the same at any depth; otherwise it makes one
-// dependent table read per symbol, or per two symbols once a walk of
-// strideMinLen or more has built the stride table. After that first long
-// walk it allocates nothing.
+// returns the final state, one dependent table read per symbol.
 func (f *FlatDFA) Walk(syms []int32) int32 {
-	switch f.kernel {
-	case kernelLasso:
-		return f.lasso(len(syms))
-	case kernelStride:
-		if len(syms) >= strideMinLen {
-			return f.stride(f.pairTable(), syms)
-		}
-	}
-	return f.step(syms)
-}
-
-// lasso returns the state after n symbols of a one-symbol alphabet.
-func (f *FlatDFA) lasso(n int) int32 {
-	if n < len(f.orbit) {
-		return f.orbit[n]
-	}
-	return f.orbit[f.tail+(n-f.tail)%(len(f.orbit)-f.tail)]
-}
-
-// step walks one symbol per load.
-func (f *FlatDFA) step(syms []int32) int32 {
 	next, off := f.next, int32(0) // the root's row
 	for _, s := range syms {
 		off = next[off+s]
 	}
+	if f.k == 0 {
+		return Root // no symbol: every walk is empty
+	}
 	return off / f.k
-}
-
-// stride walks two symbols per load through pairs, and an odd last symbol
-// through the row table.
-func (f *FlatDFA) stride(pairs, syms []int32) int32 {
-	k, off := f.k, int32(0) // the root's row
-	for len(syms) >= 2 {
-		off = pairs[off+syms[0]*k+syms[1]]
-		syms = syms[2:]
-	}
-	state := off / (k * k)
-	if len(syms) == 1 {
-		return f.next[state*k+syms[0]] / k
-	}
-	return state
-}
-
-// pairTable returns the stride table, building it on first use. Walks that
-// race to build it each build one and keep whichever was published first.
-func (f *FlatDFA) pairTable() []int32 {
-	if p := f.pairs.Load(); p != nil {
-		return *p
-	}
-	p := f.buildPairs()
-	f.pairs.CompareAndSwap(nil, &p)
-	return *f.pairs.Load()
-}
-
-// buildPairs composes the row table with itself: the cell of (state, a, b)
-// is the successor of state under a, then under b.
-func (f *FlatDFA) buildPairs() []int32 {
-	k := f.k
-	pairs := make([]int32, len(f.next)*int(k))
-	for i, mid := range f.next { // i = state*k + a
-		row := f.next[mid : mid+k]
-		cell := pairs[i*int(k) : (i+1)*int(k)]
-		for b, to := range row {
-			cell[b] = to * k
-		}
-	}
-	return pairs
 }
 
 // StateHas reports whether the observable slice of state contains atom a,

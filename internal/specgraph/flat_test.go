@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/engine"
@@ -104,7 +102,8 @@ func lawFamilies(t testing.TB) []lawCase {
 			t.Fatalf("%s: Minimize: %v", c.name, err)
 		}
 		q := m.Quotient()
-		c.flats = []lawFlat{{"identity", c.sp.Freeze().Flat(), nil}, {"minimised", c.sp.FreezeQuotient(q).Flat(), q}}
+		fz := c.sp.Freeze()
+		c.flats = []lawFlat{{"identity", fz.Flat(), nil}, {"minimised", fz.FlatOver(q), q}}
 	}
 	return cases
 }
@@ -121,16 +120,14 @@ type lawFlat struct {
 	q    specgraph.Quotient // nil: the identity
 }
 
-// walkLengths are the lengths the walk law tries: the boundaries every
-// kernel has (0–3, the stride threshold), the lasso's (a−1, a, a+p) on each
-// one-symbol flat DFA, one string of 2^20+3 symbols and random lengths up to
-// 4 096.
+// walkLengths are the lengths the walk law tries: the shortest (0–3), the
+// table's lasso (a−1, a, a+p, …) over a one-symbol alphabet, one string of
+// 2^20+3 symbols and random lengths up to 4 096.
 func walkLengths(c *lawCase, rng *rand.Rand) []int {
 	ls := []int{0, 1, 2, 3, 63, 64, 65, 1<<20 + 3}
-	for _, f := range c.flats {
-		if a, p, ok := f.fd.Orbit(); ok {
-			ls = append(ls, a-1, a, a+p, a+p+1, a+2*p+1)
-		}
+	if l := c.sp.Lasso(); l != nil {
+		a, p := l.Tail, l.Period
+		ls = append(ls, a-1, a, a+p, a+p+1, a+2*p+1)
 	}
 	for i := 0; i < 24; i++ {
 		ls = append(ls, rng.Intn(4097))
@@ -199,9 +196,9 @@ func runKernel(k specgraph.Kernel, syms []int32) (state int32, err error) {
 // path. On every family the flat DFA built over the identity quotient AND
 // the one built over the minimised observable-equivalence quotient agree
 // with the term-keyed successor walk on every original-predicate
-// observation, for random symbol strings; and the walk law holds: every
-// kernel of either (Walk itself, step, stride, lasso) reaches the state
-// Table.Walk reaches, or its class, at every length walkLengths names.
+// observation, for random symbol strings; and the walk law holds: the walk
+// of either reaches the state Table.Walk reaches, or its class, at every
+// length walkLengths names.
 func TestFlatWalkMatchesMapWalk(t *testing.T) {
 	for _, c := range lawFamilies(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -257,10 +254,8 @@ func TestFlatWalkMatchesMapWalk(t *testing.T) {
 	}
 }
 
-// TestWalkKernelsCatch plants the three bugs a kernel could have and
-// requires the walk law to catch each on some family: the lasso off by one
-// at n = a+p, the Σ² cell composed in the wrong order (b∘a), and the odd last
-// symbol of a stride walk dropped.
+// TestWalkKernelsCatch plants the bug a walk could have — it stops one
+// symbol short — and requires the walk law to catch it on some family.
 func TestWalkKernelsCatch(t *testing.T) {
 	caught := map[string]string{}
 	var planted []string
@@ -275,7 +270,7 @@ func TestWalkKernelsCatch(t *testing.T) {
 			caught[name] = fail
 		}
 	}
-	for _, name := range []string{"lasso off by one at n = a+p", "Σ² cell composed b∘a", "odd last symbol dropped"} {
+	for _, name := range []string{"last symbol dropped"} {
 		if !strings.Contains(strings.Join(planted, "\n"), name) {
 			t.Errorf("bug %q was never planted", name)
 		} else if fail, ok := caught[name]; !ok {
@@ -286,81 +281,10 @@ func TestWalkKernelsCatch(t *testing.T) {
 	}
 }
 
-// TestStrideTableRace: goroutines whose first long walks on a fresh flat DFA
-// race to build its stride table all get the state Table.Walk reaches (run
-// under -race in CI).
-func TestStrideTableRace(t *testing.T) {
-	sp := buildSpecExt(t, datagen.SubsetsSrc(4))
-	fd := sp.Freeze().Flat()
-	rng := rand.New(rand.NewSource(1))
-	idx, fns := make([]int32, 301), make([]symbols.FuncID, 301)
-	for i := range idx {
-		j := rng.Intn(len(sp.Alphabet))
-		idx[i], fns[i] = int32(j), sp.Alphabet[j]
-	}
-	want, _, _ := sp.Walk(fns)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := fd.Walk(idx); got != want {
-				t.Errorf("Walk = %d, Table.Walk %d", got, want)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestLassoWalkIsShort: a one-symbol walk of 2^20+3 symbols reaches the
-// state Table.Walk reaches, and costs less than the step kernel's walk of
-// 64 symbols — it reads the string's length, not the string.
-func TestLassoWalkIsShort(t *testing.T) {
-	sp := buildSpecExt(t, datagen.CalendarSrc(64))
-	m, err := minimize.Minimize(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := m.Quotient()
-	fd := sp.FreezeQuotient(q).Flat()
-	long := make([]int32, 1<<20+3)
-	fns := make([]symbols.FuncID, len(long))
-	for i := range fns {
-		fns[i] = sp.Alphabet[0]
-	}
-	want, _, _ := sp.Walk(fns)
-	if got := fd.Walk(long); got != q[want] {
-		t.Fatalf("Walk over 2^20+3 symbols = %d, Table.Walk's class %d", got, q[want])
-	}
-	var step specgraph.Kernel
-	for _, k := range fd.Kernels() {
-		if k.Name == "step" {
-			step = k
-		}
-	}
-	perCall := func(walk func([]int32) int32, syms []int32) time.Duration {
-		best := time.Duration(1 << 62)
-		for try := 0; try < 5; try++ {
-			start := time.Now()
-			for i := 0; i < 10000; i++ {
-				walk(syms)
-			}
-			best = min(best, time.Since(start)/10000)
-		}
-		return best
-	}
-	lasso, short := perCall(fd.Walk, long), perCall(step.Walk, long[:64])
-	t.Logf("Walk over 2^20+3 symbols: %v; step kernel over 64: %v", lasso, short)
-	if lasso >= short {
-		t.Errorf("Walk over 2^20+3 symbols takes %v, no less than a 64-symbol step walk's %v", lasso, short)
-	}
-}
-
 // FuzzFlatWalk: random strings over each family's alphabet — the input's
 // bytes, each taken modulo the alphabet's size, repeated up to 256 times so
-// that short inputs still reach the stride threshold and deep into a lasso —
-// walked by every kernel of the identity and minimised flat DFAs, against
-// Table.Walk.
+// that short inputs still reach deep into a lasso — walked on the identity
+// and minimised flat DFAs, against Table.Walk.
 func FuzzFlatWalk(f *testing.F) {
 	cases := lawFamilies(f)
 	f.Add(uint8(0), uint8(0), []byte{0})
@@ -401,50 +325,41 @@ func FuzzFlatWalk(f *testing.F) {
 
 var walkSink int32
 
-// TestWalkKernelsZeroAlloc is the walk kernels' allocation gate: once warm,
-// FlatDFA.Walk allocates nothing per call, whichever kernel it runs — the
-// step kernel on a short string, the stride kernel once its first long walk
-// has built its table, the lasso at any length. A ground plan walks once,
-// when it is built, so repeated asks no longer reach these kernels; this is
-// where their zero-allocation promise is held.
+// TestWalkKernelsZeroAlloc is the flat walk's allocation gate: FlatDFA.Walk
+// allocates nothing per call, at any length. No served path walks a flat
+// DFA (a ground plan walks the table once, when it is built), so this is
+// where the walk's zero-allocation promise is held.
 func TestWalkKernelsZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
-		name, src, kernel string
-		depth             int
+		name, src string
+		depth     int
 	}{
-		{"sub", datagen.SubsetsSrc(6), "step", 63},
-		{"sub", datagen.SubsetsSrc(6), "stride", 1023},
-		{"rob", datagen.RobotSrc(8), "stride", 1023},
-		{"cal", datagen.CalendarSrc(64), "lasso", 1023},
+		{"sub", datagen.SubsetsSrc(6), 63},
+		{"sub", datagen.SubsetsSrc(6), 1023},
+		{"rob", datagen.RobotSrc(8), 1023},
+		{"cal", datagen.CalendarSrc(64), 1023},
 	} {
 		sp := buildSpecExt(t, c.src)
-		m, err := minimize.Minimize(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fd := sp.FreezeQuotient(m.Quotient()).Flat()
-		if got := fd.WalkKernel(c.depth); got != c.kernel {
-			t.Fatalf("%s/d%d: Walk runs the %s kernel, want %s", c.name, c.depth, got, c.kernel)
-		}
+		fd := sp.Freeze().Flat()
 		rng := rand.New(rand.NewSource(1))
 		syms := make([]int32, c.depth)
 		for i := range syms {
 			syms[i] = int32(rng.Intn(len(sp.Alphabet)))
 		}
-		want := fd.Walk(syms) // builds the stride table, where there is one
+		want := fd.Walk(syms)
 		if n := testing.AllocsPerRun(200, func() {
 			if fd.Walk(syms) != want {
 				t.Fatalf("%s/d%d: Walk flipped", c.name, c.depth)
 			}
 		}); n != 0 {
-			t.Errorf("%s/d%d: the %s kernel allocates %.1f per walk, want 0", c.name, c.depth, c.kernel, n)
+			t.Errorf("%s/d%d: Walk allocates %.1f per call, want 0", c.name, c.depth, n)
 		}
 	}
 }
 
-// BenchmarkFlatWalk times Walk on the flat DFAs a snapshot publishes
-// (minimised) for the three benchmark families, over random strings of
-// their alphabets at three depths, and reports the cost per symbol.
+// BenchmarkFlatWalk times Walk on the identity flat DFAs of the three
+// benchmark families, over random strings of their alphabets at three
+// depths, and reports the cost per symbol.
 func BenchmarkFlatWalk(b *testing.B) {
 	families := []struct{ name, src string }{
 		{"cal", datagen.CalendarSrc(64)},
@@ -453,11 +368,7 @@ func BenchmarkFlatWalk(b *testing.B) {
 	}
 	for _, fam := range families {
 		sp := buildSpecExt(b, fam.src)
-		m, err := minimize.Minimize(sp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fd := sp.FreezeQuotient(m.Quotient()).Flat()
+		fd := sp.Freeze().Flat()
 		rng := rand.New(rand.NewSource(1))
 		for _, d := range []int{64, 512, 1023} {
 			syms := make([]int32, d)
@@ -465,9 +376,7 @@ func BenchmarkFlatWalk(b *testing.B) {
 				syms[i] = int32(rng.Intn(len(sp.Alphabet)))
 			}
 			b.Run(fmt.Sprintf("%s/d%d", fam.name, d), func(b *testing.B) {
-				fd.Walk(syms) // builds the stride table, where there is one
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					walkSink = fd.Walk(syms)
 				}

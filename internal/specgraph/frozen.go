@@ -8,46 +8,53 @@ import (
 // Frozen is the immutable query surface of a graph specification: the
 // successor table (the relation R is its non-tree edges) and the frozen
 // global (non-functional) facts, shared with the Spec it was frozen from
-// (none changes once built), and the flat tables. It holds no engine, no
-// universe and no world —
-// callers supply a *term.Universe and *facts.World (normally per-query
-// overlays over the snapshot's frozen universe and world), so
-// membership and answer evaluation run with zero locks and zero mutation of
-// shared state.
+// (none changes once built). It holds no engine and no universe, and its
+// world is a frozen view read only to build flat tables: callers supply a
+// *term.Universe and *facts.World (normally per-query overlays over the
+// snapshot's frozen universe and world), so membership and answer
+// evaluation run with zero locks and zero mutation of shared state.
 type Frozen struct {
 	// SeedDepth is where breadth-first exploration started.
 	SeedDepth int
 	*Table
 
+	w             *facts.World
 	global        *facts.Set
 	originalPreds map[symbols.PredID]bool
-	flat          *FlatDFA
 }
 
-// Freeze captures the specification's query surface with flat tables built
-// over the identity quotient (one flat state per representative). Call it
-// under the writer lock; the frozen value never changes.
-func (sp *Spec) Freeze() *Frozen { return sp.FreezeQuotient(nil) }
-
-// FreezeQuotient is Freeze with the flat tables built over an explicit
-// state quotient — normally the minimized observable-equivalence partition,
-// which makes the tables as small as the coarsest equivalent automaton. A
-// nil quotient is the identity partition. It is the one way to a Frozen, for
-// a specification Algorithm Q built and for one read from a document.
-func (sp *Spec) FreezeQuotient(q Quotient) *Frozen {
+// Freeze captures the specification's query surface, for a specification
+// Algorithm Q built and for one read from a document alike. Call it under
+// the writer lock; the frozen value never changes.
+func (sp *Spec) Freeze() *Frozen {
 	// Nothing is copied: the table, the global relation and OriginalPreds
 	// do not change once the Spec is built.
 	return &Frozen{
 		SeedDepth:     sp.SeedDepth,
 		Table:         sp.Table,
+		w:             sp.W.Freeze(),
 		global:        sp.Global,
 		originalPreds: sp.OriginalPreds,
-		flat:          buildFlat(sp.Table, q, sp.SliceAt),
 	}
 }
 
-// Flat returns the flat transition tables ground plans execute on.
-func (f *Frozen) Flat() *FlatDFA { return f.flat }
+// Flat builds the flat tables over the identity quotient, one flat state
+// per representative.
+func (f *Frozen) Flat() *FlatDFA { return f.FlatOver(nil) }
+
+// FlatOver builds the flat tables over the quotient q (nil: the identity),
+// each state's slice read off the frozen world.
+func (f *Frozen) FlatOver(q Quotient) *FlatDFA {
+	return buildFlat(f.Table, q, func(i int) []facts.AtomID {
+		var out []facts.AtomID
+		for _, a := range f.w.StateAtoms(f.State[i]) {
+			if f.originalPreds[f.w.AtomPred(a)] {
+				out = append(out, a)
+			}
+		}
+		return out
+	})
+}
 
 // OriginalPred reports whether p is a predicate of the original program
 // (as opposed to a normalization helper). Only original predicates are

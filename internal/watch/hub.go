@@ -205,13 +205,6 @@ func (h *Hub) releaseTenant(tenant string) {
 	h.tmu.Unlock()
 }
 
-// TenantStreams reports the active stream count for one tenant (tests).
-func (h *Hub) TenantStreams(tenant string) int {
-	h.tmu.Lock()
-	defer h.tmu.Unlock()
-	return h.perTenant[tenant]
-}
-
 // Subscribe registers a live query against database db for tenant ("" is
 // anonymous). A named tenant's streams count against Options.TenantCap on
 // top of the global and per-database caps. A fresh entry's compile runs

@@ -36,11 +36,11 @@ var layering = []struct {
 	reach []string // the module packages it reaches, sorted
 }{
 	{"cmd/fdbd", []string{"internal/admission", "internal/api", "internal/ast", "internal/congruence", "internal/core", "internal/engine",
-		"internal/explain", "internal/facts", "internal/intern", "internal/minimize", "internal/normform", "internal/obs", "internal/params",
+		"internal/explain", "internal/facts", "internal/intern", "internal/normform", "internal/obs", "internal/params",
 		"internal/parser", "internal/query", "internal/registry", "internal/replica", "internal/rewrite", "internal/server", "internal/specgraph",
 		"internal/specio", "internal/store", "internal/subst", "internal/symbols", "internal/term", "internal/watch", "internal/wire"}},
 	{"cmd/fdbq", []string{"internal/api", "internal/ast", "internal/congruence", "internal/core", "internal/engine", "internal/explain",
-		"internal/facts", "internal/intern", "internal/minimize", "internal/normform", "internal/obs", "internal/params", "internal/parser",
+		"internal/facts", "internal/intern", "internal/normform", "internal/obs", "internal/params", "internal/parser",
 		"internal/query", "internal/registry", "internal/repl", "internal/rewrite", "internal/specgraph", "internal/specio", "internal/subst",
 		"internal/symbols", "internal/term", "internal/watch", "internal/wire"}},
 	{"cmd/fdbrouter", []string{"internal/api", "internal/obs", "internal/shard", "internal/wire"}},
@@ -48,7 +48,7 @@ var layering = []struct {
 	{"internal/canonical", []string{"internal/ast", "internal/congruence", "internal/engine", "internal/facts", "internal/intern",
 		"internal/normform", "internal/obs", "internal/rewrite", "internal/specgraph", "internal/subst", "internal/symbols", "internal/term"}},
 	{"internal/core", []string{"internal/ast", "internal/congruence", "internal/engine", "internal/explain", "internal/facts", "internal/intern",
-		"internal/minimize", "internal/normform", "internal/obs", "internal/params", "internal/parser", "internal/query", "internal/rewrite",
+		"internal/normform", "internal/obs", "internal/params", "internal/parser", "internal/query", "internal/rewrite",
 		"internal/specgraph", "internal/specio", "internal/subst", "internal/symbols", "internal/term", "internal/wire"}},
 	{"internal/parser", []string{"internal/ast", "internal/intern", "internal/symbols", "internal/term"}},
 	{"internal/specio", []string{"internal/ast", "internal/engine", "internal/facts", "internal/intern", "internal/normform",
