@@ -52,7 +52,7 @@ const (
 // encodeHopRequest renders one request frame: the method, the request-URI,
 // the header lines as name/value pairs (hdr alternates them), and the body
 // unprefixed.
-func encodeHopRequest(method, uri string, hdr []string, body []byte) []byte {
+func encodeHopRequest(method, uri string, hdr []string, body []byte) *wire.Encoder {
 	size := len(method) + len(uri) + len(body) + 16
 	for _, s := range hdr {
 		size += len(s) + 2
@@ -65,7 +65,7 @@ func encodeHopRequest(method, uri string, hdr []string, body []byte) []byte {
 		e.Str(s)
 	}
 	e.Raw(body)
-	return e.Payload()
+	return e
 }
 
 // decodeHopRequest parses a frame made by encodeHopRequest. The body
@@ -86,7 +86,7 @@ func decodeHopRequest(rec []byte) (method, uri string, h http.Header, body []byt
 
 // encodeHopResponse renders one response frame: the status, the header
 // lines, and the body unprefixed.
-func encodeHopResponse(status int, h http.Header, body []byte) []byte {
+func encodeHopResponse(status int, h http.Header, body []byte) *wire.Encoder {
 	size, n := len(body)+16, 0
 	for k, vs := range h {
 		for _, v := range vs {
@@ -104,7 +104,7 @@ func encodeHopResponse(status int, h http.Header, body []byte) []byte {
 		}
 	}
 	e.Raw(body)
-	return e.Payload()
+	return e
 }
 
 // decodeHopResponse parses a frame made by encodeHopResponse. The body
@@ -222,7 +222,7 @@ func (s *Hop) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Read nc through a reader of our own: brw's reads go through net/http,
 	// which cancels r's context on any read error, a deadline included.
-	s.serve(r, c, bufio.NewReader(nc), brw.Writer)
+	s.serve(r, c, bufio.NewReader(nc))
 }
 
 // serve answers the frames of one connection, on the connection's own
@@ -232,8 +232,10 @@ func (s *Hop) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // puts a goroutine in a read, and a peer that hangs up — a router whose
 // caller gave up — cancels the request it had in flight. (A goroutine always
 // in the next read is simpler, but costs every frame a handoff: a serial
-// routed ask was about 15 % slower with it, EXPERIMENTS.md A27.)
-func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader, bw *bufio.Writer) {
+// routed ask was about 15 % slower with it, EXPERIMENTS.md A27.) A response
+// frame goes out in one write, header and payload together, so the peer
+// never waits on the rest of a frame it has begun to read.
+func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader) {
 	ctx, hangUp := context.WithCancel(outer.Context())
 	defer hangUp()
 	watched := make(chan struct{}, 1)
@@ -251,16 +253,15 @@ func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader, bw 
 			return // a frame read after Shutdown closed the connection as idle is dropped unserved
 		}
 		watch.Reset(hangUpAfter)
-		frame := s.dispatch(ctx, outer, rec)
+		frame, err := s.dispatch(ctx, outer, rec).Record()
 		if !watch.Stop() {
 			// The watcher is in its read (or done): end it before reading on.
 			c.nc.SetReadDeadline(aLongTimeAgo)
 			<-watched
 			c.nc.SetReadDeadline(time.Time{})
 		}
-		err = wire.WriteRecord(bw, frame)
 		if err == nil {
-			err = bw.Flush()
+			_, err = c.nc.Write(frame)
 		}
 		if !c.end() || err != nil || s.closing.Load() {
 			return
@@ -271,7 +272,7 @@ func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader, bw 
 // dispatch serves one request frame with the wrapped handler and returns the
 // response frame. A frame that does not decode is answered 400, and the
 // connection stays usable: the record framing around it was sound.
-func (s *Hop) dispatch(ctx context.Context, outer *http.Request, rec []byte) []byte {
+func (s *Hop) dispatch(ctx context.Context, outer *http.Request, rec []byte) *wire.Encoder {
 	w := &hopWriter{header: make(http.Header)}
 	method, uri, h, body, err := decodeHopRequest(rec)
 	var u *url.URL
@@ -371,7 +372,7 @@ func (w *hopWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (w *hopWriter) frame() []byte {
+func (w *hopWriter) frame() *wire.Encoder {
 	w.WriteHeader(http.StatusOK)
 	return encodeHopResponse(w.status, w.header, w.body)
 }
@@ -382,7 +383,6 @@ func (w *hopWriter) frame() []byte {
 type hopConn struct {
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 }
 
 // aLongTimeAgo is the deadline that fails a blocked read or write at once.
@@ -402,14 +402,17 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	}
 	host, uri := rest[:slash], rest[slash:]
 	base := rq.URL[:len(rq.URL)-len(uri)]
-	payload := encodeHopRequest(rq.Method, uri, hdr, rq.Body)
+	frame, err := encodeHopRequest(rq.Method, uri, hdr, rq.Body).Record()
+	if err != nil {
+		return nil, hopError(rq, err)
+	}
 
 	hc, err := c.takeHop(ctx, base, host)
 	if err != nil {
 		return nil, hopError(rq, err)
 	}
 	stop := context.AfterFunc(ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })
-	rec, err := hc.roundTrip(payload)
+	rec, err := hc.roundTrip(frame)
 	var status int
 	var h http.Header
 	var body []byte
@@ -443,11 +446,11 @@ func hopError(rq Request, err error) error {
 	return &url.Error{Op: rq.Method[:1] + strings.ToLower(rq.Method[1:]), URL: rq.URL, Err: err}
 }
 
-func (hc *hopConn) roundTrip(payload []byte) ([]byte, error) {
-	if err := wire.WriteRecord(hc.bw, payload); err != nil {
-		return nil, err
-	}
-	if err := hc.bw.Flush(); err != nil {
+// roundTrip writes a request frame in one write, header and payload
+// together — a bufio.Writer would split a frame past its buffer, and the
+// daemon's reader could park between the pieces — and reads the response.
+func (hc *hopConn) roundTrip(frame []byte) ([]byte, error) {
+	if _, err := hc.nc.Write(frame); err != nil {
 		return nil, err
 	}
 	return wire.ReadRecord(hc.br)
@@ -498,10 +501,9 @@ func dialHop(ctx context.Context, host string) (*hopConn, error) {
 		return nil, err
 	}
 	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(aLongTimeAgo) })
-	hc := &hopConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	hc.bw.WriteString("GET " + HopPath + " HTTP/1.1\r\nHost: " + host +
-		"\r\nConnection: Upgrade\r\nUpgrade: " + HopProtocol + "\r\n\r\n")
-	err = hc.bw.Flush()
+	hc := &hopConn{nc: nc, br: bufio.NewReader(nc)}
+	_, err = io.WriteString(nc, "GET "+HopPath+" HTTP/1.1\r\nHost: "+host+
+		"\r\nConnection: Upgrade\r\nUpgrade: "+HopProtocol+"\r\n\r\n")
 	var resp *http.Response
 	if err == nil {
 		resp, err = http.ReadResponse(hc.br, nil)

@@ -1,11 +1,13 @@
 package api
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,8 +222,8 @@ func allocBound(rec []byte) uint64 { return 2*uint64(len(rec)) + 16<<10 }
 // corrupt; what decodes survives a re-encode; and no frame, whatever its
 // counts claim, makes the decoder allocate more than allocBound.
 func FuzzHopRequest(f *testing.F) {
-	f.Add(encodeHopRequest("POST", "/v1/db/even/ask?x=1", []string{"Content-Type", ContentJSON, HeaderAPIKey, "k"}, []byte(`{"query":"?- Even(4)."}`)))
-	f.Add(encodeHopRequest("GET", "/v1/dbs", nil, nil))
+	f.Add(encodeHopRequest("POST", "/v1/db/even/ask?x=1", []string{"Content-Type", ContentJSON, HeaderAPIKey, "k"}, []byte(`{"query":"?- Even(4)."}`)).Payload())
+	f.Add(encodeHopRequest("GET", "/v1/dbs", nil, nil).Payload())
 	f.Add([]byte{hopRequestTag, 3, 'G', 'E', 'T', 1, '/', 0xff, 0xff, 0xff, 0x07})
 	f.Add([]byte{hopRequestTag, 0, 0, 40, 0, 0})
 	f.Fuzz(func(t *testing.T, rec []byte) {
@@ -237,7 +240,7 @@ func FuzzHopRequest(f *testing.F) {
 			}
 			return
 		}
-		m2, u2, h2, b2, err := decodeHopRequest(encodeHopRequest(method, uri, flatten(h), body))
+		m2, u2, h2, b2, err := decodeHopRequest(encodeHopRequest(method, uri, flatten(h), body).Payload())
 		if err != nil || m2 != method || u2 != uri || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %q %q %v %q, %v", rec, m2, u2, h2, b2, err)
 		}
@@ -246,8 +249,8 @@ func FuzzHopRequest(f *testing.F) {
 
 // FuzzHopResponse is FuzzHopRequest for response frames.
 func FuzzHopResponse(f *testing.F) {
-	f.Add(encodeHopResponse(200, http.Header{"Content-Type": {ContentJSON}, "X-Request-Id": {"r"}}, []byte(`{"answer":true}`)))
-	f.Add(encodeHopResponse(429, http.Header{"Retry-After": {"7"}, "X-Echo": {"a", "b"}}, nil))
+	f.Add(encodeHopResponse(200, http.Header{"Content-Type": {ContentJSON}, "X-Request-Id": {"r"}}, []byte(`{"answer":true}`)).Payload())
+	f.Add(encodeHopResponse(429, http.Header{"Retry-After": {"7"}, "X-Echo": {"a", "b"}}, nil).Payload())
 	f.Add([]byte{hopResponseTag, 0xc8, 0x01, 0xff, 0xff, 0x03})
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		var status int
@@ -263,7 +266,7 @@ func FuzzHopResponse(f *testing.F) {
 			}
 			return
 		}
-		s2, h2, b2, err := decodeHopResponse(encodeHopResponse(status, h, body))
+		s2, h2, b2, err := decodeHopResponse(encodeHopResponse(status, h, body).Payload())
 		if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %d %v %q, %v", rec, s2, h2, b2, err)
 		}
@@ -293,5 +296,52 @@ func BenchmarkRoundTrip(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// writeCounter is a net.Conn that counts its writes.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestHopFrameIsOneWrite: a request frame and its response go out in one
+// write each, header and payload together, however far past a
+// bufio.Writer's 4 KiB buffer they run, so a reader never parks between
+// the pieces of one frame.
+func TestHopFrameIsOneWrite(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 12<<10)
+	s := ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(w, r.Body)
+	}))
+	cli, srv := net.Pipe()
+	client, daemon := &writeCounter{Conn: cli}, &writeCounter{Conn: srv}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.serve(httptest.NewRequest("GET", HopPath, nil), &hopServerConn{nc: daemon}, bufio.NewReader(daemon))
+	}()
+	frame, err := encodeHopRequest("POST", "/echo", nil, body).Record()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &hopConn{nc: client, br: bufio.NewReader(client)}
+	rec, err := hc.roundTrip(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, got, err := decodeHopResponse(rec)
+	if err != nil || status != http.StatusOK || !bytes.Equal(got, body) {
+		t.Fatalf("response %d, %d bytes, %v; want 200 and the %d bytes sent", status, len(got), err, len(body))
+	}
+	cli.Close()
+	<-done
+	if c, d := client.writes.Load(), daemon.writes.Load(); c != 1 || d != 1 {
+		t.Errorf("a %d-byte request took %d writes and its response %d, want one each", len(frame), c, d)
 	}
 }

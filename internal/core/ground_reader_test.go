@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"funcdb/internal/datagen"
 	"funcdb/internal/parser"
+	"funcdb/internal/term"
 )
 
 // readerDisagrees compares what Prepare's reader and the tree lowering
@@ -68,7 +70,8 @@ func readerCorpus(op *oracleProgram, pi int) []string {
 	for i := 0; i < 10; i++ {
 		out = append(out, op.malformedText(r, i))
 	}
-	return append(out, readerExtras(op)...)
+	out = append(out, readerExtras(op)...)
+	return append(out, readerMemoTexts(op)...)
 }
 
 // readerExtras are the spellings the generator does not write, over the
@@ -118,6 +121,115 @@ func readerExtras(op *oracleProgram) []string {
 				fmt.Sprintf("?- %s(%s(0, %s, 007, 0+0, %s)%s).", p.name, s.name, c, c, args))
 		}
 	}
+	return out
+}
+
+// readerMemoTexts are deep terms that put the reader's layer memo to the
+// test, over the program's first functional predicate and its first mixed
+// function symbol (else its first pure one, with a constant it does not
+// take): a layer the memo holds followed by one that differs from it in one
+// byte — a constant, a space, a comment (one holding a ')' too), +0 sugar, a
+// numeral's leading zero, a variable for the constant, a missing ')', a name
+// that extends the held one or that the held one extends (f, f2); a term of
+// more distinct layers than the memo has entries, twice over; and deep texts
+// the reader reads twice, because the first pass learns that a predicate is
+// functional or an atom's arity.
+func readerMemoTexts(op *oracleProgram) []string {
+	var p *oraclePred
+	for i := range op.preds {
+		if op.preds[i].fn {
+			p = &op.preds[i]
+			break
+		}
+	}
+	if p == nil {
+		return nil
+	}
+	fn, consts := "f", []string{"a"}
+	for _, s := range op.syms {
+		if len(s.args) > 0 {
+			fn, consts = s.name, s.args
+			break
+		}
+		if s.name != term.SuccName && fn == "f" {
+			fn = s.name
+		}
+	}
+	c := consts[len(consts)-1]
+	other := "zz"
+	if len(op.consts) > 0 && op.consts[0] != c {
+		other = op.consts[0]
+	}
+	lead := ", " + strings.Join(consts[:len(consts)-1], ", ")
+	if len(consts) == 1 {
+		lead = ""
+	}
+	args := strings.Repeat(", "+c, p.arity)
+	type layer struct{ name, close string } // innermost first
+	deep := func(pred, rest string, layers ...layer) string {
+		var b strings.Builder
+		b.WriteString("?- " + pred + "(")
+		for i := len(layers) - 1; i >= 0; i-- {
+			b.WriteString(layers[i].name + "(")
+		}
+		b.WriteString("0")
+		for _, l := range layers {
+			b.WriteString(l.close)
+		}
+		b.WriteString(rest + ").")
+		return b.String()
+	}
+	repeat := func(n int, ls ...layer) []layer {
+		var out []layer
+		for i := 0; i < n; i++ {
+			out = append(out, ls...)
+		}
+		return out
+	}
+	same := layer{fn, lead + ", " + c + ")"}
+	// around puts l between two runs of the layer the memo holds.
+	around := func(held, l layer) string {
+		layers := append(repeat(12, held), l)
+		return deep(p.name, args, append(layers, repeat(12, held)...)...)
+	}
+	var out []string
+	for _, closing := range []string{
+		lead + ", " + other + ")",    // a constant
+		lead + ",  " + c + ")",       // a space
+		lead + ", " + c + " )",       // a space before the ')'
+		lead + "," + c + ")",         // a space less
+		lead + ", " + c + " %)\n)",   // a comment holding a ')'
+		lead + ", " + c + "%x\n)",    // a comment
+		lead + ", " + c + "+0)",      // +0 sugar on the constant
+		lead + ", " + c + ")+0",      // +0 sugar on the layer
+		lead + ", " + c + ")+1",      // a succ on the layer
+		lead + ", 07)",               // a numeral, then
+		lead + ", 007)",              // its leading zero
+		lead + ", C)",                // a variable for the constant
+		lead + ", " + c,              // a missing ')'
+		lead + ", " + c + ")" + ", ", // a ',' after the ')'
+	} {
+		out = append(out, around(same, layer{fn, closing}))
+	}
+	out = append(out,
+		around(same, layer{fn + "2", same.close}),
+		around(layer{fn + "2", same.close}, same),
+		deep(p.name, args, layer{fn + "2", same.close}, same, layer{fn + "2", same.close}, same),
+		deep(p.name, args, same, layer{fn + "2", same.close}, same, layer{fn + "2", same.close}))
+	// More distinct layers than the memo has entries, twice over: the second
+	// run meets every one again after it was evicted.
+	var many []layer
+	for i := 0; i < 2*parser.LayerSlots+3; i++ {
+		many = append(many, layer{fn, fmt.Sprintf("%s, k%d)", lead, i)})
+	}
+	out = append(out, deep(p.name, args, append(many, many...)...))
+	// Read twice: a predicate the table lacks is functional only by its
+	// second atom, or a functional atom has a data arity no pass guessed.
+	layers := repeat(10, same, layer{fn, lead + ", " + other + ")"})
+	out = append(out,
+		"?- Zq(3), "+strings.TrimPrefix(deep("Zq", "", layers...), "?- "),
+		strings.TrimSuffix(deep("Zq", ", "+c, layers...), ".")+", "+strings.TrimPrefix(deep("Zq", "", layers...), "?- "),
+		deep(p.name, args+", "+c, layers...))
 	return out
 }
 
@@ -184,7 +296,7 @@ func copyHitDisagrees(s *Snapshot, text string) string {
 // that an execution reads the text three times, not sixty. And the text is
 // asked twice, through itself and through a fresh copy, which must find the
 // same plan (copyHitDisagrees). It is seeded with every third text of the
-// readers' corpus, under its own program.
+// readers' corpus and every one of readerMemoTexts, under its own program.
 func FuzzGroundLowering(f *testing.F) {
 	progs := oraclePrograms(f)
 	for pi, op := range progs {
@@ -192,6 +304,9 @@ func FuzzGroundLowering(f *testing.F) {
 			if i%3 == 0 {
 				f.Add(text, uint8(pi))
 			}
+		}
+		for _, text := range readerMemoTexts(op) {
+			f.Add(text, uint8(pi))
 		}
 	}
 	f.Fuzz(func(t *testing.T, text string, pi uint8) {
@@ -242,5 +357,27 @@ func TestReaderDeclinesPastTermDepth(t *testing.T) {
 		case !strings.HasPrefix(err.Error(), tc.wantErr):
 			t.Errorf("%s: Prepare: %.80v, want %s…", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// BenchmarkReadGround times readGround alone — the reader and its sink, no
+// plan cache and no plan — on sixteen depth-512 texts of each deep family,
+// one text per iteration.
+func BenchmarkReadGround(b *testing.B) {
+	for _, f := range deepFamilies {
+		b.Run(f.name, func(b *testing.B) {
+			s := deepSnapshot(b, f.src)
+			texts := make([]string, 16)
+			for i := range texts {
+				texts[i] = datagen.DeepQuery(f.name, f.n, 512, int64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.readGround(texts[i%len(texts)]) == nil {
+					b.Fatal("the reader declined a deep ground query")
+				}
+			}
+		})
 	}
 }

@@ -56,9 +56,14 @@ type groundLowering struct {
 	room  int // what the next Atom makes room for: est before the first
 	steps []groundStep
 
+	// The applications the reader filed, by entry: where the shape spells
+	// each, as LastApp did, and its symbol.
+	apps [parser.LayerSlots]appSpan
+
 	// The atom being read.
 	functional bool
 	open       bool    // an application whose symbol is still to be found
+	entry      int     // the entry it is filed under, or -1
 	out        bool    // an application outside the alphabet, or a constant the table lacks
 	syms       []int32 // its symbol string, syms[:nsyms]
 	nsyms      int
@@ -75,8 +80,17 @@ func (g *groundLowering) release() {
 	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab}}
 }
 
+// appSpan is an application the reader filed: its spelling, the n bytes of
+// the shape at off, with args constants, and its symbol index (-1: outside
+// the alphabet).
+type appSpan struct {
+	off, n, args int
+	idx          int32
+}
+
 func (g *groundLowering) Reset() {
 	g.shape = shapeWriter{}
+	g.apps = [parser.LayerSlots]appSpan{}
 	g.room = g.est
 	g.steps = g.steps[:0]
 }
@@ -121,19 +135,32 @@ func (g *groundLowering) sym(i int32, n int) {
 
 // endApp finds the symbol of the application written last, if it is still
 // to be found: by its spelling in the shape, which names its function symbol
-// and its constants.
+// and its constants. A filed application's entry records both.
 func (g *groundLowering) endApp() {
 	if !g.open {
 		return
 	}
 	g.open = false
-	if g.out {
+	if g.out && g.entry < 0 {
 		return
 	}
-	if i, ok := g.lw.index(g.shape.LastApp()); ok {
-		g.sym(i, 1)
-	} else {
+	off, app, args := g.shape.LastApp()
+	i, _ := g.lw.index(app)
+	if g.entry >= 0 {
+		g.apps[g.entry] = appSpan{off: off, n: len(app), args: args, idx: i}
+	}
+	g.app(i)
+}
+
+// app appends the symbol index i of an application to the atom's string;
+// -1 puts the atom outside the alphabet.
+func (g *groundLowering) app(i int32) {
+	switch {
+	case g.out:
+	case i < 0:
 		g.out = true
+	default:
+		g.sym(i, 1)
 	}
 }
 
@@ -154,10 +181,22 @@ func (g *groundLowering) Succ(fn symbols.FuncID, n int) {
 	g.sym(i, n)
 }
 
-func (g *groundLowering) App(name string) {
+func (g *groundLowering) App(name string, entry int) {
 	g.endApp()
 	g.shape.App(name)
-	g.open = true
+	g.open, g.entry = true, entry
+}
+
+// Repeat writes the filed application's spelling again, from the shape
+// itself, and appends its symbol: no lookup, and per byte only the
+// fingerprint's fold.
+func (g *groundLowering) Repeat(entry int) {
+	if g.open {
+		g.endApp()
+	}
+	a := &g.apps[entry]
+	g.shape.Repeat(a.off, a.n, a.args)
+	g.app(a.idx)
 }
 
 func (g *groundLowering) AppArg(name string) { g.shape.Const(name) }

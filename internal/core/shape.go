@@ -143,8 +143,22 @@ func (w *shapeWriter) App(fn string) {
 
 // LastApp returns the application written last as written so far — `.f`,
 // or `.g[a,b` while its bracket is open — which spells what it stands for:
-// its function symbol and its constants.
-func (w *shapeWriter) LastApp() string { return w.b.String()[w.app:] }
+// its function symbol and its constants; where it begins in the shape; and
+// how many constants it has.
+func (w *shapeWriter) LastApp() (off int, app string, args int) {
+	return w.app, w.b.String()[w.app:], w.args
+}
+
+// Repeat writes an application again, as LastApp spelled it: the n bytes of
+// the shape at off, with args constants. They are folded into the
+// fingerprint with what follows, at the next fold, as App's are.
+func (w *shapeWriter) Repeat(off, n, args int) {
+	w.fold()
+	w.closeApp()
+	w.app = w.b.Len()
+	w.str(w.b.String()[off : off+n])
+	w.args = args
+}
 
 // Const writes a constant argument.
 func (w *shapeWriter) Const(name string) {

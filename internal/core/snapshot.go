@@ -101,11 +101,12 @@ func (db *Database) SnapshotContext(ctx context.Context) (*Snapshot, error) {
 // document's alike: its names, terms and atoms cut at their lengths now, and
 // its table, which a ground plan walks as it is.
 func freeze(sp *specgraph.Spec) *Snapshot {
+	spec := sp.Freeze()
 	return &Snapshot{
 		tab:      sp.Tab.Freeze(),
 		u:        sp.U.Freeze(),
-		w:        sp.W.Freeze(),
-		spec:     sp.Freeze(),
+		w:        spec.World(), // one frozen view for the snapshot and its spec
+		spec:     spec,
 		temporal: sp.Temporal,
 	}
 }

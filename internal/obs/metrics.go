@@ -69,6 +69,10 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// Reset zeroes a standalone counter, for reuse by its owner once nothing
+// else counts on it.
+func (c *Counter) Reset() { c.v.Store(0) }
+
 // Gauge is an integer metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
@@ -106,6 +110,16 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Reset zeroes a standalone histogram, for reuse by its owner once nothing
+// else observes into it.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sumBits.Store(0)
+	h.count.Store(0)
+}
 
 // NewHistogram builds a standalone histogram that is not registered with any
 // registry — used by the per-fingerprint stats table, whose series are

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 
 	"funcdb/internal/symbols"
@@ -25,11 +26,18 @@ type GroundSink interface {
 	// Succ receives n applications of succ (a numeral, or +n sugar).
 	Succ(fn symbols.FuncID, n int)
 	// App receives an application of the function symbol called name. Its
-	// constants come next, by AppArg; it ends where the next App, Succ or
-	// EndTerm begins.
-	App(name string)
+	// constants come next, by AppArg; it ends where the next App, Repeat,
+	// Succ or EndTerm begins. The reader files it under entry, in
+	// [0, LayerSlots), for Repeat to name, replacing what the entry held;
+	// entry is -1 when it is not filed.
+	App(name string, entry int)
 	// AppArg receives a constant of the application App received last.
 	AppArg(name string)
+	// Repeat receives an application spelled as the one App filed under
+	// entry: the same function symbol and the same constants, whose text
+	// the reader met again byte for byte. Entries last one pass: a Reset
+	// empties them.
+	Repeat(entry int)
 	// EndTerm closes a functional atom's term.
 	EndTerm()
 	// Arg receives the atom's next data argument.
@@ -66,7 +74,6 @@ func ReadGround(tab *symbols.Table, src string, sink GroundSink) bool {
 	// no write barrier; the stack of open applications is its one allocation
 	// but for what a first pass learns.
 	r := groundReader{parser: parser{src: src}, tab: tab, sink: sink}
-	r.stack = make([]appName, 0, strings.Count(src, "("))
 	for pass := 0; pass < 2; pass++ {
 		if !r.query() {
 			return false
@@ -75,6 +82,7 @@ func ReadGround(tab *symbols.Table, src string, sink GroundSink) bool {
 			return true
 		}
 		r.pos, r.atoms, r.again = 0, 0, false
+		r.layers = [LayerSlots]layer{}
 		sink.Reset()
 	}
 	return false // unreachable: a second pass learns nothing
@@ -84,7 +92,8 @@ type groundReader struct {
 	parser // the lexer: src, pos, tok
 	tab    *symbols.Table
 	sink   GroundSink
-	stack  []appName // the open applications, outermost first
+	stack  []appRun // the open applications, outermost first
+	open   int      // how many: the runs' counts summed
 	consts symCache
 	succ   symbols.FuncID
 	succOK bool
@@ -97,10 +106,85 @@ type groundReader struct {
 	locals map[predKey]bool
 	arity  []int
 	again  bool // the pass learned something: the next one reads with it
+
+	// The layers this pass has filed with the sink, by the hash of their
+	// spelling: a deep term repeats a handful for hundreds of layers.
+	layers [LayerSlots]layer
+}
+
+// LayerSlots is the number of entries a read files applications under.
+const LayerSlots = 1 << layerBits
+
+const layerBits = 4
+
+// layer is a functional term's layer as the text spells it: the name of its
+// function symbol, and its closing bytes — from the token after the layer
+// beneath it to its ')' — which hold its constants, as in ", e3)". close is
+// a substring of the text, "" in an empty entry, and key packs its bytes
+// but the ')'.
+type layer struct {
+	name  appName
+	close string
+	key   closeKey
+}
+
+// closeKey packs up to maxClose bytes, little-endian, eight to a word: the
+// first sixteen each in its own byte of words[0] and words[1], the rest
+// folded into words[1] by xor. With their number, n, two keys of at most
+// sixteen bytes are equal exactly when the bytes are.
+type closeKey struct {
+	words [2]uint64
+	n     int
+}
+
+// maxClose bounds the closing bytes a layer is looked up by.
+const maxClose = 64
+
+// read packs the bytes of src from off to the first ')', eight at a time,
+// and reports whether there is a ')' within maxClose bytes.
+func (k *closeKey) read(src string, off int) bool {
+	for i := 0; i < maxClose && off+i < len(src); i += 8 {
+		var w uint64
+		if p := off + i; p+8 <= len(src) {
+			w = load8(src, p)
+		} else {
+			for j := len(src) - 1; j >= p; j-- {
+				w = w<<8 | uint64(src[j])
+			}
+		}
+		// The bytes of w that are ')' have their top bits set in z, the
+		// lowest exactly (a byte past the text reads as 0).
+		t := w ^ 0x2929292929292929
+		z := (t - 0x0101010101010101) &^ t & 0x8080808080808080
+		if z != 0 {
+			b := bits.TrailingZeros64(z) >> 3
+			w &= 1<<(b<<3) - 1
+			k.n = i + b
+		}
+		k.words[min(i>>3, 1)] ^= w
+		if z != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // appName is where an open application's function symbol is named.
 type appName struct{ off, n int32 }
+
+// appRun is a run of open applications of one function symbol: the name
+// spelled at name, count times in a row.
+type appRun struct {
+	name  appName
+	count int
+}
+
+// load8 returns the eight bytes of s at i, little-endian, in one load.
+func load8(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
 
 // next lexes the next token. What a deep term repeats at every layer — a
 // punctuation mark right after the last token, an identifier after one
@@ -169,7 +253,7 @@ func (r *groundReader) atom() bool {
 	if !r.next() {
 		return false
 	}
-	r.stack = r.stack[:0]
+	r.stack, r.open = r.stack[:0], 0
 	var base token
 	for {
 		if r.tok.kind != tokIdent && r.tok.kind != tokNumber {
@@ -182,10 +266,10 @@ func (r *groundReader) atom() bool {
 		if base.kind != tokIdent || r.tok.kind != tokLParen {
 			break
 		}
-		if len(r.stack) == MaxTermDepth {
+		r.push(appName{int32(base.off), base.n})
+		if r.open > MaxTermDepth {
 			return false
 		}
-		r.stack = append(r.stack, appName{int32(base.off), base.n})
 		if !r.next() {
 			return false
 		}
@@ -197,10 +281,48 @@ func (r *groundReader) atom() bool {
 	if !ok {
 		return false
 	}
-	if len(r.stack) == 0 && plus == 0 {
+	if r.open == 0 && plus == 0 {
 		return r.flatAtom(name, base)
 	}
 	return r.termAtom(name, base, plus)
+}
+
+// push opens the application a, whose '(' is the current token, and every
+// application of the same name that opens right after it: a deep term
+// repeats one for hundreds of layers. Each of those lexes to the same two
+// tokens, the name and a '(' — nothing but a '(' ends the identifier, and
+// nothing comes before it — so they are taken here, without the lexer, and
+// counted into a's run. Past MaxTermDepth, it stops counting.
+func (r *groundReader) push(a appName) {
+	src, n := r.src, int(a.n)
+	count := 1
+	if n < 8 {
+		// The name and its '(' packed as load8 reads them, to compare in
+		// one step.
+		pat, mask := uint64('(')<<(n<<3), uint64(1)<<((n+1)<<3)-1
+		for i := n - 1; i >= 0; i-- {
+			pat |= uint64(src[int(a.off)+i]) << (i << 3)
+		}
+		for r.pos+8 <= len(src) && load8(src, r.pos)&mask == pat && r.open+count <= MaxTermDepth {
+			r.pos, count = r.pos+n+1, count+1
+		}
+	}
+	name := r.name(int(a.off), a.n)
+	for end := r.pos + n; end < len(src) && src[end] == '(' && src[r.pos:end] == name && r.open+count <= MaxTermDepth; end = r.pos + n {
+		r.pos, count = end+1, count+1
+	}
+	r.open += count
+	if len(r.stack) == cap(r.stack) {
+		// Room for a few runs, and past them for one per '(' to come.
+		size := 8
+		if len(r.stack) > 0 {
+			size = len(r.stack) + 1 + strings.Count(src[r.pos:], "(")
+		}
+		stack := make([]appRun, len(r.stack), size)
+		copy(stack, r.stack)
+		r.stack = stack
+	}
+	r.stack = append(r.stack, appRun{a, count})
 }
 
 // flatAtom reads the rest of an atom whose first argument is the single
@@ -249,7 +371,7 @@ func (r *groundReader) termAtom(name string, base token, plus int) bool {
 	if base.kind != tokNumber {
 		return false // a constant in a functional position
 	}
-	depth := len(r.stack) + base.num + plus
+	depth := r.open + base.num + plus
 	if depth > MaxTermDepth {
 		return false
 	}
@@ -259,27 +381,24 @@ func (r *groundReader) termAtom(name string, base token, plus int) bool {
 		r.sink.Succ(r.succFn(), n)
 	}
 	for j := len(r.stack) - 1; j >= 0; j-- {
-		a := r.stack[j]
-		r.sink.App(r.name(int(a.off), a.n))
-		for r.tok.kind == tokComma {
-			t, ok := r.constArg()
+		a := r.stack[j].name
+		for k := r.stack[j].count; k > 0; k-- {
+			if !r.closeApp(a) {
+				return false
+			}
+			if r.tok.kind != tokPlus {
+				continue
+			}
+			plus, ok := r.plus()
 			if !ok {
 				return false
 			}
-			r.sink.AppArg(r.constName(t))
-		}
-		if r.tok.kind != tokRParen || !r.next() {
-			return false
-		}
-		plus, ok := r.plus()
-		if !ok {
-			return false
-		}
-		if depth += plus; depth > MaxTermDepth {
-			return false
-		}
-		if plus > 0 {
-			r.sink.Succ(r.succFn(), plus)
+			if depth += plus; depth > MaxTermDepth {
+				return false
+			}
+			if plus > 0 {
+				r.sink.Succ(r.succFn(), plus)
+			}
 		}
 	}
 	r.sink.EndTerm()
@@ -309,6 +428,69 @@ func (r *groundReader) termAtom(name string, base token, plus int) bool {
 	}
 	r.sink.End(pred)
 	return true
+}
+
+// closeApp reads the rest of the application a, from its constants to its ')',
+// and the token after it. A layer the reader has filed is handed to the sink
+// as one Repeat; any other is read token by token, and filed.
+func (r *groundReader) closeApp(a appName) bool {
+	e, hit := r.find(a)
+	if hit {
+		r.sink.Repeat(e)
+		r.pos = r.tok.off + len(r.layers[e].close)
+		return r.next()
+	}
+	start := r.tok.off
+	r.sink.App(r.name(int(a.off), a.n), e)
+	for r.tok.kind == tokComma {
+		t, ok := r.constArg()
+		if !ok {
+			return false
+		}
+		r.sink.AppArg(r.constName(t))
+	}
+	if r.tok.kind != tokRParen {
+		return false
+	}
+	if e >= 0 {
+		l := layer{name: a, close: r.src[start:r.pos]}
+		l.key.read(r.src, start) // as find read it
+		r.layers[e] = l
+	}
+	return r.next()
+}
+
+// find looks up the layer of the application a whose closing bytes begin
+// at the current token. hit: an entry has a's name and is followed in the
+// text, from that token on, by its closing bytes, which therefore lex to the
+// tokens they lexed to when it was filed (they end in a ')', whose token
+// ends where the ')' does) and read as they read. Else e is the entry to
+// file the layer under once it is read, or -1 when the bytes from the token
+// on hold no ')' within maxClose.
+func (r *groundReader) find(a appName) (e int, hit bool) {
+	src, off := r.src, r.tok.off
+	var key closeKey
+	if !key.read(src, off) {
+		return -1, false
+	}
+	n := key.n
+	w := key.words[0] ^ key.words[1]*0xff51afd7ed558ccd ^ uint64(n)<<58 ^ uint64(a.n)<<52
+	home := int(w * 0x9e3779b97f4a7c15 >> (64 - layerBits))
+	// Up to four entries from the layer's own, so that layers with one home
+	// do not evict each other.
+	for k := 0; k < 4; k++ {
+		e := (home + k) & (LayerSlots - 1)
+		l := &r.layers[e]
+		switch {
+		case l.close == "":
+			return e, false
+		case l.key != key || l.name.n != a.n:
+		case l.name.off != a.off && r.name(int(l.name.off), l.name.n) != r.name(int(a.off), a.n):
+		case n <= 16 && len(l.close) == n+1 || strings.HasPrefix(src[off:], l.close):
+			return e, true
+		}
+	}
+	return home, false
 }
 
 // constArg reads ", c" and returns c: a constant or a numeral, whose +n

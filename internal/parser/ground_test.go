@@ -14,8 +14,9 @@ type countingSink struct{ resets, atoms int }
 func (s *countingSink) Reset()                      { s.resets, s.atoms = s.resets+1, 0 }
 func (s *countingSink) Atom(string, int, bool, int) { s.atoms++ }
 func (s *countingSink) Succ(symbols.FuncID, int)    {}
-func (s *countingSink) App(string)                  {}
+func (s *countingSink) App(string, int)             {}
 func (s *countingSink) AppArg(string)               {}
+func (s *countingSink) Repeat(int)                  {}
 func (s *countingSink) EndTerm()                    {}
 func (s *countingSink) Arg(string, symbols.ConstID) {}
 func (s *countingSink) End(symbols.PredID)          {}

@@ -10,6 +10,7 @@ package server
 import (
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"funcdb/internal/api"
@@ -36,11 +37,20 @@ type fpStat struct {
 	db, fp, shape string
 	registered    bool // instruments double as funcdbd_query_* series
 
+	// holds counts who uses the row outside mu: an observation still to be
+	// recorded, a snapshot still reading it. A row evicted with none left
+	// is nobody's, and its standalone instruments are reused, zeroed, for
+	// the next fingerprint the table takes in.
+	holds atomic.Int32
+
 	cnt, errs *obs.Counter
 	lat       *obs.Histogram
 	depth     *obs.Histogram
 	steps     *obs.Histogram
 }
+
+// fpKey names a row.
+type fpKey struct{ db, fp string }
 
 // queryStats owns the per-fingerprint table for one process.
 type queryStats struct {
@@ -48,8 +58,9 @@ type queryStats struct {
 	topK int
 
 	mu       sync.Mutex
-	table    map[string]*fpStat // key: db + "\xff" + fingerprint
-	regCount int                // exposition series granted, ≤ topK
+	table    map[fpKey]*fpStat
+	rows     []*fpStat // the table's rows, oldest first
+	regCount int       // exposition series granted, ≤ topK
 	// evicted aggregates rows pushed out of the table; reported as the
 	// "other" row so totals stay honest.
 	evictedCount  int64
@@ -65,7 +76,7 @@ func newQueryStats(reg *obs.Registry, topK int) *queryStats {
 	if topK <= 0 {
 		topK = DefaultStatsTopK
 	}
-	return &queryStats{reg: reg, topK: topK, table: make(map[string]*fpStat, topK)}
+	return &queryStats{reg: reg, topK: topK, table: make(map[fpKey]*fpStat, topK), rows: make([]*fpStat, 0, topK)}
 }
 
 // instruments builds the row's counter/histogram set, registered on the
@@ -96,39 +107,61 @@ func (qs *queryStats) instruments(db, fp string, registered bool) *fpStat {
 
 // row counts one request (an error, if isErr) on the table row for one
 // fingerprint, creating the row or evicting another as needed, and returns
-// the row. The count is made under mu, so that no eviction falls between a
-// row's lookup and its count: an evicted row's counts are all in the
-// "other" aggregate.
+// the row, held for the caller to record on and release. The count is made
+// under mu, so that no eviction falls between a row's lookup and its count:
+// an evicted row's counts are all in the "other" aggregate.
 func (qs *queryStats) row(db, fp, shape string, isErr bool) *fpStat {
-	key := db + "\xff" + fp
+	key := fpKey{db, fp}
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	if st := qs.table[key]; st != nil {
-		st.count(isErr)
-		return st
+	st := qs.table[key]
+	if st == nil {
+		st = qs.admit(key)
+		st.shape = shape
 	}
-	if len(qs.table) >= qs.topK {
-		// Min-count eviction: the lightest row folds into the "other"
-		// aggregate, so heavy hitters survive table pressure.
-		var minKey string
-		var min *fpStat
-		for k, st := range qs.table {
-			if min == nil || st.cnt.Value() < min.cnt.Value() {
-				minKey, min = k, st
+	st.count(isErr)
+	st.holds.Add(1)
+	return st
+}
+
+// admit adds a row for key, under mu. On a full table the lightest row,
+// the oldest of the lightest, folds into the "other" aggregate, so heavy
+// hitters survive table pressure and one-off queries cycle through; if it
+// is standalone and nobody holds it, the new row is made of it, its
+// instruments zeroed, and costs no allocation.
+func (qs *queryStats) admit(key fpKey) *fpStat {
+	var st *fpStat
+	if len(qs.rows) >= qs.topK {
+		at := 0
+		for i, r := range qs.rows {
+			if r.cnt.Value() < qs.rows[at].cnt.Value() {
+				at = i
 			}
 		}
+		min := qs.rows[at]
 		qs.evictedCount += min.cnt.Value()
 		qs.evictedErrors += min.errs.Value()
 		qs.evictions++
-		delete(qs.table, minKey)
+		delete(qs.table, fpKey{min.db, min.fp})
+		qs.rows = append(qs.rows[:at], qs.rows[at+1:]...)
+		if !min.registered && min.holds.Load() == 0 {
+			st = min
+			st.db, st.fp = key.db, key.fp
+			st.cnt.Reset()
+			st.errs.Reset()
+			st.lat.Reset()
+			st.depth.Reset()
+			st.steps.Reset()
+		}
 	}
-	registered := qs.regCount < qs.topK
-	if registered {
-		qs.regCount++
+	if st == nil {
+		registered := qs.regCount < qs.topK
+		if registered {
+			qs.regCount++
+		}
+		st = qs.instruments(key.db, key.fp, registered)
 	}
-	st := qs.instruments(db, fp, registered)
-	st.shape = shape
-	st.count(isErr)
+	qs.rows = append(qs.rows, st)
 	qs.table[key] = st
 	return st
 }
@@ -142,7 +175,9 @@ func (qs *queryStats) observe(db, fp, shape string, d time.Duration, isErr bool,
 	}
 	st := qs.row(db, fp, shape, isErr)
 	st.record(d, depth, steps)
-	if !st.registered && qs.reg != nil {
+	registered := st.registered
+	st.holds.Add(-1)
+	if !registered && qs.reg != nil {
 		// Beyond the series cap the row's instruments are standalone (JSON
 		// only); feed the shared fingerprint="other" series too, so scraped
 		// totals still match the table's.
@@ -214,9 +249,10 @@ type fpStatJSON struct {
 // the evicted aggregate appended as fingerprint "other" when non-empty.
 func (qs *queryStats) snapshotDB(db string) []fpStatJSON {
 	qs.mu.Lock()
-	rows := make([]*fpStat, 0, len(qs.table))
-	for _, st := range qs.table {
+	rows := make([]*fpStat, 0, len(qs.rows))
+	for _, st := range qs.rows {
 		if st.db == db {
+			st.holds.Add(1)
 			rows = append(rows, st)
 		}
 	}
@@ -234,6 +270,7 @@ func (qs *queryStats) snapshotDB(db string) []fpStatJSON {
 			Depth:       summarize(st.depth),
 			AlgoQSteps:  summarize(st.steps),
 		})
+		st.holds.Add(-1)
 	}
 	for i := 0; i < len(out); i++ {
 		for j := i + 1; j < len(out); j++ {
@@ -253,7 +290,7 @@ func (qs *queryStats) snapshotDB(db string) []fpStatJSON {
 func (qs *queryStats) size() (rows int, evictions int64) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	return len(qs.table), qs.evictions
+	return len(qs.rows), qs.evictions
 }
 
 // handleStats serves GET /v1/db/{name}/stats: the per-fingerprint table for

@@ -151,3 +151,35 @@ func TestQueryStatsConcurrent(t *testing.T) {
 		t.Errorf("rows and other count %d errors, want %d", errs, want)
 	}
 }
+
+// TestNovelFingerprintAllocs is the allocation gate of a fingerprint the
+// full table has not seen (every ask_wide request): it evicts the lightest
+// row and, when that row's instruments are standalone and nobody holds
+// them, is made of them, so it allocates at most its key. (Each such request
+// built a key, a row, two counters and three histograms before.)
+func TestNovelFingerprintAllocs(t *testing.T) {
+	const topK = 8
+	qs := newQueryStats(obs.NewRegistry(), topK)
+	fps := make([]string, 8*topK)
+	for i := range fps {
+		fps[i] = obs.Fingerprint(fmt.Sprintf("shape-%d", i))
+	}
+	// The first topK rows take the registered series; the next topK evict
+	// them and leave a table of standalone rows.
+	next := 0
+	observe := func() {
+		qs.observe("db", fps[next%len(fps)], "s", time.Millisecond, false, 3, 30)
+		next++
+	}
+	for next < 2*topK {
+		observe()
+	}
+	allocs := testing.AllocsPerRun(200, observe)
+	t.Logf("%.1f allocations per novel fingerprint", allocs)
+	if allocs > 1 {
+		t.Errorf("a novel fingerprint on a full table allocates %.1f times, want at most 1 (its key)", allocs)
+	}
+	if _, evictions := qs.size(); evictions < 200 {
+		t.Fatalf("%d evictions: the fingerprints were not novel", evictions)
+	}
+}

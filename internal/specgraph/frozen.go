@@ -38,6 +38,10 @@ func (sp *Spec) Freeze() *Frozen {
 	}
 }
 
+// World returns the frozen view of the specification's world taken when it
+// was frozen.
+func (f *Frozen) World() *facts.World { return f.w }
+
 // Flat builds the flat tables over the identity quotient, one flat state
 // per representative.
 func (f *Frozen) Flat() *FlatDFA { return f.FlatOver(nil) }

@@ -97,17 +97,31 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 
 // Encoder builds one record payload. Every record kind opens with a tag
 // byte naming it, so an encoder starts with one.
-type Encoder struct{ buf []byte }
+type Encoder struct {
+	buf []byte // room for the frame's header, then the payload
+}
 
 // NewEncoder starts a payload with tag, with room for size more bytes.
 func NewEncoder(tag byte, size int) *Encoder {
-	buf := make([]byte, 1, 1+size)
-	buf[0] = tag
+	buf := make([]byte, frameSize+1, frameSize+1+size)
+	buf[frameSize] = tag
 	return &Encoder{buf: buf}
 }
 
 // Payload returns the bytes encoded so far.
-func (e *Encoder) Payload() []byte { return e.buf }
+func (e *Encoder) Payload() []byte { return e.buf[frameSize:] }
+
+// Record returns the payload framed as WriteRecord frames it, in one slice:
+// the header goes into room the encoder kept before the payload, so nothing
+// is copied and the record can go out in one write.
+func (e *Encoder) Record() ([]byte, error) {
+	hdr, err := frameHeader(e.Payload())
+	if err != nil {
+		return nil, err
+	}
+	copy(e.buf, hdr[:])
+	return e.buf, nil
+}
 
 // Byte appends one raw byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
