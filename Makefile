@@ -26,7 +26,9 @@ test:
 # (a compile-and-run check; its numbers are for people). So do the answer
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
-# the hit-path benchmark. And the write path's: how many cells one fact may
+# the hit-path benchmark; and the one renderer's: its allocations per
+# rendered tuple and a pass over its benchmark (cal, sub, rob and the dense
+# Subsets(10) answer). And the write path's: how many cells one fact may
 # evaluate, how many rule bodies a cold solve may fire, how many bytes and
 # allocations one republish may make and that it interns no term but the
 # representatives it adds (counts), the join programs against all
@@ -52,6 +54,7 @@ test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestRenderAllocs' -bench 'BenchmarkRender' -benchtime 200x ./internal/registry/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins|TestJoinProbesBucket|TestJoinIndexCatches|TestJoinIndexFiresAsScan' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
@@ -129,11 +132,12 @@ staticcheck:
 # The longer passes over the text readers: the program parser, the query
 # parser and the ground reader against the tree lowering it replaced.
 # And the document loader, specio's Document.Spec, which only FuzzLoadSpec reaches.
+# Each line runs its own target alone, as fuzz-smoke's do.
 fuzz:
-	$(GO) test -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
-	$(GO) test -fuzz=FuzzParseQuery -fuzztime=60s ./internal/parser
-	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=120s -fuzzminimizetime=10s ./internal/core
-	$(GO) test -fuzz=FuzzLoadSpec -fuzztime=120s -fuzzminimizetime=10s ./internal/core
+	$(GO) test -run '^FuzzParse$$' -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
+	$(GO) test -run '^FuzzParseQuery$$' -fuzz=FuzzParseQuery -fuzztime=60s ./internal/parser
+	$(GO) test -run '^FuzzGroundLowering$$' -fuzz=FuzzGroundLowering -fuzztime=120s -fuzzminimizetime=10s ./internal/core
+	$(GO) test -run '^FuzzLoadSpec$$' -fuzz=FuzzLoadSpec -fuzztime=120s -fuzzminimizetime=10s ./internal/core
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
 # and query parsers, the ground query reader (differential: the tree lowering
@@ -148,26 +152,29 @@ fuzz:
 # walk, identity and minimised, against Table.Walk on random strings
 # (differential). (The parser
 # seeds are kilobytes long; without a minimizer budget the fuzzer spends the
-# pass shrinking them.)
+# pass shrinking them.) Each line runs its own target alone (-run): go test
+# -fuzz first runs every test -run matches, in the fuzzer's instrumented
+# build, where a timing test such as TestLongCompileFinishesAcrossReads
+# fails; make test runs the unit tests uninstrumented.
 fuzz-smoke:
-	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
-	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
-	$(GO) test -fuzz=FuzzGroundLowering -fuzztime=30s -fuzzminimizetime=5s ./internal/core
-	$(GO) test -fuzz=FuzzLoadSpec -fuzztime=30s ./internal/core
-	$(GO) test -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
-	$(GO) test -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzManifest -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzSnapMeta -fuzztime=30s ./internal/store
-	$(GO) test -fuzz=FuzzSnapEntry -fuzztime=30s ./internal/store
-	$(GO) test -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio
-	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
-	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server
-	$(GO) test -fuzz=FuzzReadError -fuzztime=30s ./internal/api
-	$(GO) test -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
-	$(GO) test -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
-	$(GO) test -fuzz=FuzzFlatWalk -fuzztime=30s ./internal/specgraph
+	$(GO) test -run '^FuzzParse$$' -fuzz='FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
+	$(GO) test -run '^FuzzParseQuery$$' -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
+	$(GO) test -run '^FuzzGroundLowering$$' -fuzz=FuzzGroundLowering -fuzztime=30s -fuzzminimizetime=5s ./internal/core
+	$(GO) test -run '^FuzzLoadSpec$$' -fuzz=FuzzLoadSpec -fuzztime=30s ./internal/core
+	$(GO) test -run '^FuzzBinspecRead$$' -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
+	$(GO) test -run '^FuzzReadRecord$$' -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
+	$(GO) test -run '^FuzzMutationRecord$$' -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire
+	$(GO) test -run '^FuzzFrame$$' -fuzz=FuzzFrame -fuzztime=30s ./internal/wire
+	$(GO) test -run '^FuzzManifest$$' -fuzz=FuzzManifest -fuzztime=30s ./internal/wire
+	$(GO) test -run '^FuzzSnapMeta$$' -fuzz=FuzzSnapMeta -fuzztime=30s ./internal/store
+	$(GO) test -run '^FuzzSnapEntry$$' -fuzz=FuzzSnapEntry -fuzztime=30s ./internal/store
+	$(GO) test -run '^FuzzSpecioRead$$' -fuzz=FuzzSpecioRead -fuzztime=30s ./internal/specio
+	$(GO) test -run '^FuzzDecodeFrame$$' -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/watch
+	$(GO) test -run '^FuzzDecodeRequest$$' -fuzz=FuzzDecodeRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server
+	$(GO) test -run '^FuzzReadError$$' -fuzz=FuzzReadError -fuzztime=30s ./internal/api
+	$(GO) test -run '^FuzzHopRequest$$' -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
+	$(GO) test -run '^FuzzHopResponse$$' -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
+	$(GO) test -run '^FuzzFlatWalk$$' -fuzz=FuzzFlatWalk -fuzztime=30s ./internal/specgraph
 
 tables:
 	$(GO) run ./cmd/fdbench all

@@ -50,7 +50,6 @@ import (
 	"funcdb/internal/repl"
 	"funcdb/internal/shard"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 func main() {
@@ -276,10 +275,10 @@ func run(args []string) error {
 		fmt.Print(ans.Dump())
 		if *enum >= 0 {
 			fmt.Printf("ground answers to depth %d:\n", *enum)
-			return ans.Enumerate(*enum, func(ft term.Term, args []symbols.ConstID) bool {
+			return ans.Paths(context.Background(), *enum, func(path []symbols.FuncID, args []symbols.ConstID) bool {
 				fmt.Print("  ")
-				if ft != term.None {
-					fmt.Print(ans.CompactTermString(ft))
+				if ans.HasFunctionalAnswers() {
+					fmt.Printf("%s", ans.AppendPath(nil, path))
 				}
 				for _, c := range args {
 					fmt.Print(" ", ans.ConstName(c))

@@ -19,7 +19,6 @@ import (
 	"funcdb/internal/minimize"
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
-	"funcdb/internal/term"
 )
 
 const helpText = `commands:
@@ -147,12 +146,12 @@ func enumerate(db *core.Database, qsrc string, depth int, w io.Writer) error {
 		return err
 	}
 	count := 0
-	err = ans.Enumerate(depth, func(ft term.Term, args []symbols.ConstID) bool {
+	err = ans.Paths(context.Background(), depth, func(path []symbols.FuncID, args []symbols.ConstID) bool {
 		count++
 		fmt.Fprint(w, "  ")
 		first := true
-		if ft != term.None {
-			fmt.Fprint(w, ans.CompactTermString(ft))
+		if ans.HasFunctionalAnswers() {
+			w.Write(ans.AppendPath(nil, path))
 			first = false
 		}
 		for _, c := range args {

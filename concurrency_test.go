@@ -63,7 +63,7 @@ func TestConcurrentMembership(t *testing.T) {
 }
 
 // TestConcurrentAskAnswers exercises the stronger contract documented on
-// core.Database: Ask, Answers, Explain and Answers.Enumerate may run from
+// core.Database: Ask, Answers, Explain and Answers.Paths may run from
 // many goroutines with no external synchronization, including the very
 // first use (which builds the graph specification lazily). Run under -race.
 func TestConcurrentAskAnswers(t *testing.T) {
@@ -94,15 +94,15 @@ func TestConcurrentAskAnswers(t *testing.T) {
 					return
 				}
 				count := 0
-				if err := ans.Enumerate(6, func(funcdb.Term, []funcdb.ConstID) bool {
+				if err := ans.Paths(context.Background(), 6, func([]funcdb.FuncID, []funcdb.ConstID) bool {
 					count++
 					return true
 				}); err != nil {
-					t.Errorf("Enumerate: %v", err)
+					t.Errorf("Paths: %v", err)
 					return
 				}
 				if count == 0 {
-					t.Error("Enumerate yielded nothing")
+					t.Error("Paths yielded nothing")
 					return
 				}
 				if _, err := db.Explain(fmt.Sprintf("?- Meets(%d, s0).", n)); err != nil {

@@ -48,8 +48,8 @@ func ExampleDatabase_Answers() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = ans.Enumerate(7, func(t funcdb.Term, _ []funcdb.ConstID) bool {
-		fmt.Print(ans.CompactTermString(t), " ")
+	err = ans.Paths(context.Background(), 7, func(t []funcdb.FuncID, _ []funcdb.ConstID) bool {
+		fmt.Printf("%s ", ans.AppendPath(nil, t))
 		return true
 	})
 	if err != nil {

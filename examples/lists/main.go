@@ -72,8 +72,8 @@ func main() {
 	fmt.Print("\n", ans.Dump())
 
 	fmt.Println("\nlists containing a, up to 3 elements:")
-	err = ans.Enumerate(3, func(list funcdb.Term, _ []funcdb.ConstID) bool {
-		fmt.Printf("  %s\n", ans.CompactTermString(list))
+	err = ans.Paths(context.Background(), 3, func(list []funcdb.FuncID, _ []funcdb.ConstID) bool {
+		fmt.Printf("  %s\n", ans.AppendPath(nil, list))
 		return true
 	})
 	if err != nil {

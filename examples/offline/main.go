@@ -75,8 +75,8 @@ func main() {
 		log.Fatalf("answers: %v", err)
 	}
 	fmt.Println("\nlists of length at most 2 that contain red:")
-	if err := ans.Enumerate(2, func(list funcdb.Term, _ []funcdb.ConstID) bool {
-		fmt.Printf("  %s\n", ans.CompactTermString(list))
+	if err := ans.Paths(ctx, 2, func(list []funcdb.FuncID, _ []funcdb.ConstID) bool {
+		fmt.Printf("  %s\n", ans.AppendPath(nil, list))
 		return true
 	}); err != nil {
 		log.Fatalf("enumerate: %v", err)

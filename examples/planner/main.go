@@ -63,7 +63,7 @@ func main() {
 	}
 	fmt.Println("\nplans reaching packing (up to 4 moves):")
 	count := 0
-	err = ans.Enumerate(4, func(plan funcdb.Term, _ []funcdb.ConstID) bool {
+	err = ans.Paths(context.Background(), 4, func(plan []funcdb.FuncID, _ []funcdb.ConstID) bool {
 		count++
 		fmt.Printf("  %s\n", formatPlan(ans, plan))
 		return true
@@ -74,12 +74,12 @@ func main() {
 	fmt.Printf("%d plans of length <= 4; infinitely many in total\n", count)
 }
 
-// formatPlan renders a move term as a route: dock -> aisle -> shelf.
-// Answer terms live in the answer's own arena, so symbols and names must
-// come from the answer, not the database.
-func formatPlan(ans *funcdb.Answers, plan funcdb.Term) string {
+// formatPlan renders a move path, innermost-first, as a route: dock ->
+// aisle -> shelf. The names come from the answer, which may name symbols
+// the database does not.
+func formatPlan(ans *funcdb.Answers, plan []funcdb.FuncID) string {
 	stops := []string{"dock"}
-	for _, f := range ans.TermSymbols(plan) {
+	for _, f := range plan {
 		// Derived symbols are named move'from'to.
 		parts := strings.Split(ans.FuncName(f), "'")
 		stops = append(stops, parts[2])

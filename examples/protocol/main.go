@@ -93,7 +93,7 @@ func main() {
 		log.Fatalf("answers: %v", err)
 	}
 	count := 0
-	if err := ans.Enumerate(3, func(trace funcdb.Term, _ []funcdb.ConstID) bool {
+	if err := ans.Paths(context.Background(), 3, func([]funcdb.FuncID, []funcdb.ConstID) bool {
 		count++
 		return true
 	}); err != nil {

@@ -59,9 +59,9 @@ func main() {
 		log.Fatalf("answers: %v", err)
 	}
 	fmt.Println("\nanswers to ?- Meets(T, X) up to day 6:")
-	err = ans.Enumerate(6, func(day funcdb.Term, args []funcdb.ConstID) bool {
+	err = ans.Paths(context.Background(), 6, func(day []funcdb.FuncID, args []funcdb.ConstID) bool {
 		fmt.Printf("  T = %-3s X = %s\n",
-			ans.CompactTermString(day), ans.ConstName(args[0]))
+			ans.AppendPath(nil, day), ans.ConstName(args[0]))
 		return true
 	})
 	if err != nil {

@@ -22,7 +22,8 @@
 //	`, funcdb.Options{})
 //	yes, err := db.Ask(ctx, "?- Meets(1000, tony).")
 //	ans, err := db.Answers(ctx, "?- Meets(T, X).")
-//	ans.Enumerate(6, func(day funcdb.Term, args []funcdb.ConstID) bool { ... })
+//	ans.Paths(ctx, 6, func(day []funcdb.FuncID, args []funcdb.ConstID) bool { ... })
+//	tuples, truncated, err := ans.Render(ctx, 6, 100) // day as "6", args as "tony"
 //
 // Hot paths prepare a query once and execute the compiled plan many times:
 //
@@ -72,6 +73,8 @@ type (
 	Query = ast.Query
 	// Answers is a finite relational specification of a query answer.
 	Answers = query.Answers
+	// Tuple is one rendered ground answer (Answers.Render).
+	Tuple = query.Tuple
 	// GraphSpec is a graph specification (B, T) built by Algorithm Q.
 	GraphSpec = specgraph.Spec
 	// EqSpec is an equational specification's relation R with its

@@ -15,30 +15,23 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/query"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // render enumerates ans to depth, stopping after limit tuples (0 = all), in
 // enumeration order.
 func render(t testing.TB, ans *query.Answers, depth, limit int) []string {
 	t.Helper()
+	tuples, _, err := ans.Render(context.Background(), depth, limit)
+	if err != nil {
+		t.Fatalf("Render: %v", err)
+	}
 	var out []string
-	err := ans.EnumerateContext(context.Background(), depth, func(ft term.Term, args []symbols.ConstID) bool {
-		if limit > 0 && len(out) >= limit {
-			return false
-		}
-		row := ""
-		if ft != term.None {
-			row = ans.CompactTermString(ft)
-		}
-		for _, c := range args {
-			row += "|" + ans.ConstName(c)
+	for _, tu := range tuples {
+		row := tu.Term
+		for _, a := range tu.Args {
+			row += "|" + a
 		}
 		out = append(out, row)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Enumerate: %v", err)
 	}
 	return out
 }
@@ -245,7 +238,7 @@ func TestOversizedAnswerSpecIsServedUnretained(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := ans.Enumerate(0, func(term.Term, []symbols.ConstID) bool { n++; return true }); err != nil || n != 64*64*64 {
+	if err := ans.Paths(context.Background(), 0, func([]symbols.FuncID, []symbols.ConstID) bool { n++; return true }); err != nil || n != 64*64*64 {
 		t.Errorf("%d tuples, %v; want %d", n, err, 64*64*64)
 	}
 	if p.spec.Load() != nil {

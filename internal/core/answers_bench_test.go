@@ -8,7 +8,6 @@ import (
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // answersCases are the hit path of the benchmark's answers workload, one
@@ -27,15 +26,17 @@ var answersCases = []struct {
 	{"nonuniform", "rob", datagen.RobotSrc(8), "?- At(move(S, p1, p2), p2).", 3},
 }
 
-// answerOnce is one answers operation as the registry runs it: a handle from
-// the plan, then enumeration up to the workload's tuple cap.
+// answerOnce is one answers operation as the registry runs it, short of
+// rendering: a handle from the plan, then enumeration up to the workload's
+// tuple cap.
 func answerOnce(tb testing.TB, p *Plan, depth int) int {
-	ans, err := p.Answers(context.Background())
+	ctx := context.Background()
+	ans, err := p.Answers(ctx)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	n := 0
-	if err := ans.Enumerate(depth, func(term.Term, []symbols.ConstID) bool {
+	if err := ans.Paths(ctx, depth, func([]symbols.FuncID, []symbols.ConstID) bool {
 		n++
 		return n < 1000
 	}); err != nil {
@@ -67,11 +68,10 @@ func BenchmarkPlanAnswers(b *testing.B) {
 }
 
 // TestAnswersHitAllocs gates the warm answers path on a one-tuple answer.
-// Measured: 4 allocations — the handle, its term arena and the enumerator's
-// two level buffers — whatever the database's size; the bound leaves room
-// for the arena's node slice and map, which appear when an answer's terms
-// are not among the snapshot's own. Plan.Answers alone made 149 allocations
-// before the specification was a value on the plan.
+// Measured: 1 allocation, the handle, whose own arrays hold a small
+// enumeration's level arena and path; 4 while the enumerator interned terms
+// (its term arena and two level buffers besides). Plan.Answers alone made
+// 149 allocations before the specification was a value on the plan.
 func TestAnswersHitAllocs(t *testing.T) {
 	p, err := deepSnapshot(t, datagen.RobotSrc(8)).Prepare(context.Background(), "?- At(S, p3).")
 	if err != nil {

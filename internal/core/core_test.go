@@ -9,7 +9,6 @@ import (
 	"funcdb/internal/specio"
 	"funcdb/internal/symbols"
 	"funcdb/internal/temporal"
-	"funcdb/internal/term"
 	"funcdb/internal/topdown"
 )
 
@@ -82,11 +81,11 @@ P(Y), Member(S, X) -> Member(ext(S, Y), X).
 		t.Fatalf("non-uniform answer set should not be empty")
 	}
 	n := 0
-	if err := ans.Enumerate(3, func(ft term.Term, args []symbols.ConstID) bool {
+	if err := ans.Paths(context.Background(), 3, func([]symbols.FuncID, []symbols.ConstID) bool {
 		n++
 		return true
 	}); err != nil {
-		t.Fatalf("Enumerate: %v", err)
+		t.Fatalf("Paths: %v", err)
 	}
 	// Lists of depth <= 3 containing a: [a]; aa, ab, ba; and the 7 of 8
 	// depth-3 lists that are not bbb: 1 + 3 + 7 = 11.

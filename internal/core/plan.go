@@ -613,8 +613,8 @@ func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 // answer set. The specification is a value fixed on the plan: the first
 // execution that needs it computes it (under its own ctx, deadline and work
 // budget), every later one only reads it. The handle is the caller's own —
-// single-goroutine, holding the arena its enumerations intern terms into —
-// so concurrent executions of one plan share no lock.
+// single-goroutine, holding the scratch its enumerations walk in — so
+// concurrent executions of one plan share no lock.
 func (p *Plan) Answers(ctx context.Context, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
@@ -630,7 +630,7 @@ func (p *Plan) answers(ctx context.Context) (*query.Answers, error) {
 	if err != nil {
 		return nil, err
 	}
-	return spec.Answers(p.snap.u), nil
+	return spec.Answers(), nil
 }
 
 // specBuild is one computation of a plan's answer specification; spec and

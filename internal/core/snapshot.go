@@ -18,8 +18,8 @@ import (
 
 // Snapshot is an immutable view of a compiled database at one point in
 // time. Any number of goroutines may evaluate queries against one Snapshot
-// concurrently with no locking at all: the symbol table, term universe and
-// fact world are frozen views of the live stores — the same records, cut at
+// concurrently with no locking at all: the symbol table and fact world are
+// frozen views of the live stores — the same records, cut at
 // their length at publish time — the graph specification is frozen, and
 // every query gets private overlays for whatever it needs to intern (novel
 // terms, tuples, symbols) — drawn from a sync.Pool, so steady-state asks
@@ -35,7 +35,6 @@ type Snapshot struct {
 	facts []ast.Atom
 	rules []ast.Rule
 	tab   *symbols.Table
-	u     *term.Universe
 	w     *facts.World
 	spec  *specgraph.Frozen
 
@@ -104,7 +103,6 @@ func freeze(sp *specgraph.Spec) *Snapshot {
 	spec := sp.Freeze()
 	return &Snapshot{
 		tab:      sp.Tab.Freeze(),
-		u:        sp.U.Freeze(),
 		w:        spec.World(), // one frozen view for the snapshot and its spec
 		spec:     spec,
 		temporal: sp.Temporal,
@@ -226,8 +224,8 @@ func (s *Snapshot) Ask(ctx context.Context, src string, opts ...Option) (bool, e
 
 // Answers returns a handle on the relational specification of a query's
 // answer set against the snapshot, lock-free: Prepare (or a plan-cache hit)
-// followed by Plan.Answers, which see. Enumeration renders through
-// Answers.CompactTermString and friends, never through the live database.
+// followed by Plan.Answers, which see. Enumeration yields paths, which
+// Answers.Render and Answers.AppendPath render without the live database.
 func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)

@@ -13,7 +13,6 @@ import (
 
 	"funcdb/internal/query"
 	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // collectAnswers enumerates an answer specification into a sorted list of
@@ -291,7 +290,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 						return
 					}
 					n := 0
-					ans.Enumerate(4, func(term.Term, []symbols.ConstID) bool { n++; return true })
+					ans.Paths(context.Background(), 4, func([]symbols.FuncID, []symbols.ConstID) bool { n++; return true })
 					if n == 0 {
 						t.Error("empty enumeration")
 						return

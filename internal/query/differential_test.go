@@ -3,12 +3,14 @@ package query_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -83,7 +85,20 @@ func programs(t *testing.T) []program {
 Hot(f(g(0))). Hot(g(g(g(0)))). Tag(f(0), a). Tag(g(f(0)), b).
 Hot(f(S)) -> Warm(S).
 `}
-	return append(out, cal, sub, rob, finite)
+	// The three cases of the compact notation: a succ-only path is its
+	// numeral, names longer than one character are joined by dots, and an
+	// answer at the root alone is "0".
+	numerals := program{name: "numerals", maxDepth: 9, src: "Even(0). Even(T) -> Even(T+2).",
+		extra: []string{"?- Even(T).", "?- Even(T+1)."}}
+	dotted := program{name: "dotted", maxDepth: 5, src: `
+@functional Route/1.
+Route(north(0)). Route(S) -> Route(east(S)). Route(S) -> Route(north(S)). Route(east(S)) -> Dock(S, pier).
+`, extra: []string{"?- Route(S).", "?- Dock(S, X)."}}
+	root := program{name: "root", maxDepth: 4, src: `
+@functional Start/1.
+Start(0). Start(S) -> Later(f(S)).
+`, extra: []string{"?- Start(S)."}}
+	return append(out, cal, sub, rob, finite, numerals, dotted, root)
 }
 
 // openQueries generates open query texts from a database's own symbols: for
@@ -159,30 +174,74 @@ func openQueries(db *core.Database) []string {
 	return out
 }
 
-// rows enumerates through enum and renders every tuple in order, stopping
-// after limit of them (0 = no limit); truncated reports that one more was
-// offered.
-func rows(t *testing.T, ans *query.Answers, enum func(context.Context, int, func(term.Term, []symbols.ConstID) bool) error, depth, limit int) (out []string, truncated bool) {
+// row renders one tuple: the functional component in compact notation, then
+// "|" and each constant's name.
+func row(ans *query.Answers, fn string, args []symbols.ConstID) string {
+	for _, c := range args {
+		fn += "|" + ans.ConstName(c)
+	}
+	return fn
+}
+
+// walk enumerates ans through Paths and renders every tuple in order,
+// stopping after limit of them (0 = no limit); truncated reports that one
+// more was offered. It returns the paths too, copied, and holds AppendPath to
+// CompactString of each path's term, interned in a universe of its own.
+func walk(t *testing.T, ans *query.Answers, depth, limit int) (out []string, paths [][]symbols.FuncID, truncated bool) {
 	t.Helper()
-	err := enum(context.Background(), depth, func(ft term.Term, args []symbols.ConstID) bool {
+	u := term.NewUniverse()
+	var buf []byte
+	err := ans.Paths(context.Background(), depth, func(path []symbols.FuncID, args []symbols.ConstID) bool {
 		if limit > 0 && len(out) >= limit {
 			truncated = true
 			return false
 		}
-		row := ""
-		if ft != term.None {
-			row = ans.CompactTermString(ft)
+		fn := ""
+		if ans.HasFunctionalAnswers() {
+			buf = ans.AppendPath(buf[:0], path)
+			fn = string(buf)
+			if want := u.CompactString(u.ApplyString(term.Zero, path...), ans.Names()); fn != want {
+				t.Fatalf("AppendPath(%v) = %q, CompactString of its term %q", path, fn, want)
+			}
+		} else if path != nil {
+			t.Fatalf("an answer with no functional component yielded the path %v", path)
 		}
-		for _, c := range args {
-			row += "|" + ans.ConstName(c)
-		}
-		out = append(out, row)
+		out = append(out, row(ans, fn, args))
+		paths = append(paths, slices.Clone(path))
 		return true
 	})
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
+	return out, paths, truncated
+}
+
+// rows is walk's rendered tuples.
+func rows(t *testing.T, ans *query.Answers, depth, limit int) (out []string, truncated bool) {
+	t.Helper()
+	out, _, truncated = walk(t, ans, depth, limit)
 	return out, truncated
+}
+
+// reference renders what the exhaustive reference yields, as walk renders
+// Paths', with each functional component's symbols.
+func reference(t *testing.T, ans *query.Answers, depth int) (out []string, paths [][]symbols.FuncID) {
+	t.Helper()
+	err := ans.EnumerateExhaustive(context.Background(), depth, func(u *term.Universe, ft term.Term, args []symbols.ConstID) bool {
+		fn := ""
+		var path []symbols.FuncID
+		if ft != term.None {
+			fn = u.CompactString(ft, ans.Names())
+			path = u.Symbols(ft)
+		}
+		out = append(out, row(ans, fn, args))
+		paths = append(paths, path)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return out, paths
 }
 
 // forEachAnswer opens every program and calls f for every open query on it
@@ -228,25 +287,43 @@ func forEachAnswer(t *testing.T, f func(p program, db *core.Database, text strin
 // (query, depth): it is the alphabet^depth walk this PR removed.
 const referenceBudget = 400_000
 
-// TestEnumerateMatchesExhaustiveReference: the DFA-walking enumerator yields
-// exactly the sequence of the exhaustive term-tree walk it replaced — same
+// TestEnumerateMatchesExhaustiveReference: the pruned path enumerator yields
+// exactly the sequence of the exhaustive term-tree walk — same paths, same
 // tuples, same order — and under a limit stops at the same tuple with the
-// same truncated verdict, for every depth and limit.
+// same truncated verdict, for every depth and limit. Every path it yields
+// renders by AppendPath as its interned term does by CompactString (walk),
+// numerals, dotted names and the root included.
 func TestEnumerateMatchesExhaustiveReference(t *testing.T) {
 	compared := 0
+	notations := map[string]bool{}
 	forEachAnswer(t, func(p program, _ *core.Database, text string, ans *query.Answers) {
 		for depth := 0; depth <= p.maxDepth; depth++ {
 			if math.Pow(float64(ans.AlphabetSize()), float64(depth)) > referenceBudget {
 				break
 			}
-			want, _ := rows(t, ans, ans.EnumerateExhaustive, depth, 0)
-			got, _ := rows(t, ans, ans.EnumerateContext, depth, 0)
+			want, wantPaths := reference(t, ans, depth)
+			got, gotPaths, _ := walk(t, ans, depth, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s to depth %d:\n got %v\nwant %v", p.name, text, depth, got, want)
 			}
+			for i := range gotPaths {
+				if !slices.Equal(gotPaths[i], wantPaths[i]) {
+					t.Fatalf("%s: %s to depth %d: tuple %d has the path %v, the reference's %v", p.name, text, depth, i, gotPaths[i], wantPaths[i])
+				}
+			}
+			for _, r := range got {
+				switch fn, _, _ := strings.Cut(r, "|"); {
+				case fn == "0" && ans.HasFunctionalAnswers():
+					notations["root"] = true
+				case fn == "8":
+					notations["numeral"] = true
+				case fn == "north.east":
+					notations["dotted"] = true
+				}
+			}
 			compared++
 			for _, limit := range []int{1, 7, 1000} {
-				got, truncated := rows(t, ans, ans.EnumerateContext, depth, limit)
+				got, truncated := rows(t, ans, depth, limit)
 				cut := min(limit, len(want))
 				if !reflect.DeepEqual(got, want[:cut:cut]) || truncated != (len(want) > limit) {
 					t.Fatalf("%s: %s to depth %d, limit %d: %d tuples, truncated %v; reference has %d\n got %v\nwant %v",
@@ -257,6 +334,51 @@ func TestEnumerateMatchesExhaustiveReference(t *testing.T) {
 	})
 	if compared < 2000 {
 		t.Errorf("only %d (query, depth) pairs compared", compared)
+	}
+	for _, n := range []string{"root", "numeral", "dotted"} {
+		if !notations[n] {
+			t.Errorf("no answer rendered in the %s notation", n)
+		}
+	}
+}
+
+// TestEnumerateContextRendersAsRender: the term-yielding adaptor the
+// benchmark harness checks the daemon with (EnumerateContext and
+// CompactTermString, as bench/oracle.go calls them) renders every answer
+// byte for byte as Render, which the daemon serves.
+func TestEnumerateContextRendersAsRender(t *testing.T) {
+	ctx := context.Background()
+	compared := 0
+	forEachAnswer(t, func(p program, _ *core.Database, text string, ans *query.Answers) {
+		depth := min(p.maxDepth, 4)
+		want, _, err := ans.Render(ctx, depth, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []query.Tuple
+		err = ans.EnumerateContext(ctx, depth, func(ft term.Term, cs []symbols.ConstID) bool {
+			var tu query.Tuple
+			if ft != term.None {
+				tu.Term = ans.CompactTermString(ft)
+			}
+			for _, c := range cs {
+				tu.Args = append(tu.Args, ans.ConstName(c))
+			}
+			got = append(got, tu)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s: %s to depth %d:\nadaptor %s\n Render %s", p.name, text, depth, g, w)
+		}
+		compared++
+	})
+	if compared < 500 {
+		t.Errorf("only %d queries compared", compared)
 	}
 }
 
@@ -297,8 +419,8 @@ func TestIncrementalMatchesRecomputeOnSnapshots(t *testing.T) {
 		for math.Pow(float64(rec.AlphabetSize()), float64(depth)) > referenceBudget {
 			depth--
 		}
-		got, _ := rows(t, ans, ans.EnumerateContext, depth, 0)
-		want, _ := rows(t, rec, rec.EnumerateContext, depth, 0)
+		got, _ := rows(t, ans, depth, 0)
+		want, _ := rows(t, rec, depth, 0)
 		sort.Strings(got)
 		sort.Strings(want)
 		if !reflect.DeepEqual(got, want) {
@@ -385,7 +507,7 @@ func TestForgottenRulesAnswerAlike(t *testing.T) {
 		for math.Pow(float64(ans.AlphabetSize()), float64(depth)) > referenceBudget {
 			depth--
 		}
-		want, _ := rows(t, ans, ans.EnumerateContext, depth, 0)
+		want, _ := rows(t, ans, depth, 0)
 		sort.Strings(want)
 		for i, s := range l.snaps {
 			got, err := s.Answers(ctx, text)
@@ -398,7 +520,7 @@ func TestForgottenRulesAnswerAlike(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %s on the document (codec %d): %v", p.name, text, i, err)
 			}
-			rs, _ := rows(t, got, got.EnumerateContext, depth, 0)
+			rs, _ := rows(t, got, depth, 0)
 			sort.Strings(rs)
 			if !reflect.DeepEqual(rs, want) {
 				t.Errorf("%s: %s to depth %d on the document (codec %d):\n got %v\nwant %v", p.name, text, depth, i, rs, want)
@@ -432,11 +554,11 @@ func TestFiniteAnswerHasNothingPastItsBound(t *testing.T) {
 			// states, and within twice that. (A dense answer is cut short;
 			// it is plainly not bounded by anything this small.)
 			n := ans.NumStates()
-			shallow, truncated := rows(t, ans, ans.EnumerateContext, n, 5000)
+			shallow, truncated := rows(t, ans, n, 5000)
 			if truncated {
 				return
 			}
-			if deep, _ := rows(t, ans, ans.EnumerateContext, 2*n, 5000); len(deep) <= len(shallow) {
+			if deep, _ := rows(t, ans, 2*n, 5000); len(deep) <= len(shallow) {
 				t.Errorf("%s: %s reported infinite but has %d tuples to depth %d and %d to depth %d",
 					p.name, text, len(shallow), n, len(deep), 2*n)
 			}
@@ -446,9 +568,9 @@ func TestFiniteAnswerHasNothingPastItsBound(t *testing.T) {
 		if bound > 12 {
 			t.Fatalf("%s: %s: bound %d, too deep for this test", p.name, text, bound)
 		}
-		at, _ := rows(t, ans, ans.EnumerateContext, bound, 0)
+		at, _ := rows(t, ans, bound, 0)
 		for _, past := range []int{1, 10} {
-			if more, _ := rows(t, ans, ans.EnumerateContext, bound+past, 0); len(more) != len(at) {
+			if more, _ := rows(t, ans, bound+past, 0); len(more) != len(at) {
 				t.Errorf("%s: %s: finite with bound %d (%d tuples), yet depth %d has %d",
 					p.name, text, bound, len(at), bound+past, len(more))
 			}
@@ -457,7 +579,7 @@ func TestFiniteAnswerHasNothingPastItsBound(t *testing.T) {
 			t.Errorf("%s: %s: bound %d, empty %v", p.name, text, bound, ans.IsEmpty())
 		}
 		if bound > 0 {
-			if fewer, _ := rows(t, ans, ans.EnumerateContext, bound-1, 0); len(fewer) >= len(at) {
+			if fewer, _ := rows(t, ans, bound-1, 0); len(fewer) >= len(at) {
 				t.Errorf("%s: %s: bound %d is not tight: %d tuples one level up, %d at it", p.name, text, bound, len(fewer), len(at))
 			}
 		}
@@ -485,7 +607,7 @@ func TestDenseEnumerationIsCutOffAtItsDeadline(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	n := 0
-	err = ans.EnumerateContext(ctx, 12, func(term.Term, []symbols.ConstID) bool { n++; return true })
+	err = ans.Paths(ctx, 12, func([]symbols.FuncID, []symbols.ConstID) bool { n++; return true })
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("enumeration ended with %v after %v and %d tuples, want the deadline's error", err, took, n)

@@ -11,61 +11,60 @@ import (
 )
 
 // Incremental evaluates a uniform query against a specification nothing
-// else is using (Theorem 5.1); terms the handle yields are interned in the
-// specification's own universe.
+// else is using (Theorem 5.1).
 func Incremental(sp *specgraph.Spec, q *ast.Query) (*Answers, error) {
 	s, err := Evaluate(context.Background(), sp, q)
 	if err != nil {
 		return nil, err
 	}
-	return &Answers{spec: s, view: sp.U}, nil
+	return s.Answers(), nil
 }
 
 // Recompute answers q, uniform or not, by the specification of prog enlarged
 // by a QUERY rule, as Compile does; prog's table gains the QUERY predicate.
-// Terms the handle yields are interned in a universe of its own, named
-// through prog's table.
 func Recompute(prog *ast.Program, q *ast.Query, engOpts engine.Options, specOpts specgraph.Options) (*Answers, error) {
 	s, err := recompute(context.Background(), prog, q, engOpts, specOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &Answers{spec: s, view: term.NewUniverse()}, nil
+	return s.Answers(), nil
 }
 
 // The reference the production enumerator is differentially tested against:
-// the exhaustive walk it replaced. Every term of every depth up to maxDepth
-// is interned, level by level, and each is run through the DFA from the
-// root — alphabet^maxDepth terms whatever the answer looks like.
+// the exhaustive walk the pruned one replaced. Every term of every depth up
+// to maxDepth is interned, level by level, in a universe of the walk's own,
+// and each is run through the DFA from the root — alphabet^maxDepth terms
+// whatever the answer looks like.
 
-// EnumerateExhaustive yields what EnumerateContext must yield, in the same
-// order.
-func (a *Answers) EnumerateExhaustive(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
+// EnumerateExhaustive yields what Paths must yield, in the same order: each
+// functional component as a term of u, interned there (term.None when the
+// answer has none).
+func (a *Answers) EnumerateExhaustive(ctx context.Context, maxDepth int, yield func(u *term.Universe, ft term.Term, dataArgs []symbols.ConstID) bool) error {
 	s := a.spec
+	u := term.NewUniverse()
 	if !s.fn {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for i := s.off[0]; i < s.off[1]; i++ {
-			if !yield(term.None, s.tuple(i)) {
+			if !yield(u, term.None, s.tuple(i)) {
 				return nil
 			}
 		}
 		return nil
 	}
-	u := a.terms()
 	level := []term.Term{term.Zero}
 	for d := 0; d <= maxDepth; d++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for _, t := range level {
-			state, err := a.key(t)
+			state, err := a.key(u.Symbols(t))
 			if err != nil {
 				return err
 			}
 			for i := s.off[state]; i < s.off[state+1]; i++ {
-				if !yield(t, s.tuple(i)) {
+				if !yield(u, t, s.tuple(i)) {
 					return nil
 				}
 			}
@@ -84,10 +83,10 @@ func (a *Answers) EnumerateExhaustive(ctx context.Context, maxDepth int, yield f
 	return nil
 }
 
-// TuplesAt returns the data tuples whose functional component falls in
-// t's cluster.
-func (a *Answers) TuplesAt(t term.Term) [][]symbols.ConstID {
-	state, err := a.key(t)
+// TuplesAt returns the data tuples whose functional component's path,
+// innermost-first, leads to the same state as path.
+func (a *Answers) TuplesAt(path []symbols.FuncID) [][]symbols.ConstID {
+	state, err := a.key(path)
 	if err != nil {
 		return nil
 	}
@@ -151,6 +150,9 @@ func (a *Answers) LongestLivePath() (depth int, finite bool) {
 	}
 	return longest[specgraph.Root], true
 }
+
+// Names is the table the handle renders through.
+func (a *Answers) Names() *symbols.Table { return a.spec.names }
 
 // AlphabetSize and NumStates size the reference's work for a test.
 func (a *Answers) AlphabetSize() int { return len(a.spec.tab.Alphabet) }

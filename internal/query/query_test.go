@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -61,20 +62,19 @@ func TestPaperIncrementalQuery(t *testing.T) {
 	tab := prog.Tab
 	extA, _ := tab.LookupFunc("ext'a", 0)
 	extB, _ := tab.LookupFunc("ext'b", 0)
-	u := sp.U
-	a := u.Apply(extA, term.Zero)
-	b := u.Apply(extB, term.Zero)
-	ab := u.Apply(extB, a)
+	a := []symbols.FuncID{extA}
+	b := []symbols.FuncID{extB}
+	ab := []symbols.FuncID{extA, extB}
 
 	if len(ans.TuplesAt(a)) != 1 || len(ans.TuplesAt(ab)) != 1 {
 		t.Errorf("QUERY(a) and QUERY(ab) expected:\n%s", ans.Dump())
 	}
-	if len(ans.TuplesAt(b)) != 0 || len(ans.TuplesAt(term.Zero)) != 0 {
+	if len(ans.TuplesAt(b)) != 0 || len(ans.TuplesAt(nil)) != 0 {
 		t.Errorf("no QUERY tuples expected at b or 0:\n%s", ans.Dump())
 	}
 	// Membership of deep answers: the list bba contains a; bb does not.
-	bba := u.ApplyString(term.Zero, extB, extB, extA)
-	bb := u.ApplyString(term.Zero, extB, extB)
+	bba := []symbols.FuncID{extB, extB, extA}
+	bb := []symbols.FuncID{extB, extB}
 	if ok, _ := ans.Contains(bba, nil); !ok {
 		t.Errorf("bba should be an answer")
 	}
@@ -122,19 +122,12 @@ Meets(T, X), Next(X, Y) -> Meets(T+1, Y).
 			// compare printed forms).
 			encode := func(a *Answers) map[string]bool {
 				out := make(map[string]bool)
-				err := a.Enumerate(5, func(ft term.Term, args []symbols.ConstID) bool {
-					key := ""
-					if ft != term.None {
-						key = a.CompactTermString(ft)
-					}
-					for _, c := range args {
-						key += "|" + a.ConstName(c)
-					}
-					out[key] = true
-					return true
-				})
+				tuples, _, err := a.Render(context.Background(), 5, 0)
 				if err != nil {
-					t.Fatalf("Enumerate: %v", err)
+					t.Fatalf("Render: %v", err)
+				}
+				for _, tu := range tuples {
+					out[tu.Key()] = true
 				}
 				return out
 			}
@@ -173,16 +166,15 @@ func TestNonUniformQueryRecompute(t *testing.T) {
 	}
 	extA, _ := prog.Tab.LookupFunc("ext'a", 0)
 	extB, _ := prog.Tab.LookupFunc("ext'b", 0)
-	u := ans.terms()
-	bList := u.Apply(extB, term.Zero)
-	aList := u.Apply(extA, term.Zero)
+	bList := []symbols.FuncID{extB}
+	aList := []symbols.FuncID{extA}
 	if ok, _ := ans.Contains(bList, nil); !ok {
 		t.Errorf("S = [b] should be an answer")
 	}
 	if ok, _ := ans.Contains(aList, nil); ok {
 		t.Errorf("S = [a] should not be an answer")
 	}
-	if ok, _ := ans.Contains(term.Zero, nil); ok {
+	if ok, _ := ans.Contains(nil, nil); ok {
 		t.Errorf("S = [] should not be an answer")
 	}
 }
@@ -204,18 +196,21 @@ func TestExistentialFunctionalVariable(t *testing.T) {
 	tab := sp.Tab
 	aC, _ := tab.LookupConst("a")
 	bC, _ := tab.LookupConst("b")
-	if ok, _ := ans.Contains(term.None, []symbols.ConstID{aC}); !ok {
+	if ok, _ := ans.Contains(nil, []symbols.ConstID{aC}); !ok {
 		t.Errorf("X = a expected")
 	}
-	if ok, _ := ans.Contains(term.None, []symbols.ConstID{bC}); !ok {
+	if ok, _ := ans.Contains(nil, []symbols.ConstID{bC}); !ok {
 		t.Errorf("X = b expected")
 	}
 	n := 0
-	if err := ans.Enumerate(0, func(ft term.Term, args []symbols.ConstID) bool {
+	if err := ans.Paths(context.Background(), 0, func(path []symbols.FuncID, args []symbols.ConstID) bool {
+		if path != nil {
+			t.Errorf("a purely non-functional answer yielded the path %v", path)
+		}
 		n++
 		return true
 	}); err != nil {
-		t.Fatalf("Enumerate: %v", err)
+		t.Fatalf("Paths: %v", err)
 	}
 	if n != 2 {
 		t.Errorf("enumerated %d answers, want 2", n)
@@ -233,11 +228,11 @@ func TestEnumerateOrderAndCutoff(t *testing.T) {
 		t.Fatalf("Incremental: %v", err)
 	}
 	var depths []int
-	if err := ans.Enumerate(3, func(ft term.Term, args []symbols.ConstID) bool {
-		depths = append(depths, sp.U.Depth(ft))
+	if err := ans.Paths(context.Background(), 3, func(path []symbols.FuncID, args []symbols.ConstID) bool {
+		depths = append(depths, len(path))
 		return true
 	}); err != nil {
-		t.Fatalf("Enumerate: %v", err)
+		t.Fatalf("Paths: %v", err)
 	}
 	if len(depths) == 0 {
 		t.Fatalf("no answers enumerated")
@@ -254,11 +249,11 @@ func TestEnumerateOrderAndCutoff(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	if err := ans.Enumerate(3, func(term.Term, []symbols.ConstID) bool {
+	if err := ans.Paths(context.Background(), 3, func([]symbols.FuncID, []symbols.ConstID) bool {
 		count++
 		return count < 2
 	}); err != nil {
-		t.Fatalf("Enumerate: %v", err)
+		t.Fatalf("Paths: %v", err)
 	}
 	if count != 2 {
 		t.Errorf("early stop ignored: %d", count)
@@ -280,10 +275,10 @@ func TestQueryWithGroundTerm(t *testing.T) {
 	}
 	aC, _ := prog.Tab.LookupConst("a")
 	bC, _ := prog.Tab.LookupConst("b")
-	if ok, _ := ans.Contains(term.None, []symbols.ConstID{aC}); !ok {
+	if ok, _ := ans.Contains(nil, []symbols.ConstID{aC}); !ok {
 		t.Errorf("X = a expected")
 	}
-	if ok, _ := ans.Contains(term.None, []symbols.ConstID{bC}); ok {
+	if ok, _ := ans.Contains(nil, []symbols.ConstID{bC}); ok {
 		t.Errorf("X = b not expected")
 	}
 }

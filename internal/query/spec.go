@@ -113,27 +113,34 @@ func (s *Specification) tuple(i int32) []symbols.ConstID {
 }
 
 // Answers returns a handle for one goroutine's membership tests and
-// enumerations on the specification of a frozen snapshot: terms it yields
-// are interned in a private arena over base, created on first use.
-func (s *Specification) Answers(base *term.Universe) *Answers {
-	return &Answers{spec: s, base: base}
+// enumerations on the specification.
+func (s *Specification) Answers() *Answers {
+	return &Answers{spec: s}
 }
 
 // Answers is one reader's handle on a query's answer specification. The
-// specification is shared; the handle owns the term arena that yielded
-// terms live in, so it is single-goroutine, and any number of handles on
-// one specification work at once with no lock between them.
+// specification is shared; the handle owns the scratch its enumerations
+// walk in, so it is single-goroutine, and any number of handles on one
+// specification work at once with no lock between them.
 type Answers struct {
 	spec *Specification
-	view *term.Universe // where yielded terms are interned
-	base *term.Universe // frozen: view is an arena over base, made on first use
+	// Paths' level arena and path buffer (pathTo), in small until outgrown.
+	nodes []pathNode
+	path  []symbols.FuncID
+	at    []int32
+	small struct {
+		nodes [16]pathNode
+		path  [16]symbols.FuncID
+		at    [16]int32
+	}
+	// u holds the terms the last EnumerateContext yielded.
+	u *term.Universe
 }
 
-func (a *Answers) terms() *term.Universe {
-	if a.view == nil {
-		a.view = term.NewUniverseOver(a.base)
-	}
-	return a.view
+// pathNode is a live node of an enumeration: state, reached by alphabet
+// index sym from the node at arena index parent (-1 at the root).
+type pathNode struct {
+	parent, sym, state int32
 }
 
 // HasFunctionalAnswers reports whether answer tuples carry a functional
@@ -143,29 +150,26 @@ func (a *Answers) HasFunctionalAnswers() bool { return a.spec.fn }
 // IsEmpty reports whether the answer set is empty.
 func (a *Answers) IsEmpty() bool { return a.spec.IsEmpty() }
 
-// key returns the state ft's tuples are listed under: the DFA run on its
-// symbols, or the single key of an answer with no functional component.
-func (a *Answers) key(ft term.Term) (int32, error) {
+// key returns the state path's tuples are listed under: the DFA run on it,
+// or the single key of an answer with no functional component.
+func (a *Answers) key(path []symbols.FuncID) (int32, error) {
 	if !a.spec.fn {
 		return 0, nil
 	}
-	state, bad, ok := a.spec.tab.Walk(a.terms().Symbols(ft))
+	state, bad, ok := a.spec.tab.Walk(path)
 	if !ok {
-		return 0, errNotInAlphabet(bad)
+		return 0, fmt.Errorf("query: symbol %v is not in the specification's alphabet", bad)
 	}
 	return state, nil
 }
 
-func errNotInAlphabet(f symbols.FuncID) error {
-	return fmt.Errorf("query: symbol %v is not in the specification's alphabet", f)
-}
-
-// Contains decides whether the ground tuple (ft, dataArgs) — dataArgs in
-// the order of the non-functional free variables — belongs to the answer.
-// For answers without a functional component pass term.None.
-func (a *Answers) Contains(ft term.Term, dataArgs []symbols.ConstID) (bool, error) {
+// Contains decides whether the ground tuple (path, dataArgs) belongs to the
+// answer: path is the functional component's symbols, innermost-first
+// (ignored when the answer has none), and dataArgs are in the order of the
+// non-functional free variables.
+func (a *Answers) Contains(path []symbols.FuncID, dataArgs []symbols.ConstID) (bool, error) {
 	s := a.spec
-	key, err := a.key(ft)
+	key, err := a.key(path)
 	if err != nil || len(dataArgs) != s.arity {
 		return false, err
 	}
@@ -181,101 +185,188 @@ next:
 	return false, nil
 }
 
-// CompactTermString renders a functional answer component in the paper's
-// compact notation.
-func (a *Answers) CompactTermString(t term.Term) string {
-	return a.terms().CompactString(t, a.spec.names)
-}
-
 // ConstName renders a data constant of an answer tuple.
 func (a *Answers) ConstName(c symbols.ConstID) string { return a.spec.names.ConstName(c) }
 
-// TermSymbols returns the function symbols of a functional answer
-// component, innermost-first.
-func (a *Answers) TermSymbols(t term.Term) []symbols.FuncID { return a.terms().Symbols(t) }
-
-// FuncName renders a function symbol of an answer term.
+// FuncName renders a function symbol of an answer path.
 func (a *Answers) FuncName(f symbols.FuncID) string { return a.spec.names.FuncName(f) }
 
-// Enumerate yields ground answers with functional components of depth at
-// most maxDepth, in precedence order of the functional component. For
-// purely non-functional answers it yields each tuple once with term.None.
-// It stops early when yield returns false. The dataArgs slice is the
-// specification's own: read it, do not keep or change it.
-func (a *Answers) Enumerate(maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
-	return a.EnumerateContext(context.Background(), maxDepth, yield)
+// AppendPath appends the paper's compact notation of an answer path (see
+// term.AppendCompact) to dst.
+func (a *Answers) AppendPath(dst []byte, path []symbols.FuncID) []byte {
+	return term.AppendCompact(dst, path, a.spec.names)
 }
 
-// pollEvery is how many enumeration steps (a term visited, or one of its
+// pollEvery is how many enumeration steps (a node visited, or one of its
 // successors examined) pass between looks at the context.
 const pollEvery = 1024
 
-// EnumerateContext is Enumerate with cancellation. It walks the successor
-// table breadth-first over (term, state) pairs, never entering a subtree
-// whose nearest answer lies deeper than the depth that remains: the cost
-// is the live terms times the alphabet, not alphabet^maxDepth, and it holds
-// one level of live terms at a time. Every tuple yielded is charged to the
-// work budget ctx carries: what a caller renders from them is the arena an
-// enumeration fills, and it is not bounded by the specification's size.
-func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
+// Paths yields the ground answers whose functional component has depth at
+// most maxDepth, in its precedence order: path is the component's symbols,
+// innermost-first (empty for 0; nil when the answer has no functional
+// component, see HasFunctionalAnswers), args the data constants. It stops
+// when yield returns false. Both slices are read-only and valid only during
+// the call.
+//
+// The walk is breadth-first over the successor table and never enters a
+// subtree whose nearest answer lies deeper than the depth left: it costs
+// the live nodes times the alphabet, not alphabet^maxDepth. Every tuple
+// yielded is charged to ctx's work budget: what a caller renders from them
+// is not bounded by the specification's size.
+func (a *Answers) Paths(ctx context.Context, maxDepth int, yield func(path []symbols.FuncID, args []symbols.ConstID) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	budget := obs.BudgetFrom(ctx)
-	s := a.spec
-	if !s.fn {
-		for i := s.off[0]; i < s.off[1]; i++ {
-			if !yield(term.None, s.tuple(i)) {
-				return nil
+	budget, s := obs.BudgetFrom(ctx), a.spec
+	// emit yields tuples lo to hi under path; more is false when the walk
+	// is to stop.
+	emit := func(path []symbols.FuncID, lo, hi int32) (more bool, err error) {
+		for t := lo; t < hi; t++ {
+			if !yield(path, s.tuple(t)) {
+				return false, nil
 			}
-			if budget != nil {
-				if err := budget.AddBytes(answerTupleBytes); err != nil {
-					return err
-				}
+			if err := budget.AddBytes(answerTupleBytes); err != nil {
+				return false, err
 			}
 		}
-		return nil
+		return true, nil
 	}
-	type node struct {
-		t     term.Term
-		state int32
+	if !s.fn {
+		_, err := emit(nil, s.off[0], s.off[1])
+		return err
+	}
+	if a.nodes == nil {
+		a.nodes, a.path, a.at = a.small.nodes[:0], a.small.path[:0], a.small.at[:0]
+	}
+	nodes := a.nodes[:0]
+	a.path, a.at = a.path[:0], a.at[:0]
+	defer func() { a.nodes = nodes[:0] }()
+	if int(s.dist[specgraph.Root]) <= maxDepth {
+		nodes = append(nodes, pathNode{-1, 0, specgraph.Root})
 	}
 	tab, k := s.tab, len(s.tab.Alphabet)
-	var level, next []node
-	if int(s.dist[specgraph.Root]) <= maxDepth {
-		level = append(level, node{term.Zero, specgraph.Root})
-	}
-	u := a.terms()
-	steps := 0
-	for depth := 0; len(level) > 0; depth++ {
-		below := maxDepth - depth - 1 // applications left under a child
-		next = next[:0]
-		for _, n := range level {
-			if steps += 1 + k; steps >= pollEvery {
-				steps = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			for i := s.off[n.state]; i < s.off[n.state+1]; i++ {
-				if !yield(n.t, s.tuple(i)) {
-					return nil
-				}
-				if budget != nil {
-					if err := budget.AddBytes(answerTupleBytes); err != nil {
-						return err
-					}
-				}
-			}
-			for j, to := range tab.Row(n.state) {
-				if int(s.dist[to]) <= below {
-					next = append(next, node{u.Apply(tab.Alphabet[j], n.t), to})
-				}
+	steps, depth, levelEnd := 0, 0, len(nodes)
+	for i := 0; i < len(nodes); i++ {
+		if i == levelEnd {
+			depth, levelEnd = depth+1, len(nodes)
+		}
+		if steps += 1 + k; steps >= pollEvery {
+			steps = 0
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-		level, next = next, level
+		n := nodes[i]
+		if lo, hi := s.off[n.state], s.off[n.state+1]; lo < hi {
+			if more, err := emit(a.pathTo(nodes, i, depth), lo, hi); !more {
+				return err
+			}
+		}
+		below := maxDepth - depth - 1 // applications left under a child
+		for j, to := range tab.Row(n.state) {
+			if int(s.dist[to]) <= below {
+				nodes = append(nodes, pathNode{int32(i), int32(j), to})
+			}
+		}
 	}
 	return nil
+}
+
+// pathTo returns the path of node i, depth symbols long, in the handle's
+// buffer, written by following parent links. The buffer holds the path
+// asked for last and at[k] the node its first k+1 symbols lead to, so the
+// walk stops at the first node the two paths share: in breadth-first order,
+// mostly a step or two.
+func (a *Answers) pathTo(nodes []pathNode, i, depth int) []symbols.FuncID {
+	for len(a.at) < depth {
+		a.path, a.at = append(a.path, 0), append(a.at, -1)
+	}
+	p, at := a.path[:depth], a.at[:depth]
+	alphabet := a.spec.tab.Alphabet
+	for k := depth - 1; k >= 0 && at[k] != int32(i); k-- {
+		p[k], at[k] = alphabet[nodes[i].sym], int32(i)
+		i = int(nodes[i].parent)
+	}
+	return p
+}
+
+// Tuple is one rendered ground answer: the functional component in compact
+// notation (empty when there is none) and the data constants' names, the
+// only form comparable across snapshots.
+type Tuple struct {
+	Term string   `json:"term,omitempty"`
+	Args []string `json:"args,omitempty"`
+}
+
+// Key is a collision-free map key for diffing answer sets (the separator
+// bytes cannot appear in rendered terms or constant names).
+func (t Tuple) Key() string {
+	return t.Term + "\x00" + strings.Join(t.Args, "\x01")
+}
+
+// String renders the tuple the way fdbq prints answers.
+func (t Tuple) String() string {
+	if t.Term == "" {
+		return "(" + strings.Join(t.Args, ", ") + ")"
+	}
+	if len(t.Args) == 0 {
+		return t.Term
+	}
+	return t.Term + " (" + strings.Join(t.Args, ", ") + ")"
+}
+
+// Render enumerates the ground answers to depth as Paths does and renders
+// each, stopping after limit tuples (0 = no cap); truncated reports that
+// one more was offered. It records an "enumerate" span on ctx's trace.
+func (a *Answers) Render(ctx context.Context, depth, limit int) (tuples []Tuple, truncated bool, err error) {
+	ctx, sp := obs.StartSpan(ctx, "enumerate")
+	defer sp.End()
+	var scratch [64]byte
+	buf := scratch[:0]
+	err = a.Paths(ctx, depth, func(path []symbols.FuncID, args []symbols.ConstID) bool {
+		if limit > 0 && len(tuples) >= limit {
+			truncated = true
+			return false
+		}
+		var tu Tuple
+		if a.spec.fn {
+			buf = a.AppendPath(buf[:0], path)
+			tu.Term = string(buf)
+		}
+		if len(args) > 0 {
+			tu.Args = make([]string, len(args))
+			for i, c := range args {
+				tu.Args[i] = a.spec.names.ConstName(c)
+			}
+		}
+		tuples = append(tuples, tu)
+		return true
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return tuples, truncated, nil
+}
+
+// EnumerateContext is Paths with each functional component interned as a
+// term (term.None when there is none) in the handle's own universe, which
+// CompactTermString renders. Only the benchmark harness in bench/ calls the
+// two; ROADMAP item B2 (q) moves it to Paths and deletes them.
+func (a *Answers) EnumerateContext(ctx context.Context, maxDepth int, yield func(ft term.Term, dataArgs []symbols.ConstID) bool) error {
+	a.u = term.NewUniverse()
+	return a.Paths(ctx, maxDepth, func(path []symbols.FuncID, args []symbols.ConstID) bool {
+		ft := term.None
+		if a.spec.fn {
+			ft = a.u.ApplyString(term.Zero, path...)
+		}
+		return yield(ft, args)
+	})
+}
+
+// CompactTermString renders a term EnumerateContext yielded, as AppendPath
+// renders its path.
+func (a *Answers) CompactTermString(t term.Term) string {
+	return a.u.CompactString(t, a.spec.names)
 }
 
 // Dump renders the answer specification: the QUERY extension per
@@ -284,35 +375,22 @@ func (a *Answers) Dump() string {
 	s := a.spec
 	var b strings.Builder
 	fmt.Fprintf(&b, "answer specification for %s\n", s.q.Format(s.names))
-	writeArgs := func(i int32) {
-		for j, c := range s.tuple(i) {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(s.names.ConstName(c))
-		}
-	}
-	if !s.fn {
-		for i := s.off[0]; i < s.off[1]; i++ {
-			b.WriteString("  QUERY(")
-			writeArgs(i)
-			b.WriteString(")\n")
-		}
-		return b.String()
-	}
-	u := a.terms()
-	for state := range s.tab.Reps {
-		if s.off[state] == s.off[state+1] {
-			continue
-		}
-		// The table's own Reps may live in a universe that is gone (Compile):
-		// intern the representative afresh from its symbols.
-		rep := u.ApplyString(term.Zero, s.tab.Path(int32(state))...)
-		for i := s.off[state]; i < s.off[state+1]; i++ {
-			fmt.Fprintf(&b, "  QUERY(%s", u.CompactString(rep, s.names))
+	var rep []byte // the representative's path in compact notation, then ", "
+	for key := 0; key+1 < len(s.off); key++ {
+		if s.fn && s.off[key] < s.off[key+1] {
+			rep = a.AppendPath(rep[:0], s.tab.Path(int32(key)))
 			if s.arity > 0 {
-				b.WriteString(", ")
-				writeArgs(i)
+				rep = append(rep, ", "...)
+			}
+		}
+		for i := s.off[key]; i < s.off[key+1]; i++ {
+			b.WriteString("  QUERY(")
+			b.Write(rep)
+			for j, c := range s.tuple(i) {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(s.names.ConstName(c))
 			}
 			b.WriteString(")\n")
 		}

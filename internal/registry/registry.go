@@ -30,11 +30,8 @@ import (
 	"sync/atomic"
 
 	"funcdb/internal/core"
-	"funcdb/internal/obs"
 	"funcdb/internal/query"
 	"funcdb/internal/specio"
-	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 	"funcdb/internal/wire"
 )
 
@@ -71,13 +68,6 @@ type Entry struct {
 	db   *core.Database   // KindProgram
 	snap *core.Snapshot   // KindSpec: the document's, for the entry's life
 	doc  *specio.Document // KindSpec
-}
-
-// AnswerTuple is one ground answer: the rendered functional component
-// (empty for purely relational answers) and the data constants.
-type AnswerTuple struct {
-	Term string   `json:"term,omitempty"`
-	Args []string `json:"args,omitempty"`
 }
 
 // Database returns the compiled database of a program entry (nil for spec
@@ -124,15 +114,11 @@ func (e *Entry) Prepare(ctx context.Context, q string) (*core.Plan, error) {
 	return s.Prepare(ctx, q)
 }
 
-// Answers evaluates an open query and enumerates ground answers, honoring
-// ctx and the core query options: core.WithDepth bounds the enumeration
-// term depth, core.WithLimit stops after that many tuples (0 = no cap). It
-// reports whether enumeration was truncated by the limit. Evaluation runs on
-// the entry's immutable snapshot, and rendering goes through the Answers
-// value itself (the terms may live in query-local scratch arenas the
-// database never sees). A spec entry answers uniform queries only
-// (core.ErrNeedsRules).
-func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tuples []AnswerTuple, truncated bool, err error) {
+// Answers evaluates an open query on the entry's snapshot and renders its
+// ground answers (query.Answers.Render) to core.WithDepth, at most
+// core.WithLimit of them (0 = no cap), honoring ctx. A spec entry answers
+// uniform queries only (core.ErrNeedsRules).
+func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tuples []query.Tuple, truncated bool, err error) {
 	s, err := e.Snapshot(ctx)
 	if err != nil {
 		return nil, false, err
@@ -141,42 +127,20 @@ func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tup
 	if err != nil {
 		return nil, false, err
 	}
-	return enumerate(ctx, ans, core.BuildOpts(opts...))
+	op := core.BuildOpts(opts...)
+	return ans.Render(ctx, op.Depth, op.Limit)
 }
 
 // PlanAnswers is Entry.Answers for a query the caller already prepared: it
-// executes the plan as prepared, with no second plan lookup, and enumerates
+// executes the plan as prepared, with no second plan lookup, and renders
 // the same way.
-func PlanAnswers(ctx context.Context, p *core.Plan, opts ...core.Option) (tuples []AnswerTuple, truncated bool, err error) {
+func PlanAnswers(ctx context.Context, p *core.Plan, opts ...core.Option) (tuples []query.Tuple, truncated bool, err error) {
 	ans, err := p.Answers(ctx, opts...)
 	if err != nil {
 		return nil, false, err
 	}
-	return enumerate(ctx, ans, core.BuildOpts(opts...))
-}
-
-func enumerate(ctx context.Context, ans *query.Answers, op core.Opts) (tuples []AnswerTuple, truncated bool, err error) {
-	ectx, esp := obs.StartSpan(ctx, "enumerate")
-	defer esp.End()
-	err = ans.EnumerateContext(ectx, op.Depth, func(ft term.Term, args []symbols.ConstID) bool {
-		if op.Limit > 0 && len(tuples) >= op.Limit {
-			truncated = true
-			return false
-		}
-		tu := AnswerTuple{}
-		if ft != term.None {
-			tu.Term = ans.CompactTermString(ft)
-		}
-		for _, c := range args {
-			tu.Args = append(tu.Args, ans.ConstName(c))
-		}
-		tuples = append(tuples, tu)
-		return true
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return tuples, truncated, nil
+	op := core.BuildOpts(opts...)
+	return ans.Render(ctx, op.Depth, op.Limit)
 }
 
 // Explain justifies a ground query's verdict with the Link-rule trace,

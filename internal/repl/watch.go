@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"funcdb/internal/api"
+	"funcdb/internal/query"
 	"funcdb/internal/watch"
 )
 
@@ -24,7 +25,7 @@ type WatchOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Watch subscribes to query on the client's database and calls on for
+// Watch subscribes to the query text q on the client's database and calls on for
 // every effective change, until ctx is canceled or the subscription fails
 // terminally (bad query, database deleted).
 //
@@ -37,7 +38,7 @@ type WatchOptions struct {
 // every answer transition exactly once, in order, regardless of primary
 // crashes, failovers or slow-consumer disconnects. on receives frames of
 // type init (first full set), delta and resync (truncated sets only).
-func (c *RemoteClient) Watch(ctx context.Context, query string, opts WatchOptions, on func(watch.Frame)) error {
+func (c *RemoteClient) Watch(ctx context.Context, q string, opts WatchOptions, on func(watch.Frame)) error {
 	eps := c.Endpoints()
 	if len(eps) == 0 {
 		return errors.New("no daemon endpoints configured")
@@ -52,8 +53,8 @@ func (c *RemoteClient) Watch(ctx context.Context, query string, opts WatchOption
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	s := &watchSession{c: c, query: query, opts: opts, on: on,
-		state: make(map[string]watch.Tuple)}
+	s := &watchSession{c: c, query: q, opts: opts, on: on,
+		state: make(map[string]query.Tuple)}
 	backoff := opts.BackoffMin
 	idx := int(c.preferred.Load())
 	behind := 0
@@ -109,7 +110,7 @@ type watchSession struct {
 	opts  WatchOptions
 	on    func(watch.Frame)
 
-	state   map[string]watch.Tuple // mirror of the delivered answer set
+	state   map[string]query.Tuple // mirror of the delivered answer set
 	lastLSN uint64                 // highest LSN seen; resume point
 	inited  bool                   // first init already delivered
 }
@@ -169,7 +170,7 @@ func (s *watchSession) handle(f watch.Frame) (reconnect bool, terminal error) {
 	case watch.FrameHeartbeat:
 		return false, nil
 	case watch.FrameInit, watch.FrameResync:
-		set := make(map[string]watch.Tuple, len(f.Add))
+		set := make(map[string]query.Tuple, len(f.Add))
 		for _, t := range f.Add {
 			set[t.Key()] = t
 		}
@@ -195,7 +196,7 @@ func (s *watchSession) handle(f watch.Frame) (reconnect bool, terminal error) {
 		}
 		return false, nil
 	case watch.FrameDelta:
-		var add, del []watch.Tuple
+		var add, del []query.Tuple
 		for _, t := range f.Add {
 			if _, ok := s.state[t.Key()]; !ok {
 				s.state[t.Key()] = t

@@ -509,7 +509,7 @@ func normalizeQuery(q string) string { return strings.Join(strings.Fields(q), " 
 // lookup, and that plan both names the response-cache slot — its canonical
 // shape, so α-variants and respellings of one query share a slot — and is
 // what the request executes on a cache miss, against the same snapshot.
-// Keying on shape is safe because answers are positional (AnswerTuple
+// Keying on shape is safe because answers are positional (query.Tuple
 // carries no variable names) and the key already includes the version.
 // Unparsable queries have no plan and key on the whitespace-normalized text.
 type prepared struct {
@@ -545,7 +545,7 @@ func (p *prepared) ask(ctx context.Context, opts ...core.Option) (bool, error) {
 	return p.plan.Ask(ctx, opts...)
 }
 
-func (p *prepared) answers(ctx context.Context, opts ...core.Option) ([]registry.AnswerTuple, bool, error) {
+func (p *prepared) answers(ctx context.Context, opts ...core.Option) ([]query.Tuple, bool, error) {
 	if p.err != nil {
 		return nil, false, p.err
 	}
@@ -862,17 +862,17 @@ func (req *answersRequest) fields() []field {
 }
 
 type answersResponse struct {
-	Tuples    []registry.AnswerTuple `json:"tuples"`
-	Count     int                    `json:"count"`
-	Truncated bool                   `json:"truncated"`
-	Version   uint64                 `json:"version"`
-	Cached    bool                   `json:"cached"`
-	Trace     *obs.Report            `json:"trace,omitempty"`
+	Tuples    []query.Tuple `json:"tuples"`
+	Count     int           `json:"count"`
+	Truncated bool          `json:"truncated"`
+	Version   uint64        `json:"version"`
+	Cached    bool          `json:"cached"`
+	Trace     *obs.Report   `json:"trace,omitempty"`
 }
 
 // answersResult is the cached portion of an answers response.
 type answersResult struct {
-	tuples    []registry.AnswerTuple
+	tuples    []query.Tuple
 	truncated bool
 }
 
@@ -923,7 +923,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) error {
 		return queryError(err)
 	}
 	if tuples == nil {
-		tuples = []registry.AnswerTuple{}
+		tuples = []query.Tuple{}
 	}
 	s.cachePut(e, key, answersResult{tuples: tuples, truncated: truncated})
 	api.WriteJSON(w, http.StatusOK, answersResponse{Tuples: tuples, Count: len(tuples),

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/query"
 	"funcdb/internal/registry"
 	"funcdb/internal/watch"
 )
@@ -63,7 +64,7 @@ func nextDataFrame(t *testing.T, dec *json.Decoder) watch.Frame {
 	}
 }
 
-func tupleSet(tuples []watch.Tuple) map[string]bool {
+func tupleSet(tuples []query.Tuple) map[string]bool {
 	set := make(map[string]bool, len(tuples))
 	for _, tu := range tuples {
 		set[tu.String()] = true
@@ -115,7 +116,7 @@ func TestWatchUniformDelta(t *testing.T) {
 		for _, a := range tu["args"].([]any) {
 			args = append(args, a.(string))
 		}
-		reask = append(reask, watch.Tuple{Args: args}.String())
+		reask = append(reask, query.Tuple{Args: args}.String())
 	}
 	var got []string
 	for s := range state {
@@ -152,7 +153,7 @@ func TestWatchSpecEntryDelta(t *testing.T) {
 	terms := func(ts ...string) map[string]bool {
 		set := make(map[string]bool)
 		for _, tm := range ts {
-			set[watch.Tuple{Term: tm}.String()] = true
+			set[query.Tuple{Term: tm}.String()] = true
 		}
 		return set
 	}

@@ -14,6 +14,7 @@
 package term
 
 import (
+	"strconv"
 	"strings"
 
 	"funcdb/internal/intern"
@@ -227,7 +228,7 @@ func (u *Universe) String(t Term, tab *symbols.Table) string {
 func (u *Universe) writeTerm(b *strings.Builder, t Term, tab *symbols.Table, succ symbols.FuncID) {
 	if succ != symbols.NoFunc {
 		if n, isNum := u.AsNumber(t, succ); isNum {
-			b.WriteString(itoa(n))
+			b.WriteString(strconv.Itoa(n))
 			return
 		}
 	}
@@ -242,32 +243,37 @@ func (u *Universe) writeTerm(b *strings.Builder, t Term, tab *symbols.Table, suc
 	b.WriteByte(')')
 }
 
-// CompactString formats t as the string of its function-symbol names read
-// innermost-first, separated by dots when any name is longer than one
-// character. Zero prints as "0". This matches the paper's compact notation
-// where ext_b(ext_a(0)) is written "ab".
+// CompactString formats t in the paper's compact notation; see
+// AppendCompact.
 func (u *Universe) CompactString(t Term, tab *symbols.Table) string {
-	if t == Zero {
-		return "0"
+	return string(AppendCompact(nil, u.Symbols(t), tab))
+}
+
+// AppendCompact appends the compact notation of the term whose function
+// symbols, innermost-first, are syms: their names, separated by dots when
+// any name is longer than one character, where ext_b(ext_a(0)) is written
+// "ab". A string of succ alone is its numeral, and 0 (no symbols) is "0".
+func AppendCompact(dst []byte, syms []symbols.FuncID, tab *symbols.Table) []byte {
+	if len(syms) == 0 {
+		return append(dst, '0')
 	}
-	if succ, ok := tab.LookupFunc(SuccName, 0); ok {
-		if n, isNum := u.AsNumber(t, succ); isNum {
-			return itoa(n)
-		}
+	same, long := 1, false
+	for same < len(syms) && syms[same] == syms[0] {
+		same++
 	}
-	syms := u.Symbols(t)
-	parts := make([]string, len(syms))
-	long := false
+	if info := tab.FuncInfo(syms[0]); same == len(syms) && info.Name == SuccName && info.DataArity == 0 {
+		return strconv.AppendInt(dst, int64(len(syms)), 10)
+	}
+	for _, f := range syms {
+		long = long || len(tab.FuncName(f)) != 1
+	}
 	for i, f := range syms {
-		parts[i] = tab.FuncName(f)
-		if len(parts[i]) != 1 {
-			long = true
+		if long && i > 0 {
+			dst = append(dst, '.')
 		}
+		dst = append(dst, tab.FuncName(f)...)
 	}
-	if long {
-		return strings.Join(parts, ".")
-	}
-	return strings.Join(parts, "")
+	return dst
 }
 
 // SuccName is the reserved name of the temporal successor function symbol,
@@ -296,18 +302,4 @@ func (u *Universe) AsNumber(t Term, succ symbols.FuncID) (int, bool) {
 		n++
 	}
 	return n, true
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -116,6 +116,23 @@ func TestCompactString(t *testing.T) {
 	if got := u.CompactString(tm2, tab); got != "ext_a" {
 		t.Fatalf("CompactString long = %q", got)
 	}
+	// Only a string of succ alone is a numeral.
+	succ := tab.Func(SuccName, 0)
+	for _, c := range []struct {
+		syms []symbols.FuncID
+		want string
+	}{
+		{[]symbols.FuncID{succ, succ, succ}, "3"},
+		{[]symbols.FuncID{succ, succ, a}, "succ.succ.a"},
+		{[]symbols.FuncID{a, succ}, "a.succ"},
+	} {
+		if got := u.CompactString(u.ApplyString(Zero, c.syms...), tab); got != c.want {
+			t.Errorf("CompactString(%v) = %q, want %q", c.syms, got, c.want)
+		}
+		if got := string(AppendCompact([]byte("x"), c.syms, tab)); got != "x"+c.want {
+			t.Errorf("AppendCompact(%v) = %q, want %q", c.syms, got, "x"+c.want)
+		}
+	}
 }
 
 func TestStringFunctionalNotation(t *testing.T) {

@@ -22,7 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
+
+	"funcdb/internal/query"
 )
 
 // Frame types, in the order a stream produces them: one init, then any
@@ -66,31 +67,16 @@ const (
 	ReasonClosed = "hub_closed"
 )
 
-// Tuple is one rendered ground answer: the functional component (empty
-// for purely relational answers) and the data constants. Rendered strings
-// are the only representation comparable across snapshots — ConstIDs and
-// arena terms are snapshot-local.
-type Tuple struct {
-	Term string   `json:"term,omitempty"`
-	Args []string `json:"args,omitempty"`
-}
-
-// Key is a collision-free map key for diffing answer sets (the separator
-// bytes cannot appear in rendered terms or constant names).
-func (t Tuple) Key() string {
-	return t.Term + "\x00" + strings.Join(t.Args, "\x01")
-}
-
 // Diff returns the tuples of cur missing from old and those of old missing
 // from cur, each sorted by key: the delta between two rendered answer sets
-// keyed by Tuple.Key. The hub sends it; a watch client recomputes it against
+// keyed by query.Tuple.Key. The hub sends it; a watch client recomputes it against
 // its own state when a resumed stream opens with a full set.
-func Diff(old, cur map[string]Tuple) (add, del []Tuple) {
+func Diff(old, cur map[string]query.Tuple) (add, del []query.Tuple) {
 	return sorted(cur, old), sorted(old, cur)
 }
 
 // sorted returns the tuples of set whose keys except lacks, sorted by key.
-func sorted(set, except map[string]Tuple) []Tuple {
+func sorted(set, except map[string]query.Tuple) []query.Tuple {
 	var keys []string
 	for k := range set {
 		if _, ok := except[k]; !ok {
@@ -101,22 +87,11 @@ func sorted(set, except map[string]Tuple) []Tuple {
 		return nil
 	}
 	sort.Strings(keys)
-	out := make([]Tuple, len(keys))
+	out := make([]query.Tuple, len(keys))
 	for i, k := range keys {
 		out[i] = set[k]
 	}
 	return out
-}
-
-// String renders the tuple the way fdbq prints answers.
-func (t Tuple) String() string {
-	if t.Term == "" {
-		return "(" + strings.Join(t.Args, ", ") + ")"
-	}
-	if len(t.Args) == 0 {
-		return t.Term
-	}
-	return t.Term + " (" + strings.Join(t.Args, ", ") + ")"
 }
 
 // Frame is one NDJSON line on a watch stream. Every data-bearing frame is
@@ -133,9 +108,9 @@ type Frame struct {
 	// node has no journal, e.g. an ephemeral in-memory daemon).
 	LSN uint64 `json:"lsn,omitempty"`
 	// Add holds appearing tuples (delta) or the full set (init/resync).
-	Add []Tuple `json:"add,omitempty"`
+	Add []query.Tuple `json:"add,omitempty"`
 	// Del holds disappearing tuples (delta only).
-	Del []Tuple `json:"del,omitempty"`
+	Del []query.Tuple `json:"del,omitempty"`
 	// Truncated marks an init/resync whose Add set hit the
 	// subscription's enumeration bounds.
 	Truncated bool `json:"truncated,omitempty"`

@@ -3,16 +3,18 @@ package watch
 import (
 	"reflect"
 	"testing"
+
+	"funcdb/internal/query"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameInit, DB: "seen", Version: 1, LSN: 4,
-			Add: []Tuple{{Args: []string{"a"}}, {Term: "succ.succ", Args: []string{"b", "c"}}}},
+			Add: []query.Tuple{{Args: []string{"a"}}, {Term: "succ.succ", Args: []string{"b", "c"}}}},
 		{Type: FrameDelta, DB: "seen", Version: 2, LSN: 5,
-			Add: []Tuple{{Args: []string{"b"}}}, Del: []Tuple{{Args: []string{"a"}}}},
+			Add: []query.Tuple{{Args: []string{"b"}}}, Del: []query.Tuple{{Args: []string{"a"}}}},
 		{Type: FrameResync, DB: "even", Version: 3, LSN: 6,
-			Add: []Tuple{{Term: "0"}}, Truncated: true, Reason: ReasonTruncated},
+			Add: []query.Tuple{{Term: "0"}}, Truncated: true, Reason: ReasonTruncated},
 		{Type: FrameHeartbeat, LSN: 7},
 		{Type: FrameEnd, DB: "seen", LSN: 8, Reason: ReasonSlowConsumer},
 	}
@@ -47,9 +49,9 @@ func TestFrameRejectsUnknownTypes(t *testing.T) {
 }
 
 func TestTupleKeyCollisionFree(t *testing.T) {
-	a := Tuple{Term: "t", Args: []string{"x", "y"}}
-	b := Tuple{Term: "t", Args: []string{"x,y"}}
-	c := Tuple{Term: "t.x", Args: []string{"y"}}
+	a := query.Tuple{Term: "t", Args: []string{"x", "y"}}
+	b := query.Tuple{Term: "t", Args: []string{"x,y"}}
+	c := query.Tuple{Term: "t.x", Args: []string{"y"}}
 	if a.Key() == b.Key() || a.Key() == c.Key() || b.Key() == c.Key() {
 		t.Fatalf("tuple keys collide: %q %q %q", a.Key(), b.Key(), c.Key())
 	}
@@ -57,12 +59,12 @@ func TestTupleKeyCollisionFree(t *testing.T) {
 
 func TestTupleString(t *testing.T) {
 	for _, tc := range []struct {
-		tu   Tuple
+		tu   query.Tuple
 		want string
 	}{
-		{Tuple{Args: []string{"a", "b"}}, "(a, b)"},
-		{Tuple{Term: "succ.succ"}, "succ.succ"},
-		{Tuple{Term: "succ", Args: []string{"s0"}}, "succ (s0)"},
+		{query.Tuple{Args: []string{"a", "b"}}, "(a, b)"},
+		{query.Tuple{Term: "succ.succ"}, "succ.succ"},
+		{query.Tuple{Term: "succ", Args: []string{"s0"}}, "succ (s0)"},
 	} {
 		if got := tc.tu.String(); got != tc.want {
 			t.Errorf("%+v.String() = %q, want %q", tc.tu, got, tc.want)

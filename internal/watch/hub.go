@@ -12,8 +12,6 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/query"
 	"funcdb/internal/registry"
-	"funcdb/internal/symbols"
-	"funcdb/internal/term"
 )
 
 // ErrTooManyStreams reports a subscription rejected by the hub's global or
@@ -313,7 +311,7 @@ type Stream struct {
 
 	// worker-owned diff state: the rendered answer set of the last frame,
 	// and whether it is complete enough to diff against.
-	last      map[string]Tuple
+	last      map[string]query.Tuple
 	lastKnown bool
 }
 
@@ -537,7 +535,7 @@ func (dw *dbWatch) bumpStream(st *Stream, e *registry.Entry, snap *core.Snapshot
 
 // evalSet evaluates the stream's query against the pinned snapshot and
 // renders the bounded answer set, under the hub's per-tick time budget.
-func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]Tuple, bool, error) {
+func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]query.Tuple, bool, error) {
 	ctx, cancel := context.WithTimeout(dw.hub.ctx, deltaTimeout)
 	defer cancel()
 	if dw.hub.opts.Budget != nil {
@@ -547,25 +545,13 @@ func (dw *dbWatch) evalSet(st *Stream, snap *core.Snapshot) (map[string]Tuple, b
 	if err != nil {
 		return nil, false, err
 	}
-	set := make(map[string]Tuple, len(st.last)+1)
-	truncated := false
-	err = ans.EnumerateContext(ctx, st.Depth, func(ft term.Term, args []symbols.ConstID) bool {
-		if st.Limit > 0 && len(set) >= st.Limit {
-			truncated = true
-			return false
-		}
-		tu := Tuple{}
-		if ft != term.None {
-			tu.Term = ans.CompactTermString(ft)
-		}
-		for _, c := range args {
-			tu.Args = append(tu.Args, ans.ConstName(c))
-		}
-		set[tu.Key()] = tu
-		return true
-	})
+	tuples, truncated, err := ans.Render(ctx, st.Depth, st.Limit)
 	if err != nil {
 		return nil, false, err
+	}
+	set := make(map[string]query.Tuple, len(tuples))
+	for _, tu := range tuples {
+		set[tu.Key()] = tu
 	}
 	return set, truncated, nil
 }

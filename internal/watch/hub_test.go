@@ -8,6 +8,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/obs"
+	"funcdb/internal/query"
 	"funcdb/internal/registry"
 )
 
@@ -50,7 +51,7 @@ func nextFrame(t *testing.T, st *Stream) Frame {
 	panic("unreachable")
 }
 
-func args(tuples []Tuple) []string {
+func args(tuples []query.Tuple) []string {
 	var out []string
 	for _, tu := range tuples {
 		out = append(out, tu.String())
@@ -58,7 +59,7 @@ func args(tuples []Tuple) []string {
 	return out
 }
 
-func wantArgs(t *testing.T, tuples []Tuple, want ...string) {
+func wantArgs(t *testing.T, tuples []query.Tuple, want ...string) {
 	t.Helper()
 	got := args(tuples)
 	if len(got) != len(want) {
