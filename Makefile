@@ -22,8 +22,11 @@ test:
 # never reaches it: its smoke test runs all five workloads and the traced
 # run in-process for a few seconds and checks them against BENCHMARK.json.
 # The request front end's gates ride along: the cached ask's allocation and
-# byte bounds, and a fixed-count pass over the in-process handler benchmark
-# (a compile-and-run check; its numbers are for people). So do the answer
+# byte bounds (its bytes a constant, whatever the query text's length), and
+# a fixed-count pass over the in-process handler benchmark (a
+# compile-and-run check; its numbers are for people). And the router's twin:
+# the bytes a routed plan-cache hit allocates on each side of the hop, by
+# the memory profile, flat in the body size. So do the answer
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark; and the one renderer's: its allocations per
@@ -53,6 +56,7 @@ test:
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
+	$(GO) test -count=1 -run 'TestRoutedAskBytes' ./internal/shard/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
 	$(GO) test -count=1 -run 'TestRenderAllocs' -bench 'BenchmarkRender' -benchtime 200x ./internal/registry/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
@@ -93,9 +97,17 @@ race-watch:
 # unit tests, the router proxy paths, the live-reshard orchestration, the
 # fdbrouter daemon smoke tests, and the process-level sharded-cluster
 # end-to-end test (router + 3 groups, primary SIGKILL + live reshard under
-# mixed traffic).
+# mixed traffic). Then the owners of a routed ask's buffers ten times over:
+# no view of a reused request buffer outlives its request (the recorder, the
+# stats table, the slow-query log, the plan cache), a hop connection's record
+# is not reused while its frame is served and a frame past the 64 KiB cap is
+# not kept, a hop client hands its encoder back only after its write has
+# returned, and the router its body only after forwarding.
 race-shard:
 	$(GO) test -race -count=1 ./internal/api/ ./internal/shard/ ./cmd/fdbrouter/
+	$(GO) test -race -count=10 -run 'TestRoutedAskKeepsNoView' ./internal/server/
+	$(GO) test -race -count=10 -run 'TestHopRecordHeldWhileServed|TestHopLargeFrameNotKept|TestHopEncoderBackAfterWrite' ./internal/api/
+	$(GO) test -race -count=10 -run 'TestRoutedBodyHeldUntilForwarded' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestShardedClusterEndToEnd' ./cmd/fdbd/
 
 # The admission-control storm under the race detector: a 2-group cluster

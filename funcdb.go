@@ -106,8 +106,8 @@ type (
 	// Plan is a query compiled against one immutable snapshot; execute it
 	// any number of times with Plan.Ask / Plan.Answers.
 	Plan = core.Plan
-	// Option is a per-query functional option for Ask/Answers/Plan
-	// execution (WithMethod, WithDepth, WithLimit, WithTrace).
+	// Option is a per-query option for Ask/Answers/Plan execution
+	// (WithMethod, WithDepth, WithLimit, WithTrace).
 	Option = core.Option
 	// Opts is the resolved form of a list of Options; see BuildOpts.
 	Opts = core.Opts

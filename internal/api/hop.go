@@ -42,6 +42,12 @@ const (
 	maxHopHeaders = 64
 	// maxIdleHops bounds the idle connections a client keeps per daemon.
 	maxIdleHops = 64
+	// maxKeptHopBuf bounds each buffer a hop keeps for its next frame — a
+	// daemon connection's record, response body and response encoder, a
+	// client's pooled request encoder — so that one large upload does not
+	// pin its size on a connection: a frame that outgrows it is served in a
+	// buffer of its own, dropped afterwards.
+	maxKeptHopBuf = 64 << 10
 	// hangUpAfter is how long a request runs before the daemon watches its
 	// connection for a peer that hung up. A goroutine to watch costs a
 	// fraction of a percent of a request this slow, and a request canceled
@@ -49,15 +55,15 @@ const (
 	hangUpAfter = 5 * time.Millisecond
 )
 
-// encodeHopRequest renders one request frame: the method, the request-URI,
-// the header lines as name/value pairs (hdr alternates them), and the body
-// unprefixed.
-func encodeHopRequest(method, uri string, hdr []string, body []byte) *wire.Encoder {
+// encodeHopRequest renders one request frame into e: the method, the
+// request-URI, the header lines as name/value pairs (hdr alternates them),
+// and the body unprefixed.
+func encodeHopRequest(e *wire.Encoder, method, uri string, hdr []string, body []byte) {
 	size := len(method) + len(uri) + len(body) + 16
 	for _, s := range hdr {
 		size += len(s) + 2
 	}
-	e := wire.NewEncoder(hopRequestTag, size)
+	e.Reset(hopRequestTag, size)
 	e.Str(method)
 	e.Str(uri)
 	e.Int(len(hdr) / 2)
@@ -65,7 +71,6 @@ func encodeHopRequest(method, uri string, hdr []string, body []byte) *wire.Encod
 		e.Str(s)
 	}
 	e.Raw(body)
-	return e
 }
 
 // decodeHopRequest parses a frame made by encodeHopRequest. The body
@@ -84,9 +89,9 @@ func decodeHopRequest(rec []byte) (method, uri string, h http.Header, body []byt
 	return method, uri, h, body, nil
 }
 
-// encodeHopResponse renders one response frame: the status, the header
-// lines, and the body unprefixed.
-func encodeHopResponse(status int, h http.Header, body []byte) *wire.Encoder {
+// encodeHopResponse renders one response frame into e: the status, the
+// header lines, and the body unprefixed.
+func encodeHopResponse(e *wire.Encoder, status int, h http.Header, body []byte) {
 	size, n := len(body)+16, 0
 	for k, vs := range h {
 		for _, v := range vs {
@@ -94,7 +99,7 @@ func encodeHopResponse(status int, h http.Header, body []byte) *wire.Encoder {
 			n++
 		}
 	}
-	e := wire.NewEncoder(hopResponseTag, size)
+	e.Reset(hopResponseTag, size)
 	e.Int(status)
 	e.Int(n)
 	for k, vs := range h {
@@ -104,7 +109,6 @@ func encodeHopResponse(status int, h http.Header, body []byte) *wire.Encoder {
 		}
 	}
 	e.Raw(body)
-	return e
 }
 
 // decodeHopResponse parses a frame made by encodeHopResponse. The body
@@ -172,6 +176,14 @@ type hopServerConn struct {
 	nc           net.Conn
 	mu           sync.Mutex
 	busy, closed bool
+
+	// What each frame reuses, owned by the serving goroutine: the record the
+	// request is read into, which the handler reads its body from; the
+	// writer its response is buffered in; the encoder its response frame is
+	// built in. Each is reused only once the frame before has been answered.
+	rec []byte
+	w   hopWriter
+	enc wire.Encoder
 }
 
 // ServeHop returns h with the hop mounted on it: GET /v1/hop with
@@ -248,12 +260,12 @@ func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader) {
 	watch.Stop()
 	defer watch.Stop()
 	for {
-		rec, err := wire.ReadRecord(br)
+		rec, err := wire.ReadRecordInto(br, c.rec)
 		if err != nil || !c.begin() {
 			return // a frame read after Shutdown closed the connection as idle is dropped unserved
 		}
 		watch.Reset(hangUpAfter)
-		frame, err := s.dispatch(ctx, outer, rec).Record()
+		frame, err := s.dispatch(ctx, outer, c, rec).Record()
 		if !watch.Stop() {
 			// The watcher is in its read (or done): end it before reading on.
 			c.nc.SetReadDeadline(aLongTimeAgo)
@@ -263,17 +275,35 @@ func (s *Hop) serve(outer *http.Request, c *hopServerConn, br *bufio.Reader) {
 		if err == nil {
 			_, err = c.nc.Write(frame)
 		}
+		c.keep(rec)
 		if !c.end() || err != nil || s.closing.Load() {
 			return
 		}
 	}
 }
 
+// keep holds on to the buffers of the frame just answered for the next one,
+// those that stayed within maxKeptHopBuf. A record that outgrew the kept one
+// was read into a buffer of its own, which is dropped here.
+func (c *hopServerConn) keep(rec []byte) {
+	if cap(rec) <= maxKeptHopBuf {
+		c.rec = rec[:0]
+	}
+	if cap(c.w.body) > maxKeptHopBuf {
+		c.w.body = nil
+	}
+	if c.enc.Cap() > maxKeptHopBuf {
+		c.enc = wire.Encoder{}
+	}
+}
+
 // dispatch serves one request frame with the wrapped handler and returns the
-// response frame. A frame that does not decode is answered 400, and the
-// connection stays usable: the record framing around it was sound.
-func (s *Hop) dispatch(ctx context.Context, outer *http.Request, rec []byte) *wire.Encoder {
-	w := &hopWriter{header: make(http.Header)}
+// response frame, built in c's encoder. A frame that does not decode is
+// answered 400, and the connection stays usable: the record framing around
+// it was sound.
+func (s *Hop) dispatch(ctx context.Context, outer *http.Request, c *hopServerConn, rec []byte) *wire.Encoder {
+	w := &c.w
+	w.reset()
 	method, uri, h, body, err := decodeHopRequest(rec)
 	var u *url.URL
 	if err == nil {
@@ -281,7 +311,7 @@ func (s *Hop) dispatch(ctx context.Context, outer *http.Request, rec []byte) *wi
 	}
 	if err != nil {
 		WriteError(w, Errorf(http.StatusBadRequest, "bad_request", "%v", err))
-		return w.frame()
+		return w.frame(&c.enc)
 	}
 	req := &http.Request{
 		Method: method, URL: u, RequestURI: uri,
@@ -294,7 +324,7 @@ func (s *Hop) dispatch(ctx context.Context, outer *http.Request, rec []byte) *wi
 		req.ContentLength = int64(len(body))
 	}
 	s.h.ServeHTTP(w, req.WithContext(ctx))
-	return w.frame()
+	return w.frame(&c.enc)
 }
 
 func (c *hopServerConn) begin() bool {
@@ -351,7 +381,9 @@ func (s *Hop) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// hopWriter buffers one response for its frame.
+// hopWriter buffers one response for its frame. A connection keeps one and
+// resets it for each frame: the header map is cleared, the body's storage
+// kept.
 type hopWriter struct {
 	header http.Header
 	status int
@@ -372,17 +404,41 @@ func (w *hopWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (w *hopWriter) frame() *wire.Encoder {
+func (w *hopWriter) reset() {
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	clear(w.header)
+	w.status = 0
+	w.body = w.body[:0]
+}
+
+func (w *hopWriter) frame(e *wire.Encoder) *wire.Encoder {
 	w.WriteHeader(http.StatusOK)
-	return encodeHopResponse(w.status, w.header, w.body)
+	encodeHopResponse(e, w.status, w.header, w.body)
+	return e
 }
 
 // ---- the client side ----
 
 // hopConn is one upgraded connection from a client to a daemon.
 type hopConn struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc    net.Conn
+	br    *bufio.Reader
+	probe liveness // what hopAlive peeks through, made once at dial
+}
+
+// hopEncoders recycles the request encoders of every client: a frame is
+// encoded into one, which goes back once the write of the frame has
+// returned, and not at all when it grew past maxKeptHopBuf.
+var hopEncoders = sync.Pool{New: func() any { return new(wire.Encoder) }}
+
+// putHopEncoder hands a request encoder back to the pool. It is a variable
+// so that a test can watch when encoders come back.
+var putHopEncoder = func(e *wire.Encoder) {
+	if e.Cap() <= maxKeptHopBuf {
+		hopEncoders.Put(e)
+	}
 }
 
 // aLongTimeAgo is the deadline that fails a blocked read or write at once.
@@ -402,17 +458,20 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	}
 	host, uri := rest[:slash], rest[slash:]
 	base := rq.URL[:len(rq.URL)-len(uri)]
-	frame, err := encodeHopRequest(rq.Method, uri, hdr, rq.Body).Record()
-	if err != nil {
-		return nil, hopError(rq, err)
+	e := hopEncoders.Get().(*wire.Encoder)
+	encodeHopRequest(e, rq.Method, uri, hdr, rq.Body)
+	frame, err := e.Record()
+	var hc *hopConn
+	if err == nil {
+		hc, err = c.takeHop(ctx, base, host)
 	}
-
-	hc, err := c.takeHop(ctx, base, host)
 	if err != nil {
+		putHopEncoder(e)
 		return nil, hopError(rq, err)
 	}
 	stop := context.AfterFunc(ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })
 	rec, err := hc.roundTrip(frame)
+	putHopEncoder(e) // the frame's write has returned, whatever ctx did
 	var status int
 	var h http.Header
 	var body []byte
@@ -470,7 +529,7 @@ func (c *Client) takeHop(ctx context.Context, base, host string) (*hopConn, erro
 		idle[len(idle)-1] = nil
 		c.hops[base] = idle[:len(idle)-1]
 		c.hopMu.Unlock()
-		if hopAlive(hc.nc) {
+		if hopAlive(hc) {
 			return hc, nil
 		}
 		hc.nc.Close()
@@ -502,6 +561,7 @@ func dialHop(ctx context.Context, host string) (*hopConn, error) {
 	}
 	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(aLongTimeAgo) })
 	hc := &hopConn{nc: nc, br: bufio.NewReader(nc)}
+	hc.probe.init(nc)
 	_, err = io.WriteString(nc, "GET "+HopPath+" HTTP/1.1\r\nHost: "+host+
 		"\r\nConnection: Upgrade\r\nUpgrade: "+HopProtocol+"\r\n\r\n")
 	var resp *http.Response

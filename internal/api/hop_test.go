@@ -214,6 +214,19 @@ func decodeAllocs(decode func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
+// hopRequest and hopResponse encode one frame into an encoder of its own.
+func hopRequest(method, uri string, hdr []string, body []byte) *wire.Encoder {
+	e := new(wire.Encoder)
+	encodeHopRequest(e, method, uri, hdr, body)
+	return e
+}
+
+func hopResponse(status int, h http.Header, body []byte) *wire.Encoder {
+	e := new(wire.Encoder)
+	encodeHopResponse(e, status, h, body)
+	return e
+}
+
 // allocBound is what decoding one record may allocate: the strings it
 // copies out, the header map of at most maxHopHeaders lines, and an error.
 func allocBound(rec []byte) uint64 { return 2*uint64(len(rec)) + 16<<10 }
@@ -222,8 +235,8 @@ func allocBound(rec []byte) uint64 { return 2*uint64(len(rec)) + 16<<10 }
 // corrupt; what decodes survives a re-encode; and no frame, whatever its
 // counts claim, makes the decoder allocate more than allocBound.
 func FuzzHopRequest(f *testing.F) {
-	f.Add(encodeHopRequest("POST", "/v1/db/even/ask?x=1", []string{"Content-Type", ContentJSON, HeaderAPIKey, "k"}, []byte(`{"query":"?- Even(4)."}`)).Payload())
-	f.Add(encodeHopRequest("GET", "/v1/dbs", nil, nil).Payload())
+	f.Add(hopRequest("POST", "/v1/db/even/ask?x=1", []string{"Content-Type", ContentJSON, HeaderAPIKey, "k"}, []byte(`{"query":"?- Even(4)."}`)).Payload())
+	f.Add(hopRequest("GET", "/v1/dbs", nil, nil).Payload())
 	f.Add([]byte{hopRequestTag, 3, 'G', 'E', 'T', 1, '/', 0xff, 0xff, 0xff, 0x07})
 	f.Add([]byte{hopRequestTag, 0, 0, 40, 0, 0})
 	f.Fuzz(func(t *testing.T, rec []byte) {
@@ -240,7 +253,7 @@ func FuzzHopRequest(f *testing.F) {
 			}
 			return
 		}
-		m2, u2, h2, b2, err := decodeHopRequest(encodeHopRequest(method, uri, flatten(h), body).Payload())
+		m2, u2, h2, b2, err := decodeHopRequest(hopRequest(method, uri, flatten(h), body).Payload())
 		if err != nil || m2 != method || u2 != uri || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %q %q %v %q, %v", rec, m2, u2, h2, b2, err)
 		}
@@ -249,8 +262,8 @@ func FuzzHopRequest(f *testing.F) {
 
 // FuzzHopResponse is FuzzHopRequest for response frames.
 func FuzzHopResponse(f *testing.F) {
-	f.Add(encodeHopResponse(200, http.Header{"Content-Type": {ContentJSON}, "X-Request-Id": {"r"}}, []byte(`{"answer":true}`)).Payload())
-	f.Add(encodeHopResponse(429, http.Header{"Retry-After": {"7"}, "X-Echo": {"a", "b"}}, nil).Payload())
+	f.Add(hopResponse(200, http.Header{"Content-Type": {ContentJSON}, "X-Request-Id": {"r"}}, []byte(`{"answer":true}`)).Payload())
+	f.Add(hopResponse(429, http.Header{"Retry-After": {"7"}, "X-Echo": {"a", "b"}}, nil).Payload())
 	f.Add([]byte{hopResponseTag, 0xc8, 0x01, 0xff, 0xff, 0x03})
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		var status int
@@ -266,7 +279,7 @@ func FuzzHopResponse(f *testing.F) {
 			}
 			return
 		}
-		s2, h2, b2, err := decodeHopResponse(encodeHopResponse(status, h, body).Payload())
+		s2, h2, b2, err := decodeHopResponse(hopResponse(status, h, body).Payload())
 		if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %d %v %q, %v", rec, s2, h2, b2, err)
 		}
@@ -326,7 +339,7 @@ func TestHopFrameIsOneWrite(t *testing.T) {
 		defer close(done)
 		s.serve(httptest.NewRequest("GET", HopPath, nil), &hopServerConn{nc: daemon}, bufio.NewReader(daemon))
 	}()
-	frame, err := encodeHopRequest("POST", "/echo", nil, body).Record()
+	frame, err := hopRequest("POST", "/echo", nil, body).Record()
 	if err != nil {
 		t.Fatal(err)
 	}

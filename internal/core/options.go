@@ -24,36 +24,57 @@ type Opts struct {
 	Trace *obs.Trace
 }
 
-// Option is a functional option for Ask, Answers and Plan execution.
-type Option func(*Opts)
+// Option is one per-query option for Ask, Answers and Plan execution, made
+// by WithMethod, WithDepth, WithLimit or WithTrace. It is a value, not a
+// closure: resolving a list of them (BuildOpts) reads each in place, so
+// neither making options nor resolving them allocates.
+type Option struct {
+	set   optField
+	n     int
+	trace *obs.Trace
+}
+
+// optField names the member of Opts an Option sets.
+type optField uint8
+
+const (
+	optMethod optField = iota + 1
+	optDepth
+	optLimit
+	optTrace
+)
 
 // WithMethod selects the ground-membership decision procedure for one query:
 // the graph walk (the default) or congruence closure against R — the
 // paper's two equivalent specifications.
-func WithMethod(m Method) Option { return func(o *Opts) { o.Method = m } }
+func WithMethod(m Method) Option { return Option{set: optMethod, n: int(m)} }
 
 // WithDepth bounds the term depth of answer enumeration.
-func WithDepth(d int) Option { return func(o *Opts) { o.Depth = d } }
+func WithDepth(d int) Option { return Option{set: optDepth, n: d} }
 
 // WithLimit caps the number of answer tuples an enumerating caller renders.
-func WithLimit(n int) Option { return func(o *Opts) { o.Limit = n } }
+func WithLimit(n int) Option { return Option{set: optLimit, n: n} }
 
 // WithTrace records the query's evaluation spans on tr.
-func WithTrace(tr *obs.Trace) Option { return func(o *Opts) { o.Trace = tr } }
+func WithTrace(tr *obs.Trace) Option { return Option{set: optTrace, trace: tr} }
 
-// BuildOpts folds a list of options into an Opts value. Exposed so layered
-// callers (registry, server) can both forward the options and read the
-// resolved Depth/Limit for their own enumeration step.
+// BuildOpts folds a list of options into an Opts value, a later option
+// overriding an earlier one. Exposed so layered callers (registry, server)
+// can resolve the options once, read the resolved Depth/Limit for their own
+// enumeration step and execute with the rest (Plan.AnswersOpts).
 func BuildOpts(opts ...Option) Opts {
-	if len(opts) == 0 {
-		// The early return keeps option-free asks allocation-free: o below
-		// is heap-moved (it is passed to opaque option closures), and that
-		// move must not sit on the zero-option hot path.
-		return Opts{}
-	}
 	var o Opts
-	for _, fn := range opts {
-		fn(&o)
+	for _, op := range opts {
+		switch op.set {
+		case optMethod:
+			o.Method = Method(op.n)
+		case optDepth:
+			o.Depth = op.n
+		case optLimit:
+			o.Limit = op.n
+		case optTrace:
+			o.Trace = op.trace
+		}
 	}
 	return o
 }

@@ -22,6 +22,7 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/facts"
@@ -235,14 +236,22 @@ func (t *textTable) chain(key uint64) *textNode {
 // TestTextKeyCollisionsCatches plants a bug through it.
 var sameText = func(a, b string) bool { return a == b }
 
-// text returns the entry cached for src, whose key is key, or nil.
-func (pc *planCache) text(key uint64, src string) *planEntry {
+// text returns the node cached for src, whose key is key, or nil.
+func (pc *planCache) text(key uint64, src string) *textNode {
 	if t := pc.texts.Load(); t != nil {
 		for n := t.chain(key); n != nil; n = n.next {
 			if sameText(n.src, src) {
-				return n.e
+				return n
 			}
 		}
+	}
+	return nil
+}
+
+// entry returns the entry cached for src, whose key is key, or nil.
+func (pc *planCache) entry(key uint64, src string) *planEntry {
+	if n := pc.text(key, src); n != nil {
+		return n.e
 	}
 	return nil
 }
@@ -391,13 +400,33 @@ func groundQuery(q *ast.Query) bool {
 // concurrent misses on one open shape collapse into a single compilation.
 func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 	key := textKey(src)
-	if e := s.plans.text(key, src); e != nil {
+	if e := s.plans.entry(key, src); e != nil {
 		e.pending.Wait() // wait out an in-flight compile
 		obs.EngineSink().AddPlanHit()
 		return e.plan, e.err
 	}
 	obs.EngineSink().AddPlanMisses(1)
 	return s.prepareMiss(ctx, key, src)
+}
+
+// PrepareBytes is Prepare for a text in a buffer the caller reuses, such as
+// a pooled request body. It keeps nothing of src, and besides the plan it
+// returns the text as a string that outlives the buffer: on a hit the
+// cache's own, found by the lookup Prepare makes, so nothing is copied; on
+// a miss a copy, made before the text is read, which is what the cache and
+// the plan keep.
+func (s *Snapshot) PrepareBytes(ctx context.Context, src []byte) (*Plan, string, error) {
+	view := unsafe.String(unsafe.SliceData(src), len(src))
+	key := textKey(view)
+	if n := s.plans.text(key, view); n != nil {
+		n.e.pending.Wait() // wait out an in-flight compile
+		obs.EngineSink().AddPlanHit()
+		return n.e.plan, n.src, n.e.err
+	}
+	obs.EngineSink().AddPlanMisses(1)
+	text := string(src)
+	p, err := s.prepareMiss(ctx, key, text)
+	return p, text, err
 }
 
 // prepareMiss makes the plan of a text the cache has not seen. A ground
@@ -418,7 +447,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Pl
 			return p, nil // not worth flushing every other plan for
 		}
 		pc.mu.Lock()
-		e := pc.text(key, src) // a concurrent miss on the same text stored it first
+		e := pc.entry(key, src) // a concurrent miss on the same text stored it first
 		if e == nil {
 			if !pc.room(key) {
 				pc.mu.Unlock()
@@ -459,7 +488,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Pl
 		return uncached()
 	}
 	pc.mu.Lock()
-	e, mine := pc.text(key, src), false // a concurrent miss on the same text stored it first
+	e, mine := pc.entry(key, src), false // a concurrent miss on the same text stored it first
 	if e == nil {
 		if !pc.room(key) {
 			pc.mu.Unlock()
@@ -616,7 +645,12 @@ func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 // single-goroutine, holding the scratch its enumerations walk in — so
 // concurrent executions of one plan share no lock.
 func (p *Plan) Answers(ctx context.Context, opts ...Option) (*query.Answers, error) {
-	op := BuildOpts(opts...)
+	return p.AnswersOpts(ctx, BuildOpts(opts...))
+}
+
+// AnswersOpts is Answers with options its caller has already resolved, for
+// a caller that reads them too (the depth and limit it renders to).
+func (p *Plan) AnswersOpts(ctx context.Context, op Opts) (*query.Answers, error) {
 	ctx = op.apply(ctx)
 	ans, err := p.answers(ctx)
 	if err != nil {

@@ -227,7 +227,11 @@ func (s *Snapshot) Ask(ctx context.Context, src string, opts ...Option) (bool, e
 // followed by Plan.Answers, which see. Enumeration yields paths, which
 // Answers.Render and Answers.AppendPath render without the live database.
 func (s *Snapshot) Answers(ctx context.Context, src string, opts ...Option) (*query.Answers, error) {
-	op := BuildOpts(opts...)
+	return s.AnswersOpts(ctx, src, BuildOpts(opts...))
+}
+
+// AnswersOpts is Answers with options its caller has already resolved.
+func (s *Snapshot) AnswersOpts(ctx context.Context, src string, op Opts) (*query.Answers, error) {
 	ctx = op.apply(ctx)
 	p, err := s.Prepare(ctx, src)
 	if err != nil {

@@ -114,6 +114,17 @@ func (e *Entry) Prepare(ctx context.Context, q string) (*core.Plan, error) {
 	return s.Prepare(ctx, q)
 }
 
+// PrepareBytes is Prepare for a text in a buffer the caller reuses
+// (core.Snapshot.PrepareBytes): it keeps nothing of q, and returns the text
+// as a string of its own, the plan cache's on a hit.
+func (e *Entry) PrepareBytes(ctx context.Context, q []byte) (*core.Plan, string, error) {
+	s, err := e.Snapshot(ctx)
+	if err != nil {
+		return nil, string(q), err
+	}
+	return s.PrepareBytes(ctx, q)
+}
+
 // Answers evaluates an open query on the entry's snapshot and renders its
 // ground answers (query.Answers.Render) to core.WithDepth, at most
 // core.WithLimit of them (0 = no cap), honoring ctx. A spec entry answers
@@ -123,11 +134,11 @@ func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tup
 	if err != nil {
 		return nil, false, err
 	}
-	ans, err := s.Answers(ctx, q, opts...)
+	op := core.BuildOpts(opts...)
+	ans, err := s.AnswersOpts(ctx, q, op)
 	if err != nil {
 		return nil, false, err
 	}
-	op := core.BuildOpts(opts...)
 	return ans.Render(ctx, op.Depth, op.Limit)
 }
 
@@ -135,11 +146,11 @@ func (e *Entry) Answers(ctx context.Context, q string, opts ...core.Option) (tup
 // executes the plan as prepared, with no second plan lookup, and renders
 // the same way.
 func PlanAnswers(ctx context.Context, p *core.Plan, opts ...core.Option) (tuples []query.Tuple, truncated bool, err error) {
-	ans, err := p.Answers(ctx, opts...)
+	op := core.BuildOpts(opts...)
+	ans, err := p.AnswersOpts(ctx, op)
 	if err != nil {
 		return nil, false, err
 	}
-	op := core.BuildOpts(opts...)
 	return ans.Render(ctx, op.Depth, op.Limit)
 }
 

@@ -70,13 +70,14 @@ func BenchmarkRender(b *testing.B) {
 // TestRenderAllocs gates the rendering of an answer: at most two
 // allocations per tuple (its term's string and a share of the tuple slice's
 // growth) plus one per data argument, over what PlanAnswers allocates once
-// whatever the answer — the handle and the two resolutions of its options.
+// whatever the answer — the handle; its options are resolved once, in place.
 // The enumeration's scratch starts in the handle, so the robot's one-tuple
-// answer makes five. Before answers were paths the enumerator interned
+// answer makes three. Before answers were paths the enumerator interned
 // every live node and rendered each term through a fresh symbol slice, name
-// slice and join.
+// slice and join; before options were values their two resolutions made two
+// more.
 func TestRenderAllocs(t *testing.T) {
-	const perRequest = 3
+	const perRequest = 1
 	ctx := context.Background()
 	for _, c := range renderCases {
 		p := renderPlan(t, c.src, c.query)

@@ -3,7 +3,8 @@
 // members, nothing nested. One decoder reads them — strict, free of
 // reflection, over a body read once into a pooled buffer sized by
 // Content-Length — so that a request carrying kilobytes of query text costs
-// one pass to find the end of the string and one copy out of the buffer.
+// one pass to find the end of the string and one copy out of the buffer, or
+// none for an ask's query, which is read in place (queryText).
 //
 // The decoder accepts what encoding/json with DisallowUnknownFields accepts
 // and yields the same values (null members are skipped, invalid UTF-8 and
@@ -28,11 +29,17 @@ import (
 )
 
 // field binds one member of a request object to the variable it decodes
-// into: a *string, *int, *uint64, *bool or *[]string.
+// into: a *string, *queryText, *int, *uint64, *bool or *[]string.
 type field struct {
 	name string
 	dst  any
 }
+
+// queryText is a string member decoded as a view: when the JSON string needs
+// no rewriting (no escape, valid UTF-8) the bytes alias the request body, so
+// reading them costs no copy. A handler that decodes one holds its body
+// (decodeHeld) until it returns, and keeps nothing of the view past that.
+type queryText []byte
 
 // bufPool recycles request buffers: a body is read into one and the
 // response of an ask is assembled in one. Buffers that grew past
@@ -43,7 +50,9 @@ const maxPooledBuf = 64 << 10
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
-func putBuf(bp *[]byte) {
+// putBuf hands a buffer back to bufPool. It is a variable so that a test can
+// overwrite each buffer as it comes back, and so see any view kept past it.
+var putBuf = func(bp *[]byte) {
 	if cap(*bp) <= maxPooledBuf {
 		bufPool.Put(bp)
 	}
@@ -55,18 +64,26 @@ func putBuf(bp *[]byte) {
 // body_too_large; anything else wrong with it is 400 bad_request, except
 // running out of time, which is the request's deadline.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, fields []field) error {
+	bp, err := s.decodeHeld(w, r, fields)
+	putBuf(bp)
+	return err
+}
+
+// decodeHeld is decode for fields that view the body (queryText): the body
+// stays in the returned pooled buffer, which the caller hands back with
+// putBuf — whether decoding failed or not — once nothing reads the views.
+func (s *Server) decodeHeld(w http.ResponseWriter, r *http.Request, fields []field) (*[]byte, error) {
 	bp := getBuf()
-	defer putBuf(bp)
 	deadline, _ := r.Context().Deadline()
 	body, err := api.ReadBody(w, r, (*bp)[:0], s.cfg.MaxBodyBytes, deadline)
 	*bp = body
 	if err != nil {
-		return err
+		return bp, err
 	}
 	if err := decodeObject(body, fields); err != nil {
-		return errf(http.StatusBadRequest, "invalid request body: %v", err)
+		return bp, errf(http.StatusBadRequest, "invalid request body: %v", err)
 	}
-	return nil
+	return bp, nil
 }
 
 // decodeObject decodes the JSON object in data into fields. A top-level
@@ -192,6 +209,12 @@ func (d *decoder) value(dst any) error {
 			return err
 		}
 		*p = string(raw)
+	case *queryText:
+		raw, err := d.str()
+		if err != nil {
+			return err
+		}
+		*p = raw
 	case *bool:
 		switch {
 		case d.literal("true"):

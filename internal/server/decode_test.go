@@ -207,6 +207,18 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// UnmarshalJSON reads a queryText as encoding/json reads a string, so the
+// reference decodes an ask's query to the bytes the view holds. A null
+// leaves it alone, as a null member does.
+func (t *queryText) UnmarshalJSON(data []byte) error {
+	var s *string
+	if err := json.Unmarshal(data, &s); err != nil || s == nil {
+		return err
+	}
+	*t = queryText(*s)
+	return nil
+}
+
 // referenceDecode is the decoder this package's own is measured against:
 // encoding/json, unknown members refused, reading one value from a stream.
 // rest is what follows that value.

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -529,13 +530,29 @@ func prepare(ctx context.Context, e *registry.Entry, snap *core.Snapshot, q stri
 	} else {
 		p.plan, p.err = e.Prepare(ctx, q)
 	}
+	p.key()
+	return p
+}
+
+// prepareText is prepare, against e's current snapshot, for a text that
+// views a request body the handler holds: a plan-cache hit is found from the
+// bytes, and the query kept is the cache's own string, so a hit copies
+// nothing of the text; only a miss makes a string of it.
+func prepareText(ctx context.Context, e *registry.Entry, text []byte) prepared {
+	var p prepared
+	p.plan, p.query, p.err = e.PrepareBytes(ctx, text)
+	p.key()
+	return p
+}
+
+// key fills in the shape and fingerprint the query is keyed on.
+func (p *prepared) key() {
 	if p.plan != nil {
 		p.shape, p.fingerprint = p.plan.Shape(), p.plan.Fingerprint()
 	} else {
-		p.shape = normalizeQuery(q)
+		p.shape = normalizeQuery(p.query)
 		p.fingerprint = obs.Fingerprint(p.shape)
 	}
-	return p
 }
 
 func (p *prepared) ask(ctx context.Context, opts ...core.Option) (bool, error) {
@@ -734,8 +751,10 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) error {
 }
 
 type askRequest struct {
-	Query string `json:"query"`
-	Via   string `json:"via,omitempty"` // "" (DFA walk) or "cc"
+	// Query is a view into the request body (queryText): handleAsk holds
+	// the body until it returns.
+	Query queryText `json:"query"`
+	Via   string    `json:"via,omitempty"` // "" (DFA walk) or "cc"
 	// Trace asks for a per-stage span trace of this query's evaluation. A
 	// traced request bypasses the answer cache (a cached verdict has no
 	// stages worth tracing) but still populates it.
@@ -762,10 +781,12 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	var req askRequest
-	if err := s.decode(w, r, req.fields()); err != nil {
+	bp, err := s.decodeHeld(w, r, req.fields())
+	defer putBuf(bp)
+	if err != nil {
 		return err
 	}
-	if strings.TrimSpace(req.Query) == "" {
+	if len(bytes.TrimSpace(req.Query)) == 0 {
 		return errf(http.StatusBadRequest, "missing query")
 	}
 	if req.Via != "" && req.Via != "cc" {
@@ -777,7 +798,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	ctx, tr := s.traceContext(r, req.Trace)
 	in := api.InfoFrom(ctx)
 	in.DB = e.Name
-	q := prepare(ctx, e, nil, req.Query)
+	q := prepareText(ctx, e, req.Query)
 	setQuery(in, &q)
 	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape, via: req.Via}
 	if !req.Trace {
@@ -794,7 +815,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	}
 	start := time.Now()
 	ans, err := q.ask(ctx, opts...)
-	s.logSlow(in, e.Name, req.Query, time.Since(start), tr)
+	s.logSlow(in, e.Name, q.query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)
 	}

@@ -98,7 +98,22 @@ const (
 	// retryAfter is what the router's own transient refusals (no map yet, a
 	// frozen database, an unreachable group) ask clients to wait, in seconds.
 	retryAfter = 1
+	// maxPooledBody bounds the request bodies bodyPool keeps: one upload
+	// near maxProxyBody is read into a buffer that is dropped afterwards.
+	maxPooledBody = 64 << 10
 )
+
+// bodyPool recycles the request bodies of the requests forwarded over the
+// hop (pooledBody).
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putBody hands a body read by pooledBody back to bodyPool. It is a
+// variable so that a test can overwrite each body as it comes back.
+var putBody = func(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
 
 // copyBufs recycles the buffers responses are relayed through. relay copies
 // by hand because io.Copy would either allocate 32 KB per proxied request or
@@ -321,7 +336,8 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) error {
 		return api.Errorf(http.StatusConflict, "resharding",
 			"database %q is being resharded; retry shortly", db).WithRetryAfter(retryAfter)
 	}
-	body, err := rt.replayable(w, r, in)
+	bp, err := rt.pooledBody(w, r, in)
+	defer putBody(bp)
 	if err != nil {
 		return err
 	}
@@ -334,7 +350,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) error {
 		rt.writesMu.Unlock()
 	}()
 	start := time.Now()
-	err = rt.forward(w, r, in, m, g, 0, body, false)
+	err = rt.forward(w, r, in, m, g, 0, *bp, false)
 	rt.mProxy.Observe(time.Since(start).Seconds())
 	if err != nil {
 		rt.client.MarkBad(g.urls[0])
@@ -352,12 +368,13 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	body, err := rt.replayable(w, r, in)
+	bp, err := rt.pooledBody(w, r, in)
+	defer putBody(bp)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	err = rt.balance(w, r, in, m, g, body, false)
+	err = rt.balance(w, r, in, m, g, *bp, false)
 	rt.mProxy.Observe(time.Since(start).Seconds())
 	return err
 }
@@ -448,13 +465,26 @@ func (rt *Router) cutMovedStreams(old, new *Map) {
 // into a buffer of exactly Content-Length bytes when the client declared one,
 // refusing an over-limit declaration unread, and under the shard timeout, so
 // a client that stalls mid-body is answered 504 and cut off. The buffer is
-// not pooled: the transport may still be reading it after a failed attempt
-// returns. The body is also where a client asks for a trace, which is noted
-// on in.
+// not pooled: a watch body goes through net/http's transport, which may
+// still be reading it after a failed attempt returns. The body is also where
+// a client asks for a trace, which is noted on in.
 func (rt *Router) replayable(w http.ResponseWriter, r *http.Request, in *api.Info) ([]byte, error) {
 	body, err := api.ReadBody(w, r, nil, maxProxyBody, in.Start.Add(rt.timeout))
 	in.Keep = err == nil && wantsTrace(body)
 	return body, err
+}
+
+// pooledBody is replayable for a request forwarded over the hop, into a
+// buffer from bodyPool. The hop client copies the body into its frame and
+// has written the frame by the time it returns, so the body is done with
+// once the handler's forwarding has returned: the caller hands it back then
+// with putBody, whether the read failed or not.
+func (rt *Router) pooledBody(w http.ResponseWriter, r *http.Request, in *api.Info) (*[]byte, error) {
+	bp := bodyPool.Get().(*[]byte)
+	body, err := api.ReadBody(w, r, (*bp)[:0], maxProxyBody, in.Start.Add(rt.timeout))
+	*bp = body
+	in.Keep = err == nil && wantsTrace(body)
+	return bp, err
 }
 
 // group returns the router's state for the named group, creating it on

@@ -68,11 +68,18 @@ func AppendRecord(dst, payload []byte) ([]byte, error) {
 	return append(append(dst, hdr[:]...), payload...), nil
 }
 
-// ReadRecord reads one framed record. It returns io.EOF at a clean record
-// boundary, io.ErrUnexpectedEOF when the stream ends mid-record (a torn
-// write), and an error wrapping ErrCorrupt when the length prefix is
+// ReadRecord reads one framed record into a buffer of its own: ReadRecordInto
+// with no buffer to reuse.
+func ReadRecord(r io.Reader) ([]byte, error) { return ReadRecordInto(r, nil) }
+
+// ReadRecordInto reads one framed record into buf's storage when the payload
+// fits it, and into a new buffer when it does not; the payload returned
+// aliases whichever it used, so a caller that reads records into one buffer
+// owns each payload only until its next read. It returns io.EOF at a clean
+// record boundary, io.ErrUnexpectedEOF when the stream ends mid-record (a
+// torn write), and an error wrapping ErrCorrupt when the length prefix is
 // implausible or the checksum does not match.
-func ReadRecord(r io.Reader) ([]byte, error) {
+func ReadRecordInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [frameSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		// io.EOF at a clean boundary, io.ErrUnexpectedEOF mid-header.
@@ -82,7 +89,12 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 	if n > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: length prefix %d exceeds %d", ErrCorrupt, n, MaxRecordBytes)
 	}
-	payload := make([]byte, n)
+	var payload []byte
+	if int(n) <= cap(buf) {
+		payload = buf[:n]
+	} else {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
@@ -103,10 +115,24 @@ type Encoder struct {
 
 // NewEncoder starts a payload with tag, with room for size more bytes.
 func NewEncoder(tag byte, size int) *Encoder {
-	buf := make([]byte, frameSize+1, frameSize+1+size)
-	buf[frameSize] = tag
-	return &Encoder{buf: buf}
+	e := new(Encoder)
+	e.Reset(tag, size)
+	return e
 }
+
+// Reset starts a new payload with tag in e's own storage, growing it only
+// when it has no room for size more bytes. What e encoded before is gone, and
+// so is a record Record returned for it.
+func (e *Encoder) Reset(tag byte, size int) {
+	if need := frameSize + 1 + size; cap(e.buf) < need {
+		e.buf = make([]byte, frameSize+1, need)
+	}
+	e.buf = e.buf[:frameSize+1]
+	e.buf[frameSize] = tag
+}
+
+// Cap returns the bytes e's storage holds: what keeping e for reuse retains.
+func (e *Encoder) Cap() int { return cap(e.buf) }
 
 // Payload returns the bytes encoded so far.
 func (e *Encoder) Payload() []byte { return e.buf[frameSize:] }

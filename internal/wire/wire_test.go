@@ -178,3 +178,82 @@ func TestDecoderBounds(t *testing.T) {
 		t.Fatalf("trailing byte not refused: %v", d.Err())
 	}
 }
+
+// TestReadRecordInto reads records into one buffer: a payload that fits is
+// read into its storage, a larger one into a buffer of its own, and a torn
+// or rotten record fails as ReadRecord fails.
+func TestReadRecordInto(t *testing.T) {
+	var stream bytes.Buffer
+	small, large := []byte("alpha"), bytes.Repeat([]byte("y"), 300)
+	for _, p := range [][]byte{small, large, {}} {
+		if err := WriteRecord(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	r := bytes.NewReader(stream.Bytes())
+	got, err := ReadRecordInto(r, buf)
+	if err != nil || !bytes.Equal(got, small) {
+		t.Fatalf("small record = %q, %v", got, err)
+	}
+	if &got[:1][0] != &buf[:1][0] {
+		t.Error("a payload that fits the buffer was read elsewhere")
+	}
+	got, err = ReadRecordInto(r, buf)
+	if err != nil || !bytes.Equal(got, large) {
+		t.Fatalf("large record = %d bytes, %v", len(got), err)
+	}
+	if cap(buf) > 0 && &got[:1][0] == &buf[:1][0] {
+		t.Error("a payload larger than the buffer was read into it")
+	}
+	if got, err = ReadRecordInto(r, buf); err != nil || len(got) != 0 {
+		t.Fatalf("empty record = %q, %v", got, err)
+	}
+	if _, err := ReadRecordInto(r, buf); err != io.EOF {
+		t.Fatalf("want io.EOF at end, got %v", err)
+	}
+	torn := stream.Bytes()[:10]
+	if _, err := ReadRecordInto(bytes.NewReader(torn), buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn record: %v", err)
+	}
+	rot := bytes.Clone(stream.Bytes())
+	rot[9] ^= 1
+	if _, err := ReadRecordInto(bytes.NewReader(rot), buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rotten record: %v", err)
+	}
+}
+
+// TestEncoderReset reuses one encoder: a reset payload frames exactly as a
+// fresh encoder's, in the same storage while it has room.
+func TestEncoderReset(t *testing.T) {
+	fresh := func(tag byte, s string) []byte {
+		e := NewEncoder(tag, len(s))
+		e.Str(s)
+		rec, err := e.Record()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	e := NewEncoder('A', 64)
+	e.Str(strings.Repeat("z", 60))
+	storage := e.Cap()
+	for _, s := range []string{"short", strings.Repeat("q", 50), ""} {
+		e.Reset('B', len(s)+1)
+		e.Str(s)
+		rec, err := e.Record()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh('B', s); !bytes.Equal(rec, want) {
+			t.Errorf("reset record %x, fresh %x", rec, want)
+		}
+		if e.Cap() != storage {
+			t.Errorf("a reset with room grew the storage from %d to %d", storage, e.Cap())
+		}
+	}
+	e.Reset('C', 4*storage)
+	if e.Cap() < 4*storage {
+		t.Errorf("a reset for %d bytes left %d of storage", 4*storage, e.Cap())
+	}
+}
