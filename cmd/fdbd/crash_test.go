@@ -127,6 +127,9 @@ func (d *daemonProc) terminate(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the stdout pipe once the process has exited, dropping
+	// whatever the scanner has not read yet: drain it first.
+	<-d.scanned
 	if err := d.cmd.Wait(); err != nil {
 		t.Fatalf("daemon exited uncleanly: %v\n%s", err, d.output())
 	}

@@ -178,13 +178,21 @@ type hopServerConn struct {
 	busy, closed bool
 
 	// What each frame reuses, owned by the serving goroutine: the record the
-	// request is read into, which the handler reads its body from; the
-	// writer its response is buffered in; the encoder its response frame is
-	// built in. Each is reused only once the frame before has been answered.
-	rec []byte
-	w   hopWriter
-	enc wire.Encoder
+	// request is read into; the reader the handler reads its body from, over
+	// the record; the writer its response is buffered in; the encoder its
+	// response frame is built in. Each is reused only once the frame before
+	// has been answered.
+	rec  []byte
+	body hopBody
+	w    hopWriter
+	enc  wire.Encoder
 }
+
+// hopBody is a request's body: a reader over the frame's record, closed by
+// doing nothing.
+type hopBody struct{ bytes.Reader }
+
+func (*hopBody) Close() error { return nil }
 
 // ServeHop returns h with the hop mounted on it: GET /v1/hop with
 // Upgrade: funcdb-hop takes the connection over and serves every frame that
@@ -320,8 +328,8 @@ func (s *Hop) dispatch(ctx context.Context, outer *http.Request, c *hopServerCon
 		Host: outer.Host, RemoteAddr: outer.RemoteAddr,
 	}
 	if len(body) > 0 {
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.ContentLength = int64(len(body))
+		c.body.Reset(body)
+		req.Body, req.ContentLength = &c.body, int64(len(body))
 	}
 	s.h.ServeHTTP(w, req.WithContext(ctx))
 	return w.frame(&c.enc)

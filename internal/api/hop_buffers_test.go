@@ -189,3 +189,19 @@ func TestHopAliveAllocatesNothing(t *testing.T) {
 		t.Errorf("hopAlive allocates %.1f per check, want 0", n)
 	}
 }
+
+// TestHopBodyAllocatesNothing: the daemon hands a frame's body to the handler
+// through a reader its connection keeps, so serving a frame with a body
+// allocates no more than serving one without.
+func TestHopBodyAllocatesNothing(t *testing.T) {
+	s := ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.Copy(io.Discard, r.Body) }))
+	c, outer := &hopServerConn{}, httptest.NewRequest("GET", HopPath, nil)
+	allocs := func(body []byte) float64 {
+		rec := hopRequest("POST", "/v1/db/x/ask", nil, body).Payload()
+		return testing.AllocsPerRun(200, func() { s.dispatch(context.Background(), outer, c, rec) })
+	}
+	bare, with := allocs(nil), allocs([]byte(`{"query":"?- Even(4)."}`))
+	if with > bare {
+		t.Errorf("a frame with a body allocates %.1f, one without %.1f: want no more", with, bare)
+	}
+}

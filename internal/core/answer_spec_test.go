@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/obs"
@@ -81,50 +80,75 @@ func TestAnswerSpecKilledBuildIsNotKept(t *testing.T) {
 	}
 }
 
+// leaderCtx is the context of a caller that runs out of time inside a
+// build: once the caller holds p's build slot, its first look at the
+// context closes building and waits for waiting to close, and from then on
+// its deadline has passed.
+type leaderCtx struct {
+	context.Context
+	p                 *Plan
+	building, waiting chan struct{}
+	expired           bool // only the caller's goroutine looks
+}
+
+func (c *leaderCtx) Err() error {
+	if !c.expired && c.p.spec.Load() != nil {
+		close(c.building)
+		<-c.waiting
+		c.expired = true
+	}
+	if c.expired {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// followerCtx is the context of a caller with no deadline that closes
+// waiting when the caller first waits on it, and counts its waits.
+type followerCtx struct {
+	context.Context
+	waiting chan struct{}
+	waits   atomic.Int32
+}
+
+func (c *followerCtx) Done() <-chan struct{} {
+	if c.waits.Add(1) == 1 {
+		close(c.waiting)
+	}
+	return nil
+}
+
 // TestAnswerSpecFollowerOutlivesLeader: the first caller of a cold
 // non-uniform plan runs out of time mid-build; a concurrent caller with no
 // deadline, which was waiting on that build, does not inherit the failure
-// but builds in its turn and gets the full answer. The leader is held inside
-// the build (specHook) until the follower waits and the leader's deadline
-// has passed, so the order does not hang on the clock.
+// but builds in its turn and gets the full answer. The leader's context
+// holds it inside the build until the follower waits, and only then reads
+// as past its deadline, so the order does not hang on the clock.
 func TestAnswerSpecFollowerOutlivesLeader(t *testing.T) {
 	s := deepSnapshot(t, datagen.SubsetsSrc(10))
 	p, err := s.Prepare(context.Background(), `?- Member(ext(S, e0), e1).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	building, waiting := make(chan struct{}), make(chan struct{})
-	var leaders, followers atomic.Int32
-	specHook = func(leader bool) {
-		switch {
-		case !leader:
-			if followers.Add(1) == 1 {
-				close(waiting)
-			}
-		case leaders.Add(1) == 1:
-			close(building)
-			<-waiting
-			<-short.Done()
-		}
-	}
-	defer func() { specHook = nil }()
+	waiting := make(chan struct{})
+	leader := &leaderCtx{Context: context.Background(), p: p, building: make(chan struct{}), waiting: waiting}
+	follower := &followerCtx{Context: context.Background(), waiting: waiting}
+	before := specBuilds()
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := p.Answers(short)
+		_, err := p.Answers(leader)
 		leaderErr <- err
 	}()
-	<-building // the leader holds the slot from here on
-	ans, err := p.Answers(context.Background())
+	<-leader.building // the leader holds the slot from here on
+	ans, err := p.Answers(follower)
 	if err != nil {
 		t.Fatalf("follower: %v", err)
 	}
 	if err := <-leaderErr; !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader: %v, want ErrCanceled ∧ DeadlineExceeded", err)
 	}
-	if l, f := leaders.Load(), followers.Load(); l != 2 || f != 1 {
-		t.Errorf("%d builds and %d waits, want 2 builds (the leader's, then the follower's) and 1 wait", l, f)
+	if b, w := specBuilds()-before, follower.waits.Load(); b != 2 || w != 1 {
+		t.Errorf("%d builds and %d waits, want 2 builds (the leader's, then the follower's) and 1 wait", b, w)
 	}
 	// Lists with e1 in them, extended or not: one of depth 1, 19 of depth 2.
 	if got := render(t, ans, 2, 0); len(got) != 20 {

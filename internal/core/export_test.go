@@ -36,7 +36,7 @@ func (s *Snapshot) treePlan(src string) (*Plan, error) {
 	for i := range q.Atoms {
 		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
 	}
-	p.verdict = planVerdict(s, p.steps)
+	p.verdict = s.groundVerdict(p.steps)
 	return p, nil
 }
 

@@ -27,7 +27,7 @@ func (s *Snapshot) readGround(src string) *Plan {
 	if parser.ReadGround(s.tab, src, g) {
 		shape, fingerprint := g.shape.Finish()
 		p = &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
-			ground: true, verdict: planVerdict(s, g.steps), steps: g.steps}
+			ground: true, verdict: s.groundVerdict(g.steps), steps: g.steps}
 	}
 	g.release()
 	s.lowerPool.Put(g)

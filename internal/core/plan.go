@@ -232,15 +232,11 @@ func (t *textTable) chain(key uint64) *textNode {
 	}
 }
 
-// sameText is how the text level tells the texts under one key apart;
-// TestTextKeyCollisionsCatches plants a bug through it.
-var sameText = func(a, b string) bool { return a == b }
-
 // text returns the node cached for src, whose key is key, or nil.
 func (pc *planCache) text(key uint64, src string) *textNode {
 	if t := pc.texts.Load(); t != nil {
 		for n := t.chain(key); n != nil; n = n.next {
-			if sameText(n.src, src) {
+			if n.src == src {
 				return n
 			}
 		}
@@ -577,10 +573,6 @@ func (s *Snapshot) groundVerdict(steps []groundStep) bool {
 	return true
 }
 
-// planVerdict is how a ground plan's verdict is computed when it is built;
-// TestGroundOracleCatches plants bugs through it.
-var planVerdict = (*Snapshot).groundVerdict
-
 // compileEq lowers the ground steps for the equational method: a symbol
 // string back to its function symbols through the alphabet, applied to 0 in
 // a private term scratch (eqView, over the canonical form's universe), and
@@ -696,9 +688,6 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 				continue
 			}
 			obs.EngineSink().AddAnswerSpecBuilds(1)
-			if specHook != nil {
-				specHook(true)
-			}
 			b.spec, b.err = p.buildSpec(ctx)
 			if ownFault(b.err) || (b.err == nil && !p.snap.plans.charge(b.spec.Bytes())) {
 				// Emptied before the waiters wake, so they see the slot free.
@@ -706,9 +695,6 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 			}
 			close(b.done)
 			return b.spec, b.err
-		}
-		if specHook != nil {
-			specHook(false)
 		}
 		select {
 		case <-b.done:
@@ -723,12 +709,6 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 		}
 	}
 }
-
-// specHook, when a test sets it, is called by the leader of an answer
-// specification's build as it starts building (leader true) and by every
-// caller that finds a build in flight as it starts to wait (leader false),
-// so that the test can hold one inside the build until the other waits.
-var specHook func(leader bool)
 
 // ownFault reports whether a build failed for a reason that belongs to the
 // request that ran it — its context or its work budget — and not to the

@@ -332,6 +332,67 @@ func TestDeadlineNoticedMidRound(t *testing.T) {
 	t.Errorf("a 5 ms deadline was noticed after %v, want under 40ms", took)
 }
 
+// pollLimit is a context whose Err reads nil n times and Canceled from then
+// on: a solve under it stops at its (n+1)th look.
+type pollLimit struct {
+	context.Context
+	n int
+}
+
+func (c *pollLimit) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestStoppedSolveResumes: a solve the context stops goes on from the cell
+// its round had reached. A cold Subsets(8) solved under contexts that each
+// allow three looks, one after another until it finishes, does the work of
+// an uninterrupted solve cell for cell: the same rounds, cell evaluations,
+// skipped cells and rule firings, and the same states. (A stopped round that
+// started over re-checked every cell before its stop, and the race build
+// took ~125 ms a read to get back to where a 20 ms read of a Subsets(14)
+// compile had stopped.)
+func TestStoppedSolveResumes(t *testing.T) {
+	stopped, whole := enginePair(t, datagen.SubsetsSrc(8))
+	whole.opts.DisableDirtySkip = false // the reference is an uninterrupted solve, not the oracle
+	if err := whole.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	stops := 0
+	for {
+		stopped.SetContext(&pollLimit{context.Background(), 2})
+		err := stopped.Solve()
+		if err == nil {
+			break
+		}
+		if err != context.Canceled {
+			t.Fatal(err)
+		}
+		if stops++; stops > 1000 {
+			t.Fatalf("%d stopped solves did not finish one", stops)
+		}
+	}
+	stopped.SetContext(nil)
+	g, w := stopped.Stats(), whole.Stats()
+	t.Logf("%d stops; %d rounds, %d cells evaluated, %d skipped", stops, g.Rounds, g.CellEvals, g.SkippedEvals)
+	if stops == 0 {
+		t.Fatal("no solve was stopped: the test no longer stops a round")
+	}
+	if g.Rounds != w.Rounds || g.CellEvals != w.CellEvals || g.SkippedEvals != w.SkippedEvals || g.RuleFirings != w.RuleFirings {
+		t.Errorf("stopped %d times: %d rounds, %d cells evaluated, %d skipped, %d firings; uninterrupted %d, %d, %d, %d",
+			stops, g.Rounds, g.CellEvals, g.SkippedEvals, g.RuleFirings, w.Rounds, w.CellEvals, w.SkippedEvals, w.RuleFirings)
+	}
+	for _, tm := range termsTo(whole, 3, 600) {
+		g, _ := stopped.StateOf(tm)
+		if w, _ := whole.StateOf(tm); g != w {
+			t.Fatalf("state of %s differs after stopped solves", whole.U.CompactString(tm, whole.Prep.Program.Tab))
+		}
+	}
+}
+
 // TestCellInputs isolates each kind of input a cell's stamp has to cover, in
 // a program where that input is the only thing that changes between two
 // evaluations of some cell that stays in use (rules are listed so that a
@@ -563,41 +624,32 @@ func ab(i int) string { return string(rune('a' + i%2)) }
 // over the same program and base facts.
 func sameAsFixpoint(t *testing.T, when string, e *Engine, base []ast.Atom) {
 	t.Helper()
-	if err := fixpointDiff(e, base); err != nil {
-		t.Fatalf("%s: %v", when, err)
-	}
-}
-
-// fixpointDiff is sameAsFixpoint's comparison: the first state or global
-// fact in which e and the fixpoint evaluator differ, nil if none does.
-func fixpointDiff(e *Engine, base []ast.Atom) error {
 	prog := *e.Prep.Program
 	prog.Facts = append(append([]ast.Atom(nil), prog.Facts...), base...)
 	depth := e.Prep.SeedDepth + 3
 	ref, err := fixpoint.Eval(&prog, e.U, e.W, fixpoint.Options{MaxDepth: depth + 2, Seminaive: true})
 	if err != nil {
-		return fmt.Errorf("fixpoint.Eval: %v", err)
+		t.Fatalf("%s: fixpoint.Eval: %v", when, err)
 	}
 	tab := prog.Tab
 	for _, tm := range termsTo(e, depth, 1500) {
 		got, err := e.StateOf(tm)
 		if err != nil {
-			return fmt.Errorf("StateOf: %v", err)
+			t.Fatalf("%s: StateOf: %v", when, err)
 		}
 		if want := ref.Store.Slice(tm, nil); got != want {
-			return fmt.Errorf("state of %s is %v, the fixpoint evaluator's %v", e.U.CompactString(tm, tab), e.W.StateAtoms(got), e.W.StateAtoms(want))
+			t.Fatalf("%s: state of %s is %v, the fixpoint evaluator's %v", when, e.U.CompactString(tm, tab), e.W.StateAtoms(got), e.W.StateAtoms(want))
 		}
 	}
 	g, w := sortedAtoms(e.Global()), sortedAtoms(ref.Store.Data())
 	if len(g) != len(w) {
-		return fmt.Errorf("%d global facts, the fixpoint evaluator has %d", len(g), len(w))
+		t.Fatalf("%s: %d global facts, the fixpoint evaluator has %d", when, len(g), len(w))
 	}
 	for i := range g {
 		if g[i] != w[i] {
-			return fmt.Errorf("global facts differ from the fixpoint evaluator's")
+			t.Fatalf("%s: global facts differ from the fixpoint evaluator's", when)
 		}
 	}
-	return nil
 }
 
 // joinSteps builds c's tracked engine and oracle and calls check cold, then

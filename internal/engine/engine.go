@@ -162,6 +162,11 @@ type Engine struct {
 	// the number present when the first base fact was added to a solved
 	// engine); Sweep runs again once as many have been created since.
 	kept int
+	// resume is the cell a round the context stopped had reached, 0 when no
+	// round was cut short, and resumeChanged whether its first part changed
+	// anything: the next run finishes that round from there, as one round.
+	resume        int
+	resumeChanged bool
 
 	// version counts fact insertions anywhere; anchorSeen holds the version
 	// at each anchor's last evaluation. Anchors read and write one another,
@@ -493,10 +498,6 @@ func (e *Engine) apply(g *group, srcs []*facts.Set, stamps []int32, sink *facts.
 	return changed
 }
 
-// probe is the argument index a join reads a long extent through; tests
-// replace it to plant a faulty one.
-var probe = (*facts.Set).Probe
-
 // join fires r for every match of its body that takes literal d's atom from
 // past the literal's stamp, those of the literals before d from up to theirs,
 // and those of the literals after d from anywhere — over d, each match that
@@ -570,7 +571,7 @@ func (e *Engine) probeKey(r *rule, srcs []*facts.Set, stamps []int32, d, i int) 
 	if reg := l.Plan[l.Key].Reg; reg >= 0 {
 		v = e.regs[reg]
 	}
-	hits, ok := probe(set, e.W, l.Pred, l.Key, v, lo, lo+len(e.ext[i]))
+	hits, ok := set.Probe(e.W, l.Pred, l.Key, v, lo, lo+len(e.ext[i]))
 	if !ok {
 		return
 	}
@@ -722,17 +723,18 @@ func (e *Engine) evalCell(c *cell) bool {
 }
 
 // SetContext installs a cancellation context checked at the start of every
-// fixpoint round and every pollEvery cell evaluations within one. Solve (and
+// fixpoint round and every pollEvery cells within one. Solve (and
 // everything that triggers it, such as StateOf on a new term) aborts with
 // the context's error once it expires. A nil or expired context does not
 // corrupt the engine: every cell carries its own stamp, so the fixpoint
 // simply stops early, mid-round if need be, and the next Solve call resumes
-// from the facts derived so far.
+// from the facts derived so far and the cell the round had reached.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// pollEvery is how many cell evaluations run between two looks at the
+// pollEvery is how many cells a round visits between two looks at the
 // context: a round over a large program is most of the solve, so a deadline
-// has to be noticed inside it.
+// has to be noticed inside it — also where most cells are clean and skipped,
+// since telling a clean cell costs lookups of its inputs too.
 const pollEvery = 256
 
 // Context returns the context set with SetContext (nil if none). Algorithm Q
@@ -764,26 +766,32 @@ func (e *Engine) run(ctx context.Context) error {
 		if err := expired(); err != nil {
 			return err
 		}
-		e.stats.Rounds++
 		_, rspan := obs.StartSpan(ctx, "fixpoint_round")
-		changed := e.evalGlobals()
-		for _, t := range e.anchorList {
-			if e.evalAnchor(t) {
-				changed = true
+		// A round the context cut short goes on from its cell: only cells
+		// are appended in between, which the rest of the round reaches.
+		changed := e.resumeChanged
+		if e.resume == 0 {
+			e.stats.Rounds++
+			changed = e.evalGlobals()
+			for _, t := range e.anchorList {
+				if e.evalAnchor(t) {
+					changed = true
+				}
 			}
 		}
-		for i := 0; i < len(e.cells); i++ {
-			evals := e.stats.CellEvals
+		for i := e.resume; i < len(e.cells); i++ {
 			if e.evalCell(e.cells[i]) {
 				changed = true
 			}
-			if e.stats.CellEvals != evals && e.stats.CellEvals%pollEvery == 0 {
+			if i%pollEvery == pollEvery-1 {
 				if err := expired(); err != nil {
+					e.resume, e.resumeChanged = i+1, changed
 					rspan.End()
 					return err
 				}
 			}
 		}
+		e.resume = 0
 		rspan.End()
 		if e.overflow != nil {
 			return e.overflow
@@ -876,7 +884,7 @@ func (e *Engine) AddGlobalFact(pred symbols.PredID, args []symbols.ConstID) {
 // against.
 func (e *Engine) baseFactAdded() {
 	e.version++
-	e.solved = false
+	e.solved, e.resume = false, 0 // a round cut short has not seen the fact: start a new one
 	if e.kept == 0 {
 		e.kept = len(e.cells)
 	}

@@ -382,10 +382,6 @@ func (b *builder) dterm(t *rawTerm) (ast.DTerm, error) {
 	return ast.C(b.tab.Const(strconv.Itoa(int(b.p.number(t))))), nil
 }
 
-// buildFTerm is fterm; the differential test swaps in the recursive
-// construction it replaced.
-var buildFTerm = (*builder).fterm
-
 // fterm builds a functional term by appending its applications, innermost
 // first, to one slice sized up front: O(depth) time and bytes. (Growing the
 // term by ast.FTerm.Apply per layer copied the whole chain at every layer.)
@@ -458,7 +454,7 @@ func (b *builder) atom(a *rawAtom) (ast.Atom, error) {
 	out := ast.Atom{Pred: pred}
 	j := a.args
 	if functional {
-		ft, err := buildFTerm(b, &b.p.terms[j])
+		ft, err := b.fterm(&b.p.terms[j])
 		if err != nil {
 			return ast.Atom{}, err
 		}

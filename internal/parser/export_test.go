@@ -2,8 +2,10 @@ package parser
 
 import (
 	"fmt"
+	"reflect"
 
 	"funcdb/internal/ast"
+	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
 
@@ -51,12 +53,47 @@ func (b *builder) refLayers(t *rawTerm, n int) (*ast.FTerm, error) {
 	return out, nil
 }
 
-// UseReferenceBuilder makes Parse and ParseQuery build functional terms by
-// the recursive reference until the returned function is called. Not for
-// parallel tests.
-func UseReferenceBuilder() (restore func()) {
-	buildFTerm = (*builder).refFTerm
-	return func() { buildFTerm = (*builder).fterm }
+// FTermsMatchReference builds every functional term of src twice, by fterm
+// and by the reference refFTerm, each side in a symbol table of its own, and
+// returns an error naming the first term the two build differently (or one
+// builds and the other refuses). src is a program, parsed and inferred as
+// Parse does, when tab is nil, and otherwise a query against a copy of tab,
+// as ParseQueryTab reads it. The tables grow in step, so the terms must
+// agree identifier for identifier.
+func FTermsMatchReference(src string, tab *symbols.Table) error {
+	p, err := newParser(src)
+	if err != nil {
+		return err
+	}
+	if err := p.parseProgram(); err != nil {
+		return err
+	}
+	var got, ref *builder
+	if tab == nil {
+		g, r := ast.NewProgram(), ast.NewProgram()
+		got, ref = newBuilder(p, g.Tab), newBuilder(p, r.Tab)
+		got.prog, ref.prog = g, r
+	} else {
+		got, ref = newBuilder(p, tab.Clone()), newBuilder(p, tab.Clone())
+	}
+	for _, b := range []*builder{got, ref} {
+		if err := b.infer(); err != nil {
+			return err
+		}
+	}
+	for _, ai := range p.order {
+		a := &p.atoms[ai]
+		if !got.predFunctional(a) {
+			continue
+		}
+		t := &p.terms[a.args]
+		g, gErr := got.fterm(t)
+		r, rErr := ref.refFTerm(t)
+		if !reflect.DeepEqual(g, r) || (gErr == nil) != (rErr == nil) {
+			return fmt.Errorf("%s: term built as %v (%v), by the reference as %v (%v)", got.at(p.termPos(t)), g, gErr, r, rErr)
+		}
+	}
+	return nil
 }
 
 // The sources and seeds the internal tests share with the external ones.

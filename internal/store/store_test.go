@@ -68,6 +68,9 @@ func openStore(t *testing.T, dir string, opts Options) (*Store, *registry.Regist
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Closed before the directory is removed: a background snapshot still
+	// writing into it would fail the removal.
+	t.Cleanup(func() { s.Close() })
 	reg := registry.New(core.Options{})
 	st, err := s.Recover(reg)
 	if err != nil {

@@ -154,7 +154,7 @@ func TestLayeringCatches(t *testing.T) {
 
 // importGraph maps every package directory of the module at root (relative
 // to root, "." for the root package) to the module packages its non-test
-// files import. Nested modules and testdata are not part of the module.
+// files import.
 func importGraph(root string) (map[string][]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -166,26 +166,14 @@ func importGraph(root string) (map[string][]string, error) {
 		return nil, fmt.Errorf("%s/go.mod does not open with a module line", root)
 	}
 	graph := map[string][]string{}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			_, nested := os.Stat(filepath.Join(path, "go.mod"))
-			if path != root && (nested == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err = walkModule(root, func(pkg, path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
-		pkg, _ := filepath.Rel(root, filepath.Dir(path))
-		pkg = filepath.ToSlash(pkg)
 		if _, ok := graph[pkg]; !ok {
 			graph[pkg] = nil
 		}
@@ -200,6 +188,29 @@ func importGraph(root string) (map[string][]string, error) {
 		return nil
 	})
 	return graph, err
+}
+
+// walkModule calls visit with every Go file of the module at root, test
+// files included, and its package directory relative to root ("." for the
+// root package). Nested modules and testdata are not part of the module.
+func walkModule(root string, visit func(pkg, path string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			_, nested := os.Stat(filepath.Join(path, "go.mod"))
+			if path != root && (nested == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		pkg, _ := filepath.Rel(root, filepath.Dir(path))
+		return visit(filepath.ToSlash(pkg), path)
+	})
 }
 
 // layeringViolations checks every row of layering against graph.
