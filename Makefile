@@ -26,7 +26,8 @@ test:
 # a fixed-count pass over the in-process handler benchmark (a
 # compile-and-run check; its numbers are for people). And the router's twin:
 # the bytes a routed plan-cache hit allocates on each side of the hop, by
-# the memory profile, flat in the body size. So do the answer
+# the memory profile, flat in the body size, and the allocations of each
+# end: the router with its hop client, and the daemon's hop and pipeline. So do the answer
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark; and the one renderer's: its allocations per
@@ -56,7 +57,8 @@ test:
 test-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
-	$(GO) test -count=1 -run 'TestRoutedAskBytes' ./internal/shard/
+	$(GO) test -count=1 -run 'TestRoutedAskBytes|TestRouteAskAllocs' ./internal/shard/
+	$(GO) test -count=1 -run 'TestHopDispatchAllocs' ./internal/api/
 	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
 	$(GO) test -count=1 -run 'TestRenderAllocs' -bench 'BenchmarkRender' -benchtime 200x ./internal/registry/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
@@ -108,11 +110,15 @@ race-watch:
 # stats table, the slow-query log, the plan cache), a hop connection's record
 # is not reused while its frame is served and a frame past the 64 KiB cap is
 # not kept, a hop client hands its encoder back only after its write has
-# returned, and the router its body only after forwarding.
+# returned and its connection, whose storage holds the response, only once
+# the response's body is closed, no header value slice the hop or the
+# pipeline hands out has room to append into, a request's deadline arms its
+# timer only when asked to wait, and the router hands its body back only
+# after forwarding.
 race-shard:
 	$(GO) test -race -count=1 ./internal/api/ ./internal/shard/ ./cmd/fdbrouter/
 	$(GO) test -race -count=10 -run 'TestRoutedAskKeepsNoView' ./internal/server/
-	$(GO) test -race -count=10 -run 'TestHopRecordHeldWhileServed|TestHopLargeFrameNotKept|TestHopEncoderBackAfterWrite' ./internal/api/
+	$(GO) test -race -count=10 -run 'TestHopRecordHeldWhileServed|TestHopLargeFrameNotKept|TestHopEncoderBackAfterWrite|TestHopResponseHeldUntilClosed|TestHopHeaderSlicesHaveNoRoom|TestSetHeaderSlotsHaveNoRoom|TestRequestDeadlineIsLazy' ./internal/api/
 	$(GO) test -race -count=10 -run 'TestRoutedBodyHeldUntilForwarded' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestShardedClusterEndToEnd' ./cmd/fdbd/
 
@@ -130,9 +136,13 @@ race-storm:
 # The tracing stack alone under the race detector: the recorder ring and
 # traceparent codec, the server's always-on instrumentation and stats table,
 # the router's span merging and /debug/traces scatter, and the process-level
-# router + primary + replica distributed-trace end-to-end test.
+# router + primary + replica distributed-trace end-to-end test. Then the
+# pooled traces ten times over: a trace goes back to the pool only when the
+# recorder drops its entry, and a kept entry reports its own span tree.
 race-trace:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/server/ ./internal/shard/
+	$(GO) test -race -count=10 -run 'TestKeptTraceKeepsItsSpans' ./internal/obs/
+	$(GO) test -race -count=10 -run 'TestWrap' ./internal/api/
 	$(GO) test -race -count=1 -run 'TestDistributedTraceEndToEnd' ./cmd/fdbd/
 
 bench:
@@ -166,7 +176,8 @@ fuzz:
 # reference), the watch frame codec, the daemon's request-body decoder
 # (differential: encoding/json is the reference), the client's
 # error-envelope decoder (differential too) and the router hop's request and
-# response frames (round trip, and no allocation past a bound). And the flat
+# response frames (round trip, and no allocation past a bound) and
+# request-URIs (differential: url.ParseRequestURI is the reference). And the flat
 # walk, identity and minimised, against Table.Walk on random strings
 # (differential). (The parser
 # seeds are kilobytes long; without a minimizer budget the fuzzer spends the
@@ -192,6 +203,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzReadError$$' -fuzz=FuzzReadError -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzHopRequest$$' -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzHopResponse$$' -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
+	$(GO) test -run '^FuzzHopURI$$' -fuzz=FuzzHopURI -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzFlatWalk$$' -fuzz=FuzzFlatWalk -fuzztime=30s ./internal/specgraph
 
 tables:

@@ -85,11 +85,13 @@ type Request struct {
 }
 
 // Send performs rq and returns the response whatever its status; the caller
-// closes the body. It is the primitive under Stream and Do, and what a proxy
-// uses to relay a response as it came.
+// closes the body, once. It is the primitive under Stream and Do, and what a
+// proxy uses to relay a response as it came. A hop response lives in its
+// connection's storage, which closing the body hands back to the pool:
+// nothing of the response may be read after.
 func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
 	var buf [8]string
-	hdr := rq.headers(ctx, &buf)
+	hdr := rq.headers(&buf)
 	if rq.Hop {
 		return c.orDefault().exchange(ctx, rq, hdr)
 	}
@@ -104,23 +106,25 @@ func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
 	for i := 0; i < len(hdr); i += 2 {
 		req.Header.Set(hdr[i], hdr[i+1])
 	}
+	if rq.Traceparent == "" {
+		if tp := obs.Traceparent(ctx); tp != "" {
+			req.Header.Set(obs.TraceparentHeader, tp)
+		}
+	}
 	return c.orDefault().hc.Do(req)
 }
 
 // headers lists the header lines rq sends, as name/value pairs in buf: the
-// content type, tenant key and router mark when set, and the traceparent —
-// rq's, else the one ctx's trace renders.
-func (rq *Request) headers(ctx context.Context, buf *[8]string) []string {
-	tp := rq.Traceparent
-	if tp == "" {
-		tp = obs.Traceparent(ctx)
-	}
+// content type, tenant key, router mark and traceparent when set. Without
+// one of its own, the traceparent ctx's trace renders goes too, written
+// where the request is (Send, exchange).
+func (rq *Request) headers(buf *[8]string) []string {
 	n := 0
 	for _, kv := range [...][2]string{
 		{"Content-Type", rq.ContentType},
 		{HeaderAPIKey, rq.APIKey},
 		{HeaderRouter, rq.Via},
-		{obs.TraceparentHeader, tp},
+		{obs.TraceparentHeader, rq.Traceparent},
 	} {
 		if kv[1] != "" {
 			buf[n], buf[n+1] = kv[0], kv[1]

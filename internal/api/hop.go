@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"funcdb/internal/obs"
 	"funcdb/internal/wire"
 )
 
@@ -56,37 +57,29 @@ const (
 )
 
 // encodeHopRequest renders one request frame into e: the method, the
-// request-URI, the header lines as name/value pairs (hdr alternates them),
-// and the body unprefixed.
-func encodeHopRequest(e *wire.Encoder, method, uri string, hdr []string, body []byte) {
-	size := len(method) + len(uri) + len(body) + 16
+// request-URI, the header lines as name/value pairs (hdr alternates them,
+// and a traceparent tp, when not empty, is one more), and the body
+// unprefixed.
+func encodeHopRequest(e *wire.Encoder, method, uri string, hdr []string, tp, body []byte) {
+	size, n := len(method)+len(uri)+len(body)+len(tp)+32, len(hdr)/2
 	for _, s := range hdr {
 		size += len(s) + 2
+	}
+	if len(tp) > 0 {
+		n++
 	}
 	e.Reset(hopRequestTag, size)
 	e.Str(method)
 	e.Str(uri)
-	e.Int(len(hdr) / 2)
+	e.Int(n)
 	for _, s := range hdr {
 		e.Str(s)
 	}
+	if len(tp) > 0 {
+		e.Str(obs.TraceparentHeader)
+		e.Bytes(tp)
+	}
 	e.Raw(body)
-}
-
-// decodeHopRequest parses a frame made by encodeHopRequest. The body
-// aliases rec.
-func decodeHopRequest(rec []byte) (method, uri string, h http.Header, body []byte, err error) {
-	d := wire.NewDecoder(rec)
-	if d.Byte() != hopRequestTag {
-		d.Fail("not a hop request")
-	}
-	method, uri = d.Str(), d.Str()
-	h = decodeHopHeader(d)
-	body = d.Rest()
-	if err := d.Err(); err != nil {
-		return "", "", nil, nil, fmt.Errorf("hop request: %w", err)
-	}
-	return method, uri, h, body, nil
 }
 
 // encodeHopResponse renders one response frame into e: the status, the
@@ -111,9 +104,74 @@ func encodeHopResponse(e *wire.Encoder, status int, h http.Header, body []byte) 
 	e.Raw(body)
 }
 
-// decodeHopResponse parses a frame made by encodeHopResponse. The body
-// aliases rec.
-func decodeHopResponse(rec []byte) (status int, h http.Header, body []byte, err error) {
+// The strings a frame spells most: the methods, the header names the hop
+// carries and the values it carries often. A frame's string that spells one
+// decodes to the shared string, and a header value to its shared slice, with
+// no copy; every other string of a frame is copied, all of them into one
+// string (hopHeader).
+var (
+	hopMethods = [...]string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodHead}
+	hopNames   = [...]string{"Content-Type", "Content-Length", HeaderAPIKey, HeaderRouter, obs.TraceparentHeader,
+		HeaderRequestID, HeaderTraceID, HeaderRetryAfter, HeaderShard}
+	hopValues = [...][]string{{ContentJSON}, {"application/x-ndjson"}, {"text/plain; charset=utf-8"},
+		{"text/plain; version=0.0.4; charset=utf-8"}, {"application/octet-stream"}, {"1"}}
+)
+
+// known returns the string of table that b spells, or "".
+func known(b []byte, table []string) string {
+	for _, s := range table {
+		if string(b) == s {
+			return s
+		}
+	}
+	return ""
+}
+
+// knownValue returns the shared one-value slice whose value b spells, or
+// nil. The slices have no spare capacity, so a handler that appends to a
+// header value copies it, and the table is never written.
+func knownValue(b []byte) []string {
+	for _, vs := range hopValues {
+		if string(b) == vs[0] {
+			return vs
+		}
+	}
+	return nil
+}
+
+// hopHeader is what one end of a connection keeps to decode its frames:
+// the header map, cleared per frame, a slab of one-value slices for the
+// values the table does not hold, and the one string the frame's other
+// strings are copied into. What it decoded is the frame's until the next
+// frame is decoded: the daemon decodes the next request only once the last
+// is answered, and a client the next response only once the last one's body
+// is closed.
+type hopHeader struct {
+	h    http.Header
+	vals []string
+	str  strings.Builder
+}
+
+// decodeRequest parses a frame made by encodeHopRequest. The body aliases
+// rec; the header is hh's.
+func (hh *hopHeader) decodeRequest(rec []byte) (method, uri string, h http.Header, body []byte, err error) {
+	d := wire.NewDecoder(rec)
+	if d.Byte() != hopRequestTag {
+		d.Fail("not a hop request")
+	}
+	hh.reserve(*d, 2)
+	method, uri = hh.take(d.Bytes(), hopMethods[:]), hh.take(d.Bytes(), nil)
+	h = hh.decode(d)
+	body = d.Rest()
+	if err := d.Err(); err != nil {
+		return "", "", nil, nil, fmt.Errorf("hop request: %w", err)
+	}
+	return method, uri, h, body, nil
+}
+
+// decodeResponse parses a frame made by encodeHopResponse. The body aliases
+// rec; the header is hh's.
+func (hh *hopHeader) decodeResponse(rec []byte) (status int, h http.Header, body []byte, err error) {
 	d := wire.NewDecoder(rec)
 	if d.Byte() != hopResponseTag {
 		d.Fail("not a hop response")
@@ -121,7 +179,8 @@ func decodeHopResponse(rec []byte) (status int, h http.Header, body []byte, err 
 	if status = d.Int(); status < 100 || status > 999 {
 		d.Fail("status %d", status)
 	}
-	h = decodeHopHeader(d)
+	hh.reserve(*d, 0)
+	h = hh.decode(d)
 	body = d.Rest()
 	if err := d.Err(); err != nil {
 		return 0, nil, nil, fmt.Errorf("hop response: %w", err)
@@ -129,10 +188,50 @@ func decodeHopResponse(rec []byte) (status int, h http.Header, body []byte, err 
 	return status, h, body, nil
 }
 
-// decodeHopHeader reads a count and that many name/value pairs. A count
+// reserve sizes hh's string for what the frame at d copies: lead strings,
+// then the header lines. It reads a copy of d; a frame that does not decode
+// reserves nothing, and decode then fails on it.
+func (hh *hopHeader) reserve(d wire.Decoder, lead int) {
+	hh.str.Reset()
+	size := 0
+	for i := range lead {
+		if b := d.Bytes(); i > 0 || known(b, hopMethods[:]) == "" {
+			size += len(b)
+		}
+	}
+	n := d.Int()
+	if d.Err() != nil || n > maxHopHeaders || 2*n > d.Remaining() {
+		return
+	}
+	for range n {
+		if k := d.Bytes(); known(k, hopNames[:]) == "" {
+			size += len(k)
+		}
+		if v := d.Bytes(); knownValue(v) == nil {
+			size += len(v)
+		}
+	}
+	if d.Err() == nil && size > 0 {
+		hh.str.Grow(size)
+	}
+}
+
+// take returns the string b spells: table's when it holds it, else a copy in
+// hh's string. The string grows within what reserve made room for, so a
+// string taken earlier stays valid.
+func (hh *hopHeader) take(b []byte, table []string) string {
+	if s := known(b, table); s != "" || len(b) == 0 {
+		return s
+	}
+	at := hh.str.Len()
+	hh.str.Write(b)
+	return hh.str.String()[at:]
+}
+
+// decode reads a count and that many name/value pairs into hh's map. A count
 // that the bytes left cannot hold (a pair takes at least two) or past
 // maxHopHeaders is refused before anything is allocated for it.
-func decodeHopHeader(d *wire.Decoder) http.Header {
+func (hh *hopHeader) decode(d *wire.Decoder) http.Header {
 	n := d.Int()
 	if d.Err() != nil {
 		return nil
@@ -141,21 +240,72 @@ func decodeHopHeader(d *wire.Decoder) http.Header {
 		d.Fail("%d header lines in %d bytes", n, d.Remaining())
 		return nil
 	}
-	h := make(http.Header, n)
-	vals := make([]string, n) // one slab for the usual single-valued lines
-	for i := range n {
-		k, v := http.CanonicalHeaderKey(d.Str()), d.Str()
+	if hh.h == nil {
+		hh.h = make(http.Header, n)
+	}
+	clear(hh.h)
+	if cap(hh.vals) < n {
+		hh.vals = make([]string, 0, n)
+	}
+	hh.vals = hh.vals[:0]
+	for range n {
+		k := http.CanonicalHeaderKey(hh.take(d.Bytes(), hopNames[:]))
+		vb := d.Bytes()
 		if d.Err() != nil {
 			return nil
 		}
-		if old, ok := h[k]; ok {
-			h[k] = append(old, v)
-		} else {
-			vals[i] = v
-			h[k] = vals[i : i+1 : i+1]
+		old, dup := hh.h[k]
+		if vs := knownValue(vb); vs != nil && !dup {
+			hh.h[k] = vs
+			continue
 		}
+		v := hh.take(vb, nil)
+		if dup {
+			hh.h[k] = append(old, v)
+			continue
+		}
+		hh.vals = append(hh.vals, v)
+		i := len(hh.vals) - 1
+		hh.h[k] = hh.vals[i : i+1 : i+1]
 	}
-	return h
+	return hh.h
+}
+
+// parseURI is url.ParseRequestURI into u, for the URIs a hop client sends:
+// a path of bytes that need no escaping, and an optional query, is split in
+// place; anything else goes to url.ParseRequestURI.
+func parseURI(u *url.URL, uri string) error {
+	*u = url.URL{}
+	path, query, hasQuery := strings.Cut(uri, "?")
+	plain := len(path) > 0 && path[0] == '/'
+	for i := 0; plain && i < len(path); i++ {
+		plain = pathByte(path[i])
+	}
+	for i := len(path); plain && i < len(uri); i++ {
+		plain = uri[i] >= 0x20 && uri[i] != 0x7f
+	}
+	if !plain {
+		p, err := url.ParseRequestURI(uri)
+		if err != nil {
+			return err
+		}
+		*u = *p
+		return nil
+	}
+	// As url.ParseRequestURI reads it: a URI whose one "?" is its last byte
+	// forces an empty query; otherwise the query is what follows the first.
+	u.Path, u.RawQuery, u.ForceQuery = path, query, hasQuery && query == ""
+	return nil
+}
+
+// pathByte reports whether url.URL keeps c in a path as it is: the bytes it
+// neither unescapes nor escapes.
+func pathByte(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return true
+	}
+	return strings.IndexByte("-_.~$&+,/:;=@", c) >= 0
 }
 
 // ---- the daemon side ----
@@ -186,13 +336,50 @@ type hopServerConn struct {
 	body hopBody
 	w    hopWriter
 	enc  wire.Encoder
+	// And what the request is rebuilt in: its header lines, its URL, and
+	// the request itself, reset per frame from base, which carries the
+	// connection's context.
+	hdr  hopHeader
+	url  url.URL
+	req  http.Request
+	base *http.Request
 }
 
-// hopBody is a request's body: a reader over the frame's record, closed by
-// doing nothing.
-type hopBody struct{ bytes.Reader }
+// hopBody is a body a hop holds whole: a reader over the record it came in,
+// closed by doing nothing, or — on a client — by handing the connection
+// back to the pool (hopConn).
+type hopBody struct {
+	bytes.Reader
+	held []byte
+	back *hopConn // the client connection Close hands back
+}
 
-func (*hopBody) Close() error { return nil }
+func (b *hopBody) reset(held []byte, back *hopConn) {
+	b.Reader.Reset(held)
+	b.held, b.back = held, back
+}
+
+func (b *hopBody) Close() error {
+	if hc := b.back; hc != nil {
+		b.back = nil
+		hc.client.putHop(hc.base, hc)
+	}
+	return nil
+}
+
+// HeldBody returns r's body, unread, without a copy when the hop already
+// holds it whole — the record its frame came in, which is not reused before
+// the request is answered — and false for any other body, which ReadBody
+// reads. The bytes are the request's: a handler keeps no view of them past
+// its return.
+func HeldBody(r *http.Request) ([]byte, bool) {
+	b, ok := r.Body.(*hopBody)
+	if !ok || b.Len() != len(b.held) {
+		return nil, false
+	}
+	b.Reader.Reset(nil) // read
+	return b.held, true
+}
 
 // ServeHop returns h with the hop mounted on it: GET /v1/hop with
 // Upgrade: funcdb-hop takes the connection over and serves every frame that
@@ -308,30 +495,33 @@ func (c *hopServerConn) keep(rec []byte) {
 // dispatch serves one request frame with the wrapped handler and returns the
 // response frame, built in c's encoder. A frame that does not decode is
 // answered 400, and the connection stays usable: the record framing around
-// it was sound.
+// it was sound. The request is rebuilt in c's own storage, which the next
+// frame reuses: a handler keeps nothing of it past its return.
 func (s *Hop) dispatch(ctx context.Context, outer *http.Request, c *hopServerConn, rec []byte) *wire.Encoder {
 	w := &c.w
 	w.reset()
-	method, uri, h, body, err := decodeHopRequest(rec)
-	var u *url.URL
+	method, uri, h, body, err := c.hdr.decodeRequest(rec)
 	if err == nil {
-		u, err = url.ParseRequestURI(uri)
+		err = parseURI(&c.url, uri)
 	}
 	if err != nil {
 		WriteError(w, Errorf(http.StatusBadRequest, "bad_request", "%v", err))
 		return w.frame(&c.enc)
 	}
-	req := &http.Request{
-		Method: method, URL: u, RequestURI: uri,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: h, Body: http.NoBody,
-		Host: outer.Host, RemoteAddr: outer.RemoteAddr,
+	if c.base == nil || c.base.Context() != ctx {
+		c.base = (&http.Request{
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Host: outer.Host, RemoteAddr: outer.RemoteAddr,
+		}).WithContext(ctx)
 	}
+	req := &c.req
+	*req = *c.base
+	req.Method, req.URL, req.RequestURI, req.Header, req.Body = method, &c.url, uri, h, http.NoBody
 	if len(body) > 0 {
-		c.body.Reset(body)
+		c.body.reset(body, nil)
 		req.Body, req.ContentLength = &c.body, int64(len(body))
 	}
-	s.h.ServeHTTP(w, req.WithContext(ctx))
+	s.h.ServeHTTP(w, req)
 	return w.frame(&c.enc)
 }
 
@@ -434,6 +624,24 @@ type hopConn struct {
 	nc    net.Conn
 	br    *bufio.Reader
 	probe liveness // what hopAlive peeks through, made once at dial
+
+	// What each exchange reuses, owned by the caller that took the
+	// connection from the pool until it closes the response's body, which
+	// hands the connection back: the record the response is read into, its
+	// header lines, the response, and the reader over its body.
+	rec    []byte
+	hdr    hopHeader
+	resp   http.Response
+	body   hopBody
+	client *Client
+	base   string // the pool it goes back to
+
+	// The watch on the caller's context (arm), made on first use.
+	mu      sync.Mutex
+	ctx     context.Context
+	watch   *time.Timer
+	watched chan struct{}
+	stop    func() bool
 }
 
 // hopEncoders recycles the request encoders of every client: a frame is
@@ -452,12 +660,51 @@ var putHopEncoder = func(e *wire.Encoder) {
 // aLongTimeAgo is the deadline that fails a blocked read or write at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
+// arm watches ctx for the exchange about to start, the way the daemon
+// watches for a peer that hangs up: once the exchange has run for
+// hangUpAfter, a timer registers context.AfterFunc to cut the connection
+// when ctx ends. An exchange shorter than that — a plan-cache hit — registers
+// nothing; registering on every exchange cost four allocations.
+func (hc *hopConn) arm(ctx context.Context) {
+	hc.mu.Lock()
+	hc.ctx = ctx
+	if hc.watch == nil {
+		hc.watched = make(chan struct{}, 1)
+		hc.watch = time.AfterFunc(time.Hour, func() {
+			hc.mu.Lock()
+			hc.stop = context.AfterFunc(hc.ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })
+			hc.mu.Unlock()
+			hc.watched <- struct{}{}
+		})
+	}
+	hc.mu.Unlock()
+	hc.watch.Reset(hangUpAfter)
+}
+
+// disarm ends the watch once the exchange has returned, and reports whether
+// the context ended during it, cutting the connection.
+func (hc *hopConn) disarm() (cut bool) {
+	if hc.watch.Stop() {
+		hc.ctx = nil // the watcher never ran: nothing else reads it
+		return false
+	}
+	<-hc.watched
+	hc.mu.Lock()
+	stop := hc.stop
+	hc.stop, hc.ctx = nil, nil
+	hc.mu.Unlock()
+	return !stop()
+}
+
 // exchange performs rq, whose header lines are hdr, as one frame over a
-// pooled hop connection to its daemon; the response comes back whole. A
-// pooled connection found dead before the frame is written is replaced by a
-// new one. Once the frame is written a failure is returned, never replayed:
-// the daemon may have applied it. A context that ends mid-exchange closes
-// the connection, and with it, on the daemon, the request's context.
+// pooled hop connection to its daemon; the response comes back whole, in the
+// connection's storage, which goes back to the pool when the response's body
+// is closed: the caller closes it once, and reads nothing of the response
+// after. A pooled connection found dead before the frame is written is
+// replaced by a new one. Once the frame is written a failure is returned,
+// never replayed: the daemon may have applied it. A context that ends
+// mid-exchange closes the connection, and with it, on the daemon, the
+// request's context.
 func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.Response, error) {
 	rest, ok := strings.CutPrefix(rq.URL, "http://")
 	slash := strings.IndexByte(rest, '/')
@@ -466,8 +713,16 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	}
 	host, uri := rest[:slash], rest[slash:]
 	base := rq.URL[:len(rq.URL)-len(uri)]
+	if err := ctx.Err(); err != nil {
+		return nil, hopError(rq, err)
+	}
+	var tp []byte
+	if rq.Traceparent == "" {
+		var buf [64]byte
+		tp = obs.AppendTraceparent(buf[:0], ctx)
+	}
 	e := hopEncoders.Get().(*wire.Encoder)
-	encodeHopRequest(e, rq.Method, uri, hdr, rq.Body)
+	encodeHopRequest(e, rq.Method, uri, hdr, tp, rq.Body)
 	frame, err := e.Record()
 	var hc *hopConn
 	if err == nil {
@@ -477,17 +732,18 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 		putHopEncoder(e)
 		return nil, hopError(rq, err)
 	}
-	stop := context.AfterFunc(ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })
+	hc.arm(ctx)
 	rec, err := hc.roundTrip(frame)
 	putHopEncoder(e) // the frame's write has returned, whatever ctx did
 	var status int
 	var h http.Header
 	var body []byte
 	if err == nil {
-		status, h, body, err = decodeHopResponse(rec)
+		status, h, body, err = hc.hdr.decodeResponse(rec)
 	}
-	if !stop() {
-		// The deadline fired, or is about to: this connection is done.
+	var back *hopConn
+	if hc.disarm() {
+		// The context ended: this connection is done.
 		hc.nc.Close()
 		if err != nil {
 			err = ctx.Err()
@@ -495,16 +751,18 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	} else if err != nil {
 		hc.nc.Close()
 	} else {
-		c.putHop(base, hc)
+		hc.client, hc.base, back = c, base, hc
 	}
 	if err != nil {
 		return nil, hopError(rq, err)
 	}
-	return &http.Response{
+	hc.body.reset(body, back)
+	hc.resp = http.Response{
 		Status: http.StatusText(status), StatusCode: status,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: h, Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
-	}, nil
+		Header: h, Body: &hc.body, ContentLength: int64(len(body)),
+	}
+	return &hc.resp, nil
 }
 
 // hopError reads like the error an http.Client returns for the same call:
@@ -515,12 +773,17 @@ func hopError(rq Request, err error) error {
 
 // roundTrip writes a request frame in one write, header and payload
 // together — a bufio.Writer would split a frame past its buffer, and the
-// daemon's reader could park between the pieces — and reads the response.
+// daemon's reader could park between the pieces — and reads the response
+// into the connection's record, which it keeps when within maxKeptHopBuf.
 func (hc *hopConn) roundTrip(frame []byte) ([]byte, error) {
 	if _, err := hc.nc.Write(frame); err != nil {
 		return nil, err
 	}
-	return wire.ReadRecord(hc.br)
+	rec, err := wire.ReadRecordInto(hc.br, hc.rec)
+	if err == nil && cap(rec) <= maxKeptHopBuf {
+		hc.rec = rec[:0]
+	}
+	return rec, err
 }
 
 // takeHop returns an idle pooled connection to base that is still open, or

@@ -4,16 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"funcdb/internal/obs"
 	"funcdb/internal/wire"
 )
 
@@ -204,4 +210,183 @@ func TestHopBodyAllocatesNothing(t *testing.T) {
 	if with > bare {
 		t.Errorf("a frame with a body allocates %.1f, one without %.1f: want no more", with, bare)
 	}
+}
+
+// hopHeaderSet is the header set a router's hop frame carries: the client's
+// content type and tenant key, the shard-map version and a traceparent.
+func hopHeaderSet() []string {
+	return []string{"Content-Type", ContentJSON, HeaderAPIKey, "tenant-a", HeaderRouter, "v7",
+		obs.TraceparentHeader, obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID())}
+}
+
+// hopDispatchAllocs bounds what the two ends of one hop exchange allocate
+// of their own, serving a frame with the real header set through the
+// request pipeline (recorder on, a deadline) to a handler that reads its
+// body and answers as a cached ask does, and decoding the response as the
+// router does: on the daemon the one string the frame's other strings are
+// copied into, the request's context, the request ID and the request the
+// pipeline hands the handler; on the router the one string of the
+// response's (EXPERIMENTS A46 has the count before).
+const hopDispatchAllocs = 5
+
+// TestHopDispatchAllocs gates the daemon's end of a routed hit: decoding
+// the frame, rebuilding the request, the pipeline around the handler and
+// encoding the response allocate at most hopDispatchAllocs, whatever the
+// body's length — and the deadline's timer is never armed, since nothing
+// here waits. The race build's sync.Pool drops a share of what is put back
+// (pooled traces), so there the ceiling does not apply.
+func TestHopDispatchAllocs(t *testing.T) {
+	pipe := &Pipeline{Recorder: obs.NewRecorder(0, time.Hour, 1<<30), Log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	answer := []byte(`{"answer":true,"version":1,"cached":true}` + "\n")
+	ct := []string{ContentJSON}
+	s := ServeHop(pipe.Wrap("ask", time.Minute, func(w http.ResponseWriter, r *http.Request) error {
+		if body, ok := HeldBody(r); !ok || len(body) == 0 {
+			return Errorf(http.StatusBadRequest, "bad_request", "no held body")
+		}
+		if c := r.Context().(*request); c.timed.Load() != nil {
+			return Errorf(http.StatusInternalServerError, "internal", "deadline armed on a hit")
+		}
+		w.Header()["Content-Type"] = ct
+		w.Write(answer)
+		return nil
+	}))
+	c, outer := &hopServerConn{}, httptest.NewRequest("GET", HopPath, nil)
+	for _, size := range []int{16, 4096} {
+		body := []byte(`{"query":"` + strings.Repeat("x", size) + `"}`)
+		rec := hopRequest("POST", "/v1/db/sub/ask", hopHeaderSet(), body).Payload()
+		var status int
+		var resp hopHeader // the router's, kept per connection
+		allocs := testing.AllocsPerRun(200, func() {
+			status, _, _, _ = resp.decodeResponse(s.dispatch(context.Background(), outer, c, rec).Payload())
+		})
+		if status != http.StatusOK {
+			t.Fatalf("body %d: status %d", size, status)
+		}
+		t.Logf("body %d B: %.0f allocations per frame", len(body), allocs)
+		if !raceBuild && allocs > hopDispatchAllocs {
+			t.Errorf("body %d B: %.0f allocations per frame, ceiling %d", len(body), allocs, hopDispatchAllocs)
+		}
+	}
+}
+
+// TestHopResponseHeldUntilClosed: a hop response lives in its connection's
+// storage, and the connection goes back to the pool only when the
+// response's body is closed. A second call made while the first response is
+// still unread takes another connection, and both bodies read as sent.
+func TestHopResponseHeldUntilClosed(t *testing.T) {
+	ts := httptest.NewServer(ServeHop(http.HandlerFunc(echo)))
+	defer ts.Close()
+	c := NewClient(nil)
+	defer c.Close()
+	send := func(body string) *http.Response {
+		t.Helper()
+		resp, err := c.Send(context.Background(), Request{Method: "POST", URL: ts.URL + "/echo", Body: []byte(body), Hop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	send("warm up the pool").Body.Close()
+	first := send("the first body")
+	second := send("the other body")
+	for _, rc := range []struct {
+		resp *http.Response
+		want string
+	}{{first, "the first body"}, {second, "the other body"}} {
+		got, _ := io.ReadAll(rc.resp.Body)
+		rc.resp.Body.Close()
+		if string(got) != rc.want {
+			t.Errorf("a response read after another call came back %q, want %q", got, rc.want)
+		}
+	}
+	if n := len(c.hops[ts.URL]); n != 2 {
+		t.Errorf("%d idle connections after two overlapping calls, want 2", n)
+	}
+}
+
+// TestHopHeaderSlicesHaveNoRoom: every header value a hop decodes — a
+// shared one of the table or one in the connection's slab — is a slice
+// without spare capacity, so a handler that appends to one copies it: the
+// frame's other values, the table and the next frame read as sent.
+func TestHopHeaderSlicesHaveNoRoom(t *testing.T) {
+	var hh hopHeader
+	lines := []string{"Content-Type", ContentJSON, "X-One", "1st", "X-Two", "2nd", "Retry-After", "1", "X-Three", "3rd"}
+	rec := hopRequest("POST", "/v1/db/x/ask", lines, nil).Payload()
+	for range 2 {
+		_, _, h, _, err := hh.decodeRequest(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(lines); i += 2 {
+			h[lines[i]] = append(h[lines[i]], "appended")
+		}
+		for i := 0; i < len(lines); i += 2 {
+			if got := h[lines[i]]; len(got) != 2 || got[0] != lines[i+1] {
+				t.Fatalf("%s reads %q after every value had one appended, want [%s appended]", lines[i], got, lines[i+1])
+			}
+		}
+	}
+	for _, vs := range hopValues {
+		if len(vs) != 1 || cap(vs) != 1 {
+			t.Errorf("shared value slice %q has length %d, capacity %d", vs, len(vs), cap(vs))
+		}
+	}
+}
+
+// TestSetHeaderSlotsHaveNoRoom: a header value set in one of the request's
+// slots is a slice without spare capacity, so an Add to it copies it and
+// the next slot's header reads as set.
+func TestSetHeaderSlotsHaveNoRoom(t *testing.T) {
+	var in Info
+	h := http.Header{}
+	in.SetHeader(h, "X-One", "1st")
+	h.Add("X-One", "appended")
+	in.SetHeader(h, "X-Two", "2nd")
+	in.SetHeader(h, "X-Three", "3rd")
+	h.Add("X-Two", "appended")
+	if !slices.Equal(h["X-One"], []string{"1st", "appended"}) || !slices.Equal(h["X-Two"], []string{"2nd", "appended"}) ||
+		!slices.Equal(h["X-Three"], []string{"3rd"}) {
+		t.Errorf("after Adds the headers read %v", h)
+	}
+}
+
+// TestRequestDeadlineIsLazy: a request's deadline answers Deadline and Err
+// without a timer; the timer is armed by Done, which then closes at the
+// deadline; and contexts derived from a request's start no goroutine to
+// watch it.
+func TestRequestDeadlineIsLazy(t *testing.T) {
+	pipe := &Pipeline{Log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	pipe.Wrap("ask", 30*time.Millisecond, func(w http.ResponseWriter, r *http.Request) error {
+		ctx := r.Context()
+		c := ctx.(*request)
+		if d, ok := ctx.Deadline(); !ok || d.Sub(InfoFrom(ctx).Start) != 30*time.Millisecond {
+			t.Errorf("deadline %v, %v", d, ok)
+		}
+		if ctx.Err() != nil || c.timed.Load() != nil {
+			t.Fatal("a fresh request is done, or armed its timer to say it is not")
+		}
+		before := runtime.NumGoroutine()
+		var cancels []context.CancelFunc
+		for range 50 {
+			_, cancel := context.WithCancel(ctx)
+			cancels = append(cancels, cancel)
+		}
+		// A watcher per derived context would be 50 more; other tests'
+		// stragglers may come and go meanwhile.
+		if n := runtime.NumGoroutine() - before; n >= len(cancels)/2 {
+			t.Errorf("50 derived contexts started %d goroutines", n)
+		}
+		for _, cancel := range cancels {
+			cancel()
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("Done never closed at the deadline")
+		}
+		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			t.Errorf("Err after the deadline: %v", ctx.Err())
+		}
+		return nil
+	})(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"slices"
@@ -214,10 +215,24 @@ func decodeAllocs(decode func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
+// decodeHopRequest parses a frame made by encodeHopRequest into a header of
+// its own. The body aliases rec.
+func decodeHopRequest(rec []byte) (method, uri string, h http.Header, body []byte, err error) {
+	var hh hopHeader
+	return hh.decodeRequest(rec)
+}
+
+// decodeHopResponse parses a frame made by encodeHopResponse into a header
+// of its own. The body aliases rec.
+func decodeHopResponse(rec []byte) (status int, h http.Header, body []byte, err error) {
+	var hh hopHeader
+	return hh.decodeResponse(rec)
+}
+
 // hopRequest and hopResponse encode one frame into an encoder of its own.
 func hopRequest(method, uri string, hdr []string, body []byte) *wire.Encoder {
 	e := new(wire.Encoder)
-	encodeHopRequest(e, method, uri, hdr, body)
+	encodeHopRequest(e, method, uri, hdr, nil, body)
 	return e
 }
 
@@ -282,6 +297,27 @@ func FuzzHopResponse(f *testing.F) {
 		s2, h2, b2, err := decodeHopResponse(hopResponse(status, h, body).Payload())
 		if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %d %v %q, %v", rec, s2, h2, b2, err)
+		}
+	})
+}
+
+// FuzzHopURI: the daemon reads a frame's request-URI as url.ParseRequestURI
+// does — the same URL, or a refusal where it refuses — though it splits the
+// plain ones in place.
+func FuzzHopURI(f *testing.F) {
+	for _, s := range []string{"/v1/db/even/ask", "/v1/db/x?q=a%20b", "/v1/db/x?", "/a?b?", "/a??", "//x/y",
+		"/a b", "/%41", "*", "", "x", "/a#b", "/a?b#c", "/\x7f", "/a\tb", "/~user/$&+,:;=@"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, uri string) {
+		var u url.URL
+		err := parseURI(&u, uri)
+		want, werr := url.ParseRequestURI(uri)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: %v, url.ParseRequestURI %v", uri, err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(u, *want) {
+			t.Fatalf("%q: %#v, url.ParseRequestURI %#v", uri, u, *want)
 		}
 	})
 }

@@ -57,24 +57,28 @@ type Budget struct {
 	bytes  atomic.Int64
 }
 
-type budgetKey struct{}
-
-// WithBudget attaches a per-query work budget to ctx. A nil budget (or one
-// with no finite limit) leaves ctx unchanged.
+// WithBudget attaches a per-query work budget to ctx, keeping ctx's trace.
+// A nil budget (or one with no finite limit) leaves ctx unchanged.
 func WithBudget(ctx context.Context, b *Budget) context.Context {
-	if b == nil || (b.MaxQSteps <= 0 && b.MaxDepth <= 0 && b.MaxBytes <= 0) {
+	if !b.bounded() {
 		return ctx
 	}
-	return context.WithValue(ctx, budgetKey{}, b)
+	s := scopeOr(ctx)
+	s.Budget = b
+	return &scopeCtx{ctx, s}
+}
+
+// bounded reports whether b limits anything.
+func (b *Budget) bounded() bool {
+	return b != nil && (b.MaxQSteps > 0 || b.MaxDepth > 0 || b.MaxBytes > 0)
 }
 
 // BudgetFrom returns the work budget carried by ctx, or nil.
 func BudgetFrom(ctx context.Context) *Budget {
-	if ctx == nil {
-		return nil
+	if s := scopeOf(ctx); s != nil {
+		return s.Budget
 	}
-	b, _ := ctx.Value(budgetKey{}).(*Budget)
-	return b
+	return nil
 }
 
 // AddQSteps charges n Algorithm Q steps, failing once the total passes the

@@ -47,8 +47,8 @@ func TestTraceSpansNestAndReport(t *testing.T) {
 func TestTraceNoopWithoutTrace(t *testing.T) {
 	ctx := context.Background()
 	ctx2, h := StartSpan(ctx, "anything")
-	if h != nil {
-		t.Fatal("expected nil handle without a trace")
+	if h != (SpanHandle{}) {
+		t.Fatal("expected the zero handle without a trace")
 	}
 	if ctx2 != ctx {
 		t.Fatal("context should pass through unchanged")

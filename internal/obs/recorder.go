@@ -76,6 +76,9 @@ type TraceEntry struct {
 	// Keep forces retention regardless of outcome — set for requests whose
 	// client explicitly asked for a trace.
 	Keep bool `json:"-"`
+
+	// trace is a retained entry's trace, whose report Get renders.
+	trace *Trace
 }
 
 // ring is a fixed-size lock-free overwrite buffer of entries.
@@ -178,8 +181,10 @@ func ClipQuery(q string) string {
 // Offer records one finished request. e.Outcome should already be set via
 // OutcomeForStatus; Offer upgrades ok entries past the slow threshold to
 // OutcomeSlow. e.Query is the request's query text as received; everything
-// derived per entry — the clipped text (ClipQuery), the trace's report, the
-// heap copy of the entry itself — is built only when the entry is retained.
+// derived per entry — the clipped text (ClipQuery), the heap copy of the
+// entry itself — is built only when the entry is retained, and the trace's
+// report only when Get asks for it. Offer takes tr over: a retained entry
+// keeps it, and a dropped one gives it back when it came from AcquireTrace.
 // Safe on a nil receiver.
 func (rec *Recorder) Offer(e TraceEntry, tr *Trace) {
 	if rec == nil {
@@ -194,21 +199,23 @@ func (rec *Recorder) Offer(e TraceEntry, tr *Trace) {
 	if e.Outcome == "" {
 		e.Outcome = OutcomeOK
 	}
-	if keep {
+	switch {
+	case keep:
 		rec.retained.Add(1)
 		rec.kept.put(retain(e, tr))
-		return
-	}
-	if rec.ctr.Add(1)%rec.sample == 0 {
+	case rec.ctr.Add(1)%rec.sample == 0:
 		rec.sampledCt.Add(1)
 		rec.sampled.put(retain(e, tr))
+	case tr != nil:
+		tr.release()
 	}
 }
 
 // retain finishes an entry the rings will hold.
 func retain(e TraceEntry, tr *Trace) *TraceEntry {
 	if e.Report == nil && tr != nil {
-		e.Report = tr.Report()
+		tr.finish()
+		e.trace = tr
 	}
 	e.Query = ClipQuery(e.Query)
 	return &e
@@ -233,7 +240,7 @@ func (rec *Recorder) List(limit int) []*TraceEntry {
 	out := make([]*TraceEntry, len(all))
 	for i, e := range all {
 		c := *e
-		c.Report = nil
+		c.Report, c.trace = nil, nil
 		out[i] = &c
 	}
 	return out
@@ -256,6 +263,9 @@ func (rec *Recorder) Get(id string) *TraceEntry {
 		return nil
 	}
 	c := *best
+	if c.trace != nil {
+		c.Report, c.trace = c.trace.Report(), nil
+	}
 	return &c
 }
 

@@ -228,6 +228,63 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestKeptTraceKeepsItsSpans: pooled traces go back to the pool only when
+// the recorder drops their entries. Four writers offer pooled traces, each
+// with a span named for its request, a third of them errors (kept) and a
+// share of the rest sampled; a reader fetches kept entries meanwhile. Every
+// entry the recorder keeps still reports its own ID and span once the
+// writers have recycled every trace they were allowed to.
+func TestKeptTraceKeepsItsSpans(t *testing.T) {
+	rec := NewRecorder(4096, time.Hour, 4)
+	const writers, each = 4, 300
+	var ids [writers][each]string
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				tr := AcquireTrace("")
+				ctx := WithTrace(t.Context(), tr)
+				_, sp := StartSpan(ctx, fmt.Sprintf("req-%d-%d", w, i))
+				Add(ctx, "steps", int64(i+1))
+				sp.End()
+				outcome := OutcomeOK
+				if i%3 == 0 {
+					outcome = OutcomeError
+				}
+				ids[w][i] = tr.ID()
+				rec.Offer(TraceEntry{ID: ids[w][i], TimeUnixMS: int64(i), Endpoint: "ask", Outcome: outcome}, tr)
+				if i%7 == 0 && i >= 3 {
+					rec.Get(ids[w][i-3]) // a reader beside the writers
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	kept := 0
+	for w := range writers {
+		for i := range each {
+			e := rec.Get(ids[w][i])
+			if e == nil {
+				if i%3 == 0 {
+					t.Fatalf("error entry %d/%d not kept", w, i)
+				}
+				continue
+			}
+			kept++
+			want := fmt.Sprintf("req-%d-%d", w, i)
+			if r := e.Report; r == nil || r.ID != ids[w][i] || len(r.Spans) != 1 || r.Spans[0].Name != want ||
+				r.Counters["steps"] != int64(i+1) {
+				t.Fatalf("entry %s reports %+v, want its own trace with span %s", ids[w][i], r, want)
+			}
+		}
+	}
+	if kept <= writers*each/3 {
+		t.Errorf("%d entries kept, want the errors and a sample", kept)
+	}
+}
+
 // TestFingerprint pins the fingerprint: FNV-64a of the shape as 16 lowercase
 // hex digits (the values metric series and recorded entries already carry),
 // empty for an empty shape.

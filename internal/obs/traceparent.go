@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"strconv"
-)
+import "context"
 
 // Cross-process trace propagation. The wire format is the W3C Trace Context
 // traceparent header, version 00:
@@ -77,10 +74,8 @@ func allZero(s string) bool {
 // recorded here join a tree begun in another process. An invalid ID (or "")
 // gets a fresh one.
 func NewTraceWith(id string) *Trace {
-	t := NewTrace()
-	if ValidTraceID(id) {
-		t.id = id
-	}
+	t := new(Trace)
+	t.begin(id)
 	return t
 }
 
@@ -108,32 +103,36 @@ func (t *Trace) Counter(name string) int64 {
 // CurrentSpanID returns the ID of the span enclosing ctx, or 0 when ctx is
 // at the trace root (or carries no trace).
 func CurrentSpanID(ctx context.Context) int {
-	if ctx == nil {
-		return 0
+	if s := scopeOf(ctx); s != nil {
+		return s.Span
 	}
-	tc, _ := ctx.Value(traceCtxKey{}).(traceCtx)
-	return tc.spanID
+	return 0
 }
 
 // Traceparent renders the traceparent header value for ctx's trace, naming
 // the current span as the remote parent; "" when ctx carries no trace.
 func Traceparent(ctx context.Context) string {
-	t := FromContext(ctx)
-	if t == nil {
-		return ""
+	return string(AppendTraceparent(nil, ctx))
+}
+
+// AppendTraceparent appends Traceparent(ctx) to dst, and nothing when ctx
+// carries no trace: what a frame encoder calls to write the header value in
+// place.
+func AppendTraceparent(dst []byte, ctx context.Context) []byte {
+	s := scopeOf(ctx)
+	if s == nil || s.Trace == nil {
+		return dst
 	}
+	dst = append(append(append(dst, "00-"...), s.Trace.ID()...), '-')
 	// Local span IDs are small ints; render as a 16-hex parent ID. Span 0
 	// (the root) maps to the reserved-looking but valid "000000000000cafe"
 	// so the header never carries the forbidden all-zero parent.
-	sid := CurrentSpanID(ctx)
-	var pid string
-	if sid <= 0 {
-		pid = "000000000000cafe"
+	if s.Span <= 0 {
+		dst = append(dst, "000000000000cafe"...)
 	} else {
-		s := strconv.FormatUint(uint64(sid), 16)
-		pid = "0000000000000000"[:16-len(s)] + s
+		dst = appendHex64(dst, uint64(s.Span))
 	}
-	return FormatTraceparent(t.ID(), pid)
+	return append(dst, "-01"...)
 }
 
 // GraftReport splices child — the span tree a downstream process returned —

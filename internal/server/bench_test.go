@@ -114,11 +114,19 @@ func BenchmarkServeAsk(b *testing.B) {
 
 // askHitBytes bounds the bytes one cached ask allocates, whatever its text:
 // the request, the response recorder and the per-request records, some
-// 2.9 KB. The query is read as a view into the pooled body and the plan
+// 2.5 KB. The query is read as a view into the pooled body and the plan
 // cache's own string is what the request keeps, so no copy of the text is
 // made; before, the decoded query string was one, and the bound was twice
-// the body plus 4 KB.
-const askHitBytes = 3584
+// the body plus 4 KB. The bound was 3584 before the pipeline carried one
+// context value and a pooled trace.
+const askHitBytes = 2816
+
+// askHitAllocs bounds the allocations of one cached ask: 13 are the test's
+// own (http.NewRequest, the response recorder and its header clone), the
+// rest the handler's — the request's context and the request the pipeline
+// hands the handler, the request ID, a fresh trace ID (the test sends no
+// traceparent), the decoded request object and the mux's path match.
+const askHitAllocs = 20
 
 // TestAskHitAllocs gates the cached ask: neither the number of allocations
 // nor the bytes allocated grow with the term's depth.
@@ -142,6 +150,9 @@ func TestAskHitAllocs(t *testing.T) {
 			shallow = allocs
 		} else if allocs > shallow+1 {
 			t.Errorf("depth %d: %.0f allocations per cached ask, %.0f at depth 0", d, allocs, shallow)
+		}
+		if !raceBuild && allocs > askHitAllocs {
+			t.Errorf("depth %d: %.0f allocations per cached ask, ceiling %d", d, allocs, askHitAllocs)
 		}
 		limit := float64(askHitBytes)
 		if raceBuild {

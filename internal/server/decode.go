@@ -58,6 +58,13 @@ var putBuf = func(bp *[]byte) {
 	}
 }
 
+// release hands back what decodeHeld returned: a pooled buffer, or none.
+func release(bp *[]byte) {
+	if bp != nil {
+		putBuf(bp)
+	}
+}
+
 // decode reads the request body, at most MaxBodyBytes of it and under the
 // request's deadline (api.ReadBody), and decodes the JSON object it holds
 // into fields. A body that declares or turns out to have more bytes is 413
@@ -65,20 +72,30 @@ var putBuf = func(bp *[]byte) {
 // running out of time, which is the request's deadline.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, fields []field) error {
 	bp, err := s.decodeHeld(w, r, fields)
-	putBuf(bp)
+	release(bp)
 	return err
 }
 
 // decodeHeld is decode for fields that view the body (queryText): the body
 // stays in the returned pooled buffer, which the caller hands back with
-// putBuf — whether decoding failed or not — once nothing reads the views.
+// release — whether decoding failed or not — once nothing reads the views. A
+// body the hop already holds whole (api.HeldBody) is decoded where it is,
+// and no buffer is returned: the hop keeps it until the response is written.
 func (s *Server) decodeHeld(w http.ResponseWriter, r *http.Request, fields []field) (*[]byte, error) {
-	bp := getBuf()
-	deadline, _ := r.Context().Deadline()
-	body, err := api.ReadBody(w, r, (*bp)[:0], s.cfg.MaxBodyBytes, deadline)
-	*bp = body
-	if err != nil {
-		return bp, err
+	var bp *[]byte
+	body, held := api.HeldBody(r)
+	if held && int64(len(body)) > s.cfg.MaxBodyBytes {
+		return nil, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	}
+	if !held {
+		bp = getBuf()
+		deadline, _ := r.Context().Deadline()
+		var err error
+		body, err = api.ReadBody(w, r, (*bp)[:0], s.cfg.MaxBodyBytes, deadline)
+		*bp = body
+		if err != nil {
+			return bp, err
+		}
 	}
 	if err := decodeObject(body, fields); err != nil {
 		return bp, errf(http.StatusBadRequest, "invalid request body: %v", err)

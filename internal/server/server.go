@@ -445,9 +445,7 @@ func (s *Server) instrument(endpoint string, timeout time.Duration, h api.Handle
 			// runs under it, the compile a first read pays for included.
 			// Writes run without one.
 			if err == nil && !write {
-				if b := adm.Budget(in.Tenant); b != nil {
-					r = r.WithContext(obs.WithBudget(r.Context(), b))
-				}
+				in.SetBudget(adm.Budget(in.Tenant))
 			}
 		}
 		if err == nil {
@@ -782,7 +780,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	}
 	var req askRequest
 	bp, err := s.decodeHeld(w, r, req.fields())
-	defer putBuf(bp)
+	defer release(bp)
 	if err != nil {
 		return err
 	}
@@ -824,9 +822,13 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
+// contentJSON is the Content-Type value every cached-ask response shares:
+// read-only, and without spare capacity, so that an Add copies it.
+var contentJSON = []string{api.ContentJSON}
+
 // writeAsk renders an ask's 200. Without a trace block the body is three
 // scalars: it is appended to a pooled buffer, byte for byte what
-// json.Encoder writes, and sent with its Content-Length.
+// json.Encoder writes, and sent with the shared Content-Type.
 func writeAsk(w http.ResponseWriter, resp askResponse) {
 	if resp.Trace != nil {
 		api.WriteJSON(w, http.StatusOK, resp)
@@ -840,9 +842,9 @@ func writeAsk(w http.ResponseWriter, resp askResponse) {
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, resp.Cached)
 	b = append(b, "}\n"...)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(b)))
+	// net/http sends the Content-Length of a body this small itself, and a
+	// hop frame carries its length.
+	w.Header()["Content-Type"] = contentJSON
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 	*bp = b

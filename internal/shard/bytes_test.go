@@ -135,6 +135,14 @@ func TestRoutedAskBytes(t *testing.T) {
 	// a header or two, and the pooled buffers the profiling collections
 	// empty, made again once per run of requests.
 	const slack = 768
+	// What each side may allocate per routed hit at all: ~2.0–2.3 KB on the
+	// router (its request's context and request, net/http's header clone,
+	// the trace ID it mints, the forward span, the shard URL) and ~0.9 KB on
+	// the daemon (the frame's one string, the request's context and
+	// request, the request ID, the decoded ask). They were ~3.9 and ~2.3 KB
+	// before the hop kept its records and headers per connection and the
+	// pipeline carried one context value and a pooled trace.
+	bound := map[string]float64{"router": 2816, "shard": 1088}
 	var shallow map[string]float64
 	for i, d := range []int{0, 64, 512, 1023} {
 		body := routedAskBody(d)
@@ -152,6 +160,12 @@ func TestRoutedAskBytes(t *testing.T) {
 		}
 		t.Logf("depth %4d: body %5d B; per routed hit %5.0f B on the router, %5.0f B on the daemon, %5.0f B elsewhere",
 			d, len(body), perOp["router"], perOp["shard"], perOp[""])
+		for _, side := range []string{"router", "shard"} {
+			if perOp[side] > bound[side] {
+				t.Errorf("depth %d (body %d B): %s side allocates %.0f B per routed hit, bound %.0f",
+					d, len(body), side, perOp[side], bound[side])
+			}
+		}
 		if i == 0 {
 			shallow = perOp
 			continue

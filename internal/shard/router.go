@@ -180,10 +180,15 @@ func NewRouter(src *Source, opts Options) *Router {
 	// ID, a trace adopting the client's traceparent under a "route" root
 	// span, the error envelope, a flight-recorder entry. Endpoint names are
 	// the shards' own, so one vocabulary filters both recorders.
+	// A proxied endpoint passes the shard's request ID on instead of minting
+	// one (api.Pipeline.Relay).
 	pipe := &api.Pipeline{Recorder: rt.rec, Log: rt.log, Node: "router", Span: "route"}
 	mux := http.NewServeMux()
 	route := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, pipe.Wrap(endpoint, 0, h))
+	}
+	proxy := func(pattern, endpoint string, h api.Handler) {
+		mux.Handle(pattern, pipe.Relay(endpoint, h))
 	}
 	route("GET /healthz", "healthz", rt.handleHealthz)
 	route("GET /readyz", "readyz", rt.handleReadyz)
@@ -192,15 +197,15 @@ func NewRouter(src *Source, opts Options) *Router {
 	route("PUT /v1/shardmap", "shardmap", rt.handleMapPut)
 	route("GET /v1/dbs", "dbs", rt.handleListDBs)
 	route("POST /v1/batch", "batch", rt.handleCrossBatch)
-	route("PUT /v1/db/{name}", "put", rt.handleWrite)
-	route("DELETE /v1/db/{name}", "delete", rt.handleWrite)
-	route("POST /v1/db/{name}/facts", "facts", rt.handleWrite)
-	route("GET /v1/db/{name}", "db", rt.handleRead)
-	route("POST /v1/db/{name}/ask", "ask", rt.handleRead)
-	route("POST /v1/db/{name}/answers", "answers", rt.handleRead)
-	route("POST /v1/db/{name}/batch", "batch", rt.handleRead)
-	route("GET /v1/db/{name}/explain", "explain", rt.handleRead)
-	route("POST /v1/db/{name}/watch", "watch", rt.handleWatch)
+	proxy("PUT /v1/db/{name}", "put", rt.handleWrite)
+	proxy("DELETE /v1/db/{name}", "delete", rt.handleWrite)
+	proxy("POST /v1/db/{name}/facts", "facts", rt.handleWrite)
+	proxy("GET /v1/db/{name}", "db", rt.handleRead)
+	proxy("POST /v1/db/{name}/ask", "ask", rt.handleRead)
+	proxy("POST /v1/db/{name}/answers", "answers", rt.handleRead)
+	proxy("POST /v1/db/{name}/batch", "batch", rt.handleRead)
+	proxy("GET /v1/db/{name}/explain", "explain", rt.handleRead)
+	proxy("POST /v1/db/{name}/watch", "watch", rt.handleWatch)
 	if rt.rec != nil {
 		route("GET /debug/traces", "traces", rt.handleTraceList)
 		route("GET /debug/traces/{id}", "traces", rt.handleTraceGet)
@@ -531,14 +536,20 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, in *api.Info, 
 	defer resp.Body.Close()
 	rt.group(g.Name).requests.Inc()
 
-	// The shard's request ID replaces the router's own: it names the log
-	// line that has the query in it.
+	// The shard's request ID is the router's: it names the log line that
+	// has the query in it. The values are copied into the request's own
+	// header slots (resp is the hop connection's, handed back when its body
+	// is closed).
+	hdr := w.Header()
 	for _, h := range [...]string{"Content-Type", api.HeaderRequestID, api.HeaderRetryAfter} {
 		if v := resp.Header[h]; len(v) > 0 {
-			w.Header()[h] = v
+			in.SetHeader(hdr, h, v[0])
 		}
 	}
-	w.Header().Set(api.HeaderShard, g.Name)
+	if v := resp.Header[api.HeaderRequestID]; len(v) > 0 {
+		in.RequestID = v[0]
+	}
+	in.SetHeader(hdr, api.HeaderShard, g.Name)
 	if resp.StatusCode != http.StatusOK {
 		in.Status = resp.StatusCode
 	}

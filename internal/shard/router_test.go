@@ -475,3 +475,70 @@ func BenchmarkRouteAsk(b *testing.B) {
 		})
 	}
 }
+
+// replayWriter is a ResponseWriter a test reuses across requests: its header
+// map is cleared, its body discarded.
+type replayWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *replayWriter) Header() http.Header { return w.h }
+func (w *replayWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+func (w *replayWriter) Write(p []byte) (int, error) { w.WriteHeader(http.StatusOK); return len(p), nil }
+
+// routeAskAllocs bounds what a routed ask allocates in the router and the
+// hop, against a backend that answers a constant as a cached ask does: the
+// request's context and the request the pipeline hands the handler, the
+// trace ID it mints for a client that sent none, the forward span's
+// context, the shard URL, the mux's path match, and on the hop the one
+// string each end copies a frame's other strings into. It was 49 before the
+// hop kept its records, headers and response per connection (EXPERIMENTS
+// A46).
+const routeAskAllocs = 8
+
+// TestRouteAskAllocs gates the router's end of a routed hit, as
+// BenchmarkRouteAsk drives it but with a request and a response writer
+// reused, so that what is counted is the router's and the hop's own; the
+// count does not grow with the body. The race build's sync.Pool drops a
+// share of what is put back, so there the ceiling does not apply.
+func TestRouteAskAllocs(t *testing.T) {
+	answer := []byte(`{"answer":true,"version":1,"cached":true}` + "\n")
+	ct, id := []string{api.ContentJSON}, []string{"0123456789abcdef"}
+	backend := httptest.NewServer(api.ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header()["Content-Type"], w.Header()[api.HeaderRequestID] = ct, id
+		w.Write(answer)
+	})))
+	defer backend.Close()
+	src := NewSource(&Map{Version: 1, Groups: []Group{{Name: "g", Primary: backend.URL}}})
+	defer src.Close()
+	rt := NewRouter(src, Options{Logger: quiet})
+	defer rt.Close()
+	for _, size := range []int{64, 8 << 10} {
+		body := []byte(`{"query":"` + strings.Repeat("x", size) + `"}`)
+		rd := bytes.NewReader(body)
+		r, _ := http.NewRequest("POST", "/v1/db/d/ask", io.NopCloser(rd))
+		r.ContentLength = int64(len(body))
+		w := &replayWriter{h: http.Header{}}
+		ask := func() {
+			rd.Reset(body)
+			clear(w.h)
+			w.code = 0
+			rt.ServeHTTP(w, r)
+		}
+		ask()
+		allocs := testing.AllocsPerRun(500, ask)
+		if w.code != http.StatusOK || w.h.Get(api.HeaderRequestID) != id[0] {
+			t.Fatalf("body %d: status %d, header %v", len(body), w.code, w.h)
+		}
+		t.Logf("body %5d B: %.0f allocations per routed ask", len(body), allocs)
+		if !raceBuild && allocs > routeAskAllocs {
+			t.Errorf("body %d B: %.0f allocations per routed ask, ceiling %d", len(body), allocs, routeAskAllocs)
+		}
+	}
+}

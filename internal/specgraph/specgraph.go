@@ -145,7 +145,7 @@ func (b *Builder) Run() (*Spec, error) {
 	// its charges and engine call before its first write, so a failed one
 	// leaves nothing behind.
 	curDepth := -1
-	var rspan *obs.SpanHandle
+	var rspan obs.SpanHandle
 	defer func() { rspan.End() }()
 	row, d, anchored := int32(-1), 0, false // the row of T the cursor is in, and what its terms share
 	for ; b.next < 1+len(tab.Reps)*k; b.next++ {

@@ -79,16 +79,27 @@ func ReadRecord(r io.Reader) ([]byte, error) { return ReadRecordInto(r, nil) }
 // record boundary, io.ErrUnexpectedEOF when the stream ends mid-record (a
 // torn write), and an error wrapping ErrCorrupt when the length prefix is
 // implausible or the checksum does not match.
+//
+// The frame header is read into buf's storage too, before the payload
+// overwrites it: a header array of its own would escape to the heap through
+// r, one allocation per record. A buffer too small for the header gets one
+// that size.
 func ReadRecordInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf[:0]
+	if cap(hdr) < frameSize {
+		hdr = make([]byte, 0, frameSize)
+	}
+	hdr = hdr[:frameSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		// io.EOF at a clean boundary, io.ErrUnexpectedEOF mid-header.
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: length prefix %d exceeds %d", ErrCorrupt, n, MaxRecordBytes)
 	}
+	buf = hdr[:0]
 	var payload []byte
 	if int(n) <= cap(buf) {
 		payload = buf[:n]
@@ -101,7 +112,7 @@ func ReadRecordInto(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return payload, nil

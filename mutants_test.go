@@ -86,12 +86,26 @@ var mutants = []mutant{
 		edits: []edit{{"internal/api/hop.go", "if _, err := br.Peek(1); err != nil", "if _, err := wire.ReadRecordInto(br, c.rec); err != nil"}}},
 	{name: "encoder_back_from_the_context", pkg: "./internal/api", run: "^TestHopEncoderBackAfterWrite$",
 		edits: []edit{{"internal/api/hop.go",
-			"stop := context.AfterFunc(ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })\n\trec, err := hc.roundTrip(frame)\n\tputHopEncoder(e)",
-			"stop := context.AfterFunc(ctx, func() { putHopEncoder(e); hc.nc.SetDeadline(aLongTimeAgo) })\n\trec, err := hc.roundTrip(frame)\n\t_ = e"}}},
+			"hc.arm(ctx)\n\trec, err := hc.roundTrip(frame)\n\tputHopEncoder(e)",
+			"hc.arm(ctx)\n\tstop := context.AfterFunc(ctx, func() { putHopEncoder(e) })\n\trec, err := hc.roundTrip(frame)\n\t_ = stop"}}},
 	{name: "hop_body_wrapped_per_frame", pkg: "./internal/api", run: "^TestHopBodyAllocatesNothing$",
 		edits: []edit{{"internal/api/hop.go",
-			"c.body.Reset(body)\n\t\treq.Body, req.ContentLength = &c.body, int64(len(body))",
+			"c.body.reset(body, nil)\n\t\treq.Body, req.ContentLength = &c.body, int64(len(body))",
 			"req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))"}}},
+	{name: "response_back_before_it_is_read", pkg: "./internal/api", run: "^TestHopResponseHeldUntilClosed$",
+		edits: []edit{{"internal/api/hop.go", "hc.client, hc.base, back = c, base, hc", "c.putHop(base, hc)"}}},
+	{name: "header_slab_slice_with_room", pkg: "./internal/api", run: "^TestHopHeaderSlicesHaveNoRoom$",
+		edits: []edit{{"internal/api/hop.go", "hh.h[k] = hh.vals[i : i+1 : i+1]", "hh.h[k] = hh.vals[i : i+1]"}}},
+	{name: "header_slot_slice_with_room", pkg: "./internal/api", run: "^TestSetHeaderSlotsHaveNoRoom$",
+		edits: []edit{{"internal/api/handler.go", "h[key] = in.hdr[i : i+1 : i+1]", "h[key] = in.hdr[i : i+1]"}}},
+	{name: "kept_trace_back_in_the_pool", pkg: "./internal/obs", run: "^TestKeptTraceKeepsItsSpans$",
+		edits: []edit{{"internal/obs/recorder.go",
+			"\tcase tr != nil:\n\t\ttr.release()\n\t}",
+			"\t}\n\tif tr != nil {\n\t\ttr.release()\n\t}"}}},
+	{name: "deadline_never_armed", pkg: "./internal/server", run: "^(TestStalledBodyIsCutOffAtTheDeadline|TestCompileMeetsItsDeadline)$",
+		edits: []edit{{"internal/api/handler.go",
+			"ctx, cancel := context.WithDeadline(c.parent, c.deadline)",
+			"ctx, cancel := context.WithCancel(c.parent)"}}},
 
 	// An answer specification's build that its leader's deadline kills.
 	{name: "follower_inherits_the_leaders_failure", pkg: "./internal/core", run: "^TestAnswerSpecFollowerOutlivesLeader$",
