@@ -27,7 +27,8 @@ test:
 # compile-and-run check; its numbers are for people). And the router's twin:
 # the bytes a routed plan-cache hit allocates on each side of the hop, by
 # the memory profile, flat in the body size, and the allocations of each
-# end: the router with its hop client, and the daemon's hop and pipeline. So do the answer
+# end: the router with its hop client, and the daemon's hop and pipeline.
+# So do the answer
 # specification's: the warm answers path's allocation bound, what the
 # answers pool retains against the plan cache's own account, and a pass over
 # the hit-path benchmark; and the one renderer's: its allocations per
@@ -111,14 +112,15 @@ race-watch:
 # is not reused while its frame is served and a frame past the 64 KiB cap is
 # not kept, a hop client hands its encoder back only after its write has
 # returned and its connection, whose storage holds the response, only once
-# the response's body is closed, no header value slice the hop or the
-# pipeline hands out has room to append into, a request's deadline arms its
-# timer only when asked to wait, and the router hands its body back only
-# after forwarding.
+# the relay has read it (Send's response is a copy, the caller's: refusals
+# read under concurrent calls are each their own), no header value slice the
+# hop or the pipeline hands out has room to append into, a request's
+# deadline arms its timer only when asked to wait, and the router hands its
+# body back only after forwarding.
 race-shard:
 	$(GO) test -race -count=1 ./internal/api/ ./internal/shard/ ./cmd/fdbrouter/
 	$(GO) test -race -count=10 -run 'TestRoutedAskKeepsNoView' ./internal/server/
-	$(GO) test -race -count=10 -run 'TestHopRecordHeldWhileServed|TestHopLargeFrameNotKept|TestHopEncoderBackAfterWrite|TestHopResponseHeldUntilClosed|TestHopHeaderSlicesHaveNoRoom|TestSetHeaderSlotsHaveNoRoom|TestRequestDeadlineIsLazy' ./internal/api/
+	$(GO) test -race -count=10 -run 'TestHopRecordHeldWhileServed|TestHopLargeFrameNotKept|TestHopEncoderBackAfterWrite|TestHopResponseHeldUntilRelayed|TestHopSendResponseIsOwned|TestHopRefusalsRaceNothing|TestHopHeaderSlicesHaveNoRoom|TestSetHeaderSlotsHaveNoRoom|TestRequestDeadlineIsLazy' ./internal/api/
 	$(GO) test -race -count=10 -run 'TestRoutedBodyHeldUntilForwarded' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestShardedClusterEndToEnd' ./cmd/fdbd/
 
@@ -176,8 +178,7 @@ fuzz:
 # reference), the watch frame codec, the daemon's request-body decoder
 # (differential: encoding/json is the reference), the client's
 # error-envelope decoder (differential too) and the router hop's request and
-# response frames (round trip, and no allocation past a bound) and
-# request-URIs (differential: url.ParseRequestURI is the reference). And the flat
+# response frames (round trip, and no allocation past a bound). And the flat
 # walk, identity and minimised, against Table.Walk on random strings
 # (differential). (The parser
 # seeds are kilobytes long; without a minimizer budget the fuzzer spends the
@@ -203,7 +204,6 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzReadError$$' -fuzz=FuzzReadError -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzHopRequest$$' -fuzz=FuzzHopRequest -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzHopResponse$$' -fuzz=FuzzHopResponse -fuzztime=30s ./internal/api
-	$(GO) test -run '^FuzzHopURI$$' -fuzz=FuzzHopURI -fuzztime=30s ./internal/api
 	$(GO) test -run '^FuzzFlatWalk$$' -fuzz=FuzzFlatWalk -fuzztime=30s ./internal/specgraph
 
 tables:

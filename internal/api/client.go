@@ -85,16 +85,47 @@ type Request struct {
 }
 
 // Send performs rq and returns the response whatever its status; the caller
-// closes the body, once. It is the primitive under Stream and Do, and what a
-// proxy uses to relay a response as it came. A hop response lives in its
-// connection's storage, which closing the body hands back to the pool:
-// nothing of the response may be read after.
+// closes the body. It is the primitive under Stream and Do. A hop response is
+// copied out of its connection, which is back in the pool by the time Send
+// returns; a proxy relays one without the copy through Forward.
 func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
 	var buf [8]string
 	hdr := rq.headers(&buf)
-	if rq.Hop {
-		return c.orDefault().exchange(ctx, rq, hdr)
+	if !rq.Hop {
+		return c.orDefault().send(ctx, rq, hdr)
 	}
+	var out *http.Response
+	err := c.orDefault().exchange(ctx, rq, hdr, func(resp *http.Response) error {
+		own := *resp
+		own.Header = resp.Header.Clone()
+		own.Body = io.NopCloser(bytes.NewReader(bytes.Clone(resp.Body.(*hopBody).held)))
+		out = &own
+		return nil
+	})
+	return out, err
+}
+
+// Forward performs rq and hands fn the response whatever its status, for a
+// proxy to relay as it came; fn's error is Forward's. A hop response is lent,
+// not copied: it lives in its connection's storage, which goes back to the
+// pool once fn returns, so fn keeps nothing of it past its return but the
+// strings it read. Any other response's body is closed once fn returns.
+func (c *Client) Forward(ctx context.Context, rq Request, fn func(*http.Response) error) error {
+	var buf [8]string
+	hdr := rq.headers(&buf)
+	if rq.Hop {
+		return c.orDefault().exchange(ctx, rq, hdr, fn)
+	}
+	resp, err := c.orDefault().send(ctx, rq, hdr)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return fn(resp)
+}
+
+// send performs rq, whose header lines are hdr, as an HTTP request.
+func (c *Client) send(ctx context.Context, rq Request, hdr []string) (*http.Response, error) {
 	var body io.Reader
 	if len(rq.Body) > 0 {
 		body = bytes.NewReader(rq.Body)
@@ -111,13 +142,13 @@ func (c *Client) Send(ctx context.Context, rq Request) (*http.Response, error) {
 			req.Header.Set(obs.TraceparentHeader, tp)
 		}
 	}
-	return c.orDefault().hc.Do(req)
+	return c.hc.Do(req)
 }
 
 // headers lists the header lines rq sends, as name/value pairs in buf: the
 // content type, tenant key, router mark and traceparent when set. Without
 // one of its own, the traceparent ctx's trace renders goes too, written
-// where the request is (Send, exchange).
+// where the request is (send, exchange).
 func (rq *Request) headers(buf *[8]string) []string {
 	n := 0
 	for _, kv := range [...][2]string{

@@ -148,11 +148,13 @@ func WriteError(w http.ResponseWriter, e *Error) {
 const maxErrorBody = 64 << 10
 
 // ReadError consumes a non-2xx response: it reads at most maxErrorBody of
-// the body, closes it, and decodes what it read.
+// the body, decodes what it read, and only then closes the body, so that it
+// reads nothing of the response after closing it.
 func ReadError(resp *http.Response) *Error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	e := DecodeError(resp.StatusCode, resp.Header, body)
 	resp.Body.Close()
-	return DecodeError(resp.StatusCode, resp.Header, body)
+	return e
 }
 
 // DecodeError decodes a refusal from its parts. It understands both envelope

@@ -30,7 +30,8 @@ type Info struct {
 	// once the handler has returned, and nothing may hold it past that.
 	Trace *obs.Trace
 	// RequestID names the request in this process's log line and its
-	// X-Request-Id: minted by Wrap, or the relayed daemon's under Relay.
+	// X-Request-Id: minted by Wrap, and replaced by a handler that relays
+	// another daemon's response with that daemon's.
 	RequestID string
 
 	DB          string
@@ -46,7 +47,7 @@ type Info struct {
 	Code   string
 
 	scope *obs.Scope // the request context's own (SetBudget)
-	hdr   [4]string  // response header values the request owns (SetHeader)
+	hdr   [6]string  // response header values the request owns (SetHeader)
 	nhdr  int
 }
 
@@ -203,18 +204,6 @@ type Pipeline struct {
 // rendered as the envelope; the finished request is offered to the recorder
 // and logged.
 func (p *Pipeline) Wrap(endpoint string, timeout time.Duration, h Handler) http.HandlerFunc {
-	return p.wrap(endpoint, timeout, true, h)
-}
-
-// Relay is Wrap, without a deadline, for a handler that relays another
-// daemon's response and sets Info.RequestID and X-Request-Id to that
-// daemon's: the pipeline mints a request ID of its own only when the
-// handler returns a refusal of its own.
-func (p *Pipeline) Relay(endpoint string, h Handler) http.HandlerFunc {
-	return p.wrap(endpoint, 0, false, h)
-}
-
-func (p *Pipeline) wrap(endpoint string, timeout time.Duration, mint bool, h Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c := &request{parent: r.Context()}
 		defer c.end()
@@ -227,10 +216,8 @@ func (p *Pipeline) wrap(endpoint string, timeout time.Duration, mint bool, h Han
 			}
 		}
 		hdr := w.Header()
-		if mint {
-			in.RequestID = obs.NewRequestID()
-			in.SetHeader(hdr, HeaderRequestID, in.RequestID)
-		}
+		in.RequestID = obs.NewRequestID()
+		in.SetHeader(hdr, HeaderRequestID, in.RequestID)
 		var root obs.SpanHandle
 		if p.Recorder != nil {
 			tid, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
@@ -253,10 +240,6 @@ func (p *Pipeline) wrap(endpoint string, timeout time.Duration, mint bool, h Han
 		if err != nil {
 			e = AsError(err)
 			status, code = e.Status, e.Code
-			if in.RequestID == "" {
-				in.RequestID = obs.NewRequestID()
-				in.SetHeader(hdr, HeaderRequestID, in.RequestID)
-			}
 		} else if in.Status != 0 {
 			status, code = in.Status, in.Code
 		}

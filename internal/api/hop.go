@@ -271,43 +271,6 @@ func (hh *hopHeader) decode(d *wire.Decoder) http.Header {
 	return hh.h
 }
 
-// parseURI is url.ParseRequestURI into u, for the URIs a hop client sends:
-// a path of bytes that need no escaping, and an optional query, is split in
-// place; anything else goes to url.ParseRequestURI.
-func parseURI(u *url.URL, uri string) error {
-	*u = url.URL{}
-	path, query, hasQuery := strings.Cut(uri, "?")
-	plain := len(path) > 0 && path[0] == '/'
-	for i := 0; plain && i < len(path); i++ {
-		plain = pathByte(path[i])
-	}
-	for i := len(path); plain && i < len(uri); i++ {
-		plain = uri[i] >= 0x20 && uri[i] != 0x7f
-	}
-	if !plain {
-		p, err := url.ParseRequestURI(uri)
-		if err != nil {
-			return err
-		}
-		*u = *p
-		return nil
-	}
-	// As url.ParseRequestURI reads it: a URI whose one "?" is its last byte
-	// forces an empty query; otherwise the query is what follows the first.
-	u.Path, u.RawQuery, u.ForceQuery = path, query, hasQuery && query == ""
-	return nil
-}
-
-// pathByte reports whether url.URL keeps c in a path as it is: the bytes it
-// neither unescapes nor escapes.
-func pathByte(c byte) bool {
-	switch {
-	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		return true
-	}
-	return strings.IndexByte("-_.~$&+,/:;=@", c) >= 0
-}
-
 // ---- the daemon side ----
 
 // Hop serves the hop beside an HTTP handler; make one with ServeHop.
@@ -336,36 +299,27 @@ type hopServerConn struct {
 	body hopBody
 	w    hopWriter
 	enc  wire.Encoder
-	// And what the request is rebuilt in: its header lines, its URL, and
-	// the request itself, reset per frame from base, which carries the
-	// connection's context.
+	// And what the request is rebuilt in: its header lines and the request
+	// itself, reset per frame from base, which carries the connection's
+	// context.
 	hdr  hopHeader
-	url  url.URL
 	req  http.Request
 	base *http.Request
 }
 
 // hopBody is a body a hop holds whole: a reader over the record it came in,
-// closed by doing nothing, or — on a client — by handing the connection
-// back to the pool (hopConn).
+// closed by doing nothing.
 type hopBody struct {
 	bytes.Reader
 	held []byte
-	back *hopConn // the client connection Close hands back
 }
 
-func (b *hopBody) reset(held []byte, back *hopConn) {
+func (b *hopBody) reset(held []byte) {
 	b.Reader.Reset(held)
-	b.held, b.back = held, back
+	b.held = held
 }
 
-func (b *hopBody) Close() error {
-	if hc := b.back; hc != nil {
-		b.back = nil
-		hc.client.putHop(hc.base, hc)
-	}
-	return nil
-}
+func (*hopBody) Close() error { return nil }
 
 // HeldBody returns r's body, unread, without a copy when the hop already
 // holds it whole — the record its frame came in, which is not reused before
@@ -501,8 +455,9 @@ func (s *Hop) dispatch(ctx context.Context, outer *http.Request, c *hopServerCon
 	w := &c.w
 	w.reset()
 	method, uri, h, body, err := c.hdr.decodeRequest(rec)
+	var u *url.URL
 	if err == nil {
-		err = parseURI(&c.url, uri)
+		u, err = url.ParseRequestURI(uri)
 	}
 	if err != nil {
 		WriteError(w, Errorf(http.StatusBadRequest, "bad_request", "%v", err))
@@ -516,9 +471,9 @@ func (s *Hop) dispatch(ctx context.Context, outer *http.Request, c *hopServerCon
 	}
 	req := &c.req
 	*req = *c.base
-	req.Method, req.URL, req.RequestURI, req.Header, req.Body = method, &c.url, uri, h, http.NoBody
+	req.Method, req.URL, req.RequestURI, req.Header, req.Body = method, u, uri, h, http.NoBody
 	if len(body) > 0 {
-		c.body.reset(body, nil)
+		c.body.reset(body)
 		req.Body, req.ContentLength = &c.body, int64(len(body))
 	}
 	s.h.ServeHTTP(w, req)
@@ -624,24 +579,16 @@ type hopConn struct {
 	nc    net.Conn
 	br    *bufio.Reader
 	probe liveness // what hopAlive peeks through, made once at dial
+	cut   func()   // fails the connection's reads and writes at once
 
-	// What each exchange reuses, owned by the caller that took the
-	// connection from the pool until it closes the response's body, which
-	// hands the connection back: the record the response is read into, its
-	// header lines, the response, and the reader over its body.
-	rec    []byte
-	hdr    hopHeader
-	resp   http.Response
-	body   hopBody
-	client *Client
-	base   string // the pool it goes back to
-
-	// The watch on the caller's context (arm), made on first use.
-	mu      sync.Mutex
-	ctx     context.Context
-	watch   *time.Timer
-	watched chan struct{}
-	stop    func() bool
+	// What each exchange reuses, owned by the exchange that took the
+	// connection from the pool until it hands it back, once the response has
+	// been relayed: the record the response is read into, its header lines,
+	// the response, and the reader over its body.
+	rec  []byte
+	hdr  hopHeader
+	resp http.Response
+	body hopBody
 }
 
 // hopEncoders recycles the request encoders of every client: a frame is
@@ -660,61 +607,28 @@ var putHopEncoder = func(e *wire.Encoder) {
 // aLongTimeAgo is the deadline that fails a blocked read or write at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// arm watches ctx for the exchange about to start, the way the daemon
-// watches for a peer that hangs up: once the exchange has run for
-// hangUpAfter, a timer registers context.AfterFunc to cut the connection
-// when ctx ends. An exchange shorter than that — a plan-cache hit — registers
-// nothing; registering on every exchange cost four allocations.
-func (hc *hopConn) arm(ctx context.Context) {
-	hc.mu.Lock()
-	hc.ctx = ctx
-	if hc.watch == nil {
-		hc.watched = make(chan struct{}, 1)
-		hc.watch = time.AfterFunc(time.Hour, func() {
-			hc.mu.Lock()
-			hc.stop = context.AfterFunc(hc.ctx, func() { hc.nc.SetDeadline(aLongTimeAgo) })
-			hc.mu.Unlock()
-			hc.watched <- struct{}{}
-		})
-	}
-	hc.mu.Unlock()
-	hc.watch.Reset(hangUpAfter)
-}
-
-// disarm ends the watch once the exchange has returned, and reports whether
-// the context ended during it, cutting the connection.
-func (hc *hopConn) disarm() (cut bool) {
-	if hc.watch.Stop() {
-		hc.ctx = nil // the watcher never ran: nothing else reads it
-		return false
-	}
-	<-hc.watched
-	hc.mu.Lock()
-	stop := hc.stop
-	hc.stop, hc.ctx = nil, nil
-	hc.mu.Unlock()
-	return !stop()
-}
-
 // exchange performs rq, whose header lines are hdr, as one frame over a
-// pooled hop connection to its daemon; the response comes back whole, in the
-// connection's storage, which goes back to the pool when the response's body
-// is closed: the caller closes it once, and reads nothing of the response
-// after. A pooled connection found dead before the frame is written is
-// replaced by a new one. Once the frame is written a failure is returned,
-// never replayed: the daemon may have applied it. A context that ends
-// mid-exchange closes the connection, and with it, on the daemon, the
-// request's context.
-func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.Response, error) {
+// pooled hop connection to its daemon, and hands fn the response, which
+// comes back whole in the connection's storage: fn reads what it needs of it,
+// and the connection goes back to the pool once fn has returned. A pooled
+// connection found dead before the frame is written is replaced by a new
+// one. Once the frame is written a failure is returned, never replayed: the
+// daemon may have applied it. A context that ends mid-exchange closes the
+// connection, and with it, on the daemon, the request's context. Watching
+// ctx costs an exchange the allocations of context.AfterFunc (two, and the
+// parent's child map when the exchange is its first child); a watch started
+// only once an exchange had run a while would save them, but cut a
+// connection whose context ended that much late.
+func (c *Client) exchange(ctx context.Context, rq Request, hdr []string, fn func(*http.Response) error) error {
 	rest, ok := strings.CutPrefix(rq.URL, "http://")
 	slash := strings.IndexByte(rest, '/')
 	if !ok || slash <= 0 {
-		return nil, fmt.Errorf("hop to %q: not an http URL with a path", rq.URL)
+		return fmt.Errorf("hop to %q: not an http URL with a path", rq.URL)
 	}
 	host, uri := rest[:slash], rest[slash:]
 	base := rq.URL[:len(rq.URL)-len(uri)]
 	if err := ctx.Err(); err != nil {
-		return nil, hopError(rq, err)
+		return hopError(rq, err)
 	}
 	var tp []byte
 	if rq.Traceparent == "" {
@@ -730,9 +644,9 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	}
 	if err != nil {
 		putHopEncoder(e)
-		return nil, hopError(rq, err)
+		return hopError(rq, err)
 	}
-	hc.arm(ctx)
+	stop := context.AfterFunc(ctx, hc.cut)
 	rec, err := hc.roundTrip(frame)
 	putHopEncoder(e) // the frame's write has returned, whatever ctx did
 	var status int
@@ -741,28 +655,29 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string) (*http.
 	if err == nil {
 		status, h, body, err = hc.hdr.decodeResponse(rec)
 	}
-	var back *hopConn
-	if hc.disarm() {
-		// The context ended: this connection is done.
+	keep := stop()
+	if !keep || err != nil {
+		// The deadline fired, or is about to, or the exchange failed: this
+		// connection is done.
 		hc.nc.Close()
-		if err != nil {
+		if !keep && err != nil {
 			err = ctx.Err()
 		}
-	} else if err != nil {
-		hc.nc.Close()
-	} else {
-		hc.client, hc.base, back = c, base, hc
 	}
 	if err != nil {
-		return nil, hopError(rq, err)
+		return hopError(rq, err)
 	}
-	hc.body.reset(body, back)
+	hc.body.reset(body)
 	hc.resp = http.Response{
 		Status: http.StatusText(status), StatusCode: status,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: h, Body: &hc.body, ContentLength: int64(len(body)),
 	}
-	return &hc.resp, nil
+	err = fn(&hc.resp)
+	if keep {
+		c.putHop(base, hc)
+	}
+	return err
 }
 
 // hopError reads like the error an http.Client returns for the same call:
@@ -821,6 +736,13 @@ func (c *Client) putHop(base string, hc *hopConn) {
 	}
 }
 
+// newHopConn makes a client connection over nc, upgraded or not.
+func newHopConn(nc net.Conn) *hopConn {
+	hc := &hopConn{nc: nc, br: bufio.NewReader(nc), cut: func() { nc.SetDeadline(aLongTimeAgo) }}
+	hc.probe.init(nc)
+	return hc
+}
+
 // dialHop connects to host and upgrades the connection. A peer that does
 // not answer 101 with the hop's token refused it; to a caller that is a node
 // failure like any other transport error.
@@ -830,9 +752,8 @@ func dialHop(ctx context.Context, host string) (*hopConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(aLongTimeAgo) })
-	hc := &hopConn{nc: nc, br: bufio.NewReader(nc)}
-	hc.probe.init(nc)
+	hc := newHopConn(nc)
+	stop := context.AfterFunc(ctx, hc.cut)
 	_, err = io.WriteString(nc, "GET "+HopPath+" HTTP/1.1\r\nHost: "+host+
 		"\r\nConnection: Upgrade\r\nUpgrade: "+HopProtocol+"\r\n\r\n")
 	var resp *http.Response

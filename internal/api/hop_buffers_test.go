@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,7 +157,7 @@ func TestHopEncoderBackAfterWrite(t *testing.T) {
 	defer c.Close()
 	sc := &stallConn{stop: make(chan struct{})}
 	const base = "http://stalled.invalid"
-	c.hops[base] = []*hopConn{{nc: sc, br: bufio.NewReader(sc)}}
+	c.hops[base] = []*hopConn{newHopConn(sc)}
 	put := putHopEncoder
 	defer func() { putHopEncoder = put }()
 	var back, early atomic.Int32
@@ -224,10 +225,11 @@ func hopHeaderSet() []string {
 // request pipeline (recorder on, a deadline) to a handler that reads its
 // body and answers as a cached ask does, and decoding the response as the
 // router does: on the daemon the one string the frame's other strings are
-// copied into, the request's context, the request ID and the request the
-// pipeline hands the handler; on the router the one string of the
-// response's (EXPERIMENTS A46 has the count before).
-const hopDispatchAllocs = 5
+// copied into, the request's URL (url.ParseRequestURI), the request's
+// context, the request ID and the request the pipeline hands the handler; on
+// the router the one string of the response's (EXPERIMENTS A46 has the count
+// before).
+const hopDispatchAllocs = 6
 
 // TestHopDispatchAllocs gates the daemon's end of a routed hit: decoding
 // the frame, rebuilding the request, the pipeline around the handler and
@@ -269,39 +271,122 @@ func TestHopDispatchAllocs(t *testing.T) {
 	}
 }
 
-// TestHopResponseHeldUntilClosed: a hop response lives in its connection's
-// storage, and the connection goes back to the pool only when the
-// response's body is closed. A second call made while the first response is
-// still unread takes another connection, and both bodies read as sent.
-func TestHopResponseHeldUntilClosed(t *testing.T) {
+// TestHopResponseHeldUntilRelayed: a hop response Forward lends lives in its
+// connection's storage, and the connection goes back to the pool only once
+// the relay has returned. A call made from inside the relay, before the first
+// response is read, takes another connection, and both bodies read as sent.
+func TestHopResponseHeldUntilRelayed(t *testing.T) {
 	ts := httptest.NewServer(ServeHop(http.HandlerFunc(echo)))
 	defer ts.Close()
 	c := NewClient(nil)
 	defer c.Close()
-	send := func(body string) *http.Response {
+	forward := func(body string, fn func(*http.Response) error) {
 		t.Helper()
-		resp, err := c.Send(context.Background(), Request{Method: "POST", URL: ts.URL + "/echo", Body: []byte(body), Hop: true})
+		if err := c.Forward(context.Background(), Request{Method: "POST", URL: ts.URL + "/echo", Body: []byte(body), Hop: true}, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAs := func(want string) func(*http.Response) error {
+		return func(resp *http.Response) error {
+			if got, _ := io.ReadAll(resp.Body); string(got) != want {
+				t.Errorf("a relayed response read %q, want %q", got, want)
+			}
+			return nil
+		}
+	}
+	forward("warm up the pool", readAs("warm up the pool"))
+	forward("the first body", func(resp *http.Response) error {
+		forward("the other body", readAs("the other body"))
+		return readAs("the first body")(resp)
+	})
+	if n := len(c.hops[ts.URL]); n != 2 {
+		t.Errorf("%d idle connections after a call made inside another's relay, want 2", n)
+	}
+}
+
+// TestHopSendResponseIsOwned: the response Send returns for a hop call is
+// the caller's own, not the connection's: closed twice, and read after the
+// connection has served other calls, it still reads as sent, and the other
+// calls' responses read as theirs.
+func TestHopSendResponseIsOwned(t *testing.T) {
+	ts := httptest.NewServer(ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Echo", r.URL.Query().Get("v"))
+		echo(w, r)
+	})))
+	defer ts.Close()
+	c := NewClient(nil)
+	defer c.Close()
+	send := func(v string) *http.Response {
+		t.Helper()
+		resp, err := c.Send(context.Background(), Request{Method: "POST", URL: ts.URL + "/echo?v=" + v, Body: []byte(v), Hop: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
-	send("warm up the pool").Body.Close()
-	first := send("the first body")
-	second := send("the other body")
+	first := send("first")
+	first.Body.Close()
+	first.Body.Close()
+	second, third := send("second"), send("third")
 	for _, rc := range []struct {
 		resp *http.Response
 		want string
-	}{{first, "the first body"}, {second, "the other body"}} {
+	}{{first, "first"}, {second, "second"}, {third, "third"}} {
 		got, _ := io.ReadAll(rc.resp.Body)
 		rc.resp.Body.Close()
-		if string(got) != rc.want {
-			t.Errorf("a response read after another call came back %q, want %q", got, rc.want)
+		if string(got) != rc.want || rc.resp.Header.Get("X-Echo") != rc.want {
+			t.Errorf("a response read after other calls came back %q with X-Echo %q, want %q", got, rc.resp.Header.Get("X-Echo"), rc.want)
 		}
 	}
-	if n := len(c.hops[ts.URL]); n != 2 {
-		t.Errorf("%d idle connections after two overlapping calls, want 2", n)
+	if n := len(c.hops[ts.URL]); n != 1 {
+		t.Errorf("%d idle connections after calls one at a time, want 1", n)
 	}
+}
+
+// TestHopRefusalsRaceNothing: calls over the hop from many goroutines, half
+// of them refused 429 with a Retry-After of their own, each come back as
+// sent — every refusal's status, code and Retry-After its own — while
+// connections pass between the goroutines through the pool. Under -race it
+// also shows that no refusal is read while another call reuses its
+// connection.
+func TestHopRefusalsRaceNothing(t *testing.T) {
+	ts := httptest.NewServer(ServeHop(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if secs, shed := strings.CutPrefix(string(body), "shed "); shed {
+			n, _ := strconv.Atoi(secs)
+			WriteError(w, Errorf(http.StatusTooManyRequests, "rate_limited", "shed %d", n).WithRetryAfter(n))
+			return
+		}
+		w.Write(body)
+	})))
+	defer ts.Close()
+	c := NewClient(nil)
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 100 {
+				n := 1 + (g*100+i)%97
+				if i%2 == 0 {
+					want := "ok " + strconv.Itoa(n)
+					got, err := c.Do(context.Background(), Request{Method: "POST", URL: ts.URL + "/x", Body: []byte(want), Hop: true})
+					if err != nil || string(got) != want {
+						t.Errorf("a call came back %q, %v; want %q", got, err, want)
+					}
+					continue
+				}
+				_, err := c.Do(context.Background(), Request{Method: "POST", URL: ts.URL + "/x", Body: []byte("shed " + strconv.Itoa(n)), Hop: true})
+				var e *Error
+				if !errors.As(err, &e) || e.Status != http.StatusTooManyRequests || e.Code != "rate_limited" ||
+					e.RetryAfter != n || e.Message != "shed "+strconv.Itoa(n) {
+					t.Errorf("a refusal with Retry-After %d came back %#v (%v)", n, e, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestHopHeaderSlicesHaveNoRoom: every header value a hop decodes — a

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"reflect"
 	"runtime"
 	"slices"
@@ -297,27 +296,6 @@ func FuzzHopResponse(f *testing.F) {
 		s2, h2, b2, err := decodeHopResponse(hopResponse(status, h, body).Payload())
 		if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
 			t.Fatalf("re-encode of %x: %d %v %q, %v", rec, s2, h2, b2, err)
-		}
-	})
-}
-
-// FuzzHopURI: the daemon reads a frame's request-URI as url.ParseRequestURI
-// does — the same URL, or a refusal where it refuses — though it splits the
-// plain ones in place.
-func FuzzHopURI(f *testing.F) {
-	for _, s := range []string{"/v1/db/even/ask", "/v1/db/x?q=a%20b", "/v1/db/x?", "/a?b?", "/a??", "//x/y",
-		"/a b", "/%41", "*", "", "x", "/a#b", "/a?b#c", "/\x7f", "/a\tb", "/~user/$&+,:;=@"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, uri string) {
-		var u url.URL
-		err := parseURI(&u, uri)
-		want, werr := url.ParseRequestURI(uri)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("%q: %v, url.ParseRequestURI %v", uri, err, werr)
-		}
-		if err == nil && !reflect.DeepEqual(u, *want) {
-			t.Fatalf("%q: %#v, url.ParseRequestURI %#v", uri, u, *want)
 		}
 	})
 }

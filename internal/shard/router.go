@@ -180,15 +180,10 @@ func NewRouter(src *Source, opts Options) *Router {
 	// ID, a trace adopting the client's traceparent under a "route" root
 	// span, the error envelope, a flight-recorder entry. Endpoint names are
 	// the shards' own, so one vocabulary filters both recorders.
-	// A proxied endpoint passes the shard's request ID on instead of minting
-	// one (api.Pipeline.Relay).
 	pipe := &api.Pipeline{Recorder: rt.rec, Log: rt.log, Node: "router", Span: "route"}
 	mux := http.NewServeMux()
 	route := func(pattern, endpoint string, h api.Handler) {
 		mux.Handle(pattern, pipe.Wrap(endpoint, 0, h))
-	}
-	proxy := func(pattern, endpoint string, h api.Handler) {
-		mux.Handle(pattern, pipe.Relay(endpoint, h))
 	}
 	route("GET /healthz", "healthz", rt.handleHealthz)
 	route("GET /readyz", "readyz", rt.handleReadyz)
@@ -197,15 +192,15 @@ func NewRouter(src *Source, opts Options) *Router {
 	route("PUT /v1/shardmap", "shardmap", rt.handleMapPut)
 	route("GET /v1/dbs", "dbs", rt.handleListDBs)
 	route("POST /v1/batch", "batch", rt.handleCrossBatch)
-	proxy("PUT /v1/db/{name}", "put", rt.handleWrite)
-	proxy("DELETE /v1/db/{name}", "delete", rt.handleWrite)
-	proxy("POST /v1/db/{name}/facts", "facts", rt.handleWrite)
-	proxy("GET /v1/db/{name}", "db", rt.handleRead)
-	proxy("POST /v1/db/{name}/ask", "ask", rt.handleRead)
-	proxy("POST /v1/db/{name}/answers", "answers", rt.handleRead)
-	proxy("POST /v1/db/{name}/batch", "batch", rt.handleRead)
-	proxy("GET /v1/db/{name}/explain", "explain", rt.handleRead)
-	proxy("POST /v1/db/{name}/watch", "watch", rt.handleWatch)
+	route("PUT /v1/db/{name}", "put", rt.handleWrite)
+	route("DELETE /v1/db/{name}", "delete", rt.handleWrite)
+	route("POST /v1/db/{name}/facts", "facts", rt.handleWrite)
+	route("GET /v1/db/{name}", "db", rt.handleRead)
+	route("POST /v1/db/{name}/ask", "ask", rt.handleRead)
+	route("POST /v1/db/{name}/answers", "answers", rt.handleRead)
+	route("POST /v1/db/{name}/batch", "batch", rt.handleRead)
+	route("GET /v1/db/{name}/explain", "explain", rt.handleRead)
+	route("POST /v1/db/{name}/watch", "watch", rt.handleWatch)
 	if rt.rec != nil {
 		route("GET /debug/traces", "traces", rt.handleTraceList)
 		route("GET /debug/traces/{id}", "traces", rt.handleTraceGet)
@@ -529,17 +524,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, in *api.Info, 
 	}
 	rq := call(r, m, r.Method, url, body)
 	rq.Hop = !stream // a watch stream stays on HTTP
-	resp, err := rt.client.Send(ctx, rq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
+	return rt.client.Forward(ctx, rq, func(resp *http.Response) error {
+		return rt.relayed(ctx, w, in, g, stream, resp)
+	})
+}
+
+// relayed copies a shard's response back to w, as forward describes. A hop
+// response is the connection's, lent until relayed returns.
+func (rt *Router) relayed(ctx context.Context, w http.ResponseWriter, in *api.Info, g *Group, stream bool, resp *http.Response) error {
 	rt.group(g.Name).requests.Inc()
 
-	// The shard's request ID is the router's: it names the log line that
-	// has the query in it. The values are copied into the request's own
-	// header slots (resp is the hop connection's, handed back when its body
-	// is closed).
+	// The shard's request ID replaces the router's own: it names the log
+	// line that has the query in it. The values are copied into the
+	// request's own header slots: the response's are the hop connection's.
 	hdr := w.Header()
 	for _, h := range [...]string{"Content-Type", api.HeaderRequestID, api.HeaderRetryAfter} {
 		if v := resp.Header[h]; len(v) > 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -494,12 +495,12 @@ func (w *replayWriter) Write(p []byte) (int, error) { w.WriteHeader(http.StatusO
 // routeAskAllocs bounds what a routed ask allocates in the router and the
 // hop, against a backend that answers a constant as a cached ask does: the
 // request's context and the request the pipeline hands the handler, the
-// trace ID it mints for a client that sent none, the forward span's
-// context, the shard URL, the mux's path match, and on the hop the one
-// string each end copies a frame's other strings into. It was 49 before the
-// hop kept its records, headers and response per connection (EXPERIMENTS
-// A46).
-const routeAskAllocs = 8
+// request and trace IDs it mints, the forward span's context, the shard URL,
+// the hop client's watch on the context (context.AfterFunc), the mux's path
+// match, and on the hop the one string each end copies a frame's other
+// strings into and the daemon's URL. It was 49 before the hop kept its
+// records, headers and response per connection (EXPERIMENTS A46).
+const routeAskAllocs = 12
 
 // TestRouteAskAllocs gates the router's end of a routed hit, as
 // BenchmarkRouteAsk drives it but with a request and a response writer
@@ -540,5 +541,27 @@ func TestRouteAskAllocs(t *testing.T) {
 		if !raceBuild && allocs > routeAskAllocs {
 			t.Errorf("body %d B: %.0f allocations per routed ask, ceiling %d", len(body), allocs, routeAskAllocs)
 		}
+	}
+}
+
+// TestRelayedResponseWithoutRequestID: a shard's response that carries no
+// X-Request-Id — a mux-level 404, which runs outside the shard's pipeline —
+// goes out with the router's own request ID, which its log line names too.
+func TestRelayedResponseWithoutRequestID(t *testing.T) {
+	backend := httptest.NewServer(api.ServeHop(http.NotFoundHandler()))
+	defer backend.Close()
+	src := NewSource(&Map{Version: 1, Groups: []Group{{Name: "g", Primary: backend.URL}}})
+	defer src.Close()
+	var logged bytes.Buffer
+	rt := NewRouter(src, Options{Logger: slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug}))})
+	defer rt.Close()
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest("POST", "/v1/db/d/ask", strings.NewReader(`{"query":"?- P(a)."}`)))
+	id := w.Header().Get(api.HeaderRequestID)
+	if w.Code != http.StatusNotFound || len(id) != 16 {
+		t.Fatalf("status %d, X-Request-Id %q; want 404 and an ID of the router's", w.Code, id)
+	}
+	if !strings.Contains(logged.String(), "request_id="+id) {
+		t.Errorf("the log line does not name request %s: %s", id, logged.String())
 	}
 }

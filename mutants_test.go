@@ -86,14 +86,16 @@ var mutants = []mutant{
 		edits: []edit{{"internal/api/hop.go", "if _, err := br.Peek(1); err != nil", "if _, err := wire.ReadRecordInto(br, c.rec); err != nil"}}},
 	{name: "encoder_back_from_the_context", pkg: "./internal/api", run: "^TestHopEncoderBackAfterWrite$",
 		edits: []edit{{"internal/api/hop.go",
-			"hc.arm(ctx)\n\trec, err := hc.roundTrip(frame)\n\tputHopEncoder(e)",
-			"hc.arm(ctx)\n\tstop := context.AfterFunc(ctx, func() { putHopEncoder(e) })\n\trec, err := hc.roundTrip(frame)\n\t_ = stop"}}},
+			"stop := context.AfterFunc(ctx, hc.cut)\n\trec, err := hc.roundTrip(frame)\n\tputHopEncoder(e)",
+			"stop := context.AfterFunc(ctx, func() { putHopEncoder(e); hc.cut() })\n\trec, err := hc.roundTrip(frame)\n\t_ = e"}}},
 	{name: "hop_body_wrapped_per_frame", pkg: "./internal/api", run: "^TestHopBodyAllocatesNothing$",
 		edits: []edit{{"internal/api/hop.go",
-			"c.body.reset(body, nil)\n\t\treq.Body, req.ContentLength = &c.body, int64(len(body))",
+			"c.body.reset(body)\n\t\treq.Body, req.ContentLength = &c.body, int64(len(body))",
 			"req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))"}}},
-	{name: "response_back_before_it_is_read", pkg: "./internal/api", run: "^TestHopResponseHeldUntilClosed$",
-		edits: []edit{{"internal/api/hop.go", "hc.client, hc.base, back = c, base, hc", "c.putHop(base, hc)"}}},
+	{name: "response_back_before_it_is_read", pkg: "./internal/api", run: "^TestHopResponseHeldUntilRelayed$",
+		edits: []edit{{"internal/api/hop.go",
+			"err = fn(&hc.resp)\n\tif keep {\n\t\tc.putHop(base, hc)\n\t}",
+			"if keep {\n\t\tc.putHop(base, hc)\n\t}\n\terr = fn(&hc.resp)"}}},
 	{name: "header_slab_slice_with_room", pkg: "./internal/api", run: "^TestHopHeaderSlicesHaveNoRoom$",
 		edits: []edit{{"internal/api/hop.go", "hh.h[k] = hh.vals[i : i+1 : i+1]", "hh.h[k] = hh.vals[i : i+1]"}}},
 	{name: "header_slot_slice_with_room", pkg: "./internal/api", run: "^TestSetHeaderSlotsHaveNoRoom$",
