@@ -615,10 +615,10 @@ var aLongTimeAgo = time.Unix(1, 0)
 // one. Once the frame is written a failure is returned, never replayed: the
 // daemon may have applied it. A context that ends mid-exchange closes the
 // connection, and with it, on the daemon, the request's context. Watching
-// ctx costs an exchange the allocations of context.AfterFunc (two, and the
-// parent's child map when the exchange is its first child); a watch started
-// only once an exchange had run a while would save them, but cut a
-// connection whose context ended that much late.
+// ctx costs an exchange context.AfterFunc's allocations (two, and the done
+// channel and child map of a parent that had neither); a watch started only
+// once an exchange had run a while would save them, but cut a connection
+// whose context ended that much late.
 func (c *Client) exchange(ctx context.Context, rq Request, hdr []string, fn func(*http.Response) error) error {
 	rest, ok := strings.CutPrefix(rq.URL, "http://")
 	slash := strings.IndexByte(rest, '/')
