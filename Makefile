@@ -60,13 +60,15 @@ test-bench:
 	$(GO) test -count=1 -run 'TestAskHitAllocs' -bench 'BenchmarkServeAsk' -benchtime 200x ./internal/server/
 	$(GO) test -count=1 -run 'TestRoutedAskBytes|TestRouteAskAllocs' ./internal/shard/
 	$(GO) test -count=1 -run 'TestHopDispatchAllocs' ./internal/api/
-	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestAnswersHitAllocs|TestAnswerSpecBytes|TestAnswerSpecHitAsksNoDone' -bench 'BenchmarkPlanAnswers' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestWriteRecordAllocs' ./internal/wire/
 	$(GO) test -count=1 -run 'TestRenderAllocs' -bench 'BenchmarkRender' -benchtime 200x ./internal/registry/
 	$(GO) test -count=1 -run 'TestExtendTouchesDelta|TestPublishBytes|TestPublishInternsRepsOnly|TestPublishIndependentOfHistory|TestOneStore|TestColdSolveCounts' -bench 'BenchmarkColdOpen|BenchmarkExtend|BenchmarkPublish' -benchtime 50x ./internal/core/
 	$(GO) test -count=1 -run 'TestCellJoins|TestJoinProbesBucket|TestJoinIndexFiresAsScan' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 	$(GO) test -count=1 -run 'TestNovelFingerprintAllocs' ./internal/server/
-	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkReadGround' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestPrepareMissLinear|TestPlanChargeMatchesHeap' -bench 'BenchmarkReadGround' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestRunWalk' -bench 'BenchmarkRunWalk' -benchtime 2000x ./internal/specgraph/
 	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
 	$(GO) test -count=1 -run 'TestGroundAskZeroAlloc' -bench 'BenchmarkTextHit' -benchtime 200000x -cpu 1,2 ./internal/core/
 
@@ -167,6 +169,7 @@ fuzz:
 	$(GO) test -run '^FuzzParse$$' -fuzz='FuzzParse$$' -fuzztime=60s ./internal/parser
 	$(GO) test -run '^FuzzParseQuery$$' -fuzz=FuzzParseQuery -fuzztime=60s ./internal/parser
 	$(GO) test -run '^FuzzGroundLowering$$' -fuzz=FuzzGroundLowering -fuzztime=120s -fuzzminimizetime=10s ./internal/core
+	$(GO) test -run '^FuzzFingerprintSplit$$' -fuzz=FuzzFingerprintSplit -fuzztime=60s ./internal/obs
 	$(GO) test -run '^FuzzLoadSpec$$' -fuzz=FuzzLoadSpec -fuzztime=120s -fuzzminimizetime=10s ./internal/core
 
 # Short fuzz passes over everything that reads untrusted bytes: the program
@@ -191,6 +194,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzParseQuery$$' -fuzz=FuzzParseQuery -fuzztime=30s -fuzzminimizetime=5s ./internal/parser
 	$(GO) test -run '^FuzzGroundLowering$$' -fuzz=FuzzGroundLowering -fuzztime=30s -fuzzminimizetime=5s ./internal/core
 	$(GO) test -run '^FuzzLoadSpec$$' -fuzz=FuzzLoadSpec -fuzztime=30s ./internal/core
+	$(GO) test -run '^FuzzFingerprintSplit$$' -fuzz=FuzzFingerprintSplit -fuzztime=30s ./internal/obs
 	$(GO) test -run '^FuzzBinspecRead$$' -fuzz=FuzzBinspecRead -fuzztime=30s ./internal/specio
 	$(GO) test -run '^FuzzReadRecord$$' -fuzz=FuzzReadRecord -fuzztime=30s ./internal/wire
 	$(GO) test -run '^FuzzMutationRecord$$' -fuzz=FuzzMutationRecord -fuzztime=30s ./internal/wire

@@ -68,6 +68,10 @@ func (c *Client) orDefault() *Client {
 // Request is one call to a daemon.
 type Request struct {
 	Method, URL string
+	// URI, when set, is the request-URI — path and query — and URL the base
+	// it goes to, "http://host:port": a proxy passes both as it has them,
+	// and a hop takes them as they are, without joining or splitting them.
+	URI         string
 	Body        []byte
 	ContentType string // sent when not empty
 	// APIKey is the tenant the call is made for (X-Api-Key); a router
@@ -83,6 +87,9 @@ type Request struct {
 	// The response arrives whole, so a stream never takes the hop.
 	Hop bool
 }
+
+// target returns the URL rq goes to, its URI joined to its base.
+func (rq *Request) target() string { return rq.URL + rq.URI }
 
 // Send performs rq and returns the response whatever its status; the caller
 // closes the body. It is the primitive under Stream and Do. A hop response is
@@ -130,7 +137,7 @@ func (c *Client) send(ctx context.Context, rq Request, hdr []string) (*http.Resp
 	if len(rq.Body) > 0 {
 		body = bytes.NewReader(rq.Body)
 	}
-	req, err := http.NewRequestWithContext(ctx, rq.Method, rq.URL, body)
+	req, err := http.NewRequestWithContext(ctx, rq.Method, rq.target(), body)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +203,7 @@ func (c *Client) Do(ctx context.Context, rq Request) ([]byte, error) {
 		return nil, err
 	}
 	if len(body) > MaxBody {
-		return nil, fmt.Errorf("%s %s: response exceeds %d bytes", rq.Method, rq.URL, MaxBody)
+		return nil, fmt.Errorf("%s %s: response exceeds %d bytes", rq.Method, rq.target(), MaxBody)
 	}
 	return body, nil
 }

@@ -620,13 +620,18 @@ var aLongTimeAgo = time.Unix(1, 0)
 // once an exchange had run a while would save them, but cut a connection
 // whose context ended that much late.
 func (c *Client) exchange(ctx context.Context, rq Request, hdr []string, fn func(*http.Response) error) error {
-	rest, ok := strings.CutPrefix(rq.URL, "http://")
-	slash := strings.IndexByte(rest, '/')
-	if !ok || slash <= 0 {
-		return fmt.Errorf("hop to %q: not an http URL with a path", rq.URL)
+	base, uri := rq.URL, rq.URI
+	if uri == "" {
+		// One URL: the base is what comes before its path.
+		rest, _ := strings.CutPrefix(base, "http://")
+		if slash := strings.IndexByte(rest, '/'); slash > 0 {
+			base, uri = base[:len(base)-len(rest)+slash], rest[slash:]
+		}
 	}
-	host, uri := rest[:slash], rest[slash:]
-	base := rq.URL[:len(rq.URL)-len(uri)]
+	host, ok := strings.CutPrefix(base, "http://")
+	if !ok || host == "" || strings.IndexByte(host, '/') >= 0 || !strings.HasPrefix(uri, "/") {
+		return fmt.Errorf("hop to %q: not an http URL with a path", rq.target())
+	}
 	if err := ctx.Err(); err != nil {
 		return hopError(rq, err)
 	}
@@ -683,7 +688,7 @@ func (c *Client) exchange(ctx context.Context, rq Request, hdr []string, fn func
 // hopError reads like the error an http.Client returns for the same call:
 // Post "http://…": cause.
 func hopError(rq Request, err error) error {
-	return &url.Error{Op: rq.Method[:1] + strings.ToLower(rq.Method[1:]), URL: rq.URL, Err: err}
+	return &url.Error{Op: rq.Method[:1] + strings.ToLower(rq.Method[1:]), URL: rq.target(), Err: err}
 }
 
 // roundTrip writes a request frame in one write, header and payload

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/symbols"
@@ -92,6 +93,42 @@ func TestAnswersHitAllocs(t *testing.T) {
 	}
 	if whole > 8 {
 		t.Errorf("a warm one-tuple answer allocates %.0f times, want at most 8", whole)
+	}
+}
+
+// doneCounter is a context that counts the calls to its Done: a request's
+// context makes its Done channel, and arms its deadline, on the first.
+type doneCounter struct {
+	context.Context
+	calls int
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls++
+	return c.Context.Done()
+}
+
+// TestAnswerSpecHitAsksNoDone: a plan whose answer specification is built
+// answers without asking the request's context for its Done channel, as
+// the first execution, which builds it, need not either.
+func TestAnswerSpecHitAsksNoDone(t *testing.T) {
+	p, err := deepSnapshot(t, datagen.RobotSrc(8)).Prepare(context.Background(), "?- At(S, p3).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		c := &doneCounter{Context: ctx}
+		if _, err := p.Answers(c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Ask(c); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if c.calls != 0 {
+			t.Errorf("execution %d asked its context for Done %d times", i, c.calls)
+		}
 	}
 }
 

@@ -52,18 +52,24 @@ func (s *Snapshot) lower(ec *evalCtx, lw *treeLowering, a *ast.Atom) groundStep 
 		}
 		return groundStep{kind: stepFalse}
 	}
-	syms := make([]int32, len(a.FT.Apps))
-	for i, app := range a.FT.Apps {
-		var ok bool
-		if syms[i], ok = lw.index(app); !ok {
+	var runs []int32
+	for i := 0; i < len(a.FT.Apps); {
+		si, ok := lw.index(a.FT.Apps[i])
+		if !ok {
 			return groundStep{kind: stepFalse}
 		}
+		n := 1
+		for i+n < len(a.FT.Apps) && sameApp(a.FT.Apps[i+n], a.FT.Apps[i]) {
+			n++
+		}
+		runs = specgraph.AppendRun(runs, si, int64(n))
+		i += n
 	}
 	atom := ec.w.Atom(a.Pred, ec.w.Tuple(args))
 	if int(atom) >= s.w.NumAtoms() {
 		return groundStep{kind: stepFalse}
 	}
-	return groundStep{kind: stepWalk, syms: syms, atom: atom}
+	return groundStep{kind: stepWalk, runs: runs, state: s.spec.WalkRuns(runs), atom: atom}
 }
 
 // mixedMemoSize is the number of slots of the tree lowering's

@@ -11,13 +11,16 @@ import (
 
 	"funcdb/internal/datagen"
 	"funcdb/internal/parser"
+	"funcdb/internal/specgraph"
 	"funcdb/internal/term"
 )
 
 // readerDisagrees compares what Prepare's reader and the tree lowering
 // (treePlan) make of text: whether it is declined — the tree rejects it or
 // finds it open — and for a ground query the shape, fingerprint, steps and
-// verdict by both methods. It returns "" when they agree.
+// verdict by both methods. A ground query that counts more applications than
+// the tree holds (parser.MaxTermDepth) is the reader's alone, and is held to
+// pastTreeCap instead. It returns "" when they agree.
 func readerDisagrees(s *Snapshot, text string) string {
 	got := s.readGround(text)
 	ref, err := s.treePlan(text)
@@ -26,6 +29,8 @@ func readerDisagrees(s *Snapshot, text string) string {
 		return ""
 	case got == nil:
 		return "the reader declined a well-formed ground query"
+	case err != nil && pastTreeCap(err):
+		return runsDisagree(got, err)
 	case err != nil:
 		return fmt.Sprintf("the reader lowered a text the tree rejects: %v", err)
 	case ref == nil:
@@ -39,9 +44,9 @@ func readerDisagrees(s *Snapshot, text string) string {
 	}
 	for i := range got.steps {
 		g, r := &got.steps[i], &ref.steps[i]
-		if g.kind != r.kind || g.kind == stepWalk && (g.atom != r.atom || !slices.Equal(g.syms, r.syms)) {
-			return fmt.Sprintf("atom %d: step %d atom %d syms %.40v, tree %d atom %d syms %.40v",
-				i, g.kind, g.atom, g.syms, r.kind, r.atom, r.syms)
+		if g.kind != r.kind || g.kind == stepWalk && (g.atom != r.atom || g.state != r.state || !slices.Equal(g.runs, r.runs)) {
+			return fmt.Sprintf("atom %d: step %d atom %d state %d runs %.40v, tree %d atom %d state %d runs %.40v",
+				i, g.kind, g.atom, g.state, g.runs, r.kind, r.atom, r.state, r.runs)
 		}
 	}
 	ctx := context.Background()
@@ -51,6 +56,50 @@ func readerDisagrees(s *Snapshot, text string) string {
 		if ok != rok || err != nil || rerr != nil {
 			return fmt.Sprintf("method %d: %v, %v; tree %v, %v", m, ok, err, rok, rerr)
 		}
+	}
+	return ""
+}
+
+// pastTreeCap reports whether err is the tree parser's refusal of a term
+// that counts too many applications, or a number too large to hold.
+func pastTreeCap(err error) bool {
+	var pe *parser.ParseError
+	return errors.As(err, &pe) && (strings.Contains(err.Error(), "term deeper than") || strings.Contains(err.Error(), "number too large"))
+}
+
+// runsDisagree holds a plan the tree parser cannot build (treeErr) to what
+// holds without it: the plan is marked deep; each walk of a run string of at most 2^20 applications
+// reaches the state the string written out reaches; the graph method
+// answers; and the equational method, which applies the terms, answers the
+// tree parser's error.
+func runsDisagree(p *Plan, treeErr error) string {
+	s := p.snap
+	if !p.deep {
+		return fmt.Sprintf("the tree rejects it (%v), and the plan is not deep", treeErr)
+	}
+	for i := range p.steps {
+		st := &p.steps[i]
+		var total int64
+		specgraph.EachRun(st.runs, func(_ int32, n int64) { total += n })
+		if st.kind != stepWalk || total > 1<<20 {
+			continue
+		}
+		var idx []int32
+		specgraph.EachRun(st.runs, func(si int32, n int64) {
+			for ; n > 0; n-- {
+				idx = append(idx, si)
+			}
+		})
+		if want := s.spec.WalkRuns(idx); st.state != want || s.spec.WalkRuns(st.runs) != want {
+			return fmt.Sprintf("atom %d: runs %.40v lowered to state %d, walk to %d, written out to %d", i, st.runs, st.state, s.spec.WalkRuns(st.runs), want)
+		}
+	}
+	ctx := context.Background()
+	if _, err := p.Ask(ctx); err != nil {
+		return fmt.Sprintf("method %d: %v", MethodGraph, err)
+	}
+	if _, err := p.Ask(ctx, WithMethod(MethodEquational)); err == nil || err.Error() != treeErr.Error() {
+		return fmt.Sprintf("method %d: %v, the tree parser %v", MethodEquational, err, treeErr)
 	}
 	return ""
 }
@@ -71,7 +120,56 @@ func readerCorpus(op *oracleProgram, pi int) []string {
 		out = append(out, op.malformedText(r, i))
 	}
 	out = append(out, readerExtras(op)...)
+	out = append(out, readerRunTexts(op)...)
 	return append(out, readerMemoTexts(op)...)
+}
+
+// readerRunTexts are terms whose applications run, over the program's
+// functional predicates and its first function symbol other than succ:
+// numerals at, near and past parser.MaxTermCount and past
+// parser.MaxTermDepth; chains of +n sugar; succ spelled out, around a
+// numeral and under sugar; and runs of one application broken by one layer
+// of another, or by sugar, or spelled with a space in one layer.
+func readerRunTexts(op *oracleProgram) []string {
+	open, close := "f(", ")"
+	for _, s := range op.syms {
+		if s.name != term.SuccName {
+			open, close = s.name+"(", strings.Join(append([]string{""}, s.args...), ", ")+")"
+			break
+		}
+	}
+	wrap := func(n int, inner string) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	succs := func(n int, inner string) string {
+		return strings.Repeat("succ(", n) + inner + strings.Repeat(")", n)
+	}
+	const count, depth = int64(parser.MaxTermCount), parser.MaxTermDepth
+	terms := []string{
+		fmt.Sprint(count), fmt.Sprint(count - 1), fmt.Sprint(count + 1), fmt.Sprint(depth + 1), fmt.Sprint(int64(1) << 40),
+		fmt.Sprintf("%d+1", count-1), fmt.Sprintf("%d+1", count), fmt.Sprintf("1+2+3+%d", depth),
+		"3+4+5", "0+0+7", succs(3, "0"), succs(2, "7") + "+3", succs(2, "0+2") + "+1", succs(1, fmt.Sprint(count-1)),
+		succs(2, fmt.Sprint(count-1)), succs(40, "0"), succs(2, wrap(1, succs(2, "0"))),
+		wrap(3, "0"), wrap(2, wrap(1, "0")+"+1"), wrap(20, wrap(1, succs(1, wrap(20, "0")))),
+		wrap(30, "5") + "+6", strings.Replace(wrap(12, "0"), close, " "+close, 1),
+	}
+	var out []string
+	for _, p := range op.preds {
+		if !p.fn {
+			continue
+		}
+		args := ""
+		for i := 0; i < p.arity; i++ {
+			args += ", " + op.consts[i%max(len(op.consts), 1)]
+		}
+		if len(op.consts) == 0 {
+			args = strings.Repeat(", a", p.arity)
+		}
+		for _, t := range terms {
+			out = append(out, fmt.Sprintf("?- %s(%s%s).", p.name, t, args))
+		}
+	}
+	return out
 }
 
 // readerExtras are the spellings the generator does not write, over the
@@ -320,13 +418,15 @@ func FuzzGroundLowering(f *testing.F) {
 	})
 }
 
-// TestReaderDeclinesPastTermDepth: a term deeper than parser.MaxTermDepth —
-// nesting, numeral and +n combined — is declined by the reader, so Prepare
-// reports the tree parser's error at its line:col, the one the server
-// answers 400 parse_error with; a term at the cap is the reader's.
+// TestReaderDeclinesPastTermDepth: nesting deeper than parser.MaxTermDepth
+// is declined by the reader, so Prepare reports the tree parser's error at
+// its line:col, the one the server answers 400 parse_error with; so is a
+// term that counts more than parser.MaxTermCount applications, or a data
+// constant the lexer finds too large. A term nested up to the cap, whose
+// numerals and +n sugar count up to parser.MaxTermCount, is the reader's.
 func TestReaderDeclinesPastTermDepth(t *testing.T) {
-	const max = parser.MaxTermDepth
-	s := deepSnapshot(t, "@functional Q/1. Q(0). Q(S) -> Q(f(S)). Even(0). Even(T) -> Even(T+2).")
+	const max, count = parser.MaxTermDepth, parser.MaxTermCount
+	s := deepSnapshot(t, "@functional Q/1. Q(0). Q(S) -> Q(f(S)). Even(0). Even(T) -> Even(T+2). P(a).")
 	nested := func(n int, base string) string { return strings.Repeat("f(", n) + base + strings.Repeat(")", n) }
 	for _, tc := range []struct {
 		name, text, wantErr string // wantErr "": the reader lowers it
@@ -335,11 +435,16 @@ func TestReaderDeclinesPastTermDepth(t *testing.T) {
 		{"nesting past the cap", "?- Q(" + nested(max+1, "0") + ").", fmt.Sprintf("1:%d: term deeper", 6+2*max)},
 		{"unclosed nesting past the cap", "?- Q(" + strings.Repeat("f(", max+3), fmt.Sprintf("1:%d: term deeper", 6+2*max)},
 		{"numeral at the cap", fmt.Sprintf("?- Even(%d).", max), ""},
-		{"numeral past the cap", fmt.Sprintf("?- Even(%d).", max+1), "1:9: term deeper"},
-		{"+n past the cap", fmt.Sprintf("?- Even(0+%d).", max+1), "1:9: term deeper"},
-		{"combined past the cap", "?- Q(" + nested(max-10, "6") + "+5).", "1:6: term deeper"},
+		{"numeral past the cap", fmt.Sprintf("?- Even(%d).", max+1), ""},
+		{"+n past the cap", fmt.Sprintf("?- Even(0+%d).", max+1), ""},
+		{"combined past the cap", "?- Q(" + nested(max-10, "6") + "+5).", ""},
 		{"combined at the cap", "?- Q(" + nested(max-10, "6") + "+4).", ""},
-		{"past the cap on a later line", "?- Even(2),\n  Q(" + nested(max-2, "3") + ").", "2:5: term deeper"},
+		{"past the cap on a later line", "?- Even(2),\n  Q(" + nested(max-2, "3") + ").", ""},
+		{"numeral at the count bound", fmt.Sprintf("?- Even(%d).", int64(count)), ""},
+		{"numeral past the count bound", fmt.Sprintf("?- Even(%d).", int64(count)+1), "1:9: number too large"},
+		{"+n past the count bound", fmt.Sprintf("?- Even(%d+1).", int64(count)), "1:9: number too large"},
+		{"nesting and numeral past the count bound", fmt.Sprintf("?- Q(f(%d)).", int64(count)), "1:8: number too large"},
+		{"a data constant too large", "?- P(99999999999).", "1:6: number too large"},
 	} {
 		read := s.readGround(tc.text) != nil
 		_, err := s.Prepare(context.Background(), tc.text)

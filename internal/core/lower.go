@@ -19,15 +19,15 @@ func (s *Snapshot) readGround(src string) *Plan {
 		g = &groundLowering{s: s, lw: appLowering{table: s.spec.Table, tab: s.tab}}
 	}
 	g.data, g.lw.name = g.dbuf[:0], g.nbuf[:0]
-	// A shape is about as long as its text less the spaces, but for
-	// numerals and +n sugar, which Atom and Succ make room for.
+	// A shape is about as long as its text less the spaces, or shorter by
+	// its runs, but for numerals and +n sugar, which Succ makes room for.
 	g.est = len(src) - strings.Count(src, " ") + shapeSlack
 	g.room = g.est
 	var p *Plan
 	if parser.ReadGround(s.tab, src, g) {
 		shape, fingerprint := g.shape.Finish()
 		p = &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
-			ground: true, verdict: s.groundVerdict(g.steps), steps: g.steps}
+			ground: true, verdict: s.groundVerdict(g.steps), deep: g.deep, steps: g.steps}
 	}
 	g.release()
 	s.lowerPool.Put(g)
@@ -35,19 +35,19 @@ func (s *Snapshot) readGround(src string) *Plan {
 }
 
 // groundLowering is the parser.GroundSink of a plan miss: it compiles each
-// atom to its step — an application straight to its symbol index — and
-// writes the query's canonical shape and fingerprint, all while the text is
-// read. Symbols are looked up in the snapshot's own table and atoms in its
-// world, so nothing is interned and no scratch overlay is needed: under
-// range restriction the least fixpoint holds no atom over a term with a
-// symbol outside the alphabet, nor one with a predicate or tuple the
-// snapshot has never seen, and each of those is a compile-time false,
+// atom to its step — a run of applications straight to a run of its symbol
+// index — and writes the query's canonical shape and fingerprint, all while
+// the text is read. Symbols are looked up in the snapshot's own table and
+// atoms in its world, so nothing is interned and no scratch overlay is
+// needed: under range restriction the least fixpoint holds no atom over a
+// term with a symbol outside the alphabet, nor one with a predicate or tuple
+// the snapshot has never seen, and each of those is a compile-time false,
 // whichever method executes the plan.
 //
 // The sink lives on the heap (the reader calls it through an interface), so
-// per application it stores into buffers and indices and never re-stores a
-// slice, which would cost a write barrier while the collector runs. The
-// snapshot pools its sinks: a released one holds nothing a plan retains.
+// per run it stores into buffers and indices and never re-stores a slice,
+// which would cost a write barrier while the collector runs. The snapshot
+// pools its sinks: a released one holds nothing a plan retains.
 type groundLowering struct {
 	s     *Snapshot
 	lw    appLowering
@@ -57,17 +57,24 @@ type groundLowering struct {
 	steps []groundStep
 
 	// The applications the reader filed, by entry: where the shape spells
-	// each, as LastApp did, and its symbol.
-	apps [parser.LayerSlots]appSpan
+	// each, as CloseApp did, and its symbol index (-1: outside the
+	// alphabet); and the reader's buffer of the layers it meets again, by
+	// entry.
+	spells  [parser.LayerSlots]appSpelling
+	syms    [parser.LayerSlots]int32
+	repeats [64]uint8
 
 	// The atom being read.
 	functional bool
-	open       bool    // an application whose symbol is still to be found
-	entry      int     // the entry it is filed under, or -1
-	out        bool    // an application outside the alphabet, or a constant the table lacks
-	syms       []int32 // its symbol string, syms[:nsyms]
-	nsyms      int
-	data       []symbols.ConstID // its data arguments
+	open       bool // an application whose symbol is still to be found
+	entry      int  // the entry it is filed under, or -1
+	out        bool // an application outside the alphabet, or a constant the table lacks
+	// Its run string, which the plan keeps.
+	rw    specgraph.RunWriter
+	depth int64             // its applications, counted whatever their symbols
+	data  []symbols.ConstID // its data arguments
+
+	deep bool // a term counted more than parser.MaxTermDepth applications
 
 	dbuf [4]symbols.ConstID
 	nbuf [32]byte
@@ -75,134 +82,128 @@ type groundLowering struct {
 
 // release returns the sink to its state before a read, so that it can go
 // back to the pool holding nothing the read's plan retains (its shape's
-// buffer, its steps and symbol strings) and no spelling of an earlier text.
+// buffer, its steps and run strings) and no spelling of an earlier text.
 func (g *groundLowering) release() {
-	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab}}
-}
-
-// appSpan is an application the reader filed: its spelling, the n bytes of
-// the shape at off, with args constants, and its symbol index (-1: outside
-// the alphabet).
-type appSpan struct {
-	off, n, args int
-	idx          int32
+	memo := g.lw.memo
+	if memo != nil {
+		*memo = [appMemoSize]appEntry{}
+	}
+	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab, memo: memo}}
 }
 
 func (g *groundLowering) Reset() {
 	g.shape = shapeWriter{}
-	g.apps = [parser.LayerSlots]appSpan{}
+	g.deep = false
+	g.spells = [parser.LayerSlots]appSpelling{}
 	g.room = g.est
 	g.steps = g.steps[:0]
 }
 
-// succLen is what one application of succ adds to a shape: ".succ".
 // shapeSlack is room for what a shape has and a text does not: an atom's
-// "/kf" and its fingerprint.
+// "/kf" and its fingerprint. succRoom is what a run of succ adds to a shape
+// at most: ".succ*" and its count.
 const (
-	succLen    = 1 + len(term.SuccName)
 	shapeSlack = 32
+	succRoom   = 2 + len(term.SuccName) + 19
 )
 
-func (g *groundLowering) Atom(name string, arity int, functional bool, depth int) {
-	// Room for the text's shape before the first atom, or for the atom's
-	// numeral written out where that is longer, with a few bytes to spare
-	// for the atom's own and the fingerprint.
-	if g.room > 0 || depth > 0 {
-		g.shape.Grow(max(g.room, succLen*depth+shapeSlack))
+func (g *groundLowering) Atom(name string, arity int, functional bool, apps int) {
+	// Room for the text's shape before the first atom.
+	if g.room > 0 {
+		g.shape.Grow(g.room)
 		g.room = 0
 	}
 	g.shape.Atom(name, arity, functional)
 	g.functional, g.out, g.data = functional, false, g.data[:0]
-	g.syms, g.nsyms = nil, 0
+	// A layer in parentheses takes a word of the run string at most, and a
+	// numeral's run three; +n sugar between layers, rarer, grows it.
+	var runs []int32
+	if functional {
+		runs = make([]int32, 0, apps+3)
+	}
+	g.rw.Reset(g.lw.table, runs)
+	g.depth = 0
 	if functional {
 		g.shape.Zero()
-		g.syms = make([]int32, depth)
 	}
 }
 
-// sym appends n copies of the symbol index i to the atom's string.
-func (g *groundLowering) sym(i int32, n int) {
-	if g.nsyms+n > len(g.syms) {
-		syms := make([]int32, max(2*len(g.syms), g.nsyms+n))
-		copy(syms, g.syms[:g.nsyms])
-		g.syms = syms
-	}
-	for k := g.nsyms; k < g.nsyms+n; k++ {
-		g.syms[k] = i
-	}
-	g.nsyms += n
-}
-
-// endApp finds the symbol of the application written last, if it is still
-// to be found: by its spelling in the shape, which names its function symbol
+// endApp finds the symbol of the application read last, if it is still to
+// be found: by its spelling in the shape, which names its function symbol
 // and its constants. A filed application's entry records both.
 func (g *groundLowering) endApp() {
 	if !g.open {
 		return
 	}
 	g.open = false
+	sp := g.shape.CloseApp()
 	if g.out && g.entry < 0 {
 		return
 	}
-	off, app, args := g.shape.LastApp()
-	i, _ := g.lw.index(app)
+	i, _ := g.lw.index(g.shape.view(sp.off, sp.n))
 	if g.entry >= 0 {
-		g.apps[g.entry] = appSpan{off: off, n: len(app), args: args, idx: i}
+		g.spells[g.entry], g.syms[g.entry] = sp, i
 	}
-	g.app(i)
+	g.app(i, 1)
 }
 
-// app appends the symbol index i of an application to the atom's string;
-// -1 puts the atom outside the alphabet.
-func (g *groundLowering) app(i int32) {
+// app appends n applications of the symbol index i to the atom's run
+// string; -1 puts the atom outside the alphabet.
+func (g *groundLowering) app(i int32, n int64) {
 	switch {
 	case g.out:
 	case i < 0:
 		g.out = true
 	default:
-		g.sym(i, 1)
+		g.rw.Add(i, n)
 	}
 }
 
-func (g *groundLowering) Succ(fn symbols.FuncID, n int) {
+func (g *groundLowering) Succ(fn symbols.FuncID, n int64) {
 	g.endApp()
-	g.shape.Grow(succLen * n)
-	for k := 0; k < n; k++ {
-		g.shape.App(term.SuccName)
-	}
+	g.depth += n
+	g.shape.Grow(succRoom)
+	g.shape.Apps(term.SuccName, n)
 	if g.out {
 		return
 	}
 	i, ok := g.lw.table.SymIndex(fn)
 	if !ok {
-		g.out = true
-		return
+		i = -1
 	}
-	g.sym(i, n)
+	g.app(i, n)
 }
 
 func (g *groundLowering) App(name string, entry int) {
 	g.endApp()
+	g.depth++
 	g.shape.App(name)
 	g.open, g.entry = true, entry
 }
 
-// Repeat writes the filed application's spelling again, from the shape
-// itself, and appends its symbol: no lookup, and per byte only the
-// fingerprint's fold.
-func (g *groundLowering) Repeat(entry int) {
+func (g *groundLowering) Layers() []uint8 { return g.repeats[:] }
+
+// Repeat writes each filed application the reader met again: per layer
+// its spelling counted into the shape's last run or copied from the shape
+// itself, and its symbol counted into the last run of the run string or
+// stored after it. No lookup.
+func (g *groundLowering) Repeat(n int) {
 	if g.open {
 		g.endApp()
 	}
-	a := &g.apps[entry]
-	g.shape.Repeat(a.off, a.n, a.args)
-	g.app(a.idx)
+	g.depth += int64(n)
+	entries := g.repeats[:n]
+	g.shape.Repeats(&g.spells, entries)
+	if !g.out && !g.rw.AddEach(g.syms[:], entries) {
+		g.out = true
+	}
 }
 
 func (g *groundLowering) AppArg(name string) { g.shape.Const(name) }
 
 func (g *groundLowering) EndTerm() {
 	g.endApp()
+	g.deep = g.deep || g.depth > parser.MaxTermDepth
 	g.shape.EndTerm()
 }
 
@@ -235,7 +236,7 @@ func (g *groundLowering) step(pred symbols.PredID) groundStep {
 	if !ok {
 		return groundStep{kind: stepFalse}
 	}
-	return groundStep{kind: stepWalk, syms: g.syms[:g.nsyms], atom: atom}
+	return groundStep{kind: stepWalk, runs: g.rw.Runs(), state: g.rw.State(), atom: atom}
 }
 
 // appMemoSize is the number of slots of a read's application memo: a deep
@@ -254,11 +255,13 @@ type appLowering struct {
 	table *specgraph.Table // the indices are into its alphabet
 	tab   *symbols.Table
 	name  []byte
-	memo  [appMemoSize]appEntry
+	// memo is made on the first application a sink reads and kept with
+	// it, emptied by each release: a read of numerals alone needs none.
+	memo *[appMemoSize]appEntry
 }
 
 type appEntry struct {
-	app string // as LastApp spells it; "" in an empty slot
+	app string // as CloseApp spells it; "" in an empty slot
 	idx int32  // -1: outside the alphabet
 }
 
@@ -268,6 +271,9 @@ func (lw *appLowering) index(app string) (int32, bool) {
 	// Up to four slots from the spelling's own, so two applications a term
 	// alternates between do not evict each other.
 	home := int(appHash(app) >> 58)
+	if lw.memo == nil {
+		lw.memo = new([appMemoSize]appEntry)
+	}
 	e := &lw.memo[home]
 	for k := 0; k < 4; k++ {
 		c := &lw.memo[(home+k)&(appMemoSize-1)]

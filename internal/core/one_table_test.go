@@ -106,7 +106,7 @@ func TestOneTransitionTable(t *testing.T) {
 			if st, err := db.Engine.StateOf(tm); err != nil || st != sp.State[at] {
 				t.Errorf("%s: %v: the table's state %d, the engine's %d (%v)", name, fns, sp.State[at], st, err)
 			}
-			if got := snap.spec.WalkIndex(syms); got != at {
+			if got := snap.spec.WalkRuns(syms); got != at {
 				t.Errorf("%s: %v: the snapshot walks to %d, the table %d", name, fns, got, at)
 			}
 			if got := idFlat.Walk(syms); got != at {

@@ -29,6 +29,7 @@ import (
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
+	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
 	"funcdb/internal/term"
 )
@@ -43,17 +44,18 @@ const (
 	// stepFalse: the atom can never hold in this snapshot (novel constant,
 	// tuple absent from the frozen world) — also a compile-time constant.
 	stepFalse
-	// stepWalk: walk the representatives' table over the symbol string
-	// and look for the atom in the full state reached — an original
-	// predicate's atom and a normalization helper's alike.
+	// stepWalk: walk the representatives' table over the run string and
+	// look for the atom in the full state reached — an original predicate's
+	// atom and a normalization helper's alike.
 	stepWalk
 )
 
 // groundStep is one compiled ground atom.
 type groundStep struct {
-	kind stepKind
-	syms []int32      // stepWalk: innermost-first symbol indices of the alphabet
-	atom facts.AtomID // stepWalk: frozen atom to look for
+	kind  stepKind
+	runs  []int32      // stepWalk: innermost-first symbol indices of the alphabet, a run string (specgraph.AppendRun)
+	state int32        // stepWalk: the state the run string leads to from the root
+	atom  facts.AtomID // stepWalk: frozen atom to look for
 }
 
 // eqStep is one ground atom lowered for the equational method: membership
@@ -74,7 +76,7 @@ type eqStep struct {
 // snapshot compiles a fresh one.
 //
 // A ground plan keeps its text, shape, fingerprint, verdict and steps — per
-// atom a verdict, or a symbol string and an atom, which the equational
+// atom a verdict, or a run string and an atom, which the equational
 // method lowers — and nothing else: no AST, no symbol table. An open plan
 // keeps its query and the table naming it.
 type Plan struct {
@@ -84,6 +86,7 @@ type Plan struct {
 	fingerprint string // obs.Fingerprint(shape), fixed at compile
 	ground      bool
 	verdict     bool // a ground plan's answer by the graph method, fixed at compile
+	deep        bool // a term counts more than parser.MaxTermDepth applications
 	steps       []groundStep
 
 	// An open plan's query, and the symbol base of its answer
@@ -92,8 +95,10 @@ type Plan struct {
 	q   *ast.Query
 	tab *symbols.Table
 
-	// Equational lowering, compiled on first equational execution.
+	// Equational lowering, compiled on first equational execution, or the
+	// error of a term too deep to apply.
 	eqOnce  sync.Once
+	eqErr   error
 	eqSteps []eqStep
 	eqView  *term.Universe // read-only after eqOnce; holds the query terms
 
@@ -127,7 +132,7 @@ type planEntry struct {
 }
 
 // planCacheCap bounds the entries of each cache level and planCacheBytes the
-// bytes the cache retains: a ground plan keeps four bytes per application,
+// bytes the cache retains: a ground plan keeps at most four bytes per application,
 // an open one its AST, some 40 bytes per application, so a few thousand deep
 // plans are megabytes however few entries they are. The cache lives and
 // dies with its Snapshot, so eviction is a rare safety valve, not a
@@ -354,11 +359,12 @@ const (
 )
 
 // groundBytes estimates what a ground plan retains beyond its text: its
-// shape and steps, whose symbol strings take four bytes per application.
+// shape and steps, whose run strings take four bytes per word they were
+// given room for.
 func (p *Plan) groundBytes() int {
 	n := planOverhead + len(p.shape)
 	for i := range p.steps {
-		n += stepBytes + 4*len(p.steps[i].syms)
+		n += stepBytes + 4*cap(p.steps[i].runs)
 	}
 	return n
 }
@@ -556,8 +562,9 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 
 // groundVerdict decides a ground plan's steps by the graph method, the
 // paper's Link rules run over each atom's symbol string: the
-// representatives' table walked from 0, the atom looked up in the state
-// reached.
+// representatives' table walked from 0 — as the string was lowered, a run
+// at a time (a run costs at most a few laps of the cycle its symbol's row
+// ends in) — the atom looked up in the state reached.
 func (s *Snapshot) groundVerdict(steps []groundStep) bool {
 	for i := range steps {
 		st := &steps[i]
@@ -565,7 +572,7 @@ func (s *Snapshot) groundVerdict(steps []groundStep) bool {
 		case stepFalse:
 			return false
 		case stepWalk:
-			if !s.w.StateContains(s.spec.State[s.spec.WalkIndex(st.syms)], st.atom) {
+			if !s.w.StateContains(s.spec.State[st.state], st.atom) {
 				return false
 			}
 		}
@@ -573,14 +580,22 @@ func (s *Snapshot) groundVerdict(steps []groundStep) bool {
 	return true
 }
 
-// compileEq lowers the ground steps for the equational method: a symbol
-// string back to its function symbols through the alphabet, applied to 0 in
-// a private term scratch (eqView, over the canonical form's universe), and
-// an atom to the representatives whose state carries it. eqView is retained
-// by the plan and only ever read after this returns, so concurrent
-// equational executions share it safely.
+// compileEq lowers the ground steps for the equational method: a run
+// string written out to its function symbols through the alphabet, applied
+// to 0 in a private term scratch (eqView, over the canonical form's
+// universe), and an atom to the representatives whose state carries it.
+// eqView is retained by the plan and only ever read after this returns, so
+// concurrent equational executions share it safely. A term is applied only
+// up to parser.MaxTermDepth, as the tree parser builds one: past it, eqErr
+// is the tree parser's error for the text.
 func (p *Plan) compileEq() {
 	s := p.snap
+	if p.deep {
+		if _, p.eqErr = parser.ParseQueryTab(symbols.NewTableOver(s.tab), p.src); p.eqErr == nil {
+			p.eqErr = fmt.Errorf("core: a term deeper than %d applications", parser.MaxTermDepth)
+		}
+		return
+	}
 	cu, _, cand := s.canonical()
 	u := term.NewUniverseOver(cu)
 	p.eqSteps = make([]eqStep, len(p.steps))
@@ -592,9 +607,11 @@ func (p *Plan) compileEq() {
 			continue
 		}
 		fns = fns[:0]
-		for _, si := range st.syms {
-			fns = append(fns, s.spec.Alphabet[si])
-		}
+		specgraph.EachRun(st.runs, func(si int32, n int64) {
+			for ; n > 0; n-- {
+				fns = append(fns, s.spec.Alphabet[si])
+			}
+		})
 		p.eqSteps[i] = eqStep{t: u.ApplyString(term.Zero, fns...), cands: cand[st.atom]}
 	}
 	p.eqView = u
@@ -605,6 +622,9 @@ func (p *Plan) compileEq() {
 // congruence scratch per execution.
 func (p *Plan) askEquational(ctx context.Context) (bool, error) {
 	p.eqOnce.Do(p.compileEq)
+	if p.eqErr != nil {
+		return false, p.eqErr
+	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -696,10 +716,16 @@ func (p *Plan) answerSpec(ctx context.Context) (*query.Specification, error) {
 			close(b.done)
 			return b.spec, b.err
 		}
+		// A finished build is taken without asking ctx for its Done channel,
+		// which a request's context makes, arming its deadline, on first ask.
 		select {
 		case <-b.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		default:
+			select {
+			case <-b.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 		if !ownFault(b.err) {
 			obs.EngineSink().AddAnswerSpecHits(1)
@@ -719,7 +745,7 @@ func ownFault(err error) bool {
 }
 
 // query returns the plan's query and the table naming it. A ground plan
-// keeps neither, only its symbol strings, so its text is parsed again for
+// keeps neither, only its run strings, so its text is parsed again for
 // the rare caller that wants its answer specification.
 func (p *Plan) query() (*ast.Query, *symbols.Table, error) {
 	if p.q != nil {

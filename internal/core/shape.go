@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"funcdb/internal/ast"
 	"funcdb/internal/obs"
+	"funcdb/internal/parser"
 	"funcdb/internal/symbols"
 )
 
@@ -44,21 +47,49 @@ const fingerprintLen = 16
 // An atom is written `P/k(…)`, or `P/kf(…)` for a functional predicate,
 // whose term comes first: its base (`0` or a variable) and its applications,
 // `.f` or `.g[a,b]` for one with constants or variables, closed by `|`.
-// Atoms are separated by `;`, arguments by `,`.
+// A maximal run of n ≥ 2 applications spelled alike is written once, with
+// its count: `.succ*512`, `.g[a,b]*3`. Atoms are separated by `;`,
+// arguments by `,`.
+//
+// The writer counts runs as it closes applications, so however a term is
+// spelled — a numeral, +n sugar, succ written out, a repeated layer — its
+// shape is the one its applications make.
 type shapeWriter struct {
-	// The shape, then its fingerprint: Finish cuts both from the one string
-	// the builder holds, so a shape written into room made for it costs one
-	// allocation and no copy.
-	b strings.Builder
-	// h is the hash of the shape's first hashed bytes. The rest is folded in
-	// at the next application, a loop over a few bytes that keeps the hash in
-	// a register and runs beside the reading of the text that follows.
+	// The shape, then its fingerprint: Finish cuts both from the one buffer,
+	// so a shape written into room made for it costs one allocation and no
+	// copy. Bytes before the run the term ends in are never changed, so a
+	// view of them stays valid; the open application's may be cut off again.
+	b []byte
+	// h is the hash of the shape's first hashed bytes: each atom is folded in
+	// whole when the next begins, eight bytes at a time.
 	h      obs.FingerprintHash
 	hashed int
 	atoms  int
 	state  uint8
-	args   int // arguments written in the current list
-	app    int // where the application written last begins
+	args   int  // arguments written in the current list
+	app    int  // where the open application begins
+	open   bool // an application is written and its arguments may follow
+
+	// The run the term ends in: count applications spelled as run says
+	// (where its token begins: the copy of a repeated spelling is not the
+	// bytes Repeat named, which from keeps); count 0 when the term has none.
+	run   appSpelling
+	from  int
+	count int64
+}
+
+// appSpelling is an application as a shape spells it, `.f` or `.g[a,b`: the n
+// bytes at off, without the ']' that closes args constants or variables,
+// and key, a hash of those bytes that tells the applications of a term
+// apart without reading them.
+type appSpelling struct {
+	off, n, args int
+	key          uint64
+}
+
+// spellingKey hashes the spelling s.
+func spellingKey(s string) uint64 {
+	return obs.NewFingerprintHash().AddString(s).Sum64()
 }
 
 // What an argument written next belongs to.
@@ -68,17 +99,28 @@ const (
 	shapeTerm              // the application written last
 )
 
-// Grow makes room for k more bytes.
-func (w *shapeWriter) Grow(k int) { w.b.Grow(k) }
+// Grow makes room for k more bytes, as strings.Builder.Grow does.
+func (w *shapeWriter) Grow(k int) {
+	if cap(w.b)-len(w.b) < k {
+		b := make([]byte, len(w.b), 2*cap(w.b)+k)
+		copy(b, w.b)
+		w.b = b
+	}
+}
 
-func (w *shapeWriter) str(s string) { w.b.WriteString(s) }
+func (w *shapeWriter) str(s string) { w.b = append(w.b, s...) }
 
-func (w *shapeWriter) byte(c byte) { w.b.WriteByte(c) }
+func (w *shapeWriter) byte(c byte) { w.b = append(w.b, c) }
+
+// view returns the n bytes of the shape at off as a string, without a copy:
+// they must be bytes that are never changed.
+func (w *shapeWriter) view(off, n int) string {
+	return unsafe.String(unsafe.SliceData(w.b[off:off+n]), n)
+}
 
 // fold hashes what has been written since the last fold.
 func (w *shapeWriter) fold() {
-	s := w.b.String()
-	w.h, w.hashed = w.h.AddString(s[w.hashed:]), len(s)
+	w.h, w.hashed = w.h.AddString(w.view(w.hashed, len(w.b)-w.hashed)), len(w.b)
 }
 
 // Atom begins an atom of the predicate called name, with arity data
@@ -87,12 +129,13 @@ func (w *shapeWriter) Atom(name string, arity int, functional bool) {
 	if w.atoms == 0 {
 		w.h = obs.NewFingerprintHash()
 	} else {
+		w.fold()
 		w.byte(';')
 	}
 	w.atoms++
 	w.str(name)
 	w.byte('/')
-	w.int(arity)
+	w.int(int64(arity))
 	if functional {
 		w.byte('f')
 	}
@@ -103,10 +146,7 @@ func (w *shapeWriter) Atom(name string, arity int, functional bool) {
 	}
 }
 
-func (w *shapeWriter) int(i int) {
-	var buf [20]byte
-	w.b.Write(strconv.AppendInt(buf[:0], int64(i), 10))
-}
+func (w *shapeWriter) int(i int64) { w.b = strconv.AppendInt(w.b, i, 10) }
 
 // Zero writes a ground term's base.
 func (w *shapeWriter) Zero() {
@@ -127,37 +167,117 @@ func (w *shapeWriter) Var(i int, answer bool) {
 		w.sep()
 	}
 	w.byte(mark)
-	w.int(i)
+	w.int(int64(i))
 }
 
 // App writes an application of the function symbol fn; its arguments, if
 // any, come next.
 func (w *shapeWriter) App(fn string) {
-	w.fold()
-	w.closeApp()
-	w.app = w.b.Len()
+	w.CloseApp()
+	w.app, w.open = len(w.b), true
 	w.byte('.')
 	w.str(fn)
 	w.args = 0
 }
 
-// LastApp returns the application written last as written so far — `.f`,
-// or `.g[a,b` while its bracket is open — which spells what it stands for:
-// its function symbol and its constants; where it begins in the shape; and
-// how many constants it has.
-func (w *shapeWriter) LastApp() (off int, app string, args int) {
-	return w.app, w.b.String()[w.app:], w.args
+// Apps writes n applications of the function symbol fn, with no arguments.
+func (w *shapeWriter) Apps(fn string, n int64) {
+	w.CloseApp()
+	if w.count > 0 && w.run.args == 0 && w.run.n == 1+len(fn) && w.view(w.run.off+1, len(fn)) == fn {
+		w.count += n
+		return
+	}
+	w.endRun()
+	off := len(w.b)
+	w.byte('.')
+	w.str(fn)
+	w.run, w.from, w.count = appSpelling{off: off, n: 1 + len(fn)}, off, n
+	w.run.key = spellingKey(w.view(off, w.run.n))
 }
 
-// Repeat writes an application again, as LastApp spelled it: the n bytes of
-// the shape at off, with args constants. They are folded into the
-// fingerprint with what follows, at the next fold, as App's are.
-func (w *shapeWriter) Repeat(off, n, args int) {
-	w.fold()
-	w.closeApp()
-	w.app = w.b.Len()
-	w.str(w.b.String()[off : off+n])
-	w.args = args
+// CloseApp closes the open application, if any, and returns the spelling of
+// the application written last — which spells what it stands for: its
+// function symbol and its constants — at a run's token that is never
+// changed again. An application spelled as the run the term ends in is
+// counted into it, and its bytes cut off.
+func (w *shapeWriter) CloseApp() appSpelling {
+	if w.open {
+		w.open = false
+		n := len(w.b) - w.app
+		key := spellingKey(w.view(w.app, n))
+		if w.count > 0 && key == w.run.key && w.view(w.app, n) == w.view(w.run.off, w.run.n) {
+			w.b = w.b[:w.app]
+			w.count++
+		} else {
+			if w.count > 1 {
+				// The run before ends here: its count goes between it and
+				// the application, which moves up.
+				var buf [24]byte
+				w.b = slices.Insert(w.b, w.app, countSuffix(buf[:0], w.count)...)
+			}
+			off := len(w.b) - n
+			w.run, w.from, w.count = appSpelling{off: off, n: n, args: w.args, key: key}, off, 1
+			if w.args > 0 {
+				w.byte(']')
+			}
+		}
+	}
+	return w.run
+}
+
+// countSuffix appends a run's count as the shape writes it: `*n`.
+func countSuffix(dst []byte, n int64) []byte {
+	return strconv.AppendInt(append(dst, '*'), n, 10)
+}
+
+// endRun writes the count of the run the term ends in, if it has one.
+func (w *shapeWriter) endRun() {
+	if w.count > 1 {
+		w.b = countSuffix(w.b, w.count)
+	}
+	w.count = 0
+}
+
+// Repeats writes, for each entry of entries in turn, an application
+// spelled as spells[entry], which CloseApp returned: one spelled as the run
+// the term ends in is counted into it, and nothing is written; any other is
+// copied from the shape itself, in two words when it is at most sixteen
+// bytes and there is room for them. A deep term's layers are most of a
+// read, so the loop keeps the run in locals and makes no call but to end a
+// run of two or more, or to copy a long spelling.
+func (w *shapeWriter) Repeats(spells *[parser.LayerSlots]appSpelling, entries []uint8) {
+	if w.open {
+		w.CloseApp()
+	}
+	b, run, from, count := w.b, w.run, w.from, w.count
+	for _, e := range entries {
+		sp := &spells[e]
+		if count > 0 && sp.key == run.key && (sp.off == from || string(b[sp.off:sp.off+sp.n]) == string(b[run.off:run.off+run.n])) {
+			count++
+			continue
+		}
+		if count > 1 {
+			b = countSuffix(b, count)
+		}
+		end := len(b)
+		run, from, count = *sp, sp.off, 1
+		run.off = end
+		if sp.n > 16 || cap(b)-end < 17 {
+			b = append(b, b[sp.off:sp.off+sp.n]...)
+			if sp.args > 0 {
+				b = append(b, ']')
+			}
+			continue
+		}
+		// The words may read past the spelling, and write past it bytes
+		// that are cut off again: b is not read beyond its length.
+		b = b[:end+17]
+		binary.LittleEndian.PutUint64(b[end:], binary.LittleEndian.Uint64(b[sp.off:]))
+		binary.LittleEndian.PutUint64(b[end+8:], binary.LittleEndian.Uint64(b[sp.off+8:]))
+		b[end+sp.n] = ']'
+		b = b[:end+sp.n+min(sp.args, 1)]
+	}
+	w.b, w.run, w.from, w.count = b, run, from, count
 }
 
 // Const writes a constant argument.
@@ -168,7 +288,8 @@ func (w *shapeWriter) Const(name string) {
 
 // EndTerm closes a functional atom's term.
 func (w *shapeWriter) EndTerm() {
-	w.closeApp()
+	w.CloseApp()
+	w.endRun()
 	w.byte('|')
 	w.state, w.args = shapeData, 0
 }
@@ -186,27 +307,21 @@ func (w *shapeWriter) sep() {
 	w.args++
 }
 
-func (w *shapeWriter) closeApp() {
-	if w.state == shapeTerm && w.args > 0 {
-		w.byte(']')
-	}
-}
-
 // Finish returns the shape and its fingerprint (obs.Fingerprint of it),
 // which it writes after the shape; nothing may be written after it. Both
-// are cut from the builder's string, unless the room made for it was a
-// quarter too much (more than the allocator's rounding up to a size class):
-// then they are copied out, so that what a plan keeps is about what the plan
-// cache charges it for.
+// are cut from the writer's buffer, unless the room made for it was a third
+// too much — more than the allocator's rounding up to a size class and the
+// runs a deep term's layers repeat, by which a shape falls short of its
+// text: then they are copied out, so that what a plan keeps is about what
+// the plan cache charges it for.
 func (w *shapeWriter) Finish() (shape, fingerprint string) {
 	if w.atoms == 0 {
 		return "", ""
 	}
 	w.fold()
-	var buf [fingerprintLen]byte
-	w.b.Write(w.h.Append(buf[:0]))
-	s := w.b.String()
-	if w.b.Cap() > len(s)+len(s)/4+64 {
+	w.b = w.h.Append(w.b)
+	s := w.view(0, len(w.b))
+	if cap(w.b) > len(s)+len(s)/3+64 {
 		s = strings.Clone(s)
 	}
 	return s[:w.hashed], s[w.hashed:]
@@ -249,10 +364,19 @@ func (w *queryWriter) size() int {
 			if a.FT.HasVarBase() {
 				n += w.varSize(a.FT.Base) - 1
 			}
-			for _, app := range a.FT.Apps {
+			apps := a.FT.Apps
+			for i := 0; i < len(apps); {
+				app, run := apps[i], 1
+				for i+run < len(apps) && sameApp(apps[i+run], app) {
+					run++
+				}
+				i += run
 				n += 1 + len(w.funcName(app.Fn))
 				if len(app.Args) > 0 {
 					n += 2 + w.argsSize(app.Args)
+				}
+				if run > 1 {
+					n += 1 + digits(run)
 				}
 			}
 		}
@@ -282,6 +406,9 @@ func (w *queryWriter) varSize(v symbols.VarID) int {
 	}
 	return 1 + digits(i)
 }
+
+// sameApp reports whether a and b are spelled alike: one run of a shape.
+func sameApp(a, b ast.FApp) bool { return a.Fn == b.Fn && slices.Equal(a.Args, b.Args) }
 
 func digits(i int) int {
 	n := 1

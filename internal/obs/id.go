@@ -3,6 +3,7 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -91,22 +92,71 @@ func Fingerprint(shape string) string {
 	return string(NewFingerprintHash().AddString(shape).Append(make([]byte, 0, 16)))
 }
 
-// FingerprintHash is Fingerprint's hash, 64-bit FNV-1a, for a shape written
-// in pieces: fold each piece in as it is written, and the fingerprint costs
-// no pass of its own over the finished shape. (Inline rather than hash/fnv,
-// which would have every piece copied into a []byte.)
-type FingerprintHash uint64
+// FingerprintHash is Fingerprint's hash, for a shape written in pieces:
+// fold each piece in as it is written, and the fingerprint costs no pass of
+// its own over the finished shape. It reads the shape eight bytes at a time,
+// as little-endian words, and carries the at most seven bytes past a piece's
+// last whole word into the next one, so that however a shape is cut into
+// pieces it hashes as it does whole. The hash is fixed — no seed — because
+// fingerprints outlive the process: in metric series, logs and recorded
+// entries. Per word it is one multiply on the chain and one off it; the
+// length and a SplitMix64 finalizer end it.
+type FingerprintHash struct {
+	h    uint64 // the whole words folded so far
+	tail uint64 // the bytes past them, little-endian
+	n    uint64 // the bytes folded, tail included
+}
+
+// The multipliers of the fold: SplitMix64's.
+const (
+	fpMul1 = 0xbf58476d1ce4e5b9
+	fpMul2 = 0x94d049bb133111eb
+)
+
+// fpFold folds the word w into h.
+func fpFold(h, w uint64) uint64 { return bits.RotateLeft64(h^w*fpMul1, 31) * fpMul2 }
 
 // NewFingerprintHash returns the hash of the empty shape.
-func NewFingerprintHash() FingerprintHash { return 14695981039346656037 }
+func NewFingerprintHash() FingerprintHash { return FingerprintHash{h: 0x9e3779b97f4a7c15} }
 
 // AddString folds s into h.
 func (h FingerprintHash) AddString(s string) FingerprintHash {
+	k := uint(h.n & 7) // the bytes carried
+	h.n += uint64(len(s))
+	if k > 0 {
+		for ; k < 8 && len(s) > 0; k++ {
+			h.tail |= uint64(s[0]) << (8 * k)
+			s = s[1:]
+		}
+		if k < 8 {
+			return h
+		}
+		h.h, h.tail = fpFold(h.h, h.tail), 0
+	}
+	for ; len(s) >= 8; s = s[8:] {
+		h.h = fpFold(h.h, load64(s))
+	}
 	for i := 0; i < len(s); i++ {
-		h = (h ^ FingerprintHash(s[i])) * 1099511628211
+		h.tail |= uint64(s[i]) << (8 * i)
 	}
 	return h
 }
 
+// load64 returns the first eight bytes of s, little-endian, in one load.
+func load64(s string) uint64 {
+	s = s[:8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// Sum64 returns the hash of what was folded in.
+func (h FingerprintHash) Sum64() uint64 {
+	x := h.h
+	if h.n&7 != 0 {
+		x = fpFold(x, h.tail)
+	}
+	return splitmix64(x ^ h.n)
+}
+
 // Append appends the fingerprint h renders as, 16 hex digits, to dst.
-func (h FingerprintHash) Append(dst []byte) []byte { return appendHex64(dst, uint64(h)) }
+func (h FingerprintHash) Append(dst []byte) []byte { return appendHex64(dst, h.Sum64()) }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"strings"
 	"sync"
@@ -285,20 +284,48 @@ func TestKeptTraceKeepsItsSpans(t *testing.T) {
 	}
 }
 
-// TestFingerprint pins the fingerprint: FNV-64a of the shape as 16 lowercase
-// hex digits (the values metric series and recorded entries already carry),
-// empty for an empty shape.
+// TestFingerprint pins the fingerprint: FingerprintHash of the shape — its
+// bytes read as little-endian words, then its length, then SplitMix64's
+// finalizer — as 16 lowercase hex digits (the values metric series and
+// recorded entries carry), empty for an empty shape.
 func TestFingerprint(t *testing.T) {
-	for _, shape := range []string{"shape-a", "?- Even(4).", strings.Repeat("succ(", 300)} {
-		h := fnv.New64a()
-		h.Write([]byte(shape))
-		if got, want := Fingerprint(shape), fmt.Sprintf("%016x", h.Sum64()); got != want {
-			t.Errorf("Fingerprint(%.20q) = %q, want %q", shape, got, want)
+	for _, c := range []struct{ shape, want string }{
+		{"shape-a", "20dcef8c643b0ec0"},
+		{"?- Even(4).", "031365562a270963"},
+		{strings.Repeat("succ(", 300), "31e46497415d2f4a"},
+	} {
+		if got := Fingerprint(c.shape); got != c.want {
+			t.Errorf("Fingerprint(%.20q) = %q, want %q", c.shape, got, c.want)
 		}
 	}
 	if Fingerprint("") != "" {
 		t.Error("empty shape should have no fingerprint")
 	}
+}
+
+// FuzzFingerprintSplit: a string folded into FingerprintHash in any number
+// of pieces, cut anywhere, hashes as the whole string does — the bytes a
+// piece leaves past its last whole word are carried into the next.
+func FuzzFingerprintSplit(f *testing.F) {
+	f.Add("Meets/1f(0.succ*512|,s7)", uint64(0x0307_0105))
+	f.Add("Member/1f(0.ext[e1].ext[e3]*7|,e2)", uint64(0x0901_0808))
+	f.Add("ab", uint64(1))
+	f.Add(strings.Repeat("x", 17), uint64(0x0103_0703))
+	f.Fuzz(func(t *testing.T, s string, cuts uint64) {
+		h, rest := NewFingerprintHash(), s
+		// Each byte of cuts is the length of the next piece, mod 16.
+		for c := cuts; c != 0 && rest != ""; c >>= 8 {
+			k := min(int(c&15), len(rest))
+			h, rest = h.AddString(rest[:k]), rest[k:]
+		}
+		h = h.AddString(rest)
+		if s == "" {
+			return
+		}
+		if got, want := string(h.Append(nil)), Fingerprint(s); got != want {
+			t.Errorf("%q folded in pieces (cuts %#x) = %s, whole %s", s, cuts, got, want)
+		}
+	})
 }
 
 func TestClipQuery(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // GroundSink receives a ground query from ReadGround as the text is read:
-// atom by atom and, in a functional term, application by application,
+// atom by atom and, in a functional term, run by run of applications,
 // innermost first. Names are substrings of the text (a numeral's, its digits
 // less leading zeros: its value as the tree parser names it); ids are the
 // table's, NoFunc, NoConst or NoPred where the table lacks the symbol.
@@ -21,10 +21,12 @@ type GroundSink interface {
 	Reset()
 	// Atom begins an atom, naming its predicate as a shape does: by name,
 	// data arity and functionality. A functional atom's term comes next,
-	// depth applications long but for +n sugar after a closing parenthesis.
-	Atom(name string, arity int, functional bool, depth int)
-	// Succ receives n applications of succ (a numeral, or +n sugar).
-	Succ(fn symbols.FuncID, n int)
+	// apps applications spelled in parentheses long, and for the rest runs
+	// of succ (Succ).
+	Atom(name string, arity int, functional bool, apps int)
+	// Succ receives n applications of succ (a numeral, or +n sugar): n is
+	// at most MaxTermCount, and so is the term's count of applications.
+	Succ(fn symbols.FuncID, n int64)
 	// App receives an application of the function symbol called name. Its
 	// constants come next, by AppArg; it ends where the next App, Repeat,
 	// Succ or EndTerm begins. The reader files it under entry, in
@@ -33,11 +35,16 @@ type GroundSink interface {
 	App(name string, entry int)
 	// AppArg receives a constant of the application App received last.
 	AppArg(name string)
-	// Repeat receives an application spelled as the one App filed under
-	// entry: the same function symbol and the same constants, whose text
+	// Layers returns the buffer the reader writes the layers it meets again
+	// into, by entry, for Repeat to receive; the reader asks for it once per
+	// pass, after any Reset, and may write all of it before a Repeat.
+	Layers() []uint8
+	// Repeat receives the first n layers of the Layers buffer, innermost
+	// first: each an application spelled as the one App filed under its
+	// entry — the same function symbol and the same constants, whose text
 	// the reader met again byte for byte. Entries last one pass: a Reset
 	// empties them.
-	Repeat(entry int)
+	Repeat(n int)
 	// EndTerm closes a functional atom's term.
 	EndTerm()
 	// Arg receives the atom's next data argument.
@@ -73,8 +80,9 @@ func ReadGround(tab *symbols.Table, src string, sink GroundSink) bool {
 	// The reader stays on the stack, so that what it writes per token costs
 	// no write barrier; the stack of open applications is its one allocation
 	// but for what a first pass learns.
-	r := groundReader{parser: parser{src: src}, tab: tab, sink: sink}
+	r := groundReader{parser: parser{src: src, longNumbers: true}, tab: tab, sink: sink}
 	for pass := 0; pass < 2; pass++ {
+		r.batch = sink.Layers()
 		if !r.query() {
 			return false
 		}
@@ -110,6 +118,10 @@ type groundReader struct {
 	// The layers this pass has filed with the sink, by the hash of their
 	// spelling: a deep term repeats a handful for hundreds of layers.
 	layers [LayerSlots]layer
+	// The sink's buffer of layers met again, by entry, and how many of them
+	// it is yet to receive.
+	batch  []uint8
+	nbatch int
 }
 
 // LayerSlots is the number of entries a read files applications under.
@@ -129,44 +141,59 @@ type layer struct {
 }
 
 // closeKey packs up to maxClose bytes, little-endian, eight to a word: the
-// first sixteen each in its own byte of words[0] and words[1], the rest
-// folded into words[1] by xor. With their number, n, two keys of at most
-// sixteen bytes are equal exactly when the bytes are.
+// first sixteen each in its own byte of w0 and w1, the rest folded into w1
+// by xor. With their number, n, two keys of at most sixteen bytes are equal
+// exactly when the bytes are. (Two words, not an array: a key is passed and
+// returned in registers.)
 type closeKey struct {
-	words [2]uint64
-	n     int
+	w0, w1 uint64
+	n      int
 }
 
 // maxClose bounds the closing bytes a layer is looked up by.
 const maxClose = 64
 
-// read packs the bytes of src from off to the first ')', eight at a time,
-// and reports whether there is a ')' within maxClose bytes.
-func (k *closeKey) read(src string, off int) bool {
+// readClose packs the bytes of src from off to the first ')', eight at a
+// time, and reports whether there is a ')' within maxClose bytes.
+func readClose(src string, off int) (k closeKey, ok bool) {
 	for i := 0; i < maxClose && off+i < len(src); i += 8 {
 		var w uint64
 		if p := off + i; p+8 <= len(src) {
 			w = load8(src, p)
 		} else {
+			// A byte past the text reads as 0.
 			for j := len(src) - 1; j >= p; j-- {
 				w = w<<8 | uint64(src[j])
 			}
 		}
-		// The bytes of w that are ')' have their top bits set in z, the
-		// lowest exactly (a byte past the text reads as 0).
-		t := w ^ 0x2929292929292929
-		z := (t - 0x0101010101010101) &^ t & 0x8080808080808080
+		z := closeParen(w)
 		if z != 0 {
-			b := bits.TrailingZeros64(z) >> 3
-			w &= 1<<(b<<3) - 1
-			k.n = i + b
+			w, k.n = cutAtParen(w)
+			k.n += i
 		}
-		k.words[min(i>>3, 1)] ^= w
+		if i == 0 {
+			k.w0 = w
+		} else {
+			k.w1 ^= w
+		}
 		if z != 0 {
-			return true
+			return k, true
 		}
 	}
-	return false
+	return closeKey{}, false
+}
+
+// closeParen returns the bytes of w that are ')' with their top bits set,
+// the lowest exactly.
+func closeParen(w uint64) uint64 {
+	t := w ^ 0x2929292929292929
+	return (t - 0x0101010101010101) &^ t & 0x8080808080808080
+}
+
+// cutAtParen returns the bytes of w before its first ')', and their number.
+func cutAtParen(w uint64) (uint64, int) {
+	b := bits.TrailingZeros64(closeParen(w)) >> 3
+	return w & (1<<(b<<3) - 1), b
 }
 
 // appName is where an open application's function symbol is named.
@@ -346,15 +373,22 @@ func (r *groundReader) flatAtom(name string, first token) bool {
 		functional = r.local(predKey{name, total}, false)
 	}
 	if functional {
-		if first.kind != tokNumber || first.num > MaxTermDepth {
+		if first.kind != tokNumber {
 			return false
 		}
-		r.sink.Atom(name, total-1, true, first.num)
-		if first.num > 0 {
-			r.sink.Succ(r.succFn(), first.num)
+		n := r.count(first)
+		if n > MaxTermCount {
+			return false
+		}
+		r.sink.Atom(name, total-1, true, 0)
+		if n > 0 {
+			r.sink.Succ(r.succFn(), n)
 		}
 		r.sink.EndTerm()
 	} else {
+		if first.kind == tokNumber && first.num > maxNumber {
+			return false // a constant the tree parser finds too large
+		}
 		r.sink.Atom(name, total, false, 0)
 		r.sink.Arg(r.constant(first))
 	}
@@ -367,33 +401,39 @@ func (r *groundReader) flatAtom(name string, first token) bool {
 
 // termAtom reads the rest of a functional atom: the applications on the
 // stack closed innermost first, then the data arguments.
-func (r *groundReader) termAtom(name string, base token, plus int) bool {
+func (r *groundReader) termAtom(name string, base token, plus int64) bool {
 	if base.kind != tokNumber {
 		return false // a constant in a functional position
 	}
-	depth := r.open + base.num + plus
-	if depth > MaxTermDepth {
+	n := addCount(r.count(base), plus)
+	depth := addCount(int64(r.open), n)
+	if depth > MaxTermCount {
 		return false
 	}
 	guess := r.arityGuess(name)
-	r.sink.Atom(name, guess, true, depth)
-	if n := base.num + plus; n > 0 {
+	r.sink.Atom(name, guess, true, r.open)
+	if n > 0 {
 		r.sink.Succ(r.succFn(), n)
 	}
 	for j := len(r.stack) - 1; j >= 0; j-- {
 		a := r.stack[j].name
-		for k := r.stack[j].count; k > 0; k-- {
-			if !r.closeApp(a) {
+		for k := r.stack[j].count; k > 0; {
+			m, ok := r.closeFiled(a, k)
+			if m == 0 {
+				m, ok = 1, r.closeApp(a)
+			}
+			if !ok {
 				return false
 			}
-			if r.tok.kind != tokPlus {
+			if k -= m; r.tok.kind != tokPlus {
 				continue
 			}
+			r.flush()
 			plus, ok := r.plus()
 			if !ok {
 				return false
 			}
-			if depth += plus; depth > MaxTermDepth {
+			if depth = addCount(depth, plus); depth > MaxTermCount {
 				return false
 			}
 			if plus > 0 {
@@ -401,6 +441,7 @@ func (r *groundReader) termAtom(name string, base token, plus int) bool {
 			}
 		}
 	}
+	r.flush()
 	r.sink.EndTerm()
 	arity := 0
 	for ; r.tok.kind == tokComma; arity++ {
@@ -430,16 +471,68 @@ func (r *groundReader) termAtom(name string, base token, plus int) bool {
 	return true
 }
 
-// closeApp reads the rest of the application a, from its constants to its ')',
-// and the token after it. A layer the reader has filed is handed to the sink
-// as one Repeat; any other is read token by token, and filed.
-func (r *groundReader) closeApp(a appName) bool {
-	e, hit := r.find(a)
-	if hit {
-		r.sink.Repeat(e)
-		r.pos = r.tok.off + len(r.layers[e].close)
-		return r.next()
+// closeFiled closes, from the current token on, up to k layers of the
+// application a that the reader has filed, back to back: each is written
+// into the batch by its entry, and the text after it is read only as far as
+// the next layer's first byte — a ',' or a ')', a token of its own, where
+// that layer's closing bytes begin. It returns how many it closed, and
+// leaves the reader on the token after the last of them: ok is false when
+// that token does not lex.
+func (r *groundReader) closeFiled(a appName, k int) (m int, ok bool) {
+	src, off := r.src, r.tok.off
+	for m < k {
+		// find's common path, inline: closing bytes of at most sixteen
+		// bytes, read as readClose reads them, in the layer's own entry.
+		var key closeKey
+		if off+16 <= len(src) {
+			if w := load8(src, off); closeParen(w) != 0 {
+				key.w0, key.n = cutAtParen(w)
+			} else if w1 := load8(src, off+8); closeParen(w1) != 0 {
+				key.w0 = w
+				key.w1, key.n = cutAtParen(w1)
+				key.n += 8
+			} else {
+				key.n = -1
+			}
+		} else {
+			key.n = -1
+		}
+		if key.n < 0 {
+			var ok bool
+			if key, ok = readClose(src, off); !ok {
+				break
+			}
+		}
+		e, size := layerHome(a, key), key.n+1
+		if l := &r.layers[e]; l.key != key || l.name != a || key.n > 16 || len(l.close) != size {
+			var hit bool
+			if e, size, hit = r.probe(a, off, key, e); !hit {
+				break
+			}
+		}
+		if r.nbatch == len(r.batch) {
+			r.flush()
+		}
+		r.batch[r.nbatch] = uint8(e)
+		r.nbatch++
+		off += size
+		if m++; off >= len(src) || src[off] != ',' && src[off] != ')' {
+			break
+		}
 	}
+	if m == 0 {
+		return 0, true
+	}
+	r.pos = off
+	return m, r.next()
+}
+
+// closeApp reads the rest of the application a, which the reader has not
+// filed, from its constants to its ')', and the token after it, token by
+// token, and files it.
+func (r *groundReader) closeApp(a appName) bool {
+	r.flush()
+	e, _, _ := r.find(a, r.tok.off)
 	start := r.tok.off
 	r.sink.App(r.name(int(a.off), a.n), e)
 	for r.tok.kind == tokComma {
@@ -453,29 +546,48 @@ func (r *groundReader) closeApp(a appName) bool {
 		return false
 	}
 	if e >= 0 {
-		l := layer{name: a, close: r.src[start:r.pos]}
-		l.key.read(r.src, start) // as find read it
-		r.layers[e] = l
+		key, _ := readClose(r.src, start) // as find read it
+		r.layers[e] = layer{name: a, close: r.src[start:r.pos], key: key}
 	}
 	return r.next()
 }
 
-// find looks up the layer of the application a whose closing bytes begin
-// at the current token. hit: an entry has a's name and is followed in the
-// text, from that token on, by its closing bytes, which therefore lex to the
-// tokens they lexed to when it was filed (they end in a ')', whose token
-// ends where the ')' does) and read as they read. Else e is the entry to
-// file the layer under once it is read, or -1 when the bytes from the token
-// on hold no ')' within maxClose.
-func (r *groundReader) find(a appName) (e int, hit bool) {
-	src, off := r.src, r.tok.off
-	var key closeKey
-	if !key.read(src, off) {
-		return -1, false
+// flush hands the sink the layers of the batch it is yet to receive.
+func (r *groundReader) flush() {
+	if r.nbatch > 0 {
+		r.sink.Repeat(r.nbatch)
+		r.nbatch = 0
 	}
-	n := key.n
-	w := key.words[0] ^ key.words[1]*0xff51afd7ed558ccd ^ uint64(n)<<58 ^ uint64(a.n)<<52
-	home := int(w * 0x9e3779b97f4a7c15 >> (64 - layerBits))
+}
+
+// find looks up the layer of the application a whose closing bytes begin
+// at off, where a token begins. hit: an entry has a's name and is followed
+// in the text, from that token on, by its closing bytes, which therefore lex
+// to the tokens they lexed to when it was filed (they end in a ')', whose
+// token ends where the ')' does) and read as they read. Else e is the entry
+// to file the layer under once it is read, or -1 when the bytes from off
+// hold no ')' within maxClose. size is the length of the closing bytes of a
+// hit: on the common path it is known from the key before the entry is
+// read, so that the next layer's lookup need not wait for this one's.
+func (r *groundReader) find(a appName, off int) (e, size int, hit bool) {
+	key, ok := readClose(r.src, off)
+	if !ok {
+		return -1, 0, false
+	}
+	return r.probe(a, off, key, layerHome(a, key))
+}
+
+// layerHome is the entry a layer of the application a whose closing bytes
+// pack to key is filed under, unless others are.
+func layerHome(a appName, key closeKey) int {
+	w := key.w0 ^ bits.RotateLeft64(key.w1, 29) ^ uint64(key.n)<<58 ^ uint64(a.n)<<52
+	return int(w * 0x9e3779b97f4a7c15 >> (64 - layerBits))
+}
+
+// probe is find for the closing bytes at off, which pack to key, from the
+// entry home on.
+func (r *groundReader) probe(a appName, off int, key closeKey, home int) (e, size int, hit bool) {
+	src, n := r.src, key.n
 	// Up to four entries from the layer's own, so that layers with one home
 	// do not evict each other.
 	for k := 0; k < 4; k++ {
@@ -483,14 +595,14 @@ func (r *groundReader) find(a appName) (e int, hit bool) {
 		l := &r.layers[e]
 		switch {
 		case l.close == "":
-			return e, false
+			return e, 0, false
 		case l.key != key || l.name.n != a.n:
 		case l.name.off != a.off && r.name(int(l.name.off), l.name.n) != r.name(int(a.off), a.n):
 		case n <= 16 && len(l.close) == n+1 || strings.HasPrefix(src[off:], l.close):
-			return e, true
+			return e, len(l.close), true
 		}
 	}
-	return home, false
+	return home, 0, false
 }
 
 // constArg reads ", c" and returns c: a constant or a numeral, whose +n
@@ -501,7 +613,7 @@ func (r *groundReader) constArg() (token, bool) {
 		return token{}, false
 	}
 	t := r.tok
-	if t.kind != tokIdent && t.kind != tokNumber || !r.next() {
+	if t.kind != tokIdent && t.kind != tokNumber || t.kind == tokNumber && t.num > maxNumber || !r.next() {
 		return token{}, false
 	}
 	if t.kind == tokIdent && (isVarStart(r.src[t.off]) || r.tok.kind == tokLParen) {
@@ -514,21 +626,44 @@ func (r *groundReader) constArg() (token, bool) {
 }
 
 // plus reads a run of +n sugar, if any, and returns its sum, which saturates
-// just past MaxTermDepth as the tree parser's does.
-func (r *groundReader) plus() (int, bool) {
-	sum := 0
+// just past MaxTermCount.
+func (r *groundReader) plus() (int64, bool) {
+	var sum int64
 	for r.tok.kind == tokPlus {
 		if !r.next() || r.tok.kind != tokNumber {
 			return 0, false
 		}
-		if sum <= MaxTermDepth {
-			sum += r.tok.num
-		}
+		sum = addCount(sum, r.count(r.tok))
 		if !r.next() {
 			return 0, false
 		}
 	}
 	return sum, true
+}
+
+// count returns the value of the number t, saturated just past
+// MaxTermCount: read from its digits when the lexer's value saturated.
+func (r *groundReader) count(t token) int64 {
+	if t.num <= maxNumber {
+		return int64(t.num)
+	}
+	var n int64
+	for _, c := range []byte(r.src[t.off : t.off+int(t.n)]) {
+		if n > MaxTermCount/10 {
+			return MaxTermCount + 1
+		}
+		n = min(n*10+int64(c-'0'), MaxTermCount+1)
+	}
+	return n
+}
+
+// addCount returns a+b, saturated just past MaxTermCount, for a and b at
+// most MaxTermCount+1.
+func addCount(a, b int64) int64 {
+	if a > MaxTermCount-b {
+		return MaxTermCount + 1
+	}
+	return a + b
 }
 
 // pred types a predicate the way the tree parser does for a standalone

@@ -9,13 +9,17 @@ import (
 )
 
 // countingSink counts what ReadGround hands it since the last Reset.
-type countingSink struct{ resets, atoms int }
+type countingSink struct {
+	resets, atoms int
+	layers        [8]uint8
+}
 
 func (s *countingSink) Reset()                      { s.resets, s.atoms = s.resets+1, 0 }
 func (s *countingSink) Atom(string, int, bool, int) { s.atoms++ }
-func (s *countingSink) Succ(symbols.FuncID, int)    {}
+func (s *countingSink) Succ(symbols.FuncID, int64)  {}
 func (s *countingSink) App(string, int)             {}
 func (s *countingSink) AppArg(string)               {}
+func (s *countingSink) Layers() []uint8             { return s.layers[:] }
 func (s *countingSink) Repeat(int)                  {}
 func (s *countingSink) EndTerm()                    {}
 func (s *countingSink) Arg(string, symbols.ConstID) {}

@@ -83,7 +83,7 @@ func (k tokKind) String() string {
 type token struct {
 	kind tokKind
 	n    int32 // tokIdent, tokNumber: the token's length
-	num  int   // tokNumber
+	num  int   // tokNumber: its value, or maxNumber+1 past maxNumber
 	off  int
 }
 
@@ -155,10 +155,15 @@ func (p *parser) advance() error {
 	case c >= '0' && c <= '9':
 		n, end := 0, i
 		for ; end < len(src) && src[end] >= '0' && src[end] <= '9'; end++ {
-			n = n*10 + int(src[end]-'0')
-			if n > 1<<30 {
+			if n <= maxNumber {
+				n = n*10 + int(src[end]-'0')
+			}
+		}
+		if n > maxNumber {
+			if !p.longNumbers {
 				return p.errAt(i, "number too large")
 			}
+			n = maxNumber + 1
 		}
 		p.tok.kind, p.tok.num, p.tok.n, p.pos = tokNumber, n, int32(end-i), end
 		return nil

@@ -9,6 +9,18 @@ import "strings"
 // input can exhaust the stack; a deeper term is a ParseError.
 const MaxTermDepth = 1 << 16
 
+// MaxTermCount caps the applications one term of a ground query counts when
+// ReadGround lowers it: nesting, numerals and +n sugar summed. The nesting is
+// still capped by MaxTermDepth, but a numeral and +n sugar are counted, not
+// held, so a ground ask may name any time up to 2^62. Everything the tree
+// parser builds — facts, rules, open queries, a ground query asked through
+// Explain or congruence closure — keeps MaxTermDepth for the whole term.
+const MaxTermCount = 1 << 62
+
+// maxNumber is the largest number the lexer reads as a value; past it the
+// tree parser reports the number too large.
+const maxNumber = 1 << 30
+
 func (p *parser) errTooDeep(off int) error {
 	return p.errAt(off, "term deeper than %d applications (nesting, numeric literal and +n combined)", MaxTermDepth)
 }
@@ -110,6 +122,10 @@ type parser struct {
 	pos  int // where the lexer continues
 	tok  token
 	open int // applications whose ')' is still ahead
+
+	// longNumbers lexes a number past maxNumber as maxNumber+1, where the
+	// tree parser reports it: the ground reader counts it from its digits.
+	longNumbers bool
 
 	// The slabs of the raw tree.
 	apps       []rawApp

@@ -125,8 +125,9 @@ const askHitBytes = 2816
 // own (http.NewRequest, the response recorder and its header clone), the
 // rest the handler's — the request's context and the request the pipeline
 // hands the handler, the request ID, a fresh trace ID (the test sends no
-// traceparent), the decoded request object and the mux's path match.
-const askHitAllocs = 20
+// traceparent) and the mux's path match. It was 20 while the decoder took
+// its members as any, which moved the request object to the heap.
+const askHitAllocs = 19
 
 // TestAskHitAllocs gates the cached ask: neither the number of allocations
 // nor the bytes allocated grow with the term's depth.

@@ -29,10 +29,16 @@ import (
 )
 
 // field binds one member of a request object to the variable it decodes
-// into: a *string, *queryText, *int, *uint64, *bool or *[]string.
+// into: exactly one of its pointers is set. They are typed, not an any, so
+// that a request decoded into stays on its handler's stack.
 type field struct {
-	name string
-	dst  any
+	name  string
+	str   *string
+	query *queryText
+	flag  *bool
+	num   *int
+	u64   *uint64
+	list  *[]string
 }
 
 // queryText is a string member decoded as a view: when the JSON string needs
@@ -198,7 +204,7 @@ func (d *decoder) object(fields []field) error {
 		}
 		d.pos++
 		d.space()
-		if err := d.value(fields[i].dst); err != nil {
+		if err := d.value(&fields[i]); err != nil {
 			return err
 		}
 		d.space()
@@ -214,34 +220,34 @@ func (d *decoder) object(fields []field) error {
 	}
 }
 
-// value decodes the JSON value at the cursor into dst.
-func (d *decoder) value(dst any) error {
+// value decodes the JSON value at the cursor into f's variable.
+func (d *decoder) value(f *field) error {
 	if d.literal("null") {
 		return nil
 	}
-	switch p := dst.(type) {
-	case *string:
+	switch {
+	case f.str != nil:
 		raw, err := d.str()
 		if err != nil {
 			return err
 		}
-		*p = string(raw)
-	case *queryText:
+		*f.str = string(raw)
+	case f.query != nil:
 		raw, err := d.str()
 		if err != nil {
 			return err
 		}
-		*p = raw
-	case *bool:
+		*f.query = raw
+	case f.flag != nil:
 		switch {
 		case d.literal("true"):
-			*p = true
+			*f.flag = true
 		case d.literal("false"):
-			*p = false
+			*f.flag = false
 		default:
 			return d.errorf("want true or false")
 		}
-	case *int:
+	case f.num != nil:
 		lit, err := d.integer()
 		if err != nil {
 			return err
@@ -250,8 +256,8 @@ func (d *decoder) value(dst any) error {
 		if err != nil {
 			return d.errorf("integer %s out of range", lit)
 		}
-		*p = int(n)
-	case *uint64:
+		*f.num = int(n)
+	case f.u64 != nil:
 		lit, err := d.integer()
 		if err != nil {
 			return err
@@ -260,11 +266,11 @@ func (d *decoder) value(dst any) error {
 		if err != nil {
 			return d.errorf("integer %s out of range", lit)
 		}
-		*p = n
-	case *[]string:
-		return d.strings(p)
+		*f.u64 = n
+	case f.list != nil:
+		return d.strings(f.list)
 	default:
-		panic(fmt.Sprintf("server: no decoder for a %T request member", dst))
+		panic("server: request member " + f.name + " has no variable")
 	}
 	return nil
 }
@@ -306,9 +312,13 @@ func (d *decoder) strings(p *[]string) error {
 	}
 	for {
 		d.space()
-		var elem string
-		if err := d.value(&elem); err != nil {
-			return err
+		var elem string // a null element reads as ""
+		if !d.literal("null") {
+			raw, err := d.str()
+			if err != nil {
+				return err
+			}
+			elem = string(raw)
 		}
 		list = append(list, elem)
 		d.space()

@@ -198,8 +198,7 @@ func TestTermDepthDoS(t *testing.T) {
 		body               any
 	}{
 		{"ask nest", "POST", "/v1/db/even/ask", map[string]any{"query": "?- " + nest + "."}},
-		{"ask 2^30", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(1073741824)."}},
-		{"ask 70000", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(70000)."}},
+		{"ask 70000 via cc", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(70000).", "via": "cc"}},
 		{"ask T+70000", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(T+70000)."}},
 		{"answers nest", "POST", "/v1/db/even/answers", map[string]any{"query": "?- " + nest + ", Even(T).", "depth": 2}},
 		{"answers 2^30", "POST", "/v1/db/even/answers", map[string]any{"query": "?- Even(T+1073741824).", "depth": 2}},
@@ -215,7 +214,7 @@ func TestTermDepthDoS(t *testing.T) {
 	}
 	// A batch reports them per item and still answers its other queries.
 	code, body := timed("batch", func() (int, map[string]any) {
-		return postBatch(t, ts.URL, map[string]any{"queries": []string{"?- " + nest + ".", "?- Even(1073741824).", "?- Even(4)."}})
+		return postBatch(t, ts.URL, map[string]any{"queries": []string{"?- " + nest + ".", "?- Even(T+1073741824).", "?- Even(4)."}})
 	})
 	if code != http.StatusOK {
 		t.Fatalf("batch = %d %.200v", code, body)
@@ -229,36 +228,56 @@ func TestTermDepthDoS(t *testing.T) {
 	if res[2]["answer"] != true || res[2]["error"] != nil {
 		t.Errorf("batch item 2 = %v, want true", res[2])
 	}
-	// Under the cap the five-digit literal is a query like any other.
-	code, body = timed("ask 40000", func() (int, map[string]any) {
-		return doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": "?- Even(40000)."})
-	})
-	if code != http.StatusOK || body["answer"] != true {
-		t.Errorf("ask Even(40000) = %d %v, want true", code, body)
+	// A ground ask counts its numerals rather than holding them: any time
+	// up to parser.MaxTermCount is a query like any other, and one past it
+	// is the tree parser's number too large.
+	for _, c := range []struct {
+		query string
+		want  any
+	}{
+		{"?- Even(40000).", true},
+		{"?- Even(70000).", true},
+		{"?- Even(1073741825).", false},
+		{"?- Even(4611686018427387904).", true},
+	} {
+		code, body = timed("ask "+c.query, func() (int, map[string]any) {
+			return doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": c.query})
+		})
+		if code != http.StatusOK || body["answer"] != c.want {
+			t.Errorf("ask %s = %d %v, want %v", c.query, code, body, c.want)
+		}
+	}
+	code, body = doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": "?- Even(4611686018427387905)."})
+	if code != http.StatusBadRequest || errCode(body) != "parse_error" || errMessage(body) != "1:9: number too large" {
+		t.Errorf("ask past the count bound = %d %v, want 400 parse_error (number too large)", code, body)
 	}
 	if code, body := doJSON(t, "GET", ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz after the barrage = %d %v", code, body)
 	}
 }
 
-// TestTermDepthErrorIsTheTrees: a ground query past the depth cap — a
-// numeral, +n sugar, nesting, or nesting and sugar combined — is declined by
-// the plan miss's reader and parsed into a tree, so the 400 parse_error
-// carries the tree parser's error for the text, at its line:col.
+// TestTermDepthErrorIsTheTrees: a ground query nested past the depth cap is
+// declined by the plan miss's reader and parsed into a tree, so the 400
+// parse_error carries the tree parser's error for the text, at its
+// line:col. A numeral, +n sugar, or nesting and sugar combined past the cap
+// are the reader's, and answered; asked by congruence closure, which builds
+// the term, they are the tree parser's error too.
 func TestTermDepthErrorIsTheTrees(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	prog := parser.MustParse(evenSrc).Program
 	nest := func(n int) string { return strings.Repeat("f(", n) + "0" + strings.Repeat(")", n) }
-	for _, q := range []string{
-		fmt.Sprintf("?- Even(%d).", parser.MaxTermDepth+1),
-		fmt.Sprintf("?- Even(2),\n   Even(0+%d).", parser.MaxTermDepth+1),
-		"?- Even(" + nest(parser.MaxTermDepth+1) + ").",
-		"?- Even(4), Even(" + nest(parser.MaxTermDepth-10) + "+11).",
+	for _, c := range []struct {
+		q, via string
+	}{
+		{"?- Even(" + nest(parser.MaxTermDepth+1) + ").", ""},
+		{fmt.Sprintf("?- Even(%d).", parser.MaxTermDepth+1), "cc"},
+		{fmt.Sprintf("?- Even(2),\n   Even(0+%d).", parser.MaxTermDepth+1), "cc"},
+		{"?- Even(4), Even(" + nest(parser.MaxTermDepth-10) + "+11).", "cc"},
 	} {
-		_, treeErr := parser.ParseQuery(prog, q)
-		code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": q})
+		_, treeErr := parser.ParseQuery(prog, c.q)
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": c.q, "via": c.via})
 		if treeErr == nil || code != http.StatusBadRequest || errCode(body) != "parse_error" || errMessage(body) != treeErr.Error() {
-			t.Errorf("%.40q… = %d %.120v; the tree parser: %v", q, code, body, treeErr)
+			t.Errorf("%.40q… via %q = %d %.120v; the tree parser: %v", c.q, c.via, code, body, treeErr)
 		}
 	}
 }

@@ -719,7 +719,7 @@ type factsRequest struct {
 	Facts string `json:"facts"`
 }
 
-func (req *factsRequest) fields() []field { return []field{{"facts", &req.Facts}} }
+func (req *factsRequest) fields() []field { return []field{{name: "facts", str: &req.Facts}} }
 
 // handleFacts appends ground facts to a program database. The extension
 // recomputes the specification and publishes a new catalog version, so
@@ -760,7 +760,7 @@ type askRequest struct {
 }
 
 func (req *askRequest) fields() []field {
-	return []field{{"query", &req.Query}, {"via", &req.Via}, {"trace", &req.Trace}}
+	return []field{{name: "query", query: &req.Query}, {name: "via", str: &req.Via}, {name: "trace", flag: &req.Trace}}
 }
 
 type askResponse struct {
@@ -881,7 +881,7 @@ type answersRequest struct {
 }
 
 func (req *answersRequest) fields() []field {
-	return []field{{"query", &req.Query}, {"depth", &req.Depth}, {"limit", &req.Limit}, {"trace", &req.Trace}}
+	return []field{{name: "query", str: &req.Query}, {name: "depth", num: &req.Depth}, {name: "limit", num: &req.Limit}, {name: "trace", flag: &req.Trace}}
 }
 
 type answersResponse struct {
@@ -964,7 +964,7 @@ type batchRequest struct {
 }
 
 func (req *batchRequest) fields() []field {
-	return []field{{"queries", &req.Queries}, {"trace", &req.Trace}}
+	return []field{{name: "queries", list: &req.Queries}, {name: "trace", flag: &req.Trace}}
 }
 
 // batchItem is one query's outcome inside a batch response; exactly one of

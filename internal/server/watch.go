@@ -21,7 +21,7 @@ type watchRequest struct {
 }
 
 func (req *watchRequest) fields() []field {
-	return []field{{"query", &req.Query}, {"depth", &req.Depth}, {"limit", &req.Limit}, {"from_lsn", &req.FromLSN}}
+	return []field{{name: "query", str: &req.Query}, {name: "depth", num: &req.Depth}, {name: "limit", num: &req.Limit}, {name: "from_lsn", u64: &req.FromLSN}}
 }
 
 // handleWatch streams NDJSON answer-delta frames. Like every stream it runs

@@ -518,11 +518,12 @@ func call(r *http.Request, m *Map, method, url string, body []byte) api.Request 
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, in *api.Info, m *Map, g *Group, i int, body []byte, stream bool) error {
 	ctx, sp := obs.StartSpan(r.Context(), g.spans[i])
 	defer sp.End()
-	url := g.urls[i] + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	// The shard's base and the request's own path go as they are: the hop
+	// never joins them, and only a query string is joined to the path.
+	rq := call(r, m, r.Method, g.urls[i], body)
+	if rq.URI = r.URL.Path; r.URL.RawQuery != "" {
+		rq.URI += "?" + r.URL.RawQuery
 	}
-	rq := call(r, m, r.Method, url, body)
 	rq.Hop = !stream // a watch stream stays on HTTP
 	return rt.client.Forward(ctx, rq, func(resp *http.Response) error {
 		return rt.relayed(ctx, w, in, g, stream, resp)

@@ -495,12 +495,13 @@ func (w *replayWriter) Write(p []byte) (int, error) { w.WriteHeader(http.StatusO
 // routeAskAllocs bounds what a routed ask allocates in the router and the
 // hop, against a backend that answers a constant as a cached ask does: the
 // request's context and the request the pipeline hands the handler, the
-// request and trace IDs it mints, the forward span's context, the shard URL,
-// the hop client's watch on the context (context.AfterFunc), the mux's path
-// match, and on the hop the one string each end copies a frame's other
-// strings into and the daemon's URL. It was 49 before the hop kept its
-// records, headers and response per connection (EXPERIMENTS A46).
-const routeAskAllocs = 12
+// request and trace IDs it mints, the forward span's context, the hop
+// client's watch on the context (context.AfterFunc), the mux's path match,
+// and on the hop the one string each end copies a frame's other strings
+// into and the daemon's URL. It was 49 before the hop kept its records,
+// headers and response per connection (EXPERIMENTS A46), and 12 while the
+// router joined the shard's URL to the path the hop split it back into.
+const routeAskAllocs = 11
 
 // TestRouteAskAllocs gates the router's end of a routed hit, as
 // BenchmarkRouteAsk drives it but with a request and a response writer

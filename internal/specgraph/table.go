@@ -204,16 +204,6 @@ func (t *Table) Walk(syms []symbols.FuncID) (state int32, bad symbols.FuncID, ok
 	return state, 0, true
 }
 
-// WalkIndex runs the DFA from the root over a string of symbol indices,
-// innermost first, each one SymIndex gave, and returns the state reached.
-func (t *Table) WalkIndex(syms []int32) int32 {
-	cur, k := Root, len(t.Alphabet)
-	for _, s := range syms {
-		cur = t.trans[int(cur)*k+int(s)]
-	}
-	return cur
-}
-
 // Index returns the state t's symbol string leads to, reading t through v
 // (which may be a query-local overlay holding t): t's own index when t is a
 // representative, its representative's otherwise.

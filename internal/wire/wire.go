@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // MaxRecordBytes bounds a single framed record; ReadRecord rejects larger
@@ -45,13 +46,23 @@ func frameHeader(payload []byte) ([frameSize]byte, error) {
 	return hdr, nil
 }
 
+// headers recycles WriteRecord's frame headers: one on the stack, handed to
+// an io.Writer, would move to the heap, an allocation per record. A Writer
+// retains nothing of what it is given, so a header is back in the pool as
+// soon as it is written.
+var headers = sync.Pool{New: func() any { return new([frameSize]byte) }}
+
 // WriteRecord frames payload as one length-prefixed, checksummed record.
 func WriteRecord(w io.Writer, payload []byte) error {
-	hdr, err := frameHeader(payload)
+	h, err := frameHeader(payload)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := headers.Get().(*[frameSize]byte)
+	*hdr = h
+	_, err = w.Write(hdr[:])
+	headers.Put(hdr)
+	if err != nil {
 		return err
 	}
 	_, err = w.Write(payload)

@@ -257,3 +257,24 @@ func TestEncoderReset(t *testing.T) {
 		t.Errorf("a reset for %d bytes left %d of storage", 4*storage, e.Cap())
 	}
 }
+
+// TestWriteRecordAllocs: framing a record allocates nothing — its header
+// comes from a pool, not from the heap — and writes the bytes AppendRecord
+// appends.
+func TestWriteRecordAllocs(t *testing.T) {
+	payload := []byte("a replicated frame's payload")
+	var out bytes.Buffer
+	out.Grow(64)
+	allocs := testing.AllocsPerRun(500, func() {
+		out.Reset()
+		if err := WriteRecord(&out, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want, _ := AppendRecord(nil, payload); !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("WriteRecord wrote %x, AppendRecord appends %x", out.Bytes(), want)
+	}
+	if !raceBuild && allocs != 0 {
+		t.Errorf("WriteRecord allocates %.0f times per record, want 0", allocs)
+	}
+}

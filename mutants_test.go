@@ -12,8 +12,9 @@ var mutants = []mutant{
 		edits: []edit{{"internal/core/plan.go", "if n.src == src {", "if true {"}}},
 
 	// A ground plan's verdict, held to every other backend by the oracle.
-	{name: "walk_stops_one_symbol_short", pkg: "./internal/core", run: "^TestGroundOracle$",
-		edits: []edit{{"internal/core/plan.go", "s.spec.WalkIndex(st.syms)", "s.spec.WalkIndex(st.syms[:max(len(st.syms)-1, 0)])"}}},
+	{name: "repeated_layer_left_out_of_the_walk", pkg: "./internal/core", run: "^TestGroundOracle$",
+		edits: []edit{{"internal/specgraph/runs.go", "\t\tstate = trans[int(state)*k+int(s)]\n\t\tswitch {", "\t\tswitch {"},
+			{"internal/specgraph/runs.go", "\t\tsym, count = s, 1\n\t}\n\tw.runs, w.sym, w.count, w.state", "\t\tsym, count = s, 1\n\t\tstate = trans[int(state)*k+int(s)]\n\t}\n\tw.runs, w.sym, w.count, w.state"}}},
 	{name: "atoms_after_the_first_ignored", pkg: "./internal/core", run: "^TestGroundOracle$",
 		edits: []edit{{"internal/core/plan.go", "for i := range steps {", "for i := range steps[:min(len(steps), 1)] {"}}},
 
@@ -41,7 +42,7 @@ var mutants = []mutant{
 			"case l.key != key || l.name.n != a.n:",
 			"case l.name.n != a.n:"}, {"internal/parser/ground.go",
 			"case n <= 16 && len(l.close) == n+1 || strings.HasPrefix(src[off:], l.close):",
-			"default:"}}},
+			"case n >= 0 || src == \"\":"}}},
 	{name: "memo_matches_the_closing_bytes_alone", pkg: "./internal/core", run: "^(TestGroundOracle|TestReaderDeclinesOnlyOpenOrMalformed|TestQueryLoweringStable)$",
 		edits: []edit{{"internal/parser/ground.go",
 			"case l.key != key || l.name.n != a.n:\n\t\tcase l.name.off != a.off && r.name(int(l.name.off), l.name.n) != r.name(int(a.off), a.n):",
@@ -49,7 +50,20 @@ var mutants = []mutant{
 	{name: "memo_kept_across_the_second_pass", pkg: "./internal/core", run: "^TestReaderDeclinesOnlyOpenOrMalformed$",
 		edits: []edit{{"internal/parser/ground.go", "r.layers = [LayerSlots]layer{}", ""}}},
 	{name: "repeat_left_out_of_the_fingerprint", pkg: "./internal/core", run: "^(TestGroundOracle|TestReaderDeclinesOnlyOpenOrMalformed|TestQueryLoweringStable)$",
-		edits: []edit{{"internal/core/shape.go", "w.str(w.b.String()[off : off+n])", "w.str(w.b.String()[off : off+n])\n\tw.hashed = w.b.Len()"}}},
+		edits: []edit{{"internal/core/shape.go", "\tw.b, w.run, w.from, w.count = b, run, from, count\n", "\tw.b, w.run, w.from, w.count = b, run, from, count\n\tw.hashed = len(b)\n"}}},
+
+	// Runs: one shape token per run however spelled, a walk of a run past
+	// its tail, and the fingerprint's carried bytes.
+	{name: "numeral_not_coalesced_with_spelled_succ", pkg: "./internal/core", run: "^(TestGroundOracle|TestReaderDeclinesOnlyOpenOrMalformed)$",
+		edits: []edit{{"internal/core/shape.go", "if w.count > 0 && w.run.args == 0 && w.run.n == 1+len(fn)", "if false && w.count > 0 && w.run.args == 0 && w.run.n == 1+len(fn)"}}},
+	{name: "run_count_left_out_of_the_shape", pkg: "./internal/core", run: "^TestQueryLoweringStable$",
+		edits: []edit{{"internal/core/shape.go", "func (w *shapeWriter) endRun() {\n\tif w.count > 1 {", "func (w *shapeWriter) endRun() {\n\tif w.count > 1 && false {"}}},
+	{name: "run_reduced_before_its_tail", pkg: "./internal/specgraph", run: "^(TestRunWalkPastTheTail|TestRunWalkMatchesExpanded)$",
+		edits: []edit{{"internal/specgraph/runs.go", "\t\t\tfor left := (n - i - 1) % lam; left > 0; left-- {", "\t\t\thare = q\n\t\t\tfor left := n % lam; left > 0; left-- {"}}},
+	{name: "fold_drops_its_carried_bytes", pkg: "./internal/obs", run: "^FuzzFingerprintSplit$",
+		edits: []edit{{"internal/obs/id.go", "h.h, h.tail = fpFold(h.h, h.tail), 0", "h.tail = 0"}}},
+	{name: "answer_spec_hit_asks_for_done", pkg: "./internal/core", run: "^TestAnswerSpecHitAsksNoDone$",
+		edits: []edit{{"internal/core/plan.go", "\t\tcase <-b.done:\n\t\tdefault:\n\t\t\tselect {", "\t\tcase <-ctx.Done():\n\t\t\treturn nil, ctx.Err()\n\t\tcase <-b.done:\n\t\t}\n\t\tif false {\n\t\t\tselect {"}}},
 
 	// The parser's term builder, held to the recursive construction it replaced.
 	{name: "builder_drops_plus_sugar", pkg: "./internal/parser", run: "^Test(Programs|Queries)MatchRecursiveReference$",
