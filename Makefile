@@ -46,8 +46,10 @@ test:
 # a Freeze) and a republish that allocates the same after 250 facts as after
 # 10. And a pass over the plan-miss benchmark: query text to compiled plan,
 # by family and term depth, and one over the reader alone (readGround on
-# sixteen depth-512 texts per family, no plan cache), with the gate that a
-# fingerprint the full stats table has not seen allocates at most its key.
+# sixteen depth-512 texts per family, no plan cache), with the gates that a
+# fingerprint the full stats table has not seen allocates at most its key,
+# and that a ground miss allocates its plan, shape, entry and text node (and
+# the reader's stack) and takes no slot of the shapes map.
 # And one over the flat step walk: ns per symbol
 # of FlatDFA.Walk by family and depth, with the gate that it allocates
 # nothing (no served path walks a flat DFA — a ground plan walks the table
@@ -67,7 +69,7 @@ test-bench:
 	$(GO) test -count=1 -run 'TestCellJoins|TestJoinProbesBucket|TestJoinIndexFiresAsScan' ./internal/engine/
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPrepareMiss' -benchtime 50x .
 	$(GO) test -count=1 -run 'TestNovelFingerprintAllocs' ./internal/server/
-	$(GO) test -count=1 -run 'TestPrepareMissLinear|TestPlanChargeMatchesHeap' -bench 'BenchmarkReadGround' -benchtime 200x ./internal/core/
+	$(GO) test -count=1 -run 'TestPrepareMissLinear|TestPlanChargeMatchesHeap|TestGroundMissAllocs' -bench 'BenchmarkReadGround' -benchtime 200x ./internal/core/
 	$(GO) test -count=1 -run 'TestRunWalk' -bench 'BenchmarkRunWalk' -benchtime 2000x ./internal/specgraph/
 	$(GO) test -count=1 -run 'TestWalkKernelsZeroAlloc' -bench 'BenchmarkFlatWalk' -benchtime 2000x ./internal/specgraph/
 	$(GO) test -count=1 -run 'TestGroundAskZeroAlloc' -bench 'BenchmarkTextHit' -benchtime 200000x -cpu 1,2 ./internal/core/

@@ -38,7 +38,6 @@
 //	               running admission control attribute the work to you
 //	-trace         with -remote: request a per-stage span trace with every
 //	               query and print it as an indented tree
-//	-cc            answer through congruence closure instead of the DFA walk
 //	-info          print the document's (or daemon's) description
 //	-dot           print the successor automaton as Graphviz DOT
 package main
@@ -79,7 +78,6 @@ func run(args []string, out io.Writer) error {
 	interactive := fs.Bool("i", false, "with -remote: interactive shell against the daemon")
 	trace := fs.Bool("trace", false, "with -remote: print a per-stage span trace for each query")
 	apiKey := fs.String("api-key", "", "with -remote: tenant API key sent as X-Api-Key on every request")
-	useCC := fs.Bool("cc", false, "answer via congruence closure instead of the DFA walk")
 	info := fs.Bool("info", false, "describe the document or daemon database")
 	dot := fs.Bool("dot", false, "print the automaton as Graphviz DOT")
 	if err := fs.Parse(args); err != nil {
@@ -89,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		if *specPath != "" {
 			return fmt.Errorf("-spec and -remote are mutually exclusive")
 		}
-		return runRemote(*remote, *dbName, *apiKey, *useCC, *info, *interactive, *trace, *addFacts, *watchQuery, fs.Args(), os.Stdin, out)
+		return runRemote(*remote, *dbName, *apiKey, *info, *interactive, *trace, *addFacts, *watchQuery, fs.Args(), os.Stdin, out)
 	}
 	if *addFacts != "" || *interactive || *trace || *watchQuery != "" {
 		return fmt.Errorf("-add, -i, -trace and -watch need -remote (a local spec document is immutable)")
@@ -132,12 +130,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, doc.DOT())
 	}
 
-	var opts []core.Option
-	if *useCC {
-		opts = append(opts, core.WithMethod(core.MethodEquational))
-	}
 	for _, q := range fs.Args() {
-		yes, err := snap.Ask(context.Background(), q, opts...)
+		yes, err := snap.Ask(context.Background(), q)
 		if err != nil {
 			return fmt.Errorf("%s: %w", q, err)
 		}
@@ -148,15 +142,16 @@ func run(args []string, out io.Writer) error {
 
 // runRemote answers the queries through a running fdbd daemon via the
 // shared remote client, so HTTP error bodies surface as messages.
-func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, addFacts, watchQuery string, queries []string, in io.Reader, out io.Writer) error {
-	rc := &repl.RemoteClient{Base: base, DB: db, CC: useCC, Trace: trace, APIKey: apiKey}
+func runRemote(base, db, apiKey string, info, interactive, trace bool, addFacts, watchQuery string, queries []string, in io.Reader, out io.Writer) error {
+	rc := &repl.RemoteClient{Base: base, DB: db, Trace: trace, APIKey: apiKey}
+	ctx := context.Background()
 	endpoints := rc.Endpoints()
 	if len(endpoints) == 0 {
 		return fmt.Errorf("-remote lists no usable endpoint: %q", base)
 	}
 	if info {
 		if db != "" {
-			desc, err := rc.Info()
+			desc, err := rc.Info(ctx)
 			if err != nil {
 				return err
 			}
@@ -167,7 +162,7 @@ func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, ad
 			out.Write(append(raw, '\n'))
 		} else {
 			url := endpoints[0] + "/v1/dbs"
-			body, err := rc.HTTP.Do(context.Background(), api.Request{Method: http.MethodGet, URL: url, APIKey: apiKey})
+			body, err := rc.HTTP.Do(ctx, api.Request{Method: http.MethodGet, URL: url, APIKey: apiKey})
 			if err != nil {
 				return fmt.Errorf("%s: %w", url, err)
 			}
@@ -178,7 +173,7 @@ func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, ad
 		return fmt.Errorf("-remote queries need -db NAME")
 	}
 	if addFacts != "" {
-		v, err := rc.AddFacts(addFacts)
+		v, err := rc.AddFacts(ctx, addFacts)
 		if err != nil {
 			return fmt.Errorf("add facts: %w", err)
 		}
@@ -187,7 +182,7 @@ func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, ad
 	if len(queries) > 0 {
 		// Ctrl-C aborts the in-flight request instead of waiting out the
 		// HTTP client timeout.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 		defer stop()
 		for _, q := range queries {
 			yes, _, tr, err := rc.AskTrace(ctx, q)
@@ -202,10 +197,10 @@ func runRemote(base, db, apiKey string, useCC, info, interactive, trace bool, ad
 		return runWatch(rc, watchQuery, out)
 	}
 	if interactive {
-		// RunRemoteContext arms SIGINT per command: Ctrl-C mid-query
-		// cancels that query and returns to the prompt; Ctrl-C at the
-		// prompt keeps its default exit behavior.
-		return repl.RunRemoteContext(context.Background(), rc, in, out)
+		// RunRemote arms SIGINT per command: Ctrl-C mid-query cancels
+		// that query and returns to the prompt; Ctrl-C at the prompt keeps
+		// its default exit behavior.
+		return repl.RunRemote(ctx, rc, in, out)
 	}
 	return nil
 }

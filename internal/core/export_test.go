@@ -17,27 +17,43 @@ import (
 // written by QueryShape and hashed by obs.Fingerprint, and each
 // atom compiled from its FTerm, a mixed application through a memo keyed on
 // its symbols' ids, and the plan's verdict walked from the steps, as
-// readGround does. It returns the parse error of a malformed text and a nil
-// plan for an open query. The plan is not cached.
-func (s *Snapshot) treePlan(src string) (*Plan, error) {
+// readGround does. It returns the plan and its steps, the parse error of a
+// malformed text, and a nil plan for an open query. The plan is not cached.
+func (s *Snapshot) treePlan(src string) (*Plan, []groundStep, error) {
 	ec := s.getEval()
 	defer s.putEval(ec)
 	q, err := parser.ParseQueryTab(ec.tab, src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !groundQuery(q) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	shape := QueryShape(q, ec.tab)
-	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: true}
 	lw := treeLowering{table: s.spec.Table, tab: ec.tab}
-	p.steps = make([]groundStep, len(q.Atoms))
+	steps := make([]groundStep, len(q.Atoms))
 	for i := range q.Atoms {
-		p.steps[i] = s.lower(ec, &lw, &q.Atoms[i])
+		steps[i] = s.lower(ec, &lw, &q.Atoms[i])
 	}
-	p.verdict = s.groundVerdict(p.steps)
-	return p, nil
+	p := &Plan{snap: s, src: src, shape: shape, fingerprint: obs.Fingerprint(shape), ground: true, verdict: s.groundVerdict(steps)}
+	return p, steps, nil
+}
+
+// readSteps is the test hook on the reader's scratch: it reads src into a
+// pooled sink, as readGround does, and returns a copy of the steps the
+// sink compiled and whether a term counted more than parser.MaxTermDepth
+// applications; ok is false when the reader declines the text.
+func (s *Snapshot) readSteps(src string) (steps []groundStep, deep, ok bool) {
+	g := s.lowering()
+	defer s.putLowering(g)
+	if !g.read(src) {
+		return nil, false, false
+	}
+	steps = slices.Clone(g.steps)
+	for i := range steps {
+		steps[i].runs = slices.Clone(steps[i].runs)
+	}
+	return steps, g.deep, true
 }
 
 // lower compiles one ground atom of the tree. Under range restriction the

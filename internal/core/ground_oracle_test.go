@@ -639,7 +639,7 @@ func (o planOracle) ask(text string) (*Plan, bool, error) {
 type treeOracle struct{ snap *Snapshot }
 
 func (o treeOracle) Ask(text string) (bool, error) {
-	p, err := o.snap.treePlan(text)
+	p, _, err := o.snap.treePlan(text)
 	if err != nil {
 		return false, err
 	}

@@ -17,20 +17,23 @@ import (
 
 // readerDisagrees compares what Prepare's reader and the tree lowering
 // (treePlan) make of text: whether it is declined — the tree rejects it or
-// finds it open — and for a ground query the shape, fingerprint, steps and
-// verdict by both methods. A ground query that counts more applications than
-// the tree holds (parser.MaxTermDepth) is the reader's alone, and is held to
-// pastTreeCap instead. It returns "" when they agree.
+// finds it open — and for a ground query the shape, fingerprint, steps (read
+// off the sink's scratch, readSteps) and verdict by both methods, the
+// equational one deciding the tree's steps too. A ground query that counts
+// more applications than the tree holds (parser.MaxTermDepth) is the
+// reader's alone, and is held to pastTreeCap instead. It returns "" when
+// they agree.
 func readerDisagrees(s *Snapshot, text string) string {
 	got := s.readGround(text)
-	ref, err := s.treePlan(text)
+	steps, deep, _ := s.readSteps(text)
+	ref, refSteps, err := s.treePlan(text)
 	switch {
 	case got == nil && (err != nil || ref == nil):
 		return ""
 	case got == nil:
 		return "the reader declined a well-formed ground query"
 	case err != nil && pastTreeCap(err):
-		return runsDisagree(got, err)
+		return runsDisagree(got, steps, deep, err)
 	case err != nil:
 		return fmt.Sprintf("the reader lowered a text the tree rejects: %v", err)
 	case ref == nil:
@@ -39,23 +42,24 @@ func readerDisagrees(s *Snapshot, text string) string {
 		return fmt.Sprintf("shape %.200q, tree %.200q", got.shape, ref.shape)
 	case got.fingerprint != ref.fingerprint:
 		return fmt.Sprintf("fingerprint %s, tree %s", got.fingerprint, ref.fingerprint)
-	case len(got.steps) != len(ref.steps):
-		return fmt.Sprintf("%d steps, tree %d", len(got.steps), len(ref.steps))
+	case len(steps) != len(refSteps):
+		return fmt.Sprintf("%d steps, tree %d", len(steps), len(refSteps))
 	}
-	for i := range got.steps {
-		g, r := &got.steps[i], &ref.steps[i]
+	for i := range steps {
+		g, r := &steps[i], &refSteps[i]
 		if g.kind != r.kind || g.kind == stepWalk && (g.atom != r.atom || g.state != r.state || !slices.Equal(g.runs, r.runs)) {
 			return fmt.Sprintf("atom %d: step %d atom %d state %d runs %.40v, tree %d atom %d state %d runs %.40v",
 				i, g.kind, g.atom, g.state, g.runs, r.kind, r.atom, r.state, r.runs)
 		}
 	}
 	ctx := context.Background()
-	for _, m := range []Method{MethodGraph, MethodEquational} {
-		ok, err := got.Ask(ctx, WithMethod(m))
-		rok, rerr := ref.Ask(ctx, WithMethod(m))
-		if ok != rok || err != nil || rerr != nil {
-			return fmt.Sprintf("method %d: %v, %v; tree %v, %v", m, ok, err, rok, rerr)
-		}
+	ok, gerr := got.Ask(ctx)
+	eok, eerr := got.Ask(ctx, WithMethod(MethodEquational))
+	rok, rerr := ref.Ask(ctx)
+	reok, reerr := s.congruent(ctx, refSteps)
+	if ok != rok || eok != reok || ok != eok || gerr != nil || eerr != nil || rerr != nil || reerr != nil {
+		return fmt.Sprintf("graph %v, %v; equational %v, %v; tree graph %v, %v; tree equational %v, %v",
+			ok, gerr, eok, eerr, rok, rerr, reok, reerr)
 	}
 	return ""
 }
@@ -67,18 +71,19 @@ func pastTreeCap(err error) bool {
 	return errors.As(err, &pe) && (strings.Contains(err.Error(), "term deeper than") || strings.Contains(err.Error(), "number too large"))
 }
 
-// runsDisagree holds a plan the tree parser cannot build (treeErr) to what
-// holds without it: the plan is marked deep; each walk of a run string of at most 2^20 applications
-// reaches the state the string written out reaches; the graph method
-// answers; and the equational method, which applies the terms, answers the
-// tree parser's error.
-func runsDisagree(p *Plan, treeErr error) string {
+// runsDisagree holds a plan the tree parser cannot build (treeErr), and the
+// steps the reader compiled for it, to what holds without it: the read
+// counted a term past the cap; each walk of a run string of at most 2^20
+// applications reaches the state the string written out reaches; the
+// graph method answers; and the equational method, which applies the
+// terms, answers the tree parser's error.
+func runsDisagree(p *Plan, steps []groundStep, deep bool, treeErr error) string {
 	s := p.snap
-	if !p.deep {
-		return fmt.Sprintf("the tree rejects it (%v), and the plan is not deep", treeErr)
+	if !deep {
+		return fmt.Sprintf("the tree rejects it (%v), and the read counted no term past the cap", treeErr)
 	}
-	for i := range p.steps {
-		st := &p.steps[i]
+	for i := range steps {
+		st := &steps[i]
 		var total int64
 		specgraph.EachRun(st.runs, func(_ int32, n int64) { total += n })
 		if st.kind != stepWalk || total > 1<<20 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
+	"funcdb/internal/facts"
 	"funcdb/internal/parser"
 	"funcdb/internal/specgraph"
 	"funcdb/internal/symbols"
@@ -11,28 +13,88 @@ import (
 
 // readGround lowers src as parser.ReadGround reads it, or returns nil when
 // the reader declines the text (an open query, or a malformed one). The plan
-// it returns carries its verdict: every step is walked before the plan can
-// be published.
+// it returns is its text, shape, fingerprint and verdict: every step is
+// walked while the sink still holds it, and no plan keeps the steps.
 func (s *Snapshot) readGround(src string) *Plan {
-	g, _ := s.lowerPool.Get().(*groundLowering)
-	if g == nil {
-		g = &groundLowering{s: s, lw: appLowering{table: s.spec.Table, tab: s.tab}}
+	g := s.lowering()
+	var p *Plan
+	if g.read(src) {
+		shape, fingerprint := g.shape.Finish()
+		p = &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
+			ground: true, verdict: s.groundVerdict(g.steps)}
 	}
+	s.putLowering(g)
+	return p
+}
+
+// groundVerdict decides the steps of a ground text by the graph method, the
+// paper's Link rules run over each atom's symbol string: the
+// representatives' table walked from 0 — as the string was lowered, a run
+// at a time (a run costs at most a few laps of the cycle its symbol's row
+// ends in) — the atom looked up in the state reached.
+func (s *Snapshot) groundVerdict(steps []groundStep) bool {
+	for i := range steps {
+		st := &steps[i]
+		switch st.kind {
+		case stepFalse:
+			return false
+		case stepWalk:
+			if !s.w.StateContains(s.spec.State[st.state], st.atom) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// lowering takes a sink from the snapshot's pool.
+func (s *Snapshot) lowering() *groundLowering {
+	if g, _ := s.lowerPool.Get().(*groundLowering); g != nil {
+		return g
+	}
+	return &groundLowering{s: s, lw: appLowering{table: s.spec.Table, tab: s.tab}}
+}
+
+// putLowering empties g and hands it back to the pool.
+func (s *Snapshot) putLowering(g *groundLowering) {
+	g.release()
+	s.lowerPool.Put(g)
+}
+
+// read lowers src into the sink, which holds its steps until it is
+// released; false: the reader declined the text.
+func (g *groundLowering) read(src string) bool {
 	g.data, g.lw.name = g.dbuf[:0], g.nbuf[:0]
 	// A shape is about as long as its text less the spaces, or shorter by
 	// its runs, but for numerals and +n sugar, which Succ makes room for.
 	g.est = len(src) - strings.Count(src, " ") + shapeSlack
 	g.room = g.est
-	var p *Plan
-	if parser.ReadGround(s.tab, src, g) {
-		shape, fingerprint := g.shape.Finish()
-		p = &Plan{snap: s, src: src, shape: shape, fingerprint: fingerprint,
-			ground: true, verdict: s.groundVerdict(g.steps), deep: g.deep, steps: g.steps}
-	}
-	g.release()
-	s.lowerPool.Put(g)
-	return p
+	return parser.ReadGround(g.s.tab, src, g)
 }
+
+// groundStep is one compiled ground atom.
+type groundStep struct {
+	kind  stepKind
+	runs  []int32      // stepWalk: innermost-first symbol indices of the alphabet, a run string (specgraph.AppendRun)
+	state int32        // stepWalk: the state the run string leads to from the root
+	atom  facts.AtomID // stepWalk: frozen atom to look for
+}
+
+// stepKind discriminates the compiled forms of one ground atom.
+type stepKind uint8
+
+const (
+	// stepTrue: the atom is a data fact present in the frozen global set —
+	// a constant, resolved at compile time.
+	stepTrue stepKind = iota
+	// stepFalse: the atom can never hold in this snapshot (novel constant,
+	// tuple absent from the frozen world) — also a compile-time constant.
+	stepFalse
+	// stepWalk: walk the representatives' table over the run string and
+	// look for the atom in the full state reached — an original predicate's
+	// atom and a normalization helper's alike.
+	stepWalk
+)
 
 // groundLowering is the parser.GroundSink of a plan miss: it compiles each
 // atom to its step — a run of applications straight to a run of its symbol
@@ -42,19 +104,23 @@ func (s *Snapshot) readGround(src string) *Plan {
 // needed: under range restriction the least fixpoint holds no atom over a
 // term with a symbol outside the alphabet, nor one with a predicate or tuple
 // the snapshot has never seen, and each of those is a compile-time false,
-// whichever method executes the plan.
+// whichever method decides the text.
 //
 // The sink lives on the heap (the reader calls it through an interface), so
 // per run it stores into buffers and indices and never re-stores a slice,
 // which would cost a write barrier while the collector runs. The snapshot
-// pools its sinks: a released one holds nothing a plan retains.
+// pools its sinks: the steps and their run strings are scratch, read before
+// the sink goes back, and a released one holds nothing a plan retains.
 type groundLowering struct {
 	s     *Snapshot
 	lw    appLowering
 	shape shapeWriter
 	est   int // the shape's length, as estimated from the text
 	room  int // what the next Atom makes room for: est before the first
+
+	// The steps of the atoms read, and their run strings one after another.
 	steps []groundStep
+	runs  []int32
 
 	// The applications the reader filed, by entry: where the shape spells
 	// each, as CloseApp did, and its symbol index (-1: outside the
@@ -69,10 +135,9 @@ type groundLowering struct {
 	open       bool // an application whose symbol is still to be found
 	entry      int  // the entry it is filed under, or -1
 	out        bool // an application outside the alphabet, or a constant the table lacks
-	// Its run string, which the plan keeps.
-	rw    specgraph.RunWriter
-	depth int64             // its applications, counted whatever their symbols
-	data  []symbols.ConstID // its data arguments
+	rw         specgraph.RunWriter
+	depth      int64             // its applications, counted whatever their symbols
+	data       []symbols.ConstID // its data arguments
 
 	deep bool // a term counted more than parser.MaxTermDepth applications
 
@@ -80,15 +145,28 @@ type groundLowering struct {
 	nbuf [32]byte
 }
 
+// The scratch a pooled sink keeps, in steps and in words of run strings: a
+// read past either drops it, as the module's other pools drop a buffer
+// past 64 KiB.
+const (
+	maxKeptSteps = 1 << 10
+	maxKeptRuns  = 16 << 10
+)
+
 // release returns the sink to its state before a read, so that it can go
 // back to the pool holding nothing the read's plan retains (its shape's
-// buffer, its steps and run strings) and no spelling of an earlier text.
+// buffer), no spelling of an earlier text, and none of its steps.
 func (g *groundLowering) release() {
 	memo := g.lw.memo
 	if memo != nil {
 		*memo = [appMemoSize]appEntry{}
 	}
-	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab, memo: memo}}
+	clear(g.steps[:cap(g.steps)])
+	steps, runs := g.steps[:0], g.runs[:0]
+	if cap(steps) > maxKeptSteps || cap(runs) > maxKeptRuns {
+		steps, runs = nil, nil
+	}
+	*g = groundLowering{s: g.s, lw: appLowering{table: g.lw.table, tab: g.lw.tab, memo: memo}, steps: steps, runs: runs}
 }
 
 func (g *groundLowering) Reset() {
@@ -96,7 +174,7 @@ func (g *groundLowering) Reset() {
 	g.deep = false
 	g.spells = [parser.LayerSlots]appSpelling{}
 	g.room = g.est
-	g.steps = g.steps[:0]
+	g.steps, g.runs = g.steps[:0], g.runs[:0]
 }
 
 // shapeSlack is room for what a shape has and a text does not: an atom's
@@ -117,11 +195,10 @@ func (g *groundLowering) Atom(name string, arity int, functional bool, apps int)
 	g.functional, g.out, g.data = functional, false, g.data[:0]
 	// A layer in parentheses takes a word of the run string at most, and a
 	// numeral's run three; +n sugar between layers, rarer, grows it.
-	var runs []int32
 	if functional {
-		runs = make([]int32, 0, apps+3)
+		g.runs = slices.Grow(g.runs, apps+3)
 	}
-	g.rw.Reset(g.lw.table, runs)
+	g.rw.Reset(g.lw.table, g.runs)
 	g.depth = 0
 	if functional {
 		g.shape.Zero()
@@ -236,7 +313,9 @@ func (g *groundLowering) step(pred symbols.PredID) groundStep {
 	if !ok {
 		return groundStep{kind: stepFalse}
 	}
-	return groundStep{kind: stepWalk, runs: g.rw.Runs(), state: g.rw.State(), atom: atom}
+	from := len(g.runs) // the writer appends to runs, which it was given as it is now
+	g.runs = g.rw.Runs()
+	return groundStep{kind: stepWalk, runs: g.runs[from:len(g.runs):len(g.runs)], state: g.rw.State(), atom: atom}
 }
 
 // appMemoSize is the number of slots of a read's application memo: a deep

@@ -7,9 +7,9 @@
 // representatives' table run once, when the text is lowered, and executing
 // the plan reads one bool. Plans are cached per snapshot, by text for a
 // lock-free hit (on a key that samples a bounded part of the text, the text
-// then compared whole) and by canonical query shape (QueryShape) so
-// spelling variants share one compilation, with singleflight collapse of
-// concurrent open misses.
+// then compared whole), and an open plan by canonical query shape
+// (QueryShape) too, so spelling variants share one compilation, with
+// singleflight collapse of concurrent open misses.
 // Mutating the database publishes a fresh Snapshot, which starts with an
 // empty plan cache — version-bump invalidation needs no scans.
 package core
@@ -25,7 +25,6 @@ import (
 	"unsafe"
 
 	"funcdb/internal/ast"
-	"funcdb/internal/facts"
 	"funcdb/internal/obs"
 	"funcdb/internal/parser"
 	"funcdb/internal/query"
@@ -34,51 +33,16 @@ import (
 	"funcdb/internal/term"
 )
 
-// stepKind discriminates the compiled forms of one ground atom.
-type stepKind uint8
-
-const (
-	// stepTrue: the atom is a data fact present in the frozen global set —
-	// a constant, resolved at compile time.
-	stepTrue stepKind = iota
-	// stepFalse: the atom can never hold in this snapshot (novel constant,
-	// tuple absent from the frozen world) — also a compile-time constant.
-	stepFalse
-	// stepWalk: walk the representatives' table over the run string and
-	// look for the atom in the full state reached — an original predicate's
-	// atom and a normalization helper's alike.
-	stepWalk
-)
-
-// groundStep is one compiled ground atom.
-type groundStep struct {
-	kind  stepKind
-	runs  []int32      // stepWalk: innermost-first symbol indices of the alphabet, a run string (specgraph.AppendRun)
-	state int32        // stepWalk: the state the run string leads to from the root
-	atom  facts.AtomID // stepWalk: frozen atom to look for
-}
-
-// eqStep is one ground atom lowered for the equational method: membership
-// is congruence of the query term with any candidate representative whose
-// slice carries the atom (the paper's membership test over (B, R)).
-type eqStep struct {
-	t      term.Term // term.None for a compile-time verdict
-	cands  []term.Term
-	dataOK bool // the compile-time verdict
-}
-
 // Plan is a query compiled against one Snapshot. It is immutable after
-// Prepare returns, but for the two values it computes on first need and
-// then only reads (the equational lowering, the answer specification), and
-// safe for unlimited concurrent execution; all per-execution state lives in
-// pooled scratch arenas or in the caller's Answers handle. A Plan answers
-// exactly as of its snapshot — after a mutation, Prepare against the new
-// snapshot compiles a fresh one.
+// Prepare returns, but for the answer specification, which it computes on
+// first need and then only reads, and safe for unlimited concurrent
+// execution; all per-execution state lives in pooled scratch arenas or in
+// the caller's Answers handle. A Plan answers exactly as of its snapshot —
+// after a mutation, Prepare against the new snapshot compiles a fresh one.
 //
-// A ground plan keeps its text, shape, fingerprint, verdict and steps — per
-// atom a verdict, or a run string and an atom, which the equational
-// method lowers — and nothing else: no AST, no symbol table. An open plan
-// keeps its query and the table naming it.
+// A ground plan is its text, shape, fingerprint and verdict, and nothing
+// else: no steps, no AST, no symbol table. An open plan keeps its query and
+// the table naming it.
 type Plan struct {
 	snap        *Snapshot
 	src         string
@@ -86,21 +50,12 @@ type Plan struct {
 	fingerprint string // obs.Fingerprint(shape), fixed at compile
 	ground      bool
 	verdict     bool // a ground plan's answer by the graph method, fixed at compile
-	deep        bool // a term counts more than parser.MaxTermDepth applications
-	steps       []groundStep
 
 	// An open plan's query, and the symbol base of its answer
 	// specification: the snapshot's frozen table, or a frozen private clone
 	// when the query text interned symbols the snapshot does not know.
 	q   *ast.Query
 	tab *symbols.Table
-
-	// Equational lowering, compiled on first equational execution, or the
-	// error of a term too deep to apply.
-	eqOnce  sync.Once
-	eqErr   error
-	eqSteps []eqStep
-	eqView  *term.Universe // read-only after eqOnce; holds the query terms
 
 	// The answer specification of an open query, computed by the first
 	// execution that needs it (answerSpec).
@@ -119,12 +74,13 @@ func (p *Plan) Fingerprint() string { return p.fingerprint }
 // Ground reports whether the query is ground (a yes/no membership test).
 func (p *Plan) Ground() bool { return p.ground }
 
-// planEntry is one slot of the plan cache. The goroutine that makes the entry
-// compiles it and holds pending until it has; whoever else finds the entry, by
-// text or by shape, waits on pending and shares the result (singleflight
-// collapse). A finder must not be able to run in the compiler's place: it may
-// arrive between the entry's publication and the compile, with nothing to
-// compile from.
+// planEntry is one slot of the plan cache. The goroutine that makes an open
+// plan's entry compiles it and holds pending until it has; whoever else finds
+// the entry, by text or by shape, waits on pending and shares the result
+// (singleflight collapse). A finder must not be able to run in the
+// compiler's place: it may arrive between the entry's publication and the
+// compile, with nothing to compile from. A ground plan's entry is made with
+// its plan.
 type planEntry struct {
 	pending sync.WaitGroup
 	plan    *Plan
@@ -132,18 +88,20 @@ type planEntry struct {
 }
 
 // planCacheCap bounds the entries of each cache level and planCacheBytes the
-// bytes the cache retains: a ground plan keeps at most four bytes per application,
-// an open one its AST, some 40 bytes per application, so a few thousand deep
+// bytes the cache retains: a ground plan keeps its text and shape, an open
+// one its AST too, some 40 bytes per application, so a few thousand deep
 // plans are megabytes however few entries they are. The cache lives and
 // dies with its Snapshot, so eviction is a rare safety valve, not a
 // steady-state path: when either bound would be passed, both levels are
 // simply flushed. entryOverhead is the fixed cost charged per cached text:
-// its slot in the text level, its entry, and a shape's slot in the shapes
-// map. textsPerKey bounds the texts kept under one text key (textKey).
+// its slot in the text level and its entry; shapeOverhead is an open
+// plan's slot in the shapes map. textsPerKey bounds the texts kept under
+// one text key (textKey).
 const (
 	planCacheCap   = 4096
 	planCacheBytes = 16 << 20
-	entryOverhead  = 160
+	entryOverhead  = 112
+	shapeOverhead  = 48
 	textsPerKey    = 8
 )
 
@@ -189,19 +147,21 @@ func keyOffsets(n int) (offs [keyWords]int) {
 }
 
 // planCache is the per-snapshot two-level plan cache: a text level for the
-// zero-work hit path, and a canonical-shape map so different spellings
-// compile once. The text level (textTable) is published behind an atomic
-// pointer and never changed in place but by atomic stores of chain heads,
-// so a hit takes no lock and writes no shared word. mu guards the rest —
-// the shape map, the accounting, and the flush, which swaps in an empty
-// table — and every store into the text level, so that a flush cannot fall
-// between a writer's admission and its store.
+// zero-work hit path, and a canonical-shape map so different spellings of
+// an open query compile once, and concurrent misses on it once. A ground
+// plan is in the text level only: reading a text is its whole compile. The
+// text level (textTable) is published behind an atomic pointer and never
+// changed in place but by atomic stores of chain heads, so a hit takes no
+// lock and writes no shared word. mu guards the rest — the shape map, the
+// accounting, and the flush, which swaps in an empty table — and every
+// store into the text level, so that a flush cannot fall between a
+// writer's admission and its store.
 type planCache struct {
 	texts  atomic.Pointer[textTable] // nil before the first insertion
 	mu     sync.Mutex
-	shapes map[string]*planEntry
-	ntexts int // texts stored in the current text level
-	bytes  int // retained by the entries of both maps, as estimated by their inserters
+	shapes map[string]*planEntry // open plans; nil before the first
+	ntexts int                   // texts stored in the current text level
+	bytes  int                   // retained by the entries of both maps, as estimated by their inserters
 }
 
 // textTable is the text level: an open-addressed table, probed linearly
@@ -333,46 +293,39 @@ func (pc *planCache) charge(cost int) bool {
 // cache if it would pass a bound — or making it, on the snapshot's first
 // insertion. The caller holds mu.
 func (pc *planCache) admit(cost int) {
-	if pc.shapes == nil || pc.ntexts >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
+	if pc.texts.Load() == nil || pc.ntexts >= planCacheCap || len(pc.shapes) >= planCacheCap || pc.bytes+cost > planCacheBytes {
 		pc.flush()
 	}
 	pc.bytes += cost
 }
 
 // flush empties the cache: a reader that loaded the text table before the
-// swap may still find a plan there, which is as valid as it was. The caller
-// holds mu.
+// swap may still find a plan there, which is as valid as it was. The shape
+// map keeps its buckets, so an open working set does not regrow it after
+// each flush. The caller holds mu.
 func (pc *planCache) flush() {
 	pc.texts.Store(&textTable{slots: make([]atomic.Pointer[textNode], textSlots)})
-	pc.shapes = make(map[string]*planEntry)
+	clear(pc.shapes)
 	pc.ntexts, pc.bytes = 0, 0
 }
 
 // What a compiled plan retains besides its text and shape: the Plan and
-// its fingerprint; a step per ground atom; an open plan's query, one Atom
-// per atom and one FTerm per functional atom.
+// its fingerprint; an open plan's query, one Atom per atom and one FTerm
+// per functional atom.
 const (
-	planOverhead = 208
-	stepBytes    = 48
+	planOverhead = 112
 	atomBytes    = 40
 	ftermBytes   = 32
 )
 
 // groundBytes estimates what a ground plan retains beyond its text: its
-// shape and steps, whose run strings take four bytes per word they were
-// given room for.
-func (p *Plan) groundBytes() int {
-	n := planOverhead + len(p.shape)
-	for i := range p.steps {
-		n += stepBytes + 4*cap(p.steps[i].runs)
-	}
-	return n
-}
+// shape.
+func (p *Plan) groundBytes() int { return planOverhead + len(p.shape) }
 
 // planBytes estimates what an open plan for q retains beyond its text: its
-// shape and AST.
+// shape, its slot in the shapes map and its AST.
 func planBytes(shape string, q *ast.Query) int {
-	n := planOverhead + len(shape) + 48 + 4*len(q.Free)
+	n := shapeOverhead + planOverhead + len(shape) + 48 + 4*len(q.Free)
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
 		n += atomBytes + 8*len(a.Args)
@@ -397,8 +350,8 @@ func groundQuery(q *ast.Query) bool {
 
 // Prepare compiles src into a Plan bound to this snapshot, consulting the
 // plan cache first: an exact-text hit costs one lock-free table lookup on a
-// key of bounded cost and one compare of the text, a novel spelling of a
-// cached shape costs one read of the text (a parse, if it is open), and
+// key of bounded cost and one compare of the text, a novel ground text one
+// read of it, a novel spelling of a cached open shape one parse, and
 // concurrent misses on one open shape collapse into a single compilation.
 func (s *Snapshot) Prepare(ctx context.Context, src string) (*Plan, error) {
 	key := textKey(src)
@@ -442,8 +395,6 @@ func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Pl
 	_, psp := obs.StartSpan(ctx, "parse")
 	if p := s.readGround(src); p != nil {
 		psp.End()
-		// A respelling of a cached shape is charged for the plan again: an
-		// overestimate, never an under.
 		cost := entryOverhead + len(src) + p.groundBytes()
 		if cost > planCacheBytes/8 {
 			return p, nil // not worth flushing every other plan for
@@ -456,10 +407,7 @@ func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Pl
 				return p, nil
 			}
 			pc.admit(cost)
-			if e = pc.shapes[p.shape]; e == nil {
-				e = &planEntry{plan: p}
-				pc.shapes[p.shape] = e
-			}
+			e = &planEntry{plan: p}
 			pc.store(key, src, e)
 		}
 		pc.mu.Unlock()
@@ -502,6 +450,9 @@ func (s *Snapshot) prepareMiss(ctx context.Context, key uint64, src string) (*Pl
 		} else if e = pc.shapes[shape]; e == nil {
 			e, mine = &planEntry{}, true
 			e.pending.Add(1)
+			if pc.shapes == nil {
+				pc.shapes = make(map[string]*planEntry)
+			}
 			pc.shapes[shape] = e
 		}
 		pc.store(key, src, e)
@@ -533,9 +484,9 @@ func (s *Snapshot) compile(ctx context.Context, ec *evalCtx, src, shape, fingerp
 }
 
 // Ask executes the plan as a yes-no query: a ground plan returns the verdict
-// it was built with (or, under MethodEquational, runs congruence closure), an
-// open plan tests answer-set non-emptiness. The graph method's ground path
-// runs with zero allocations.
+// it was built with (or, under MethodEquational, reads its text again and
+// runs congruence closure), an open plan tests answer-set non-emptiness.
+// The graph method's ground path runs with zero allocations.
 func (p *Plan) Ask(ctx context.Context, opts ...Option) (bool, error) {
 	op := BuildOpts(opts...)
 	ctx = op.apply(ctx)
@@ -560,50 +511,49 @@ func (p *Plan) ask(ctx context.Context, op *Opts) (bool, error) {
 	return p.verdict, nil
 }
 
-// groundVerdict decides a ground plan's steps by the graph method, the
-// paper's Link rules run over each atom's symbol string: the
-// representatives' table walked from 0 — as the string was lowered, a run
-// at a time (a run costs at most a few laps of the cycle its symbol's row
-// ends in) — the atom looked up in the state reached.
-func (s *Snapshot) groundVerdict(steps []groundStep) bool {
+// askEquational decides a ground query by congruence closure against the
+// relation R (the equational specification of §3.5). The plan keeps no
+// steps: each call reads its text again into a pooled sink and decides
+// the steps there (congruent). A term is applied only up to
+// parser.MaxTermDepth, as the tree parser builds one: past it, the call
+// answers the tree parser's error for the text.
+func (p *Plan) askEquational(ctx context.Context) (bool, error) {
+	s := p.snap
+	g := s.lowering()
+	defer s.putLowering(g)
+	g.read(p.src) // the text the plan was read from, so it reads again
+	if g.deep {
+		_, err := parser.ParseQueryTab(symbols.NewTableOver(s.tab), p.src)
+		if err == nil {
+			err = fmt.Errorf("core: a term deeper than %d applications", parser.MaxTermDepth)
+		}
+		return false, err
+	}
+	return s.congruent(ctx, g.steps)
+}
+
+// congruent decides ground steps by congruence closure, with a pooled
+// congruence scratch: each run string is written out to its function
+// symbols through the alphabet and applied to 0 in a private term scratch
+// over the canonical form's universe, and the atom holds when the term is
+// congruent to a representative whose state carries it.
+func (s *Snapshot) congruent(ctx context.Context, steps []groundStep) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	cu, eq, cand := s.canonical()
+	u := term.NewUniverseOver(cu)
+	csc := s.getCongruence()
+	defer s.putCongruence(csc)
+	_, sp := obs.StartSpan(ctx, "congruence")
+	defer sp.End()
+	var fns []symbols.FuncID
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case stepFalse:
-			return false
-		case stepWalk:
-			if !s.w.StateContains(s.spec.State[st.state], st.atom) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// compileEq lowers the ground steps for the equational method: a run
-// string written out to its function symbols through the alphabet, applied
-// to 0 in a private term scratch (eqView, over the canonical form's
-// universe), and an atom to the representatives whose state carries it.
-// eqView is retained by the plan and only ever read after this returns, so
-// concurrent equational executions share it safely. A term is applied only
-// up to parser.MaxTermDepth, as the tree parser builds one: past it, eqErr
-// is the tree parser's error for the text.
-func (p *Plan) compileEq() {
-	s := p.snap
-	if p.deep {
-		if _, p.eqErr = parser.ParseQueryTab(symbols.NewTableOver(s.tab), p.src); p.eqErr == nil {
-			p.eqErr = fmt.Errorf("core: a term deeper than %d applications", parser.MaxTermDepth)
-		}
-		return
-	}
-	cu, _, cand := s.canonical()
-	u := term.NewUniverseOver(cu)
-	p.eqSteps = make([]eqStep, len(p.steps))
-	var fns []symbols.FuncID
-	for i := range p.steps {
-		st := &p.steps[i]
-		if st.kind == stepTrue || st.kind == stepFalse {
-			p.eqSteps[i] = eqStep{t: term.None, dataOK: st.kind == stepTrue}
+			return false, nil
+		case stepTrue:
 			continue
 		}
 		fns = fns[:0]
@@ -612,41 +562,12 @@ func (p *Plan) compileEq() {
 				fns = append(fns, s.spec.Alphabet[si])
 			}
 		})
-		p.eqSteps[i] = eqStep{t: u.ApplyString(term.Zero, fns...), cands: cand[st.atom]}
-	}
-	p.eqView = u
-}
-
-// askEquational decides a ground query by congruence closure against the
-// relation R (the equational specification of §3.5), with a pooled
-// congruence scratch per execution.
-func (p *Plan) askEquational(ctx context.Context) (bool, error) {
-	p.eqOnce.Do(p.compileEq)
-	if p.eqErr != nil {
-		return false, p.eqErr
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	_, eq, _ := p.snap.canonical()
-	csc := p.snap.getCongruence()
-	defer p.snap.putCongruence(csc)
-	_, sp := obs.StartSpan(ctx, "congruence")
-	defer sp.End()
-	for i := range p.eqSteps {
-		st := &p.eqSteps[i]
-		if st.t == term.None {
-			if !st.dataOK {
-				return false, nil
-			}
-			continue
-		}
-		if !eq.CongruentToAny(p.eqView, st.t, st.cands, csc) {
+		if !eq.CongruentToAny(u, u.ApplyString(term.Zero, fns...), cand[st.atom], csc) {
 			return false, nil
 		}
 	}
 	// |R|: the equation set whose closure Cl(R) decided membership.
-	obs.SetMax(ctx, "equations", int64(p.snap.spec.NumEquations()))
+	obs.SetMax(ctx, "equations", int64(s.spec.NumEquations()))
 	return true, nil
 }
 
@@ -745,8 +666,8 @@ func ownFault(err error) bool {
 }
 
 // query returns the plan's query and the table naming it. A ground plan
-// keeps neither, only its run strings, so its text is parsed again for
-// the rare caller that wants its answer specification.
+// keeps neither, so its text is parsed again for the rare caller that
+// wants its answer specification.
 func (p *Plan) query() (*ast.Query, *symbols.Table, error) {
 	if p.q != nil {
 		return p.q, p.tab, nil

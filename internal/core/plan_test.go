@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"funcdb/internal/datagen"
+	"funcdb/internal/obs"
 )
 
 // TestPlanShapeSharing: spelling variants of one query — different
@@ -113,7 +114,7 @@ func TestGroundAskZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if len(plan.steps) != 1 || plan.steps[0].kind != stepWalk {
+	if steps, _, _ := plan.snap.readSteps(q); len(steps) != 1 || steps[0].kind != stepWalk {
 		t.Fatal("ground calendar query did not compile to a walk")
 	}
 	if got, err := plan.Ask(ctx); err != nil || !got {
@@ -185,6 +186,78 @@ func askCopy(t *testing.T, name string, s *Snapshot, q string, want bool) {
 		}
 	}); n != 0 {
 		t.Errorf("%s: text Ask of a copy allocates %.1f per run, want 0", name, n)
+	}
+}
+
+// TestEquationalAskIsTraced: an equational ask decides by congruence
+// closure, not by the verdict the plan was read with: its trace records the
+// congruence stage and, as a maximum, the size of the equation set R whose
+// closure decided it. A graph ask records neither.
+func TestEquationalAskIsTraced(t *testing.T) {
+	db, err := Open(meetingsSrc, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	plan, err := db.Prepare(context.Background(), `?- Meets(8, tony).`)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	for _, m := range []Method{MethodGraph, MethodEquational} {
+		tr := obs.NewTrace()
+		if ok, err := plan.Ask(obs.WithTrace(context.Background(), tr), WithMethod(m)); err != nil || !ok {
+			t.Fatalf("method %d: %v, %v; want true", m, ok, err)
+		}
+		rep := tr.Report()
+		spans := 0
+		for _, sp := range rep.Spans {
+			if sp.Name == "congruence" {
+				spans++
+			}
+		}
+		want, wantEq := 0, int64(0)
+		if m == MethodEquational {
+			want, wantEq = 1, int64(plan.snap.spec.NumEquations())
+		}
+		if spans != want || rep.Counters["equations"] != wantEq || m == MethodEquational && wantEq == 0 {
+			t.Errorf("method %d: %d congruence spans, equations %d; want %d, %d (> 0 by congruence)",
+				m, spans, rep.Counters["equations"], want, wantEq)
+		}
+	}
+}
+
+// TestEquationalRereadsItsText: an equational ask reads its plan's text
+// again into a pooled sink, the one the last read handed back, as the pool
+// gives a goroutine what it put: texts asked in turn, false ones between
+// true ones, each get their own answer, by both methods.
+func TestEquationalRereadsItsText(t *testing.T) {
+	db, err := Open(meetingsSrc, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	ctx := context.Background()
+	cases := []struct {
+		q    string
+		want bool
+	}{
+		{"?- Meets(9, tony).", false},
+		{"?- Meets(8, tony).", true},
+		{"?- Meets(3, tony), Next(tony, jan).", false},
+		{"?- Meets(3, jan), Next(tony, jan).", true},
+		{"?- Next(jan, jan).", false},
+		{"?- Meets(65, jan).", true},
+	}
+	for round := 0; round < 4; round++ {
+		for _, c := range cases {
+			for _, m := range []Method{MethodEquational, MethodGraph} {
+				if ok, err := snap.Ask(ctx, c.q, WithMethod(m)); err != nil || ok != c.want {
+					t.Fatalf("round %d: %s by method %d = %v, %v; want %v", round, c.q, m, ok, err, c.want)
+				}
+			}
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func collisionFailures(t *testing.T) []string {
 		for i, q := range texts {
 			cached := i < textsPerKey
 			want := i%2 == 0
-			if ref, err := s.treePlan(q); err != nil || ref == nil || ref.verdict != want {
+			if ref, _, err := s.treePlan(q); err != nil || ref == nil || ref.verdict != want {
 				t.Fatalf("text %d: the tree lowering does not answer %v: the construction is wrong", i, want)
 			}
 			h0, m0 := counts()

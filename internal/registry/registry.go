@@ -91,9 +91,8 @@ func (e *Entry) Snapshot(ctx context.Context) (*core.Snapshot, error) {
 
 // Ask answers a yes-no query in surface syntax ("?- Even(4)."), honoring ctx
 // and the core query options: lock-free on the entry's snapshot, through its
-// compiled-plan cache, by the DFA walk or, under
-// core.WithMethod(core.MethodEquational), by congruence closure. An expired
-// ctx yields an error matching core.ErrCanceled.
+// compiled-plan cache, as core.Snapshot.Ask answers. An expired ctx yields
+// an error matching core.ErrCanceled.
 func (e *Entry) Ask(ctx context.Context, q string, opts ...core.Option) (bool, error) {
 	s, err := e.Snapshot(ctx)
 	if err != nil {

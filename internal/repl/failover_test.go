@@ -56,7 +56,7 @@ func TestWriteFailsOverFromReplica(t *testing.T) {
 	if yes, _, err := c.Ask(context.Background(), "?- Even(4)."); err != nil || !yes {
 		t.Fatalf("read = %v, %v; want true", yes, err)
 	}
-	v, err := c.AddFacts("Even(3).")
+	v, err := c.AddFacts(context.Background(), "Even(3).")
 	if err != nil {
 		t.Fatalf("write through failover: %v", err)
 	}

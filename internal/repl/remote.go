@@ -52,8 +52,6 @@ type RemoteClient struct {
 	Base string
 	// DB is the database name on the daemon.
 	DB string
-	// CC answers through congruence closure instead of the DFA walk.
-	CC bool
 	// Trace asks the daemon for a per-stage span trace with every query;
 	// the shell renders it as an indented tree after the answer.
 	Trace bool
@@ -150,9 +148,6 @@ func (c *RemoteClient) Ask(ctx context.Context, q string) (bool, uint64, error) 
 // the client asks for one (Trace field); the report is nil otherwise.
 func (c *RemoteClient) AskTrace(ctx context.Context, q string) (bool, uint64, *obs.Report, error) {
 	req := map[string]any{"query": q}
-	if c.CC {
-		req["via"] = "cc"
-	}
 	if c.Trace {
 		req["trace"] = true
 	}
@@ -246,12 +241,7 @@ func (c *RemoteClient) TraceByID(ctx context.Context, id string) (*obs.TraceEntr
 
 // AddFacts appends ground facts to the database, durably if the daemon
 // runs with a data directory. Returns the new catalog version.
-func (c *RemoteClient) AddFacts(facts string) (uint64, error) {
-	return c.AddFactsContext(context.Background(), facts)
-}
-
-// AddFactsContext is AddFacts honoring a cancellation context.
-func (c *RemoteClient) AddFactsContext(ctx context.Context, facts string) (uint64, error) {
+func (c *RemoteClient) AddFacts(ctx context.Context, facts string) (uint64, error) {
 	var resp struct {
 		Version uint64 `json:"version"`
 	}
@@ -263,32 +253,12 @@ func (c *RemoteClient) AddFactsContext(ctx context.Context, facts string) (uint6
 
 // Put creates or replaces the client's database from src: program surface
 // syntax or an exported specification document.
-func (c *RemoteClient) Put(src []byte) error {
-	return c.PutContext(context.Background(), src)
-}
-
-// PutContext is Put honoring a cancellation context.
-func (c *RemoteClient) PutContext(ctx context.Context, src []byte) error {
+func (c *RemoteClient) Put(ctx context.Context, src []byte) error {
 	return c.do(ctx, api.Request{Method: http.MethodPut, URL: "/v1/db/" + c.DB, Body: src}, nil)
 }
 
-// Delete removes the client's database from the daemon.
-func (c *RemoteClient) Delete() error {
-	return c.DeleteContext(context.Background())
-}
-
-// DeleteContext is Delete honoring a cancellation context.
-func (c *RemoteClient) DeleteContext(ctx context.Context) error {
-	return c.do(ctx, api.Request{Method: http.MethodDelete, URL: "/v1/db/" + c.DB}, nil)
-}
-
 // Info returns the daemon's description of the database as rendered JSON.
-func (c *RemoteClient) Info() (map[string]any, error) {
-	return c.InfoContext(context.Background())
-}
-
-// InfoContext is Info honoring a cancellation context.
-func (c *RemoteClient) InfoContext(ctx context.Context) (map[string]any, error) {
+func (c *RemoteClient) Info(ctx context.Context) (map[string]any, error) {
 	var resp map[string]any
 	if err := c.get(ctx, "/v1/db/"+c.DB, &resp); err != nil {
 		return nil, err
@@ -305,17 +275,11 @@ func newScanner(r io.Reader) *bufio.Scanner {
 }
 
 // RunRemote reads commands from r and answers them through the daemon
-// until EOF or quit.
-func RunRemote(c *RemoteClient, r io.Reader, w io.Writer) error {
-	return RunRemoteContext(context.Background(), c, r, w)
-}
-
-// RunRemoteContext is RunRemote with a base context. Each command runs
-// under a context armed to cancel on SIGINT, so Ctrl-C mid-query aborts
-// the in-flight request and returns to the prompt instead of killing the
-// shell; at the prompt (no command in flight) SIGINT keeps its default
-// behavior.
-func RunRemoteContext(ctx context.Context, c *RemoteClient, r io.Reader, w io.Writer) error {
+// until EOF or quit, under ctx. Each command runs under a context armed to
+// cancel on SIGINT, so Ctrl-C mid-query aborts the in-flight request and
+// returns to the prompt instead of killing the shell; at the prompt (no
+// command in flight) SIGINT keeps its default behavior.
+func RunRemote(ctx context.Context, c *RemoteClient, r io.Reader, w io.Writer) error {
 	sc := newScanner(r)
 	fmt.Fprintf(w, "%s> ", c.DB)
 	for sc.Scan() {
@@ -352,7 +316,7 @@ func ExecuteRemoteContext(ctx context.Context, c *RemoteClient, line string, w i
 		fmt.Fprint(w, remoteHelpText)
 		return false, nil
 	case line == "info":
-		info, err := c.InfoContext(ctx)
+		info, err := c.Info(ctx)
 		if err != nil {
 			return false, err
 		}
@@ -363,7 +327,7 @@ func ExecuteRemoteContext(ctx context.Context, c *RemoteClient, line string, w i
 		w.Write(append(raw, '\n'))
 		return false, nil
 	case strings.HasPrefix(line, "add "):
-		v, err := c.AddFactsContext(ctx, strings.TrimSpace(strings.TrimPrefix(line, "add ")))
+		v, err := c.AddFacts(ctx, strings.TrimSpace(strings.TrimPrefix(line, "add ")))
 		if err != nil {
 			return false, err
 		}

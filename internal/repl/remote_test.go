@@ -38,7 +38,7 @@ func TestRunRemoteSession(t *testing.T) {
 		"quit",
 	}, "\n") + "\n"
 	var out strings.Builder
-	if err := repl.RunRemote(c, strings.NewReader(script), &out); err != nil {
+	if err := repl.RunRemote(context.Background(), c, strings.NewReader(script), &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -89,7 +89,7 @@ func TestRemoteTrace(t *testing.T) {
 
 	// The interactive session prints the tree after each answer.
 	var session strings.Builder
-	if err := repl.RunRemote(c, strings.NewReader("?- Even(2).\nquit\n"), &session); err != nil {
+	if err := repl.RunRemote(context.Background(), c, strings.NewReader("?- Even(2).\nquit\n"), &session); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(session.String(), "trace ") {
@@ -109,10 +109,10 @@ func TestRemoteClientErrors(t *testing.T) {
 	if _, _, err := c.Ask(context.Background(), "?- Even(4)."); err == nil || !strings.Contains(err.Error(), "no database named") {
 		t.Fatalf("Ask on missing db = %v, want daemon's message", err)
 	}
-	if _, err := c.AddFacts("Even(3)."); err == nil || !strings.Contains(err.Error(), "no database named") {
+	if _, err := c.AddFacts(context.Background(), "Even(3)."); err == nil || !strings.Contains(err.Error(), "no database named") {
 		t.Fatalf("AddFacts on missing db = %v, want daemon's message", err)
 	}
-	if _, err := c.Info(); err == nil {
+	if _, err := c.Info(context.Background()); err == nil {
 		t.Fatal("Info on missing db succeeded")
 	}
 }

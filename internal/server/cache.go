@@ -13,7 +13,6 @@ type cacheKey struct {
 	version  uint64
 	endpoint string
 	query    string // whitespace-normalized
-	via      string
 	depth    int
 	limit    int
 }

@@ -39,7 +39,7 @@ func TestResponseBytesGolden(t *testing.T) {
 			`{"answer":true,"version":1,"cached":false}` + "\n"},
 		{"ask hit", "/v1/db/even/ask", `{"query":"?- Even(4)."}`, 200,
 			`{"answer":true,"version":1,"cached":true}` + "\n"},
-		{"ask false via cc", "/v1/db/even/ask", `{"query":"?- Even(5).","via":"cc"}`, 200,
+		{"ask false", "/v1/db/even/ask", `{"query":"?- Even(5)."}`, 200,
 			`{"answer":false,"version":1,"cached":false}` + "\n"},
 		{"ask on a spec entry", "/v1/db/evenspec/ask", `{"query":"?- Even(4)."}`, 200,
 			`{"answer":true,"version":1,"cached":false}` + "\n"},
@@ -66,8 +66,8 @@ func TestResponseBytesGolden(t *testing.T) {
 			`{"error":{"code":"parse_error","message":"1:9: expected a term, found end of input"}}` + "\n"},
 		{"missing queries", "/v1/db/even/batch", `{"queries":[]}`, 400,
 			`{"error":{"code":"bad_request","message":"missing queries"}}` + "\n"},
-		{"unknown via", "/v1/db/even/ask", `{"query":"?- Even(4).","via":"<magic>"}`, 400,
-			`{"error":{"code":"bad_request","message":"unknown via \"<magic>\" (want \"\" or \"cc\")"}}` + "\n"},
+		{"via, an unknown member", "/v1/db/even/ask", `{"query":"?- Even(4).","via":"cc"}`, 400,
+			`{"error":{"code":"bad_request","message":"invalid request body: unknown member \"via\" at offset 23"}}` + "\n"},
 	} {
 		status, header, got := send(tc.path, tc.body)
 		if status != tc.status || got != tc.want {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -121,7 +120,6 @@ func TestOnePlanLookupPerQuery(t *testing.T) {
 		{"ask, LRU miss", post("ask", map[string]any{"query": "?- Even(4)."}, false), 1},
 		{"ask, LRU hit", post("ask", map[string]any{"query": "?- Even(4)."}, true), 1},
 		{"ask, respelled LRU hit", post("ask", map[string]any{"query": "?-  Even( 4 )."}, true), 1},
-		{"ask via cc, LRU miss", post("ask", map[string]any{"query": "?- Even(4).", "via": "cc"}, false), 1},
 		{"ask, parse error", func() { doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": "?- Even("}) }, 1},
 		{"answers, LRU miss", post("answers", map[string]any{"query": "?- Even(T).", "depth": 4}, false), 1},
 		{"answers, LRU hit", post("answers", map[string]any{"query": "?- Even(T).", "depth": 4}, true), 1},
@@ -198,7 +196,6 @@ func TestTermDepthDoS(t *testing.T) {
 		body               any
 	}{
 		{"ask nest", "POST", "/v1/db/even/ask", map[string]any{"query": "?- " + nest + "."}},
-		{"ask 70000 via cc", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(70000).", "via": "cc"}},
 		{"ask T+70000", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(T+70000)."}},
 		{"answers nest", "POST", "/v1/db/even/answers", map[string]any{"query": "?- " + nest + ", Even(T).", "depth": 2}},
 		{"answers 2^30", "POST", "/v1/db/even/answers", map[string]any{"query": "?- Even(T+1073741824).", "depth": 2}},
@@ -259,25 +256,15 @@ func TestTermDepthDoS(t *testing.T) {
 // TestTermDepthErrorIsTheTrees: a ground query nested past the depth cap is
 // declined by the plan miss's reader and parsed into a tree, so the 400
 // parse_error carries the tree parser's error for the text, at its
-// line:col. A numeral, +n sugar, or nesting and sugar combined past the cap
-// are the reader's, and answered; asked by congruence closure, which builds
-// the term, they are the tree parser's error too.
+// line:col. (A numeral, +n sugar, or nesting and sugar combined past the cap
+// are the reader's, and answered: TestTermDepthDoS.)
 func TestTermDepthErrorIsTheTrees(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	prog := parser.MustParse(evenSrc).Program
-	nest := func(n int) string { return strings.Repeat("f(", n) + "0" + strings.Repeat(")", n) }
-	for _, c := range []struct {
-		q, via string
-	}{
-		{"?- Even(" + nest(parser.MaxTermDepth+1) + ").", ""},
-		{fmt.Sprintf("?- Even(%d).", parser.MaxTermDepth+1), "cc"},
-		{fmt.Sprintf("?- Even(2),\n   Even(0+%d).", parser.MaxTermDepth+1), "cc"},
-		{"?- Even(4), Even(" + nest(parser.MaxTermDepth-10) + "+11).", "cc"},
-	} {
-		_, treeErr := parser.ParseQuery(prog, c.q)
-		code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": c.q, "via": c.via})
-		if treeErr == nil || code != http.StatusBadRequest || errCode(body) != "parse_error" || errMessage(body) != treeErr.Error() {
-			t.Errorf("%.40q… via %q = %d %.120v; the tree parser: %v", c.q, c.via, code, body, treeErr)
-		}
+	q := "?- Even(\n" + strings.Repeat("f(", parser.MaxTermDepth+1) + "0" + strings.Repeat(")", parser.MaxTermDepth+1) + ")."
+	_, treeErr := parser.ParseQuery(prog, q)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": q})
+	if treeErr == nil || code != http.StatusBadRequest || errCode(body) != "parse_error" || errMessage(body) != treeErr.Error() {
+		t.Errorf("%.40q… = %d %.120v; the tree parser: %v", q, code, body, treeErr)
 	}
 }

@@ -553,11 +553,11 @@ func (p *prepared) key() {
 	}
 }
 
-func (p *prepared) ask(ctx context.Context, opts ...core.Option) (bool, error) {
+func (p *prepared) ask(ctx context.Context) (bool, error) {
 	if p.err != nil {
 		return false, p.err
 	}
-	return p.plan.Ask(ctx, opts...)
+	return p.plan.Ask(ctx)
 }
 
 func (p *prepared) answers(ctx context.Context, opts ...core.Option) ([]query.Tuple, bool, error) {
@@ -752,7 +752,6 @@ type askRequest struct {
 	// Query is a view into the request body (queryText): handleAsk holds
 	// the body until it returns.
 	Query queryText `json:"query"`
-	Via   string    `json:"via,omitempty"` // "" (DFA walk) or "cc"
 	// Trace asks for a per-stage span trace of this query's evaluation. A
 	// traced request bypasses the answer cache (a cached verdict has no
 	// stages worth tracing) but still populates it.
@@ -760,7 +759,7 @@ type askRequest struct {
 }
 
 func (req *askRequest) fields() []field {
-	return []field{{name: "query", query: &req.Query}, {name: "via", str: &req.Via}, {name: "trace", flag: &req.Trace}}
+	return []field{{name: "query", query: &req.Query}, {name: "trace", flag: &req.Trace}}
 }
 
 type askResponse struct {
@@ -787,9 +786,6 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	if len(bytes.TrimSpace(req.Query)) == 0 {
 		return errf(http.StatusBadRequest, "missing query")
 	}
-	if req.Via != "" && req.Via != "cc" {
-		return errf(http.StatusBadRequest, "unknown via %q (want \"\" or \"cc\")", req.Via)
-	}
 	em := s.met.endpoint("ask")
 	// The traced ctx is built before the key so that a cold traced request
 	// records its parse/compile spans (prepare compiles the plan).
@@ -798,7 +794,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 	in.DB = e.Name
 	q := prepareText(ctx, e, req.Query)
 	setQuery(in, &q)
-	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape, via: req.Via}
+	key := cacheKey{db: e.Name, version: e.Version, endpoint: "ask", query: q.shape}
 	if !req.Trace {
 		if v, ok := s.cache.get(key); ok {
 			em.cacheHits.Add(1)
@@ -807,12 +803,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	em.cacheMisses.Add(1)
-	var opts []core.Option
-	if req.Via == "cc" {
-		opts = append(opts, core.WithMethod(core.MethodEquational))
-	}
 	start := time.Now()
-	ans, err := q.ask(ctx, opts...)
+	ans, err := q.ask(ctx)
 	s.logSlow(in, e.Name, q.query, time.Since(start), tr)
 	if err != nil {
 		return queryError(err)

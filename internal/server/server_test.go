@@ -145,23 +145,21 @@ func TestHealthz(t *testing.T) {
 func TestAskProgramAndSpec(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
-		db, query, via string
-		want           bool
+		db, query string
+		want      bool
 	}{
-		{"even", "?- Even(4).", "", true},
-		{"even", "?- Even(5).", "", false},
-		{"even", "?- Even(4).", "cc", true},
-		{"evenspec", "?- Even(4).", "", true},
-		{"evenspec", "?- Even(5).", "cc", false},
-		{"evenspec", "?- Even(T).", "", true},
+		{"even", "?- Even(4).", true},
+		{"even", "?- Even(5).", false},
+		{"evenspec", "?- Even(4).", true},
+		{"evenspec", "?- Even(5).", false},
+		{"evenspec", "?- Even(T).", true},
 	} {
-		code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask",
-			map[string]any{"query": tc.query, "via": tc.via})
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask", map[string]any{"query": tc.query})
 		if code != http.StatusOK {
 			t.Fatalf("ask %s %q: %d %v", tc.db, tc.query, code, body)
 		}
 		if body["answer"].(bool) != tc.want {
-			t.Errorf("ask %s %q via %q = %v, want %v", tc.db, tc.query, tc.via, body["answer"], tc.want)
+			t.Errorf("ask %s %q = %v, want %v", tc.db, tc.query, body["answer"], tc.want)
 		}
 	}
 }
@@ -325,13 +323,11 @@ func TestOutsideAlphabetIsFalse(t *testing.T) {
 		{"sub", "?- Member(foo(0), e1).", "foo"},
 		{"sub", "?- Member(3, e1).", "succ"},
 	} {
-		for _, via := range []string{"", "cc"} {
-			code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask", map[string]any{"query": tc.query, "via": via})
-			if code != http.StatusOK || body["answer"] != false {
-				t.Errorf("%s %s via %q: %d %v; want 200 false", tc.db, tc.query, via, code, body)
-			}
+		code, body := doJSON(t, "POST", ts.URL+"/v1/db/"+tc.db+"/ask", map[string]any{"query": tc.query})
+		if code != http.StatusOK || body["answer"] != false {
+			t.Errorf("%s %s: %d %v; want 200 false", tc.db, tc.query, code, body)
 		}
-		code, body := doJSON(t, "GET", ts.URL+"/v1/db/"+tc.db+"/explain?q="+url.QueryEscape(tc.query), nil)
+		code, body = doJSON(t, "GET", ts.URL+"/v1/db/"+tc.db+"/explain?q="+url.QueryEscape(tc.query), nil)
 		if ex, _ := body["explanation"].(string); code != http.StatusOK || !strings.Contains(ex, tc.symbol+" is not in the specification's alphabet") {
 			t.Errorf("%s explain %s: %d %v; want it to name %s", tc.db, tc.query, code, body, tc.symbol)
 		}
@@ -440,7 +436,7 @@ func TestErrorPaths(t *testing.T) {
 		{"explain unknown db", "GET", "/v1/db/nope/explain?q=x", nil, 404},
 		{"ask bad json", "POST", "/v1/db/even/ask", `{"query":`, 400},
 		{"ask empty query", "POST", "/v1/db/even/ask", map[string]any{"query": "  "}, 400},
-		{"ask bad via", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(0).", "via": "magic"}, 400},
+		{"ask bad via", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even(0).", "via": "cc"}, 400},
 		{"ask unparsable query", "POST", "/v1/db/even/ask", map[string]any{"query": "?- Even("}, 400},
 		{"ask unknown field", "POST", "/v1/db/even/ask", `{"query":"?- Even(0).","bogus":1}`, 400},
 		{"answers negative depth", "POST", "/v1/db/even/answers", map[string]any{"query": "?- Even(T).", "depth": -1}, 400},
@@ -767,21 +763,6 @@ func TestTraceBlock(t *testing.T) {
 	_, body = doJSON(t, "POST", ts.URL+"/v1/db/even/ask", map[string]any{"query": "?- Even(4)."})
 	if _, ok := body["trace"]; ok {
 		t.Errorf("untraced ask leaked a trace block: %v", body)
-	}
-
-	// A ground ask via congruence closure records the congruence stage and
-	// the size of the equation set Cl(R) is derived from.
-	code, body = doJSON(t, "POST", ts.URL+"/v1/db/even/ask",
-		map[string]any{"query": "?- Even(4).", "via": "cc", "trace": true})
-	if code != http.StatusOK {
-		t.Fatalf("ask via cc = %d %v", code, body)
-	}
-	spans, counters = traceReport(t, body)
-	if names := spanNames(spans); names["congruence"] == 0 {
-		t.Errorf("cc trace missing congruence span; have %v", names)
-	}
-	if eq, _ := counters["equations"].(float64); eq <= 0 {
-		t.Errorf("equations counter = %v, want > 0", counters["equations"])
 	}
 }
 

@@ -62,7 +62,7 @@ func TestReshardLive(t *testing.T) {
 	t.Cleanup(router.Close)
 
 	c := &repl.RemoteClient{Base: router.URL, DB: "movedb"}
-	if err := c.Put([]byte("Mark(0).\n")); err != nil {
+	if err := c.Put(context.Background(), []byte("Mark(0).\n")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestReshardLive(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.AddFacts(fmt.Sprintf("Mark(%d).", i)); err != nil {
+			if _, err := c.AddFacts(context.Background(), fmt.Sprintf("Mark(%d).", i)); err != nil {
 				mu.Lock()
 				writeErr = fmt.Errorf("write %d: %w", i, err)
 				mu.Unlock()
@@ -187,7 +187,7 @@ func TestReshardNoStaleAnswer(t *testing.T) {
 	t.Cleanup(router.Close)
 
 	c := &repl.RemoteClient{Base: router.URL, DB: "flipdb"}
-	if err := c.Put([]byte("Flip(0).\n")); err != nil {
+	if err := c.Put(context.Background(), []byte("Flip(0).\n")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -217,7 +217,7 @@ func TestReshardNoStaleAnswer(t *testing.T) {
 	}
 
 	// The write that flips the answer lands on the new owner.
-	if _, err := c.AddFacts("Flip(1)."); err != nil {
+	if _, err := c.AddFacts(context.Background(), "Flip(1)."); err != nil {
 		t.Fatalf("post-move write: %v", err)
 	}
 	// The cached false from before the flip must not survive — neither for

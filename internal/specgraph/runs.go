@@ -36,7 +36,7 @@ func AppendRun(runs []int32, s int32, n int64) []int32 {
 // a table over it as it is written: the state the string leads to from the
 // root is known once its last run is, with no second pass over the string.
 type RunWriter struct {
-	runs  []int32 // the runs but the last
+	runs  []int32 // what the buffer held, then the runs but the last
 	sym   int32   // the last run's symbol
 	count int64   // the last run's count; 0: none
 
@@ -46,9 +46,10 @@ type RunWriter struct {
 	state int32 // where the applications written lead from the root
 }
 
-// Reset empties the writer, which writes into buf from now on and walks t.
+// Reset empties the writer, which appends what it writes to buf from now on
+// and walks t.
 func (w *RunWriter) Reset(t *Table, buf []int32) {
-	*w = RunWriter{runs: buf[:0], t: t, trans: t.trans, k: len(t.Alphabet)}
+	*w = RunWriter{runs: buf, t: t, trans: t.trans, k: len(t.Alphabet)}
 }
 
 // Add appends n applications of the symbol index s: counted into the run the
@@ -99,7 +100,8 @@ func (w *RunWriter) AddEach(syms []int32, entries []uint8) bool {
 // State returns the state the applications written lead to from the root.
 func (w *RunWriter) State() int32 { return w.state }
 
-// Runs returns the run string written, in the writer's buffer.
+// Runs returns the buffer Reset was given with the run string written
+// appended.
 func (w *RunWriter) Runs() []int32 {
 	w.runs, w.count = AppendRun(w.runs, w.sym, w.count), 0
 	return w.runs

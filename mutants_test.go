@@ -16,7 +16,18 @@ var mutants = []mutant{
 		edits: []edit{{"internal/specgraph/runs.go", "\t\tstate = trans[int(state)*k+int(s)]\n\t\tswitch {", "\t\tswitch {"},
 			{"internal/specgraph/runs.go", "\t\tsym, count = s, 1\n\t}\n\tw.runs, w.sym, w.count, w.state", "\t\tsym, count = s, 1\n\t\tstate = trans[int(state)*k+int(s)]\n\t}\n\tw.runs, w.sym, w.count, w.state"}}},
 	{name: "atoms_after_the_first_ignored", pkg: "./internal/core", run: "^TestGroundOracle$",
-		edits: []edit{{"internal/core/plan.go", "for i := range steps {", "for i := range steps[:min(len(steps), 1)] {"}}},
+		edits: []edit{{"internal/core/lower.go", "for i := range steps {", "for i := range steps[:min(len(steps), 1)] {"}}},
+
+	// A ground plan is its verdict: it keeps no steps and takes no shape
+	// slot, and the equational method reads its text again each call.
+	{name: "equational_ask_returns_the_verdict", pkg: "./internal/core", run: "^TestEquationalAskIsTraced$",
+		edits: []edit{{"internal/core/plan.go", "return s.congruent(ctx, g.steps)", "return p.verdict, nil"}}},
+	{name: "ground_plan_in_the_shapes_map", pkg: "./internal/core", run: "^TestGroundMissAllocs$",
+		edits: []edit{{"internal/core/plan.go",
+			"\t\t\te = &planEntry{plan: p}\n\t\t\tpc.store(key, src, e)",
+			"\t\t\te = &planEntry{plan: p}\n\t\t\tif pc.shapes == nil {\n\t\t\t\tpc.shapes = make(map[string]*planEntry)\n\t\t\t}\n\t\t\tpc.shapes[p.shape] = e\n\t\t\tpc.store(key, src, e)"}}},
+	{name: "reread_sees_the_last_texts_steps", pkg: "./internal/core", run: "^(TestGroundOracle|TestEquationalRereadsItsText)$",
+		edits: []edit{{"internal/core/lower.go", "\tclear(g.steps[:cap(g.steps)])\n\tsteps, runs := g.steps[:0], g.runs[:0]", "\tsteps, runs := g.steps, g.runs[:0]"}}},
 
 	// The join's argument index: buckets, windows, keys.
 	{name: "buckets_miss_later_atoms", pkg: "./internal/engine", run: "^TestCellJoins$",
