@@ -193,16 +193,15 @@ func (g *groundLowering) Atom(name string, arity int, functional bool, apps int)
 	}
 	g.shape.Atom(name, arity, functional)
 	g.functional, g.out, g.data = functional, false, g.data[:0]
-	// A layer in parentheses takes a word of the run string at most, and a
-	// numeral's run three; +n sugar between layers, rarer, grows it.
 	if functional {
+		// A layer in parentheses takes a word of the run string at most,
+		// and a numeral's run three; +n sugar between layers, rarer, grows
+		// it.
 		g.runs = slices.Grow(g.runs, apps+3)
+		g.shape.Zero()
 	}
 	g.rw.Reset(g.lw.table, g.runs)
 	g.depth = 0
-	if functional {
-		g.shape.Zero()
-	}
 }
 
 // endApp finds the symbol of the application read last, if it is still to
